@@ -625,16 +625,23 @@ fn run_chaos_known(cfg: &RunCfg) {
 /// machine. `--memory <backend>` restricts the table to one backend;
 /// `report_out = Some(path)` writes `BENCH_memory.json`.
 fn run_memory(cfg: &RunCfg, report_out: Option<String>) {
-    use locus_coherence::memory_registry;
+    use locus_coherence::{build_memory_model, MemoryConfig};
+    let die = |msg: String| -> ! {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    };
     let a = cfg.circuit();
     let b = cfg.circuit2();
-    let mut rows = memory_study(&cfg.harness, &[&a, &b], cfg.procs(), MEMORY_STUDY_LINE_SIZE);
+    // An unknown `--memory` name is reported before the study runs.
     if let Some(backend) = &cfg.memory_backend {
-        if !memory_registry().iter().any(|e| e.name == backend.as_str()) {
-            let known: Vec<&str> = memory_registry().iter().map(|e| e.name).collect();
-            eprintln!("unknown memory backend {backend:?}; expected one of {known:?}");
-            std::process::exit(2);
+        let machine = MemoryConfig::paper(cfg.procs() as u32, MEMORY_STUDY_LINE_SIZE);
+        if let Err(msg) = build_memory_model(backend, machine) {
+            die(msg);
         }
+    }
+    let mut rows = memory_study(&cfg.harness, &[&a, &b], cfg.procs(), MEMORY_STUDY_LINE_SIZE)
+        .unwrap_or_else(|msg| die(msg));
+    if let Some(backend) = &cfg.memory_backend {
         rows.retain(|r| r.backend == backend.as_str());
     }
     let data: Vec<Vec<String>> = rows

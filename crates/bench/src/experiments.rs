@@ -12,8 +12,8 @@
 use crate::sweep::Harness;
 use locus_circuit::Circuit;
 use locus_coherence::{
-    memory_registry, traffic_by_backend, traffic_by_line_size, MemoryConfig, MemoryModelEntry,
-    MemoryOutcome, Trace,
+    build_memory_model, memory_registry, traffic_by_backend, traffic_by_line_size, MemoryConfig,
+    MemoryModelEntry, MemoryOutcome, Trace,
 };
 use locus_msgpass::{
     run_msgpass, run_msgpass_observed, MsgPassConfig, MsgPassOutcome, PacketStructure,
@@ -286,22 +286,31 @@ pub const MEMORY_STUDY_LINE_SIZE: u32 = 8;
 /// over the same mesh machine. Reports protocol data traffic,
 /// invalidation transport (broadcast vs point-to-point vs none), and
 /// FIFO vs criticality-aware queueing of the rip-up/commit requests.
+///
+/// A machine some backend cannot price (no processors, more than a
+/// holder bitmask names, a line size that is not a power of two) is an
+/// error, reported before any trace is collected.
 pub fn memory_study(
     harness: &Harness,
     circuits: &[&Circuit],
     n_procs: usize,
     line_size: u32,
-) -> Vec<MemoryRow> {
+) -> Result<Vec<MemoryRow>, String> {
+    let n = u32::try_from(n_procs).map_err(|_| format!("{n_procs} processors is out of range"))?;
+    let machine = MemoryConfig::paper(n, line_size);
+    for entry in memory_registry() {
+        build_memory_model(entry.name, machine)?;
+    }
     let mut rows = Vec::new();
     for &circuit in circuits {
         let trace = shared_memory_trace(circuit, n_procs);
         let entries: Vec<&'static MemoryModelEntry> = memory_registry().iter().collect();
         rows.extend(harness.map(entries, |entry| {
-            let model = (entry.build)(MemoryConfig::paper(n_procs as u32, line_size));
+            let model = (entry.build)(machine);
             memory_row(circuit.name.clone(), &model.run(&trace))
         }));
     }
-    rows
+    Ok(rows)
 }
 
 /// Machine-readable JSON for the memory study (`memory --report`,
@@ -955,7 +964,7 @@ mod tests {
     #[test]
     fn memory_study_covers_every_backend_and_priority_never_hurts_critical() {
         let c = presets::small();
-        let rows = memory_study(&h(), &[&c], QUICK_PROCS, MEMORY_STUDY_LINE_SIZE);
+        let rows = memory_study(&h(), &[&c], QUICK_PROCS, MEMORY_STUDY_LINE_SIZE).expect("valid");
         assert_eq!(rows.len(), locus_coherence::memory_registry().len());
         let by = |name: &str| rows.iter().find(|r| r.backend == name).unwrap();
         // WBI-semantics backends agree on data traffic; transport differs.
@@ -972,14 +981,29 @@ mod tests {
                 r.backend
             );
         }
-        let again = memory_study(&h(), &[&c], QUICK_PROCS, MEMORY_STUDY_LINE_SIZE);
+        let again = memory_study(&h(), &[&c], QUICK_PROCS, MEMORY_STUDY_LINE_SIZE).expect("valid");
         assert_eq!(rows, again, "the study must be exactly reproducible");
+    }
+
+    #[test]
+    fn absurd_memory_machines_are_errors_not_panics() {
+        let c = presets::tiny();
+        // 65 processors overflow the bus and directory holder bitmasks;
+        // the study says so before it collects a trace.
+        let err = memory_study(&h(), &[&c], 65, MEMORY_STUDY_LINE_SIZE).expect_err("65 procs");
+        assert!(err.contains("64"), "{err}");
+        for line_size in [0, 12] {
+            let err = memory_study(&h(), &[&c], QUICK_PROCS, line_size).expect_err("bad line");
+            assert!(err.contains("power of two"), "{err}");
+            let err = table3_backend(&c, QUICK_PROCS, &[8, line_size], "bus-wt").expect_err("bad");
+            assert!(err.contains("power of two"), "{err}");
+        }
     }
 
     #[test]
     fn memory_report_json_is_valid_and_names_every_backend() {
         let c = presets::tiny();
-        let rows = memory_study(&h(), &[&c], QUICK_PROCS, MEMORY_STUDY_LINE_SIZE);
+        let rows = memory_study(&h(), &[&c], QUICK_PROCS, MEMORY_STUDY_LINE_SIZE).expect("valid");
         let json = memory_report_json(&rows, QUICK_PROCS, MEMORY_STUDY_LINE_SIZE);
         locus_obs::export::validate_json(&json).expect("report must be valid JSON");
         for e in locus_coherence::memory_registry() {

@@ -28,12 +28,13 @@
 pub mod analyze;
 pub mod model;
 pub mod protocol;
+mod table;
 pub mod trace;
 
 pub use analyze::{traffic_by_backend, traffic_by_line_size};
 pub use model::{
-    build_memory_model, memory_registry, model_for_config, BusModel, DirectoryModel, DlsModel,
-    MemoryConfig, MemoryModel, MemoryModelEntry, MemoryOutcome, ProcCounts,
+    build_memory_model, memory_registry, MemoryConfig, MemoryModel, MemoryModelEntry,
+    MemoryOutcome, ProcCounts,
 };
 pub use protocol::{
     CoherenceConfig, CoherenceSim, DirectoryParams, DlsParams, Protocol, TrafficStats,

@@ -42,9 +42,7 @@
 //! [`ServicePolicy::CriticalFirst`] — so a report can state how much
 //! critical-request wait the priority arbiter removes on identical
 //! traffic (arXiv:1606.05933). Criticality comes from the trace: the
-//! emulator tags rip-up/commit stores [`Criticality::Critical`].
-
-use std::collections::BTreeMap;
+//! emulator tags rip-up/commit stores [`Critical`](crate::trace::Criticality::Critical).
 
 use locus_mesh::{
     Arbiter, MeshConfig, ResolvedContention, ServicePolicy, ServiceRequest, Topology,
@@ -52,8 +50,9 @@ use locus_mesh::{
 use locus_obs::{Event as ObsEvent, EventKind as ObsKind, NullSink, Sink};
 
 use crate::protocol::{
-    CoherenceConfig, CoherenceSim, DirectoryParams, DlsParams, Protocol, TrafficStats,
+    transition, CoherenceConfig, CoherenceSim, DirectoryParams, DlsParams, Protocol, TrafficStats,
 };
+use crate::table::LineTable;
 use crate::trace::{MemRef, RefKind, Trace};
 
 /// Everything a backend needs to price a trace: processor count, the
@@ -72,13 +71,14 @@ pub struct MemoryConfig {
 impl MemoryConfig {
     /// The paper's evaluation machine for `n_procs` processors with the
     /// given line size: WBI protocol, 4-byte words, Ametek-style mesh of
-    /// near-square shape (16 → 4×4).
+    /// near-square shape (16 → 4×4). The line size is checked when a
+    /// backend is built ([`Self::validate`]), not here.
     pub fn paper(n_procs: u32, line_size: u32) -> Self {
         let n = n_procs.max(1);
         let topo = Topology::for_procs(n as usize);
         MemoryConfig {
             n_procs: n,
-            coherence: CoherenceConfig::with_line_size(line_size),
+            coherence: CoherenceConfig { line_size, ..CoherenceConfig::default() },
             mesh: MeshConfig::ametek(topo.rows, topo.cols),
         }
     }
@@ -87,6 +87,42 @@ impl MemoryConfig {
     pub fn with_protocol(mut self, protocol: Protocol) -> Self {
         self.coherence.protocol = protocol;
         self
+    }
+
+    /// Checks everything the public fields could have been set to that a
+    /// backend would otherwise panic on or silently mis-price: line and
+    /// word sizes, the processor count (at most 64 where holders are a
+    /// bitmask), the mesh shape and the protocol variant's parameters.
+    pub fn validate(&self) -> Result<(), String> {
+        let sizes =
+            [("line size", self.coherence.line_size), ("word size", self.coherence.word_bytes)];
+        if let Some((what, bytes)) = sizes.into_iter().find(|(_, bytes)| !bytes.is_power_of_two()) {
+            return Err(format!("{what} must be a nonzero power of two, got {bytes}"));
+        }
+        if self.mesh.rows == 0 || self.mesh.cols == 0 {
+            return Err(format!(
+                "mesh must be at least 1×1, got {}×{}",
+                self.mesh.rows, self.mesh.cols
+            ));
+        }
+        let protocol = self.coherence.protocol;
+        if !(1..=protocol.max_procs()).contains(&self.n_procs) {
+            return Err(format!(
+                "`{}` supports 1 to {} processors, got {}",
+                protocol.backend_name(),
+                protocol.max_procs(),
+                self.n_procs
+            ));
+        }
+        match protocol {
+            Protocol::Directory(p) if p.home_tiles == 0 => {
+                Err("directory needs at least one home tile".into())
+            }
+            Protocol::DirectorylessLlc(p) if p.interleave_lines == 0 => {
+                Err("dls interleave granularity must be nonzero".into())
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -193,25 +229,38 @@ impl Pricer {
 /// arbiter request log, and the obs stream.
 struct RunAcc<'a> {
     per_proc: Vec<ProcCounts>,
+    /// Processor ids the backend can represent: 64 where holders are a
+    /// bitmask. Checked when a processor first appears, so the replay
+    /// loops need no check per reference.
+    max_procs: u32,
     arb: Arbiter,
     sink: &'a mut dyn Sink,
     obs_on: bool,
 }
 
 impl<'a> RunAcc<'a> {
-    fn new(n_procs: u32, sink: &'a mut dyn Sink) -> Self {
+    fn new(cfg: &MemoryConfig, sink: &'a mut dyn Sink) -> Self {
         let obs_on = sink.enabled();
         RunAcc {
-            per_proc: vec![ProcCounts::default(); n_procs as usize],
+            per_proc: vec![ProcCounts::default(); cfg.n_procs as usize],
+            max_procs: cfg.coherence.protocol.max_procs(),
             arb: Arbiter::new(),
             sink,
             obs_on,
         }
     }
 
+    /// Makes room for a processor the configuration did not announce.
+    #[cold]
+    fn grow(&mut self, proc: u32) {
+        assert!(proc < self.max_procs, "bitmask directory supports up to 64 processors");
+        self.per_proc.resize(proc as usize + 1, ProcCounts::default());
+    }
+
+    #[inline]
     fn count(&mut self, r: &MemRef) {
         if r.proc as usize >= self.per_proc.len() {
-            self.per_proc.resize(r.proc as usize + 1, ProcCounts::default());
+            self.grow(r.proc);
         }
         let c = &mut self.per_proc[r.proc as usize];
         match r.kind {
@@ -243,11 +292,12 @@ impl<'a> RunAcc<'a> {
     }
 
     fn finish(
-        self,
+        mut self,
         backend: &'static str,
         stats: TrafficStats,
         invalidation_traffic_bytes: u64,
     ) -> MemoryOutcome {
+        // The first resolve sorts the per-resource logs; the second reuses them.
         let fifo = self.arb.resolve(ServicePolicy::Fifo);
         let critical_first = self.arb.resolve(ServicePolicy::CriticalFirst);
         MemoryOutcome {
@@ -264,41 +314,22 @@ impl<'a> RunAcc<'a> {
 /// The snooped-bus backends (`bus-wbi` / `bus-wt`): traffic accounting
 /// is delegated access-by-access to [`CoherenceSim`], so the resulting
 /// [`TrafficStats`] are byte-identical to the legacy Table 3 path.
-pub struct BusModel {
+struct BusModel {
     cfg: MemoryConfig,
-    write_through: bool,
-}
-
-impl BusModel {
-    /// A bus backend over `cfg`; `write_through` selects the ablation.
-    pub fn new(cfg: MemoryConfig, write_through: bool) -> Self {
-        BusModel { cfg, write_through }
-    }
 }
 
 impl MemoryModel for BusModel {
     fn name(&self) -> &'static str {
-        if self.write_through {
-            "bus-wt"
-        } else {
-            "bus-wbi"
-        }
+        self.cfg.coherence.protocol.backend_name()
     }
 
     fn run_observed(&self, trace: &Trace, sink: &mut dyn Sink) -> MemoryOutcome {
-        let mut bus_cfg =
-            CoherenceConfig { protocol: Protocol::WriteBackInvalidate, ..self.cfg.coherence };
-        if self.write_through {
-            bus_cfg.protocol = Protocol::WriteThrough;
-        }
         let pricer = Pricer::new(&self.cfg);
-        let mut sim = CoherenceSim::new(bus_cfg);
-        let mut acc = RunAcc::new(self.cfg.n_procs, sink);
+        let mut sim = CoherenceSim::new(self.cfg.coherence);
+        let mut acc = RunAcc::new(&self.cfg, sink);
         for r in trace.refs() {
             acc.count(r);
-            let before = sim.stats().total_bytes;
-            sim.access(r.proc, r.addr, r.kind);
-            let moved = sim.stats().total_bytes - before;
+            let moved = sim.step(r.proc, r.addr, r.kind);
             if moved > 0 {
                 // One bus transaction; the bus is a single broadcast
                 // medium, so there is no per-hop flight time.
@@ -308,34 +339,17 @@ impl MemoryModel for BusModel {
         let stats = *sim.stats();
         // Every announcement is snooped by all other caches.
         let broadcast = stats.word_writes
-            * bus_cfg.word_bytes as u64
+            * self.cfg.coherence.word_bytes as u64
             * (self.cfg.n_procs as u64).saturating_sub(1);
         acc.finish(self.name(), stats, broadcast)
     }
 }
 
-/// Per-line directory entry (same shape as the bus simulator's snoop
-/// state: infinite caches, so presence bits never get evicted).
-#[derive(Clone, Copy, Default)]
-struct DirLine {
-    holders: u64,
-    dirty: Option<u32>,
-    invalidated: u64,
-}
-
 /// The `directory` backend: MSI with WBI line semantics, home-node line
 /// state, and unicast invalidations priced through the mesh.
-pub struct DirectoryModel {
+struct DirectoryModel {
     cfg: MemoryConfig,
     params: DirectoryParams,
-}
-
-impl DirectoryModel {
-    /// A directory backend over `cfg` with the given home interleaving.
-    pub fn new(cfg: MemoryConfig, params: DirectoryParams) -> Self {
-        assert!(params.home_tiles > 0, "directory needs at least one home tile");
-        DirectoryModel { cfg, params }
-    }
 }
 
 impl MemoryModel for DirectoryModel {
@@ -344,77 +358,29 @@ impl MemoryModel for DirectoryModel {
     }
 
     fn run_observed(&self, trace: &Trace, sink: &mut dyn Sink) -> MemoryOutcome {
-        let line_size = self.cfg.coherence.line_size;
-        let word = self.cfg.coherence.word_bytes as u64;
+        let coherence = self.cfg.coherence;
+        let word = coherence.word_bytes as u64;
         let pricer = Pricer::new(&self.cfg);
-        let mut lines: BTreeMap<u32, DirLine> = BTreeMap::new();
+        let mut lines = LineTable::new(coherence.line_size);
         let mut stats = TrafficStats::default();
         let mut unicast_bytes = 0u64;
-        let mut acc = RunAcc::new(self.cfg.n_procs, sink);
+        let mut acc = RunAcc::new(&self.cfg, sink);
 
         for r in trace.refs() {
-            assert!(r.proc < 64, "bitmask directory supports up to 64 processors");
             acc.count(r);
-            let line_addr = r.addr / line_size;
-            let home = line_addr % self.params.home_tiles;
-            let st = lines.entry(line_addr).or_default();
-            let pbit = 1u64 << r.proc;
-            let line_bytes = line_size as u64;
-            // Bytes this access moves (data) and transports (invals).
-            let mut moved = 0u64;
-            let mut invals = 0u64;
-
-            match r.kind {
-                RefKind::Read => {
-                    if st.holders & pbit != 0 {
-                        continue; // hit in the private cache
-                    }
-                    // Read miss: home supplies the line (a dirty owner
-                    // writes back through the home in passing).
-                    stats.line_fetches += 1;
-                    stats.total_bytes += line_bytes;
-                    st.dirty = None;
-                    if st.invalidated & pbit != 0 {
-                        st.invalidated &= !pbit;
-                        stats.refetches += 1;
-                        stats.write_caused_bytes += line_bytes;
-                    } else {
-                        stats.read_caused_bytes += line_bytes;
-                    }
-                    st.holders |= pbit;
-                    moved = line_bytes;
-                }
-                RefKind::Write => {
-                    if st.dirty == Some(r.proc) {
-                        continue; // exclusive dirty hit
-                    }
-                    if st.holders & pbit == 0 {
-                        stats.line_fetches += 1;
-                        stats.total_bytes += line_bytes;
-                        stats.write_caused_bytes += line_bytes;
-                        if st.invalidated & pbit != 0 {
-                            st.invalidated &= !pbit;
-                            stats.refetches += 1;
-                        }
-                        st.holders |= pbit;
-                        moved += line_bytes;
-                    }
-                    // Ownership request to the home: one word announces
-                    // the write; the home unicasts an invalidation word
-                    // to each *actual* holder (no broadcast).
-                    stats.word_writes += 1;
-                    stats.total_bytes += word;
-                    stats.write_caused_bytes += word;
-                    let others = st.holders & !pbit;
-                    stats.invalidations += others.count_ones() as u64;
-                    st.invalidated |= others;
-                    st.holders = pbit;
-                    st.dirty = Some(r.proc);
-                    moved += word;
-                    invals = others.count_ones() as u64 * word;
-                    unicast_bytes += invals;
-                }
+            let line = lines.line_of(r.addr);
+            let t = transition(lines.line(line), r.proc, r.kind, coherence.protocol);
+            if t.is_hit() {
+                continue; // served by the private cache
             }
+            // The home supplies the line on a miss (a dirty owner writes
+            // back through it in passing). A write sends the home one
+            // ownership word, and the home unicasts an invalidation word
+            // to each *actual* holder (no broadcast).
+            let moved = stats.charge(&t, r.kind, &coherence);
+            let invals = t.copies() as u64 * word;
+            unicast_bytes += invals;
+            let home = line % self.params.home_tiles;
             let arrive = r.time + pricer.flight_ns(r.proc, home);
             acc.request(home, r, moved + invals, arrive, pricer.service_ns(moved + invals));
         }
@@ -427,17 +393,9 @@ impl MemoryModel for DirectoryModel {
 /// address-interleaved home tile. No private copies means no
 /// invalidations and no refetches, and total traffic that does not
 /// depend on the line size.
-pub struct DlsModel {
+struct DlsModel {
     cfg: MemoryConfig,
     params: DlsParams,
-}
-
-impl DlsModel {
-    /// A DLS backend over `cfg` with the given tile interleaving.
-    pub fn new(cfg: MemoryConfig, params: DlsParams) -> Self {
-        assert!(params.interleave_lines > 0, "interleave granularity must be nonzero");
-        DlsModel { cfg, params }
-    }
 }
 
 impl MemoryModel for DlsModel {
@@ -446,17 +404,16 @@ impl MemoryModel for DlsModel {
     }
 
     fn run_observed(&self, trace: &Trace, sink: &mut dyn Sink) -> MemoryOutcome {
-        let line_size = self.cfg.coherence.line_size;
+        let line_shift = self.cfg.coherence.line_size.trailing_zeros();
         let word = self.cfg.coherence.word_bytes as u64;
-        let tiles = self.cfg.n_procs.max(1);
+        let tiles = self.cfg.n_procs;
         let pricer = Pricer::new(&self.cfg);
         let mut stats = TrafficStats::default();
-        let mut acc = RunAcc::new(self.cfg.n_procs, sink);
+        let mut acc = RunAcc::new(&self.cfg, sink);
 
         for r in trace.refs() {
             acc.count(r);
-            let line_addr = r.addr / line_size;
-            let home = (line_addr / self.params.interleave_lines) % tiles;
+            let home = ((r.addr >> line_shift) / self.params.interleave_lines) % tiles;
             stats.total_bytes += word;
             match r.kind {
                 RefKind::Read => stats.read_caused_bytes += word,
@@ -472,16 +429,15 @@ impl MemoryModel for DlsModel {
     }
 }
 
-/// Builds the backend that services `cfg.coherence.protocol` — the
-/// canonical constructor when the protocol variant (with its params) is
-/// already known.
-pub fn model_for_config(cfg: MemoryConfig) -> Box<dyn MemoryModel> {
-    match cfg.coherence.protocol {
-        Protocol::WriteBackInvalidate => Box::new(BusModel::new(cfg, false)),
-        Protocol::WriteThrough => Box::new(BusModel::new(cfg, true)),
-        Protocol::Directory(params) => Box::new(DirectoryModel::new(cfg, params)),
-        Protocol::DirectorylessLlc(params) => Box::new(DlsModel::new(cfg, params)),
-    }
+/// Builds the backend that services `cfg.coherence.protocol`, or the
+/// error [`MemoryConfig::validate`] gives for a machine it cannot price.
+fn model_for_config(cfg: MemoryConfig) -> Result<Box<dyn MemoryModel>, String> {
+    cfg.validate()?;
+    Ok(match cfg.coherence.protocol {
+        Protocol::WriteBackInvalidate | Protocol::WriteThrough => Box::new(BusModel { cfg }),
+        Protocol::Directory(params) => Box::new(DirectoryModel { cfg, params }),
+        Protocol::DirectorylessLlc(params) => Box::new(DlsModel { cfg, params }),
+    })
 }
 
 /// One registered backend.
@@ -490,55 +446,51 @@ pub struct MemoryModelEntry {
     pub name: &'static str,
     /// One-line description for `--memory help` listings.
     pub summary: &'static str,
-    /// Constructor: adjusts `cfg`'s protocol variant (defaulting params
-    /// from the config when the variant doesn't already match) and builds.
+    /// Constructor: [`build_memory_model`] under this entry's name, for
+    /// configurations known to be valid (it panics on the others).
     pub build: fn(MemoryConfig) -> Box<dyn MemoryModel>,
 }
 
-fn build_bus_wbi(cfg: MemoryConfig) -> Box<dyn MemoryModel> {
-    model_for_config(cfg.with_protocol(Protocol::WriteBackInvalidate))
+/// The protocol variant the backend registered as `name` runs `cfg`
+/// under: the configuration's own variant when it already matches, so
+/// its params survive, else the backend's defaults.
+fn registered_protocol(name: &str, cfg: &MemoryConfig) -> Option<Protocol> {
+    let own = cfg.coherence.protocol;
+    Some(match (name, own) {
+        ("bus-wbi", _) => Protocol::WriteBackInvalidate,
+        ("bus-wt", _) => Protocol::WriteThrough,
+        ("directory", Protocol::Directory(_)) | ("dls", Protocol::DirectorylessLlc(_)) => own,
+        // One directory slice per processor tile.
+        ("directory", _) => Protocol::Directory(DirectoryParams { home_tiles: cfg.n_procs }),
+        ("dls", _) => Protocol::DirectorylessLlc(DlsParams::default()),
+        _ => return None,
+    })
 }
 
-fn build_bus_wt(cfg: MemoryConfig) -> Box<dyn MemoryModel> {
-    model_for_config(cfg.with_protocol(Protocol::WriteThrough))
-}
-
-fn build_directory(cfg: MemoryConfig) -> Box<dyn MemoryModel> {
-    let params = match cfg.coherence.protocol {
-        Protocol::Directory(p) => p,
-        _ => DirectoryParams::per_tile(cfg.n_procs),
-    };
-    model_for_config(cfg.with_protocol(Protocol::Directory(params)))
-}
-
-fn build_dls(cfg: MemoryConfig) -> Box<dyn MemoryModel> {
-    let params = match cfg.coherence.protocol {
-        Protocol::DirectorylessLlc(p) => p,
-        _ => DlsParams::default(),
-    };
-    model_for_config(cfg.with_protocol(Protocol::DirectorylessLlc(params)))
+fn build_registered(name: &str, cfg: MemoryConfig) -> Box<dyn MemoryModel> {
+    build_memory_model(name, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 static MEMORY_MODELS: [MemoryModelEntry; 4] = [
     MemoryModelEntry {
         name: "bus-wbi",
         summary: "snooped Write-Back-with-Invalidate bus (the paper's Table 3 memory system)",
-        build: build_bus_wbi,
+        build: |cfg| build_registered("bus-wbi", cfg),
     },
     MemoryModelEntry {
         name: "bus-wt",
         summary: "snooped write-through bus (Archibald & Baer ablation; every write on the bus)",
-        build: build_bus_wt,
+        build: |cfg| build_registered("bus-wt", cfg),
     },
     MemoryModelEntry {
         name: "directory",
         summary: "directory-based MSI: home-node line state, unicast invalidations over the mesh",
-        build: build_directory,
+        build: |cfg| build_registered("directory", cfg),
     },
     MemoryModelEntry {
         name: "dls",
         summary: "directoryless shared LLC: no private caching, word transfers to home tiles",
-        build: build_dls,
+        build: |cfg| build_registered("dls", cfg),
     },
 ];
 
@@ -547,16 +499,15 @@ pub fn memory_registry() -> &'static [MemoryModelEntry] {
     &MEMORY_MODELS
 }
 
-/// Builds the backend registered as `name`, or an error listing the
-/// known names.
+/// Builds the backend registered as `name`. An unknown name is an error
+/// listing the known ones, and a configuration the backend cannot run is
+/// the error [`MemoryConfig::validate`] gives for it; neither panics.
 pub fn build_memory_model(name: &str, cfg: MemoryConfig) -> Result<Box<dyn MemoryModel>, String> {
-    match MEMORY_MODELS.iter().find(|e| e.name == name) {
-        Some(entry) => Ok((entry.build)(cfg)),
-        None => {
-            let known: Vec<&str> = MEMORY_MODELS.iter().map(|e| e.name).collect();
-            Err(format!("unknown memory backend `{name}` (known: {})", known.join(", ")))
-        }
-    }
+    let protocol = registered_protocol(name, &cfg).ok_or_else(|| {
+        let known: Vec<&str> = MEMORY_MODELS.iter().map(|e| e.name).collect();
+        format!("unknown memory backend `{name}` (known: {})", known.join(", "))
+    })?;
+    model_for_config(cfg.with_protocol(protocol))
 }
 
 #[cfg(test)]
@@ -595,7 +546,7 @@ mod tests {
         let t = churn_trace(4);
         for line in [4u32, 8, 32] {
             let legacy = CoherenceSim::new(CoherenceConfig::with_line_size(line)).run(&t);
-            let out = BusModel::new(MemoryConfig::paper(4, line), false).run(&t);
+            let out = build_memory_model("bus-wbi", MemoryConfig::paper(4, line)).unwrap().run(&t);
             assert_eq!(out.stats, legacy, "line {line}");
         }
     }
@@ -604,7 +555,7 @@ mod tests {
     fn bus_wt_is_byte_identical_to_coherence_sim_write_through() {
         let t = churn_trace(4);
         let legacy = CoherenceSim::new(CoherenceConfig::with_line_size(8).write_through()).run(&t);
-        let out = BusModel::new(MemoryConfig::paper(4, 8), true).run(&t);
+        let out = build_memory_model("bus-wt", MemoryConfig::paper(4, 8)).unwrap().run(&t);
         assert_eq!(out.stats, legacy);
     }
 
@@ -686,14 +637,104 @@ mod tests {
     }
 
     #[test]
-    fn model_for_config_dispatches_on_protocol_variant() {
+    fn a_matching_protocol_variant_keeps_its_params() {
+        // One home tile: every directory request queues at resource 0, so
+        // nothing can be served faster than the whole log's busy time.
+        let t = churn_trace(4);
         let cfg = MemoryConfig::paper(4, 8);
-        assert_eq!(model_for_config(cfg).name(), "bus-wbi");
-        assert_eq!(model_for_config(cfg.with_protocol(Protocol::WriteThrough)).name(), "bus-wt");
-        let dir = cfg.with_protocol(Protocol::Directory(DirectoryParams::per_tile(4)));
-        assert_eq!(model_for_config(dir).name(), "directory");
-        let dls = cfg.with_protocol(Protocol::DirectorylessLlc(DlsParams::default()));
-        assert_eq!(model_for_config(dls).name(), "dls");
+        let one = cfg.with_protocol(Protocol::Directory(DirectoryParams { home_tiles: 1 }));
+        let spread = build_memory_model("directory", cfg).unwrap().run(&t);
+        let packed = build_memory_model("directory", one).unwrap().run(&t);
+        assert_eq!(packed.stats, spread.stats);
+        assert!(packed.fifo.makespan_ns >= packed.fifo.busy_ns);
+        assert!(packed.fifo.all().total_wait_ns > spread.fifo.all().total_wait_ns);
+        // A variant of another backend is replaced by the named one's defaults.
+        assert_eq!(build_memory_model("bus-wt", one).unwrap().name(), "bus-wt");
+        assert_eq!(build_memory_model("dls", one).unwrap().name(), "dls");
+    }
+
+    /// Every way the public fields can describe a machine no backend can
+    /// price, with the word the error must contain.
+    fn absurd_configs() -> Vec<(&'static str, MemoryConfig, &'static str)> {
+        let ok = MemoryConfig::paper(16, 8);
+        let coherence = |line_size, word_bytes| MemoryConfig {
+            coherence: CoherenceConfig { line_size, word_bytes, ..ok.coherence },
+            ..ok
+        };
+        let directory = |home_tiles| Protocol::Directory(DirectoryParams { home_tiles });
+        let dls = |interleave_lines| Protocol::DirectorylessLlc(DlsParams { interleave_lines });
+        vec![
+            ("bus-wbi", coherence(0, 4), "line size"),
+            ("bus-wt", coherence(12, 4), "line size"),
+            ("directory", coherence(48, 4), "line size"),
+            ("dls", coherence(0, 4), "line size"),
+            ("bus-wbi", coherence(8, 0), "word size"),
+            ("dls", coherence(8, 3), "word size"),
+            ("bus-wbi", MemoryConfig { n_procs: 0, ..ok }, "processors"),
+            ("bus-wt", MemoryConfig { n_procs: 65, ..ok }, "processors"),
+            ("directory", MemoryConfig { n_procs: u32::MAX, ..ok }, "processors"),
+            ("dls", MemoryConfig { n_procs: 0, ..ok }, "processors"),
+            ("directory", ok.with_protocol(directory(0)), "home tile"),
+            ("dls", ok.with_protocol(dls(0)), "interleave"),
+            ("directory", MemoryConfig { mesh: MeshConfig::ametek(0, 4), ..ok }, "mesh"),
+            ("dls", MemoryConfig { mesh: MeshConfig::ametek(4, 0), ..ok }, "mesh"),
+        ]
+    }
+
+    #[test]
+    fn absurd_configs_are_errors_never_panics() {
+        for (backend, cfg, needle) in absurd_configs() {
+            let err = build_memory_model(backend, cfg).err().unwrap_or_else(|| {
+                panic!("`{backend}` accepted {cfg:?}");
+            });
+            assert!(err.contains(needle), "`{backend}`: {err:?} should mention {needle:?}");
+            // The same verdict without building anything.
+            let protocol = registered_protocol(backend, &cfg).expect("registered");
+            assert_eq!(cfg.with_protocol(protocol).validate(), Err(err));
+        }
+    }
+
+    #[test]
+    fn sane_configs_validate_on_every_backend() {
+        for n_procs in [1, 2, 16, 64] {
+            for line in [1, 4, 8, 32, 1 << 31] {
+                for e in memory_registry() {
+                    let cfg = MemoryConfig::paper(n_procs, line);
+                    assert!(build_memory_model(e.name, cfg).is_ok(), "{} {n_procs} {line}", e.name);
+                }
+            }
+        }
+        // Nothing is privately cached under dls, so no bitmask bounds it.
+        assert!(build_memory_model("dls", MemoryConfig::paper(100, 8)).is_ok());
+    }
+
+    #[test]
+    fn traces_naming_more_processors_than_the_bitmask_fail_the_sweep_cleanly() {
+        let mut t = Trace::new();
+        t.push(MemRef::new(0, 70, 0, RefKind::Write));
+        let err = crate::traffic_by_backend("directory", &t, &[8]).expect_err("71 processors");
+        assert!(err.contains("processors"), "{err}");
+        assert!(crate::traffic_by_backend("dls", &t, &[8]).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "64 processors")]
+    fn a_processor_the_config_did_not_announce_is_checked_when_it_appears() {
+        // The machine says 4 processors; the trace brings a 65th.
+        let mut t = churn_trace(4);
+        t.push(MemRef::new(1_000_000, 64, 0, RefKind::Read));
+        let _ = build_memory_model("bus-wbi", MemoryConfig::paper(4, 8)).unwrap().run(&t);
+    }
+
+    #[test]
+    fn unannounced_processors_below_the_limit_still_grow_the_counts() {
+        let mut t = churn_trace(4);
+        t.push(MemRef::new(1_000_000, 9, 0, RefKind::Read));
+        for e in memory_registry() {
+            let out = (e.build)(MemoryConfig::paper(4, 8)).run(&t);
+            assert_eq!(out.per_proc.len(), 10, "{}", e.name);
+            assert_eq!(out.per_proc[9], ProcCounts { reads: 1, writes: 0 }, "{}", e.name);
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The Write-Back-with-Invalidate protocol state machine and bus-byte
 //! accounting.
 
-use std::collections::BTreeMap;
-
 use locus_obs::{Event as ObsEvent, EventKind as ObsKind, NullSink, Sink};
 
+use crate::table::{LineState, LineTable};
 use crate::trace::{RefKind, Trace};
 
 /// Parameters of the directory-based MSI backend: line state lives at an
@@ -94,6 +93,15 @@ impl Protocol {
             Protocol::DirectorylessLlc(_) => "dls",
         }
     }
+
+    /// Processors the backend can tell apart: 64 where holders are a
+    /// bitmask, any number where nothing is privately cached.
+    pub(crate) fn max_procs(&self) -> u32 {
+        match self {
+            Protocol::DirectorylessLlc(_) => u32::MAX,
+            _ => u64::BITS,
+        }
+    }
 }
 
 /// Protocol parameters.
@@ -177,22 +185,137 @@ impl TrafficStats {
     }
 }
 
-/// Per-line directory entry.
-#[derive(Clone, Copy, Default)]
-struct LineState {
-    /// Bitmask of processors holding a valid copy.
-    holders: u64,
-    /// Processor holding the line dirty (exclusive), if any.
-    dirty: Option<u32>,
-    /// Processors whose copy was invalidated and not yet refetched.
-    invalidated: u64,
+/// What one reference did to its line, as [`transition`] reports it.
+/// Byte counts, statistics and observability events are all derived from
+/// this, so every backend prices the same state machine.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Transition {
+    /// The access missed and fetched the whole line.
+    pub fetched: bool,
+    /// The fetch re-loaded a copy an earlier write had invalidated.
+    pub refetch: bool,
+    /// A bus word announced the write.
+    pub announced: bool,
+    /// Holders whose copies the announcement invalidated.
+    pub invalidated: u64,
+}
+
+impl Transition {
+    /// Whether the access stayed inside the private cache.
+    #[inline]
+    pub fn is_hit(&self) -> bool {
+        !self.fetched && !self.announced
+    }
+
+    /// Copies invalidated in other caches.
+    #[inline]
+    pub fn copies(&self) -> u32 {
+        self.invalidated.count_ones()
+    }
+
+    /// Emits the transition's events in protocol order: miss, line
+    /// transfer, word announcement, invalidation.
+    fn emit(&self, sink: &mut dyn Sink, at_ns: u64, node: u32, addr: u32, cfg: &CoherenceConfig) {
+        let mut record = |kind| sink.record(ObsEvent { at_ns, node, kind });
+        if self.fetched {
+            record(ObsKind::CacheMiss { addr, line_bytes: cfg.line_size });
+            record(ObsKind::BusTransfer { bytes: cfg.line_size });
+        }
+        if self.announced {
+            record(ObsKind::BusTransfer { bytes: cfg.word_bytes });
+        }
+        if self.invalidated != 0 {
+            record(ObsKind::Invalidation { addr, copies: self.copies() });
+        }
+    }
+}
+
+/// The one Write-Back-with-Invalidate / write-through state machine:
+/// applies `proc`'s reference to the line and reports what it cost.
+/// [`Protocol::WriteThrough`] never leaves a line dirty, so every write
+/// is announced; every other protocol has WBI line semantics.
+///
+/// `proc` must be below 64 (the holder bitmask); callers check that once
+/// per run or per configuration, not per reference.
+#[inline]
+pub(crate) fn transition(
+    st: &mut LineState,
+    proc: u32,
+    kind: RefKind,
+    protocol: Protocol,
+) -> Transition {
+    // Wrapping, so that an out-of-range `proc` reaches the caller's check
+    // instead of a debug-only overflow panic here.
+    let pbit = 1u64.wrapping_shl(proc);
+    let held = st.holders & pbit != 0;
+    let mut t = Transition::default();
+    match kind {
+        RefKind::Read => {
+            if held {
+                return t; // hit (dirty-by-us implies the holder bit too)
+            }
+            // A dirty owner supplies the line, which becomes
+            // shared-clean (memory is updated in passing).
+            st.dirty = None;
+            st.holders |= pbit;
+        }
+        RefKind::Write => {
+            let write_through = protocol == Protocol::WriteThrough;
+            if !write_through && st.dirty == Some(proc) {
+                return t; // exclusive dirty hit: pure cache write
+            }
+            // First write to a clean copy (any write, under
+            // write-through): one bus word announces it and every other
+            // copy is invalidated.
+            t.announced = true;
+            t.invalidated = st.holders & !pbit;
+            st.invalidated |= t.invalidated;
+            st.holders = pbit;
+            st.dirty = if write_through { None } else { Some(proc) };
+        }
+    }
+    if !held {
+        t.fetched = true;
+        t.refetch = st.invalidated & pbit != 0;
+        st.invalidated &= !pbit;
+    }
+    t
+}
+
+impl TrafficStats {
+    /// Accounts one transition of a `kind` reference and returns the
+    /// bytes it moved. A read's cold fetch is read-caused; everything
+    /// else, refetches of invalidated copies included, is write-caused.
+    #[inline]
+    pub(crate) fn charge(&mut self, t: &Transition, kind: RefKind, cfg: &CoherenceConfig) -> u64 {
+        let (line, word) = (cfg.line_size as u64, cfg.word_bytes as u64);
+        let mut moved = 0;
+        if t.fetched {
+            self.line_fetches += 1;
+            self.refetches += t.refetch as u64;
+            if kind == RefKind::Read && !t.refetch {
+                self.read_caused_bytes += line;
+            } else {
+                self.write_caused_bytes += line;
+            }
+            moved += line;
+        }
+        if t.announced {
+            self.word_writes += 1;
+            self.write_caused_bytes += word;
+            self.invalidations += t.copies() as u64;
+            moved += word;
+        }
+        self.total_bytes += moved;
+        moved
+    }
 }
 
 /// The coherence simulator: infinite per-processor caches over a shared
 /// bus, Write-Back-with-Invalidate.
 pub struct CoherenceSim {
     config: CoherenceConfig,
-    lines: BTreeMap<u32, LineState>,
+    lines: LineTable,
     stats: TrafficStats,
     sink: Box<dyn Sink>,
     obs_on: bool,
@@ -206,7 +329,8 @@ impl CoherenceSim {
     ///
     /// # Panics
     /// Panics if `config.protocol` is not a bus protocol — the directory
-    /// and DLS variants are serviced by [`crate::model::model_for_config`].
+    /// and DLS variants are serviced by [`crate::model::build_memory_model`]
+    /// — or if the line size is not a nonzero power of two.
     pub fn new(config: CoherenceConfig) -> Self {
         assert!(
             config.protocol.is_bus(),
@@ -215,7 +339,7 @@ impl CoherenceSim {
         );
         CoherenceSim {
             config,
-            lines: BTreeMap::new(),
+            lines: LineTable::new(config.line_size),
             stats: TrafficStats::default(),
             sink: Box::new(NullSink),
             obs_on: false,
@@ -232,158 +356,42 @@ impl CoherenceSim {
     }
 
     /// Processes a single reference.
+    ///
+    /// # Panics
+    /// Panics if `proc` does not fit the 64-bit holder mask.
     pub fn access(&mut self, proc: u32, addr: u32, kind: RefKind) {
-        assert!(proc < 64, "bitmask directory supports up to 64 processors");
-        let line_addr = addr / self.config.line_size;
-        let st = self.lines.entry(line_addr).or_default();
-        let pbit = 1u64 << proc;
-        let line_bytes = self.config.line_size as u64;
+        assert!(proc < u64::BITS, "bitmask directory supports up to 64 processors");
+        self.step(proc, addr, kind);
+    }
 
-        match kind {
-            RefKind::Read => {
-                if st.holders & pbit != 0 {
-                    return; // hit (dirty-by-us implies holder bit set too)
-                }
-                // Miss: fetch the line; a dirty owner supplies it and the
-                // line becomes shared-clean (memory updated in passing).
-                self.stats.line_fetches += 1;
-                self.stats.total_bytes += line_bytes;
-                if self.obs_on {
-                    self.sink.record(ObsEvent {
-                        at_ns: self.tick,
-                        node: proc,
-                        kind: ObsKind::CacheMiss { addr, line_bytes: self.config.line_size },
-                    });
-                    self.sink.record(ObsEvent {
-                        at_ns: self.tick,
-                        node: proc,
-                        kind: ObsKind::BusTransfer { bytes: self.config.line_size },
-                    });
-                }
-                st.dirty = None;
-                if st.invalidated & pbit != 0 {
-                    st.invalidated &= !pbit;
-                    self.stats.refetches += 1;
-                    self.stats.write_caused_bytes += line_bytes;
-                } else {
-                    self.stats.read_caused_bytes += line_bytes;
-                }
-                st.holders |= pbit;
-            }
-            RefKind::Write => {
-                if self.config.protocol == Protocol::WriteThrough {
-                    // Every write goes to memory: one bus word, and any
-                    // other copy is invalidated. The writer keeps (or
-                    // gains) a clean copy; nothing is ever dirty.
-                    if st.holders & pbit == 0 {
-                        self.stats.line_fetches += 1;
-                        self.stats.total_bytes += line_bytes;
-                        self.stats.write_caused_bytes += line_bytes;
-                        if st.invalidated & pbit != 0 {
-                            st.invalidated &= !pbit;
-                            self.stats.refetches += 1;
-                        }
-                        if self.obs_on {
-                            self.sink.record(ObsEvent {
-                                at_ns: self.tick,
-                                node: proc,
-                                kind: ObsKind::CacheMiss {
-                                    addr,
-                                    line_bytes: self.config.line_size,
-                                },
-                            });
-                            self.sink.record(ObsEvent {
-                                at_ns: self.tick,
-                                node: proc,
-                                kind: ObsKind::BusTransfer { bytes: self.config.line_size },
-                            });
-                        }
-                    }
-                    self.stats.word_writes += 1;
-                    self.stats.total_bytes += self.config.word_bytes as u64;
-                    self.stats.write_caused_bytes += self.config.word_bytes as u64;
-                    let others = st.holders & !pbit;
-                    self.stats.invalidations += others.count_ones() as u64;
-                    if self.obs_on {
-                        self.sink.record(ObsEvent {
-                            at_ns: self.tick,
-                            node: proc,
-                            kind: ObsKind::BusTransfer { bytes: self.config.word_bytes },
-                        });
-                        if others != 0 {
-                            self.sink.record(ObsEvent {
-                                at_ns: self.tick,
-                                node: proc,
-                                kind: ObsKind::Invalidation { addr, copies: others.count_ones() },
-                            });
-                        }
-                    }
-                    st.invalidated |= others;
-                    st.holders = pbit;
-                    st.dirty = None;
-                    return;
-                }
-                if st.dirty == Some(proc) {
-                    return; // exclusive dirty hit: pure cache write
-                }
-                if st.holders & pbit == 0 {
-                    // Write miss: fetch the line first.
-                    self.stats.line_fetches += 1;
-                    self.stats.total_bytes += line_bytes;
-                    self.stats.write_caused_bytes += line_bytes;
-                    if st.invalidated & pbit != 0 {
-                        st.invalidated &= !pbit;
-                        self.stats.refetches += 1;
-                    }
-                    st.holders |= pbit;
-                    if self.obs_on {
-                        self.sink.record(ObsEvent {
-                            at_ns: self.tick,
-                            node: proc,
-                            kind: ObsKind::CacheMiss { addr, line_bytes: self.config.line_size },
-                        });
-                        self.sink.record(ObsEvent {
-                            at_ns: self.tick,
-                            node: proc,
-                            kind: ObsKind::BusTransfer { bytes: self.config.line_size },
-                        });
-                    }
-                }
-                // First write to a clean copy: bus word write announces it
-                // and every other copy is invalidated.
-                self.stats.word_writes += 1;
-                self.stats.total_bytes += self.config.word_bytes as u64;
-                self.stats.write_caused_bytes += self.config.word_bytes as u64;
-                let others = st.holders & !pbit;
-                self.stats.invalidations += others.count_ones() as u64;
-                if self.obs_on {
-                    self.sink.record(ObsEvent {
-                        at_ns: self.tick,
-                        node: proc,
-                        kind: ObsKind::BusTransfer { bytes: self.config.word_bytes },
-                    });
-                    if others != 0 {
-                        self.sink.record(ObsEvent {
-                            at_ns: self.tick,
-                            node: proc,
-                            kind: ObsKind::Invalidation { addr, copies: others.count_ones() },
-                        });
-                    }
-                }
-                st.invalidated |= others;
-                st.holders = pbit;
-                st.dirty = Some(proc);
-            }
+    /// [`Self::access`] for replay loops that have already bounded `proc`;
+    /// returns the bytes the reference moved on the bus.
+    #[inline]
+    pub(crate) fn step(&mut self, proc: u32, addr: u32, kind: RefKind) -> u64 {
+        let t = transition(self.lines.entry(addr), proc, kind, self.config.protocol);
+        if t.is_hit() {
+            return 0;
         }
+        if self.obs_on {
+            t.emit(self.sink.as_mut(), self.tick, proc, addr, &self.config);
+        }
+        self.stats.charge(&t, kind, &self.config)
     }
 
     /// Processes an entire trace and returns the accumulated statistics.
+    ///
+    /// # Panics
+    /// Panics if a reference's processor does not fit the holder mask.
     pub fn run(mut self, trace: &Trace) -> TrafficStats {
         debug_assert!(trace.is_sorted(), "trace must be time-ordered");
+        let mut procs_seen = 0;
         for r in trace.refs() {
+            procs_seen |= r.proc;
             self.tick = r.time;
-            self.access(r.proc, r.addr, r.kind);
+            self.step(r.proc, r.addr, r.kind);
         }
+        // Any processor id of 64 or more leaves a bit above the fifth set.
+        assert!(procs_seen < u64::BITS, "bitmask directory supports up to 64 processors");
         self.stats
     }
 
@@ -540,6 +548,124 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_lines() {
         let _ = CoherenceConfig::with_line_size(12);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn simulator_rejects_a_zero_line_set_through_the_public_field() {
+        let _ = CoherenceSim::new(CoherenceConfig { line_size: 0, ..CoherenceConfig::default() });
+    }
+
+    #[test]
+    fn a_stray_address_at_the_top_of_the_space_is_just_another_line() {
+        let mut s = sim(8);
+        s.access(0, u32::MAX, RefKind::Read);
+        s.access(1, u32::MAX - 1, RefKind::Write); // same line: fetch, word, invalidate
+        s.access(0, 0, RefKind::Read);
+        assert_eq!(s.stats().line_fetches, 3);
+        assert_eq!(s.stats().invalidations, 1);
+        assert_eq!(s.stats().total_bytes, 3 * 8 + 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "64 processors")]
+    fn access_rejects_a_processor_the_bitmask_cannot_name() {
+        sim(8).access(64, 0, RefKind::Read);
+    }
+
+    #[test]
+    #[should_panic(expected = "64 processors")]
+    fn run_rejects_a_processor_the_bitmask_cannot_name() {
+        let mut t = Trace::new();
+        t.push(MemRef::new(0, 3, 0, RefKind::Read));
+        t.push(MemRef::new(1, 64, 0, RefKind::Write));
+        t.push(MemRef::new(2, 5, 0, RefKind::Read));
+        let _ = sim(8).run(&t);
+    }
+
+    #[test]
+    fn transition_reports_what_each_access_cost() {
+        let wbi = Protocol::WriteBackInvalidate;
+        let mut st = LineState::default();
+        let hit = Transition::default();
+        let miss = Transition { fetched: true, ..hit };
+        assert_eq!(transition(&mut st, 0, RefKind::Read, wbi), miss);
+        assert_eq!(transition(&mut st, 0, RefKind::Read, wbi), hit);
+        assert_eq!(transition(&mut st, 1, RefKind::Read, wbi), miss);
+        // Processor 0 writes its clean copy: a word, and processor 1 loses its copy.
+        let announce = Transition { announced: true, invalidated: 0b10, ..hit };
+        assert_eq!(transition(&mut st, 0, RefKind::Write, wbi), announce);
+        assert_eq!(transition(&mut st, 0, RefKind::Write, wbi), hit, "dirty hit");
+        // Under write-through the same second write is announced again.
+        let again = Transition { announced: true, ..hit };
+        assert_eq!(transition(&mut st, 0, RefKind::Write, Protocol::WriteThrough), again);
+        // Processor 1 comes back: a refetch, and as a write also an announcement.
+        let back = Transition { fetched: true, refetch: true, announced: true, invalidated: 0b01 };
+        assert_eq!(transition(&mut st, 1, RefKind::Write, wbi), back);
+        assert!(hit.is_hit() && !miss.is_hit() && !announce.is_hit());
+        assert_eq!(back.copies(), 1);
+    }
+
+    /// The event sequence of a small trace under WBI and write-through, as
+    /// recorded from the simulator before the transition function replaced
+    /// its interleaved `obs_on` blocks (parent commit 6d742c0).
+    #[test]
+    fn obs_event_sequence_is_unchanged() {
+        use locus_obs::SharedSink;
+        let refs: [(u32, u32, RefKind); 12] = [
+            (0, 0, RefKind::Read),
+            (1, 4, RefKind::Read),
+            (0, 0, RefKind::Write),
+            (0, 4, RefKind::Write),
+            (1, 0, RefKind::Read),
+            (2, 2, RefKind::Write),
+            (1, 6, RefKind::Write),
+            (0, 16, RefKind::Write),
+            (2, 16, RefKind::Read),
+            (2, 18, RefKind::Write),
+            (0, 0, RefKind::Read),
+            (0, 0, RefKind::Read),
+        ];
+        let trace: Trace = refs
+            .iter()
+            .enumerate()
+            .map(|(i, &(proc, addr, kind))| MemRef::new(10 * i as u64, proc, addr, kind))
+            .collect();
+        let render = |e: &ObsEvent| {
+            let what = match e.kind {
+                ObsKind::CacheMiss { addr, line_bytes } => format!("miss {addr}/{line_bytes}"),
+                ObsKind::BusTransfer { bytes } => format!("bus {bytes}"),
+                ObsKind::Invalidation { addr, copies } => format!("inval {addr}x{copies}"),
+                other => format!("{other:?}"),
+            };
+            format!("{}@p{} {what}", e.at_ns, e.node)
+        };
+        #[rustfmt::skip]
+        let wbi = [
+            "0@p0 miss 0/8", "0@p0 bus 8",
+            "10@p1 miss 4/8", "10@p1 bus 8",
+            "20@p0 bus 4", "20@p0 inval 0x1",
+            "40@p1 miss 0/8", "40@p1 bus 8",
+            "50@p2 miss 2/8", "50@p2 bus 8", "50@p2 bus 4", "50@p2 inval 2x2",
+            "60@p1 miss 6/8", "60@p1 bus 8", "60@p1 bus 4", "60@p1 inval 6x1",
+            "70@p0 miss 16/8", "70@p0 bus 8", "70@p0 bus 4",
+            "80@p2 miss 16/8", "80@p2 bus 8",
+            "90@p2 bus 4", "90@p2 inval 18x1",
+            "100@p0 miss 0/8", "100@p0 bus 8",
+        ];
+        // Write-through differs in one event: the store at t=30 hits a
+        // line processor 0 already owns, and is announced all the same.
+        let mut wt = wbi.to_vec();
+        wt.insert(6, "30@p0 bus 4");
+        for (cfg, want) in [
+            (CoherenceConfig::with_line_size(8), wbi.to_vec()),
+            (CoherenceConfig::with_line_size(8).write_through(), wt),
+        ] {
+            let sink = SharedSink::new();
+            CoherenceSim::new(cfg).with_sink(Box::new(sink.clone())).run(&trace);
+            let got: Vec<String> = sink.snapshot_events().iter().map(render).collect();
+            assert_eq!(got, want, "{:?}", cfg.protocol);
+        }
     }
 
     #[test]

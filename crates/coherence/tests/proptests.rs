@@ -1,11 +1,87 @@
 //! Property-based tests for the WBI coherence model and the registered
 //! memory-system backends.
 
+use std::collections::BTreeMap;
+
 use locus_coherence::{
     build_memory_model, memory_registry, CoherenceConfig, CoherenceSim, Criticality, MemRef,
-    MemoryConfig, RefKind, Trace,
+    MemoryConfig, RefKind, Trace, TrafficStats,
 };
 use proptest::prelude::*;
+
+/// The reference model for the paged line table and the shared transition
+/// function: WBI and write-through written out longhand over a `BTreeMap`
+/// keyed by `addr / line_size`, the way the simulator kept its lines
+/// before. `(holders, dirty owner, invalidated)` per line.
+fn reference_stats(trace: &Trace, line_size: u32, write_through: bool) -> TrafficStats {
+    let mut lines: BTreeMap<u32, (u64, Option<u32>, u64)> = BTreeMap::new();
+    let mut s = TrafficStats::default();
+    let (line_bytes, word) = (line_size as u64, 4u64);
+    for r in trace.refs() {
+        let (holders, dirty, invalidated) = lines.entry(r.addr / line_size).or_default();
+        let pbit = 1u64 << r.proc;
+        let held = *holders & pbit != 0;
+        if r.kind == RefKind::Read {
+            if held {
+                continue;
+            }
+            s.line_fetches += 1;
+            s.total_bytes += line_bytes;
+            if *invalidated & pbit != 0 {
+                s.refetches += 1;
+                s.write_caused_bytes += line_bytes;
+            } else {
+                s.read_caused_bytes += line_bytes;
+            }
+            *invalidated &= !pbit;
+            *dirty = None;
+            *holders |= pbit;
+            continue;
+        }
+        if !write_through && *dirty == Some(r.proc) {
+            continue;
+        }
+        if !held {
+            s.line_fetches += 1;
+            s.total_bytes += line_bytes;
+            s.write_caused_bytes += line_bytes;
+            if *invalidated & pbit != 0 {
+                s.refetches += 1;
+            }
+            *invalidated &= !pbit;
+        }
+        s.word_writes += 1;
+        s.total_bytes += word;
+        s.write_caused_bytes += word;
+        let others = *holders & !pbit;
+        s.invalidations += others.count_ones() as u64;
+        *invalidated |= others;
+        *holders = pbit;
+        *dirty = if write_through { None } else { Some(r.proc) };
+    }
+    s
+}
+
+/// Traces over a dense low region, a sparse scatter and the very top of
+/// the 32-bit address space at once, so that lines land in many pages of
+/// the table and in its last one.
+fn arb_scattered_trace() -> impl Strategy<Value = Trace> {
+    let addr = prop_oneof![
+        0u32..512,
+        any::<u32>(),
+        (0u32..256).prop_map(|back| u32::MAX - back),
+        (0u32..64, 0u32..64).prop_map(|(page, off)| (page << 22) + off),
+    ];
+    proptest::collection::vec((0u32..64, addr, any::<bool>()), 0..400).prop_map(|refs| {
+        refs.into_iter()
+            .enumerate()
+            .map(|(i, (proc, addr, is_write))| {
+                let kind = if is_write { RefKind::Write } else { RefKind::Read };
+                MemRef::new(i as u64, proc, addr, kind)
+            })
+            .collect()
+    })
+}
 
 fn arb_trace(max_procs: u32, max_addr: u32) -> impl Strategy<Value = Trace> {
     proptest::collection::vec((0..max_procs, 0..max_addr, any::<bool>()), 0..400).prop_map(|refs| {
@@ -25,6 +101,23 @@ fn arb_trace(max_procs: u32, max_addr: u32) -> impl Strategy<Value = Trace> {
 }
 
 proptest! {
+    #[test]
+    fn paged_table_backends_match_the_btreemap_reference(
+        trace in arb_scattered_trace(),
+        line in 0u32..4,
+    ) {
+        let line_size = 4u32 << line; // 4, 8, 16, 32
+        let cfg = MemoryConfig::paper(64, line_size);
+        let wbi = reference_stats(&trace, line_size, false);
+        let wt = reference_stats(&trace, line_size, true);
+        for (backend, want) in [("bus-wbi", wbi), ("bus-wt", wt), ("directory", wbi)] {
+            let got = build_memory_model(backend, cfg).unwrap().run(&trace).stats;
+            prop_assert_eq!(got, want, "{} at {}-byte lines", backend, line_size);
+        }
+        let sim = CoherenceSim::new(CoherenceConfig::with_line_size(line_size)).run(&trace);
+        prop_assert_eq!(sim, wbi, "CoherenceSim at {}-byte lines", line_size);
+    }
+
     #[test]
     fn byte_attribution_is_exhaustive(trace in arb_trace(8, 256), line in 0u32..4) {
         let line_size = 4u32 << line; // 4, 8, 16, 32

@@ -117,9 +117,16 @@ impl ResolvedContention {
 
 /// A request log plus the machinery to replay it under a policy; see
 /// [module docs](self).
+///
+/// Requests are bucketed by resource as they are logged, so a replay
+/// walks each service point's log once and costs time linear in the log.
 #[derive(Clone, Debug, Default)]
 pub struct Arbiter {
-    requests: Vec<ServiceRequest>,
+    /// One log per resource seen, ordered by resource id. A log is in
+    /// push order until a resolve stable-sorts it by arrival.
+    logs: Vec<(u32, Vec<ServiceRequest>)>,
+    /// Largest requesting processor id + 1.
+    n_procs: usize,
 }
 
 impl Arbiter {
@@ -131,17 +138,25 @@ impl Arbiter {
     /// Logs one request.
     #[inline]
     pub fn push(&mut self, req: ServiceRequest) {
-        self.requests.push(req);
+        let slot = match self.logs.binary_search_by_key(&req.resource, |&(resource, _)| resource) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                self.logs.insert(slot, (req.resource, Vec::new()));
+                slot
+            }
+        };
+        self.logs[slot].1.push(req);
+        self.n_procs = self.n_procs.max(req.proc as usize + 1);
     }
 
     /// Requests logged so far.
     pub fn len(&self) -> usize {
-        self.requests.len()
+        self.logs.iter().map(|(_, log)| log.len()).sum()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
+        self.logs.is_empty()
     }
 
     /// Replays the log under `policy` and returns the wait accounting.
@@ -150,45 +165,115 @@ impl Arbiter {
     /// frees up (or sits idle until the next arrival), the policy picks
     /// the next queued request; ties keep log order, so resolution is
     /// deterministic regardless of equal timestamps.
-    pub fn resolve(&self, policy: ServicePolicy) -> ResolvedContention {
-        let n_procs = self.requests.iter().map(|r| r.proc as usize + 1).max().unwrap_or(0);
+    ///
+    /// Each resource's log is stable-sorted by arrival first. The backends
+    /// replay time-ordered traces, so log order is arrival order up to
+    /// flight-time skew, and a second resolve, under either policy, finds
+    /// the logs sorted already: that costs the sort one pass.
+    pub fn resolve(&mut self, policy: ServicePolicy) -> ResolvedContention {
+        let mut out = ResolvedContention {
+            per_proc_wait_ns: vec![0; self.n_procs],
+            ..ResolvedContention::default()
+        };
+        for (_, log) in &mut self.logs {
+            log.sort_by_key(|r| r.arrive_ns);
+            serve(log, policy, &mut out);
+        }
+        out
+    }
+}
+
+/// The first request at or after `from` of the given class, or
+/// `log.len()`.
+fn next_of_class(log: &[ServiceRequest], from: usize, critical: bool) -> usize {
+    log[from..].iter().position(|r| r.critical == critical).map_or(log.len(), |i| from + i)
+}
+
+/// Serves one resource's arrival-sorted log and adds its waits to `out`.
+///
+/// The service queue is two FIFO queues, critical and background. Both
+/// are admitted in arrival order, so each is the run of its class in
+/// `log` from a head cursor up to the last arrival at or before `now`,
+/// and the whole queue's front is the smaller cursor.
+fn serve(log: &[ServiceRequest], policy: ServicePolicy, out: &mut ResolvedContention) {
+    let mut critical = next_of_class(log, 0, true);
+    let mut background = next_of_class(log, 0, false);
+    let mut now = 0u64; // resource free at `now`
+    loop {
+        let front = critical.min(background);
+        if front == log.len() {
+            break;
+        }
+        // An empty queue idles the resource until the next arrival; with
+        // a request queued, that request arrived by `now` already.
+        now = now.max(log[front].arrive_ns);
+        let critical_queued = critical < log.len() && log[critical].arrive_ns <= now;
+        let pick = match policy {
+            ServicePolicy::CriticalFirst if critical_queued => critical,
+            _ => front,
+        };
+        if pick == critical {
+            critical = next_of_class(log, pick + 1, true);
+        } else {
+            background = next_of_class(log, pick + 1, false);
+        }
+        let r = &log[pick];
+        let wait = now - r.arrive_ns;
+        if r.critical {
+            out.critical.record(wait);
+        } else {
+            out.background.record(wait);
+        }
+        out.per_proc_wait_ns[r.proc as usize] =
+            out.per_proc_wait_ns[r.proc as usize].saturating_add(wait);
+        out.busy_ns = out.busy_ns.saturating_add(r.service_ns);
+        now += r.service_ns;
+        out.makespan_ns = out.makespan_ns.max(now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The arbiter this module had before requests were bucketed, kept as
+    /// the oracle: it regroups the flat log by linear search, sorts indices
+    /// and serves from the front of a `Vec`, quadratic in a backlog.
+    fn reference_resolve(requests: &[ServiceRequest], policy: ServicePolicy) -> ResolvedContention {
+        let n_procs = requests.iter().map(|r| r.proc as usize + 1).max().unwrap_or(0);
         let mut out = ResolvedContention {
             per_proc_wait_ns: vec![0; n_procs],
             ..ResolvedContention::default()
         };
-
-        // Group request indices by resource, preserving log order (the
-        // backends replay time-ordered traces, so log order is arrival
-        // order; a stable sort keeps that true even with equal stamps).
         let mut by_resource: Vec<(u32, Vec<usize>)> = Vec::new();
-        for (i, r) in self.requests.iter().enumerate() {
+        for (i, r) in requests.iter().enumerate() {
             match by_resource.iter_mut().find(|(res, _)| *res == r.resource) {
                 Some((_, v)) => v.push(i),
                 None => by_resource.push((r.resource, vec![i])),
             }
         }
-
         for (_, idxs) in &mut by_resource {
-            idxs.sort_by_key(|&i| self.requests[i].arrive_ns);
+            idxs.sort_by_key(|&i| requests[i].arrive_ns);
             let mut queue: Vec<usize> = Vec::new();
             let mut next = 0usize; // next un-admitted arrival
             let mut now = 0u64; // resource free at `now`
             while next < idxs.len() || !queue.is_empty() {
                 if queue.is_empty() {
-                    now = now.max(self.requests[idxs[next]].arrive_ns);
+                    now = now.max(requests[idxs[next]].arrive_ns);
                 }
-                while next < idxs.len() && self.requests[idxs[next]].arrive_ns <= now {
+                while next < idxs.len() && requests[idxs[next]].arrive_ns <= now {
                     queue.push(idxs[next]);
                     next += 1;
                 }
                 let pick_pos = match policy {
                     ServicePolicy::Fifo => 0,
                     ServicePolicy::CriticalFirst => {
-                        queue.iter().position(|&i| self.requests[i].critical).unwrap_or(0)
+                        queue.iter().position(|&i| requests[i].critical).unwrap_or(0)
                     }
                 };
                 let i = queue.remove(pick_pos);
-                let r = &self.requests[i];
+                let r = &requests[i];
                 let wait = now - r.arrive_ns;
                 if r.critical {
                     out.critical.record(wait);
@@ -204,11 +289,86 @@ impl Arbiter {
         }
         out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Random logs shaped like the backends': arrivals drift upward in log
+    /// order with a skew that puts some out of order (the directory's
+    /// flight time), many share a timestamp, services include zero, and
+    /// `crit_mix` makes a log all-background, mixed or all-critical.
+    fn arb_log() -> impl Strategy<Value = Vec<ServiceRequest>> {
+        let request = (0u32..5, 0u32..6, 0u64..4, 0u64..40, 0u64..60, any::<bool>());
+        (proptest::collection::vec(request, 0..120), 1u32..6, 0u32..3).prop_map(
+            |(raw, n_resources, crit_mix)| {
+                let mut base = 0u64;
+                raw.into_iter()
+                    .map(|(resource, proc, step, skew, service, coin)| {
+                        base += step * 10;
+                        ServiceRequest {
+                            // Sparse ids, so that grouping cannot index by them.
+                            resource: (resource % n_resources) * 1_000_003,
+                            proc,
+                            arrive_ns: base + skew,
+                            service_ns: if service < 15 { 0 } else { service },
+                            critical: match crit_mix {
+                                0 => false,
+                                1 => coin,
+                                _ => true,
+                            },
+                        }
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bucketed_arbiter_matches_the_quadratic_reference(log in arb_log()) {
+            let mut a = Arbiter::new();
+            for &r in &log {
+                a.push(r);
+            }
+            prop_assert_eq!(a.len(), log.len());
+            // Critical-first before FIFO and then again: the sorted logs
+            // are shared, so the order of resolves must not matter.
+            for policy in [ServicePolicy::CriticalFirst, ServicePolicy::Fifo, ServicePolicy::CriticalFirst] {
+                prop_assert_eq!(a.resolve(policy), reference_resolve(&log, policy), "{:?}", policy);
+            }
+        }
+
+        #[test]
+        fn pushes_after_a_resolve_join_the_sorted_logs(log in arb_log(), cut in 0usize..120) {
+            let cut = cut.min(log.len());
+            let mut a = Arbiter::new();
+            for &r in &log[..cut] {
+                a.push(r);
+            }
+            prop_assert_eq!(
+                a.resolve(ServicePolicy::Fifo),
+                reference_resolve(&log[..cut], ServicePolicy::Fifo)
+            );
+            for &r in &log[cut..] {
+                a.push(r);
+            }
+            for policy in [ServicePolicy::Fifo, ServicePolicy::CriticalFirst] {
+                prop_assert_eq!(a.resolve(policy), reference_resolve(&log, policy), "{:?}", policy);
+            }
+        }
+    }
+
+    #[test]
+    fn equal_arrivals_are_served_in_log_order() {
+        // Three requests at t=5 on one resource: log order decides, and
+        // the per-processor waits show which went first.
+        let log = [req(0, 2, 5, 10, false), req(0, 0, 5, 10, false), req(0, 1, 5, 10, true)];
+        let mut a = Arbiter::new();
+        for r in log {
+            a.push(r);
+        }
+        assert_eq!(a.resolve(ServicePolicy::Fifo).per_proc_wait_ns, vec![10, 20, 0]);
+        assert_eq!(a.resolve(ServicePolicy::CriticalFirst).per_proc_wait_ns, vec![20, 0, 10]);
+    }
 
     fn req(resource: u32, proc: u32, arrive: u64, service: u64, critical: bool) -> ServiceRequest {
         ServiceRequest { resource, proc, arrive_ns: arrive, service_ns: service, critical }
