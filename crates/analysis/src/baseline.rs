@@ -18,6 +18,8 @@
 
 use std::collections::BTreeMap;
 
+use locus_obs::export::{json_document, Json};
+
 use crate::lint::LintOutcome;
 
 /// The committed baseline: scanned-file floor plus per-(file, rule)
@@ -45,21 +47,17 @@ impl Baseline {
 
     /// Serializes the committed JSON form.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str("  \"findings\": [");
-        for (i, ((file, rule), count)) in self.counts.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{ \"file\": \"{file}\", \"rule\": \"{rule}\", \"count\": {count} }}"
-            ));
-        }
-        if self.counts.is_empty() {
-            out.push_str("]\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
-        }
-        out
+        let finding = |((file, rule), count): (&(String, String), &usize)| {
+            Json::Object(vec![
+                ("file", file.as_str().into()),
+                ("rule", rule.as_str().into()),
+                ("count", (*count).into()),
+            ])
+        };
+        json_document(&[
+            ("files_scanned", self.files_scanned.into()),
+            ("findings", Json::Array(self.counts.iter().map(finding).collect())),
+        ])
     }
 
     /// Parses the committed JSON form (the exact shape [`render`]

@@ -1,39 +1,21 @@
 //! Machine-readable JSON for the analysis reports.
 //!
-//! The workspace deliberately carries no serde; like
-//! `locus_obs::export`, this module hand-rolls the small, flat JSON the
-//! CI artifact and downstream tooling consume. Keys are stable API.
+//! Each report is a [`Json`] tree handed to the workspace's one JSON
+//! writer, [`locus_obs::export::json_document`]; this module only says
+//! which keys carry which values. Keys are stable API.
 
-use crate::baseline::Ratchet;
+use locus_obs::export::{json_document, Json};
+
+use crate::baseline::{Ratchet, RatchetRow};
 use crate::classify::addr_cell;
 use crate::harness::AnalysisReport;
 use crate::lint::LintOutcome;
 use crate::race::RaceKind;
 use crate::staleness::StalenessReport;
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Serializes a race-analysis report.
 pub fn race_report_json(r: &AnalysisReport) -> String {
-    let mut out = String::with_capacity(1024 + r.races.len() * 160);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"engine\": \"{}\",\n", esc(&r.engine)));
-    out.push_str(&format!("  \"circuit\": \"{}\",\n", esc(&r.circuit)));
-    out.push_str(&format!("  \"procs\": {},\n", r.procs));
-    out.push_str(&format!("  \"refs\": {},\n", r.refs));
-    out.push_str(&format!("  \"epochs\": {},\n", r.epochs));
-    out.push_str(&format!("  \"synchronized_pairs\": {},\n", r.synchronized_pairs));
-    out.push_str(&format!(
-        "  \"races\": {{ \"total\": {}, \"benign\": {}, \"quality_affecting\": {} }},\n",
-        r.races.len(),
-        r.benign_count(),
-        r.quality_count()
-    ));
-
-    out.push_str("  \"pairs\": [\n");
-    for (i, c) in r.races.iter().enumerate() {
+    let pairs = r.races.iter().map(|c| {
         let cell = addr_cell(c.pair.addr, r.grids);
         let kind = match c.pair.kind {
             RaceKind::WriteWrite => "write-write",
@@ -41,120 +23,106 @@ pub fn race_report_json(r: &AnalysisReport) -> String {
         };
         let class = if c.is_benign() { "benign" } else { "quality-affecting" };
         let wire = c.pair.read_ref().map(|r| r.wire).unwrap_or(c.pair.second.wire);
-        out.push_str(&format!(
-            "    {{ \"addr\": {}, \"channel\": {}, \"x\": {}, \"epoch\": {}, \
-             \"procs\": [{}, {}], \"kind\": \"{}\", \"wire\": {}, \"class\": \"{}\", \
-             \"reason\": \"{}\" }}{}\n",
-            c.pair.addr,
-            cell.channel,
-            cell.x,
-            c.pair.epoch,
-            c.pair.first.proc,
-            c.pair.second.proc,
-            kind,
-            wire,
-            class,
-            esc(c.reason),
-            if i + 1 < r.races.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"per_channel\": [\n");
-    for (i, (channel, total, benign)) in r.per_channel.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"channel\": {channel}, \"races\": {total}, \"benign\": {benign} }}{}\n",
-            if i + 1 < r.per_channel.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"per_wire\": [\n");
-    for (i, (wire, total, benign)) in r.per_wire.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"wire\": {wire}, \"races\": {total}, \"benign\": {benign} }}{}\n",
-            if i + 1 < r.per_wire.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        Json::Object(vec![
+            ("addr", c.pair.addr.into()),
+            ("channel", cell.channel.into()),
+            ("x", cell.x.into()),
+            ("epoch", c.pair.epoch.into()),
+            ("procs", Json::Array(vec![c.pair.first.proc.into(), c.pair.second.proc.into()])),
+            ("kind", kind.into()),
+            ("wire", wire.into()),
+            ("class", class.into()),
+            ("reason", c.reason.into()),
+        ])
+    });
+    let tally = |key: &'static str, id: u32, total: usize, benign: usize| {
+        Json::Object(vec![(key, id.into()), ("races", total.into()), ("benign", benign.into())])
+    };
+    json_document(&[
+        ("engine", r.engine.as_str().into()),
+        ("circuit", r.circuit.as_str().into()),
+        ("procs", r.procs.into()),
+        ("refs", r.refs.into()),
+        ("epochs", r.epochs.into()),
+        ("synchronized_pairs", r.synchronized_pairs.into()),
+        (
+            "races",
+            Json::Object(vec![
+                ("total", r.races.len().into()),
+                ("benign", r.benign_count().into()),
+                ("quality_affecting", r.quality_count().into()),
+            ]),
+        ),
+        ("pairs", Json::Array(pairs.collect())),
+        (
+            "per_channel",
+            Json::Array(
+                r.per_channel.iter().map(|&(c, n, b)| tally("channel", c.into(), n, b)).collect(),
+            ),
+        ),
+        (
+            "per_wire",
+            Json::Array(r.per_wire.iter().map(|&(w, n, b)| tally("wire", w, n, b)).collect()),
+        ),
+    ])
 }
 
 /// Serializes a staleness report.
 pub fn staleness_report_json(s: &StalenessReport, engine: &str, procs: usize) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"engine\": \"{}\",\n", esc(engine)));
-    out.push_str(&format!("  \"procs\": {},\n", procs));
-    out.push_str(&format!("  \"audits\": {},\n", s.audits));
-    out.push_str(&format!("  \"auditing_procs\": {},\n", s.procs));
-    out.push_str(&format!("  \"max_diverged_cells\": {},\n", s.max_diverged_cells));
-    out.push_str(&format!("  \"mean_diverged_cells\": {:.3},\n", s.mean_diverged_cells));
-    out.push_str(&format!("  \"max_abs_divergence\": {},\n", s.max_abs_divergence));
-    out.push_str(&format!("  \"total_abs_divergence\": {},\n", s.total_abs_divergence));
-    out.push_str(&format!("  \"max_mean_age_ns\": {},\n", s.max_mean_age_ns));
-    out.push_str(&format!("  \"mean_age_ns_p50\": {},\n", s.age_hist.quantile(0.50)));
-    out.push_str(&format!("  \"mean_age_ns_p99\": {},\n", s.age_hist.quantile(0.99)));
-    out.push_str(&format!("  \"diverged_cells_p50\": {},\n", s.cells_hist.quantile(0.50)));
-    out.push_str(&format!("  \"diverged_cells_p99\": {}\n", s.cells_hist.quantile(0.99)));
-    out.push_str("}\n");
-    out
+    json_document(&[
+        ("engine", engine.into()),
+        ("procs", procs.into()),
+        ("audits", s.audits.into()),
+        ("auditing_procs", s.procs.into()),
+        ("max_diverged_cells", s.max_diverged_cells.into()),
+        ("mean_diverged_cells", Json::Float(s.mean_diverged_cells, Some(3))),
+        ("max_abs_divergence", s.max_abs_divergence.into()),
+        ("total_abs_divergence", s.total_abs_divergence.into()),
+        ("max_mean_age_ns", s.max_mean_age_ns.into()),
+        ("mean_age_ns_p50", s.age_hist.quantile(0.50).into()),
+        ("mean_age_ns_p99", s.age_hist.quantile(0.99).into()),
+        ("diverged_cells_p50", s.cells_hist.quantile(0.50).into()),
+        ("diverged_cells_p99", s.cells_hist.quantile(0.99).into()),
+    ])
 }
 
 /// Serializes a lint run plus its ratchet verdict — the CI artifact
 /// (`lint-findings.json`).
 pub fn lint_findings_json(outcome: &LintOutcome, ratchet: &Ratchet) -> String {
-    let mut out = String::with_capacity(512 + outcome.violations.len() * 160);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"files_scanned\": {},\n", outcome.files_scanned));
-    out.push_str(&format!("  \"suppressed\": {},\n", outcome.suppressed));
-    out.push_str(&format!("  \"ratchet_passes\": {},\n", ratchet.passes()));
-    match ratchet.floor_breach {
-        Some((current, floor)) => out.push_str(&format!(
-            "  \"floor\": {{ \"held\": false, \"current\": {current}, \"baseline\": {floor} }},\n"
-        )),
-        None => out.push_str(&format!(
-            "  \"floor\": {{ \"held\": true, \"slack\": {} }},\n",
-            ratchet.floor_slack
-        )),
-    }
-    out.push_str("  \"findings\": [\n");
-    for (i, v) in outcome.violations.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"excerpt\": \"{}\" }}{}\n",
-            esc(&v.file.to_string_lossy()),
-            v.line,
-            v.rule,
-            esc(&v.excerpt),
-            if i + 1 < outcome.violations.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"new\": [\n");
-    for (i, row) in ratchet.new.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"file\": \"{}\", \"rule\": \"{}\", \"baselined\": {}, \"current\": {} }}{}\n",
-            esc(&row.file),
-            row.rule,
-            row.baselined,
-            row.current,
-            if i + 1 < ratchet.new.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"fixed\": [\n");
-    for (i, row) in ratchet.fixed.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"file\": \"{}\", \"rule\": \"{}\", \"baselined\": {}, \"current\": {} }}{}\n",
-            esc(&row.file),
-            row.rule,
-            row.baselined,
-            row.current,
-            if i + 1 < ratchet.fixed.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let floor = match ratchet.floor_breach {
+        Some((current, floor)) => {
+            vec![("held", false.into()), ("current", current.into()), ("baseline", floor.into())]
+        }
+        None => vec![("held", true.into()), ("slack", ratchet.floor_slack.into())],
+    };
+    let findings = outcome.violations.iter().map(|v| {
+        Json::Object(vec![
+            ("file", v.file.to_string_lossy().into_owned().into()),
+            ("line", v.line.into()),
+            ("rule", v.rule.into()),
+            ("excerpt", v.excerpt.as_str().into()),
+        ])
+    });
+    let cells = |rows: &[RatchetRow]| {
+        let cell = |row: &RatchetRow| {
+            Json::Object(vec![
+                ("file", row.file.as_str().into()),
+                ("rule", row.rule.as_str().into()),
+                ("baselined", row.baselined.into()),
+                ("current", row.current.into()),
+            ])
+        };
+        Json::Array(rows.iter().map(cell).collect())
+    };
+    json_document(&[
+        ("files_scanned", outcome.files_scanned.into()),
+        ("suppressed", outcome.suppressed.into()),
+        ("ratchet_passes", ratchet.passes().into()),
+        ("floor", Json::Object(floor)),
+        ("findings", Json::Array(findings.collect())),
+        ("new", cells(&ratchet.new)),
+        ("fixed", cells(&ratchet.fixed)),
+    ])
 }
 
 #[cfg(test)]
@@ -209,6 +177,32 @@ mod tests {
         validate_json(&json).expect("dirty findings (with quotes in excerpt) must be valid JSON");
         assert!(json.contains("\"ratchet_passes\": false"));
         assert!(json.contains("\"rule\": \"no-unwrap\""));
+    }
+
+    #[test]
+    fn control_characters_in_excerpts_and_paths_are_escaped() {
+        use crate::baseline::{ratchet, Baseline};
+        use crate::lint::Violation;
+        use std::path::PathBuf;
+
+        // `line_text` trims only the ends of a flagged line, so an
+        // interior tab reaches the excerpt as is.
+        let dirty = LintOutcome {
+            files_scanned: 1,
+            suppressed: 0,
+            violations: vec![Violation {
+                file: PathBuf::from("crates/de\u{1}mo/src/lib.rs"),
+                line: 3,
+                rule: "no-unwrap",
+                excerpt: "let x =\tf().unwrap();".to_string(),
+            }],
+        };
+        let base = Baseline::from_outcome(&dirty);
+        let json = lint_findings_json(&dirty, &ratchet(&Baseline::default(), &dirty));
+        validate_json(&json).expect("control characters must be escaped");
+        assert!(json.contains("let x =\\tf().unwrap();"), "{json}");
+        assert!(json.contains("crates/de\\u0001mo/src/lib.rs"), "{json}");
+        validate_json(&base.render()).expect("the baseline goes through the same writer");
     }
 
     #[test]

@@ -209,11 +209,7 @@ mod tests {
     fn spawns_confined_by_module_identity() {
         let src = "fn f(s: &S) { std::thread::spawn(|| {}); s.spawn(|| {}); }\n";
         assert_eq!(lib(src).len(), 2);
-        for allowed in [
-            "crates/shmem/src/parallel.rs",
-            "crates/bench/src/sweep.rs",
-            "crates/service/src/pool.rs",
-        ] {
+        for allowed in ["crates/shmem/src/parallel.rs", "crates/service/src/pool.rs"] {
             assert!(scan_source(Path::new(allowed), src).violations.is_empty(), "{allowed}");
         }
         // The allowance is the module, not the crate.

@@ -107,7 +107,7 @@ mod tests {
         assert_eq!(lib("fn f() { for a in std::env::args() {} }\n"), [("determinism", 1)]);
         // The bench crate measures real time by design.
         let t = "fn f() { let _ = Instant::now(); }\n";
-        assert!(scan_source(Path::new("crates/bench/src/sweep.rs"), t).violations.is_empty());
+        assert!(scan_source(Path::new("crates/bench/src/experiments.rs"), t).violations.is_empty());
         // env!() is compile-time and fine; elapsed() on a passed-in
         // instant is fine.
         assert!(lib("fn f() -> &'static str { env!(\"CARGO_MANIFEST_DIR\") }\n").is_empty());

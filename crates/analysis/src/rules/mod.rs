@@ -2,7 +2,7 @@
 //!
 //! Every rule implements [`Rule`] over a [`FileCtx`] — one lexed file
 //! plus its resolved module identity ([`crate::modtree`]) — and pushes
-//! [`Violation`](crate::lint::Violation)s. Rules match *token
+//! [`crate::lint::Violation`]s. Rules match *token
 //! sequences*, never raw text, so string literals and comments can
 //! never trip them; and they consult token-exact `#[cfg(test)]` spans,
 //! so test modules are exempt wherever they sit in the file (the old
@@ -34,18 +34,12 @@ mod panics;
 mod unsafe_code;
 
 /// Modules where spawning threads is the audited mechanism.
-pub const SPAWN_MODULES: &[&str] =
-    &["locus_bench::sweep", "locus_shmem::parallel", "locus_service::pool"];
+pub const SPAWN_MODULES: &[&str] = &["locus_shmem::parallel", "locus_service::pool"];
 
 /// Modules whose atomics (types *and* orderings) the race analysis
 /// audits.
-pub const ATOMICS_MODULES: &[&str] = &[
-    "locus_shmem::parallel",
-    "locus_shmem::shard",
-    "locus_router::engine",
-    "locus_bench::sweep",
-    "locus_service::pool",
-];
+pub const ATOMICS_MODULES: &[&str] =
+    &["locus_shmem::parallel", "locus_shmem::shard", "locus_router::engine", "locus_service::pool"];
 
 /// Crates whose library code may read wall clocks and the environment:
 /// the experiment harness measures real time by design. Binaries are

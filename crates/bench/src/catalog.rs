@@ -1,0 +1,708 @@
+//! Every experiment as a [`Report`]: the run settings the CLI passes in
+//! ([`RunCfg`]) and, per experiment id, the study it runs and the
+//! columns of its table — the one place a header, a JSON key or a
+//! precision is written down.
+
+use std::time::Instant;
+
+use locus_circuit::{presets, Circuit};
+use locus_coherence::{build_memory_model, memory_registry, MemoryConfig};
+use locus_obs::export::Json;
+use locus_router::engine::{EngineCtx, EngineRun};
+use locus_router::render::{render_cost_array, render_regions};
+use locus_router::{RegionMap, RouterParams, SequentialRouter};
+use locusroute::engines::{build_engine, registry};
+
+use crate::experiments as ex;
+use crate::report::{col, fixed, fixed_as, float, fraction, text, Cell, Report};
+use crate::{chaos, serve, Harness};
+
+/// Settings shared by every experiment: the sweep pool and whether to
+/// shrink to the CI-sized quick configuration.
+pub struct RunCfg {
+    /// Pool the independent sweep points run on.
+    pub harness: Harness,
+    /// `--quick`: small synthetic circuit, 4 processors.
+    pub quick: bool,
+    /// `--memory <backend>` (alias `--protocol`): restrict memory-system
+    /// experiments to one registered backend.
+    pub memory_backend: Option<String>,
+}
+
+impl RunCfg {
+    /// The one place `--quick` chooses: `quick` under it, else `full`.
+    fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+
+    /// The benchmark circuit (`--quick`: the small synthetic preset).
+    pub fn circuit(&self) -> Circuit {
+        self.pick(presets::small as fn() -> Circuit, presets::bnr_e)()
+    }
+
+    /// The second circuit for two-circuit tables (`--quick`: tiny).
+    fn circuit2(&self) -> Circuit {
+        self.pick(presets::tiny as fn() -> Circuit, presets::mdc)()
+    }
+
+    /// Processor count (`--quick`: 4).
+    pub fn procs(&self) -> usize {
+        self.pick(4, ex::PAPER_PROCS)
+    }
+
+    /// Processor sweep for Table 6 / speedup (`--quick`: {2,4}).
+    fn proc_sweep(&self) -> &'static [usize] {
+        self.pick(&[2, 4], &[2, 4, 9, 16])
+    }
+
+    /// Short circuit label for table titles (paper naming).
+    fn label(&self) -> &'static str {
+        self.pick("small", "bnrE")
+    }
+
+    fn setting(&self) -> String {
+        format!("{}, {} procs", self.label(), self.procs())
+    }
+}
+
+/// What every experiment id maps to.
+pub type Experiment = fn(&RunCfg) -> Result<Report, String>;
+
+fn update_sweep(
+    title: String,
+    [a, b]: [(&'static str, &'static str); 2],
+    rows: &[ex::UpdateSweepRow],
+) -> Result<Report, String> {
+    Ok(Report::new(title).table(
+        "rows",
+        rows,
+        &[
+            col(a.0, a.1, |r| r.a.into()),
+            col(b.0, b.1, |r| r.b.into()),
+            col("ckt_ht", "Ckt Ht.", |r| r.ckt_ht.into()),
+            col("occupancy", "Occup. Factor", |r| r.occupancy.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
+        ],
+    ))
+}
+
+/// `table1`.
+pub fn table1(cfg: &RunCfg) -> Result<Report, String> {
+    update_sweep(
+        format!("Table 1: network traffic using sender initiated updates ({})", cfg.setting()),
+        [("send_rmt_data", "SendRmtData"), ("send_loc_data", "SendLocData")],
+        &ex::table1(&cfg.harness, &cfg.circuit(), cfg.procs()),
+    )
+}
+
+/// `table2`.
+pub fn table2(cfg: &RunCfg) -> Result<Report, String> {
+    update_sweep(
+        format!(
+            "Table 2: traffic using non-blocking receiver initiated updates ({})",
+            cfg.setting()
+        ),
+        [("req_loc_data", "ReqLocData"), ("req_rmt_data", "ReqRmtData")],
+        &ex::table2(&cfg.harness, &cfg.circuit(), cfg.procs()),
+    )
+}
+
+/// `blocking`.
+pub fn blocking(cfg: &RunCfg) -> Result<Report, String> {
+    Ok(Report::new(format!(
+        "§5.1.3: blocking vs non-blocking receiver initiated ({})",
+        cfg.setting()
+    ))
+    .table(
+        "rows",
+        &ex::blocking_study(&cfg.harness, &cfg.circuit(), cfg.procs()),
+        &[
+            col("schedule", "(ReqLoc,ReqRmt)", |r| {
+                let (loc, rmt) = r.schedule;
+                Cell::from(Json::Array(vec![loc.into(), rmt.into()]))
+                    .shown(format!("({loc},{rmt})"))
+            }),
+            col("ht_nonblocking", "Ht nonblk", |r| r.ht_nonblocking.into()),
+            col("ht_blocking", "Ht blk", |r| r.ht_blocking.into()),
+            col("time_nonblocking", "T nonblk (s)", |r| fixed(r.time_nonblocking, 3)),
+            col("time_blocking", "T blk (s)", |r| fixed(r.time_blocking, 3)),
+            col("time_delta_pct", "T delta", |r| {
+                let delta = (r.time_blocking / r.time_nonblocking - 1.0) * 100.0;
+                fixed(delta, 1).shown(format!("{delta:+.1}%"))
+            }),
+        ],
+    ))
+}
+
+/// `mixed`.
+pub fn mixed(cfg: &RunCfg) -> Result<Report, String> {
+    Ok(Report::new(format!("§5.1.3: mixed update schedules ({})", cfg.setting())).table(
+        "rows",
+        &ex::mixed_study(&cfg.harness, &cfg.circuit(), cfg.procs()),
+        &[
+            col("strategy", "strategy", |r| r.label.as_str().into()),
+            col("ckt_ht", "Ckt Ht.", |r| r.ckt_ht.into()),
+            col("occupancy", "Occup. Factor", |r| r.occupancy.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
+        ],
+    ))
+}
+
+/// `table3`: the line-size sweep through `--memory <backend>` (default
+/// `bus-wbi`, the paper's Write-Back-with-Invalidate bus).
+pub fn table3(cfg: &RunCfg) -> Result<Report, String> {
+    let backend = cfg.memory_backend.as_deref();
+    let rows = ex::table3_backend(
+        &cfg.circuit(),
+        cfg.procs(),
+        &[4, 8, 16, 32],
+        backend.unwrap_or("bus-wbi"),
+    )?;
+    Ok(Report::new(format!(
+        "Table 3: shared-memory traffic vs cache line size ({}, {})",
+        cfg.setting(),
+        backend.unwrap_or("WBI")
+    ))
+    .table(
+        "rows",
+        &rows,
+        &[
+            col("line_size", "Cache Line Size", |r| r.line_size.into()),
+            col("mbytes", "MBytes Transferred", |r| fixed(r.mbytes, 2)),
+            col("write_fraction", "write-caused", |r| fraction(r.write_fraction, 4)),
+            col("invalidations", "invalidations", |r| r.invalidations.into()),
+        ],
+    ))
+}
+
+/// `table4`.
+pub fn table4(cfg: &RunCfg) -> Result<Report, String> {
+    Ok(Report::new(
+        "Table 4: effect of locality, message passing (sender initiated; last column: \
+         receiver-initiated traffic)",
+    )
+    .table(
+        "rows",
+        &ex::table4(&cfg.harness, &[&cfg.circuit(), &cfg.circuit2()], cfg.procs()),
+        &[
+            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
+            col("method", "Asmt. Method", |r| r.method.as_str().into()),
+            col("ckt_ht", "Ckt. Ht.", |r| r.ckt_ht.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
+            col("mbytes_receiver", "MB (recv-init)", |r| fixed(r.mbytes_receiver, 3)),
+        ],
+    ))
+}
+
+/// `table5`.
+pub fn table5(cfg: &RunCfg) -> Result<Report, String> {
+    Ok(Report::new("Table 5: effect of locality in shared memory version (8-byte lines)").table(
+        "rows",
+        &ex::table5(&cfg.harness, &[&cfg.circuit(), &cfg.circuit2()], cfg.procs()),
+        &[
+            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
+            col("method", "Asmt. Method", |r| r.method.as_str().into()),
+            col("ckt_ht", "Ckt. Height", |r| r.ckt_ht.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
+        ],
+    ))
+}
+
+/// `table6`.
+pub fn table6(cfg: &RunCfg) -> Result<Report, String> {
+    Ok(Report::new(format!(
+        "Table 6: effect of number of processors ({}, sender initiated)",
+        cfg.label()
+    ))
+    .table(
+        "rows",
+        &ex::table6(&cfg.harness, &cfg.circuit(), cfg.proc_sweep()),
+        &[
+            col("procs", "Num Procs.", |r| r.procs.into()),
+            col("ckt_ht", "Ckt. Ht.", |r| r.ckt_ht.into()),
+            col("occupancy", "Occup. Factor", |r| r.occupancy.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
+            col("speedup", "Speedup", |r| fixed(r.speedup, 1)),
+        ],
+    ))
+}
+
+/// `locality`.
+pub fn locality(cfg: &RunCfg) -> Result<Report, String> {
+    let procs: &[usize] = cfg.pick(&[4], &[4, 9, 16]);
+    Ok(Report::new("§5.3.3: locality measure (mean hops routing proc -> owner)").table(
+        "rows",
+        &ex::locality_study(&cfg.harness, &[&cfg.circuit(), &cfg.circuit2()], procs),
+        &[
+            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
+            col("method", "Asmt. Method", |r| r.method.as_str().into()),
+            col("procs", "Procs", |r| r.procs.into()),
+            col("mean_hops", "Mean hops", |r| fixed(r.mean_hops, 2)),
+            col("owned_fraction", "Owned cells", |r| fraction(r.owned_fraction, 4)),
+        ],
+    ))
+}
+
+/// `speedup`.
+pub fn speedup(cfg: &RunCfg) -> Result<Report, String> {
+    Ok(Report::new("§5.4: speedup (relative to 2-processor run, x2)").table(
+        "rows",
+        &ex::speedup_study(&cfg.harness, &[&cfg.circuit(), &cfg.circuit2()], cfg.proc_sweep()),
+        &[
+            col("engine", "engine", |r| r.engine.as_str().into()),
+            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
+            col("procs", "Procs", |r| r.procs.into()),
+            col("time_s", "Time (s)", |r| fixed(r.time_s, 4)),
+            col("speedup", "Speedup", |r| fixed(r.speedup, 1)),
+        ],
+    ))
+}
+
+/// `compare`.
+pub fn compare(cfg: &RunCfg) -> Result<Report, String> {
+    Ok(Report::new(format!("§5.2: shared memory vs message passing ({})", cfg.setting())).table(
+        "rows",
+        &ex::compare_paradigms(&cfg.harness, &cfg.circuit(), cfg.procs()),
+        &[
+            col("approach", "approach", |r| r.approach.as_str().into()),
+            col("ckt_ht", "Ckt. Ht.", |r| r.ckt_ht.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
+        ],
+    ))
+}
+
+fn ablation(title: String, rows: &[ex::AblationRow]) -> Result<Report, String> {
+    Ok(Report::new(title).table(
+        "rows",
+        rows,
+        &[
+            col("variant", "variant", |r| r.variant.as_str().into()),
+            col("ckt_ht", "Ckt. Ht.", |r| r.ckt_ht.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
+            col("packets", "packets", |r| r.packets.into()),
+        ],
+    ))
+}
+
+/// `structures`.
+pub fn structures(cfg: &RunCfg) -> Result<Report, String> {
+    ablation(
+        format!("Ablation §4.3.1: update packet structures ({}, sender initiated)", cfg.setting()),
+        &ex::structures_study(&cfg.harness, &cfg.circuit(), cfg.procs()),
+    )
+}
+
+/// `distribution`.
+pub fn distribution(cfg: &RunCfg) -> Result<Report, String> {
+    ablation(
+        format!(
+            "Ablation §4.2: static vs dynamic wire distribution ({}, 1 iteration)",
+            cfg.setting()
+        ),
+        &ex::distribution_study(&cfg.harness, &cfg.circuit(), cfg.procs()),
+    )
+}
+
+/// `overshoot`.
+pub fn overshoot(cfg: &RunCfg) -> Result<Report, String> {
+    ablation(
+        format!("Ablation: two-bend candidate channel overshoot ({})", cfg.setting()),
+        &ex::overshoot_study(&cfg.harness, &cfg.circuit(), cfg.procs()),
+    )
+}
+
+/// `contention`.
+pub fn contention(cfg: &RunCfg) -> Result<Report, String> {
+    ablation(
+        format!("Ablation: network contention model on/off ({}, eager sender)", cfg.setting()),
+        &ex::contention_study(&cfg.harness, &cfg.circuit(), cfg.procs()),
+    )
+}
+
+/// `faults`: the resilience study — uniform packet loss × update
+/// schedule with the reliability protocol on.
+pub fn faults(cfg: &RunCfg) -> Result<Report, String> {
+    let losses = cfg.pick(ex::FAULT_LOSSES_BP_QUICK, ex::FAULT_LOSSES_BP);
+    Ok(Report::new(format!(
+        "Resilience study: packet loss vs reliability protocol ({})",
+        cfg.setting()
+    ))
+    .field("circuit", cfg.label())
+    .field("procs", cfg.procs())
+    .table(
+        "rows",
+        &ex::faults_study(&cfg.harness, &cfg.circuit(), cfg.procs(), losses),
+        &[
+            col("schedule", "schedule", |r| r.schedule.into()),
+            col("loss_bp", "loss", |r| {
+                Cell::from(r.loss_bp).shown(format!("{:.1}%", r.loss_bp as f64 / 100.0))
+            }),
+            col("ckt_ht", "Ckt Ht.", |r| r.ckt_ht.into()),
+            col("time_s", "Time (s)", |r| fixed_as(r.time_s, 6, 3)),
+            col("mbytes", "MBytes", |r| fixed_as(r.mbytes, 6, 3)),
+            col("dropped", "dropped", |r| r.dropped.into()),
+            col("retransmits", "resent", |r| r.retransmits.into()),
+            col("acks", "acks", |r| r.acks.into()),
+            col("divergence", "diverg.", |r| fixed_as(r.divergence, 6, 3)),
+            col("degraded", "degraded", |r| {
+                Cell::from(r.degraded).shown(if r.degraded { "yes" } else { "no" })
+            }),
+        ],
+    ))
+}
+
+/// `serve`: the routing-as-a-service study — offered load × backpressure
+/// policy on the rush-hour workload (`BENCH_service.json`).
+pub fn serve(cfg: &RunCfg) -> Result<Report, String> {
+    let study = serve::service_study(&cfg.harness, cfg.quick);
+    let mut report = Report::new(format!(
+        "Routing as a service: offered load x backpressure ({} workers, queue {}, {} virtual ms)",
+        study.workers, study.queue_capacity, study.duration_ms
+    ))
+    .field("benchmark", "service")
+    .field(
+        "description",
+        "Routing-as-a-service offered-load sweep: seeded rush-hour arrival traces replayed \
+         through the bounded-queue job server under each backpressure policy. All times are \
+         virtual ms, so this file is byte-identical across runs and hosts. Regenerate with: \
+         cargo run --release -p locus-bench --bin locus-experiments serve.",
+    )
+    .field("quick", cfg.quick)
+    .field("seed", serve::SERVICE_SEED)
+    .field("workers", study.workers)
+    .field("queue_capacity", study.queue_capacity)
+    .field("duration_ms", study.duration_ms)
+    .field("mean_interarrival_ms", Json::Float(serve::SERVICE_MEAN_INTERARRIVAL_MS, None))
+    .field("slo_wait_ms", serve::SERVICE_SLO_WAIT_MS)
+    .field("knee_load", study.knee_load.map_or(Json::Null, |k| Json::Float(k, None)))
+    .table(
+        "rows",
+        &study.rows,
+        &[
+            col("load", "load", |r| float(r.load)),
+            col("policy", "policy", |r| r.policy.into()),
+            col("submitted", "subm", |r| r.submitted.into()),
+            col("completed", "done", |r| r.completed.into()),
+            col("shed", "shed", |r| r.shed.into()),
+            col("rejected", "rej", |r| r.rejected.into()),
+            col("failed", "", |r| r.failed.into()),
+            col("p50_wait_ms", "p50 wait", |r| r.p50_wait_ms.into()),
+            col("p95_wait_ms", "p95 wait", |r| r.p95_wait_ms.into()),
+            col("p99_wait_ms", "p99 wait", |r| r.p99_wait_ms.into()),
+            col("p50_service_ms", "", |r| r.p50_service_ms.into()),
+            col("p95_service_ms", "p95 svc", |r| r.p95_service_ms.into()),
+            col("p99_service_ms", "", |r| r.p99_service_ms.into()),
+            col("throughput_jps", "jobs/s", |r| fixed_as(r.throughput_jps, 6, 2)),
+            col("utilization", "util", |r| fraction(r.utilization, 6)),
+            col("slo_ok", "SLO ok", |r| fraction(r.slo_ok, 6)),
+        ],
+    );
+    report.footer = match study.knee_load {
+        Some(k) => format!(
+            "knee: load {k} is the first swept level whose blocking p95 queue wait exceeds the \
+             {} ms SLO\n",
+            serve::SERVICE_SLO_WAIT_MS
+        ),
+        None => "knee: not reached within the swept loads\n".to_string(),
+    };
+    Ok(report)
+}
+
+/// `chaos`: the node-failure chaos grid — a single mid-run crash,
+/// crash-with-restart, coordinator loss, or stall injected into the
+/// message-passing engine with checkpoint/restore recovery on
+/// (`BENCH_resilience.json`). Fails if any scenario degraded, left a
+/// wire to the watchdog, or did not reproduce.
+pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
+    let study = chaos::chaos_study(&cfg.harness, cfg.quick);
+    let mut title = String::new();
+    for p in &study.probes {
+        title += &format!(
+            "probe: {} ({} procs) clean {:.3}s (routing {:.3}s) -> heartbeat {} ms, suspect \
+             window {} ms\n",
+            p.circuit,
+            p.procs,
+            p.base_time_s,
+            p.routing_s,
+            p.heartbeat_ns / 1_000_000,
+            p.heartbeat_ns * p.suspect_after as u64 / 1_000_000,
+        );
+    }
+    title += "\nChaos grid: single node fault x checkpoint interval (recovery on, repeat-verified)";
+    let mut report = Report::new(title)
+        .field("benchmark", "resilience")
+        .field(
+            "description",
+            "Node-failure chaos grid on the message-passing engine with checkpoint/restore \
+             recovery: one deterministic crash, restart, coordinator loss, or stall per run, \
+             measured against the fault-free run under the same recovery configuration. All \
+             quantities are simulated time, so this file is byte-identical across runs and \
+             hosts. Regenerate with: cargo run --release -p locus-bench --bin \
+             locus-experiments chaos.",
+        )
+        .field("quick", cfg.quick)
+        .field("all_ok", study.all_ok())
+        .table(
+            "probes",
+            &study.probes,
+            &[
+                col("circuit", "", |p| p.circuit.as_str().into()),
+                col("procs", "", |p| p.procs.into()),
+                col("base_time_s", "", |p| fixed(p.base_time_s, 6)),
+                col("routing_s", "", |p| fixed(p.routing_s, 6)),
+                col("heartbeat_ns", "", |p| p.heartbeat_ns.into()),
+                col("suspect_after", "", |p| p.suspect_after.into()),
+            ],
+        )
+        .table(
+            "rows",
+            &study.rows,
+            &[
+                col("circuit", "circuit", |r| r.circuit.as_str().into()),
+                col("procs", "", |r| r.procs.into()),
+                col("scenario", "scenario", |r| r.scenario.into()),
+                col("checkpoint_every", "ckpt", |r| r.checkpoint_every.into()),
+                col("fault_frac", "at", |r| float(r.fault_frac)),
+                col("ckt_ht", "ckt ht", |r| r.ckt_ht.into()),
+                col("time_s", "time s", |r| fixed_as(r.time_s, 6, 3)),
+                col("mbytes", "", |r| fixed(r.mbytes, 6)),
+                // The terminal shows the two ratios next to the time; the
+                // file keeps them where its readers found them, after
+                // the counters.
+                col("", "vs clean", |r| text(format!("{:.2}x", r.time_vs_clean))),
+                col("", "mb vs", |r| text(format!("{:.2}x", r.mbytes_vs_clean))),
+                col("checkpoints", "ckpts", |r| r.checkpoints.into()),
+                col("checkpoint_bytes", "", |r| r.checkpoint_bytes.into()),
+                col("declared_dead", "dead", |r| r.declared_dead.into()),
+                col("reassigned", "reassign", |r| r.reassigned.into()),
+                col("rollbacks", "rollbk", |r| r.rollbacks.into()),
+                col("failovers", "failover", |r| r.failovers.into()),
+                col("duplicates", "dup", |r| r.duplicates.into()),
+                col("watchdog", "", |r| r.watchdog.into()),
+                col("degraded", "", |r| r.degraded.into()),
+                col("time_vs_clean", "", |r| fixed(r.time_vs_clean, 6)),
+                col("mbytes_vs_clean", "", |r| fixed(r.mbytes_vs_clean, 6)),
+                col("repeat_identical", "", |r| r.repeat_identical.into()),
+                col("", "status", |r| text(if r.ok() { "ok" } else { "FAIL" })),
+            ],
+        );
+    if study.all_ok() {
+        report.closing = format!(
+            "chaos: all {} scenarios terminated with every wire routed, bitwise-repeatable\n",
+            study.rows.len()
+        );
+    } else {
+        report.failure = Some(
+            "chaos: FAILED — a scenario degraded, lost a wire, or did not reproduce".to_string(),
+        );
+    }
+    Ok(report)
+}
+
+/// `memory`: the memory-system backend study — every registered backend
+/// (or the one `--memory` names) replays the same per-circuit
+/// shared-memory trace over the same mesh machine (`BENCH_memory.json`).
+pub fn memory(cfg: &RunCfg) -> Result<Report, String> {
+    let line_size = ex::MEMORY_STUDY_LINE_SIZE;
+    // An unknown `--memory` name is reported before the study runs.
+    if let Some(backend) = &cfg.memory_backend {
+        build_memory_model(backend, MemoryConfig::paper(cfg.procs() as u32, line_size))?;
+    }
+    let (a, b) = (cfg.circuit(), cfg.circuit2());
+    let mut rows = ex::memory_study(&cfg.harness, &[&a, &b], cfg.procs(), line_size)?;
+    if let Some(backend) = &cfg.memory_backend {
+        rows.retain(|r| r.backend == backend.as_str());
+    }
+    fn ns_as_ms(ns: u64) -> Cell {
+        Cell::from(ns).shown(format!("{:.3}", ns as f64 / 1.0e6))
+    }
+    Ok(Report::new(format!(
+        "Memory-system backends: identical traces, {line_size}-byte lines ({} procs)",
+        cfg.procs()
+    ))
+    .field(
+        "description",
+        "Every registered memory-system backend replaying the same shared-memory reference \
+         trace per circuit (infinite caches, so all traffic is coherence traffic). mbytes is \
+         protocol data traffic; inval_mbytes prices the invalidation transport (bus rows \
+         broadcast, directory rows unicast, dls none). The *_wait columns resolve the \
+         identical request log through FIFO and critical-first service: critical requests are \
+         the router's rip-up/commit stores. Regenerate with: cargo run --release -p \
+         locus-bench --bin locus-experiments memory",
+    )
+    .field("procs", cfg.procs())
+    .field("line_size", line_size)
+    .table(
+        "rows",
+        &rows,
+        &[
+            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
+            col("backend", "backend", |r| r.backend.into()),
+            col("mbytes", "MBytes", |r| fixed_as(r.mbytes, 6, 2)),
+            col("write_fraction", "wr-caused", |r| fraction(r.write_fraction, 4)),
+            col("coherence_events", "coh. events", |r| r.coherence_events.into()),
+            col("inval_mbytes", "inval MB", |r| fixed_as(r.inval_mbytes, 6, 2)),
+            col("fifo_wait_ns", "FIFO wait (ms)", |r| ns_as_ms(r.fifo_wait_ns)),
+            col("fifo_critical_mean_ns", "crit ns (FIFO)", |r| {
+                fixed_as(r.fifo_critical_mean_ns, 1, 0)
+            }),
+            col("prio_critical_mean_ns", "crit ns (prio)", |r| {
+                fixed_as(r.prio_critical_mean_ns, 1, 0)
+            }),
+            col("critical_wait_saved_ns", "saved (ms)", |r| ns_as_ms(r.critical_wait_saved_ns)),
+        ],
+    ))
+}
+
+/// `figure1`: a cost array with one wire's route highlighted.
+pub fn figure1(_: &RunCfg) -> Result<Report, String> {
+    let circuit = presets::tiny();
+    let out = SequentialRouter::new(&circuit, RouterParams::default()).run();
+    Ok(Report::new(format!(
+        "Figure 1: cost array with wire 0's route highlighted\n{}",
+        render_cost_array(&out.cost, Some(&out.routes[0]))
+    )))
+}
+
+/// `figure2`: the division of the cost array among four processors.
+pub fn figure2(_: &RunCfg) -> Result<Report, String> {
+    let circuit = presets::tiny();
+    let regions = RegionMap::new(circuit.channels, circuit.grids, 4);
+    Ok(Report::new(format!(
+        "Figure 2: cost-array division among 4 processors\n{}",
+        render_regions(&regions)
+    )))
+}
+
+/// `figure3`: the update-transaction taxonomy.
+pub fn figure3(_: &RunCfg) -> Result<Report, String> {
+    Ok(Report::new(
+        "Figure 3: classification of update types\n\
+         \n\
+         updates\n\
+         ├── sender initiated\n\
+         │   ├── SendLocData  — absolute own-region data, pushed to N/S/E/W neighbours\n\
+         │   └── SendRmtData  — deltas pushed to the owning processor\n\
+         └── receiver initiated\n\
+         ├── ReqRmtData   — ask an owner for its region   (blocking | non-blocking)\n\
+         └── ReqLocData   — owner asks a writer for deltas (blocking | non-blocking)\n",
+    ))
+}
+
+/// `sweeps`: runs the Table 1 sweep serially and on the pool, checks the
+/// rows are identical, and records the wall-clock comparison
+/// (`BENCH_sweeps.json`). Fails if the rows diverge.
+pub fn sweeps(cfg: &RunCfg) -> Result<Report, String> {
+    let c = cfg.circuit();
+    let procs = cfg.procs();
+    let threads = cfg.harness.threads().max(2);
+    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+
+    eprintln!("sweeps: table1 serial ({}, {procs} procs)...", c.name);
+    let t0 = Instant::now();
+    let serial_rows = ex::table1(&Harness::serial(), &c, procs);
+    let serial_s = t0.elapsed().as_secs_f64();
+
+    eprintln!("sweeps: table1 parallel ({threads} threads)...");
+    let t1 = Instant::now();
+    let parallel_rows = ex::table1(&Harness::with_threads(threads), &c, procs);
+    let parallel_s = t1.elapsed().as_secs_f64();
+
+    let rows_equal = serial_rows == parallel_rows;
+    let speedup = serial_s / parallel_s;
+    let mut report = Report::new(format!(
+        "sweeps: serial {serial_s:.3}s, parallel {parallel_s:.3}s on {threads} threads \
+         ({host_cpus} host cpus) -> speedup {speedup:.2}x, rows_equal = {rows_equal}\n"
+    ))
+    .field("benchmark", "sweeps")
+    .field(
+        "description",
+        "Wall-clock time of the full Table 1 sweep (12 message-passing runs) executed serially \
+         vs on the scoped-thread pool. Engines are deterministic, so rows_equal must be true at \
+         any thread count; the achievable speedup is bounded by host_cpus. Run with: cargo run \
+         --release -p locus-bench --bin locus-experiments sweeps.",
+    )
+    .field("experiment", "table1")
+    .field("circuit", c.name.as_str())
+    .field("n_procs", procs)
+    .field("host_cpus", host_cpus)
+    .field("threads", threads)
+    .field("serial_s", Json::Float(serial_s, Some(3)))
+    .field("parallel_s", Json::Float(parallel_s, Some(3)))
+    .field("speedup", Json::Float(speedup, Some(2)))
+    .field("rows_equal", rows_equal)
+    .field(
+        "notes",
+        "serial_s, parallel_s and speedup are wall-clock on this host and differ between runs; \
+         the rows compared for rows_equal are simulated results and do not.",
+    );
+    if !rows_equal {
+        report.failure = Some("sweeps: FAILED — parallel rows diverge from serial rows".into());
+    }
+    Ok(report)
+}
+
+/// Resolves a `--circuit` name to its preset.
+fn circuit_by_name(name: &str) -> Result<Circuit, String> {
+    match name {
+        "tiny" => Ok(presets::tiny()),
+        "small" => Ok(presets::small()),
+        "bnre" | "bnrE" => Ok(presets::bnr_e()),
+        "mdc" => Ok(presets::mdc()),
+        "powerlaw" => Ok(presets::power_law()),
+        other => {
+            Err(format!("unknown circuit {other:?}; expected tiny, small, bnre, mdc or powerlaw"))
+        }
+    }
+}
+
+/// `--engine <name>`: one run of a single registry engine.
+pub fn engine(
+    cfg: &RunCfg,
+    name: &str,
+    procs: Option<usize>,
+    circuit: Option<&str>,
+) -> Result<Report, String> {
+    let engine = build_engine(name)?;
+    let c = circuit.map_or_else(|| Ok(cfg.circuit()), circuit_by_name)?;
+    let procs = procs.unwrap_or_else(|| cfg.procs());
+    let ctx = EngineCtx::new(procs).with_traffic();
+    let run = engine.route(&c, &RouterParams::default(), &ctx);
+    // Not every engine has a clock or measures traffic.
+    fn opt3(v: Option<f64>) -> Cell {
+        v.map_or(Json::Null.into(), |v| fixed(v, 3))
+    }
+    Ok(Report::new(format!("engine run ({}, {} procs)", c.name, procs)).table(
+        "rows",
+        &[(engine.id(), run)],
+        &[
+            col("engine", "engine", |r: &(&str, EngineRun)| r.0.into()),
+            col("ckt_ht", "Ckt. Ht.", |r| r.1.outcome.quality.circuit_height.into()),
+            col("occupancy", "Occup. Factor", |r| r.1.outcome.quality.occupancy_factor.into()),
+            col("mbytes", "MBytes Xfrd.", |r| opt3(r.1.mbytes)),
+            col("time_s", "Time (s)", |r| opt3(r.1.time_secs)),
+        ],
+    ))
+}
+
+/// The registries `list` prints below the experiment ids.
+pub fn registries() -> String {
+    let mut out = String::from("\nengines (--engine <name>):\n");
+    for e in registry() {
+        out += &format!("  {:<17} {}\n", e.name, e.summary);
+    }
+    out += "\nmemory backends (--memory <name>):\n";
+    for e in memory_registry() {
+        out += &format!("  {:<17} {}\n", e.name, e.summary);
+    }
+    out
+}

@@ -26,7 +26,7 @@ use locus_circuit::{presets, Circuit};
 use locus_mesh::{FaultPlan, NodeFault};
 use locus_msgpass::{run_msgpass, MsgPassConfig, MsgPassOutcome, RecoveryConfig, UpdateSchedule};
 
-use crate::sweep::Harness;
+use crate::Harness;
 
 /// Crash points of the worker-crash sweep, as fractions of the target
 /// worker's own clean *routing span* (not total completion time):
@@ -298,75 +298,6 @@ pub fn chaos_study(harness: &Harness, quick: bool) -> ChaosStudy {
     ChaosStudy { probes, rows }
 }
 
-/// Machine-readable JSON for the study (`chaos` →
-/// `BENCH_resilience.json`). Pure virtual-time content: byte-identical
-/// for a given configuration.
-pub fn chaos_report_json(study: &ChaosStudy, quick: bool) -> String {
-    let mut out = String::with_capacity(1024 + study.rows.len() * 320);
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"resilience\",\n");
-    out.push_str(
-        "  \"description\": \"Node-failure chaos grid on the message-passing engine with \
-         checkpoint/restore recovery: one deterministic crash, restart, coordinator loss, or \
-         stall per run, measured against the fault-free run under the same recovery \
-         configuration. All quantities are simulated time, so this file is byte-identical \
-         across runs and hosts. Regenerate with: cargo run --release -p locus-bench --bin \
-         locus-experiments chaos.\",\n",
-    );
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"all_ok\": {},\n", study.all_ok()));
-    out.push_str("  \"probes\": [\n");
-    for (i, p) in study.probes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"circuit\": \"{}\", \"procs\": {}, \"base_time_s\": {:.6}, \
-             \"routing_s\": {:.6}, \"heartbeat_ns\": {}, \"suspect_after\": {}}}{}\n",
-            p.circuit,
-            p.procs,
-            p.base_time_s,
-            p.routing_s,
-            p.heartbeat_ns,
-            p.suspect_after,
-            if i + 1 < study.probes.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in study.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"circuit\": \"{}\", \"procs\": {}, \"scenario\": \"{}\", \
-             \"checkpoint_every\": {}, \"fault_frac\": {}, \"ckt_ht\": {}, \
-             \"time_s\": {:.6}, \"mbytes\": {:.6}, \"checkpoints\": {}, \
-             \"checkpoint_bytes\": {}, \"declared_dead\": {}, \"reassigned\": {}, \
-             \"rollbacks\": {}, \"failovers\": {}, \"duplicates\": {}, \"watchdog\": {}, \
-             \"degraded\": {}, \"time_vs_clean\": {:.6}, \"mbytes_vs_clean\": {:.6}, \
-             \"repeat_identical\": {}}}{}\n",
-            r.circuit,
-            r.procs,
-            r.scenario,
-            r.checkpoint_every,
-            r.fault_frac,
-            r.ckt_ht,
-            r.time_s,
-            r.mbytes,
-            r.checkpoints,
-            r.checkpoint_bytes,
-            r.declared_dead,
-            r.reassigned,
-            r.rollbacks,
-            r.failovers,
-            r.duplicates,
-            r.watchdog,
-            r.degraded,
-            r.time_vs_clean,
-            r.mbytes_vs_clean,
-            r.repeat_identical,
-            if i + 1 < study.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,14 +351,5 @@ mod tests {
                 clean_s
             );
         }
-    }
-
-    #[test]
-    fn report_json_is_valid_and_deterministic() {
-        let study = chaos_study(&Harness::serial(), true);
-        let json = chaos_report_json(&study, true);
-        locus_obs::export::validate_json(&json).expect("chaos report must be valid JSON");
-        let again = chaos_report_json(&chaos_study(&Harness::serial(), true), true);
-        assert_eq!(json, again, "chaos report must be byte-identical across runs");
     }
 }

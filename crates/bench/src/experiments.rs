@@ -1,25 +1,22 @@
 //! One function per experiment id (see `DESIGN.md` §3).
 //!
 //! Every function is deterministic and parameterized on the circuit and
-//! processor count so the Criterion benches can run reduced "quick"
-//! configurations while the CLI reproduces the full paper settings.
+//! processor count, so tests run reduced "quick" configurations while
+//! the CLI reproduces the full paper settings, and returns typed rows;
+//! [`crate::catalog`] declares how each row type is printed.
 //!
 //! Sweep-style experiments additionally take a [`Harness`]: independent
 //! sweep points run concurrently on its scoped-thread pool, and because
 //! every swept engine is deterministic the rows are identical whichever
 //! harness executes them (`Harness::serial()` vs `Harness::auto()`).
 
-use crate::sweep::Harness;
+use crate::Harness;
 use locus_circuit::Circuit;
 use locus_coherence::{
     build_memory_model, memory_registry, traffic_by_backend, traffic_by_line_size, MemoryConfig,
     MemoryModelEntry, MemoryOutcome, Trace,
 };
-use locus_msgpass::{
-    run_msgpass, run_msgpass_observed, MsgPassConfig, MsgPassOutcome, PacketStructure,
-    UpdateSchedule,
-};
-use locus_obs::{Event, MetricsSnapshot, SharedSink};
+use locus_msgpass::{run_msgpass, MsgPassConfig, PacketStructure, UpdateSchedule};
 use locus_router::engine::EngineCtx;
 use locus_router::locality::locality_measure;
 use locus_router::{assign, AssignmentStrategy, RegionMap, RouterParams, SequentialRouter};
@@ -188,33 +185,11 @@ pub fn shared_memory_trace(circuit: &Circuit, n_procs: usize) -> Trace {
     out.trace.expect("trace collection enabled")
 }
 
-/// **Table 3** — shared-memory bus traffic as a function of cache line
-/// size under Write-Back-with-Invalidate with infinite caches. One
-/// traced emulator run; the per-line-size coherence replays are the
-/// sweep points.
-pub fn table3(
-    harness: &Harness,
-    circuit: &Circuit,
-    n_procs: usize,
-    line_sizes: &[u32],
-) -> Vec<LineSizeRow> {
-    let trace = shared_memory_trace(circuit, n_procs);
-    harness.map(line_sizes.to_vec(), |line_size| {
-        let stats = traffic_by_line_size(&trace, &[line_size]).remove(0).1;
-        LineSizeRow {
-            line_size,
-            mbytes: stats.mbytes(),
-            write_fraction: stats.write_fraction(),
-            invalidations: stats.invalidations,
-        }
-    })
-}
-
-/// **Table 3 generalized** — the same line-size sweep replayed through
-/// one registered memory backend ([`traffic_by_backend`]). With
-/// `backend = "bus-wbi"` the rows are byte-identical to [`table3`];
-/// `"bus-wt"` is the write-through ablation the CLI's `--memory` flag
-/// exposes.
+/// **Table 3** — shared-memory traffic as a function of cache line size
+/// with infinite caches: one traced emulator run replayed at each line
+/// size through one registered memory backend ([`traffic_by_backend`]).
+/// `"bus-wbi"` is the paper's Write-Back-with-Invalidate bus, `"bus-wt"`
+/// the write-through ablation the CLI's `--memory` flag exposes.
 pub fn table3_backend(
     circuit: &Circuit,
     n_procs: usize,
@@ -311,46 +286,6 @@ pub fn memory_study(
         }));
     }
     Ok(rows)
-}
-
-/// Machine-readable JSON for the memory study (`memory --report`,
-/// committed as `BENCH_memory.json`).
-pub fn memory_report_json(rows: &[MemoryRow], procs: usize, line_size: u32) -> String {
-    let mut out = String::with_capacity(512 + rows.len() * 256);
-    out.push_str("{\n");
-    out.push_str(
-        "  \"description\": \"Every registered memory-system backend replaying the same \
-         shared-memory reference trace per circuit (infinite caches, so all traffic is \
-         coherence traffic). mbytes is protocol data traffic; inval_mbytes prices the \
-         invalidation transport (bus rows broadcast, directory rows unicast, dls none). \
-         The *_wait columns resolve the identical request log through FIFO and \
-         critical-first service: critical requests are the router's rip-up/commit stores. \
-         Regenerate with: cargo run --release -p locus-bench --bin locus-experiments memory\",\n",
-    );
-    out.push_str(&format!("  \"procs\": {procs},\n"));
-    out.push_str(&format!("  \"line_size\": {line_size},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"circuit\": \"{}\", \"backend\": \"{}\", \"mbytes\": {:.6}, \
-             \"write_fraction\": {:.4}, \"coherence_events\": {}, \"inval_mbytes\": {:.6}, \
-             \"fifo_wait_ns\": {}, \"fifo_critical_mean_ns\": {:.1}, \
-             \"prio_critical_mean_ns\": {:.1}, \"critical_wait_saved_ns\": {}}}{}\n",
-            r.circuit,
-            r.backend,
-            r.mbytes,
-            r.write_fraction,
-            r.coherence_events,
-            r.inval_mbytes,
-            r.fifo_wait_ns,
-            r.fifo_critical_mean_ns,
-            r.prio_critical_mean_ns,
-            r.critical_wait_saved_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// A Table 4 row: message-passing locality sweep.
@@ -806,70 +741,6 @@ pub const FAULT_LOSSES_BP: &[u32] = &[0, 200, 500, 1000, 2000];
 /// The reduced sweep for `--quick` runs and CI smoke tests.
 pub const FAULT_LOSSES_BP_QUICK: &[u32] = &[0, 1000];
 
-/// Machine-readable JSON for the resilience study (`faults --report`).
-pub fn faults_report_json(rows: &[FaultRow], circuit: &str, procs: usize) -> String {
-    let mut out = String::with_capacity(256 + rows.len() * 192);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"circuit\": \"{circuit}\",\n"));
-    out.push_str(&format!("  \"procs\": {procs},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"schedule\": \"{}\", \"loss_bp\": {}, \"ckt_ht\": {}, \
-             \"time_s\": {:.6}, \"mbytes\": {:.6}, \"dropped\": {}, \
-             \"retransmits\": {}, \"acks\": {}, \"divergence\": {:.6}, \
-             \"degraded\": {}}}{}\n",
-            r.schedule,
-            r.loss_bp,
-            r.ckt_ht,
-            r.time_s,
-            r.mbytes,
-            r.dropped,
-            r.retransmits,
-            r.acks,
-            r.divergence,
-            r.degraded,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// **Figure 1** — a cost array with one wire's route highlighted.
-pub fn figure1() -> String {
-    use locus_router::render::render_cost_array;
-    let circuit = locus_circuit::presets::tiny();
-    let out = SequentialRouter::new(&circuit, RouterParams::default()).run();
-    let mut s = String::from("Figure 1: cost array with wire 0's route highlighted\n");
-    s.push_str(&render_cost_array(&out.cost, Some(&out.routes[0])));
-    s
-}
-
-/// **Figure 2** — the division of the cost array among processors.
-pub fn figure2(n_procs: usize) -> String {
-    use locus_router::render::render_regions;
-    let circuit = locus_circuit::presets::tiny();
-    let regions = RegionMap::new(circuit.channels, circuit.grids, n_procs);
-    let mut s = format!("Figure 2: cost-array division among {n_procs} processors\n");
-    s.push_str(&render_regions(&regions));
-    s
-}
-
-/// **Figure 3** — the update-transaction taxonomy.
-pub fn figure3() -> String {
-    "Figure 3: classification of update types\n\
-     \n\
-     updates\n\
-     ├── sender initiated\n\
-     │   ├── SendLocData  — absolute own-region data, pushed to N/S/E/W neighbours\n\
-     │   └── SendRmtData  — deltas pushed to the owning processor\n\
-     └── receiver initiated\n\
-         ├── ReqRmtData   — ask an owner for its region   (blocking | non-blocking)\n\
-         └── ReqLocData   — owner asks a writer for deltas (blocking | non-blocking)\n"
-        .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,7 +792,7 @@ mod tests {
     #[test]
     fn table3_traffic_shape() {
         let c = presets::small();
-        let rows = table3(&h(), &c, QUICK_PROCS, &[4, 8, 16, 32]);
+        let rows = table3_backend(&c, QUICK_PROCS, &[4, 8, 16, 32], "bus-wbi").expect("registered");
         assert_eq!(rows.len(), 4);
         // The robust Table 3 properties on synthetic circuits: long lines
         // cost more than mid-size lines (false-sharing growth), and the
@@ -945,18 +816,16 @@ mod tests {
     }
 
     #[test]
-    fn table3_backend_bus_wbi_matches_table3_and_bus_wt_is_reachable() {
+    fn table3_bus_wt_out_traffics_wbi_and_unknown_backends_are_errors() {
         let c = presets::small();
-        let legacy = table3(&h(), &c, QUICK_PROCS, &[4, 8, 32]);
-        let wbi = table3_backend(&c, QUICK_PROCS, &[4, 8, 32], "bus-wbi").expect("registered");
-        assert_eq!(legacy, wbi, "bus-wbi sweep must be byte-identical to the legacy Table 3");
+        let wbi = table3_backend(&c, QUICK_PROCS, &[8], "bus-wbi").expect("registered");
         let wt = table3_backend(&c, QUICK_PROCS, &[8], "bus-wt").expect("registered");
         assert!(
-            wt[0].mbytes > wbi[1].mbytes,
+            wt[0].mbytes > wbi[0].mbytes,
             "write-through pays a bus word on every store, so it must out-traffic WBI: \
              {} vs {}",
             wt[0].mbytes,
-            wbi[1].mbytes
+            wbi[0].mbytes
         );
         assert!(table3_backend(&c, QUICK_PROCS, &[8], "nope").is_err());
     }
@@ -997,17 +866,6 @@ mod tests {
             assert!(err.contains("power of two"), "{err}");
             let err = table3_backend(&c, QUICK_PROCS, &[8, line_size], "bus-wt").expect_err("bad");
             assert!(err.contains("power of two"), "{err}");
-        }
-    }
-
-    #[test]
-    fn memory_report_json_is_valid_and_names_every_backend() {
-        let c = presets::tiny();
-        let rows = memory_study(&h(), &[&c], QUICK_PROCS, MEMORY_STUDY_LINE_SIZE).expect("valid");
-        let json = memory_report_json(&rows, QUICK_PROCS, MEMORY_STUDY_LINE_SIZE);
-        locus_obs::export::validate_json(&json).expect("report must be valid JSON");
-        for e in locus_coherence::memory_registry() {
-            assert!(json.contains(e.name), "report must mention {}", e.name);
         }
     }
 
@@ -1101,13 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn figures_render() {
-        assert!(figure1().contains('['));
-        assert!(figure2(4).contains("ch"));
-        assert!(figure3().contains("SendLocData"));
-    }
-
-    #[test]
     fn faults_study_rows_are_deterministic_and_loss_costs_traffic() {
         let c = presets::small();
         let rows = faults_study(&h(), &c, QUICK_PROCS, FAULT_LOSSES_BP_QUICK);
@@ -1124,26 +975,4 @@ mod tests {
         let again = faults_study(&h(), &c, QUICK_PROCS, FAULT_LOSSES_BP_QUICK);
         assert_eq!(rows, again, "the study must be exactly reproducible");
     }
-}
-
-/// An instrumented run: the outcome plus everything the sink captured.
-#[derive(Clone, Debug)]
-pub struct ObservedRun {
-    /// The ordinary simulation outcome.
-    pub outcome: MsgPassOutcome,
-    /// The recorded event stream (bounded by the ring-buffer capacity).
-    pub events: Vec<Event>,
-    /// Counter/histogram snapshot (exact even if the ring wrapped).
-    pub metrics: MetricsSnapshot,
-}
-
-/// Runs the paper-settings message-passing router (sender-initiated
-/// Table 4/6 schedule) with observability on. Backs the CLI's
-/// `--trace-out` / `--metrics-out` flags.
-pub fn observed_paper_run(circuit: &Circuit, n_procs: usize) -> ObservedRun {
-    let sink = SharedSink::new();
-    let cfg = MsgPassConfig::new(n_procs, table46_schedule());
-    let outcome = run_msgpass_observed(circuit, cfg, sink.clone());
-    assert!(!outcome.deadlocked, "observed run deadlocked");
-    ObservedRun { outcome, events: sink.snapshot_events(), metrics: sink.metrics_snapshot() }
 }

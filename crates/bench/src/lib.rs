@@ -1,27 +1,24 @@
 //! # locus-bench
 //!
 //! The experiment harness: one function per table/figure of Martonosi &
-//! Gupta (ICPP 1989), producing typed rows that the `locus-experiments`
-//! CLI and the Criterion benches render as the paper's tables.
+//! Gupta (ICPP 1989) producing typed rows ([`experiments`], [`chaos`],
+//! [`serve`]), and one pipeline that turns any of them into what the
+//! `locus-experiments` CLI prints and writes: [`catalog`] declares each
+//! experiment's columns once, [`report`] renders them as an aligned text
+//! table and, through the workspace's one JSON writer, as a report file.
 //!
 //! Absolute values are not expected to match the 1989 testbed; the
 //! *shape* of each result (orderings, ratios, crossovers) is the
 //! reproduction target. `EXPERIMENTS.md` records paper-vs-measured values
 //! for every experiment id.
 
+pub mod catalog;
 pub mod chaos;
 pub mod experiments;
-pub mod fmt;
+pub mod report;
 pub mod serve;
-pub mod sweep;
 
-pub use chaos::{
-    chaos_report_json, chaos_study, ChaosProbe, ChaosRow, ChaosStudy, CHAOS_CHECKPOINT_INTERVALS,
-    CHAOS_CRASH_FRACTIONS,
-};
 pub use experiments::*;
-pub use serve::{
-    service_report_json, service_study, ServiceRow, ServiceStudy, SERVICE_LOADS,
-    SERVICE_LOADS_QUICK, SERVICE_SLO_WAIT_MS,
-};
-pub use sweep::Harness;
+/// The scoped-thread pool sweep points run on: the job server's
+/// [`locus_service::WorkerPool`], under the name the experiments use.
+pub use locus_service::WorkerPool as Harness;

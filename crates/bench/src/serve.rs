@@ -170,61 +170,6 @@ pub fn service_study(pool: &WorkerPool, quick: bool) -> ServiceStudy {
     ServiceStudy { rows, knee_load, workers, queue_capacity, duration_ms }
 }
 
-/// Machine-readable JSON for the study (`serve` → `BENCH_service.json`).
-/// Pure virtual-time content: byte-identical for a given configuration.
-pub fn service_report_json(study: &ServiceStudy, quick: bool) -> String {
-    let mut out = String::with_capacity(512 + study.rows.len() * 256);
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"service\",\n");
-    out.push_str(
-        "  \"description\": \"Routing-as-a-service offered-load sweep: seeded rush-hour \
-         arrival traces replayed through the bounded-queue job server under each backpressure \
-         policy. All times are virtual ms, so this file is byte-identical across runs and \
-         hosts. Regenerate with: cargo run --release -p locus-bench --bin locus-experiments \
-         serve.\",\n",
-    );
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", SERVICE_SEED));
-    out.push_str(&format!("  \"workers\": {},\n", study.workers));
-    out.push_str(&format!("  \"queue_capacity\": {},\n", study.queue_capacity));
-    out.push_str(&format!("  \"duration_ms\": {},\n", study.duration_ms));
-    out.push_str(&format!("  \"mean_interarrival_ms\": {},\n", SERVICE_MEAN_INTERARRIVAL_MS));
-    out.push_str(&format!("  \"slo_wait_ms\": {},\n", SERVICE_SLO_WAIT_MS));
-    match study.knee_load {
-        Some(k) => out.push_str(&format!("  \"knee_load\": {k},\n")),
-        None => out.push_str("  \"knee_load\": null,\n"),
-    }
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in study.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"load\": {}, \"policy\": \"{}\", \"submitted\": {}, \"completed\": {}, \
-             \"shed\": {}, \"rejected\": {}, \"failed\": {}, \
-             \"p50_wait_ms\": {}, \"p95_wait_ms\": {}, \"p99_wait_ms\": {}, \
-             \"p50_service_ms\": {}, \"p95_service_ms\": {}, \"p99_service_ms\": {}, \
-             \"throughput_jps\": {:.6}, \"utilization\": {:.6}, \"slo_ok\": {:.6}}}{}\n",
-            r.load,
-            r.policy,
-            r.submitted,
-            r.completed,
-            r.shed,
-            r.rejected,
-            r.failed,
-            r.p50_wait_ms,
-            r.p95_wait_ms,
-            r.p99_wait_ms,
-            r.p50_service_ms,
-            r.p95_service_ms,
-            r.p99_service_ms,
-            r.throughput_jps,
-            r.utilization,
-            r.slo_ok,
-            if i + 1 < study.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,15 +195,5 @@ mod tests {
         assert!(heavy[1].shed > 0, "shed-oldest must drop work past saturation: {heavy:?}");
         assert!(heavy[2].rejected > 0, "reject must turn work away past saturation: {heavy:?}");
         assert!(study.knee_load.is_some(), "the quick sweep crosses the knee");
-    }
-
-    #[test]
-    fn report_is_byte_identical_and_valid_json() {
-        let a = service_study(&WorkerPool::serial(), true);
-        let b = service_study(&WorkerPool::with_threads(4), true);
-        let ja = service_report_json(&a, true);
-        let jb = service_report_json(&b, true);
-        assert_eq!(ja, jb, "virtual-time report must not depend on the pool");
-        locus_obs::export::validate_json(&ja).expect("report is valid JSON");
     }
 }

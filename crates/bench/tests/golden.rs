@@ -1,0 +1,97 @@
+//! What `locus-experiments` prints and writes, pinned byte for byte
+//! against fixtures in `tests/golden/` that were captured from the build
+//! at commit 2ea5b96, when every table still had a printer of its own.
+//! A fixture changes only when a simulated result or a table's wording
+//! is meant to change; regenerate it with the command in the test.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+/// Runs the CLI in a fresh directory; returns it with stdout, stderr and
+/// the exit code.
+fn run(case: &str, args: &[&str]) -> (PathBuf, String, String, i32) {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden").join(case);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_locus-experiments"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("locus-experiments runs");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8 output");
+    (dir, text(out.stdout), text(out.stderr), out.status.code().expect("exit code"))
+}
+
+fn fixture(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// `all --quick`, minus the rows `speedup` times on the host's clock.
+#[test]
+fn all_quick_stdout_is_the_fixture_at_any_thread_count() {
+    for threads in ["1", "4"] {
+        let (_, stdout, _, code) = run(threads, &["all", "--quick", "--threads", threads]);
+        assert_eq!(code, 0);
+        let simulated: String = stdout
+            .split_inclusive('\n')
+            .filter(|line| !line.starts_with("threads (wall)"))
+            .collect();
+        assert_eq!(simulated, fixture("all_quick.txt"), "--threads {threads}");
+    }
+}
+
+/// `<id> --quick` writes its fixture: to `--report`, or without it to
+/// the experiment's default artifact in the current directory.
+#[test]
+fn quick_reports_are_the_fixtures() {
+    for (id, artifact) in [
+        ("faults", None),
+        ("serve", Some("BENCH_service.json")),
+        ("chaos", Some("BENCH_resilience.json")),
+        ("memory", Some("BENCH_memory.json")),
+    ] {
+        let named = format!("{id}.json");
+        let (dir, stdout, _, code) = match artifact {
+            Some(_) => run(id, &[id, "--quick"]),
+            None => run(id, &[id, "--quick", "--report", &named]),
+        };
+        assert_eq!(code, 0, "{id}");
+        let path = artifact.unwrap_or(&named);
+        assert!(stdout.contains(&format!("{id}: wrote {path}\n")), "{id}: {stdout}");
+        let written = std::fs::read_to_string(dir.join(path)).expect("report written");
+        assert_eq!(written, fixture(&format!("{id}_quick.json")), "{id}");
+    }
+    let (dir, _, _, _) = run("faults-bare", &["faults", "--quick"]);
+    assert_eq!(std::fs::read_dir(dir).expect("scratch directory").count(), 0, "no default file");
+}
+
+#[test]
+fn list_is_the_fixture_and_an_unknown_id_is_told_every_id() {
+    let (_, listing, _, code) = run("list", &["list"]);
+    assert_eq!((listing.as_str(), code), (fixture("list.txt").as_str(), 0));
+    let (_, stdout, stderr, code) = run("nosuch", &["nosuch"]);
+    assert_eq!((stdout.as_str(), code), ("", 2));
+    let ids = listing.lines().skip(1).take_while(|l| !l.is_empty()).map(str::trim);
+    for id in ids.chain(["analyze"]) {
+        assert!(stderr.contains(&format!(" {id},")) || stderr.ends_with(&format!(" {id}\n")));
+    }
+}
+
+#[test]
+fn bad_invocations_say_why_and_set_the_exit_code() {
+    for (args, code, why) in [
+        (&["table1", "--bogus"][..], 2, "unknown flag --bogus"),
+        (&["table1", "--report"], 2, "--report requires an argument"),
+        (&["table1", "--threads", "many"], 2, "--threads expects a number"),
+        (&["table3", "--quick", "--memory", "nope"], 2, "unknown memory backend `nope`"),
+        (&["memory", "--quick", "--memory", "nope"], 2, "unknown memory backend `nope`"),
+        (&["--engine", "nope"], 2, "unknown engine 'nope'"),
+        (&["--engine", "sequential", "--circuit", "huge"], 2, "unknown circuit \"huge\""),
+        (&["faults", "--quick", "--report", "no/such/dir/f.json"], 1, "cannot write"),
+    ] {
+        let (_, _, stderr, got) = run("bad", args);
+        assert_eq!(got, code, "{args:?}: {stderr}");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+    }
+}

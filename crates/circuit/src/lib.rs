@@ -18,7 +18,7 @@
 //! * seeded synthetic benchmark generators ([`generate`]) together with
 //!   presets ([`presets::bnr_e`], [`presets::mdc`]) matching the published
 //!   shapes of the two proprietary benchmark circuits used in the paper,
-//! * a plain-text interchange format ([`format`]) so externally produced
+//! * a plain-text interchange format ([`mod@format`]) so externally produced
 //!   circuits can be routed, and
 //! * summary statistics ([`stats`]) used for calibration.
 //!

@@ -669,7 +669,8 @@ mod tests {
         assert_eq!(out.stats.packets, 1);
         assert_eq!(out.stats.payload_bytes, 42);
         assert_eq!(out.stats.wire_bytes, 42 + cfg.header_bytes as u64);
-        assert_eq!(out.stats.byte_hops, (42 + cfg.header_bytes as u64) * 1);
+        // One hop between the two nodes.
+        assert_eq!(out.stats.byte_hops, 42 + cfg.header_bytes as u64);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Each mesh node runs one [`RouterNode`]: it routes its statically
 //! assigned wires against its local cost-array replica, keeps the delta
 //! array of changes it has made to foreign regions, emits and installs
-//! update packets according to the configured [`UpdateSchedule`], and
+//! update packets according to the configured [`crate::UpdateSchedule`], and
 //! participates in a simple termination protocol (every node reports
 //! `Finished` to node 0, which broadcasts `Terminate` once all reports
 //! are in — finished nodes keep serving requests until then).

@@ -3,9 +3,11 @@
 //!
 //! All JSON is hand-rolled — the workspace deliberately omits `serde`
 //! (DESIGN §7); the formats here are small enough that a formatter and
-//! an escaping function cover them.
+//! an escaping function cover them. Every report outside this module
+//! (the `BENCH_*.json` studies, the race, staleness and lint artifacts)
+//! is a [`Json`] tree written by [`json_document`].
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::event::{Event, EventKind};
 use crate::metrics::{bucket_hi, bucket_lo, Histogram, MetricsSnapshot};
@@ -29,6 +31,110 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out
+}
+
+/// A JSON value: what [`json_document`] writes.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An unsigned integer.
+    UInt(u64),
+    /// A float with a fixed number of decimals (`None`: Rust's shortest
+    /// form, `0.25` or `1`). Non-finite values, which JSON cannot hold,
+    /// are written as `null`.
+    Float(f64, Option<usize>),
+    /// A string, escaped by [`json_escape`] when written.
+    Str(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object; fields keep their order.
+    Object(Vec<(&'static str, Json)>),
+}
+
+macro_rules! json_from_uint {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::UInt(v as u64)
+            }
+        }
+    )*};
+}
+json_from_uint!(u16, u32, u64, usize);
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+/// The inline form: `{"k": 1, "v": [2, 3]}`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::UInt(n) => write!(f, "{n}"),
+            Json::Float(v, _) if !v.is_finite() => f.write_str("null"),
+            Json::Float(v, Some(decimals)) => write!(f, "{v:.decimals$}"),
+            Json::Float(v, None) => write!(f, "{v}"),
+            Json::Str(s) => write!(f, "\"{}\"", json_escape(s)),
+            Json::Array(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i == 0 { "" } else { ", " })?;
+                }
+                f.write_str("]")
+            }
+            Json::Object(fields) => {
+                f.write_str("{")?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}\"{}\": {value}", json_escape(key))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// Writes `fields` as one JSON document in the layout every report
+/// shares: a top-level field per line, the elements of a top-level array
+/// one per line below it, everything deeper inline.
+pub fn json_document(fields: &[(&'static str, Json)]) -> String {
+    let mut out = String::from("{");
+    for (i, (key, value)) in fields.iter().enumerate() {
+        let _ = write!(out, "{}\n  \"{}\": ", if i == 0 { "" } else { "," }, json_escape(key));
+        match value {
+            Json::Array(items) if !items.is_empty() => {
+                out.push('[');
+                for (j, item) in items.iter().enumerate() {
+                    let _ = write!(out, "{}\n    {item}", if j == 0 { "" } else { "," });
+                }
+                out.push_str("\n  ]");
+            }
+            inline => {
+                let _ = write!(out, "{inline}");
+            }
+        }
+    }
+    out.push_str("\n}\n");
     out
 }
 
@@ -578,6 +684,36 @@ mod tests {
             let json = format!("\"{}\"", json_escape(nasty));
             validate_json(&json).unwrap_or_else(|e| panic!("{nasty:?} -> {e}"));
         }
+    }
+
+    #[test]
+    fn document_layout_is_pinned_and_always_valid() {
+        let doc = json_document(&[
+            ("name", "tab\there \"quoted\" \u{1}".into()),
+            ("n", 3u64.into()),
+            ("ratio", Json::Float(0.126, Some(2))),
+            ("load", Json::Float(4.0, None)),
+            ("knee", Json::Null),
+            ("nan", Json::Float(f64::NAN, Some(3))),
+            ("nested", Json::Object(vec![("ok", true.into()), ("ids", Json::Array(vec![]))])),
+            ("none", Json::Array(vec![])),
+            (
+                "rows",
+                Json::Array(vec![
+                    Json::Object(vec![("k", "a\\b".into()), ("v", Json::Array(vec![1u32.into()]))]),
+                    Json::Object(vec![("k", "line\nbreak".into()), ("v", Json::Null)]),
+                ]),
+            ),
+        ]);
+        validate_json(&doc).expect("the one writer must always emit valid JSON");
+        assert_eq!(
+            doc,
+            "{\n  \"name\": \"tab\\there \\\"quoted\\\" \\u0001\",\n  \"n\": 3,\n  \
+             \"ratio\": 0.13,\n  \"load\": 4,\n  \"knee\": null,\n  \"nan\": null,\n  \
+             \"nested\": {\"ok\": true, \"ids\": []},\n  \"none\": [],\n  \"rows\": [\n    \
+             {\"k\": \"a\\\\b\", \"v\": [1]},\n    {\"k\": \"line\\nbreak\", \"v\": null}\n  ]\n}\n"
+        );
+        validate_json(&json_document(&[])).expect("an empty document is an empty object");
     }
 
     #[test]

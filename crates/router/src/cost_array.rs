@@ -878,7 +878,7 @@ mod tests {
         // More than one validity word: 130 channels spans three u64 words.
         let mut a = CostArray::new(130, 4);
         for c in (0..130u16).step_by(7) {
-            a.set(cell(c, (c % 4) as u16), c + 1);
+            a.set(cell(c, c % 4), c + 1);
         }
         let naive: u64 =
             (0..130u16).map(|c| (0..4).map(|x| a.get(cell(c, x))).max().unwrap() as u64).sum();

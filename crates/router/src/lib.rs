@@ -25,7 +25,7 @@
 //! * [`QualityMetrics`] — circuit height and occupancy factor (§3),
 //! * [`RegionMap`] — division of the cost array into per-processor owned
 //!   regions (§4.1, Figure 2),
-//! * [`assign`] — wire-assignment strategies: round-robin and the
+//! * [`mod@assign`] — wire-assignment strategies: round-robin and the
 //!   locality/`ThresholdCost` hybrid (§4.2),
 //! * [`locality`] — the §5.3.3 locality measure, and
 //! * [`render`] — ASCII renderings of Figures 1 and 2.

@@ -1,14 +1,15 @@
 //! The service's scoped-thread worker pool.
 //!
-//! This is the third audited raw-spawn site in the workspace (after
-//! `locus_bench::sweep` and `locus_shmem::parallel`, see the concurrency
-//! lint) and follows the same discipline as the sweep harness: workers
-//! claim jobs off a shared relaxed counter — the routers' own
-//! distributed-loop scheduling — and results are reassembled in input
-//! order, so the pool's output is independent of the worker count and of
-//! OS scheduling. That independence is what lets the server run its
-//! admission simulation on virtual time while the actual routing work
-//! executes on however many threads the host offers.
+//! One of the two audited raw-spawn sites in the workspace (the other is
+//! `locus_shmem::parallel`, see the concurrency lint), shared by the job
+//! server and the experiment sweeps in `locus-bench`: workers claim jobs
+//! off a shared relaxed counter — the routers' own distributed-loop
+//! scheduling — and results are reassembled in input order, so the
+//! pool's output is independent of the worker count and of OS
+//! scheduling. That independence is what lets the server run its
+//! admission simulation on virtual time, and the sweeps print identical
+//! rows, while the actual routing work executes on however many threads
+//! the host offers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

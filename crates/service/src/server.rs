@@ -2,7 +2,7 @@
 //! deterministic virtual-time dispatch simulation.
 //!
 //! A run has two phases. **Execute**: every job in the arrival trace is
-//! routed on the scoped-thread [`WorkerPool`](crate::pool::WorkerPool)
+//! routed on the scoped-thread [`crate::pool::WorkerPool`]
 //! through a [`JobRunner`], producing a deterministic virtual service
 //! time per job (real threads, virtual prices — see
 //! [`runner`](crate::runner)). **Simulate**: a sequential discrete-event

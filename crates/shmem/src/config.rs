@@ -49,12 +49,6 @@ pub struct ShmemConfig {
     /// Whether the run records a Tango-style reference trace (honoured
     /// by both the emulator and the real threaded router).
     pub collect_trace: bool,
-    /// Per-shard cost-array ownership for the real threaded router:
-    /// workers evaluate against private replicas (own prefix caches,
-    /// fast spans, no false sharing) refreshed from the shared atomics
-    /// at iteration barriers. Ignored by the emulator; traced runs
-    /// always use the live shared-read path regardless. On by default.
-    pub shard_ownership: bool,
 }
 
 impl ShmemConfig {
@@ -69,21 +63,12 @@ impl ShmemConfig {
             cell_write_ns: 500,
             dispatch_ns: 2_000,
             collect_trace: false,
-            shard_ownership: true,
         }
     }
 
     /// Enables Tango trace collection.
     pub fn with_trace(mut self) -> Self {
         self.collect_trace = true;
-        self
-    }
-
-    /// Disables per-shard cost-array ownership: threads evaluate
-    /// directly against the live shared atomics (the pre-shard
-    /// behaviour, kept for A/B comparison in the sweeps).
-    pub fn without_shard_ownership(mut self) -> Self {
-        self.shard_ownership = false;
         self
     }
 

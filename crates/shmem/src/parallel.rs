@@ -11,7 +11,7 @@
 //! distributed-loop schedule, so this engine backs the wall-clock
 //! speedup demonstration only; all table values come from the
 //! deterministic emulator in [`crate::emul`]. (Under a static assignment
-//! with shard ownership — see [`crate::shard`] — runs *are* bitwise
+//! with shard ownership — see `crate::shard` — runs *are* bitwise
 //! repeatable at any thread count.) Each thread routes through its own
 //! [`IterationDriver`] ledger (route slots live outside the drivers,
 //! shared under per-wire mutexes); ledgers are merged after the join.
@@ -158,10 +158,6 @@ impl<'a> ThreadedRouter<'a> {
         let barrier = Barrier::new(n_threads);
         let ledgers: Mutex<Vec<(WorkStats, Vec<u64>)>> = Mutex::new(Vec::new());
         let collect_trace = self.config.collect_trace;
-        // Traced runs must record the exact per-cell read stream, so they
-        // keep the live shared-read path; everything else evaluates
-        // against worker-owned replicas (see `crate::shard`).
-        let shard_ownership = self.config.shard_ownership && !collect_trace;
         let thread_traces: Mutex<Vec<Trace>> = Mutex::new(Vec::new());
 
         // Wall-clock here is the measurement itself (it feeds the
@@ -179,8 +175,12 @@ impl<'a> ThreadedRouter<'a> {
                 let obs = self.obs.clone();
                 scope.spawn(move || {
                     let mut scratch = PooledScratch::take();
+                    // Traced runs must record the exact per-cell read
+                    // stream, so they keep the live shared-read path;
+                    // everything else evaluates against a worker-owned
+                    // replica (see `crate::shard`).
                     let mut worker =
-                        shard_ownership.then(|| ShardWorker::new(circuit.channels, circuit.grids));
+                        (!collect_trace).then(|| ShardWorker::new(circuit.channels, circuit.grids));
                     let emitter = match obs {
                         Some(sink) => ObsEmitter::new(Box::new(sink)),
                         None => ObsEmitter::disabled(),
@@ -229,27 +229,12 @@ impl<'a> ThreadedRouter<'a> {
                                     }
                                 }
                             }
-                            let eval = if collect_trace {
-                                route_wire_scratch(
-                                    &traced,
-                                    circuit.wire(wire_id),
-                                    overshoot,
-                                    &mut scratch,
-                                )
-                            } else if let Some(w) = worker.as_ref() {
-                                route_wire_scratch(
-                                    &w.local,
-                                    circuit.wire(wire_id),
-                                    overshoot,
-                                    &mut scratch,
-                                )
-                            } else {
-                                route_wire_scratch(
-                                    shared,
-                                    circuit.wire(wire_id),
-                                    overshoot,
-                                    &mut scratch,
-                                )
+                            let wire = circuit.wire(wire_id);
+                            let eval = match worker.as_ref() {
+                                Some(w) => {
+                                    route_wire_scratch(&w.local, wire, overshoot, &mut scratch)
+                                }
+                                None => route_wire_scratch(&traced, wire, overshoot, &mut scratch),
                             };
                             // Same occupancy definition as the other
                             // engines: merged-route cost at routing time.
@@ -433,17 +418,5 @@ mod tests {
         assert_eq!(a.routes, b.routes);
         assert_eq!(a.quality, b.quality);
         assert_eq!(a.occupancy_by_iteration, b.occupancy_by_iteration);
-    }
-
-    #[test]
-    fn shard_ownership_can_be_disabled() {
-        let c = presets::small();
-        let out = ThreadedRouter::new(&c, ShmemConfig::new(2).without_shard_ownership()).run();
-        assert_eq!(out.routes.len(), c.wire_count());
-        let mut truth = CostArray::new(c.channels, c.grids);
-        for r in &out.routes {
-            truth.add_route(r);
-        }
-        assert_eq!(truth.circuit_height(), out.quality.circuit_height);
     }
 }
