@@ -288,10 +288,9 @@ impl MsgPassConfig {
         if self.structure == PacketStructure::WireBased
             && (self.schedule.send_rmt_data.is_none() || self.schedule.is_receiver_initiated())
         {
-            return Err(
-                "the wire-based packet structure requires a pure sender-initiated schedule                  with send_rmt_data set (events are emitted on that cadence)"
-                    .into(),
-            );
+            return Err("the wire-based packet structure requires a pure sender-initiated \
+                 schedule with send_rmt_data set (events are emitted on that cadence)"
+                .into());
         }
         self.faults.validate()?;
         if let Some(r) = &self.reliability {
@@ -366,14 +365,63 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
+    /// One config per `Err` that `validate` (msgpass, reliable, recovery,
+    /// schedule) can return.
+    fn every_invalid_config() -> Vec<MsgPassConfig> {
+        let sender = MsgPassConfig::new(4, UpdateSchedule::sender_initiated(2, 10));
+        let receiver = MsgPassConfig::new(4, UpdateSchedule::receiver_initiated(1, 5));
+        let recovering = sender.with_reliability().with_recovery();
+        let two_iterations = RouterParams::default().with_iterations(2);
+        let schedule = |s: UpdateSchedule| MsgPassConfig::new(4, s);
+        vec![
+            MsgPassConfig { n_procs: 0, ..sender },
+            MsgPassConfig { audit_every: Some(0), ..sender },
+            MsgPassConfig { request_ahead: 0, ..receiver },
+            MsgPassConfig { params: two_iterations, ..sender.with_dynamic_wires() },
+            receiver.with_dynamic_wires(),
+            MsgPassConfig::new(1, UpdateSchedule::never()).with_dynamic_wires(),
+            receiver.with_structure(PacketStructure::WireBased),
+            sender.with_reliability_config(ReliableConfig {
+                retransmit_timeout_ns: 0,
+                ..ReliableConfig::default()
+            }),
+            sender.with_reliability_config(ReliableConfig {
+                max_timeout_ns: 1,
+                ..ReliableConfig::default()
+            }),
+            recovering.with_recovery_config(RecoveryConfig {
+                checkpoint_every: 0,
+                ..RecoveryConfig::default()
+            }),
+            recovering.with_recovery_config(RecoveryConfig {
+                heartbeat_ns: 0,
+                ..RecoveryConfig::default()
+            }),
+            recovering.with_recovery_config(RecoveryConfig {
+                suspect_after: 0,
+                ..RecoveryConfig::default()
+            }),
+            sender.with_recovery(),
+            MsgPassConfig { wire_source: WireSource::Dynamic, ..recovering },
+            MsgPassConfig { params: two_iterations, ..recovering },
+            schedule(UpdateSchedule::receiver_initiated_blocking(1, 1))
+                .with_reliability()
+                .with_recovery(),
+            schedule(UpdateSchedule { send_loc_data: Some(0), ..UpdateSchedule::never() }),
+            schedule(UpdateSchedule { blocking: true, ..UpdateSchedule::never() }),
+        ]
+    }
+
     #[test]
     fn invalid_configs_rejected() {
-        let mut c = MsgPassConfig::new(16, UpdateSchedule::sender_initiated(10, 10));
-        c.n_procs = 0;
-        assert!(c.validate().is_err());
-        let mut c = MsgPassConfig::new(4, UpdateSchedule::receiver_initiated(1, 5));
-        c.request_ahead = 0;
-        assert!(c.validate().is_err());
+        let configs = every_invalid_config();
+        let mut messages = std::collections::BTreeSet::new();
+        for c in &configs {
+            let message = c.validate().expect_err("every config here is invalid");
+            assert!(!message.contains("  "), "run of spaces in {message:?}");
+            messages.insert(message);
+        }
+        assert_eq!(messages.len(), configs.len(), "one config per message");
     }
 
     #[test]

@@ -10,9 +10,8 @@ use crate::config::MsgPassConfig;
 use crate::schedule::UpdateSchedule;
 use crate::sim::{run_msgpass, run_msgpass_observed};
 
-/// The discrete-event message-passing router as an engine. Two stock
-/// variants mirror the paper's headline schedules; any other
-/// [`UpdateSchedule`] can be wrapped with [`MsgPassEngine::with_schedule`].
+/// The discrete-event message-passing router as an engine: two stock
+/// variants that mirror the paper's headline schedules.
 pub struct MsgPassEngine {
     id: &'static str,
     schedule: UpdateSchedule,
@@ -38,11 +37,6 @@ impl MsgPassEngine {
             schedule: UpdateSchedule::receiver_initiated(1, 5),
             faults: FaultPlan::none(),
         }
-    }
-
-    /// An engine running an arbitrary update schedule under `id`.
-    pub fn with_schedule(id: &'static str, schedule: UpdateSchedule) -> Self {
-        MsgPassEngine { id, schedule, faults: FaultPlan::none() }
     }
 
     /// Returns `self` running on a faulty mesh under `plan`, with the

@@ -31,20 +31,23 @@
 pub mod config;
 pub mod delta;
 pub mod engine;
-pub mod node;
+mod node;
 pub mod packet;
+mod recovery;
 pub mod reliable;
 pub mod schedule;
 pub mod sim;
+mod update;
 
 pub use config::{MsgPassConfig, PacketStructure, RecoveryConfig, WireSource};
 pub use delta::DeltaArray;
 pub use engine::MsgPassEngine;
-pub use node::{RecoveryStats, ReplicaSnapshot, RouterNode};
+pub use node::ReplicaSnapshot;
 pub use packet::{Packet, PacketCounts, PacketKind, WireEvent};
-pub use reliable::{Frame, ReliableConfig, ReliableStats, Transport};
+pub use recovery::RecoveryStats;
+pub use reliable::{ReliableConfig, ReliableStats};
 pub use schedule::UpdateSchedule;
 pub use sim::{
-    run_msgpass, run_msgpass_observed, run_msgpass_with_mesh, run_msgpass_with_mesh_observed,
-    DegradedKind, DegradedReason, MsgPassOutcome,
+    run_msgpass, run_msgpass_observed, run_msgpass_with_mesh, DegradedKind, DegradedReason,
+    MsgPassOutcome,
 };

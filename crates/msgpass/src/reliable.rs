@@ -7,14 +7,15 @@
 //! the whole machine, and a duplicated delta packet corrupts every
 //! replica it lands on. This module adds the classic end-to-end fix —
 //! per-peer **sequence numbers**, **cumulative acknowledgements**, and
-//! **timeout/retransmit with exponential backoff** — as a thin framing
-//! layer between [`crate::node::RouterNode`] and the mesh:
+//! **timeout/retransmit with exponential backoff** — as the bottom layer
+//! of the node's protocol stack, which owns everything between a
+//! [`Packet`] and the mesh outbox; the layers above never see a frame:
 //!
 //! * every data packet to a peer carries a per-(sender, receiver)
-//!   sequence number ([`Frame::Data`]);
+//!   sequence number (`Frame::Data`);
 //! * the receiver delivers in order exactly once, buffering out-of-order
 //!   arrivals and suppressing duplicates by sequence number, and owes a
-//!   cumulative [`Frame::Ack`] after any progress;
+//!   cumulative `Frame::Ack` after any progress;
 //! * the sender keeps unacknowledged packets in flight and retransmits
 //!   on a timer, doubling the timeout per attempt up to a cap;
 //!   retransmission order is **criticality-first**: control traffic
@@ -25,23 +26,28 @@
 //!   repaired by the data retransmission it would have suppressed.
 //!
 //! The layer is strictly opt-in: with reliability disabled the transport
-//! wraps packets as [`Frame::Raw`] with zero bookkeeping, and the framed
+//! wraps packets as `Frame::Raw` with zero bookkeeping, and the framed
 //! byte counts equal the unframed ones, so fault-free baselines stay
 //! byte-identical to runs that predate this module.
 
 use std::collections::BTreeMap;
 
-use crate::packet::{Packet, PacketKind};
+use locus_mesh::{Outbox, SimTime, Step};
+use locus_obs::EventKind;
+use locus_router::engine::ObsEmitter;
+use locus_router::ProcId;
+
+use crate::packet::{Packet, PacketCounts, PacketKind};
 
 /// Extra wire bytes for the sequence number of a [`Frame::Data`].
-pub const SEQ_BYTES: u32 = 4;
+pub(crate) const SEQ_BYTES: u32 = 4;
 
 /// Wire size of a [`Frame::Ack`]: 1 type byte + 4-byte cumulative seq.
-pub const ACK_BYTES: u32 = 5;
+pub(crate) const ACK_BYTES: u32 = 5;
 
-/// What actually crosses the mesh when reliability is on.
+/// What actually crosses the mesh.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Frame {
+pub(crate) enum Frame {
     /// An unsequenced packet (reliability disabled — the pre-existing
     /// wire format, byte-for-byte).
     Raw(Packet),
@@ -62,7 +68,7 @@ pub enum Frame {
 
 impl Frame {
     /// Application payload size on the wire in bytes.
-    pub fn payload_bytes(&self) -> u32 {
+    pub(crate) fn payload_bytes(&self) -> u32 {
         match self {
             Frame::Raw(p) => p.payload_bytes(),
             Frame::Data { packet, .. } => packet.payload_bytes() + SEQ_BYTES,
@@ -71,7 +77,7 @@ impl Frame {
     }
 
     /// The inner packet, if this frame carries one.
-    pub fn packet(&self) -> Option<&Packet> {
+    pub(crate) fn packet(&self) -> Option<&Packet> {
         match self {
             Frame::Raw(p) | Frame::Data { packet: p, .. } => Some(p),
             Frame::Ack { .. } => None,
@@ -185,42 +191,112 @@ struct RxPeer {
 }
 
 /// A retransmission due now: `(to, seq, attempt, packet)`.
-pub type Retransmit = (usize, u32, u32, Packet);
+type Retransmit = (ProcId, u32, u32, Packet);
 
-/// One node's end-to-end transport: per-peer sequence/ack/retransmit
-/// state. With `cfg = None` the transport is a zero-cost pass-through.
-#[derive(Debug)]
-pub struct Transport {
+/// One node's transport: everything between a [`Packet`] and the mesh
+/// outbox. With `cfg = None` the reliability protocol is a zero-cost
+/// pass-through and only the framing and the sent counters remain.
+pub(crate) struct Transport {
+    proc: ProcId,
     cfg: Option<ReliableConfig>,
+    /// Modelled per-byte packet-assembly cost at the sender (ns/byte).
+    send_per_byte_ns: u64,
     tx: Vec<TxPeer>,
     rx: Vec<RxPeer>,
-    stats: ReliableStats,
+    /// This node's transport counters.
+    pub(crate) stats: ReliableStats,
+    /// Per-kind counts of everything this node put on the wire.
+    pub(crate) sent: PacketCounts,
+    /// While lingering after `Done` (reliability only): the simulated
+    /// time at which the node may actually stop, pushed back by any
+    /// late-arriving traffic it must re-ack.
+    linger_until: Option<u64>,
+    obs: ObsEmitter,
+}
+
+/// What the layers above reach the outside through: this node's
+/// transport bound to the outbox and the clock of the step being
+/// executed. Sending returns the modelled packet-assembly time.
+pub(crate) struct Link<'a> {
+    transport: &'a mut Transport,
+    outbox: &'a mut Outbox<Frame>,
+    /// Simulated time of the step being executed.
+    pub(crate) now_ns: u64,
+}
+
+impl Link<'_> {
+    /// Queues `packet` to `to`. With reliability on the packet is framed
+    /// with a sequence number and its retransmission timer armed; the
+    /// per-kind counts record the application payload while the wire
+    /// carries the framed size.
+    pub(crate) fn send(&mut self, to: ProcId, packet: Packet) -> u64 {
+        let frame = self.transport.wrap(to, packet, self.now_ns);
+        self.transport.transmit(self.outbox, to, frame)
+    }
+
+    /// Queues `packet` unframed ([`Frame::Raw`]), bypassing the
+    /// reliability protocol. Heartbeats ride raw: they are periodic, so
+    /// a lost one is repaired by the next, and they must not occupy
+    /// retransmission state (a dead peer would accumulate it forever).
+    pub(crate) fn send_unsequenced(&mut self, to: ProcId, packet: Packet) -> u64 {
+        self.transport.transmit(self.outbox, to, Frame::Raw(packet))
+    }
+
+    /// Records `kind` at this step's time on this node.
+    pub(crate) fn emit(&mut self, kind: EventKind) {
+        self.transport.obs.emit(self.now_ns, kind);
+    }
 }
 
 impl Transport {
-    /// Builds the transport for a machine of `n_procs` nodes.
-    pub fn new(n_procs: usize, cfg: Option<ReliableConfig>) -> Self {
+    /// Builds the transport of node `proc` in a machine of `n_procs`.
+    pub(crate) fn new(
+        proc: ProcId,
+        n_procs: usize,
+        cfg: Option<ReliableConfig>,
+        send_per_byte_ns: u64,
+    ) -> Self {
         Transport {
+            proc,
             cfg,
+            send_per_byte_ns,
             tx: vec![TxPeer::default(); n_procs],
             rx: vec![RxPeer::default(); n_procs],
             stats: ReliableStats::default(),
+            sent: PacketCounts::default(),
+            linger_until: None,
+            obs: ObsEmitter::disabled(),
         }
     }
 
-    /// Whether the reliability protocol is active.
-    pub fn is_reliable(&self) -> bool {
-        self.cfg.is_some()
+    /// Routes the events of this layer and of the layers that
+    /// [`Link::emit`] into `obs`.
+    pub(crate) fn set_obs(&mut self, obs: ObsEmitter) {
+        self.obs = obs;
     }
 
-    /// The post-completion linger window (0 when reliability is off).
-    pub fn linger_ns(&self) -> u64 {
-        self.cfg.map_or(0, |c| c.linger_ns)
+    /// Binds the transport to one step's outbox and clock.
+    pub(crate) fn link<'a>(&'a mut self, outbox: &'a mut Outbox<Frame>, now_ns: u64) -> Link<'a> {
+        Link { transport: self, outbox, now_ns }
+    }
+
+    /// Puts `frame` on the wire to `to`, recording it in the sent
+    /// counters; returns the modelled assembly time. Every frame this
+    /// crate sends goes through here.
+    fn transmit(&mut self, outbox: &mut Outbox<Frame>, to: ProcId, frame: Frame) -> u64 {
+        debug_assert_ne!(to, self.proc);
+        let bytes = frame.payload_bytes();
+        match frame.packet() {
+            Some(packet) => self.sent.record(packet),
+            None => self.sent.record_ack(bytes),
+        }
+        outbox.send(to, bytes, frame);
+        bytes as u64 * self.send_per_byte_ns
     }
 
     /// Frames `packet` for `to`, assigning a sequence number and arming
     /// the retransmission timer when reliability is on.
-    pub fn wrap(&mut self, to: usize, packet: Packet, now_ns: u64) -> Frame {
+    fn wrap(&mut self, to: ProcId, packet: Packet, now_ns: u64) -> Frame {
         let Some(cfg) = self.cfg else {
             return Frame::Raw(packet);
         };
@@ -240,7 +316,7 @@ impl Transport {
     /// Processes one received frame from `from`, returning the packets
     /// now deliverable to the application **in sequence order, exactly
     /// once**. Acks and duplicates return an empty vec.
-    pub fn receive(&mut self, from: usize, frame: Frame) -> Vec<Packet> {
+    pub(crate) fn receive(&mut self, from: ProcId, frame: Frame) -> Vec<Packet> {
         match frame {
             Frame::Raw(p) => vec![p],
             Frame::Ack { cum_seq } => {
@@ -274,7 +350,7 @@ impl Transport {
     }
 
     /// Drains the acks owed right now as `(to, cum_seq)` pairs.
-    pub fn take_due_acks(&mut self) -> Vec<(usize, u32)> {
+    fn take_due_acks(&mut self) -> Vec<(ProcId, u32)> {
         let mut out = Vec::new();
         for (peer, rx) in self.rx.iter_mut().enumerate() {
             if rx.ack_due {
@@ -290,7 +366,7 @@ impl Transport {
     /// timers, and drops packets that exhausted their retries.
     /// Criticality-first: control packets (wire grants, termination) are
     /// returned before data packets.
-    pub fn due_retransmits(&mut self, now_ns: u64) -> Vec<Retransmit> {
+    fn due_retransmits(&mut self, now_ns: u64) -> Vec<Retransmit> {
         let Some(cfg) = self.cfg else {
             return Vec::new();
         };
@@ -327,33 +403,82 @@ impl Transport {
 
     /// The earliest pending retransmission deadline, if any packet is in
     /// flight.
-    pub fn next_timer_at(&self) -> Option<u64> {
+    fn next_timer_at(&self) -> Option<u64> {
         self.tx.iter().flat_map(|t| t.inflight.iter().map(|f| f.next_retry_at)).min()
-    }
-
-    /// Whether any packet awaits acknowledgement.
-    pub fn has_inflight(&self) -> bool {
-        self.tx.iter().any(|t| !t.inflight.is_empty())
-    }
-
-    /// Whether any cumulative ack is owed.
-    pub fn has_due_acks(&self) -> bool {
-        self.rx.iter().any(|r| r.ack_due)
     }
 
     /// Abandons every unacknowledged packet except `Terminate` frames.
     /// Called when a node learns the run is over: stale data and control
     /// traffic no longer matter, but the coordinator's own `Terminate`
     /// fan-out must keep retrying or a worker that lost it never stops.
-    pub fn clear_inflight_except_terminate(&mut self) {
+    fn clear_inflight_except_terminate(&mut self) {
         for tx in &mut self.tx {
             tx.inflight.retain(|f| f.packet == Packet::Terminate);
         }
     }
 
-    /// This node's transport counters.
-    pub fn stats(&self) -> ReliableStats {
-        self.stats
+    /// Reliability epilogue of one step: flush due acks and due
+    /// retransmissions, then translate the layers' outcome `inner` so
+    /// the kernel keeps this node schedulable while transport work is
+    /// pending. `Block` becomes `Sleep` until the next retransmission
+    /// timer, and `Done` holds the node in a linger window so it can
+    /// re-ack retransmitted traffic whose acks were lost. `terminate`
+    /// says the node has learned the run is over.
+    pub(crate) fn finish_step(
+        &mut self,
+        inner: Step,
+        had_traffic: bool,
+        terminate: bool,
+        now_ns: u64,
+        outbox: &mut Outbox<Frame>,
+    ) -> Step {
+        let Some(cfg) = self.cfg else {
+            return inner;
+        };
+        if terminate {
+            self.clear_inflight_except_terminate();
+        }
+        let mut extra = 0u64;
+        for (to, cum_seq) in self.take_due_acks() {
+            self.obs.emit(now_ns, EventKind::AckSent { dst: to as u32, cum_seq });
+            extra += self.transmit(outbox, to, Frame::Ack { cum_seq });
+        }
+        for (to, seq, attempt, packet) in self.due_retransmits(now_ns) {
+            self.obs.emit(now_ns, EventKind::PacketRetransmitted { dst: to as u32, seq, attempt });
+            extra += self.transmit(outbox, to, Frame::Data { seq, packet });
+        }
+        match inner {
+            Step::Continue { busy_ns } => Step::Continue { busy_ns: busy_ns + extra },
+            Step::Sleep { until } => Step::Sleep { until },
+            Step::Block => {
+                if extra > 0 {
+                    Step::Continue { busy_ns: extra }
+                } else if let Some(timer) = self.next_timer_at() {
+                    // `due_retransmits` above consumed every deadline
+                    // <= now, so the timer is strictly in the future.
+                    Step::Sleep { until: SimTime::from_ns(timer) }
+                } else {
+                    Step::Block
+                }
+            }
+            Step::Done => {
+                if had_traffic || self.linger_until.is_none() {
+                    self.linger_until = Some(now_ns + cfg.linger_ns);
+                }
+                let deadline = self.linger_until.expect("linger deadline just set");
+                if extra > 0 {
+                    return Step::Continue { busy_ns: extra };
+                }
+                if let Some(timer) = self.next_timer_at() {
+                    return Step::Sleep { until: SimTime::from_ns(timer.max(now_ns + 1)) };
+                }
+                if now_ns >= deadline {
+                    Step::Done
+                } else {
+                    Step::Sleep { until: SimTime::from_ns(deadline) }
+                }
+            }
+        }
     }
 }
 
@@ -361,19 +486,23 @@ impl Transport {
 mod tests {
     use super::*;
 
+    /// Node 0's transport in a four-node machine.
+    fn transport(cfg: Option<ReliableConfig>) -> Transport {
+        Transport::new(0, 4, cfg, 10)
+    }
+
     fn reliable() -> Transport {
-        Transport::new(4, Some(ReliableConfig::default()))
+        transport(Some(ReliableConfig::default()))
     }
 
     #[test]
     fn raw_mode_is_a_pass_through() {
-        let mut t = Transport::new(4, None);
-        assert!(!t.is_reliable());
+        let mut t = transport(None);
         let f = t.wrap(1, Packet::Finished, 0);
         assert_eq!(f, Frame::Raw(Packet::Finished));
         assert_eq!(f.payload_bytes(), Packet::Finished.payload_bytes());
         assert_eq!(t.receive(1, f), vec![Packet::Finished]);
-        assert!(!t.has_inflight());
+        assert_eq!(t.next_timer_at(), None);
         assert!(t.due_retransmits(u64::MAX).is_empty());
         assert!(t.take_due_acks().is_empty());
     }
@@ -397,17 +526,17 @@ mod tests {
         assert_eq!(b.receive(0, f1), vec![Packet::Finished]);
         let acks = b.take_due_acks();
         assert_eq!(acks, vec![(0, 2)]);
-        assert_eq!(b.stats().acks_sent, 1, "one cumulative ack covers both");
-        assert!(a.has_inflight());
+        assert_eq!(b.stats.acks_sent, 1, "one cumulative ack covers both");
+        assert!(a.next_timer_at().is_some());
         assert!(a.receive(1, Frame::Ack { cum_seq: 2 }).is_empty());
-        assert!(!a.has_inflight());
+        assert_eq!(a.next_timer_at(), None);
     }
 
     #[test]
     fn out_of_order_arrivals_are_buffered_and_drained() {
         let mut b = reliable();
         assert!(b.receive(0, Frame::Data { seq: 1, packet: Packet::Finished }).is_empty());
-        assert_eq!(b.stats().out_of_order, 1);
+        assert_eq!(b.stats.out_of_order, 1);
         let got = b.receive(0, Frame::Data { seq: 0, packet: Packet::WireRequest });
         assert_eq!(got, vec![Packet::WireRequest, Packet::Finished]);
         assert_eq!(b.take_due_acks(), vec![(0, 2)]);
@@ -420,7 +549,7 @@ mod tests {
         assert_eq!(b.receive(0, f.clone()), vec![Packet::Finished]);
         b.take_due_acks();
         assert!(b.receive(0, f).is_empty(), "second copy must not deliver");
-        assert_eq!(b.stats().dup_suppressed, 1);
+        assert_eq!(b.stats.dup_suppressed, 1);
         assert_eq!(b.take_due_acks(), vec![(0, 1)], "dup still owes an ack");
     }
 
@@ -432,7 +561,7 @@ mod tests {
             max_retries: 3,
             linger_ns: 0,
         };
-        let mut t = Transport::new(4, Some(cfg));
+        let mut t = transport(Some(cfg));
         let data = Packet::ReqRmtData { rect: locus_circuit::Rect::new(0, 1, 0, 1) };
         t.wrap(1, data.clone(), 0); // seq 0, data
         t.wrap(2, Packet::Terminate, 0); // control
@@ -441,7 +570,7 @@ mod tests {
         assert_eq!(due.len(), 2);
         assert_eq!(due[0].3, Packet::Terminate, "control retransmits first");
         assert_eq!(due[1].3, data);
-        assert_eq!(t.stats().retransmits, 2);
+        assert_eq!(t.stats.retransmits, 2);
         // Backoff doubled: next due at 100 + 200.
         assert!(t.due_retransmits(250).is_empty());
         assert_eq!(t.due_retransmits(300).len(), 2);
@@ -449,8 +578,8 @@ mod tests {
         assert_eq!(t.due_retransmits(700).len(), 2);
         // Retries exhausted: entries dropped, counted.
         assert!(t.due_retransmits(u64::MAX).is_empty());
-        assert!(!t.has_inflight());
-        assert_eq!(t.stats().retries_exhausted, 2);
+        assert_eq!(t.next_timer_at(), None);
+        assert_eq!(t.stats.retries_exhausted, 2);
     }
 
     #[test]
@@ -479,11 +608,102 @@ mod tests {
     #[test]
     fn next_timer_tracks_earliest_deadline() {
         let cfg = ReliableConfig { retransmit_timeout_ns: 100, ..ReliableConfig::default() };
-        let mut t = Transport::new(4, Some(cfg));
+        let mut t = transport(Some(cfg));
         assert_eq!(t.next_timer_at(), None);
         t.wrap(1, Packet::Finished, 40);
         t.wrap(2, Packet::Finished, 10);
         assert_eq!(t.next_timer_at(), Some(110));
+    }
+
+    /// The frames queued to `outbox` so far, as `(to, frame)`.
+    fn frames(outbox: &Outbox<Frame>) -> Vec<(ProcId, Frame)> {
+        outbox.sends().iter().map(|(to, _, f)| (*to, f.clone())).collect()
+    }
+
+    #[test]
+    fn link_counts_what_it_sends_and_charges_assembly_time() {
+        let mut t = reliable();
+        let mut outbox = Outbox::new();
+        let mut link = t.link(&mut outbox, 0);
+        // 10 ns per byte: Finished is 1 byte + 4 of sequence number; a
+        // heartbeat rides raw, 2 bytes, and arms no timer.
+        assert_eq!(link.send(1, Packet::Finished), 50);
+        assert_eq!(link.send_unsequenced(2, Packet::Heartbeat), 20);
+        assert_eq!(
+            frames(&outbox),
+            [
+                (1, Frame::Data { seq: 0, packet: Packet::Finished }),
+                (2, Frame::Raw(Packet::Heartbeat)),
+            ]
+        );
+        assert_eq!(outbox.sends()[0].1, 5, "the wire carries the framed size");
+        assert_eq!(t.sent.bytes(PacketKind::Control), 1, "the counts, the payload");
+        assert_eq!(t.sent.packets(PacketKind::Recovery), 1);
+        assert_eq!(t.next_timer_at(), Some(ReliableConfig::default().retransmit_timeout_ns));
+    }
+
+    #[test]
+    fn terminate_keeps_retrying_after_the_run_is_over() {
+        let cfg = ReliableConfig { retransmit_timeout_ns: 100, ..ReliableConfig::default() };
+        let mut t = transport(Some(cfg));
+        let mut outbox = Outbox::new();
+        let mut link = t.link(&mut outbox, 0);
+        link.send(1, Packet::Finished);
+        link.send(2, Packet::Terminate);
+        // The node is done and knows the run is over: the stale Finished
+        // is abandoned, the Terminate fan-out is not.
+        let step = t.finish_step(Step::Done, false, true, 0, &mut outbox);
+        assert_eq!(step, Step::Sleep { until: SimTime::from_ns(100) });
+        let mut outbox = Outbox::new();
+        let step = t.finish_step(Step::Done, false, true, 100, &mut outbox);
+        assert!(matches!(step, Step::Continue { busy_ns } if busy_ns > 0));
+        assert_eq!(frames(&outbox), [(2, Frame::Data { seq: 0, packet: Packet::Terminate })]);
+        // Acknowledged at last: nothing left but the linger window.
+        t.receive(2, Frame::Ack { cum_seq: 1 });
+        let step = t.finish_step(Step::Done, true, true, 150, &mut Outbox::new());
+        assert_eq!(step, Step::Sleep { until: SimTime::from_ns(150 + cfg.linger_ns) });
+    }
+
+    #[test]
+    fn block_becomes_sleep_until_the_next_timer() {
+        let cfg = ReliableConfig { retransmit_timeout_ns: 100, ..ReliableConfig::default() };
+        let mut t = transport(Some(cfg));
+        let mut outbox = Outbox::new();
+        assert_eq!(t.finish_step(Step::Block, false, false, 0, &mut outbox), Step::Block);
+        t.link(&mut outbox, 40).send(1, Packet::WireRequest);
+        let step = t.finish_step(Step::Block, false, false, 40, &mut outbox);
+        assert_eq!(step, Step::Sleep { until: SimTime::from_ns(140) });
+        // An owed ack is work: the node continues instead of sleeping.
+        assert_eq!(t.receive(1, Frame::Data { seq: 0, packet: Packet::Finished }).len(), 1);
+        let mut outbox = Outbox::new();
+        let step = t.finish_step(Step::Block, true, false, 50, &mut outbox);
+        assert_eq!(step, Step::Continue { busy_ns: 10 * ACK_BYTES as u64 });
+        assert_eq!(frames(&outbox), [(1, Frame::Ack { cum_seq: 1 })]);
+        assert_eq!(t.sent.packets(PacketKind::Ack), 1);
+        // Without reliability the outcome passes through untouched.
+        let mut raw = transport(None);
+        raw.link(&mut outbox, 0).send(1, Packet::WireRequest);
+        assert_eq!(raw.finish_step(Step::Block, false, false, 0, &mut outbox), Step::Block);
+        assert_eq!(raw.finish_step(Step::Done, false, false, 0, &mut outbox), Step::Done);
+    }
+
+    #[test]
+    fn done_lingers_and_late_traffic_pushes_the_deadline_back() {
+        let cfg = ReliableConfig { linger_ns: 1_000, ..ReliableConfig::default() };
+        let mut t = transport(Some(cfg));
+        let mut outbox = Outbox::new();
+        let step = t.finish_step(Step::Done, false, false, 0, &mut outbox);
+        assert_eq!(step, Step::Sleep { until: SimTime::from_ns(1_000) });
+        // Woken early with nothing new: the deadline stands.
+        let step = t.finish_step(Step::Done, false, false, 400, &mut outbox);
+        assert_eq!(step, Step::Sleep { until: SimTime::from_ns(1_000) });
+        // A late retransmission arrives: re-ack it and linger afresh.
+        assert!(t.receive(1, Frame::Data { seq: 0, packet: Packet::Finished }).len() == 1);
+        let step = t.finish_step(Step::Done, true, false, 600, &mut outbox);
+        assert!(matches!(step, Step::Continue { .. }), "the ack is work");
+        let step = t.finish_step(Step::Done, false, false, 700, &mut outbox);
+        assert_eq!(step, Step::Sleep { until: SimTime::from_ns(1_600) });
+        assert_eq!(t.finish_step(Step::Done, false, false, 1_600, &mut outbox), Step::Done);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use locus_router::router::{route_wire_scratch, PooledScratch};
 use locus_router::{assign, CostArray, ProcId, QualityMetrics, RegionMap, Route, WorkStats};
 
 use crate::config::MsgPassConfig;
-use crate::node::{RecoveryStats, ReplicaSnapshot, RouterNode};
+use crate::node::{ReplicaSnapshot, RouterNode};
 use crate::packet::PacketCounts;
+use crate::recovery::RecoveryStats;
 use crate::reliable::ReliableStats;
 
 /// Why a run failed to complete normally (see
@@ -139,20 +140,6 @@ pub fn run_msgpass_with_mesh(
     run_inner(circuit, config, mesh, None)
 }
 
-/// Observed variant of [`run_msgpass_with_mesh`].
-///
-/// # Panics
-/// Panics if the configuration is invalid or the mesh size does not
-/// match `config.n_procs`.
-pub fn run_msgpass_with_mesh_observed(
-    circuit: &Circuit,
-    config: MsgPassConfig,
-    mesh: locus_mesh::MeshConfig,
-    sink: SharedSink,
-) -> MsgPassOutcome {
-    run_inner(circuit, config, mesh, Some(sink))
-}
-
 fn run_inner(
     circuit: &Circuit,
     config: MsgPassConfig,
@@ -183,17 +170,15 @@ fn run_inner(
     });
     let nodes: Vec<RouterNode> = (0..config.n_procs)
         .map(|p| {
-            let mut node = RouterNode::new(
+            let node = RouterNode::new(
                 p,
                 Arc::clone(&circuit_arc),
                 Arc::clone(&regions),
                 config,
                 assignment.wires_per_proc[p].clone(),
                 Arc::clone(&oracle),
+                truth_touched.clone(),
             );
-            if let Some(t) = &truth_touched {
-                node = node.with_truth_touched(Arc::clone(t));
-            }
             match &sink {
                 Some(s) => node.with_sink(s.clone()),
                 None => node,
@@ -222,28 +207,27 @@ fn run_inner(
     let mut routing_done_secs_by_proc = Vec::with_capacity(outcome.nodes.len());
     let recovery_on = config.recovery.is_some();
     for (p, node) in outcome.nodes.iter().enumerate() {
-        reliability.merge(&node.reliable_stats());
+        reliability.merge(&node.transport.stats);
         recovery.merge(&node.recovery_stats());
-        routing_done_ns = routing_done_ns.max(node.routing_done_ns());
-        routing_done_secs_by_proc.push(node.routing_done_ns() as f64 / 1e9);
-        replica_audits.extend_from_slice(node.replica_audits());
-        occupancy += node.occupancy_factor();
-        let by_iter = node.occupancy_by_iteration();
+        routing_done_ns = routing_done_ns.max(node.routing_done_ns);
+        routing_done_secs_by_proc.push(node.routing_done_ns as f64 / 1e9);
+        replica_audits.extend_from_slice(&node.audits);
+        occupancy += node.driver.last_occupancy();
+        let by_iter = node.driver.occupancy_by_iteration();
         if occupancy_by_iteration.len() < by_iter.len() {
             occupancy_by_iteration.resize(by_iter.len(), 0);
         }
         for (total, o) in occupancy_by_iteration.iter_mut().zip(by_iter) {
             *total += o;
         }
-        work += *node.work();
-        packets.merge(node.sent_counts());
+        work += *node.driver.work();
+        packets.merge(&node.transport.sent);
         // A crashed node's post-checkpoint routes died with it; under
         // recovery a wire may also legitimately have been routed twice
         // (its owner was falsely or belatedly declared dead and an
         // adopter re-routed it) — the first writer in node order wins,
         // deterministically. Without recovery, double-routing is a bug.
-        let crashed = recovery_on && outcome.stats.crashed[p];
-        for (w, r) in node.surviving_routes(crashed) {
+        for (w, r) in node.surviving_routes(outcome.stats.crashed[p]) {
             if routes[w].is_some() {
                 debug_assert!(recovery_on, "wire {w} routed by two processors");
                 recovery.duplicate_routes += 1;
@@ -319,8 +303,8 @@ fn run_inner(
         for c in 0..circuit.channels {
             for x in 0..circuit.grids {
                 let cell = locus_circuit::GridCell::new(c, x);
-                diff += (node.replica().cost_at(cell) as i64 - truth.cost_at(cell) as i64)
-                    .unsigned_abs();
+                diff +=
+                    (node.replica.cost_at(cell) as i64 - truth.cost_at(cell) as i64).unsigned_abs();
             }
         }
         divergence += diff as f64 / n_cells as f64;
@@ -714,6 +698,25 @@ mod tests {
         assert!(degraded.unrouted_wires.is_empty(), "all wires routed before the hang");
         assert_eq!(out.watchdog_recoveries, 0);
         assert_eq!(out.routes.len(), c.wire_count());
+    }
+
+    #[test]
+    fn duplicated_finished_reports_do_not_end_the_run_early() {
+        use locus_mesh::FaultPlan;
+        // No loss, no reliability layer, half of all packets delivered
+        // twice. A coordinator that counted reports instead of reporters
+        // broadcast `Terminate` before the last node was done, or counted
+        // past its target and never did: every one of these seeds ended
+        // `deadlocked`.
+        let c = locus_circuit::presets::bnr_e();
+        for seed in 0..4 {
+            let plan = FaultPlan::uniform_loss(seed, 0).with_duplicates(5_000, 20_000);
+            let cfg = small_config(16, UpdateSchedule::sender_initiated(2, 5)).with_faults(plan);
+            let out = run_msgpass(&c, cfg);
+            assert!(out.net.packets_duplicated > 0, "the plan must actually fire");
+            assert!(!out.deadlocked, "seed {seed} never terminated");
+            assert!(out.degraded.is_none(), "seed {seed}: {:?}", out.degraded);
+        }
     }
 
     #[test]

@@ -1,0 +1,433 @@
+//! The §4.3 update protocol: the layer between the transport and the
+//! router.
+//!
+//! It owns the delta array of changes this node made to foreign regions,
+//! the dirty box of its own region, the routing events of the wire-based
+//! structure, and the request-ahead and `ReqLocData` trigger state. It
+//! handles the five data packets (`LocData`, `RmtData`, `ReqRmtData`,
+//! `ReqLocData`, `WireData`) and emits the four transaction types on the
+//! configured [`crate::UpdateSchedule`]. The replica itself belongs to the
+//! router, which lends it to every call.
+
+use std::sync::Arc;
+
+use locus_circuit::{Circuit, GridCell, Rect, WireId};
+use locus_router::{CostArray, ProcId, RegionMap, Route};
+
+use crate::config::{MsgPassConfig, PacketStructure};
+use crate::delta::DeltaArray;
+use crate::packet::{Packet, WireEvent};
+use crate::reliable::Link;
+
+/// One node's half of the update protocol.
+pub(crate) struct Update {
+    proc: ProcId,
+    regions: Arc<RegionMap>,
+    my_region: Rect,
+    mesh_neighbors: Vec<ProcId>,
+    config: MsgPassConfig,
+
+    delta: DeltaArray,
+    /// Bounding box of changes to the node's own region since its last
+    /// `SendLocData` (kept incrementally; no scan needed).
+    own_dirty: Option<Rect>,
+    /// Routing events accumulated since the last wire-based update
+    /// (only populated under [`PacketStructure::WireBased`]).
+    wire_events: Vec<WireEvent>,
+
+    // Receiver-initiated requester state.
+    request_cursor: usize,
+    touch_count: Vec<u32>,
+    touch_bbox: Vec<Option<Rect>>,
+    outstanding: u32,
+
+    // Owner-side ReqLocData trigger state.
+    reqs_from: Vec<u32>,
+}
+
+/// `acc` grown to include `rect`.
+fn grown(acc: Option<Rect>, rect: Rect) -> Rect {
+    acc.map_or(rect, |a| a.union(&rect))
+}
+
+impl Update {
+    /// The update layer of processor `proc`.
+    pub(crate) fn new(proc: ProcId, regions: Arc<RegionMap>, config: &MsgPassConfig) -> Self {
+        let n_procs = regions.n_procs();
+        let (channels, grids) = regions.surface();
+        Update {
+            proc,
+            my_region: regions.region(proc),
+            mesh_neighbors: regions.neighbors(proc),
+            regions,
+            config: *config,
+            delta: DeltaArray::new(channels, grids),
+            own_dirty: None,
+            wire_events: Vec::new(),
+            request_cursor: 0,
+            touch_count: vec![0; n_procs],
+            touch_bbox: vec![None; n_procs],
+            outstanding: 0,
+            reqs_from: vec![0; n_procs],
+        }
+    }
+
+    /// Applies one routed/ripped cell change to local state: replicas
+    /// always change; foreign cells also enter the delta array, own cells
+    /// the dirty box.
+    pub(crate) fn record_change(&mut self, replica: &mut CostArray, cell: GridCell, delta: i32) {
+        replica.add(cell, delta);
+        if self.my_region.contains(cell) {
+            self.own_dirty = Some(grown(self.own_dirty, Rect::cell(cell)));
+        } else {
+            self.delta.record(cell, delta as i16);
+        }
+    }
+
+    /// Notes one placed wire for the wire-based structure: the route it
+    /// replaced, if any, and the route chosen.
+    pub(crate) fn wire_routed(&mut self, ripped: Option<&Route>, routed: &Route) {
+        if self.config.structure == PacketStructure::WireBased {
+            self.wire_events.push(WireEvent {
+                ripped: ripped.map_or_else(Vec::new, |r| r.segments().to_vec()),
+                routed: routed.segments().to_vec(),
+            });
+        }
+    }
+
+    /// Blocking receiver-initiated strategy: whether the router must hold
+    /// until responses land.
+    pub(crate) fn blocked(&self) -> bool {
+        self.config.schedule.blocking && self.outstanding > 0
+    }
+
+    /// Moves the request-ahead cursor back to wire `idx` of the static
+    /// list: 0 when an iteration ends, the checkpoint after a restart.
+    pub(crate) fn rewind_requests(&mut self, idx: usize) {
+        self.request_cursor = self.request_cursor.min(idx);
+    }
+
+    /// Handles one received data packet; returns modelled processing time
+    /// and queues any responses.
+    pub(crate) fn handle(
+        &mut self,
+        from: ProcId,
+        packet: Packet,
+        replica: &mut CostArray,
+        link: &mut Link<'_>,
+    ) -> u64 {
+        let mut busy = 0u64;
+        match packet {
+            Packet::LocData { rect, values, response } => {
+                // Absolute data for a region owned by the sender (or at
+                // least not by us): replace our stale view.
+                debug_assert!(
+                    !rect.intersects(&self.my_region),
+                    "node {} received absolute data for its own region",
+                    self.proc
+                );
+                replica.install(rect, &values);
+                // The owner's view cannot include changes we made but
+                // have not yet sent; re-apply our pending deltas so the
+                // install does not erase our own wires from our view.
+                for cell in rect.cells() {
+                    let d = self.delta.get(cell);
+                    if d != 0 {
+                        replica.add(cell, d as i32);
+                    }
+                }
+                busy += rect.area() * self.config.scan_per_cell_ns;
+                if response {
+                    self.outstanding = self.outstanding.saturating_sub(1);
+                }
+            }
+            Packet::RmtData { rect, deltas, response: _ } => {
+                // Deltas applied by a remote processor to our region.
+                debug_assert!(
+                    self.my_region.intersection(&rect) == Some(rect),
+                    "RmtData rect {rect} not inside own region {}",
+                    self.my_region
+                );
+                replica.apply_deltas(rect, &deltas);
+                self.own_dirty = Some(grown(self.own_dirty, rect));
+            }
+            Packet::ReqRmtData { rect } => {
+                // We are the owner: answer with absolute data.
+                let r = rect
+                    .intersection(&self.my_region)
+                    .expect("ReqRmtData must target the owner's region");
+                let values = replica.extract(r);
+                busy += r.area() * self.config.scan_per_cell_ns;
+                busy += link.send(from, Packet::LocData { rect: r, values, response: true });
+                // ReqLocData trigger: a processor that keeps requesting
+                // our region has been routing in it (§4.3.3).
+                if let Some(threshold) = self.config.schedule.req_loc_data {
+                    self.reqs_from[from] += 1;
+                    if self.reqs_from[from] >= threshold {
+                        self.reqs_from[from] = 0;
+                        busy += link.send(from, Packet::ReqLocData { rect: self.my_region });
+                    }
+                }
+            }
+            Packet::ReqLocData { rect } => {
+                // The owner of `rect` wants the deltas we hold against it.
+                busy += rect.area() * self.config.scan_per_cell_ns;
+                if let Some(bbox) = self.delta.changes_in(rect) {
+                    let deltas = self.delta.extract_and_clear(bbox);
+                    busy += link.send(from, Packet::RmtData { rect: bbox, deltas, response: true });
+                }
+            }
+            Packet::WireData { events } => {
+                // Replay the sender's routing events against our view.
+                for ev in events {
+                    for (segments, delta) in [(ev.ripped, -1), (ev.routed, 1)] {
+                        if segments.is_empty() {
+                            continue;
+                        }
+                        for &cell in Route::from_segments(segments).cells() {
+                            replica.add(cell, delta);
+                            if self.my_region.contains(cell) {
+                                self.own_dirty = Some(grown(self.own_dirty, Rect::cell(cell)));
+                            }
+                        }
+                    }
+                }
+            }
+            other => debug_assert!(false, "{other:?} is not an update packet"),
+        }
+        busy
+    }
+
+    /// Issues receiver-initiated `ReqRmtData` requests for the window of
+    /// wires that starts at `wire_idx` of the static list `my_wires` (the
+    /// paper requests five wires ahead, §4.3.3).
+    pub(crate) fn issue_requests(
+        &mut self,
+        circuit: &Circuit,
+        my_wires: &[WireId],
+        wire_idx: usize,
+        link: &mut Link<'_>,
+    ) -> u64 {
+        let Some(threshold) = self.config.schedule.req_rmt_data else {
+            return 0;
+        };
+        let mut busy = 0u64;
+        let window_end = (wire_idx + self.config.request_ahead as usize).min(my_wires.len());
+        while self.request_cursor < window_end {
+            let bbox = circuit.wire(my_wires[self.request_cursor]).bounding_box();
+            for p in self.regions.owners_intersecting(bbox) {
+                if p == self.proc {
+                    continue;
+                }
+                let in_region = bbox
+                    .intersection(&self.regions.region(p))
+                    .expect("owner intersects the bbox by construction");
+                self.touch_count[p] += 1;
+                self.touch_bbox[p] = Some(grown(self.touch_bbox[p], in_region));
+                if self.touch_count[p] >= threshold {
+                    let rect = self.touch_bbox[p].take().expect("bbox recorded with count");
+                    self.touch_count[p] = 0;
+                    busy += link.send(p, Packet::ReqRmtData { rect });
+                    self.outstanding += 1;
+                }
+            }
+            self.request_cursor += 1;
+        }
+        busy
+    }
+
+    /// Emits any sender-initiated updates (§4.3.2) due now that this node
+    /// has routed `wires_routed` wires, and only if something changed;
+    /// returns the modelled assembly time. The payload depends on the
+    /// configured packet structure (§4.3.1): bounding box (default), full
+    /// region, or wire-based.
+    pub(crate) fn emit_sender_updates(
+        &mut self,
+        wires_routed: u32,
+        replica: &CostArray,
+        link: &mut Link<'_>,
+    ) -> u64 {
+        let mut busy = 0u64;
+        let due = |every: Option<u32>| every.is_some_and(|n| wires_routed.is_multiple_of(n));
+        if self.config.structure == PacketStructure::WireBased {
+            // Events replace both SendLocData and SendRmtData; they are
+            // flushed on the SendRmtData cadence (validated: WireBased
+            // requires send_rmt_data) to every processor whose region
+            // any event touches.
+            if due(self.config.schedule.send_rmt_data) && !self.wire_events.is_empty() {
+                let events = std::mem::take(&mut self.wire_events);
+                let bbox = events
+                    .iter()
+                    .flat_map(|ev| ev.ripped.iter().chain(&ev.routed))
+                    .map(|seg| seg.bounding_box())
+                    .reduce(|acc, b| acc.union(&b))
+                    .expect("events are non-empty");
+                for p in self.regions.owners_intersecting(bbox) {
+                    if p != self.proc {
+                        busy += link.send(p, Packet::WireData { events: events.clone() });
+                    }
+                }
+            }
+            return busy;
+        }
+        let full = self.config.structure == PacketStructure::FullRegion;
+        if due(self.config.schedule.send_loc_data) {
+            if let Some(dirty) = self.own_dirty.take() {
+                let rect = if full { self.my_region } else { dirty };
+                let values = replica.extract(rect);
+                if !full {
+                    busy += rect.area() * self.config.scan_per_cell_ns;
+                }
+                for &nb in &self.mesh_neighbors {
+                    let values = values.clone();
+                    busy += link.send(nb, Packet::LocData { rect, values, response: false });
+                }
+            }
+        }
+        if due(self.config.schedule.send_rmt_data) {
+            for p in (0..self.regions.n_procs()).filter(|&p| p != self.proc) {
+                let region = self.regions.region(p);
+                let rect = if full {
+                    (!self.delta.is_clean_in(region)).then_some(region)
+                } else {
+                    busy += region.area() * self.config.scan_per_cell_ns;
+                    self.delta.changes_in(region)
+                };
+                if let Some(rect) = rect {
+                    let deltas = self.delta.extract_and_clear(rect);
+                    busy += link.send(p, Packet::RmtData { rect, deltas, response: false });
+                }
+            }
+        }
+        busy
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reliable::Transport;
+    use crate::schedule::UpdateSchedule;
+    use locus_circuit::presets;
+    use locus_mesh::Outbox;
+    use locus_router::router::route_wire_scratch;
+    use locus_router::{assign, AssignmentStrategy, CostView, EvalScratch};
+
+    /// The update layer of `proc` in a four-node machine on the `small`
+    /// circuit, with the replica it works on and a transport to send
+    /// through.
+    fn layer(schedule: UpdateSchedule, proc: ProcId) -> (Update, CostArray, Transport) {
+        let circuit = presets::small();
+        let regions = Arc::new(RegionMap::new(circuit.channels, circuit.grids, 4));
+        let config = MsgPassConfig::new(4, schedule);
+        let update = Update::new(proc, regions, &config);
+        let replica = CostArray::new(circuit.channels, circuit.grids);
+        (update, replica, Transport::new(proc, 4, None, config.send_per_byte_ns))
+    }
+
+    #[test]
+    fn req_rmt_data_is_answered_with_absolute_data() {
+        let (mut owner, mut replica, mut transport) =
+            layer(UpdateSchedule::receiver_initiated(1, 5), 0);
+        let mut outbox = Outbox::new();
+        let rect = owner.my_region;
+        let request = Packet::ReqRmtData { rect };
+        let busy = owner.handle(1, request, &mut replica, &mut transport.link(&mut outbox, 0));
+        assert!(busy > 0);
+        assert_eq!(outbox.len(), 2, "response plus ReqLocData (threshold 1)");
+        assert_eq!(outbox.sends()[0].0, 1);
+        assert!(matches!(
+            outbox.sends()[0].2.packet(),
+            Some(Packet::LocData { response: true, .. })
+        ));
+        assert_eq!(outbox.sends()[1].2.packet(), Some(&Packet::ReqLocData { rect }));
+    }
+
+    #[test]
+    fn req_loc_data_returns_deltas_and_clears() {
+        let (mut update, mut replica, mut transport) =
+            layer(UpdateSchedule::receiver_initiated(1, 5), 0);
+        // Fabricate a change to a foreign region (proc 3's region).
+        let foreign = update.regions.region(3);
+        let cell = GridCell::new(foreign.c_lo, foreign.x_lo);
+        update.record_change(&mut replica, cell, 1);
+        let mut outbox = Outbox::new();
+        let request = Packet::ReqLocData { rect: foreign };
+        let _ = update.handle(3, request, &mut replica, &mut transport.link(&mut outbox, 0));
+        assert_eq!(outbox.len(), 1);
+        match outbox.sends()[0].2.packet().expect("data frame").clone() {
+            Packet::RmtData { rect, deltas, response } => {
+                assert!(response);
+                assert_eq!(rect, Rect::cell(cell));
+                assert_eq!(deltas, vec![1i16]);
+            }
+            other => panic!("expected RmtData response, got {other:?}"),
+        }
+        assert!(update.delta.is_zero(), "answered deltas must be cleared");
+    }
+
+    #[test]
+    fn loc_data_installs_absolute_values() {
+        let (mut update, mut replica, mut transport) = layer(UpdateSchedule::never(), 0);
+        let foreign = update.regions.region(3);
+        let rect = Rect::new(foreign.c_lo, foreign.c_lo, foreign.x_lo, foreign.x_lo + 1);
+        let (first, second) =
+            (GridCell::new(rect.c_lo, rect.x_lo), GridCell::new(rect.c_lo, rect.x_lo + 1));
+        // A change of ours the owner has not seen yet.
+        update.record_change(&mut replica, second, 1);
+        let install = Packet::LocData { rect, values: vec![7, 9], response: false };
+        let mut outbox = Outbox::new();
+        let _ = update.handle(3, install, &mut replica, &mut transport.link(&mut outbox, 0));
+        assert_eq!(replica.cost_at(first), 7);
+        assert_eq!(replica.cost_at(second), 10, "the install must not erase our own wire");
+        assert!(outbox.is_empty());
+    }
+
+    #[test]
+    fn rmt_data_applies_deltas_to_own_region() {
+        let (mut update, mut replica, mut transport) = layer(UpdateSchedule::never(), 0);
+        let own = update.my_region;
+        let rect = Rect::new(own.c_lo, own.c_lo, own.x_lo, own.x_lo);
+        let deltas = Packet::RmtData { rect, deltas: vec![3], response: false };
+        let _ = update.handle(1, deltas, &mut replica, &mut transport.link(&mut Outbox::new(), 0));
+        assert_eq!(replica.cost_at(GridCell::new(own.c_lo, own.x_lo)), 3);
+        assert!(update.own_dirty.is_some(), "remote change must dirty the own region");
+    }
+
+    #[test]
+    fn delta_cancellation_across_iterations() {
+        // Route processor 0's wires twice with no updates sent. Rip-up
+        // cancels re-route: afterwards the replica holds exactly the
+        // final routes, and the delta array their foreign part.
+        let (mut update, mut replica, _) = layer(UpdateSchedule::never(), 0);
+        let circuit = presets::small();
+        let strategy = AssignmentStrategy::Locality { threshold_cost: Some(1000) };
+        let wires = assign(&circuit, &update.regions, strategy).wires_per_proc[0].clone();
+        let mut scratch = EvalScratch::default();
+        let mut routes: Vec<Option<Route>> = vec![None; wires.len()];
+        for _ in 0..2 {
+            for (slot, &w) in routes.iter_mut().zip(&wires) {
+                if let Some(old) = slot.take() {
+                    for &cell in old.cells() {
+                        update.record_change(&mut replica, cell, -1);
+                    }
+                }
+                let route = route_wire_scratch(&replica, circuit.wire(w), 2, &mut scratch).route;
+                for &cell in route.cells() {
+                    update.record_change(&mut replica, cell, 1);
+                }
+                *slot = Some(route);
+            }
+        }
+        let coverage: u64 = routes.iter().flatten().map(|r| r.len() as u64).sum();
+        assert_eq!(replica.total(), coverage);
+        for c in 0..circuit.channels {
+            for x in 0..circuit.grids {
+                let cell = GridCell::new(c, x);
+                let foreign = !update.my_region.contains(cell);
+                let expected = if foreign { replica.cost_at(cell) as i16 } else { 0 };
+                assert_eq!(update.delta.get(cell), expected, "{cell}");
+            }
+        }
+    }
+}
