@@ -282,7 +282,7 @@ mod tests {
     use locus_coherence::MemRef;
 
     fn wref(time: u64, proc: u32, addr: u32, epoch: u32, delta: i8) -> MemRef {
-        MemRef::new(time, proc, addr, RefKind::Write).with_epoch(epoch).with_delta(delta)
+        MemRef::new(time, proc, addr, RefKind::Write).with_epoch(epoch).unwrap().with_delta(delta)
     }
 
     #[test]
@@ -332,12 +332,10 @@ mod tests {
         let wire = c.wire(0);
         let pin_cell = wire.pins[0].cell();
         let addr = locus_shmem_cell_addr(pin_cell.channel, pin_cell.x, grids);
-        let t: Trace = [
-            MemRef::new(0, 0, addr, RefKind::Read).with_epoch(0).with_wire(0),
-            wref(1, 1, addr, 0, 1),
-        ]
-        .into_iter()
-        .collect();
+        let t: Trace =
+            [MemRef::new(0, 0, addr, RefKind::Read).with_wire(0), wref(1, 1, addr, 0, 1)]
+                .into_iter()
+                .collect();
         let races = detect(&t).races;
         assert_eq!(races.len(), 1);
         let classified = classify_races(&c, &t, races, 1);

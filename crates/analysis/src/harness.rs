@@ -178,16 +178,15 @@ struct SeqView<'a> {
     cost: &'a CostArray,
     trace: &'a RefCell<Trace>,
     clock: &'a Cell<u64>,
-    epoch: u32,
-    wire: u32,
+    /// Processor, epoch and wire of every read.
+    tag: MemRef,
 }
 
-impl SeqView<'_> {
-    fn tick(&self) -> u64 {
-        let t = self.clock.get();
-        self.clock.set(t + 1);
-        t
-    }
+/// One logical tick per access.
+fn tick(clock: &Cell<u64>) -> u64 {
+    let t = clock.get();
+    clock.set(t + 1);
+    t
 }
 
 impl CostView for SeqView<'_> {
@@ -198,16 +197,11 @@ impl CostView for SeqView<'_> {
         self.cost.grids()
     }
     fn cost_at(&self, cell: GridCell) -> u32 {
-        self.trace.borrow_mut().push(
-            MemRef::new(
-                self.tick(),
-                0,
-                cell_addr(cell.channel, cell.x, self.cost.grids()),
-                RefKind::Read,
-            )
-            .with_epoch(self.epoch)
-            .with_wire(self.wire),
-        );
+        self.trace.borrow_mut().push(MemRef {
+            time: tick(self.clock),
+            addr: cell_addr(cell.channel, cell.x, self.cost.grids()),
+            ..self.tag
+        });
         self.cost.cost_at(cell)
     }
 }
@@ -215,8 +209,13 @@ impl CostView for SeqView<'_> {
 /// Routes `circuit` with the sequential algorithm (same wire order and
 /// rip-up discipline as [`locus_router::SequentialRouter`]) while
 /// recording the reference trace the sequential engine itself never
-/// collects. One logical tick per access; epoch = iteration.
-pub fn trace_sequential(circuit: &Circuit, params: RouterParams) -> SequentialTrace {
+/// collects. One logical tick per access; epoch = iteration, so more
+/// iterations than a trace record numbers are an error.
+pub fn trace_sequential(
+    circuit: &Circuit,
+    params: RouterParams,
+) -> Result<SequentialTrace, String> {
+    MemRef::check_epochs(params.iterations)?;
     let n = circuit.wire_count();
     let mut cost = CostArray::new(circuit.channels, circuit.grids);
     let trace = RefCell::new(Trace::new());
@@ -225,38 +224,26 @@ pub fn trace_sequential(circuit: &Circuit, params: RouterParams) -> SequentialTr
     let mut scratch = EvalScratch::default();
 
     for iteration in 0..params.iterations {
+        let in_epoch = MemRef::new(0, 0, 0, RefKind::Read).with_epoch(iteration as u32)?;
         for (wire_id, slot) in routes.iter_mut().enumerate() {
-            let epoch = iteration as u32;
-            let tick = || {
-                let t = clock.get();
-                clock.set(t + 1);
-                t
+            let tag = in_epoch.with_wire(wire_id as u32);
+            let record_stores = |route: &Route, delta: i8| {
+                for &cell in route.cells() {
+                    trace.borrow_mut().push(MemRef {
+                        time: tick(&clock),
+                        addr: cell_addr(cell.channel, cell.x, circuit.grids),
+                        kind: RefKind::Write,
+                        delta,
+                        ..tag
+                    });
+                }
             };
             if let Some(old) = slot.take() {
-                for &cell in old.cells() {
-                    let t = tick();
-                    trace.borrow_mut().push(
-                        MemRef::new(
-                            t,
-                            0,
-                            cell_addr(cell.channel, cell.x, circuit.grids),
-                            RefKind::Write,
-                        )
-                        .with_epoch(epoch)
-                        .with_wire(wire_id as u32)
-                        .with_delta(-1),
-                    );
-                }
+                record_stores(&old, -1);
                 cost.remove_route(&old);
             }
             let eval = {
-                let view = SeqView {
-                    cost: &cost,
-                    trace: &trace,
-                    clock: &clock,
-                    epoch,
-                    wire: wire_id as u32,
-                };
+                let view = SeqView { cost: &cost, trace: &trace, clock: &clock, tag };
                 route_wire_scratch(
                     &view,
                     circuit.wire(wire_id),
@@ -264,30 +251,17 @@ pub fn trace_sequential(circuit: &Circuit, params: RouterParams) -> SequentialTr
                     &mut scratch,
                 )
             };
-            for &cell in eval.route.cells() {
-                let t = tick();
-                trace.borrow_mut().push(
-                    MemRef::new(
-                        t,
-                        0,
-                        cell_addr(cell.channel, cell.x, circuit.grids),
-                        RefKind::Write,
-                    )
-                    .with_epoch(epoch)
-                    .with_wire(wire_id as u32)
-                    .with_delta(1),
-                );
-            }
+            record_stores(&eval.route, 1);
             cost.add_route(&eval.route);
             *slot = Some(eval.route);
         }
     }
     let trace = trace.into_inner();
     debug_assert!(trace.is_sorted(), "one tick per access keeps the trace sorted");
-    SequentialTrace {
+    Ok(SequentialTrace {
         trace,
         routes: routes.into_iter().map(|r| r.expect("every wire routed")).collect(),
-    }
+    })
 }
 
 /// Resolves `--engine` spellings to the canonical registry name.
@@ -314,15 +288,15 @@ pub fn analyze_engine(
 ) -> Result<AnalysisReport, String> {
     let engine = canonical(engine);
     let (trace, procs) = match engine {
-        "sequential" => (trace_sequential(circuit, params).trace, 1),
+        "sequential" => (trace_sequential(circuit, params)?.trace, 1),
         "shmem-emul" => {
             let cfg = ShmemConfig::new(procs).with_params(params).with_trace();
-            let outcome = ShmemEmulator::new(circuit, cfg).run();
+            let outcome = ShmemEmulator::try_new(circuit, cfg)?.run();
             (outcome.trace.ok_or("emulator did not record a trace")?, procs)
         }
         "shmem-threads" => {
             let cfg = ShmemConfig::new(procs).with_params(params).with_trace();
-            let outcome = ThreadedRouter::new(circuit, cfg).run();
+            let outcome = ThreadedRouter::try_new(circuit, cfg)?.run();
             (outcome.trace.ok_or("threaded router did not record a trace")?, procs)
         }
         other => {
@@ -370,7 +344,7 @@ mod tests {
     fn sequential_trace_matches_sequential_router_routes() {
         let c = presets::small();
         let params = RouterParams::default();
-        let traced = trace_sequential(&c, params);
+        let traced = trace_sequential(&c, params).expect("two iterations");
         let reference = SequentialRouter::new(&c, params).run();
         assert_eq!(traced.routes, reference.routes);
         assert!(!traced.trace.is_empty());
@@ -432,6 +406,18 @@ mod tests {
         let err = audit_staleness(&c, "sequential", 1, RouterParams::default(), 2)
             .expect_err("sequential is not msgpass");
         assert!(err.contains("sequential"));
+    }
+
+    #[test]
+    fn runs_no_trace_can_number_are_errors_on_every_traced_engine() {
+        let c = presets::tiny();
+        let long = RouterParams { iterations: 100_000, ..RouterParams::default() };
+        for engine in ["seq", "emul", "threads"] {
+            let err = analyze_engine(&c, engine, 2, long).expect_err("100 000 epochs");
+            assert!(err.contains("100000"), "{engine}: {err}");
+        }
+        let err = analyze_engine(&c, "emul", 65, RouterParams::default()).expect_err("65 procs");
+        assert!(err.contains("64"), "{err}");
     }
 
     #[test]

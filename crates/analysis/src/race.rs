@@ -141,7 +141,7 @@ pub fn detect(trace: &Trace) -> DetectionResult {
     debug_assert!(trace.is_sorted(), "detect() expects a time-sorted trace");
     let refs = trace.refs();
     let n_procs = refs.iter().map(|r| r.proc as usize + 1).max().unwrap_or(0);
-    let epochs = refs.iter().map(|r| r.epoch + 1).max().unwrap_or(0);
+    let epochs = refs.iter().map(|r| u32::from(r.epoch) + 1).max().unwrap_or(0);
     let mut result =
         DetectionResult { refs: refs.len(), procs: n_procs, epochs, ..Default::default() };
     if n_procs == 0 {
@@ -158,7 +158,7 @@ pub fn detect(trace: &Trace) -> DetectionResult {
 
     let mut clock: Vec<u64> = vec![0; n_procs];
     let mut vc: Vec<VectorClock> = vec![VectorClock::new(n_procs); n_procs];
-    let mut current_epoch = 0u32;
+    let mut current_epoch = 0u8;
     let mut shadow: BTreeMap<u32, Shadow> = BTreeMap::new();
     let mut seen: BTreeSet<RaceKey> = BTreeSet::new();
 
@@ -233,7 +233,7 @@ fn push_race(
 ) {
     let pair = RacePair {
         addr: r.addr,
-        epoch: r.epoch,
+        epoch: r.epoch.into(),
         first: prior.r,
         first_idx: prior.idx,
         second: r,
@@ -250,11 +250,11 @@ mod tests {
     use super::*;
 
     fn wref(time: u64, proc: u32, addr: u32, epoch: u32, delta: i8) -> MemRef {
-        MemRef::new(time, proc, addr, RefKind::Write).with_epoch(epoch).with_delta(delta)
+        MemRef::new(time, proc, addr, RefKind::Write).with_epoch(epoch).unwrap().with_delta(delta)
     }
 
     fn rref(time: u64, proc: u32, addr: u32, epoch: u32, wire: u32) -> MemRef {
-        MemRef::new(time, proc, addr, RefKind::Read).with_epoch(epoch).with_wire(wire)
+        MemRef::new(time, proc, addr, RefKind::Read).with_epoch(epoch).unwrap().with_wire(wire)
     }
 
     #[test]

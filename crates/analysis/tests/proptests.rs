@@ -40,6 +40,7 @@ fn build_trace(raw: &[(u32, u32, bool, u32, u64)]) -> Trace {
             };
             MemRef::new(epoch as u64 * 1_000 + offset, proc, slot * 2, kind)
                 .with_epoch(epoch)
+                .expect("few epochs")
                 .with_wire(slot % 5)
                 .with_delta(delta)
         })
@@ -112,7 +113,7 @@ proptest! {
         let mut t: Trace = build_trace(&raw)
             .refs()
             .iter()
-            .map(|r| MemRef { time: r.proc as u64 * 1_000 + r.time % 1_000, epoch: r.proc, ..*r })
+            .map(|r| MemRef { time: r.proc as u64 * 1_000 + r.time % 1_000, epoch: r.proc as u8, ..*r })
             .collect();
         t.sort_by_time();
         prop_assert!(detect(&t).races.is_empty());

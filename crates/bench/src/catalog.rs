@@ -676,7 +676,7 @@ pub fn engine(
     let c = circuit.map_or_else(|| Ok(cfg.circuit()), circuit_by_name)?;
     let procs = procs.unwrap_or_else(|| cfg.procs());
     let ctx = EngineCtx::new(procs).with_traffic();
-    let run = engine.route(&c, &RouterParams::default(), &ctx);
+    let run = engine.route(&c, &RouterParams::default(), &ctx)?;
     // Not every engine has a clock or measures traffic.
     fn opt3(v: Option<f64>) -> Cell {
         v.map_or(Json::Null.into(), |v| fixed(v, 3))

@@ -556,7 +556,9 @@ pub fn compare_paradigms(harness: &Harness, circuit: &Circuit, n_procs: usize) -
     let ctx = EngineCtx::new(n_procs).with_traffic();
     harness.map(COMPARE_ENGINES.to_vec(), |(name, label)| {
         let engine = build_engine(name).expect("compare engines are registered");
-        let run = engine.route(circuit, &RouterParams::default(), &ctx);
+        let run = engine
+            .route(circuit, &RouterParams::default(), &ctx)
+            .expect("the default parameters fit every compared engine");
         CompareRow {
             approach: label.to_string(),
             ckt_ht: run.outcome.quality.circuit_height,

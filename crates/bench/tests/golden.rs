@@ -87,6 +87,8 @@ fn bad_invocations_say_why_and_set_the_exit_code() {
         (&["table3", "--quick", "--memory", "nope"], 2, "unknown memory backend `nope`"),
         (&["memory", "--quick", "--memory", "nope"], 2, "unknown memory backend `nope`"),
         (&["--engine", "nope"], 2, "unknown engine 'nope'"),
+        (&["--engine", "shmem-emul", "--procs", "65", "--quick"], 2, "at most 64 processors"),
+        (&["analyze", "--engine", "emul", "--procs", "65", "--quick"], 2, "at most 64 processors"),
         (&["--engine", "sequential", "--circuit", "huge"], 2, "unknown circuit \"huge\""),
         (&["faults", "--quick", "--report", "no/such/dir/f.json"], 1, "cannot write"),
     ] {

@@ -39,4 +39,4 @@ pub use model::{
 pub use protocol::{
     CoherenceConfig, CoherenceSim, DirectoryParams, DlsParams, Protocol, TrafficStats,
 };
-pub use trace::{Criticality, MemRef, RefKind, Trace};
+pub use trace::{BurstWriter, Criticality, MemRef, RefKind, Trace, TraceRecorder};

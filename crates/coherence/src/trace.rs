@@ -10,6 +10,14 @@
 //! happened, and (for writes) the signed *delta* the store applied to the
 //! cost cell. Producers that predate the analyser can leave the extras at
 //! their defaults via [`MemRef::new`].
+//!
+//! A [`Trace`] is a flat, time-ordered `Vec<MemRef>`. The emulator does
+//! not build it reference by reference: it records *bursts* into a
+//! [`TraceRecorder`] (everything but the address is shared or linear
+//! within one rip-up, sweep or commit) and [`TraceRecorder::finish`]
+//! expands and merges the per-processor streams in one pass.
+//! [`Trace::push`] and [`Trace::sort_by_time`] remain for hand-built
+//! traces, and as the oracle the merge is tested against.
 
 /// Whether a reference reads or writes shared data.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -40,7 +48,10 @@ pub enum Criticality {
     Critical,
 }
 
-/// One shared-data reference.
+/// One shared-data reference: 24 bytes (8 of time, 4 each of processor,
+/// address and wire, one each of kind, epoch, delta and criticality). A
+/// trace of millions is streamed start to end by every consumer and costs
+/// more to fault in than to fill, so the record's size is host time.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MemRef {
     /// Logical time of the reference (ns of the emulated execution).
@@ -54,7 +65,8 @@ pub struct MemRef {
     /// Barrier-delimited synchronization epoch (routing iteration).
     /// Accesses in different epochs are ordered by the barrier between
     /// them; accesses in the same epoch on different processors are not.
-    pub epoch: u32,
+    /// Set through [`MemRef::with_epoch`], which checks the range.
+    pub epoch: u8,
     /// Wire being routed when the access happened, or [`MemRef::NO_WIRE`]
     /// when the access is not attributable to a single wire.
     pub wire: u32,
@@ -68,6 +80,22 @@ pub struct MemRef {
 impl MemRef {
     /// Sentinel for [`MemRef::wire`] when no wire is attributable.
     pub const NO_WIRE: u32 = u32::MAX;
+
+    /// How many barrier epochs (routing iterations) [`MemRef::epoch`] can
+    /// number.
+    pub const MAX_EPOCHS: usize = u8::MAX as usize + 1;
+
+    /// Whether a run of `iterations` barrier epochs can be traced: the
+    /// check a producer makes before it routes anything.
+    pub fn check_epochs(iterations: usize) -> Result<(), String> {
+        if iterations > Self::MAX_EPOCHS {
+            return Err(format!(
+                "a reference trace numbers at most {} iterations, not {iterations}",
+                Self::MAX_EPOCHS
+            ));
+        }
+        Ok(())
+    }
 
     /// A reference with no synchronization context (epoch 0, no wire,
     /// zero delta) — the paper's minimal (time, proc, addr, kind) record.
@@ -84,10 +112,13 @@ impl MemRef {
         }
     }
 
-    /// Sets the barrier epoch.
-    pub fn with_epoch(mut self, epoch: u32) -> Self {
-        self.epoch = epoch;
-        self
+    /// Sets the barrier epoch, or says that the record cannot hold it
+    /// (a trace numbers at most [`MemRef::MAX_EPOCHS`] epochs).
+    pub fn with_epoch(mut self, epoch: u32) -> Result<Self, String> {
+        self.epoch = u8::try_from(epoch).map_err(|_| {
+            format!("epoch {epoch} is beyond the {} a trace record numbers", Self::MAX_EPOCHS)
+        })?;
+        Ok(self)
     }
 
     /// Sets the attributable wire.
@@ -127,14 +158,26 @@ impl Trace {
         Trace::default()
     }
 
-    /// Creates a trace with pre-allocated capacity.
-    pub fn with_capacity(n: usize) -> Self {
-        Trace { refs: Vec::with_capacity(n) }
+    /// Merges traces that are each time-ordered into one. References with
+    /// equal times keep the order of `streams` and, within a stream, their
+    /// own: the order that concatenating the streams and calling
+    /// [`Self::sort_by_time`] gives.
+    ///
+    /// # Panics
+    /// Panics if a stream is not time-ordered.
+    pub fn merge(streams: &[Trace]) -> Trace {
+        assert!(streams.iter().all(Trace::is_sorted), "merge() takes time-ordered traces");
+        let len = streams.iter().map(Trace::len).sum();
+        let ranked = streams
+            .iter()
+            .enumerate()
+            .map(|(rank, t)| t.refs.iter().map(move |&r| (r, rank as u64)))
+            .collect();
+        Trace { refs: merge_by_time(ranked, len) }
     }
 
-    /// Appends a reference. References may be pushed out of order (the
-    /// emulator interleaves processors); call [`Self::sort_by_time`]
-    /// before analysis.
+    /// Appends a reference. References may be pushed out of order; call
+    /// [`Self::sort_by_time`] before analysis.
     #[inline]
     pub fn push(&mut self, r: MemRef) {
         self.refs.push(r);
@@ -166,6 +209,11 @@ impl Trace {
         &self.refs
     }
 
+    /// The references in order, as the buffer that held them.
+    pub fn into_refs(self) -> Vec<MemRef> {
+        self.refs
+    }
+
     /// Count of write references.
     pub fn write_count(&self) -> usize {
         self.refs.iter().filter(|r| r.kind == RefKind::Write).count()
@@ -176,6 +224,187 @@ impl FromIterator<MemRef> for Trace {
     fn from_iter<T: IntoIterator<Item = MemRef>>(iter: T) -> Self {
         Trace { refs: iter.into_iter().collect() }
     }
+}
+
+/// A run of references by one processor that differ only in address and,
+/// linearly, in time: one rip-up, candidate sweep or commit.
+struct Burst {
+    /// The first reference. Reference `i` is `first` at
+    /// `first.time + i * step` with the burst's `i`-th address
+    /// (`first.addr` is not used).
+    first: MemRef,
+    step: u64,
+    /// Where the burst's addresses start in the recorder's list; they end
+    /// where the next burst's start.
+    start: usize,
+}
+
+/// The open burst of a [`TraceRecorder`]: takes the burst's addresses, in
+/// order.
+pub struct BurstWriter<'a> {
+    addrs: &'a mut Vec<u32>,
+}
+
+impl BurstWriter<'_> {
+    /// Records the burst's next reference, to `addr`.
+    #[inline]
+    pub fn push(&mut self, addr: u32) {
+        self.addrs.push(addr);
+    }
+}
+
+/// Run-length trace collection for a producer that multiplexes its
+/// processors and emits references in bursts.
+///
+/// Recording a reference appends its four address bytes to a list.
+/// [`Self::finish`] builds the [`Trace`] that pushing every reference in
+/// burst order and stable-sorting by time would have built: bursts are
+/// recorded whole, so that sort orders equal-time references by burst and
+/// then by position within the burst, and each processor's references are
+/// already in that order. Merging the processors' streams by (time, burst
+/// number) is therefore the same permutation, found in one pass over a
+/// buffer allocated once.
+pub struct TraceRecorder {
+    /// The bursts in the order they were begun; a burst's number is its
+    /// index.
+    bursts: Vec<Burst>,
+    /// The addresses of every burst, burst after burst.
+    addrs: Vec<u32>,
+    /// Of each processor, the numbers of its bursts.
+    by_proc: Vec<Vec<usize>>,
+}
+
+impl TraceRecorder {
+    /// A recorder for processors `0..n_procs`.
+    pub fn new(n_procs: usize) -> Self {
+        TraceRecorder { bursts: Vec::new(), addrs: Vec::new(), by_proc: vec![Vec::new(); n_procs] }
+    }
+
+    /// The addresses of burst `i`.
+    fn burst_addrs(&self, i: usize) -> &[u32] {
+        let end = self.bursts.get(i + 1).map_or(self.addrs.len(), |next| next.start);
+        &self.addrs[self.bursts[i].start..end]
+    }
+
+    /// Begins a burst of `first.proc`: references shaped like `first`,
+    /// `step` ns apart from `first.time` on, one per address pushed to
+    /// the returned writer before the next `begin`.
+    ///
+    /// # Panics
+    /// Panics if the processor is not one of the recorder's, or if the
+    /// burst starts before the processor's previous burst has ended: a
+    /// processor's clock never runs backwards, and the merge relies on it.
+    pub fn begin(&mut self, first: MemRef, step: u64) -> BurstWriter<'_> {
+        if let Some(&i) = self.by_proc[first.proc as usize].last() {
+            let (prev, len) = (&self.bursts[i], self.burst_addrs(i).len() as u64);
+            let prev_end = prev.first.time + prev.step * len.saturating_sub(1);
+            assert!(
+                first.time >= prev_end,
+                "processor {} begins a burst at {} before its last one ended at {prev_end}",
+                first.proc,
+                first.time,
+            );
+        }
+        self.by_proc[first.proc as usize].push(self.bursts.len());
+        self.bursts.push(Burst { first, step, start: self.addrs.len() });
+        BurstWriter { addrs: &mut self.addrs }
+    }
+
+    /// The recorded references as a time-ordered trace.
+    pub fn finish(self) -> Trace {
+        // Per processor, its references in program order, each ranked by
+        // the number of its burst.
+        let streams = self.by_proc.iter().map(|bursts| {
+            bursts.iter().flat_map(|&i| {
+                let Burst { first, step, .. } = self.bursts[i];
+                self.burst_addrs(i).iter().zip(0u64..).map(move |(&addr, n)| {
+                    (MemRef { time: first.time + n * step, addr, ..first }, i as u64)
+                })
+            })
+        });
+        Trace { refs: merge_by_time(streams.collect(), self.addrs.len()) }
+    }
+}
+
+/// `(time, rank, stream)`: the key of a stream's next reference, and the
+/// stream. Keys of different streams differ.
+type Queued = (u64, u64, usize);
+
+/// The streams that still have a reference, sorted by the key of that
+/// reference. A ring, because the front leaves and nearly always comes
+/// back at the back.
+struct MergeQueue {
+    /// A power of two of slots, more than ever queued.
+    slots: Vec<Queued>,
+    front: usize,
+    len: usize,
+}
+
+impl MergeQueue {
+    fn new(mut queued: Vec<Queued>) -> Self {
+        queued.sort_unstable();
+        let len = queued.len();
+        queued.resize((len + 1).next_power_of_two(), (0, 0, 0));
+        MergeQueue { slots: queued, front: 0, len }
+    }
+
+    fn slot(&mut self, at: usize) -> &mut Queued {
+        let mask = self.slots.len() - 1;
+        &mut self.slots[at & mask]
+    }
+
+    fn pop_front(&mut self) -> Option<Queued> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        self.front += 1;
+        Some(*self.slot(self.front - 1))
+    }
+
+    /// Files `entry`, searching for its place from the back. No more
+    /// entries may be queued than [`Self::new`] was given.
+    fn insert(&mut self, entry: Queued) {
+        let mut at = self.front + self.len;
+        while at > self.front && *self.slot(at - 1) > entry {
+            *self.slot(at) = *self.slot(at - 1);
+            at -= 1;
+        }
+        *self.slot(at) = entry;
+        self.len += 1;
+    }
+}
+
+/// Merges `streams`, each yielding `(reference, rank)` in non-decreasing
+/// `(time, rank)` order and `len` references between them, into one
+/// sequence in that order. No two streams may share a rank.
+///
+/// The stream at the front of a [`MergeQueue`] gives its reference and is
+/// filed again under the key of its next: a processor sweeping cells is
+/// one time step further on than everyone it just overtook, so the new
+/// key is nearly always the largest and lands where the search starts.
+/// (A binary heap pays its full sift-down on exactly that case.)
+fn merge_by_time<I>(mut streams: Vec<I>, len: usize) -> Vec<MemRef>
+where
+    I: Iterator<Item = (MemRef, u64)>,
+{
+    // Every stream's next reference, if the queue names the stream.
+    let mut heads = vec![MemRef::new(0, 0, 0, RefKind::Read); streams.len()];
+    let mut advance = |i: usize, heads: &mut [MemRef]| {
+        let (r, rank) = streams[i].next()?;
+        heads[i] = r;
+        Some((r.time, rank, i))
+    };
+    let mut queue =
+        MergeQueue::new((0..heads.len()).filter_map(|i| advance(i, &mut heads)).collect());
+    let mut out = Vec::with_capacity(len);
+    while let Some((_, _, i)) = queue.pop_front() {
+        out.push(heads[i]);
+        if let Some(next) = advance(i, &mut heads) {
+            queue.insert(next);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -274,6 +503,7 @@ mod tests {
         assert!(!plain.is_critical());
         let full = plain
             .with_epoch(3)
+            .expect("epoch 3 fits")
             .with_wire(17)
             .with_delta(-1)
             .with_criticality(Criticality::Critical);
@@ -283,5 +513,89 @@ mod tests {
         assert!(full.is_critical());
         // Builders leave the base triple untouched.
         assert_eq!((full.time, full.proc, full.addr, full.kind), (10, 1, 4, RefKind::Read));
+    }
+
+    #[test]
+    fn a_reference_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<MemRef>(), 24);
+    }
+
+    #[test]
+    fn an_epoch_the_record_cannot_hold_is_an_error() {
+        let plain = MemRef::new(0, 0, 0, RefKind::Read);
+        assert_eq!(plain.with_epoch(255).expect("the last epoch").epoch, 255);
+        for epoch in [256, 257, u32::MAX] {
+            let err = plain.with_epoch(epoch).expect_err("no wrap");
+            assert!(err.contains(&epoch.to_string()), "{err}");
+        }
+        assert!(MemRef::check_epochs(0).is_ok());
+        assert!(MemRef::check_epochs(MemRef::MAX_EPOCHS).is_ok());
+        let err = MemRef::check_epochs(MemRef::MAX_EPOCHS + 1).expect_err("one too many");
+        assert!(err.contains("257"), "{err}");
+        assert!(MemRef::check_epochs(usize::MAX).is_err());
+    }
+
+    /// Records `bursts` of `(first, step, addresses)` and, as the oracle,
+    /// pushes the same references one by one and stable-sorts them.
+    fn recorded_and_sorted(n_procs: usize, bursts: &[(MemRef, u64, Vec<u32>)]) -> (Trace, Trace) {
+        let mut recorder = TraceRecorder::new(n_procs);
+        let mut pushed = Trace::new();
+        for (first, step, addrs) in bursts {
+            let mut burst = recorder.begin(*first, *step);
+            for (i, &addr) in addrs.iter().enumerate() {
+                burst.push(addr);
+                pushed.push(MemRef { time: first.time + i as u64 * step, addr, ..*first });
+            }
+        }
+        pushed.sort_by_time();
+        (recorder.finish(), pushed)
+    }
+
+    #[test]
+    fn recorder_orders_equal_times_by_burst_then_position() {
+        let w = |t, p| r(t, p, 0, RefKind::Write).with_delta(1);
+        let bursts = [
+            (r(10, 1, 0, RefKind::Read), 4, vec![2, 4, 6]), // 10, 14, 18
+            (w(14, 0), 0, vec![8, 10]),                     // 14, 14
+            (w(2, 2), 6, vec![12, 14, 16]),                 // 2, 8, 14
+            (r(22, 1, 0, RefKind::Read), 1, vec![]),
+            (w(22, 1), 1, vec![18]),
+        ];
+        let (recorded, sorted) = recorded_and_sorted(3, &bursts);
+        assert_eq!(recorded, sorted);
+        let order: Vec<u32> = recorded.refs().iter().map(|r| r.addr).collect();
+        assert_eq!(order, [12, 14, 2, 4, 8, 10, 16, 6, 18]);
+        let refs = recorded.into_refs();
+        assert_eq!(refs.capacity(), refs.len(), "allocated once, at its length");
+    }
+
+    #[test]
+    fn an_idle_recorder_finishes_empty() {
+        assert!(TraceRecorder::new(4).finish().is_empty());
+        assert!(TraceRecorder::new(0).finish().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "before its last one ended")]
+    fn a_processor_clock_that_runs_backwards_is_caught() {
+        let mut recorder = TraceRecorder::new(1);
+        let mut burst = recorder.begin(r(0, 0, 0, RefKind::Read), 10);
+        burst.push(0);
+        burst.push(2);
+        recorder.begin(r(9, 0, 0, RefKind::Read), 10);
+    }
+
+    #[test]
+    fn merge_breaks_ties_by_stream_then_program_order() {
+        let a: Trace = [r(1, 0, 0, RefKind::Read), r(5, 0, 2, RefKind::Read)].into_iter().collect();
+        let b: Trace =
+            [r(5, 1, 4, RefKind::Write), r(5, 1, 6, RefKind::Read), r(9, 1, 8, RefKind::Read)]
+                .into_iter()
+                .collect();
+        let merged = Trace::merge(&[b.clone(), Trace::new(), a.clone()]);
+        let order: Vec<u32> = merged.refs().iter().map(|r| r.addr).collect();
+        assert_eq!(order, [0, 4, 6, 2, 8]);
+        assert_eq!(Trace::merge(&[]), Trace::new());
+        assert_eq!(Trace::merge(std::slice::from_ref(&a)), a);
     }
 }

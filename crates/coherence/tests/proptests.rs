@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use locus_coherence::{
     build_memory_model, memory_registry, CoherenceConfig, CoherenceSim, Criticality, MemRef,
-    MemoryConfig, RefKind, Trace, TrafficStats,
+    MemoryConfig, RefKind, Trace, TraceRecorder, TrafficStats,
 };
 use proptest::prelude::*;
 
@@ -100,7 +100,76 @@ fn arb_trace(max_procs: u32, max_addr: u32) -> impl Strategy<Value = Trace> {
     })
 }
 
+/// Bursts as an emulator emits them, in the order it begins them: each
+/// `(first reference, step, addresses)`. A processor's next burst starts
+/// `gap` after the last reference of its previous one (often 0: the same
+/// instant), every processor's clock starts at 0, and the processor of a
+/// burst is drawn at random, so bursts that start at equal times on
+/// different processors, and bursts begun later that start earlier, are
+/// the common case. Steps of 0 and bursts of no references are included.
+fn arb_bursts() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> {
+    let burst = (
+        0usize..8,
+        prop_oneof![Just(0u64), 0u64..6],
+        prop_oneof![Just(0u64), Just(4u64), 0u64..5],
+        proptest::collection::vec(0u32..64, 0..7),
+        any::<bool>(),
+        0u32..3,
+    );
+    (1usize..=8, proptest::collection::vec(burst, 0..40)).prop_map(|(n_procs, raw)| {
+        let mut clock = vec![0u64; n_procs];
+        let bursts = raw
+            .into_iter()
+            .map(|(proc, gap, step, addrs, is_write, epoch)| {
+                let proc = proc % n_procs;
+                let t0 = clock[proc] + gap;
+                clock[proc] = t0 + step * (addrs.len() as u64).saturating_sub(1);
+                let first = if is_write {
+                    MemRef::new(t0, proc as u32, 0, RefKind::Write)
+                        .with_delta(1)
+                        .with_criticality(Criticality::Critical)
+                } else {
+                    MemRef::new(t0, proc as u32, 0, RefKind::Read)
+                };
+                let first = first.with_epoch(epoch).expect("few epochs").with_wire(t0 as u32 % 5);
+                (first, step, addrs.into_iter().map(|a| a * 2).collect())
+            })
+            .collect();
+        (n_procs, bursts)
+    })
+}
+
 proptest! {
+    #[test]
+    fn recorder_finish_equals_push_and_stable_sort(case in arb_bursts()) {
+        let (n_procs, bursts) = case;
+        let mut recorder = TraceRecorder::new(n_procs);
+        let mut oracle = Trace::new();
+        for (first, step, addrs) in &bursts {
+            let mut burst = recorder.begin(*first, *step);
+            for (i, &addr) in addrs.iter().enumerate() {
+                burst.push(addr);
+                oracle.push(MemRef { time: first.time + i as u64 * step, addr, ..*first });
+            }
+        }
+        oracle.sort_by_time();
+        let recorded = recorder.finish();
+        prop_assert_eq!(&recorded, &oracle);
+        let refs = recorded.into_refs();
+        prop_assert_eq!(refs.capacity(), refs.len());
+    }
+
+    #[test]
+    fn merging_sorted_traces_equals_concatenating_and_stable_sorting(
+        streams in proptest::collection::vec(arb_trace(4, 16), 0..6),
+    ) {
+        // `arb_trace` stamps position as time, so every stream is sorted
+        // and equal times across streams are everywhere.
+        let mut oracle: Trace = streams.iter().flat_map(|t| t.refs().iter().copied()).collect();
+        oracle.sort_by_time();
+        prop_assert_eq!(Trace::merge(&streams), oracle);
+    }
+
     #[test]
     fn paged_table_backends_match_the_btreemap_reference(
         trace in arb_scattered_trace(),

@@ -52,16 +52,22 @@ impl RoutingEngine for MsgPassEngine {
         self.id
     }
 
-    fn route(&self, circuit: &Circuit, params: &RouterParams, ctx: &EngineCtx) -> EngineRun {
+    fn route(
+        &self,
+        circuit: &Circuit,
+        params: &RouterParams,
+        ctx: &EngineCtx,
+    ) -> Result<EngineRun, String> {
         let mut config = MsgPassConfig::new(ctx.n_procs, self.schedule).with_params(*params);
         if !self.faults.is_idle() {
             config = config.with_faults(self.faults).with_reliability();
         }
+        config.validate()?;
         let out = match &ctx.sink {
             Some(sink) => run_msgpass_observed(circuit, config, sink.clone()),
             None => run_msgpass(circuit, config),
         };
-        EngineRun {
+        Ok(EngineRun {
             outcome: RouteOutcome {
                 quality: out.quality,
                 work: out.work,
@@ -72,7 +78,7 @@ impl RoutingEngine for MsgPassEngine {
             mbytes: Some(out.mbytes),
             time_secs: Some(out.time_secs),
             degraded: out.degraded.is_some(),
-        }
+        })
     }
 }
 
@@ -85,7 +91,7 @@ mod tests {
     fn sender_engine_matches_direct_run() {
         let c = presets::small();
         let params = RouterParams::default();
-        let run = MsgPassEngine::sender().route(&c, &params, &EngineCtx::new(4));
+        let run = MsgPassEngine::sender().route(&c, &params, &EngineCtx::new(4)).expect("valid");
         let direct = run_msgpass(
             &c,
             MsgPassConfig::new(4, UpdateSchedule::sender_initiated(2, 10)).with_params(params),
@@ -100,7 +106,7 @@ mod tests {
     fn receiver_engine_reports_traffic() {
         let c = presets::tiny();
         let params = RouterParams::default();
-        let run = MsgPassEngine::receiver().route(&c, &params, &EngineCtx::new(2));
+        let run = MsgPassEngine::receiver().route(&c, &params, &EngineCtx::new(2)).expect("valid");
         assert_eq!(run.outcome.routes.len(), c.wire_count());
         assert!(run.mbytes.expect("payload traffic") > 0.0);
     }

@@ -467,8 +467,15 @@ pub trait RoutingEngine {
     /// Stable engine name (the registry key).
     fn id(&self) -> &'static str;
 
-    /// Routes `circuit` under `params` in context `ctx`.
-    fn route(&self, circuit: &Circuit, params: &RouterParams, ctx: &EngineCtx) -> EngineRun;
+    /// Routes `circuit` under `params` in context `ctx`, or says why the
+    /// engine cannot run that configuration (a processor count or an
+    /// iteration count it has no room for).
+    fn route(
+        &self,
+        circuit: &Circuit,
+        params: &RouterParams,
+        ctx: &EngineCtx,
+    ) -> Result<EngineRun, String>;
 }
 
 /// The reference single-processor engine (`id = "sequential"`).
@@ -479,12 +486,17 @@ impl RoutingEngine for SequentialEngine {
         "sequential"
     }
 
-    fn route(&self, circuit: &Circuit, params: &RouterParams, ctx: &EngineCtx) -> EngineRun {
+    fn route(
+        &self,
+        circuit: &Circuit,
+        params: &RouterParams,
+        ctx: &EngineCtx,
+    ) -> Result<EngineRun, String> {
         let mut router = SequentialRouter::new(circuit, *params);
         if let Some(sink) = &ctx.sink {
             router = router.with_sink(Box::new(sink.clone()));
         }
-        EngineRun { outcome: router.run(), mbytes: None, time_secs: None, degraded: false }
+        Ok(EngineRun { outcome: router.run(), mbytes: None, time_secs: None, degraded: false })
     }
 }
 
@@ -574,7 +586,7 @@ mod tests {
     fn sequential_engine_matches_direct_router() {
         let c = presets::small();
         let params = RouterParams::default();
-        let via_engine = SequentialEngine.route(&c, &params, &EngineCtx::new(1));
+        let via_engine = SequentialEngine.route(&c, &params, &EngineCtx::new(1)).expect("routes");
         let direct = SequentialRouter::new(&c, params).run();
         assert_eq!(via_engine.outcome.quality, direct.quality);
         assert_eq!(via_engine.outcome.routes, direct.routes);

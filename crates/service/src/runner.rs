@@ -74,7 +74,7 @@ impl JobRunner for EngineRunner {
     fn run(&self, job: &JobSpec) -> Result<JobExecution, String> {
         let engine = (self.factory)(job.class.engine)?;
         let circuit = job.class.family.instantiate(job.circuit_seed);
-        let run = engine.route(&circuit, &job.class.params, &EngineCtx::new(job.class.procs));
+        let run = engine.route(&circuit, &job.class.params, &EngineCtx::new(job.class.procs))?;
         let service_ms = match run.time_secs {
             Some(t) => (t * 1_000.0).ceil() as u64,
             None => run.outcome.work.cells_examined / self.cells_per_ms,

@@ -1,6 +1,7 @@
 //! Shared-memory run configuration.
 
 use locus_circuit::{Circuit, WireId};
+use locus_coherence::MemRef;
 use locus_router::{assign, AssignmentStrategy, RegionMap, RouterParams};
 
 /// How wires are handed to processors (§3, §4.2).
@@ -92,6 +93,9 @@ impl ShmemConfig {
         if self.n_procs > 64 {
             return Err("coherence directory supports at most 64 processors".into());
         }
+        if self.collect_trace {
+            MemRef::check_epochs(self.params.iterations)?;
+        }
         Ok(())
     }
 }
@@ -115,5 +119,15 @@ mod tests {
         assert!(ShmemConfig::new(0).validate().is_err());
         assert!(ShmemConfig::new(65).validate().is_err());
         assert!(ShmemConfig::new(64).validate().is_ok());
+    }
+
+    #[test]
+    fn validation_bounds_the_iterations_of_a_traced_run_only() {
+        let long = |n| ShmemConfig::new(4).with_params(RouterParams::default().with_iterations(n));
+        assert!(long(256).with_trace().validate().is_ok());
+        let err = long(257).with_trace().validate().expect_err("epoch 256 fits no record");
+        assert!(err.contains("256") && err.contains("257"), "{err}");
+        assert!(long(usize::MAX).with_trace().validate().is_err());
+        assert!(long(usize::MAX).validate().is_ok(), "an untraced run numbers no epochs");
     }
 }

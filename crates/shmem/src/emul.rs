@@ -27,12 +27,14 @@
 //! Route slots, work accounting, per-iteration occupancy, and event
 //! emission live in the shared [`IterationDriver`]; this module owns only
 //! what is emulator-specific — logical clocks, the evaluate/commit split,
-//! and the reference trace.
+//! and the reference trace. Every rip-up, candidate sweep and commit is
+//! one burst of a [`TraceRecorder`]: the references of a burst share
+//! everything but their address and their evenly spaced times.
 
 use std::cell::{Cell, RefCell};
 
 use locus_circuit::{Circuit, GridCell, WireId};
-use locus_coherence::{Criticality, MemRef, RefKind, Trace};
+use locus_coherence::{BurstWriter, Criticality, MemRef, RefKind, Trace, TraceRecorder};
 use locus_obs::{NullSink, Sink};
 use locus_router::engine::{IterationDriver, ObsEmitter, Stamp, WireFeed};
 use locus_router::router::{route_wire_scratch, PooledScratch, WireEvaluation};
@@ -66,12 +68,9 @@ pub struct ShmemOutcome {
 /// sweeps cells, advancing the processor's logical clock per read.
 struct TracedView<'a> {
     cost: &'a CostArray,
-    trace: Option<&'a RefCell<Trace>>,
+    reads: Option<RefCell<BurstWriter<'a>>>,
     clock: Cell<u64>,
     step_ns: u64,
-    proc: u32,
-    epoch: u32,
-    wire: u32,
 }
 
 impl CostView for TracedView<'_> {
@@ -83,22 +82,58 @@ impl CostView for TracedView<'_> {
     }
     #[inline]
     fn cost_at(&self, cell: GridCell) -> u32 {
-        let t = self.clock.get();
-        if let Some(trace) = self.trace {
-            trace.borrow_mut().push(
-                MemRef::new(
-                    t,
-                    self.proc,
-                    cell_addr(cell.channel, cell.x, self.cost.grids()),
-                    RefKind::Read,
-                )
-                .with_epoch(self.epoch)
-                .with_wire(self.wire),
-            );
+        if let Some(reads) = &self.reads {
+            reads.borrow_mut().push(cell_addr(cell.channel, cell.x, self.cost.grids()));
         }
-        self.clock.set(t + self.step_ns);
+        self.clock.set(self.clock.get() + self.step_ns);
         self.cost.cost_at(cell)
     }
+}
+
+/// Where a burst of references starts: when, by which processor, and for
+/// which wire of which iteration.
+#[derive(Clone, Copy)]
+struct BurstSite {
+    time: u64,
+    proc: ProcId,
+    iteration: usize,
+    wire: WireId,
+}
+
+impl BurstSite {
+    /// The burst's first reference (built for traced runs only: the
+    /// record bounds the iteration count, and `validate` has checked it).
+    fn first(self, kind: RefKind) -> MemRef {
+        MemRef::new(self.time, self.proc as u32, 0, kind)
+            .with_epoch(self.iteration as u32)
+            .expect("validate() bounds the iterations of a traced run")
+            .with_wire(self.wire as u32)
+    }
+}
+
+/// Applies `delta` to every cell of a route, one store per `step_ns` from
+/// `at.time` on, and records the stores as one critical burst. Returns the
+/// time after the last store.
+fn store_cells(
+    shared: &mut CostArray,
+    recorder: Option<&mut TraceRecorder>,
+    cells: &[GridCell],
+    delta: i8,
+    at: BurstSite,
+    step_ns: u64,
+) -> u64 {
+    for &cell in cells {
+        shared.add(cell, delta.into());
+    }
+    if let Some(recorder) = recorder {
+        let first =
+            at.first(RefKind::Write).with_delta(delta).with_criticality(Criticality::Critical);
+        let mut burst = recorder.begin(first, step_ns);
+        for &cell in cells {
+            burst.push(cell_addr(cell.channel, cell.x, shared.grids()));
+        }
+    }
+    at.time + step_ns * cells.len() as u64
 }
 
 /// An in-flight wire: evaluated, not yet committed.
@@ -127,10 +162,17 @@ impl<'a> ShmemEmulator<'a> {
     /// Creates an emulator.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration is invalid; [`Self::try_new`] says so
+    /// instead.
     pub fn new(circuit: &'a Circuit, config: ShmemConfig) -> Self {
-        config.validate().expect("invalid shared-memory configuration");
-        ShmemEmulator { circuit, config, sink: Box::new(NullSink) }
+        Self::try_new(circuit, config).expect("invalid shared-memory configuration")
+    }
+
+    /// Creates an emulator, or returns what [`ShmemConfig::validate`]
+    /// finds wrong with `config`.
+    pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
+        config.validate()?;
+        Ok(ShmemEmulator { circuit, config, sink: Box::new(NullSink) })
     }
 
     /// Routes emulation events (wire commits, rip-ups, iteration
@@ -149,9 +191,7 @@ impl<'a> ShmemEmulator<'a> {
 
         let static_lists = cfg.scheduling.static_lists(circuit, n_procs);
 
-        let trace_cell = cfg
-            .collect_trace
-            .then(|| RefCell::new(Trace::with_capacity(n_wires * 64 * cfg.params.iterations)));
+        let mut recorder = cfg.collect_trace.then(|| TraceRecorder::new(n_procs));
 
         let mut shared = CostArray::new(circuit.channels, circuit.grids);
         let mut driver = IterationDriver::new(n_wires).with_obs(ObsEmitter::new(sink));
@@ -197,26 +237,16 @@ impl<'a> ShmemEmulator<'a> {
                 if let Some(pend) = procs[p].pending.take() {
                     // Commit: apply the increments the other processors
                     // could not see during evaluation.
-                    let mut t = pend.commit_at;
-                    for &cell in pend.eval.route.cells() {
-                        shared.add(cell, 1);
-                        if let Some(trace) = &trace_cell {
-                            trace.borrow_mut().push(
-                                MemRef::new(
-                                    t,
-                                    p as u32,
-                                    cell_addr(cell.channel, cell.x, circuit.grids),
-                                    RefKind::Write,
-                                )
-                                .with_epoch(iteration as u32)
-                                .with_wire(pend.wire as u32)
-                                .with_delta(1)
-                                .with_criticality(Criticality::Critical),
-                            );
-                        }
-                        t += cfg.cell_write_ns;
-                    }
-                    procs[p].clock = t;
+                    let at =
+                        BurstSite { time: pend.commit_at, proc: p, iteration, wire: pend.wire };
+                    procs[p].clock = store_cells(
+                        &mut shared,
+                        recorder.as_mut(),
+                        pend.eval.route.cells(),
+                        1,
+                        at,
+                        cfg.cell_write_ns,
+                    );
                     if last_iteration {
                         proc_of_wire[pend.wire] = p;
                     }
@@ -241,37 +271,26 @@ impl<'a> ShmemEmulator<'a> {
                 // Rip up the previous route (§3), visible immediately.
                 driver.on_node(p as u32);
                 if let Some(old) = driver.rip_up(wire_id, wire_id, Stamp::At(procs[p].clock)) {
-                    let mut t = procs[p].clock;
-                    for &cell in old.cells() {
-                        shared.add(cell, -1);
-                        if let Some(trace) = &trace_cell {
-                            trace.borrow_mut().push(
-                                MemRef::new(
-                                    t,
-                                    p as u32,
-                                    cell_addr(cell.channel, cell.x, circuit.grids),
-                                    RefKind::Write,
-                                )
-                                .with_epoch(iteration as u32)
-                                .with_wire(wire_id as u32)
-                                .with_delta(-1)
-                                .with_criticality(Criticality::Critical),
-                            );
-                        }
-                        t += cfg.cell_write_ns;
-                    }
-                    procs[p].clock = t;
+                    let at = BurstSite { time: procs[p].clock, proc: p, iteration, wire: wire_id };
+                    procs[p].clock = store_cells(
+                        &mut shared,
+                        recorder.as_mut(),
+                        old.cells(),
+                        -1,
+                        at,
+                        cfg.cell_write_ns,
+                    );
                 }
 
                 // Evaluate against the shared array as of this instant.
+                let at = BurstSite { time: procs[p].clock, proc: p, iteration, wire: wire_id };
                 let view = TracedView {
                     cost: &shared,
-                    trace: trace_cell.as_ref(),
-                    clock: Cell::new(procs[p].clock),
+                    reads: recorder
+                        .as_mut()
+                        .map(|r| RefCell::new(r.begin(at.first(RefKind::Read), cfg.cell_eval_ns))),
+                    clock: Cell::new(at.time),
                     step_ns: cfg.cell_eval_ns,
-                    proc: p as u32,
-                    epoch: iteration as u32,
-                    wire: wire_id as u32,
                 };
                 let eval = route_wire_scratch(
                     &view,
@@ -310,12 +329,6 @@ impl<'a> ShmemEmulator<'a> {
         driver.on_node(0);
         driver.kernel_stats(Stamp::At(completion), out.cost.prefix_stats());
 
-        let trace = trace_cell.map(|t| {
-            let mut trace = t.into_inner();
-            trace.sort_by_time();
-            trace
-        });
-
         ShmemOutcome {
             quality: out.quality,
             time_secs: completion as f64 / 1e9,
@@ -324,7 +337,7 @@ impl<'a> ShmemEmulator<'a> {
             work: out.work,
             occupancy_by_iteration: out.occupancy_by_iteration,
             cost: out.cost,
-            trace,
+            trace: recorder.map(TraceRecorder::finish),
         }
     }
 }
@@ -415,6 +428,56 @@ mod tests {
                 RefKind::Read => assert!(!r.is_critical(), "sweep reads are background"),
             }
         }
+    }
+
+    #[test]
+    fn merged_trace_keeps_time_order_and_every_processors_program_order() {
+        let c = presets::small();
+        let out = ShmemEmulator::new(&c, ShmemConfig::new(4).with_trace()).run();
+        let trace = out.trace.expect("trace requested");
+        assert!(trace.is_sorted());
+        assert_eq!(trace.write_count() as u64, out.work.cells_written);
+        assert_eq!((trace.len() - trace.write_count()) as u64, out.work.cells_examined);
+        // Per processor: time never runs backwards, and each wire is a
+        // rip-up (stores of -1), then the sweep's reads, then the commit
+        // (stores of +1), finished before the next wire starts.
+        let stage = |r: &MemRef| match (r.kind, r.delta) {
+            (RefKind::Write, -1) => 0,
+            (RefKind::Read, 0) => 1,
+            (RefKind::Write, 1) => 2,
+            other => panic!("unexpected reference {other:?}"),
+        };
+        for p in 0..4 {
+            let own: Vec<&MemRef> = trace.refs().iter().filter(|r| r.proc == p).collect();
+            assert!(!own.is_empty(), "processor {p} routed nothing");
+            for pair in own.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                assert!(a.time <= b.time && a.epoch <= b.epoch);
+                if (a.wire, a.epoch) == (b.wire, b.epoch) {
+                    assert!(stage(a) <= stage(b), "wire {} went backwards: {a:?} {b:?}", a.wire);
+                } else {
+                    assert_eq!(stage(a), 2, "a wire ends with its commit: {a:?}");
+                    assert!(stage(b) < 2, "the next starts with a rip-up or a sweep: {b:?}");
+                }
+            }
+        }
+        let refs = trace.into_refs();
+        assert_eq!(refs.capacity(), refs.len(), "the trace is allocated once, at its length");
+    }
+
+    #[test]
+    fn a_traced_run_of_more_iterations_than_a_record_numbers_is_an_error() {
+        let c = presets::tiny();
+        let long = RouterParams::default().with_iterations(MemRef::MAX_EPOCHS + 1);
+        let cfg = ShmemConfig::new(2).with_params(long).with_trace();
+        let err = ShmemEmulator::try_new(&c, cfg).err().expect("257 iterations, traced");
+        assert!(err.contains("257"), "{err}");
+        let absurd = RouterParams { iterations: usize::MAX, ..long };
+        assert!(ShmemEmulator::try_new(&c, cfg.with_params(absurd)).is_err());
+        // The last epoch a record can number is recorded as itself.
+        let full = RouterParams::default().with_iterations(MemRef::MAX_EPOCHS);
+        let out = ShmemEmulator::try_new(&c, cfg.with_params(full)).expect("256 fit").run();
+        assert_eq!(out.trace.expect("traced").refs().last().map(|r| r.epoch), Some(255));
     }
 
     #[test]

@@ -25,12 +25,17 @@ impl RoutingEngine for EmulEngine {
         "shmem-emul"
     }
 
-    fn route(&self, circuit: &Circuit, params: &RouterParams, ctx: &EngineCtx) -> EngineRun {
+    fn route(
+        &self,
+        circuit: &Circuit,
+        params: &RouterParams,
+        ctx: &EngineCtx,
+    ) -> Result<EngineRun, String> {
         let mut config = ShmemConfig::new(ctx.n_procs).with_params(*params);
         if ctx.measure_traffic {
             config = config.with_trace();
         }
-        let mut emul = ShmemEmulator::new(circuit, config);
+        let mut emul = ShmemEmulator::try_new(circuit, config)?;
         if let Some(sink) = &ctx.sink {
             emul = emul.with_sink(Box::new(sink.clone()));
         }
@@ -39,7 +44,7 @@ impl RoutingEngine for EmulEngine {
             .trace
             .as_ref()
             .map(|t| traffic_by_line_size(t, &[COMPARE_LINE_BYTES]).remove(0).1.mbytes());
-        EngineRun {
+        Ok(EngineRun {
             outcome: RouteOutcome {
                 quality: out.quality,
                 work: out.work,
@@ -50,7 +55,7 @@ impl RoutingEngine for EmulEngine {
             mbytes,
             time_secs: Some(out.time_secs),
             degraded: false,
-        }
+        })
     }
 }
 
@@ -63,14 +68,19 @@ impl RoutingEngine for ThreadsEngine {
         "shmem-threads"
     }
 
-    fn route(&self, circuit: &Circuit, params: &RouterParams, ctx: &EngineCtx) -> EngineRun {
+    fn route(
+        &self,
+        circuit: &Circuit,
+        params: &RouterParams,
+        ctx: &EngineCtx,
+    ) -> Result<EngineRun, String> {
         let config = ShmemConfig::new(ctx.n_procs).with_params(*params);
-        let mut router = ThreadedRouter::new(circuit, config);
+        let mut router = ThreadedRouter::try_new(circuit, config)?;
         if let Some(sink) = &ctx.sink {
             router = router.with_sink(sink.clone());
         }
         let out = router.run();
-        EngineRun {
+        Ok(EngineRun {
             outcome: RouteOutcome {
                 quality: out.quality,
                 work: out.work,
@@ -81,7 +91,7 @@ impl RoutingEngine for ThreadsEngine {
             mbytes: None,
             time_secs: Some(out.wall.as_secs_f64()),
             degraded: false,
-        }
+        })
     }
 }
 
@@ -94,7 +104,7 @@ mod tests {
     fn emul_engine_matches_direct_emulator() {
         let c = presets::small();
         let params = RouterParams::default();
-        let run = EmulEngine.route(&c, &params, &EngineCtx::new(4));
+        let run = EmulEngine.route(&c, &params, &EngineCtx::new(4)).expect("valid");
         let direct = ShmemEmulator::new(&c, ShmemConfig::new(4)).run();
         assert_eq!(run.outcome.quality, direct.quality);
         assert_eq!(run.outcome.routes, direct.routes);
@@ -106,15 +116,31 @@ mod tests {
     fn emul_engine_measures_traffic_on_request() {
         let c = presets::tiny();
         let params = RouterParams::default();
-        let run = EmulEngine.route(&c, &params, &EngineCtx::new(2).with_traffic());
+        let run = EmulEngine.route(&c, &params, &EngineCtx::new(2).with_traffic()).expect("valid");
         assert!(run.mbytes.expect("traffic requested") > 0.0);
+    }
+
+    #[test]
+    fn configurations_the_engines_have_no_room_for_are_errors() {
+        let c = presets::tiny();
+        let long = RouterParams { iterations: 100_000, ..RouterParams::default() };
+        let err = EmulEngine
+            .route(&c, &long, &EngineCtx::new(2).with_traffic())
+            .expect_err("a traced run cannot number 100 000 epochs");
+        assert!(err.contains("100000"), "{err}");
+        for engine in [&EmulEngine as &dyn RoutingEngine, &ThreadsEngine] {
+            let err = engine
+                .route(&c, &RouterParams::default(), &EngineCtx::new(65))
+                .expect_err("65 processors");
+            assert!(err.contains("64"), "{}: {err}", engine.id());
+        }
     }
 
     #[test]
     fn threads_engine_routes_everything() {
         let c = presets::small();
         let params = RouterParams::default();
-        let run = ThreadsEngine.route(&c, &params, &EngineCtx::new(2));
+        let run = ThreadsEngine.route(&c, &params, &EngineCtx::new(2)).expect("valid");
         assert_eq!(run.outcome.routes.len(), c.wire_count());
         assert!(run.time_secs.expect("wall clock") > 0.0);
     }

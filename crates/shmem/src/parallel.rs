@@ -57,15 +57,16 @@ impl TracingView<'_> {
         self.start.elapsed().as_nanos() as u64
     }
 
-    fn record_write(&self, cell: GridCell, delta: i8) {
+    fn record(&self, cell: GridCell, kind: RefKind, delta: i8) {
         self.trace.borrow_mut().push(
             MemRef::new(
                 self.now_ns(),
                 self.proc,
                 cell_addr(cell.channel, cell.x, self.inner.grids()),
-                RefKind::Write,
+                kind,
             )
             .with_epoch(self.epoch.get())
+            .expect("validate() bounds the iterations of a traced run")
             .with_wire(self.wire.get())
             .with_delta(delta),
         );
@@ -81,16 +82,7 @@ impl CostView for TracingView<'_> {
     }
     #[inline]
     fn cost_at(&self, cell: GridCell) -> u32 {
-        self.trace.borrow_mut().push(
-            MemRef::new(
-                self.now_ns(),
-                self.proc,
-                cell_addr(cell.channel, cell.x, self.inner.grids()),
-                RefKind::Read,
-            )
-            .with_epoch(self.epoch.get())
-            .with_wire(self.wire.get()),
-        );
+        self.record(cell, RefKind::Read, 0);
         self.inner.cost_at(cell)
     }
 }
@@ -113,7 +105,7 @@ pub struct ThreadedOutcome {
     /// Final cost-array state (rebuilt from the final routes).
     pub cost: CostArray,
     /// The shared-reference trace, when collection was enabled
-    /// (wall-clock stamps; merged across threads and time-sorted).
+    /// (wall-clock stamps; the threads' streams merged by time).
     pub trace: Option<Trace>,
 }
 
@@ -127,9 +119,19 @@ pub struct ThreadedRouter<'a> {
 impl<'a> ThreadedRouter<'a> {
     /// Creates an executor (`config.n_procs` = thread count; the
     /// emulator-only timing fields are ignored).
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid; [`Self::try_new`] says so
+    /// instead.
     pub fn new(circuit: &'a Circuit, config: ShmemConfig) -> Self {
-        config.validate().expect("invalid shared-memory configuration");
-        ThreadedRouter { circuit, config, obs: None }
+        Self::try_new(circuit, config).expect("invalid shared-memory configuration")
+    }
+
+    /// Creates an executor, or returns what [`ShmemConfig::validate`]
+    /// finds wrong with `config`.
+    pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
+        config.validate()?;
+        Ok(ThreadedRouter { circuit, config, obs: None })
     }
 
     /// Routes per-thread events (wire commits, rip-ups, iteration
@@ -158,7 +160,8 @@ impl<'a> ThreadedRouter<'a> {
         let barrier = Barrier::new(n_threads);
         let ledgers: Mutex<Vec<(WorkStats, Vec<u64>)>> = Mutex::new(Vec::new());
         let collect_trace = self.config.collect_trace;
-        let thread_traces: Mutex<Vec<Trace>> = Mutex::new(Vec::new());
+        // One time-ordered stream per thread, in thread order.
+        let thread_traces: Vec<Mutex<Trace>> = (0..n_threads).map(|_| Mutex::default()).collect();
 
         // Wall-clock here is the measurement itself (it feeds the
         // reported route timings), not hidden nondeterminism.
@@ -189,7 +192,7 @@ impl<'a> ThreadedRouter<'a> {
                     let mut driver = IterationDriver::new(0).with_obs(emitter);
                     let now = || Stamp::At(start.elapsed().as_nanos() as u64);
                     // Per-thread trace buffer: no cross-thread sharing on
-                    // the hot path, merged under the ledger lock at exit.
+                    // the hot path, handed over at exit.
                     let local = RefCell::new(Trace::new());
                     let traced = TracingView {
                         inner: shared,
@@ -225,7 +228,7 @@ impl<'a> ThreadedRouter<'a> {
                                 }
                                 if collect_trace {
                                     for &cell in old.cells() {
-                                        traced.record_write(cell, -1);
+                                        traced.record(cell, RefKind::Write, -1);
                                     }
                                 }
                             }
@@ -253,7 +256,7 @@ impl<'a> ThreadedRouter<'a> {
                             }
                             if collect_trace {
                                 for &cell in eval.route.cells() {
-                                    traced.record_write(cell, 1);
+                                    traced.record(cell, RefKind::Write, 1);
                                 }
                             }
                             *slot = Some(driver.commit_external(wire_id, eval, at_decision, now()));
@@ -271,7 +274,7 @@ impl<'a> ThreadedRouter<'a> {
                     driver.kernel_stats(now(), prefix);
                     ledgers.lock().push((*driver.work(), driver.occupancy_by_iteration().to_vec()));
                     if collect_trace {
-                        thread_traces.lock().push(local.into_inner());
+                        *thread_traces[t].lock() = local.into_inner();
                     }
                 });
             }
@@ -298,14 +301,8 @@ impl<'a> ThreadedRouter<'a> {
             occupancy_by_iteration.last().copied().unwrap_or(0),
         );
         let trace = collect_trace.then(|| {
-            let mut merged = Trace::new();
-            for t in thread_traces.into_inner() {
-                for &r in t.refs() {
-                    merged.push(r);
-                }
-            }
-            merged.sort_by_time();
-            merged
+            let streams: Vec<Trace> = thread_traces.into_iter().map(Mutex::into_inner).collect();
+            Trace::merge(&streams)
         });
         ThreadedOutcome { quality, wall, routes, work, occupancy_by_iteration, cost: truth, trace }
     }
@@ -385,7 +382,7 @@ mod tests {
         let iterations = ShmemConfig::new(2).params.iterations as u32;
         for r in trace.refs() {
             assert!(r.addr < max_addr);
-            assert!(r.epoch < iterations);
+            assert!(u32::from(r.epoch) < iterations);
             assert!((r.wire as usize) < c.wire_count());
         }
     }

@@ -88,7 +88,7 @@ mod tests {
         let c = locus_circuit::presets::tiny();
         let params = RouterParams::default();
         for entry in registry() {
-            let run = (entry.build)().route(&c, &params, &EngineCtx::new(2));
+            let run = (entry.build)().route(&c, &params, &EngineCtx::new(2)).expect("valid");
             assert_eq!(
                 run.outcome.routes.len(),
                 c.wire_count(),

@@ -9,10 +9,12 @@ fn registry_engines_agree_at_one_processor_on_small_and_bnre() {
     use locusroute::router::engine::EngineCtx;
     for circuit in [locusroute::circuit::presets::small(), locusroute::circuit::presets::bnr_e()] {
         let params = RouterParams::default();
-        let reference =
-            build_engine("sequential").unwrap().route(&circuit, &params, &EngineCtx::new(1));
+        let reference = build_engine("sequential")
+            .unwrap()
+            .route(&circuit, &params, &EngineCtx::new(1))
+            .expect("valid");
         for entry in registry() {
-            let run = (entry.build)().route(&circuit, &params, &EngineCtx::new(1));
+            let run = (entry.build)().route(&circuit, &params, &EngineCtx::new(1)).expect("valid");
             assert_eq!(
                 run.outcome.quality, reference.outcome.quality,
                 "{} != sequential on {} at P=1",
@@ -174,16 +176,17 @@ fn faulted_engine_at_one_processor_matches_sequential() {
     use locusroute::router::engine::EngineCtx;
     let circuit = locusroute::circuit::presets::small();
     let params = RouterParams::default();
-    let reference =
-        build_engine("sequential").unwrap().route(&circuit, &params, &EngineCtx::new(1));
+    let reference = build_engine("sequential")
+        .unwrap()
+        .route(&circuit, &params, &EngineCtx::new(1))
+        .expect("valid");
     // 15% uniform loss with reliability on: one processor has no replica
     // staleness, so dropped-and-retransmitted packets cannot change the
     // routing result — only the simulated clock.
-    let faulted = MsgPassEngine::sender().with_fault_plan(FaultPlan::uniform_loss(7, 1500)).route(
-        &circuit,
-        &params,
-        &EngineCtx::new(1),
-    );
+    let faulted = MsgPassEngine::sender()
+        .with_fault_plan(FaultPlan::uniform_loss(7, 1500))
+        .route(&circuit, &params, &EngineCtx::new(1))
+        .expect("valid");
     assert_eq!(faulted.outcome.quality, reference.outcome.quality);
     assert_eq!(faulted.outcome.routes, reference.outcome.routes);
 }
