@@ -109,6 +109,8 @@ pub struct Kernel<N: Node> {
     /// Earliest time each node may next be scheduled (it is busy before).
     free_at: Vec<SimTime>,
     inbox: Vec<Vec<Envelope<N::Msg>>>,
+    /// The one outbox every step fills and the kernel drains.
+    outbox: Outbox<N::Msg>,
     channel_free: Vec<SimTime>,
     heap: BinaryHeap<Event<N::Msg>>,
     seq: u64,
@@ -149,6 +151,7 @@ impl<N: Node> Kernel<N> {
             status: vec![Status::Scheduled; n],
             free_at: vec![SimTime::ZERO; n],
             inbox: (0..n).map(|_| Vec::new()).collect(),
+            outbox: Outbox::new(),
             channel_free: vec![SimTime::ZERO; topo.n_channels()],
             heap: BinaryHeap::new(),
             seq: 0,
@@ -324,16 +327,18 @@ impl<N: Node> Kernel<N> {
 
         // Receive overhead: ProcessTime to copy each packet off the
         // network plus per-byte disassembly.
-        let msgs = std::mem::take(&mut self.inbox[node]);
         let mut recv_ns = 0u64;
-        for env in &msgs {
+        for env in &self.inbox[node] {
             let wire = env.bytes as u64 + self.config.header_bytes as u64;
             recv_ns += self.config.process_time_ns + self.config.recv_per_byte_ns * wire;
         }
         recv_ns = recv_ns.saturating_mul(stall);
 
-        let mut outbox = Outbox::new();
-        let step = self.nodes[node].step(now, msgs, &mut outbox);
+        // The node drains its inbox; whatever it leaves is dropped, and
+        // both buffers keep their capacity for the next step.
+        let mut outbox = std::mem::take(&mut self.outbox);
+        let step = self.nodes[node].step(now, &mut self.inbox[node], &mut outbox);
+        self.inbox[node].clear();
 
         let busy_ns = match step {
             Step::Continue { busy_ns } => busy_ns.saturating_mul(stall),
@@ -345,7 +350,7 @@ impl<N: Node> Kernel<N> {
         // sender.
         let send_base = now + recv_ns + busy_ns;
         let n_sends = outbox.sends.len() as u64;
-        for (i, (to, bytes, msg)) in outbox.sends.into_iter().enumerate() {
+        for (i, (to, bytes, msg)) in outbox.sends.drain(..).enumerate() {
             assert_ne!(to, node, "node {node} attempted a self-send");
             assert!(to < self.topo.n_nodes(), "send to nonexistent node {to}");
             let start = send_base + (i as u64 + 1) * send_pt;
@@ -363,6 +368,7 @@ impl<N: Node> Kernel<N> {
                 Some(decided) => self.apply_fault(decided, node, to, bytes, start, arrival, msg),
             }
         }
+        self.outbox = outbox;
 
         let total_busy = recv_ns + busy_ns + n_sends * send_pt;
         self.stats.busy_ns[node] += total_busy;
@@ -545,8 +551,7 @@ impl<N: Node> Kernel<N> {
         let h = self.config.hop_time_ns;
         // Head leaves the source after the sender-side ProcessTime copy.
         let mut t = start + self.config.process_time_ns;
-        let path = self.topo.route(src, dst);
-        for ch in path {
+        for ch in self.topo.route(src, dst) {
             let free = self.channel_free[ch];
             if free > t {
                 let stall_ns = (free - t).as_ns();
@@ -570,6 +575,8 @@ impl<N: Node> Kernel<N> {
 mod tests {
     use super::*;
 
+    type Inbox<'a> = &'a mut Vec<Envelope<()>>;
+
     /// Sends one `bytes`-sized packet to `to` at its first step, then
     /// completes; the receiver completes after receiving `expect` packets.
     struct OneShot {
@@ -591,14 +598,8 @@ mod tests {
     impl Node for OneShot {
         type Msg = ();
 
-        fn step(
-            &mut self,
-            now: SimTime,
-            inbox: Vec<Envelope<()>>,
-            outbox: &mut Outbox<()>,
-        ) -> Step {
-            for env in inbox {
-                let _ = env;
+        fn step(&mut self, now: SimTime, inbox: Inbox<'_>, outbox: &mut Outbox<()>) -> Step {
+            for _ in inbox.drain(..) {
                 self.received_at.push(now);
             }
             if let Some((to, bytes)) = self.to.take() {
@@ -710,7 +711,7 @@ mod tests {
         struct Spinner;
         impl Node for Spinner {
             type Msg = ();
-            fn step(&mut self, _: SimTime, _: Vec<Envelope<()>>, _: &mut Outbox<()>) -> Step {
+            fn step(&mut self, _: SimTime, _: Inbox<'_>, _: &mut Outbox<()>) -> Step {
                 Step::Continue { busy_ns: 1 }
             }
         }
@@ -834,7 +835,7 @@ mod tests {
         }
         impl Node for RestartProbe {
             type Msg = ();
-            fn step(&mut self, now: SimTime, _: Vec<Envelope<()>>, _: &mut Outbox<()>) -> Step {
+            fn step(&mut self, now: SimTime, _: Inbox<'_>, _: &mut Outbox<()>) -> Step {
                 if !self.wait || self.restarted_at.is_some() {
                     self.done_at = Some(now);
                     return Step::Done;
@@ -891,7 +892,7 @@ mod tests {
         }
         impl Node for Burst {
             type Msg = ();
-            fn step(&mut self, _: SimTime, _: Vec<Envelope<()>>, o: &mut Outbox<()>) -> Step {
+            fn step(&mut self, _: SimTime, _: Inbox<'_>, o: &mut Outbox<()>) -> Step {
                 if self.active {
                     for _ in 0..5 {
                         o.send(1, 8, ());
@@ -976,7 +977,7 @@ mod tests {
         }
         impl Node for Napper {
             type Msg = ();
-            fn step(&mut self, now: SimTime, _: Vec<Envelope<()>>, _: &mut Outbox<()>) -> Step {
+            fn step(&mut self, now: SimTime, _: Inbox<'_>, _: &mut Outbox<()>) -> Step {
                 if !self.slept {
                     self.slept = true;
                     return Step::Sleep { until: now + 10_000 };
@@ -1001,7 +1002,7 @@ mod tests {
     }
     impl Node for SleepOrSend {
         type Msg = ();
-        fn step(&mut self, now: SimTime, inbox: Vec<Envelope<()>>, o: &mut Outbox<()>) -> Step {
+        fn step(&mut self, now: SimTime, inbox: Inbox<'_>, o: &mut Outbox<()>) -> Step {
             if let Some((to, bytes)) = self.send.take() {
                 o.send(to, bytes, ());
                 return Step::Done;
@@ -1032,6 +1033,43 @@ mod tests {
         assert!(
             woke < SimTime::from_ns(1_000_000_000),
             "delivery must cut the sleep short, woke at {woke:?}"
+        );
+    }
+
+    #[test]
+    fn an_inbox_left_undrained_is_dropped_not_delivered_again() {
+        /// Sends `to_send` packets to node 1, each after a second of
+        /// work; counts what each step finds in its inbox and leaves it
+        /// there.
+        struct Peek {
+            to_send: u32,
+            expect: usize,
+            seen: usize,
+        }
+        impl Node for Peek {
+            type Msg = ();
+            fn step(&mut self, _: SimTime, inbox: Inbox<'_>, o: &mut Outbox<()>) -> Step {
+                self.seen += inbox.len();
+                if self.to_send > 0 {
+                    self.to_send -= 1;
+                    o.send(1, 8, ());
+                    return Step::Continue { busy_ns: 1_000_000_000 };
+                }
+                if self.seen >= self.expect {
+                    Step::Done
+                } else {
+                    Step::Block
+                }
+            }
+        }
+        let nodes =
+            vec![Peek { to_send: 2, expect: 0, seen: 0 }, Peek { to_send: 0, expect: 2, seen: 0 }];
+        let out = Kernel::new(two_node_config(), nodes).run();
+        assert!(!out.stats.deadlocked);
+        assert_eq!(out.nodes[1].seen, 2);
+        assert!(
+            out.stats.done_at[1] > SimTime::from_ns(2_000_000_000),
+            "the first packet, seen twice, must not stand in for the second"
         );
     }
 

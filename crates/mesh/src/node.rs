@@ -89,10 +89,12 @@ impl<M> Outbox<M> {
 /// An application actor running on one mesh node.
 ///
 /// The kernel calls [`Node::step`] whenever the node is scheduled,
-/// handing it every message that arrived since the previous step. The
-/// node performs a bounded chunk of work (typically: install updates,
-/// route one wire, emit due update packets) and reports how long that
-/// work took via [`Step`].
+/// handing it every message that arrived since the previous step: the
+/// node drains `inbox` (typically `inbox.drain(..)`), and the kernel
+/// drops whatever it leaves and reuses the buffer. The node performs a
+/// bounded chunk of work (typically: install updates, route one wire,
+/// emit due update packets) and reports how long that work took via
+/// [`Step`].
 pub trait Node {
     /// Application message type (`Clone` so the fault layer can inject
     /// duplicate deliveries).
@@ -102,7 +104,7 @@ pub trait Node {
     fn step(
         &mut self,
         now: SimTime,
-        inbox: Vec<Envelope<Self::Msg>>,
+        inbox: &mut Vec<Envelope<Self::Msg>>,
         outbox: &mut Outbox<Self::Msg>,
     ) -> Step;
 

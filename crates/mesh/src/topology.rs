@@ -99,25 +99,33 @@ impl Topology {
     }
 
     /// The directed channels traversed by the dimension-order (X then Y)
-    /// route from `src` to `dst`, in order. Empty for `src == dst`.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<usize> {
-        let (sr, sc) = self.coords(src);
+    /// route from `src` to `dst`, in order. Nothing for `src == dst`.
+    /// Yielded one by one: the kernel walks this for every packet it
+    /// injects.
+    pub fn route(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = usize> {
+        let topo = *self;
+        let (mut r, mut c) = self.coords(src);
         let (dr, dc) = self.coords(dst);
-        let mut channels = Vec::with_capacity(self.hops(src, dst) as usize);
-        let (mut r, mut c) = (sr, sc);
-        // X dimension first.
-        while c != dc {
-            let dir = if dc > c { Dir::East } else { Dir::West };
-            channels.push(self.channel(self.node_at(r, c), dir));
-            c = if dc > c { c + 1 } else { c - 1 };
-        }
-        // Then Y.
-        while r != dr {
-            let dir = if dr > r { Dir::South } else { Dir::North };
-            channels.push(self.channel(self.node_at(r, c), dir));
-            r = if dr > r { r + 1 } else { r - 1 };
-        }
-        channels
+        std::iter::from_fn(move || {
+            let here = topo.node_at(r, c);
+            // X dimension first, then Y.
+            let dir = if c < dc {
+                c += 1;
+                Dir::East
+            } else if c > dc {
+                c -= 1;
+                Dir::West
+            } else if r < dr {
+                r += 1;
+                Dir::South
+            } else if r > dr {
+                r -= 1;
+                Dir::North
+            } else {
+                return None;
+            };
+            Some(topo.channel(here, dir))
+        })
     }
 }
 
@@ -161,7 +169,7 @@ mod tests {
         let t = Topology::new(4, 4);
         for src in 0..16 {
             for dst in 0..16 {
-                assert_eq!(t.route(src, dst).len() as u32, t.hops(src, dst));
+                assert_eq!(t.route(src, dst).count() as u32, t.hops(src, dst));
             }
         }
     }
@@ -170,7 +178,7 @@ mod tests {
     fn route_is_x_first() {
         let t = Topology::new(4, 4);
         // 0 (0,0) -> 15 (3,3): 3 east channels then 3 south channels.
-        let r = t.route(0, 15);
+        let r: Vec<usize> = t.route(0, 15).collect();
         assert_eq!(r.len(), 6);
         // First three leave nodes 0,1,2 eastward.
         assert_eq!(r[0], t.channel(0, Dir::East));
@@ -186,7 +194,7 @@ mod tests {
     fn route_westward_and_northward() {
         let t = Topology::new(3, 3);
         // 8 (2,2) -> 0 (0,0): west, west, north, north.
-        let r = t.route(8, 0);
+        let r: Vec<usize> = t.route(8, 0).collect();
         assert_eq!(r[0], t.channel(8, Dir::West));
         assert_eq!(r[1], t.channel(7, Dir::West));
         assert_eq!(r[2], t.channel(6, Dir::North));
@@ -196,7 +204,7 @@ mod tests {
     #[test]
     fn self_route_is_empty() {
         let t = Topology::new(2, 2);
-        assert!(t.route(3, 3).is_empty());
+        assert_eq!(t.route(3, 3).count(), 0);
     }
 
     #[test]
@@ -215,8 +223,6 @@ mod tests {
     fn deterministic_routes_share_channels() {
         // Dimension-order routing: 0->5 and 0->6 share the first east hop.
         let t = Topology::new(4, 4);
-        let a = t.route(0, 5);
-        let b = t.route(0, 6);
-        assert_eq!(a[0], b[0]);
+        assert_eq!(t.route(0, 5).next(), t.route(0, 6).next());
     }
 }

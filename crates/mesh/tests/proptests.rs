@@ -24,7 +24,7 @@ enum Actor {
 
 impl Node for Actor {
     type Msg = ();
-    fn step(&mut self, _: SimTime, inbox: Vec<Envelope<()>>, out: &mut Outbox<()>) -> Step {
+    fn step(&mut self, _: SimTime, inbox: &mut Vec<Envelope<()>>, out: &mut Outbox<()>) -> Step {
         match self {
             Actor::S(s) => {
                 if s.remaining == 0 {
@@ -59,7 +59,7 @@ proptest! {
         let t = Topology::new(rows, cols);
         let src = src_i % t.n_nodes();
         let dst = dst_i % t.n_nodes();
-        let route = t.route(src, dst);
+        let route: Vec<usize> = t.route(src, dst).collect();
         prop_assert_eq!(route.len() as u32, t.hops(src, dst));
         // Channels along the route are distinct (dimension order never
         // revisits a link).

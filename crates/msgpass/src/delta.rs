@@ -7,22 +7,47 @@
 //! Rip-up decrements and re-route increments accumulate here; cells where
 //! they cancel hold zero and are not transmitted — the mechanism behind
 //! the paper's traffic cancellation argument (§5.2).
+//!
+//! The simulated node finds its changes by scanning whole regions, and
+//! the caller charges it for that. The host does not repeat the scan: the
+//! array keeps, per channel, the span of columns outside which the row is
+//! known to be zero, and looks only there.
 
 use locus_circuit::{GridCell, Rect};
 
 /// A signed change overlay with the cost array's dimensions.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct DeltaArray {
     channels: u16,
     grids: u16,
     cells: Vec<i16>,
+    /// Per channel, the columns `lo..hi` that may hold a nonzero cell;
+    /// every cell of the row outside them is zero (`lo >= hi`: the whole
+    /// row is). Recording widens a span, [`Self::extract_and_clear`]
+    /// trims the end it clears.
+    spans: Vec<(u16, u16)>,
 }
+
+/// Equality is over the deltas; how tightly the spans bracket them is
+/// not part of the value.
+impl PartialEq for DeltaArray {
+    fn eq(&self, other: &Self) -> bool {
+        self.channels == other.channels && self.grids == other.grids && self.cells == other.cells
+    }
+}
+
+impl Eq for DeltaArray {}
 
 impl DeltaArray {
     /// Creates a zeroed delta array.
     pub fn new(channels: u16, grids: u16) -> Self {
         assert!(channels > 0 && grids > 0, "delta array dimensions must be nonzero");
-        DeltaArray { channels, grids, cells: vec![0; channels as usize * grids as usize] }
+        DeltaArray {
+            channels,
+            grids,
+            cells: vec![0; channels as usize * grids as usize],
+            spans: vec![(0, 0); channels as usize],
+        }
     }
 
     #[inline]
@@ -34,8 +59,22 @@ impl DeltaArray {
     /// Records a change of `delta` at `cell`.
     #[inline]
     pub fn record(&mut self, cell: GridCell, delta: i16) {
-        let i = self.index(cell);
-        self.cells[i] += delta;
+        self.record_run(cell.channel, cell.x, cell.x, delta);
+    }
+
+    /// Records a change of `delta` at every cell of `channel` from
+    /// column `x_lo` to `x_hi` inclusive.
+    pub fn record_run(&mut self, channel: u16, x_lo: u16, x_hi: u16, delta: i16) {
+        let first = self.index(GridCell::new(channel, x_lo));
+        for v in &mut self.cells[first..=first + (x_hi - x_lo) as usize] {
+            *v += delta;
+        }
+        let span = &mut self.spans[channel as usize];
+        *span = if span.0 >= span.1 {
+            (x_lo, x_hi + 1)
+        } else {
+            (span.0.min(x_lo), span.1.max(x_hi + 1))
+        };
     }
 
     /// Current accumulated delta at `cell`.
@@ -47,20 +86,24 @@ impl DeltaArray {
     /// Bounding box of all nonzero cells within `rect`, or `None` if the
     /// region is clean. This is the scan the sending processor performs
     /// before an update ("the sender scans the delta array for changes",
-    /// §4.3.1); the caller charges `rect.area()` cells of scan time.
+    /// §4.3.1); the caller charges `rect.area()` cells of scan time,
+    /// while the host reads only the part of each row inside its span.
     pub fn changes_in(&self, rect: Rect) -> Option<Rect> {
         let mut bbox: Option<Rect> = None;
         for c in rect.c_lo..=rect.c_hi {
-            let base = c as usize * self.grids as usize;
-            for x in rect.x_lo..=rect.x_hi {
-                if self.cells[base + x as usize] != 0 {
-                    let cell = GridCell::new(c, x);
-                    match &mut bbox {
-                        Some(b) => b.expand_to(cell),
-                        None => bbox = Some(Rect::cell(cell)),
-                    }
-                }
+            let (lo, hi) = self.spans[c as usize];
+            let (lo, hi) = (lo.max(rect.x_lo), hi.min(rect.x_hi + 1));
+            if lo >= hi {
+                continue;
             }
+            let base = c as usize * self.grids as usize;
+            let row = &self.cells[base + lo as usize..base + hi as usize];
+            let Some(first) = row.iter().position(|&v| v != 0) else {
+                continue;
+            };
+            let last = row.iter().rposition(|&v| v != 0).expect("the row has a nonzero cell");
+            let found = Rect::new(c, c, lo + first as u16, lo + last as u16);
+            bbox = Some(bbox.map_or(found, |b| b.union(&found)));
         }
         bbox
     }
@@ -69,10 +112,20 @@ impl DeltaArray {
     /// the payload of a `SendRmtData` packet or a `ReqLocData` response.
     pub fn extract_and_clear(&mut self, rect: Rect) -> Vec<i16> {
         let mut out = Vec::with_capacity(rect.area() as usize);
-        for cell in rect.cells() {
-            let i = self.index(cell);
-            out.push(self.cells[i]);
-            self.cells[i] = 0;
+        for c in rect.c_lo..=rect.c_hi {
+            let base = c as usize * self.grids as usize;
+            let row = &mut self.cells[base + rect.x_lo as usize..=base + rect.x_hi as usize];
+            out.extend_from_slice(row);
+            row.fill(0);
+            // A cleared end of the span is known zero again; a hole in
+            // its middle is not worth tracking.
+            let (lo, hi) = &mut self.spans[c as usize];
+            if rect.x_lo <= *lo {
+                *lo = (*lo).max(rect.x_hi + 1);
+            }
+            if rect.x_hi + 1 >= *hi {
+                *hi = (*hi).min(rect.x_lo);
+            }
         }
         out
     }

@@ -21,7 +21,7 @@ use locus_mesh::{Envelope, Node, Outbox, SimTime, Step};
 use locus_obs::{EventKind, SharedSink};
 use locus_router::engine::{IterationDriver, ObsEmitter, Stamp};
 use locus_router::router::route_wire_scratch;
-use locus_router::{assign, CostArray, EvalScratch, ProcId, RegionMap, Route};
+use locus_router::{CostArray, EvalScratch, ProcId, RegionMap, Route};
 
 use crate::config::{MsgPassConfig, WireSource};
 use crate::packet::{Packet, PacketKind};
@@ -68,7 +68,9 @@ pub(crate) struct RouterNode {
     circuit: Arc<Circuit>,
     regions: Arc<RegionMap>,
     config: MsgPassConfig,
-    my_wires: Vec<WireId>,
+    /// Every processor's static wire list, computed once for the run
+    /// and shared; this node routes `plan[proc]`.
+    plan: Arc<Vec<Vec<WireId>>>,
 
     /// Metrics-only global truth, shared by every node and updated as
     /// routes commit (the kernel steps nodes in simulated-time order).
@@ -90,7 +92,7 @@ pub(crate) struct RouterNode {
     /// candidate, and the replica's prefix caches serve its span queries.
     scratch: EvalScratch,
     /// The shared execution ledger: route slots (indexed by position in
-    /// `my_wires`), dynamically granted routes, work counters, per-
+    /// `plan[proc]`), dynamically granted routes, work counters, per-
     /// iteration occupancy, and routing-event emission.
     pub(crate) driver: IterationDriver,
     iteration: usize,
@@ -123,25 +125,24 @@ pub(crate) struct RouterNode {
 }
 
 impl RouterNode {
-    /// Creates the actor for processor `proc` with its assigned wires.
-    /// All nodes of one run must share the same `oracle` and the same
-    /// `truth_touched`, which `config.audit_every` requires so audits
-    /// can age their diverged cells.
+    /// Creates the actor for processor `proc`, which routes `plan[proc]`.
+    /// All nodes of one run must share the same `plan`, the same `oracle`
+    /// and the same `truth_touched`, which `config.audit_every` requires
+    /// so audits can age their diverged cells.
     pub(crate) fn new(
         proc: ProcId,
         circuit: Arc<Circuit>,
         regions: Arc<RegionMap>,
         config: MsgPassConfig,
-        my_wires: Vec<WireId>,
+        plan: Arc<Vec<Vec<WireId>>>,
         oracle: Arc<Mutex<CostArray>>,
         truth_touched: Option<Arc<Mutex<Vec<u64>>>>,
     ) -> Self {
         let n_procs = regions.n_procs();
         let (channels, grids) = regions.surface();
-        let recovery = config.recovery.map(|rc| {
-            let plan = assign(&circuit, &regions, config.assignment).wires_per_proc;
-            Recovery::new(proc, rc, regions.region(proc).area(), plan)
-        });
+        let recovery = config
+            .recovery
+            .map(|rc| Recovery::new(proc, rc, regions.region(proc).area(), Arc::clone(&plan)));
         RouterNode {
             proc,
             oracle,
@@ -149,7 +150,7 @@ impl RouterNode {
             audits: Vec::new(),
             replica: CostArray::new(channels, grids),
             scratch: EvalScratch::default(),
-            driver: IterationDriver::new(my_wires.len()),
+            driver: IterationDriver::new(plan[proc].len()),
             iteration: 0,
             wire_idx: 0,
             wires_routed_count: 0,
@@ -166,7 +167,7 @@ impl RouterNode {
             circuit,
             regions,
             config,
-            my_wires,
+            plan,
         }
     }
 
@@ -186,25 +187,24 @@ impl RouterNode {
         self.recovery.as_ref().map_or_else(RecoveryStats::default, |r| r.stats)
     }
 
-    /// Final routes with their wire ids (valid after the run completes),
-    /// truncated to the last checkpoint when this node `crashed` under
-    /// recovery: routes committed after it were volatile and died with
-    /// the node (an adopter re-routed those wires). Adopted-wire routes
-    /// are checkpointed as they commit, so they always survive.
-    pub(crate) fn surviving_routes(
-        &self,
+    /// Takes the final routes out of the node, with their wire ids (valid
+    /// after the run completes), truncated to the last checkpoint when
+    /// this node `crashed` under recovery: routes committed after it
+    /// were volatile and died with the node (an adopter re-routed those
+    /// wires). Adopted-wire routes are checkpointed as they commit, so
+    /// they always survive.
+    pub(crate) fn take_surviving_routes(
+        &mut self,
         crashed: bool,
-    ) -> impl Iterator<Item = (WireId, &Route)> + '_ {
+    ) -> impl Iterator<Item = (WireId, Route)> + '_ {
+        let my_wires = &self.plan[self.proc];
         let limit = match &self.recovery {
             Some(r) if crashed => r.durable_progress() as usize,
-            _ => self.my_wires.len(),
+            _ => my_wires.len(),
         };
-        self.my_wires
-            .iter()
-            .take(limit)
-            .zip(self.driver.slots())
-            .filter_map(|(&w, r)| r.as_ref().map(|r| (w, r)))
-            .chain(self.driver.dynamic_routes().iter().map(|(w, r)| (*w, r)))
+        let (slots, dynamic) = self.driver.take_routes();
+        let durable = my_wires.iter().take(limit).zip(slots);
+        durable.filter_map(|(&w, r)| r.map(|r| (w, r))).chain(dynamic)
     }
 
     /// Marks this node done with routing and reports its kernel counters
@@ -345,12 +345,10 @@ impl RouterNode {
     /// Takes the route in static slot `idx` back out of the shared truth
     /// and the local view.
     fn rip_up(&mut self, idx: usize) -> Option<Route> {
-        let old = self.driver.rip_up(idx, self.my_wires[idx], Stamp::At(self.now_ns))?;
+        let old = self.driver.rip_up(idx, self.plan[self.proc][idx], Stamp::At(self.now_ns))?;
         self.oracle.lock().expect("oracle lock").remove_route(&old);
         self.touch_truth(&old);
-        for &cell in old.cells() {
-            self.update.record_change(&mut self.replica, cell, -1);
-        }
+        self.update.record_route(&mut self.replica, old.cells(), -1);
         Some(old)
     }
 
@@ -390,9 +388,7 @@ impl RouterNode {
         };
         self.touch_truth(&eval.route);
 
-        for &cell in eval.route.cells() {
-            self.update.record_change(&mut self.replica, cell, 1);
-        }
+        self.update.record_route(&mut self.replica, eval.route.cells(), 1);
         self.update.wire_routed(old.as_ref(), &eval.route);
         match slot {
             Some(idx) => self.driver.commit(idx, wire_id, eval, cost_at_decision, stamp),
@@ -411,17 +407,18 @@ impl RouterNode {
     fn route_next_wire(&mut self, outbox: &mut Outbox<Frame>) -> u64 {
         let idx = self.wire_idx;
         let mut link = self.transport.link(outbox, self.now_ns);
-        let mut busy = self.update.issue_requests(&self.circuit, &self.my_wires, idx, &mut link);
+        let mut busy =
+            self.update.issue_requests(&self.circuit, &self.plan[self.proc], idx, &mut link);
         let stamp = Stamp::At(self.now_ns);
         if idx == 0 {
             self.driver.phase_begin(stamp);
         }
-        busy += self.place_wire(Some(idx), self.my_wires[idx], outbox);
+        busy += self.place_wire(Some(idx), self.plan[self.proc][idx], outbox);
 
         // Advance the program counter.
         self.wire_idx += 1;
         let progressed = self.wire_idx as u32;
-        if self.wire_idx == self.my_wires.len() {
+        if self.wire_idx == self.plan[self.proc].len() {
             self.driver.phase_end(stamp);
             self.driver.close_iteration();
             self.iteration += 1;
@@ -516,18 +513,20 @@ impl Node for RouterNode {
     fn step(
         &mut self,
         now: SimTime,
-        inbox: Vec<Envelope<Frame>>,
+        inbox: &mut Vec<Envelope<Frame>>,
         outbox: &mut Outbox<Frame>,
     ) -> Step {
         self.now_ns = now.as_ns();
         let had_traffic = !inbox.is_empty();
         let mut busy = 0u64;
-        for env in inbox {
+        for env in inbox.drain(..) {
             if let Some(r) = &mut self.recovery {
                 r.heard(env.from, self.now_ns);
             }
-            for packet in self.transport.receive(env.from, env.msg) {
+            let mut deliverable = self.transport.receive(env.from, env.msg);
+            while let Some(packet) = deliverable {
                 busy += self.handle_packet(env.from, packet, outbox);
+                deliverable = self.transport.next_buffered(env.from);
             }
         }
         // Recovery bookkeeping first: heartbeats, failure detection,
@@ -575,7 +574,7 @@ mod tests {
     use super::*;
     use crate::schedule::UpdateSchedule;
     use locus_circuit::presets;
-    use locus_router::AssignmentStrategy;
+    use locus_router::{assign, AssignmentStrategy};
 
     fn make_node(schedule: UpdateSchedule, proc: ProcId, n_procs: usize) -> RouterNode {
         let circuit = Arc::new(presets::small());
@@ -584,15 +583,8 @@ mod tests {
             assign(&circuit, &regions, AssignmentStrategy::Locality { threshold_cost: Some(1000) });
         let config = MsgPassConfig::new(n_procs, schedule);
         let oracle = Arc::new(Mutex::new(CostArray::new(circuit.channels, circuit.grids)));
-        RouterNode::new(
-            proc,
-            circuit,
-            regions,
-            config,
-            assignment.wires_per_proc[proc].clone(),
-            oracle,
-            None,
-        )
+        let plan = Arc::new(assignment.wires_per_proc);
+        RouterNode::new(proc, circuit, regions, config, plan, oracle, None)
     }
 
     /// Steps `node` with empty inboxes until its routing is done.
@@ -600,7 +592,7 @@ mod tests {
         let mut outbox = Outbox::new();
         let mut steps = 0;
         while !node.finished_routing {
-            let step = node.step(SimTime::ZERO, Vec::new(), &mut outbox);
+            let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
             assert!(matches!(step, Step::Continue { .. }));
             steps += 1;
             assert!(steps < 100_000, "node did not converge");
@@ -612,14 +604,15 @@ mod tests {
         // Without any updates, a node simply routes its wires to
         // completion (single-processor semantics on its replica).
         let mut node = make_node(UpdateSchedule::never(), 0, 4);
-        let n_wires = node.my_wires.len();
+        let n_wires = node.plan[0].len();
         assert!(n_wires > 0);
         route_to_completion(&mut node);
-        assert_eq!(node.surviving_routes(false).count(), n_wires);
+        let routes: Vec<_> = node.take_surviving_routes(false).collect();
+        assert_eq!(routes.len(), n_wires);
         assert!(node.driver.last_occupancy() > 0 || n_wires < 3);
         // Two iterations with no updates: the replica holds exactly this
         // node's final routes (every rip-up undid its route).
-        let coverage: u64 = node.surviving_routes(false).map(|(_, r)| r.len() as u64).sum();
+        let coverage: u64 = routes.iter().map(|(_, r)| r.len() as u64).sum();
         assert_eq!(node.replica.total(), coverage);
     }
 
@@ -629,7 +622,7 @@ mod tests {
         let mut outbox = Outbox::new();
         // Route a few wires (enough to touch a neighbouring region).
         for _ in 0..12 {
-            let _ = node.step(SimTime::ZERO, Vec::new(), &mut outbox);
+            let _ = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
         }
         assert!(!outbox.is_empty(), "sender-initiated schedule must emit updates while routing");
         assert!(node.transport.sent.packets(PacketKind::SendRmtData) > 0);
@@ -640,9 +633,9 @@ mod tests {
         let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4);
         let mut outbox = Outbox::new();
         // First step issues requests for the upcoming window and routes.
-        let _ = node.step(SimTime::ZERO, Vec::new(), &mut outbox);
+        let _ = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
         if node.update.blocked() {
-            let step = node.step(SimTime::ZERO, Vec::new(), &mut Outbox::new());
+            let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());
             assert_eq!(step, Step::Block, "must block while responses are outstanding");
         }
     }
@@ -651,7 +644,7 @@ mod tests {
     fn response_unblocks_blocking_node() {
         let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4);
         let mut outbox = Outbox::new();
-        let _ = node.step(SimTime::ZERO, Vec::new(), &mut outbox);
+        let _ = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
         if !node.update.blocked() {
             return; // this processor's first wires are fully local
         }
@@ -668,7 +661,7 @@ mod tests {
             }
         }
         assert!(!node.update.blocked());
-        let step = node.step(SimTime::ZERO, Vec::new(), &mut Outbox::new());
+        let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());
         assert!(matches!(step, Step::Continue { .. }), "node must resume after responses");
     }
 
@@ -677,19 +670,19 @@ mod tests {
         let mut node = make_node(UpdateSchedule::never(), 0, 4);
         route_to_completion(&mut node);
         // It must not terminate before hearing from the other three.
-        let step = node.step(SimTime::ZERO, Vec::new(), &mut Outbox::new());
+        let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());
         assert_ne!(step, Step::Done);
         // The same peer reporting three times is one report: not done.
         for _ in 0..3 {
             let _ = node.handle_packet(1, Packet::Finished, &mut Outbox::new());
         }
-        let step = node.step(SimTime::ZERO, Vec::new(), &mut Outbox::new());
+        let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());
         assert_ne!(step, Step::Done, "a duplicated Finished must not count as another peer");
         for peer in [2, 3] {
             let _ = node.handle_packet(peer, Packet::Finished, &mut Outbox::new());
         }
         let mut outbox = Outbox::new();
-        let step = node.step(SimTime::ZERO, Vec::new(), &mut outbox);
+        let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
         assert_eq!(step, Step::Done);
         assert_eq!(outbox.len(), 3, "terminate broadcast to the other nodes");
     }
@@ -699,7 +692,7 @@ mod tests {
         let mut node = make_node(UpdateSchedule::never(), 1, 4);
         route_to_completion(&mut node);
         let _ = node.handle_packet(0, Packet::Terminate, &mut Outbox::new());
-        let step = node.step(SimTime::ZERO, Vec::new(), &mut Outbox::new());
+        let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());
         assert_eq!(step, Step::Done);
     }
 }

@@ -5,6 +5,7 @@
 //! the `Recovery` packet kind.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use locus_circuit::WireId;
 use locus_mesh::{SimTime, Step};
@@ -160,9 +161,9 @@ pub(crate) struct Recovery {
     /// which pops them).
     pub(crate) adopted: VecDeque<WireId>,
     /// The complete static assignment (every processor's wire list),
-    /// recomputed locally so any node can redistribute a dead peer's
-    /// wires without asking anyone.
-    full_assignment: Vec<Vec<WireId>>,
+    /// known to every node so that any of them can redistribute a dead
+    /// peer's wires without asking anyone.
+    full_assignment: Arc<Vec<Vec<WireId>>>,
     /// Coordinator only: wires this node granted to each peer through
     /// `Reassign`. If a grantee later dies, these orphans are not in its
     /// static assignment, so they must be re-granted from this ledger.
@@ -185,7 +186,7 @@ impl Recovery {
         proc: ProcId,
         cfg: RecoveryConfig,
         region_cells: u64,
-        full_assignment: Vec<Vec<WireId>>,
+        full_assignment: Arc<Vec<Vec<WireId>>>,
     ) -> Self {
         let n_procs = full_assignment.len();
         Recovery {
@@ -553,7 +554,7 @@ mod tests {
     fn layer(proc: ProcId) -> (Recovery, Termination, Transport) {
         let plan = vec![vec![0, 1, 2, 3], vec![4, 5], vec![6, 7], vec![8, 9]];
         let transport = Transport::new(proc, 4, Some(ReliableConfig::default()), 10);
-        (Recovery::new(proc, CFG, 16, plan), Termination::new(4), transport)
+        (Recovery::new(proc, CFG, 16, Arc::new(plan)), Termination::new(4), transport)
     }
 
     /// What `outbox` holds, as `(to, packet)`.

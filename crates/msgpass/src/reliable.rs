@@ -313,22 +313,24 @@ impl Transport {
         Frame::Data { seq, packet }
     }
 
-    /// Processes one received frame from `from`, returning the packets
-    /// now deliverable to the application **in sequence order, exactly
-    /// once**. Acks and duplicates return an empty vec.
-    pub(crate) fn receive(&mut self, from: ProcId, frame: Frame) -> Vec<Packet> {
+    /// Processes one received frame from `from`, returning the packet it
+    /// makes deliverable to the application, if any; packets that were
+    /// waiting behind it follow through [`Self::next_buffered`], so that
+    /// delivery is **in sequence order, exactly once**. Acks and
+    /// duplicates deliver nothing.
+    pub(crate) fn receive(&mut self, from: ProcId, frame: Frame) -> Option<Packet> {
         match frame {
-            Frame::Raw(p) => vec![p],
+            Frame::Raw(p) => Some(p),
             Frame::Ack { cum_seq } => {
                 self.tx[from].inflight.retain(|f| f.seq >= cum_seq);
-                Vec::new()
+                None
             }
             Frame::Data { seq, packet } => {
                 let rx = &mut self.rx[from];
                 rx.ack_due = true;
                 if seq < rx.next_expected {
                     self.stats.dup_suppressed += 1;
-                    return Vec::new();
+                    return None;
                 }
                 if seq > rx.next_expected {
                     if rx.buffered.insert(seq, packet).is_some() {
@@ -336,17 +338,21 @@ impl Transport {
                     } else {
                         self.stats.out_of_order += 1;
                     }
-                    return Vec::new();
+                    return None;
                 }
-                let mut out = vec![packet];
                 rx.next_expected += 1;
-                while let Some(p) = rx.buffered.remove(&rx.next_expected) {
-                    out.push(p);
-                    rx.next_expected += 1;
-                }
-                out
+                Some(packet)
             }
         }
+    }
+
+    /// The next packet of `from`'s stream, if it arrived ahead of
+    /// sequence and the gap before it has now closed.
+    pub(crate) fn next_buffered(&mut self, from: ProcId) -> Option<Packet> {
+        let rx = &mut self.rx[from];
+        let packet = rx.buffered.remove(&rx.next_expected)?;
+        rx.next_expected += 1;
+        Some(packet)
     }
 
     /// Drains the acks owed right now as `(to, cum_seq)` pairs.
@@ -495,13 +501,25 @@ mod tests {
         transport(Some(ReliableConfig::default()))
     }
 
+    /// Everything `frame` makes deliverable at `t`, in delivery order
+    /// (the receive loop of `RouterNode::step`).
+    fn deliver(t: &mut Transport, from: ProcId, frame: Frame) -> Vec<Packet> {
+        let mut out = Vec::new();
+        let mut next = t.receive(from, frame);
+        while let Some(packet) = next {
+            out.push(packet);
+            next = t.next_buffered(from);
+        }
+        out
+    }
+
     #[test]
     fn raw_mode_is_a_pass_through() {
         let mut t = transport(None);
         let f = t.wrap(1, Packet::Finished, 0);
         assert_eq!(f, Frame::Raw(Packet::Finished));
         assert_eq!(f.payload_bytes(), Packet::Finished.payload_bytes());
-        assert_eq!(t.receive(1, f), vec![Packet::Finished]);
+        assert_eq!(deliver(&mut t, 1, f), vec![Packet::Finished]);
         assert_eq!(t.next_timer_at(), None);
         assert!(t.due_retransmits(u64::MAX).is_empty());
         assert!(t.take_due_acks().is_empty());
@@ -522,22 +540,22 @@ mod tests {
         let mut b = reliable();
         let f0 = a.wrap(1, Packet::WireRequest, 0);
         let f1 = a.wrap(1, Packet::Finished, 0);
-        assert_eq!(b.receive(0, f0), vec![Packet::WireRequest]);
-        assert_eq!(b.receive(0, f1), vec![Packet::Finished]);
+        assert_eq!(deliver(&mut b, 0, f0), vec![Packet::WireRequest]);
+        assert_eq!(deliver(&mut b, 0, f1), vec![Packet::Finished]);
         let acks = b.take_due_acks();
         assert_eq!(acks, vec![(0, 2)]);
         assert_eq!(b.stats.acks_sent, 1, "one cumulative ack covers both");
         assert!(a.next_timer_at().is_some());
-        assert!(a.receive(1, Frame::Ack { cum_seq: 2 }).is_empty());
+        assert!(deliver(&mut a, 1, Frame::Ack { cum_seq: 2 }).is_empty());
         assert_eq!(a.next_timer_at(), None);
     }
 
     #[test]
     fn out_of_order_arrivals_are_buffered_and_drained() {
         let mut b = reliable();
-        assert!(b.receive(0, Frame::Data { seq: 1, packet: Packet::Finished }).is_empty());
+        assert!(deliver(&mut b, 0, Frame::Data { seq: 1, packet: Packet::Finished }).is_empty());
         assert_eq!(b.stats.out_of_order, 1);
-        let got = b.receive(0, Frame::Data { seq: 0, packet: Packet::WireRequest });
+        let got = deliver(&mut b, 0, Frame::Data { seq: 0, packet: Packet::WireRequest });
         assert_eq!(got, vec![Packet::WireRequest, Packet::Finished]);
         assert_eq!(b.take_due_acks(), vec![(0, 2)]);
     }
@@ -546,9 +564,9 @@ mod tests {
     fn duplicates_are_suppressed_but_reacked() {
         let mut b = reliable();
         let f = Frame::Data { seq: 0, packet: Packet::Finished };
-        assert_eq!(b.receive(0, f.clone()), vec![Packet::Finished]);
+        assert_eq!(deliver(&mut b, 0, f.clone()), vec![Packet::Finished]);
         b.take_due_acks();
-        assert!(b.receive(0, f).is_empty(), "second copy must not deliver");
+        assert!(deliver(&mut b, 0, f).is_empty(), "second copy must not deliver");
         assert_eq!(b.stats.dup_suppressed, 1);
         assert_eq!(b.take_due_acks(), vec![(0, 1)], "dup still owes an ack");
     }
@@ -588,7 +606,7 @@ mod tests {
         t.wrap(1, Packet::WireRequest, 0);
         t.wrap(1, Packet::Finished, 0);
         t.wrap(1, Packet::Terminate, 0);
-        t.receive(1, Frame::Ack { cum_seq: 2 });
+        deliver(&mut t, 1, Frame::Ack { cum_seq: 2 });
         let due = t.due_retransmits(u64::MAX / 2);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].1, 2, "only seq 2 still in flight");
@@ -659,7 +677,7 @@ mod tests {
         assert!(matches!(step, Step::Continue { busy_ns } if busy_ns > 0));
         assert_eq!(frames(&outbox), [(2, Frame::Data { seq: 0, packet: Packet::Terminate })]);
         // Acknowledged at last: nothing left but the linger window.
-        t.receive(2, Frame::Ack { cum_seq: 1 });
+        deliver(&mut t, 2, Frame::Ack { cum_seq: 1 });
         let step = t.finish_step(Step::Done, true, true, 150, &mut Outbox::new());
         assert_eq!(step, Step::Sleep { until: SimTime::from_ns(150 + cfg.linger_ns) });
     }
@@ -674,7 +692,7 @@ mod tests {
         let step = t.finish_step(Step::Block, false, false, 40, &mut outbox);
         assert_eq!(step, Step::Sleep { until: SimTime::from_ns(140) });
         // An owed ack is work: the node continues instead of sleeping.
-        assert_eq!(t.receive(1, Frame::Data { seq: 0, packet: Packet::Finished }).len(), 1);
+        assert_eq!(deliver(&mut t, 1, Frame::Data { seq: 0, packet: Packet::Finished }).len(), 1);
         let mut outbox = Outbox::new();
         let step = t.finish_step(Step::Block, true, false, 50, &mut outbox);
         assert_eq!(step, Step::Continue { busy_ns: 10 * ACK_BYTES as u64 });
@@ -698,7 +716,7 @@ mod tests {
         let step = t.finish_step(Step::Done, false, false, 400, &mut outbox);
         assert_eq!(step, Step::Sleep { until: SimTime::from_ns(1_000) });
         // A late retransmission arrives: re-ack it and linger afresh.
-        assert!(t.receive(1, Frame::Data { seq: 0, packet: Packet::Finished }).len() == 1);
+        assert!(deliver(&mut t, 1, Frame::Data { seq: 0, packet: Packet::Finished }).len() == 1);
         let step = t.finish_step(Step::Done, true, false, 600, &mut outbox);
         assert!(matches!(step, Step::Continue { .. }), "the ack is work");
         let step = t.finish_step(Step::Done, false, false, 700, &mut outbox);

@@ -161,6 +161,8 @@ fn run_inner(
         assign(circuit, &regions, config.assignment)
     };
     let imbalance = if dynamic { 1.0 } else { assignment.imbalance(circuit) };
+    let mut proc_of_wire = assignment.proc_of_wire;
+    let plan = Arc::new(assignment.wires_per_proc);
     let circuit_arc = Arc::new(circuit.clone());
 
     let oracle = Arc::new(std::sync::Mutex::new(CostArray::new(circuit.channels, circuit.grids)));
@@ -175,7 +177,7 @@ fn run_inner(
                 Arc::clone(&circuit_arc),
                 Arc::clone(&regions),
                 config,
-                assignment.wires_per_proc[p].clone(),
+                Arc::clone(&plan),
                 Arc::clone(&oracle),
                 truth_touched.clone(),
             );
@@ -190,12 +192,13 @@ fn run_inner(
     if let Some(s) = &sink {
         kernel = kernel.with_sink(Box::new(s.clone()));
     }
-    let outcome = kernel.run();
+    let mut outcome = kernel.run();
     let deadlocked = outcome.stats.deadlocked;
 
-    // Collect the final routes (the actual routed circuit).
+    // Collect the final routes (the actual routed circuit), and with
+    // them the state the machine reached.
     let mut routes: Vec<Option<Route>> = vec![None; circuit.wire_count()];
-    let mut proc_of_wire = assignment.proc_of_wire.clone();
+    let mut truth = CostArray::new(circuit.channels, circuit.grids);
     let mut occupancy = 0u64;
     let mut occupancy_by_iteration: Vec<u64> = Vec::new();
     let mut work = WorkStats::default();
@@ -206,7 +209,7 @@ fn run_inner(
     let mut routing_done_ns = 0u64;
     let mut routing_done_secs_by_proc = Vec::with_capacity(outcome.nodes.len());
     let recovery_on = config.recovery.is_some();
-    for (p, node) in outcome.nodes.iter().enumerate() {
+    for (p, node) in outcome.nodes.iter_mut().enumerate() {
         reliability.merge(&node.transport.stats);
         recovery.merge(&node.recovery_stats());
         routing_done_ns = routing_done_ns.max(node.routing_done_ns);
@@ -227,13 +230,14 @@ fn run_inner(
         // (its owner was falsely or belatedly declared dead and an
         // adopter re-routed it) — the first writer in node order wins,
         // deterministically. Without recovery, double-routing is a bug.
-        for (w, r) in node.surviving_routes(outcome.stats.crashed[p]) {
+        for (w, r) in node.take_surviving_routes(outcome.stats.crashed[p]) {
             if routes[w].is_some() {
                 debug_assert!(recovery_on, "wire {w} routed by two processors");
                 recovery.duplicate_routes += 1;
                 continue;
             }
-            routes[w] = Some(r.clone());
+            truth.add_route(&r);
+            routes[w] = Some(r);
             proc_of_wire[w] = p;
         }
     }
@@ -245,10 +249,6 @@ fn run_inner(
     // wires against the state the machine did reach — and report the
     // degradation so callers and experiments can see exactly what broke.
     let mut unrouted: Vec<u32> = Vec::new();
-    let mut landed = CostArray::new(circuit.channels, circuit.grids);
-    for r in routes.iter().flatten() {
-        landed.add_route(r);
-    }
     let mut scratch = PooledScratch::take();
     let routes: Vec<Route> = routes
         .into_iter()
@@ -258,12 +258,12 @@ fn run_inner(
             None => {
                 unrouted.push(w as u32);
                 let eval = route_wire_scratch(
-                    &landed,
+                    &truth,
                     circuit.wire(w),
                     config.params.channel_overshoot,
                     &mut scratch,
                 );
-                landed.add_route(&eval.route);
+                truth.add_route(&eval.route);
                 eval.route
             }
         })
@@ -287,27 +287,14 @@ fn run_inner(
         None
     };
 
-    // The true final cost array is determined by the routes themselves.
-    let mut truth = CostArray::new(circuit.channels, circuit.grids);
-    for r in &routes {
-        truth.add_route(r);
-    }
+    // With the stranded wires in, `truth` is the final cost array.
     let quality = QualityMetrics::from_final_state(&truth, occupancy);
 
     // Replica staleness diagnostic.
     let n_cells = circuit.channels as u64 * circuit.grids as u64;
     let mut divergence = 0.0;
     for node in &outcome.nodes {
-        let mut diff = 0u64;
-        use locus_router::CostView;
-        for c in 0..circuit.channels {
-            for x in 0..circuit.grids {
-                let cell = locus_circuit::GridCell::new(c, x);
-                diff +=
-                    (node.replica.cost_at(cell) as i64 - truth.cost_at(cell) as i64).unsigned_abs();
-            }
-        }
-        divergence += diff as f64 / n_cells as f64;
+        divergence += node.replica.abs_difference(&truth) as f64 / n_cells as f64;
     }
     divergence /= config.n_procs as f64;
 

@@ -8,10 +8,17 @@
 //! `ReqLocData`, `WireData`) and emits the four transaction types on the
 //! configured [`crate::UpdateSchedule`]. The replica itself belongs to the
 //! router, which lends it to every call.
+//!
+//! Modelled time and host work are kept apart here. What the simulated
+//! node would spend scanning and assembling is charged from region areas
+//! and byte counts, whether or not anything changed; what the host does
+//! follows the record of what did change: the delta array's row spans
+//! and the set of owners written to since their last flush.
 
 use std::sync::Arc;
 
 use locus_circuit::{Circuit, GridCell, Rect, WireId};
+use locus_router::route::row_runs;
 use locus_router::{CostArray, ProcId, RegionMap, Route};
 
 use crate::config::{MsgPassConfig, PacketStructure};
@@ -28,6 +35,10 @@ pub(crate) struct Update {
     config: MsgPassConfig,
 
     delta: DeltaArray,
+    /// Owners whose region this node has written to since it last
+    /// flushed them; every nonzero cell of `delta` lies in the region of
+    /// one of them.
+    unflushed: Vec<bool>,
     /// Bounding box of changes to the node's own region since its last
     /// `SendLocData` (kept incrementally; no scan needed).
     own_dirty: Option<Rect>,
@@ -62,6 +73,7 @@ impl Update {
             regions,
             config: *config,
             delta: DeltaArray::new(channels, grids),
+            unflushed: vec![false; n_procs],
             own_dirty: None,
             wire_events: Vec::new(),
             request_cursor: 0,
@@ -72,15 +84,43 @@ impl Update {
         }
     }
 
-    /// Applies one routed/ripped cell change to local state: replicas
-    /// always change; foreign cells also enter the delta array, own cells
-    /// the dirty box.
-    pub(crate) fn record_change(&mut self, replica: &mut CostArray, cell: GridCell, delta: i32) {
+    /// Applies a change of `delta` along `cells`, the sorted cover of a
+    /// route this node placed or ripped up, to local state: the replica
+    /// always changes; foreign cells also enter the delta array, own
+    /// cells the dirty box.
+    pub(crate) fn record_route(&mut self, replica: &mut CostArray, cells: &[GridCell], delta: i32) {
+        self.write_route(replica, cells, delta, true);
+    }
+
+    /// Adds `delta` along `cells` to the replica, run by run, and notes
+    /// where it landed: own cells grow the dirty box, and when the route
+    /// is `ours` foreign cells enter the delta array and leave their
+    /// owner unflushed (a peer's route is its own to report).
+    fn write_route(&mut self, replica: &mut CostArray, cells: &[GridCell], delta: i32, ours: bool) {
+        replica.apply_cells(cells, delta);
+        for (channel, x_lo, x_hi) in row_runs(cells) {
+            for (owner, x_lo, x_hi) in self.regions.split_run(channel, x_lo, x_hi) {
+                if owner == self.proc {
+                    let piece = Rect::new(channel, channel, x_lo, x_hi);
+                    self.own_dirty = Some(grown(self.own_dirty, piece));
+                } else if ours {
+                    self.delta.record_run(channel, x_lo, x_hi, delta as i16);
+                    self.unflushed[owner] = true;
+                }
+            }
+        }
+    }
+
+    /// [`Self::record_route`] one cell at a time, as the node used to
+    /// write: the oracle the tests hold the run-based path to.
+    #[cfg(test)]
+    fn record_change(&mut self, replica: &mut CostArray, cell: GridCell, delta: i32) {
         replica.add(cell, delta);
         if self.my_region.contains(cell) {
             self.own_dirty = Some(grown(self.own_dirty, Rect::cell(cell)));
         } else {
             self.delta.record(cell, delta as i16);
+            self.unflushed[self.regions.owner_of(cell)] = true;
         }
     }
 
@@ -130,10 +170,12 @@ impl Update {
                 // The owner's view cannot include changes we made but
                 // have not yet sent; re-apply our pending deltas so the
                 // install does not erase our own wires from our view.
-                for cell in rect.cells() {
-                    let d = self.delta.get(cell);
-                    if d != 0 {
-                        replica.add(cell, d as i32);
+                if let Some(pending) = self.delta.changes_in(rect) {
+                    for cell in pending.cells() {
+                        let d = self.delta.get(cell);
+                        if d != 0 {
+                            replica.add(cell, d as i32);
+                        }
                     }
                 }
                 busy += rect.area() * self.config.scan_per_cell_ns;
@@ -184,12 +226,8 @@ impl Update {
                         if segments.is_empty() {
                             continue;
                         }
-                        for &cell in Route::from_segments(segments).cells() {
-                            replica.add(cell, delta);
-                            if self.my_region.contains(cell) {
-                                self.own_dirty = Some(grown(self.own_dirty, Rect::cell(cell)));
-                            }
-                        }
+                        let route = Route::from_segments(segments);
+                        self.write_route(replica, route.cells(), delta, false);
                     }
                 }
             }
@@ -285,18 +323,26 @@ impl Update {
             }
         }
         if due(self.config.schedule.send_rmt_data) {
-            for p in (0..self.regions.n_procs()).filter(|&p| p != self.proc) {
-                let region = self.regions.region(p);
-                let rect = if full {
-                    (!self.delta.is_clean_in(region)).then_some(region)
-                } else {
-                    busy += region.area() * self.config.scan_per_cell_ns;
-                    self.delta.changes_in(region)
-                };
-                if let Some(rect) = rect {
-                    let deltas = self.delta.extract_and_clear(rect);
-                    busy += link.send(p, Packet::RmtData { rect, deltas, response: false });
+            if !full {
+                // The simulated node scans every foreign region, cell by
+                // cell; the host looks only where it wrote.
+                let (channels, grids) = self.regions.surface();
+                let foreign_cells = channels as u64 * grids as u64 - self.my_region.area();
+                busy += foreign_cells * self.config.scan_per_cell_ns;
+            }
+            for p in 0..self.unflushed.len() {
+                if !std::mem::take(&mut self.unflushed[p]) {
+                    continue;
                 }
+                // Rip-up and re-route may have cancelled: unflushed does
+                // not mean changed.
+                let region = self.regions.region(p);
+                let Some(changed) = self.delta.changes_in(region) else {
+                    continue;
+                };
+                let rect = if full { region } else { changed };
+                let deltas = self.delta.extract_and_clear(rect);
+                busy += link.send(p, Packet::RmtData { rect, deltas, response: false });
             }
         }
         busy
@@ -392,6 +438,81 @@ mod tests {
         let _ = update.handle(1, deltas, &mut replica, &mut transport.link(&mut Outbox::new(), 0));
         assert_eq!(replica.cost_at(GridCell::new(own.c_lo, own.x_lo)), 3);
         assert!(update.own_dirty.is_some(), "remote change must dirty the own region");
+    }
+
+    #[test]
+    fn record_route_equals_the_per_cell_loop_on_a_stale_replica() {
+        use locus_router::Segment;
+        type Layer = (Update, CostArray, Transport);
+        // Two copies of node 0: one writes whole routes, the other the
+        // same cells one at a time. The route runs from the own region
+        // east into region 1 and south into region 2.
+        let mut by_route = layer(UpdateSchedule::never(), 0);
+        let mut by_cell = layer(UpdateSchedule::never(), 0);
+        let (own, east) = (by_route.0.my_region, by_route.0.regions.region(1));
+        let south = by_route.0.regions.region(2);
+        let route = Route::from_segments(vec![
+            Segment::horizontal(own.c_hi, own.x_hi - 2, east.x_lo + 3),
+            Segment::vertical(own.x_hi - 2, own.c_hi, south.c_lo + 1),
+        ]);
+        // Lines are warm before every write, so that each has prefix
+        // entries and a row maximum to keep right.
+        let warm = |replica: &CostArray| {
+            let _ = replica.horizontal_cost(own.c_hi, 0, east.x_lo + 1);
+            let _ = replica.vertical_cost(own.x_hi - 2, 0, south.c_lo);
+            let _ = replica.channel_tracks(own.c_hi);
+        };
+        let write = |by_route: &mut Layer, by_cell: &mut Layer, delta: i32| {
+            warm(&by_route.1);
+            by_route.0.record_route(&mut by_route.1, route.cells(), delta);
+            warm(&by_cell.1);
+            for &cell in route.cells() {
+                by_cell.0.record_change(&mut by_cell.1, cell, delta);
+            }
+        };
+        let receive = |layers: [&mut Layer; 2], packet: Packet| {
+            for (update, replica, transport) in layers {
+                warm(replica);
+                let mut outbox = Outbox::new();
+                let _ =
+                    update.handle(1, packet.clone(), replica, &mut transport.link(&mut outbox, 0));
+            }
+        };
+        let same = |a: &Layer, b: &Layer| {
+            assert_eq!(a.1, b.1, "replica");
+            assert_eq!(a.1.prefix_stats(), b.1.prefix_stats(), "cache activity");
+            a.1.validate_prefix_caches().expect("caches of the route-written replica");
+            assert_eq!(a.0.delta, b.0.delta, "delta array");
+            assert_eq!(a.0.own_dirty, b.0.own_dirty, "own dirty box");
+            assert_eq!(a.0.unflushed, b.0.unflushed, "unflushed owners");
+        };
+
+        write(&mut by_route, &mut by_cell, 1);
+        same(&by_route, &by_cell);
+        assert_eq!(by_route.0.unflushed, [false, true, true, false]);
+
+        // The eastern owner collects the deltas held against it...
+        receive([&mut by_route, &mut by_cell], Packet::ReqLocData { rect: east });
+        same(&by_route, &by_cell);
+
+        // ...but its absolute data from before it applied them is still
+        // on the way, and erases the route there.
+        let lost = GridCell::new(own.c_hi, east.x_lo + 1);
+        let stale = Rect::new(own.c_hi, own.c_hi, east.x_lo, east.x_lo + 2);
+        let install = Packet::LocData { rect: stale, values: vec![0; 3], response: false };
+        receive([&mut by_route, &mut by_cell], install);
+        same(&by_route, &by_cell);
+        assert_eq!(by_route.1.cost_at(lost), 0);
+
+        // The rip-up saturates where the route was erased, and what it
+        // took out is still owed to the owner.
+        write(&mut by_route, &mut by_cell, -1);
+        same(&by_route, &by_cell);
+        let (update, replica, _) = &by_route;
+        assert_eq!(replica.total(), 0);
+        assert_eq!(update.delta.get(lost), -1);
+        assert!(update.delta.is_clean_in(south), "placing and ripping up cancelled");
+        assert!(update.unflushed[2], "cancelled, but written to since the last flush");
     }
 
     #[test]

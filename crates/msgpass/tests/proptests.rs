@@ -95,6 +95,65 @@ proptest! {
         }
     }
 
+    /// The row spans never hide a change: through any interleaving of
+    /// records, run records and clears, `changes_in`, `is_clean_in` and
+    /// `extract_and_clear` answer as a full scan of a plain array does.
+    #[test]
+    fn span_index_agrees_with_a_full_scan(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                (arb_cell(), -3i16..=3).prop_map(|(cell, v)| (0u8, Rect::cell(cell), v)),
+                (arb_cell(), 0u16..GRIDS, -3i16..=3).prop_map(|(cell, x, v)| {
+                    let run = Rect::new(cell.channel, cell.channel, cell.x.min(x), cell.x.max(x));
+                    (1u8, run, v)
+                }),
+                arb_rect().prop_map(|rect| (2u8, rect, 0)),
+                arb_rect().prop_map(|rect| (3u8, rect, 0)),
+            ],
+            1..80,
+        ),
+    ) {
+        let mut d = DeltaArray::new(CHANNELS, GRIDS);
+        let mut plain = vec![0i16; CHANNELS as usize * GRIDS as usize];
+        let at = |cell: GridCell| cell.channel as usize * GRIDS as usize + cell.x as usize;
+        for (i, &(op, rect, v)) in ops.iter().enumerate() {
+            match op {
+                0 => {
+                    let cell = GridCell::new(rect.c_lo, rect.x_lo);
+                    d.record(cell, v);
+                    plain[at(cell)] += v;
+                }
+                1 => {
+                    d.record_run(rect.c_lo, rect.x_lo, rect.x_hi, v);
+                    for cell in rect.cells() {
+                        plain[at(cell)] += v;
+                    }
+                }
+                2 => {
+                    let scanned = rect
+                        .cells()
+                        .filter(|&cell| plain[at(cell)] != 0)
+                        .map(Rect::cell)
+                        .reduce(|acc, r| acc.union(&r));
+                    prop_assert_eq!(d.changes_in(rect), scanned, "op {}: scan of {}", i, rect);
+                    prop_assert_eq!(d.is_clean_in(rect), scanned.is_none());
+                }
+                _ => {
+                    let expected: Vec<i16> = rect.cells().map(|cell| plain[at(cell)]).collect();
+                    prop_assert_eq!(d.extract_and_clear(rect), expected, "op {}: {}", i, rect);
+                    for cell in rect.cells() {
+                        plain[at(cell)] = 0;
+                    }
+                }
+            }
+        }
+        let whole = Rect::new(0, CHANNELS - 1, 0, GRIDS - 1);
+        for cell in whole.cells() {
+            prop_assert_eq!(d.get(cell), plain[at(cell)], "{}", cell);
+        }
+        prop_assert_eq!(d.is_zero(), plain.iter().all(|&v| v == 0));
+    }
+
     /// Packet payload accounting: data packets grow linearly with their
     /// payload and never undercut the header.
     #[test]

@@ -28,7 +28,7 @@ use std::fmt;
 
 use locus_circuit::{GridCell, Rect};
 
-use crate::route::Route;
+use crate::route::{row_runs, Route};
 
 /// Read access to cost-array state.
 ///
@@ -499,16 +499,8 @@ impl CostArray {
     /// applied in batch: one row dirty-range update and one row-maximum
     /// update per run instead of one per cell.
     pub fn apply_cells(&mut self, cells: &[GridCell], delta: i32) {
-        let mut i = 0;
-        while i < cells.len() {
-            let c = cells[i].channel;
-            let x1 = cells[i].x;
-            let mut j = i + 1;
-            while j < cells.len() && cells[j].channel == c && cells[j].x == cells[j - 1].x + 1 {
-                j += 1;
-            }
-            self.apply_run(c, x1, cells[j - 1].x, delta);
-            i = j;
+        for (c, x1, x2) in row_runs(cells) {
+            self.apply_run(c, x1, x2, delta);
         }
     }
 
@@ -520,7 +512,8 @@ impl CostArray {
     /// added), every cell changes by exactly `delta`, so the value update
     /// is a uniform branch-free sweep the compiler vectorizes and the
     /// bookkeeping needs no per-cell change detection. Saturating runs
-    /// (stale-replica decrements) fall back to the exact scalar path.
+    /// (stale-replica decrements) go cell by cell through
+    /// [`Self::rewrite_row`].
     fn apply_run(&mut self, c: u16, x1: u16, x2: u16, delta: i32) {
         if delta == 0 {
             return;
@@ -563,31 +556,58 @@ impl CostArray {
             cache.note_max_run(ci, old_max, (old_max as i32 + delta) as u16);
             return;
         }
+        self.rewrite_row(c, x1, hi - lo, |_, old| (old as i32 + delta).max(0) as u16);
+    }
+
+    /// Rewrites the `n` cells of row `c` from `x1` on, the `i`-th of them
+    /// from `old` to `new(i, old)`, with the bookkeeping of a
+    /// [`Self::set`] per changed cell done by row: one dirty-range note
+    /// and one row-maximum update for the row, one column note per cell
+    /// that changed. Every write that is not a uniform unsaturated run
+    /// lands here: the saturating case of [`Self::apply_run`],
+    /// [`Self::install`] and [`Self::apply_deltas`].
+    fn rewrite_row(&mut self, c: u16, x1: u16, n: usize, new: impl Fn(usize, u16) -> u16) {
+        let ci = c as usize;
+        let first = ci * self.grids as usize + x1 as usize;
+        let cache = self.cache.get_mut();
         let row_valid = cache.row_state[ci].valid;
+        let max_bit = 1u64 << (ci % 64);
+        let max_was_valid = cache.max_words[ci / 64] & max_bit != 0;
+        let mut max_valid = max_was_valid;
+        let mut row_max = cache.row_max[ci];
         let mut net_below = 0i32;
-        let mut new_max = 0u16;
-        let mut changed_lo = usize::MAX;
-        let mut changed_hi = 0usize;
-        for x in x1 as usize..=x2 as usize {
-            let i = ci * g + x;
-            let old = self.cells[i];
-            let new = (old as i32 + delta).max(0) as u16;
-            new_max = new_max.max(new);
-            if new != old {
-                self.cells[i] = new;
-                if (x as u32) < row_valid {
-                    net_below += new as i32 - old as i32;
+        let mut changed: Option<(usize, usize)> = None;
+        for (i, v) in self.cells[first..first + n].iter_mut().enumerate() {
+            let (old, new) = (*v, new(i, *v));
+            if new == old {
+                continue;
+            }
+            *v = new;
+            let x = x1 as usize + i;
+            let delta = new as i32 - old as i32;
+            if (x as u32) < row_valid {
+                net_below += delta;
+            }
+            changed = Some((changed.map_or(x, |(lo, _)| lo), x));
+            cache.note_col_write(x, ci, delta);
+            // `PrefixCache::note_max`, cell by cell, on locals.
+            if max_valid {
+                if new >= row_max {
+                    row_max = new;
+                } else if old == row_max {
+                    max_valid = false;
                 }
-                if changed_lo == usize::MAX {
-                    changed_lo = x;
-                }
-                changed_hi = x;
-                cache.note_col_write(x, ci, new as i32 - old as i32);
             }
         }
-        if changed_lo != usize::MAX {
-            cache.note_row_write_range(ci, changed_lo, changed_hi, net_below);
-            cache.note_max_run(ci, old_max, new_max);
+        let Some((lo, hi)) = changed else {
+            return;
+        };
+        cache.note_row_write_range(ci, lo, hi, net_below);
+        if max_was_valid {
+            cache.row_max[ci] = row_max;
+            if !max_valid {
+                cache.max_words[ci / 64] &= !max_bit;
+            }
         }
     }
 
@@ -718,8 +738,11 @@ impl CostArray {
     /// within the rectangle (the payload of a `SendLocData` update).
     pub fn extract(&self, rect: Rect) -> Vec<u16> {
         let mut out = Vec::with_capacity(rect.area() as usize);
-        for cell in rect.cells() {
-            out.push(self.get(cell));
+        for c in rect.c_lo..=rect.c_hi {
+            let base = c as usize * self.grids as usize;
+            out.extend_from_slice(
+                &self.cells[base + rect.x_lo as usize..=base + rect.x_hi as usize],
+            );
         }
         out
     }
@@ -731,21 +754,39 @@ impl CostArray {
     /// Panics if `values.len() != rect.area()`.
     pub fn install(&mut self, rect: Rect, values: &[u16]) {
         assert_eq!(values.len() as u64, rect.area(), "payload size mismatch for {rect}");
-        for (cell, &v) in rect.cells().zip(values) {
-            self.set(cell, v);
+        let width = rect.width() as usize;
+        for (c, row) in (rect.c_lo..=rect.c_hi).zip(values.chunks_exact(width)) {
+            self.rewrite_row(c, rect.x_lo, width, |i, _| row[i]);
         }
     }
 
-    /// Applies signed deltas to the values inside `rect` (installing a
-    /// `SendRmtData` payload).
+    /// Applies signed deltas to the values inside `rect`, saturating at
+    /// zero like [`Self::add`] (installing a `SendRmtData` payload).
     ///
     /// # Panics
     /// Panics if `deltas.len() != rect.area()`.
     pub fn apply_deltas(&mut self, rect: Rect, deltas: &[i16]) {
         assert_eq!(deltas.len() as u64, rect.area(), "payload size mismatch for {rect}");
-        for (cell, &d) in rect.cells().zip(deltas) {
-            self.add(cell, d as i32);
+        let width = rect.width() as usize;
+        for (c, row) in (rect.c_lo..=rect.c_hi).zip(deltas.chunks_exact(width)) {
+            self.rewrite_row(c, rect.x_lo, width, |i, old| {
+                (old as i32 + row[i] as i32).max(0) as u16
+            });
         }
+    }
+
+    /// Sum over every cell of `|self − other|`: how far two views of one
+    /// surface are apart.
+    ///
+    /// # Panics
+    /// Panics if the dimensions differ.
+    pub fn abs_difference(&self, other: &CostArray) -> u64 {
+        assert_eq!(
+            (self.channels, self.grids),
+            (other.channels, other.grids),
+            "cost arrays of different surfaces"
+        );
+        self.cells.iter().zip(&other.cells).map(|(&a, &b)| a.abs_diff(b) as u64).sum()
     }
 }
 

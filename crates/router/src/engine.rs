@@ -339,14 +339,10 @@ impl IterationDriver {
         self.occupancy_by_iteration.last().copied().unwrap_or(0)
     }
 
-    /// The static route slots.
-    pub fn slots(&self) -> &[Option<Route>] {
-        &self.routes
-    }
-
-    /// Routes committed through the dynamic (slotless) path.
-    pub fn dynamic_routes(&self) -> &[(WireId, Route)] {
-        &self.dynamic
+    /// Takes every route out of the driver: the static slots, and what
+    /// was committed through the dynamic (slotless) path.
+    pub fn take_routes(&mut self) -> (Vec<Option<Route>>, Vec<(WireId, Route)>) {
+        (std::mem::take(&mut self.routes), std::mem::take(&mut self.dynamic))
     }
 
     /// Drains the driver into a [`RouteOutcome`] over `cost` (the

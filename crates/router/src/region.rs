@@ -155,6 +155,26 @@ impl RegionMap {
         out
     }
 
+    /// Splits the run of columns `x_lo..=x_hi` in `channel` among the
+    /// processors that own it: `(owner, x_lo, x_hi)` pieces, left to
+    /// right.
+    pub fn split_run(
+        &self,
+        channel: u16,
+        x_lo: u16,
+        x_hi: u16,
+    ) -> impl Iterator<Item = (ProcId, u16, u16)> + '_ {
+        debug_assert!(channel < self.channels && x_lo <= x_hi && x_hi < self.grids);
+        let row = self.channel_starts[1..].partition_point(|&s| s <= channel);
+        let first = self.grid_starts[1..].partition_point(|&s| s <= x_lo);
+        (first..self.proc_cols).take_while(move |&col| self.grid_starts[col] <= x_hi).map(
+            move |col| {
+                let (lo, hi) = (self.grid_starts[col], self.grid_starts[col + 1] - 1);
+                (self.proc_at(row, col), x_lo.max(lo), x_hi.min(hi))
+            },
+        )
+    }
+
     /// Surface dimensions `(channels, grids)`.
     pub fn surface(&self) -> (u16, u16) {
         (self.channels, self.grids)
@@ -267,6 +287,31 @@ mod tests {
                                 .collect();
                             assert_eq!(m.owners_intersecting(rect), scan, "{rect} P={n_procs}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_run_matches_owner_of_every_cell() {
+        for n_procs in [1, 2, 6, 16] {
+            let m = RegionMap::new(10, 97, n_procs);
+            for c in [0u16, 4, 9] {
+                for x_lo in (0..97u16).step_by(7) {
+                    for x_hi in (x_lo..97).step_by(5) {
+                        let by_cell: Vec<ProcId> =
+                            (x_lo..=x_hi).map(|x| m.owner_of(GridCell::new(c, x))).collect();
+                        let by_piece: Vec<ProcId> = m
+                            .split_run(c, x_lo, x_hi)
+                            .flat_map(|(p, a, b)| (a..=b).map(move |_| p))
+                            .collect();
+                        assert_eq!(by_piece, by_cell, "channel {c} columns {x_lo}..={x_hi}");
+                        let ends: Vec<(u16, u16)> =
+                            m.split_run(c, x_lo, x_hi).map(|(_, a, b)| (a, b)).collect();
+                        assert_eq!(ends[0].0, x_lo);
+                        assert_eq!(ends[ends.len() - 1].1, x_hi);
+                        assert!(ends.windows(2).all(|w| w[0].1 + 1 == w[1].0));
                     }
                 }
             }

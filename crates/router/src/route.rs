@@ -140,6 +140,27 @@ impl Route {
     }
 }
 
+/// Splits a sorted cell list (a route's cover) into its maximal runs of
+/// consecutive columns within one channel, as `(channel, x_lo, x_hi)`.
+/// Every horizontal segment is one run; a feedthrough is a run of one
+/// cell per channel it crosses.
+pub fn row_runs(cells: &[GridCell]) -> impl Iterator<Item = (u16, u16, u16)> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let first = *cells.get(i)?;
+        let mut last = first;
+        i += 1;
+        while let Some(&next) = cells.get(i) {
+            if next.channel != first.channel || next.x != last.x + 1 {
+                break;
+            }
+            last = next;
+            i += 1;
+        }
+        Some((first.channel, first.x, last.x))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +190,19 @@ mod tests {
                 GridCell::new(3, 7),
             ]
         );
+    }
+
+    #[test]
+    fn row_runs_split_at_gaps_and_channel_changes() {
+        let r = Route::from_segments(vec![
+            Segment::horizontal(1, 2, 4),
+            Segment::vertical(4, 1, 3),
+            Segment::horizontal(3, 4, 5),
+            Segment::horizontal(3, 7, 7),
+        ]);
+        let runs: Vec<_> = row_runs(r.cells()).collect();
+        assert_eq!(runs, vec![(1, 2, 4), (2, 4, 4), (3, 4, 5), (3, 7, 7)]);
+        assert_eq!(row_runs(&[]).count(), 0);
     }
 
     #[test]

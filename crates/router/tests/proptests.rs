@@ -252,6 +252,69 @@ proptest! {
     }
 
     #[test]
+    fn rect_writes_match_the_per_cell_oracle(
+        base in arb_cost_array(),
+        ops in proptest::collection::vec(
+            prop_oneof![
+                // install / apply_deltas over a rect of up to 3 x 6 cells,
+                // every cell its own value; -9 saturates any base cell.
+                (any::<bool>(), 0u16..CHANNELS, 0u16..GRIDS, 0u16..3, 0u16..6,
+                    proptest::collection::vec(-9i32..9, 18))
+                    .prop_map(|(install, c, x, h, w, vals)| {
+                        (if install { 0u8 } else { 1u8 }, c, x, h, w, vals)
+                    }),
+                // Span queries that stop short of the line's end, so that
+                // lines are materialised in part; then a row maximum.
+                (0u16..CHANNELS, 0u16..GRIDS, 0u16..CHANNELS, 0u16..GRIDS)
+                    .prop_map(|(c, x, c2, x2)| (2u8, c, x, c2, x2, Vec::new())),
+            ],
+            1..40,
+        ),
+    ) {
+        // `batched` takes whole rects; `oracle` the same values one
+        // `set`/`add` at a time. Cells, cached lines and the activity
+        // counters (which reach the obs stream) must never differ.
+        let mut batched = base.clone();
+        let mut oracle = base.clone();
+        for (i, (op, c, x, h, w, vals)) in ops.iter().enumerate() {
+            let (c, x) = (*c, *x);
+            if *op == 2 {
+                let (c2, x2) = (*h, *w);
+                for a in [&batched, &oracle] {
+                    let _ = a.horizontal_cost(c, x.min(x2), x.max(x2));
+                    let _ = a.vertical_cost(x, c.min(c2), c.max(c2));
+                    let _ = a.channel_tracks(c2);
+                }
+            } else {
+                let rect = Rect::new(c, (c + h).min(CHANNELS - 1), x, (x + w).min(GRIDS - 1));
+                let vals = &vals[..rect.area() as usize];
+                if *op == 0 {
+                    let vals: Vec<u16> = vals.iter().map(|v| v.unsigned_abs() as u16).collect();
+                    batched.install(rect, &vals);
+                    for (cell, &v) in rect.cells().zip(&vals) {
+                        oracle.set(cell, v);
+                    }
+                } else {
+                    let deltas: Vec<i16> = vals.iter().map(|&v| v as i16).collect();
+                    batched.apply_deltas(rect, &deltas);
+                    for (cell, &d) in rect.cells().zip(&deltas) {
+                        oracle.add(cell, d as i32);
+                    }
+                }
+            }
+            prop_assert_eq!(&batched, &oracle, "cells differ after op {}", i);
+            prop_assert_eq!(batched.prefix_stats(), oracle.prefix_stats(), "after op {}", i);
+            for a in [&batched, &oracle] {
+                if let Err(e) = a.validate_prefix_caches() {
+                    prop_assert!(false, "cache divergence after op {}: {}", i, e);
+                }
+            }
+        }
+        prop_assert_eq!(batched.circuit_height(), oracle.circuit_height());
+        prop_assert_eq!(batched.prefix_stats(), oracle.prefix_stats());
+    }
+
+    #[test]
     fn region_map_partitions_exactly(
         channels in 4u16..16,
         grids in 8u16..64,
