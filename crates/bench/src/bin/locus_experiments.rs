@@ -10,27 +10,24 @@
 //! locus-experiments --engine <name> [--circuit <name>] [--procs N] [--quick]
 //! locus-experiments analyze [--engine <name>] [--procs N] [--quick]
 //!                           [--report <file>]
-//! locus-experiments --quality-check
 //! ```
 //!
 //! `list` prints every experiment id (the [`EXPERIMENTS`] table below)
 //! plus every registered routing engine and memory backend; no id means
 //! `all`. Every experiment is a `Report` (`locus_bench::report`): its
-//! table goes to stdout and `--report <file>` (older spelling `--out`)
-//! writes the same cells as JSON. `serve`, `chaos`, `memory` and `sweeps`
-//! write `BENCH_service.json`, `BENCH_resilience.json`,
-//! `BENCH_memory.json` and `BENCH_sweeps.json` in the current directory
-//! when `--report` does not say otherwise; the first three hold simulated
+//! table goes to stdout and `--report <file>` writes the same cells as
+//! JSON. `serve`, `chaos` and `memory` write `BENCH_service.json`,
+//! `BENCH_resilience.json` and `BENCH_memory.json` in the current
+//! directory when `--report` does not say otherwise; they hold simulated
 //! quantities only and regenerate byte for byte.
 //!
 //! Independent sweep points run concurrently on a small scoped-thread
 //! pool sized by `--threads` (default: the host's available
 //! parallelism). Engines are deterministic, so the output is identical
-//! at any thread count; `sweeps` demonstrates that by running the
-//! Table 1 sweep serially and in parallel, checking the rows match, and
-//! recording the timings.
+//! at any thread count (`tests/golden.rs` and `tests/parallel_harness.rs`
+//! hold it to that).
 //!
-//! `--memory <backend>` (alias `--protocol`) restricts `memory` to one
+//! `--memory <backend>` restricts `memory` to one
 //! backend, and on `table3` reruns the line-size sweep through that
 //! backend — `table3 --memory bus-wt` is the write-through ablation.
 //! `--quick` shrinks any experiment to a CI-sized configuration (small
@@ -47,11 +44,6 @@
 //! message-passing engines it instead audits replica staleness against
 //! the ground-truth cost array). `--report <file>` writes the
 //! machine-readable JSON report.
-//!
-//! `--quality-check` routes bnrE and MDC evaluating every connection with
-//! both the optimized span kernel and the retained reference evaluator,
-//! and exits nonzero on any divergence in route, cost, candidate count,
-//! or cells examined.
 //!
 //! `--trace-out` writes a Chrome trace-event JSON (load it at
 //! `chrome://tracing`) and `--metrics-out` a flat metrics JSON, both
@@ -106,7 +98,6 @@ const EXPERIMENTS: &[(&str, Experiment, Option<&str>, InAll)] = &[
     ("figure2", catalog::figure2, None, Bare),
     ("figure3", catalog::figure3, None, Bare),
     ("list", list, None, Skip),
-    ("sweeps", catalog::sweeps, Some("BENCH_sweeps.json"), Skip),
 ];
 
 /// `list`: every experiment id the CLI accepts plus every engine and
@@ -187,87 +178,6 @@ fn run_analyze(cfg: &RunCfg, name: &str, procs: Option<usize>, report_out: Optio
     }
 }
 
-/// Routes a circuit with both two-bend evaluators over an evolving cost
-/// surface and counts divergences in `(route, cost, candidates,
-/// cells_examined)`.
-///
-/// Every connection is evaluated three ways — the historical cell-list
-/// reference, the span kernel through the `CostArray` prefix-sum fast
-/// path, and the span kernel through the per-cell default span
-/// implementations — on the live surface *before* the winner is
-/// committed, so the comparison covers realistic congested states, not
-/// just the empty array.
-fn quality_check_circuit(c: &locus_circuit::Circuit) -> u64 {
-    use locus_router::segment::decompose;
-    use locus_router::twobend::{best_route, best_route_reference};
-    use locus_router::{CostArray, CostView};
-
-    /// Forces the per-cell default span implementations.
-    struct PerCell<'a>(&'a CostArray);
-    impl CostView for PerCell<'_> {
-        fn channels(&self) -> u16 {
-            CostView::channels(self.0)
-        }
-        fn grids(&self) -> u16 {
-            CostView::grids(self.0)
-        }
-        fn cost_at(&self, cell: locus_circuit::GridCell) -> u32 {
-            self.0.cost_at(cell)
-        }
-    }
-
-    const OVERSHOOT: u16 = 1;
-    let mut costs = CostArray::new(c.channels, c.grids);
-    let mut checked = 0u64;
-    let mut divergences = 0u64;
-    for wire in &c.wires {
-        for conn in decompose(wire) {
-            let reference = best_route_reference(&costs, conn, OVERSHOOT);
-            let fast = best_route(&costs, conn, OVERSHOOT);
-            let slow = best_route(&PerCell(&costs), conn, OVERSHOOT);
-            for (path, eval) in [("fast", &fast), ("percell", &slow)] {
-                if eval.route != reference.route
-                    || eval.cost != reference.cost
-                    || eval.candidates != reference.candidates
-                    || eval.cells_examined != reference.cells_examined
-                {
-                    divergences += 1;
-                    eprintln!(
-                        "quality-check: {} wire {} conn {:?}->{:?} [{path}]: \
-                         cost {} vs {}, candidates {} vs {}, cells {} vs {}",
-                        c.name,
-                        wire.id,
-                        conn.from,
-                        conn.to,
-                        eval.cost,
-                        reference.cost,
-                        eval.candidates,
-                        reference.candidates,
-                        eval.cells_examined,
-                        reference.cells_examined,
-                    );
-                }
-            }
-            costs.add_route(&fast.route);
-            checked += 1;
-        }
-    }
-    println!("quality-check: {} — {} connections, {} divergences", c.name, checked, divergences);
-    divergences
-}
-
-/// `--quality-check`: route bnrE and MDC with both evaluators and fail
-/// on any divergence.
-fn run_quality_check() -> ! {
-    let divergences =
-        quality_check_circuit(&presets::bnr_e()) + quality_check_circuit(&presets::mdc());
-    if divergences > 0 {
-        die(&format!("quality-check: FAILED ({divergences} divergences)"), 1);
-    }
-    println!("quality-check: OK (optimized kernel matches reference evaluator exactly)");
-    std::process::exit(0);
-}
-
 /// Removes `--flag <value>` from `args` and returns the value, if present.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let i = args.iter().position(|a| a == flag)?;
@@ -331,26 +241,20 @@ fn write_or_die(path: &str, contents: &str) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--quality-check") {
-        args.remove(i);
-        run_quality_check();
-    }
     let trace_out = take_flag(&mut args, "--trace-out");
     let metrics_out = take_flag(&mut args, "--metrics-out");
     let engine_name = take_flag(&mut args, "--engine");
     let circuit_name = take_flag(&mut args, "--circuit");
     let engine_procs = take_number(&mut args, "--procs");
     let threads = take_number(&mut args, "--threads");
-    // `--out` is the older spelling `sweeps` documents.
-    let report_out = take_flag(&mut args, "--report").or_else(|| take_flag(&mut args, "--out"));
-    let memory_backend =
-        take_flag(&mut args, "--memory").or_else(|| take_flag(&mut args, "--protocol"));
+    let report_out = take_flag(&mut args, "--report");
+    let memory_backend = take_flag(&mut args, "--memory");
     let quick = take_switch(&mut args, "--quick");
     if let Some(bad) = args.iter().find(|a| a.starts_with("--")) {
         die(
             &format!(
                 "unknown flag {bad}; expected --quick, --threads N, --engine NAME, --circuit \
-                 NAME, --procs N, --out FILE, --report FILE, --memory BACKEND, --trace-out FILE \
+                 NAME, --procs N, --report FILE, --memory BACKEND, --trace-out FILE \
                  or --metrics-out FILE"
             ),
             2,

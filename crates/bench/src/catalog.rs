@@ -3,8 +3,6 @@
 //! columns of its table — the one place a header, a JSON key or a
 //! precision is written down.
 
-use std::time::Instant;
-
 use locus_circuit::{presets, Circuit};
 use locus_coherence::{build_memory_model, memory_registry, MemoryConfig};
 use locus_obs::export::Json;
@@ -24,8 +22,8 @@ pub struct RunCfg {
     pub harness: Harness,
     /// `--quick`: small synthetic circuit, 4 processors.
     pub quick: bool,
-    /// `--memory <backend>` (alias `--protocol`): restrict memory-system
-    /// experiments to one registered backend.
+    /// `--memory <backend>`: restrict memory-system experiments to one
+    /// registered backend.
     pub memory_backend: Option<String>,
 }
 
@@ -596,59 +594,6 @@ pub fn figure3(_: &RunCfg) -> Result<Report, String> {
          ├── ReqRmtData   — ask an owner for its region   (blocking | non-blocking)\n\
          └── ReqLocData   — owner asks a writer for deltas (blocking | non-blocking)\n",
     ))
-}
-
-/// `sweeps`: runs the Table 1 sweep serially and on the pool, checks the
-/// rows are identical, and records the wall-clock comparison
-/// (`BENCH_sweeps.json`). Fails if the rows diverge.
-pub fn sweeps(cfg: &RunCfg) -> Result<Report, String> {
-    let c = cfg.circuit();
-    let procs = cfg.procs();
-    let threads = cfg.harness.threads().max(2);
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    eprintln!("sweeps: table1 serial ({}, {procs} procs)...", c.name);
-    let t0 = Instant::now();
-    let serial_rows = ex::table1(&Harness::serial(), &c, procs);
-    let serial_s = t0.elapsed().as_secs_f64();
-
-    eprintln!("sweeps: table1 parallel ({threads} threads)...");
-    let t1 = Instant::now();
-    let parallel_rows = ex::table1(&Harness::with_threads(threads), &c, procs);
-    let parallel_s = t1.elapsed().as_secs_f64();
-
-    let rows_equal = serial_rows == parallel_rows;
-    let speedup = serial_s / parallel_s;
-    let mut report = Report::new(format!(
-        "sweeps: serial {serial_s:.3}s, parallel {parallel_s:.3}s on {threads} threads \
-         ({host_cpus} host cpus) -> speedup {speedup:.2}x, rows_equal = {rows_equal}\n"
-    ))
-    .field("benchmark", "sweeps")
-    .field(
-        "description",
-        "Wall-clock time of the full Table 1 sweep (12 message-passing runs) executed serially \
-         vs on the scoped-thread pool. Engines are deterministic, so rows_equal must be true at \
-         any thread count; the achievable speedup is bounded by host_cpus. Run with: cargo run \
-         --release -p locus-bench --bin locus-experiments sweeps.",
-    )
-    .field("experiment", "table1")
-    .field("circuit", c.name.as_str())
-    .field("n_procs", procs)
-    .field("host_cpus", host_cpus)
-    .field("threads", threads)
-    .field("serial_s", Json::Float(serial_s, Some(3)))
-    .field("parallel_s", Json::Float(parallel_s, Some(3)))
-    .field("speedup", Json::Float(speedup, Some(2)))
-    .field("rows_equal", rows_equal)
-    .field(
-        "notes",
-        "serial_s, parallel_s and speedup are wall-clock on this host and differ between runs; \
-         the rows compared for rows_equal are simulated results and do not.",
-    );
-    if !rows_equal {
-        report.failure = Some("sweeps: FAILED — parallel rows diverge from serial rows".into());
-    }
-    Ok(report)
 }
 
 /// Resolves a `--circuit` name to its preset.

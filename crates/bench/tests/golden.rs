@@ -82,6 +82,9 @@ fn list_is_the_fixture_and_an_unknown_id_is_told_every_id() {
 fn bad_invocations_say_why_and_set_the_exit_code() {
     for (args, code, why) in [
         (&["table1", "--bogus"][..], 2, "unknown flag --bogus"),
+        (&["--quality-check"], 2, "unknown flag --quality-check"),
+        (&["table1", "--quick", "--out", "f.json"], 2, "unknown flag --out"),
+        (&["memory", "--quick", "--protocol", "bus-wt"], 2, "unknown flag --protocol"),
         (&["table1", "--report"], 2, "--report requires an argument"),
         (&["table1", "--threads", "many"], 2, "--threads expects a number"),
         (&["table3", "--quick", "--memory", "nope"], 2, "unknown memory backend `nope`"),

@@ -27,8 +27,8 @@
 //! against a view using the per-cell default span implementations (e.g.
 //! the shmem emulator's traced view) the cell-read sequence — and hence
 //! the reference trace and `cells_examined` — is byte-identical to the
-//! historical cell-list evaluator, retained here as
-//! [`best_route_reference`]. When the view advertises
+//! historical cell-list evaluator, which the tests keep as their oracle
+//! (the hidden `oracle` module below). When the view advertises
 //! [`CostView::fast_spans`], the HVH jog sweep additionally turns
 //! incremental: adjacent jog columns share all but one cell of each
 //! horizontal run, so the whole sweep is O(W) span arithmetic.
@@ -309,86 +309,114 @@ pub fn best_route<V: CostView + ?Sized>(
     }
 }
 
-/// The historical cell-list evaluator: materializes every candidate as a
-/// [`Route`] and costs it cell by cell.
-///
-/// Retained as the executable specification of [`best_route`] — the
-/// equivalence proptests and `locus_experiments --quality-check` assert
-/// the optimized kernel matches it bit for bit on
-/// `(route, cost, candidates, cells_examined)`.
-pub fn best_route_reference<V: CostView + ?Sized>(
-    view: &V,
-    conn: Connection,
-    channel_overshoot: u16,
-) -> Evaluation {
-    let (c1, x1) = (conn.from.channel, conn.from.x);
-    let (c2, x2) = (conn.to.channel, conn.to.x);
+/// What the tests compare the kernel against; not part of the documented
+/// surface. The unit tests below and `tests/proptests.rs` assert that
+/// [`best_route`] matches [`oracle::best_route_reference`] bit for bit on
+/// `(route, cost, candidates, cells_examined)`, through the prefix-sum
+/// fast path and through [`oracle::PerCell`].
+#[doc(hidden)]
+pub mod oracle {
+    use locus_circuit::GridCell;
 
-    let mut best: Option<(u64, Route)> = None;
-    let mut candidates = 0usize;
-    let mut cells_examined = 0u64;
+    use super::Evaluation;
+    use crate::cost_array::{CostArray, CostView};
+    use crate::route::{Route, Segment};
+    use crate::segment::Connection;
 
-    let mut consider = |route: Route| {
-        cells_examined += route.len() as u64;
-        candidates += 1;
-        let cost = view.route_cost(&route);
-        match &best {
-            Some((best_cost, _)) if *best_cost <= cost => {}
-            _ => best = Some((cost, route)),
+    /// A view of a [`CostArray`] that answers span queries through the
+    /// per-cell default implementations, the path instrumented views
+    /// (the shmem emulator's traced view) take.
+    pub struct PerCell<'a>(pub &'a CostArray);
+
+    impl CostView for PerCell<'_> {
+        fn channels(&self) -> u16 {
+            CostView::channels(self.0)
         }
-    };
-
-    if c1 == c2 {
-        // Direct horizontal run (all HVH candidates coincide).
-        consider(Route::from_segments(vec![Segment::horizontal(c1, x1, x2)]));
-    } else {
-        // HVH: one candidate per jog column in the bounding box.
-        let (x_lo, x_hi) = (x1.min(x2), x1.max(x2));
-        for xm in x_lo..=x_hi {
-            let mut segs = Vec::with_capacity(3);
-            if xm != x1 {
-                segs.push(Segment::horizontal(c1, x1, xm));
-            }
-            segs.push(Segment::vertical(xm, c1, c2));
-            if xm != x2 {
-                segs.push(Segment::horizontal(c2, xm, x2));
-            }
-            consider(Route::from_segments(segs));
+        fn grids(&self) -> u16 {
+            CostView::grids(self.0)
+        }
+        fn cost_at(&self, cell: GridCell) -> u32 {
+            self.0.cost_at(cell)
         }
     }
 
-    if x1 != x2 {
-        // VHV: one candidate per crossing channel, widened by overshoot.
-        let (c_lo, c_hi) = (c1.min(c2), c1.max(c2));
-        let cm_lo = c_lo.saturating_sub(channel_overshoot);
-        let cm_hi = c_hi.saturating_add(channel_overshoot).min(view.channels() - 1);
-        for cm in cm_lo..=cm_hi {
-            if c1 == c2 && cm == c1 {
-                // Duplicate of the direct horizontal candidate already
-                // considered in the HVH sweep.
-                continue;
-            }
-            let mut segs = Vec::with_capacity(3);
-            if cm != c1 {
-                segs.push(Segment::vertical(x1, c1, cm));
-            }
-            segs.push(Segment::horizontal(cm, x1, x2));
-            if cm != c2 {
-                segs.push(Segment::vertical(x2, cm, c2));
-            }
-            consider(Route::from_segments(segs));
-        }
-    } else if c1 != c2 {
-        // Same column, different channels: direct feedthrough.
-        consider(Route::from_segments(vec![Segment::vertical(x1, c1, c2)]));
-    }
+    /// The historical cell-list evaluator: materializes every candidate as a
+    /// [`Route`] and costs it cell by cell.
+    pub fn best_route_reference<V: CostView + ?Sized>(
+        view: &V,
+        conn: Connection,
+        channel_overshoot: u16,
+    ) -> Evaluation {
+        let (c1, x1) = (conn.from.channel, conn.from.x);
+        let (c2, x2) = (conn.to.channel, conn.to.x);
 
-    let (cost, route) = best.expect("at least one candidate is always generated");
-    Evaluation { route, cost, candidates, cells_examined }
+        let mut best: Option<(u64, Route)> = None;
+        let mut candidates = 0usize;
+        let mut cells_examined = 0u64;
+
+        let mut consider = |route: Route| {
+            cells_examined += route.len() as u64;
+            candidates += 1;
+            let cost = view.route_cost(&route);
+            match &best {
+                Some((best_cost, _)) if *best_cost <= cost => {}
+                _ => best = Some((cost, route)),
+            }
+        };
+
+        if c1 == c2 {
+            // Direct horizontal run (all HVH candidates coincide).
+            consider(Route::from_segments(vec![Segment::horizontal(c1, x1, x2)]));
+        } else {
+            // HVH: one candidate per jog column in the bounding box.
+            let (x_lo, x_hi) = (x1.min(x2), x1.max(x2));
+            for xm in x_lo..=x_hi {
+                let mut segs = Vec::with_capacity(3);
+                if xm != x1 {
+                    segs.push(Segment::horizontal(c1, x1, xm));
+                }
+                segs.push(Segment::vertical(xm, c1, c2));
+                if xm != x2 {
+                    segs.push(Segment::horizontal(c2, xm, x2));
+                }
+                consider(Route::from_segments(segs));
+            }
+        }
+
+        if x1 != x2 {
+            // VHV: one candidate per crossing channel, widened by overshoot.
+            let (c_lo, c_hi) = (c1.min(c2), c1.max(c2));
+            let cm_lo = c_lo.saturating_sub(channel_overshoot);
+            let cm_hi = c_hi.saturating_add(channel_overshoot).min(view.channels() - 1);
+            for cm in cm_lo..=cm_hi {
+                if c1 == c2 && cm == c1 {
+                    // Duplicate of the direct horizontal candidate already
+                    // considered in the HVH sweep.
+                    continue;
+                }
+                let mut segs = Vec::with_capacity(3);
+                if cm != c1 {
+                    segs.push(Segment::vertical(x1, c1, cm));
+                }
+                segs.push(Segment::horizontal(cm, x1, x2));
+                if cm != c2 {
+                    segs.push(Segment::vertical(x2, cm, c2));
+                }
+                consider(Route::from_segments(segs));
+            }
+        } else if c1 != c2 {
+            // Same column, different channels: direct feedthrough.
+            consider(Route::from_segments(vec![Segment::vertical(x1, c1, c2)]));
+        }
+
+        let (cost, route) = best.expect("at least one candidate is always generated");
+        Evaluation { route, cost, candidates, cells_examined }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{best_route_reference, PerCell};
     use super::*;
     use crate::cost_array::CostArray;
     use locus_circuit::{GridCell, Pin};
@@ -498,26 +526,13 @@ mod tests {
     /// (`CostArray` directly) and through the per-cell default path.
     #[test]
     fn matches_reference_evaluator_exhaustively() {
-        struct SlowView<'a>(&'a CostArray);
-        impl CostView for SlowView<'_> {
-            fn channels(&self) -> u16 {
-                CostView::channels(self.0)
-            }
-            fn grids(&self) -> u16 {
-                CostView::grids(self.0)
-            }
-            fn cost_at(&self, cell: GridCell) -> u32 {
-                self.0.cost_at(cell)
-            }
-        }
-
         let mut a = CostArray::new(5, 9);
         for c in 0..5u16 {
             for x in 0..9u16 {
                 a.set(GridCell::new(c, x), (c * 13 + x * 5) % 7);
             }
         }
-        let slow = SlowView(&a);
+        let slow = PerCell(&a);
         for c1 in 0..5u16 {
             for x1 in (0..9u16).step_by(2) {
                 for c2 in 0..5u16 {
@@ -536,6 +551,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// bnrE and MDC routed wire by wire, every connection evaluated by
+    /// the reference, the prefix-sum fast path and the per-cell path on
+    /// the live surface *before* the winner is committed, so the
+    /// comparison covers the congested states a real run passes through
+    /// and not only patterned or random arrays.
+    #[test]
+    fn matches_reference_evaluator_while_routing_the_paper_circuits() {
+        use crate::segment::decompose;
+        use locus_circuit::presets;
+
+        for circuit in [presets::bnr_e(), presets::mdc()] {
+            let mut costs = CostArray::new(circuit.channels, circuit.grids);
+            let mut checked = 0;
+            for wire in &circuit.wires {
+                for k in decompose(wire) {
+                    let r = best_route_reference(&costs, k, 1);
+                    for e in [best_route(&costs, k, 1), best_route(&PerCell(&costs), k, 1)] {
+                        let at = format!("{} wire {} {k:?}", circuit.name, wire.id);
+                        assert_eq!(e.route, r.route, "{at}");
+                        assert_eq!(e.cost, r.cost, "{at}");
+                        assert_eq!(e.candidates, r.candidates, "{at}");
+                        assert_eq!(e.cells_examined, r.cells_examined, "{at}");
+                    }
+                    costs.add_route(&r.route);
+                    checked += 1;
+                }
+            }
+            assert!(checked >= circuit.wires.len(), "{}: {checked} connections", circuit.name);
         }
     }
 

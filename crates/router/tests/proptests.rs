@@ -3,7 +3,8 @@
 use locus_circuit::{GridCell, Pin, Rect, Wire};
 use locus_router::router::route_wire;
 use locus_router::segment::Connection;
-use locus_router::twobend::{best_route, best_route_reference};
+use locus_router::twobend::best_route;
+use locus_router::twobend::oracle::{best_route_reference, PerCell};
 use locus_router::{CostArray, CostView, RegionMap, Route, Segment};
 use proptest::prelude::*;
 
@@ -145,12 +146,6 @@ proptest! {
         // retained cell-list evaluator: same route, cost, candidate count,
         // and cells-examined work measure. Checked both through the
         // prefix-sum fast path and the per-cell default path.
-        struct PerCell<'a>(&'a CostArray);
-        impl CostView for PerCell<'_> {
-            fn channels(&self) -> u16 { CostView::channels(self.0) }
-            fn grids(&self) -> u16 { CostView::grids(self.0) }
-            fn cost_at(&self, cell: GridCell) -> u32 { self.0.cost_at(cell) }
-        }
         let conn = Connection { from: a, to: b };
         let reference = best_route_reference(&costs, conn, overshoot);
         let fast = best_route(&costs, conn, overshoot);

@@ -6,7 +6,7 @@
 //!
 //! The paper studies one circuit at a time; this crate studies the
 //! *serving* problem layered on top — what happens when routing jobs
-//! arrive as traffic. A run wires four pieces together:
+//! arrive as traffic. A run wires five pieces together:
 //!
 //! 1. [`workload`] — a seeded discrete-event arrival-trace generator on
 //!    a virtual millisecond clock: exponential inter-arrivals shaped by
@@ -22,7 +22,10 @@
 //! 4. [`server`] — a bounded admission queue with configurable
 //!    backpressure (block / shed-oldest / reject-with-retry-hint) and a
 //!    virtual-time dispatch simulation over `workers` simulated servers,
-//!    stamping every job's enqueue/dispatch/complete times.
+//!    stamping every job's enqueue/dispatch/complete times: one timed
+//!    event queue over one state struct.
+//! 5. [`health`] — the optional policy layer the replay consults: retry
+//!    with backoff, worker quarantine, per-class circuit breaker.
 //!
 //! Because arrival times and service prices are both virtual, the whole
 //! pipeline is a closed deterministic simulation: same seed ⇒ same
@@ -32,15 +35,16 @@
 //! and utilization flow out both as [`locus_obs`] events/counters and
 //! in the server's own [`ServiceStats`] (cross-checked in tests).
 
+pub mod health;
 pub mod pool;
 pub mod runner;
 pub mod server;
 pub mod workload;
 
+pub use health::{HealthPolicy, WorkerState};
 pub use pool::WorkerPool;
 pub use runner::{EngineFactory, EngineRunner, JobExecution, JobRunner, DEFAULT_CELLS_PER_MS};
 pub use server::{
-    Backpressure, HealthPolicy, JobOutcome, JobRecord, JobServer, ServiceConfig, ServiceOutcome,
-    ServiceStats, WorkerState,
+    Backpressure, JobOutcome, JobRecord, JobServer, ServiceConfig, ServiceOutcome, ServiceStats,
 };
 pub use workload::{generate, Burst, CircuitFamily, JobClass, JobSpec, WorkloadConfig};

@@ -2,16 +2,18 @@
 //! deterministic virtual-time dispatch simulation.
 //!
 //! A run has two phases. **Execute**: every job in the arrival trace is
-//! routed on the scoped-thread [`crate::pool::WorkerPool`]
-//! through a [`JobRunner`], producing a deterministic virtual service
-//! time per job (real threads, virtual prices — see
-//! [`runner`](crate::runner)). **Simulate**: a sequential discrete-event
-//! replay walks the arrival trace on the virtual ms clock, admits jobs
-//! through the bounded queue under the configured [`Backpressure`]
-//! policy, dispatches them to `workers` simulated servers, and stamps
-//! every job's enqueue/dispatch/complete times. Because phase 2 depends
-//! only on the trace and the virtual service times, the whole outcome is
-//! byte-identical across runs, hosts, and pool sizes.
+//! routed on the scoped-thread [`crate::pool::WorkerPool`] through a
+//! [`JobRunner`], producing a deterministic virtual service time per job
+//! (real threads, virtual prices — see [`runner`](crate::runner)).
+//! **Simulate**: a sequential discrete-event replay on the virtual ms
+//! clock admits jobs through the bounded queue under the configured
+//! [`Backpressure`] policy, dispatches them to `workers` simulated
+//! servers, and stamps every job's enqueue/dispatch/complete times. It is
+//! one loop: pop the earliest event off one timed queue (events of one ms
+//! are ordered by kind), run its handler, let the queue settle;
+//! [`health`](crate::health) judges finished attempts. Because phase 2
+//! depends only on the trace and the virtual service times, the whole
+//! outcome is byte-identical across runs, hosts, and pool sizes.
 //!
 //! Jobs that end up shed or rejected were still routed in phase 1 —
 //! speculative work the report's `wasted` ratio makes visible.
@@ -21,6 +23,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use locus_obs::{Event, EventKind, Histogram, SharedSink, Sink};
 
+use crate::health::{Health, HealthPolicy, WorkerState};
 use crate::pool::WorkerPool;
 use crate::runner::{JobExecution, JobRunner};
 use crate::workload::JobSpec;
@@ -54,7 +57,7 @@ impl Backpressure {
 /// Server shape: simulated worker count, queue bound, and policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Simulated routing servers draining the queue.
+    /// Simulated routing servers draining the queue (≥ 1).
     pub workers: usize,
     /// Waiting-job bound of the admission queue (≥ 1).
     pub queue_capacity: usize,
@@ -64,6 +67,11 @@ pub struct ServiceConfig {
     /// leaves the legacy dispatch byte-identical.
     pub health: Option<HealthPolicy>,
 }
+
+/// Most simulated workers a server accepts: three orders of magnitude
+/// past any study here, and small enough that the per-worker tables the
+/// replay allocates up front stay under a megabyte.
+const MAX_WORKERS: usize = 1 << 16;
 
 impl ServiceConfig {
     /// A server with `workers` servers, a queue of `queue_capacity`, and
@@ -82,112 +90,20 @@ impl ServiceConfig {
         self.health = Some(policy);
         self
     }
-}
 
-/// Thresholds for service health management. Everything is measured on
-/// the virtual clock, so enabling a policy keeps replay byte-identical
-/// across hosts and pool sizes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HealthPolicy {
-    /// A completed job slower than this (virtual ms) counts as a
-    /// deadline miss against the worker that served it.
-    pub deadline_ms: u64,
-    /// Retry budget per job for failed or degraded runs.
-    pub max_retries: u32,
-    /// Base of the exponential retry backoff: retry `k` waits
-    /// `base · 2^(k−1)` plus a deterministic jitter in `[0, base)`.
-    pub backoff_base_ms: u64,
-    /// Virtual ms a quarantined worker sits out (also how long a tripped
-    /// breaker stays open).
-    pub quarantine_ms: u64,
-    /// Consecutive bad jobs (failed, degraded, or deadline-missed) that
-    /// quarantine a worker.
-    pub failure_quarantine: u32,
-    /// Rolling attempt window over which each job class's failure rate
-    /// is judged.
-    pub breaker_window: u32,
-    /// Percentage of bad attempts in a full window that trips the
-    /// class's circuit breaker.
-    pub breaker_threshold_pct: u32,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            deadline_ms: 1_000,
-            max_retries: 2,
-            backoff_base_ms: 50,
-            quarantine_ms: 500,
-            failure_quarantine: 3,
-            breaker_window: 8,
-            breaker_threshold_pct: 50,
+    /// Validates the shape (the fields are public; only [`Self::new`]
+    /// clamps them) and the health policy, if any.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.workers == 0 {
+            return Err("need at least one worker".into());
         }
-    }
-}
-
-/// A worker's health as the policy sees it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WorkerState {
-    /// No recent bad jobs.
-    #[default]
-    Healthy,
-    /// At least one recent bad job; still serving.
-    Degraded,
-    /// Sitting out a quarantine window; receives no work.
-    Quarantined,
-}
-
-/// Deterministic jitter for retry backoff: a splitmix64-style hash of
-/// (job id, attempt), so the schedule reproduces on any host.
-fn jitter(job: u32, attempt: u32) -> u64 {
-    let mut z = (((job as u64) << 32) | attempt as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Mutable health-management state for one simulate() pass.
-struct HealthRt {
-    policy: HealthPolicy,
-    /// Retry attempts used per job (0 = first run only).
-    attempts: Vec<u32>,
-    /// Consecutive bad jobs per worker (index 0 = frontend, unused).
-    consec_bad: Vec<u32>,
-    /// Current state per worker (index 0 = frontend, unused).
-    state: Vec<WorkerState>,
-    /// Job index → class id (dense, discovered in trace order).
-    class_of: Vec<u32>,
-    /// Rolling attempt-outcome window per class (`true` = bad).
-    window: Vec<VecDeque<bool>>,
-    /// Virtual ms until which each class's breaker stays open.
-    open_until: Vec<u64>,
-}
-
-impl HealthRt {
-    /// True when `class`'s breaker is open at `now`.
-    fn breaker_open(&self, class: u32, now: u64) -> bool {
-        now < self.open_until[class as usize]
-    }
-
-    /// Feeds one attempt outcome into `class`'s window; returns true
-    /// when this attempt trips the breaker.
-    fn feed_breaker(&mut self, class: u32, bad: bool, now: u64) -> bool {
-        let w = &mut self.window[class as usize];
-        w.push_back(bad);
-        if w.len() > self.policy.breaker_window as usize {
-            w.pop_front();
+        if self.workers > MAX_WORKERS {
+            return Err(format!("{} workers; at most {MAX_WORKERS} are simulated", self.workers));
         }
-        if w.len() < self.policy.breaker_window as usize {
-            return false;
+        if self.queue_capacity == 0 {
+            return Err("queue_capacity must be at least 1".into());
         }
-        let bad_count = w.iter().filter(|&&b| b).count() as u32;
-        if bad_count * 100 >= self.policy.breaker_threshold_pct * self.policy.breaker_window {
-            self.open_until[class as usize] = now + self.policy.quarantine_ms;
-            self.window[class as usize].clear();
-            true
-        } else {
-            false
-        }
+        self.health.map_or(Ok(()), |policy| policy.validate())
     }
 }
 
@@ -303,22 +219,26 @@ pub struct JobServer {
     cfg: ServiceConfig,
 }
 
-/// Fallback mean service estimate (virtual ms) for retry hints before
-/// any job has been dispatched.
-const RETRY_BOOTSTRAP_MS: u64 = 10;
-
 impl JobServer {
     /// A server with the given shape.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid; [`Self::try_new`] says so
+    /// instead.
     pub fn new(cfg: ServiceConfig) -> Self {
-        JobServer { cfg }
+        Self::try_new(cfg).expect("invalid service configuration")
+    }
+
+    /// A server with the given shape, or what
+    /// [`ServiceConfig::validate`] finds wrong with it.
+    pub fn try_new(cfg: ServiceConfig) -> Result<Self, String> {
+        cfg.validate()?;
+        Ok(JobServer { cfg })
     }
 
     /// Runs the full trace: executes every job on `pool` via `runner`,
     /// then replays admission and dispatch on the virtual clock,
     /// emitting service events into `sink` when given.
-    ///
-    /// `jobs` must be sorted by `arrival_ms` (as
-    /// [`workload::generate`](crate::workload::generate) produces them).
     pub fn run(
         &self,
         jobs: &[JobSpec],
@@ -331,8 +251,9 @@ impl JobServer {
     }
 
     /// Phase 2 alone: replays admission/dispatch for pre-computed
-    /// executions. Exposed so tests can drive the policies with
-    /// hand-built service times.
+    /// executions, so tests can drive the policies with hand-built service
+    /// times. `jobs` may be in any order: arrivals replay by `arrival_ms`
+    /// (ties in slice order) and `records` come back in slice order.
     pub fn simulate(
         &self,
         jobs: &[JobSpec],
@@ -340,416 +261,251 @@ impl JobServer {
         sink: Option<SharedSink>,
     ) -> ServiceOutcome {
         assert_eq!(jobs.len(), executions.len(), "one execution per job");
-        let mut sink = sink.map(|s| Box::new(s) as Box<dyn Sink>);
-        // Virtual ms → event timestamp ns.
-        let mut emit = |at_ms: u64, node: u32, kind: EventKind| {
-            if let Some(s) = sink.as_mut() {
-                s.record(Event { at_ns: at_ms.saturating_mul(1_000_000), node, kind });
+        let mut sim = Sim::new(self.cfg, jobs, executions, sink);
+        while let Some(Reverse((now, ev))) = sim.events.pop() {
+            match ev {
+                Ev::Completion { worker, job } => sim.on_completion(now, worker, job),
+                Ev::Release { worker } => {
+                    sim.health.release(worker);
+                    sim.free_workers.push(Reverse(worker));
+                }
+                // Retries bypass admission control: the breaker, not the
+                // queue bound, is the overload valve for repeated failures.
+                Ev::Retry { job } => sim.admit(now, job),
+                Ev::Arrival { job } => sim.on_arrival(now, job),
             }
-        };
-        // Node 0 is the admission frontend; workers are nodes 1..=W.
-        const FRONTEND: u32 = 0;
-
-        let mut stats = ServiceStats { submitted: jobs.len() as u64, ..ServiceStats::default() };
-        let mut records: Vec<Option<JobRecord>> = vec![None; jobs.len()];
-        let mut queue_wait = Histogram::default();
-        let mut service = Histogram::default();
-
-        // Simulation state.
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut vestibule: VecDeque<usize> = VecDeque::new();
-        let mut free_workers: BinaryHeap<Reverse<u32>> =
-            (1..=self.cfg.workers as u32).map(Reverse).collect();
-        // (complete_ms, worker, job index); Reverse for a min-heap, with
-        // worker/job ids as deterministic tie-breaks.
-        let mut completions: BinaryHeap<Reverse<(u64, u32, usize)>> = BinaryHeap::new();
-        // (retry_at_ms, job index): failed/degraded jobs waiting out
-        // their backoff before re-entering the queue.
-        let mut retries: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        // (release_at_ms, worker): quarantined workers waiting to
-        // rejoin the free pool.
-        let mut releases: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        let mut makespan_ms = 0u64;
-        let mut dispatched_service_sum = 0u64;
-
-        // Health-management state; `None` leaves every legacy code path
-        // untouched (the heaps above stay empty).
-        let mut health_rt: Option<HealthRt> = self.cfg.health.map(|policy| {
-            let mut classes: Vec<crate::workload::JobClass> = Vec::new();
-            let class_of = jobs
-                .iter()
-                .map(|j| match classes.iter().position(|c| *c == j.class) {
-                    Some(k) => k as u32,
-                    None => {
-                        classes.push(j.class);
-                        (classes.len() - 1) as u32
-                    }
-                })
-                .collect();
-            HealthRt {
-                policy,
-                attempts: vec![0; jobs.len()],
-                consec_bad: vec![0; self.cfg.workers + 1],
-                state: vec![WorkerState::Healthy; self.cfg.workers + 1],
-                class_of,
-                window: vec![VecDeque::new(); classes.len()],
-                open_until: vec![0; classes.len()],
-            }
-        });
-
-        // Service time of job `i`; runner failures are recorded as Failed
-        // and occupy a worker for 1 virtual ms (the error path is cheap
-        // but not free).
-        let service_ms = |i: usize| match &executions[i] {
-            Ok(exec) => exec.service_ms.max(1),
-            Err(_) => 1,
-        };
-
-        let mut idx = 0usize;
-        loop {
-            // Pick the earliest pending event. Ties are resolved by a
-            // fixed priority — completion, quarantine release, retry,
-            // arrival — so freed capacity is visible to whatever shares
-            // its timestamp and replay stays deterministic.
-            let next_arrival = jobs.get(idx).map(|j| j.arrival_ms);
-            let next_completion = completions.peek().map(|Reverse((t, _, _))| *t);
-            let next_release = releases.peek().map(|Reverse((t, _))| *t);
-            let next_retry = retries.peek().map(|Reverse((t, _))| *t);
-            let Some(best) = [next_completion, next_release, next_retry, next_arrival]
-                .into_iter()
-                .flatten()
-                .min()
-            else {
-                break;
-            };
-
-            if next_completion == Some(best) {
-                let Reverse((now, worker, job_i)) =
-                    completions.pop().expect("peeked completion exists");
-                let dispatch_ms = match &records[job_i] {
-                    Some(JobRecord {
-                        outcome: JobOutcome::Completed { dispatch_ms, .. }, ..
-                    }) => *dispatch_ms,
-                    _ => unreachable!("completion for undisp. job"),
-                };
-                let dur = now - dispatch_ms;
-                stats.busy_ms += dur;
-                makespan_ms = makespan_ms.max(now);
-
-                // Health bookkeeping: classify the attempt, feed the
-                // class breaker, maybe schedule a retry, maybe
-                // quarantine the worker.
-                let bad_run = match &executions[job_i] {
-                    Ok(exec) => exec.degraded,
-                    Err(_) => true,
-                };
-                let mut retried = false;
-                let mut quarantined = false;
-                if let Some(rt) = health_rt.as_mut() {
-                    let class = rt.class_of[job_i];
-                    if rt.feed_breaker(class, bad_run, now) {
-                        stats.breaker_trips += 1;
-                        emit(now, FRONTEND, EventKind::BreakerTripped { class });
-                    }
-                    if bad_run && rt.attempts[job_i] < rt.policy.max_retries {
-                        rt.attempts[job_i] += 1;
-                        let attempt = rt.attempts[job_i];
-                        let base = rt.policy.backoff_base_ms.max(1);
-                        let backoff = base.saturating_mul(1u64 << u64::from(attempt - 1).min(16));
-                        let delay = backoff + jitter(jobs[job_i].id, attempt) % base;
-                        retries.push(Reverse((now + delay, job_i)));
-                        stats.retried += 1;
-                        emit(now, worker, EventKind::JobRetried { job: jobs[job_i].id, attempt });
-                        retried = true;
-                    }
-                    let deadline_miss = executions[job_i].is_ok() && dur > rt.policy.deadline_ms;
-                    if deadline_miss {
-                        stats.deadline_misses += 1;
-                    }
-                    let w = worker as usize;
-                    if bad_run || deadline_miss {
-                        rt.consec_bad[w] += 1;
-                        if rt.consec_bad[w] >= rt.policy.failure_quarantine {
-                            rt.state[w] = WorkerState::Quarantined;
-                            rt.consec_bad[w] = 0;
-                            stats.quarantines += 1;
-                            releases.push(Reverse((now + rt.policy.quarantine_ms, worker)));
-                            quarantined = true;
-                        } else {
-                            rt.state[w] = WorkerState::Degraded;
-                        }
-                    } else {
-                        rt.consec_bad[w] = 0;
-                        rt.state[w] = WorkerState::Healthy;
-                    }
-                }
-                if !retried {
-                    match &executions[job_i] {
-                        Ok(exec) => {
-                            stats.completed += 1;
-                            if exec.degraded {
-                                stats.degraded_completions += 1;
-                            }
-                            service.record(dur);
-                            emit(
-                                now,
-                                worker,
-                                EventKind::JobCompleted { job: jobs[job_i].id, service_ms: dur },
-                            );
-                        }
-                        Err(e) => {
-                            stats.failed += 1;
-                            records[job_i] = Some(JobRecord {
-                                id: jobs[job_i].id,
-                                arrival_ms: jobs[job_i].arrival_ms,
-                                outcome: JobOutcome::Failed { error: e.clone() },
-                            });
-                        }
-                    }
-                }
-                if !quarantined {
-                    free_workers.push(Reverse(worker));
-                }
-                // Dispatch frees queue slots, freed slots let blocked
-                // arrivals in, and those may dispatch in turn — iterate
-                // until neither step makes progress.
-                loop {
-                    self.drain(
-                        now,
-                        jobs,
-                        &service_ms,
-                        &mut queue,
-                        &mut free_workers,
-                        &mut completions,
-                        &mut records,
-                        &mut stats,
-                        &mut queue_wait,
-                        &mut dispatched_service_sum,
-                        &mut health_rt,
-                        &mut emit,
-                    );
-                    if queue.len() < self.cfg.queue_capacity && !vestibule.is_empty() {
-                        let waiting = vestibule.pop_front().expect("vestibule non-empty");
-                        self.admit(waiting, now, jobs, &mut queue, &mut stats, &mut emit);
-                    } else {
-                        break;
-                    }
-                }
-                continue;
-            }
-
-            if next_release == Some(best) {
-                // A quarantined worker rejoins the free pool, healthy.
-                let Reverse((now, worker)) = releases.pop().expect("peeked release exists");
-                if let Some(rt) = health_rt.as_mut() {
-                    rt.state[worker as usize] = WorkerState::Healthy;
-                }
-                free_workers.push(Reverse(worker));
-                loop {
-                    self.drain(
-                        now,
-                        jobs,
-                        &service_ms,
-                        &mut queue,
-                        &mut free_workers,
-                        &mut completions,
-                        &mut records,
-                        &mut stats,
-                        &mut queue_wait,
-                        &mut dispatched_service_sum,
-                        &mut health_rt,
-                        &mut emit,
-                    );
-                    if queue.len() < self.cfg.queue_capacity && !vestibule.is_empty() {
-                        let waiting = vestibule.pop_front().expect("vestibule non-empty");
-                        self.admit(waiting, now, jobs, &mut queue, &mut stats, &mut emit);
-                    } else {
-                        break;
-                    }
-                }
-                continue;
-            }
-
-            if next_retry == Some(best) {
-                // A backed-off job re-enters the queue. Retries bypass
-                // admission control: the breaker, not the queue bound,
-                // is the overload valve for repeated failures.
-                let Reverse((now, job_i)) = retries.pop().expect("peeked retry exists");
-                self.admit(job_i, now, jobs, &mut queue, &mut stats, &mut emit);
-                self.drain(
-                    now,
-                    jobs,
-                    &service_ms,
-                    &mut queue,
-                    &mut free_workers,
-                    &mut completions,
-                    &mut records,
-                    &mut stats,
-                    &mut queue_wait,
-                    &mut dispatched_service_sum,
-                    &mut health_rt,
-                    &mut emit,
-                );
-                continue;
-            }
-
-            // Arrival.
-            let now = jobs[idx].arrival_ms;
-            let job_i = idx;
-            idx += 1;
-            if queue.len() < self.cfg.queue_capacity {
-                self.admit(job_i, now, jobs, &mut queue, &mut stats, &mut emit);
-            } else {
-                match self.cfg.policy {
-                    Backpressure::Block => {
-                        vestibule.push_back(job_i);
-                    }
-                    Backpressure::ShedOldest => {
-                        let victim = queue.pop_front().expect("full queue has a head");
-                        stats.shed += 1;
-                        records[victim] = Some(JobRecord {
-                            id: jobs[victim].id,
-                            arrival_ms: jobs[victim].arrival_ms,
-                            outcome: JobOutcome::Shed { at_ms: now },
-                        });
-                        emit(now, FRONTEND, EventKind::JobShed { job: jobs[victim].id });
-                        self.admit(job_i, now, jobs, &mut queue, &mut stats, &mut emit);
-                    }
-                    Backpressure::Reject => {
-                        // Estimate the backlog drain time from the mean
-                        // dispatched service so far.
-                        let mean = dispatched_service_sum
-                            .checked_div(stats.dispatched)
-                            .map_or(RETRY_BOOTSTRAP_MS, |m| m.max(1));
-                        let backlog = queue.len() as u64 + self.cfg.workers as u64;
-                        let hint = (backlog * mean / self.cfg.workers as u64).max(1);
-                        stats.rejected += 1;
-                        records[job_i] = Some(JobRecord {
-                            id: jobs[job_i].id,
-                            arrival_ms: now,
-                            outcome: JobOutcome::Rejected { retry_hint_ms: hint },
-                        });
-                        emit(
-                            now,
-                            FRONTEND,
-                            EventKind::JobRejected { job: jobs[job_i].id, retry_ms: hint },
-                        );
-                    }
-                }
-            }
-            self.drain(
-                now,
-                jobs,
-                &service_ms,
-                &mut queue,
-                &mut free_workers,
-                &mut completions,
-                &mut records,
-                &mut stats,
-                &mut queue_wait,
-                &mut dispatched_service_sum,
-                &mut health_rt,
-                &mut emit,
-            );
+            sim.settle(now);
         }
+        sim.finish()
+    }
+}
 
-        let records: Vec<JobRecord> =
-            records.into_iter().map(|r| r.expect("every job reaches a terminal outcome")).collect();
-        let offered = (self.cfg.workers as u64 * makespan_ms).max(1);
-        let utilization = stats.busy_ms as f64 / offered as f64;
-        let throughput_jps = if makespan_ms == 0 {
-            0.0
-        } else {
-            stats.completed as f64 / (makespan_ms as f64 / 1_000.0)
-        };
-        let worker_health = match &health_rt {
-            Some(rt) => rt.state.clone(),
-            None => vec![WorkerState::Healthy; self.cfg.workers + 1],
-        };
-        ServiceOutcome {
-            records,
-            stats,
-            queue_wait,
-            service,
-            makespan_ms,
-            utilization,
-            throughput_jps,
-            worker_health,
+/// A timed event of the replay; `job` indexes the trace. The derived order
+/// is the tie order of one instant and part of the simulated behaviour:
+/// kinds as declared, then worker id, then job index. Ordering what is
+/// *pending* is enough, because no handler schedules an event at its own
+/// instant that sorts before itself (service and backoff last ≥ 1 ms).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Ev {
+    /// `worker` finishes its attempt at `job`; freed capacity comes first.
+    Completion { worker: u32, job: usize },
+    /// A quarantine ends: even a zero-length one outlasts its instant's completions.
+    Release { worker: u32 },
+    /// A backed-off job re-enters the queue, ahead of a newcomer.
+    Retry { job: usize },
+    /// A job of the trace arrives.
+    Arrival { job: usize },
+}
+
+/// Obs node of the admission frontend; workers are nodes `1..=W`.
+const FRONTEND: u32 = 0;
+
+/// Fallback mean service estimate (virtual ms) for retry hints before
+/// any job has been dispatched.
+const RETRY_BOOTSTRAP_MS: u64 = 10;
+
+/// The state of one replay.
+struct Sim<'a> {
+    cfg: ServiceConfig,
+    jobs: &'a [JobSpec],
+    executions: &'a [Result<JobExecution, String>],
+    sink: Option<SharedSink>,
+    /// Everything that will happen, earliest first.
+    events: BinaryHeap<Reverse<(u64, Ev)>>,
+    /// Admitted jobs waiting for a worker, oldest first.
+    queue: VecDeque<usize>,
+    /// Arrivals blocked outside a full queue ([`Backpressure::Block`]).
+    vestibule: VecDeque<usize>,
+    /// Idle workers, lowest id first.
+    free_workers: BinaryHeap<Reverse<u32>>,
+    /// Judges finished attempts; without a policy it never has a verdict.
+    health: Health<'a>,
+    /// How each job's pass ended, so far: a retry overwrites it.
+    outcomes: Vec<Option<JobOutcome>>,
+    stats: ServiceStats,
+    queue_wait: Histogram,
+    service: Histogram,
+    makespan_ms: u64,
+    /// Σ service of dispatched jobs, for the reject hint's running mean.
+    dispatched_service_sum: u64,
+}
+
+impl<'a> Sim<'a> {
+    fn new(
+        cfg: ServiceConfig,
+        jobs: &'a [JobSpec],
+        executions: &'a [Result<JobExecution, String>],
+        sink: Option<SharedSink>,
+    ) -> Self {
+        let arrival = |(job, j): (usize, &JobSpec)| Reverse((j.arrival_ms, Ev::Arrival { job }));
+        Sim {
+            cfg,
+            jobs,
+            executions,
+            sink,
+            events: jobs.iter().enumerate().map(arrival).collect(),
+            queue: VecDeque::new(),
+            vestibule: VecDeque::new(),
+            free_workers: (1..=cfg.workers as u32).map(Reverse).collect(),
+            health: Health::new(cfg.health, jobs, executions, cfg.workers),
+            outcomes: vec![None; jobs.len()],
+            stats: ServiceStats { submitted: jobs.len() as u64, ..ServiceStats::default() },
+            queue_wait: Histogram::default(),
+            service: Histogram::default(),
+            makespan_ms: 0,
+            dispatched_service_sum: 0,
         }
     }
 
-    /// Puts `job_i` into the queue at `now`, counting and emitting.
-    fn admit(
-        &self,
-        job_i: usize,
-        now: u64,
-        jobs: &[JobSpec],
-        queue: &mut VecDeque<usize>,
-        stats: &mut ServiceStats,
-        emit: &mut impl FnMut(u64, u32, EventKind),
-    ) {
-        queue.push_back(job_i);
-        stats.enqueued += 1;
-        emit(
-            now,
-            0,
-            EventKind::JobEnqueued { job: jobs[job_i].id, queue_depth: queue.len() as u32 },
-        );
+    /// Records an obs event at virtual ms `at_ms` (ns on the timeline).
+    fn emit(&mut self, at_ms: u64, node: u32, kind: EventKind) {
+        if let Some(sink) = self.sink.as_mut() {
+            sink.record(Event { at_ns: at_ms.saturating_mul(1_000_000), node, kind });
+        }
+    }
+
+    /// Virtual ms an attempt at `job` holds a worker. A runner failure
+    /// holds it for 1 ms: the error path is cheap but not free.
+    fn service_ms(&self, job: usize) -> u64 {
+        self.executions[job].as_ref().map_or(1, |exec| exec.service_ms.max(1))
+    }
+
+    /// Puts `job` into the queue at `now`, counting and emitting.
+    fn admit(&mut self, now: u64, job: usize) {
+        self.queue.push_back(job);
+        self.stats.enqueued += 1;
+        let queue_depth = self.queue.len() as u32;
+        self.emit(now, FRONTEND, EventKind::JobEnqueued { job: self.jobs[job].id, queue_depth });
     }
 
     /// Hands queued jobs to free workers, lowest worker id first.
-    #[allow(clippy::too_many_arguments)]
-    fn drain(
-        &self,
-        now: u64,
-        jobs: &[JobSpec],
-        service_ms: &impl Fn(usize) -> u64,
-        queue: &mut VecDeque<usize>,
-        free_workers: &mut BinaryHeap<Reverse<u32>>,
-        completions: &mut BinaryHeap<Reverse<(u64, u32, usize)>>,
-        records: &mut [Option<JobRecord>],
-        stats: &mut ServiceStats,
-        queue_wait: &mut Histogram,
-        dispatched_service_sum: &mut u64,
-        health_rt: &mut Option<HealthRt>,
-        emit: &mut impl FnMut(u64, u32, EventKind),
-    ) {
-        while !queue.is_empty() && !free_workers.is_empty() {
-            let job_i = queue.pop_front().expect("queue non-empty");
-            // A job whose class breaker is open fails fast without
-            // occupying a worker.
-            if let Some(rt) = health_rt.as_mut() {
-                let class = rt.class_of[job_i];
-                if rt.breaker_open(class, now) {
-                    stats.failed += 1;
-                    stats.breaker_fast_fails += 1;
-                    records[job_i] = Some(JobRecord {
-                        id: jobs[job_i].id,
-                        arrival_ms: jobs[job_i].arrival_ms,
-                        outcome: JobOutcome::Failed {
-                            error: format!("circuit breaker open for class {class}"),
-                        },
-                    });
-                    continue;
-                }
+    fn dispatch(&mut self, now: u64) {
+        while !self.queue.is_empty() && !self.free_workers.is_empty() {
+            let job = self.queue.pop_front().expect("queue non-empty");
+            // An open class breaker fails the job fast: no worker is occupied.
+            if let Some(class) = self.health.open_breaker(job, now) {
+                self.stats.failed += 1;
+                self.stats.breaker_fast_fails += 1;
+                let error = format!("circuit breaker open for class {class}");
+                self.outcomes[job] = Some(JobOutcome::Failed { error });
+                continue;
             }
-            let Reverse(worker) = free_workers.pop().expect("worker available");
-            let waited = now - jobs[job_i].arrival_ms;
-            let dur = service_ms(job_i);
-            stats.dispatched += 1;
-            *dispatched_service_sum += dur;
-            queue_wait.record(waited);
-            records[job_i] = Some(JobRecord {
-                id: jobs[job_i].id,
-                arrival_ms: jobs[job_i].arrival_ms,
-                outcome: JobOutcome::Completed {
-                    dispatch_ms: now,
-                    complete_ms: now + dur,
-                    service_ms: dur,
-                },
-            });
-            emit(now, worker, EventKind::JobDispatched { job: jobs[job_i].id, queued_ms: waited });
-            completions.push(Reverse((now + dur, worker, job_i)));
+            let Reverse(worker) = self.free_workers.pop().expect("worker available");
+            let JobSpec { id, arrival_ms, .. } = self.jobs[job];
+            let queued_ms = now - arrival_ms;
+            let service_ms = self.service_ms(job);
+            let complete_ms = now.saturating_add(service_ms);
+            self.stats.dispatched += 1;
+            self.dispatched_service_sum = self.dispatched_service_sum.saturating_add(service_ms);
+            self.queue_wait.record(queued_ms);
+            self.outcomes[job] =
+                Some(JobOutcome::Completed { dispatch_ms: now, complete_ms, service_ms });
+            self.emit(now, worker, EventKind::JobDispatched { job: id, queued_ms });
+            self.events.push(Reverse((complete_ms, Ev::Completion { worker, job })));
+        }
+    }
+
+    /// Run after every event: dispatch frees queue slots, freed slots let
+    /// blocked arrivals in, those may dispatch in turn; until neither moves.
+    fn settle(&mut self, now: u64) {
+        loop {
+            self.dispatch(now);
+            if self.queue.len() >= self.cfg.queue_capacity {
+                break;
+            }
+            let Some(waiting) = self.vestibule.pop_front() else { break };
+            self.admit(now, waiting);
+        }
+    }
+
+    /// A job arrives: it is admitted, or the backpressure policy decides.
+    fn on_arrival(&mut self, now: u64, job: usize) {
+        if self.queue.len() < self.cfg.queue_capacity {
+            return self.admit(now, job);
+        }
+        match self.cfg.policy {
+            Backpressure::Block => self.vestibule.push_back(job),
+            Backpressure::ShedOldest => {
+                let victim = self.queue.pop_front().expect("full queue has a head");
+                self.stats.shed += 1;
+                self.outcomes[victim] = Some(JobOutcome::Shed { at_ms: now });
+                self.emit(now, FRONTEND, EventKind::JobShed { job: self.jobs[victim].id });
+                self.admit(now, job);
+            }
+            Backpressure::Reject => {
+                // Estimate the backlog drain time from the mean dispatched service so far.
+                let mean = self
+                    .dispatched_service_sum
+                    .checked_div(self.stats.dispatched)
+                    .map_or(RETRY_BOOTSTRAP_MS, |m| m.max(1));
+                let workers = self.cfg.workers as u64;
+                let backlog = self.queue.len() as u64 + workers;
+                let retry_ms = (backlog.saturating_mul(mean) / workers).max(1);
+                self.stats.rejected += 1;
+                self.outcomes[job] = Some(JobOutcome::Rejected { retry_hint_ms: retry_ms });
+                let id = self.jobs[job].id;
+                self.emit(now, FRONTEND, EventKind::JobRejected { job: id, retry_ms });
+            }
+        }
+    }
+
+    /// `worker` finishes its attempt at `job`: on the health layer's
+    /// verdict the job retries or ends, and the worker rests or is free.
+    fn on_completion(&mut self, now: u64, worker: u32, job: usize) {
+        let dur = self.service_ms(job);
+        self.stats.busy_ms = self.stats.busy_ms.saturating_add(dur);
+        self.makespan_ms = self.makespan_ms.max(now);
+        let id = self.jobs[job].id;
+        let execution = &self.executions[job];
+        let verdict = self.health.judge(job, worker, now, dur);
+        if let Some(class) = verdict.breaker_tripped {
+            self.stats.breaker_trips += 1;
+            self.emit(now, FRONTEND, EventKind::BreakerTripped { class });
+        }
+        self.stats.deadline_misses += u64::from(verdict.deadline_miss);
+        match (verdict.retry, execution) {
+            (Some((attempt, due_ms)), _) => {
+                self.stats.retried += 1;
+                self.emit(now, worker, EventKind::JobRetried { job: id, attempt });
+                self.events.push(Reverse((due_ms, Ev::Retry { job })));
+            }
+            (None, Ok(exec)) => {
+                self.stats.completed += 1;
+                self.stats.degraded_completions += u64::from(exec.degraded);
+                self.service.record(dur);
+                self.emit(now, worker, EventKind::JobCompleted { job: id, service_ms: dur });
+            }
+            (None, Err(error)) => {
+                self.stats.failed += 1;
+                self.outcomes[job] = Some(JobOutcome::Failed { error: error.clone() });
+            }
+        }
+        match verdict.quarantine_until {
+            Some(until) => {
+                self.stats.quarantines += 1;
+                self.events.push(Reverse((until, Ev::Release { worker })));
+            }
+            None => self.free_workers.push(Reverse(worker)),
+        }
+    }
+
+    fn finish(self) -> ServiceOutcome {
+        let offered = (self.cfg.workers as u64).saturating_mul(self.makespan_ms).max(1);
+        let seconds = self.makespan_ms as f64 / 1_000.0;
+        let records = self.jobs.iter().zip(self.outcomes).map(|(j, outcome)| JobRecord {
+            id: j.id,
+            arrival_ms: j.arrival_ms,
+            outcome: outcome.expect("every job reaches a terminal outcome"),
+        });
+        ServiceOutcome {
+            records: records.collect(),
+            stats: self.stats,
+            queue_wait: self.queue_wait,
+            service: self.service,
+            makespan_ms: self.makespan_ms,
+            utilization: self.stats.busy_ms as f64 / offered as f64,
+            throughput_jps: if seconds > 0.0 { self.stats.completed as f64 / seconds } else { 0.0 },
+            worker_health: self.health.into_worker_states(),
         }
     }
 }
@@ -1020,11 +776,193 @@ mod tests {
         }
     }
 
+    /// Executions with the given service times, none degraded.
+    fn served(service_ms: &[u64]) -> Vec<Result<JobExecution, String>> {
+        let exec = |&service_ms| JobExecution {
+            service_ms,
+            circuit_height: 1,
+            wires_routed: 1,
+            degraded: false,
+        };
+        service_ms.iter().map(exec).map(Ok).collect()
+    }
+
+    /// `trace(n, 0)` with the given arrival times.
+    fn arriving(arrival_ms: &[u64]) -> Vec<JobSpec> {
+        let mut jobs = trace(arrival_ms.len(), 0);
+        for (job, &at) in jobs.iter_mut().zip(arrival_ms) {
+            job.arrival_ms = at;
+        }
+        jobs
+    }
+
+    /// (dispatch, complete) of a job that was served.
+    fn span(record: &JobRecord) -> (u64, u64) {
+        match record.outcome {
+            JobOutcome::Completed { dispatch_ms, complete_ms, .. } => (dispatch_ms, complete_ms),
+            ref other => panic!("job {} was not served: {other:?}", record.id),
+        }
+    }
+
     #[test]
-    fn retry_jitter_is_deterministic_and_spread() {
-        let a = jitter(1, 1);
-        assert_eq!(a, jitter(1, 1));
-        assert_ne!(jitter(1, 1), jitter(1, 2));
-        assert_ne!(jitter(1, 1), jitter(2, 1));
+    fn a_shuffled_trace_replays_like_the_sorted_one() {
+        // Distinct arrival times, 2× overload, so every policy acts.
+        let sorted = trace(24, 7);
+        let times: Vec<u64> = (0..24).map(|i| 10 + i * 13 % 40).collect();
+        // 5 is coprime to 24: slot k of the shuffled trace holds job 5k mod 24.
+        let from = |k: usize| k * 5 % 24;
+        let shuffled: Vec<JobSpec> = (0..24).map(|k| sorted[from(k)]).collect();
+        let shuffled_times: Vec<u64> = (0..24).map(|k| times[from(k)]).collect();
+        for policy in [Backpressure::Block, Backpressure::ShedOldest, Backpressure::Reject] {
+            let server = JobServer::new(ServiceConfig::new(2, 3, policy));
+            let (a_sink, b_sink) = (SharedSink::new(), SharedSink::new());
+            let a = server.simulate(&sorted, &served(&times), Some(a_sink.clone()));
+            let b = server.simulate(&shuffled, &served(&shuffled_times), Some(b_sink.clone()));
+            assert!(a.stats.completed < 24 || policy == Backpressure::Block, "{policy:?} acted");
+            for (k, record) in b.records.iter().enumerate() {
+                assert_eq!(record, &a.records[from(k)], "{policy:?}: slot {k}");
+            }
+            assert_eq!((a.stats, a.makespan_ms), (b.stats, b.makespan_ms), "{policy:?}");
+            let events = b_sink.snapshot_events();
+            assert_eq!(a_sink.snapshot_events(), events, "{policy:?}");
+            assert!(events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns), "clock ran backwards");
+        }
+    }
+
+    #[test]
+    fn a_completion_frees_capacity_before_an_arrival_of_its_ms_asks_for_it() {
+        // One worker, one queue slot. Job 0 is served over [0, 10), job 1
+        // holds the slot, job 2 arrives at 10. The completion goes first:
+        // job 1 takes the worker with no further wait and job 2 finds the
+        // slot free. Were the arrival first, job 2 would be rejected.
+        let server = JobServer::new(ServiceConfig::new(1, 1, Backpressure::Reject));
+        let out = server.simulate(&arriving(&[0, 1, 10]), &served(&[10, 5, 5]), None);
+        assert_eq!(out.stats.rejected, 0, "{:?}", out.records);
+        assert_eq!(span(&out.records[1]), (10, 15));
+        assert_eq!(span(&out.records[2]), (15, 20));
+        // And an arrival that finds the worker just freed does not wait.
+        let out = server.simulate(&arriving(&[0, 10]), &served(&[10, 5]), None);
+        assert_eq!(out.records[1].queue_wait_ms(), Some(0));
+    }
+
+    #[test]
+    fn a_zero_length_quarantine_releases_after_the_completions_of_its_ms() {
+        // Workers 1 and 2 both finish at 10; worker 1's run was degraded
+        // and quarantines it for 0 ms. Its release is due at 10 as well,
+        // but sorts after worker 2's completion, so the queued job 2 goes
+        // to worker 2, not back to worker 1.
+        let policy = HealthPolicy {
+            max_retries: 0,
+            failure_quarantine: 1,
+            quarantine_ms: 0,
+            ..lenient_health()
+        };
+        let server =
+            JobServer::new(ServiceConfig::new(2, 4, Backpressure::Block).with_health(policy));
+        let mut executions = served(&[10, 10, 10]);
+        executions[0].as_mut().expect("served").degraded = true;
+        let sink = SharedSink::new();
+        let out = server.simulate(&arriving(&[0, 0, 1]), &executions, Some(sink.clone()));
+        assert_eq!(out.stats.quarantines, 1);
+        assert_eq!(span(&out.records[2]), (10, 20));
+        let took_job_2 = sink.snapshot_events().into_iter().find_map(|e| match e.kind {
+            EventKind::JobDispatched { job: 2, .. } => Some(e.node),
+            _ => None,
+        });
+        assert_eq!(took_job_2, Some(2));
+        assert_eq!(out.worker_health, vec![WorkerState::Healthy; 3], "released by the end");
+    }
+
+    #[test]
+    fn a_release_returns_its_worker_before_a_retry_of_its_ms_queues() {
+        // Job 0's degraded run on worker 1 ends at 5: it retries at `due`
+        // and worker 1 sits out until `due` too. Worker 2 is busy, job 2
+        // waits. The release goes first and takes job 2 out of the queue,
+        // so the retry enqueues at depth 1, not 2.
+        let due = 5 + 10 + crate::health::jitter(0, 1) % 10;
+        let policy = HealthPolicy {
+            max_retries: 1,
+            backoff_base_ms: 10,
+            failure_quarantine: 1,
+            quarantine_ms: due - 5,
+            ..lenient_health()
+        };
+        let server =
+            JobServer::new(ServiceConfig::new(2, 4, Backpressure::Block).with_health(policy));
+        let mut executions = served(&[5, 100, 50]);
+        executions[0].as_mut().expect("served").degraded = true;
+        let sink = SharedSink::new();
+        let out = server.simulate(&arriving(&[0, 0, 6]), &executions, Some(sink.clone()));
+        assert_eq!(out.stats.retried, 1);
+        assert_eq!(span(&out.records[2]), (due, due + 50));
+        let depths: Vec<u32> = sink
+            .snapshot_events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::JobEnqueued { job: 0, queue_depth } => Some(queue_depth),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(depths, [1, 1], "first arrival, then the retry");
+    }
+
+    #[test]
+    fn a_retry_due_at_an_arrival_s_ms_queues_ahead_of_it() {
+        // Job 0's degraded first run ends at 5; its one retry is due at
+        // `due`, exactly when job 1 arrives. The retry enters the queue
+        // first and takes the idle worker; job 1 waits out its 5 ms.
+        let policy = HealthPolicy { max_retries: 1, backoff_base_ms: 10, ..lenient_health() };
+        let due = 5 + 10 + crate::health::jitter(0, 1) % 10;
+        let server =
+            JobServer::new(ServiceConfig::new(1, 4, Backpressure::Block).with_health(policy));
+        let mut executions = served(&[5, 5]);
+        executions[0].as_mut().expect("served").degraded = true;
+        let out = server.simulate(&arriving(&[0, due]), &executions, None);
+        assert_eq!(out.stats.retried, 1);
+        assert_eq!(span(&out.records[0]), (due, due + 5));
+        assert_eq!(span(&out.records[1]), (due + 5, due + 10));
+    }
+
+    #[test]
+    fn hostile_configs_are_rejected_not_replayed() {
+        let shape = |workers, queue_capacity| ServiceConfig {
+            workers,
+            queue_capacity,
+            policy: Backpressure::Reject,
+            health: None,
+        };
+        let err = |cfg: ServiceConfig| JobServer::try_new(cfg).err().expect("hostile config");
+        assert!(err(shape(0, 4)).contains("worker"), "divides by zero in the reject hint");
+        assert!(err(shape(usize::MAX, 4)).contains("workers"));
+        assert!(
+            err(shape(2, 0)).contains("queue_capacity"),
+            "strands or sheds from an empty queue"
+        );
+        let no_window = HealthPolicy { breaker_window: 0, ..HealthPolicy::default() };
+        assert!(err(shape(2, 4).with_health(no_window)).contains("breaker_window"));
+        assert!(JobServer::try_new(shape(MAX_WORKERS, 1)).is_ok());
+        // What validation lets through saturates instead of overflowing:
+        // job 0 errors at the end of time and quarantines the one worker
+        // past it, so job 1 is served over [MAX, MAX].
+        let forever = HealthPolicy {
+            failure_quarantine: 1,
+            quarantine_ms: crate::health::MAX_SPAN_MS,
+            ..lenient_health()
+        };
+        let server =
+            JobServer::new(ServiceConfig::new(1, 4, Backpressure::Reject).with_health(forever));
+        let executions = [Err("boom".into()), served(&[u64::MAX]).remove(0)];
+        let out = server.simulate(&arriving(&[u64::MAX - 3, u64::MAX - 2]), &executions, None);
+        assert_eq!(span(&out.records[1]), (u64::MAX, u64::MAX));
+        assert_eq!(out.stats.busy_ms, u64::MAX, "1 ms + MAX ms, saturated");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid service configuration")]
+    fn new_panics_where_try_new_returns_the_error() {
+        JobServer::new(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::new(1, 1, Backpressure::Block)
+        });
     }
 }
