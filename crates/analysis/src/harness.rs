@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use locus_circuit::{Circuit, GridCell};
 use locus_coherence::{MemRef, RefKind, Trace};
 use locus_msgpass::{MsgPassConfig, MsgPassOutcome, UpdateSchedule};
-use locus_obs::{Event, EventKind, Sink};
+use locus_obs::{EventKind, Obs};
 use locus_router::router::route_wire_scratch;
 use locus_router::{CostArray, CostView, EvalScratch, Route, RouterParams};
 use locus_shmem::{cell_addr, ShmemConfig, ShmemEmulator, ThreadedRouter};
@@ -144,19 +144,13 @@ impl AnalysisReport {
     }
 }
 
-/// Emits one `RaceDetected` obs event per classified race into `sink`
+/// Emits one `RaceDetected` obs event per classified race through `obs`
 /// (stamped with the second access's time and processor).
-pub fn emit_race_events(report: &AnalysisReport, sink: &mut dyn Sink) {
-    if !sink.enabled() {
-        return;
-    }
+pub fn emit_race_events(report: &AnalysisReport, obs: &Obs) {
     for c in &report.races {
         let wire = c.pair.read_ref().map(|r| r.wire).unwrap_or(c.pair.second.wire);
-        sink.record(Event {
-            at_ns: c.pair.second.time,
-            node: c.pair.second.proc,
-            kind: EventKind::RaceDetected { addr: c.pair.addr, wire, benign: c.is_benign() },
-        });
+        let kind = EventKind::RaceDetected { addr: c.pair.addr, wire, benign: c.is_benign() };
+        obs.emit_on(c.pair.second.time, c.pair.second.proc, kind);
     }
 }
 
@@ -337,7 +331,7 @@ pub fn audit_staleness(
 mod tests {
     use super::*;
     use locus_circuit::presets;
-    use locus_obs::RingBufferSink;
+    use locus_obs::SharedSink;
     use locus_router::SequentialRouter;
 
     #[test]
@@ -425,8 +419,9 @@ mod tests {
         let c = presets::small();
         let report =
             analyze_engine(&c, "shmem-emul", 4, RouterParams::default()).expect("emul analyses");
-        let mut sink = RingBufferSink::new();
-        emit_race_events(&report, &mut sink);
+        let sink = SharedSink::new();
+        emit_race_events(&report, &Obs::to(&sink));
+        let sink = sink.lock();
         assert_eq!(sink.len(), report.races.len());
         assert_eq!(sink.metrics().counter("races_detected"), report.races.len() as u64);
     }

@@ -136,7 +136,7 @@ fn emit(id: &str, report: &Report, out: Option<&str>) {
 /// JSON alongside the printed summary.
 fn run_analyze(cfg: &RunCfg, name: &str, procs: Option<usize>, report_out: Option<String>) {
     use locus_analysis as analysis;
-    use locus_obs::{names, RingBufferSink};
+    use locus_obs::{names, Obs, SharedSink};
 
     let c = cfg.circuit();
     let procs = procs.unwrap_or_else(|| cfg.procs());
@@ -161,16 +161,17 @@ fn run_analyze(cfg: &RunCfg, name: &str, procs: Option<usize>, report_out: Optio
     let report =
         analysis::analyze_engine(&c, name, procs, params).unwrap_or_else(|msg| die(&msg, 2));
     print!("{}", report.render());
-    let mut sink = RingBufferSink::new();
-    analysis::emit_race_events(&report, &mut sink);
+    let sink = SharedSink::new();
+    analysis::emit_race_events(&report, &Obs::to(&sink));
+    let metrics = sink.metrics_snapshot();
     println!(
         "  obs: {}={} {}={} {}={}",
         names::RACES_DETECTED,
-        sink.metrics().counter(names::RACES_DETECTED),
+        metrics.counter(names::RACES_DETECTED),
         names::BENIGN_RACES,
-        sink.metrics().counter(names::BENIGN_RACES),
+        metrics.counter(names::BENIGN_RACES),
         names::QUALITY_RACES,
-        sink.metrics().counter(names::QUALITY_RACES),
+        metrics.counter(names::QUALITY_RACES),
     );
     if let Some(path) = report_out {
         write_or_die(&path, &analysis::race_report_json(&report));

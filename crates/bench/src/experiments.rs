@@ -13,8 +13,8 @@
 use crate::Harness;
 use locus_circuit::Circuit;
 use locus_coherence::{
-    build_memory_model, memory_registry, traffic_by_backend, traffic_by_line_size, MemoryConfig,
-    MemoryModelEntry, MemoryOutcome, Trace,
+    memory_registry, traffic_by_backend, traffic_by_line_size, MemoryConfig, MemoryModelEntry,
+    MemoryOutcome, Trace,
 };
 use locus_msgpass::{run_msgpass, MsgPassConfig, PacketStructure, UpdateSchedule};
 use locus_router::engine::EngineCtx;
@@ -274,14 +274,14 @@ pub fn memory_study(
     let n = u32::try_from(n_procs).map_err(|_| format!("{n_procs} processors is out of range"))?;
     let machine = MemoryConfig::paper(n, line_size);
     for entry in memory_registry() {
-        build_memory_model(entry.name, machine)?;
+        entry.build(machine)?;
     }
     let mut rows = Vec::new();
     for &circuit in circuits {
         let trace = shared_memory_trace(circuit, n_procs);
         let entries: Vec<&'static MemoryModelEntry> = memory_registry().iter().collect();
         rows.extend(harness.map(entries, |entry| {
-            let model = (entry.build)(machine);
+            let model = entry.build(machine).expect("checked above, on every backend");
             memory_row(circuit.name.clone(), &model.run(&trace))
         }));
     }

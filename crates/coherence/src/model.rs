@@ -47,7 +47,7 @@
 use locus_mesh::{
     Arbiter, MeshConfig, ResolvedContention, ServicePolicy, ServiceRequest, Topology,
 };
-use locus_obs::{Event as ObsEvent, EventKind as ObsKind, NullSink, Sink};
+use locus_obs::{EventKind as ObsKind, Obs};
 
 use crate::protocol::{
     transition, CoherenceConfig, CoherenceSim, DirectoryParams, DlsParams, Protocol, TrafficStats,
@@ -184,15 +184,15 @@ pub trait MemoryModel {
     /// Registry name of the backend.
     fn name(&self) -> &'static str;
 
-    /// Replays `trace`, streaming one [`EventKind::MemRequest`] per
-    /// priced transaction into `sink`.
+    /// Replays `trace`, recording one [`EventKind::MemRequest`] per
+    /// priced transaction through `obs`.
     ///
     /// [`EventKind::MemRequest`]: locus_obs::EventKind::MemRequest
-    fn run_observed(&self, trace: &Trace, sink: &mut dyn Sink) -> MemoryOutcome;
+    fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome;
 
     /// Replays `trace` without observability.
     fn run(&self, trace: &Trace) -> MemoryOutcome {
-        self.run_observed(trace, &mut NullSink)
+        self.run_observed(trace, &Obs::off())
     }
 }
 
@@ -234,19 +234,16 @@ struct RunAcc<'a> {
     /// loops need no check per reference.
     max_procs: u32,
     arb: Arbiter,
-    sink: &'a mut dyn Sink,
-    obs_on: bool,
+    obs: &'a Obs,
 }
 
 impl<'a> RunAcc<'a> {
-    fn new(cfg: &MemoryConfig, sink: &'a mut dyn Sink) -> Self {
-        let obs_on = sink.enabled();
+    fn new(cfg: &MemoryConfig, obs: &'a Obs) -> Self {
         RunAcc {
             per_proc: vec![ProcCounts::default(); cfg.n_procs as usize],
             max_procs: cfg.coherence.protocol.max_procs(),
             arb: Arbiter::new(),
-            sink,
-            obs_on,
+            obs,
         }
     }
 
@@ -278,16 +275,13 @@ impl<'a> RunAcc<'a> {
             service_ns,
             critical: r.is_critical(),
         });
-        if self.obs_on {
-            self.sink.record(ObsEvent {
-                at_ns: arrive_ns,
-                node: r.proc,
-                kind: ObsKind::MemRequest {
-                    resource,
-                    bytes: bytes.min(u32::MAX as u64) as u32,
-                    critical: r.is_critical(),
-                },
-            });
+        if self.obs.is_on() {
+            let kind = ObsKind::MemRequest {
+                resource,
+                bytes: bytes.min(u32::MAX as u64) as u32,
+                critical: r.is_critical(),
+            };
+            self.obs.emit_on(arrive_ns, r.proc, kind);
         }
     }
 
@@ -323,10 +317,10 @@ impl MemoryModel for BusModel {
         self.cfg.coherence.protocol.backend_name()
     }
 
-    fn run_observed(&self, trace: &Trace, sink: &mut dyn Sink) -> MemoryOutcome {
+    fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
         let pricer = Pricer::new(&self.cfg);
         let mut sim = CoherenceSim::new(self.cfg.coherence);
-        let mut acc = RunAcc::new(&self.cfg, sink);
+        let mut acc = RunAcc::new(&self.cfg, obs);
         for r in trace.refs() {
             acc.count(r);
             let moved = sim.step(r.proc, r.addr, r.kind);
@@ -357,14 +351,14 @@ impl MemoryModel for DirectoryModel {
         "directory"
     }
 
-    fn run_observed(&self, trace: &Trace, sink: &mut dyn Sink) -> MemoryOutcome {
+    fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
         let coherence = self.cfg.coherence;
         let word = coherence.word_bytes as u64;
         let pricer = Pricer::new(&self.cfg);
         let mut lines = LineTable::new(coherence.line_size);
         let mut stats = TrafficStats::default();
         let mut unicast_bytes = 0u64;
-        let mut acc = RunAcc::new(&self.cfg, sink);
+        let mut acc = RunAcc::new(&self.cfg, obs);
 
         for r in trace.refs() {
             acc.count(r);
@@ -403,13 +397,13 @@ impl MemoryModel for DlsModel {
         "dls"
     }
 
-    fn run_observed(&self, trace: &Trace, sink: &mut dyn Sink) -> MemoryOutcome {
+    fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
         let line_shift = self.cfg.coherence.line_size.trailing_zeros();
         let word = self.cfg.coherence.word_bytes as u64;
         let tiles = self.cfg.n_procs;
         let pricer = Pricer::new(&self.cfg);
         let mut stats = TrafficStats::default();
-        let mut acc = RunAcc::new(&self.cfg, sink);
+        let mut acc = RunAcc::new(&self.cfg, obs);
 
         for r in trace.refs() {
             acc.count(r);
@@ -429,68 +423,60 @@ impl MemoryModel for DlsModel {
     }
 }
 
-/// Builds the backend that services `cfg.coherence.protocol`, or the
-/// error [`MemoryConfig::validate`] gives for a machine it cannot price.
-fn model_for_config(cfg: MemoryConfig) -> Result<Box<dyn MemoryModel>, String> {
-    cfg.validate()?;
-    Ok(match cfg.coherence.protocol {
-        Protocol::WriteBackInvalidate | Protocol::WriteThrough => Box::new(BusModel { cfg }),
-        Protocol::Directory(params) => Box::new(DirectoryModel { cfg, params }),
-        Protocol::DirectorylessLlc(params) => Box::new(DlsModel { cfg, params }),
-    })
-}
-
 /// One registered backend.
 pub struct MemoryModelEntry {
     /// CLI/report name.
     pub name: &'static str,
     /// One-line description for `--memory help` listings.
     pub summary: &'static str,
-    /// Constructor: [`build_memory_model`] under this entry's name, for
-    /// configurations known to be valid (it panics on the others).
-    pub build: fn(MemoryConfig) -> Box<dyn MemoryModel>,
+    /// The protocol variant the backend runs a configuration under: the
+    /// configuration's own variant when it already matches, so its params
+    /// survive, else the backend's defaults.
+    pub protocol: fn(&MemoryConfig) -> Protocol,
 }
 
-/// The protocol variant the backend registered as `name` runs `cfg`
-/// under: the configuration's own variant when it already matches, so
-/// its params survive, else the backend's defaults.
-fn registered_protocol(name: &str, cfg: &MemoryConfig) -> Option<Protocol> {
-    let own = cfg.coherence.protocol;
-    Some(match (name, own) {
-        ("bus-wbi", _) => Protocol::WriteBackInvalidate,
-        ("bus-wt", _) => Protocol::WriteThrough,
-        ("directory", Protocol::Directory(_)) | ("dls", Protocol::DirectorylessLlc(_)) => own,
-        // One directory slice per processor tile.
-        ("directory", _) => Protocol::Directory(DirectoryParams { home_tiles: cfg.n_procs }),
-        ("dls", _) => Protocol::DirectorylessLlc(DlsParams::default()),
-        _ => return None,
-    })
-}
-
-fn build_registered(name: &str, cfg: MemoryConfig) -> Box<dyn MemoryModel> {
-    build_memory_model(name, cfg).unwrap_or_else(|e| panic!("{e}"))
+impl MemoryModelEntry {
+    /// Builds this backend for `cfg` under [`Self::protocol`], or the
+    /// error [`MemoryConfig::validate`] gives for a machine it cannot
+    /// price.
+    pub fn build(&self, cfg: MemoryConfig) -> Result<Box<dyn MemoryModel>, String> {
+        let cfg = cfg.with_protocol((self.protocol)(&cfg));
+        cfg.validate()?;
+        Ok(match cfg.coherence.protocol {
+            Protocol::WriteBackInvalidate | Protocol::WriteThrough => Box::new(BusModel { cfg }),
+            Protocol::Directory(params) => Box::new(DirectoryModel { cfg, params }),
+            Protocol::DirectorylessLlc(params) => Box::new(DlsModel { cfg, params }),
+        })
+    }
 }
 
 static MEMORY_MODELS: [MemoryModelEntry; 4] = [
     MemoryModelEntry {
         name: "bus-wbi",
         summary: "snooped Write-Back-with-Invalidate bus (the paper's Table 3 memory system)",
-        build: |cfg| build_registered("bus-wbi", cfg),
+        protocol: |_| Protocol::WriteBackInvalidate,
     },
     MemoryModelEntry {
         name: "bus-wt",
         summary: "snooped write-through bus (Archibald & Baer ablation; every write on the bus)",
-        build: |cfg| build_registered("bus-wt", cfg),
+        protocol: |_| Protocol::WriteThrough,
     },
     MemoryModelEntry {
         name: "directory",
         summary: "directory-based MSI: home-node line state, unicast invalidations over the mesh",
-        build: |cfg| build_registered("directory", cfg),
+        protocol: |cfg| match cfg.coherence.protocol {
+            own @ Protocol::Directory(_) => own,
+            // One directory slice per processor tile.
+            _ => Protocol::Directory(DirectoryParams { home_tiles: cfg.n_procs }),
+        },
     },
     MemoryModelEntry {
         name: "dls",
         summary: "directoryless shared LLC: no private caching, word transfers to home tiles",
-        build: |cfg| build_registered("dls", cfg),
+        protocol: |cfg| match cfg.coherence.protocol {
+            own @ Protocol::DirectorylessLlc(_) => own,
+            _ => Protocol::DirectorylessLlc(DlsParams::default()),
+        },
     },
 ];
 
@@ -503,11 +489,11 @@ pub fn memory_registry() -> &'static [MemoryModelEntry] {
 /// listing the known ones, and a configuration the backend cannot run is
 /// the error [`MemoryConfig::validate`] gives for it; neither panics.
 pub fn build_memory_model(name: &str, cfg: MemoryConfig) -> Result<Box<dyn MemoryModel>, String> {
-    let protocol = registered_protocol(name, &cfg).ok_or_else(|| {
+    let entry = MEMORY_MODELS.iter().find(|e| e.name == name).ok_or_else(|| {
         let known: Vec<&str> = MEMORY_MODELS.iter().map(|e| e.name).collect();
         format!("unknown memory backend `{name}` (known: {})", known.join(", "))
     })?;
-    model_for_config(cfg.with_protocol(protocol))
+    entry.build(cfg)
 }
 
 #[cfg(test)]
@@ -602,7 +588,7 @@ mod tests {
         let t = churn_trace(4);
         let cfg = MemoryConfig::paper(4, 8);
         let outs: Vec<MemoryOutcome> =
-            memory_registry().iter().map(|e| (e.build)(cfg).run(&t)).collect();
+            memory_registry().iter().map(|e| e.build(cfg).expect("valid").run(&t)).collect();
         for pair in outs.windows(2) {
             assert_eq!(
                 pair[0].per_proc, pair[1].per_proc,
@@ -689,8 +675,8 @@ mod tests {
             });
             assert!(err.contains(needle), "`{backend}`: {err:?} should mention {needle:?}");
             // The same verdict without building anything.
-            let protocol = registered_protocol(backend, &cfg).expect("registered");
-            assert_eq!(cfg.with_protocol(protocol).validate(), Err(err));
+            let entry = memory_registry().iter().find(|e| e.name == backend).expect("registered");
+            assert_eq!(cfg.with_protocol((entry.protocol)(&cfg)).validate(), Err(err));
         }
     }
 
@@ -731,7 +717,7 @@ mod tests {
         let mut t = churn_trace(4);
         t.push(MemRef::new(1_000_000, 9, 0, RefKind::Read));
         for e in memory_registry() {
-            let out = (e.build)(MemoryConfig::paper(4, 8)).run(&t);
+            let out = e.build(MemoryConfig::paper(4, 8)).expect("valid").run(&t);
             assert_eq!(out.per_proc.len(), 10, "{}", e.name);
             assert_eq!(out.per_proc[9], ProcCounts { reads: 1, writes: 0 }, "{}", e.name);
         }
@@ -752,7 +738,7 @@ mod tests {
         let sink = SharedSink::new();
         let out = build_memory_model("directory", MemoryConfig::paper(4, 8))
             .expect("registered")
-            .run_observed(&t, &mut sink.clone());
+            .run_observed(&t, &Obs::to(&sink));
         let m = sink.metrics_snapshot();
         assert_eq!(m.counter(names::MEM_REQUESTS), out.fifo.all().requests);
         assert_eq!(m.counter(names::MEM_CRITICAL_REQUESTS), out.fifo.critical.requests);

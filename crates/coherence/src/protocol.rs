@@ -1,7 +1,7 @@
 //! The Write-Back-with-Invalidate protocol state machine and bus-byte
 //! accounting.
 
-use locus_obs::{Event as ObsEvent, EventKind as ObsKind, NullSink, Sink};
+use locus_obs::{EventKind as ObsKind, Obs};
 
 use crate::table::{LineState, LineTable};
 use crate::trace::{RefKind, Trace};
@@ -215,8 +215,8 @@ impl Transition {
 
     /// Emits the transition's events in protocol order: miss, line
     /// transfer, word announcement, invalidation.
-    fn emit(&self, sink: &mut dyn Sink, at_ns: u64, node: u32, addr: u32, cfg: &CoherenceConfig) {
-        let mut record = |kind| sink.record(ObsEvent { at_ns, node, kind });
+    fn emit(&self, obs: &Obs, at_ns: u64, node: u32, addr: u32, cfg: &CoherenceConfig) {
+        let record = |kind| obs.emit_on(at_ns, node, kind);
         if self.fetched {
             record(ObsKind::CacheMiss { addr, line_bytes: cfg.line_size });
             record(ObsKind::BusTransfer { bytes: cfg.line_size });
@@ -317,8 +317,7 @@ pub struct CoherenceSim {
     config: CoherenceConfig,
     lines: LineTable,
     stats: TrafficStats,
-    sink: Box<dyn Sink>,
-    obs_on: bool,
+    obs: Obs,
     /// Timestamp for emitted events: the current reference's trace time
     /// when driven by [`CoherenceSim::run`], else an access counter.
     tick: u64,
@@ -341,17 +340,15 @@ impl CoherenceSim {
             config,
             lines: LineTable::new(config.line_size),
             stats: TrafficStats::default(),
-            sink: Box::new(NullSink),
-            obs_on: false,
+            obs: Obs::off(),
             tick: 0,
         }
     }
 
-    /// Routes protocol events (cache misses, invalidations, bus
-    /// transfers) into `sink`, stamped with trace reference times.
-    pub fn with_sink(mut self, sink: Box<dyn Sink>) -> Self {
-        self.obs_on = sink.enabled();
-        self.sink = sink;
+    /// Records protocol events (cache misses, invalidations, bus
+    /// transfers) through `obs`, stamped with trace reference times.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
     }
 
@@ -372,8 +369,8 @@ impl CoherenceSim {
         if t.is_hit() {
             return 0;
         }
-        if self.obs_on {
-            t.emit(self.sink.as_mut(), self.tick, proc, addr, &self.config);
+        if self.obs.is_on() {
+            t.emit(&self.obs, self.tick, proc, addr, &self.config);
         }
         self.stats.charge(&t, kind, &self.config)
     }
@@ -536,7 +533,7 @@ mod tests {
                 cfg = cfg.write_through();
             }
             let sink = SharedSink::new();
-            let stats = CoherenceSim::new(cfg).with_sink(Box::new(sink.clone())).run(&t);
+            let stats = CoherenceSim::new(cfg).with_obs(Obs::to(&sink)).run(&t);
             let m = sink.metrics_snapshot();
             assert_eq!(m.counter(names::BUS_BYTES), stats.total_bytes, "wt={wt}");
             assert_eq!(m.counter(names::CACHE_MISSES), stats.line_fetches, "wt={wt}");
@@ -608,7 +605,7 @@ mod tests {
 
     /// The event sequence of a small trace under WBI and write-through, as
     /// recorded from the simulator before the transition function replaced
-    /// its interleaved `obs_on` blocks (parent commit 6d742c0).
+    /// its interleaved recording blocks (parent commit 6d742c0).
     #[test]
     fn obs_event_sequence_is_unchanged() {
         use locus_obs::SharedSink;
@@ -631,7 +628,7 @@ mod tests {
             .enumerate()
             .map(|(i, &(proc, addr, kind))| MemRef::new(10 * i as u64, proc, addr, kind))
             .collect();
-        let render = |e: &ObsEvent| {
+        let render = |e: &locus_obs::Event| {
             let what = match e.kind {
                 ObsKind::CacheMiss { addr, line_bytes } => format!("miss {addr}/{line_bytes}"),
                 ObsKind::BusTransfer { bytes } => format!("bus {bytes}"),
@@ -662,7 +659,7 @@ mod tests {
             (CoherenceConfig::with_line_size(8).write_through(), wt),
         ] {
             let sink = SharedSink::new();
-            CoherenceSim::new(cfg).with_sink(Box::new(sink.clone())).run(&trace);
+            CoherenceSim::new(cfg).with_obs(Obs::to(&sink)).run(&trace);
             let got: Vec<String> = sink.snapshot_events().iter().map(render).collect();
             assert_eq!(got, want, "{:?}", cfg.protocol);
         }

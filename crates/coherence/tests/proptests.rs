@@ -285,7 +285,7 @@ proptest! {
         let n_procs = trace.refs().iter().map(|r| r.proc + 1).max().unwrap_or(1);
         let mut per_backend = Vec::new();
         for e in memory_registry() {
-            let out = (e.build)(MemoryConfig::paper(n_procs, line_size)).run(&trace);
+            let out = e.build(MemoryConfig::paper(n_procs, line_size)).expect("valid").run(&trace);
             let reads: u64 = out.per_proc.iter().map(|p| p.reads).sum();
             let writes: u64 = out.per_proc.iter().map(|p| p.writes).sum();
             prop_assert_eq!(reads + writes, trace.len() as u64, "{}", e.name);
@@ -308,7 +308,7 @@ proptest! {
         // must report zero coherence events and zero invalidation
         // transport, whatever the line size.
         for e in memory_registry() {
-            let out = (e.build)(MemoryConfig::paper(1, 4u32 << line)).run(&trace);
+            let out = e.build(MemoryConfig::paper(1, 4u32 << line)).expect("valid").run(&trace);
             prop_assert_eq!(out.coherence_events(), 0, "{}", e.name);
             prop_assert_eq!(out.invalidation_traffic_bytes, 0, "{}", e.name);
         }
@@ -349,8 +349,8 @@ proptest! {
             tagged.push(if crit { r.with_criticality(Criticality::Critical) } else { r });
         }
         for e in memory_registry() {
-            let a = (e.build)(MemoryConfig::paper(6, 8)).run(&plain);
-            let b = (e.build)(MemoryConfig::paper(6, 8)).run(&tagged);
+            let a = e.build(MemoryConfig::paper(6, 8)).expect("valid").run(&plain);
+            let b = e.build(MemoryConfig::paper(6, 8)).expect("valid").run(&tagged);
             prop_assert_eq!(a.stats.clone(), b.stats.clone(), "{}", e.name);
             prop_assert_eq!(a.invalidation_traffic_bytes, b.invalidation_traffic_bytes);
             prop_assert!(

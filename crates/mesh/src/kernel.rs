@@ -16,7 +16,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use locus_obs::{Event as ObsEvent, EventKind as ObsKind, FaultKind, NullSink, Sink};
+use locus_obs::{EventKind as ObsKind, FaultKind, Obs};
 
 use crate::config::MeshConfig;
 use crate::fault::{Fault, FaultInjector};
@@ -125,10 +125,9 @@ pub struct Kernel<N: Node> {
     node_faults_on: bool,
     stats: NetStats,
     event_limit: u64,
-    sink: Box<dyn Sink>,
-    /// Cached `sink.enabled()`: instrumentation sites check this one
-    /// branch and skip event construction entirely when recording is off.
-    obs_on: bool,
+    /// Instrumentation sites test `obs.is_on()` and skip event
+    /// construction entirely when recording is off.
+    obs: Obs,
 }
 
 impl<N: Node> Kernel<N> {
@@ -160,8 +159,7 @@ impl<N: Node> Kernel<N> {
             node_faults_on: config.faults.has_node_faults(),
             stats: NetStats::new(n),
             event_limit: 200_000_000,
-            sink: Box::new(NullSink),
-            obs_on: false,
+            obs: Obs::off(),
         };
         // Node-fault events go in before the initial wakes so a crash
         // scheduled at a node's wake time wins the (time, seq) tie and
@@ -205,18 +203,16 @@ impl<N: Node> Kernel<N> {
         self
     }
 
-    /// Routes observability events (packet injections, deliveries,
-    /// channel stalls) into `sink`. Pass a `SharedSink` clone to read
-    /// the data back after the run.
-    pub fn with_sink(mut self, sink: Box<dyn Sink>) -> Self {
-        self.obs_on = sink.enabled();
-        self.sink = sink;
+    /// Records observability events (packet injections, deliveries,
+    /// channel stalls, faults) through `obs`.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
     }
 
     #[inline]
-    fn emit(&mut self, at: SimTime, node: NodeId, kind: ObsKind) {
-        self.sink.record(ObsEvent { at_ns: at.as_ns(), node: node as u32, kind });
+    fn emit(&self, at: SimTime, node: NodeId, kind: ObsKind) {
+        self.obs.emit_on(at.as_ns(), node as u32, kind);
     }
 
     fn push(&mut self, at: SimTime, node: NodeId, kind: EventKind<N::Msg>) {
@@ -290,7 +286,7 @@ impl<N: Node> Kernel<N> {
                 return;
             }
         }
-        if self.obs_on {
+        if self.obs.is_on() {
             let kind = ObsKind::PacketDelivered {
                 src: env.from as u32,
                 payload_bytes: env.bytes,
@@ -380,24 +376,13 @@ impl<N: Node> Kernel<N> {
                 self.status[node] = Status::Scheduled;
                 self.push_wake(free, node);
             }
-            Step::Block => {
-                if self.inbox[node].is_empty() {
-                    self.status[node] = Status::Blocked;
-                } else {
-                    // A message raced in while this step executed.
-                    self.status[node] = Status::Scheduled;
-                    self.push_wake(free, node);
-                }
-            }
+            // No message can have raced in while the step executed: the
+            // inbox was cleared above and deliveries only ever arrive as
+            // heap events, which `on_deliver` turns into a fresh wake.
+            Step::Block => self.status[node] = Status::Blocked,
             Step::Sleep { until } => {
-                if self.inbox[node].is_empty() {
-                    self.status[node] = Status::Sleeping;
-                    self.push_wake(until.max(free), node);
-                } else {
-                    // A message raced in while this step executed.
-                    self.status[node] = Status::Scheduled;
-                    self.push_wake(free, node);
-                }
+                self.status[node] = Status::Sleeping;
+                self.push_wake(until.max(free), node);
             }
             Step::Done => {
                 self.status[node] = Status::Done;
@@ -423,9 +408,7 @@ impl<N: Node> Kernel<N> {
         self.status[node] = Status::Crashed;
         self.stats.node_crashes += 1;
         self.stats.crashed[node] = true;
-        if self.obs_on {
-            self.emit(at, node, ObsKind::NodeCrashed { will_restart });
-        }
+        self.emit(at, node, ObsKind::NodeCrashed { will_restart });
     }
 
     /// Brings a crashed node back up: the actor's `on_restart` hook runs
@@ -440,9 +423,7 @@ impl<N: Node> Kernel<N> {
         self.free_at[node] = at;
         self.stats.node_restarts += 1;
         self.stats.crashed[node] = false;
-        if self.obs_on {
-            self.emit(at, node, ObsKind::NodeRestarted { downtime_ns });
-        }
+        self.emit(at, node, ObsKind::NodeRestarted { downtime_ns });
         self.push_wake(at, node);
     }
 
@@ -459,19 +440,13 @@ impl<N: Node> Kernel<N> {
         arrival: SimTime,
         msg: N::Msg,
     ) {
-        let emit_fault = |k: &mut Self, kind: FaultKind, extra_ns: u64| {
-            if k.obs_on {
-                k.emit(
-                    start,
-                    node,
-                    ObsKind::FaultInjected {
-                        dst: to as u32,
-                        payload_bytes: bytes,
-                        fault: kind,
-                        extra_ns,
-                    },
-                );
-            }
+        let emit_fault = |k: &Self, fault: FaultKind, extra_ns: u64| {
+            let dst = to as u32;
+            k.emit(
+                start,
+                node,
+                ObsKind::FaultInjected { dst, payload_bytes: bytes, fault, extra_ns },
+            );
         };
         match fault {
             Fault::Drop => {
@@ -532,7 +507,7 @@ impl<N: Node> Kernel<N> {
         let wire = payload as u64 + self.config.header_bytes as u64;
         let hops = self.topo.hops(src, dst) as u64;
         self.stats.record_packet(src, payload as u64, wire, hops);
-        if self.obs_on {
+        if self.obs.is_on() {
             let kind = ObsKind::PacketSent {
                 dst: dst as u32,
                 payload_bytes: payload,
@@ -556,7 +531,7 @@ impl<N: Node> Kernel<N> {
             if free > t {
                 let stall_ns = (free - t).as_ns();
                 self.stats.add_contention(stall_ns);
-                if self.obs_on {
+                if self.obs.is_on() {
                     let kind = ObsKind::ChannelContended { channel: ch as u32, stall_ns };
                     self.emit(t, src, kind);
                 }
@@ -737,7 +712,7 @@ mod tests {
         let cfg = MeshConfig { rows: 1, cols: 3, ..MeshConfig::ametek(1, 3) };
         let sink = SharedSink::new();
         let nodes = vec![OneShot::sender(2, 100), OneShot::sender(2, 64), OneShot::receiver(2)];
-        let out = Kernel::new(cfg, nodes).with_sink(Box::new(sink.clone())).run();
+        let out = Kernel::new(cfg, nodes).with_obs(Obs::to(&sink)).run();
         let m = sink.metrics_snapshot();
         assert_eq!(m.counter(names::PACKETS_SENT), out.stats.packets);
         assert_eq!(m.counter(names::BYTES_SENT), out.stats.payload_bytes);
@@ -929,7 +904,7 @@ mod tests {
         let cfg = MeshConfig { rows: 1, cols: 3, ..MeshConfig::ametek(1, 3) }.with_faults(plan);
         let mk = || vec![OneShot::sender(2, 100), OneShot::sender(2, 64), OneShot::receiver(1)];
         let sink = SharedSink::new();
-        let a = Kernel::new(cfg, mk()).with_sink(Box::new(sink.clone())).run();
+        let a = Kernel::new(cfg, mk()).with_obs(Obs::to(&sink)).run();
         let b = Kernel::new(cfg, mk()).run();
         assert_eq!(a.stats, b.stats);
         let m = sink.metrics_snapshot();
@@ -958,7 +933,7 @@ mod tests {
         let cfg = two_node_config().with_faults(FaultPlan::uniform_loss(1, 10_000));
         let sink = SharedSink::new();
         let nodes = vec![OneShot::sender(1, 42), OneShot::receiver(1)];
-        let out = Kernel::new(cfg, nodes).with_sink(Box::new(sink.clone())).run();
+        let out = Kernel::new(cfg, nodes).with_obs(Obs::to(&sink)).run();
         let m = sink.metrics_snapshot();
         assert_eq!(m.counter(names::PACKETS_DROPPED), out.stats.packets_dropped);
         assert_eq!(m.counter(names::FAULTS_INJECTED), out.stats.faults_injected());

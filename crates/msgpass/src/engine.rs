@@ -8,7 +8,7 @@ use locus_router::RouterParams;
 
 use crate::config::MsgPassConfig;
 use crate::schedule::UpdateSchedule;
-use crate::sim::{run_msgpass, run_msgpass_observed};
+use crate::sim::run_inner;
 
 /// The discrete-event message-passing router as an engine: two stock
 /// variants that mirror the paper's headline schedules.
@@ -63,10 +63,7 @@ impl RoutingEngine for MsgPassEngine {
             config = config.with_faults(self.faults).with_reliability();
         }
         config.validate()?;
-        let out = match &ctx.sink {
-            Some(sink) => run_msgpass_observed(circuit, config, sink.clone()),
-            None => run_msgpass(circuit, config),
-        };
+        let out = run_inner(circuit, config, config.mesh_config(), ctx.obs.clone());
         Ok(EngineRun {
             outcome: RouteOutcome {
                 quality: out.quality,
@@ -85,6 +82,7 @@ impl RoutingEngine for MsgPassEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::run_msgpass;
     use locus_circuit::presets;
 
     #[test]

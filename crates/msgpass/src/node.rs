@@ -18,8 +18,8 @@ use std::sync::{Arc, Mutex};
 
 use locus_circuit::{Circuit, WireId};
 use locus_mesh::{Envelope, Node, Outbox, SimTime, Step};
-use locus_obs::{EventKind, SharedSink};
-use locus_router::engine::{IterationDriver, ObsEmitter, Stamp};
+use locus_obs::{EventKind, Obs};
+use locus_router::engine::{IterationDriver, Stamp};
 use locus_router::router::route_wire_scratch;
 use locus_router::{CostArray, EvalScratch, ProcId, RegionMap, Route};
 
@@ -171,14 +171,13 @@ impl RouterNode {
         }
     }
 
-    /// Routes this node's events (wire commits, rip-ups, iteration
+    /// Records this node's events (wire commits, rip-ups, iteration
     /// phases; acks and retransmissions; checkpoints, reassignments and
-    /// failovers) into `sink`, each layer in the order it acts.
-    pub(crate) fn with_sink(mut self, sink: SharedSink) -> Self {
-        let node = self.proc as u32;
-        let emitter = || ObsEmitter::new(Box::new(sink.clone())).for_node(node);
-        self.driver.set_obs(emitter());
-        self.transport.set_obs(emitter());
+    /// failovers) through `obs`, each layer in the order it acts.
+    pub(crate) fn with_obs(mut self, obs: Obs) -> Self {
+        let obs = obs.for_node(self.proc as u32);
+        self.driver = self.driver.with_obs(obs.clone());
+        self.transport = self.transport.with_obs(obs);
         self
     }
 
@@ -212,10 +211,7 @@ impl RouterNode {
     fn mark_finished_routing(&mut self) {
         self.finished_routing = true;
         self.routing_done_ns = self.now_ns;
-        if self.driver.obs_on() {
-            let ps = self.replica.prefix_stats();
-            self.driver.kernel_stats(Stamp::At(self.now_ns), ps);
-        }
+        self.driver.kernel_stats(Stamp::At(self.now_ns), self.replica.prefix_stats());
     }
 
     /// Stamps the truth-change time of every cell `route` covers (no-op

@@ -33,8 +33,7 @@
 use std::collections::BTreeMap;
 
 use locus_mesh::{Outbox, SimTime, Step};
-use locus_obs::EventKind;
-use locus_router::engine::ObsEmitter;
+use locus_obs::{EventKind, Obs};
 use locus_router::ProcId;
 
 use crate::packet::{Packet, PacketCounts, PacketKind};
@@ -211,7 +210,7 @@ pub(crate) struct Transport {
     /// time at which the node may actually stop, pushed back by any
     /// late-arriving traffic it must re-ack.
     linger_until: Option<u64>,
-    obs: ObsEmitter,
+    obs: Obs,
 }
 
 /// What the layers above reach the outside through: this node's
@@ -265,14 +264,15 @@ impl Transport {
             stats: ReliableStats::default(),
             sent: PacketCounts::default(),
             linger_until: None,
-            obs: ObsEmitter::disabled(),
+            obs: Obs::off(),
         }
     }
 
-    /// Routes the events of this layer and of the layers that
-    /// [`Link::emit`] into `obs`.
-    pub(crate) fn set_obs(&mut self, obs: ObsEmitter) {
+    /// Records the events of this layer and of the layers that
+    /// [`Link::emit`] through `obs`.
+    pub(crate) fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
+        self
     }
 
     /// Binds the transport to one step's outbox and clock.

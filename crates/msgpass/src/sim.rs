@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use locus_circuit::Circuit;
 use locus_mesh::{Kernel, NetStats};
-use locus_obs::{Event, EventKind, SharedSink, Sink};
+use locus_obs::{EventKind, Obs, SharedSink};
 use locus_router::locality::{locality_measure, LocalityMeasure};
 use locus_router::router::{route_wire_scratch, PooledScratch};
 use locus_router::{assign, CostArray, ProcId, QualityMetrics, RegionMap, Route, WorkStats};
@@ -123,7 +123,7 @@ pub fn run_msgpass_observed(
     sink: SharedSink,
 ) -> MsgPassOutcome {
     let mesh = config.mesh_config();
-    run_inner(circuit, config, mesh, Some(sink))
+    run_inner(circuit, config, mesh, Obs::to(&sink))
 }
 
 /// Like [`run_msgpass`] but with an explicit mesh configuration —
@@ -137,14 +137,14 @@ pub fn run_msgpass_with_mesh(
     config: MsgPassConfig,
     mesh: locus_mesh::MeshConfig,
 ) -> MsgPassOutcome {
-    run_inner(circuit, config, mesh, None)
+    run_inner(circuit, config, mesh, Obs::off())
 }
 
-fn run_inner(
+pub(crate) fn run_inner(
     circuit: &Circuit,
     config: MsgPassConfig,
     mesh: locus_mesh::MeshConfig,
-    sink: Option<SharedSink>,
+    obs: Obs,
 ) -> MsgPassOutcome {
     config.validate().expect("invalid message-passing configuration");
     assert_eq!(mesh.n_nodes(), config.n_procs, "mesh size must match processor count");
@@ -172,7 +172,7 @@ fn run_inner(
     });
     let nodes: Vec<RouterNode> = (0..config.n_procs)
         .map(|p| {
-            let node = RouterNode::new(
+            RouterNode::new(
                 p,
                 Arc::clone(&circuit_arc),
                 Arc::clone(&regions),
@@ -180,19 +180,12 @@ fn run_inner(
                 Arc::clone(&plan),
                 Arc::clone(&oracle),
                 truth_touched.clone(),
-            );
-            match &sink {
-                Some(s) => node.with_sink(s.clone()),
-                None => node,
-            }
+            )
+            .with_obs(obs.clone())
         })
         .collect();
 
-    let mut kernel = Kernel::new(mesh, nodes);
-    if let Some(s) = &sink {
-        kernel = kernel.with_sink(Box::new(s.clone()));
-    }
-    let mut outcome = kernel.run();
+    let mut outcome = Kernel::new(mesh, nodes).with_obs(obs.clone()).run();
     let deadlocked = outcome.stats.deadlocked;
 
     // Collect the final routes (the actual routed circuit), and with
@@ -269,12 +262,8 @@ fn run_inner(
         })
         .collect();
     let watchdog_recoveries = unrouted.len() as u64;
-    if let Some(s) = &sink {
-        let at_ns = outcome.stats.completion.as_ns();
-        let mut sink = s.lock();
-        for &wire in &unrouted {
-            sink.record(Event { at_ns, node: 0, kind: EventKind::WatchdogRecovery { wire } });
-        }
+    for &wire in &unrouted {
+        obs.emit_on(outcome.stats.completion.as_ns(), 0, EventKind::WatchdogRecovery { wire });
     }
     let degraded = if deadlocked || !unrouted.is_empty() {
         let kind = if outcome.stats.event_limit_hit {

@@ -294,41 +294,9 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Short stable name of the kind (used by exporters).
+    /// Short stable name of the kind: the variant's identifier.
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::PacketSent { .. } => "PacketSent",
-            EventKind::PacketDelivered { .. } => "PacketDelivered",
-            EventKind::ChannelContended { .. } => "ChannelContended",
-            EventKind::WireRouted { .. } => "WireRouted",
-            EventKind::RipUp { .. } => "RipUp",
-            EventKind::CacheMiss { .. } => "CacheMiss",
-            EventKind::Invalidation { .. } => "Invalidation",
-            EventKind::BusTransfer { .. } => "BusTransfer",
-            EventKind::MemRequest { .. } => "MemRequest",
-            EventKind::PhaseBegin { .. } => "PhaseBegin",
-            EventKind::PhaseEnd { .. } => "PhaseEnd",
-            EventKind::KernelStats { .. } => "KernelStats",
-            EventKind::PercellFallback { .. } => "PercellFallback",
-            EventKind::RaceDetected { .. } => "RaceDetected",
-            EventKind::ReplicaAudit { .. } => "ReplicaAudit",
-            EventKind::FaultInjected { .. } => "FaultInjected",
-            EventKind::PacketRetransmitted { .. } => "PacketRetransmitted",
-            EventKind::AckSent { .. } => "AckSent",
-            EventKind::WatchdogRecovery { .. } => "WatchdogRecovery",
-            EventKind::JobEnqueued { .. } => "JobEnqueued",
-            EventKind::JobDispatched { .. } => "JobDispatched",
-            EventKind::JobCompleted { .. } => "JobCompleted",
-            EventKind::JobShed { .. } => "JobShed",
-            EventKind::JobRejected { .. } => "JobRejected",
-            EventKind::NodeCrashed { .. } => "NodeCrashed",
-            EventKind::NodeRestarted { .. } => "NodeRestarted",
-            EventKind::CheckpointTaken { .. } => "CheckpointTaken",
-            EventKind::WireReassigned { .. } => "WireReassigned",
-            EventKind::CoordinatorFailover { .. } => "CoordinatorFailover",
-            EventKind::JobRetried { .. } => "JobRetried",
-            EventKind::BreakerTripped { .. } => "BreakerTripped",
-        }
+        crate::export::shown(self, None).name
     }
 }
 
@@ -344,12 +312,128 @@ pub struct Event {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Position of a kind's variant in the declaration. The match is
+    /// exhaustive, so a new variant fails to compile here until it is
+    /// numbered, and then [`all_kinds`] fails until it has a value.
+    fn ordinal(kind: &EventKind) -> usize {
+        match kind {
+            EventKind::PacketSent { .. } => 0,
+            EventKind::PacketDelivered { .. } => 1,
+            EventKind::ChannelContended { .. } => 2,
+            EventKind::WireRouted { .. } => 3,
+            EventKind::RipUp { .. } => 4,
+            EventKind::CacheMiss { .. } => 5,
+            EventKind::Invalidation { .. } => 6,
+            EventKind::BusTransfer { .. } => 7,
+            EventKind::MemRequest { .. } => 8,
+            EventKind::PhaseBegin { .. } => 9,
+            EventKind::PhaseEnd { .. } => 10,
+            EventKind::KernelStats { .. } => 11,
+            EventKind::PercellFallback { .. } => 12,
+            EventKind::RaceDetected { .. } => 13,
+            EventKind::ReplicaAudit { .. } => 14,
+            EventKind::FaultInjected { .. } => 15,
+            EventKind::PacketRetransmitted { .. } => 16,
+            EventKind::AckSent { .. } => 17,
+            EventKind::WatchdogRecovery { .. } => 18,
+            EventKind::JobEnqueued { .. } => 19,
+            EventKind::JobDispatched { .. } => 20,
+            EventKind::JobCompleted { .. } => 21,
+            EventKind::JobShed { .. } => 22,
+            EventKind::JobRejected { .. } => 23,
+            EventKind::NodeCrashed { .. } => 24,
+            EventKind::NodeRestarted { .. } => 25,
+            EventKind::CheckpointTaken { .. } => 26,
+            EventKind::WireReassigned { .. } => 27,
+            EventKind::CoordinatorFailover { .. } => 28,
+            EventKind::JobRetried { .. } => 29,
+            EventKind::BreakerTripped { .. } => 30,
+        }
+    }
+
+    /// One value of every variant, in declaration order, every field
+    /// nonzero so each counter it feeds moves.
+    pub(crate) fn all_kinds() -> Vec<EventKind> {
+        let kinds = vec![
+            EventKind::PacketSent { dst: 1, payload_bytes: 40, wire_bytes: 44, hops: 2 },
+            EventKind::PacketDelivered {
+                src: 1,
+                payload_bytes: 40,
+                latency_ns: 500,
+                queue_depth: 1,
+            },
+            EventKind::ChannelContended { channel: 2, stall_ns: 30 },
+            EventKind::WireRouted { wire: 3, cells: 14 },
+            EventKind::RipUp { wire: 3, cells: 12 },
+            EventKind::CacheMiss { addr: 64, line_bytes: 8 },
+            EventKind::Invalidation { addr: 64, copies: 3 },
+            EventKind::BusTransfer { bytes: 8 },
+            EventKind::MemRequest { resource: 1, bytes: 8, critical: true },
+            EventKind::PhaseBegin { name: "iteration" },
+            EventKind::PhaseEnd { name: "iteration" },
+            EventKind::KernelStats {
+                candidates: 7,
+                prefix_hits: 6,
+                prefix_rebuilds: 5,
+                prefix_patches: 4,
+                prefix_invalidations: 3,
+                prefix_fallbacks: 2,
+                percell_evals: 1,
+            },
+            EventKind::PercellFallback { wire: 3 },
+            EventKind::RaceDetected { addr: 64, wire: 3, benign: true },
+            EventKind::ReplicaAudit { diverged_cells: 5, max_divergence: 2, mean_age_ns: 1200 },
+            EventKind::FaultInjected {
+                dst: 1,
+                payload_bytes: 40,
+                fault: FaultKind::Delay,
+                extra_ns: 90,
+            },
+            EventKind::PacketRetransmitted { dst: 1, seq: 9, attempt: 1 },
+            EventKind::AckSent { dst: 1, cum_seq: 9 },
+            EventKind::WatchdogRecovery { wire: 3 },
+            EventKind::JobEnqueued { job: 4, queue_depth: 2 },
+            EventKind::JobDispatched { job: 4, queued_ms: 6 },
+            EventKind::JobCompleted { job: 4, service_ms: 11 },
+            EventKind::JobShed { job: 4 },
+            EventKind::JobRejected { job: 4, retry_ms: 25 },
+            EventKind::NodeCrashed { will_restart: true },
+            EventKind::NodeRestarted { downtime_ns: 800 },
+            EventKind::CheckpointTaken { bytes: 96 },
+            EventKind::WireReassigned { wire: 3, from: 2, to: 1 },
+            EventKind::CoordinatorFailover { new_coordinator: 1 },
+            EventKind::JobRetried { job: 4, attempt: 1 },
+            EventKind::BreakerTripped { class: 5 },
+        ];
+        let ordinals: Vec<usize> = kinds.iter().map(ordinal).collect();
+        assert_eq!(ordinals, (0..31).collect::<Vec<_>>(), "one value per variant, in order");
+        kinds
+    }
 
     #[test]
     fn kind_names_are_stable() {
         assert_eq!(EventKind::BusTransfer { bytes: 1 }.name(), "BusTransfer");
         assert_eq!(EventKind::PhaseBegin { name: "x" }.name(), "PhaseBegin");
+    }
+
+    #[test]
+    fn every_kind_is_named_after_its_variant() {
+        let kinds = all_kinds();
+        for (i, kind) in kinds.iter().enumerate() {
+            let debug = format!("{kind:?}");
+            assert_eq!(kind.name(), debug.split(' ').next().expect("a variant name"));
+            assert!(kinds[..i].iter().all(|k| k.name() != kind.name()), "{} twice", kind.name());
+        }
+    }
+
+    #[test]
+    fn event_size_is_pinned() {
+        // KernelStats' seven u64s set the size of every event; 2^20 of them
+        // (`DEFAULT_CAPACITY`) are 80 MiB. A new payload that grows this is
+        // a deliberate change of the number, not a silent one.
+        assert!(std::mem::size_of::<Event>() <= 80, "{}", std::mem::size_of::<Event>());
     }
 }

@@ -3,35 +3,47 @@
 //!
 //! All JSON is hand-rolled — the workspace deliberately omits `serde`
 //! (DESIGN §7); the formats here are small enough that a formatter and
-//! an escaping function cover them. Every report outside this module
-//! (the `BENCH_*.json` studies, the race, staleness and lint artifacts)
-//! is a [`Json`] tree written by [`json_document`].
+//! an escaping function cover them. Every document (the metrics JSON
+//! here, the `BENCH_*.json` studies, the race, staleness and lint
+//! artifacts) is a [`Json`] tree written by [`json_document`]; the Chrome
+//! trace, one object per event, writes a fixed frame around each event's
+//! payload, which is a `Json` object like the rest.
+//!
+//! How a kind is shown (its name, its Chrome `args`, its timeline glyph,
+//! priority and legend word) is one row of the private `shown` table.
 
 use std::fmt::{self, Write as _};
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, FaultKind};
 use crate::metrics::{bucket_hi, bucket_lo, Histogram, MetricsSnapshot};
 
 /// Escapes `s` for inclusion inside a JSON string literal (without the
 /// surrounding quotes).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    let _ = write_escaped(&mut out, s);
     out
+}
+
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    // Clean runs are copied whole; only the characters between them are
+    // spelled out.
+    let mut rest = s;
+    while let Some(at) = rest.find(|c: char| matches!(c, '"' | '\\' | '\0'..='\x1f')) {
+        out.write_str(&rest[..at])?;
+        match rest.as_bytes()[at] {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            0x08 => out.write_str("\\b")?,
+            0x0c => out.write_str("\\f")?,
+            control => write!(out, "\\u{control:04x}")?,
+        }
+        rest = &rest[at + 1..];
+    }
+    out.write_str(rest)
 }
 
 /// A JSON value: what [`json_document`] writes.
@@ -84,17 +96,27 @@ impl From<String> for Json {
     }
 }
 
+impl From<FaultKind> for Json {
+    fn from(v: FaultKind) -> Json {
+        v.name().into()
+    }
+}
+
 /// The inline form: `{"k": 1, "v": [2, 3]}`.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::UInt(n) => write!(f, "{n}"),
+            Json::Bool(b) => fmt::Display::fmt(b, f),
+            Json::UInt(n) => fmt::Display::fmt(n, f),
             Json::Float(v, _) if !v.is_finite() => f.write_str("null"),
             Json::Float(v, Some(decimals)) => write!(f, "{v:.decimals$}"),
             Json::Float(v, None) => write!(f, "{v}"),
-            Json::Str(s) => write!(f, "\"{}\"", json_escape(s)),
+            Json::Str(s) => {
+                f.write_str("\"")?;
+                write_escaped(f, s)?;
+                f.write_str("\"")
+            }
             Json::Array(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -102,15 +124,25 @@ impl fmt::Display for Json {
                 }
                 f.write_str("]")
             }
-            Json::Object(fields) => {
-                f.write_str("{")?;
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    let sep = if i == 0 { "" } else { ", " };
-                    write!(f, "{sep}\"{}\": {value}", json_escape(key))?;
-                }
-                f.write_str("}")
-            }
+            Json::Object(fields) => fmt::Display::fmt(&Fields(fields), f),
         }
+    }
+}
+
+/// The fields of a [`Json::Object`], borrowed: lets [`chrome_trace`] print
+/// each event's payload from one reused buffer.
+struct Fields<'a>(&'a [(&'static str, Json)]);
+
+impl fmt::Display for Fields<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{")?;
+        for (i, (key, value)) in self.0.iter().enumerate() {
+            f.write_str(if i == 0 { "\"" } else { ", \"" })?;
+            write_escaped(f, key)?;
+            f.write_str("\": ")?;
+            fmt::Display::fmt(value, f)?;
+        }
+        f.write_str("}")
     }
 }
 
@@ -138,6 +170,82 @@ pub fn json_document(fields: &[(&'static str, Json)]) -> String {
     out
 }
 
+/// How one event kind is shown by every exporter.
+#[derive(Clone, Copy)]
+pub(crate) struct Shown {
+    /// The variant's name (`EventKind::name`, the Chrome event name).
+    pub(crate) name: &'static str,
+    /// Timeline glyph.
+    glyph: char,
+    /// Timeline priority: a later event in the same cell wins only
+    /// against glyphs of lower or equal priority.
+    priority: u8,
+    /// Word explaining the glyph in the timeline legend.
+    legend: &'static str,
+}
+
+/// The one table of how each [`EventKind`] is shown. When `args` is given
+/// the payload is appended to it as `(field name, value)` pairs, keys taken
+/// from the field identifiers. A variant's fields are listed in
+/// declaration order (a test compares them with the `Debug` form).
+pub(crate) fn shown(kind: &EventKind, args: Option<&mut Vec<(&'static str, Json)>>) -> Shown {
+    macro_rules! table {
+        ($(
+            $variant:ident { $($field:ident),* } => $glyph:literal $pri:literal $legend:literal,
+        )*) => {
+            match kind {$(
+                EventKind::$variant { $($field),* } => {
+                    if let Some(args) = args {
+                        args.extend([$((stringify!($field), Json::from(*$field))),*]);
+                    }
+                    Shown {
+                        name: stringify!($variant),
+                        glyph: $glyph,
+                        priority: $pri,
+                        legend: $legend,
+                    }
+                }
+            )*}
+        };
+    }
+    table! {
+        PacketSent { dst, payload_bytes, wire_bytes, hops } => 'S' 4 "sent",
+        PacketDelivered { src, payload_bytes, latency_ns, queue_depth } => 'D' 3 "delivered",
+        ChannelContended { channel, stall_ns } => 'C' 5 "contention",
+        WireRouted { wire, cells } => 'W' 6 "routed",
+        RipUp { wire, cells } => 'X' 7 "ripup",
+        CacheMiss { addr, line_bytes } => 'M' 3 "miss",
+        Invalidation { addr, copies } => 'I' 2 "inval",
+        BusTransfer { bytes } => 'B' 1 "bus",
+        MemRequest { resource, bytes, critical } => 'm' 1 "mem-req",
+        PhaseBegin { name } => '|' 0 "phase",
+        PhaseEnd { name } => '|' 0 "phase",
+        KernelStats {
+            candidates, prefix_hits, prefix_rebuilds, prefix_patches, prefix_invalidations,
+            prefix_fallbacks, percell_evals
+        } => 'K' 1 "kernel",
+        PercellFallback { wire } => 'P' 5 "percell",
+        RaceDetected { addr, wire, benign } => 'R' 8 "race",
+        ReplicaAudit { diverged_cells, max_divergence, mean_age_ns } => 'A' 2 "audit",
+        FaultInjected { dst, payload_bytes, fault, extra_ns } => 'F' 6 "fault",
+        PacketRetransmitted { dst, seq, attempt } => 'T' 4 "resent",
+        AckSent { dst, cum_seq } => 'a' 1 "ack",
+        WatchdogRecovery { wire } => 'G' 8 "watchdog",
+        JobEnqueued { job, queue_depth } => 'j' 2 "job-enq",
+        JobDispatched { job, queued_ms } => '>' 3 "job-disp",
+        JobCompleted { job, service_ms } => 'J' 4 "job-done",
+        JobShed { job } => 'L' 7 "job-shed",
+        JobRejected { job, retry_ms } => 'r' 5 "job-rej",
+        NodeCrashed { will_restart } => '!' 9 "crash",
+        NodeRestarted { downtime_ns } => '^' 9 "restart",
+        CheckpointTaken { bytes } => 'c' 2 "ckpt",
+        WireReassigned { wire, from, to } => 'N' 8 "reassigned",
+        CoordinatorFailover { new_coordinator } => 'O' 9 "failover",
+        JobRetried { job, attempt } => 'y' 5 "job-retry",
+        BreakerTripped { class } => 'Z' 8 "breaker",
+    }
+}
+
 /// Renders `events` in the Chrome `chrome://tracing` trace-event format:
 /// a JSON array of event objects, loadable directly by `chrome://tracing`
 /// or Perfetto.
@@ -148,260 +256,92 @@ pub fn json_document(fields: &[(&'static str, Json)]) -> String {
 /// instant event (`ph: "i"`) whose payload rides in `args`. Timestamps
 /// are microseconds as the format requires.
 pub fn chrome_trace(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 110 + 64);
+    let mut out = String::with_capacity(events.len() * 140 + 64);
     out.push('[');
-    let mut first = true;
-    let mut push = |out: &mut String, obj: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n  ");
-        out.push_str(&obj);
-    };
+    let mut sep = "";
 
     // Name the threads after their nodes so traces are self-describing.
     if let Some(max) = events.iter().map(|e| e.node).max() {
         for n in 0..=max {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{n},\
-                     \"args\":{{\"name\":\"node {n}\"}}}}"
-                ),
-            );
+            let thread = Json::Object(vec![
+                ("name", "thread_name".into()),
+                ("ph", "M".into()),
+                ("pid", 0u32.into()),
+                ("tid", n.into()),
+                ("args", Json::Object(vec![("name", format!("node {n}").into())])),
+            ]);
+            let _ = write!(out, "{sep}\n  {thread}");
+            sep = ",";
         }
     }
 
+    // One args buffer for the whole trace; the frame around it is fixed.
+    let mut args = Vec::new();
     for ev in events {
-        let ts = ev.at_ns as f64 / 1000.0;
-        let tid = ev.node;
-        let obj = match ev.kind {
-            EventKind::PhaseBegin { name } => format!(
-                "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"B\",\"ts\":{ts:.3},\
-                 \"pid\":0,\"tid\":{tid}}}",
-                json_escape(name)
-            ),
-            EventKind::PhaseEnd { name } => format!(
-                "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"E\",\"ts\":{ts:.3},\
-                 \"pid\":0,\"tid\":{tid}}}",
-                json_escape(name)
-            ),
-            kind => {
-                let args = match kind {
-                    EventKind::PacketSent { dst, payload_bytes, wire_bytes, hops } => format!(
-                        "{{\"dst\":{dst},\"payload_bytes\":{payload_bytes},\
-                         \"wire_bytes\":{wire_bytes},\"hops\":{hops}}}"
-                    ),
-                    EventKind::PacketDelivered { src, payload_bytes, latency_ns, queue_depth } => {
-                        format!(
-                            "{{\"src\":{src},\"payload_bytes\":{payload_bytes},\
-                         \"latency_ns\":{latency_ns},\"queue_depth\":{queue_depth}}}"
-                        )
-                    }
-                    EventKind::ChannelContended { channel, stall_ns } => {
-                        format!("{{\"channel\":{channel},\"stall_ns\":{stall_ns}}}")
-                    }
-                    EventKind::WireRouted { wire, cells } | EventKind::RipUp { wire, cells } => {
-                        format!("{{\"wire\":{wire},\"cells\":{cells}}}")
-                    }
-                    EventKind::CacheMiss { addr, line_bytes } => {
-                        format!("{{\"addr\":{addr},\"line_bytes\":{line_bytes}}}")
-                    }
-                    EventKind::Invalidation { addr, copies } => {
-                        format!("{{\"addr\":{addr},\"copies\":{copies}}}")
-                    }
-                    EventKind::BusTransfer { bytes } => format!("{{\"bytes\":{bytes}}}"),
-                    EventKind::MemRequest { resource, bytes, critical } => {
-                        format!(
-                            "{{\"resource\":{resource},\"bytes\":{bytes},\
-                             \"critical\":{critical}}}"
-                        )
-                    }
-                    EventKind::KernelStats {
-                        candidates,
-                        prefix_hits,
-                        prefix_rebuilds,
-                        prefix_patches,
-                        prefix_invalidations,
-                        prefix_fallbacks,
-                        percell_evals,
-                    } => format!(
-                        "{{\"candidates\":{candidates},\"prefix_hits\":{prefix_hits},\
-                         \"prefix_rebuilds\":{prefix_rebuilds},\
-                         \"prefix_patches\":{prefix_patches},\
-                         \"prefix_invalidations\":{prefix_invalidations},\
-                         \"prefix_fallbacks\":{prefix_fallbacks},\
-                         \"percell_evals\":{percell_evals}}}"
-                    ),
-                    EventKind::PercellFallback { wire } => format!("{{\"wire\":{wire}}}"),
-                    EventKind::RaceDetected { addr, wire, benign } => {
-                        format!("{{\"addr\":{addr},\"wire\":{wire},\"benign\":{benign}}}")
-                    }
-                    EventKind::ReplicaAudit { diverged_cells, max_divergence, mean_age_ns } => {
-                        format!(
-                            "{{\"diverged_cells\":{diverged_cells},\
-                             \"max_divergence\":{max_divergence},\"mean_age_ns\":{mean_age_ns}}}"
-                        )
-                    }
-                    EventKind::FaultInjected { dst, payload_bytes, fault, extra_ns } => {
-                        format!(
-                            "{{\"dst\":{dst},\"payload_bytes\":{payload_bytes},\
-                             \"fault\":\"{}\",\"extra_ns\":{extra_ns}}}",
-                            fault.name()
-                        )
-                    }
-                    EventKind::PacketRetransmitted { dst, seq, attempt } => {
-                        format!("{{\"dst\":{dst},\"seq\":{seq},\"attempt\":{attempt}}}")
-                    }
-                    EventKind::AckSent { dst, cum_seq } => {
-                        format!("{{\"dst\":{dst},\"cum_seq\":{cum_seq}}}")
-                    }
-                    EventKind::WatchdogRecovery { wire } => format!("{{\"wire\":{wire}}}"),
-                    EventKind::JobEnqueued { job, queue_depth } => {
-                        format!("{{\"job\":{job},\"queue_depth\":{queue_depth}}}")
-                    }
-                    EventKind::JobDispatched { job, queued_ms } => {
-                        format!("{{\"job\":{job},\"queued_ms\":{queued_ms}}}")
-                    }
-                    EventKind::JobCompleted { job, service_ms } => {
-                        format!("{{\"job\":{job},\"service_ms\":{service_ms}}}")
-                    }
-                    EventKind::JobShed { job } => format!("{{\"job\":{job}}}"),
-                    EventKind::JobRejected { job, retry_ms } => {
-                        format!("{{\"job\":{job},\"retry_ms\":{retry_ms}}}")
-                    }
-                    EventKind::NodeCrashed { will_restart } => {
-                        format!("{{\"will_restart\":{will_restart}}}")
-                    }
-                    EventKind::NodeRestarted { downtime_ns } => {
-                        format!("{{\"downtime_ns\":{downtime_ns}}}")
-                    }
-                    EventKind::CheckpointTaken { bytes } => format!("{{\"bytes\":{bytes}}}"),
-                    EventKind::WireReassigned { wire, from, to } => {
-                        format!("{{\"wire\":{wire},\"from\":{from},\"to\":{to}}}")
-                    }
-                    EventKind::CoordinatorFailover { new_coordinator } => {
-                        format!("{{\"new_coordinator\":{new_coordinator}}}")
-                    }
-                    EventKind::JobRetried { job, attempt } => {
-                        format!("{{\"job\":{job},\"attempt\":{attempt}}}")
-                    }
-                    EventKind::BreakerTripped { class } => format!("{{\"class\":{class}}}"),
-                    EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. } => unreachable!(),
-                };
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{ts:.3},\"pid\":0,\"tid\":{tid},\"args\":{args}}}",
-                    ev.kind.name()
-                )
-            }
+        args.clear();
+        let name = shown(&ev.kind, Some(&mut args)).name;
+        let (ts, tid) = (ev.at_ns as f64 / 1000.0, ev.node);
+        let phase = match ev.kind {
+            EventKind::PhaseBegin { .. } => Some('B'),
+            EventKind::PhaseEnd { .. } => Some('E'),
+            _ => None,
         };
-        push(&mut out, obj);
+        let _ = match phase {
+            // A slice is named after the phase, its one payload field.
+            Some(ph) => write!(
+                out,
+                "{sep}\n  {{\"name\": {}, \"cat\": \"phase\", \"ph\": \"{ph}\", \"ts\": {ts:.3}, \
+                 \"pid\": 0, \"tid\": {tid}}}",
+                args[0].1,
+            ),
+            None => write!(
+                out,
+                "{sep}\n  {{\"name\": \"{name}\", \"cat\": \"event\", \"ph\": \"i\", \"s\": \"t\", \
+                 \"ts\": {ts:.3}, \"pid\": 0, \"tid\": {tid}, \"args\": {}}}",
+                Fields(&args),
+            ),
+        };
+        sep = ",";
     }
     out.push_str("\n]\n");
     out
 }
 
-fn histogram_json(h: &Histogram) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\
-         \"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-        h.count(),
-        h.sum(),
-        h.min().unwrap_or(0),
-        h.max().unwrap_or(0),
-        h.mean(),
-        h.quantile(0.5),
-        h.quantile(0.9),
-        h.quantile(0.99),
-    );
-    let mut first = true;
-    for (i, &c) in h.buckets().iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "{{\"lo\":{},\"hi\":{},\"count\":{c}}}", bucket_lo(i), bucket_hi(i));
-    }
-    out.push_str("]}");
-    out
+fn histogram_json(h: &Histogram) -> Json {
+    let buckets =
+        h.buckets().iter().enumerate().filter(|&(_, &count)| count > 0).map(|(i, &count)| {
+            Json::Object(vec![
+                ("lo", bucket_lo(i).into()),
+                ("hi", bucket_hi(i).into()),
+                ("count", count.into()),
+            ])
+        });
+    Json::Object(vec![
+        ("count", h.count().into()),
+        ("sum", h.sum().into()),
+        ("min", h.min().unwrap_or(0).into()),
+        ("max", h.max().unwrap_or(0).into()),
+        ("mean", Json::Float(h.mean(), Some(3))),
+        ("p50", h.quantile(0.5).into()),
+        ("p90", h.quantile(0.9).into()),
+        ("p99", h.quantile(0.99).into()),
+        ("buckets", Json::Array(buckets.collect())),
+    ])
 }
 
 /// Renders a metrics snapshot as a flat JSON object:
 /// `{"counters": {...}, "histograms": {...}}`.
 pub fn metrics_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\n  \"counters\": {");
-    let mut first = true;
-    for (name, value) in &snap.counters {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    \"{}\": {value}", json_escape(name));
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    let mut first = true;
-    for (name, h) in &snap.histograms {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    \"{}\": {}", json_escape(name), histogram_json(h));
-    }
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// Timeline glyphs in priority order (later events in the same cell win
-/// only against lower-priority glyphs).
-fn glyph(kind: &EventKind) -> (char, u8) {
-    match kind {
-        EventKind::RaceDetected { .. } => ('R', 8),
-        EventKind::WatchdogRecovery { .. } => ('G', 8),
-        EventKind::RipUp { .. } => ('X', 7),
-        EventKind::FaultInjected { .. } => ('F', 6),
-        EventKind::WireRouted { .. } => ('W', 6),
-        EventKind::ChannelContended { .. } => ('C', 5),
-        EventKind::PacketSent { .. } => ('S', 4),
-        EventKind::PacketRetransmitted { .. } => ('T', 4),
-        EventKind::PacketDelivered { .. } => ('D', 3),
-        EventKind::CacheMiss { .. } => ('M', 3),
-        EventKind::ReplicaAudit { .. } => ('A', 2),
-        EventKind::Invalidation { .. } => ('I', 2),
-        EventKind::BusTransfer { .. } => ('B', 1),
-        EventKind::MemRequest { .. } => ('m', 1),
-        EventKind::KernelStats { .. } => ('K', 1),
-        EventKind::PercellFallback { .. } => ('P', 5),
-        EventKind::AckSent { .. } => ('a', 1),
-        EventKind::JobShed { .. } => ('L', 7),
-        EventKind::JobRejected { .. } => ('r', 5),
-        EventKind::JobCompleted { .. } => ('J', 4),
-        EventKind::JobDispatched { .. } => ('>', 3),
-        EventKind::JobEnqueued { .. } => ('j', 2),
-        EventKind::NodeCrashed { .. } => ('!', 9),
-        EventKind::NodeRestarted { .. } => ('^', 9),
-        EventKind::CoordinatorFailover { .. } => ('O', 9),
-        EventKind::WireReassigned { .. } => ('N', 8),
-        EventKind::CheckpointTaken { .. } => ('c', 2),
-        EventKind::JobRetried { .. } => ('y', 5),
-        EventKind::BreakerTripped { .. } => ('Z', 8),
-        EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. } => ('|', 0),
-    }
+    let counters = snap.counters.iter().map(|(&name, &v)| (name, v.into())).collect();
+    let histograms = snap.histograms.iter().map(|(&name, h)| (name, histogram_json(h))).collect();
+    json_document(&[("counters", Json::Object(counters)), ("histograms", Json::Object(histograms))])
 }
 
 /// Renders an ASCII per-node timeline plus a per-node summary table.
 ///
-/// Time is scaled onto `width` columns; each cell shows the
-/// highest-priority event that landed in it (`R` race, `X` rip-up,
-/// `W` wire routed, `C` contention, `S` sent, `D` delivered, `M` cache
-/// miss, `A` replica audit, `I` invalidation, `B` bus transfer,
-/// `|` phase boundary).
+/// Time is scaled onto `width` columns; each cell shows the glyph of the
+/// highest-priority event that landed in it, and the legend line explains
+/// exactly the glyphs the rows show, in order of first appearance.
 pub fn ascii_timeline(events: &[Event], width: usize) -> String {
     let width = width.max(10);
     if events.is_empty() {
@@ -410,7 +350,7 @@ pub fn ascii_timeline(events: &[Event], width: usize) -> String {
     let n_nodes = events.iter().map(|e| e.node).max().expect("events nonempty") as usize + 1;
     let t_max = events.iter().map(|e| e.at_ns).max().expect("events nonempty").max(1);
 
-    let mut rows = vec![vec![(' ', 0u8); width]; n_nodes];
+    let mut rows = vec![vec![None::<Shown>; width]; n_nodes];
     let mut sent = vec![0u64; n_nodes];
     let mut bytes = vec![0u64; n_nodes];
     let mut routed = vec![0u64; n_nodes];
@@ -420,9 +360,9 @@ pub fn ascii_timeline(events: &[Event], width: usize) -> String {
     for ev in events {
         let node = ev.node as usize;
         let col = ((ev.at_ns as u128 * (width as u128 - 1)) / t_max as u128) as usize;
-        let (ch, pri) = glyph(&ev.kind);
-        if pri >= rows[node][col].1 {
-            rows[node][col] = (ch, pri);
+        let show = shown(&ev.kind, None);
+        if rows[node][col].is_none_or(|cell| show.priority >= cell.priority) {
+            rows[node][col] = Some(show);
         }
         total[node] += 1;
         match ev.kind {
@@ -438,13 +378,18 @@ pub fn ascii_timeline(events: &[Event], width: usize) -> String {
 
     let mut out = String::new();
     let _ = writeln!(out, "timeline 0..{t_max} ns ({width} cols)");
+    let mut legend: Vec<Shown> = Vec::new();
     for (n, row) in rows.iter().enumerate() {
-        let line: String = row.iter().map(|&(c, _)| c).collect();
+        let line: String = row.iter().map(|cell| cell.map_or(' ', |s| s.glyph)).collect();
         let _ = writeln!(out, "node {n:>3} |{line}|");
+        for show in row.iter().flatten() {
+            if legend.iter().all(|seen| seen.glyph != show.glyph) {
+                legend.push(*show);
+            }
+        }
     }
-    out.push_str("legend: R race  G watchdog  X ripup  F fault  W routed  C contention  ");
-    out.push_str("S sent  T resent  D delivered  M miss  A audit  I inval  B bus  ");
-    out.push_str("a ack  j job-enq  > job-disp  J job-done  L job-shed  r job-rej  | phase\n\n");
+    let legend: Vec<String> = legend.iter().map(|s| format!("{} {}", s.glyph, s.legend)).collect();
+    let _ = writeln!(out, "legend: {}\n", legend.join("  "));
     let _ = writeln!(
         out,
         "{:>5} {:>8} {:>8} {:>8} {:>12} {:>8}",
@@ -733,10 +678,10 @@ mod tests {
         validate_json(&trace).expect("chrome trace must be valid JSON");
         assert!(trace.trim_start().starts_with('['));
         assert!(trace.trim_end().ends_with(']'));
-        assert!(trace.contains("\"ph\":\"B\""));
-        assert!(trace.contains("\"ph\":\"E\""));
-        assert!(trace.contains("\"ph\":\"i\""));
-        assert!(trace.contains("\"tid\":2"));
+        assert!(trace.contains("\"ph\": \"B\""));
+        assert!(trace.contains("\"ph\": \"E\""));
+        assert!(trace.contains("\"ph\": \"i\""));
+        assert!(trace.contains("\"tid\": 2"));
     }
 
     #[test]
@@ -755,6 +700,71 @@ mod tests {
         assert!(json.contains("\"bytes_sent\": 40"));
         assert!(json.contains("\"latency_ns\""));
         assert_eq!(m.counter(names::INVALIDATIONS), 3);
+    }
+
+    /// One event of every kind, one per timeline column and three nodes.
+    fn every_kind() -> Vec<Event> {
+        let kinds = crate::event::tests::all_kinds();
+        let at = |i| Event { at_ns: 100 * i as u64, node: i as u32 % 3, kind: kinds[i] };
+        (0..kinds.len()).map(at).collect()
+    }
+
+    #[test]
+    fn chrome_args_keys_are_the_field_names_in_declaration_order() {
+        for ev in every_kind() {
+            let mut args = Vec::new();
+            shown(&ev.kind, Some(&mut args));
+            let keys: Vec<&str> = args.iter().map(|(key, _)| *key).collect();
+            // `Variant { a: 1, b: 2 }`: a field name is what precedes a colon.
+            let debug = format!("{:?}", ev.kind);
+            let fields: Vec<&str> =
+                debug.split([' ', '{']).filter_map(|word| word.strip_suffix(':')).collect();
+            assert_eq!(keys, fields, "{debug}");
+            // The line an instant event becomes carries exactly those keys.
+            if !matches!(ev.kind, EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. }) {
+                let trace = chrome_trace(&[ev]);
+                let line = trace.lines().find(|l| l.contains("\"ph\": \"i\"")).expect("an instant");
+                let (_, payload) = line.split_once("\"args\": ").expect("args");
+                let mut at = 0;
+                for key in &keys {
+                    at += payload[at..].find(&format!("\"{key}\": ")).expect("key, in order");
+                }
+                assert_eq!(payload.matches("\": ").count(), keys.len(), "{payload}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_exports_as_valid_json() {
+        let events = every_kind();
+        validate_json(&chrome_trace(&events)).expect("chrome trace of every kind");
+        let mut m = Metrics::new();
+        events.iter().for_each(|ev| m.observe(ev));
+        validate_json(&metrics_json(&m.snapshot())).expect("metrics of every kind");
+    }
+
+    #[test]
+    fn timeline_legend_explains_every_glyph_it_shows_and_no_other() {
+        let events = every_kind();
+        let text = ascii_timeline(&events, events.len());
+        let legend = text.lines().find_map(|l| l.strip_prefix("legend: ")).expect("a legend line");
+        let explained: Vec<char> =
+            legend.split("  ").map(|entry| entry.chars().next().expect("a glyph")).collect();
+        let mut on_rows = Vec::new();
+        for row in text.lines().filter(|l| l.starts_with("node ") && l.ends_with('|')) {
+            let (_, cells) = row.split_once('|').expect("a framed row");
+            let cells = cells.strip_suffix('|').expect("a framed row");
+            for ch in cells.chars().filter(|&c| c != ' ') {
+                assert!(explained.contains(&ch), "{ch:?} is not in {legend:?}");
+                if !on_rows.contains(&ch) {
+                    on_rows.push(ch);
+                }
+            }
+        }
+        assert_eq!(explained, on_rows, "first-appearance order, nothing unseen");
+        // 31 kinds, begin and end of a phase sharing one glyph.
+        assert_eq!(explained.len(), 30);
+        assert!(!ascii_timeline(&sample_events(), 40).contains("crash"));
     }
 
     #[test]

@@ -2,23 +2,24 @@
 //!
 //! Every simulator layer (mesh kernel, message-passing nodes, shared-
 //! memory emulator and threaded executor, coherence protocol, sequential
-//! router) emits the same typed [`Event`]s through the same [`Sink`]
-//! trait. One vocabulary, three sinks, three exporters:
+//! router) emits the same typed [`Event`]s through the same [`Obs`]
+//! handle. One vocabulary, one handle, one buffer, three exporters:
 //!
-//! * [`NullSink`] — recording off; instrumentation costs one predictable
-//!   branch per site and never constructs an event.
-//! * [`RingBufferSink`] — bounded in-memory buffer feeding a [`Metrics`]
-//!   registry (named counters + log₂ histograms with snapshot/diff).
-//! * [`SharedSink`] — clonable `Arc<Mutex<RingBufferSink>>` handle for
-//!   the threaded executor and for callers that need the data back after
-//!   an engine consumed its sink.
+//! * [`Obs`] — what a layer holds: off (instrumentation costs one
+//!   predictable branch per site and never constructs an event), or
+//!   recording into the caller's [`SharedSink`] on behalf of a node.
+//! * [`SharedSink`] — clonable `Arc<Mutex<RingBufferSink>>` the caller
+//!   creates, hands out through `Obs::to`, and reads back after the run.
+//! * [`RingBufferSink`] — the bounded in-memory buffer behind it, feeding
+//!   a [`Metrics`] registry (named counters + log₂ histograms with
+//!   snapshot/diff).
 //!
 //! Exporters ([`export`]): Chrome `chrome://tracing` trace-event JSON,
 //! flat metrics JSON, and an ASCII per-node timeline — all hand-rolled
 //! (the workspace omits `serde`, DESIGN §7).
 //!
 //! ```
-//! use locus_obs::{Event, EventKind, RingBufferSink, Sink};
+//! use locus_obs::{Event, EventKind, RingBufferSink};
 //!
 //! let mut sink = RingBufferSink::new();
 //! sink.record(Event {
@@ -38,4 +39,4 @@ pub mod sink;
 
 pub use event::{Event, EventKind, FaultKind, NodeId};
 pub use metrics::{hists, names, Histogram, Metrics, MetricsSnapshot};
-pub use sink::{NullSink, RingBufferSink, SharedSink, Sink};
+pub use sink::{Obs, RingBufferSink, SharedSink};

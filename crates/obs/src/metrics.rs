@@ -614,6 +614,19 @@ mod tests {
     }
 
     #[test]
+    fn observe_moves_a_counter_for_every_kind() {
+        for kind in crate::event::tests::all_kinds() {
+            let mut m = Metrics::new();
+            m.observe(&Event { at_ns: 1, node: 0, kind });
+            assert!(
+                m.snapshot().counters.values().any(|&v| v > 0),
+                "{} counts nothing",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
     fn observe_maps_analysis_events() {
         let mut m = Metrics::new();
         let race = |benign| Event {

@@ -1,54 +1,84 @@
-//! Event sinks: where instrumented layers send their events.
+//! Where instrumented layers send their events.
 //!
-//! The contract every instrumented layer follows is:
+//! A layer holds one [`Obs`] by value and calls [`Obs::emit`]. Sites whose
+//! event is not free to build test [`Obs::is_on`] first:
 //!
 //! ```ignore
-//! if obs_on {            // cached `sink.enabled()` — one predictable branch
-//!     sink.record(ev);   // only then is the event even constructed
+//! if self.obs.is_on() {          // a null test on the handle's `Arc`
+//!     self.obs.emit(at_ns, kind); // only then is the event constructed
 //! }
 //! ```
 //!
-//! so a [`NullSink`] costs one never-taken branch per instrumentation
-//! point and zero allocations — the zero-cost-when-disabled guarantee
-//! the `table1` benchmarks rely on.
+//! so recording that is off costs one never-taken branch per
+//! instrumentation point and zero allocations — the zero-cost-when-disabled
+//! guarantee the `table1` benchmarks rely on.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::event::Event;
+use crate::event::{Event, EventKind, NodeId};
 use crate::metrics::{Metrics, MetricsSnapshot};
 
-/// Receives events from instrumented layers.
+/// The recording handle every instrumented layer holds: off, or a clone of
+/// the caller's [`SharedSink`] plus the node its events are attributed to.
 ///
-/// `Send` so boxed sinks can ride inside engines that move across
-/// threads; thread-*shared* recording goes through [`SharedSink`].
-pub trait Sink: Send {
-    /// Whether recording is on. Layers cache this once and skip event
-    /// construction entirely when false.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event.
-    fn record(&mut self, event: Event);
+/// Cloning is cheap (an `Arc` bump); clones record into the same buffer.
+#[derive(Clone, Debug, Default)]
+pub struct Obs {
+    sink: Option<SharedSink>,
+    node: NodeId,
 }
 
-/// The disabled sink: reports `enabled() == false` and drops everything.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn enabled(&self) -> bool {
-        false
+impl Obs {
+    /// Recording off: every `emit` is one never-taken branch.
+    pub fn off() -> Self {
+        Obs::default()
     }
 
+    /// Records into `sink` (the caller keeps its own handle to read the
+    /// events back), attributing events to node 0.
+    pub fn to(sink: &SharedSink) -> Self {
+        Obs { sink: Some(sink.clone()), node: 0 }
+    }
+
+    /// Returns `self` attributing events to `node`.
+    pub fn for_node(mut self, node: NodeId) -> Self {
+        self.node = node;
+        self
+    }
+
+    /// Changes the node subsequent events are attributed to (for engines
+    /// that multiplex several logical processors through one handle).
     #[inline]
-    fn record(&mut self, _event: Event) {}
+    pub fn set_node(&mut self, node: NodeId) {
+        self.node = node;
+    }
+
+    /// Whether recording is on.
+    #[inline]
+    pub fn is_on(&self) -> bool {
+        self.sink.is_some()
+    }
+
+    /// Records `kind` at `at_ns` on this handle's node.
+    #[inline]
+    pub fn emit(&self, at_ns: u64, kind: EventKind) {
+        self.emit_on(at_ns, self.node, kind);
+    }
+
+    /// Records `kind` at `at_ns` on an explicit node.
+    #[inline]
+    pub fn emit_on(&self, at_ns: u64, node: NodeId, kind: EventKind) {
+        if let Some(sink) = &self.sink {
+            sink.record(Event { at_ns, node, kind });
+        }
+    }
 }
 
-/// Default event capacity of a [`RingBufferSink`] (~32 MB of events).
+/// Default event capacity of a [`RingBufferSink`]: 80 MiB of events when
+/// full, at 80 bytes an [`Event`] (set by `KernelStats`' seven `u64`s).
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// A bounded in-memory sink: keeps the most recent `capacity` events in
@@ -112,11 +142,10 @@ impl RingBufferSink {
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
-}
 
-impl Sink for RingBufferSink {
+    /// Records one event.
     #[inline]
-    fn record(&mut self, event: Event) {
+    pub fn record(&mut self, event: Event) {
         self.metrics.observe(&event);
         if self.events.len() == self.capacity {
             self.events.pop_front();
@@ -162,11 +191,10 @@ impl SharedSink {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.inner.lock().metrics().snapshot()
     }
-}
 
-impl Sink for SharedSink {
+    /// Records one event into the shared buffer.
     #[inline]
-    fn record(&mut self, event: Event) {
+    pub fn record(&self, event: Event) {
         self.inner.lock().record(event);
     }
 }
@@ -174,7 +202,6 @@ impl Sink for SharedSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
     use crate::metrics::names;
 
     fn ev(at_ns: u64, bytes: u32) -> Event {
@@ -191,10 +218,23 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.record(ev(0, 1)); // no-op
+    fn obs_off_records_nothing_and_a_node_handle_stamps_its_node() {
+        let sink = SharedSink::new();
+        let (off, on) = (Obs::off(), Obs::to(&sink).for_node(3));
+        assert!(!off.is_on() && on.is_on());
+        let kinds = crate::event::tests::all_kinds();
+        for (t, &kind) in kinds.iter().enumerate() {
+            off.emit(t as u64, kind);
+            off.emit_on(t as u64, 5, kind);
+            on.emit(t as u64, kind);
+        }
+        let events = sink.snapshot_events();
+        assert_eq!(events.len(), kinds.len(), "only the handle that is on records");
+        for (t, (ev, kind)) in events.iter().zip(&kinds).enumerate() {
+            assert_eq!(*ev, Event { at_ns: t as u64, node: 3, kind: *kind });
+        }
+        on.emit_on(99, 7, kinds[0]);
+        assert_eq!(sink.snapshot_events().last().map(|e| e.node), Some(7));
     }
 
     #[test]
@@ -224,8 +264,8 @@ mod tests {
     #[test]
     fn shared_sink_clones_share_the_buffer() {
         let sink = SharedSink::with_capacity(100);
-        let mut a = sink.clone();
-        let mut b = sink.clone();
+        let a = sink.clone();
+        let b = sink.clone();
         a.record(ev(1, 1));
         b.record(ev(2, 2));
         assert_eq!(sink.snapshot_events().len(), 2);
@@ -237,7 +277,7 @@ mod tests {
         let sink = SharedSink::new();
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let mut s = sink.clone();
+                let s = sink.clone();
                 scope.spawn(move || {
                     for i in 0..100 {
                         s.record(ev(t * 1000 + i, 1));

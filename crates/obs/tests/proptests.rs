@@ -1,7 +1,7 @@
 //! Property tests for the observability crate.
 
 use locus_obs::metrics::{bucket_hi, bucket_index, bucket_lo};
-use locus_obs::{Event, EventKind, RingBufferSink, Sink};
+use locus_obs::{Event, EventKind, RingBufferSink};
 use proptest::prelude::*;
 
 fn packet_event(at_ns: u64, node: u32, seq: u32) -> Event {

@@ -10,8 +10,6 @@
 //!   ledger of routes, work counters, per-iteration occupancy, and the
 //!   `PhaseBegin`/`RipUp`/`WireRouted`/`PhaseEnd`/`KernelStats` event
 //!   emission that used to be copy-pasted across the four engines;
-//! * [`ObsEmitter`] — a sink handle with the cached `enabled()` branch
-//!   every instrumented layer uses;
 //! * [`WireFeed`] — one iteration's wire supply (the §3 distributed-loop
 //!   shared counter or a §4.2 static assignment), shared by the
 //!   shared-memory emulator and the real threaded executor;
@@ -26,7 +24,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use locus_circuit::{Circuit, WireId};
-use locus_obs::{Event, EventKind, NullSink, Sink};
+use locus_obs::{EventKind, Obs, SharedSink};
 
 use crate::cost_array::{CostArray, PrefixStats};
 use crate::params::RouterParams;
@@ -50,64 +48,6 @@ pub enum Stamp {
     WorkCells,
 }
 
-/// A sink handle with the cached-`enabled()` contract every instrumented
-/// layer follows: one predictable branch when observability is off, and
-/// the event is only constructed when it is on.
-pub struct ObsEmitter {
-    sink: Box<dyn Sink>,
-    enabled: bool,
-    node: u32,
-}
-
-impl ObsEmitter {
-    /// The disabled emitter (a [`NullSink`] behind one never-taken branch).
-    pub fn disabled() -> Self {
-        ObsEmitter { sink: Box::new(NullSink), enabled: false, node: 0 }
-    }
-
-    /// An emitter recording into `sink`, attributing events to node 0.
-    pub fn new(sink: Box<dyn Sink>) -> Self {
-        let enabled = sink.enabled();
-        ObsEmitter { sink, enabled, node: 0 }
-    }
-
-    /// Returns `self` attributing events to `node`.
-    pub fn for_node(mut self, node: u32) -> Self {
-        self.node = node;
-        self
-    }
-
-    /// Changes the node subsequent events are attributed to (for engines
-    /// that multiplex several logical processors through one emitter).
-    #[inline]
-    pub fn set_node(&mut self, node: u32) {
-        self.node = node;
-    }
-
-    /// Whether recording is on (cached once at construction).
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records `kind` at `at_ns` on this emitter's node.
-    #[inline]
-    pub fn emit(&mut self, at_ns: u64, kind: EventKind) {
-        if self.enabled {
-            self.sink.record(Event { at_ns, node: self.node, kind });
-        }
-    }
-
-    /// Records `kind` at `at_ns` on an explicit node (for engines that
-    /// multiplex several logical processors through one emitter).
-    #[inline]
-    pub fn emit_on(&mut self, at_ns: u64, node: u32, kind: EventKind) {
-        if self.enabled {
-            self.sink.record(Event { at_ns, node, kind });
-        }
-    }
-}
-
 /// The shared route-wire / rip-up / per-iteration-metrics ledger.
 ///
 /// One driver serves one stream of routing decisions: the whole run for
@@ -118,7 +58,7 @@ impl ObsEmitter {
 /// accounting, and all routing-event emission; the engine keeps memory
 /// semantics, clocks, and scheduling.
 pub struct IterationDriver {
-    obs: ObsEmitter,
+    obs: Obs,
     routes: Vec<Option<Route>>,
     /// Routes committed outside the static slots (§4.2 dynamic wire
     /// distribution, where a node routes whatever it is granted).
@@ -138,7 +78,7 @@ impl IterationDriver {
     /// A driver with `slots` route slots and observability off.
     pub fn new(slots: usize) -> Self {
         IterationDriver {
-            obs: ObsEmitter::disabled(),
+            obs: Obs::off(),
             routes: vec![None; slots],
             dynamic: Vec::new(),
             work: WorkStats::default(),
@@ -149,22 +89,10 @@ impl IterationDriver {
         }
     }
 
-    /// Returns `self` recording routing events into `emitter`.
-    pub fn with_obs(mut self, emitter: ObsEmitter) -> Self {
-        self.obs = emitter;
+    /// Returns `self` recording routing events through `obs`.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
-    }
-
-    /// Replaces the driver's emitter in place (for engines that wire the
-    /// sink up after construction).
-    pub fn set_obs(&mut self, emitter: ObsEmitter) {
-        self.obs = emitter;
-    }
-
-    /// Whether event recording is on.
-    #[inline]
-    pub fn obs_on(&self) -> bool {
-        self.obs.enabled()
     }
 
     /// Attributes subsequent events to `node` (multiplexing engines set
@@ -184,14 +112,12 @@ impl IterationDriver {
 
     /// Emits `PhaseBegin { "iteration" }`.
     pub fn phase_begin(&mut self, stamp: Stamp) {
-        let at = self.resolve(stamp);
-        self.obs.emit(at, EventKind::PhaseBegin { name: "iteration" });
+        self.obs.emit(self.resolve(stamp), EventKind::PhaseBegin { name: "iteration" });
     }
 
     /// Emits `PhaseEnd { "iteration" }`.
     pub fn phase_end(&mut self, stamp: Stamp) {
-        let at = self.resolve(stamp);
-        self.obs.emit(at, EventKind::PhaseEnd { name: "iteration" });
+        self.obs.emit(self.resolve(stamp), EventKind::PhaseEnd { name: "iteration" });
     }
 
     /// Seals the current iteration: records its accumulated occupancy
@@ -288,30 +214,24 @@ impl IterationDriver {
     /// Emits the end-of-run `KernelStats` event with this driver's
     /// candidate total and the given prefix-cache counters.
     pub fn kernel_stats(&mut self, stamp: Stamp, prefix: PrefixStats) {
-        if self.obs.enabled() {
-            let at = self.resolve(stamp);
-            self.obs.emit(
-                at,
-                EventKind::KernelStats {
-                    candidates: self.work.candidates,
-                    prefix_hits: prefix.hits,
-                    prefix_rebuilds: prefix.rebuilds,
-                    prefix_patches: prefix.patches,
-                    prefix_invalidations: prefix.invalidations,
-                    prefix_fallbacks: prefix.fallbacks,
-                    percell_evals: self.percell_evals,
-                },
-            );
-        }
+        self.obs.emit(
+            self.resolve(stamp),
+            EventKind::KernelStats {
+                candidates: self.work.candidates,
+                prefix_hits: prefix.hits,
+                prefix_rebuilds: prefix.rebuilds,
+                prefix_patches: prefix.patches,
+                prefix_invalidations: prefix.invalidations,
+                prefix_fallbacks: prefix.fallbacks,
+                percell_evals: self.percell_evals,
+            },
+        );
     }
 
     /// Emits an arbitrary engine-specific event (e.g. a replica audit)
     /// through this driver's emitter at `stamp`.
     pub fn emit_event(&mut self, stamp: Stamp, kind: EventKind) {
-        if self.obs.enabled() {
-            let at = self.resolve(stamp);
-            self.obs.emit(at, kind);
-        }
+        self.obs.emit(self.resolve(stamp), kind);
     }
 
     /// Work performed so far.
@@ -410,8 +330,8 @@ impl<'a> WireFeed<'a> {
 pub struct EngineCtx {
     /// Processor / thread count (ignored by the sequential engine).
     pub n_procs: usize,
-    /// Observability sink; events flow into a clone per run.
-    pub sink: Option<locus_obs::SharedSink>,
+    /// Recording handle; each run holds a clone.
+    pub obs: Obs,
     /// Whether the engine should also measure its paradigm's traffic
     /// (bus MBytes for shared memory — requires trace collection — or
     /// payload MBytes for message passing).
@@ -421,12 +341,12 @@ pub struct EngineCtx {
 impl EngineCtx {
     /// A context for `n_procs` processors, observability off.
     pub fn new(n_procs: usize) -> Self {
-        EngineCtx { n_procs, sink: None, measure_traffic: false }
+        EngineCtx { n_procs, obs: Obs::off(), measure_traffic: false }
     }
 
     /// Returns `self` recording events into `sink`.
-    pub fn with_sink(mut self, sink: locus_obs::SharedSink) -> Self {
-        self.sink = Some(sink);
+    pub fn with_sink(mut self, sink: SharedSink) -> Self {
+        self.obs = Obs::to(&sink);
         self
     }
 
@@ -488,11 +408,8 @@ impl RoutingEngine for SequentialEngine {
         params: &RouterParams,
         ctx: &EngineCtx,
     ) -> Result<EngineRun, String> {
-        let mut router = SequentialRouter::new(circuit, *params);
-        if let Some(sink) = &ctx.sink {
-            router = router.with_sink(Box::new(sink.clone()));
-        }
-        Ok(EngineRun { outcome: router.run(), mbytes: None, time_secs: None, degraded: false })
+        let outcome = SequentialRouter::new(circuit, *params).with_obs(ctx.obs.clone()).run();
+        Ok(EngineRun { outcome, mbytes: None, time_secs: None, degraded: false })
     }
 }
 
@@ -501,7 +418,7 @@ mod tests {
     use super::*;
     use crate::cost_array::CostView;
     use locus_circuit::presets;
-    use locus_obs::{names, SharedSink};
+    use locus_obs::names;
 
     #[test]
     fn driver_ledger_tracks_commits_and_ripups() {
@@ -534,9 +451,7 @@ mod tests {
     fn driver_emits_phase_and_wire_events() {
         let c = presets::tiny();
         let sink = SharedSink::new();
-        let mut driver =
-            IterationDriver::new(c.wire_count()).with_obs(ObsEmitter::new(Box::new(sink.clone())));
-        assert!(driver.obs_on());
+        let mut driver = IterationDriver::new(c.wire_count()).with_obs(Obs::to(&sink));
         driver.phase_begin(Stamp::At(0));
         let mut cost = CostArray::new(c.channels, c.grids);
         let mut scratch = crate::router::EvalScratch::default();

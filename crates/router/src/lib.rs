@@ -47,8 +47,7 @@ pub mod work;
 pub use assign::{assign, Assignment, AssignmentStrategy};
 pub use cost_array::{CostArray, CostView, PrefixStats};
 pub use engine::{
-    EngineCtx, EngineRun, IterationDriver, ObsEmitter, RoutingEngine, SequentialEngine, Stamp,
-    WireFeed,
+    EngineCtx, EngineRun, IterationDriver, RoutingEngine, SequentialEngine, Stamp, WireFeed,
 };
 pub use locality::LocalityMeasure;
 pub use params::RouterParams;

@@ -4,10 +4,10 @@ use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
 use locus_circuit::{Circuit, Pin, Wire};
-use locus_obs::{NullSink, Sink};
+use locus_obs::Obs;
 
 use crate::cost_array::{CostArray, CostView};
-use crate::engine::{IterationDriver, ObsEmitter, Stamp};
+use crate::engine::{IterationDriver, Stamp};
 use crate::params::RouterParams;
 use crate::quality::QualityMetrics;
 use crate::route::{Route, Segment};
@@ -170,29 +170,29 @@ pub struct RouteOutcome {
 pub struct SequentialRouter<'a> {
     circuit: &'a Circuit,
     params: RouterParams,
-    sink: Box<dyn Sink>,
+    obs: Obs,
 }
 
 impl<'a> SequentialRouter<'a> {
     /// Creates a router over `circuit`.
     pub fn new(circuit: &'a Circuit, params: RouterParams) -> Self {
-        SequentialRouter { circuit, params, sink: Box::new(NullSink) }
+        SequentialRouter { circuit, params, obs: Obs::off() }
     }
 
-    /// Routes routing events (wire commits, rip-ups, iteration phases)
-    /// into `sink`. There is no clock in the sequential algorithm, so
+    /// Records routing events (wire commits, rip-ups, iteration phases)
+    /// through `obs`. There is no clock in the sequential algorithm, so
     /// events are stamped with cumulative cells examined — a
     /// deterministic pseudo-time proportional to work done.
-    pub fn with_sink(mut self, sink: Box<dyn Sink>) -> Self {
-        self.sink = sink;
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
     }
 
     /// Runs all iterations and returns the outcome.
     pub fn run(self) -> RouteOutcome {
-        let SequentialRouter { circuit, params, sink } = self;
+        let SequentialRouter { circuit, params, obs } = self;
         let mut cost = CostArray::new(circuit.channels, circuit.grids);
-        let mut driver = IterationDriver::new(circuit.wire_count()).with_obs(ObsEmitter::new(sink));
+        let mut driver = IterationDriver::new(circuit.wire_count()).with_obs(obs);
         let mut scratch = PooledScratch::take();
 
         for _iteration in 0..params.iterations {

@@ -21,7 +21,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use locus_obs::{Event, EventKind, Histogram, SharedSink, Sink};
+use locus_obs::{EventKind, Histogram, Obs, SharedSink};
 
 use crate::health::{Health, HealthPolicy, WorkerState};
 use crate::pool::WorkerPool;
@@ -261,7 +261,8 @@ impl JobServer {
         sink: Option<SharedSink>,
     ) -> ServiceOutcome {
         assert_eq!(jobs.len(), executions.len(), "one execution per job");
-        let mut sim = Sim::new(self.cfg, jobs, executions, sink);
+        let obs = sink.as_ref().map_or_else(Obs::off, Obs::to);
+        let mut sim = Sim::new(self.cfg, jobs, executions, obs);
         while let Some(Reverse((now, ev))) = sim.events.pop() {
             match ev {
                 Ev::Completion { worker, job } => sim.on_completion(now, worker, job),
@@ -309,7 +310,7 @@ struct Sim<'a> {
     cfg: ServiceConfig,
     jobs: &'a [JobSpec],
     executions: &'a [Result<JobExecution, String>],
-    sink: Option<SharedSink>,
+    obs: Obs,
     /// Everything that will happen, earliest first.
     events: BinaryHeap<Reverse<(u64, Ev)>>,
     /// Admitted jobs waiting for a worker, oldest first.
@@ -335,14 +336,14 @@ impl<'a> Sim<'a> {
         cfg: ServiceConfig,
         jobs: &'a [JobSpec],
         executions: &'a [Result<JobExecution, String>],
-        sink: Option<SharedSink>,
+        obs: Obs,
     ) -> Self {
         let arrival = |(job, j): (usize, &JobSpec)| Reverse((j.arrival_ms, Ev::Arrival { job }));
         Sim {
             cfg,
             jobs,
             executions,
-            sink,
+            obs,
             events: jobs.iter().enumerate().map(arrival).collect(),
             queue: VecDeque::new(),
             vestibule: VecDeque::new(),
@@ -358,10 +359,8 @@ impl<'a> Sim<'a> {
     }
 
     /// Records an obs event at virtual ms `at_ms` (ns on the timeline).
-    fn emit(&mut self, at_ms: u64, node: u32, kind: EventKind) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(Event { at_ns: at_ms.saturating_mul(1_000_000), node, kind });
-        }
+    fn emit(&self, at_ms: u64, node: u32, kind: EventKind) {
+        self.obs.emit_on(at_ms.saturating_mul(1_000_000), node, kind);
     }
 
     /// Virtual ms an attempt at `job` holds a worker. A runner failure

@@ -35,8 +35,8 @@ use std::cell::{Cell, RefCell};
 
 use locus_circuit::{Circuit, GridCell, WireId};
 use locus_coherence::{BurstWriter, Criticality, MemRef, RefKind, Trace, TraceRecorder};
-use locus_obs::{NullSink, Sink};
-use locus_router::engine::{IterationDriver, ObsEmitter, Stamp, WireFeed};
+use locus_obs::Obs;
+use locus_router::engine::{IterationDriver, Stamp, WireFeed};
 use locus_router::router::{route_wire_scratch, PooledScratch, WireEvaluation};
 use locus_router::{CostArray, CostView, ProcId, QualityMetrics, Route, WorkStats};
 
@@ -155,7 +155,7 @@ struct ProcState {
 pub struct ShmemEmulator<'a> {
     circuit: &'a Circuit,
     config: ShmemConfig,
-    sink: Box<dyn Sink>,
+    obs: Obs,
 }
 
 impl<'a> ShmemEmulator<'a> {
@@ -172,19 +172,19 @@ impl<'a> ShmemEmulator<'a> {
     /// finds wrong with `config`.
     pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
         config.validate()?;
-        Ok(ShmemEmulator { circuit, config, sink: Box::new(NullSink) })
+        Ok(ShmemEmulator { circuit, config, obs: Obs::off() })
     }
 
-    /// Routes emulation events (wire commits, rip-ups, iteration
-    /// phases, stamped with logical-clock times) into `sink`.
-    pub fn with_sink(mut self, sink: Box<dyn Sink>) -> Self {
-        self.sink = sink;
+    /// Records emulation events (wire commits, rip-ups, iteration
+    /// phases, stamped with logical-clock times) through `obs`.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
     }
 
     /// Runs all iterations and returns the outcome.
     pub fn run(self) -> ShmemOutcome {
-        let ShmemEmulator { circuit, config, sink } = self;
+        let ShmemEmulator { circuit, config, obs } = self;
         let n_procs = config.n_procs;
         let n_wires = circuit.wire_count();
         let cfg = &config;
@@ -194,7 +194,7 @@ impl<'a> ShmemEmulator<'a> {
         let mut recorder = cfg.collect_trace.then(|| TraceRecorder::new(n_procs));
 
         let mut shared = CostArray::new(circuit.channels, circuit.grids);
-        let mut driver = IterationDriver::new(n_wires).with_obs(ObsEmitter::new(sink));
+        let mut driver = IterationDriver::new(n_wires).with_obs(obs);
         let mut proc_of_wire: Vec<ProcId> = vec![0; n_wires];
         let mut procs: Vec<ProcState> = (0..n_procs)
             .map(|_| ProcState { clock: 0, pending: None, queue_pos: 0, at_barrier: false })
@@ -517,8 +517,7 @@ mod tests {
         use locus_obs::{names, SharedSink};
         let c = presets::small();
         let sink = SharedSink::new();
-        let out =
-            ShmemEmulator::new(&c, ShmemConfig::new(4)).with_sink(Box::new(sink.clone())).run();
+        let out = ShmemEmulator::new(&c, ShmemConfig::new(4)).with_obs(Obs::to(&sink)).run();
         let m = sink.metrics_snapshot();
         assert_eq!(m.counter(names::WIRES_ROUTED), out.work.wires_routed);
         // Iterations ≥ 2, so every wire from iteration 1 is ripped up.

@@ -35,11 +35,7 @@ impl RoutingEngine for EmulEngine {
         if ctx.measure_traffic {
             config = config.with_trace();
         }
-        let mut emul = ShmemEmulator::try_new(circuit, config)?;
-        if let Some(sink) = &ctx.sink {
-            emul = emul.with_sink(Box::new(sink.clone()));
-        }
-        let out = emul.run();
+        let out = ShmemEmulator::try_new(circuit, config)?.with_obs(ctx.obs.clone()).run();
         let mbytes = out
             .trace
             .as_ref()
@@ -75,11 +71,7 @@ impl RoutingEngine for ThreadsEngine {
         ctx: &EngineCtx,
     ) -> Result<EngineRun, String> {
         let config = ShmemConfig::new(ctx.n_procs).with_params(*params);
-        let mut router = ThreadedRouter::try_new(circuit, config)?;
-        if let Some(sink) = &ctx.sink {
-            router = router.with_sink(sink.clone());
-        }
-        let out = router.run();
+        let out = ThreadedRouter::try_new(circuit, config)?.with_obs(ctx.obs.clone()).run();
         Ok(EngineRun {
             outcome: RouteOutcome {
                 quality: out.quality,

@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use locus_circuit::{Circuit, GridCell};
 use locus_coherence::{MemRef, RefKind, Trace};
-use locus_obs::SharedSink;
-use locus_router::engine::{IterationDriver, ObsEmitter, Stamp, WireFeed};
+use locus_obs::Obs;
+use locus_router::engine::{IterationDriver, Stamp, WireFeed};
 use locus_router::router::{route_wire_scratch, PooledScratch};
 use locus_router::{CostArray, CostView, PrefixStats, QualityMetrics, Route, WorkStats};
 use parking_lot::Mutex;
@@ -113,7 +113,7 @@ pub struct ThreadedOutcome {
 pub struct ThreadedRouter<'a> {
     circuit: &'a Circuit,
     config: ShmemConfig,
-    obs: Option<SharedSink>,
+    obs: Obs,
 }
 
 impl<'a> ThreadedRouter<'a> {
@@ -131,14 +131,14 @@ impl<'a> ThreadedRouter<'a> {
     /// finds wrong with `config`.
     pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
         config.validate()?;
-        Ok(ThreadedRouter { circuit, config, obs: None })
+        Ok(ThreadedRouter { circuit, config, obs: Obs::off() })
     }
 
-    /// Routes per-thread events (wire commits, rip-ups, iteration
+    /// Records per-thread events (wire commits, rip-ups, iteration
     /// phases, stamped with wall-clock nanoseconds since run start)
-    /// into `sink`. Each thread records through its own clone.
-    pub fn with_sink(mut self, sink: SharedSink) -> Self {
-        self.obs = Some(sink);
+    /// through `obs`. Each thread records through its own clone.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
     }
 
@@ -175,7 +175,7 @@ impl<'a> ThreadedRouter<'a> {
                 let ledgers = &ledgers;
                 let thread_traces = &thread_traces;
                 let circuit = self.circuit;
-                let obs = self.obs.clone();
+                let obs = self.obs.clone().for_node(t as u32);
                 scope.spawn(move || {
                     let mut scratch = PooledScratch::take();
                     // Traced runs must record the exact per-cell read
@@ -184,12 +184,7 @@ impl<'a> ThreadedRouter<'a> {
                     // replica (see `crate::shard`).
                     let mut worker =
                         (!collect_trace).then(|| ShardWorker::new(circuit.channels, circuit.grids));
-                    let emitter = match obs {
-                        Some(sink) => ObsEmitter::new(Box::new(sink)),
-                        None => ObsEmitter::disabled(),
-                    }
-                    .for_node(t as u32);
-                    let mut driver = IterationDriver::new(0).with_obs(emitter);
+                    let mut driver = IterationDriver::new(0).with_obs(obs);
                     let now = || Stamp::At(start.elapsed().as_nanos() as u64);
                     // Per-thread trace buffer: no cross-thread sharing on
                     // the hot path, handed over at exit.
@@ -359,7 +354,7 @@ mod tests {
         use locus_obs::{names, SharedSink};
         let c = presets::small();
         let sink = SharedSink::new();
-        let out = ThreadedRouter::new(&c, ShmemConfig::new(4)).with_sink(sink.clone()).run();
+        let out = ThreadedRouter::new(&c, ShmemConfig::new(4)).with_obs(Obs::to(&sink)).run();
         assert_eq!(out.routes.len(), c.wire_count());
         let m = sink.metrics_snapshot();
         let iterations = ShmemConfig::new(4).params.iterations as u64;

@@ -1,9 +1,10 @@
 //! One circuit, two paradigms, one event vocabulary.
 //!
 //! Routes a small circuit with the message-passing implementation and
-//! with the shared-memory emulator, recording both runs through the same
-//! observability sink, then prints the two ASCII per-node timelines side
-//! by side with the captured counters. The same events can be exported
+//! with the shared-memory emulator, recording each run into a
+//! `SharedSink` (the emulator through `with_obs(Obs::to(&sink))`), then
+//! prints the two ASCII per-node timelines side by side with the
+//! captured counters. The same events can be exported
 //! as Chrome trace JSON (see `locus-experiments --trace-out`).
 //!
 //! ```text
@@ -11,7 +12,7 @@
 //! ```
 
 use locusroute::msgpass::{run_msgpass_observed, MsgPassConfig, UpdateSchedule};
-use locusroute::obs::{export, names, SharedSink};
+use locusroute::obs::{export, names, Obs, SharedSink};
 use locusroute::shmem::{ShmemConfig, ShmemEmulator};
 
 fn main() {
@@ -27,9 +28,8 @@ fn main() {
 
     // Shared memory: events carry the emulator's logical clocks.
     let shm_sink = SharedSink::new();
-    let shm = ShmemEmulator::new(&circuit, ShmemConfig::new(n_procs))
-        .with_sink(Box::new(shm_sink.clone()))
-        .run();
+    let shm =
+        ShmemEmulator::new(&circuit, ShmemConfig::new(n_procs)).with_obs(Obs::to(&shm_sink)).run();
 
     println!("=== message passing ({n_procs} procs, sender-initiated) ===");
     println!("{}", export::ascii_timeline(&mp_sink.snapshot_events(), width));

@@ -80,7 +80,7 @@ pub mod prelude {
         run_msgpass, run_msgpass_observed, MsgPassConfig, MsgPassEngine, MsgPassOutcome,
         RecoveryConfig, ReliableConfig, UpdateSchedule,
     };
-    pub use locus_obs::{Event, EventKind, Metrics, NullSink, RingBufferSink, SharedSink, Sink};
+    pub use locus_obs::{Event, EventKind, Metrics, Obs, RingBufferSink, SharedSink};
     pub use locus_router::{
         assign, AssignmentStrategy, QualityMetrics, RegionMap, RouterParams, SequentialRouter,
     };
