@@ -62,7 +62,7 @@ impl ClassifiedRace {
 
 /// Decodes a trace byte address back to its cost-array cell (addresses
 /// are `locus_shmem::cell_addr`: `(channel * grids + x) * 2`).
-pub fn addr_cell(addr: u32, grids: u16) -> GridCell {
+pub(crate) fn addr_cell(addr: u32, grids: u16) -> GridCell {
     let slot = addr / 2;
     GridCell::new((slot / grids as u32) as u16, (slot % grids as u32) as u16)
 }
@@ -122,7 +122,7 @@ fn replay_order(value: u32, first: i8, second: i8) -> (u32, bool) {
 /// under both orders. `races` must come from detecting `trace`; the
 /// trace supplies the replay order (its stored order, which detection
 /// also used for indices).
-pub fn classify_races(
+pub(crate) fn classify_races(
     circuit: &Circuit,
     trace: &Trace,
     races: Vec<RacePair>,

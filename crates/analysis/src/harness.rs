@@ -156,12 +156,13 @@ pub fn emit_race_events(report: &AnalysisReport, obs: &Obs) {
 
 /// The sequential router's reference trace plus the routes it chose.
 #[derive(Debug)]
-pub struct SequentialTrace {
+pub(crate) struct SequentialTrace {
     /// Single-processor trace (proc 0, epoch = iteration, one logical
     /// tick per access).
     pub trace: Trace,
-    /// Final route of every wire (matches
-    /// [`locus_router::SequentialRouter`]).
+    /// Final route of every wire; read only by the test that pins this
+    /// tracer to [`locus_router::SequentialRouter`].
+    #[cfg_attr(not(test), expect(dead_code))]
     pub routes: Vec<Route>,
 }
 
@@ -205,7 +206,7 @@ impl CostView for SeqView<'_> {
 /// recording the reference trace the sequential engine itself never
 /// collects. One logical tick per access; epoch = iteration, so more
 /// iterations than a trace record numbers are an error.
-pub fn trace_sequential(
+pub(crate) fn trace_sequential(
     circuit: &Circuit,
     params: RouterParams,
 ) -> Result<SequentialTrace, String> {

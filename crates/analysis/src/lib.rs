@@ -1,9 +1,8 @@
 //! # locus-analysis
 //!
-//! Race-and-staleness analysis for the routing engines, plus the
-//! workspace concurrency lint. Three pillars:
+//! Race-and-staleness analysis for the routing engines. Three pillars:
 //!
-//! * **Race detection** ([`race`], [`vclock`]) — a FastTrack-style
+//! * **Race detection** ([`race`]) — a FastTrack-style
 //!   vector-clock detector replayed over the Tango reference traces the
 //!   shared-memory engines record ([`locus_coherence::Trace`]). The
 //!   routers' only synchronization is the inter-iteration barrier, so
@@ -24,39 +23,19 @@
 //! [`harness`] ties the pillars to named engines (`sequential`,
 //! `shmem-emul`, `shmem-threads`, `msgpass-*`), and [`report`]
 //! serializes hand-rolled JSON for CI artifacts.
-//!
-//! The fourth pillar is the **workspace static-analysis pass** (`cargo
-//! run -p locus-analysis --bin lint`): a hand-rolled Rust lexer
-//! ([`lexer`]) feeds token streams to a rule registry ([`rules`]) whose
-//! confinement rules key on real module identity resolved from the
-//! `mod` tree ([`modtree`]), with inline suppressions ([`suppress`])
-//! and a committed ratchet baseline ([`baseline`]). [`lint`] is the
-//! orchestrating pass.
 
-pub mod baseline;
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+
 pub mod classify;
 pub mod harness;
-pub mod lexer;
-pub mod lint;
-pub mod modtree;
 pub mod race;
 pub mod report;
-pub mod rules;
 pub mod staleness;
-pub mod suppress;
-pub mod vclock;
+mod vclock;
 
-pub use baseline::{ratchet, Baseline, Ratchet};
-pub use classify::{addr_cell, classify_races, ClassifiedRace, RaceClass};
-pub use harness::{
-    analyze_engine, audit_staleness, emit_race_events, trace_sequential, AnalysisReport,
-    SequentialTrace,
-};
-pub use lexer::{lex, LexError, Tok, TokKind, Tokens};
-pub use lint::{lint_workspace, scan_source, FileScan, LintOutcome, Violation};
-pub use modtree::{map_workspace, ModInfo, ModTree};
-pub use race::{detect, DetectionResult, RaceKind, RacePair};
-pub use report::{lint_findings_json, race_report_json, staleness_report_json};
-pub use rules::{registry, Rule};
+pub use classify::RaceClass;
+pub use harness::{analyze_engine, audit_staleness, emit_race_events, AnalysisReport};
+pub use race::detect;
+pub use report::{race_report_json, staleness_report_json};
 pub use staleness::StalenessReport;
-pub use vclock::VectorClock;

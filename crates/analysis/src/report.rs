@@ -6,10 +6,8 @@
 
 use locus_obs::export::{json_document, Json};
 
-use crate::baseline::{Ratchet, RatchetRow};
 use crate::classify::addr_cell;
 use crate::harness::AnalysisReport;
-use crate::lint::LintOutcome;
 use crate::race::RaceKind;
 use crate::staleness::StalenessReport;
 
@@ -86,45 +84,6 @@ pub fn staleness_report_json(s: &StalenessReport, engine: &str, procs: usize) ->
     ])
 }
 
-/// Serializes a lint run plus its ratchet verdict — the CI artifact
-/// (`lint-findings.json`).
-pub fn lint_findings_json(outcome: &LintOutcome, ratchet: &Ratchet) -> String {
-    let floor = match ratchet.floor_breach {
-        Some((current, floor)) => {
-            vec![("held", false.into()), ("current", current.into()), ("baseline", floor.into())]
-        }
-        None => vec![("held", true.into()), ("slack", ratchet.floor_slack.into())],
-    };
-    let findings = outcome.violations.iter().map(|v| {
-        Json::Object(vec![
-            ("file", v.file.to_string_lossy().into_owned().into()),
-            ("line", v.line.into()),
-            ("rule", v.rule.into()),
-            ("excerpt", v.excerpt.as_str().into()),
-        ])
-    });
-    let cells = |rows: &[RatchetRow]| {
-        let cell = |row: &RatchetRow| {
-            Json::Object(vec![
-                ("file", row.file.as_str().into()),
-                ("rule", row.rule.as_str().into()),
-                ("baselined", row.baselined.into()),
-                ("current", row.current.into()),
-            ])
-        };
-        Json::Array(rows.iter().map(cell).collect())
-    };
-    json_document(&[
-        ("files_scanned", outcome.files_scanned.into()),
-        ("suppressed", outcome.suppressed.into()),
-        ("ratchet_passes", ratchet.passes().into()),
-        ("floor", Json::Object(floor)),
-        ("findings", Json::Array(findings.collect())),
-        ("new", cells(&ratchet.new)),
-        ("fixed", cells(&ratchet.fixed)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,60 +108,6 @@ mod tests {
         for key in ["\"engine\"", "\"synchronized_pairs\"", "\"quality_affecting\"", "\"pairs\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-    }
-
-    #[test]
-    fn lint_findings_json_is_valid_for_clean_and_dirty_runs() {
-        use crate::baseline::{ratchet, Baseline};
-        use crate::lint::Violation;
-        use std::path::PathBuf;
-
-        let clean = LintOutcome { files_scanned: 90, suppressed: 1, violations: Vec::new() };
-        let base = Baseline::from_outcome(&clean);
-        let json = lint_findings_json(&clean, &ratchet(&base, &clean));
-        validate_json(&json).expect("clean findings must be valid JSON");
-        assert!(json.contains("\"ratchet_passes\": true"));
-
-        let dirty = LintOutcome {
-            files_scanned: 90,
-            suppressed: 0,
-            violations: vec![Violation {
-                file: PathBuf::from("crates/demo/src/lib.rs"),
-                line: 7,
-                rule: "no-unwrap",
-                excerpt: "let x = \"quoted \\\" excerpt\".parse().unwrap();".to_string(),
-            }],
-        };
-        let json = lint_findings_json(&dirty, &ratchet(&base, &dirty));
-        validate_json(&json).expect("dirty findings (with quotes in excerpt) must be valid JSON");
-        assert!(json.contains("\"ratchet_passes\": false"));
-        assert!(json.contains("\"rule\": \"no-unwrap\""));
-    }
-
-    #[test]
-    fn control_characters_in_excerpts_and_paths_are_escaped() {
-        use crate::baseline::{ratchet, Baseline};
-        use crate::lint::Violation;
-        use std::path::PathBuf;
-
-        // `line_text` trims only the ends of a flagged line, so an
-        // interior tab reaches the excerpt as is.
-        let dirty = LintOutcome {
-            files_scanned: 1,
-            suppressed: 0,
-            violations: vec![Violation {
-                file: PathBuf::from("crates/de\u{1}mo/src/lib.rs"),
-                line: 3,
-                rule: "no-unwrap",
-                excerpt: "let x =\tf().unwrap();".to_string(),
-            }],
-        };
-        let base = Baseline::from_outcome(&dirty);
-        let json = lint_findings_json(&dirty, &ratchet(&Baseline::default(), &dirty));
-        validate_json(&json).expect("control characters must be escaped");
-        assert!(json.contains("let x =\\tf().unwrap();"), "{json}");
-        assert!(json.contains("crates/de\\u0001mo/src/lib.rs"), "{json}");
-        validate_json(&base.render()).expect("the baseline goes through the same writer");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 /// A vector clock: one logical-time component per processor.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VectorClock {
+pub(crate) struct VectorClock {
     clocks: Vec<u64>,
 }
 
@@ -22,17 +22,8 @@ impl VectorClock {
         VectorClock { clocks: vec![0; n_procs] }
     }
 
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.clocks.len()
-    }
-
-    /// Whether the clock has no components.
-    pub fn is_empty(&self) -> bool {
-        self.clocks.is_empty()
-    }
-
     /// Component for processor `p`.
+    #[cfg(test)]
     pub fn get(&self, p: usize) -> u64 {
         self.clocks[p]
     }
@@ -61,6 +52,7 @@ impl VectorClock {
 
     /// Whether every component of `self` is ≤ the matching component of
     /// `other` (i.e. `self` happens-before-or-equals `other`).
+    #[cfg(test)]
     pub fn leq(&self, other: &VectorClock) -> bool {
         debug_assert_eq!(self.clocks.len(), other.clocks.len());
         self.clocks.iter().zip(&other.clocks).all(|(a, b)| a <= b)

@@ -52,6 +52,8 @@
 //!
 //! Run with `--release`.
 
+#![forbid(unsafe_code)]
+
 use locus_bench::catalog::{self, Experiment, RunCfg};
 use locus_bench::report::Report;
 use locus_bench::{table46_schedule, Harness, PAPER_PROCS};
@@ -240,6 +242,7 @@ fn write_or_die(path: &str, contents: &str) {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "the command line is this binary's input")]
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let trace_out = take_flag(&mut args, "--trace-out");

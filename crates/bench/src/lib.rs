@@ -12,6 +12,9 @@
 //! reproduction target. `EXPERIMENTS.md` records paper-vs-measured values
 //! for every experiment id.
 
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+
 pub mod catalog;
 pub mod chaos;
 pub mod experiments;

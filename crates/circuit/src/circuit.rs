@@ -44,6 +44,9 @@ impl Circuit {
         if self.channels == 0 || self.grids == 0 {
             return Err(CircuitError::EmptySurface);
         }
+        if self.name.is_empty() || self.name.contains(|c: char| c.is_whitespace() || c == '#') {
+            return Err(CircuitError::UnwritableName { name: self.name.clone() });
+        }
         for (index, wire) in self.wires.iter().enumerate() {
             if wire.id != index {
                 return Err(CircuitError::NonDenseWireIds { index, found: wire.id });
@@ -131,6 +134,15 @@ mod tests {
     fn rejects_non_dense_ids() {
         let err = Circuit::new("t", 4, 16, vec![wire(3, &[(0, 0), (1, 1)])]).unwrap_err();
         assert_eq!(err, CircuitError::NonDenseWireIds { index: 0, found: 3 });
+    }
+
+    #[test]
+    fn rejects_names_the_text_format_cannot_carry() {
+        for name in ["", "my chip", "a#b", "tab\tbed", "line\nbreak", "nbsp\u{a0}"] {
+            let err = Circuit::new(name, 4, 16, vec![]).unwrap_err();
+            assert_eq!(err, CircuitError::UnwritableName { name: name.to_string() });
+        }
+        assert!(Circuit::new("bnrE-synthetic", 4, 16, vec![]).is_ok());
     }
 
     #[test]

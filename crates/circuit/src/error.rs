@@ -37,6 +37,12 @@ pub enum CircuitError {
     },
     /// The circuit has zero channels or zero grid columns.
     EmptySurface,
+    /// The name is empty or contains whitespace or `#`: the text format
+    /// writes it as one bare token and could not carry it.
+    UnwritableName {
+        /// Offending name.
+        name: String,
+    },
     /// Text-format parse error with line number and message.
     Parse {
         /// 1-based line number.
@@ -65,6 +71,10 @@ impl fmt::Display for CircuitError {
                 "wire list position {index} holds wire id {found}; ids must be dense 0..n"
             ),
             CircuitError::EmptySurface => write!(f, "circuit must have ≥1 channel and ≥1 grid"),
+            CircuitError::UnwritableName { name } => write!(
+                f,
+                "circuit name {name:?} must be one non-empty token without whitespace or '#'"
+            ),
             CircuitError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
         }
     }

@@ -28,6 +28,9 @@
 //! (wire count, channel/grid dimensions, wire length mix). See `DESIGN.md`
 //! §5 for the substitution rationale.
 
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+
 pub mod cells;
 pub mod circuit;
 pub mod error;

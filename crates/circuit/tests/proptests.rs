@@ -1,7 +1,9 @@
 //! Property-based tests for the circuit model.
 
 use locus_circuit::format::{from_text, to_text};
-use locus_circuit::{Circuit, CircuitGenerator, GeneratorConfig, GridCell, Pin, Rect, Wire};
+use locus_circuit::{
+    presets, Circuit, CircuitError, CircuitGenerator, GeneratorConfig, GridCell, Pin, Rect, Wire,
+};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary valid rectangle within a 64x64 surface.
@@ -22,6 +24,58 @@ fn arb_circuit() -> impl Strategy<Value = Circuit> {
             Circuit::new("prop", channels, grids, wires).expect("constructed valid")
         })
     })
+}
+
+/// Strategy: a name of up to seven printable characters. ASCII includes
+/// the space and `#` the text format cannot carry; Latin-1 and the CJK
+/// symbol block each add one character Unicode counts as whitespace.
+fn arb_name() -> impl Strategy<Value = String> {
+    let ch = prop_oneof![0x20u32..0x7f, 0x20u32..0x7f, 0xa0u32..0x100, 0x3000u32..0x3040];
+    proptest::collection::vec(ch, 0..8)
+        .prop_map(|chars| chars.into_iter().filter_map(char::from_u32).collect())
+}
+
+/// A header whose counts overflow `u16` and records whose numbers
+/// overflow `u16` and `usize`, for the mutation test below.
+const OVERFLOWING: &str = "circuit big channels 65536 grids 70000\n\
+    wire 0 : (0,1) (99999,20)\nwire 18446744073709551616 : (0,0) (1,1)\n";
+
+/// The bytes the grammar gives meaning to; a `replace` edit writes one.
+const MEANINGFUL: &[u8] = b"(),:#\n 0123456789";
+
+/// Strategy: up to five byte-level edits, each `(kind, position, byte)`.
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+    proptest::collection::vec((0u8..4, any::<usize>(), any::<usize>()), 1..6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// 10 000 seeded mutations of each text: delete, duplicate, replace
+    /// with a byte the grammar gives meaning to, truncate. The parser
+    /// answers every one with `Ok` or `Err`; a panic fails the case.
+    #[test]
+    fn parser_never_panics_on_mutated_text(edits in arb_edits()) {
+        for base in [to_text(&presets::tiny()), OVERFLOWING.to_string()] {
+            let mut bytes = base.into_bytes();
+            for &(kind, position, byte) in &edits {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = position % bytes.len();
+                match kind {
+                    0 => {
+                        bytes.remove(at);
+                    }
+                    1 => bytes.insert(at, bytes[at]),
+                    2 => bytes[at] = MEANINGFUL[byte % MEANINGFUL.len()],
+                    _ => bytes.truncate(at),
+                }
+            }
+            let text = String::from_utf8(bytes).expect("ASCII in, ASCII edits");
+            let _ = from_text(&text);
+        }
+    }
 }
 
 proptest! {
@@ -76,6 +130,29 @@ proptest! {
         prop_assert_eq!(parsed.channels, c.channels);
         prop_assert_eq!(parsed.grids, c.grids);
         prop_assert_eq!(parsed.wires, c.wires);
+    }
+
+    /// `Circuit::new` accepts a name exactly when the text format carries
+    /// it; `Circuit { .. }` skips the check to ask the format directly.
+    #[test]
+    fn new_accepts_exactly_the_names_the_text_format_carries(
+        c in arb_circuit(),
+        name in arb_name(),
+    ) {
+        let named = Circuit { name, ..c };
+        let parsed = from_text(&to_text(&named));
+        match Circuit::new(named.name.clone(), named.channels, named.grids, named.wires.clone()) {
+            Ok(_) => {
+                let parsed = parsed.expect("emitted text must parse");
+                prop_assert_eq!(parsed.name, named.name);
+                prop_assert_eq!((parsed.channels, parsed.grids), (named.channels, named.grids));
+                prop_assert_eq!(parsed.wires, named.wires);
+            }
+            Err(err) => {
+                prop_assert_eq!(err, CircuitError::UnwritableName { name: named.name.clone() });
+                prop_assert!(parsed.map_or(true, |p| p.name != named.name), "{:?}", named.name);
+            }
+        }
     }
 
     #[test]

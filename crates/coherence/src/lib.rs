@@ -25,6 +25,9 @@
 //! (`directory`), and a directoryless shared LLC (`dls`), all priced over
 //! the mesh machine with FIFO and criticality-aware contention.
 
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+
 pub mod analyze;
 pub mod model;
 pub mod protocol;

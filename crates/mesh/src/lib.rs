@@ -17,6 +17,9 @@
 //! statistics ([`NetStats`]) corresponding to the "MBytes Xfrd." and
 //! "Time (s)" columns of the paper's tables.
 
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+
 pub mod arbiter;
 pub mod config;
 pub mod fault;

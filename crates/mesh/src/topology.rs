@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn channel_ids_unique() {
         let t = Topology::new(3, 3);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for n in 0..t.n_nodes() {
             for dir in [Dir::East, Dir::West, Dir::South, Dir::North] {
                 assert!(seen.insert(t.channel(n, dir)));

@@ -63,7 +63,7 @@ proptest! {
         prop_assert_eq!(route.len() as u32, t.hops(src, dst));
         // Channels along the route are distinct (dimension order never
         // revisits a link).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for ch in route {
             prop_assert!(seen.insert(ch));
         }

@@ -28,6 +28,10 @@
 //! and returns the paper's metrics (circuit height, occupancy factor,
 //! MBytes transferred, execution time).
 
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+#![warn(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod config;
 pub mod delta;
 pub mod engine;

@@ -4,8 +4,8 @@
 //! All JSON is hand-rolled — the workspace deliberately omits `serde`
 //! (DESIGN §7); the formats here are small enough that a formatter and
 //! an escaping function cover them. Every document (the metrics JSON
-//! here, the `BENCH_*.json` studies, the race, staleness and lint
-//! artifacts) is a [`Json`] tree written by [`json_document`]; the Chrome
+//! here, the `BENCH_*.json` studies, the race and staleness artifacts)
+//! is a [`Json`] tree written by [`json_document`]; the Chrome
 //! trace, one object per event, writes a fixed frame around each event's
 //! payload, which is a `Json` object like the rest.
 //!

@@ -32,6 +32,9 @@
 //! locus_obs::export::validate_json(&trace).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+
 pub mod event;
 pub mod export;
 pub mod metrics;

@@ -273,6 +273,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the sink under test is shared by threads")]
     fn shared_sink_records_from_threads() {
         let sink = SharedSink::new();
         std::thread::scope(|scope| {

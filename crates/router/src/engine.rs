@@ -21,6 +21,10 @@
 //! semantics (global array, unlocked atomics, stale replicas), clocks,
 //! and scheduling — and delegate everything else here.
 
+// Audited atomics (clippy.toml): `WireFeed`'s distributed-loop counter,
+// one relaxed `fetch_add` that publishes nothing but the index it returns.
+#![expect(clippy::disallowed_types)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use locus_circuit::{Circuit, WireId};

@@ -30,6 +30,9 @@
 //! * [`locality`] — the §5.3.3 locality measure, and
 //! * [`render`] — ASCII renderings of Figures 1 and 2.
 
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+
 pub mod assign;
 pub mod cost_array;
 pub mod engine;

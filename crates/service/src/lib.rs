@@ -35,6 +35,9 @@
 //! and utilization flow out both as [`locus_obs`] events/counters and
 //! in the server's own [`ServiceStats`] (cross-checked in tests).
 
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+
 pub mod health;
 pub mod pool;
 pub mod runner;

@@ -1,7 +1,7 @@
 //! The service's scoped-thread worker pool.
 //!
 //! One of the two audited raw-spawn sites in the workspace (the other is
-//! `locus_shmem::parallel`, see the concurrency lint), shared by the job
+//! `locus_shmem::parallel`, see `clippy.toml`), shared by the job
 //! server and the experiment sweeps in `locus-bench`: workers claim jobs
 //! off a shared relaxed counter — the routers' own distributed-loop
 //! scheduling — and results are reassembled in input order, so the
@@ -10,6 +10,10 @@
 //! admission simulation on virtual time, and the sweeps print identical
 //! rows, while the actual routing work executes on however many threads
 //! the host offers.
+
+// Audited executor and atomics (clippy.toml): the pool's scoped spawns and
+// the relaxed job counter its workers claim from.
+#![expect(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -23,6 +23,9 @@
 //!   demonstrate genuine wall-clock speedup; never for table values
 //!   (thread interleavings are nondeterministic).
 
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
+
 pub mod config;
 pub mod emul;
 pub mod engine;

@@ -22,6 +22,10 @@
 //! at iteration barriers. Traced runs keep the live per-cell shared-read
 //! path so the recorded reference stream stays byte-exact.
 
+// Audited executor (clippy.toml): the one scoped spawn per router thread,
+// and the wall-clock reads that are this engine's measurement.
+#![expect(clippy::disallowed_methods)]
+
 use std::cell::{Cell, RefCell};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -165,7 +169,7 @@ impl<'a> ThreadedRouter<'a> {
 
         // Wall-clock here is the measurement itself (it feeds the
         // reported route timings), not hidden nondeterminism.
-        let start = Instant::now(); // lint: allow(determinism)
+        let start = Instant::now();
         std::thread::scope(|scope| {
             for t in 0..n_threads {
                 let shared = &shared;

@@ -26,6 +26,10 @@
 //! commutative `+1`s whose matching `−1` (a rip-up in a later
 //! iteration) is ordered after them by the barrier.
 
+// Audited atomics (clippy.toml): the paper's unlocked cost array (§3),
+// whose relaxed races `locus-analysis` detects and classifies.
+#![expect(clippy::disallowed_types)]
+
 use std::sync::atomic::{AtomicU16, Ordering};
 
 use locus_circuit::GridCell;

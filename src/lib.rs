@@ -22,8 +22,8 @@
 //!   behind one [`MemoryModel`](locus_coherence::MemoryModel) registry.
 //! * [`obs`] — unified observability: typed events, metrics registry,
 //!   Chrome-trace / metrics-JSON / ASCII-timeline exporters.
-//! * [`analysis`] — vector-clock race detection over coherence traces,
-//!   replica-staleness auditing, and the workspace concurrency lint.
+//! * [`analysis`] — vector-clock race detection over coherence traces
+//!   and replica-staleness auditing.
 //! * [`service`] — routing as a service: seeded workload generation,
 //!   a bounded-queue job server with backpressure, and latency/SLO
 //!   accounting over the engine registry.
@@ -46,6 +46,9 @@
 //! let parallel = run_msgpass(&circuit, cfg);
 //! assert!(!parallel.deadlocked);
 //! ```
+
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used)]
 
 pub mod engines;
 
