@@ -89,7 +89,7 @@ pub(crate) struct RouterNode {
     /// The node's view of the cost array.
     pub(crate) replica: CostArray,
     /// Reusable evaluation buffers: the kernel allocates nothing per
-    /// candidate, and the replica's prefix caches serve its span queries.
+    /// candidate.
     scratch: EvalScratch,
     /// The shared execution ledger: route slots (indexed by position in
     /// `plan[proc]`), dynamically granted routes, work counters, per-
@@ -207,11 +207,11 @@ impl RouterNode {
     }
 
     /// Marks this node done with routing and reports its kernel counters
-    /// (candidates swept; the replica's prefix-cache activity).
+    /// (candidates swept, per-cell evaluations).
     fn mark_finished_routing(&mut self) {
         self.finished_routing = true;
         self.routing_done_ns = self.now_ns;
-        self.driver.kernel_stats(Stamp::At(self.now_ns), self.replica.prefix_stats());
+        self.driver.kernel_stats(Stamp::At(self.now_ns));
     }
 
     /// Stamps the truth-change time of every cell `route` covers (no-op

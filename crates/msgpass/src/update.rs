@@ -455,24 +455,14 @@ mod tests {
             Segment::horizontal(own.c_hi, own.x_hi - 2, east.x_lo + 3),
             Segment::vertical(own.x_hi - 2, own.c_hi, south.c_lo + 1),
         ]);
-        // Lines are warm before every write, so that each has prefix
-        // entries and a row maximum to keep right.
-        let warm = |replica: &CostArray| {
-            let _ = replica.horizontal_cost(own.c_hi, 0, east.x_lo + 1);
-            let _ = replica.vertical_cost(own.x_hi - 2, 0, south.c_lo);
-            let _ = replica.channel_tracks(own.c_hi);
-        };
         let write = |by_route: &mut Layer, by_cell: &mut Layer, delta: i32| {
-            warm(&by_route.1);
             by_route.0.record_route(&mut by_route.1, route.cells(), delta);
-            warm(&by_cell.1);
             for &cell in route.cells() {
                 by_cell.0.record_change(&mut by_cell.1, cell, delta);
             }
         };
         let receive = |layers: [&mut Layer; 2], packet: Packet| {
             for (update, replica, transport) in layers {
-                warm(replica);
                 let mut outbox = Outbox::new();
                 let _ =
                     update.handle(1, packet.clone(), replica, &mut transport.link(&mut outbox, 0));
@@ -480,8 +470,6 @@ mod tests {
         };
         let same = |a: &Layer, b: &Layer| {
             assert_eq!(a.1, b.1, "replica");
-            assert_eq!(a.1.prefix_stats(), b.1.prefix_stats(), "cache activity");
-            a.1.validate_prefix_caches().expect("caches of the route-written replica");
             assert_eq!(a.0.delta, b.0.delta, "delta array");
             assert_eq!(a.0.own_dirty, b.0.own_dirty, "own dirty box");
             assert_eq!(a.0.unflushed, b.0.unflushed, "unflushed owners");

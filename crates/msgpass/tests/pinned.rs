@@ -213,9 +213,9 @@ const OUTCOMES: &[(&str, u64)] = &[
 
 #[rustfmt::skip]
 const STREAMS: &[(&str, u64)] = &[
-    ("plain", 0x489f02093cce62b5),
-    ("lossy-reliable", 0x967d8f5652f4889e),
-    ("worker-crash", 0x32c386166cf52f83),
+    ("plain", 0x3fd671e30b0915c9),
+    ("lossy-reliable", 0xe33d396dcf0c1f32),
+    ("worker-crash", 0xd6d339e94a7c2bca),
 ];
 
 fn check(what: &str, got: Vec<(&'static str, u64)>, want: &[(&str, u64)]) {

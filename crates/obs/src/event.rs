@@ -128,17 +128,6 @@ pub enum EventKind {
     KernelStats {
         /// Candidate routes examined over the whole run.
         candidates: u64,
-        /// Span queries answered from a fully valid prefix-sum cache line.
-        prefix_hits: u64,
-        /// Prefix-sum cache lines built cold (never materialized before).
-        prefix_rebuilds: u64,
-        /// Prefix-sum cache lines incrementally patched past their
-        /// watermark instead of rebuilt.
-        prefix_patches: u64,
-        /// Watermark clamps caused by cost-array writes.
-        prefix_invalidations: u64,
-        /// Row-maximum rescans forced by a write lowering the maximum.
-        prefix_fallbacks: u64,
         /// Route evaluations that took the per-cell span fallback (the
         /// view lacked fast spans); nonzero means the run was not on the
         /// optimized kernel path.
@@ -374,15 +363,7 @@ pub(crate) mod tests {
             EventKind::MemRequest { resource: 1, bytes: 8, critical: true },
             EventKind::PhaseBegin { name: "iteration" },
             EventKind::PhaseEnd { name: "iteration" },
-            EventKind::KernelStats {
-                candidates: 7,
-                prefix_hits: 6,
-                prefix_rebuilds: 5,
-                prefix_patches: 4,
-                prefix_invalidations: 3,
-                prefix_fallbacks: 2,
-                percell_evals: 1,
-            },
+            EventKind::KernelStats { candidates: 7, percell_evals: 1 },
             EventKind::PercellFallback { wire: 3 },
             EventKind::RaceDetected { addr: 64, wire: 3, benign: true },
             EventKind::ReplicaAudit { diverged_cells: 5, max_divergence: 2, mean_age_ns: 1200 },
@@ -431,9 +412,10 @@ pub(crate) mod tests {
 
     #[test]
     fn event_size_is_pinned() {
-        // KernelStats' seven u64s set the size of every event; 2^20 of them
-        // (`DEFAULT_CAPACITY`) are 80 MiB. A new payload that grows this is
+        // A time, a node and a 24-byte kind (a tag beside `PacketDelivered`'s
+        // 20 bytes or `KernelStats`' two u64s); 2^20 of them
+        // (`DEFAULT_CAPACITY`) are 40 MiB. A new payload that grows this is
         // a deliberate change of the number, not a silent one.
-        assert!(std::mem::size_of::<Event>() <= 80, "{}", std::mem::size_of::<Event>());
+        assert!(std::mem::size_of::<Event>() <= 40, "{}", std::mem::size_of::<Event>());
     }
 }

@@ -220,10 +220,7 @@ pub(crate) fn shown(kind: &EventKind, args: Option<&mut Vec<(&'static str, Json)
         MemRequest { resource, bytes, critical } => 'm' 1 "mem-req",
         PhaseBegin { name } => '|' 0 "phase",
         PhaseEnd { name } => '|' 0 "phase",
-        KernelStats {
-            candidates, prefix_hits, prefix_rebuilds, prefix_patches, prefix_invalidations,
-            prefix_fallbacks, percell_evals
-        } => 'K' 1 "kernel",
+        KernelStats { candidates, percell_evals } => 'K' 1 "kernel",
         PercellFallback { wire } => 'P' 5 "percell",
         RaceDetected { addr, wire, benign } => 'R' 8 "race",
         ReplicaAudit { diverged_cells, max_divergence, mean_age_ns } => 'A' 2 "audit",

@@ -59,16 +59,6 @@ pub mod names {
     pub const PHASES_ENDED: &str = "phases_ended";
     /// Candidate routes examined by the evaluation kernel.
     pub const KERNEL_CANDIDATES: &str = "kernel_candidates";
-    /// Span queries served from a valid prefix-sum cache line.
-    pub const PREFIX_CACHE_HITS: &str = "prefix_cache_hits";
-    /// Prefix-sum cache lines built cold (never materialized before).
-    pub const PREFIX_CACHE_REBUILDS: &str = "prefix_cache_rebuilds";
-    /// Prefix-sum cache lines incrementally patched past their watermark.
-    pub const PREFIX_CACHE_PATCHES: &str = "prefix_cache_patches";
-    /// Watermark clamps caused by cost-array writes.
-    pub const PREFIX_CACHE_INVALIDATIONS: &str = "prefix_cache_invalidations";
-    /// Row-maximum rescans forced by a write lowering the maximum.
-    pub const PREFIX_CACHE_FALLBACKS: &str = "prefix_cache_fallbacks";
     /// Route evaluations that took the per-cell span fallback.
     pub const PERCELL_EVALS: &str = "percell_evals";
     /// Runs that fell back to per-cell spans at least once (one per
@@ -368,21 +358,8 @@ impl Metrics {
             }
             EventKind::PhaseBegin { .. } => self.add(names::PHASES_BEGUN, 1),
             EventKind::PhaseEnd { .. } => self.add(names::PHASES_ENDED, 1),
-            EventKind::KernelStats {
-                candidates,
-                prefix_hits,
-                prefix_rebuilds,
-                prefix_patches,
-                prefix_invalidations,
-                prefix_fallbacks,
-                percell_evals,
-            } => {
+            EventKind::KernelStats { candidates, percell_evals } => {
                 self.add(names::KERNEL_CANDIDATES, candidates);
-                self.add(names::PREFIX_CACHE_HITS, prefix_hits);
-                self.add(names::PREFIX_CACHE_REBUILDS, prefix_rebuilds);
-                self.add(names::PREFIX_CACHE_PATCHES, prefix_patches);
-                self.add(names::PREFIX_CACHE_INVALIDATIONS, prefix_invalidations);
-                self.add(names::PREFIX_CACHE_FALLBACKS, prefix_fallbacks);
                 self.add(names::PERCELL_EVALS, percell_evals);
             }
             EventKind::PercellFallback { .. } => {

@@ -77,8 +77,8 @@ impl Obs {
     }
 }
 
-/// Default event capacity of a [`RingBufferSink`]: 80 MiB of events when
-/// full, at 80 bytes an [`Event`] (set by `KernelStats`' seven `u64`s).
+/// Default event capacity of a [`RingBufferSink`]: 40 MiB of events when
+/// full, at 40 bytes an [`Event`] (a time, a node, a 24-byte kind).
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// A bounded in-memory sink: keeps the most recent `capacity` events in

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use locus_circuit::{Circuit, WireId};
 use locus_obs::{EventKind, Obs, SharedSink};
 
-use crate::cost_array::{CostArray, PrefixStats};
+use crate::cost_array::CostArray;
 use crate::params::RouterParams;
 use crate::quality::QualityMetrics;
 use crate::route::Route;
@@ -216,17 +216,12 @@ impl IterationDriver {
     }
 
     /// Emits the end-of-run `KernelStats` event with this driver's
-    /// candidate total and the given prefix-cache counters.
-    pub fn kernel_stats(&mut self, stamp: Stamp, prefix: PrefixStats) {
+    /// candidate and per-cell evaluation totals.
+    pub fn kernel_stats(&mut self, stamp: Stamp) {
         self.obs.emit(
             self.resolve(stamp),
             EventKind::KernelStats {
                 candidates: self.work.candidates,
-                prefix_hits: prefix.hits,
-                prefix_rebuilds: prefix.rebuilds,
-                prefix_patches: prefix.patches,
-                prefix_invalidations: prefix.invalidations,
-                prefix_fallbacks: prefix.fallbacks,
                 percell_evals: self.percell_evals,
             },
         );

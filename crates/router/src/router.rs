@@ -214,10 +214,7 @@ impl<'a> SequentialRouter<'a> {
             driver.phase_end(Stamp::WorkCells);
             driver.close_iteration();
         }
-        // KernelStats is stamped before the quality computation so the
-        // prefix counters reflect routing work only.
-        let prefix = cost.prefix_stats();
-        driver.kernel_stats(Stamp::WorkCells, prefix);
+        driver.kernel_stats(Stamp::WorkCells);
         driver.finish(cost)
     }
 }

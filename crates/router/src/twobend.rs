@@ -312,7 +312,7 @@ pub fn best_route<V: CostView + ?Sized>(
 /// What the tests compare the kernel against; not part of the documented
 /// surface. The unit tests below and `tests/proptests.rs` assert that
 /// [`best_route`] matches [`oracle::best_route_reference`] bit for bit on
-/// `(route, cost, candidates, cells_examined)`, through the prefix-sum
+/// `(route, cost, candidates, cells_examined)`, through the slice-sum
 /// fast path and through [`oracle::PerCell`].
 #[doc(hidden)]
 pub mod oracle {
@@ -522,7 +522,7 @@ mod tests {
     }
 
     /// Exhaustive pin-pair equivalence against the reference evaluator on
-    /// a patterned surface — both through the prefix-sum fast path
+    /// a patterned surface — both through the slice-sum fast path
     /// (`CostArray` directly) and through the per-cell default path.
     #[test]
     fn matches_reference_evaluator_exhaustively() {
@@ -555,7 +555,7 @@ mod tests {
     }
 
     /// bnrE and MDC routed wire by wire, every connection evaluated by
-    /// the reference, the prefix-sum fast path and the per-cell path on
+    /// the reference, the slice-sum fast path and the per-cell path on
     /// the live surface *before* the winner is committed, so the
     /// comparison covers the congested states a real run passes through
     /// and not only patterned or random arrays.

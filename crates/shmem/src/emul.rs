@@ -323,11 +323,8 @@ impl<'a> ShmemEmulator<'a> {
 
         let completion = procs.iter().map(|s| s.clock).max().unwrap_or(0);
         let out = driver.finish(shared);
-        // Evaluation reads go through the instrumented per-cell path, so
-        // prefix activity here reflects only quality measurement — the
-        // counters document that the trace path stays uncached.
         driver.on_node(0);
-        driver.kernel_stats(Stamp::At(completion), out.cost.prefix_stats());
+        driver.kernel_stats(Stamp::At(completion));
 
         ShmemOutcome {
             quality: out.quality,

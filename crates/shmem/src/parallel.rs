@@ -17,9 +17,10 @@
 //! shared under per-wire mutexes); ledgers are merged after the join.
 //!
 //! Untraced runs default to **per-shard cost-array ownership**: each
-//! worker evaluates against a private replica with its own prefix caches
-//! (fast spans, no false sharing) refreshed from the shared atomic truth
-//! at iteration barriers. Traced runs keep the live per-cell shared-read
+//! worker evaluates against a private replica (plain `u16` rows and the
+//! `fast_spans` sweep in place of a relaxed atomic load per cell, no
+//! false sharing) refreshed from the shared atomic truth at iteration
+//! barriers. Traced runs keep the live per-cell shared-read
 //! path so the recorded reference stream stays byte-exact.
 
 // Audited executor (clippy.toml): the one scoped spawn per router thread,
@@ -35,7 +36,7 @@ use locus_coherence::{MemRef, RefKind, Trace};
 use locus_obs::Obs;
 use locus_router::engine::{IterationDriver, Stamp, WireFeed};
 use locus_router::router::{route_wire_scratch, PooledScratch};
-use locus_router::{CostArray, CostView, PrefixStats, QualityMetrics, Route, WorkStats};
+use locus_router::{CostArray, CostView, QualityMetrics, Route, WorkStats};
 use parking_lot::Mutex;
 
 use crate::cell_addr;
@@ -266,11 +267,7 @@ impl<'a> ThreadedRouter<'a> {
                         }
                         driver.close_iteration();
                     }
-                    let prefix = match worker.as_ref() {
-                        Some(w) => w.local.prefix_stats(),
-                        None => PrefixStats::default(),
-                    };
-                    driver.kernel_stats(now(), prefix);
+                    driver.kernel_stats(now());
                     ledgers.lock().push((*driver.work(), driver.occupancy_by_iteration().to_vec()));
                     if collect_trace {
                         *thread_traces[t].lock() = local.into_inner();

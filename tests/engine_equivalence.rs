@@ -82,7 +82,7 @@ fn deterministic_engines_are_bitwise_repeatable() {
 #[test]
 fn sharded_threads_match_sequential_at_one_proc_and_stay_banded_above() {
     // Shard ownership (the default untraced threads path) keeps every
-    // worker's prefix caches private. At P=1 the replica sees every
+    // worker's replica private. At P=1 the replica sees every
     // write immediately, so the run is bit-identical to sequential; at
     // P>1 cross-worker routes land only at iteration barriers, so exact
     // equality is impossible by design — instead a static assignment
