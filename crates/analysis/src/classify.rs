@@ -55,7 +55,7 @@ pub struct ClassifiedRace {
 
 impl ClassifiedRace {
     /// Whether the pair was classified benign.
-    pub fn is_benign(&self) -> bool {
+    pub(crate) fn is_benign(&self) -> bool {
         self.class == RaceClass::Benign
     }
 }

@@ -3,16 +3,14 @@
 //! into the [`AnalysisReport`] the `analyze` subcommand prints and
 //! serializes.
 
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
-use locus_circuit::{Circuit, GridCell};
-use locus_coherence::{MemRef, RefKind, Trace};
+use locus_circuit::Circuit;
+use locus_coherence::{MemRef, Trace};
 use locus_msgpass::{MsgPassConfig, MsgPassOutcome, UpdateSchedule};
 use locus_obs::{EventKind, Obs};
-use locus_router::router::route_wire_scratch;
-use locus_router::{CostArray, CostView, EvalScratch, Route, RouterParams};
-use locus_shmem::{cell_addr, ShmemConfig, ShmemEmulator, ThreadedRouter};
+use locus_router::RouterParams;
+use locus_shmem::{ShmemConfig, ShmemEmulator, ThreadedRouter};
 
 use crate::classify::{addr_cell, classify_races, ClassifiedRace};
 use crate::race::detect;
@@ -48,7 +46,7 @@ impl AnalysisReport {
     /// time-sorted) and aggregates the per-channel / per-wire tables.
     /// `overshoot` is the run's candidate overshoot, reused when
     /// classification re-evaluates a racing wire.
-    pub fn build(
+    pub(crate) fn build(
         engine: &str,
         procs: usize,
         circuit: &Circuit,
@@ -154,111 +152,6 @@ pub fn emit_race_events(report: &AnalysisReport, obs: &Obs) {
     }
 }
 
-/// The sequential router's reference trace plus the routes it chose.
-#[derive(Debug)]
-pub(crate) struct SequentialTrace {
-    /// Single-processor trace (proc 0, epoch = iteration, one logical
-    /// tick per access).
-    pub trace: Trace,
-    /// Final route of every wire; read only by the test that pins this
-    /// tracer to [`locus_router::SequentialRouter`].
-    #[cfg_attr(not(test), expect(dead_code))]
-    pub routes: Vec<Route>,
-}
-
-/// A cost view recording the sequential router's reads; the companion
-/// of the emulator's `TracedView`, for the engine that otherwise never
-/// collects traces.
-struct SeqView<'a> {
-    cost: &'a CostArray,
-    trace: &'a RefCell<Trace>,
-    clock: &'a Cell<u64>,
-    /// Processor, epoch and wire of every read.
-    tag: MemRef,
-}
-
-/// One logical tick per access.
-fn tick(clock: &Cell<u64>) -> u64 {
-    let t = clock.get();
-    clock.set(t + 1);
-    t
-}
-
-impl CostView for SeqView<'_> {
-    fn channels(&self) -> u16 {
-        self.cost.channels()
-    }
-    fn grids(&self) -> u16 {
-        self.cost.grids()
-    }
-    fn cost_at(&self, cell: GridCell) -> u32 {
-        self.trace.borrow_mut().push(MemRef {
-            time: tick(self.clock),
-            addr: cell_addr(cell.channel, cell.x, self.cost.grids()),
-            ..self.tag
-        });
-        self.cost.cost_at(cell)
-    }
-}
-
-/// Routes `circuit` with the sequential algorithm (same wire order and
-/// rip-up discipline as [`locus_router::SequentialRouter`]) while
-/// recording the reference trace the sequential engine itself never
-/// collects. One logical tick per access; epoch = iteration, so more
-/// iterations than a trace record numbers are an error.
-pub(crate) fn trace_sequential(
-    circuit: &Circuit,
-    params: RouterParams,
-) -> Result<SequentialTrace, String> {
-    MemRef::check_epochs(params.iterations)?;
-    let n = circuit.wire_count();
-    let mut cost = CostArray::new(circuit.channels, circuit.grids);
-    let trace = RefCell::new(Trace::new());
-    let clock = Cell::new(0u64);
-    let mut routes: Vec<Option<Route>> = vec![None; n];
-    let mut scratch = EvalScratch::default();
-
-    for iteration in 0..params.iterations {
-        let in_epoch = MemRef::new(0, 0, 0, RefKind::Read).with_epoch(iteration as u32)?;
-        for (wire_id, slot) in routes.iter_mut().enumerate() {
-            let tag = in_epoch.with_wire(wire_id as u32);
-            let record_stores = |route: &Route, delta: i8| {
-                for &cell in route.cells() {
-                    trace.borrow_mut().push(MemRef {
-                        time: tick(&clock),
-                        addr: cell_addr(cell.channel, cell.x, circuit.grids),
-                        kind: RefKind::Write,
-                        delta,
-                        ..tag
-                    });
-                }
-            };
-            if let Some(old) = slot.take() {
-                record_stores(&old, -1);
-                cost.remove_route(&old);
-            }
-            let eval = {
-                let view = SeqView { cost: &cost, trace: &trace, clock: &clock, tag };
-                route_wire_scratch(
-                    &view,
-                    circuit.wire(wire_id),
-                    params.channel_overshoot,
-                    &mut scratch,
-                )
-            };
-            record_stores(&eval.route, 1);
-            cost.add_route(&eval.route);
-            *slot = Some(eval.route);
-        }
-    }
-    let trace = trace.into_inner();
-    debug_assert!(trace.is_sorted(), "one tick per access keeps the trace sorted");
-    Ok(SequentialTrace {
-        trace,
-        routes: routes.into_iter().map(|r| r.expect("every wire routed")).collect(),
-    })
-}
-
 /// Resolves `--engine` spellings to the canonical registry name.
 fn canonical(engine: &str) -> &str {
     match engine {
@@ -282,18 +175,20 @@ pub fn analyze_engine(
     params: RouterParams,
 ) -> Result<AnalysisReport, String> {
     let engine = canonical(engine);
-    let (trace, procs) = match engine {
-        "sequential" => (trace_sequential(circuit, params)?.trace, 1),
-        "shmem-emul" => {
-            let cfg = ShmemConfig::new(procs).with_params(params).with_trace();
-            let outcome = ShmemEmulator::try_new(circuit, cfg)?.run();
-            (outcome.trace.ok_or("emulator did not record a trace")?, procs)
-        }
-        "shmem-threads" => {
-            let cfg = ShmemConfig::new(procs).with_params(params).with_trace();
-            let outcome = ThreadedRouter::try_new(circuit, cfg)?.run();
-            (outcome.trace.ok_or("threaded router did not record a trace")?, procs)
-        }
+    // The sequential router is the emulator at one processor (same wire
+    // order, same routes: `tests/engine_equivalence.rs`), and only the
+    // emulator records a trace.
+    let procs = if engine == "sequential" { 1 } else { procs };
+    let cfg = ShmemConfig::new(procs).with_params(params).with_trace();
+    let trace = match engine {
+        "sequential" | "shmem-emul" => ShmemEmulator::try_new(circuit, cfg)?
+            .run()
+            .trace
+            .ok_or("emulator did not record a trace")?,
+        "shmem-threads" => ThreadedRouter::try_new(circuit, cfg)?
+            .run()
+            .trace
+            .ok_or("threaded router did not record a trace")?,
         other => {
             return Err(format!(
                 "engine '{other}' has no shared-reference trace to analyse \
@@ -333,19 +228,6 @@ mod tests {
     use super::*;
     use locus_circuit::presets;
     use locus_obs::SharedSink;
-    use locus_router::SequentialRouter;
-
-    #[test]
-    fn sequential_trace_matches_sequential_router_routes() {
-        let c = presets::small();
-        let params = RouterParams::default();
-        let traced = trace_sequential(&c, params).expect("two iterations");
-        let reference = SequentialRouter::new(&c, params).run();
-        assert_eq!(traced.routes, reference.routes);
-        assert!(!traced.trace.is_empty());
-        assert!(traced.trace.is_sorted());
-        assert!(traced.trace.write_count() > 0);
-    }
 
     #[test]
     fn sequential_trace_has_zero_races() {

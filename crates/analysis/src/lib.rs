@@ -25,6 +25,7 @@
 //! serializes hand-rolled JSON for CI artifacts.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod classify;

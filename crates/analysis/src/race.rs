@@ -60,7 +60,7 @@ pub struct RacePair {
 impl RacePair {
     /// The write side of the pair (for write/write pairs: the second
     /// access, whose replay position classification uses).
-    pub fn write_ref(&self) -> MemRef {
+    pub(crate) fn write_ref(&self) -> MemRef {
         match self.kind {
             RaceKind::WriteWrite => self.second,
             RaceKind::ReadWrite => {
@@ -74,7 +74,7 @@ impl RacePair {
     }
 
     /// The read side of a read/write pair.
-    pub fn read_ref(&self) -> Option<MemRef> {
+    pub(crate) fn read_ref(&self) -> Option<MemRef> {
         match self.kind {
             RaceKind::WriteWrite => None,
             RaceKind::ReadWrite => {

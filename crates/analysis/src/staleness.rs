@@ -40,7 +40,7 @@ pub struct StalenessReport {
 impl StalenessReport {
     /// Folds `audits` (as produced on
     /// [`locus_msgpass::MsgPassOutcome::replica_audits`]) into a report.
-    pub fn build(audits: &[ReplicaSnapshot]) -> Self {
+    pub(crate) fn build(audits: &[ReplicaSnapshot]) -> Self {
         let mut cells_hist = Histogram::default();
         let mut age_hist = Histogram::default();
         let mut procs: Vec<usize> = Vec::new();

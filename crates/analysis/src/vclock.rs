@@ -18,24 +18,24 @@ pub(crate) struct VectorClock {
 
 impl VectorClock {
     /// The zero clock over `n_procs` components.
-    pub fn new(n_procs: usize) -> Self {
+    pub(crate) fn new(n_procs: usize) -> Self {
         VectorClock { clocks: vec![0; n_procs] }
     }
 
     /// Component for processor `p`.
     #[cfg(test)]
-    pub fn get(&self, p: usize) -> u64 {
+    pub(crate) fn get(&self, p: usize) -> u64 {
         self.clocks[p]
     }
 
     /// Sets processor `p`'s component.
-    pub fn set(&mut self, p: usize, value: u64) {
+    pub(crate) fn set(&mut self, p: usize, value: u64) {
         self.clocks[p] = value;
     }
 
     /// Component-wise maximum with `other` (the join at a barrier or
     /// release edge).
-    pub fn join(&mut self, other: &VectorClock) {
+    pub(crate) fn join(&mut self, other: &VectorClock) {
         debug_assert_eq!(self.clocks.len(), other.clocks.len());
         for (mine, theirs) in self.clocks.iter_mut().zip(&other.clocks) {
             *mine = (*mine).max(*theirs);
@@ -46,14 +46,14 @@ impl VectorClock {
     /// processor `p` — the FastTrack "epoch ⪯ clock" test: an access by
     /// `p` at `p`-time `value` happens-before the current point iff the
     /// current clock's `p` component has reached `value`.
-    pub fn has_observed(&self, p: usize, value: u64) -> bool {
+    pub(crate) fn has_observed(&self, p: usize, value: u64) -> bool {
         self.clocks[p] >= value
     }
 
     /// Whether every component of `self` is ≤ the matching component of
     /// `other` (i.e. `self` happens-before-or-equals `other`).
     #[cfg(test)]
-    pub fn leq(&self, other: &VectorClock) -> bool {
+    pub(crate) fn leq(&self, other: &VectorClock) -> bool {
         debug_assert_eq!(self.clocks.len(), other.clocks.len());
         self.clocks.iter().zip(&other.clocks).all(|(a, b)| a <= b)
     }

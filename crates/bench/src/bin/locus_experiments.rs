@@ -33,6 +33,8 @@
 //! `--quick` shrinks any experiment to a CI-sized configuration (small
 //! synthetic circuit, 4 processors). `chaos` exits 1 unless every
 //! scenario terminates with all wires routed and reproduces bitwise.
+//! A flag the chosen command never reads, or a second experiment id, is
+//! a usage error (exit 2).
 //!
 //! `--engine <name>` routes one circuit through a single registry engine
 //! and prints its headline metrics (`--circuit
@@ -264,12 +266,23 @@ fn main() {
             2,
         );
     }
+    if args.len() > 1 {
+        die(&format!("expected at most one experiment id, got {}", args.join(" ")), 2);
+    }
     let harness = threads.map_or_else(Harness::auto, Harness::with_threads);
     let cfg = RunCfg { harness, quick, memory_backend };
     let id = args.first().map_or("all", String::as_str);
 
+    // A flag the chosen command never reads is a mistake, not a no-op.
+    let one_engine = engine_name.is_some() || id == "analyze";
     if circuit_name.is_some() && (engine_name.is_none() || id == "analyze") {
         die("--circuit only applies to --engine runs", 2);
+    }
+    if engine_procs.is_some() && !one_engine {
+        die("--procs only applies to --engine runs and analyze", 2);
+    }
+    if cfg.memory_backend.is_some() && (one_engine || !["memory", "table3", "all"].contains(&id)) {
+        die("--memory only applies to memory, table3 and all", 2);
     }
 
     if id == "analyze" {

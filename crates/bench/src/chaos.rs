@@ -33,16 +33,16 @@ use crate::Harness;
 /// onsets scaled by total time would land after the target's work is
 /// done — the run tail is update exchange and termination — and never
 /// orphan a wire.
-pub const CHAOS_CRASH_FRACTIONS: &[f64] = &[0.25, 0.5, 0.75];
+pub(crate) const CHAOS_CRASH_FRACTIONS: &[f64] = &[0.25, 0.5, 0.75];
 
 /// Reduced crash sweep for `--quick` runs and CI smoke tests.
-pub const CHAOS_CRASH_FRACTIONS_QUICK: &[f64] = &[0.5];
+pub(crate) const CHAOS_CRASH_FRACTIONS_QUICK: &[f64] = &[0.5];
 
 /// Checkpoint intervals (wires between checkpoints) of the full study.
-pub const CHAOS_CHECKPOINT_INTERVALS: &[u32] = &[4, 16];
+pub(crate) const CHAOS_CHECKPOINT_INTERVALS: &[u32] = &[4, 16];
 
 /// Reduced interval sweep for `--quick` runs.
-pub const CHAOS_CHECKPOINT_INTERVALS_QUICK: &[u32] = &[4];
+pub(crate) const CHAOS_CHECKPOINT_INTERVALS_QUICK: &[u32] = &[4];
 
 /// Heartbeat period as a fraction of the probed clean completion time.
 const HEARTBEAT_DIVISOR: u64 = 50;
@@ -56,7 +56,7 @@ const STALL_FACTOR: u32 = 4;
 /// One clean probe per circuit: the measured base time and the recovery
 /// knobs derived from it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ChaosProbe {
+pub(crate) struct ChaosProbe {
     /// Circuit name.
     pub circuit: String,
     /// Processor count.
@@ -74,7 +74,7 @@ pub struct ChaosProbe {
 
 /// One `(circuit, checkpoint interval, scenario)` cell of the study.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ChaosRow {
+pub(crate) struct ChaosRow {
     /// Circuit name.
     pub circuit: String,
     /// Processor count.
@@ -124,14 +124,14 @@ pub struct ChaosRow {
 
 impl ChaosRow {
     /// Every wire routed, no watchdog, clean termination, reproducible.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         !self.degraded && self.watchdog == 0 && self.repeat_identical
     }
 }
 
 /// The full study: probes and rows in deterministic order.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ChaosStudy {
+pub(crate) struct ChaosStudy {
     /// One probe per circuit.
     pub probes: Vec<ChaosProbe>,
     /// Rows in `(circuit, interval, scenario)` order.
@@ -140,7 +140,7 @@ pub struct ChaosStudy {
 
 impl ChaosStudy {
     /// True when every row satisfies [`ChaosRow::ok`].
-    pub fn all_ok(&self) -> bool {
+    pub(crate) fn all_ok(&self) -> bool {
         self.rows.iter().all(ChaosRow::ok)
     }
 }
@@ -218,7 +218,7 @@ fn identical(a: &MsgPassOutcome, b: &MsgPassOutcome) -> bool {
 /// Runs the chaos grid. One probe per circuit (clean, recovery off),
 /// then every `(interval, scenario)` cell with recovery on; each cell
 /// executes twice to prove bitwise repeatability.
-pub fn chaos_study(harness: &Harness, quick: bool) -> ChaosStudy {
+pub(crate) fn chaos_study(harness: &Harness, quick: bool) -> ChaosStudy {
     let circuits: Vec<(Circuit, usize)> = if quick {
         vec![(presets::small(), 4)]
     } else {

@@ -78,7 +78,7 @@ pub fn table1(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<Updat
 
 /// **Table 2** — non-blocking receiver-initiated updates: sweep
 /// `ReqLocData ∈ {1,2,10}` × `ReqRmtData ∈ {5,10,30}`.
-pub fn table2(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<UpdateSweepRow> {
+pub(crate) fn table2(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<UpdateSweepRow> {
     let points: Vec<(u32, u32)> =
         [1u32, 2, 10].iter().flat_map(|&loc| [5u32, 10, 30].map(|rmt| (loc, rmt))).collect();
     harness.map(points, |(loc, rmt)| {
@@ -130,7 +130,7 @@ pub fn blocking_study(harness: &Harness, circuit: &Circuit, n_procs: usize) -> V
 
 /// A mixed-schedule comparison row (§5.1.3).
 #[derive(Clone, Debug, PartialEq)]
-pub struct MixedRow {
+pub(crate) struct MixedRow {
     /// Strategy label.
     pub label: String,
     /// Circuit height.
@@ -147,7 +147,7 @@ pub struct MixedRow {
 /// (`SendLocData=5, SendRmtData=2, ReqLocData=1, ReqRmtData=5`) against
 /// pure sender- and pure receiver-initiated schedules: mixed should beat
 /// both on occupancy factor using roughly half the sender traffic.
-pub fn mixed_study(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<MixedRow> {
+pub(crate) fn mixed_study(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<MixedRow> {
     let cases: Vec<(&str, UpdateSchedule)> = vec![
         ("sender (2,5)", UpdateSchedule::sender_initiated(2, 5)),
         ("receiver (1,5)", UpdateSchedule::receiver_initiated(1, 5)),
@@ -168,7 +168,7 @@ pub fn mixed_study(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<
 
 /// A Table 3 row: coherence traffic at one cache line size.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LineSizeRow {
+pub(crate) struct LineSizeRow {
     /// Cache line size in bytes.
     pub line_size: u32,
     /// Megabytes transferred on the bus.
@@ -180,7 +180,7 @@ pub struct LineSizeRow {
 }
 
 /// Collects the shared-memory reference trace the coherence analyses use.
-pub fn shared_memory_trace(circuit: &Circuit, n_procs: usize) -> Trace {
+pub(crate) fn shared_memory_trace(circuit: &Circuit, n_procs: usize) -> Trace {
     let out = ShmemEmulator::new(circuit, ShmemConfig::new(n_procs).with_trace()).run();
     out.trace.expect("trace collection enabled")
 }
@@ -190,7 +190,7 @@ pub fn shared_memory_trace(circuit: &Circuit, n_procs: usize) -> Trace {
 /// size through one registered memory backend ([`traffic_by_backend`]).
 /// `"bus-wbi"` is the paper's Write-Back-with-Invalidate bus, `"bus-wt"`
 /// the write-through ablation the CLI's `--memory` flag exposes.
-pub fn table3_backend(
+pub(crate) fn table3_backend(
     circuit: &Circuit,
     n_procs: usize,
     line_sizes: &[u32],
@@ -212,7 +212,7 @@ pub fn table3_backend(
 /// A row of the memory-system backend study: one registered backend
 /// replaying one circuit's shared-memory trace.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MemoryRow {
+pub(crate) struct MemoryRow {
     /// Circuit name.
     pub circuit: String,
     /// Registered backend name (`bus-wbi`, `bus-wt`, `directory`, `dls`).
@@ -253,7 +253,7 @@ fn memory_row(circuit: String, out: &MemoryOutcome) -> MemoryRow {
 
 /// The cache line size the memory study prices every backend at (the
 /// paper's Table 3 headline point).
-pub const MEMORY_STUDY_LINE_SIZE: u32 = 8;
+pub(crate) const MEMORY_STUDY_LINE_SIZE: u32 = 8;
 
 /// **Memory-system study** — every backend in [`memory_registry`] replays
 /// the *same* shared-memory reference trace per circuit (one traced
@@ -265,7 +265,7 @@ pub const MEMORY_STUDY_LINE_SIZE: u32 = 8;
 /// A machine some backend cannot price (no processors, more than a
 /// holder bitmask names, a line size that is not a power of two) is an
 /// error, reported before any trace is collected.
-pub fn memory_study(
+pub(crate) fn memory_study(
     harness: &Harness,
     circuits: &[&Circuit],
     n_procs: usize,
@@ -338,7 +338,7 @@ pub fn table4(harness: &Harness, circuits: &[&Circuit], n_procs: usize) -> Vec<T
 
 /// A Table 5 row: shared-memory locality sweep.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Table5Row {
+pub(crate) struct Table5Row {
     /// Circuit name.
     pub circuit: String,
     /// Assignment method label.
@@ -351,7 +351,7 @@ pub struct Table5Row {
 
 /// **Table 5** — effect of the wire-assignment strategy on the
 /// shared-memory implementation (8-byte cache lines).
-pub fn table5(harness: &Harness, circuits: &[&Circuit], n_procs: usize) -> Vec<Table5Row> {
+pub(crate) fn table5(harness: &Harness, circuits: &[&Circuit], n_procs: usize) -> Vec<Table5Row> {
     let points: Vec<(&Circuit, &str, AssignmentStrategy)> = circuits
         .iter()
         .flat_map(|&c| AssignmentStrategy::table45_rows().into_iter().map(move |(m, s)| (c, m, s)))
@@ -416,7 +416,7 @@ pub fn table6(harness: &Harness, circuit: &Circuit, procs: &[usize]) -> Vec<Tabl
 
 /// A locality-measure row (§5.3.3).
 #[derive(Clone, Debug, PartialEq)]
-pub struct LocalityRow {
+pub(crate) struct LocalityRow {
     /// Circuit name.
     pub circuit: String,
     /// Assignment method label.
@@ -432,7 +432,7 @@ pub struct LocalityRow {
 /// **§5.3.3** — the locality measure over assignment strategies and
 /// processor counts (computed on the sequential routing solution, so the
 /// measure reflects the circuit + assignment, not update noise).
-pub fn locality_study(
+pub(crate) fn locality_study(
     harness: &Harness,
     circuits: &[&Circuit],
     proc_counts: &[usize],
@@ -464,7 +464,7 @@ pub fn locality_study(
 
 /// A speedup row (§5.4).
 #[derive(Clone, Debug, PartialEq)]
-pub struct SpeedupRow {
+pub(crate) struct SpeedupRow {
     /// Engine label ("message passing" or "threads").
     pub engine: String,
     /// Circuit name.
@@ -480,7 +480,7 @@ pub struct SpeedupRow {
 
 /// **§5.4 (speedup)** — message-passing speedup on the simulator plus
 /// real-thread wall-clock speedup of the shared-memory router.
-pub fn speedup_study(
+pub(crate) fn speedup_study(
     harness: &Harness,
     circuits: &[&Circuit],
     proc_counts: &[usize],
@@ -569,7 +569,7 @@ pub fn compare_paradigms(harness: &Harness, circuit: &Circuit, n_procs: usize) -
 
 /// An ablation row: one configuration variant of a design choice.
 #[derive(Clone, Debug, PartialEq)]
-pub struct AblationRow {
+pub(crate) struct AblationRow {
     /// Variant label.
     pub variant: String,
     /// Circuit height.
@@ -594,7 +594,11 @@ fn ablation_row(variant: &str, out: &locus_msgpass::MsgPassOutcome) -> AblationR
 
 /// **Ablation (§4.3.1)** — the three update-packet structures the paper
 /// discusses: bounding box (chosen), full region, wire-based events.
-pub fn structures_study(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<AblationRow> {
+pub(crate) fn structures_study(
+    harness: &Harness,
+    circuit: &Circuit,
+    n_procs: usize,
+) -> Vec<AblationRow> {
     let schedule = UpdateSchedule::sender_initiated(2, 10);
     let variants = vec![
         ("bounding box (paper's choice)", PacketStructure::BoundingBox),
@@ -610,7 +614,11 @@ pub fn structures_study(harness: &Harness, circuit: &Circuit, n_procs: usize) ->
 
 /// **Ablation** — candidate channel overshoot: how far two-bend VHV
 /// candidates may detour outside the pin bounding box (DESIGN.md §6).
-pub fn overshoot_study(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<AblationRow> {
+pub(crate) fn overshoot_study(
+    harness: &Harness,
+    circuit: &Circuit,
+    n_procs: usize,
+) -> Vec<AblationRow> {
     harness.map(vec![0u16, 1, 2], |ov| {
         let cfg = MsgPassConfig::new(n_procs, table46_schedule())
             .with_params(RouterParams::default().with_channel_overshoot(ov));
@@ -622,7 +630,11 @@ pub fn overshoot_study(harness: &Harness, circuit: &Circuit, n_procs: usize) -> 
 /// **Ablation** — network contention on vs off: how much of the
 /// execution time the wormhole channel-blocking model accounts for
 /// (evaluated on the chattiest sender schedule).
-pub fn contention_study(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<AblationRow> {
+pub(crate) fn contention_study(
+    harness: &Harness,
+    circuit: &Circuit,
+    n_procs: usize,
+) -> Vec<AblationRow> {
     let cfg = MsgPassConfig::new(n_procs, UpdateSchedule::sender_initiated(2, 1));
     harness.map(vec![true, false], |modelled| {
         if modelled {
@@ -641,7 +653,7 @@ pub fn contention_study(harness: &Harness, circuit: &Circuit, n_procs: usize) ->
 /// **Ablation (§4.2)** — static vs dynamic wire distribution: the paper
 /// rejected the dynamic scheme because wire requests are only served
 /// between wires; this measures what that choice cost.
-pub fn distribution_study(
+pub(crate) fn distribution_study(
     harness: &Harness,
     circuit: &Circuit,
     n_procs: usize,
@@ -663,7 +675,7 @@ pub fn distribution_study(
 
 /// A row of the fault-resilience study.
 #[derive(Clone, Debug, PartialEq)]
-pub struct FaultRow {
+pub(crate) struct FaultRow {
     /// Update schedule label.
     pub schedule: &'static str,
     /// Uniform packet-loss rate in basis points (1000 = 10%).
@@ -701,7 +713,7 @@ fn fault_study_schedules() -> [(&'static str, UpdateSchedule); 2] {
 /// cost, and does solution quality survive? The `loss_bp = 0` rows run
 /// the *unmodified* protocol (no reliability framing) and reproduce the
 /// fault-free baseline exactly.
-pub fn faults_study(
+pub(crate) fn faults_study(
     harness: &Harness,
     circuit: &Circuit,
     n_procs: usize,
@@ -738,10 +750,10 @@ pub fn faults_study(
 }
 
 /// The loss sweep of the full resilience study: 0–20% uniform loss.
-pub const FAULT_LOSSES_BP: &[u32] = &[0, 200, 500, 1000, 2000];
+pub(crate) const FAULT_LOSSES_BP: &[u32] = &[0, 200, 500, 1000, 2000];
 
 /// The reduced sweep for `--quick` runs and CI smoke tests.
-pub const FAULT_LOSSES_BP_QUICK: &[u32] = &[0, 1000];
+pub(crate) const FAULT_LOSSES_BP_QUICK: &[u32] = &[0, 1000];
 
 #[cfg(test)]
 mod tests {

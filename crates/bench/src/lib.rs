@@ -13,6 +13,7 @@
 //! for every experiment id.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod catalog;
@@ -21,7 +22,10 @@ pub mod experiments;
 pub mod report;
 pub mod serve;
 
-pub use experiments::*;
+pub use experiments::{
+    blocking_study, compare_paradigms, table1, table4, table46_schedule, table6, COMPARE_ENGINES,
+    PAPER_PROCS,
+};
 /// The scoped-thread pool sweep points run on: the job server's
 /// [`locus_service::WorkerPool`], under the name the experiments use.
 pub use locus_service::WorkerPool as Harness;

@@ -2,8 +2,8 @@
 //! renderings of it.
 //!
 //! An experiment builds a [`Report`]: a title, JSON header fields and
-//! row tables whose columns are declared once ([`col`]: JSON key, text
-//! header and a [`Cell`], which carries a text override where the
+//! row tables whose columns are declared once (`col`: JSON key, text
+//! header and a `Cell`, which carries a text override where the
 //! printed form differs in units or precision). [`Report::render_text`]
 //! is the only code that lays out a table for the terminal and
 //! [`Report::to_json`] hands the same cells to the workspace's one JSON
@@ -13,14 +13,14 @@ use locus_obs::export::{json_document, Json};
 
 /// One table cell: the JSON value and, where the printed form differs in
 /// units or precision, the text.
-pub struct Cell {
+pub(crate) struct Cell {
     value: Json,
     text: Option<String>,
 }
 
 impl Cell {
     /// Overrides the text form (units, `yes`/`no`).
-    pub fn shown(mut self, text: impl Into<String>) -> Cell {
+    pub(crate) fn shown(mut self, text: impl Into<String>) -> Cell {
         self.text = Some(text.into());
         self
     }
@@ -38,33 +38,33 @@ macro_rules! cell_from {
 cell_from!(Json, u16, u32, u64, usize, bool, &str);
 
 /// A float with `decimals` places, in the file and on the terminal.
-pub fn fixed(v: f64, decimals: usize) -> Cell {
+pub(crate) fn fixed(v: f64, decimals: usize) -> Cell {
     Json::Float(v, Some(decimals)).into()
 }
 
 /// A float the file keeps to `decimals` places and the terminal to `shown`.
-pub fn fixed_as(v: f64, decimals: usize, shown: usize) -> Cell {
+pub(crate) fn fixed_as(v: f64, decimals: usize, shown: usize) -> Cell {
     fixed(v, decimals).shown(format!("{v:.shown$}"))
 }
 
 /// A float in Rust's shortest form (`0.25`, `1`).
-pub fn float(v: f64) -> Cell {
+pub(crate) fn float(v: f64) -> Cell {
     Json::Float(v, None).into()
 }
 
 /// A fraction the file keeps to `decimals` places and the terminal
 /// prints as a whole percentage (`0.838` → `84%`).
-pub fn fraction(v: f64, decimals: usize) -> Cell {
+pub(crate) fn fraction(v: f64, decimals: usize) -> Cell {
     fixed(v, decimals).shown(format!("{:.0}%", v * 100.0))
 }
 
 /// A cell of a text-only column.
-pub fn text(shown: impl Into<String>) -> Cell {
+pub(crate) fn text(shown: impl Into<String>) -> Cell {
     Cell::from(Json::Null).shown(shown)
 }
 
 /// One column of a row table over rows of type `R`.
-pub struct Col<R> {
+pub(crate) struct Col<R> {
     key: &'static str,
     header: &'static str,
     cell: fn(&R) -> Cell,
@@ -74,7 +74,7 @@ pub struct Col<R> {
 /// (empty: JSON only) and the cell read off a row. Unless the cell says
 /// otherwise its text is the value written plainly (`-` for a missing
 /// one).
-pub fn col<R>(key: &'static str, header: &'static str, cell: fn(&R) -> Cell) -> Col<R> {
+pub(crate) fn col<R>(key: &'static str, header: &'static str, cell: fn(&R) -> Cell) -> Col<R> {
     Col { key, header, cell }
 }
 
@@ -113,13 +113,13 @@ impl Report {
     }
 
     /// Appends a JSON header field.
-    pub fn field(mut self, key: &'static str, value: impl Into<Json>) -> Self {
+    pub(crate) fn field(mut self, key: &'static str, value: impl Into<Json>) -> Self {
         self.header.push((key, value.into()));
         self
     }
 
     /// Appends a row table, evaluating every column over every row.
-    pub fn table<R>(mut self, key: &'static str, rows: &[R], cols: &[Col<R>]) -> Self {
+    pub(crate) fn table<R>(mut self, key: &'static str, rows: &[R], cols: &[Col<R>]) -> Self {
         let cell = |c: &Col<R>, r: &R| {
             let Cell { value, text } = (c.cell)(r);
             let text = text.unwrap_or_else(|| match &value {

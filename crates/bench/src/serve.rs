@@ -15,12 +15,12 @@ use locus_service::{
 use locusroute::engines::build_engine;
 
 /// Trace seed of the service study.
-pub const SERVICE_SEED: u64 = 0x1989_000C;
+pub(crate) const SERVICE_SEED: u64 = 0x1989_000C;
 
 /// Queue-wait SLO (virtual ms): a job should start routing within this
 /// long of arriving. Attainment is measured against *submitted* jobs, so
 /// shed and rejected work counts against the SLO.
-pub const SERVICE_SLO_WAIT_MS: u64 = 2_000;
+pub(crate) const SERVICE_SLO_WAIT_MS: u64 = 2_000;
 
 /// Mean inter-arrival gap (virtual ms) at `load = 1.0`, off-peak.
 ///
@@ -28,23 +28,23 @@ pub const SERVICE_SLO_WAIT_MS: u64 = 2_000;
 /// (weighted mean service ≈ 1.5 virtual s per job): with the full
 /// study's 4 workers, `load = 1.0` puts off-peak utilization near 0.7
 /// and the ×2.5–3 rush windows briefly at saturation.
-pub const SERVICE_MEAN_INTERARRIVAL_MS: f64 = 550.0;
+pub(crate) const SERVICE_MEAN_INTERARRIVAL_MS: f64 = 550.0;
 
 /// Offered-load multipliers of the full study: underload (0.25×) to
 /// well past saturation (4×).
-pub const SERVICE_LOADS: &[f64] = &[0.25, 0.5, 1.0, 2.0, 4.0];
+pub(crate) const SERVICE_LOADS: &[f64] = &[0.25, 0.5, 1.0, 2.0, 4.0];
 
 /// The reduced sweep for `--quick` runs and CI smoke tests; 6× is past
 /// saturation even off-peak.
-pub const SERVICE_LOADS_QUICK: &[f64] = &[0.5, 2.0, 6.0];
+pub(crate) const SERVICE_LOADS_QUICK: &[f64] = &[0.5, 2.0, 6.0];
 
 /// The three policies every load level is replayed under.
-pub const SERVICE_POLICIES: [Backpressure; 3] =
+pub(crate) const SERVICE_POLICIES: [Backpressure; 3] =
     [Backpressure::Block, Backpressure::ShedOldest, Backpressure::Reject];
 
 /// One `(load, policy)` cell of the study.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ServiceRow {
+pub(crate) struct ServiceRow {
     /// Offered-load multiplier.
     pub load: f64,
     /// Backpressure policy name.
@@ -114,7 +114,7 @@ impl ServiceRow {
 
 /// The full study: every `(load, policy)` row plus the detected knee.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ServiceStudy {
+pub(crate) struct ServiceStudy {
     /// Rows in `(load, policy)` order (policies inner).
     pub rows: Vec<ServiceRow>,
     /// First swept load whose block-policy p95 queue wait blows through
@@ -141,7 +141,7 @@ fn shape(quick: bool) -> (usize, usize, u64) {
 /// Runs the offered-load sweep. One execution pass per load level (on
 /// `pool`, with the registry-backed [`EngineRunner`]), three policy
 /// replays per pass.
-pub fn service_study(pool: &WorkerPool, quick: bool) -> ServiceStudy {
+pub(crate) fn service_study(pool: &WorkerPool, quick: bool) -> ServiceStudy {
     let (workers, queue_capacity, duration_ms) = shape(quick);
     let loads = if quick { SERVICE_LOADS_QUICK } else { SERVICE_LOADS };
     let runner = EngineRunner::new(build_engine);

@@ -93,6 +93,10 @@ fn bad_invocations_say_why_and_set_the_exit_code() {
         (&["--engine", "shmem-emul", "--procs", "65", "--quick"], 2, "at most 64 processors"),
         (&["analyze", "--engine", "emul", "--procs", "65", "--quick"], 2, "at most 64 processors"),
         (&["--engine", "sequential", "--circuit", "huge"], 2, "unknown circuit \"huge\""),
+        (&["figure1", "--memory", "nonsense"], 2, "--memory only applies to memory, table3 and"),
+        (&["--engine", "sequential", "--memory", "bus-wt"], 2, "--memory only applies to"),
+        (&["table6", "--quick", "--procs", "9"], 2, "--procs only applies to --engine runs and"),
+        (&["table1", "table2"], 2, "expected at most one experiment id, got table1 table2"),
         (&["faults", "--quick", "--report", "no/such/dir/f.json"], 1, "cannot write"),
     ] {
         let (_, _, stderr, got) = run("bad", args);

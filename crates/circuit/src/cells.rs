@@ -18,14 +18,8 @@ pub struct Cell {
 impl Cell {
     /// Rightmost occupied column (inclusive).
     #[inline]
-    pub fn x_end(&self) -> u16 {
+    pub(crate) fn x_end(&self) -> u16 {
         self.x + self.width - 1
-    }
-
-    /// Whether `x` falls within the cell footprint.
-    #[inline]
-    pub fn contains(&self, x: u16) -> bool {
-        (self.x..=self.x_end()).contains(&x)
     }
 }
 
@@ -40,7 +34,7 @@ pub struct CellRow {
 
 impl CellRow {
     /// Creates an empty row.
-    pub fn new(row: u16) -> Self {
+    pub(crate) fn new(row: u16) -> Self {
         CellRow { row, cells: Vec::new() }
     }
 
@@ -48,7 +42,7 @@ impl CellRow {
     ///
     /// # Panics
     /// Panics if the new cell starts at or before the end of the last cell.
-    pub fn push(&mut self, cell: Cell) {
+    pub(crate) fn push(&mut self, cell: Cell) {
         if let Some(last) = self.cells.last() {
             assert!(
                 cell.x > last.x_end(),
@@ -58,23 +52,6 @@ impl CellRow {
             );
         }
         self.cells.push(cell);
-    }
-
-    /// Total occupied width of the row in grid columns.
-    pub fn occupied_width(&self) -> u32 {
-        self.cells.iter().map(|c| c.width as u32).sum()
-    }
-
-    /// The cell covering column `x`, if any (binary search).
-    pub fn cell_at(&self, x: u16) -> Option<&Cell> {
-        match self.cells.binary_search_by(|c| c.x.cmp(&x)) {
-            Ok(i) => Some(&self.cells[i]),
-            Err(0) => None,
-            Err(i) => {
-                let c = &self.cells[i - 1];
-                c.contains(x).then_some(c)
-            }
-        }
     }
 }
 
@@ -86,23 +63,6 @@ mod tests {
     fn cell_extent() {
         let c = Cell { x: 10, width: 4 };
         assert_eq!(c.x_end(), 13);
-        assert!(c.contains(10) && c.contains(13));
-        assert!(!c.contains(9) && !c.contains(14));
-    }
-
-    #[test]
-    fn row_lookup_by_column() {
-        let mut row = CellRow::new(0);
-        row.push(Cell { x: 0, width: 3 });
-        row.push(Cell { x: 5, width: 2 });
-        row.push(Cell { x: 9, width: 1 });
-        assert_eq!(row.cell_at(1).unwrap().x, 0);
-        assert_eq!(row.cell_at(5).unwrap().x, 5);
-        assert_eq!(row.cell_at(6).unwrap().x, 5);
-        assert!(row.cell_at(3).is_none());
-        assert!(row.cell_at(8).is_none());
-        assert_eq!(row.cell_at(9).unwrap().x, 9);
-        assert_eq!(row.occupied_width(), 6);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::cells::CellRow;
 use crate::error::CircuitError;
-use crate::geometry::Rect;
 use crate::wire::{Wire, WireId};
 
 /// A placed standard-cell circuit ready for global routing.
@@ -80,11 +79,6 @@ impl Circuit {
         self.wires.len()
     }
 
-    /// The full routing surface as a rectangle.
-    pub fn surface(&self) -> Rect {
-        Rect::new(0, self.channels - 1, 0, self.grids - 1)
-    }
-
     /// Looks up a wire by id.
     ///
     /// # Panics
@@ -96,7 +90,7 @@ impl Circuit {
     }
 
     /// Total number of pins over all wires.
-    pub fn pin_count(&self) -> usize {
+    pub(crate) fn pin_count(&self) -> usize {
         self.wires.iter().map(|w| w.pins.len()).sum()
     }
 }
@@ -115,7 +109,6 @@ mod tests {
         let c = Circuit::new("t", 4, 16, vec![wire(0, &[(0, 0), (3, 15)])]).unwrap();
         assert_eq!(c.wire_count(), 1);
         assert_eq!(c.pin_count(), 2);
-        assert_eq!(c.surface(), Rect::new(0, 3, 0, 15));
     }
 
     #[test]

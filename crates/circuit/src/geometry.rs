@@ -72,19 +72,9 @@ impl Rect {
         Rect { c_lo: cell.channel, c_hi: cell.channel, x_lo: cell.x, x_hi: cell.x }
     }
 
-    /// Smallest rectangle containing both `a` and `b`.
-    pub fn spanning(a: GridCell, b: GridCell) -> Self {
-        Rect {
-            c_lo: a.channel.min(b.channel),
-            c_hi: a.channel.max(b.channel),
-            x_lo: a.x.min(b.x),
-            x_hi: a.x.max(b.x),
-        }
-    }
-
     /// Number of channels covered.
     #[inline]
-    pub fn height(&self) -> u32 {
+    pub(crate) fn height(&self) -> u32 {
         (self.c_hi - self.c_lo) as u32 + 1
     }
 
@@ -138,7 +128,7 @@ impl Rect {
     }
 
     /// Grows the rectangle to include `cell`.
-    pub fn expand_to(&mut self, cell: GridCell) {
+    pub(crate) fn expand_to(&mut self, cell: GridCell) {
         self.c_lo = self.c_lo.min(cell.channel);
         self.c_hi = self.c_hi.max(cell.channel);
         self.x_lo = self.x_lo.min(cell.x);
@@ -172,15 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn rect_spanning_orders_bounds() {
-        let r = Rect::spanning(GridCell::new(5, 20), GridCell::new(2, 7));
-        assert_eq!(r, Rect::new(2, 5, 7, 20));
-        assert_eq!(r.height(), 4);
-        assert_eq!(r.width(), 14);
-        assert_eq!(r.area(), 56);
-    }
-
-    #[test]
     fn rect_contains_boundary_cells() {
         let r = Rect::new(1, 3, 4, 8);
         assert!(r.contains(GridCell::new(1, 4)));
@@ -208,6 +189,7 @@ mod tests {
         r.expand_to(GridCell::new(1, 5));
         r.expand_to(GridCell::new(4, 0));
         assert_eq!(r, Rect::new(1, 4, 0, 5));
+        assert_eq!((r.height(), r.width(), r.area()), (4, 6, 24));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! §5 for the substitution rationale.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod cells;

@@ -18,9 +18,9 @@ use crate::generate::{CircuitGenerator, GeneratorConfig, SpanModel};
 
 /// Seed for the bnrE stand-in; fixed so every experiment sees the same
 /// circuit.
-pub const BNRE_SEED: u64 = 0x1989_0005;
+pub(crate) const BNRE_SEED: u64 = 0x1989_0005;
 /// Seed for the MDC stand-in.
-pub const MDC_SEED: u64 = 0x1989_0002;
+pub(crate) const MDC_SEED: u64 = 0x1989_0002;
 
 /// Synthetic stand-in for the bnrE benchmark: 420 wires on a
 /// 10-channel × 341-grid surface.
@@ -87,7 +87,7 @@ pub fn small_config() -> GeneratorConfig {
 }
 
 /// Seed for the power-law stand-in.
-pub const POWER_LAW_SEED: u64 = 0x1989_000B;
+pub(crate) const POWER_LAW_SEED: u64 = 0x1989_000B;
 
 /// A scale-free synthetic circuit: 9 channels × 288 grids, 360 wires
 /// whose horizontal spans follow a truncated Pareto(α = 1.8) law.

@@ -81,12 +81,12 @@ impl Wire {
     }
 
     /// Horizontal extent (number of grid columns spanned, inclusive).
-    pub fn x_span(&self) -> u32 {
+    pub(crate) fn x_span(&self) -> u32 {
         self.bounding_box().width()
     }
 
     /// Number of channels spanned (inclusive).
-    pub fn channel_span(&self) -> u32 {
+    pub(crate) fn channel_span(&self) -> u32 {
         self.bounding_box().height()
     }
 }

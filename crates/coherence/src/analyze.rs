@@ -28,7 +28,7 @@ pub fn traffic_by_line_size(trace: &Trace, line_sizes: &[u32]) -> Vec<(u32, Traf
 /// identical machines regardless of backend.
 ///
 /// Returns an error naming the known backends when `backend` is not
-/// registered, and [`MemoryConfig::validate`]'s error when the backend
+/// registered, and `MemoryConfig::validate`'s error when the backend
 /// cannot price the machine: a line size that is not a power of two, or a
 /// trace naming more processors than a holder bitmask has bits.
 pub fn traffic_by_backend(

@@ -26,6 +26,7 @@
 //! the mesh machine with FIFO and criticality-aware contention.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod analyze;

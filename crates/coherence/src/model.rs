@@ -72,7 +72,7 @@ impl MemoryConfig {
     /// The paper's evaluation machine for `n_procs` processors with the
     /// given line size: WBI protocol, 4-byte words, Ametek-style mesh of
     /// near-square shape (16 → 4×4). The line size is checked when a
-    /// backend is built ([`Self::validate`]), not here.
+    /// backend is built (`validate`), not here.
     pub fn paper(n_procs: u32, line_size: u32) -> Self {
         let n = n_procs.max(1);
         let topo = Topology::for_procs(n as usize);
@@ -84,7 +84,7 @@ impl MemoryConfig {
     }
 
     /// Returns `self` with the protocol replaced.
-    pub fn with_protocol(mut self, protocol: Protocol) -> Self {
+    pub(crate) fn with_protocol(mut self, protocol: Protocol) -> Self {
         self.coherence.protocol = protocol;
         self
     }
@@ -93,7 +93,7 @@ impl MemoryConfig {
     /// backend would otherwise panic on or silently mis-price: line and
     /// word sizes, the processor count (at most 64 where holders are a
     /// bitmask), the mesh shape and the protocol variant's parameters.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let sizes =
             [("line size", self.coherence.line_size), ("word size", self.coherence.word_bytes)];
         if let Some((what, bytes)) = sizes.into_iter().find(|(_, bytes)| !bytes.is_power_of_two()) {
@@ -437,7 +437,7 @@ pub struct MemoryModelEntry {
 
 impl MemoryModelEntry {
     /// Builds this backend for `cfg` under [`Self::protocol`], or the
-    /// error [`MemoryConfig::validate`] gives for a machine it cannot
+    /// error `MemoryConfig::validate` gives for a machine it cannot
     /// price.
     pub fn build(&self, cfg: MemoryConfig) -> Result<Box<dyn MemoryModel>, String> {
         let cfg = cfg.with_protocol((self.protocol)(&cfg));
@@ -487,7 +487,7 @@ pub fn memory_registry() -> &'static [MemoryModelEntry] {
 
 /// Builds the backend registered as `name`. An unknown name is an error
 /// listing the known ones, and a configuration the backend cannot run is
-/// the error [`MemoryConfig::validate`] gives for it; neither panics.
+/// the error `MemoryConfig::validate` gives for it; neither panics.
 pub fn build_memory_model(name: &str, cfg: MemoryConfig) -> Result<Box<dyn MemoryModel>, String> {
     let entry = MEMORY_MODELS.iter().find(|e| e.name == name).ok_or_else(|| {
         let known: Vec<&str> = MEMORY_MODELS.iter().map(|e| e.name).collect();
@@ -540,7 +540,11 @@ mod tests {
     #[test]
     fn bus_wt_is_byte_identical_to_coherence_sim_write_through() {
         let t = churn_trace(4);
-        let legacy = CoherenceSim::new(CoherenceConfig::with_line_size(8).write_through()).run(&t);
+        let legacy = CoherenceSim::new(CoherenceConfig {
+            protocol: Protocol::WriteThrough,
+            ..CoherenceConfig::with_line_size(8)
+        })
+        .run(&t);
         let out = build_memory_model("bus-wt", MemoryConfig::paper(4, 8)).unwrap().run(&t);
         assert_eq!(out.stats, legacy);
     }

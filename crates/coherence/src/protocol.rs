@@ -19,7 +19,7 @@ pub struct DirectoryParams {
 
 impl DirectoryParams {
     /// One directory slice per processor tile.
-    pub fn per_tile(n_procs: u32) -> Self {
+    pub(crate) fn per_tile(n_procs: u32) -> Self {
         assert!(n_procs > 0, "directory needs at least one home tile");
         DirectoryParams { home_tiles: n_procs }
     }
@@ -80,12 +80,12 @@ impl Protocol {
     /// Whether the protocol runs on the snooped bus simulator
     /// ([`CoherenceSim`]); the other variants need the mesh-priced
     /// backends in [`crate::model`].
-    pub fn is_bus(&self) -> bool {
+    pub(crate) fn is_bus(&self) -> bool {
         matches!(self, Protocol::WriteBackInvalidate | Protocol::WriteThrough)
     }
 
     /// The registry name of the backend that services this protocol.
-    pub fn backend_name(&self) -> &'static str {
+    pub(crate) fn backend_name(&self) -> &'static str {
         match self {
             Protocol::WriteBackInvalidate => "bus-wbi",
             Protocol::WriteThrough => "bus-wt",
@@ -121,24 +121,6 @@ impl CoherenceConfig {
     pub fn with_line_size(line_size: u32) -> Self {
         assert!(line_size.is_power_of_two(), "line size must be a power of two");
         CoherenceConfig { line_size, word_bytes: 4, protocol: Protocol::WriteBackInvalidate }
-    }
-
-    /// Switches to the write-through ablation protocol.
-    pub fn write_through(mut self) -> Self {
-        self.protocol = Protocol::WriteThrough;
-        self
-    }
-
-    /// Switches to the directory-based MSI protocol.
-    pub fn directory(mut self, params: DirectoryParams) -> Self {
-        self.protocol = Protocol::Directory(params);
-        self
-    }
-
-    /// Switches to the directoryless shared-LLC protocol.
-    pub fn dls(mut self, params: DlsParams) -> Self {
-        self.protocol = Protocol::DirectorylessLlc(params);
-        self
     }
 }
 
@@ -203,13 +185,13 @@ pub(crate) struct Transition {
 impl Transition {
     /// Whether the access stayed inside the private cache.
     #[inline]
-    pub fn is_hit(&self) -> bool {
+    pub(crate) fn is_hit(&self) -> bool {
         !self.fetched && !self.announced
     }
 
     /// Copies invalidated in other caches.
     #[inline]
-    pub fn copies(&self) -> u32 {
+    pub(crate) fn copies(&self) -> u32 {
         self.invalidated.count_ones()
     }
 
@@ -345,24 +327,9 @@ impl CoherenceSim {
         }
     }
 
-    /// Records protocol events (cache misses, invalidations, bus
-    /// transfers) through `obs`, stamped with trace reference times.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Processes a single reference.
-    ///
-    /// # Panics
-    /// Panics if `proc` does not fit the 64-bit holder mask.
-    pub fn access(&mut self, proc: u32, addr: u32, kind: RefKind) {
-        assert!(proc < u64::BITS, "bitmask directory supports up to 64 processors");
-        self.step(proc, addr, kind);
-    }
-
-    /// [`Self::access`] for replay loops that have already bounded `proc`;
-    /// returns the bytes the reference moved on the bus.
+    /// Processes a single reference of a replay loop that bounds `proc`
+    /// itself (below 64, the width of the holder mask); returns the bytes
+    /// the reference moved on the bus.
     #[inline]
     pub(crate) fn step(&mut self, proc: u32, addr: u32, kind: RefKind) -> u64 {
         let t = transition(self.lines.entry(addr), proc, kind, self.config.protocol);
@@ -393,7 +360,7 @@ impl CoherenceSim {
     }
 
     /// Statistics accumulated so far.
-    pub fn stats(&self) -> &TrafficStats {
+    pub(crate) fn stats(&self) -> &TrafficStats {
         &self.stats
     }
 }
@@ -402,16 +369,30 @@ impl CoherenceSim {
 mod tests {
     use super::*;
     use crate::trace::MemRef;
+    use locus_obs::SharedSink;
 
     fn sim(line: u32) -> CoherenceSim {
         CoherenceSim::new(CoherenceConfig::with_line_size(line))
     }
 
+    /// The write-through ablation at `line`-byte lines.
+    fn write_through(line: u32) -> CoherenceConfig {
+        CoherenceConfig {
+            protocol: Protocol::WriteThrough,
+            ..CoherenceConfig::with_line_size(line)
+        }
+    }
+
+    /// `sim`, recording its protocol events into `sink`.
+    fn observed(config: CoherenceConfig, sink: &SharedSink) -> CoherenceSim {
+        CoherenceSim { obs: Obs::to(sink), ..CoherenceSim::new(config) }
+    }
+
     #[test]
     fn cold_read_fetches_once() {
         let mut s = sim(8);
-        s.access(0, 0, RefKind::Read);
-        s.access(0, 4, RefKind::Read); // same 8-byte line: hit
+        s.step(0, 0, RefKind::Read);
+        s.step(0, 4, RefKind::Read); // same 8-byte line: hit
         assert_eq!(s.stats().line_fetches, 1);
         assert_eq!(s.stats().total_bytes, 8);
         assert_eq!(s.stats().read_caused_bytes, 8);
@@ -420,9 +401,9 @@ mod tests {
     #[test]
     fn write_hit_on_clean_costs_one_word() {
         let mut s = sim(8);
-        s.access(0, 0, RefKind::Read); // fetch
-        s.access(0, 0, RefKind::Write); // word write, now dirty
-        s.access(0, 4, RefKind::Write); // dirty hit: free
+        s.step(0, 0, RefKind::Read); // fetch
+        s.step(0, 0, RefKind::Write); // word write, now dirty
+        s.step(0, 4, RefKind::Write); // dirty hit: free
         assert_eq!(s.stats().word_writes, 1);
         assert_eq!(s.stats().total_bytes, 8 + 4);
     }
@@ -430,7 +411,7 @@ mod tests {
     #[test]
     fn cold_write_fetches_line_and_writes_word() {
         let mut s = sim(8);
-        s.access(0, 0, RefKind::Write);
+        s.step(0, 0, RefKind::Write);
         assert_eq!(s.stats().line_fetches, 1);
         assert_eq!(s.stats().word_writes, 1);
         assert_eq!(s.stats().total_bytes, 8 + 4);
@@ -441,12 +422,12 @@ mod tests {
     #[test]
     fn write_invalidates_other_copies_and_forces_refetch() {
         let mut s = sim(8);
-        s.access(0, 0, RefKind::Read);
-        s.access(1, 0, RefKind::Read);
-        s.access(0, 0, RefKind::Write); // invalidates proc 1
+        s.step(0, 0, RefKind::Read);
+        s.step(1, 0, RefKind::Read);
+        s.step(0, 0, RefKind::Write); // invalidates proc 1
         assert_eq!(s.stats().invalidations, 1);
         let before = s.stats().total_bytes;
-        s.access(1, 0, RefKind::Read); // refetch
+        s.step(1, 0, RefKind::Read); // refetch
         assert_eq!(s.stats().refetches, 1);
         assert_eq!(s.stats().total_bytes, before + 8);
         // The refetch is write-caused.
@@ -456,11 +437,11 @@ mod tests {
     #[test]
     fn dirty_line_read_by_other_becomes_shared() {
         let mut s = sim(8);
-        s.access(0, 0, RefKind::Write); // proc 0 dirty
-        s.access(1, 0, RefKind::Read); // supplied, both clean
+        s.step(0, 0, RefKind::Write); // proc 0 dirty
+        s.step(1, 0, RefKind::Read); // supplied, both clean
         let bytes = s.stats().total_bytes;
         // Proc 0 writing again must now pay the word write again.
-        s.access(0, 0, RefKind::Write);
+        s.step(0, 0, RefKind::Write);
         assert_eq!(s.stats().total_bytes, bytes + 4);
         assert_eq!(s.stats().invalidations, 1, "proc 1's copy invalidated");
     }
@@ -468,10 +449,10 @@ mod tests {
     #[test]
     fn ping_pong_writes_generate_per_iteration_traffic() {
         let mut s = sim(8);
-        s.access(0, 0, RefKind::Write);
-        s.access(1, 0, RefKind::Write);
-        s.access(0, 0, RefKind::Write);
-        s.access(1, 0, RefKind::Write);
+        s.step(0, 0, RefKind::Write);
+        s.step(1, 0, RefKind::Write);
+        s.step(0, 0, RefKind::Write);
+        s.step(1, 0, RefKind::Write);
         // Every ownership transfer refetches the line and word-writes.
         assert_eq!(s.stats().word_writes, 4);
         assert_eq!(s.stats().line_fetches, 4);
@@ -517,7 +498,7 @@ mod tests {
 
     #[test]
     fn sink_counters_cross_check_traffic_stats() {
-        use locus_obs::{names, SharedSink};
+        use locus_obs::names;
         let mut t = Trace::new();
         for i in 0..200u64 {
             t.push(MemRef::new(
@@ -528,12 +509,9 @@ mod tests {
             ));
         }
         for wt in [false, true] {
-            let mut cfg = CoherenceConfig::with_line_size(8);
-            if wt {
-                cfg = cfg.write_through();
-            }
+            let cfg = if wt { write_through(8) } else { CoherenceConfig::with_line_size(8) };
             let sink = SharedSink::new();
-            let stats = CoherenceSim::new(cfg).with_obs(Obs::to(&sink)).run(&t);
+            let stats = observed(cfg, &sink).run(&t);
             let m = sink.metrics_snapshot();
             assert_eq!(m.counter(names::BUS_BYTES), stats.total_bytes, "wt={wt}");
             assert_eq!(m.counter(names::CACHE_MISSES), stats.line_fetches, "wt={wt}");
@@ -556,18 +534,12 @@ mod tests {
     #[test]
     fn a_stray_address_at_the_top_of_the_space_is_just_another_line() {
         let mut s = sim(8);
-        s.access(0, u32::MAX, RefKind::Read);
-        s.access(1, u32::MAX - 1, RefKind::Write); // same line: fetch, word, invalidate
-        s.access(0, 0, RefKind::Read);
+        s.step(0, u32::MAX, RefKind::Read);
+        s.step(1, u32::MAX - 1, RefKind::Write); // same line: fetch, word, invalidate
+        s.step(0, 0, RefKind::Read);
         assert_eq!(s.stats().line_fetches, 3);
         assert_eq!(s.stats().invalidations, 1);
         assert_eq!(s.stats().total_bytes, 3 * 8 + 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "64 processors")]
-    fn access_rejects_a_processor_the_bitmask_cannot_name() {
-        sim(8).access(64, 0, RefKind::Read);
     }
 
     #[test]
@@ -608,7 +580,6 @@ mod tests {
     /// its interleaved recording blocks (parent commit 6d742c0).
     #[test]
     fn obs_event_sequence_is_unchanged() {
-        use locus_obs::SharedSink;
         let refs: [(u32, u32, RefKind); 12] = [
             (0, 0, RefKind::Read),
             (1, 4, RefKind::Read),
@@ -654,12 +625,11 @@ mod tests {
         // line processor 0 already owns, and is announced all the same.
         let mut wt = wbi.to_vec();
         wt.insert(6, "30@p0 bus 4");
-        for (cfg, want) in [
-            (CoherenceConfig::with_line_size(8), wbi.to_vec()),
-            (CoherenceConfig::with_line_size(8).write_through(), wt),
-        ] {
+        for (cfg, want) in
+            [(CoherenceConfig::with_line_size(8), wbi.to_vec()), (write_through(8), wt)]
+        {
             let sink = SharedSink::new();
-            CoherenceSim::new(cfg).with_obs(Obs::to(&sink)).run(&trace);
+            observed(cfg, &sink).run(&trace);
             let got: Vec<String> = sink.snapshot_events().iter().map(render).collect();
             assert_eq!(got, want, "{:?}", cfg.protocol);
         }
@@ -667,10 +637,10 @@ mod tests {
 
     #[test]
     fn write_through_pays_per_write() {
-        let mut s = CoherenceSim::new(CoherenceConfig::with_line_size(8).write_through());
-        s.access(0, 0, RefKind::Write); // fetch + word
-        s.access(0, 0, RefKind::Write); // word (no dirty state exists)
-        s.access(0, 4, RefKind::Write); // word
+        let mut s = CoherenceSim::new(write_through(8));
+        s.step(0, 0, RefKind::Write); // fetch + word
+        s.step(0, 0, RefKind::Write); // word (no dirty state exists)
+        s.step(0, 4, RefKind::Write); // word
         assert_eq!(s.stats().word_writes, 3);
         assert_eq!(s.stats().line_fetches, 1);
         assert_eq!(s.stats().total_bytes, 8 + 3 * 4);
@@ -678,11 +648,11 @@ mod tests {
 
     #[test]
     fn write_through_invalidates_and_forces_refetch() {
-        let mut s = CoherenceSim::new(CoherenceConfig::with_line_size(8).write_through());
-        s.access(1, 0, RefKind::Read);
-        s.access(0, 0, RefKind::Write);
+        let mut s = CoherenceSim::new(write_through(8));
+        s.step(1, 0, RefKind::Read);
+        s.step(0, 0, RefKind::Write);
         assert_eq!(s.stats().invalidations, 1);
-        s.access(1, 0, RefKind::Read);
+        s.step(1, 0, RefKind::Read);
         assert_eq!(s.stats().refetches, 1);
     }
 
@@ -699,8 +669,7 @@ mod tests {
         }
         for line in [4u32, 8, 32] {
             let wb = CoherenceSim::new(CoherenceConfig::with_line_size(line)).run(&t);
-            let wt =
-                CoherenceSim::new(CoherenceConfig::with_line_size(line).write_through()).run(&t);
+            let wt = CoherenceSim::new(write_through(line)).run(&t);
             assert!(
                 wt.total_bytes >= wb.total_bytes,
                 "line {line}: WT {} < WB {}",

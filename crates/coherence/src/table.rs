@@ -61,21 +61,21 @@ impl LineTable {
     /// # Panics
     /// Panics unless `line_size` is a nonzero power of two; configurations
     /// are validated before they get here.
-    pub fn new(line_size: u32) -> Self {
+    pub(crate) fn new(line_size: u32) -> Self {
         assert!(line_size.is_power_of_two(), "line size must be a nonzero power of two");
         LineTable { shift: line_size.trailing_zeros(), root: new_node() }
     }
 
     /// The line number of byte address `addr`.
     #[inline]
-    pub fn line_of(&self, addr: u32) -> u32 {
+    pub(crate) fn line_of(&self, addr: u32) -> u32 {
         addr >> self.shift
     }
 
     /// The state of line number `line`, default-initialized (no holders)
     /// on first touch.
     #[inline]
-    pub fn line(&mut self, line: u32) -> &mut LineState {
+    pub(crate) fn line(&mut self, line: u32) -> &mut LineState {
         let top = (line >> (PAGE_BITS + NODE_BITS)) as usize;
         let mid = (line >> PAGE_BITS) as usize % NODE_SLOTS;
         let page = self.root[top].get_or_insert_with(new_node)[mid].get_or_insert_with(new_page);
@@ -84,7 +84,7 @@ impl LineTable {
 
     /// The state of the line holding byte address `addr`.
     #[inline]
-    pub fn entry(&mut self, addr: u32) -> &mut LineState {
+    pub(crate) fn entry(&mut self, addr: u32) -> &mut LineState {
         self.line(self.line_of(addr))
     }
 

@@ -32,16 +32,6 @@ pub enum ServicePolicy {
     CriticalFirst,
 }
 
-impl ServicePolicy {
-    /// Short stable name (used by reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServicePolicy::Fifo => "fifo",
-            ServicePolicy::CriticalFirst => "critical-first",
-        }
-    }
-}
-
 /// One priced request for a service point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceRequest {
@@ -147,16 +137,6 @@ impl Arbiter {
         };
         self.logs[slot].1.push(req);
         self.n_procs = self.n_procs.max(req.proc as usize + 1);
-    }
-
-    /// Requests logged so far.
-    pub fn len(&self) -> usize {
-        self.logs.iter().map(|(_, log)| log.len()).sum()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.logs.is_empty()
     }
 
     /// Replays the log under `policy` and returns the wait accounting.
@@ -329,7 +309,6 @@ mod tests {
             for &r in &log {
                 a.push(r);
             }
-            prop_assert_eq!(a.len(), log.len());
             // Critical-first before FIFO and then again: the sorted logs
             // are shared, so the order of resolves must not matter.
             for policy in [ServicePolicy::CriticalFirst, ServicePolicy::Fifo, ServicePolicy::CriticalFirst] {

@@ -67,12 +67,6 @@ impl MeshConfig {
         self.contention = false;
         self
     }
-
-    /// Returns `self` with the given fault schedule attached.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
 }
 
 impl Default for MeshConfig {

@@ -27,11 +27,11 @@ use rand::{RngCore, RngExt, SeedableRng};
 use crate::topology::NodeId;
 
 /// Rates are per-ten-thousand; this is the 100% value.
-pub const BP_SCALE: u32 = 10_000;
+pub(crate) const BP_SCALE: u32 = 10_000;
 
 /// Maximum node-scoped faults one plan can carry (a fixed-size array
 /// keeps [`FaultPlan`] `Copy + Eq`).
-pub const MAX_NODE_FAULTS: usize = 4;
+pub(crate) const MAX_NODE_FAULTS: usize = 4;
 
 /// A scheduled node-level failure: fail-stop, fail-recover, or
 /// fail-slow. Unlike the link faults, node faults fire at fixed
@@ -72,7 +72,7 @@ pub enum NodeFault {
 impl NodeFault {
     /// Whether the afflicted node is down (crashed, not yet restarted)
     /// at time `t_ns`.
-    pub fn down_at(&self, t_ns: u64) -> bool {
+    pub(crate) fn down_at(&self, t_ns: u64) -> bool {
         match *self {
             NodeFault::Crash { at_ns } => t_ns >= at_ns,
             NodeFault::CrashRestart { at_ns, downtime_ns } => {
@@ -84,7 +84,7 @@ impl NodeFault {
 
     /// The service-cost multiplier this fault imposes at time `t_ns`
     /// (1 when inactive).
-    pub fn stall_factor_at(&self, t_ns: u64) -> u64 {
+    pub(crate) fn stall_factor_at(&self, t_ns: u64) -> u64 {
         match *self {
             NodeFault::Stall { at_ns, factor, duration_ns }
                 if t_ns >= at_ns && t_ns < at_ns.saturating_add(duration_ns) =>
@@ -118,7 +118,7 @@ impl FaultScope {
 
     /// Whether an envelope from `src` to `dst` with `payload_bytes` of
     /// payload is covered by this scope.
-    pub fn covers(&self, src: NodeId, dst: NodeId, payload_bytes: u32) -> bool {
+    pub(crate) fn covers(&self, src: NodeId, dst: NodeId, payload_bytes: u32) -> bool {
         self.src.is_none_or(|s| s as usize == src)
             && self.dst.is_none_or(|d| d as usize == dst)
             && payload_bytes >= self.min_payload_bytes
@@ -164,7 +164,7 @@ pub struct FaultPlan {
     /// Which envelopes the plan applies to.
     pub scope: FaultScope,
     /// Scheduled node-level failures: `(node, fault)` pairs, at most
-    /// [`MAX_NODE_FAULTS`] of them. `None` slots are inert.
+    /// `MAX_NODE_FAULTS` of them. `None` slots are inert.
     pub node_faults: [Option<(u32, NodeFault)>; MAX_NODE_FAULTS],
 }
 
@@ -198,14 +198,6 @@ impl FaultPlan {
         self
     }
 
-    /// Returns `self` with extra-latency faults at `bp` basis points up
-    /// to `max_ns` of added latency.
-    pub fn with_delays(mut self, bp: u32, max_ns: u64) -> Self {
-        self.delay_bp = bp;
-        self.delay_ns_max = max_ns;
-        self
-    }
-
     /// Returns `self` with reordering holds at `bp` basis points of
     /// `hold_ns` each.
     pub fn with_reorders(mut self, bp: u32, hold_ns: u64) -> Self {
@@ -230,7 +222,7 @@ impl FaultPlan {
     /// slot.
     ///
     /// # Panics
-    /// Panics when all [`MAX_NODE_FAULTS`] slots are taken.
+    /// Panics when all `MAX_NODE_FAULTS` slots are taken.
     pub fn with_node_fault(mut self, node: u32, fault: NodeFault) -> Self {
         let slot = self
             .node_faults
@@ -257,20 +249,20 @@ impl FaultPlan {
     }
 
     /// The scheduled node faults, in slot order.
-    pub fn node_faults(&self) -> impl Iterator<Item = (u32, NodeFault)> + '_ {
+    pub(crate) fn node_faults(&self) -> impl Iterator<Item = (u32, NodeFault)> + '_ {
         self.node_faults.iter().filter_map(|s| *s)
     }
 
     /// Whether `node` is down (crashed and not yet restarted) at `t_ns`
     /// under this plan. A pure function of the plan, so both the kernel
     /// and post-run analysis agree on down intervals.
-    pub fn node_down_at(&self, node: u32, t_ns: u64) -> bool {
+    pub(crate) fn node_down_at(&self, node: u32, t_ns: u64) -> bool {
         self.node_faults().any(|(n, f)| n == node && f.down_at(t_ns))
     }
 
     /// The combined service-cost multiplier on `node` at `t_ns` (1 when
     /// no stall is active).
-    pub fn stall_factor_at(&self, node: u32, t_ns: u64) -> u64 {
+    pub(crate) fn stall_factor_at(&self, node: u32, t_ns: u64) -> u64 {
         self.node_faults()
             .filter(|&(n, _)| n == node)
             .map(|(_, f)| f.stall_factor_at(t_ns))
@@ -317,7 +309,7 @@ impl Default for FaultPlan {
 
 /// One concrete fault decision for one envelope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fault {
+pub(crate) enum Fault {
     /// Discard the delivery (the injection already happened).
     Drop,
     /// Inject a second copy `gap_ns` after the original.
@@ -339,14 +331,14 @@ pub enum Fault {
 
 /// The kernel-side decision engine: a plan plus its seeded RNG stream.
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rng: StdRng,
 }
 
 impl FaultInjector {
     /// Builds the injector for `plan` (callers skip idle plans).
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultInjector { plan, rng: StdRng::seed_from_u64(plan.seed) }
     }
 
@@ -359,7 +351,7 @@ impl FaultInjector {
     /// no randomness; in-scope envelopes draw once per enabled category
     /// in precedence order, so disabling a category never perturbs the
     /// draws of the ones before it.
-    pub fn decide(&mut self, src: NodeId, dst: NodeId, payload_bytes: u32) -> Option<Fault> {
+    pub(crate) fn decide(&mut self, src: NodeId, dst: NodeId, payload_bytes: u32) -> Option<Fault> {
         if !self.plan.scope.covers(src, dst, payload_bytes) {
             return None;
         }
@@ -413,9 +405,11 @@ mod tests {
 
     #[test]
     fn same_seed_same_decisions() {
-        let plan = FaultPlan::uniform_loss(42, 2_000)
-            .with_duplicates(500, 10_000)
-            .with_delays(500, 50_000);
+        let plan = FaultPlan {
+            delay_bp: 500,
+            delay_ns_max: 50_000,
+            ..FaultPlan::uniform_loss(42, 2_000).with_duplicates(500, 10_000)
+        };
         let mut a = FaultInjector::new(plan);
         let mut b = FaultInjector::new(plan);
         for i in 0..10_000u32 {

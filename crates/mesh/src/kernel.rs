@@ -197,12 +197,6 @@ impl<N: Node> Kernel<N> {
         kernel
     }
 
-    /// Overrides the runaway-protection event limit.
-    pub fn with_event_limit(mut self, limit: u64) -> Self {
-        self.event_limit = limit;
-        self
-    }
-
     /// Records observability events (packet injections, deliveries,
     /// channel stalls, faults) through `obs`.
     pub fn with_obs(mut self, obs: Obs) -> Self {
@@ -691,7 +685,9 @@ mod tests {
             }
         }
         let cfg = two_node_config();
-        let out = Kernel::new(cfg, vec![Spinner, Spinner]).with_event_limit(1000).run();
+        let mut kernel = Kernel::new(cfg, vec![Spinner, Spinner]);
+        kernel.event_limit = 1000;
+        let out = kernel.run();
         assert!(out.event_limit_hit);
         assert!(out.stats.deadlocked);
     }
@@ -726,7 +722,7 @@ mod tests {
     fn dropped_packet_never_arrives_but_is_counted() {
         use crate::fault::FaultPlan;
         // 100% drop: the receiver never hears anything and deadlocks.
-        let cfg = two_node_config().with_faults(FaultPlan::uniform_loss(1, 10_000));
+        let cfg = MeshConfig { faults: FaultPlan::uniform_loss(1, 10_000), ..two_node_config() };
         let nodes = vec![OneShot::sender(1, 42), OneShot::receiver(1)];
         let out = Kernel::new(cfg, nodes).run();
         assert!(out.stats.deadlocked);
@@ -740,7 +736,7 @@ mod tests {
     fn duplicated_packet_arrives_twice_and_counts_twice() {
         use crate::fault::FaultPlan;
         let plan = FaultPlan::none().with_duplicates(10_000, 5_000).with_seed(3);
-        let cfg = two_node_config().with_faults(plan);
+        let cfg = MeshConfig { faults: plan, ..two_node_config() };
         let nodes = vec![OneShot::sender(1, 42), OneShot::receiver(2)];
         let out = Kernel::new(cfg, nodes).run();
         assert!(!out.stats.deadlocked);
@@ -752,10 +748,11 @@ mod tests {
     #[test]
     fn delayed_packet_arrives_late() {
         use crate::fault::FaultPlan;
-        let delayed_plan = FaultPlan::none().with_delays(10_000, 40_000).with_seed(9);
+        let delayed_plan =
+            FaultPlan { delay_bp: 10_000, delay_ns_max: 40_000, ..FaultPlan::none().with_seed(9) };
         let mk = || vec![OneShot::sender(1, 12), OneShot::receiver(1)];
         let base = Kernel::new(two_node_config().without_contention(), mk()).run();
-        let cfg = two_node_config().without_contention().with_faults(delayed_plan);
+        let cfg = MeshConfig { faults: delayed_plan, ..two_node_config().without_contention() };
         let out = Kernel::new(cfg, mk()).run();
         assert_eq!(out.stats.packets_delayed, 1);
         assert!(
@@ -774,7 +771,7 @@ mod tests {
         let plan = FaultPlan::uniform_loss(99, 0);
         assert!(plan.node_faults.iter().all(Option::is_none));
         assert!(plan.is_idle());
-        let planned = Kernel::new(cfg.with_faults(plan), mk()).run();
+        let planned = Kernel::new(MeshConfig { faults: plan, ..cfg }, mk()).run();
         assert_eq!(plain.stats, planned.stats);
         assert_eq!(plain.events_processed, planned.events_processed);
         assert_eq!(plain.nodes[2].received_at, planned.nodes[2].received_at);
@@ -784,7 +781,7 @@ mod tests {
     fn crashed_receiver_loses_inbound_and_is_terminal_not_deadlocked() {
         use crate::fault::{FaultPlan, NodeFault};
         let plan = FaultPlan::none().with_node_fault(1, NodeFault::Crash { at_ns: 1 });
-        let cfg = two_node_config().with_faults(plan);
+        let cfg = MeshConfig { faults: plan, ..two_node_config() };
         let nodes = vec![OneShot::sender(1, 42), OneShot::receiver(1)];
         let out = Kernel::new(cfg, nodes).run();
         assert_eq!(out.stats.node_crashes, 1);
@@ -823,7 +820,7 @@ mod tests {
         }
         let plan = FaultPlan::none()
             .with_node_fault(0, NodeFault::CrashRestart { at_ns: 10_000, downtime_ns: 5_000 });
-        let cfg = two_node_config().with_faults(plan);
+        let cfg = MeshConfig { faults: plan, ..two_node_config() };
         let probe = |wait| RestartProbe { wait, restarted_at: None, done_at: None };
         let out = Kernel::new(cfg, vec![probe(true), probe(false)]).run();
         assert_eq!(out.stats.node_crashes, 1);
@@ -843,7 +840,7 @@ mod tests {
             0,
             NodeFault::Stall { at_ns: 0, factor: 10, duration_ns: 1_000_000_000 },
         );
-        let cfg = two_node_config().without_contention().with_faults(plan);
+        let cfg = MeshConfig { faults: plan, ..two_node_config().without_contention() };
         let stalled = Kernel::new(cfg, mk()).run();
         // The sender's single send costs 10x ProcessTime, pushing the
         // arrival back by 9x ProcessTime.
@@ -881,7 +878,7 @@ mod tests {
         // and 3rd so exactly 3 are suppressed.
         let crash_at = 2 * cfg_plain.process_time_ns + cfg_plain.process_time_ns / 2;
         let plan = FaultPlan::none().with_node_fault(0, NodeFault::Crash { at_ns: crash_at });
-        let cfg = cfg_plain.with_faults(plan);
+        let cfg = MeshConfig { faults: plan, ..cfg_plain };
         let out = Kernel::new(cfg, vec![Burst { active: true }, Burst { active: false }]).run();
         assert_eq!(out.stats.packets, 5, "all five injections consumed bandwidth");
         assert_eq!(out.stats.packets_lost_to_crash, 3, "sends issued while down are suppressed");
@@ -901,7 +898,7 @@ mod tests {
         let plan = FaultPlan::uniform_loss(11, 1_000)
             .with_node_fault(2, NodeFault::CrashRestart { at_ns: 4_000, downtime_ns: 2_000 })
             .with_node_fault(0, NodeFault::Stall { at_ns: 0, factor: 2, duration_ns: 8_000 });
-        let cfg = MeshConfig { rows: 1, cols: 3, ..MeshConfig::ametek(1, 3) }.with_faults(plan);
+        let cfg = MeshConfig { rows: 1, cols: 3, faults: plan, ..MeshConfig::ametek(1, 3) };
         let mk = || vec![OneShot::sender(2, 100), OneShot::sender(2, 64), OneShot::receiver(1)];
         let sink = SharedSink::new();
         let a = Kernel::new(cfg, mk()).with_obs(Obs::to(&sink)).run();
@@ -918,7 +915,7 @@ mod tests {
     fn faulted_runs_are_deterministic() {
         use crate::fault::FaultPlan;
         let plan = FaultPlan::uniform_loss(11, 3_000).with_duplicates(3_000, 8_000);
-        let cfg = MeshConfig { rows: 1, cols: 3, ..MeshConfig::ametek(1, 3) }.with_faults(plan);
+        let cfg = MeshConfig { rows: 1, cols: 3, faults: plan, ..MeshConfig::ametek(1, 3) };
         let mk = || vec![OneShot::sender(2, 100), OneShot::sender(2, 64), OneShot::receiver(1)];
         let a = Kernel::new(cfg, mk()).run();
         let b = Kernel::new(cfg, mk()).run();
@@ -930,7 +927,7 @@ mod tests {
     fn fault_events_reach_the_sink() {
         use crate::fault::FaultPlan;
         use locus_obs::{names, SharedSink};
-        let cfg = two_node_config().with_faults(FaultPlan::uniform_loss(1, 10_000));
+        let cfg = MeshConfig { faults: FaultPlan::uniform_loss(1, 10_000), ..two_node_config() };
         let sink = SharedSink::new();
         let nodes = vec![OneShot::sender(1, 42), OneShot::receiver(1)];
         let out = Kernel::new(cfg, nodes).with_obs(Obs::to(&sink)).run();

@@ -18,6 +18,7 @@
 //! "Time (s)" columns of the paper's tables.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod arbiter;
@@ -31,9 +32,9 @@ pub mod topology;
 
 pub use arbiter::{Arbiter, ResolvedContention, ServicePolicy, ServiceRequest, WaitStats};
 pub use config::MeshConfig;
-pub use fault::{Fault, FaultInjector, FaultPlan, FaultScope, NodeFault};
+pub use fault::{FaultPlan, FaultScope, NodeFault};
 pub use kernel::{Kernel, SimOutcome};
 pub use node::{Envelope, Node, Outbox, Step};
 pub use stats::NetStats;
 pub use time::SimTime;
-pub use topology::{NodeId, Topology};
+pub use topology::Topology;

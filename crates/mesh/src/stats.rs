@@ -58,7 +58,7 @@ pub struct NetStats {
 
 impl NetStats {
     /// Creates zeroed stats for `n` nodes.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         NetStats {
             packets_by_node: vec![0; n],
             payload_bytes_by_node: vec![0; n],
@@ -72,7 +72,7 @@ impl NetStats {
     /// Accounts one packet injected by `src`. All counters saturate: a
     /// pathological run must degrade the statistics, never wrap them
     /// into nonsense the downstream cross-checks would trip over.
-    pub fn record_packet(&mut self, src: usize, payload: u64, wire: u64, hops: u64) {
+    pub(crate) fn record_packet(&mut self, src: usize, payload: u64, wire: u64, hops: u64) {
         self.packets = self.packets.saturating_add(1);
         self.payload_bytes = self.payload_bytes.saturating_add(payload);
         self.wire_bytes = self.wire_bytes.saturating_add(wire);
@@ -82,13 +82,13 @@ impl NetStats {
     }
 
     /// Accounts channel-contention stall time (saturating).
-    pub fn add_contention(&mut self, stall_ns: u64) {
+    pub(crate) fn add_contention(&mut self, stall_ns: u64) {
         self.contention_ns = self.contention_ns.saturating_add(stall_ns);
     }
 
     /// Debug-asserts that the per-node breakdowns sum to the global
     /// totals — the invariant the observability cross-checks rely on.
-    pub fn debug_assert_consistent(&self) {
+    pub(crate) fn debug_assert_consistent(&self) {
         debug_assert_eq!(
             self.packets_by_node.iter().fold(0u64, |a, &b| a.saturating_add(b)),
             self.packets,
@@ -113,15 +113,6 @@ impl NetStats {
     pub fn mbytes_transferred(&self) -> f64 {
         self.payload_bytes as f64 / 1e6
     }
-
-    /// Mean node utilization: busy time / completion time.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.completion == SimTime::ZERO || self.busy_ns.is_empty() {
-            return 0.0;
-        }
-        let mean_busy = self.busy_ns.iter().sum::<u64>() as f64 / self.busy_ns.len() as f64;
-        mean_busy / self.completion.as_ns() as f64
-    }
 }
 
 #[cfg(test)]
@@ -133,20 +124,6 @@ mod tests {
         let mut s = NetStats::new(2);
         s.payload_bytes = 1_400_000;
         assert!((s.mbytes_transferred() - 1.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization() {
-        let mut s = NetStats::new(2);
-        s.completion = SimTime::from_ns(1000);
-        s.busy_ns = vec![600, 200];
-        assert!((s.mean_utilization() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_of_empty_run_is_zero() {
-        let s = NetStats::new(0);
-        assert_eq!(s.mean_utilization(), 0.0);
     }
 
     #[test]

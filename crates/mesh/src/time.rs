@@ -21,18 +21,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Constructs from microseconds.
-    #[inline]
-    pub const fn from_us(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
-    /// Constructs from milliseconds.
-    #[inline]
-    pub const fn from_ms(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
     /// The raw nanosecond count.
     #[inline]
     pub const fn as_ns(self) -> u64 {
@@ -47,7 +35,7 @@ impl SimTime {
 
     /// Elementwise maximum.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 }
@@ -95,9 +83,8 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(SimTime::from_us(3).as_ns(), 3_000);
-        assert_eq!(SimTime::from_ms(2).as_ns(), 2_000_000);
-        assert!((SimTime::from_ms(1500).as_secs_f64() - 1.5e-3 * 1000.0).abs() < 1e-12);
+        assert_eq!(SimTime::from_ns(3_000).as_ns(), 3_000);
+        assert!((SimTime::from_ns(1_500_000_000).as_secs_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -113,6 +100,6 @@ mod tests {
 
     #[test]
     fn display_in_seconds() {
-        assert_eq!(SimTime::from_ms(1219).to_string(), "1.219000s");
+        assert_eq!(SimTime::from_ns(1_219_000_000).to_string(), "1.219000s");
     }
 }

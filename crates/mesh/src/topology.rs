@@ -6,11 +6,11 @@
 //! CBS simulates; dimension-order routing is deadlock-free on a mesh.
 
 /// Node identifier, `0..rows*cols`, row-major.
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// Directions of the four outgoing channels of a node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Dir {
+pub(crate) enum Dir {
     /// +x (toward higher column).
     East = 0,
     /// −x.
@@ -67,27 +67,27 @@ impl Topology {
     /// Number of directed channel slots (4 per node; edge channels exist
     /// as slots but are never used by in-bounds routes).
     #[inline]
-    pub fn n_channels(&self) -> usize {
+    pub(crate) fn n_channels(&self) -> usize {
         self.n_nodes() * 4
     }
 
     /// Mesh coordinates of `n`.
     #[inline]
-    pub fn coords(&self, n: NodeId) -> (usize, usize) {
+    pub(crate) fn coords(&self, n: NodeId) -> (usize, usize) {
         debug_assert!(n < self.n_nodes());
         (n / self.cols, n % self.cols)
     }
 
     /// Node at `(row, col)`.
     #[inline]
-    pub fn node_at(&self, row: usize, col: usize) -> NodeId {
+    pub(crate) fn node_at(&self, row: usize, col: usize) -> NodeId {
         debug_assert!(row < self.rows && col < self.cols);
         row * self.cols + col
     }
 
     /// Directed channel id leaving `n` in direction `dir`.
     #[inline]
-    pub fn channel(&self, n: NodeId, dir: Dir) -> usize {
+    pub(crate) fn channel(&self, n: NodeId, dir: Dir) -> usize {
         n * 4 + dir as usize
     }
 

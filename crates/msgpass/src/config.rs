@@ -86,7 +86,7 @@ impl Default for RecoveryConfig {
 
 impl RecoveryConfig {
     /// Checks the knobs are internally consistent.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.checkpoint_every == 0 {
             return Err("checkpoint_every must be >= 1".into());
         }
@@ -100,7 +100,7 @@ impl RecoveryConfig {
     }
 
     /// The silence window after which a peer is presumed dead (ns).
-    pub fn suspect_window_ns(&self) -> u64 {
+    pub(crate) fn suspect_window_ns(&self) -> u64 {
         self.heartbeat_ns.saturating_mul(self.suspect_after as u64)
     }
 }
@@ -243,18 +243,13 @@ impl MsgPassConfig {
     }
 
     /// Returns `self` with the reliable-delivery protocol tuned by `cfg`.
-    pub fn with_reliability_config(mut self, cfg: ReliableConfig) -> Self {
+    pub(crate) fn with_reliability_config(mut self, cfg: ReliableConfig) -> Self {
         self.reliability = Some(cfg);
         self
     }
 
-    /// Returns `self` with checkpoint/restore recovery at its default
-    /// tuning (a single iteration is forced; recovery requires it).
-    pub fn with_recovery(self) -> Self {
-        self.with_recovery_config(RecoveryConfig::default())
-    }
-
-    /// Returns `self` with checkpoint/restore recovery tuned by `cfg`.
+    /// Returns `self` with checkpoint/restore recovery tuned by `cfg` (a
+    /// single iteration is forced; recovery requires it).
     pub fn with_recovery_config(mut self, cfg: RecoveryConfig) -> Self {
         self.recovery = Some(cfg);
         self.params = self.params.with_iterations(1);
@@ -370,7 +365,7 @@ mod tests {
     fn every_invalid_config() -> Vec<MsgPassConfig> {
         let sender = MsgPassConfig::new(4, UpdateSchedule::sender_initiated(2, 10));
         let receiver = MsgPassConfig::new(4, UpdateSchedule::receiver_initiated(1, 5));
-        let recovering = sender.with_reliability().with_recovery();
+        let recovering = sender.with_reliability().with_recovery_config(RecoveryConfig::default());
         let two_iterations = RouterParams::default().with_iterations(2);
         let schedule = |s: UpdateSchedule| MsgPassConfig::new(4, s);
         vec![
@@ -401,12 +396,12 @@ mod tests {
                 suspect_after: 0,
                 ..RecoveryConfig::default()
             }),
-            sender.with_recovery(),
+            sender.with_recovery_config(RecoveryConfig::default()),
             MsgPassConfig { wire_source: WireSource::Dynamic, ..recovering },
             MsgPassConfig { params: two_iterations, ..recovering },
             schedule(UpdateSchedule::receiver_initiated_blocking(1, 1))
                 .with_reliability()
-                .with_recovery(),
+                .with_recovery_config(RecoveryConfig::default()),
             schedule(UpdateSchedule { send_loc_data: Some(0), ..UpdateSchedule::never() }),
             schedule(UpdateSchedule { blocking: true, ..UpdateSchedule::never() }),
         ]
@@ -428,11 +423,12 @@ mod tests {
     fn recovery_constraints_are_enforced() {
         let ok = MsgPassConfig::new(4, UpdateSchedule::sender_initiated(2, 10))
             .with_reliability()
-            .with_recovery();
+            .with_recovery_config(RecoveryConfig::default());
         ok.validate().unwrap();
         assert_eq!(ok.params.iterations, 1, "recovery forces a single iteration");
 
-        let no_rel = MsgPassConfig::new(4, UpdateSchedule::sender_initiated(2, 10)).with_recovery();
+        let no_rel = MsgPassConfig::new(4, UpdateSchedule::sender_initiated(2, 10))
+            .with_recovery_config(RecoveryConfig::default());
         assert!(no_rel.validate().is_err(), "recovery without reliability must be rejected");
 
         let mut multi_iter = ok;
@@ -441,7 +437,7 @@ mod tests {
 
         let blocking = MsgPassConfig::new(4, UpdateSchedule::receiver_initiated_blocking(1, 1))
             .with_reliability()
-            .with_recovery();
+            .with_recovery_config(RecoveryConfig::default());
         assert!(blocking.validate().is_err());
 
         let mut dynamic = MsgPassConfig::new(4, UpdateSchedule::sender_initiated(2, 10))

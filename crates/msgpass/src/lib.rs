@@ -29,6 +29,7 @@
 //! MBytes transferred, execution time).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 #![warn(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 

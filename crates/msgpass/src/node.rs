@@ -14,7 +14,8 @@
 //!   wires granted by the §4.2 assignment processor, wires adopted from
 //!   dead peers — and sequences one step of all four.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use locus_circuit::{Circuit, WireId};
 use locus_mesh::{Envelope, Node, Outbox, SimTime, Step};
@@ -63,7 +64,7 @@ impl ReplicaSnapshot {
 }
 
 /// One processor of the message-passing router.
-pub(crate) struct RouterNode {
+pub(crate) struct RouterNode<'a> {
     proc: ProcId,
     circuit: Arc<Circuit>,
     regions: Arc<RegionMap>,
@@ -72,17 +73,18 @@ pub(crate) struct RouterNode {
     /// and shared; this node routes `plan[proc]`.
     plan: Arc<Vec<Vec<WireId>>>,
 
-    /// Metrics-only global truth, shared by every node and updated as
-    /// routes commit (the kernel steps nodes in simulated-time order).
+    /// Metrics-only global truth, lent to every node by the run and
+    /// updated as routes commit (the kernel steps nodes one at a time, in
+    /// simulated-time order, on one thread).
     /// Routing decisions never read it; it exists so the occupancy factor
     /// can be measured against the *actual* congestion at routing time,
     /// as the paper's §3 definition requires — a stale replica would
     /// under-report exactly the congestion staleness causes.
-    oracle: Arc<Mutex<CostArray>>,
+    oracle: &'a RefCell<CostArray>,
     /// Per-cell simulated time the truth last changed, one entry per cost
     /// cell (allocated only when auditing; shared by all nodes like the
     /// oracle itself).
-    truth_touched: Option<Arc<Mutex<Vec<u64>>>>,
+    truth_touched: Option<&'a RefCell<Vec<u64>>>,
     /// Staleness snapshots taken at the configured audit stamps.
     pub(crate) audits: Vec<ReplicaSnapshot>,
 
@@ -124,7 +126,7 @@ pub(crate) struct RouterNode {
     now_ns: u64,
 }
 
-impl RouterNode {
+impl<'a> RouterNode<'a> {
     /// Creates the actor for processor `proc`, which routes `plan[proc]`.
     /// All nodes of one run must share the same `plan`, the same `oracle`
     /// and the same `truth_touched`, which `config.audit_every` requires
@@ -135,8 +137,8 @@ impl RouterNode {
         regions: Arc<RegionMap>,
         config: MsgPassConfig,
         plan: Arc<Vec<Vec<WireId>>>,
-        oracle: Arc<Mutex<CostArray>>,
-        truth_touched: Option<Arc<Mutex<Vec<u64>>>>,
+        oracle: &'a RefCell<CostArray>,
+        truth_touched: Option<&'a RefCell<Vec<u64>>>,
     ) -> Self {
         let n_procs = regions.n_procs();
         let (channels, grids) = regions.surface();
@@ -217,11 +219,11 @@ impl RouterNode {
     /// Stamps the truth-change time of every cell `route` covers (no-op
     /// unless auditing is on).
     fn touch_truth(&self, route: &Route) {
-        let Some(touched) = &self.truth_touched else {
+        let Some(touched) = self.truth_touched else {
             return;
         };
         let (_, grids) = self.regions.surface();
-        let mut touched = touched.lock().expect("truth touch lock");
+        let mut touched = touched.borrow_mut();
         for &cell in route.cells() {
             touched[cell.channel as usize * grids as usize + cell.x as usize] = self.now_ns;
         }
@@ -244,8 +246,8 @@ impl RouterNode {
         let mut max = 0u32;
         let mut age_sum = 0u64;
         {
-            let oracle = self.oracle.lock().expect("oracle lock");
-            let touched = self.truth_touched.as_ref().map(|t| t.lock().expect("truth touch lock"));
+            let oracle = self.oracle.borrow();
+            let touched = self.truth_touched.map(RefCell::borrow);
             for c in 0..channels {
                 for x in 0..grids {
                     let cell = locus_circuit::GridCell::new(c, x);
@@ -342,7 +344,7 @@ impl RouterNode {
     /// and the local view.
     fn rip_up(&mut self, idx: usize) -> Option<Route> {
         let old = self.driver.rip_up(idx, self.plan[self.proc][idx], Stamp::At(self.now_ns))?;
-        self.oracle.lock().expect("oracle lock").remove_route(&old);
+        self.oracle.borrow_mut().remove_route(&old);
         self.touch_truth(&old);
         self.update.record_route(&mut self.replica, old.cells(), -1);
         Some(old)
@@ -377,7 +379,7 @@ impl RouterNode {
         // only the replica.
         let cost_at_decision = {
             use locus_router::CostView;
-            let mut oracle = self.oracle.lock().expect("oracle lock");
+            let mut oracle = self.oracle.borrow_mut();
             let cost = oracle.route_cost(&eval.route);
             oracle.add_route(&eval.route);
             cost
@@ -503,7 +505,7 @@ impl RouterNode {
     }
 }
 
-impl Node for RouterNode {
+impl Node for RouterNode<'_> {
     type Msg = Frame;
 
     fn step(
@@ -572,13 +574,24 @@ mod tests {
     use locus_circuit::presets;
     use locus_router::{assign, AssignmentStrategy};
 
-    fn make_node(schedule: UpdateSchedule, proc: ProcId, n_procs: usize) -> RouterNode {
+    /// An empty shared truth for `presets::small()`, which each test
+    /// lends to its node the way `run_inner` does.
+    fn oracle() -> RefCell<CostArray> {
+        let circuit = presets::small();
+        RefCell::new(CostArray::new(circuit.channels, circuit.grids))
+    }
+
+    fn make_node(
+        schedule: UpdateSchedule,
+        proc: ProcId,
+        n_procs: usize,
+        oracle: &RefCell<CostArray>,
+    ) -> RouterNode<'_> {
         let circuit = Arc::new(presets::small());
         let regions = Arc::new(RegionMap::new(circuit.channels, circuit.grids, n_procs));
         let assignment =
             assign(&circuit, &regions, AssignmentStrategy::Locality { threshold_cost: Some(1000) });
         let config = MsgPassConfig::new(n_procs, schedule);
-        let oracle = Arc::new(Mutex::new(CostArray::new(circuit.channels, circuit.grids)));
         let plan = Arc::new(assignment.wires_per_proc);
         RouterNode::new(proc, circuit, regions, config, plan, oracle, None)
     }
@@ -599,7 +612,8 @@ mod tests {
     fn node_routes_its_wires_standalone() {
         // Without any updates, a node simply routes its wires to
         // completion (single-processor semantics on its replica).
-        let mut node = make_node(UpdateSchedule::never(), 0, 4);
+        let oracle = oracle();
+        let mut node = make_node(UpdateSchedule::never(), 0, 4, &oracle);
         let n_wires = node.plan[0].len();
         assert!(n_wires > 0);
         route_to_completion(&mut node);
@@ -614,7 +628,8 @@ mod tests {
 
     #[test]
     fn sender_initiated_node_emits_updates() {
-        let mut node = make_node(UpdateSchedule::sender_initiated(1, 1), 0, 4);
+        let oracle = oracle();
+        let mut node = make_node(UpdateSchedule::sender_initiated(1, 1), 0, 4, &oracle);
         let mut outbox = Outbox::new();
         // Route a few wires (enough to touch a neighbouring region).
         for _ in 0..12 {
@@ -626,7 +641,8 @@ mod tests {
 
     #[test]
     fn blocking_node_blocks_on_outstanding_requests() {
-        let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4);
+        let oracle = oracle();
+        let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4, &oracle);
         let mut outbox = Outbox::new();
         // First step issues requests for the upcoming window and routes.
         let _ = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
@@ -638,7 +654,8 @@ mod tests {
 
     #[test]
     fn response_unblocks_blocking_node() {
-        let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4);
+        let oracle = oracle();
+        let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4, &oracle);
         let mut outbox = Outbox::new();
         let _ = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
         if !node.update.blocked() {
@@ -663,7 +680,8 @@ mod tests {
 
     #[test]
     fn coordinator_terminates_after_all_finished() {
-        let mut node = make_node(UpdateSchedule::never(), 0, 4);
+        let oracle = oracle();
+        let mut node = make_node(UpdateSchedule::never(), 0, 4, &oracle);
         route_to_completion(&mut node);
         // It must not terminate before hearing from the other three.
         let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());
@@ -685,7 +703,8 @@ mod tests {
 
     #[test]
     fn worker_stops_on_terminate() {
-        let mut node = make_node(UpdateSchedule::never(), 1, 4);
+        let oracle = oracle();
+        let mut node = make_node(UpdateSchedule::never(), 1, 4, &oracle);
         route_to_completion(&mut node);
         let _ = node.handle_packet(0, Packet::Terminate, &mut Outbox::new());
         let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());

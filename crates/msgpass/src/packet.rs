@@ -11,13 +11,13 @@ use locus_circuit::Rect;
 use locus_router::Segment;
 
 /// Per-packet application header: 1 type byte + 4 × u16 bounding box.
-pub const PACKET_OVERHEAD_BYTES: u32 = 9;
+pub(crate) const PACKET_OVERHEAD_BYTES: u32 = 9;
 
 /// Wire-format bytes per route segment in a wire-based update packet:
 /// orientation/flag byte + start coordinate (2×u16) + extent (u16)
 /// (§4.3.1's first packet structure: "coordinates of the start and end
 /// points of each horizontal or vertical segment of the wire").
-pub const SEGMENT_BYTES: u32 = 6;
+pub(crate) const SEGMENT_BYTES: u32 = 6;
 
 /// One routing event in a wire-based update: the segments that were
 /// ripped up (decrement) and the segments that were routed (increment),
@@ -33,7 +33,7 @@ pub struct WireEvent {
 
 impl WireEvent {
     /// Wire-format size of this event.
-    pub fn bytes(&self) -> u32 {
+    pub(crate) fn bytes(&self) -> u32 {
         1 + SEGMENT_BYTES * (self.ripped.len() + self.routed.len()) as u32
     }
 }
@@ -153,7 +153,7 @@ impl Packet {
     }
 
     /// The classification bucket of this packet.
-    pub fn kind(&self) -> PacketKind {
+    pub(crate) fn kind(&self) -> PacketKind {
         match self {
             Packet::LocData { response: false, .. } => PacketKind::SendLocData,
             Packet::LocData { response: true, .. } => PacketKind::ReqRmtDataResponse,
@@ -245,7 +245,7 @@ pub struct PacketCounts {
 
 impl PacketCounts {
     /// Records one sent packet.
-    pub fn record(&mut self, packet: &Packet) {
+    pub(crate) fn record(&mut self, packet: &Packet) {
         let i = packet.kind().index();
         self.packets[i] += 1;
         self.bytes[i] += packet.payload_bytes() as u64;
@@ -253,7 +253,7 @@ impl PacketCounts {
 
     /// Records one reliability-layer acknowledgement frame of `bytes`
     /// payload bytes (acks are frames, not [`Packet`]s).
-    pub fn record_ack(&mut self, bytes: u32) {
+    pub(crate) fn record_ack(&mut self, bytes: u32) {
         let i = PacketKind::Ack.index();
         self.packets[i] += 1;
         self.bytes[i] += bytes as u64;
@@ -280,7 +280,7 @@ impl PacketCounts {
     }
 
     /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &PacketCounts) {
+    pub(crate) fn merge(&mut self, other: &PacketCounts) {
         for i in 0..N_KINDS {
             self.packets[i] += other.packets[i];
             self.bytes[i] += other.bytes[i];

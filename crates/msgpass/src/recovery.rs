@@ -50,7 +50,7 @@ pub struct RecoveryStats {
 
 impl RecoveryStats {
     /// Accumulates `other` into `self` field by field.
-    pub fn merge(&mut self, other: &RecoveryStats) {
+    pub(crate) fn merge(&mut self, other: &RecoveryStats) {
         self.checkpoints_taken += other.checkpoints_taken;
         self.checkpoint_bytes += other.checkpoint_bytes;
         self.heartbeats_sent += other.heartbeats_sent;

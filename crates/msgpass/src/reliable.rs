@@ -119,7 +119,7 @@ impl Default for ReliableConfig {
 
 impl ReliableConfig {
     /// Checks the knobs are internally consistent.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.retransmit_timeout_ns == 0 {
             return Err("retransmit_timeout_ns must be positive".into());
         }
@@ -149,7 +149,7 @@ pub struct ReliableStats {
 
 impl ReliableStats {
     /// Adds `other` into `self`.
-    pub fn merge(&mut self, other: &ReliableStats) {
+    pub(crate) fn merge(&mut self, other: &ReliableStats) {
         self.retransmits += other.retransmits;
         self.acks_sent += other.acks_sent;
         self.dup_suppressed += other.dup_suppressed;

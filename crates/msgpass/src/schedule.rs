@@ -82,13 +82,8 @@ impl UpdateSchedule {
         }
     }
 
-    /// Whether any sender-initiated transaction is enabled.
-    pub fn is_sender_initiated(&self) -> bool {
-        self.send_loc_data.is_some() || self.send_rmt_data.is_some()
-    }
-
     /// Whether any receiver-initiated transaction is enabled.
-    pub fn is_receiver_initiated(&self) -> bool {
+    pub(crate) fn is_receiver_initiated(&self) -> bool {
         self.req_loc_data.is_some() || self.req_rmt_data.is_some()
     }
 
@@ -121,19 +116,19 @@ mod tests {
         let s = UpdateSchedule::sender_initiated(2, 10);
         assert_eq!(s.send_rmt_data, Some(2));
         assert_eq!(s.send_loc_data, Some(10));
-        assert!(s.is_sender_initiated() && !s.is_receiver_initiated());
+        assert!(!s.is_receiver_initiated());
 
         let r = UpdateSchedule::receiver_initiated(1, 5);
         assert_eq!(r.req_loc_data, Some(1));
         assert_eq!(r.req_rmt_data, Some(5));
         assert!(!r.blocking);
-        assert!(r.is_receiver_initiated() && !r.is_sender_initiated());
+        assert!(r.is_receiver_initiated());
 
         let b = UpdateSchedule::receiver_initiated_blocking(1, 5);
         assert!(b.blocking);
 
         let m = UpdateSchedule::mixed_paper();
-        assert!(m.is_sender_initiated() && m.is_receiver_initiated());
+        assert!(m.is_receiver_initiated());
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Simulation driver: runs a full message-passing routing experiment and
 //! gathers the paper's metrics.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use locus_circuit::Circuit;
 use locus_mesh::{Kernel, NetStats};
 use locus_obs::{EventKind, Obs, SharedSink};
 use locus_router::locality::{locality_measure, LocalityMeasure};
-use locus_router::router::{route_wire_scratch, PooledScratch};
-use locus_router::{assign, CostArray, ProcId, QualityMetrics, RegionMap, Route, WorkStats};
+use locus_router::router::route_wire_scratch;
+use locus_router::{
+    assign, CostArray, EvalScratch, ProcId, QualityMetrics, RegionMap, Route, WorkStats,
+};
 
 use crate::config::MsgPassConfig;
 use crate::node::{ReplicaSnapshot, RouterNode};
@@ -165,10 +168,10 @@ pub(crate) fn run_inner(
     let plan = Arc::new(assignment.wires_per_proc);
     let circuit_arc = Arc::new(circuit.clone());
 
-    let oracle = Arc::new(std::sync::Mutex::new(CostArray::new(circuit.channels, circuit.grids)));
+    let oracle = RefCell::new(CostArray::new(circuit.channels, circuit.grids));
     let truth_touched = config.audit_every.map(|_| {
         let n_cells = circuit.channels as usize * circuit.grids as usize;
-        Arc::new(std::sync::Mutex::new(vec![0u64; n_cells]))
+        RefCell::new(vec![0u64; n_cells])
     });
     let nodes: Vec<RouterNode> = (0..config.n_procs)
         .map(|p| {
@@ -178,8 +181,8 @@ pub(crate) fn run_inner(
                 Arc::clone(&regions),
                 config,
                 Arc::clone(&plan),
-                Arc::clone(&oracle),
-                truth_touched.clone(),
+                &oracle,
+                truth_touched.as_ref(),
             )
             .with_obs(obs.clone())
         })
@@ -242,7 +245,7 @@ pub(crate) fn run_inner(
     // wires against the state the machine did reach — and report the
     // degradation so callers and experiments can see exactly what broke.
     let mut unrouted: Vec<u32> = Vec::new();
-    let mut scratch = PooledScratch::take();
+    let mut scratch = EvalScratch::default();
     let routes: Vec<Route> = routes
         .into_iter()
         .enumerate()

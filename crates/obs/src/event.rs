@@ -9,7 +9,7 @@
 //! render the same way.
 
 /// Identifies a mesh node, logical processor, or OS thread.
-pub type NodeId = u32;
+pub(crate) type NodeId = u32;
 
 /// Which failure the mesh fault layer injected into a delivery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Short stable name (used by exporters).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Duplicate => "duplicate",
@@ -282,13 +282,6 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// Short stable name of the kind: the variant's identifier.
-    pub fn name(&self) -> &'static str {
-        crate::export::shown(self, None).name
-    }
-}
-
 /// A timestamped, node-attributed occurrence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
@@ -394,10 +387,15 @@ pub(crate) mod tests {
         kinds
     }
 
+    /// The name the exporters print for `kind`.
+    fn name(kind: &EventKind) -> &'static str {
+        crate::export::shown(kind, None).name
+    }
+
     #[test]
     fn kind_names_are_stable() {
-        assert_eq!(EventKind::BusTransfer { bytes: 1 }.name(), "BusTransfer");
-        assert_eq!(EventKind::PhaseBegin { name: "x" }.name(), "PhaseBegin");
+        assert_eq!(name(&EventKind::BusTransfer { bytes: 1 }), "BusTransfer");
+        assert_eq!(name(&EventKind::PhaseBegin { name: "x" }), "PhaseBegin");
     }
 
     #[test]
@@ -405,8 +403,8 @@ pub(crate) mod tests {
         let kinds = all_kinds();
         for (i, kind) in kinds.iter().enumerate() {
             let debug = format!("{kind:?}");
-            assert_eq!(kind.name(), debug.split(' ').next().expect("a variant name"));
-            assert!(kinds[..i].iter().all(|k| k.name() != kind.name()), "{} twice", kind.name());
+            assert_eq!(name(kind), debug.split(' ').next().expect("a variant name"));
+            assert!(kinds[..i].iter().all(|k| name(k) != name(kind)), "{} twice", name(kind));
         }
     }
 

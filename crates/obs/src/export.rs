@@ -19,7 +19,7 @@ use crate::metrics::{bucket_hi, bucket_lo, Histogram, MetricsSnapshot};
 
 /// Escapes `s` for inclusion inside a JSON string literal (without the
 /// surrounding quotes).
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let _ = write_escaped(&mut out, s);
     out
@@ -59,7 +59,7 @@ pub enum Json {
     /// form, `0.25` or `1`). Non-finite values, which JSON cannot hold,
     /// are written as `null`.
     Float(f64, Option<usize>),
-    /// A string, escaped by [`json_escape`] when written.
+    /// A string, escaped by `json_escape` when written.
     Str(String),
     /// An array.
     Array(Vec<Json>),

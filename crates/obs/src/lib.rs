@@ -11,8 +11,8 @@
 //! * [`SharedSink`] — clonable `Arc<Mutex<RingBufferSink>>` the caller
 //!   creates, hands out through `Obs::to`, and reads back after the run.
 //! * [`RingBufferSink`] — the bounded in-memory buffer behind it, feeding
-//!   a [`Metrics`] registry (named counters + log₂ histograms with
-//!   snapshot/diff).
+//!   a [`Metrics`] registry (named counters + log₂ histograms, read
+//!   through a snapshot).
 //!
 //! Exporters ([`export`]): Chrome `chrome://tracing` trace-event JSON,
 //! flat metrics JSON, and an ASCII per-node timeline — all hand-rolled
@@ -33,6 +33,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod event;
@@ -40,6 +41,6 @@ pub mod export;
 pub mod metrics;
 pub mod sink;
 
-pub use event::{Event, EventKind, FaultKind, NodeId};
+pub use event::{Event, EventKind, FaultKind};
 pub use metrics::{hists, names, Histogram, Metrics, MetricsSnapshot};
 pub use sink::{Obs, RingBufferSink, SharedSink};

@@ -1,10 +1,10 @@
-//! The metrics registry: named counters and log-scale histograms with a
-//! snapshot/diff API.
+//! The metrics registry: named counters and log-scale histograms, read
+//! through a snapshot.
 //!
 //! Counter and histogram names are `&'static str` so registering is
 //! allocation-free on the hot path after the first observation of each
 //! name. The standard event-to-metric mapping lives in
-//! [`Metrics::observe`], so every sink that feeds a registry produces the
+//! `Metrics::observe`, so every sink that feeds a registry produces the
 //! same counters — this is what lets obs counters cross-check exactly
 //! against the engines' own `NetStats`/`PacketCounts` accounting.
 
@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use crate::event::{Event, EventKind};
 
-/// Well-known counter names produced by [`Metrics::observe`].
+/// Well-known counter names produced by `Metrics::observe`.
 pub mod names {
     /// Packets injected into the mesh.
     pub const PACKETS_SENT: &str = "packets_sent";
@@ -25,25 +25,25 @@ pub mod names {
     /// Payload bytes delivered.
     pub const BYTES_DELIVERED: &str = "bytes_delivered";
     /// Header stalls on busy channels.
-    pub const CONTENTION_EVENTS: &str = "contention_events";
+    pub(crate) const CONTENTION_EVENTS: &str = "contention_events";
     /// Total stall time (matches `NetStats::contention_ns`).
     pub const CONTENTION_NS: &str = "contention_ns";
     /// Routes committed.
     pub const WIRES_ROUTED: &str = "wires_routed";
     /// Cells covered by committed routes.
-    pub const ROUTE_CELLS: &str = "route_cells";
+    pub(crate) const ROUTE_CELLS: &str = "route_cells";
     /// Routes ripped up.
     pub const RIP_UPS: &str = "rip_ups";
     /// Cells uncovered by rip-ups.
-    pub const RIPPED_CELLS: &str = "ripped_cells";
+    pub(crate) const RIPPED_CELLS: &str = "ripped_cells";
     /// Cache line fetches.
     pub const CACHE_MISSES: &str = "cache_misses";
     /// Bytes moved by line fetches.
-    pub const CACHE_MISS_BYTES: &str = "cache_miss_bytes";
+    pub(crate) const CACHE_MISS_BYTES: &str = "cache_miss_bytes";
     /// Copies invalidated in other caches.
     pub const INVALIDATIONS: &str = "invalidations";
     /// Individual bus transactions.
-    pub const BUS_TRANSFERS: &str = "bus_transfers";
+    pub(crate) const BUS_TRANSFERS: &str = "bus_transfers";
     /// Bytes moved on the bus (matches `TrafficStats::total_bytes`).
     pub const BUS_BYTES: &str = "bus_bytes";
     /// Requests issued to memory-system service points (bus, directory
@@ -52,18 +52,18 @@ pub mod names {
     /// Memory-system requests flagged critical (rip-up/commit stores).
     pub const MEM_CRITICAL_REQUESTS: &str = "mem_critical_requests";
     /// Payload bytes moved by memory-system requests.
-    pub const MEM_REQUEST_BYTES: &str = "mem_request_bytes";
+    pub(crate) const MEM_REQUEST_BYTES: &str = "mem_request_bytes";
     /// Phases begun.
     pub const PHASES_BEGUN: &str = "phases_begun";
     /// Phases ended.
     pub const PHASES_ENDED: &str = "phases_ended";
     /// Candidate routes examined by the evaluation kernel.
-    pub const KERNEL_CANDIDATES: &str = "kernel_candidates";
+    pub(crate) const KERNEL_CANDIDATES: &str = "kernel_candidates";
     /// Route evaluations that took the per-cell span fallback.
-    pub const PERCELL_EVALS: &str = "percell_evals";
+    pub(crate) const PERCELL_EVALS: &str = "percell_evals";
     /// Runs that fell back to per-cell spans at least once (one per
     /// `PercellFallback` event).
-    pub const PERCELL_FALLBACKS: &str = "percell_fallbacks";
+    pub(crate) const PERCELL_FALLBACKS: &str = "percell_fallbacks";
     /// Unsynchronized conflicting access pairs confirmed by the analyser.
     pub const RACES_DETECTED: &str = "races_detected";
     /// Detected races classified as benign (same route either way).
@@ -71,9 +71,9 @@ pub mod names {
     /// Detected races classified as quality-affecting.
     pub const QUALITY_RACES: &str = "quality_races";
     /// Replica-vs-truth audits performed by message-passing nodes.
-    pub const REPLICA_AUDITS: &str = "replica_audits";
+    pub(crate) const REPLICA_AUDITS: &str = "replica_audits";
     /// Diverged replica cells summed across audits.
-    pub const STALE_CELLS: &str = "stale_cells";
+    pub(crate) const STALE_CELLS: &str = "stale_cells";
     /// Faults of any kind injected by the mesh fault layer.
     pub const FAULTS_INJECTED: &str = "faults_injected";
     /// Deliveries silently discarded (matches `NetStats::packets_dropped`).
@@ -81,9 +81,9 @@ pub mod names {
     /// Extra envelope copies injected (matches `NetStats::packets_duplicated`).
     pub const PACKETS_DUPLICATED: &str = "packets_duplicated";
     /// Deliveries pushed back by injected latency.
-    pub const PACKETS_DELAYED: &str = "packets_delayed";
+    pub(crate) const PACKETS_DELAYED: &str = "packets_delayed";
     /// Deliveries held long enough to be overtaken.
-    pub const PACKETS_REORDERED: &str = "packets_reordered";
+    pub(crate) const PACKETS_REORDERED: &str = "packets_reordered";
     /// Frames re-sent by the reliability layer.
     pub const PACKETS_RETRANSMITTED: &str = "packets_retransmitted";
     /// Cumulative acknowledgements sent by the reliability layer.
@@ -119,37 +119,37 @@ pub mod names {
     pub const BREAKER_TRIPS: &str = "breaker_trips";
 }
 
-/// Well-known histogram names produced by [`Metrics::observe`].
+/// Well-known histogram names produced by `Metrics::observe`.
 pub mod hists {
     /// Payload size of sent packets (bytes).
-    pub const PACKET_SIZE: &str = "packet_size_bytes";
+    pub(crate) const PACKET_SIZE: &str = "packet_size_bytes";
     /// Mesh distance of sent packets (hops).
-    pub const HOP_DISTANCE: &str = "hop_distance";
+    pub(crate) const HOP_DISTANCE: &str = "hop_distance";
     /// Injection-to-arrival latency of delivered packets (ns).
-    pub const LATENCY_NS: &str = "latency_ns";
+    pub(crate) const LATENCY_NS: &str = "latency_ns";
     /// Receiver inbox depth at delivery.
-    pub const QUEUE_DEPTH: &str = "queue_depth";
+    pub(crate) const QUEUE_DEPTH: &str = "queue_depth";
     /// Channel stall durations (ns).
-    pub const STALL_NS: &str = "stall_ns";
+    pub(crate) const STALL_NS: &str = "stall_ns";
     /// Cells per committed route.
-    pub const ROUTE_CELLS: &str = "route_cells";
+    pub(crate) const ROUTE_CELLS: &str = "route_cells";
     /// Diverged cells per replica audit.
-    pub const STALE_CELLS: &str = "stale_cells";
+    pub(crate) const STALE_CELLS: &str = "stale_cells";
     /// Mean staleness age per replica audit (ns).
-    pub const STALE_AGE_NS: &str = "stale_age_ns";
+    pub(crate) const STALE_AGE_NS: &str = "stale_age_ns";
     /// Per-job queueing delay: arrival to dispatch (virtual ms).
     pub const QUEUE_WAIT_MS: &str = "queue_wait_ms";
     /// Per-job service latency: dispatch to completion (virtual ms).
     pub const SERVICE_MS: &str = "service_ms";
     /// Service queue depth observed at each admission.
-    pub const JOB_QUEUE_DEPTH: &str = "job_queue_depth";
+    pub(crate) const JOB_QUEUE_DEPTH: &str = "job_queue_depth";
     /// Payload bytes per memory-system request.
-    pub const MEM_REQUEST_BYTES: &str = "mem_request_bytes";
+    pub(crate) const MEM_REQUEST_BYTES: &str = "mem_request_bytes";
 }
 
 /// Number of log₂ buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`, and `u64::MAX` lands in bucket 64.
-pub const N_BUCKETS: usize = 65;
+pub(crate) const N_BUCKETS: usize = 65;
 
 /// A log₂-bucketed histogram of `u64` samples.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -210,12 +210,12 @@ impl Histogram {
     }
 
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Smallest sample, if any.
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
     }
 
@@ -234,7 +234,7 @@ impl Histogram {
     }
 
     /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64; N_BUCKETS] {
+    pub(crate) fn buckets(&self) -> &[u64; N_BUCKETS] {
         &self.buckets
     }
 
@@ -256,19 +256,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Bucket-wise difference `self − earlier` (counts saturate at 0).
-    /// `min`/`max` are taken from `self`: the bucket layout cannot
-    /// recover the extremes of just the new samples.
-    pub fn diff(&self, earlier: &Histogram) -> Histogram {
-        let mut out = self.clone();
-        for (b, e) in out.buckets.iter_mut().zip(earlier.buckets.iter()) {
-            *b = b.saturating_sub(*e);
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        out
-    }
 }
 
 /// A registry of named counters and histograms.
@@ -280,13 +267,13 @@ pub struct Metrics {
 
 impl Metrics {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Metrics::default()
     }
 
     /// Adds `delta` to the counter `name` (saturating).
     #[inline]
-    pub fn add(&mut self, name: &'static str, delta: u64) {
+    pub(crate) fn add(&mut self, name: &'static str, delta: u64) {
         let c = self.counters.entry(name).or_insert(0);
         *c = c.saturating_add(delta);
     }
@@ -298,17 +285,12 @@ impl Metrics {
 
     /// Records `value` into histogram `name`.
     #[inline]
-    pub fn record(&mut self, name: &'static str, value: u64) {
+    pub(crate) fn record(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).or_default().record(value);
     }
 
-    /// The histogram `name`, if any sample was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Applies the standard event-to-metric mapping for `event`.
-    pub fn observe(&mut self, event: &Event) {
+    pub(crate) fn observe(&mut self, event: &Event) {
         match event.kind {
             EventKind::PacketSent { payload_bytes, wire_bytes, hops, .. } => {
                 self.add(names::PACKETS_SENT, 1);
@@ -440,7 +422,7 @@ impl Metrics {
     }
 
     /// A point-in-time copy of the registry.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot { counters: self.counters.clone(), histograms: self.histograms.clone() }
     }
 }
@@ -458,27 +440,6 @@ impl MetricsSnapshot {
     /// Value of counter `name` (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// What happened between `earlier` and `self`: counters and histogram
-    /// buckets subtracted (saturating). Names only present in `earlier`
-    /// keep a 0 entry.
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut counters = BTreeMap::new();
-        for (&name, &v) in &self.counters {
-            counters.insert(name, v.saturating_sub(earlier.counter(name)));
-        }
-        for &name in earlier.counters.keys() {
-            counters.entry(name).or_insert(0);
-        }
-        let mut histograms = BTreeMap::new();
-        for (&name, h) in &self.histograms {
-            match earlier.histograms.get(name) {
-                Some(e) => histograms.insert(name, h.diff(e)),
-                None => histograms.insert(name, h.clone()),
-            };
-        }
-        MetricsSnapshot { counters, histograms }
     }
 }
 
@@ -557,24 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff_isolates_the_delta() {
-        let mut m = Metrics::new();
-        m.add("a", 5);
-        m.record("h", 7);
-        let before = m.snapshot();
-        m.add("a", 3);
-        m.add("b", 2);
-        m.record("h", 9);
-        let after = m.snapshot();
-        let d = after.diff(&before);
-        assert_eq!(d.counter("a"), 3);
-        assert_eq!(d.counter("b"), 2);
-        let h = &d.histograms["h"];
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 9);
-    }
-
-    #[test]
     fn observe_maps_packet_events_to_byte_counters() {
         let mut m = Metrics::new();
         let ev = Event {
@@ -587,7 +530,7 @@ mod tests {
         assert_eq!(m.counter(names::PACKETS_SENT), 2);
         assert_eq!(m.counter(names::BYTES_SENT), 80);
         assert_eq!(m.counter(names::WIRE_BYTES_SENT), 88);
-        assert_eq!(m.histogram(hists::HOP_DISTANCE).unwrap().count(), 2);
+        assert_eq!(m.histograms[hists::HOP_DISTANCE].count(), 2);
     }
 
     #[test]
@@ -595,11 +538,7 @@ mod tests {
         for kind in crate::event::tests::all_kinds() {
             let mut m = Metrics::new();
             m.observe(&Event { at_ns: 1, node: 0, kind });
-            assert!(
-                m.snapshot().counters.values().any(|&v| v > 0),
-                "{} counts nothing",
-                kind.name()
-            );
+            assert!(m.snapshot().counters.values().any(|&v| v > 0), "{kind:?} counts nothing");
         }
     }
 
@@ -624,6 +563,6 @@ mod tests {
         });
         assert_eq!(m.counter(names::REPLICA_AUDITS), 1);
         assert_eq!(m.counter(names::STALE_CELLS), 7);
-        assert_eq!(m.histogram(hists::STALE_AGE_NS).unwrap().sum(), 40);
+        assert_eq!(m.histograms[hists::STALE_AGE_NS].sum(), 40);
     }
 }

@@ -79,7 +79,7 @@ impl Obs {
 
 /// Default event capacity of a [`RingBufferSink`]: 40 MiB of events when
 /// full, at 40 bytes an [`Event`] (a time, a node, a 24-byte kind).
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// A bounded in-memory sink: keeps the most recent `capacity` events in
 /// arrival order and feeds every event (kept or not) into a [`Metrics`]
@@ -99,7 +99,7 @@ impl Default for RingBufferSink {
 }
 
 impl RingBufferSink {
-    /// Creates a sink with the [default capacity](DEFAULT_CAPACITY).
+    /// Creates a sink with the default capacity, 2^20 events.
     pub fn new() -> Self {
         RingBufferSink::with_capacity(DEFAULT_CAPACITY)
     }
@@ -111,11 +111,6 @@ impl RingBufferSink {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer capacity must be positive");
         RingBufferSink { events: VecDeque::new(), capacity, dropped: 0, metrics: Metrics::new() }
-    }
-
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter()
     }
 
     /// Retained events as a vector, oldest first.
@@ -173,7 +168,7 @@ impl SharedSink {
     }
 
     /// Creates a shared sink keeping at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         SharedSink { inner: Arc::new(Mutex::new(RingBufferSink::with_capacity(capacity))) }
     }
 
@@ -194,7 +189,7 @@ impl SharedSink {
 
     /// Records one event into the shared buffer.
     #[inline]
-    pub fn record(&self, event: Event) {
+    pub(crate) fn record(&self, event: Event) {
         self.inner.lock().record(event);
     }
 }
@@ -243,7 +238,7 @@ mod tests {
         for i in 0..5 {
             s.record(ev(i, i as u32));
         }
-        let times: Vec<u64> = s.iter().map(|e| e.at_ns).collect();
+        let times: Vec<u64> = s.to_vec().iter().map(|e| e.at_ns).collect();
         assert_eq!(times, vec![0, 1, 2, 3, 4]);
     }
 
@@ -255,7 +250,7 @@ mod tests {
         }
         assert_eq!(s.len(), 3);
         assert_eq!(s.dropped(), 2);
-        assert_eq!(s.iter().next().unwrap().at_ns, 2, "oldest evicted first");
+        assert_eq!(s.to_vec()[0].at_ns, 2, "oldest evicted first");
         // Metrics saw all five events despite the eviction.
         assert_eq!(s.metrics().counter(names::PACKETS_SENT), 5);
         assert_eq!(s.metrics().counter(names::BYTES_SENT), 50);

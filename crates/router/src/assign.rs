@@ -51,7 +51,7 @@ pub struct Assignment {
 impl Assignment {
     /// Per-processor load, measured as Σ (cost_measure + 1) so even
     /// zero-length wires carry weight.
-    pub fn loads(&self, circuit: &Circuit) -> Vec<u64> {
+    pub(crate) fn loads(&self, circuit: &Circuit) -> Vec<u64> {
         self.wires_per_proc
             .iter()
             .map(|ws| ws.iter().map(|&w| circuit.wire(w).cost_measure() as u64 + 1).sum())

@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use locus_circuit::{Circuit, WireId};
-use locus_obs::{EventKind, Obs, SharedSink};
+use locus_obs::{EventKind, Obs};
 
 use crate::cost_array::CostArray;
 use crate::params::RouterParams;
@@ -238,16 +238,6 @@ impl IterationDriver {
         &self.work
     }
 
-    /// Connections evaluated through the per-cell span fallback so far.
-    pub fn percell_evals(&self) -> u64 {
-        self.percell_evals
-    }
-
-    /// Occupancy accumulated in the (still open) current iteration.
-    pub fn occupancy_current(&self) -> u64 {
-        self.occupancy_current
-    }
-
     /// Occupancy factor of each sealed iteration.
     pub fn occupancy_by_iteration(&self) -> &[u64] {
         &self.occupancy_by_iteration
@@ -343,12 +333,6 @@ impl EngineCtx {
         EngineCtx { n_procs, obs: Obs::off(), measure_traffic: false }
     }
 
-    /// Returns `self` recording events into `sink`.
-    pub fn with_sink(mut self, sink: SharedSink) -> Self {
-        self.obs = Obs::to(&sink);
-        self
-    }
-
     /// Returns `self` with paradigm-traffic measurement enabled.
     pub fn with_traffic(mut self) -> Self {
         self.measure_traffic = true;
@@ -417,7 +401,7 @@ mod tests {
     use super::*;
     use crate::cost_array::CostView;
     use locus_circuit::presets;
-    use locus_obs::names;
+    use locus_obs::{names, SharedSink};
 
     #[test]
     fn driver_ledger_tracks_commits_and_ripups() {

@@ -31,6 +31,7 @@
 //! * [`render`] — ASCII renderings of Figures 1 and 2.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod assign;

@@ -25,17 +25,6 @@ impl QualityMetrics {
     pub fn from_final_state(cost: &CostArray, occupancy_factor: u64) -> Self {
         QualityMetrics { circuit_height: cost.circuit_height(), occupancy_factor }
     }
-
-    /// Relative circuit-height degradation versus `baseline` in percent
-    /// (positive = worse than baseline).
-    pub fn height_degradation_pct(&self, baseline: &QualityMetrics) -> f64 {
-        if baseline.circuit_height == 0 {
-            return 0.0;
-        }
-        (self.circuit_height as f64 - baseline.circuit_height as f64)
-            / baseline.circuit_height as f64
-            * 100.0
-    }
 }
 
 #[cfg(test)]
@@ -51,21 +40,5 @@ mod tests {
         let q = QualityMetrics::from_final_state(&a, 123);
         assert_eq!(q.circuit_height, 6);
         assert_eq!(q.occupancy_factor, 123);
-    }
-
-    #[test]
-    fn degradation_percentage() {
-        let base = QualityMetrics { circuit_height: 100, occupancy_factor: 0 };
-        let worse = QualityMetrics { circuit_height: 108, occupancy_factor: 0 };
-        assert!((worse.height_degradation_pct(&base) - 8.0).abs() < 1e-12);
-        let better = QualityMetrics { circuit_height: 95, occupancy_factor: 0 };
-        assert!((better.height_degradation_pct(&base) + 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_baseline_degradation_is_zero() {
-        let zero = QualityMetrics::default();
-        let q = QualityMetrics { circuit_height: 10, occupancy_factor: 0 };
-        assert_eq!(q.height_degradation_pct(&zero), 0.0);
     }
 }

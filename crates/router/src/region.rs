@@ -63,22 +63,16 @@ impl RegionMap {
         self.proc_rows * self.proc_cols
     }
 
-    /// Processor mesh shape `(rows, cols)`.
-    #[inline]
-    pub fn shape(&self) -> (usize, usize) {
-        (self.proc_rows, self.proc_cols)
-    }
-
     /// Mesh coordinates of processor `p`.
     #[inline]
-    pub fn coords(&self, p: ProcId) -> (usize, usize) {
+    pub(crate) fn coords(&self, p: ProcId) -> (usize, usize) {
         debug_assert!(p < self.n_procs());
         (p / self.proc_cols, p % self.proc_cols)
     }
 
     /// Processor at mesh coordinates `(row, col)`.
     #[inline]
-    pub fn proc_at(&self, row: usize, col: usize) -> ProcId {
+    pub(crate) fn proc_at(&self, row: usize, col: usize) -> ProcId {
         debug_assert!(row < self.proc_rows && col < self.proc_cols);
         row * self.proc_cols + col
     }

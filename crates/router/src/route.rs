@@ -47,7 +47,7 @@ impl Segment {
     /// normalizing constructors make empty segments unrepresentable, so
     /// there is deliberately no `is_empty`.
     #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         match *self {
             Segment::Horizontal { x_lo, x_hi, .. } => (x_hi - x_lo) as u32 + 1,
             Segment::Vertical { c_lo, c_hi, .. } => (c_hi - c_lo) as u32 + 1,

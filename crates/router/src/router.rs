@@ -1,8 +1,5 @@
 //! The reference sequential router and the shared per-wire routing step.
 
-use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
-
 use locus_circuit::{Circuit, Pin, Wire};
 use locus_obs::Obs;
 
@@ -43,72 +40,19 @@ pub struct WireEvaluation {
 /// node to its replica and delta array, the shared-memory emulator to the
 /// (instrumented) shared array.
 pub fn route_wire<V: CostView + ?Sized>(view: &V, wire: &Wire, overshoot: u16) -> WireEvaluation {
-    let mut scratch = PooledScratch::take();
-    route_wire_scratch(view, wire, overshoot, &mut scratch)
+    route_wire_scratch(view, wire, overshoot, &mut EvalScratch::default())
 }
 
 /// Reusable buffers for the routing kernel. Hold one per routing thread
 /// (or per message-passing node) and pass it to [`route_wire_scratch`]:
 /// after the first few wires the buffers reach steady-state capacity and
 /// the evaluation loop performs no allocations besides the winning
-/// [`Route`] itself. [`PooledScratch`] hands out warm instances from a
-/// thread-local free list for callers without a natural place to park one.
+/// [`Route`] itself.
 #[derive(Default)]
 pub struct EvalScratch {
     pins: Vec<Pin>,
     connections: Vec<Connection>,
     segments: Vec<Segment>,
-}
-
-thread_local! {
-    /// Per-thread free list of warmed-up [`EvalScratch`] buffers.
-    static SCRATCH_POOL: RefCell<Vec<EvalScratch>> = const { RefCell::new(Vec::new()) };
-}
-
-/// How many idle scratch buffers a thread keeps; beyond this, returned
-/// buffers are dropped (one per concurrent evaluation depth is plenty).
-const SCRATCH_POOL_CAP: usize = 8;
-
-/// A pooled [`EvalScratch`]: taken from the current thread's free list on
-/// [`PooledScratch::take`] and returned to it on drop, so repeated
-/// [`route_wire`] calls on one thread reuse steady-state buffers instead
-/// of reallocating them per call.
-pub struct PooledScratch {
-    inner: Option<EvalScratch>,
-}
-
-impl PooledScratch {
-    /// A warm scratch from this thread's pool (or a fresh one).
-    pub fn take() -> Self {
-        let inner = SCRATCH_POOL.with(|pool| pool.borrow_mut().pop()).unwrap_or_default();
-        PooledScratch { inner: Some(inner) }
-    }
-}
-
-impl Drop for PooledScratch {
-    fn drop(&mut self) {
-        if let Some(scratch) = self.inner.take() {
-            SCRATCH_POOL.with(|pool| {
-                let mut pool = pool.borrow_mut();
-                if pool.len() < SCRATCH_POOL_CAP {
-                    pool.push(scratch);
-                }
-            });
-        }
-    }
-}
-
-impl Deref for PooledScratch {
-    type Target = EvalScratch;
-    fn deref(&self) -> &EvalScratch {
-        self.inner.as_ref().expect("scratch present until drop")
-    }
-}
-
-impl DerefMut for PooledScratch {
-    fn deref_mut(&mut self) -> &mut EvalScratch {
-        self.inner.as_mut().expect("scratch present until drop")
-    }
 }
 
 /// [`route_wire`] with caller-provided scratch buffers; see
@@ -183,7 +127,7 @@ impl<'a> SequentialRouter<'a> {
     /// through `obs`. There is no clock in the sequential algorithm, so
     /// events are stamped with cumulative cells examined — a
     /// deterministic pseudo-time proportional to work done.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
+    pub(crate) fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
     }
@@ -193,7 +137,7 @@ impl<'a> SequentialRouter<'a> {
         let SequentialRouter { circuit, params, obs } = self;
         let mut cost = CostArray::new(circuit.channels, circuit.grids);
         let mut driver = IterationDriver::new(circuit.wire_count()).with_obs(obs);
-        let mut scratch = PooledScratch::take();
+        let mut scratch = EvalScratch::default();
 
         for _iteration in 0..params.iterations {
             driver.phase_begin(Stamp::WorkCells);

@@ -17,23 +17,15 @@ pub struct Connection {
     pub to: Pin,
 }
 
-/// Decomposes `wire` into the chain of connections LocusRoute routes.
+/// Decomposes `wire` into the chain of connections LocusRoute routes,
+/// written into `out` using `pins` as sort scratch. Both buffers are
+/// cleared first; at steady state (buffers reused across wires, as in
+/// [`crate::router::EvalScratch`]) no allocation occurs.
 ///
 /// Duplicate pins (same cell) are collapsed first; a wire whose pins all
 /// coincide yields a single degenerate connection so it still occupies its
 /// cell in the cost array.
-pub fn decompose(wire: &Wire) -> Vec<Connection> {
-    let mut pins = Vec::new();
-    let mut out = Vec::new();
-    decompose_into(wire, &mut pins, &mut out);
-    out
-}
-
-/// Allocation-free [`decompose`]: writes the connection chain into `out`
-/// using `pins` as sort scratch. Both buffers are cleared first; at steady
-/// state (buffers reused across wires, as in
-/// [`crate::router::EvalScratch`]) no allocation occurs.
-pub fn decompose_into(wire: &Wire, pins: &mut Vec<Pin>, out: &mut Vec<Connection>) {
+pub(crate) fn decompose_into(wire: &Wire, pins: &mut Vec<Pin>, out: &mut Vec<Connection>) {
     pins.clear();
     pins.extend_from_slice(&wire.pins);
     pins.sort_unstable_by_key(|p| (p.x, p.channel));
@@ -47,9 +39,16 @@ pub fn decompose_into(wire: &Wire, pins: &mut Vec<Pin>, out: &mut Vec<Connection
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use locus_circuit::Pin;
+
+    /// [`decompose_into`] with buffers of its own.
+    pub(crate) fn decompose(wire: &Wire) -> Vec<Connection> {
+        let mut pins = Vec::new();
+        let mut out = Vec::new();
+        decompose_into(wire, &mut pins, &mut out);
+        out
+    }
 
     fn wire(pins: &[(u16, u16)]) -> Wire {
         Wire::new(0, pins.iter().map(|&(c, x)| Pin::new(c, x)).collect())

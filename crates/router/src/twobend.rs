@@ -561,7 +561,7 @@ mod tests {
     /// and not only patterned or random arrays.
     #[test]
     fn matches_reference_evaluator_while_routing_the_paper_circuits() {
-        use crate::segment::decompose;
+        use crate::segment::tests::decompose;
         use locus_circuit::presets;
 
         for circuit in [presets::bnr_e(), presets::mdc()] {

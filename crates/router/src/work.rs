@@ -34,15 +34,6 @@ impl AddAssign for WorkStats {
     }
 }
 
-impl WorkStats {
-    /// Merges counters from a per-wire evaluation.
-    pub fn record_connection(&mut self, candidates: usize, cells_examined: u64) {
-        self.connections += 1;
-        self.candidates += candidates as u64;
-        self.cells_examined += cells_examined;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,15 +59,5 @@ mod tests {
         assert_eq!(a.candidates, 33);
         assert_eq!(a.cells_examined, 44);
         assert_eq!(a.cells_written, 55);
-    }
-
-    #[test]
-    fn record_connection_accumulates() {
-        let mut w = WorkStats::default();
-        w.record_connection(7, 100);
-        w.record_connection(3, 50);
-        assert_eq!(w.connections, 2);
-        assert_eq!(w.candidates, 10);
-        assert_eq!(w.cells_examined, 150);
     }
 }

@@ -61,7 +61,7 @@ impl HealthPolicy {
     /// Validates the policy: an empty breaker window would trip on every
     /// attempt (`0 ≥ pct · 0`), and a backoff or quarantine longer than
     /// the timeline can represent is a typo, not a policy.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.breaker_window == 0 {
             return Err("breaker_window must be at least 1 attempt".into());
         }

@@ -36,6 +36,7 @@
 //! in the server's own [`ServiceStats`] (cross-checked in tests).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod health;

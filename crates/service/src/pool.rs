@@ -46,11 +46,6 @@ impl WorkerPool {
         WorkerPool { threads: threads.clamp(1, MAX_THREADS) }
     }
 
-    /// Worker count this pool runs with.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Maps `f` over `items`, preserving input order in the output.
     ///
     /// `f` must be deterministic for the output to be independent of the
@@ -110,9 +105,9 @@ mod tests {
 
     #[test]
     fn thread_counts_are_clamped() {
-        assert_eq!(WorkerPool::with_threads(0).threads(), 1);
-        assert_eq!(WorkerPool::with_threads(64).threads(), MAX_THREADS);
-        assert!(WorkerPool::auto().threads() >= 1);
+        assert_eq!(WorkerPool::with_threads(0).threads, 1);
+        assert_eq!(WorkerPool::with_threads(64).threads, MAX_THREADS);
+        assert!(WorkerPool::auto().threads >= 1);
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl EngineRunner {
     pub fn new(factory: EngineFactory) -> Self {
         EngineRunner { factory, cells_per_ms: DEFAULT_CELLS_PER_MS }
     }
-
-    /// Returns `self` with a different clockless cost-model rate.
-    pub fn with_cells_per_ms(mut self, cells_per_ms: u64) -> Self {
-        self.cells_per_ms = cells_per_ms.max(1);
-        self
-    }
 }
 
 impl JobRunner for EngineRunner {

@@ -93,7 +93,7 @@ impl ServiceConfig {
 
     /// Validates the shape (the fields are public; only [`Self::new`]
     /// clamps them) and the health policy, if any.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.workers == 0 {
             return Err("need at least one worker".into());
         }
@@ -223,7 +223,7 @@ impl JobServer {
     /// A server with the given shape.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid; [`Self::try_new`] says so
+    /// Panics if the configuration is invalid; `try_new` says so
     /// instead.
     pub fn new(cfg: ServiceConfig) -> Self {
         Self::try_new(cfg).expect("invalid service configuration")
@@ -231,7 +231,7 @@ impl JobServer {
 
     /// A server with the given shape, or what
     /// [`ServiceConfig::validate`] finds wrong with it.
-    pub fn try_new(cfg: ServiceConfig) -> Result<Self, String> {
+    pub(crate) fn try_new(cfg: ServiceConfig) -> Result<Self, String> {
         cfg.validate()?;
         Ok(JobServer { cfg })
     }

@@ -31,20 +31,9 @@ pub enum CircuitFamily {
 }
 
 impl CircuitFamily {
-    /// Short stable name (used in reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CircuitFamily::Tiny => "tiny",
-            CircuitFamily::Small => "small",
-            CircuitFamily::BnrE => "bnrE",
-            CircuitFamily::Mdc => "mdc",
-            CircuitFamily::PowerLaw => "powerlaw",
-        }
-    }
-
     /// The family's generator configuration reseeded with `seed`, so two
     /// jobs of the same family still route distinct circuit instances.
-    pub fn config(&self, seed: u64) -> GeneratorConfig {
+    pub(crate) fn config(&self, seed: u64) -> GeneratorConfig {
         let mut cfg = match self {
             CircuitFamily::Tiny => presets::tiny_config(),
             CircuitFamily::Small => presets::small_config(),
@@ -57,7 +46,7 @@ impl CircuitFamily {
     }
 
     /// Generates the circuit instance for `seed`.
-    pub fn instantiate(&self, seed: u64) -> Circuit {
+    pub(crate) fn instantiate(&self, seed: u64) -> Circuit {
         CircuitGenerator::new(self.config(seed)).generate()
     }
 }

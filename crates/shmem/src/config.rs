@@ -19,7 +19,11 @@ impl Scheduling {
     /// Resolves the per-processor wire lists for a static assignment
     /// (`None` for the distributed loop). The region map used for
     /// locality-based assignment matches the message-passing mesh.
-    pub fn static_lists(&self, circuit: &Circuit, n_procs: usize) -> Option<Vec<Vec<WireId>>> {
+    pub(crate) fn static_lists(
+        &self,
+        circuit: &Circuit,
+        n_procs: usize,
+    ) -> Option<Vec<Vec<WireId>>> {
         match self {
             Scheduling::DynamicLoop => None,
             Scheduling::Static(strategy) => {
@@ -86,7 +90,7 @@ impl ShmemConfig {
     }
 
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.n_procs == 0 {
             return Err("need at least one processor".into());
         }

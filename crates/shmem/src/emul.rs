@@ -37,8 +37,8 @@ use locus_circuit::{Circuit, GridCell, WireId};
 use locus_coherence::{BurstWriter, Criticality, MemRef, RefKind, Trace, TraceRecorder};
 use locus_obs::Obs;
 use locus_router::engine::{IterationDriver, Stamp, WireFeed};
-use locus_router::router::{route_wire_scratch, PooledScratch, WireEvaluation};
-use locus_router::{CostArray, CostView, ProcId, QualityMetrics, Route, WorkStats};
+use locus_router::router::{route_wire_scratch, WireEvaluation};
+use locus_router::{CostArray, CostView, EvalScratch, ProcId, QualityMetrics, Route, WorkStats};
 
 use crate::cell_addr;
 use crate::config::ShmemConfig;
@@ -168,7 +168,7 @@ impl<'a> ShmemEmulator<'a> {
         Self::try_new(circuit, config).expect("invalid shared-memory configuration")
     }
 
-    /// Creates an emulator, or returns what [`ShmemConfig::validate`]
+    /// Creates an emulator, or returns what `ShmemConfig::validate`
     /// finds wrong with `config`.
     pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
         config.validate()?;
@@ -200,10 +200,10 @@ impl<'a> ShmemEmulator<'a> {
             .map(|_| ProcState { clock: 0, pending: None, queue_pos: 0, at_barrier: false })
             .collect();
         // Logical processors are multiplexed on one OS thread, so one
-        // pooled scratch serves them all; evaluation itself reads through
+        // scratch serves them all; evaluation itself reads through
         // the per-cell `TracedView` path, keeping the reference trace
         // exact.
-        let mut scratch = PooledScratch::take();
+        let mut scratch = EvalScratch::default();
 
         for iteration in 0..cfg.params.iterations {
             let last_iteration = iteration + 1 == cfg.params.iterations;

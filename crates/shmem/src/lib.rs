@@ -24,6 +24,7 @@
 //!   (thread interleavings are nondeterministic).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod config;
@@ -40,7 +41,7 @@ pub use parallel::{ThreadedOutcome, ThreadedRouter};
 /// Byte address of a cost-array cell in the shared region (`u16` cells,
 /// row-major) — the address stream the Tango traces record.
 #[inline]
-pub fn cell_addr(channel: u16, x: u16, grids: u16) -> u32 {
+pub(crate) fn cell_addr(channel: u16, x: u16, grids: u16) -> u32 {
     (channel as u32 * grids as u32 + x as u32) * 2
 }
 

@@ -35,8 +35,8 @@ use locus_circuit::{Circuit, GridCell};
 use locus_coherence::{MemRef, RefKind, Trace};
 use locus_obs::Obs;
 use locus_router::engine::{IterationDriver, Stamp, WireFeed};
-use locus_router::router::{route_wire_scratch, PooledScratch};
-use locus_router::{CostArray, CostView, QualityMetrics, Route, WorkStats};
+use locus_router::router::route_wire_scratch;
+use locus_router::{CostArray, CostView, EvalScratch, QualityMetrics, Route, WorkStats};
 use parking_lot::Mutex;
 
 use crate::cell_addr;
@@ -132,7 +132,7 @@ impl<'a> ThreadedRouter<'a> {
         Self::try_new(circuit, config).expect("invalid shared-memory configuration")
     }
 
-    /// Creates an executor, or returns what [`ShmemConfig::validate`]
+    /// Creates an executor, or returns what `ShmemConfig::validate`
     /// finds wrong with `config`.
     pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
         config.validate()?;
@@ -142,7 +142,7 @@ impl<'a> ThreadedRouter<'a> {
     /// Records per-thread events (wire commits, rip-ups, iteration
     /// phases, stamped with wall-clock nanoseconds since run start)
     /// through `obs`. Each thread records through its own clone.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
+    pub(crate) fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
     }
@@ -182,7 +182,7 @@ impl<'a> ThreadedRouter<'a> {
                 let circuit = self.circuit;
                 let obs = self.obs.clone().for_node(t as u32);
                 scope.spawn(move || {
-                    let mut scratch = PooledScratch::take();
+                    let mut scratch = EvalScratch::default();
                     // Traced runs must record the exact per-cell read
                     // stream, so they keep the live shared-read path;
                     // everything else evaluates against a worker-owned

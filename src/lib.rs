@@ -48,6 +48,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod engines;
@@ -64,35 +65,22 @@ pub use locus_shmem as shmem;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use locus_analysis::{
-        analyze_engine, audit_staleness, detect, AnalysisReport, RaceClass, StalenessReport,
-    };
-    pub use locus_circuit::{
-        Circuit, CircuitGenerator, GeneratorConfig, GridCell, Pin, Rect, Wire,
-    };
-    pub use locus_coherence::{
-        build_memory_model, memory_registry, traffic_by_backend, traffic_by_line_size,
-        CoherenceConfig, CoherenceSim, Criticality, MemRef, MemoryConfig, MemoryModel,
-        MemoryOutcome, RefKind, Trace,
-    };
-    pub use locus_mesh::{
-        Arbiter, FaultPlan, FaultScope, MeshConfig, NodeFault, ServicePolicy, ServiceRequest,
-        SimTime,
-    };
+    pub use locus_analysis::analyze_engine;
+    pub use locus_circuit::{Circuit, CircuitGenerator, GeneratorConfig};
+    pub use locus_coherence::traffic_by_line_size;
+    pub use locus_mesh::FaultPlan;
     pub use locus_msgpass::{
-        run_msgpass, run_msgpass_observed, MsgPassConfig, MsgPassEngine, MsgPassOutcome,
-        RecoveryConfig, ReliableConfig, UpdateSchedule,
+        run_msgpass, MsgPassConfig, MsgPassEngine, RecoveryConfig, UpdateSchedule,
     };
-    pub use locus_obs::{Event, EventKind, Metrics, Obs, RingBufferSink, SharedSink};
+    pub use locus_obs::SharedSink;
     pub use locus_router::{
-        assign, AssignmentStrategy, QualityMetrics, RegionMap, RouterParams, SequentialRouter,
+        assign, AssignmentStrategy, EngineCtx, RegionMap, RouterParams, RoutingEngine,
+        SequentialRouter,
     };
-    pub use locus_router::{EngineCtx, EngineRun, RoutingEngine};
     pub use locus_service::{
-        Backpressure, EngineRunner, HealthPolicy, JobServer, ServiceConfig, WorkerPool,
-        WorkerState, WorkloadConfig,
+        Backpressure, EngineRunner, JobServer, ServiceConfig, WorkerPool, WorkloadConfig,
     };
-    pub use locus_shmem::{Scheduling, ShmemConfig, ShmemEmulator, ThreadedRouter};
+    pub use locus_shmem::{ShmemConfig, ShmemEmulator, ThreadedRouter};
 
-    pub use crate::engines::{build_engine, registry, EngineEntry};
+    pub use crate::engines::{build_engine, registry};
 }
