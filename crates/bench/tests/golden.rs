@@ -42,25 +42,29 @@ fn all_quick_stdout_is_the_fixture_at_any_thread_count() {
 }
 
 /// `<id> --quick` writes its fixture: to `--report`, or without it to
-/// the experiment's default artifact in the current directory.
+/// the experiment's default artifact in the current directory. `table3`
+/// is pinned on the write-through bus, which `all --quick` does not run
+/// (`table3_bus-wt_quick.json` was captured from the build at beb0a79).
 #[test]
 fn quick_reports_are_the_fixtures() {
-    for (id, artifact) in [
-        ("faults", None),
-        ("serve", Some("BENCH_service.json")),
-        ("chaos", Some("BENCH_resilience.json")),
-        ("memory", Some("BENCH_memory.json")),
+    for (case, id, flags, artifact) in [
+        ("faults", "faults", &[][..], None),
+        ("serve", "serve", &[], Some("BENCH_service.json")),
+        ("chaos", "chaos", &[], Some("BENCH_resilience.json")),
+        ("memory", "memory", &[], Some("BENCH_memory.json")),
+        ("table3_bus-wt", "table3", &["--memory", "bus-wt"], None),
     ] {
-        let named = format!("{id}.json");
-        let (dir, stdout, _, code) = match artifact {
-            Some(_) => run(id, &[id, "--quick"]),
-            None => run(id, &[id, "--quick", "--report", &named]),
-        };
-        assert_eq!(code, 0, "{id}");
+        let named = format!("{case}.json");
+        let mut args = [&[id, "--quick"], flags].concat();
+        if artifact.is_none() {
+            args.extend(["--report", &named]);
+        }
+        let (dir, stdout, _, code) = run(case, &args);
+        assert_eq!(code, 0, "{case}");
         let path = artifact.unwrap_or(&named);
-        assert!(stdout.contains(&format!("{id}: wrote {path}\n")), "{id}: {stdout}");
+        assert!(stdout.contains(&format!("{id}: wrote {path}\n")), "{case}: {stdout}");
         let written = std::fs::read_to_string(dir.join(path)).expect("report written");
-        assert_eq!(written, fixture(&format!("{id}_quick.json")), "{id}");
+        assert_eq!(written, fixture(&format!("{case}_quick.json")), "{case}");
     }
     let (dir, _, _, _) = run("faults-bare", &["faults", "--quick"]);
     assert_eq!(std::fs::read_dir(dir).expect("scratch directory").count(), 0, "no default file");

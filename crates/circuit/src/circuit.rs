@@ -1,6 +1,5 @@
 //! The [`Circuit`] container: routing surface dimensions plus netlist.
 
-use crate::cells::CellRow;
 use crate::error::CircuitError;
 use crate::wire::{Wire, WireId};
 
@@ -20,9 +19,6 @@ pub struct Circuit {
     pub grids: u16,
     /// The netlist.
     pub wires: Vec<Wire>,
-    /// Optional physical cell rows (used for rendering and generation
-    /// provenance; the router itself only needs channel-space pins).
-    pub rows: Vec<CellRow>,
 }
 
 impl Circuit {
@@ -33,7 +29,7 @@ impl Circuit {
         grids: u16,
         wires: Vec<Wire>,
     ) -> Result<Self, CircuitError> {
-        let c = Circuit { name: name.into(), channels, grids, wires, rows: Vec::new() };
+        let c = Circuit { name: name.into(), channels, grids, wires };
         c.validate()?;
         Ok(c)
     }

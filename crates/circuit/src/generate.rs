@@ -12,7 +12,6 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::cells::{Cell, CellRow};
 use crate::circuit::Circuit;
 use crate::wire::{Pin, Wire};
 
@@ -109,33 +108,26 @@ impl CircuitGenerator {
     /// Generates the circuit. Consumes the generator so the RNG stream is
     /// used exactly once per configuration.
     pub fn generate(mut self) -> Circuit {
-        let rows = self.place_rows();
+        self.place_rows();
         let wires = self.draw_wires();
-        let mut circuit =
-            Circuit::new(self.config.name.clone(), self.config.channels, self.config.grids, wires)
-                .expect("generator produced invalid circuit");
-        circuit.rows = rows;
-        circuit
+        Circuit::new(self.config.name.clone(), self.config.channels, self.config.grids, wires)
+            .expect("generator produced invalid circuit")
     }
 
-    /// Fills each cell row with cells of width 2–8 separated by small gaps.
-    fn place_rows(&mut self) -> Vec<CellRow> {
-        let n_rows = self.config.channels.saturating_sub(1);
-        let mut rows = Vec::with_capacity(n_rows as usize);
-        for r in 0..n_rows {
-            let mut row = CellRow::new(r);
+    /// Places the cells of each row between two channels, widths 2–8
+    /// separated by small gaps, the way a real placement precedes
+    /// routing. The router needs channel-space pins only, so nothing is
+    /// kept, but the draws advance the seeded stream every preset's
+    /// wires come from.
+    fn place_rows(&mut self) {
+        let grids = self.config.grids as u32;
+        for _ in 1..self.config.channels {
             let mut x: u32 = self.rng.random_range(0..3);
-            while x < self.config.grids as u32 {
-                let width = self.rng.random_range(2..=8).min(self.config.grids as u32 - x);
-                if width == 0 {
-                    break;
-                }
-                row.push(Cell { x: x as u16, width: width as u16 });
+            while x < grids {
+                let width = self.rng.random_range(2..=8).min(grids - x);
                 x += width + self.rng.random_range(0..3);
             }
-            rows.push(row);
         }
-        rows
     }
 
     fn draw_wires(&mut self) -> Vec<Wire> {
@@ -241,7 +233,6 @@ mod tests {
         let a = CircuitGenerator::new(small_config(7)).generate();
         let b = CircuitGenerator::new(small_config(7)).generate();
         assert_eq!(a.wires, b.wires);
-        assert_eq!(a.rows, b.rows);
     }
 
     #[test]
@@ -258,7 +249,6 @@ mod tests {
         assert_eq!(c.wire_count(), 50);
         assert_eq!(c.channels, 6);
         assert_eq!(c.grids, 80);
-        assert_eq!(c.rows.len(), 5);
     }
 
     #[test]

@@ -32,7 +32,6 @@
 #![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
-pub mod cells;
 pub mod circuit;
 pub mod error;
 pub mod format;

@@ -1,22 +1,30 @@
-//! Trace analyses: the line-size sweep of Table 3, for the legacy WBI
+//! Trace analyses: the line-size sweep of Table 3, for the paper's WBI
 //! bus and for any registered memory backend.
 
-use crate::model::{build_memory_model, MemoryConfig, MemoryOutcome};
-use crate::protocol::{CoherenceConfig, CoherenceSim, TrafficStats};
+use locus_obs::Obs;
+
+use crate::model::{build_memory_model, MemoryConfig, MemoryOutcome, RunAcc};
+use crate::protocol::TrafficStats;
 use crate::trace::Trace;
 
 /// Runs the WBI protocol over `trace` once per line size and returns
 /// `(line_size, stats)` pairs — the rows of Table 3.
 ///
-/// This is the paper's original sweep and stays pinned to the snooped
-/// WBI bus; [`traffic_by_backend`] generalizes it to any registered
-/// backend with byte-identical results for `bus-wbi`.
+/// This is the paper's original sweep, pinned to the snooped WBI bus; it
+/// replays through the same loop as `bus-wbi` but prices nothing, so it
+/// keeps no request log. [`traffic_by_backend`] generalizes it to any
+/// registered backend with identical stats for `bus-wbi`.
+///
+/// # Panics
+/// Panics if a line size is not a nonzero power of two, or if a reference
+/// names processor 64 or above (the holder bitmask has 64 bits).
 pub fn traffic_by_line_size(trace: &Trace, line_sizes: &[u32]) -> Vec<(u32, TrafficStats)> {
+    let off = Obs::off();
     line_sizes
         .iter()
         .map(|&ls| {
-            let stats = CoherenceSim::new(CoherenceConfig::with_line_size(ls)).run(trace);
-            (ls, stats)
+            let cfg = MemoryConfig::paper(1, ls);
+            (ls, RunAcc::new(&cfg, &off).replay(trace, |_, _, _, _, _| {}))
         })
         .collect()
 }
@@ -30,13 +38,14 @@ pub fn traffic_by_line_size(trace: &Trace, line_sizes: &[u32]) -> Vec<(u32, Traf
 /// Returns an error naming the known backends when `backend` is not
 /// registered, and `MemoryConfig::validate`'s error when the backend
 /// cannot price the machine: a line size that is not a power of two, or a
-/// trace naming more processors than a holder bitmask has bits.
+/// trace naming more processors than the backend can tell apart.
 pub fn traffic_by_backend(
     backend: &str,
     trace: &Trace,
     line_sizes: &[u32],
 ) -> Result<Vec<(u32, MemoryOutcome)>, String> {
-    let n_procs = trace.refs().iter().map(|r| r.proc + 1).max().unwrap_or(1);
+    // Processor u32::MAX saturates to a count that every backend rejects.
+    let n_procs = trace.refs().iter().map(|r| r.proc).max().map_or(1, |p| p.saturating_add(1));
     line_sizes
         .iter()
         .map(|&ls| {

@@ -23,7 +23,9 @@
 //! [`model::MemoryModel`] trait and a name→constructor registry with the
 //! snooped bus (`bus-wbi`, `bus-wt`), a directory-based MSI protocol
 //! (`directory`), and a directoryless shared LLC (`dls`), all priced over
-//! the mesh machine with FIFO and criticality-aware contention.
+//! the mesh machine with FIFO and criticality-aware contention. The sweep
+//! and the three backends with WBI line semantics replay a trace through
+//! one loop; they differ only in what they price per transaction.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -40,7 +42,5 @@ pub use model::{
     build_memory_model, memory_registry, MemoryConfig, MemoryModel, MemoryModelEntry,
     MemoryOutcome, ProcCounts,
 };
-pub use protocol::{
-    CoherenceConfig, CoherenceSim, DirectoryParams, DlsParams, Protocol, TrafficStats,
-};
+pub use protocol::{DirectoryParams, DlsParams, Protocol, TrafficStats};
 pub use trace::{BurstWriter, Criticality, MemRef, RefKind, Trace, TraceRecorder};

@@ -2,17 +2,17 @@
 //! name→constructor registry.
 //!
 //! The paper's shared-memory numbers come from a single 1989 design
-//! point — a snooped Write-Back-with-Invalidate bus ([`CoherenceSim`]).
-//! This module turns that into a family: every backend consumes the same
-//! Tango-style [`Trace`] and produces a [`MemoryOutcome`] — protocol
-//! traffic ([`TrafficStats`]), invalidation-transport bytes, per-processor
+//! point — a snooped Write-Back-with-Invalidate bus. This module turns
+//! that into a family: every backend consumes the same Tango-style
+//! [`Trace`] and produces a [`MemoryOutcome`] — protocol traffic
+//! ([`TrafficStats`]), invalidation-transport bytes, per-processor
 //! reference counts, and queueing-delay accounting from the mesh
 //! [`Arbiter`] resolved under both FIFO and criticality-aware service.
 //!
 //! Registered backends:
 //!
-//! * `bus-wbi` — the paper's snooped WBI bus, delegated verbatim to
-//!   [`CoherenceSim`] (Table 3 byte-identity is a test invariant);
+//! * `bus-wbi` — the paper's snooped WBI bus; its traffic comes from the
+//!   same replay loop as Table 3's sweep (`traffic_by_line_size`);
 //! * `bus-wt` — the write-through ablation on the same bus;
 //! * `directory` — directory-based MSI: WBI line semantics, but line
 //!   state lives at an address-interleaved home node that *unicasts*
@@ -27,8 +27,8 @@
 //!
 //! [`MemoryOutcome::stats`] counts *protocol data traffic* — line fetches
 //! and word-write announcements — identically across WBI-semantics
-//! backends, so backends are directly comparable and `bus-wbi` stays
-//! byte-identical to the legacy path. The broadcast-vs-unicast difference
+//! backends, so backends are directly comparable and `bus-wbi` equals
+//! Table 3's sweep. The broadcast-vs-unicast difference
 //! lives in [`MemoryOutcome::invalidation_traffic_bytes`]: on the bus
 //! every write announcement is snooped by all `P−1` other caches; the
 //! directory sends one word per *actual* holder; DLS sends none.
@@ -49,21 +49,28 @@ use locus_mesh::{
 };
 use locus_obs::{EventKind as ObsKind, Obs};
 
-use crate::protocol::{
-    transition, CoherenceConfig, CoherenceSim, DirectoryParams, DlsParams, Protocol, TrafficStats,
-};
+use crate::protocol::{transition, DirectoryParams, DlsParams, Protocol, TrafficStats, Transition};
 use crate::table::LineTable;
 use crate::trace::{MemRef, RefKind, Trace};
 
-/// Everything a backend needs to price a trace: processor count, the
-/// protocol configuration (line size, word size, protocol variant with
-/// its params), and the machine the messages travel on.
+/// Longest one transaction may take, flight plus service (ns), about 18
+/// simulated minutes: 2^23 of them back to back, three bnrE P=16 traces'
+/// worth, still fit the arbiter's 64-bit clock.
+const MAX_TRANSACTION_NS: u64 = 1 << 40;
+
+/// Everything a backend needs to price a trace: processor count, line
+/// and word sizes, the protocol variant with its params, and the machine
+/// the messages travel on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryConfig {
     /// Processors issuing references (home tiles live on the same mesh).
     pub n_procs: u32,
-    /// Protocol family and sizes.
-    pub coherence: CoherenceConfig,
+    /// Cache line size in bytes (Table 3 sweeps 4, 8, 16, 32).
+    pub line_size: u32,
+    /// Size of the bus word write used to announce writes.
+    pub word_bytes: u32,
+    /// Protocol family.
+    pub protocol: Protocol,
     /// Machine model used to price transport and contention.
     pub mesh: MeshConfig,
 }
@@ -78,40 +85,50 @@ impl MemoryConfig {
         let topo = Topology::for_procs(n as usize);
         MemoryConfig {
             n_procs: n,
-            coherence: CoherenceConfig { line_size, ..CoherenceConfig::default() },
+            line_size,
+            word_bytes: 4,
+            protocol: Protocol::WriteBackInvalidate,
             mesh: MeshConfig::ametek(topo.rows, topo.cols),
         }
-    }
-
-    /// Returns `self` with the protocol replaced.
-    pub(crate) fn with_protocol(mut self, protocol: Protocol) -> Self {
-        self.coherence.protocol = protocol;
-        self
     }
 
     /// Checks everything the public fields could have been set to that a
     /// backend would otherwise panic on or silently mis-price: line and
     /// word sizes, the processor count (at most 64 where holders are a
-    /// bitmask), the mesh shape and the protocol variant's parameters.
+    /// bitmask), the mesh shape and timing, and the protocol variant's
+    /// parameters.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        let sizes =
-            [("line size", self.coherence.line_size), ("word size", self.coherence.word_bytes)];
+        let sizes = [("line size", self.line_size), ("word size", self.word_bytes)];
         if let Some((what, bytes)) = sizes.into_iter().find(|(_, bytes)| !bytes.is_power_of_two()) {
             return Err(format!("{what} must be a nonzero power of two, got {bytes}"));
         }
-        if self.mesh.rows == 0 || self.mesh.cols == 0 {
-            return Err(format!(
-                "mesh must be at least 1×1, got {}×{}",
-                self.mesh.rows, self.mesh.cols
-            ));
+        let m = &self.mesh;
+        if m.rows == 0 || m.cols == 0 {
+            return Err(format!("mesh must be at least 1×1, got {}×{}", m.rows, m.cols));
         }
-        let protocol = self.coherence.protocol;
+        let protocol = self.protocol;
         if !(1..=protocol.max_procs()).contains(&self.n_procs) {
             return Err(format!(
                 "`{}` supports 1 to {} processors, got {}",
                 protocol.backend_name(),
                 protocol.max_procs(),
                 self.n_procs
+            ));
+        }
+        // The costliest transaction: a line fetch, its announcement and a
+        // word per invalidated holder, sent corner to corner.
+        let payload = self.line_size as u64 + 64 * self.word_bytes as u64;
+        let hops = (m.rows - 1).saturating_add(m.cols - 1) as u64;
+        let worst = m
+            .recv_per_byte_ns
+            .checked_mul(m.header_bytes as u64 + payload)
+            .zip(m.hop_time_ns.checked_mul(hops))
+            .and_then(|(service, flight)| service.checked_add(flight));
+        if worst.is_none_or(|ns| ns > MAX_TRANSACTION_NS) {
+            return Err(format!(
+                "mesh recv_per_byte_ns {}, header_bytes {} and hop_time_ns {} price a \
+                 {payload}-byte transaction above 2^40 ns",
+                m.recv_per_byte_ns, m.header_bytes, m.hop_time_ns
             ));
         }
         match protocol {
@@ -126,14 +143,8 @@ impl MemoryConfig {
     }
 }
 
-impl Default for MemoryConfig {
-    fn default() -> Self {
-        MemoryConfig::paper(16, 8)
-    }
-}
-
-/// Per-processor reference counts, tallied by each backend's own replay
-/// loop (the backend-agreement proptests pin these to the trace).
+/// Per-processor reference counts, tallied by the replay loops (the
+/// backend-agreement proptests pin these to the trace).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProcCounts {
     /// Read references issued by the processor.
@@ -198,7 +209,6 @@ pub trait MemoryModel {
 
 /// Shared transport pricing: how long a transaction occupies its service
 /// point and how long it flies through the mesh to get there.
-#[derive(Clone, Copy)]
 struct Pricer {
     mesh: MeshConfig,
     topo: Topology,
@@ -227,30 +237,35 @@ impl Pricer {
 
 /// Per-run accumulator shared by all backends: per-proc counts, the
 /// arbiter request log, and the obs stream.
-struct RunAcc<'a> {
+pub(crate) struct RunAcc<'a> {
+    cfg: &'a MemoryConfig,
     per_proc: Vec<ProcCounts>,
-    /// Processor ids the backend can represent: 64 where holders are a
-    /// bitmask. Checked when a processor first appears, so the replay
-    /// loops need no check per reference.
-    max_procs: u32,
     arb: Arbiter,
     obs: &'a Obs,
 }
 
 impl<'a> RunAcc<'a> {
-    fn new(cfg: &MemoryConfig, obs: &'a Obs) -> Self {
+    pub(crate) fn new(cfg: &'a MemoryConfig, obs: &'a Obs) -> Self {
         RunAcc {
+            cfg,
             per_proc: vec![ProcCounts::default(); cfg.n_procs as usize],
-            max_procs: cfg.coherence.protocol.max_procs(),
             arb: Arbiter::new(),
             obs,
         }
     }
 
-    /// Makes room for a processor the configuration did not announce.
+    /// Makes room for a processor the configuration did not announce,
+    /// after checking that the protocol can represent it: the replay
+    /// loops need no check per reference.
     #[cold]
     fn grow(&mut self, proc: u32) {
-        assert!(proc < self.max_procs, "bitmask directory supports up to 64 processors");
+        let protocol = self.cfg.protocol;
+        assert!(
+            proc < protocol.max_procs(),
+            "`{}` supports up to {} processors, the trace names processor {proc}",
+            protocol.backend_name(),
+            protocol.max_procs()
+        );
         self.per_proc.resize(proc as usize + 1, ProcCounts::default());
     }
 
@@ -264,6 +279,39 @@ impl<'a> RunAcc<'a> {
             RefKind::Read => c.reads += 1,
             RefKind::Write => c.writes += 1,
         }
+    }
+
+    /// The one replay loop behind every number with WBI line semantics
+    /// (`bus-wbi`, `bus-wt`, `directory`, and Table 3's sweep): counts
+    /// each reference, applies [`transition`] to its line, skips hits and
+    /// charges the rest to the returned [`TrafficStats`]. Each such
+    /// transaction — the reference, its line number, the transition and
+    /// the bytes it moved — goes to `priced`, which is all that differs
+    /// between the backends.
+    ///
+    /// # Panics
+    /// Panics unless the line size is a nonzero power of two, and on a
+    /// processor the protocol cannot represent.
+    #[inline]
+    pub(crate) fn replay(
+        &mut self,
+        trace: &Trace,
+        mut priced: impl FnMut(&mut Self, &MemRef, u32, &Transition, u64),
+    ) -> TrafficStats {
+        let cfg = self.cfg;
+        let mut lines = LineTable::new(cfg.line_size);
+        let mut stats = TrafficStats::default();
+        for r in trace.refs() {
+            self.count(r);
+            let line = lines.line_of(r.addr);
+            let t = transition(lines.line(line), r.proc, r.kind, cfg.protocol);
+            if t.is_hit() {
+                continue; // served by the private cache
+            }
+            let moved = stats.charge(&t, r.kind, cfg);
+            priced(self, r, line, &t, moved);
+        }
+        stats
     }
 
     /// Logs one priced transaction against `resource`.
@@ -305,35 +353,27 @@ impl<'a> RunAcc<'a> {
     }
 }
 
-/// The snooped-bus backends (`bus-wbi` / `bus-wt`): traffic accounting
-/// is delegated access-by-access to [`CoherenceSim`], so the resulting
-/// [`TrafficStats`] are byte-identical to the legacy Table 3 path.
+/// The snooped-bus backends (`bus-wbi` / `bus-wt`): every miss or
+/// announcement is one transaction on the single bus.
 struct BusModel {
     cfg: MemoryConfig,
 }
 
 impl MemoryModel for BusModel {
     fn name(&self) -> &'static str {
-        self.cfg.coherence.protocol.backend_name()
+        self.cfg.protocol.backend_name()
     }
 
     fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
         let pricer = Pricer::new(&self.cfg);
-        let mut sim = CoherenceSim::new(self.cfg.coherence);
         let mut acc = RunAcc::new(&self.cfg, obs);
-        for r in trace.refs() {
-            acc.count(r);
-            let moved = sim.step(r.proc, r.addr, r.kind);
-            if moved > 0 {
-                // One bus transaction; the bus is a single broadcast
-                // medium, so there is no per-hop flight time.
-                acc.request(0, r, moved, r.time, pricer.service_ns(moved));
-            }
-        }
-        let stats = *sim.stats();
+        // The bus is a single broadcast medium: no per-hop flight time.
+        let stats = acc.replay(trace, |acc, r, _, _, moved| {
+            acc.request(0, r, moved, r.time, pricer.service_ns(moved));
+        });
         // Every announcement is snooped by all other caches.
         let broadcast = stats.word_writes
-            * self.cfg.coherence.word_bytes as u64
+            * self.cfg.word_bytes as u64
             * (self.cfg.n_procs as u64).saturating_sub(1);
         acc.finish(self.name(), stats, broadcast)
     }
@@ -352,32 +392,21 @@ impl MemoryModel for DirectoryModel {
     }
 
     fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
-        let coherence = self.cfg.coherence;
-        let word = coherence.word_bytes as u64;
+        let word = self.cfg.word_bytes as u64;
         let pricer = Pricer::new(&self.cfg);
-        let mut lines = LineTable::new(coherence.line_size);
-        let mut stats = TrafficStats::default();
         let mut unicast_bytes = 0u64;
         let mut acc = RunAcc::new(&self.cfg, obs);
-
-        for r in trace.refs() {
-            acc.count(r);
-            let line = lines.line_of(r.addr);
-            let t = transition(lines.line(line), r.proc, r.kind, coherence.protocol);
-            if t.is_hit() {
-                continue; // served by the private cache
-            }
+        let stats = acc.replay(trace, |acc, r, line, t, moved| {
             // The home supplies the line on a miss (a dirty owner writes
             // back through it in passing). A write sends the home one
             // ownership word, and the home unicasts an invalidation word
             // to each *actual* holder (no broadcast).
-            let moved = stats.charge(&t, r.kind, &coherence);
             let invals = t.copies() as u64 * word;
             unicast_bytes += invals;
             let home = line % self.params.home_tiles;
             let arrive = r.time + pricer.flight_ns(r.proc, home);
             acc.request(home, r, moved + invals, arrive, pricer.service_ns(moved + invals));
-        }
+        });
         acc.finish(self.name(), stats, unicast_bytes)
     }
 }
@@ -398,8 +427,8 @@ impl MemoryModel for DlsModel {
     }
 
     fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
-        let line_shift = self.cfg.coherence.line_size.trailing_zeros();
-        let word = self.cfg.coherence.word_bytes as u64;
+        let line_shift = self.cfg.line_size.trailing_zeros();
+        let word = self.cfg.word_bytes as u64;
         let tiles = self.cfg.n_procs;
         let pricer = Pricer::new(&self.cfg);
         let mut stats = TrafficStats::default();
@@ -440,9 +469,9 @@ impl MemoryModelEntry {
     /// error `MemoryConfig::validate` gives for a machine it cannot
     /// price.
     pub fn build(&self, cfg: MemoryConfig) -> Result<Box<dyn MemoryModel>, String> {
-        let cfg = cfg.with_protocol((self.protocol)(&cfg));
+        let cfg = MemoryConfig { protocol: (self.protocol)(&cfg), ..cfg };
         cfg.validate()?;
-        Ok(match cfg.coherence.protocol {
+        Ok(match cfg.protocol {
             Protocol::WriteBackInvalidate | Protocol::WriteThrough => Box::new(BusModel { cfg }),
             Protocol::Directory(params) => Box::new(DirectoryModel { cfg, params }),
             Protocol::DirectorylessLlc(params) => Box::new(DlsModel { cfg, params }),
@@ -464,7 +493,7 @@ static MEMORY_MODELS: [MemoryModelEntry; 4] = [
     MemoryModelEntry {
         name: "directory",
         summary: "directory-based MSI: home-node line state, unicast invalidations over the mesh",
-        protocol: |cfg| match cfg.coherence.protocol {
+        protocol: |cfg| match cfg.protocol {
             own @ Protocol::Directory(_) => own,
             // One directory slice per processor tile.
             _ => Protocol::Directory(DirectoryParams { home_tiles: cfg.n_procs }),
@@ -473,9 +502,10 @@ static MEMORY_MODELS: [MemoryModelEntry; 4] = [
     MemoryModelEntry {
         name: "dls",
         summary: "directoryless shared LLC: no private caching, word transfers to home tiles",
-        protocol: |cfg| match cfg.coherence.protocol {
+        protocol: |cfg| match cfg.protocol {
             own @ Protocol::DirectorylessLlc(_) => own,
-            _ => Protocol::DirectorylessLlc(DlsParams::default()),
+            // Line-granular interleaving.
+            _ => Protocol::DirectorylessLlc(DlsParams { interleave_lines: 1 }),
         },
     },
 ];
@@ -525,28 +555,6 @@ mod tests {
         }
         t.sort_by_time();
         t
-    }
-
-    #[test]
-    fn bus_wbi_is_byte_identical_to_coherence_sim() {
-        let t = churn_trace(4);
-        for line in [4u32, 8, 32] {
-            let legacy = CoherenceSim::new(CoherenceConfig::with_line_size(line)).run(&t);
-            let out = build_memory_model("bus-wbi", MemoryConfig::paper(4, line)).unwrap().run(&t);
-            assert_eq!(out.stats, legacy, "line {line}");
-        }
-    }
-
-    #[test]
-    fn bus_wt_is_byte_identical_to_coherence_sim_write_through() {
-        let t = churn_trace(4);
-        let legacy = CoherenceSim::new(CoherenceConfig {
-            protocol: Protocol::WriteThrough,
-            ..CoherenceConfig::with_line_size(8)
-        })
-        .run(&t);
-        let out = build_memory_model("bus-wt", MemoryConfig::paper(4, 8)).unwrap().run(&t);
-        assert_eq!(out.stats, legacy);
     }
 
     #[test]
@@ -632,7 +640,10 @@ mod tests {
         // nothing can be served faster than the whole log's busy time.
         let t = churn_trace(4);
         let cfg = MemoryConfig::paper(4, 8);
-        let one = cfg.with_protocol(Protocol::Directory(DirectoryParams { home_tiles: 1 }));
+        let one = MemoryConfig {
+            protocol: Protocol::Directory(DirectoryParams { home_tiles: 1 }),
+            ..cfg
+        };
         let spread = build_memory_model("directory", cfg).unwrap().run(&t);
         let packed = build_memory_model("directory", one).unwrap().run(&t);
         assert_eq!(packed.stats, spread.stats);
@@ -647,8 +658,9 @@ mod tests {
     /// price, with the word the error must contain.
     fn absurd_configs() -> Vec<(&'static str, MemoryConfig, &'static str)> {
         let ok = MemoryConfig::paper(16, 8);
-        let coherence = |line_size, word_bytes| MemoryConfig {
-            coherence: CoherenceConfig { line_size, word_bytes, ..ok.coherence },
+        let coherence = |line_size, word_bytes| MemoryConfig { line_size, word_bytes, ..ok };
+        let timing = |recv_per_byte_ns, hop_time_ns| MemoryConfig {
+            mesh: MeshConfig { recv_per_byte_ns, hop_time_ns, ..ok.mesh },
             ..ok
         };
         let directory = |home_tiles| Protocol::Directory(DirectoryParams { home_tiles });
@@ -664,10 +676,14 @@ mod tests {
             ("bus-wt", MemoryConfig { n_procs: 65, ..ok }, "processors"),
             ("directory", MemoryConfig { n_procs: u32::MAX, ..ok }, "processors"),
             ("dls", MemoryConfig { n_procs: 0, ..ok }, "processors"),
-            ("directory", ok.with_protocol(directory(0)), "home tile"),
-            ("dls", ok.with_protocol(dls(0)), "interleave"),
+            ("dls", MemoryConfig { n_procs: u32::MAX, ..ok }, "processors"),
+            ("directory", MemoryConfig { protocol: directory(0), ..ok }, "home tile"),
+            ("dls", MemoryConfig { protocol: dls(0), ..ok }, "interleave"),
             ("directory", MemoryConfig { mesh: MeshConfig::ametek(0, 4), ..ok }, "mesh"),
             ("dls", MemoryConfig { mesh: MeshConfig::ametek(4, 0), ..ok }, "mesh"),
+            ("bus-wbi", timing(u32::MAX as u64, 100), "recv_per_byte_ns"),
+            ("directory", timing(u64::MAX, 0), "recv_per_byte_ns"),
+            ("dls", timing(20, u64::MAX), "hop_time_ns"),
         ]
     }
 
@@ -680,7 +696,10 @@ mod tests {
             assert!(err.contains(needle), "`{backend}`: {err:?} should mention {needle:?}");
             // The same verdict without building anything.
             let entry = memory_registry().iter().find(|e| e.name == backend).expect("registered");
-            assert_eq!(cfg.with_protocol((entry.protocol)(&cfg)).validate(), Err(err));
+            assert_eq!(
+                MemoryConfig { protocol: (entry.protocol)(&cfg), ..cfg }.validate(),
+                Err(err)
+            );
         }
     }
 
@@ -700,11 +719,15 @@ mod tests {
 
     #[test]
     fn traces_naming_more_processors_than_the_bitmask_fail_the_sweep_cleanly() {
-        let mut t = Trace::new();
-        t.push(MemRef::new(0, 70, 0, RefKind::Write));
-        let err = crate::traffic_by_backend("directory", &t, &[8]).expect_err("71 processors");
-        assert!(err.contains("processors"), "{err}");
-        assert!(crate::traffic_by_backend("dls", &t, &[8]).is_ok());
+        // Processor u32::MAX is one more than a `u32` counts: no overflow,
+        // and beyond what `dls` keeps counts for as well.
+        for (proc, dls_prices_it) in [(70, true), (u32::MAX, false)] {
+            let mut t = Trace::new();
+            t.push(MemRef::new(0, proc, 0, RefKind::Write));
+            let err = crate::traffic_by_backend("directory", &t, &[8]).expect_err("too many");
+            assert!(err.contains("processors"), "{err}");
+            assert_eq!(crate::traffic_by_backend("dls", &t, &[8]).is_ok(), dls_prices_it, "{proc}");
+        }
     }
 
     #[test]
@@ -729,7 +752,7 @@ mod tests {
 
     #[test]
     fn registry_rejects_unknown_names() {
-        let err = build_memory_model("mesi-torus", MemoryConfig::default())
+        let err = build_memory_model("mesi-torus", MemoryConfig::paper(16, 8))
             .err()
             .expect("must be unknown");
         assert!(err.contains("bus-wbi") && err.contains("dls"), "{err}");

@@ -1,10 +1,9 @@
 //! The Write-Back-with-Invalidate protocol state machine and bus-byte
 //! accounting.
 
-use locus_obs::{EventKind as ObsKind, Obs};
-
-use crate::table::{LineState, LineTable};
-use crate::trace::{RefKind, Trace};
+use crate::model::MemoryConfig;
+use crate::table::LineState;
+use crate::trace::RefKind;
 
 /// Parameters of the directory-based MSI backend: line state lives at an
 /// address-interleaved *home node* which unicasts invalidations to the
@@ -15,20 +14,6 @@ pub struct DirectoryParams {
     /// lives on mesh node `h % n_nodes`. Usually the processor count
     /// (one directory slice per tile).
     pub home_tiles: u32,
-}
-
-impl DirectoryParams {
-    /// One directory slice per processor tile.
-    pub(crate) fn per_tile(n_procs: u32) -> Self {
-        assert!(n_procs > 0, "directory needs at least one home tile");
-        DirectoryParams { home_tiles: n_procs }
-    }
-}
-
-impl Default for DirectoryParams {
-    fn default() -> Self {
-        DirectoryParams::per_tile(16)
-    }
 }
 
 /// Parameters of the DLS-style directoryless shared LLC (arXiv:1206.4753):
@@ -42,22 +27,14 @@ pub struct DlsParams {
     pub interleave_lines: u32,
 }
 
-impl Default for DlsParams {
-    fn default() -> Self {
-        DlsParams { interleave_lines: 1 }
-    }
-}
-
 /// The coherence protocol family to simulate. Backend-specific knobs
 /// travel inside the variant, so adding a backend never grows unrelated
-/// flat fields on [`CoherenceConfig`].
+/// flat fields on [`MemoryConfig`].
 ///
 /// The paper evaluates Write-Back-with-Invalidate (citing Archibald &
 /// Baer's comparative study); the write-through variant is provided as an
 /// ablation — it is the other classic point in that study's design space
 /// and shows why write-back was the sensible choice for this workload.
-/// The directory and DLS variants are serviced by the [`crate::model`]
-/// registry, not by the bus simulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Protocol {
     /// Write-Back with Invalidate: first write to a clean line announces
@@ -77,13 +54,6 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// Whether the protocol runs on the snooped bus simulator
-    /// ([`CoherenceSim`]); the other variants need the mesh-priced
-    /// backends in [`crate::model`].
-    pub(crate) fn is_bus(&self) -> bool {
-        matches!(self, Protocol::WriteBackInvalidate | Protocol::WriteThrough)
-    }
-
     /// The registry name of the backend that services this protocol.
     pub(crate) fn backend_name(&self) -> &'static str {
         match self {
@@ -95,38 +65,13 @@ impl Protocol {
     }
 
     /// Processors the backend can tell apart: 64 where holders are a
-    /// bitmask, any number where nothing is privately cached.
+    /// bitmask. Nothing bounds `dls` but the per-processor counts a run
+    /// allocates up front, so it stops at 2^16 (1 MiB of them).
     pub(crate) fn max_procs(&self) -> u32 {
         match self {
-            Protocol::DirectorylessLlc(_) => u32::MAX,
+            Protocol::DirectorylessLlc(_) => 1 << 16,
             _ => u64::BITS,
         }
-    }
-}
-
-/// Protocol parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoherenceConfig {
-    /// Cache line size in bytes (Table 3 sweeps 4, 8, 16, 32).
-    pub line_size: u32,
-    /// Size of the bus word write used to announce writes.
-    pub word_bytes: u32,
-    /// Protocol family.
-    pub protocol: Protocol,
-}
-
-impl CoherenceConfig {
-    /// Write-Back-with-Invalidate with the given line size and 4-byte bus
-    /// words — the paper's configuration.
-    pub fn with_line_size(line_size: u32) -> Self {
-        assert!(line_size.is_power_of_two(), "line size must be a power of two");
-        CoherenceConfig { line_size, word_bytes: 4, protocol: Protocol::WriteBackInvalidate }
-    }
-}
-
-impl Default for CoherenceConfig {
-    fn default() -> Self {
-        CoherenceConfig::with_line_size(8)
     }
 }
 
@@ -165,11 +110,38 @@ impl TrafficStats {
             self.write_caused_bytes as f64 / self.total_bytes as f64
         }
     }
+
+    /// Accounts one transition of a `kind` reference and returns the
+    /// bytes it moved. A read's cold fetch is read-caused; everything
+    /// else, refetches of invalidated copies included, is write-caused.
+    #[inline]
+    pub(crate) fn charge(&mut self, t: &Transition, kind: RefKind, cfg: &MemoryConfig) -> u64 {
+        let (line, word) = (cfg.line_size as u64, cfg.word_bytes as u64);
+        let mut moved = 0;
+        if t.fetched {
+            self.line_fetches += 1;
+            self.refetches += t.refetch as u64;
+            if kind == RefKind::Read && !t.refetch {
+                self.read_caused_bytes += line;
+            } else {
+                self.write_caused_bytes += line;
+            }
+            moved += line;
+        }
+        if t.announced {
+            self.word_writes += 1;
+            self.write_caused_bytes += word;
+            self.invalidations += t.copies() as u64;
+            moved += word;
+        }
+        self.total_bytes += moved;
+        moved
+    }
 }
 
 /// What one reference did to its line, as [`transition`] reports it.
-/// Byte counts, statistics and observability events are all derived from
-/// this, so every backend prices the same state machine.
+/// Byte counts and statistics are derived from this, so every backend
+/// prices the same state machine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Transition {
     /// The access missed and fetched the whole line.
@@ -194,22 +166,6 @@ impl Transition {
     pub(crate) fn copies(&self) -> u32 {
         self.invalidated.count_ones()
     }
-
-    /// Emits the transition's events in protocol order: miss, line
-    /// transfer, word announcement, invalidation.
-    fn emit(&self, obs: &Obs, at_ns: u64, node: u32, addr: u32, cfg: &CoherenceConfig) {
-        let record = |kind| obs.emit_on(at_ns, node, kind);
-        if self.fetched {
-            record(ObsKind::CacheMiss { addr, line_bytes: cfg.line_size });
-            record(ObsKind::BusTransfer { bytes: cfg.line_size });
-        }
-        if self.announced {
-            record(ObsKind::BusTransfer { bytes: cfg.word_bytes });
-        }
-        if self.invalidated != 0 {
-            record(ObsKind::Invalidation { addr, copies: self.copies() });
-        }
-    }
 }
 
 /// The one Write-Back-with-Invalidate / write-through state machine:
@@ -217,8 +173,8 @@ impl Transition {
 /// [`Protocol::WriteThrough`] never leaves a line dirty, so every write
 /// is announced; every other protocol has WBI line semantics.
 ///
-/// `proc` must be below 64 (the holder bitmask); callers check that once
-/// per run or per configuration, not per reference.
+/// `proc` must be below 64 (the holder bitmask); the replay loop checks
+/// that when a processor first appears, not per reference.
 #[inline]
 pub(crate) fn transition(
     st: &mut LineState,
@@ -264,128 +220,45 @@ pub(crate) fn transition(
     t
 }
 
-impl TrafficStats {
-    /// Accounts one transition of a `kind` reference and returns the
-    /// bytes it moved. A read's cold fetch is read-caused; everything
-    /// else, refetches of invalidated copies included, is write-caused.
-    #[inline]
-    pub(crate) fn charge(&mut self, t: &Transition, kind: RefKind, cfg: &CoherenceConfig) -> u64 {
-        let (line, word) = (cfg.line_size as u64, cfg.word_bytes as u64);
-        let mut moved = 0;
-        if t.fetched {
-            self.line_fetches += 1;
-            self.refetches += t.refetch as u64;
-            if kind == RefKind::Read && !t.refetch {
-                self.read_caused_bytes += line;
-            } else {
-                self.write_caused_bytes += line;
-            }
-            moved += line;
-        }
-        if t.announced {
-            self.word_writes += 1;
-            self.write_caused_bytes += word;
-            self.invalidations += t.copies() as u64;
-            moved += word;
-        }
-        self.total_bytes += moved;
-        moved
-    }
-}
-
-/// The coherence simulator: infinite per-processor caches over a shared
-/// bus, Write-Back-with-Invalidate.
-pub struct CoherenceSim {
-    config: CoherenceConfig,
-    lines: LineTable,
-    stats: TrafficStats,
-    obs: Obs,
-    /// Timestamp for emitted events: the current reference's trace time
-    /// when driven by [`CoherenceSim::run`], else an access counter.
-    tick: u64,
-}
-
-impl CoherenceSim {
-    /// Creates a simulator.
-    ///
-    /// # Panics
-    /// Panics if `config.protocol` is not a bus protocol — the directory
-    /// and DLS variants are serviced by [`crate::model::build_memory_model`]
-    /// — or if the line size is not a nonzero power of two.
-    pub fn new(config: CoherenceConfig) -> Self {
-        assert!(
-            config.protocol.is_bus(),
-            "CoherenceSim only simulates bus protocols; build `{}` via the model registry",
-            config.protocol.backend_name()
-        );
-        CoherenceSim {
-            config,
-            lines: LineTable::new(config.line_size),
-            stats: TrafficStats::default(),
-            obs: Obs::off(),
-            tick: 0,
-        }
-    }
-
-    /// Processes a single reference of a replay loop that bounds `proc`
-    /// itself (below 64, the width of the holder mask); returns the bytes
-    /// the reference moved on the bus.
-    #[inline]
-    pub(crate) fn step(&mut self, proc: u32, addr: u32, kind: RefKind) -> u64 {
-        let t = transition(self.lines.entry(addr), proc, kind, self.config.protocol);
-        if t.is_hit() {
-            return 0;
-        }
-        if self.obs.is_on() {
-            t.emit(&self.obs, self.tick, proc, addr, &self.config);
-        }
-        self.stats.charge(&t, kind, &self.config)
-    }
-
-    /// Processes an entire trace and returns the accumulated statistics.
-    ///
-    /// # Panics
-    /// Panics if a reference's processor does not fit the holder mask.
-    pub fn run(mut self, trace: &Trace) -> TrafficStats {
-        debug_assert!(trace.is_sorted(), "trace must be time-ordered");
-        let mut procs_seen = 0;
-        for r in trace.refs() {
-            procs_seen |= r.proc;
-            self.tick = r.time;
-            self.step(r.proc, r.addr, r.kind);
-        }
-        // Any processor id of 64 or more leaves a bit above the fifth set.
-        assert!(procs_seen < u64::BITS, "bitmask directory supports up to 64 processors");
-        self.stats
-    }
-
-    /// Statistics accumulated so far.
-    pub(crate) fn stats(&self) -> &TrafficStats {
-        &self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::MemRef;
-    use locus_obs::SharedSink;
+    use crate::analyze::traffic_by_line_size;
+    use crate::model::build_memory_model;
+    use crate::trace::{MemRef, Trace};
+    use locus_obs::{EventKind as ObsKind, Obs, SharedSink};
 
-    fn sim(line: u32) -> CoherenceSim {
-        CoherenceSim::new(CoherenceConfig::with_line_size(line))
+    /// A bus backend fed one reference at a time, one time unit apart;
+    /// [`Bus::stats`] replays everything fed so far.
+    struct Bus {
+        backend: &'static str,
+        line: u32,
+        trace: Trace,
     }
 
-    /// The write-through ablation at `line`-byte lines.
-    fn write_through(line: u32) -> CoherenceConfig {
-        CoherenceConfig {
-            protocol: Protocol::WriteThrough,
-            ..CoherenceConfig::with_line_size(line)
+    impl Bus {
+        fn step(&mut self, proc: u32, addr: u32, kind: RefKind) {
+            self.trace.push(MemRef::new(self.trace.len() as u64, proc, addr, kind));
+        }
+
+        fn stats(&self) -> TrafficStats {
+            let cfg = MemoryConfig::paper(64, self.line);
+            build_memory_model(self.backend, cfg).expect("registered").run(&self.trace).stats
         }
     }
 
-    /// `sim`, recording its protocol events into `sink`.
-    fn observed(config: CoherenceConfig, sink: &SharedSink) -> CoherenceSim {
-        CoherenceSim { obs: Obs::to(sink), ..CoherenceSim::new(config) }
+    fn sim(line: u32) -> Bus {
+        Bus { backend: "bus-wbi", line, trace: Trace::new() }
+    }
+
+    /// The write-through ablation at `line`-byte lines.
+    fn write_through(line: u32) -> Bus {
+        Bus { backend: "bus-wt", ..sim(line) }
+    }
+
+    /// Table 3's sweep at one line size.
+    fn sweep(trace: &Trace, line: u32) -> TrafficStats {
+        traffic_by_line_size(trace, &[line])[0].1
     }
 
     #[test]
@@ -472,8 +345,8 @@ mod tests {
             }
             t
         };
-        let small = CoherenceSim::new(CoherenceConfig::with_line_size(4)).run(&make_trace());
-        let large = CoherenceSim::new(CoherenceConfig::with_line_size(32)).run(&make_trace());
+        let small = sweep(&make_trace(), 4);
+        let large = sweep(&make_trace(), 32);
         assert!(
             large.total_bytes > 4 * small.total_bytes,
             "false sharing must inflate traffic: {} vs {}",
@@ -492,10 +365,12 @@ mod tests {
         for i in 0..100u64 {
             t.push(MemRef::new(i + 1, (i % 2) as u32, 0, RefKind::Write));
         }
-        let stats = CoherenceSim::new(CoherenceConfig::with_line_size(8)).run(&t);
+        let stats = sweep(&t, 8);
         assert!(stats.write_fraction() > 0.8, "churn trace must be write-dominated");
     }
 
+    /// The bytes of the `MemRequest` events a bus run records sum to its
+    /// traffic, one request per bus transaction.
     #[test]
     fn sink_counters_cross_check_traffic_stats() {
         use locus_obs::names;
@@ -508,27 +383,36 @@ mod tests {
                 if i % 3 == 0 { RefKind::Read } else { RefKind::Write },
             ));
         }
-        for wt in [false, true] {
-            let cfg = if wt { write_through(8) } else { CoherenceConfig::with_line_size(8) };
+        for backend in ["bus-wbi", "bus-wt"] {
             let sink = SharedSink::new();
-            let stats = observed(cfg, &sink).run(&t);
-            let m = sink.metrics_snapshot();
-            assert_eq!(m.counter(names::BUS_BYTES), stats.total_bytes, "wt={wt}");
-            assert_eq!(m.counter(names::CACHE_MISSES), stats.line_fetches, "wt={wt}");
-            assert_eq!(m.counter(names::INVALIDATIONS), stats.invalidations, "wt={wt}");
+            let out = build_memory_model(backend, MemoryConfig::paper(4, 8))
+                .expect("registered")
+                .run_observed(&t, &Obs::to(&sink));
+            let bytes: u64 = sink
+                .snapshot_events()
+                .iter()
+                .map(|e| match e.kind {
+                    ObsKind::MemRequest { bytes, .. } => bytes as u64,
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(bytes, out.stats.total_bytes, "{backend}");
+            let requests = sink.metrics_snapshot().counter(names::MEM_REQUESTS);
+            assert_eq!(requests, out.fifo.all().requests, "{backend}");
         }
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_lines() {
-        let _ = CoherenceConfig::with_line_size(12);
+        let _ = traffic_by_line_size(&Trace::new(), &[12]);
     }
 
+    /// No shift finds the lines of a zero line size; the sweep refuses it.
     #[test]
     #[should_panic(expected = "power of two")]
     fn simulator_rejects_a_zero_line_set_through_the_public_field() {
-        let _ = CoherenceSim::new(CoherenceConfig { line_size: 0, ..CoherenceConfig::default() });
+        let _ = traffic_by_line_size(&Trace::new(), &[0]);
     }
 
     #[test]
@@ -549,7 +433,7 @@ mod tests {
         t.push(MemRef::new(0, 3, 0, RefKind::Read));
         t.push(MemRef::new(1, 64, 0, RefKind::Write));
         t.push(MemRef::new(2, 5, 0, RefKind::Read));
-        let _ = sim(8).run(&t);
+        let _ = sweep(&t, 8);
     }
 
     #[test]
@@ -575,9 +459,10 @@ mod tests {
         assert_eq!(back.copies(), 1);
     }
 
-    /// The event sequence of a small trace under WBI and write-through, as
-    /// recorded from the simulator before the transition function replaced
-    /// its interleaved recording blocks (parent commit 6d742c0).
+    /// The bus requests of a small trace under WBI and write-through: one
+    /// per miss or announcement, carrying the bytes that the miss and bus
+    /// events of the same reference summed to when the simulator still
+    /// recorded those (commit 6d742c0).
     #[test]
     fn obs_event_sequence_is_unchanged() {
         let refs: [(u32, u32, RefKind); 12] = [
@@ -599,45 +484,34 @@ mod tests {
             .enumerate()
             .map(|(i, &(proc, addr, kind))| MemRef::new(10 * i as u64, proc, addr, kind))
             .collect();
-        let render = |e: &locus_obs::Event| {
-            let what = match e.kind {
-                ObsKind::CacheMiss { addr, line_bytes } => format!("miss {addr}/{line_bytes}"),
-                ObsKind::BusTransfer { bytes } => format!("bus {bytes}"),
-                ObsKind::Invalidation { addr, copies } => format!("inval {addr}x{copies}"),
-                other => format!("{other:?}"),
-            };
-            format!("{}@p{} {what}", e.at_ns, e.node)
+        let render = |e: &locus_obs::Event| match e.kind {
+            ObsKind::MemRequest { resource: 0, bytes, critical: false } => {
+                format!("{}@p{} {bytes}", e.at_ns, e.node)
+            }
+            other => format!("{other:?}"),
         };
         #[rustfmt::skip]
         let wbi = [
-            "0@p0 miss 0/8", "0@p0 bus 8",
-            "10@p1 miss 4/8", "10@p1 bus 8",
-            "20@p0 bus 4", "20@p0 inval 0x1",
-            "40@p1 miss 0/8", "40@p1 bus 8",
-            "50@p2 miss 2/8", "50@p2 bus 8", "50@p2 bus 4", "50@p2 inval 2x2",
-            "60@p1 miss 6/8", "60@p1 bus 8", "60@p1 bus 4", "60@p1 inval 6x1",
-            "70@p0 miss 16/8", "70@p0 bus 8", "70@p0 bus 4",
-            "80@p2 miss 16/8", "80@p2 bus 8",
-            "90@p2 bus 4", "90@p2 inval 18x1",
-            "100@p0 miss 0/8", "100@p0 bus 8",
+            "0@p0 8", "10@p1 8", "20@p0 4", "40@p1 8", "50@p2 12",
+            "60@p1 12", "70@p0 12", "80@p2 8", "90@p2 4", "100@p0 8",
         ];
-        // Write-through differs in one event: the store at t=30 hits a
+        // Write-through differs in one request: the store at t=30 hits a
         // line processor 0 already owns, and is announced all the same.
         let mut wt = wbi.to_vec();
-        wt.insert(6, "30@p0 bus 4");
-        for (cfg, want) in
-            [(CoherenceConfig::with_line_size(8), wbi.to_vec()), (write_through(8), wt)]
-        {
+        wt.insert(3, "30@p0 4");
+        for (backend, want) in [("bus-wbi", wbi.to_vec()), ("bus-wt", wt)] {
             let sink = SharedSink::new();
-            observed(cfg, &sink).run(&trace);
+            build_memory_model(backend, MemoryConfig::paper(3, 8))
+                .expect("registered")
+                .run_observed(&trace, &Obs::to(&sink));
             let got: Vec<String> = sink.snapshot_events().iter().map(render).collect();
-            assert_eq!(got, want, "{:?}", cfg.protocol);
+            assert_eq!(got, want, "{backend}");
         }
     }
 
     #[test]
     fn write_through_pays_per_write() {
-        let mut s = CoherenceSim::new(write_through(8));
+        let mut s = write_through(8);
         s.step(0, 0, RefKind::Write); // fetch + word
         s.step(0, 0, RefKind::Write); // word (no dirty state exists)
         s.step(0, 4, RefKind::Write); // word
@@ -648,7 +522,7 @@ mod tests {
 
     #[test]
     fn write_through_invalidates_and_forces_refetch() {
-        let mut s = CoherenceSim::new(write_through(8));
+        let mut s = write_through(8);
         s.step(1, 0, RefKind::Read);
         s.step(0, 0, RefKind::Write);
         assert_eq!(s.stats().invalidations, 1);
@@ -668,8 +542,8 @@ mod tests {
             ));
         }
         for line in [4u32, 8, 32] {
-            let wb = CoherenceSim::new(CoherenceConfig::with_line_size(line)).run(&t);
-            let wt = CoherenceSim::new(write_through(line)).run(&t);
+            let wb = sweep(&t, line);
+            let wt = Bus { trace: t.clone(), ..write_through(line) }.stats();
             assert!(
                 wt.total_bytes >= wb.total_bytes,
                 "line {line}: WT {} < WB {}",

@@ -59,8 +59,9 @@ impl LineTable {
     /// An empty table for lines of `line_size` bytes.
     ///
     /// # Panics
-    /// Panics unless `line_size` is a nonzero power of two; configurations
-    /// are validated before they get here.
+    /// Panics unless `line_size` is a nonzero power of two: the registry
+    /// validates configurations before they get here, and this is the
+    /// documented panic of `traffic_by_line_size`.
     pub(crate) fn new(line_size: u32) -> Self {
         assert!(line_size.is_power_of_two(), "line size must be a nonzero power of two");
         LineTable { shift: line_size.trailing_zeros(), root: new_node() }
@@ -83,8 +84,8 @@ impl LineTable {
     }
 
     /// The state of the line holding byte address `addr`.
-    #[inline]
-    pub(crate) fn entry(&mut self, addr: u32) -> &mut LineState {
+    #[cfg(test)]
+    fn entry(&mut self, addr: u32) -> &mut LineState {
         self.line(self.line_of(addr))
     }
 

@@ -4,10 +4,16 @@
 use std::collections::BTreeMap;
 
 use locus_coherence::{
-    build_memory_model, memory_registry, CoherenceConfig, CoherenceSim, Criticality, MemRef,
-    MemoryConfig, RefKind, Trace, TraceRecorder, TrafficStats,
+    build_memory_model, memory_registry, traffic_by_line_size, Criticality, DirectoryParams,
+    DlsParams, MemRef, MemoryConfig, Protocol, RefKind, Trace, TraceRecorder, TrafficStats,
 };
+use locus_mesh::MeshConfig;
 use proptest::prelude::*;
+
+/// Table 3's sweep at one line size.
+fn sweep(trace: &Trace, line_size: u32) -> TrafficStats {
+    traffic_by_line_size(trace, &[line_size])[0].1
+}
 
 /// The reference model for the paged line table and the shared transition
 /// function: WBI and write-through written out longhand over a `BTreeMap`
@@ -139,7 +145,81 @@ fn arb_bursts() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> 
     })
 }
 
+/// 0, 1, 3, 12, 64, 65, every power of two up to 2^31, and `u32::MAX`.
+fn edge() -> impl Strategy<Value = u32> {
+    (0u32..37).prop_map(|i| match i {
+        32 => 0,
+        33 => 3,
+        34 => 12,
+        35 => 65,
+        36 => u32::MAX,
+        k => 1 << k,
+    })
+}
+
+/// Every field of a `MemoryConfig` drawn from [`edge`], the mesh from
+/// 0–70 × 0–70, and the protocol params from all of `u32`.
+fn arb_memory_config() -> impl Strategy<Value = MemoryConfig> {
+    let param = || prop_oneof![edge(), any::<u32>()];
+    let protocol = prop_oneof![
+        Just(Protocol::WriteBackInvalidate),
+        Just(Protocol::WriteThrough),
+        param().prop_map(|home_tiles| Protocol::Directory(DirectoryParams { home_tiles })),
+        param().prop_map(|interleave_lines| Protocol::DirectorylessLlc(DlsParams {
+            interleave_lines
+        })),
+    ];
+    let timing = (edge(), edge(), edge(), edge());
+    let mesh = ((0usize..=70, 0usize..=70), timing, any::<bool>()).prop_map(
+        |((rows, cols), (hop, process, header, recv), contention)| MeshConfig {
+            rows,
+            cols,
+            hop_time_ns: hop.into(),
+            process_time_ns: process.into(),
+            header_bytes: header,
+            recv_per_byte_ns: recv.into(),
+            contention,
+            ..MeshConfig::ametek(rows, cols)
+        },
+    );
+    (edge(), edge(), edge(), protocol, mesh).prop_map(
+        |(n_procs, line_size, word_bytes, protocol, mesh)| MemoryConfig {
+            n_procs,
+            line_size,
+            word_bytes,
+            protocol,
+            mesh,
+        },
+    )
+}
+
 proptest! {
+    #[test]
+    fn memory_configs_build_or_fail_and_what_builds_replays(
+        cfg in arb_memory_config(),
+        refs in proptest::collection::vec(
+            (any::<u32>(), prop_oneof![0u32..4096, (0u32..4096).prop_map(|a| u32::MAX - a)], any::<bool>()),
+            200,
+        ),
+    ) {
+        // Neither call may panic: a configuration no backend can price is
+        // `Err`, and every `Ok` model replays processors below `n_procs`.
+        for e in memory_registry() {
+            let Ok(model) = build_memory_model(e.name, cfg) else { continue };
+            let trace: Trace = refs
+                .iter()
+                .enumerate()
+                .map(|(i, &(proc, addr, is_write))| {
+                    let kind = if is_write { RefKind::Write } else { RefKind::Read };
+                    MemRef::new(i as u64, proc % cfg.n_procs, addr, kind)
+                })
+                .collect();
+            let out = model.run(&trace);
+            let counted: u64 = out.per_proc.iter().map(|c| c.reads + c.writes).sum();
+            prop_assert_eq!(counted, 200, "{} {:?}", e.name, cfg);
+        }
+    }
+
     #[test]
     fn recorder_finish_equals_push_and_stable_sort(case in arb_bursts()) {
         let (n_procs, bursts) = case;
@@ -183,14 +263,13 @@ proptest! {
             let got = build_memory_model(backend, cfg).unwrap().run(&trace).stats;
             prop_assert_eq!(got, want, "{} at {}-byte lines", backend, line_size);
         }
-        let sim = CoherenceSim::new(CoherenceConfig::with_line_size(line_size)).run(&trace);
-        prop_assert_eq!(sim, wbi, "CoherenceSim at {}-byte lines", line_size);
+        prop_assert_eq!(sweep(&trace, line_size), wbi, "the sweep at {}-byte lines", line_size);
     }
 
     #[test]
     fn byte_attribution_is_exhaustive(trace in arb_trace(8, 256), line in 0u32..4) {
         let line_size = 4u32 << line; // 4, 8, 16, 32
-        let stats = CoherenceSim::new(CoherenceConfig::with_line_size(line_size)).run(&trace);
+        let stats = sweep(&trace, line_size);
         prop_assert_eq!(
             stats.total_bytes,
             stats.read_caused_bytes + stats.write_caused_bytes,
@@ -201,7 +280,7 @@ proptest! {
     #[test]
     fn transfer_counts_are_consistent(trace in arb_trace(8, 256), line in 0u32..4) {
         let line_size = 4u32 << line;
-        let stats = CoherenceSim::new(CoherenceConfig::with_line_size(line_size)).run(&trace);
+        let stats = sweep(&trace, line_size);
         prop_assert_eq!(
             stats.total_bytes,
             stats.line_fetches * line_size as u64 + stats.word_writes * 4
@@ -212,15 +291,15 @@ proptest! {
 
     #[test]
     fn model_is_deterministic(trace in arb_trace(8, 256)) {
-        let a = CoherenceSim::new(CoherenceConfig::with_line_size(8)).run(&trace);
-        let b = CoherenceSim::new(CoherenceConfig::with_line_size(8)).run(&trace);
+        let a = sweep(&trace, 8);
+        let b = sweep(&trace, 8);
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn single_processor_never_invalidates(trace in arb_trace(1, 256), line in 0u32..4) {
         let line_size = 4u32 << line;
-        let stats = CoherenceSim::new(CoherenceConfig::with_line_size(line_size)).run(&trace);
+        let stats = sweep(&trace, line_size);
         prop_assert_eq!(stats.invalidations, 0);
         prop_assert_eq!(stats.refetches, 0);
         // With an infinite cache, one processor fetches each line at most
@@ -245,8 +324,7 @@ proptest! {
         // count.
         let refs = trace.len() as u64;
         for line_size in [4u32, 8, 16, 32] {
-            let stats =
-                CoherenceSim::new(CoherenceConfig::with_line_size(line_size)).run(&trace);
+            let stats = sweep(&trace, line_size);
             prop_assert!(stats.line_fetches <= refs);
             prop_assert!(stats.word_writes <= trace.write_count() as u64);
         }
@@ -263,7 +341,7 @@ proptest! {
         for (i, &a) in addrs.iter().enumerate() {
             trace.push(MemRef::new(i as u64, i as u32 % procs, a * 2, RefKind::Read));
         }
-        let stats = CoherenceSim::new(CoherenceConfig::with_line_size(8)).run(&trace);
+        let stats = sweep(&trace, 8);
         let mut pairs: Vec<(u32, u32)> = trace
             .refs()
             .iter()

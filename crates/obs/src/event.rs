@@ -1,8 +1,8 @@
 //! The typed event vocabulary shared by every simulator layer.
 //!
 //! One `Event` is one observable occurrence: a packet entering the mesh,
-//! a wire committing to the cost array, a cache line bouncing between
-//! processors. Every event is stamped with the layer's notion of time
+//! a wire committing to the cost array, a memory request queueing at a
+//! directory home. Every event is stamped with the layer's notion of time
 //! (simulated nanoseconds for the mesh and emulators, wall nanoseconds
 //! for the threaded executor, work-units for the sequential router) and
 //! the node/processor it happened on, so traces from different engines
@@ -81,25 +81,6 @@ pub enum EventKind {
         wire: u32,
         /// Cells the removed route covered.
         cells: u32,
-    },
-    /// A cache miss forced a line fetch for `Event::node`.
-    CacheMiss {
-        /// Word address of the access.
-        addr: u32,
-        /// Bytes moved to service the miss.
-        line_bytes: u32,
-    },
-    /// A write invalidated other processors' copies of a line.
-    Invalidation {
-        /// Word address of the write.
-        addr: u32,
-        /// Copies invalidated.
-        copies: u32,
-    },
-    /// Bytes crossed the shared bus.
-    BusTransfer {
-        /// Bytes moved.
-        bytes: u32,
     },
     /// A memory-system backend sent a request to a contended service
     /// point (the bus, a directory home node, an LLC home tile).
@@ -307,32 +288,29 @@ pub(crate) mod tests {
             EventKind::ChannelContended { .. } => 2,
             EventKind::WireRouted { .. } => 3,
             EventKind::RipUp { .. } => 4,
-            EventKind::CacheMiss { .. } => 5,
-            EventKind::Invalidation { .. } => 6,
-            EventKind::BusTransfer { .. } => 7,
-            EventKind::MemRequest { .. } => 8,
-            EventKind::PhaseBegin { .. } => 9,
-            EventKind::PhaseEnd { .. } => 10,
-            EventKind::KernelStats { .. } => 11,
-            EventKind::PercellFallback { .. } => 12,
-            EventKind::RaceDetected { .. } => 13,
-            EventKind::ReplicaAudit { .. } => 14,
-            EventKind::FaultInjected { .. } => 15,
-            EventKind::PacketRetransmitted { .. } => 16,
-            EventKind::AckSent { .. } => 17,
-            EventKind::WatchdogRecovery { .. } => 18,
-            EventKind::JobEnqueued { .. } => 19,
-            EventKind::JobDispatched { .. } => 20,
-            EventKind::JobCompleted { .. } => 21,
-            EventKind::JobShed { .. } => 22,
-            EventKind::JobRejected { .. } => 23,
-            EventKind::NodeCrashed { .. } => 24,
-            EventKind::NodeRestarted { .. } => 25,
-            EventKind::CheckpointTaken { .. } => 26,
-            EventKind::WireReassigned { .. } => 27,
-            EventKind::CoordinatorFailover { .. } => 28,
-            EventKind::JobRetried { .. } => 29,
-            EventKind::BreakerTripped { .. } => 30,
+            EventKind::MemRequest { .. } => 5,
+            EventKind::PhaseBegin { .. } => 6,
+            EventKind::PhaseEnd { .. } => 7,
+            EventKind::KernelStats { .. } => 8,
+            EventKind::PercellFallback { .. } => 9,
+            EventKind::RaceDetected { .. } => 10,
+            EventKind::ReplicaAudit { .. } => 11,
+            EventKind::FaultInjected { .. } => 12,
+            EventKind::PacketRetransmitted { .. } => 13,
+            EventKind::AckSent { .. } => 14,
+            EventKind::WatchdogRecovery { .. } => 15,
+            EventKind::JobEnqueued { .. } => 16,
+            EventKind::JobDispatched { .. } => 17,
+            EventKind::JobCompleted { .. } => 18,
+            EventKind::JobShed { .. } => 19,
+            EventKind::JobRejected { .. } => 20,
+            EventKind::NodeCrashed { .. } => 21,
+            EventKind::NodeRestarted { .. } => 22,
+            EventKind::CheckpointTaken { .. } => 23,
+            EventKind::WireReassigned { .. } => 24,
+            EventKind::CoordinatorFailover { .. } => 25,
+            EventKind::JobRetried { .. } => 26,
+            EventKind::BreakerTripped { .. } => 27,
         }
     }
 
@@ -350,9 +328,6 @@ pub(crate) mod tests {
             EventKind::ChannelContended { channel: 2, stall_ns: 30 },
             EventKind::WireRouted { wire: 3, cells: 14 },
             EventKind::RipUp { wire: 3, cells: 12 },
-            EventKind::CacheMiss { addr: 64, line_bytes: 8 },
-            EventKind::Invalidation { addr: 64, copies: 3 },
-            EventKind::BusTransfer { bytes: 8 },
             EventKind::MemRequest { resource: 1, bytes: 8, critical: true },
             EventKind::PhaseBegin { name: "iteration" },
             EventKind::PhaseEnd { name: "iteration" },
@@ -383,7 +358,7 @@ pub(crate) mod tests {
             EventKind::BreakerTripped { class: 5 },
         ];
         let ordinals: Vec<usize> = kinds.iter().map(ordinal).collect();
-        assert_eq!(ordinals, (0..31).collect::<Vec<_>>(), "one value per variant, in order");
+        assert_eq!(ordinals, (0..28).collect::<Vec<_>>(), "one value per variant, in order");
         kinds
     }
 
@@ -394,7 +369,10 @@ pub(crate) mod tests {
 
     #[test]
     fn kind_names_are_stable() {
-        assert_eq!(name(&EventKind::BusTransfer { bytes: 1 }), "BusTransfer");
+        assert_eq!(
+            name(&EventKind::MemRequest { resource: 0, bytes: 1, critical: false }),
+            "MemRequest"
+        );
         assert_eq!(name(&EventKind::PhaseBegin { name: "x" }), "PhaseBegin");
     }
 

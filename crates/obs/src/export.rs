@@ -214,9 +214,6 @@ pub(crate) fn shown(kind: &EventKind, args: Option<&mut Vec<(&'static str, Json)
         ChannelContended { channel, stall_ns } => 'C' 5 "contention",
         WireRouted { wire, cells } => 'W' 6 "routed",
         RipUp { wire, cells } => 'X' 7 "ripup",
-        CacheMiss { addr, line_bytes } => 'M' 3 "miss",
-        Invalidation { addr, copies } => 'I' 2 "inval",
-        BusTransfer { bytes } => 'B' 1 "bus",
         MemRequest { resource, bytes, critical } => 'm' 1 "mem-req",
         PhaseBegin { name } => '|' 0 "phase",
         PhaseEnd { name } => '|' 0 "phase",
@@ -588,9 +585,11 @@ mod tests {
                 node: 0,
                 kind: EventKind::ChannelContended { channel: 2, stall_ns: 30 },
             },
-            Event { at_ns: 960, node: 2, kind: EventKind::CacheMiss { addr: 64, line_bytes: 8 } },
-            Event { at_ns: 970, node: 2, kind: EventKind::Invalidation { addr: 64, copies: 3 } },
-            Event { at_ns: 980, node: 2, kind: EventKind::BusTransfer { bytes: 8 } },
+            Event {
+                at_ns: 960,
+                node: 2,
+                kind: EventKind::MemRequest { resource: 1, bytes: 8, critical: true },
+            },
             Event {
                 at_ns: 985,
                 node: 1,
@@ -696,7 +695,7 @@ mod tests {
         validate_json(&json).expect("metrics JSON must be valid");
         assert!(json.contains("\"bytes_sent\": 40"));
         assert!(json.contains("\"latency_ns\""));
-        assert_eq!(m.counter(names::INVALIDATIONS), 3);
+        assert_eq!(m.counter(names::MEM_CRITICAL_REQUESTS), 1);
     }
 
     /// One event of every kind, one per timeline column and three nodes.
@@ -759,8 +758,8 @@ mod tests {
             }
         }
         assert_eq!(explained, on_rows, "first-appearance order, nothing unseen");
-        // 31 kinds, begin and end of a phase sharing one glyph.
-        assert_eq!(explained.len(), 30);
+        // 28 kinds, begin and end of a phase sharing one glyph.
+        assert_eq!(explained.len(), 27);
         assert!(!ascii_timeline(&sample_events(), 40).contains("crash"));
     }
 

@@ -36,16 +36,6 @@ pub mod names {
     pub const RIP_UPS: &str = "rip_ups";
     /// Cells uncovered by rip-ups.
     pub(crate) const RIPPED_CELLS: &str = "ripped_cells";
-    /// Cache line fetches.
-    pub const CACHE_MISSES: &str = "cache_misses";
-    /// Bytes moved by line fetches.
-    pub(crate) const CACHE_MISS_BYTES: &str = "cache_miss_bytes";
-    /// Copies invalidated in other caches.
-    pub const INVALIDATIONS: &str = "invalidations";
-    /// Individual bus transactions.
-    pub(crate) const BUS_TRANSFERS: &str = "bus_transfers";
-    /// Bytes moved on the bus (matches `TrafficStats::total_bytes`).
-    pub const BUS_BYTES: &str = "bus_bytes";
     /// Requests issued to memory-system service points (bus, directory
     /// home nodes, LLC home tiles).
     pub const MEM_REQUESTS: &str = "mem_requests";
@@ -318,17 +308,6 @@ impl Metrics {
             EventKind::RipUp { cells, .. } => {
                 self.add(names::RIP_UPS, 1);
                 self.add(names::RIPPED_CELLS, cells as u64);
-            }
-            EventKind::CacheMiss { line_bytes, .. } => {
-                self.add(names::CACHE_MISSES, 1);
-                self.add(names::CACHE_MISS_BYTES, line_bytes as u64);
-            }
-            EventKind::Invalidation { copies, .. } => {
-                self.add(names::INVALIDATIONS, copies as u64);
-            }
-            EventKind::BusTransfer { bytes } => {
-                self.add(names::BUS_TRANSFERS, 1);
-                self.add(names::BUS_BYTES, bytes as u64);
             }
             EventKind::MemRequest { bytes, critical, .. } => {
                 self.add(names::MEM_REQUESTS, 1);
