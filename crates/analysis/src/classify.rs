@@ -151,7 +151,7 @@ pub(crate) fn classify_races(
     let mut before = vec![0u32; n];
     let mut verdicts: Vec<Option<ClassifiedRace>> = (0..n).map(|_| None).collect();
     let (mut mi, mut ma) = (0usize, 0usize);
-    for (i, r) in trace.refs().iter().enumerate() {
+    for (i, r) in trace.refs().enumerate() {
         while mi < n && min_of(&races[order_min[mi]]) == i {
             let k = order_min[mi];
             before[k] = values[cell_idx(races[k].addr)];

@@ -139,7 +139,7 @@ struct Shadow {
 /// producers' merged order; see [`Trace::sort_by_time`]).
 pub fn detect(trace: &Trace) -> DetectionResult {
     debug_assert!(trace.is_sorted(), "detect() expects a time-sorted trace");
-    let refs = trace.refs();
+    let refs: Vec<MemRef> = trace.refs().collect();
     let n_procs = refs.iter().map(|r| r.proc as usize + 1).max().unwrap_or(0);
     let epochs = refs.iter().map(|r| u32::from(r.epoch) + 1).max().unwrap_or(0);
     let mut result =

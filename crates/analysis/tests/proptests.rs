@@ -53,7 +53,7 @@ fn build_trace(raw: &[(u32, u32, bool, u32, u64)]) -> Trace {
 /// group, reorders across processors by a permutation while preserving
 /// each processor's own order (stable sort on the permuted proc id).
 fn reorder_same_times(trace: &Trace, perm: &[usize; PROCS]) -> Trace {
-    let mut refs: Vec<MemRef> = trace.refs().to_vec();
+    let mut refs: Vec<MemRef> = trace.refs().collect();
     refs.sort_by_key(|r| (r.time, perm[r.proc as usize % PROCS]));
     refs.into_iter().collect()
 }
@@ -98,8 +98,7 @@ proptest! {
     fn single_processor_traces_never_race(raw in arb_refs()) {
         let single: Trace = build_trace(&raw)
             .refs()
-            .iter()
-            .map(|r| MemRef { proc: 0, ..*r })
+            .map(|r| MemRef { proc: 0, ..r })
             .collect();
         let d = detect(&single);
         prop_assert!(d.races.is_empty());
@@ -112,8 +111,7 @@ proptest! {
         // separated by at least one barrier.
         let mut t: Trace = build_trace(&raw)
             .refs()
-            .iter()
-            .map(|r| MemRef { time: r.proc as u64 * 1_000 + r.time % 1_000, epoch: r.proc as u8, ..*r })
+            .map(|r| MemRef { time: r.proc as u64 * 1_000 + r.time % 1_000, epoch: r.proc as u8, ..r })
             .collect();
         t.sort_by_time();
         prop_assert!(detect(&t).races.is_empty());

@@ -301,16 +301,16 @@ impl<'a> RunAcc<'a> {
         let cfg = self.cfg;
         let mut lines = LineTable::new(cfg.line_size);
         let mut stats = TrafficStats::default();
-        for r in trace.refs() {
-            self.count(r);
+        trace.refs().for_each(|r| {
+            self.count(&r);
             let line = lines.line_of(r.addr);
             let t = transition(lines.line(line), r.proc, r.kind, cfg.protocol);
             if t.is_hit() {
-                continue; // served by the private cache
+                return; // served by the private cache
             }
             let moved = stats.charge(&t, r.kind, cfg);
-            priced(self, r, line, &t, moved);
-        }
+            priced(self, &r, line, &t, moved);
+        });
         stats
     }
 
@@ -434,8 +434,8 @@ impl MemoryModel for DlsModel {
         let mut stats = TrafficStats::default();
         let mut acc = RunAcc::new(&self.cfg, obs);
 
-        for r in trace.refs() {
-            acc.count(r);
+        trace.refs().for_each(|r| {
+            acc.count(&r);
             let home = ((r.addr >> line_shift) / self.params.interleave_lines) % tiles;
             stats.total_bytes += word;
             match r.kind {
@@ -446,8 +446,8 @@ impl MemoryModel for DlsModel {
                 }
             }
             let arrive = r.time + pricer.flight_ns(r.proc, home);
-            acc.request(home, r, word, arrive, pricer.service_ns(word));
-        }
+            acc.request(home, &r, word, arrive, pricer.service_ns(word));
+        });
         acc.finish(self.name(), stats, 0)
     }
 }

@@ -11,13 +11,18 @@
 //! cost cell. Producers that predate the analyser can leave the extras at
 //! their defaults via [`MemRef::new`].
 //!
-//! A [`Trace`] is a flat, time-ordered `Vec<MemRef>`. The emulator does
-//! not build it reference by reference: it records *bursts* into a
-//! [`TraceRecorder`] (everything but the address is shared or linear
-//! within one rip-up, sweep or commit) and [`TraceRecorder::finish`]
-//! expands and merges the per-processor streams in one pass.
-//! [`Trace::push`] and [`Trace::sort_by_time`] remain for hand-built
-//! traces, and as the oracle the merge is tested against.
+//! A [`Trace`] stores *bursts*, not references. A burst is a run of
+//! references by one processor that share everything but their address
+//! and, linearly, their time: one rip-up, candidate sweep or commit. Its
+//! header is its first [`MemRef`] and its time step. The references
+//! themselves are 8 bytes each, in time order: the number of their burst
+//! and their address. [`Trace::refs`] rebuilds each [`MemRef`] from its
+//! burst's header. The emulator records bursts into a [`TraceRecorder`],
+//! and [`TraceRecorder::finish`] merges the per-processor streams in one
+//! pass. [`Trace::push`] and `collect` make one-reference bursts, for
+//! hand-built traces.
+
+use std::fmt;
 
 /// Whether a reference reads or writes shared data.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -146,10 +151,43 @@ impl MemRef {
     }
 }
 
-/// A time-ordered sequence of shared references.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A run of references by one processor that differ only in address and,
+/// linearly, in time.
+#[derive(Clone, Copy)]
+struct Burst {
+    /// The first reference. Reference `i` of the burst is `first` at
+    /// `first.time + i * step` with its own address (`first.addr` is not
+    /// used).
+    first: MemRef,
+    step: u64,
+}
+
+/// One reference of a [`Trace`]: the number of its burst, and its address.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    burst: u32,
+    addr: u32,
+}
+
+/// The number the next burst of `bursts` gets.
+///
+/// # Panics
+/// Panics if it does not fit the 32 bits a slot has for it.
+fn next_burst(bursts: &[Burst]) -> u32 {
+    u32::try_from(bursts.len()).expect("a trace numbers fewer than 2^32 bursts")
+}
+
+/// A time-ordered sequence of shared references: burst headers, plus 8
+/// bytes a reference. Two traces are equal when their references are,
+/// however they are split into bursts.
+#[derive(Clone, Default)]
 pub struct Trace {
-    refs: Vec<MemRef>,
+    /// The burst headers; a burst's number is its index.
+    bursts: Vec<Burst>,
+    /// The references in order. A burst's references keep their order
+    /// among themselves, so the `i`-th slot that names a burst is its
+    /// reference `i`.
+    slots: Vec<Slot>,
 }
 
 impl Trace {
@@ -167,76 +205,131 @@ impl Trace {
     /// Panics if a stream is not time-ordered.
     pub fn merge(streams: &[Trace]) -> Trace {
         assert!(streams.iter().all(Trace::is_sorted), "merge() takes time-ordered traces");
+        let mut bursts = Vec::with_capacity(streams.iter().map(|t| t.bursts.len()).sum());
+        let mut ranked = Vec::with_capacity(streams.len());
+        for (rank, t) in streams.iter().enumerate() {
+            let offset = next_burst(&bursts);
+            bursts.extend_from_slice(&t.bursts);
+            ranked.push(t.refs().zip(&t.slots).map(move |(r, s)| {
+                (r.time, rank as u64, Slot { burst: offset + s.burst, addr: s.addr })
+            }));
+        }
+        next_burst(&bursts); // the last stream's numbers fit as well
         let len = streams.iter().map(Trace::len).sum();
-        let ranked = streams
-            .iter()
-            .enumerate()
-            .map(|(rank, t)| t.refs.iter().map(move |&r| (r, rank as u64)))
-            .collect();
-        Trace { refs: merge_by_time(ranked, len) }
+        Trace { bursts, slots: merge_by_time(ranked, len) }
     }
 
-    /// Appends a reference. References may be pushed out of order; call
-    /// [`Self::sort_by_time`] before analysis.
+    /// Appends a reference, as a burst of its own. References may be
+    /// pushed out of order; call [`Self::sort_by_time`] before analysis.
     #[inline]
     pub fn push(&mut self, r: MemRef) {
-        self.refs.push(r);
+        self.slots.push(Slot { burst: next_burst(&self.bursts), addr: r.addr });
+        self.bursts.push(Burst { first: r, step: 0 });
     }
 
     /// Stable-sorts the trace by time (ties keep insertion order, which
-    /// preserves each processor's program order).
+    /// preserves each processor's program order). A burst's references
+    /// keep their order, since their times never decrease.
     pub fn sort_by_time(&mut self) {
-        self.refs.sort_by_key(|r| r.time);
+        let mut timed: Vec<(u64, Slot)> =
+            self.refs().map(|r| r.time).zip(self.slots.iter().copied()).collect();
+        timed.sort_by_key(|&(time, _)| time);
+        self.slots = timed.into_iter().map(|(_, s)| s).collect();
     }
 
     /// Whether the trace is time-ordered.
     pub fn is_sorted(&self) -> bool {
-        self.refs.windows(2).all(|w| w[0].time <= w[1].time)
+        self.refs().map(|r| r.time).is_sorted()
     }
 
     /// Number of references.
     pub fn len(&self) -> usize {
-        self.refs.len()
+        self.slots.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
+        self.slots.is_empty()
     }
 
-    /// The references in order.
-    pub fn refs(&self) -> &[MemRef] {
-        &self.refs
-    }
-
-    /// The references in order, as the buffer that held them.
-    pub fn into_refs(self) -> Vec<MemRef> {
-        self.refs
+    /// The references in order, each rebuilt from its burst's header.
+    pub fn refs(&self) -> impl Iterator<Item = MemRef> + '_ {
+        Refs {
+            bursts: &self.bursts,
+            next: self.bursts.iter().map(|b| b.first.time).collect(),
+            slots: self.slots.iter(),
+        }
     }
 
     /// Count of write references.
     pub fn write_count(&self) -> usize {
-        self.refs.iter().filter(|r| r.kind == RefKind::Write).count()
+        self.refs().filter(|r| r.kind == RefKind::Write).count()
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.refs().eq(other.refs())
+    }
+}
+
+impl Eq for Trace {}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.refs()).finish()
     }
 }
 
 impl FromIterator<MemRef> for Trace {
     fn from_iter<T: IntoIterator<Item = MemRef>>(iter: T) -> Self {
-        Trace { refs: iter.into_iter().collect() }
+        let mut trace = Trace::new();
+        iter.into_iter().for_each(|r| trace.push(r));
+        trace
     }
 }
 
-/// A run of references by one processor that differ only in address and,
-/// linearly, in time: one rip-up, candidate sweep or commit.
-struct Burst {
-    /// The first reference. Reference `i` is `first` at
-    /// `first.time + i * step` with the burst's `i`-th address
-    /// (`first.addr` is not used).
-    first: MemRef,
-    step: u64,
-    /// Where the burst's addresses start in the recorder's list; they end
-    /// where the next burst's start.
-    start: usize,
+/// The iterator behind [`Trace::refs`].
+struct Refs<'a> {
+    bursts: &'a [Burst],
+    /// Of each burst, the time of its next reference.
+    next: Vec<u64>,
+    slots: std::slice::Iter<'a, Slot>,
+}
+
+impl Refs<'_> {
+    /// The reference `s` stands for: the next of its burst.
+    #[inline]
+    fn rebuild(bursts: &[Burst], next: &mut [u64], s: Slot) -> MemRef {
+        let b = s.burst as usize;
+        let Burst { first, step } = bursts[b];
+        let time = next[b];
+        // Past the burst's last reference the sum is never read, so it may wrap.
+        next[b] = time.wrapping_add(step);
+        MemRef { time, addr: s.addr, ..first }
+    }
+}
+
+impl Iterator for Refs<'_> {
+    type Item = MemRef;
+
+    #[inline]
+    fn next(&mut self) -> Option<MemRef> {
+        let &s = self.slots.next()?;
+        Some(Self::rebuild(self.bursts, &mut self.next, s))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
+    }
+
+    /// Internal iteration (`for_each` and every adapter built on `fold`),
+    /// which the replay loops use: the table and the slots stay local.
+    #[inline]
+    fn fold<B, F: FnMut(B, MemRef) -> B>(self, init: B, mut f: F) -> B {
+        let Refs { bursts, mut next, slots } = self;
+        slots.fold(init, |acc, &s| f(acc, Self::rebuild(bursts, &mut next, s)))
+    }
 }
 
 /// The open burst of a [`TraceRecorder`]: takes the burst's addresses, in
@@ -256,34 +349,33 @@ impl BurstWriter<'_> {
 /// Run-length trace collection for a producer that multiplexes its
 /// processors and emits references in bursts.
 ///
-/// Recording a reference appends its four address bytes to a list.
-/// [`Self::finish`] builds the [`Trace`] that pushing every reference in
-/// burst order and stable-sorting by time would have built: bursts are
-/// recorded whole, so that sort orders equal-time references by burst and
-/// then by position within the burst, and each processor's references are
-/// already in that order. Merging the processors' streams by (time, burst
-/// number) is therefore the same permutation, found in one pass over a
-/// buffer allocated once.
+/// Recording a reference appends its four address bytes to its burst's
+/// list. [`Self::finish`] builds the [`Trace`] that pushing every
+/// reference in burst order and stable-sorting by time would have built:
+/// bursts are recorded whole, so that sort orders equal-time references
+/// by burst and then by position within the burst, and each processor's
+/// references are already in that order. Merging the processors' streams
+/// by (time, burst number) is therefore the same permutation, found in
+/// one pass that writes each reference's 8-byte slot once. The bursts
+/// become the trace's headers as they are.
 pub struct TraceRecorder {
     /// The bursts in the order they were begun; a burst's number is its
     /// index.
     bursts: Vec<Burst>,
-    /// The addresses of every burst, burst after burst.
-    addrs: Vec<u32>,
+    /// Of each burst, its addresses. One small list a burst, not one
+    /// list of every address: a list of millions is copied as it doubles
+    /// and leaves the allocator holes of every size, and then a run's
+    /// peak memory swings by a third with a few hundred references more
+    /// or less.
+    addrs: Vec<Vec<u32>>,
     /// Of each processor, the numbers of its bursts.
-    by_proc: Vec<Vec<usize>>,
+    by_proc: Vec<Vec<u32>>,
 }
 
 impl TraceRecorder {
     /// A recorder for processors `0..n_procs`.
     pub fn new(n_procs: usize) -> Self {
         TraceRecorder { bursts: Vec::new(), addrs: Vec::new(), by_proc: vec![Vec::new(); n_procs] }
-    }
-
-    /// The addresses of burst `i`.
-    fn burst_addrs(&self, i: usize) -> &[u32] {
-        let end = self.bursts.get(i + 1).map_or(self.addrs.len(), |next| next.start);
-        &self.addrs[self.bursts[i].start..end]
     }
 
     /// Begins a burst of `first.proc`: references shaped like `first`,
@@ -296,7 +388,7 @@ impl TraceRecorder {
     /// processor's clock never runs backwards, and the merge relies on it.
     pub fn begin(&mut self, first: MemRef, step: u64) -> BurstWriter<'_> {
         if let Some(&i) = self.by_proc[first.proc as usize].last() {
-            let (prev, len) = (&self.bursts[i], self.burst_addrs(i).len() as u64);
+            let (prev, len) = (self.bursts[i as usize], self.addrs[i as usize].len() as u64);
             let prev_end = prev.first.time + prev.step * len.saturating_sub(1);
             assert!(
                 first.time >= prev_end,
@@ -305,24 +397,65 @@ impl TraceRecorder {
                 first.time,
             );
         }
-        self.by_proc[first.proc as usize].push(self.bursts.len());
-        self.bursts.push(Burst { first, step, start: self.addrs.len() });
-        BurstWriter { addrs: &mut self.addrs }
+        self.by_proc[first.proc as usize].push(next_burst(&self.bursts));
+        self.bursts.push(Burst { first, step });
+        self.addrs.push(Vec::new());
+        BurstWriter { addrs: self.addrs.last_mut().expect("just pushed") }
     }
 
     /// The recorded references as a time-ordered trace.
     pub fn finish(self) -> Trace {
-        // Per processor, its references in program order, each ranked by
-        // the number of its burst.
-        let streams = self.by_proc.iter().map(|bursts| {
-            bursts.iter().flat_map(|&i| {
-                let Burst { first, step, .. } = self.bursts[i];
-                self.burst_addrs(i).iter().zip(0u64..).map(move |(&addr, n)| {
-                    (MemRef { time: first.time + n * step, addr, ..first }, i as u64)
-                })
+        let len = self.addrs.iter().map(Vec::len).sum();
+        let cursors = self
+            .by_proc
+            .iter()
+            .map(|bursts| Cursor {
+                recorder: &self,
+                bursts: bursts.iter(),
+                burst: 0,
+                addrs: [].iter(),
+                time: 0,
+                step: 0,
             })
-        });
-        Trace { refs: merge_by_time(streams.collect(), self.addrs.len()) }
+            .collect();
+        let slots = merge_by_time(cursors, len);
+        Trace { bursts: self.bursts, slots }
+    }
+}
+
+/// One processor's references in program order, each ranked by the number
+/// of its burst: the processor's bursts one after another, and within a
+/// burst the recorder's addresses.
+struct Cursor<'a> {
+    recorder: &'a TraceRecorder,
+    /// The processor's bursts after the current one.
+    bursts: std::slice::Iter<'a, u32>,
+    /// The current burst, its addresses not yet given, and the time of
+    /// the next.
+    burst: u32,
+    addrs: std::slice::Iter<'a, u32>,
+    time: u64,
+    step: u64,
+}
+
+impl Iterator for Cursor<'_> {
+    type Item = (u64, u64, Slot);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(&addr) = self.addrs.next() {
+                let time = self.time;
+                // Past the burst's last reference the sum is never read.
+                self.time = time.wrapping_add(self.step);
+                return Some((time, self.burst.into(), Slot { burst: self.burst, addr }));
+            }
+            let &burst = self.bursts.next()?;
+            let Burst { first, step } = self.recorder.bursts[burst as usize];
+            self.burst = burst;
+            self.addrs = self.recorder.addrs[burst as usize].iter();
+            (self.time, self.step) = (first.time, step);
+        }
     }
 }
 
@@ -375,25 +508,26 @@ impl MergeQueue {
     }
 }
 
-/// Merges `streams`, each yielding `(reference, rank)` in non-decreasing
-/// `(time, rank)` order and `len` references between them, into one
-/// sequence in that order. No two streams may share a rank.
+/// Merges `streams`, each yielding `(time, rank, slot)` in non-decreasing
+/// `(time, rank)` order and `len` slots between them, into one sequence
+/// in that order. No two streams may share a rank. [`TraceRecorder::finish`]
+/// ranks by burst number and [`Trace::merge`] by stream.
 ///
-/// The stream at the front of a [`MergeQueue`] gives its reference and is
+/// The stream at the front of a [`MergeQueue`] gives its slot and is
 /// filed again under the key of its next: a processor sweeping cells is
 /// one time step further on than everyone it just overtook, so the new
 /// key is nearly always the largest and lands where the search starts.
 /// (A binary heap pays its full sift-down on exactly that case.)
-fn merge_by_time<I>(mut streams: Vec<I>, len: usize) -> Vec<MemRef>
+fn merge_by_time<I>(mut streams: Vec<I>, len: usize) -> Vec<Slot>
 where
-    I: Iterator<Item = (MemRef, u64)>,
+    I: Iterator<Item = (u64, u64, Slot)>,
 {
-    // Every stream's next reference, if the queue names the stream.
-    let mut heads = vec![MemRef::new(0, 0, 0, RefKind::Read); streams.len()];
-    let mut advance = |i: usize, heads: &mut [MemRef]| {
-        let (r, rank) = streams[i].next()?;
-        heads[i] = r;
-        Some((r.time, rank, i))
+    // Every stream's next slot, if the queue names the stream.
+    let mut heads = vec![Slot::default(); streams.len()];
+    let mut advance = |i: usize, heads: &mut [Slot]| {
+        let (time, rank, slot) = streams[i].next()?;
+        heads[i] = slot;
+        Some((time, rank, i))
     };
     let mut queue =
         MergeQueue::new((0..heads.len()).filter_map(|i| advance(i, &mut heads)).collect());
@@ -415,6 +549,10 @@ mod tests {
         MemRef::new(time, proc, addr, kind)
     }
 
+    fn addrs(t: &Trace) -> Vec<u32> {
+        t.refs().map(|r| r.addr).collect()
+    }
+
     #[test]
     fn push_and_sort() {
         let mut t = Trace::new();
@@ -423,7 +561,7 @@ mod tests {
         assert!(!t.is_sorted());
         t.sort_by_time();
         assert!(t.is_sorted());
-        assert_eq!(t.refs()[0].time, 1);
+        assert_eq!(t.refs().next().map(|r| r.time), Some(1));
     }
 
     #[test]
@@ -432,8 +570,7 @@ mod tests {
         t.push(r(3, 0, 0, RefKind::Read));
         t.push(r(3, 0, 4, RefKind::Write));
         t.sort_by_time();
-        assert_eq!(t.refs()[0].addr, 0);
-        assert_eq!(t.refs()[1].addr, 4);
+        assert_eq!(addrs(&t), [0, 4]);
     }
 
     #[test]
@@ -448,7 +585,7 @@ mod tests {
         t.sort_by_time();
         assert!(t.is_sorted());
         // The three t=7 refs keep their relative insertion order.
-        let at7: Vec<u32> = t.refs().iter().filter(|r| r.time == 7).map(|r| r.addr).collect();
+        let at7: Vec<u32> = t.refs().filter(|r| r.time == 7).map(|r| r.addr).collect();
         assert_eq!(at7, vec![8, 12, 16]);
     }
 
@@ -487,8 +624,8 @@ mod tests {
                 })
             })
             .collect();
-        let writes = t.refs().iter().filter(|r| r.kind == RefKind::Write).count();
-        let reads = t.refs().iter().filter(|r| r.kind == RefKind::Read).count();
+        let writes = t.refs().filter(|r| r.kind == RefKind::Write).count();
+        let reads = t.refs().filter(|r| r.kind == RefKind::Read).count();
         assert_eq!(t.write_count(), writes);
         assert_eq!(writes + reads, t.len());
     }
@@ -518,6 +655,7 @@ mod tests {
     #[test]
     fn a_reference_is_24_bytes() {
         assert_eq!(std::mem::size_of::<MemRef>(), 24);
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
     }
 
     #[test]
@@ -536,37 +674,96 @@ mod tests {
     }
 
     /// Records `bursts` of `(first, step, addresses)` and, as the oracle,
-    /// pushes the same references one by one and stable-sorts them.
-    fn recorded_and_sorted(n_procs: usize, bursts: &[(MemRef, u64, Vec<u32>)]) -> (Trace, Trace) {
+    /// lists the same references one by one and stable-sorts them by time.
+    fn recorded_and_sorted(
+        n_procs: usize,
+        bursts: &[(MemRef, u64, Vec<u32>)],
+    ) -> (Trace, Vec<MemRef>) {
         let mut recorder = TraceRecorder::new(n_procs);
-        let mut pushed = Trace::new();
+        let mut listed = Vec::new();
         for (first, step, addrs) in bursts {
             let mut burst = recorder.begin(*first, *step);
             for (i, &addr) in addrs.iter().enumerate() {
                 burst.push(addr);
-                pushed.push(MemRef { time: first.time + i as u64 * step, addr, ..*first });
+                listed.push(MemRef { time: first.time + i as u64 * step, addr, ..*first });
             }
         }
-        pushed.sort_by_time();
-        (recorder.finish(), pushed)
+        listed.sort_by_key(|r| r.time);
+        (recorder.finish(), listed)
     }
 
-    #[test]
-    fn recorder_orders_equal_times_by_burst_then_position() {
+    fn example_bursts() -> Vec<(MemRef, u64, Vec<u32>)> {
         let w = |t, p| r(t, p, 0, RefKind::Write).with_delta(1);
-        let bursts = [
+        vec![
             (r(10, 1, 0, RefKind::Read), 4, vec![2, 4, 6]), // 10, 14, 18
             (w(14, 0), 0, vec![8, 10]),                     // 14, 14
             (w(2, 2), 6, vec![12, 14, 16]),                 // 2, 8, 14
             (r(22, 1, 0, RefKind::Read), 1, vec![]),
             (w(22, 1), 1, vec![18]),
-        ];
-        let (recorded, sorted) = recorded_and_sorted(3, &bursts);
-        assert_eq!(recorded, sorted);
-        let order: Vec<u32> = recorded.refs().iter().map(|r| r.addr).collect();
-        assert_eq!(order, [12, 14, 2, 4, 8, 10, 16, 6, 18]);
-        let refs = recorded.into_refs();
-        assert_eq!(refs.capacity(), refs.len(), "allocated once, at its length");
+        ]
+    }
+
+    #[test]
+    fn recorder_orders_equal_times_by_burst_then_position() {
+        let (recorded, sorted) = recorded_and_sorted(3, &example_bursts());
+        assert_eq!(recorded.refs().collect::<Vec<_>>(), sorted);
+        assert_eq!(addrs(&recorded), [12, 14, 2, 4, 8, 10, 16, 6, 18]);
+        assert_eq!(recorded.bursts.len(), 5, "one header a burst, the empty one included");
+        let slots = &recorded.slots;
+        assert_eq!(slots.capacity(), slots.len(), "allocated once, at its length");
+    }
+
+    #[test]
+    fn a_trace_is_its_references_however_they_are_split_into_bursts() {
+        let (recorded, sorted) = recorded_and_sorted(3, &example_bursts());
+        let collected: Trace = sorted.iter().copied().collect();
+        let mut pushed = Trace::new();
+        for &r in sorted.iter().rev() {
+            pushed.push(r);
+        }
+        assert_ne!(pushed, recorded, "pushed in reverse");
+        assert!(!pushed.is_sorted());
+        pushed.sort_by_time();
+        // Equal times reversed by the pushes stay reversed.
+        assert_ne!(pushed, recorded);
+        for t in [&recorded, &collected] {
+            assert_eq!(*t, recorded);
+            assert_eq!(format!("{t:?}"), format!("{sorted:?}"));
+            assert_eq!((t.len(), t.write_count(), t.is_sorted()), (9, 6, true));
+        }
+        assert_eq!(collected.bursts.len(), 9, "one burst a pushed reference");
+        assert_ne!(recorded, Trace::new());
+        let shorter: Trace = sorted[..8].iter().copied().collect();
+        assert_ne!(recorded, shorter);
+    }
+
+    #[test]
+    fn sorting_a_recorded_trace_with_pushed_references_keeps_each_burst_in_order() {
+        let (mut trace, mut listed) = recorded_and_sorted(3, &example_bursts());
+        for late in [
+            r(0, 0, 100, RefKind::Read),
+            r(14, 2, 102, RefKind::Write),
+            r(30, 1, 104, RefKind::Read),
+        ] {
+            trace.push(late);
+            listed.push(late);
+        }
+        trace.sort_by_time();
+        listed.sort_by_key(|r| r.time);
+        assert_eq!(trace.refs().collect::<Vec<_>>(), listed);
+    }
+
+    #[test]
+    fn a_burst_may_end_on_the_last_tick_of_the_clock() {
+        let mut recorder = TraceRecorder::new(1);
+        let mut burst = recorder.begin(r(u64::MAX - 10, 0, 0, RefKind::Read), 5);
+        for addr in [0, 2, 4] {
+            burst.push(addr);
+        }
+        let trace = recorder.finish();
+        let times: Vec<u64> = trace.refs().map(|r| r.time).collect();
+        assert_eq!(times, [u64::MAX - 10, u64::MAX - 5, u64::MAX]);
+        assert_eq!(Trace::merge(std::slice::from_ref(&trace)), trace);
     }
 
     #[test]
@@ -593,9 +790,18 @@ mod tests {
                 .into_iter()
                 .collect();
         let merged = Trace::merge(&[b.clone(), Trace::new(), a.clone()]);
-        let order: Vec<u32> = merged.refs().iter().map(|r| r.addr).collect();
-        assert_eq!(order, [0, 4, 6, 2, 8]);
+        assert_eq!(addrs(&merged), [0, 4, 6, 2, 8]);
         assert_eq!(Trace::merge(&[]), Trace::new());
         assert_eq!(Trace::merge(std::slice::from_ref(&a)), a);
+    }
+
+    #[test]
+    fn merging_recorded_traces_keeps_their_bursts() {
+        let (recorded, sorted) = recorded_and_sorted(3, &example_bursts());
+        let merged = Trace::merge(&[recorded.clone(), recorded.clone()]);
+        assert_eq!(merged.bursts.len(), 10);
+        let mut twice: Vec<MemRef> = sorted.iter().chain(&sorted).copied().collect();
+        twice.sort_by_key(|r| r.time);
+        assert_eq!(merged.refs().collect::<Vec<_>>(), twice);
     }
 }

@@ -224,7 +224,7 @@ proptest! {
     fn recorder_finish_equals_push_and_stable_sort(case in arb_bursts()) {
         let (n_procs, bursts) = case;
         let mut recorder = TraceRecorder::new(n_procs);
-        let mut oracle = Trace::new();
+        let mut oracle = Vec::new();
         for (first, step, addrs) in &bursts {
             let mut burst = recorder.begin(*first, *step);
             for (i, &addr) in addrs.iter().enumerate() {
@@ -232,22 +232,72 @@ proptest! {
                 oracle.push(MemRef { time: first.time + i as u64 * step, addr, ..*first });
             }
         }
-        oracle.sort_by_time();
+        oracle.sort_by_key(|r| r.time);
         let recorded = recorder.finish();
-        prop_assert_eq!(&recorded, &oracle);
-        let refs = recorded.into_refs();
-        prop_assert_eq!(refs.capacity(), refs.len());
+        prop_assert_eq!(recorded.refs().collect::<Vec<_>>(), oracle.clone());
+        prop_assert_eq!(recorded.len(), oracle.len());
+        prop_assert!(recorded.is_sorted());
+        let writes = oracle.iter().filter(|r| r.kind == RefKind::Write).count();
+        prop_assert_eq!(recorded.write_count(), writes);
+        // The same references, one burst each, are the same trace.
+        let hand_built: Trace = oracle.into_iter().collect();
+        prop_assert_eq!(&recorded, &hand_built);
     }
 
     #[test]
     fn merging_sorted_traces_equals_concatenating_and_stable_sorting(
         streams in proptest::collection::vec(arb_trace(4, 16), 0..6),
+        recorded in arb_bursts(),
     ) {
         // `arb_trace` stamps position as time, so every stream is sorted
-        // and equal times across streams are everywhere.
-        let mut oracle: Trace = streams.iter().flat_map(|t| t.refs().iter().copied()).collect();
-        oracle.sort_by_time();
-        prop_assert_eq!(Trace::merge(&streams), oracle);
+        // and equal times across streams are everywhere. A recorded trace
+        // joins them, so that bursts of many references are merged too.
+        let (n_procs, bursts) = recorded;
+        let mut recorder = TraceRecorder::new(n_procs);
+        for (first, step, addrs) in &bursts {
+            let mut burst = recorder.begin(*first, *step);
+            addrs.iter().for_each(|&addr| burst.push(addr));
+        }
+        let mut streams = streams;
+        let at = streams.len() / 2;
+        streams.insert(at, recorder.finish());
+        let mut oracle: Vec<MemRef> = streams.iter().flat_map(Trace::refs).collect();
+        oracle.sort_by_key(|r| r.time);
+        let merged = Trace::merge(&streams);
+        prop_assert_eq!(merged.refs().collect::<Vec<_>>(), oracle);
+    }
+
+    #[test]
+    fn hand_built_traces_behave_as_a_list_of_references(
+        raw in proptest::collection::vec((0u64..40, 0u32..8, 0u32..64, any::<bool>()), 0..200),
+        split in 0usize..200,
+    ) {
+        // Pushed out of order, with equal times: every query and
+        // `sort_by_time` agree with a plain list that is stable-sorted.
+        let mut list: Vec<MemRef> = raw
+            .iter()
+            .map(|&(time, proc, addr, is_write)| {
+                let kind = if is_write { RefKind::Write } else { RefKind::Read };
+                MemRef::new(time, proc, addr * 2, kind)
+            })
+            .collect();
+        let mut pushed = Trace::new();
+        list.iter().for_each(|&r| pushed.push(r));
+        let collected: Trace = list.iter().copied().collect();
+        prop_assert_eq!(&pushed, &collected);
+        prop_assert_eq!(pushed.len(), list.len());
+        prop_assert_eq!(pushed.is_empty(), list.is_empty());
+        prop_assert_eq!(pushed.is_sorted(), list.windows(2).all(|w| w[0].time <= w[1].time));
+        let writes = list.iter().filter(|r| r.kind == RefKind::Write).count();
+        prop_assert_eq!(pushed.write_count(), writes);
+        // A trace of a prefix is a different trace, unless it is all of it.
+        let cut = split.min(list.len());
+        let prefix: Trace = list[..cut].iter().copied().collect();
+        prop_assert_eq!(prefix == pushed, cut == list.len());
+        pushed.sort_by_time();
+        list.sort_by_key(|r| r.time);
+        prop_assert!(pushed.is_sorted());
+        prop_assert_eq!(pushed.refs().collect::<Vec<_>>(), list);
     }
 
     #[test]
@@ -306,7 +356,7 @@ proptest! {
         // once.
         let distinct_lines = {
             let mut lines: Vec<u32> =
-                trace.refs().iter().map(|r| r.addr / line_size).collect();
+                trace.refs().map(|r| r.addr / line_size).collect();
             lines.sort_unstable();
             lines.dedup();
             lines.len() as u64
@@ -344,7 +394,6 @@ proptest! {
         let stats = sweep(&trace, 8);
         let mut pairs: Vec<(u32, u32)> = trace
             .refs()
-            .iter()
             .map(|r| (r.proc, r.addr / 8))
             .collect();
         pairs.sort_unstable();
@@ -360,7 +409,7 @@ proptest! {
         // did: per-processor read/write counts are a property of the
         // trace alone.
         let line_size = 4u32 << line;
-        let n_procs = trace.refs().iter().map(|r| r.proc + 1).max().unwrap_or(1);
+        let n_procs = trace.refs().map(|r| r.proc + 1).max().unwrap_or(1);
         let mut per_backend = Vec::new();
         for e in memory_registry() {
             let out = e.build(MemoryConfig::paper(n_procs, line_size)).expect("valid").run(&trace);
@@ -402,7 +451,7 @@ proptest! {
         // other caches. Same line semantics, so data traffic is
         // identical and the unicast transport can never cost more.
         let line_size = 4u32 << line;
-        let n_procs = trace.refs().iter().map(|r| r.proc + 1).max().unwrap_or(1);
+        let n_procs = trace.refs().map(|r| r.proc + 1).max().unwrap_or(1);
         let cfg = MemoryConfig::paper(n_procs, line_size);
         let bus = build_memory_model("bus-wbi", cfg).unwrap().run(&trace);
         let dir = build_memory_model("directory", cfg).unwrap().run(&trace);

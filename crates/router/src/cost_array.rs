@@ -79,7 +79,7 @@ pub trait CostView {
 /// What is left of the prefix caches' counters, kept only because
 /// `benchmark/src/probes.rs` reads [`CostArray::prefix_stats`] for its
 /// `router.prefix_hit_ratio` and a builder PR may not edit `benchmark/`.
-/// ROADMAP item 9 lists both for deletion by the next benchmark PR.
+/// ROADMAP item 10 lists both for deletion by the next benchmark PR.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrefixStats {
     /// Always zero: nothing is cached, so nothing hits.

@@ -169,9 +169,13 @@ impl<'a> ShmemEmulator<'a> {
     }
 
     /// Creates an emulator, or returns what `ShmemConfig::validate`
-    /// finds wrong with `config`.
+    /// finds wrong with `config`: on its own, as a split of `circuit`
+    /// among the processors, or as timings and an iteration count that
+    /// could overflow the run's logical clock or work counters.
     pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
         config.validate()?;
+        config.check_surface(circuit)?;
+        config.check_clock(circuit)?;
         Ok(ShmemEmulator { circuit, config, obs: Obs::off() })
     }
 
@@ -408,7 +412,7 @@ mod tests {
         assert_eq!(writes as u64, out.work.cells_written);
         // Addresses must stay within the shared cost array.
         let max_addr = (c.channels as u32 * c.grids as u32) * 2;
-        assert!(trace.refs().iter().all(|r| r.addr < max_addr));
+        assert!(trace.refs().all(|r| r.addr < max_addr));
     }
 
     #[test]
@@ -445,10 +449,10 @@ mod tests {
             other => panic!("unexpected reference {other:?}"),
         };
         for p in 0..4 {
-            let own: Vec<&MemRef> = trace.refs().iter().filter(|r| r.proc == p).collect();
+            let own: Vec<MemRef> = trace.refs().filter(|r| r.proc == p).collect();
             assert!(!own.is_empty(), "processor {p} routed nothing");
             for pair in own.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
+                let (a, b) = (&pair[0], &pair[1]);
                 assert!(a.time <= b.time && a.epoch <= b.epoch);
                 if (a.wire, a.epoch) == (b.wire, b.epoch) {
                     assert!(stage(a) <= stage(b), "wire {} went backwards: {a:?} {b:?}", a.wire);
@@ -458,8 +462,6 @@ mod tests {
                 }
             }
         }
-        let refs = trace.into_refs();
-        assert_eq!(refs.capacity(), refs.len(), "the trace is allocated once, at its length");
     }
 
     #[test]
@@ -475,6 +477,18 @@ mod tests {
         let full = RouterParams::default().with_iterations(MemRef::MAX_EPOCHS);
         let out = ShmemEmulator::try_new(&c, cfg.with_params(full)).expect("256 fit").run();
         assert_eq!(out.trace.expect("traced").refs().last().map(|r| r.epoch), Some(255));
+    }
+
+    #[test]
+    fn a_timing_that_would_wrap_the_clock_is_an_error_traced_or_not() {
+        // Once a debug overflow panic in `cost_at`, a wrapped `time_secs`
+        // untraced, and a clock "running backwards" in the recorder.
+        let c = presets::tiny();
+        for cfg in [ShmemConfig::new(2), ShmemConfig::new(2).with_trace()] {
+            let absurd = ShmemConfig { cell_eval_ns: u64::MAX, ..cfg };
+            let err = ShmemEmulator::try_new(&c, absurd).err().expect("u64::MAX ns a cell");
+            assert!(err.contains("cell_eval_ns"), "{err}");
+        }
     }
 
     #[test]

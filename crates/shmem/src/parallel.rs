@@ -133,9 +133,11 @@ impl<'a> ThreadedRouter<'a> {
     }
 
     /// Creates an executor, or returns what `ShmemConfig::validate`
-    /// finds wrong with `config`.
+    /// finds wrong with `config`, on its own or as a split of `circuit`
+    /// among the threads.
     pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
         config.validate()?;
+        config.check_surface(circuit)?;
         Ok(ThreadedRouter { circuit, config, obs: Obs::off() })
     }
 

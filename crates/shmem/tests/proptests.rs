@@ -1,9 +1,9 @@
 //! Property-based tests for the shared-memory engines over arbitrary
 //! generated circuits.
 
-use locus_circuit::{CircuitGenerator, GeneratorConfig};
-use locus_router::{CostArray, RouterParams, SequentialRouter};
-use locus_shmem::{ShmemConfig, ShmemEmulator};
+use locus_circuit::{presets, CircuitGenerator, GeneratorConfig};
+use locus_router::{AssignmentStrategy, CostArray, RouterParams, SequentialRouter};
+use locus_shmem::{Scheduling, ShmemConfig, ShmemEmulator};
 use proptest::prelude::*;
 
 fn arb_circuit() -> impl Strategy<Value = locus_circuit::Circuit> {
@@ -11,6 +11,91 @@ fn arb_circuit() -> impl Strategy<Value = locus_circuit::Circuit> {
         CircuitGenerator::new(GeneratorConfig::for_surface("prop", channels, grids, wires, seed))
             .generate()
     })
+}
+
+/// 0, 1, 3, 64, 65, `u64::MAX`, and every power of two below 2^`bits`.
+fn edge(bits: u32) -> impl Strategy<Value = u64> {
+    (0..bits + 4).prop_map(move |i| match i.checked_sub(bits) {
+        None => 1 << i,
+        Some(0) => 0,
+        Some(1) => 3,
+        Some(2) => 65,
+        Some(_) => u64::MAX,
+    })
+}
+
+/// [`edge`] values, half of them below 2^`bits`, where runs still fit.
+fn edge_mostly_below(bits: u32) -> impl Strategy<Value = u64> {
+    prop_oneof![edge(64), edge(bits)]
+}
+
+/// Every field of a `ShmemConfig` drawn from edge values. Iteration counts
+/// are 0, 3, 65, 257, the powers of two up to 2^9, 2^63 and `usize::MAX`:
+/// 2^10 to 2^62 iterations at 0 ns a cell are valid runs, too long to
+/// make in a test.
+fn arb_shmem_config() -> impl Strategy<Value = ShmemConfig> {
+    let iterations = (0u32..16).prop_map(|i| match i {
+        10 => 0,
+        11 => 3,
+        12 => 65,
+        13 => 257,
+        14 => 1 << 63,
+        15 => usize::MAX,
+        k => 1 << k,
+    });
+    let overshoot = edge(16).prop_map(|o| u16::try_from(o).unwrap_or(u16::MAX));
+    let scheduling = prop_oneof![
+        Just(Scheduling::DynamicLoop),
+        Just(Scheduling::Static(AssignmentStrategy::RoundRobin)),
+        Just(Scheduling::Static(AssignmentStrategy::Locality { threshold_cost: None })),
+        edge(32).prop_map(|t| Scheduling::Static(AssignmentStrategy::Locality {
+            threshold_cost: Some(u32::try_from(t).unwrap_or(u32::MAX))
+        })),
+    ];
+    let timing = || edge_mostly_below(16);
+    (edge_mostly_below(7), iterations, overshoot, scheduling, (timing(), timing(), timing()))
+        .prop_map(
+            |(n_procs, iterations, channel_overshoot, scheduling, (eval, write, dispatch))| {
+                ShmemConfig {
+                    n_procs: n_procs as usize,
+                    params: RouterParams { iterations, channel_overshoot },
+                    scheduling,
+                    cell_eval_ns: eval,
+                    cell_write_ns: write,
+                    dispatch_ns: dispatch,
+                    collect_trace: false,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A configuration is `Ok` or an error that names a field, never a
+    /// panic; and every `Ok` runs `tiny`, traced and not, without an
+    /// overflow (tests build with overflow checks).
+    #[test]
+    fn shmem_configs_build_or_fail_by_name_and_what_builds_runs(cfg in arb_shmem_config()) {
+        const FIELDS: [&str; 5] =
+            ["n_procs", "iterations", "cell_eval_ns", "cell_write_ns", "dispatch_ns"];
+        let tiny = presets::tiny();
+        for collect_trace in [false, true] {
+            let cfg = ShmemConfig { collect_trace, ..cfg };
+            let emulator = match ShmemEmulator::try_new(&tiny, cfg) {
+                Ok(emulator) => emulator,
+                Err(err) => {
+                    prop_assert!(FIELDS.iter().any(|f| err.contains(f)), "{err}");
+                    continue;
+                }
+            };
+            let out = emulator.run();
+            prop_assert_eq!(out.routes.len(), tiny.wire_count());
+            let refs = out.work.cells_examined + out.work.cells_written;
+            let trace = out.trace.map(|t| (t.is_sorted(), t.len() as u64));
+            prop_assert_eq!(trace, collect_trace.then_some((true, refs)));
+        }
+    }
 }
 
 proptest! {
