@@ -9,7 +9,7 @@ use locus_circuit::Circuit;
 use locus_coherence::{MemRef, Trace};
 use locus_msgpass::{MsgPassConfig, MsgPassOutcome, UpdateSchedule};
 use locus_obs::{EventKind, Obs};
-use locus_router::RouterParams;
+use locus_router::{RegionMap, RouterParams};
 use locus_shmem::{ShmemConfig, ShmemEmulator, ThreadedRouter};
 
 use crate::classify::{addr_cell, classify_races, ClassifiedRace};
@@ -218,6 +218,7 @@ pub fn audit_staleness(
     };
     let cfg = MsgPassConfig::new(procs, schedule).with_params(params).with_audit_every(audit_every);
     cfg.validate()?;
+    RegionMap::try_new(circuit.channels, circuit.grids, procs)?;
     let outcome = locus_msgpass::run_msgpass(circuit, cfg);
     let report = StalenessReport::build(&outcome.replica_audits);
     Ok((report, outcome))

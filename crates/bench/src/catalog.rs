@@ -255,7 +255,7 @@ pub fn speedup(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &ex::speedup_study(&cfg.harness, &[&cfg.circuit(), &cfg.circuit2()], cfg.proc_sweep()),
         &[
-            col("engine", "engine", |r| r.engine.as_str().into()),
+            col("engine", "engine", |_| "message passing".into()),
             col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
             col("procs", "Procs", |r| r.procs.into()),
             col("time_s", "Time (s)", |r| fixed(r.time_s, 4)),

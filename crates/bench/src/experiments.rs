@@ -20,7 +20,7 @@ use locus_msgpass::{run_msgpass, MsgPassConfig, PacketStructure, UpdateSchedule}
 use locus_router::engine::EngineCtx;
 use locus_router::locality::locality_measure;
 use locus_router::{assign, AssignmentStrategy, RegionMap, RouterParams, SequentialRouter};
-use locus_shmem::{ShmemConfig, ShmemEmulator, ThreadedRouter};
+use locus_shmem::{ShmemConfig, ShmemEmulator};
 use locusroute::engines::build_engine;
 
 /// The paper's default message-passing machine size.
@@ -462,24 +462,22 @@ pub(crate) fn locality_study(
     per_circuit.into_iter().flatten().collect()
 }
 
-/// A speedup row (§5.4).
+/// A speedup row (§5.4) of the message-passing router.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct SpeedupRow {
-    /// Engine label ("message passing" or "threads").
-    pub engine: String,
     /// Circuit name.
     pub circuit: String,
     /// Processor count.
     pub procs: usize,
-    /// Time: simulated seconds (message passing) or wall seconds
-    /// (threads).
+    /// Simulated seconds.
     pub time_s: f64,
     /// Speedup relative to the 2-processor run × 2 (paper convention).
     pub speedup: f64,
 }
 
-/// **§5.4 (speedup)** — message-passing speedup on the simulator plus
-/// real-thread wall-clock speedup of the shared-memory router.
+/// **§5.4 (speedup)** — message-passing speedup on the simulator. The
+/// threaded router's wall-clock speedup is host time, which `benchmark/`
+/// measures (`shmem.threads_run_ms.{p1,pN}`).
 pub(crate) fn speedup_study(
     harness: &Harness,
     circuits: &[&Circuit],
@@ -496,32 +494,10 @@ pub(crate) fn speedup_study(
         let t2 = times.iter().find(|(p, _)| *p == 2).map(|&(_, t)| t).unwrap_or(times[0].1);
         for &(p, t) in &times {
             rows.push(SpeedupRow {
-                engine: "message passing".into(),
                 circuit: circuit.name.clone(),
                 procs: p,
                 time_s: t,
                 speedup: t2 / t * 2.0,
-            });
-        }
-        // Real threads (wall clock; nondeterministic, reported as-is).
-        // Deliberately serial: concurrent wall-clock runs would contend
-        // for cores and distort each other's times.
-        let wall: Vec<(usize, f64)> = proc_counts
-            .iter()
-            .filter(|&&p| p <= 16)
-            .map(|&p| {
-                let out = ThreadedRouter::new(circuit, ShmemConfig::new(p)).run();
-                (p, out.wall.as_secs_f64())
-            })
-            .collect();
-        let w2 = wall.iter().find(|(p, _)| *p == 2).map(|&(_, t)| t).unwrap_or(wall[0].1);
-        for &(p, t) in &wall {
-            rows.push(SpeedupRow {
-                engine: "threads (wall)".into(),
-                circuit: circuit.name.clone(),
-                procs: p,
-                time_s: t,
-                speedup: w2 / t * 2.0,
             });
         }
     }

@@ -4,7 +4,7 @@
 use locus_obs::Obs;
 
 use crate::model::{build_memory_model, MemoryConfig, MemoryOutcome, RunAcc};
-use crate::protocol::TrafficStats;
+use crate::protocol::{Protocol, TrafficStats};
 use crate::trace::Trace;
 
 /// Runs the WBI protocol over `trace` once per line size and returns
@@ -24,7 +24,8 @@ pub fn traffic_by_line_size(trace: &Trace, line_sizes: &[u32]) -> Vec<(u32, Traf
         .iter()
         .map(|&ls| {
             let cfg = MemoryConfig::paper(1, ls);
-            (ls, RunAcc::new(&cfg, &off).replay(trace, |_, _, _, _, _| {}))
+            let mut acc = RunAcc::new(&cfg, Protocol::WriteBackInvalidate, &off);
+            (ls, acc.replay(trace, |_, _, _, _, _| {}))
         })
         .collect()
 }

@@ -11,8 +11,8 @@
 //!
 //! 1. a processor's first access to a line misses and fetches it
 //!    (`line_size` bytes on the bus);
-//! 2. the first write to a clean line puts a word write on the bus
-//!    (`word_bytes`) and invalidates every other copy;
+//! 2. the first write to a clean line puts a 4-byte word write on the
+//!    bus and invalidates every other copy;
 //! 3. a processor re-accessing a line that was invalidated refetches it
 //!    (`line_size` bytes) — the dominant term under write churn, which is
 //!    why the paper measures >80% of bytes as write-caused.
@@ -42,5 +42,5 @@ pub use model::{
     build_memory_model, memory_registry, MemoryConfig, MemoryModel, MemoryModelEntry,
     MemoryOutcome, ProcCounts,
 };
-pub use protocol::{DirectoryParams, DlsParams, Protocol, TrafficStats};
+pub use protocol::TrafficStats;
 pub use trace::{BurstWriter, Criticality, MemRef, RefKind, Trace, TraceRecorder};

@@ -5,52 +5,32 @@ use crate::model::MemoryConfig;
 use crate::table::LineState;
 use crate::trace::RefKind;
 
-/// Parameters of the directory-based MSI backend: line state lives at an
-/// address-interleaved *home node* which unicasts invalidations to the
-/// actual holders instead of broadcasting on a snooped bus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DirectoryParams {
-    /// Number of home nodes the directory is interleaved over; home `h`
-    /// lives on mesh node `h % n_nodes`. Usually the processor count
-    /// (one directory slice per tile).
-    pub home_tiles: u32,
-}
+/// Size of the bus word write that announces a write (bytes).
+pub(crate) const WORD_BYTES: u64 = 4;
 
-/// Parameters of the DLS-style directoryless shared LLC (arXiv:1206.4753):
-/// shared data is never privately cached — every access goes to the
-/// line's address-interleaved home tile, so no invalidations or refetches
-/// ever happen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DlsParams {
-    /// Consecutive lines mapped to the same home tile before the
-    /// interleaving moves to the next (1 = line-granular interleaving).
-    pub interleave_lines: u32,
-}
-
-/// The coherence protocol family to simulate. Backend-specific knobs
-/// travel inside the variant, so adding a backend never grows unrelated
-/// flat fields on [`MemoryConfig`].
+/// The coherence protocol a registered backend simulates; the backend's
+/// name chooses it.
 ///
 /// The paper evaluates Write-Back-with-Invalidate (citing Archibald &
 /// Baer's comparative study); the write-through variant is provided as an
 /// ablation — it is the other classic point in that study's design space
 /// and shows why write-back was the sensible choice for this workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Protocol {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Protocol {
     /// Write-Back with Invalidate: first write to a clean line announces
     /// itself with one bus word and invalidates other copies; subsequent
     /// writes to the now-dirty line are free.
-    #[default]
     WriteBackInvalidate,
     /// Write-through: *every* write puts a word on the bus and
     /// invalidates other copies; lines are never dirty.
     WriteThrough,
     /// Directory-based MSI: WBI line semantics, but invalidations are
     /// unicast from the line's home node to the actual holders.
-    Directory(DirectoryParams),
-    /// Directoryless shared LLC: no private copies of shared lines, every
-    /// access is a word transfer to the line's home tile.
-    DirectorylessLlc(DlsParams),
+    Directory,
+    /// Directoryless shared LLC (arXiv:1206.4753): no private copies of
+    /// shared lines, every access is a word transfer to the line's home
+    /// tile, so no invalidations or refetches ever happen.
+    DirectorylessLlc,
 }
 
 impl Protocol {
@@ -59,8 +39,8 @@ impl Protocol {
         match self {
             Protocol::WriteBackInvalidate => "bus-wbi",
             Protocol::WriteThrough => "bus-wt",
-            Protocol::Directory(_) => "directory",
-            Protocol::DirectorylessLlc(_) => "dls",
+            Protocol::Directory => "directory",
+            Protocol::DirectorylessLlc => "dls",
         }
     }
 
@@ -69,7 +49,7 @@ impl Protocol {
     /// allocates up front, so it stops at 2^16 (1 MiB of them).
     pub(crate) fn max_procs(&self) -> u32 {
         match self {
-            Protocol::DirectorylessLlc(_) => 1 << 16,
+            Protocol::DirectorylessLlc => 1 << 16,
             _ => u64::BITS,
         }
     }
@@ -116,7 +96,7 @@ impl TrafficStats {
     /// else, refetches of invalidated copies included, is write-caused.
     #[inline]
     pub(crate) fn charge(&mut self, t: &Transition, kind: RefKind, cfg: &MemoryConfig) -> u64 {
-        let (line, word) = (cfg.line_size as u64, cfg.word_bytes as u64);
+        let (line, word) = (cfg.line_size as u64, WORD_BYTES);
         let mut moved = 0;
         if t.fetched {
             self.line_fetches += 1;

@@ -4,10 +4,9 @@
 use std::collections::BTreeMap;
 
 use locus_coherence::{
-    build_memory_model, memory_registry, traffic_by_line_size, Criticality, DirectoryParams,
-    DlsParams, MemRef, MemoryConfig, Protocol, RefKind, Trace, TraceRecorder, TrafficStats,
+    build_memory_model, memory_registry, traffic_by_line_size, Criticality, MemRef, MemoryConfig,
+    RefKind, Trace, TraceRecorder, TrafficStats,
 };
-use locus_mesh::MeshConfig;
 use proptest::prelude::*;
 
 /// Table 3's sweep at one line size.
@@ -157,40 +156,9 @@ fn edge() -> impl Strategy<Value = u32> {
     })
 }
 
-/// Every field of a `MemoryConfig` drawn from [`edge`], the mesh from
-/// 0–70 × 0–70, and the protocol params from all of `u32`.
+/// Both fields of a `MemoryConfig` drawn from [`edge`].
 fn arb_memory_config() -> impl Strategy<Value = MemoryConfig> {
-    let param = || prop_oneof![edge(), any::<u32>()];
-    let protocol = prop_oneof![
-        Just(Protocol::WriteBackInvalidate),
-        Just(Protocol::WriteThrough),
-        param().prop_map(|home_tiles| Protocol::Directory(DirectoryParams { home_tiles })),
-        param().prop_map(|interleave_lines| Protocol::DirectorylessLlc(DlsParams {
-            interleave_lines
-        })),
-    ];
-    let timing = (edge(), edge(), edge(), edge());
-    let mesh = ((0usize..=70, 0usize..=70), timing, any::<bool>()).prop_map(
-        |((rows, cols), (hop, process, header, recv), contention)| MeshConfig {
-            rows,
-            cols,
-            hop_time_ns: hop.into(),
-            process_time_ns: process.into(),
-            header_bytes: header,
-            recv_per_byte_ns: recv.into(),
-            contention,
-            ..MeshConfig::ametek(rows, cols)
-        },
-    );
-    (edge(), edge(), edge(), protocol, mesh).prop_map(
-        |(n_procs, line_size, word_bytes, protocol, mesh)| MemoryConfig {
-            n_procs,
-            line_size,
-            word_bytes,
-            protocol,
-            mesh,
-        },
-    )
+    (edge(), edge()).prop_map(|(n_procs, line_size)| MemoryConfig { n_procs, line_size })
 }
 
 proptest! {

@@ -15,16 +15,9 @@
 //! the copy. At most one fault applies per envelope, decided in the
 //! fixed precedence order drop → duplicate → delay → reorder so the
 //! random stream is stable when individual rates are toggled.
-//!
-//! A [`FaultScope`] narrows the blast radius to a single source node,
-//! destination node, or payload-size band (the message-passing layer's
-//! packet kinds map onto distinct payload sizes, so a size band acts as
-//! a per-packet-kind filter without the mesh knowing about packets).
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
-
-use crate::topology::NodeId;
 
 /// Rates are per-ten-thousand; this is the 100% value.
 pub(crate) const BP_SCALE: u32 = 10_000;
@@ -96,46 +89,9 @@ impl NodeFault {
     }
 }
 
-/// Which envelopes a [`FaultPlan`] applies to. `None`/full-range fields
-/// match everything.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultScope {
-    /// Only envelopes sent by this node, if set.
-    pub src: Option<u32>,
-    /// Only envelopes addressed to this node, if set.
-    pub dst: Option<u32>,
-    /// Only envelopes with at least this many payload bytes.
-    pub min_payload_bytes: u32,
-    /// Only envelopes with at most this many payload bytes.
-    pub max_payload_bytes: u32,
-}
-
-impl FaultScope {
-    /// Matches every envelope.
-    pub const fn all() -> Self {
-        FaultScope { src: None, dst: None, min_payload_bytes: 0, max_payload_bytes: u32::MAX }
-    }
-
-    /// Whether an envelope from `src` to `dst` with `payload_bytes` of
-    /// payload is covered by this scope.
-    pub(crate) fn covers(&self, src: NodeId, dst: NodeId, payload_bytes: u32) -> bool {
-        self.src.is_none_or(|s| s as usize == src)
-            && self.dst.is_none_or(|d| d as usize == dst)
-            && payload_bytes >= self.min_payload_bytes
-            && payload_bytes <= self.max_payload_bytes
-    }
-}
-
-impl Default for FaultScope {
-    fn default() -> Self {
-        FaultScope::all()
-    }
-}
-
 /// A deterministic, seeded fault schedule for one kernel run.
 ///
-/// All rates are basis points (per 10 000 injected envelopes inside the
-/// scope). The zero plan — [`FaultPlan::none`] — is the default and is
+/// All rates are basis points (per 10 000 injected envelopes). The zero plan — [`FaultPlan::none`] — is the default and is
 /// completely invisible: the kernel does not even construct an injector
 /// for it, so fault-free runs are byte-identical to runs that predate
 /// the fault layer.
@@ -161,8 +117,6 @@ pub struct FaultPlan {
     /// How long a reordered envelope is held (ns); long enough for
     /// several subsequent envelopes to overtake it.
     pub reorder_hold_ns: u64,
-    /// Which envelopes the plan applies to.
-    pub scope: FaultScope,
     /// Scheduled node-level failures: `(node, fault)` pairs, at most
     /// `MAX_NODE_FAULTS` of them. `None` slots are inert.
     pub node_faults: [Option<(u32, NodeFault)>; MAX_NODE_FAULTS],
@@ -180,7 +134,6 @@ impl FaultPlan {
             delay_ns_max: 100_000,
             reorder_bp: 0,
             reorder_hold_ns: 200_000,
-            scope: FaultScope::all(),
             node_faults: [None; MAX_NODE_FAULTS],
         }
     }
@@ -203,12 +156,6 @@ impl FaultPlan {
     pub fn with_reorders(mut self, bp: u32, hold_ns: u64) -> Self {
         self.reorder_bp = bp;
         self.reorder_hold_ns = hold_ns;
-        self
-    }
-
-    /// Returns `self` restricted to `scope`.
-    pub fn with_scope(mut self, scope: FaultScope) -> Self {
-        self.scope = scope;
         self
     }
 
@@ -347,14 +294,10 @@ impl FaultInjector {
         (self.rng.next_u64() % BP_SCALE as u64) as u32
     }
 
-    /// Decides the fate of one envelope. Out-of-scope envelopes consume
-    /// no randomness; in-scope envelopes draw once per enabled category
+    /// Decides the fate of one envelope: one draw per enabled category
     /// in precedence order, so disabling a category never perturbs the
     /// draws of the ones before it.
-    pub(crate) fn decide(&mut self, src: NodeId, dst: NodeId, payload_bytes: u32) -> Option<Fault> {
-        if !self.plan.scope.covers(src, dst, payload_bytes) {
-            return None;
-        }
+    pub(crate) fn decide(&mut self) -> Option<Fault> {
         if self.plan.drop_bp > 0 && self.draw_bp() < self.plan.drop_bp {
             return Some(Fault::Drop);
         }
@@ -393,17 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_filters_by_endpoint_and_size() {
-        let s =
-            FaultScope { src: Some(1), dst: None, min_payload_bytes: 10, max_payload_bytes: 20 };
-        assert!(s.covers(1, 3, 15));
-        assert!(!s.covers(2, 3, 15), "wrong source");
-        assert!(!s.covers(1, 3, 9), "too small");
-        assert!(!s.covers(1, 3, 21), "too large");
-        assert!(FaultScope::all().covers(7, 0, 0));
-    }
-
-    #[test]
     fn same_seed_same_decisions() {
         let plan = FaultPlan {
             delay_bp: 500,
@@ -413,7 +345,7 @@ mod tests {
         let mut a = FaultInjector::new(plan);
         let mut b = FaultInjector::new(plan);
         for i in 0..10_000u32 {
-            assert_eq!(a.decide(0, 1, i % 64), b.decide(0, 1, i % 64), "envelope {i}");
+            assert_eq!(a.decide(), b.decide(), "envelope {i}");
         }
     }
 
@@ -421,7 +353,7 @@ mod tests {
     fn drop_rate_is_roughly_honoured() {
         let mut inj = FaultInjector::new(FaultPlan::uniform_loss(7, 1_000));
         let n = 20_000;
-        let drops = (0..n).filter(|_| inj.decide(0, 1, 16) == Some(Fault::Drop)).count();
+        let drops = (0..n).filter(|_| inj.decide() == Some(Fault::Drop)).count();
         let rate = drops as f64 / n as f64;
         assert!((0.08..0.12).contains(&rate), "10% nominal, got {rate:.4}");
     }
@@ -482,25 +414,5 @@ mod tests {
         for i in 0..=MAX_NODE_FAULTS as u32 {
             p = p.with_node_fault(i, NodeFault::Crash { at_ns: 1 });
         }
-    }
-
-    #[test]
-    fn out_of_scope_envelopes_consume_no_randomness() {
-        let plan = FaultPlan::uniform_loss(3, 5_000)
-            .with_scope(FaultScope { dst: Some(2), ..FaultScope::all() });
-        let mut scoped = FaultInjector::new(plan);
-        let mut reference = FaultInjector::new(plan);
-        // Interleave out-of-scope traffic; the in-scope decision stream
-        // must be unaffected.
-        let mut scoped_decisions = Vec::new();
-        for i in 0..1000 {
-            scoped.decide(0, 1, 8);
-            if i % 3 == 0 {
-                scoped_decisions.push(scoped.decide(0, 2, 8));
-            }
-        }
-        let reference_decisions: Vec<_> =
-            (0..scoped_decisions.len()).map(|_| reference.decide(0, 2, 8)).collect();
-        assert_eq!(scoped_decisions, reference_decisions);
     }
 }

@@ -32,8 +32,10 @@ pub mod topology;
 
 pub use arbiter::{Arbiter, ResolvedContention, ServicePolicy, ServiceRequest, WaitStats};
 pub use config::MeshConfig;
-pub use fault::{FaultPlan, FaultScope, NodeFault};
-pub use kernel::{Kernel, SimOutcome};
+pub use fault::{FaultPlan, NodeFault};
+pub use kernel::{
+    Kernel, SimOutcome, HEADER_BYTES, HOP_TIME_NS, PROCESS_TIME_NS, RECV_PER_BYTE_NS,
+};
 pub use node::{Envelope, Node, Outbox, Step};
 pub use stats::NetStats;
 pub use time::SimTime;

@@ -1,7 +1,10 @@
 //! Property-based tests for the mesh simulator.
 
 use locus_mesh::topology::Topology;
-use locus_mesh::{Envelope, Kernel, MeshConfig, Node, Outbox, SimTime, Step};
+use locus_mesh::{
+    Envelope, Kernel, MeshConfig, Node, Outbox, SimTime, Step, HEADER_BYTES, HOP_TIME_NS,
+    PROCESS_TIME_NS,
+};
 use proptest::prelude::*;
 
 /// Sends `n` packets of `bytes` to `to`, then completes.
@@ -76,7 +79,7 @@ proptest! {
     ) {
         let cfg = MeshConfig::ametek(4, 4);
         let expected =
-            2 * cfg.process_time_ns + cfg.hop_time_ns * (d as u64 + bytes as u64 + 8);
+            2 * PROCESS_TIME_NS + HOP_TIME_NS * (d as u64 + bytes as u64 + 8);
         prop_assert_eq!(cfg.uncontended_latency_ns(d, bytes), expected);
     }
 
@@ -100,7 +103,7 @@ proptest! {
         prop_assert_eq!(out.stats.payload_bytes, n_packets as u64 * bytes as u64);
         prop_assert_eq!(
             out.stats.wire_bytes,
-            n_packets as u64 * (bytes as u64 + cfg.header_bytes as u64)
+            n_packets as u64 * (bytes as u64 + HEADER_BYTES as u64)
         );
         // Dimension-order distance from node 0 to the last column.
         prop_assert_eq!(

@@ -3,7 +3,6 @@
 use locus_mesh::{FaultPlan, MeshConfig};
 use locus_router::{mesh_dims, AssignmentStrategy, RouterParams};
 
-use crate::reliable::ReliableConfig;
 use crate::schedule::UpdateSchedule;
 
 /// The update-packet structure (§4.3.1). The paper describes three and
@@ -116,26 +115,6 @@ pub struct MsgPassConfig {
     pub assignment: AssignmentStrategy,
     /// Core routing parameters (iterations, candidate overshoot).
     pub params: RouterParams,
-    /// Modelled time to examine one cost-array cell during candidate
-    /// evaluation (ns). Calibrated so 16-processor bnrE runs land in the
-    /// paper's 1.1–2.5 s band (the MC68020-class node of §2.1).
-    pub cell_eval_ns: u64,
-    /// Modelled time to scan one delta-array cell when assembling an
-    /// update (ns) — the packet-assembly overhead of §5.1.1.
-    pub scan_per_cell_ns: u64,
-    /// Modelled time to write one cost-array cell (rip-up/route commit).
-    pub cell_write_ns: u64,
-    /// Modelled per-byte packet-assembly cost at the sender (ns/byte).
-    /// Together with the mesh's receive-side disassembly cost this
-    /// reproduces the paper's observation that packet handling reaches a
-    /// quarter of processing time under frequent updates (§5.1.1).
-    pub send_per_byte_ns: u64,
-    /// Per-byte disassembly cost at the receiver (ns/byte), installed
-    /// into the mesh config by the simulation driver.
-    pub recv_per_byte_ns: u64,
-    /// How many wires ahead receiver-initiated requests are issued; the
-    /// paper settles on five (§4.3.3).
-    pub request_ahead: u32,
     /// Update-packet structure (§4.3.1); the paper's bounding-box scheme
     /// by default.
     pub structure: PacketStructure,
@@ -152,10 +131,10 @@ pub struct MsgPassConfig {
     /// predates the fault layer).
     pub faults: FaultPlan,
     /// End-to-end reliable delivery (sequence numbers, acks,
-    /// timeout/retransmit). `None` (default) runs the original protocol,
+    /// timeout/retransmit). Off (default) runs the original protocol,
     /// which assumes the network never loses packets; enable it whenever
     /// `faults` can drop or duplicate traffic.
-    pub reliability: Option<ReliableConfig>,
+    pub reliability: bool,
     /// Checkpoint/restore recovery with heartbeat failure detection.
     /// `None` (default) runs the protocol exactly as it existed before
     /// the recovery layer; enable it whenever `faults` can crash nodes.
@@ -166,25 +145,19 @@ pub struct MsgPassConfig {
 
 impl MsgPassConfig {
     /// Default experiment configuration for `n_procs` processors with the
-    /// given schedule: bnrE-scale calibration, locality assignment with
-    /// the paper's usual `ThresholdCost = 1000`.
+    /// given schedule: locality assignment with the paper's usual
+    /// `ThresholdCost = 1000`.
     pub fn new(n_procs: usize, schedule: UpdateSchedule) -> Self {
         MsgPassConfig {
             n_procs,
             schedule,
             assignment: AssignmentStrategy::Locality { threshold_cost: Some(1000) },
             params: RouterParams::default(),
-            cell_eval_ns: 2_000,
-            scan_per_cell_ns: 60,
-            cell_write_ns: 500,
-            send_per_byte_ns: 10_000,
-            recv_per_byte_ns: 10_000,
-            request_ahead: 5,
             structure: PacketStructure::BoundingBox,
             wire_source: WireSource::Static,
             audit_every: None,
             faults: FaultPlan::none(),
-            reliability: None,
+            reliability: false,
             recovery: None,
         }
     }
@@ -192,10 +165,7 @@ impl MsgPassConfig {
     /// The mesh machine for this configuration.
     pub fn mesh_config(&self) -> MeshConfig {
         let (rows, cols) = mesh_dims(self.n_procs);
-        let mut mesh = MeshConfig::ametek(rows, cols);
-        mesh.recv_per_byte_ns = self.recv_per_byte_ns;
-        mesh.faults = self.faults;
-        mesh
+        MeshConfig { faults: self.faults, ..MeshConfig::ametek(rows, cols) }
     }
 
     /// Returns `self` with a different assignment strategy.
@@ -236,15 +206,9 @@ impl MsgPassConfig {
         self
     }
 
-    /// Returns `self` with the reliable-delivery protocol at its default
-    /// tuning.
-    pub fn with_reliability(self) -> Self {
-        self.with_reliability_config(ReliableConfig::default())
-    }
-
-    /// Returns `self` with the reliable-delivery protocol tuned by `cfg`.
-    pub(crate) fn with_reliability_config(mut self, cfg: ReliableConfig) -> Self {
-        self.reliability = Some(cfg);
+    /// Returns `self` with the reliable-delivery protocol on.
+    pub fn with_reliability(mut self) -> Self {
+        self.reliability = true;
         self
     }
 
@@ -261,11 +225,11 @@ impl MsgPassConfig {
         if self.n_procs == 0 {
             return Err("need at least one processor".into());
         }
+        if self.params.iterations == 0 {
+            return Err("params.iterations is 0: at least one routing iteration is required".into());
+        }
         if self.audit_every == Some(0) {
             return Err("audit_every must be >= 1 when set".into());
-        }
-        if self.request_ahead == 0 {
-            return Err("request_ahead must be >= 1".into());
         }
         if self.wire_source == WireSource::Dynamic {
             if self.params.iterations != 1 {
@@ -288,12 +252,9 @@ impl MsgPassConfig {
                 .into());
         }
         self.faults.validate()?;
-        if let Some(r) = &self.reliability {
-            r.validate()?;
-        }
         if let Some(rc) = &self.recovery {
             rc.validate()?;
-            if self.reliability.is_none() {
+            if !self.reliability {
                 return Err("recovery requires the reliability layer (checkpoint, reassignment \
                      and failover traffic must survive loss)"
                     .into());
@@ -328,7 +289,6 @@ mod tests {
         c.validate().unwrap();
         let m = c.mesh_config();
         assert_eq!((m.rows, m.cols), (4, 4));
-        assert_eq!(c.request_ahead, 5);
     }
 
     #[test]
@@ -360,8 +320,8 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
-    /// One config per `Err` that `validate` (msgpass, reliable, recovery,
-    /// schedule) can return.
+    /// One config per `Err` that `validate` (msgpass, recovery, schedule)
+    /// can return.
     fn every_invalid_config() -> Vec<MsgPassConfig> {
         let sender = MsgPassConfig::new(4, UpdateSchedule::sender_initiated(2, 10));
         let receiver = MsgPassConfig::new(4, UpdateSchedule::receiver_initiated(1, 5));
@@ -370,20 +330,12 @@ mod tests {
         let schedule = |s: UpdateSchedule| MsgPassConfig::new(4, s);
         vec![
             MsgPassConfig { n_procs: 0, ..sender },
+            MsgPassConfig { params: RouterParams { iterations: 0, ..sender.params }, ..sender },
             MsgPassConfig { audit_every: Some(0), ..sender },
-            MsgPassConfig { request_ahead: 0, ..receiver },
             MsgPassConfig { params: two_iterations, ..sender.with_dynamic_wires() },
             receiver.with_dynamic_wires(),
             MsgPassConfig::new(1, UpdateSchedule::never()).with_dynamic_wires(),
             receiver.with_structure(PacketStructure::WireBased),
-            sender.with_reliability_config(ReliableConfig {
-                retransmit_timeout_ns: 0,
-                ..ReliableConfig::default()
-            }),
-            sender.with_reliability_config(ReliableConfig {
-                max_timeout_ns: 1,
-                ..ReliableConfig::default()
-            }),
             recovering.with_recovery_config(RecoveryConfig {
                 checkpoint_every: 0,
                 ..RecoveryConfig::default()

@@ -1,10 +1,9 @@
 //! [`RoutingEngine`] adapter for the message-passing simulator.
 
 use locus_circuit::Circuit;
-use locus_mesh::FaultPlan;
 use locus_router::engine::{EngineCtx, EngineRun, RoutingEngine};
 use locus_router::router::RouteOutcome;
-use locus_router::RouterParams;
+use locus_router::{RegionMap, RouterParams};
 
 use crate::config::MsgPassConfig;
 use crate::schedule::UpdateSchedule;
@@ -15,35 +14,19 @@ use crate::sim::run_inner;
 pub struct MsgPassEngine {
     id: &'static str,
     schedule: UpdateSchedule,
-    faults: FaultPlan,
 }
 
 impl MsgPassEngine {
     /// Sender-initiated updates at the paper's headline (2,10) rates
     /// (`id = "msgpass-sender"`).
     pub fn sender() -> Self {
-        MsgPassEngine {
-            id: "msgpass-sender",
-            schedule: UpdateSchedule::sender_initiated(2, 10),
-            faults: FaultPlan::none(),
-        }
+        MsgPassEngine { id: "msgpass-sender", schedule: UpdateSchedule::sender_initiated(2, 10) }
     }
 
     /// Receiver-initiated updates at the paper's headline (1,5) rates
     /// (`id = "msgpass-receiver"`).
     pub fn receiver() -> Self {
-        MsgPassEngine {
-            id: "msgpass-receiver",
-            schedule: UpdateSchedule::receiver_initiated(1, 5),
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// Returns `self` running on a faulty mesh under `plan`, with the
-    /// end-to-end reliability protocol enabled to compensate.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
+        MsgPassEngine { id: "msgpass-receiver", schedule: UpdateSchedule::receiver_initiated(1, 5) }
     }
 }
 
@@ -58,11 +41,9 @@ impl RoutingEngine for MsgPassEngine {
         params: &RouterParams,
         ctx: &EngineCtx,
     ) -> Result<EngineRun, String> {
-        let mut config = MsgPassConfig::new(ctx.n_procs, self.schedule).with_params(*params);
-        if !self.faults.is_idle() {
-            config = config.with_faults(self.faults).with_reliability();
-        }
+        let config = MsgPassConfig::new(ctx.n_procs, self.schedule).with_params(*params);
         config.validate()?;
+        RegionMap::try_new(circuit.channels, circuit.grids, config.n_procs)?;
         let out = run_inner(circuit, config, config.mesh_config(), ctx.obs.clone());
         Ok(EngineRun {
             outcome: RouteOutcome {

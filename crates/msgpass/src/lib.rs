@@ -50,7 +50,7 @@ pub use engine::MsgPassEngine;
 pub use node::ReplicaSnapshot;
 pub use packet::{Packet, PacketCounts, PacketKind, WireEvent};
 pub use recovery::RecoveryStats;
-pub use reliable::{ReliableConfig, ReliableStats};
+pub use reliable::ReliableStats;
 pub use schedule::UpdateSchedule;
 pub use sim::{
     run_msgpass, run_msgpass_observed, run_msgpass_with_mesh, DegradedKind, DegradedReason,

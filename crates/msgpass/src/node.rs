@@ -30,6 +30,14 @@ use crate::recovery::{Recovery, RecoveryStats, Termination, COORDINATOR};
 use crate::reliable::{Frame, Transport};
 use crate::update::Update;
 
+/// Modelled time to examine one cost-array cell during candidate
+/// evaluation (ns). Calibrated so 16-processor bnrE runs land in the
+/// paper's 1.1–2.5 s band (the MC68020-class node of §2.1).
+const CELL_EVAL_NS: u64 = 2_000;
+
+/// Modelled time to write one cost-array cell (rip-up/route commit, ns).
+const CELL_WRITE_NS: u64 = 500;
+
 /// One replica-vs-truth comparison taken at an audit stamp (enabled by
 /// [`MsgPassConfig::audit_every`]); the raw material of the staleness
 /// histograms in `locus-analysis`.
@@ -164,7 +172,7 @@ impl<'a> RouterNode<'a> {
             update: Update::new(proc, Arc::clone(&regions), &config),
             term: Termination::new(n_procs),
             recovery,
-            transport: Transport::new(proc, n_procs, config.reliability, config.send_per_byte_ns),
+            transport: Transport::new(proc, n_procs, config.reliability),
             now_ns: 0,
             circuit,
             regions,
@@ -363,7 +371,7 @@ impl<'a> RouterNode<'a> {
     ) -> u64 {
         let stamp = Stamp::At(self.now_ns);
         let old = slot.and_then(|idx| self.rip_up(idx));
-        let mut busy = old.as_ref().map_or(0, |old| old.len() as u64 * self.config.cell_write_ns);
+        let mut busy = old.as_ref().map_or(0, |old| old.len() as u64 * CELL_WRITE_NS);
 
         // Evaluate against the (possibly stale) replica.
         let eval = route_wire_scratch(
@@ -372,8 +380,8 @@ impl<'a> RouterNode<'a> {
             self.config.params.channel_overshoot,
             &mut self.scratch,
         );
-        busy += eval.cells_examined * self.config.cell_eval_ns;
-        busy += eval.route.len() as u64 * self.config.cell_write_ns;
+        busy += eval.cells_examined * CELL_EVAL_NS;
+        busy += eval.route.len() as u64 * CELL_WRITE_NS;
         // Occupancy factor: the chosen path's cost against the true
         // global state at routing time (§3) — the decision above saw
         // only the replica.

@@ -538,7 +538,7 @@ impl Recovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reliable::{Frame, ReliableConfig, Transport};
+    use crate::reliable::{Frame, Transport};
     use locus_mesh::Outbox;
 
     /// Heartbeat every 100 ns, dead after 3 silent beats.
@@ -553,7 +553,7 @@ mod tests {
     /// wires 0–3, 4–5, 6–7, 8–9, with its ledger and a transport.
     fn layer(proc: ProcId) -> (Recovery, Termination, Transport) {
         let plan = vec![vec![0, 1, 2, 3], vec![4, 5], vec![6, 7], vec![8, 9]];
-        let transport = Transport::new(proc, 4, Some(ReliableConfig::default()), 10);
+        let transport = Transport::new(proc, 4, true);
         (Recovery::new(proc, CFG, 16, Arc::new(plan)), Termination::new(4), transport)
     }
 

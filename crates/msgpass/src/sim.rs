@@ -130,7 +130,7 @@ pub fn run_msgpass_observed(
 }
 
 /// Like [`run_msgpass`] but with an explicit mesh configuration —
-/// used by ablations (e.g. disabling contention, alternate timing).
+/// used by the contention ablation.
 ///
 /// # Panics
 /// Panics if the configuration is invalid or the mesh size does not
@@ -702,14 +702,14 @@ mod tests {
     fn reliability_repairs_lost_termination_packets() {
         use locus_mesh::FaultPlan;
         let c = locus_circuit::presets::small();
-        // Same total-loss-of-control scenario, but scoped: drop only
-        // traffic addressed to the coordinator (every Finished), with
+        // Same loss-of-control scenario, but partial: half of all traffic
+        // (Finished, Terminate and the acks alike) is dropped, with
         // reliability on. Retransmissions push the protocol through.
-        let scope = locus_mesh::FaultScope { dst: Some(0), ..locus_mesh::FaultScope::all() };
         let cfg = small_config(4, UpdateSchedule::never())
-            .with_faults(FaultPlan::uniform_loss(5, 5_000).with_scope(scope))
+            .with_faults(FaultPlan::uniform_loss(5, 5_000))
             .with_reliability();
         let out = run_msgpass(&c, cfg);
+        assert!(out.net.packets_dropped > 0, "the plan must actually fire");
         assert!(!out.deadlocked, "retransmission must repair lost Finished packets");
         assert!(out.degraded.is_none());
         assert_eq!(out.routes.len(), c.wire_count());

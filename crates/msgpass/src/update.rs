@@ -26,6 +26,14 @@ use crate::delta::DeltaArray;
 use crate::packet::{Packet, WireEvent};
 use crate::reliable::Link;
 
+/// Modelled time to scan one delta-array cell when assembling an update
+/// (ns): the packet-assembly overhead of §5.1.1.
+const SCAN_PER_CELL_NS: u64 = 60;
+
+/// How many wires ahead receiver-initiated requests are issued; the paper
+/// settles on five (§4.3.3).
+const REQUEST_AHEAD: usize = 5;
+
 /// One node's half of the update protocol.
 pub(crate) struct Update {
     proc: ProcId,
@@ -178,7 +186,7 @@ impl Update {
                         }
                     }
                 }
-                busy += rect.area() * self.config.scan_per_cell_ns;
+                busy += rect.area() * SCAN_PER_CELL_NS;
                 if response {
                     self.outstanding = self.outstanding.saturating_sub(1);
                 }
@@ -199,7 +207,7 @@ impl Update {
                     .intersection(&self.my_region)
                     .expect("ReqRmtData must target the owner's region");
                 let values = replica.extract(r);
-                busy += r.area() * self.config.scan_per_cell_ns;
+                busy += r.area() * SCAN_PER_CELL_NS;
                 busy += link.send(from, Packet::LocData { rect: r, values, response: true });
                 // ReqLocData trigger: a processor that keeps requesting
                 // our region has been routing in it (§4.3.3).
@@ -213,7 +221,7 @@ impl Update {
             }
             Packet::ReqLocData { rect } => {
                 // The owner of `rect` wants the deltas we hold against it.
-                busy += rect.area() * self.config.scan_per_cell_ns;
+                busy += rect.area() * SCAN_PER_CELL_NS;
                 if let Some(bbox) = self.delta.changes_in(rect) {
                     let deltas = self.delta.extract_and_clear(bbox);
                     busy += link.send(from, Packet::RmtData { rect: bbox, deltas, response: true });
@@ -250,7 +258,7 @@ impl Update {
             return 0;
         };
         let mut busy = 0u64;
-        let window_end = (wire_idx + self.config.request_ahead as usize).min(my_wires.len());
+        let window_end = (wire_idx + REQUEST_AHEAD).min(my_wires.len());
         while self.request_cursor < window_end {
             let bbox = circuit.wire(my_wires[self.request_cursor]).bounding_box();
             for p in self.regions.owners_intersecting(bbox) {
@@ -314,7 +322,7 @@ impl Update {
                 let rect = if full { self.my_region } else { dirty };
                 let values = replica.extract(rect);
                 if !full {
-                    busy += rect.area() * self.config.scan_per_cell_ns;
+                    busy += rect.area() * SCAN_PER_CELL_NS;
                 }
                 for &nb in &self.mesh_neighbors {
                     let values = values.clone();
@@ -328,7 +336,7 @@ impl Update {
                 // cell; the host looks only where it wrote.
                 let (channels, grids) = self.regions.surface();
                 let foreign_cells = channels as u64 * grids as u64 - self.my_region.area();
-                busy += foreign_cells * self.config.scan_per_cell_ns;
+                busy += foreign_cells * SCAN_PER_CELL_NS;
             }
             for p in 0..self.unflushed.len() {
                 if !std::mem::take(&mut self.unflushed[p]) {
@@ -368,7 +376,7 @@ mod tests {
         let config = MsgPassConfig::new(4, schedule);
         let update = Update::new(proc, regions, &config);
         let replica = CostArray::new(circuit.channels, circuit.grids);
-        (update, replica, Transport::new(proc, 4, None, config.send_per_byte_ns))
+        (update, replica, Transport::new(proc, 4, false))
     }
 
     #[test]

@@ -44,17 +44,29 @@ impl RegionMap {
     /// [`mesh_dims`].
     ///
     /// # Panics
-    /// Panics if the surface is smaller than the processor mesh in either
-    /// dimension (a processor would own an empty region).
+    /// Panics where [`Self::try_new`] returns an error.
     pub fn new(channels: u16, grids: u16, n_procs: usize) -> Self {
+        Self::try_new(channels, grids, n_procs).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// Partitions a surface among `n_procs` processors using
+    /// [`mesh_dims`], or says why it cannot: the surface is smaller than
+    /// the processor mesh in either dimension, so a processor would own an
+    /// empty region.
+    ///
+    /// # Panics
+    /// Panics if `n_procs` is 0.
+    pub fn try_new(channels: u16, grids: u16, n_procs: usize) -> Result<Self, String> {
         let (proc_rows, proc_cols) = mesh_dims(n_procs);
-        assert!(
-            channels as usize >= proc_rows && grids as usize >= proc_cols,
-            "surface {channels}x{grids} too small for a {proc_rows}x{proc_cols} processor mesh"
-        );
+        if (channels as usize) < proc_rows || (grids as usize) < proc_cols {
+            return Err(format!(
+                "surface {channels}x{grids} is too small for the {proc_rows}x{proc_cols} \
+                 processor mesh of n_procs {n_procs}: a processor would own no cell"
+            ));
+        }
         let channel_starts = even_splits(channels, proc_rows);
         let grid_starts = even_splits(grids, proc_cols);
-        RegionMap { channels, grids, proc_rows, proc_cols, channel_starts, grid_starts }
+        Ok(RegionMap { channels, grids, proc_rows, proc_cols, channel_starts, grid_starts })
     }
 
     /// Number of processors.
@@ -315,7 +327,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "too small")]
     fn rejects_surface_smaller_than_mesh() {
-        let _ = RegionMap::new(2, 341, 16); // needs 4 channel bands
+        let err = RegionMap::try_new(2, 341, 16).expect_err("needs 4 channel bands");
+        assert!(
+            err.contains("n_procs 16") && err.contains("4x4") && err.contains("2x341"),
+            "{err}"
+        );
+        let _ = RegionMap::new(2, 341, 16);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use locus_circuit::{Circuit, WireId};
 use locus_coherence::MemRef;
-use locus_router::{assign, mesh_dims, AssignmentStrategy, RegionMap, RouterParams};
+use locus_router::{assign, AssignmentStrategy, RegionMap, RouterParams};
+
+use crate::emul::{CELL_EVAL_NS, CELL_WRITE_NS, DISPATCH_NS};
 
 /// How wires are handed to processors (§3, §4.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,14 +45,6 @@ pub struct ShmemConfig {
     pub params: RouterParams,
     /// Wire distribution strategy.
     pub scheduling: Scheduling,
-    /// Modelled time to examine one cost-array cell (ns); the Multimax
-    /// NS32032-class node of §2.1.
-    pub cell_eval_ns: u64,
-    /// Modelled time to write one cell (rip-up / commit).
-    pub cell_write_ns: u64,
-    /// Modelled overhead of fetching a wire index from the distributed
-    /// loop (one shared counter RMW).
-    pub dispatch_ns: u64,
     /// Whether the run records a Tango-style reference trace (honoured
     /// by both the emulator and the real threaded router).
     pub collect_trace: bool,
@@ -64,9 +58,6 @@ impl ShmemConfig {
             n_procs,
             params: RouterParams::default(),
             scheduling: Scheduling::DynamicLoop,
-            cell_eval_ns: 4_000,
-            cell_write_ns: 500,
-            dispatch_ns: 2_000,
             collect_trace: false,
         }
     }
@@ -110,24 +101,19 @@ impl ShmemConfig {
     }
 
     /// Checks that `circuit` can be split among the processors when the
-    /// assignment is static: it gives every processor of the
-    /// [`mesh_dims`] mesh a region of at least one cell.
+    /// assignment is static (see [`RegionMap::try_new`]).
     pub(crate) fn check_surface(&self, circuit: &Circuit) -> Result<(), String> {
-        let (rows, cols) = mesh_dims(self.n_procs);
-        let (channels, grids) = (circuit.channels as usize, circuit.grids as usize);
         match self.scheduling {
-            Scheduling::Static(_) if channels < rows || grids < cols => Err(format!(
-                "n_procs {} makes a {rows}x{cols} processor mesh, which a static assignment \
-                 cannot split the {channels}x{grids} surface of `{}` among",
-                self.n_procs, circuit.name
-            )),
-            _ => Ok(()),
+            Scheduling::Static(_) => {
+                RegionMap::try_new(circuit.channels, circuit.grids, self.n_procs).map(drop)
+            }
+            Scheduling::DynamicLoop => Ok(()),
         }
     }
 
-    /// Checks that an emulated run of `circuit` can count its work and
-    /// keep its logical clock in 64 bits, naming the field that would
-    /// carry either past `u64::MAX`.
+    /// Checks that an emulated run of `circuit` keeps its logical clock
+    /// in 64 bits. Every reference the run counts costs the clock at least
+    /// `CELL_WRITE_NS`, so the same bound keeps the work counters in range.
     ///
     /// The bound is per iteration, summed over the wires, each dispatched
     /// once: a connection weighs at most `channels + grids` candidates of
@@ -140,30 +126,14 @@ impl ShmemConfig {
         let reach = 2 * (u128::from(circuit.channels) + u128::from(circuit.grids));
         let connections: u128 =
             circuit.wires.iter().map(|w| w.pins.len().saturating_sub(1).max(1) as u128).sum();
-        let per_iteration = [
-            ("dispatch_ns", self.dispatch_ns, circuit.wire_count() as u128),
-            ("cell_eval_ns", self.cell_eval_ns, connections * reach * reach / 2),
-            ("cell_write_ns", self.cell_write_ns, 2 * connections * reach),
-        ];
-        let iterations = self.params.iterations as u128;
-        let limit = u128::from(u64::MAX);
-        let events: u128 = per_iteration.iter().map(|&(_, _, count)| count).sum();
-        if events.saturating_mul(iterations) > limit {
-            return Err(format!(
-                "params.iterations {} would overflow the work counters of a run of `{}`",
-                self.params.iterations, circuit.name
-            ));
-        }
-        // Each term fits in u128 now: its count times `iterations` is at most `limit`.
-        let terms = per_iteration
-            .map(|(field, ns, count)| (field, ns, u128::from(ns) * count * iterations));
-        if terms.iter().map(|&(_, _, term)| term).sum::<u128>() <= limit {
+        let per_iteration = u128::from(DISPATCH_NS) * circuit.wire_count() as u128
+            + u128::from(CELL_EVAL_NS) * (connections * reach * reach / 2)
+            + u128::from(CELL_WRITE_NS) * (2 * connections * reach);
+        if per_iteration.saturating_mul(self.params.iterations as u128) <= u128::from(u64::MAX) {
             return Ok(());
         }
-        let (field, ns, _) = terms.into_iter().max_by_key(|&(_, _, term)| term).expect("three");
         Err(format!(
-            "{field} {ns} over params.iterations {} could carry the logical clock of a run of \
-             `{}` past u64::MAX",
+            "params.iterations {} could carry the logical clock of a run of `{}` past u64::MAX",
             self.params.iterations, circuit.name
         ))
     }
@@ -219,21 +189,11 @@ mod tests {
         let tiny = locus_circuit::presets::tiny();
         let ok = ShmemConfig::new(2);
         assert_eq!(ok.check_clock(&tiny), Ok(()));
-        let iterations = |iterations| RouterParams { iterations, ..ok.params };
-        for (field, cfg) in [
-            ("cell_eval_ns", ShmemConfig { cell_eval_ns: u64::MAX, ..ok }),
-            ("cell_eval_ns", ShmemConfig { cell_eval_ns: 1 << 50, ..ok }),
-            ("cell_write_ns", ShmemConfig { cell_write_ns: u64::MAX, ..ok }),
-            ("dispatch_ns", ShmemConfig { dispatch_ns: u64::MAX, ..ok }),
-            ("cell_eval_ns", ok.with_params(iterations(1 << 40))),
-        ] {
-            let err = cfg.check_clock(&tiny).expect_err(field);
-            assert!(err.contains(field) && err.contains("params.iterations"), "{field}: {err}");
+        let iterations = |iterations| ok.with_params(RouterParams { iterations, ..ok.params });
+        assert_eq!(iterations(1 << 30).check_clock(&tiny), Ok(()));
+        for n in [1 << 40, usize::MAX] {
+            let err = iterations(n).check_clock(&tiny).expect_err("past u64::MAX");
+            assert!(err.contains(&format!("params.iterations {n}")), "{err}");
         }
-        // A clock that never moves still counts the work it does.
-        let frozen = ShmemConfig { cell_eval_ns: 0, cell_write_ns: 0, dispatch_ns: 0, ..ok };
-        assert_eq!(frozen.with_params(iterations(1 << 40)).check_clock(&tiny), Ok(()));
-        let err = frozen.with_params(iterations(usize::MAX)).check_clock(&tiny).expect_err("MAX");
-        assert!(err.contains("params.iterations") && err.contains("work counters"), "{err}");
     }
 }

@@ -43,6 +43,17 @@ use locus_router::{CostArray, CostView, EvalScratch, ProcId, QualityMetrics, Rou
 use crate::cell_addr;
 use crate::config::ShmemConfig;
 
+/// Modelled time to examine one cost-array cell (ns); the Multimax
+/// NS32032-class node of §2.1.
+pub(crate) const CELL_EVAL_NS: u64 = 4_000;
+
+/// Modelled time to write one cell (rip-up / commit, ns).
+pub(crate) const CELL_WRITE_NS: u64 = 500;
+
+/// Modelled overhead of fetching a wire index from the distributed loop
+/// (one shared counter RMW, ns).
+pub(crate) const DISPATCH_NS: u64 = 2_000;
+
 /// Result of an emulated shared-memory run.
 #[derive(Clone, Debug)]
 pub struct ShmemOutcome {
@@ -170,8 +181,8 @@ impl<'a> ShmemEmulator<'a> {
 
     /// Creates an emulator, or returns what `ShmemConfig::validate`
     /// finds wrong with `config`: on its own, as a split of `circuit`
-    /// among the processors, or as timings and an iteration count that
-    /// could overflow the run's logical clock or work counters.
+    /// among the processors, or as an iteration count that could overflow
+    /// the run's logical clock or work counters.
     pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
         config.validate()?;
         config.check_surface(circuit)?;
@@ -249,7 +260,7 @@ impl<'a> ShmemEmulator<'a> {
                         pend.eval.route.cells(),
                         1,
                         at,
-                        cfg.cell_write_ns,
+                        CELL_WRITE_NS,
                     );
                     if last_iteration {
                         proc_of_wire[pend.wire] = p;
@@ -270,7 +281,7 @@ impl<'a> ShmemEmulator<'a> {
                     procs[p].at_barrier = true;
                     continue;
                 };
-                procs[p].clock += cfg.dispatch_ns;
+                procs[p].clock += DISPATCH_NS;
 
                 // Rip up the previous route (§3), visible immediately.
                 driver.on_node(p as u32);
@@ -282,7 +293,7 @@ impl<'a> ShmemEmulator<'a> {
                         old.cells(),
                         -1,
                         at,
-                        cfg.cell_write_ns,
+                        CELL_WRITE_NS,
                     );
                 }
 
@@ -292,9 +303,9 @@ impl<'a> ShmemEmulator<'a> {
                     cost: &shared,
                     reads: recorder
                         .as_mut()
-                        .map(|r| RefCell::new(r.begin(at.first(RefKind::Read), cfg.cell_eval_ns))),
+                        .map(|r| RefCell::new(r.begin(at.first(RefKind::Read), CELL_EVAL_NS))),
                     clock: Cell::new(at.time),
-                    step_ns: cfg.cell_eval_ns,
+                    step_ns: CELL_EVAL_NS,
                 };
                 let eval = route_wire_scratch(
                     &view,
@@ -484,10 +495,10 @@ mod tests {
         // Once a debug overflow panic in `cost_at`, a wrapped `time_secs`
         // untraced, and a clock "running backwards" in the recorder.
         let c = presets::tiny();
+        let long = RouterParams::default().with_iterations(1 << 40);
         for cfg in [ShmemConfig::new(2), ShmemConfig::new(2).with_trace()] {
-            let absurd = ShmemConfig { cell_eval_ns: u64::MAX, ..cfg };
-            let err = ShmemEmulator::try_new(&c, absurd).err().expect("u64::MAX ns a cell");
-            assert!(err.contains("cell_eval_ns"), "{err}");
+            let err = ShmemEmulator::try_new(&c, cfg.with_params(long)).err().expect("2^40 rounds");
+            assert!(err.contains("iterations"), "{err}");
         }
     }
 

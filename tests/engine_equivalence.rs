@@ -172,23 +172,19 @@ fn parallel_emulator_races_match_detector_and_are_classified() {
 
 #[test]
 fn faulted_engine_at_one_processor_matches_sequential() {
-    use locusroute::msgpass::MsgPassEngine;
-    use locusroute::router::engine::EngineCtx;
     let circuit = locusroute::circuit::presets::small();
-    let params = RouterParams::default();
-    let reference = build_engine("sequential")
-        .unwrap()
-        .route(&circuit, &params, &EngineCtx::new(1))
-        .expect("valid");
+    let reference = SequentialRouter::new(&circuit, RouterParams::default()).run();
     // 15% uniform loss with reliability on: one processor has no replica
     // staleness, so dropped-and-retransmitted packets cannot change the
     // routing result — only the simulated clock.
-    let faulted = MsgPassEngine::sender()
-        .with_fault_plan(FaultPlan::uniform_loss(7, 1500))
-        .route(&circuit, &params, &EngineCtx::new(1))
-        .expect("valid");
-    assert_eq!(faulted.outcome.quality, reference.outcome.quality);
-    assert_eq!(faulted.outcome.routes, reference.outcome.routes);
+    let faulted = run_msgpass(
+        &circuit,
+        MsgPassConfig::new(1, UpdateSchedule::sender_initiated(2, 10))
+            .with_faults(FaultPlan::uniform_loss(7, 1500))
+            .with_reliability(),
+    );
+    assert_eq!(faulted.quality, reference.quality);
+    assert_eq!(faulted.routes, reference.routes);
 }
 
 #[test]
