@@ -206,17 +206,22 @@ impl Trace {
     pub fn merge(streams: &[Trace]) -> Trace {
         assert!(streams.iter().all(Trace::is_sorted), "merge() takes time-ordered traces");
         let mut bursts = Vec::with_capacity(streams.iter().map(|t| t.bursts.len()).sum());
-        let mut ranked = Vec::with_capacity(streams.len());
-        for (rank, t) in streams.iter().enumerate() {
+        let mut runs = Vec::with_capacity(streams.len());
+        for t in streams {
+            // Every burst number of a stream is below every one of the
+            // streams after it, so ranking by it ranks by stream.
             let offset = next_burst(&bursts);
             bursts.extend_from_slice(&t.bursts);
-            ranked.push(t.refs().zip(&t.slots).map(move |(r, s)| {
-                (r.time, rank as u64, Slot { burst: offset + s.burst, addr: s.addr })
+            runs.push(t.refs().zip(&t.slots).map(move |(r, s)| Run {
+                time: r.time,
+                step: 0,
+                burst: offset + s.burst,
+                addrs: std::slice::from_ref(&s.addr),
             }));
         }
         next_burst(&bursts); // the last stream's numbers fit as well
         let len = streams.iter().map(Trace::len).sum();
-        Trace { bursts, slots: merge_by_time(ranked, len) }
+        Trace { bursts, slots: merge_by_time(runs, len).0 }
     }
 
     /// Appends a reference, as a burst of its own. References may be
@@ -405,67 +410,47 @@ impl TraceRecorder {
 
     /// The recorded references as a time-ordered trace.
     pub fn finish(self) -> Trace {
-        let len = self.addrs.iter().map(Vec::len).sum();
-        let cursors = self
-            .by_proc
-            .iter()
-            .map(|bursts| Cursor {
-                recorder: &self,
-                bursts: bursts.iter(),
-                burst: 0,
-                addrs: [].iter(),
-                time: 0,
-                step: 0,
-            })
-            .collect();
-        let slots = merge_by_time(cursors, len);
+        let slots = self.merge().0;
         Trace { bursts: self.bursts, slots }
     }
-}
 
-/// One processor's references in program order, each ranked by the number
-/// of its burst: the processor's bursts one after another, and within a
-/// burst the recorder's addresses.
-struct Cursor<'a> {
-    recorder: &'a TraceRecorder,
-    /// The processor's bursts after the current one.
-    bursts: std::slice::Iter<'a, u32>,
-    /// The current burst, its addresses not yet given, and the time of
-    /// the next.
-    burst: u32,
-    addrs: std::slice::Iter<'a, u32>,
-    time: u64,
-    step: u64,
-}
-
-impl Iterator for Cursor<'_> {
-    type Item = (u64, u64, Slot);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(&addr) = self.addrs.next() {
-                let time = self.time;
-                // Past the burst's last reference the sum is never read.
-                self.time = time.wrapping_add(self.step);
-                return Some((time, self.burst.into(), Slot { burst: self.burst, addr }));
-            }
-            let &burst = self.bursts.next()?;
-            let Burst { first, step } = self.recorder.bursts[burst as usize];
-            self.burst = burst;
-            self.addrs = self.recorder.addrs[burst as usize].iter();
-            (self.time, self.step) = (first.time, step);
-        }
+    /// The slots of [`Self::finish`], and how many were given in rounds.
+    fn merge(&self) -> (Vec<Slot>, usize) {
+        let len = self.addrs.iter().map(Vec::len).sum();
+        // One processor's references in program order: its bursts one
+        // after another, each a run of the recorder's addresses.
+        let runs = self
+            .by_proc
+            .iter()
+            .map(|bursts| {
+                bursts.iter().filter_map(|&burst| {
+                    let Burst { first, step } = self.bursts[burst as usize];
+                    let addrs = &self.addrs[burst as usize][..];
+                    (!addrs.is_empty()).then_some(Run { time: first.time, step, burst, addrs })
+                })
+            })
+            .collect();
+        merge_by_time(runs, len)
     }
 }
 
-/// `(time, rank, stream)`: the key of a stream's next reference, and the
+/// References of one stream, `step` ns apart from `time` on, that share
+/// their burst number: a recorded burst, or one reference of a trace.
+#[derive(Clone, Copy, Default)]
+struct Run<'a> {
+    time: u64,
+    step: u64,
+    burst: u32,
+    addrs: &'a [u32],
+}
+
+/// `(time, burst, stream)`: the key of a stream's next reference, and the
 /// stream. Keys of different streams differ.
-type Queued = (u64, u64, usize);
+type Queued = (u64, u32, usize);
 
 /// The streams that still have a reference, sorted by the key of that
-/// reference. A ring, because the front leaves and nearly always comes
-/// back at the back.
+/// reference. A ring, because the front leaves and most often comes back
+/// at the back.
 struct MergeQueue {
     /// A power of two of slots, more than ever queued.
     slots: Vec<Queued>,
@@ -484,6 +469,19 @@ impl MergeQueue {
     fn slot(&mut self, at: usize) -> &mut Queued {
         let mask = self.slots.len() - 1;
         &mut self.slots[at & mask]
+    }
+
+    /// The queued entries, front to back.
+    fn iter(&self) -> impl Iterator<Item = &Queued> {
+        let (head, tail) = self.slots.split_at(self.front & (self.slots.len() - 1));
+        tail.iter().chain(head).take(self.len)
+    }
+
+    /// Every queued entry, front to back.
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Queued> {
+        let mid = self.front & (self.slots.len() - 1);
+        let (head, tail) = self.slots.split_at_mut(mid);
+        tail.iter_mut().chain(head).take(self.len)
     }
 
     fn pop_front(&mut self) -> Option<Queued> {
@@ -506,39 +504,110 @@ impl MergeQueue {
         *self.slot(at) = entry;
         self.len += 1;
     }
+
+    /// How many whole rounds the front `m` streams can give without a
+    /// comparison: `(rounds, m, step)`, with no rounds unless the front is
+    /// in a run of a nonzero step with a reference after its next.
+    ///
+    /// The rotation is the front streams whose runs have that step and two
+    /// or more references left and whose keys are below the front's next,
+    /// `lap`. Each gives a reference in turn and is filed again at the
+    /// back of the rotation, one step on, above `lap` and so above every
+    /// key before it: a round gives `m` slots in queue order and leaves the
+    /// order as it was. The rounds stop one reference short of the shortest
+    /// run, so that every stream is still in its run, and while the last
+    /// of the rotation stays below the stream queued after it, so that
+    /// every slot given is below every key left.
+    fn rounds(&self, heads: &[Run]) -> (usize, usize, u64) {
+        let mut queued = self.iter();
+        let Some(&(time, burst, i)) = queued.next() else { return (0, 0, 0) };
+        let Run { step, addrs, .. } = heads[i];
+        if step == 0 || addrs.len() < 2 {
+            return (0, 0, 0);
+        }
+        // The front's next reference is in its run, so `time + step` is a
+        // time of the trace and cannot wrap; nor can any key the rounds
+        // reach, each being a reference's.
+        let lap = (time + step, burst);
+        let mut rounds = addrs.len() - 1;
+        let (mut last, mut m) = ((time, burst), 1);
+        for &(t, b, j) in queued {
+            let run = &heads[j];
+            if (t, b) >= lap || run.step != step || run.addrs.len() < 2 {
+                // `last` plus `r` steps stays below `(t, b)` for `r` up to
+                // this many (when `t == last.0`, `b` is above `last.1`).
+                let r = (t - last.0 - u64::from(last.1 > b)) / step;
+                rounds = rounds.min(usize::try_from(r).unwrap_or(usize::MAX));
+                break;
+            }
+            rounds = rounds.min(run.addrs.len() - 1);
+            (last, m) = ((t, b), m + 1);
+        }
+        (rounds, m, step)
+    }
 }
 
-/// Merges `streams`, each yielding `(time, rank, slot)` in non-decreasing
-/// `(time, rank)` order and `len` slots between them, into one sequence
-/// in that order. No two streams may share a rank. [`TraceRecorder::finish`]
-/// ranks by burst number and [`Trace::merge`] by stream.
+/// Merges `streams`, each yielding nonempty runs whose references are in
+/// time order, `len` references between them, into one sequence of slots
+/// by time. Equal times keep each stream's own order, and between streams
+/// go by burst number: [`TraceRecorder::finish`] gives each processor its
+/// own bursts, numbered in the order they began, and [`Trace::merge`]
+/// numbers each stream's bursts above all of those before it. Also
+/// returns how many slots were given in whole rounds.
 ///
-/// The stream at the front of a [`MergeQueue`] gives its slot and is
-/// filed again under the key of its next: a processor sweeping cells is
-/// one time step further on than everyone it just overtook, so the new
-/// key is nearly always the largest and lands where the search starts.
-/// (A binary heap pays its full sift-down on exactly that case.)
-fn merge_by_time<I>(mut streams: Vec<I>, len: usize) -> Vec<Slot>
+/// The merge advances by whole rounds where it can: when the streams at
+/// the front of the [`MergeQueue`] all sweep at one step and lie within
+/// one step of each other, the next rounds are a fixed rotation of them
+/// ([`MergeQueue::rounds`]), copied with no comparison while every key
+/// moves on by as many steps. Otherwise the front stream gives one slot
+/// and is filed again under the key of its next, searching from the
+/// back. (A binary heap would pay its full sift-down on the common case
+/// that the new key is the largest.) One-reference runs, which
+/// [`Trace::merge`] gives, never make a round.
+fn merge_by_time<'a, I>(mut streams: Vec<I>, len: usize) -> (Vec<Slot>, usize)
 where
-    I: Iterator<Item = (u64, u64, Slot)>,
+    I: Iterator<Item = Run<'a>>,
 {
-    // Every stream's next slot, if the queue names the stream.
-    let mut heads = vec![Slot::default(); streams.len()];
-    let mut advance = |i: usize, heads: &mut [Slot]| {
-        let (time, rank, slot) = streams[i].next()?;
-        heads[i] = slot;
-        Some((time, rank, i))
-    };
-    let mut queue =
-        MergeQueue::new((0..heads.len()).filter_map(|i| advance(i, &mut heads)).collect());
+    // Every queued stream's run, from the reference its key names on.
+    let mut heads: Vec<Run> = streams.iter_mut().map(|s| s.next().unwrap_or_default()).collect();
+    let mut queue = MergeQueue::new(
+        (heads.iter().enumerate())
+            .filter(|(_, run)| !run.addrs.is_empty())
+            .map(|(i, run)| (run.time, run.burst, i))
+            .collect(),
+    );
     let mut out = Vec::with_capacity(len);
-    while let Some((_, _, i)) = queue.pop_front() {
-        out.push(heads[i]);
-        if let Some(next) = advance(i, &mut heads) {
-            queue.insert(next);
+    let mut in_rounds = 0;
+    // The runs a batch of rounds takes from, front to back.
+    let mut rotation: Vec<(u32, &[u32])> = Vec::with_capacity(heads.len());
+    loop {
+        let (rounds, m, step) = queue.rounds(&heads);
+        if rounds > 0 {
+            rotation.clear();
+            for (time, _, i) in queue.iter_mut().take(m) {
+                let run = &mut heads[*i];
+                rotation.push((run.burst, run.addrs));
+                run.addrs = &run.addrs[rounds..];
+                *time += rounds as u64 * step;
+            }
+            for k in 0..rounds {
+                out.extend(rotation.iter().map(|&(burst, addrs)| Slot { burst, addr: addrs[k] }));
+            }
+            in_rounds += rounds * m;
+            continue;
+        }
+        let Some((time, burst, i)) = queue.pop_front() else { break };
+        let run = &mut heads[i];
+        out.push(Slot { burst, addr: run.addrs[0] });
+        run.addrs = &run.addrs[1..];
+        if !run.addrs.is_empty() {
+            queue.insert((time + run.step, burst, i));
+        } else if let Some(next) = streams[i].next() {
+            *run = next;
+            queue.insert((next.time, next.burst, i));
         }
     }
-    out
+    (out, in_rounds)
 }
 
 #[cfg(test)]
@@ -673,23 +742,96 @@ mod tests {
         assert!(MemRef::check_epochs(usize::MAX).is_err());
     }
 
-    /// Records `bursts` of `(first, step, addresses)` and, as the oracle,
-    /// lists the same references one by one and stable-sorts them by time.
+    /// Records `bursts` of `(first, step, addresses)`.
+    fn record(n_procs: usize, bursts: &[(MemRef, u64, Vec<u32>)]) -> TraceRecorder {
+        let mut recorder = TraceRecorder::new(n_procs);
+        for (first, step, addrs) in bursts {
+            let mut burst = recorder.begin(*first, *step);
+            addrs.iter().for_each(|&addr| burst.push(addr));
+        }
+        recorder
+    }
+
+    /// Records `bursts` and, as the oracle, lists the same references one
+    /// by one and stable-sorts them by time.
     fn recorded_and_sorted(
         n_procs: usize,
         bursts: &[(MemRef, u64, Vec<u32>)],
     ) -> (Trace, Vec<MemRef>) {
-        let mut recorder = TraceRecorder::new(n_procs);
-        let mut listed = Vec::new();
-        for (first, step, addrs) in bursts {
-            let mut burst = recorder.begin(*first, *step);
-            for (i, &addr) in addrs.iter().enumerate() {
-                burst.push(addr);
-                listed.push(MemRef { time: first.time + i as u64 * step, addr, ..*first });
-            }
-        }
+        let mut listed: Vec<MemRef> = bursts
+            .iter()
+            .flat_map(|(first, step, addrs)| {
+                (0..).zip(addrs).map(move |(i, &addr)| MemRef {
+                    time: first.time + i * step,
+                    addr,
+                    ..*first
+                })
+            })
+            .collect();
         listed.sort_by_key(|r| r.time);
-        (recorder.finish(), listed)
+        (record(n_procs, bursts).finish(), listed)
+    }
+
+    /// A candidate sweep: `len` reads by `proc`, `step` apart from `time` on.
+    fn sweep(time: u64, proc: u32, step: u64, len: u32) -> (MemRef, u64, Vec<u32>) {
+        (r(time, proc, 0, RefKind::Read), step, (0..len).map(|i| 2 * (100 * proc + i)).collect())
+    }
+
+    /// Checks the recorded trace against the oracle, and returns how many
+    /// of its references the merge gave in whole rounds.
+    fn in_rounds(n_procs: usize, bursts: &[(MemRef, u64, Vec<u32>)]) -> usize {
+        let (recorded, sorted) = recorded_and_sorted(n_procs, bursts);
+        assert_eq!(recorded.refs().collect::<Vec<_>>(), sorted);
+        assert_eq!(Trace::merge(std::slice::from_ref(&recorded)), recorded);
+        record(n_procs, bursts).merge().1
+    }
+
+    #[test]
+    fn a_lone_stream_gives_its_burst_in_one_batch_of_rounds() {
+        let addrs = [0, 2, 4, 6, 8, 10];
+        let heads = [Run { time: 7, step: 3, burst: 0, addrs: &addrs }];
+        // Every reference but the last, which the ordinary step gives.
+        assert_eq!(MergeQueue::new(vec![(7, 0, 0)]).rounds(&heads), (5, 1, 3));
+        assert_eq!(in_rounds(1, &[sweep(7, 0, 3, 6)]), 5);
+        assert_eq!(in_rounds(1, &[sweep(7, 0, 0, 6)]), 0, "no rounds at step 0");
+    }
+
+    #[test]
+    fn a_burst_may_begin_at_its_predecessors_last_time() {
+        // Processor 0 sweeps 0..=30 and again 30..=70; processor 1 sweeps
+        // 5..=75. Three rounds run up to 30, where the first burst's last
+        // reference comes before the second's first, then four more.
+        let bursts = [sweep(0, 0, 10, 4), sweep(5, 1, 10, 8), sweep(30, 0, 10, 5)];
+        assert_eq!(in_rounds(2, &bursts), 6 + 8);
+        let (trace, _) = recorded_and_sorted(2, &bursts);
+        let at30: Vec<u32> = trace.refs().filter(|r| r.time == 30).map(|r| r.addr).collect();
+        assert_eq!(at30, [6, 0]);
+    }
+
+    #[test]
+    fn rounds_may_end_on_the_last_tick_of_the_clock() {
+        let end = u64::MAX;
+        // Three rounds, then single steps; the lone stream's rounds move
+        // its key onto the last tick.
+        assert_eq!(in_rounds(2, &[sweep(end - 40, 0, 10, 5), sweep(end - 35, 1, 10, 4)]), 6);
+        assert_eq!(in_rounds(1, &[sweep(end - 20, 0, 5, 5)]), 4);
+        assert_eq!(in_rounds(2, &[sweep(end - 4, 0, 1, 5), sweep(end - 4, 1, 1, 5)]), 8);
+    }
+
+    #[test]
+    fn a_write_burst_arriving_mid_sweep_is_merged_by_single_steps() {
+        let w = r(11, 2, 0, RefKind::Write).with_delta(1).with_criticality(Criticality::Critical);
+        let bursts = [
+            sweep(0, 0, 4, 20),
+            sweep(1, 1, 4, 20),
+            sweep(2, 2, 4, 3),
+            (w, 1, vec![300, 302, 304, 306, 308, 310]), // 11..=16
+            sweep(17, 2, 4, 10),
+        ];
+        // Two rounds of three, then single steps until the writes lead by
+        // a read step: two rounds of the writes alone, nine of three once
+        // processor 2 sweeps again, and five of the last two.
+        assert_eq!(in_rounds(3, &bursts), 6 + 2 + 27 + 10);
     }
 
     fn example_bursts() -> Vec<(MemRef, u64, Vec<u32>)> {

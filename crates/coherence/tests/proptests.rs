@@ -144,6 +144,56 @@ fn arb_bursts() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> 
     })
 }
 
+/// Bursts shaped like the emulator's, which the merge gives in whole
+/// rounds: 2–8 processors sweep long bursts (8–60 references) at one
+/// shared step, from start times staggered by less than two steps and
+/// often equal, so that equal times are broken by burst number. Between
+/// sweeps come short write bursts at other steps and at step 0. A
+/// processor's next burst starts at its previous one's last reference,
+/// a little after it, or now and then far later. Every address is
+/// distinct, so any slot out of place shows.
+fn arb_sweeps() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> {
+    // `(step, length)` of a burst; no step is the shared one. Half the
+    // bursts are sweeps.
+    let shape = prop_oneof![
+        (8usize..61).prop_map(|len| (None, len)),
+        (8usize..61).prop_map(|len| (None, len)),
+        (0u64..9, 1usize..5).prop_map(|(step, len)| (Some(step), len)),
+        (1usize..5).prop_map(|len| (Some(0), len)),
+    ];
+    let gap = prop_oneof![Just(0u64), 0u64..3, 0u64..400];
+    let phase = prop_oneof![Just(0u64), 0u64..16];
+    (
+        2usize..=8,
+        1u64..9,
+        proptest::collection::vec(phase, 8),
+        proptest::collection::vec((0usize..8, shape, gap), 0..60),
+    )
+        .prop_map(|(n_procs, shared, phases, raw)| {
+            let mut clock: Vec<u64> = phases[..n_procs].iter().map(|&p| p % (2 * shared)).collect();
+            let mut next_addr = 0u32;
+            let bursts = raw
+                .into_iter()
+                .map(|(proc, (step, len), gap)| {
+                    let proc = proc % n_procs;
+                    let t0 = clock[proc] + gap;
+                    let first = match step {
+                        None => MemRef::new(t0, proc as u32, 0, RefKind::Read),
+                        Some(_) => MemRef::new(t0, proc as u32, 0, RefKind::Write)
+                            .with_delta(1)
+                            .with_criticality(Criticality::Critical),
+                    };
+                    let step = step.unwrap_or(shared);
+                    clock[proc] = t0 + step * (len as u64 - 1);
+                    let addrs = (next_addr..).step_by(2).take(len).collect();
+                    next_addr += 2 * len as u32;
+                    (first.with_wire(proc as u32), step, addrs)
+                })
+                .collect();
+            (n_procs, bursts)
+        })
+}
+
 /// 0, 1, 3, 12, 64, 65, every power of two up to 2^31, and `u32::MAX`.
 fn edge() -> impl Strategy<Value = u32> {
     (0u32..37).prop_map(|i| match i {
@@ -159,6 +209,39 @@ fn edge() -> impl Strategy<Value = u32> {
 /// Both fields of a `MemoryConfig` drawn from [`edge`].
 fn arb_memory_config() -> impl Strategy<Value = MemoryConfig> {
     (edge(), edge()).prop_map(|(n_procs, line_size)| MemoryConfig { n_procs, line_size })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn sweeps_merge_as_a_stable_sort_through_finish_and_merge(case in arb_sweeps()) {
+        // One recorder for the run, and one a processor; `Trace::merge`
+        // then breaks equal times by processor, not by burst number.
+        let (n_procs, bursts) = case;
+        let mut whole = TraceRecorder::new(n_procs);
+        let mut per_proc: Vec<TraceRecorder> =
+            (0..n_procs).map(|_| TraceRecorder::new(n_procs)).collect();
+        let mut listed = Vec::new();
+        for (first, step, addrs) in &bursts {
+            for recorder in [&mut whole, &mut per_proc[first.proc as usize]] {
+                let mut burst = recorder.begin(*first, *step);
+                addrs.iter().for_each(|&addr| burst.push(addr));
+            }
+            listed.extend((0..).zip(addrs).map(|(i, &addr)| MemRef {
+                time: first.time + i * step,
+                addr,
+                ..*first
+            }));
+        }
+        let mut by_burst = listed.clone();
+        by_burst.sort_by_key(|r| r.time);
+        prop_assert_eq!(whole.finish().refs().collect::<Vec<_>>(), by_burst);
+        let streams: Vec<Trace> = per_proc.into_iter().map(TraceRecorder::finish).collect();
+        let mut by_proc = listed;
+        by_proc.sort_by_key(|r| (r.time, r.proc));
+        prop_assert_eq!(Trace::merge(&streams).refs().collect::<Vec<_>>(), by_proc);
+    }
 }
 
 proptest! {

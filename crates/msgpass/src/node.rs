@@ -409,20 +409,25 @@ impl<'a> RouterNode<'a> {
     }
 
     /// Places the next wire of the static assignment, after issuing any
-    /// requests its window makes due. Returns modelled work time.
+    /// requests its window makes due. A node the assignment gives no wire
+    /// begins and ends an iteration instead. Returns modelled work time.
     fn route_next_wire(&mut self, outbox: &mut Outbox<Frame>) -> u64 {
         let idx = self.wire_idx;
-        let mut link = self.transport.link(outbox, self.now_ns);
-        let mut busy =
-            self.update.issue_requests(&self.circuit, &self.plan[self.proc], idx, &mut link);
         let stamp = Stamp::At(self.now_ns);
-        if idx == 0 {
+        let mut busy = 0;
+        if let Some(&wire_id) = self.plan[self.proc].get(idx) {
+            let mut link = self.transport.link(outbox, self.now_ns);
+            busy +=
+                self.update.issue_requests(&self.circuit, &self.plan[self.proc], idx, &mut link);
+            if idx == 0 {
+                self.driver.phase_begin(stamp);
+            }
+            busy += self.place_wire(Some(idx), wire_id, outbox);
+            // Advance the program counter.
+            self.wire_idx += 1;
+        } else {
             self.driver.phase_begin(stamp);
         }
-        busy += self.place_wire(Some(idx), self.plan[self.proc][idx], outbox);
-
-        // Advance the program counter.
-        self.wire_idx += 1;
         let progressed = self.wire_idx as u32;
         if self.wire_idx == self.plan[self.proc].len() {
             self.driver.phase_end(stamp);

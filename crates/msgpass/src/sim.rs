@@ -827,6 +827,52 @@ mod tests {
         assert_eq!(out.recovery, again.recovery);
     }
 
+    /// The processors that the static assignment of `cfg` gives no wire.
+    fn idle_processors(c: &Circuit, cfg: MsgPassConfig) -> Vec<usize> {
+        let regions = RegionMap::new(c.channels, c.grids, cfg.n_procs);
+        let plan = assign(c, &regions, cfg.assignment).wires_per_proc;
+        (0..cfg.n_procs).filter(|&p| plan[p].is_empty()).collect()
+    }
+
+    #[test]
+    fn a_processor_the_assignment_gives_no_wire_finishes_at_once() {
+        let c = locus_circuit::presets::bnr_e();
+        let paper =
+            [UpdateSchedule::sender_initiated(2, 10), UpdateSchedule::receiver_initiated(1, 5)];
+        for schedule in paper {
+            let cfg = small_config(64, schedule);
+            assert!(!idle_processors(&c, cfg).is_empty(), "bnrE leaves some of 64 without a wire");
+            let out = run_msgpass(&c, cfg);
+            assert!(!out.deadlocked && out.degraded.is_none(), "{schedule:?}: {:?}", out.degraded);
+            assert_eq!(out.watchdog_recoveries, 0, "{schedule:?}: the nodes route every wire");
+            assert_eq!(out.routes.len(), c.wire_count());
+            assert_eq!(out.occupancy_by_iteration.len(), 2, "every node closes both iterations");
+        }
+    }
+
+    #[test]
+    fn a_processor_with_no_wire_checkpoints_heartbeats_and_may_crash() {
+        use locus_mesh::{FaultPlan, NodeFault};
+        let c = locus_circuit::presets::tiny();
+        let idle = idle_processors(&c, recovery_config(8));
+        assert!(!idle.is_empty(), "tiny leaves some of 8 without a wire");
+        // Were the idle nodes silent, a clean run would declare them dead.
+        let clean = run_msgpass(&c, recovery_config(8));
+        assert!(!clean.deadlocked && clean.degraded.is_none(), "{:?}", clean.degraded);
+        assert_eq!(clean.recovery.nodes_declared_dead, 0);
+        assert!(clean.recovery.checkpoints_taken >= 8, "every node checkpoints when done");
+        let busy = (0..8).find(|p| !idle.contains(p)).expect("a processor with wires");
+        let mid = clean.net.completion.as_ns() / 2;
+        for victim in [idle[0], busy] {
+            let crash =
+                FaultPlan::none().with_node_fault(victim as u32, NodeFault::Crash { at_ns: mid });
+            let out = run_msgpass(&c, recovery_config(8).with_faults(crash));
+            assert!(!out.deadlocked && out.degraded.is_none(), "{victim}: {:?}", out.degraded);
+            assert_eq!(out.watchdog_recoveries, 0, "{victim}: the protocol recovers");
+            assert_eq!(out.routes.len(), c.wire_count());
+        }
+    }
+
     #[test]
     fn coordinator_crash_fails_over_to_next_rank() {
         use locus_mesh::{FaultPlan, NodeFault};
