@@ -212,8 +212,8 @@ pub fn audit_staleness(
     audit_every: u32,
 ) -> Result<(StalenessReport, MsgPassOutcome), String> {
     let schedule = match engine {
-        "msgpass-sender" => UpdateSchedule::sender_initiated(2, 10),
-        "msgpass-receiver" => UpdateSchedule::receiver_initiated(1, 5),
+        "msgpass-sender" => UpdateSchedule::sender_paper(),
+        "msgpass-receiver" => UpdateSchedule::receiver_paper(),
         other => return Err(format!("'{other}' is not a message-passing engine")),
     };
     let cfg = MsgPassConfig::new(procs, schedule).with_params(params).with_audit_every(audit_every);

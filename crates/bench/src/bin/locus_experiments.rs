@@ -58,7 +58,7 @@
 
 use locus_bench::catalog::{self, Experiment, RunCfg};
 use locus_bench::report::Report;
-use locus_bench::{table46_schedule, Harness, PAPER_PROCS};
+use locus_bench::{Harness, PAPER_PROCS};
 use locus_circuit::presets;
 use locusroute::router::RouterParams;
 
@@ -213,14 +213,14 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
 }
 
 /// Runs the paper-settings message-passing router (bnrE, 16 processors,
-/// the sender-initiated Table 4/6 schedule) with a recording sink and
+/// the paper's sender-initiated schedule) with a recording sink and
 /// writes the requested trace / metrics exports.
 fn write_observability(trace_out: Option<String>, metrics_out: Option<String>) {
-    use locus_msgpass::{run_msgpass_observed, MsgPassConfig};
+    use locus_msgpass::{run_msgpass_observed, MsgPassConfig, UpdateSchedule};
     use locus_obs::{export, SharedSink};
     eprintln!("observability: instrumented msgpass run (bnrE, {PAPER_PROCS} procs)...");
     let sink = SharedSink::new();
-    let cfg = MsgPassConfig::new(PAPER_PROCS, table46_schedule());
+    let cfg = MsgPassConfig::new(PAPER_PROCS, UpdateSchedule::sender_paper());
     let outcome = run_msgpass_observed(&presets::bnr_e(), cfg, sink.clone());
     assert!(!outcome.deadlocked, "observed run deadlocked");
     if let Some(path) = trace_out {

@@ -6,10 +6,10 @@
 use locus_circuit::{presets, Circuit};
 use locus_coherence::{build_memory_model, memory_registry, MemoryConfig};
 use locus_obs::export::Json;
-use locus_router::engine::{EngineCtx, EngineRun};
+use locus_router::engine::EngineRun;
 use locus_router::render::{render_cost_array, render_regions};
 use locus_router::{RegionMap, RouterParams, SequentialRouter};
-use locusroute::engines::{build_engine, registry};
+use locusroute::engines::{self, registry};
 
 use crate::experiments as ex;
 use crate::report::{col, fixed, fixed_as, float, fraction, text, Cell, Report};
@@ -617,18 +617,17 @@ pub fn engine(
     procs: Option<usize>,
     circuit: Option<&str>,
 ) -> Result<Report, String> {
-    let engine = build_engine(name)?;
+    let entry = engines::find(name)?;
     let c = circuit.map_or_else(|| Ok(cfg.circuit()), circuit_by_name)?;
     let procs = procs.unwrap_or_else(|| cfg.procs());
-    let ctx = EngineCtx::new(procs).with_traffic();
-    let run = engine.route(&c, &RouterParams::default(), &ctx)?;
+    let run = (entry.run)(&c, &RouterParams::default(), procs, true)?;
     // Not every engine has a clock or measures traffic.
     fn opt3(v: Option<f64>) -> Cell {
         v.map_or(Json::Null.into(), |v| fixed(v, 3))
     }
     Ok(Report::new(format!("engine run ({}, {} procs)", c.name, procs)).table(
         "rows",
-        &[(engine.id(), run)],
+        &[(entry.name, run)],
         &[
             col("engine", "engine", |r: &(&str, EngineRun)| r.0.into()),
             col("ckt_ht", "Ckt. Ht.", |r| r.1.outcome.quality.circuit_height.into()),

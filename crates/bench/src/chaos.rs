@@ -200,7 +200,7 @@ fn scenarios(spans_ns: &[u64], t_ns: u64, fracs: &[f64]) -> Vec<(&'static str, f
 /// Base message-passing configuration of the study (single iteration so
 /// checkpoint progress is monotone, as recovery requires).
 fn base_config(procs: usize) -> MsgPassConfig {
-    let mut cfg = MsgPassConfig::new(procs, UpdateSchedule::sender_initiated(2, 10));
+    let mut cfg = MsgPassConfig::new(procs, UpdateSchedule::sender_paper());
     cfg.params = cfg.params.with_iterations(1);
     cfg
 }

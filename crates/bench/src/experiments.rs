@@ -17,21 +17,13 @@ use locus_coherence::{
     MemoryOutcome, Trace,
 };
 use locus_msgpass::{run_msgpass, MsgPassConfig, PacketStructure, UpdateSchedule};
-use locus_router::engine::EngineCtx;
 use locus_router::locality::locality_measure;
 use locus_router::{assign, AssignmentStrategy, RegionMap, RouterParams, SequentialRouter};
 use locus_shmem::{ShmemConfig, ShmemEmulator};
-use locusroute::engines::build_engine;
+use locusroute::engines;
 
 /// The paper's default message-passing machine size.
 pub const PAPER_PROCS: usize = 16;
-
-/// The sender-initiated schedule the paper's Tables 4 and 6 use
-/// (`SendRmtData = 2`, `SendLocData = 10` — the Table 1 row whose traffic
-/// and time the other tables repeat).
-pub fn table46_schedule() -> UpdateSchedule {
-    UpdateSchedule::sender_initiated(2, 10)
-}
 
 /// A row of an update-frequency sweep (Tables 1 and 2).
 #[derive(Clone, Debug, PartialEq)]
@@ -150,7 +142,7 @@ pub(crate) struct MixedRow {
 pub(crate) fn mixed_study(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<MixedRow> {
     let cases: Vec<(&str, UpdateSchedule)> = vec![
         ("sender (2,5)", UpdateSchedule::sender_initiated(2, 5)),
-        ("receiver (1,5)", UpdateSchedule::receiver_initiated(1, 5)),
+        ("receiver (1,5)", UpdateSchedule::receiver_paper()),
         ("mixed (5,2,1,5)", UpdateSchedule::mixed_paper()),
     ];
     harness.map(cases, |(label, schedule)| {
@@ -317,12 +309,11 @@ pub fn table4(harness: &Harness, circuits: &[&Circuit], n_procs: usize) -> Vec<T
     harness.map(points, |(circuit, method, strategy)| {
         let sender = run_msgpass(
             circuit,
-            MsgPassConfig::new(n_procs, table46_schedule()).with_assignment(strategy),
+            MsgPassConfig::new(n_procs, UpdateSchedule::sender_paper()).with_assignment(strategy),
         );
         let receiver = run_msgpass(
             circuit,
-            MsgPassConfig::new(n_procs, UpdateSchedule::receiver_initiated(1, 5))
-                .with_assignment(strategy),
+            MsgPassConfig::new(n_procs, UpdateSchedule::receiver_paper()).with_assignment(strategy),
         );
         assert!(!sender.deadlocked && !receiver.deadlocked);
         Table4Row {
@@ -392,7 +383,7 @@ pub struct Table6Row {
 /// schedule); quality degrades, time scales, traffic peaks then falls.
 pub fn table6(harness: &Harness, circuit: &Circuit, procs: &[usize]) -> Vec<Table6Row> {
     let outcomes: Vec<(usize, locus_msgpass::MsgPassOutcome)> = harness.map(procs.to_vec(), |p| {
-        let out = run_msgpass(circuit, MsgPassConfig::new(p, table46_schedule()));
+        let out = run_msgpass(circuit, MsgPassConfig::new(p, UpdateSchedule::sender_paper()));
         assert!(!out.deadlocked, "table6 run P={p} deadlocked");
         (p, out)
     });
@@ -488,7 +479,7 @@ pub(crate) fn speedup_study(
         // Message passing on the simulated mesh (simulated time, so the
         // points can run concurrently without distorting each other).
         let times: Vec<(usize, f64)> = harness.map(proc_counts.to_vec(), |p| {
-            let out = run_msgpass(circuit, MsgPassConfig::new(p, table46_schedule()));
+            let out = run_msgpass(circuit, MsgPassConfig::new(p, UpdateSchedule::sender_paper()));
             (p, out.time_secs)
         });
         let t2 = times.iter().find(|(p, _)| *p == 2).map(|&(_, t)| t).unwrap_or(times[0].1);
@@ -529,11 +520,8 @@ pub const COMPARE_ENGINES: [(&str, &str); 3] = [
 /// (≈10× less again). Driven entirely through the engine registry — one
 /// traffic-measured run per registered paradigm.
 pub fn compare_paradigms(harness: &Harness, circuit: &Circuit, n_procs: usize) -> Vec<CompareRow> {
-    let ctx = EngineCtx::new(n_procs).with_traffic();
     harness.map(COMPARE_ENGINES.to_vec(), |(name, label)| {
-        let engine = build_engine(name).expect("compare engines are registered");
-        let run = engine
-            .route(circuit, &RouterParams::default(), &ctx)
+        let run = engines::run(name, circuit, &RouterParams::default(), n_procs, true)
             .expect("the default parameters fit every compared engine");
         CompareRow {
             approach: label.to_string(),
@@ -575,7 +563,7 @@ pub(crate) fn structures_study(
     circuit: &Circuit,
     n_procs: usize,
 ) -> Vec<AblationRow> {
-    let schedule = UpdateSchedule::sender_initiated(2, 10);
+    let schedule = UpdateSchedule::sender_paper();
     let variants = vec![
         ("bounding box (paper's choice)", PacketStructure::BoundingBox),
         ("full region", PacketStructure::FullRegion),
@@ -596,7 +584,7 @@ pub(crate) fn overshoot_study(
     n_procs: usize,
 ) -> Vec<AblationRow> {
     harness.map(vec![0u16, 1, 2], |ov| {
-        let cfg = MsgPassConfig::new(n_procs, table46_schedule())
+        let cfg = MsgPassConfig::new(n_procs, UpdateSchedule::sender_paper())
             .with_params(RouterParams::default().with_channel_overshoot(ov));
         let out = run_msgpass(circuit, cfg);
         ablation_row(&format!("overshoot = {ov}"), &out)
@@ -634,7 +622,7 @@ pub(crate) fn distribution_study(
     circuit: &Circuit,
     n_procs: usize,
 ) -> Vec<AblationRow> {
-    let schedule = UpdateSchedule::sender_initiated(2, 10);
+    let schedule = UpdateSchedule::sender_paper();
     harness.map(vec![false, true], |dynamic| {
         if dynamic {
             let out =
@@ -678,8 +666,8 @@ pub(crate) struct FaultRow {
 /// update strategies.
 fn fault_study_schedules() -> [(&'static str, UpdateSchedule); 2] {
     [
-        ("sender(2,10)", UpdateSchedule::sender_initiated(2, 10)),
-        ("receiver(1,5)", UpdateSchedule::receiver_initiated(1, 5)),
+        ("sender(2,10)", UpdateSchedule::sender_paper()),
+        ("receiver(1,5)", UpdateSchedule::receiver_paper()),
     ]
 }
 

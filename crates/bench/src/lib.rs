@@ -23,8 +23,7 @@ pub mod report;
 pub mod serve;
 
 pub use experiments::{
-    blocking_study, compare_paradigms, table1, table4, table46_schedule, table6, COMPARE_ENGINES,
-    PAPER_PROCS,
+    blocking_study, compare_paradigms, table1, table4, table6, COMPARE_ENGINES, PAPER_PROCS,
 };
 /// The scoped-thread pool sweep points run on: the job server's
 /// [`locus_service::WorkerPool`], under the name the experiments use.

@@ -12,7 +12,7 @@ use locus_service::{
     generate, Backpressure, EngineRunner, JobOutcome, JobServer, ServiceConfig, ServiceOutcome,
     WorkerPool, WorkloadConfig,
 };
-use locusroute::engines::build_engine;
+use locusroute::engines;
 
 /// Trace seed of the service study.
 pub(crate) const SERVICE_SEED: u64 = 0x1989_000C;
@@ -144,7 +144,7 @@ fn shape(quick: bool) -> (usize, usize, u64) {
 pub(crate) fn service_study(pool: &WorkerPool, quick: bool) -> ServiceStudy {
     let (workers, queue_capacity, duration_ms) = shape(quick);
     let loads = if quick { SERVICE_LOADS_QUICK } else { SERVICE_LOADS };
-    let runner = EngineRunner::new(build_engine);
+    let runner = EngineRunner::new(engines::run);
 
     let mut rows = Vec::with_capacity(loads.len() * SERVICE_POLICIES.len());
     for &load in loads {

@@ -35,7 +35,6 @@
 
 pub mod config;
 pub mod delta;
-pub mod engine;
 mod node;
 pub mod packet;
 mod recovery;
@@ -46,7 +45,6 @@ mod update;
 
 pub use config::{MsgPassConfig, PacketStructure, RecoveryConfig, WireSource};
 pub use delta::DeltaArray;
-pub use engine::MsgPassEngine;
 pub use node::ReplicaSnapshot;
 pub use packet::{Packet, PacketCounts, PacketKind, WireEvent};
 pub use recovery::RecoveryStats;

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use locus_circuit::{Circuit, WireId};
 use locus_mesh::{Envelope, Node, Outbox, SimTime, Step};
 use locus_obs::{EventKind, Obs};
-use locus_router::engine::{IterationDriver, Stamp};
+use locus_router::engine::IterationDriver;
 use locus_router::router::route_wire_scratch;
 use locus_router::{CostArray, EvalScratch, ProcId, RegionMap, Route};
 
@@ -221,7 +221,7 @@ impl<'a> RouterNode<'a> {
     fn mark_finished_routing(&mut self) {
         self.finished_routing = true;
         self.routing_done_ns = self.now_ns;
-        self.driver.kernel_stats(Stamp::At(self.now_ns));
+        self.driver.kernel_stats(self.now_ns);
     }
 
     /// Stamps the truth-change time of every cell `route` covers (no-op
@@ -283,7 +283,7 @@ impl<'a> RouterNode<'a> {
             stale_age_sum_ns: age_sum,
         };
         self.driver.emit_event(
-            Stamp::At(self.now_ns),
+            self.now_ns,
             EventKind::ReplicaAudit {
                 diverged_cells: diverged,
                 max_divergence: max,
@@ -351,7 +351,7 @@ impl<'a> RouterNode<'a> {
     /// Takes the route in static slot `idx` back out of the shared truth
     /// and the local view.
     fn rip_up(&mut self, idx: usize) -> Option<Route> {
-        let old = self.driver.rip_up(idx, self.plan[self.proc][idx], Stamp::At(self.now_ns))?;
+        let old = self.driver.rip_up(idx, self.plan[self.proc][idx], self.now_ns)?;
         self.oracle.borrow_mut().remove_route(&old);
         self.touch_truth(&old);
         self.update.record_route(&mut self.replica, old.cells(), -1);
@@ -369,7 +369,6 @@ impl<'a> RouterNode<'a> {
         wire_id: WireId,
         outbox: &mut Outbox<Frame>,
     ) -> u64 {
-        let stamp = Stamp::At(self.now_ns);
         let old = slot.and_then(|idx| self.rip_up(idx));
         let mut busy = old.as_ref().map_or(0, |old| old.len() as u64 * CELL_WRITE_NS);
 
@@ -397,8 +396,8 @@ impl<'a> RouterNode<'a> {
         self.update.record_route(&mut self.replica, eval.route.cells(), 1);
         self.update.wire_routed(old.as_ref(), &eval.route);
         match slot {
-            Some(idx) => self.driver.commit(idx, wire_id, eval, cost_at_decision, stamp),
-            None => self.driver.commit_dynamic(wire_id, eval, cost_at_decision, stamp),
+            Some(idx) => self.driver.commit(idx, wire_id, eval, cost_at_decision, self.now_ns),
+            None => self.driver.commit_dynamic(wire_id, eval, cost_at_decision, self.now_ns),
         }
 
         self.wires_routed_count += 1;
@@ -413,24 +412,23 @@ impl<'a> RouterNode<'a> {
     /// begins and ends an iteration instead. Returns modelled work time.
     fn route_next_wire(&mut self, outbox: &mut Outbox<Frame>) -> u64 {
         let idx = self.wire_idx;
-        let stamp = Stamp::At(self.now_ns);
         let mut busy = 0;
         if let Some(&wire_id) = self.plan[self.proc].get(idx) {
             let mut link = self.transport.link(outbox, self.now_ns);
             busy +=
                 self.update.issue_requests(&self.circuit, &self.plan[self.proc], idx, &mut link);
             if idx == 0 {
-                self.driver.phase_begin(stamp);
+                self.driver.phase_begin(self.now_ns);
             }
             busy += self.place_wire(Some(idx), wire_id, outbox);
             // Advance the program counter.
             self.wire_idx += 1;
         } else {
-            self.driver.phase_begin(stamp);
+            self.driver.phase_begin(self.now_ns);
         }
         let progressed = self.wire_idx as u32;
         if self.wire_idx == self.plan[self.proc].len() {
-            self.driver.phase_end(stamp);
+            self.driver.phase_end(self.now_ns);
             self.driver.close_iteration();
             self.iteration += 1;
             self.wire_idx = 0;

@@ -58,6 +58,18 @@ impl UpdateSchedule {
         UpdateSchedule { blocking: true, ..Self::receiver_initiated(loc, rmt) }
     }
 
+    /// The paper's headline sender-initiated schedule (2,10): the Table 1
+    /// row whose traffic and time Tables 4 and 6 and §5.2 repeat.
+    pub fn sender_paper() -> Self {
+        Self::sender_initiated(2, 10)
+    }
+
+    /// The paper's headline receiver-initiated schedule (1,5), the one
+    /// §5.2 compares against shared memory.
+    pub fn receiver_paper() -> Self {
+        Self::receiver_initiated(1, 5)
+    }
+
     /// The mixed schedule quoted in §5.1.3: `SendLocData = 5`,
     /// `SendRmtData = 2`, `ReqLocData = 1`, `ReqRmtData = 5`.
     pub fn mixed_paper() -> Self {

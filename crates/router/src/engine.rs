@@ -13,9 +13,8 @@
 //! * [`WireFeed`] — one iteration's wire supply (the §3 distributed-loop
 //!   shared counter or a §4.2 static assignment), shared by the
 //!   shared-memory emulator and the real threaded executor;
-//! * [`RoutingEngine`] / [`EngineCtx`] / [`EngineRun`] — the uniform
-//!   interface the engine registry and the experiment harness consume,
-//!   making engines interchangeable values.
+//! * [`EngineRun`] — the one result type every entry of the facade's
+//!   engine table returns.
 //!
 //! Engines keep what genuinely differs between paradigms — memory
 //! semantics (global array, unlocked atomics, stale replicas), clocks,
@@ -27,30 +26,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use locus_circuit::{Circuit, WireId};
+use locus_circuit::WireId;
 use locus_obs::{EventKind, Obs};
 
 use crate::cost_array::CostArray;
-use crate::params::RouterParams;
 use crate::quality::QualityMetrics;
 use crate::route::Route;
-use crate::router::{RouteOutcome, SequentialRouter, WireEvaluation};
+use crate::router::{RouteOutcome, WireEvaluation};
 use crate::work::WorkStats;
-
-/// How an event is stamped.
-///
-/// Most engines have a clock (simulated or wall nanoseconds) and pass
-/// [`Stamp::At`]. The sequential router has no clock; its deterministic
-/// pseudo-time is cumulative cells examined, which [`Stamp::WorkCells`]
-/// reads from the driver's own work ledger — *after* the commit being
-/// stamped is accounted, preserving the historical stamp stream.
-#[derive(Clone, Copy, Debug)]
-pub enum Stamp {
-    /// An explicit timestamp in the engine's time base (ns).
-    At(u64),
-    /// The driver's cumulative `cells_examined` at emission time.
-    WorkCells,
-}
 
 /// The shared route-wire / rip-up / per-iteration-metrics ledger.
 ///
@@ -106,22 +89,14 @@ impl IterationDriver {
         self.obs.set_node(node);
     }
 
-    #[inline]
-    fn resolve(&self, stamp: Stamp) -> u64 {
-        match stamp {
-            Stamp::At(t) => t,
-            Stamp::WorkCells => self.work.cells_examined,
-        }
-    }
-
     /// Emits `PhaseBegin { "iteration" }`.
-    pub fn phase_begin(&mut self, stamp: Stamp) {
-        self.obs.emit(self.resolve(stamp), EventKind::PhaseBegin { name: "iteration" });
+    pub fn phase_begin(&mut self, at_ns: u64) {
+        self.obs.emit(at_ns, EventKind::PhaseBegin { name: "iteration" });
     }
 
     /// Emits `PhaseEnd { "iteration" }`.
-    pub fn phase_end(&mut self, stamp: Stamp) {
-        self.obs.emit(self.resolve(stamp), EventKind::PhaseEnd { name: "iteration" });
+    pub fn phase_end(&mut self, at_ns: u64) {
+        self.obs.emit(at_ns, EventKind::PhaseEnd { name: "iteration" });
     }
 
     /// Seals the current iteration: records its accumulated occupancy
@@ -134,19 +109,18 @@ impl IterationDriver {
     /// Takes the previous route out of `slot` for re-routing, accounting
     /// the rip-up writes and emitting the `RipUp` event. The caller
     /// applies the decrements to whatever array it owns.
-    pub fn rip_up(&mut self, slot: usize, wire: WireId, stamp: Stamp) -> Option<Route> {
+    pub fn rip_up(&mut self, slot: usize, wire: WireId, at_ns: u64) -> Option<Route> {
         let old = self.routes[slot].take()?;
-        self.rip_up_external(wire, &old, stamp);
+        self.rip_up_external(wire, &old, at_ns);
         Some(old)
     }
 
     /// [`rip_up`](Self::rip_up) for a route stored outside the driver
     /// (engines whose slots are shared across threads): accounts the
     /// writes and emits the event for a route the caller already took.
-    pub fn rip_up_external(&mut self, wire: WireId, old: &Route, stamp: Stamp) {
+    pub fn rip_up_external(&mut self, wire: WireId, old: &Route, at_ns: u64) {
         self.work.cells_written += old.len() as u64;
-        let at = self.resolve(stamp);
-        self.obs.emit(at, EventKind::RipUp { wire: wire as u32, cells: old.len() as u32 });
+        self.obs.emit(at_ns, EventKind::RipUp { wire: wire as u32, cells: old.len() as u32 });
     }
 
     fn account(&mut self, eval: &WireEvaluation, cost_at_decision: u64) {
@@ -169,9 +143,9 @@ impl IterationDriver {
         wire: WireId,
         eval: WireEvaluation,
         cost_at_decision: u64,
-        stamp: Stamp,
+        at_ns: u64,
     ) {
-        let route = self.commit_external(wire, eval, cost_at_decision, stamp);
+        let route = self.commit_external(wire, eval, cost_at_decision, at_ns);
         self.routes[slot] = Some(route);
     }
 
@@ -182,9 +156,9 @@ impl IterationDriver {
         wire: WireId,
         eval: WireEvaluation,
         cost_at_decision: u64,
-        stamp: Stamp,
+        at_ns: u64,
     ) {
-        let route = self.commit_external(wire, eval, cost_at_decision, stamp);
+        let route = self.commit_external(wire, eval, cost_at_decision, at_ns);
         self.dynamic.push((wire, route));
     }
 
@@ -196,7 +170,7 @@ impl IterationDriver {
         wire: WireId,
         eval: WireEvaluation,
         cost_at_decision: u64,
-        stamp: Stamp,
+        at_ns: u64,
     ) -> Route {
         if eval.percell_evals > 0 {
             self.percell_evals += eval.percell_evals;
@@ -204,22 +178,22 @@ impl IterationDriver {
                 // One event per run: a traced/per-cell run announces itself
                 // the first time an evaluation skips the span kernel.
                 self.percell_flagged = true;
-                let at = self.resolve(stamp);
-                self.obs.emit(at, EventKind::PercellFallback { wire: wire as u32 });
+                self.obs.emit(at_ns, EventKind::PercellFallback { wire: wire as u32 });
             }
         }
         self.account(&eval, cost_at_decision);
-        let at = self.resolve(stamp);
-        self.obs
-            .emit(at, EventKind::WireRouted { wire: wire as u32, cells: eval.route.len() as u32 });
+        self.obs.emit(
+            at_ns,
+            EventKind::WireRouted { wire: wire as u32, cells: eval.route.len() as u32 },
+        );
         eval.route
     }
 
     /// Emits the end-of-run `KernelStats` event with this driver's
     /// candidate and per-cell evaluation totals.
-    pub fn kernel_stats(&mut self, stamp: Stamp) {
+    pub fn kernel_stats(&mut self, at_ns: u64) {
         self.obs.emit(
-            self.resolve(stamp),
+            at_ns,
             EventKind::KernelStats {
                 candidates: self.work.candidates,
                 percell_evals: self.percell_evals,
@@ -228,9 +202,9 @@ impl IterationDriver {
     }
 
     /// Emits an arbitrary engine-specific event (e.g. a replica audit)
-    /// through this driver's emitter at `stamp`.
-    pub fn emit_event(&mut self, stamp: Stamp, kind: EventKind) {
-        self.obs.emit(self.resolve(stamp), kind);
+    /// through this driver's emitter at `at_ns`.
+    pub fn emit_event(&mut self, at_ns: u64, kind: EventKind) {
+        self.obs.emit(at_ns, kind);
     }
 
     /// Work performed so far.
@@ -257,18 +231,12 @@ impl IterationDriver {
     /// Drains the driver into a [`RouteOutcome`] over `cost` (the
     /// engine's final array). Every slot must hold a route.
     ///
-    /// The driver remains usable for [`kernel_stats`](Self::kernel_stats)
-    /// afterwards — some engines stamp that event with counters that the
-    /// quality computation itself advances.
-    ///
     /// # Panics
     /// Panics if any slot is empty.
-    pub fn finish(&mut self, cost: CostArray) -> RouteOutcome {
-        let routes: Vec<Route> = std::mem::take(&mut self.routes)
-            .into_iter()
-            .map(|r| r.expect("every wire routed"))
-            .collect();
-        let occupancy_by_iteration = std::mem::take(&mut self.occupancy_by_iteration);
+    pub fn finish(self, cost: CostArray) -> RouteOutcome {
+        let routes: Vec<Route> =
+            self.routes.into_iter().map(|r| r.expect("every wire routed")).collect();
+        let occupancy_by_iteration = self.occupancy_by_iteration;
         let quality = QualityMetrics::from_final_state(
             &cost,
             occupancy_by_iteration.last().copied().unwrap_or(0),
@@ -314,32 +282,6 @@ impl<'a> WireFeed<'a> {
     }
 }
 
-/// Everything an engine needs beyond the circuit and core parameters.
-#[derive(Clone, Default)]
-pub struct EngineCtx {
-    /// Processor / thread count (ignored by the sequential engine).
-    pub n_procs: usize,
-    /// Recording handle; each run holds a clone.
-    pub obs: Obs,
-    /// Whether the engine should also measure its paradigm's traffic
-    /// (bus MBytes for shared memory — requires trace collection — or
-    /// payload MBytes for message passing).
-    pub measure_traffic: bool,
-}
-
-impl EngineCtx {
-    /// A context for `n_procs` processors, observability off.
-    pub fn new(n_procs: usize) -> Self {
-        EngineCtx { n_procs, obs: Obs::off(), measure_traffic: false }
-    }
-
-    /// Returns `self` with paradigm-traffic measurement enabled.
-    pub fn with_traffic(mut self) -> Self {
-        self.measure_traffic = true;
-        self
-    }
-}
-
 /// The uniform result of running any engine: the core routing outcome
 /// plus the paradigm-level measures engines with a clock or a network
 /// can report.
@@ -347,8 +289,9 @@ impl EngineCtx {
 pub struct EngineRun {
     /// Routes, quality, work, and per-iteration occupancy.
     pub outcome: RouteOutcome,
-    /// Paradigm traffic in megabytes, when measured (see
-    /// [`EngineCtx::measure_traffic`]).
+    /// Paradigm traffic in megabytes, when measured: bus megabytes for
+    /// shared memory (a traced run), payload megabytes for message
+    /// passing.
     pub mbytes: Option<f64>,
     /// Modelled (simulated) or wall-clock seconds, when the engine has a
     /// clock; the sequential engine has none.
@@ -357,43 +300,6 @@ pub struct EngineRun {
     /// finish (e.g. a message-passing deadlock break or node failover);
     /// the result is usable but earned under duress.
     pub degraded: bool,
-}
-
-/// A routing engine as an interchangeable value: one of the paper's two
-/// paradigms (or the reference), runnable through one interface so the
-/// experiment harness and registry can treat them uniformly.
-pub trait RoutingEngine {
-    /// Stable engine name (the registry key).
-    fn id(&self) -> &'static str;
-
-    /// Routes `circuit` under `params` in context `ctx`, or says why the
-    /// engine cannot run that configuration (a processor count or an
-    /// iteration count it has no room for).
-    fn route(
-        &self,
-        circuit: &Circuit,
-        params: &RouterParams,
-        ctx: &EngineCtx,
-    ) -> Result<EngineRun, String>;
-}
-
-/// The reference single-processor engine (`id = "sequential"`).
-pub struct SequentialEngine;
-
-impl RoutingEngine for SequentialEngine {
-    fn id(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn route(
-        &self,
-        circuit: &Circuit,
-        params: &RouterParams,
-        ctx: &EngineCtx,
-    ) -> Result<EngineRun, String> {
-        let outcome = SequentialRouter::new(circuit, *params).with_obs(ctx.obs.clone()).run();
-        Ok(EngineRun { outcome, mbytes: None, time_secs: None, degraded: false })
-    }
 }
 
 #[cfg(test)]
@@ -410,17 +316,15 @@ mod tests {
         let mut driver = IterationDriver::new(c.wire_count());
         let mut scratch = crate::router::EvalScratch::default();
         for iteration in 0..2 {
-            driver.phase_begin(Stamp::WorkCells);
             for wire in &c.wires {
-                if let Some(old) = driver.rip_up(wire.id, wire.id, Stamp::WorkCells) {
+                if let Some(old) = driver.rip_up(wire.id, wire.id, 0) {
                     cost.remove_route(&old);
                 }
                 let eval = crate::router::route_wire_scratch(&cost, wire, 1, &mut scratch);
                 let at_decision = cost.route_cost(&eval.route);
                 cost.add_route(&eval.route);
-                driver.commit(wire.id, wire.id, eval, at_decision, Stamp::WorkCells);
+                driver.commit(wire.id, wire.id, eval, at_decision, 0);
             }
-            driver.phase_end(Stamp::WorkCells);
             driver.close_iteration();
             assert_eq!(driver.occupancy_by_iteration().len(), iteration + 1);
         }
@@ -435,13 +339,13 @@ mod tests {
         let c = presets::tiny();
         let sink = SharedSink::new();
         let mut driver = IterationDriver::new(c.wire_count()).with_obs(Obs::to(&sink));
-        driver.phase_begin(Stamp::At(0));
+        driver.phase_begin(0);
         let mut cost = CostArray::new(c.channels, c.grids);
         let mut scratch = crate::router::EvalScratch::default();
         let eval = crate::router::route_wire_scratch(&cost, &c.wires[0], 1, &mut scratch);
         cost.add_route(&eval.route);
-        driver.commit(0, 0, eval, 0, Stamp::At(5));
-        driver.phase_end(Stamp::At(10));
+        driver.commit(0, 0, eval, 0, 5);
+        driver.phase_end(10);
         driver.close_iteration();
         let m = sink.metrics_snapshot();
         assert_eq!(m.counter(names::PHASES_BEGUN), 1);
@@ -474,17 +378,5 @@ mod tests {
         assert_eq!(feed.next(1, &mut c1), Some(2));
         assert_eq!(feed.next(1, &mut c1), Some(4));
         assert_eq!(feed.next(1, &mut c1), None);
-    }
-
-    #[test]
-    fn sequential_engine_matches_direct_router() {
-        let c = presets::small();
-        let params = RouterParams::default();
-        let via_engine = SequentialEngine.route(&c, &params, &EngineCtx::new(1)).expect("routes");
-        let direct = SequentialRouter::new(&c, params).run();
-        assert_eq!(via_engine.outcome.quality, direct.quality);
-        assert_eq!(via_engine.outcome.routes, direct.routes);
-        assert!(via_engine.time_secs.is_none());
-        assert!(via_engine.mbytes.is_none());
     }
 }

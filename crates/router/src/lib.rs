@@ -20,8 +20,8 @@
 //! * [`Route`]/[`twobend`] — two-bend candidate enumeration and evaluation,
 //! * [`SequentialRouter`] — the reference single-processor router,
 //! * [`engine`] — the shared execution core: the [`IterationDriver`]
-//!   ledger every engine routes through, and the [`RoutingEngine`]
-//!   trait that makes the paradigms interchangeable values,
+//!   ledger every engine routes through, and the [`EngineRun`] every
+//!   engine's run reduces to,
 //! * [`QualityMetrics`] — circuit height and occupancy factor (§3),
 //! * [`RegionMap`] — division of the cost array into per-processor owned
 //!   regions (§4.1, Figure 2),
@@ -50,9 +50,7 @@ pub mod work;
 
 pub use assign::{assign, Assignment, AssignmentStrategy};
 pub use cost_array::{CostArray, CostView, PrefixStats};
-pub use engine::{
-    EngineCtx, EngineRun, IterationDriver, RoutingEngine, SequentialEngine, Stamp, WireFeed,
-};
+pub use engine::{EngineRun, IterationDriver, WireFeed};
 pub use locality::LocalityMeasure;
 pub use params::RouterParams;
 pub use quality::QualityMetrics;

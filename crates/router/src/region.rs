@@ -57,6 +57,14 @@ impl RegionMap {
     /// # Panics
     /// Panics if `n_procs` is 0.
     pub fn try_new(channels: u16, grids: u16, n_procs: usize) -> Result<Self, String> {
+        // Checked before `mesh_dims`, whose search for a factor takes
+        // about √n_procs steps: billions for a 64-bit prime.
+        if n_procs > channels as usize * grids as usize {
+            return Err(format!(
+                "surface {channels}x{grids} is too small for n_procs {n_procs}: a processor \
+                 would own no cell"
+            ));
+        }
         let (proc_rows, proc_cols) = mesh_dims(n_procs);
         if (channels as usize) < proc_rows || (grids as usize) < proc_cols {
             return Err(format!(

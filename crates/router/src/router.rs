@@ -1,10 +1,9 @@
 //! The reference sequential router and the shared per-wire routing step.
 
 use locus_circuit::{Circuit, Pin, Wire};
-use locus_obs::Obs;
 
 use crate::cost_array::{CostArray, CostView};
-use crate::engine::{IterationDriver, Stamp};
+use crate::engine::IterationDriver;
 use crate::params::RouterParams;
 use crate::quality::QualityMetrics;
 use crate::route::{Route, Segment};
@@ -114,36 +113,27 @@ pub struct RouteOutcome {
 pub struct SequentialRouter<'a> {
     circuit: &'a Circuit,
     params: RouterParams,
-    obs: Obs,
 }
 
 impl<'a> SequentialRouter<'a> {
     /// Creates a router over `circuit`.
     pub fn new(circuit: &'a Circuit, params: RouterParams) -> Self {
-        SequentialRouter { circuit, params, obs: Obs::off() }
-    }
-
-    /// Records routing events (wire commits, rip-ups, iteration phases)
-    /// through `obs`. There is no clock in the sequential algorithm, so
-    /// events are stamped with cumulative cells examined — a
-    /// deterministic pseudo-time proportional to work done.
-    pub(crate) fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
+        SequentialRouter { circuit, params }
     }
 
     /// Runs all iterations and returns the outcome.
     pub fn run(self) -> RouteOutcome {
-        let SequentialRouter { circuit, params, obs } = self;
+        let SequentialRouter { circuit, params } = self;
         let mut cost = CostArray::new(circuit.channels, circuit.grids);
-        let mut driver = IterationDriver::new(circuit.wire_count()).with_obs(obs);
+        // The sequential algorithm has no clock and records no events, so
+        // every stamp is 0.
+        let mut driver = IterationDriver::new(circuit.wire_count());
         let mut scratch = EvalScratch::default();
 
         for _iteration in 0..params.iterations {
-            driver.phase_begin(Stamp::WorkCells);
             for wire in &circuit.wires {
                 // Rip up the previous route before re-routing (§3).
-                if let Some(old) = driver.rip_up(wire.id, wire.id, Stamp::WorkCells) {
+                if let Some(old) = driver.rip_up(wire.id, wire.id, 0) {
                     cost.remove_route(&old);
                 }
                 let eval = route_wire_scratch(&cost, wire, params.channel_overshoot, &mut scratch);
@@ -153,12 +143,10 @@ impl<'a> SequentialRouter<'a> {
                 // engines' definition exactly.
                 let at_decision = cost.route_cost(&eval.route);
                 cost.add_route(&eval.route);
-                driver.commit(wire.id, wire.id, eval, at_decision, Stamp::WorkCells);
+                driver.commit(wire.id, wire.id, eval, at_decision, 0);
             }
-            driver.phase_end(Stamp::WorkCells);
             driver.close_iteration();
         }
-        driver.kernel_stats(Stamp::WorkCells);
         driver.finish(cost)
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Routing as a service for the `locusroute-rs` reproduction of
 //! Martonosi & Gupta (ICPP 1989): a traffic-driven job server over the
-//! workspace's [`RoutingEngine`](locus_router::RoutingEngine) registry.
+//! workspace's table of routing engines (an [`EngineFactory`] per name).
 //!
 //! The paper studies one circuit at a time; this crate studies the
 //! *serving* problem layered on top — what happens when routing jobs

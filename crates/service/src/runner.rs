@@ -8,7 +8,8 @@
 //! makes two runs of the same seed byte-identical regardless of host
 //! speed or pool size.
 
-use locus_router::engine::{EngineCtx, RoutingEngine};
+use locus_circuit::Circuit;
+use locus_router::{EngineRun, RouterParams};
 
 use crate::workload::JobSpec;
 
@@ -34,10 +35,12 @@ pub trait JobRunner: Sync {
     fn run(&self, job: &JobSpec) -> Result<JobExecution, String>;
 }
 
-/// Builds a routing engine from its registry name. The facade crate's
-/// `engines::build_engine` has exactly this signature; the service takes
-/// it as a value to avoid depending on the facade.
-pub type EngineFactory = fn(&str) -> Result<Box<dyn RoutingEngine>, String>;
+/// Runs the routing engine registered under a name on a circuit, with
+/// router parameters, a processor count and whether to measure traffic.
+/// The facade crate's `engines::run` has exactly this signature; the
+/// service takes it as a value to avoid depending on the facade.
+pub type EngineFactory =
+    fn(&str, &Circuit, &RouterParams, usize, bool) -> Result<EngineRun, String>;
 
 /// Virtual cost-model rate for engines without a clock: cost-array cells
 /// examined per virtual millisecond. The sequential router examines a
@@ -47,7 +50,7 @@ pub type EngineFactory = fn(&str) -> Result<Box<dyn RoutingEngine>, String>;
 pub const DEFAULT_CELLS_PER_MS: u64 = 150;
 
 /// The production [`JobRunner`]: instantiates the job's circuit family,
-/// builds the named engine, routes, and prices the run in virtual ms —
+/// routes it on the named engine, and prices the run in virtual ms —
 /// the engine's own simulated seconds when it has a clock, else the
 /// cells-examined work model.
 pub struct EngineRunner {
@@ -66,9 +69,9 @@ impl EngineRunner {
 
 impl JobRunner for EngineRunner {
     fn run(&self, job: &JobSpec) -> Result<JobExecution, String> {
-        let engine = (self.factory)(job.class.engine)?;
         let circuit = job.class.family.instantiate(job.circuit_seed);
-        let run = engine.route(&circuit, &job.class.params, &EngineCtx::new(job.class.procs))?;
+        let class = &job.class;
+        let run = (self.factory)(class.engine, &circuit, &class.params, class.procs, false)?;
         let service_ms = match run.time_secs {
             Some(t) => (t * 1_000.0).ceil() as u64,
             None => run.outcome.work.cells_examined / self.cells_per_ms,
@@ -87,11 +90,22 @@ impl JobRunner for EngineRunner {
 mod tests {
     use super::*;
     use crate::workload::{CircuitFamily, JobClass};
-    use locus_router::SequentialEngine;
+    use locus_router::SequentialRouter;
 
-    fn seq_only(name: &str) -> Result<Box<dyn RoutingEngine>, String> {
+    fn seq_only(
+        name: &str,
+        circuit: &Circuit,
+        params: &RouterParams,
+        _procs: usize,
+        _traffic: bool,
+    ) -> Result<EngineRun, String> {
         match name {
-            "sequential" => Ok(Box::new(SequentialEngine)),
+            "sequential" => Ok(EngineRun {
+                outcome: SequentialRouter::new(circuit, *params).run(),
+                mbytes: None,
+                time_secs: None,
+                degraded: false,
+            }),
             other => Err(format!("unknown engine '{other}'")),
         }
     }

@@ -36,7 +36,7 @@ use std::cell::{Cell, RefCell};
 use locus_circuit::{Circuit, GridCell, WireId};
 use locus_coherence::{BurstWriter, Criticality, MemRef, RefKind, Trace, TraceRecorder};
 use locus_obs::Obs;
-use locus_router::engine::{IterationDriver, Stamp, WireFeed};
+use locus_router::engine::{IterationDriver, WireFeed};
 use locus_router::router::{route_wire_scratch, WireEvaluation};
 use locus_router::{CostArray, CostView, EvalScratch, ProcId, QualityMetrics, Route, WorkStats};
 
@@ -224,7 +224,7 @@ impl<'a> ShmemEmulator<'a> {
             let last_iteration = iteration + 1 == cfg.params.iterations;
             let begin_at = procs.iter().map(|s| s.clock).min().unwrap_or(0);
             driver.on_node(0);
-            driver.phase_begin(Stamp::At(begin_at));
+            driver.phase_begin(begin_at);
             let feed = WireFeed::new(n_wires, static_lists.as_deref());
             for p in procs.iter_mut() {
                 p.queue_pos = 0;
@@ -266,13 +266,7 @@ impl<'a> ShmemEmulator<'a> {
                         proc_of_wire[pend.wire] = p;
                     }
                     driver.on_node(p as u32);
-                    driver.commit(
-                        pend.wire,
-                        pend.wire,
-                        pend.eval,
-                        pend.cost,
-                        Stamp::At(pend.commit_at),
-                    );
+                    driver.commit(pend.wire, pend.wire, pend.eval, pend.cost, pend.commit_at);
                     continue;
                 }
 
@@ -285,7 +279,7 @@ impl<'a> ShmemEmulator<'a> {
 
                 // Rip up the previous route (§3), visible immediately.
                 driver.on_node(p as u32);
-                if let Some(old) = driver.rip_up(wire_id, wire_id, Stamp::At(procs[p].clock)) {
+                if let Some(old) = driver.rip_up(wire_id, wire_id, procs[p].clock) {
                     let at = BurstSite { time: procs[p].clock, proc: p, iteration, wire: wire_id };
                     procs[p].clock = store_cells(
                         &mut shared,
@@ -332,14 +326,14 @@ impl<'a> ShmemEmulator<'a> {
                 st.clock = max_clock;
             }
             driver.on_node(0);
-            driver.phase_end(Stamp::At(max_clock));
+            driver.phase_end(max_clock);
             driver.close_iteration();
         }
 
         let completion = procs.iter().map(|s| s.clock).max().unwrap_or(0);
-        let out = driver.finish(shared);
         driver.on_node(0);
-        driver.kernel_stats(Stamp::At(completion));
+        driver.kernel_stats(completion);
+        let out = driver.finish(shared);
 
         ShmemOutcome {
             quality: out.quality,

@@ -29,13 +29,11 @@
 
 pub mod config;
 pub mod emul;
-pub mod engine;
 pub mod parallel;
 pub(crate) mod shard;
 
 pub use config::{Scheduling, ShmemConfig};
 pub use emul::{ShmemEmulator, ShmemOutcome};
-pub use engine::{EmulEngine, ThreadsEngine};
 pub use parallel::{ThreadedOutcome, ThreadedRouter};
 
 /// Byte address of a cost-array cell in the shared region (`u16` cells,

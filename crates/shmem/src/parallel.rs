@@ -33,8 +33,7 @@ use std::time::{Duration, Instant};
 
 use locus_circuit::{Circuit, GridCell};
 use locus_coherence::{MemRef, RefKind, Trace};
-use locus_obs::Obs;
-use locus_router::engine::{IterationDriver, Stamp, WireFeed};
+use locus_router::engine::{IterationDriver, WireFeed};
 use locus_router::router::route_wire_scratch;
 use locus_router::{CostArray, CostView, EvalScratch, QualityMetrics, Route, WorkStats};
 use parking_lot::Mutex;
@@ -118,7 +117,6 @@ pub struct ThreadedOutcome {
 pub struct ThreadedRouter<'a> {
     circuit: &'a Circuit,
     config: ShmemConfig,
-    obs: Obs,
 }
 
 impl<'a> ThreadedRouter<'a> {
@@ -138,15 +136,7 @@ impl<'a> ThreadedRouter<'a> {
     pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
         config.validate()?;
         config.check_surface(circuit)?;
-        Ok(ThreadedRouter { circuit, config, obs: Obs::off() })
-    }
-
-    /// Records per-thread events (wire commits, rip-ups, iteration
-    /// phases, stamped with wall-clock nanoseconds since run start)
-    /// through `obs`. Each thread records through its own clone.
-    pub(crate) fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
+        Ok(ThreadedRouter { circuit, config })
     }
 
     /// Routes the circuit on `n_procs` OS threads.
@@ -182,7 +172,6 @@ impl<'a> ThreadedRouter<'a> {
                 let ledgers = &ledgers;
                 let thread_traces = &thread_traces;
                 let circuit = self.circuit;
-                let obs = self.obs.clone().for_node(t as u32);
                 scope.spawn(move || {
                     let mut scratch = EvalScratch::default();
                     // Traced runs must record the exact per-cell read
@@ -191,8 +180,8 @@ impl<'a> ThreadedRouter<'a> {
                     // replica (see `crate::shard`).
                     let mut worker =
                         (!collect_trace).then(|| ShardWorker::new(circuit.channels, circuit.grids));
-                    let mut driver = IterationDriver::new(0).with_obs(obs);
-                    let now = || Stamp::At(start.elapsed().as_nanos() as u64);
+                    // The threads record no events, so every stamp is 0.
+                    let mut driver = IterationDriver::new(0);
                     // Per-thread trace buffer: no cross-thread sharing on
                     // the hot path, handed over at exit.
                     let local = RefCell::new(Trace::new());
@@ -216,14 +205,11 @@ impl<'a> ThreadedRouter<'a> {
                             barrier.wait();
                         }
                         let mut cursor = 0usize;
-                        if t == 0 {
-                            driver.phase_begin(now());
-                        }
                         while let Some(wire_id) = feed.next(t, &mut cursor) {
                             traced.wire.set(wire_id as u32);
                             let mut slot = routes[wire_id].lock();
                             if let Some(old) = slot.take() {
-                                driver.rip_up_external(wire_id, &old, now());
+                                driver.rip_up_external(wire_id, &old, 0);
                                 match worker.as_mut() {
                                     Some(w) => w.rip_up(shared, &old),
                                     None => shared.remove_route(&old),
@@ -261,15 +247,11 @@ impl<'a> ThreadedRouter<'a> {
                                     traced.record(cell, RefKind::Write, 1);
                                 }
                             }
-                            *slot = Some(driver.commit_external(wire_id, eval, at_decision, now()));
+                            *slot = Some(driver.commit_external(wire_id, eval, at_decision, 0));
                         }
                         barrier.wait();
-                        if t == 0 {
-                            driver.phase_end(now());
-                        }
                         driver.close_iteration();
                     }
-                    driver.kernel_stats(now());
                     ledgers.lock().push((*driver.work(), driver.occupancy_by_iteration().to_vec()));
                     if collect_trace {
                         *thread_traces[t].lock() = local.into_inner();
@@ -350,21 +332,6 @@ mod tests {
         let hs = seq.quality.circuit_height as f64;
         assert!(h <= hs * 1.5, "threaded height {h} vs sequential {hs}");
         assert!(h >= hs * 0.8, "threaded height {h} suspiciously better than {hs}");
-    }
-
-    #[test]
-    fn threads_share_one_sink() {
-        use locus_obs::{names, SharedSink};
-        let c = presets::small();
-        let sink = SharedSink::new();
-        let out = ThreadedRouter::new(&c, ShmemConfig::new(4)).with_obs(Obs::to(&sink)).run();
-        assert_eq!(out.routes.len(), c.wire_count());
-        let m = sink.metrics_snapshot();
-        let iterations = ShmemConfig::new(4).params.iterations as u64;
-        // Every iteration routes every wire exactly once, across threads.
-        assert_eq!(m.counter(names::WIRES_ROUTED), c.wire_count() as u64 * iterations);
-        assert_eq!(m.counter(names::PHASES_BEGUN), iterations);
-        assert_eq!(m.counter(names::PHASES_ENDED), iterations);
     }
 
     #[test]

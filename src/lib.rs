@@ -27,8 +27,9 @@
 //! * [`service`] — routing as a service: seeded workload generation,
 //!   a bounded-queue job server with backpressure, and latency/SLO
 //!   accounting over the engine registry.
-//! * [`engines`] — name → constructor registry over every
-//!   [`RoutingEngine`](locus_router::RoutingEngine) in the workspace.
+//! * [`engines`] — one table of plain functions, name → run, over every
+//!   routing engine in the workspace, each returning an
+//!   [`EngineRun`](locus_router::EngineRun).
 //!
 //! ## Quickstart
 //!
@@ -69,18 +70,16 @@ pub mod prelude {
     pub use locus_circuit::{Circuit, CircuitGenerator, GeneratorConfig};
     pub use locus_coherence::traffic_by_line_size;
     pub use locus_mesh::FaultPlan;
-    pub use locus_msgpass::{
-        run_msgpass, MsgPassConfig, MsgPassEngine, RecoveryConfig, UpdateSchedule,
-    };
+    pub use locus_msgpass::{run_msgpass, MsgPassConfig, RecoveryConfig, UpdateSchedule};
     pub use locus_obs::SharedSink;
-    pub use locus_router::{
-        assign, AssignmentStrategy, EngineCtx, RegionMap, RouterParams, RoutingEngine,
-        SequentialRouter,
-    };
+    pub use locus_router::{assign, AssignmentStrategy, RegionMap, RouterParams, SequentialRouter};
     pub use locus_service::{
         Backpressure, EngineRunner, JobServer, ServiceConfig, WorkerPool, WorkloadConfig,
     };
     pub use locus_shmem::{ShmemConfig, ShmemEmulator, ThreadedRouter};
 
-    pub use crate::engines::{build_engine, registry};
+    pub use crate::engines::registry;
 }
+
+#[cfg(test)]
+mod engine;

@@ -6,15 +6,12 @@ use locusroute::prelude::*;
 
 #[test]
 fn registry_engines_agree_at_one_processor_on_small_and_bnre() {
-    use locusroute::router::engine::EngineCtx;
     for circuit in [locusroute::circuit::presets::small(), locusroute::circuit::presets::bnr_e()] {
         let params = RouterParams::default();
-        let reference = build_engine("sequential")
-            .unwrap()
-            .route(&circuit, &params, &EngineCtx::new(1))
-            .expect("valid");
+        let reference =
+            locusroute::engines::run("sequential", &circuit, &params, 1, false).expect("valid");
         for entry in registry() {
-            let run = (entry.build)().route(&circuit, &params, &EngineCtx::new(1)).expect("valid");
+            let run = (entry.run)(&circuit, &params, 1, false).expect("valid");
             assert_eq!(
                 run.outcome.quality, reference.outcome.quality,
                 "{} != sequential on {} at P=1",

@@ -3,7 +3,7 @@
 //! own [`ServiceStats`], the latency histograms must match sample for
 //! sample, and the exporters must handle service events.
 
-use locusroute::engines::build_engine;
+use locusroute::engines;
 use locusroute::obs::metrics::hists;
 use locusroute::obs::{export, names, SharedSink};
 use locusroute::prelude::*;
@@ -23,7 +23,7 @@ fn obs_job_counters_match_service_stats() {
         let jobs = heavy_workload();
         let sink = SharedSink::new();
         let server = JobServer::new(ServiceConfig::new(2, 3, policy));
-        let runner = EngineRunner::new(build_engine);
+        let runner = EngineRunner::new(engines::run);
         let out = server.run(&jobs, &runner, &WorkerPool::auto(), Some(sink.clone()));
 
         let m = sink.metrics_snapshot();
@@ -55,7 +55,7 @@ fn service_events_export_as_valid_json_and_render() {
     let jobs = heavy_workload();
     let sink = SharedSink::new();
     let server = JobServer::new(ServiceConfig::new(2, 3, Backpressure::ShedOldest));
-    let runner = EngineRunner::new(build_engine);
+    let runner = EngineRunner::new(engines::run);
     server.run(&jobs, &runner, &WorkerPool::serial(), Some(sink.clone()));
 
     let events = sink.snapshot_events();
@@ -77,7 +77,7 @@ fn end_to_end_run_is_deterministic_and_reports_real_quality() {
     // The facade-level determinism claim: two full runs through real
     // engines, on pools of different sizes, produce identical outcomes.
     let jobs = heavy_workload();
-    let runner = EngineRunner::new(build_engine);
+    let runner = EngineRunner::new(engines::run);
     let server = JobServer::new(ServiceConfig::new(2, 3, Backpressure::Reject));
     let a = server.run(&jobs, &runner, &WorkerPool::serial(), None);
     let b = server.run(&jobs, &runner, &WorkerPool::with_threads(4), None);
