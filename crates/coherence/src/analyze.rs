@@ -45,8 +45,10 @@ pub fn traffic_by_backend(
     trace: &Trace,
     line_sizes: &[u32],
 ) -> Result<Vec<(u32, MemoryOutcome)>, String> {
-    // Processor u32::MAX saturates to a count that every backend rejects.
-    let n_procs = trace.refs().map(|r| r.proc).max().map_or(1, |p| p.saturating_add(1));
+    // Read from the burst headers. Processor u32::MAX saturates to a count
+    // that every backend rejects.
+    let n_procs =
+        trace.burst_counts().map(|(proc, ..)| proc).max().map_or(1, |p| p.saturating_add(1));
     line_sizes
         .iter()
         .map(|&ls| {

@@ -228,25 +228,28 @@ impl<'a> RunAcc<'a> {
         self.per_proc.resize(proc as usize + 1, ProcCounts::default());
     }
 
-    #[inline]
-    fn count(&mut self, r: &MemRef) {
-        if r.proc as usize >= self.per_proc.len() {
-            self.grow(r.proc);
-        }
-        let c = &mut self.per_proc[r.proc as usize];
-        match r.kind {
-            RefKind::Read => c.reads += 1,
-            RefKind::Write => c.writes += 1,
+    /// Counts every reference of `trace` by its burst, before the replay
+    /// reads one: each processor is checked as it first appears.
+    fn count(&mut self, trace: &Trace) {
+        for (proc, kind, n) in trace.burst_counts() {
+            if proc as usize >= self.per_proc.len() {
+                self.grow(proc);
+            }
+            let c = &mut self.per_proc[proc as usize];
+            match kind {
+                RefKind::Read => c.reads += n as u64,
+                RefKind::Write => c.writes += n as u64,
+            }
         }
     }
 
     /// The one replay loop behind every number with WBI line semantics
     /// (`bus-wbi`, `bus-wt`, `directory`, and Table 3's sweep): counts
-    /// each reference, applies [`transition`] to its line, skips hits and
-    /// charges the rest to the returned [`TrafficStats`]. Each such
-    /// transaction — the reference, its line number, the transition and
-    /// the bytes it moved — goes to `priced`, which is all that differs
-    /// between the backends.
+    /// the references by burst, then applies [`transition`] to each one's
+    /// line, skips hits and charges the rest to the returned
+    /// [`TrafficStats`]. Each such transaction — the reference, its line
+    /// number, the transition and the bytes it moved — goes to `priced`,
+    /// which is all that differs between the backends.
     ///
     /// # Panics
     /// Panics unless the line size is a nonzero power of two, and on a
@@ -260,8 +263,8 @@ impl<'a> RunAcc<'a> {
         let cfg = self.cfg;
         let mut lines = LineTable::new(cfg.line_size);
         let mut stats = TrafficStats::default();
+        self.count(trace);
         trace.refs().for_each(|r| {
-            self.count(&r);
             let line = lines.line_of(r.addr);
             let t = transition(lines.line(line), r.proc, r.kind, self.protocol);
             if t.is_hit() {
@@ -390,9 +393,8 @@ impl MemoryModel for DlsModel {
         let pricer = Pricer::new(&self.cfg);
         let mut stats = TrafficStats::default();
         let mut acc = RunAcc::new(&self.cfg, Protocol::DirectorylessLlc, obs);
-
+        acc.count(trace);
         trace.refs().for_each(|r| {
-            acc.count(&r);
             let home = (r.addr >> line_shift) % tiles;
             stats.total_bytes += word;
             match r.kind {

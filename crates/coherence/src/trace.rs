@@ -14,13 +14,15 @@
 //! A [`Trace`] stores *bursts*, not references. A burst is a run of
 //! references by one processor that share everything but their address
 //! and, linearly, their time: one rip-up, candidate sweep or commit. Its
-//! header is its first [`MemRef`] and its time step. The references
-//! themselves are 8 bytes each, in time order: the number of their burst
-//! and their address. [`Trace::refs`] rebuilds each [`MemRef`] from its
-//! burst's header. The emulator records bursts into a [`TraceRecorder`],
-//! and [`TraceRecorder::finish`] merges the per-processor streams in one
-//! pass. [`Trace::push`] and `collect` make one-reference bursts, for
-//! hand-built traces.
+//! header is its first [`MemRef`], its time step and its length, and its
+//! addresses are a list of their own. The order of the references is
+//! stored as *batches of rounds*: a batch names a rotation of bursts, and
+//! each of its rounds gives the next reference of every burst in the
+//! rotation. The emulator records bursts into a [`TraceRecorder`], and
+//! [`TraceRecorder::finish`] merges the per-processor streams in one pass
+//! that finds those batches. [`Trace::refs`] expands the order, rebuilding
+//! each [`MemRef`] from its burst's header. [`Trace::push`] and `collect`
+//! make one-reference bursts, for hand-built traces.
 
 use std::fmt;
 
@@ -156,38 +158,82 @@ impl MemRef {
 #[derive(Clone, Copy)]
 struct Burst {
     /// The first reference. Reference `i` of the burst is `first` at
-    /// `first.time + i * step` with its own address (`first.addr` is not
-    /// used).
+    /// `first.time + i * step` with its own address ([`Trace::addrs`]).
     first: MemRef,
     step: u64,
-}
-
-/// One reference of a [`Trace`]: the number of its burst, and its address.
-#[derive(Clone, Copy, Default)]
-struct Slot {
-    burst: u32,
-    addr: u32,
+    /// How many references the burst has.
+    len: usize,
 }
 
 /// The number the next burst of `bursts` gets.
 ///
 /// # Panics
-/// Panics if it does not fit the 32 bits a slot has for it.
+/// Panics if it does not fit the 32 bits the order has for it.
 fn next_burst(bursts: &[Burst]) -> u32 {
     u32::try_from(bursts.len()).expect("a trace numbers fewer than 2^32 bursts")
 }
 
-/// A time-ordered sequence of shared references: burst headers, plus 8
-/// bytes a reference. Two traces are equal when their references are,
-/// however they are split into bursts.
+/// `rounds` rounds of a rotation of bursts: each round gives the next
+/// reference of every burst in the rotation, in rotation order.
+#[derive(Clone, Copy)]
+struct Batch {
+    rounds: usize,
+    /// Where the rotation ends in [`Order::bursts`]; it begins where the
+    /// previous batch's ends.
+    end: usize,
+}
+
+/// Which burst gives each reference of a trace, as batches of rounds. A
+/// burst's references keep their order among themselves, so the `i`-th
+/// reference the order takes from a burst is the burst's reference `i`.
+/// References given one at a time are one round of a rotation in which a
+/// burst may appear more than once.
+#[derive(Clone, Default)]
+struct Order {
+    /// The rotations, one after another.
+    bursts: Vec<u32>,
+    batches: Vec<Batch>,
+}
+
+impl Order {
+    /// Appends `rounds` rounds of `rotation`. A round that follows a
+    /// one-round batch joins it.
+    fn push(&mut self, rounds: usize, rotation: impl IntoIterator<Item = u32>) {
+        let start = self.bursts.len();
+        self.bursts.extend(rotation);
+        let end = self.bursts.len();
+        match self.batches.last_mut() {
+            _ if end == start => {}
+            Some(last) if rounds == 1 && last.rounds == 1 => last.end = end,
+            _ => self.batches.push(Batch { rounds, end }),
+        }
+    }
+
+    /// The burst of each reference, in order.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let starts = std::iter::once(0).chain(self.batches.iter().map(|b| b.end));
+        self.batches.iter().zip(starts).flat_map(|(b, start)| {
+            let rotation = &self.bursts[start..b.end];
+            (0..b.rounds).flat_map(move |_| rotation.iter().copied())
+        })
+    }
+}
+
+/// A time-ordered sequence of shared references: burst headers, the
+/// bursts' addresses, and their order. Nothing is stored per reference but
+/// its address. Two traces are equal when their references are, however
+/// they are split into bursts.
 #[derive(Clone, Default)]
 pub struct Trace {
     /// The burst headers; a burst's number is its index.
     bursts: Vec<Burst>,
-    /// The references in order. A burst's references keep their order
-    /// among themselves, so the `i`-th slot that names a burst is its
-    /// reference `i`.
-    slots: Vec<Slot>,
+    /// Of each burst, its addresses: the recorder's list, moved, or none
+    /// for a burst that [`Trace::push`] made, which keeps its one address
+    /// in its header.
+    addrs: Vec<Vec<u32>>,
+    order: Order,
+    /// Number of references.
+    len: usize,
 }
 
 impl Trace {
@@ -205,41 +251,46 @@ impl Trace {
     /// Panics if a stream is not time-ordered.
     pub fn merge(streams: &[Trace]) -> Trace {
         assert!(streams.iter().all(Trace::is_sorted), "merge() takes time-ordered traces");
-        let mut bursts = Vec::with_capacity(streams.iter().map(|t| t.bursts.len()).sum());
+        let n_bursts = streams.iter().map(|t| t.bursts.len()).sum();
+        let (mut bursts, mut addrs) = (Vec::with_capacity(n_bursts), Vec::with_capacity(n_bursts));
         let mut runs = Vec::with_capacity(streams.len());
         for t in streams {
             // Every burst number of a stream is below every one of the
             // streams after it, so ranking by it ranks by stream.
             let offset = next_burst(&bursts);
             bursts.extend_from_slice(&t.bursts);
-            runs.push(t.refs().zip(&t.slots).map(move |(r, s)| Run {
+            addrs.extend_from_slice(&t.addrs);
+            runs.push(t.refs().zip(t.order.iter()).map(move |(r, b)| Run {
                 time: r.time,
                 step: 0,
-                burst: offset + s.burst,
-                addrs: std::slice::from_ref(&s.addr),
+                burst: offset + b,
+                len: 1,
             }));
         }
         next_burst(&bursts); // the last stream's numbers fit as well
         let len = streams.iter().map(Trace::len).sum();
-        Trace { bursts, slots: merge_by_time(runs, len).0 }
+        Trace { bursts, addrs, order: merge_by_time(runs).0, len }
     }
 
     /// Appends a reference, as a burst of its own. References may be
     /// pushed out of order; call [`Self::sort_by_time`] before analysis.
     #[inline]
     pub fn push(&mut self, r: MemRef) {
-        self.slots.push(Slot { burst: next_burst(&self.bursts), addr: r.addr });
-        self.bursts.push(Burst { first: r, step: 0 });
+        self.order.push(1, [next_burst(&self.bursts)]);
+        self.bursts.push(Burst { first: r, step: 0, len: 1 });
+        self.addrs.push(Vec::new());
+        self.len += 1;
     }
 
     /// Stable-sorts the trace by time (ties keep insertion order, which
     /// preserves each processor's program order). A burst's references
     /// keep their order, since their times never decrease.
     pub fn sort_by_time(&mut self) {
-        let mut timed: Vec<(u64, Slot)> =
-            self.refs().map(|r| r.time).zip(self.slots.iter().copied()).collect();
+        let mut timed: Vec<(u64, u32)> =
+            self.refs().map(|r| r.time).zip(self.order.iter()).collect();
         timed.sort_by_key(|&(time, _)| time);
-        self.slots = timed.into_iter().map(|(_, s)| s).collect();
+        self.order = Order::default();
+        self.order.push(1, timed.into_iter().map(|(_, b)| b));
     }
 
     /// Whether the trace is time-ordered.
@@ -249,26 +300,48 @@ impl Trace {
 
     /// Number of references.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// The references in order, each rebuilt from its burst's header.
     pub fn refs(&self) -> impl Iterator<Item = MemRef> + '_ {
         Refs {
-            bursts: &self.bursts,
-            next: self.bursts.iter().map(|b| b.first.time).collect(),
-            slots: self.slots.iter(),
+            trace: self,
+            pos: vec![0; self.bursts.len()],
+            batch: 0,
+            set_up: 0,
+            members: Vec::new(),
+            rounds: 0,
+            round: 0,
+            member: 0,
+            left: self.len,
         }
     }
 
     /// Count of write references.
     pub fn write_count(&self) -> usize {
-        self.refs().filter(|r| r.kind == RefKind::Write).count()
+        self.burst_counts().filter(|&(_, kind, _)| kind == RefKind::Write).map(|(.., n)| n).sum()
+    }
+
+    /// Of each burst that has references, its processor, its kind and how
+    /// many references it has: what a trace says about each processor
+    /// without reading a reference.
+    pub(crate) fn burst_counts(&self) -> impl Iterator<Item = (u32, RefKind, usize)> + '_ {
+        self.bursts.iter().filter(|b| b.len > 0).map(|b| (b.first.proc, b.first.kind, b.len))
+    }
+
+    /// The addresses of burst `b`: its list, or the one address in its
+    /// header.
+    fn addrs(&self, b: usize) -> &[u32] {
+        match &self.addrs[b][..] {
+            [] => std::slice::from_ref(&self.bursts[b].first.addr),
+            list => list,
+        }
     }
 }
 
@@ -294,24 +367,75 @@ impl FromIterator<MemRef> for Trace {
     }
 }
 
-/// The iterator behind [`Trace::refs`].
+/// How many bursts of a one-round batch [`Refs`] sets up at a time. A
+/// rotation of more rounds is set up whole.
+const MEMBERS: usize = 64;
+
+/// One burst of the batch being read: its reference at the batch's
+/// start, its step, and its addresses from there on.
+#[derive(Clone, Copy)]
+struct Member<'a> {
+    first: MemRef,
+    step: u64,
+    addrs: &'a [u32],
+}
+
+impl Member<'_> {
+    /// The member's reference in round `round` of its batch.
+    #[inline]
+    fn at(&self, round: usize) -> MemRef {
+        MemRef {
+            time: self.first.time + round as u64 * self.step,
+            addr: self.addrs[round],
+            ..self.first
+        }
+    }
+}
+
+/// The iterator behind [`Trace::refs`]: a cursor in the order, which
+/// `next` and `fold` move alike, so that `fold` goes on where `next`
+/// stopped.
 struct Refs<'a> {
-    bursts: &'a [Burst],
-    /// Of each burst, the time of its next reference.
-    next: Vec<u64>,
-    slots: std::slice::Iter<'a, Slot>,
+    trace: &'a Trace,
+    /// Of each burst, the position of its first reference not yet set up.
+    pos: Vec<usize>,
+    /// The batch the next members come from, and where in
+    /// [`Order::bursts`] the members set up so far end.
+    batch: usize,
+    set_up: usize,
+    /// The members set up, and their round count.
+    members: Vec<Member<'a>>,
+    rounds: usize,
+    /// The next reference: its round, and its member in the round.
+    round: usize,
+    member: usize,
+    /// References not yet given.
+    left: usize,
 }
 
 impl Refs<'_> {
-    /// The reference `s` stands for: the next of its burst.
-    #[inline]
-    fn rebuild(bursts: &[Burst], next: &mut [u64], s: Slot) -> MemRef {
-        let b = s.burst as usize;
-        let Burst { first, step } = bursts[b];
-        let time = next[b];
-        // Past the burst's last reference the sum is never read, so it may wrap.
-        next[b] = time.wrapping_add(step);
-        MemRef { time, addr: s.addr, ..first }
+    /// Sets up the next members: a whole rotation, or the next
+    /// [`MEMBERS`] of a one-round batch. False at the end of the order.
+    fn advance(&mut self) -> bool {
+        let trace = self.trace;
+        let Some(&Batch { rounds, end }) = trace.order.batches.get(self.batch) else {
+            return false;
+        };
+        let to = if rounds == 1 { end.min(self.set_up + MEMBERS) } else { end };
+        self.members.clear();
+        for &b in &trace.order.bursts[self.set_up..to] {
+            let b = b as usize;
+            let Burst { first, step, .. } = trace.bursts[b];
+            let at = self.pos[b];
+            self.pos[b] += rounds;
+            let time = first.time + at as u64 * step;
+            let addrs = &trace.addrs(b)[at..];
+            self.members.push(Member { first: MemRef { time, ..first }, step, addrs });
+        }
+        self.set_up = to;
+        self.batch += usize::from(to == end);
+        (self.rounds, self.round, self.member) = (rounds, 0, 0);
+        true
     }
 }
 
@@ -320,20 +444,41 @@ impl Iterator for Refs<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<MemRef> {
-        let &s = self.slots.next()?;
-        Some(Self::rebuild(self.bursts, &mut self.next, s))
+        if self.round == self.rounds && !self.advance() {
+            return None;
+        }
+        let r = self.members[self.member].at(self.round);
+        self.member += 1;
+        if self.member == self.members.len() {
+            (self.round, self.member) = (self.round + 1, 0);
+        }
+        self.left -= 1;
+        Some(r)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.slots.size_hint()
+        (self.left, Some(self.left))
     }
 
     /// Internal iteration (`for_each` and every adapter built on `fold`),
-    /// which the replay loops use: the table and the slots stay local.
+    /// which the replay loops use: round by round over the members, from
+    /// wherever `next` stopped. `f` has one call site, so that it is
+    /// inlined into the loop.
     #[inline]
-    fn fold<B, F: FnMut(B, MemRef) -> B>(self, init: B, mut f: F) -> B {
-        let Refs { bursts, mut next, slots } = self;
-        slots.fold(init, |acc, &s| f(acc, Self::rebuild(bursts, &mut next, s)))
+    fn fold<B, F: FnMut(B, MemRef) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        let mut skip = self.member;
+        loop {
+            for round in self.round..self.rounds {
+                for m in &self.members[skip..] {
+                    acc = f(acc, m.at(round));
+                }
+                skip = 0;
+            }
+            if !self.advance() {
+                return acc;
+            }
+        }
     }
 }
 
@@ -361,11 +506,12 @@ impl BurstWriter<'_> {
 /// by burst and then by position within the burst, and each processor's
 /// references are already in that order. Merging the processors' streams
 /// by (time, burst number) is therefore the same permutation, found in
-/// one pass that writes each reference's 8-byte slot once. The bursts
-/// become the trace's headers as they are.
+/// one pass that stores a burst number for each reference it gives alone
+/// and nothing for those it gives in whole rounds. The bursts and their
+/// address lists become the trace's as they are.
 pub struct TraceRecorder {
     /// The bursts in the order they were begun; a burst's number is its
-    /// index.
+    /// index. Their lengths are set when the recording finishes.
     bursts: Vec<Burst>,
     /// Of each burst, its addresses. One small list a burst, not one
     /// list of every address: a list of millions is copied as it doubles
@@ -403,45 +549,51 @@ impl TraceRecorder {
             );
         }
         self.by_proc[first.proc as usize].push(next_burst(&self.bursts));
-        self.bursts.push(Burst { first, step });
+        self.bursts.push(Burst { first, step, len: 0 });
         self.addrs.push(Vec::new());
         BurstWriter { addrs: self.addrs.last_mut().expect("just pushed") }
     }
 
     /// The recorded references as a time-ordered trace.
     pub fn finish(self) -> Trace {
-        let slots = self.merge().0;
-        Trace { bursts: self.bursts, slots }
+        let order = self.merge().0;
+        let TraceRecorder { mut bursts, addrs, .. } = self;
+        for (burst, list) in bursts.iter_mut().zip(&addrs) {
+            burst.len = list.len();
+        }
+        let len = addrs.iter().map(Vec::len).sum();
+        Trace { bursts, addrs, order, len }
     }
 
-    /// The slots of [`Self::finish`], and how many were given in rounds.
-    fn merge(&self) -> (Vec<Slot>, usize) {
-        let len = self.addrs.iter().map(Vec::len).sum();
+    /// The order of [`Self::finish`], and how many references it gives in
+    /// rounds.
+    fn merge(&self) -> (Order, usize) {
         // One processor's references in program order: its bursts one
-        // after another, each a run of the recorder's addresses.
+        // after another, each a run.
         let runs = self
             .by_proc
             .iter()
             .map(|bursts| {
                 bursts.iter().filter_map(|&burst| {
-                    let Burst { first, step } = self.bursts[burst as usize];
-                    let addrs = &self.addrs[burst as usize][..];
-                    (!addrs.is_empty()).then_some(Run { time: first.time, step, burst, addrs })
+                    let Burst { first, step, .. } = self.bursts[burst as usize];
+                    let len = self.addrs[burst as usize].len();
+                    (len > 0).then_some(Run { time: first.time, step, burst, len })
                 })
             })
             .collect();
-        merge_by_time(runs, len)
+        merge_by_time(runs)
     }
 }
 
-/// References of one stream, `step` ns apart from `time` on, that share
-/// their burst number: a recorded burst, or one reference of a trace.
+/// `len` references of one stream, `step` ns apart from `time` on, that
+/// share their burst number: a recorded burst, or one reference of a
+/// trace.
 #[derive(Clone, Copy, Default)]
-struct Run<'a> {
+struct Run {
     time: u64,
     step: u64,
     burst: u32,
-    addrs: &'a [u32],
+    len: usize,
 }
 
 /// `(time, burst, stream)`: the key of a stream's next reference, and the
@@ -513,34 +665,34 @@ impl MergeQueue {
     /// or more references left and whose keys are below the front's next,
     /// `lap`. Each gives a reference in turn and is filed again at the
     /// back of the rotation, one step on, above `lap` and so above every
-    /// key before it: a round gives `m` slots in queue order and leaves the
-    /// order as it was. The rounds stop one reference short of the shortest
-    /// run, so that every stream is still in its run, and while the last
-    /// of the rotation stays below the stream queued after it, so that
-    /// every slot given is below every key left.
+    /// key before it: a round gives `m` references in queue order and
+    /// leaves the order as it was. The rounds stop one reference short of
+    /// the shortest run, so that every stream is still in its run, and
+    /// while the last of the rotation stays below the stream queued after
+    /// it, so that every reference given is below every key left.
     fn rounds(&self, heads: &[Run]) -> (usize, usize, u64) {
         let mut queued = self.iter();
         let Some(&(time, burst, i)) = queued.next() else { return (0, 0, 0) };
-        let Run { step, addrs, .. } = heads[i];
-        if step == 0 || addrs.len() < 2 {
+        let Run { step, len, .. } = heads[i];
+        if step == 0 || len < 2 {
             return (0, 0, 0);
         }
         // The front's next reference is in its run, so `time + step` is a
         // time of the trace and cannot wrap; nor can any key the rounds
         // reach, each being a reference's.
         let lap = (time + step, burst);
-        let mut rounds = addrs.len() - 1;
+        let mut rounds = len - 1;
         let (mut last, mut m) = ((time, burst), 1);
         for &(t, b, j) in queued {
             let run = &heads[j];
-            if (t, b) >= lap || run.step != step || run.addrs.len() < 2 {
+            if (t, b) >= lap || run.step != step || run.len < 2 {
                 // `last` plus `r` steps stays below `(t, b)` for `r` up to
                 // this many (when `t == last.0`, `b` is above `last.1`).
                 let r = (t - last.0 - u64::from(last.1 > b)) / step;
                 rounds = rounds.min(usize::try_from(r).unwrap_or(usize::MAX));
                 break;
             }
-            rounds = rounds.min(run.addrs.len() - 1);
+            rounds = rounds.min(run.len - 1);
             (last, m) = ((t, b), m + 1);
         }
         (rounds, m, step)
@@ -548,66 +700,60 @@ impl MergeQueue {
 }
 
 /// Merges `streams`, each yielding nonempty runs whose references are in
-/// time order, `len` references between them, into one sequence of slots
-/// by time. Equal times keep each stream's own order, and between streams
-/// go by burst number: [`TraceRecorder::finish`] gives each processor its
-/// own bursts, numbered in the order they began, and [`Trace::merge`]
-/// numbers each stream's bursts above all of those before it. Also
-/// returns how many slots were given in whole rounds.
+/// time order, into one [`Order`] by time. Equal times keep each stream's
+/// own order, and between streams go by burst number:
+/// [`TraceRecorder::finish`] gives each processor its own bursts, numbered
+/// in the order they began, and [`Trace::merge`] numbers each stream's
+/// bursts above all of those before it. Also returns how many references
+/// were given in whole rounds.
 ///
 /// The merge advances by whole rounds where it can: when the streams at
 /// the front of the [`MergeQueue`] all sweep at one step and lie within
 /// one step of each other, the next rounds are a fixed rotation of them
-/// ([`MergeQueue::rounds`]), copied with no comparison while every key
-/// moves on by as many steps. Otherwise the front stream gives one slot
-/// and is filed again under the key of its next, searching from the
-/// back. (A binary heap would pay its full sift-down on the common case
-/// that the new key is the largest.) One-reference runs, which
-/// [`Trace::merge`] gives, never make a round.
-fn merge_by_time<'a, I>(mut streams: Vec<I>, len: usize) -> (Vec<Slot>, usize)
+/// ([`MergeQueue::rounds`]), stored as one batch while every key moves on
+/// by as many steps. Otherwise the front stream gives one reference and is
+/// filed again under the key of its next, searching from the back. (A
+/// binary heap would pay its full sift-down on the common case that the
+/// new key is the largest.) One-reference runs, which [`Trace::merge`]
+/// gives, never make a round.
+fn merge_by_time<I>(mut streams: Vec<I>) -> (Order, usize)
 where
-    I: Iterator<Item = Run<'a>>,
+    I: Iterator<Item = Run>,
 {
     // Every queued stream's run, from the reference its key names on.
     let mut heads: Vec<Run> = streams.iter_mut().map(|s| s.next().unwrap_or_default()).collect();
     let mut queue = MergeQueue::new(
         (heads.iter().enumerate())
-            .filter(|(_, run)| !run.addrs.is_empty())
+            .filter(|(_, run)| run.len > 0)
             .map(|(i, run)| (run.time, run.burst, i))
             .collect(),
     );
-    let mut out = Vec::with_capacity(len);
+    let mut order = Order::default();
     let mut in_rounds = 0;
-    // The runs a batch of rounds takes from, front to back.
-    let mut rotation: Vec<(u32, &[u32])> = Vec::with_capacity(heads.len());
     loop {
         let (rounds, m, step) = queue.rounds(&heads);
         if rounds > 0 {
-            rotation.clear();
-            for (time, _, i) in queue.iter_mut().take(m) {
-                let run = &mut heads[*i];
-                rotation.push((run.burst, run.addrs));
-                run.addrs = &run.addrs[rounds..];
+            let rotation = queue.iter_mut().take(m).map(|(time, burst, i)| {
+                heads[*i].len -= rounds;
                 *time += rounds as u64 * step;
-            }
-            for k in 0..rounds {
-                out.extend(rotation.iter().map(|&(burst, addrs)| Slot { burst, addr: addrs[k] }));
-            }
+                *burst
+            });
+            order.push(rounds, rotation);
             in_rounds += rounds * m;
             continue;
         }
         let Some((time, burst, i)) = queue.pop_front() else { break };
+        order.push(1, [burst]);
         let run = &mut heads[i];
-        out.push(Slot { burst, addr: run.addrs[0] });
-        run.addrs = &run.addrs[1..];
-        if !run.addrs.is_empty() {
+        run.len -= 1;
+        if run.len > 0 {
             queue.insert((time + run.step, burst, i));
         } else if let Some(next) = streams[i].next() {
             *run = next;
             queue.insert((next.time, next.burst, i));
         }
     }
-    (out, in_rounds)
+    (order, in_rounds)
 }
 
 #[cfg(test)]
@@ -724,7 +870,7 @@ mod tests {
     #[test]
     fn a_reference_is_24_bytes() {
         assert_eq!(std::mem::size_of::<MemRef>(), 24);
-        assert_eq!(std::mem::size_of::<Slot>(), 8);
+        assert_eq!(std::mem::size_of::<Burst>(), 40);
     }
 
     #[test]
@@ -788,11 +934,13 @@ mod tests {
 
     #[test]
     fn a_lone_stream_gives_its_burst_in_one_batch_of_rounds() {
-        let addrs = [0, 2, 4, 6, 8, 10];
-        let heads = [Run { time: 7, step: 3, burst: 0, addrs: &addrs }];
+        let heads = [Run { time: 7, step: 3, burst: 0, len: 6 }];
         // Every reference but the last, which the ordinary step gives.
         assert_eq!(MergeQueue::new(vec![(7, 0, 0)]).rounds(&heads), (5, 1, 3));
         assert_eq!(in_rounds(1, &[sweep(7, 0, 3, 6)]), 5);
+        let batches = record(1, &[sweep(7, 0, 3, 6)]).merge().0.batches;
+        let shape: Vec<(usize, usize)> = batches.iter().map(|b| (b.rounds, b.end)).collect();
+        assert_eq!(shape, [(5, 1), (1, 2)], "five rounds of burst 0, then one");
         assert_eq!(in_rounds(1, &[sweep(7, 0, 0, 6)]), 0, "no rounds at step 0");
     }
 
@@ -851,8 +999,8 @@ mod tests {
         assert_eq!(recorded.refs().collect::<Vec<_>>(), sorted);
         assert_eq!(addrs(&recorded), [12, 14, 2, 4, 8, 10, 16, 6, 18]);
         assert_eq!(recorded.bursts.len(), 5, "one header a burst, the empty one included");
-        let slots = &recorded.slots;
-        assert_eq!(slots.capacity(), slots.len(), "allocated once, at its length");
+        assert_eq!(recorded.order.iter().collect::<Vec<_>>(), [2, 2, 0, 0, 1, 1, 2, 0, 4]);
+        assert_eq!(recorded.order.batches.len(), 1, "one round after another is one batch");
     }
 
     #[test]

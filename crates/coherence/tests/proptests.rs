@@ -151,7 +151,7 @@ fn arb_bursts() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> 
 /// sweeps come short write bursts at other steps and at step 0. A
 /// processor's next burst starts at its previous one's last reference,
 /// a little after it, or now and then far later. Every address is
-/// distinct, so any slot out of place shows.
+/// distinct, so any reference out of place shows.
 fn arb_sweeps() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> {
     // `(step, length)` of a burst; no step is the shared one. Half the
     // bursts are sweeps.
@@ -192,6 +192,52 @@ fn arb_sweeps() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> 
                 .collect();
             (n_procs, bursts)
         })
+}
+
+/// An order-sensitive digest of everything a reference holds, `at`
+/// its position in the trace.
+fn fingerprint(at: usize, r: MemRef) -> u64 {
+    let fields = [
+        at as u64,
+        r.time,
+        u64::from(r.proc) << 32 | u64::from(r.addr),
+        u64::from(r.epoch) << 32 | u64::from(r.wire),
+        (r.kind as u64) << 16 | (r.crit as u64) << 8 | u64::from(r.delta as u8),
+    ];
+    fields.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Checks `trace.refs()` split at every `k`: `k` references taken with
+/// `next`, then the rest consumed in each of five ways. `for_each`, `last`
+/// and the rest of `max` and `reduce` go through `fold`, which must go on
+/// where `next` stopped; `==` goes through `next`.
+fn check_splits(trace: &Trace) {
+    let all: Vec<MemRef> = trace.refs().collect();
+    prop_assert_eq!(all.len(), trace.len());
+    let mix = |h: u64, x: u64| h.rotate_left(7) ^ x;
+    for k in 0..=all.len() {
+        let rest = &all[k..];
+        let want = || rest.iter().enumerate().map(|(i, &r)| fingerprint(k + i, r));
+        for way in 0..5 {
+            let mut refs = trace.refs();
+            for r in &all[..k] {
+                prop_assert_eq!(refs.next().as_ref(), Some(r));
+            }
+            prop_assert_eq!(refs.size_hint(), (rest.len(), Some(rest.len())));
+            let got = refs.enumerate().map(|(i, r)| fingerprint(k + i, r));
+            match way {
+                0 => {
+                    let mut each = Vec::new();
+                    got.for_each(|f| each.push(f));
+                    prop_assert_eq!(each, want().collect::<Vec<_>>(), "for_each after {}", k);
+                }
+                1 => prop_assert_eq!(got.max(), want().max(), "max after {}", k),
+                2 => prop_assert_eq!(got.reduce(mix), want().reduce(mix), "reduce after {}", k),
+                3 => prop_assert_eq!(got.last(), want().next_back(), "last after {}", k),
+                _ => prop_assert!(got.eq(want()), "== after {}", k),
+            }
+        }
+    }
 }
 
 /// 0, 1, 3, 12, 64, 65, every power of two up to 2^31, and `u32::MAX`.
@@ -241,6 +287,38 @@ proptest! {
         let mut by_proc = listed;
         by_proc.sort_by_key(|r| (r.time, r.proc));
         prop_assert_eq!(Trace::merge(&streams).refs().collect::<Vec<_>>(), by_proc);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn refs_split_anywhere_between_next_and_fold(case in arb_sweeps(), kept in 1usize..13) {
+        // One set of references stored four ways: recorded, in many
+        // rounds; merged from one recorder a processor; pushed in burst
+        // order, one round of one-reference bursts; and that sorted.
+        let (n_procs, mut bursts) = case;
+        bursts.truncate(kept);
+        let mut whole = TraceRecorder::new(n_procs);
+        let mut per_proc: Vec<TraceRecorder> =
+            (0..n_procs).map(|_| TraceRecorder::new(n_procs)).collect();
+        let mut pushed = Trace::new();
+        for (first, step, addrs) in &bursts {
+            for recorder in [&mut whole, &mut per_proc[first.proc as usize]] {
+                let mut burst = recorder.begin(*first, *step);
+                addrs.iter().for_each(|&addr| burst.push(addr));
+            }
+            for (i, &addr) in (0..).zip(addrs) {
+                pushed.push(MemRef { time: first.time + i * step, addr, ..*first });
+            }
+        }
+        let streams: Vec<Trace> = per_proc.into_iter().map(TraceRecorder::finish).collect();
+        let mut sorted = pushed.clone();
+        sorted.sort_by_time();
+        for trace in [whole.finish(), Trace::merge(&streams), pushed, sorted] {
+            check_splits(&trace);
+        }
     }
 }
 
