@@ -55,14 +55,14 @@ pub struct ClassifiedRace {
 
 impl ClassifiedRace {
     /// Whether the pair was classified benign.
-    pub(crate) fn is_benign(&self) -> bool {
+    pub fn is_benign(&self) -> bool {
         self.class == RaceClass::Benign
     }
 }
 
 /// Decodes a trace byte address back to its cost-array cell (addresses
 /// are `locus_shmem::cell_addr`: `(channel * grids + x) * 2`).
-pub(crate) fn addr_cell(addr: u32, grids: u16) -> GridCell {
+pub fn addr_cell(addr: u32, grids: u16) -> GridCell {
     let slot = addr / 2;
     GridCell::new((slot / grids as u32) as u16, (slot % grids as u32) as u16)
 }

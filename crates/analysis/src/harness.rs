@@ -1,14 +1,12 @@
 //! End-to-end analysis entry points: produce a trace from a named
 //! engine, run detection + classification, and aggregate the results
-//! into the [`AnalysisReport`] the `analyze` subcommand prints and
-//! serializes.
+//! into the [`AnalysisReport`] the `analyze` experiment reports.
 
 use std::collections::BTreeMap;
 
 use locus_circuit::Circuit;
 use locus_coherence::{MemRef, Trace};
 use locus_msgpass::{MsgPassConfig, MsgPassOutcome, UpdateSchedule};
-use locus_obs::{EventKind, Obs};
 use locus_router::{RegionMap, RouterParams};
 use locus_shmem::{ShmemConfig, ShmemEmulator, ThreadedRouter};
 
@@ -19,7 +17,7 @@ use crate::staleness::StalenessReport;
 /// A full race-analysis result for one engine run.
 #[derive(Debug)]
 pub struct AnalysisReport {
-    /// Canonical engine name the trace came from.
+    /// Registry name of the engine the trace came from.
     pub engine: String,
     /// Circuit the run routed.
     pub circuit: String,
@@ -105,76 +103,19 @@ impl AnalysisReport {
     pub fn quality_count(&self) -> usize {
         self.races.len() - self.benign_count()
     }
-
-    /// Human-readable summary block.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "race analysis: {} on {} ({} procs) — {} refs, {} epochs\n",
-            self.engine, self.circuit, self.procs, self.refs, self.epochs
-        ));
-        out.push_str(&format!("  synchronized pairs: {}\n", self.synchronized_pairs));
-        out.push_str(&format!(
-            "  races: {} total — {} benign, {} quality-affecting\n",
-            self.races.len(),
-            self.benign_count(),
-            self.quality_count()
-        ));
-        if !self.per_channel.is_empty() {
-            let top: Vec<String> = self
-                .per_channel
-                .iter()
-                .take(5)
-                .map(|(c, t, b)| format!("ch {c}: {t} ({b} benign)"))
-                .collect();
-            out.push_str(&format!("  hottest channels: {}\n", top.join(", ")));
-        }
-        if !self.per_wire.is_empty() {
-            let top: Vec<String> = self
-                .per_wire
-                .iter()
-                .take(5)
-                .map(|(w, t, b)| format!("wire {w}: {t} ({b} benign)"))
-                .collect();
-            out.push_str(&format!("  hottest wires: {}\n", top.join(", ")));
-        }
-        out
-    }
-}
-
-/// Emits one `RaceDetected` obs event per classified race through `obs`
-/// (stamped with the second access's time and processor).
-pub fn emit_race_events(report: &AnalysisReport, obs: &Obs) {
-    for c in &report.races {
-        let wire = c.pair.read_ref().map(|r| r.wire).unwrap_or(c.pair.second.wire);
-        let kind = EventKind::RaceDetected { addr: c.pair.addr, wire, benign: c.is_benign() };
-        obs.emit_on(c.pair.second.time, c.pair.second.proc, kind);
-    }
-}
-
-/// Resolves `--engine` spellings to the canonical registry name.
-fn canonical(engine: &str) -> &str {
-    match engine {
-        "seq" => "sequential",
-        "emul" => "shmem-emul",
-        "threads" => "shmem-threads",
-        other => other,
-    }
 }
 
 /// Traces one run of a named engine and analyses it for races.
 ///
-/// Accepted engines: `sequential`/`seq` (always one processor),
-/// `shmem-emul`/`emul`, and `shmem-threads`/`threads`. The
-/// message-passing engines have no shared-reference trace — audit them
-/// with [`audit_staleness`] instead.
+/// Accepted engines: `sequential` (always one processor), `shmem-emul`
+/// and `shmem-threads`. The message-passing engines have no
+/// shared-reference trace — audit them with [`audit_staleness`] instead.
 pub fn analyze_engine(
     circuit: &Circuit,
     engine: &str,
     procs: usize,
     params: RouterParams,
 ) -> Result<AnalysisReport, String> {
-    let engine = canonical(engine);
     // The sequential router is the emulator at one processor (same wire
     // order, same routes: `tests/engine_equivalence.rs`), and only the
     // emulator records a trace.
@@ -228,12 +169,12 @@ pub fn audit_staleness(
 mod tests {
     use super::*;
     use locus_circuit::presets;
-    use locus_obs::SharedSink;
 
     #[test]
     fn sequential_trace_has_zero_races() {
         let c = presets::small();
-        let report = analyze_engine(&c, "seq", 1, RouterParams::default()).expect("seq analyses");
+        let report =
+            analyze_engine(&c, "sequential", 4, RouterParams::default()).expect("seq analyses");
         assert_eq!(report.engine, "sequential");
         assert_eq!(report.procs, 1);
         assert!(report.races.is_empty(), "single-processor trace can never race");
@@ -244,7 +185,8 @@ mod tests {
     #[test]
     fn one_processor_emulator_trace_is_race_free() {
         let c = presets::small();
-        let report = analyze_engine(&c, "emul", 1, RouterParams::default()).expect("emul analyses");
+        let report =
+            analyze_engine(&c, "shmem-emul", 1, RouterParams::default()).expect("emul analyses");
         assert!(report.races.is_empty());
     }
 
@@ -261,7 +203,6 @@ mod tests {
         assert_eq!(report.benign_count() + report.quality_count(), report.races.len());
         assert!(!report.per_channel.is_empty());
         assert!(!report.per_wire.is_empty());
-        assert!(report.render().contains("races:"));
     }
 
     #[test]
@@ -284,29 +225,21 @@ mod tests {
         let err = audit_staleness(&c, "sequential", 1, RouterParams::default(), 2)
             .expect_err("sequential is not msgpass");
         assert!(err.contains("sequential"));
+        let err = analyze_engine(&c, "emul", 2, RouterParams::default())
+            .expect_err("only registry names are engines");
+        assert!(err.contains("'emul'"), "{err}");
     }
 
     #[test]
     fn runs_no_trace_can_number_are_errors_on_every_traced_engine() {
         let c = presets::tiny();
         let long = RouterParams { iterations: 100_000, ..RouterParams::default() };
-        for engine in ["seq", "emul", "threads"] {
+        for engine in ["sequential", "shmem-emul", "shmem-threads"] {
             let err = analyze_engine(&c, engine, 2, long).expect_err("100 000 epochs");
             assert!(err.contains("100000"), "{engine}: {err}");
         }
-        let err = analyze_engine(&c, "emul", 65, RouterParams::default()).expect_err("65 procs");
+        let err =
+            analyze_engine(&c, "shmem-emul", 65, RouterParams::default()).expect_err("65 procs");
         assert!(err.contains("64"), "{err}");
-    }
-
-    #[test]
-    fn race_events_reach_the_sink_and_metrics() {
-        let c = presets::small();
-        let report =
-            analyze_engine(&c, "shmem-emul", 4, RouterParams::default()).expect("emul analyses");
-        let sink = SharedSink::new();
-        emit_race_events(&report, &Obs::to(&sink));
-        let sink = sink.lock();
-        assert_eq!(sink.len(), report.races.len());
-        assert_eq!(sink.metrics().counter("races_detected"), report.races.len() as u64);
     }
 }

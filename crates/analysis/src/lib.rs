@@ -21,8 +21,8 @@
 //!   into cells × age staleness histograms.
 //!
 //! [`harness`] ties the pillars to named engines (`sequential`,
-//! `shmem-emul`, `shmem-threads`, `msgpass-*`), and [`report`]
-//! serializes hand-rolled JSON for CI artifacts.
+//! `shmem-emul`, `shmem-threads`, `msgpass-*`); `locus-experiments
+//! analyze` turns its results into a report like every other experiment.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -31,12 +31,10 @@
 pub mod classify;
 pub mod harness;
 pub mod race;
-pub mod report;
 pub mod staleness;
 mod vclock;
 
 pub use classify::RaceClass;
-pub use harness::{analyze_engine, audit_staleness, emit_race_events, AnalysisReport};
+pub use harness::{analyze_engine, audit_staleness, AnalysisReport};
 pub use race::detect;
-pub use report::{race_report_json, staleness_report_json};
 pub use staleness::StalenessReport;

@@ -87,6 +87,12 @@ impl RacePair {
         }
     }
 
+    /// The wire whose route decision the race touched: the read's for a
+    /// read/write pair, the later access's for a write/write pair.
+    pub fn wire(&self) -> u32 {
+        self.read_ref().unwrap_or(self.second).wire
+    }
+
     /// Deduplication identity: address, epoch, unordered processor
     /// pair, and access kinds.
     pub fn key(&self) -> RaceKey {

@@ -44,8 +44,8 @@
 //! vector-clock race detector and classifies every unsynchronized
 //! conflicting pair as benign or quality-affecting (for the
 //! message-passing engines it instead audits replica staleness against
-//! the ground-truth cost array). `--report <file>` writes the
-//! machine-readable JSON report.
+//! the ground-truth cost array). Its report is printed and written like
+//! any other.
 //!
 //! `--trace-out` writes a Chrome trace-event JSON (load it at
 //! `chrome://tracing`) and `--metrics-out` a flat metrics JSON, both
@@ -60,7 +60,6 @@ use locus_bench::catalog::{self, Experiment, RunCfg};
 use locus_bench::report::Report;
 use locus_bench::{Harness, PAPER_PROCS};
 use locus_circuit::presets;
-use locusroute::router::RouterParams;
 
 /// How the `all` sequence shows an entry of [`EXPERIMENTS`].
 #[derive(PartialEq)]
@@ -132,55 +131,6 @@ fn emit(id: &str, report: &Report, out: Option<&str>) {
         die(msg, 1);
     }
     print!("{}", report.closing);
-}
-
-/// `analyze`: race detection + classification over one engine's
-/// reference trace, or replica-staleness auditing for the
-/// message-passing engines. `--report FILE` writes machine-readable
-/// JSON alongside the printed summary.
-fn run_analyze(cfg: &RunCfg, name: &str, procs: Option<usize>, report_out: Option<String>) {
-    use locus_analysis as analysis;
-    use locus_obs::{names, Obs, SharedSink};
-
-    let c = cfg.circuit();
-    let procs = procs.unwrap_or_else(|| cfg.procs());
-    let params = RouterParams::default();
-
-    if name.starts_with("msgpass") {
-        let audit_every = if cfg.quick { 2 } else { 8 };
-        let (report, outcome) = analysis::audit_staleness(&c, name, procs, params, audit_every)
-            .unwrap_or_else(|msg| die(&msg, 2));
-        print!("{}", report.render());
-        println!(
-            "  quality: height {}, occupancy {}",
-            outcome.quality.circuit_height, outcome.quality.occupancy_factor
-        );
-        if let Some(path) = report_out {
-            write_or_die(&path, &analysis::staleness_report_json(&report, name, procs));
-            eprintln!("analyze: wrote staleness report to {path}");
-        }
-        return;
-    }
-
-    let report =
-        analysis::analyze_engine(&c, name, procs, params).unwrap_or_else(|msg| die(&msg, 2));
-    print!("{}", report.render());
-    let sink = SharedSink::new();
-    analysis::emit_race_events(&report, &Obs::to(&sink));
-    let metrics = sink.metrics_snapshot();
-    println!(
-        "  obs: {}={} {}={} {}={}",
-        names::RACES_DETECTED,
-        metrics.counter(names::RACES_DETECTED),
-        names::BENIGN_RACES,
-        metrics.counter(names::BENIGN_RACES),
-        names::QUALITY_RACES,
-        metrics.counter(names::QUALITY_RACES),
-    );
-    if let Some(path) = report_out {
-        write_or_die(&path, &analysis::race_report_json(&report));
-        eprintln!("analyze: wrote race report to {path}");
-    }
 }
 
 /// Removes `--flag <value>` from `args` and returns the value, if present.
@@ -287,7 +237,8 @@ fn main() {
 
     if id == "analyze" {
         let name = engine_name.as_deref().unwrap_or("shmem-threads");
-        run_analyze(&cfg, name, engine_procs, report_out);
+        let report = catalog::analyze(&cfg, name, engine_procs).unwrap_or_else(|msg| die(&msg, 2));
+        emit(id, &report, report_out.as_deref());
         return;
     }
 

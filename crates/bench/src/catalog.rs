@@ -3,7 +3,10 @@
 //! columns of its table — the one place a header, a JSON key or a
 //! precision is written down.
 
-use locus_circuit::{presets, Circuit};
+use locus_analysis::classify::{addr_cell, ClassifiedRace};
+use locus_analysis::race::RaceKind;
+use locus_analysis::{analyze_engine, audit_staleness};
+use locus_circuit::{presets, Circuit, GridCell};
 use locus_coherence::{build_memory_model, memory_registry, MemoryConfig};
 use locus_obs::export::Json;
 use locus_router::engine::EngineRun;
@@ -638,6 +641,122 @@ pub fn engine(
     ))
 }
 
+/// `analyze`: one engine's run checked against the paper's bet that
+/// unlocked cost-array reads only cost quality. A traced engine's races
+/// are detected and classified benign or quality-affecting, and a
+/// message-passing engine's replicas are audited for staleness against
+/// the true cost array.
+pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report, String> {
+    let engine = engines::find(name)?.name;
+    let c = cfg.circuit();
+    let procs = procs.unwrap_or_else(|| cfg.procs());
+    let params = RouterParams::default();
+    if engine.starts_with("msgpass") {
+        let (s, outcome) = audit_staleness(&c, engine, procs, params, cfg.pick(2, 8))?;
+        let (cells, age) = (&s.cells_hist, &s.age_hist);
+        return Ok(Report::new(format!(
+            "replica staleness: {engine} on {} ({procs} procs) — {} audits by {} procs\n  \
+             diverged cells/audit: mean {:.1}, max {} (p50 {}, p99 {})\n  \
+             divergence magnitude: max {} tracks/cell, {} cell-tracks total\n  \
+             stale-cell age: mean-of-means {:.0} ns, max mean {} ns (p50 {} ns, p99 {} ns)\n  \
+             quality: height {}, occupancy {}\n",
+            c.name,
+            s.audits,
+            s.procs,
+            s.mean_diverged_cells,
+            s.max_diverged_cells,
+            cells.quantile(0.50),
+            cells.quantile(0.99),
+            s.max_abs_divergence,
+            s.total_abs_divergence,
+            age.mean(),
+            s.max_mean_age_ns,
+            age.quantile(0.50),
+            age.quantile(0.99),
+            outcome.quality.circuit_height,
+            outcome.quality.occupancy_factor,
+        ))
+        .field("engine", engine)
+        .field("procs", procs)
+        .field("audits", s.audits)
+        .field("auditing_procs", s.procs)
+        .field("max_diverged_cells", s.max_diverged_cells)
+        .field("mean_diverged_cells", Json::Float(s.mean_diverged_cells, Some(3)))
+        .field("max_abs_divergence", s.max_abs_divergence)
+        .field("total_abs_divergence", s.total_abs_divergence)
+        .field("max_mean_age_ns", s.max_mean_age_ns)
+        .field("mean_age_ns_p50", age.quantile(0.50))
+        .field("mean_age_ns_p99", age.quantile(0.99))
+        .field("diverged_cells_p50", cells.quantile(0.50))
+        .field("diverged_cells_p99", cells.quantile(0.99)));
+    }
+    let r = analyze_engine(&c, engine, procs, params)?;
+    let (total, benign, quality) = (r.races.len(), r.benign_count(), r.quality_count());
+    let pairs: Vec<(&ClassifiedRace, GridCell)> =
+        r.races.iter().map(|race| (race, addr_cell(race.pair.addr, r.grids))).collect();
+    type Tally<T> = (T, usize, usize);
+    Ok(Report::new(format!(
+        "race analysis: {engine} on {} ({} procs) — {} refs, {} epochs\n  \
+         synchronized pairs: {}\n  \
+         races: {total} total — {benign} benign, {quality} quality-affecting",
+        r.circuit, r.procs, r.refs, r.epochs, r.synchronized_pairs,
+    ))
+    .field("engine", engine)
+    .field("circuit", r.circuit.as_str())
+    .field("procs", r.procs)
+    .field("refs", r.refs)
+    .field("epochs", r.epochs)
+    .field("synchronized_pairs", r.synchronized_pairs)
+    .field(
+        "races",
+        Json::Object(vec![
+            ("total", total.into()),
+            ("benign", benign.into()),
+            ("quality_affecting", quality.into()),
+        ]),
+    )
+    .table(
+        "pairs",
+        &pairs,
+        &[
+            col("addr", "", |(race, _): &(&ClassifiedRace, GridCell)| race.pair.addr.into()),
+            col("channel", "", |(_, cell)| cell.channel.into()),
+            col("x", "", |(_, cell)| cell.x.into()),
+            col("epoch", "", |(race, _)| race.pair.epoch.into()),
+            col("procs", "", |(race, _)| {
+                Json::Array(vec![race.pair.first.proc.into(), race.pair.second.proc.into()]).into()
+            }),
+            col("kind", "", |(race, _)| match race.pair.kind {
+                RaceKind::WriteWrite => "write-write".into(),
+                RaceKind::ReadWrite => "read-write".into(),
+            }),
+            col("wire", "", |(race, _)| race.pair.wire().into()),
+            col("class", "", |(race, _)| {
+                if race.is_benign() { "benign" } else { "quality-affecting" }.into()
+            }),
+            col("reason", "", |(race, _)| race.reason.into()),
+        ],
+    )
+    .table(
+        "per_channel",
+        &r.per_channel,
+        &[
+            col("channel", "channel", |t: &Tally<u16>| t.0.into()),
+            col("races", "races", |t| t.1.into()),
+            col("benign", "benign", |t| t.2.into()),
+        ],
+    )
+    .table(
+        "per_wire",
+        &r.per_wire,
+        &[
+            col("wire", "wire", |t: &Tally<u32>| t.0.into()),
+            col("races", "races", |t| t.1.into()),
+            col("benign", "benign", |t| t.2.into()),
+        ],
+    ))
+}
+
 /// The registries `list` prints below the experiment ids.
 pub fn registries() -> String {
     let mut out = String::from("\nengines (--engine <name>):\n");
@@ -649,4 +768,31 @@ pub fn registries() -> String {
         out += &format!("  {:<17} {}\n", e.name, e.summary);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every engine of the table over hostile processor counts: a report
+    /// of the run it was asked for, or an `Err` naming the processor
+    /// count it cannot take — never a panic or a hang.
+    #[test]
+    fn analyze_takes_every_engine_at_any_processor_count() {
+        let cfg = RunCfg { harness: Harness::with_threads(1), quick: true, memory_backend: None };
+        let procs = [0, 1, 3, 65, 256, 18_446_744_073_709_551_557, usize::MAX];
+        for entry in registry() {
+            for &p in &procs {
+                let case = format!("{} P={p}", entry.name);
+                match analyze(&cfg, entry.name, Some(p)) {
+                    Ok(report) => {
+                        let ran = if entry.name == "sequential" { 1 } else { p };
+                        assert_eq!(report.header[0], ("engine", entry.name.into()), "{case}");
+                        assert!(report.header.contains(&("procs", ran.into())), "{case}");
+                    }
+                    Err(why) => assert!(why.contains("proc"), "{case}: {why}"),
+                }
+            }
+        }
+    }
 }

@@ -79,6 +79,29 @@ fn engine_runs_are_the_fixture() {
     assert_eq!(stdout, fixture("engine_quick.txt"));
 }
 
+/// `analyze --quick` for every engine with no wall clock, one after
+/// another (`analyze_quick.txt`, without the line naming the report
+/// file). The three small reports are pinned against files captured from
+/// the build at 047ed11, when `analyze` still had a JSON writer of its
+/// own; the `shmem-emul` one (1.7 MB, every race pair) is only parsed.
+#[test]
+fn analyze_runs_and_reports_are_the_fixtures() {
+    let mut stdout = String::new();
+    for name in ["sequential", "shmem-emul", "msgpass-sender", "msgpass-receiver"] {
+        let case = format!("analyze-{name}");
+        let args = ["analyze", "--engine", name, "--procs", "4", "--quick", "--report", "a.json"];
+        let (dir, out, _, code) = run(&case, &args);
+        assert_eq!(code, 0, "{name}");
+        stdout += out.strip_suffix("analyze: wrote a.json\n").expect("the report line");
+        let written = std::fs::read_to_string(dir.join("a.json")).expect("report written");
+        locus_obs::export::validate_json(&written).expect("a report parses");
+        if name != "shmem-emul" {
+            assert_eq!(written, fixture(&format!("{case}_quick.json")), "{name}");
+        }
+    }
+    assert_eq!(stdout, fixture("analyze_quick.txt"));
+}
+
 #[test]
 fn list_is_the_fixture_and_an_unknown_id_is_told_every_id() {
     let (_, listing, _, code) = run("list", &["list"]);
@@ -104,7 +127,16 @@ fn bad_invocations_say_why_and_set_the_exit_code() {
         (&["memory", "--quick", "--memory", "nope"], 2, "unknown memory backend `nope`"),
         (&["--engine", "nope"], 2, "unknown engine 'nope'"),
         (&["--engine", "shmem-emul", "--procs", "65", "--quick"], 2, "at most 64 processors"),
-        (&["analyze", "--engine", "emul", "--procs", "65", "--quick"], 2, "at most 64 processors"),
+        (
+            &["analyze", "--engine", "shmem-emul", "--procs", "65", "--quick"],
+            2,
+            "at most 64 processors",
+        ),
+        (
+            &["analyze", "--engine", "emul"],
+            2,
+            "unknown engine 'emul' (expected one of: sequential,",
+        ),
         (&["--engine", "msgpass-sender", "--circuit", "tiny", "--procs", "64"], 2, "surface 4x24"),
         (
             &["analyze", "--engine", "msgpass-receiver", "--procs", "256", "--quick"],

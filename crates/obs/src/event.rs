@@ -121,18 +121,6 @@ pub enum EventKind {
         /// Wire whose evaluation first took the fallback.
         wire: u32,
     },
-    /// The race analyser confirmed an unsynchronized conflicting access
-    /// pair on a cost-array cell (one event per deduplicated race).
-    RaceDetected {
-        /// Byte address of the racing cell.
-        addr: u32,
-        /// Wire whose route decision read or wrote the cell (the later
-        /// access of the pair).
-        wire: u32,
-        /// Whether re-evaluating the route under either access order
-        /// yields the same decision (benign) or not (quality-affecting).
-        benign: bool,
-    },
     /// A message-passing node compared its cost-array replica against
     /// the ground-truth array (one event per audit stamp).
     ReplicaAudit {
@@ -293,24 +281,23 @@ pub(crate) mod tests {
             EventKind::PhaseEnd { .. } => 7,
             EventKind::KernelStats { .. } => 8,
             EventKind::PercellFallback { .. } => 9,
-            EventKind::RaceDetected { .. } => 10,
-            EventKind::ReplicaAudit { .. } => 11,
-            EventKind::FaultInjected { .. } => 12,
-            EventKind::PacketRetransmitted { .. } => 13,
-            EventKind::AckSent { .. } => 14,
-            EventKind::WatchdogRecovery { .. } => 15,
-            EventKind::JobEnqueued { .. } => 16,
-            EventKind::JobDispatched { .. } => 17,
-            EventKind::JobCompleted { .. } => 18,
-            EventKind::JobShed { .. } => 19,
-            EventKind::JobRejected { .. } => 20,
-            EventKind::NodeCrashed { .. } => 21,
-            EventKind::NodeRestarted { .. } => 22,
-            EventKind::CheckpointTaken { .. } => 23,
-            EventKind::WireReassigned { .. } => 24,
-            EventKind::CoordinatorFailover { .. } => 25,
-            EventKind::JobRetried { .. } => 26,
-            EventKind::BreakerTripped { .. } => 27,
+            EventKind::ReplicaAudit { .. } => 10,
+            EventKind::FaultInjected { .. } => 11,
+            EventKind::PacketRetransmitted { .. } => 12,
+            EventKind::AckSent { .. } => 13,
+            EventKind::WatchdogRecovery { .. } => 14,
+            EventKind::JobEnqueued { .. } => 15,
+            EventKind::JobDispatched { .. } => 16,
+            EventKind::JobCompleted { .. } => 17,
+            EventKind::JobShed { .. } => 18,
+            EventKind::JobRejected { .. } => 19,
+            EventKind::NodeCrashed { .. } => 20,
+            EventKind::NodeRestarted { .. } => 21,
+            EventKind::CheckpointTaken { .. } => 22,
+            EventKind::WireReassigned { .. } => 23,
+            EventKind::CoordinatorFailover { .. } => 24,
+            EventKind::JobRetried { .. } => 25,
+            EventKind::BreakerTripped { .. } => 26,
         }
     }
 
@@ -333,7 +320,6 @@ pub(crate) mod tests {
             EventKind::PhaseEnd { name: "iteration" },
             EventKind::KernelStats { candidates: 7, percell_evals: 1 },
             EventKind::PercellFallback { wire: 3 },
-            EventKind::RaceDetected { addr: 64, wire: 3, benign: true },
             EventKind::ReplicaAudit { diverged_cells: 5, max_divergence: 2, mean_age_ns: 1200 },
             EventKind::FaultInjected {
                 dst: 1,
@@ -358,7 +344,7 @@ pub(crate) mod tests {
             EventKind::BreakerTripped { class: 5 },
         ];
         let ordinals: Vec<usize> = kinds.iter().map(ordinal).collect();
-        assert_eq!(ordinals, (0..28).collect::<Vec<_>>(), "one value per variant, in order");
+        assert_eq!(ordinals, (0..27).collect::<Vec<_>>(), "one value per variant, in order");
         kinds
     }
 

@@ -12,6 +12,7 @@
 //! How a kind is shown (its name, its Chrome `args`, its timeline glyph,
 //! priority and legend word) is one row of the private `shown` table.
 
+use std::borrow::Borrow;
 use std::fmt::{self, Write as _};
 
 use crate::event::{Event, EventKind, FaultKind};
@@ -148,12 +149,13 @@ impl fmt::Display for Fields<'_> {
 
 /// Writes `fields` as one JSON document in the layout every report
 /// shares: a top-level field per line, the elements of a top-level array
-/// one per line below it, everything deeper inline.
-pub fn json_document(fields: &[(&'static str, Json)]) -> String {
+/// one per line below it, everything deeper inline. The values may be
+/// owned or borrowed.
+pub fn json_document<V: Borrow<Json>>(fields: &[(&'static str, V)]) -> String {
     let mut out = String::from("{");
     for (i, (key, value)) in fields.iter().enumerate() {
         let _ = write!(out, "{}\n  \"{}\": ", if i == 0 { "" } else { "," }, json_escape(key));
-        match value {
+        match value.borrow() {
             Json::Array(items) if !items.is_empty() => {
                 out.push('[');
                 for (j, item) in items.iter().enumerate() {
@@ -219,7 +221,6 @@ pub(crate) fn shown(kind: &EventKind, args: Option<&mut Vec<(&'static str, Json)
         PhaseEnd { name } => '|' 0 "phase",
         KernelStats { candidates, percell_evals } => 'K' 1 "kernel",
         PercellFallback { wire } => 'P' 5 "percell",
-        RaceDetected { addr, wire, benign } => 'R' 8 "race",
         ReplicaAudit { diverged_cells, max_divergence, mean_age_ns } => 'A' 2 "audit",
         FaultInjected { dst, payload_bytes, fault, extra_ns } => 'F' 6 "fault",
         PacketRetransmitted { dst, seq, attempt } => 'T' 4 "resent",
@@ -591,11 +592,6 @@ mod tests {
                 kind: EventKind::MemRequest { resource: 1, bytes: 8, critical: true },
             },
             Event {
-                at_ns: 985,
-                node: 1,
-                kind: EventKind::RaceDetected { addr: 64, wire: 3, benign: true },
-            },
-            Event {
                 at_ns: 990,
                 node: 2,
                 kind: EventKind::ReplicaAudit {
@@ -654,7 +650,7 @@ mod tests {
              \"nested\": {\"ok\": true, \"ids\": []},\n  \"none\": [],\n  \"rows\": [\n    \
              {\"k\": \"a\\\\b\", \"v\": [1]},\n    {\"k\": \"line\\nbreak\", \"v\": null}\n  ]\n}\n"
         );
-        validate_json(&json_document(&[])).expect("an empty document is an empty object");
+        validate_json(&json_document::<Json>(&[])).expect("an empty document is an empty object");
     }
 
     #[test]
@@ -758,8 +754,8 @@ mod tests {
             }
         }
         assert_eq!(explained, on_rows, "first-appearance order, nothing unseen");
-        // 28 kinds, begin and end of a phase sharing one glyph.
-        assert_eq!(explained.len(), 27);
+        // 27 kinds, begin and end of a phase sharing one glyph.
+        assert_eq!(explained.len(), 26);
         assert!(!ascii_timeline(&sample_events(), 40).contains("crash"));
     }
 

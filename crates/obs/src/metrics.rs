@@ -54,12 +54,6 @@ pub mod names {
     /// Runs that fell back to per-cell spans at least once (one per
     /// `PercellFallback` event).
     pub(crate) const PERCELL_FALLBACKS: &str = "percell_fallbacks";
-    /// Unsynchronized conflicting access pairs confirmed by the analyser.
-    pub const RACES_DETECTED: &str = "races_detected";
-    /// Detected races classified as benign (same route either way).
-    pub const BENIGN_RACES: &str = "benign_races";
-    /// Detected races classified as quality-affecting.
-    pub const QUALITY_RACES: &str = "quality_races";
     /// Replica-vs-truth audits performed by message-passing nodes.
     pub(crate) const REPLICA_AUDITS: &str = "replica_audits";
     /// Diverged replica cells summed across audits.
@@ -326,10 +320,6 @@ impl Metrics {
             EventKind::PercellFallback { .. } => {
                 self.add(names::PERCELL_FALLBACKS, 1);
             }
-            EventKind::RaceDetected { benign, .. } => {
-                self.add(names::RACES_DETECTED, 1);
-                self.add(if benign { names::BENIGN_RACES } else { names::QUALITY_RACES }, 1);
-            }
             EventKind::ReplicaAudit { diverged_cells, mean_age_ns, .. } => {
                 self.add(names::REPLICA_AUDITS, 1);
                 self.add(names::STALE_CELLS, diverged_cells as u64);
@@ -524,17 +514,6 @@ mod tests {
     #[test]
     fn observe_maps_analysis_events() {
         let mut m = Metrics::new();
-        let race = |benign| Event {
-            at_ns: 0,
-            node: 0,
-            kind: EventKind::RaceDetected { addr: 8, wire: 2, benign },
-        };
-        m.observe(&race(true));
-        m.observe(&race(true));
-        m.observe(&race(false));
-        assert_eq!(m.counter(names::RACES_DETECTED), 3);
-        assert_eq!(m.counter(names::BENIGN_RACES), 2);
-        assert_eq!(m.counter(names::QUALITY_RACES), 1);
         m.observe(&Event {
             at_ns: 5,
             node: 1,

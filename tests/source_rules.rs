@@ -1,6 +1,8 @@
 //! The source rule `clippy.toml` cannot state: `disallowed-types` catches a
 //! `use` of `Ordering`, not a variant spelled in full. Matches text, not
 //! tokens; a comment that needs one of these words spells it differently.
+//! And one rule for the docs: DESIGN.md describes the system as it is, so
+//! it cites no change by number; that history is CHANGES.md's.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -40,4 +42,16 @@ fn orderings_are_never_seqcst_and_named_only_in_the_audited_modules() {
         audited += usize::from(named);
     }
     assert_eq!(audited, AUDITED.len(), "an audited module names no ordering: stale list?");
+}
+
+#[test]
+fn design_names_no_pull_request_by_number() {
+    let design = Path::new(env!("CARGO_MANIFEST_DIR")).join("DESIGN.md");
+    let text = fs::read_to_string(design).expect("DESIGN.md");
+    for (n, line) in text.lines().enumerate() {
+        let numbered = line
+            .match_indices("PR ")
+            .any(|(at, _)| line[at + 3..].starts_with(|c: char| c.is_ascii_digit()));
+        assert!(!numbered, "DESIGN.md:{} cites a PR by number: {line}", n + 1);
+    }
 }
