@@ -50,7 +50,8 @@
 //! `--trace-out` writes a Chrome trace-event JSON (load it at
 //! `chrome://tracing`) and `--metrics-out` a flat metrics JSON, both
 //! captured from one instrumented paper-settings message-passing run
-//! (bnrE, 16 processors, sender-initiated updates).
+//! (bnrE, 16 processors, sender-initiated updates) after an experiment;
+//! like `--threads`, they do not apply to `--engine` or `analyze`.
 //!
 //! Run with `--release`.
 
@@ -233,6 +234,14 @@ fn main() {
     }
     if cfg.memory_backend.is_some() && (one_engine || !["memory", "table3", "all"].contains(&id)) {
         die("--memory only applies to memory, table3 and all", 2);
+    }
+    let experiment_only = [
+        ("--trace-out", trace_out.is_some()),
+        ("--metrics-out", metrics_out.is_some()),
+        ("--threads", threads.is_some()),
+    ];
+    if let Some((flag, _)) = experiment_only.iter().find(|(_, set)| *set && one_engine) {
+        die(&format!("{flag} does not apply to --engine runs or analyze"), 2);
     }
 
     if id == "analyze" {

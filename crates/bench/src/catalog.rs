@@ -8,6 +8,7 @@ use locus_analysis::race::RaceKind;
 use locus_analysis::{analyze_engine, audit_staleness};
 use locus_circuit::{presets, Circuit, GridCell};
 use locus_coherence::{build_memory_model, memory_registry, MemoryConfig};
+use locus_msgpass::MsgPassOutcome;
 use locus_obs::export::Json;
 use locus_router::engine::EngineRun;
 use locus_router::render::{render_cost_array, render_regions};
@@ -73,21 +74,26 @@ impl RunCfg {
 /// What every experiment id maps to.
 pub type Experiment = fn(&RunCfg) -> Result<Report, String>;
 
+/// A measure not every engine has (a clock, traffic), to 3 places.
+fn opt3(v: Option<f64>) -> Cell {
+    v.map_or(Json::Null.into(), |v| fixed(v, 3))
+}
+
 fn update_sweep(
     title: String,
     [a, b]: [(&'static str, &'static str); 2],
-    rows: &[ex::UpdateSweepRow],
+    rows: &[(u32, u32, MsgPassOutcome)],
 ) -> Result<Report, String> {
     Ok(Report::new(title).table(
         "rows",
         rows,
         &[
-            col(a.0, a.1, |r| r.a.into()),
-            col(b.0, b.1, |r| r.b.into()),
-            col("ckt_ht", "Ckt Ht.", |r| r.ckt_ht.into()),
-            col("occupancy", "Occup. Factor", |r| r.occupancy.into()),
-            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
-            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
+            col(a.0, a.1, |r| r.0.into()),
+            col(b.0, b.1, |r| r.1.into()),
+            col("ckt_ht", "Ckt Ht.", |r| r.2.quality.circuit_height.into()),
+            col("occupancy", "Occup. Factor", |r| r.2.quality.occupancy_factor.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.2.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.2.time_secs, 3)),
         ],
     ))
 }
@@ -124,16 +130,16 @@ pub fn blocking(cfg: &RunCfg) -> Result<Report, String> {
         &ex::blocking_study(&cfg.harness, &cfg.circuit(), cfg.procs()),
         &[
             col("schedule", "(ReqLoc,ReqRmt)", |r| {
-                let (loc, rmt) = r.schedule;
+                let (loc, rmt) = r.0;
                 Cell::from(Json::Array(vec![loc.into(), rmt.into()]))
                     .shown(format!("({loc},{rmt})"))
             }),
-            col("ht_nonblocking", "Ht nonblk", |r| r.ht_nonblocking.into()),
-            col("ht_blocking", "Ht blk", |r| r.ht_blocking.into()),
-            col("time_nonblocking", "T nonblk (s)", |r| fixed(r.time_nonblocking, 3)),
-            col("time_blocking", "T blk (s)", |r| fixed(r.time_blocking, 3)),
+            col("ht_nonblocking", "Ht nonblk", |r| r.1.quality.circuit_height.into()),
+            col("ht_blocking", "Ht blk", |r| r.2.quality.circuit_height.into()),
+            col("time_nonblocking", "T nonblk (s)", |r| fixed(r.1.time_secs, 3)),
+            col("time_blocking", "T blk (s)", |r| fixed(r.2.time_secs, 3)),
             col("time_delta_pct", "T delta", |r| {
-                let delta = (r.time_blocking / r.time_nonblocking - 1.0) * 100.0;
+                let delta = (r.2.time_secs / r.1.time_secs - 1.0) * 100.0;
                 fixed(delta, 1).shown(format!("{delta:+.1}%"))
             }),
         ],
@@ -146,11 +152,11 @@ pub fn mixed(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &ex::mixed_study(&cfg.harness, &cfg.circuit(), cfg.procs()),
         &[
-            col("strategy", "strategy", |r| r.label.as_str().into()),
-            col("ckt_ht", "Ckt Ht.", |r| r.ckt_ht.into()),
-            col("occupancy", "Occup. Factor", |r| r.occupancy.into()),
-            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
-            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
+            col("strategy", "strategy", |r| r.0.into()),
+            col("ckt_ht", "Ckt Ht.", |r| r.1.quality.circuit_height.into()),
+            col("occupancy", "Occup. Factor", |r| r.1.quality.occupancy_factor.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.1.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.1.time_secs, 3)),
         ],
     ))
 }
@@ -174,10 +180,10 @@ pub fn table3(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &rows,
         &[
-            col("line_size", "Cache Line Size", |r| r.line_size.into()),
-            col("mbytes", "MBytes Transferred", |r| fixed(r.mbytes, 2)),
-            col("write_fraction", "write-caused", |r| fraction(r.write_fraction, 4)),
-            col("invalidations", "invalidations", |r| r.invalidations.into()),
+            col("line_size", "Cache Line Size", |r| r.0.into()),
+            col("mbytes", "MBytes Transferred", |r| fixed(r.1.stats.mbytes(), 2)),
+            col("write_fraction", "write-caused", |r| fraction(r.1.stats.write_fraction(), 4)),
+            col("invalidations", "invalidations", |r| r.1.stats.invalidations.into()),
         ],
     ))
 }
@@ -192,12 +198,12 @@ pub fn table4(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &ex::table4(&cfg.harness, &[&cfg.circuit(), &cfg.circuit2()], cfg.procs()),
         &[
-            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
-            col("method", "Asmt. Method", |r| r.method.as_str().into()),
-            col("ckt_ht", "Ckt. Ht.", |r| r.ckt_ht.into()),
-            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
-            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
-            col("mbytes_receiver", "MB (recv-init)", |r| fixed(r.mbytes_receiver, 3)),
+            col("circuit", "Ckt.", |r| r.0.as_str().into()),
+            col("method", "Asmt. Method", |r| r.1.into()),
+            col("ckt_ht", "Ckt. Ht.", |r| r.2.quality.circuit_height.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.2.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.2.time_secs, 3)),
+            col("mbytes_receiver", "MB (recv-init)", |r| fixed(r.3.mbytes, 3)),
         ],
     ))
 }
@@ -208,10 +214,10 @@ pub fn table5(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &ex::table5(&cfg.harness, &[&cfg.circuit(), &cfg.circuit2()], cfg.procs()),
         &[
-            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
-            col("method", "Asmt. Method", |r| r.method.as_str().into()),
-            col("ckt_ht", "Ckt. Height", |r| r.ckt_ht.into()),
-            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
+            col("circuit", "Ckt.", |r| r.0.as_str().into()),
+            col("method", "Asmt. Method", |r| r.1.into()),
+            col("ckt_ht", "Ckt. Height", |r| r.2.circuit_height.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.3.mbytes(), 3)),
         ],
     ))
 }
@@ -226,12 +232,12 @@ pub fn table6(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &ex::table6(&cfg.harness, &cfg.circuit(), cfg.proc_sweep()),
         &[
-            col("procs", "Num Procs.", |r| r.procs.into()),
-            col("ckt_ht", "Ckt. Ht.", |r| r.ckt_ht.into()),
-            col("occupancy", "Occup. Factor", |r| r.occupancy.into()),
-            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
-            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
-            col("speedup", "Speedup", |r| fixed(r.speedup, 1)),
+            col("procs", "Num Procs.", |r| r.0.into()),
+            col("ckt_ht", "Ckt. Ht.", |r| r.1.quality.circuit_height.into()),
+            col("occupancy", "Occup. Factor", |r| r.1.quality.occupancy_factor.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.1.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.1.time_secs, 3)),
+            col("speedup", "Speedup", |r| fixed(r.2, 1)),
         ],
     ))
 }
@@ -243,26 +249,33 @@ pub fn locality(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &ex::locality_study(&cfg.harness, &[&cfg.circuit(), &cfg.circuit2()], procs),
         &[
-            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
-            col("method", "Asmt. Method", |r| r.method.as_str().into()),
-            col("procs", "Procs", |r| r.procs.into()),
-            col("mean_hops", "Mean hops", |r| fixed(r.mean_hops, 2)),
-            col("owned_fraction", "Owned cells", |r| fraction(r.owned_fraction, 4)),
+            col("circuit", "Ckt.", |r| r.0.as_str().into()),
+            col("method", "Asmt. Method", |r| r.1.into()),
+            col("procs", "Procs", |r| r.2.into()),
+            col("mean_hops", "Mean hops", |r| fixed(r.3.mean_hops, 2)),
+            col("owned_fraction", "Owned cells", |r| fraction(r.3.owned_fraction, 4)),
         ],
     ))
 }
 
-/// `speedup`.
+/// `speedup`: Table 6's sweep on both circuits, the message-passing
+/// speedup on the simulator. The threaded router's wall-clock speedup is
+/// host time, which `benchmark/` measures (`shmem.threads_run_ms.{p1,pN}`).
 pub fn speedup(cfg: &RunCfg) -> Result<Report, String> {
+    let mut rows = Vec::new();
+    for c in [cfg.circuit(), cfg.circuit2()] {
+        let sweep = ex::table6(&cfg.harness, &c, cfg.proc_sweep());
+        rows.extend(sweep.into_iter().map(|(p, out, speedup)| (c.name.clone(), p, out, speedup)));
+    }
     Ok(Report::new("§5.4: speedup (relative to 2-processor run, x2)").table(
         "rows",
-        &ex::speedup_study(&cfg.harness, &[&cfg.circuit(), &cfg.circuit2()], cfg.proc_sweep()),
+        &rows,
         &[
             col("engine", "engine", |_| "message passing".into()),
-            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
-            col("procs", "Procs", |r| r.procs.into()),
-            col("time_s", "Time (s)", |r| fixed(r.time_s, 4)),
-            col("speedup", "Speedup", |r| fixed(r.speedup, 1)),
+            col("circuit", "Ckt.", |r| r.0.as_str().into()),
+            col("procs", "Procs", |r| r.1.into()),
+            col("time_s", "Time (s)", |r| fixed(r.2.time_secs, 4)),
+            col("speedup", "Speedup", |r| fixed(r.3, 1)),
         ],
     ))
 }
@@ -273,23 +286,23 @@ pub fn compare(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &ex::compare_paradigms(&cfg.harness, &cfg.circuit(), cfg.procs()),
         &[
-            col("approach", "approach", |r| r.approach.as_str().into()),
-            col("ckt_ht", "Ckt. Ht.", |r| r.ckt_ht.into()),
-            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
+            col("approach", "approach", |r| r.0.into()),
+            col("ckt_ht", "Ckt. Ht.", |r| r.1.outcome.quality.circuit_height.into()),
+            col("mbytes", "MBytes Xfrd.", |r| opt3(r.1.mbytes)),
         ],
     ))
 }
 
-fn ablation(title: String, rows: &[ex::AblationRow]) -> Result<Report, String> {
+fn ablation(title: String, rows: &[(String, MsgPassOutcome)]) -> Result<Report, String> {
     Ok(Report::new(title).table(
         "rows",
         rows,
         &[
-            col("variant", "variant", |r| r.variant.as_str().into()),
-            col("ckt_ht", "Ckt. Ht.", |r| r.ckt_ht.into()),
-            col("mbytes", "MBytes Xfrd.", |r| fixed(r.mbytes, 3)),
-            col("time_s", "Time (s)", |r| fixed(r.time_s, 3)),
-            col("packets", "packets", |r| r.packets.into()),
+            col("variant", "variant", |r| r.0.as_str().into()),
+            col("ckt_ht", "Ckt. Ht.", |r| r.1.quality.circuit_height.into()),
+            col("mbytes", "MBytes Xfrd.", |r| fixed(r.1.mbytes, 3)),
+            col("time_s", "Time (s)", |r| fixed(r.1.time_secs, 3)),
+            col("packets", "packets", |r| r.1.packets.total_packets().into()),
         ],
     ))
 }
@@ -343,19 +356,20 @@ pub fn faults(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &ex::faults_study(&cfg.harness, &cfg.circuit(), cfg.procs(), losses),
         &[
-            col("schedule", "schedule", |r| r.schedule.into()),
+            col("schedule", "schedule", |r| r.0.into()),
             col("loss_bp", "loss", |r| {
-                Cell::from(r.loss_bp).shown(format!("{:.1}%", r.loss_bp as f64 / 100.0))
+                Cell::from(r.1).shown(format!("{:.1}%", r.1 as f64 / 100.0))
             }),
-            col("ckt_ht", "Ckt Ht.", |r| r.ckt_ht.into()),
-            col("time_s", "Time (s)", |r| fixed_as(r.time_s, 6, 3)),
-            col("mbytes", "MBytes", |r| fixed_as(r.mbytes, 6, 3)),
-            col("dropped", "dropped", |r| r.dropped.into()),
-            col("retransmits", "resent", |r| r.retransmits.into()),
-            col("acks", "acks", |r| r.acks.into()),
-            col("divergence", "diverg.", |r| fixed_as(r.divergence, 6, 3)),
+            col("ckt_ht", "Ckt Ht.", |r| r.2.quality.circuit_height.into()),
+            col("time_s", "Time (s)", |r| fixed_as(r.2.time_secs, 6, 3)),
+            col("mbytes", "MBytes", |r| fixed_as(r.2.mbytes, 6, 3)),
+            col("dropped", "dropped", |r| r.2.net.packets_dropped.into()),
+            col("retransmits", "resent", |r| r.2.reliability.retransmits.into()),
+            col("acks", "acks", |r| r.2.reliability.acks_sent.into()),
+            col("divergence", "diverg.", |r| fixed_as(r.2.replica_divergence, 6, 3)),
             col("degraded", "degraded", |r| {
-                Cell::from(r.degraded).shown(if r.degraded { "yes" } else { "no" })
+                let degraded = r.2.degraded.is_some();
+                Cell::from(degraded).shown(if degraded { "yes" } else { "no" })
             }),
         ],
     ))
@@ -424,18 +438,17 @@ pub fn serve(cfg: &RunCfg) -> Result<Report, String> {
 /// (`BENCH_resilience.json`). Fails if any scenario degraded, left a
 /// wire to the watchdog, or did not reproduce.
 pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
-    let study = chaos::chaos_study(&cfg.harness, cfg.quick);
+    let (probes, rows) = chaos::chaos_study(&cfg.harness, cfg.quick);
+    let all_ok = rows.iter().all(chaos::ok);
     let mut title = String::new();
-    for p in &study.probes {
+    for (circuit, procs, probe, heartbeat_ns) in &probes {
         title += &format!(
-            "probe: {} ({} procs) clean {:.3}s (routing {:.3}s) -> heartbeat {} ms, suspect \
-             window {} ms\n",
-            p.circuit,
-            p.procs,
-            p.base_time_s,
-            p.routing_s,
-            p.heartbeat_ns / 1_000_000,
-            p.heartbeat_ns * p.suspect_after as u64 / 1_000_000,
+            "probe: {circuit} ({procs} procs) clean {:.3}s (routing {:.3}s) -> heartbeat {} ms, \
+             suspect window {} ms\n",
+            probe.time_secs,
+            probe.routing_done_secs,
+            heartbeat_ns / 1_000_000,
+            heartbeat_ns * chaos::SUSPECT_AFTER as u64 / 1_000_000,
         );
     }
     title += "\nChaos grid: single node fault x checkpoint interval (recovery on, repeat-verified)";
@@ -451,55 +464,55 @@ pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
              locus-experiments chaos.",
         )
         .field("quick", cfg.quick)
-        .field("all_ok", study.all_ok())
+        .field("all_ok", all_ok)
         .table(
             "probes",
-            &study.probes,
+            &probes,
             &[
-                col("circuit", "", |p| p.circuit.as_str().into()),
-                col("procs", "", |p| p.procs.into()),
-                col("base_time_s", "", |p| fixed(p.base_time_s, 6)),
-                col("routing_s", "", |p| fixed(p.routing_s, 6)),
-                col("heartbeat_ns", "", |p| p.heartbeat_ns.into()),
-                col("suspect_after", "", |p| p.suspect_after.into()),
+                col("circuit", "", |p| p.0.as_str().into()),
+                col("procs", "", |p| p.1.into()),
+                col("base_time_s", "", |p| fixed(p.2.time_secs, 6)),
+                col("routing_s", "", |p| fixed(p.2.routing_done_secs, 6)),
+                col("heartbeat_ns", "", |p| p.3.into()),
+                col("suspect_after", "", |_| chaos::SUSPECT_AFTER.into()),
             ],
         )
         .table(
             "rows",
-            &study.rows,
+            &rows,
             &[
-                col("circuit", "circuit", |r| r.circuit.as_str().into()),
-                col("procs", "", |r| r.procs.into()),
-                col("scenario", "scenario", |r| r.scenario.into()),
-                col("checkpoint_every", "ckpt", |r| r.checkpoint_every.into()),
-                col("fault_frac", "at", |r| float(r.fault_frac)),
-                col("ckt_ht", "ckt ht", |r| r.ckt_ht.into()),
-                col("time_s", "time s", |r| fixed_as(r.time_s, 6, 3)),
-                col("mbytes", "", |r| fixed(r.mbytes, 6)),
+                col("circuit", "circuit", |r| r.0.as_str().into()),
+                col("procs", "", |r| r.1.into()),
+                col("scenario", "scenario", |r| r.2.into()),
+                col("checkpoint_every", "ckpt", |r| r.3.into()),
+                col("fault_frac", "at", |r| float(r.4)),
+                col("ckt_ht", "ckt ht", |r| r.5.quality.circuit_height.into()),
+                col("time_s", "time s", |r| fixed_as(r.5.time_secs, 6, 3)),
+                col("mbytes", "", |r| fixed(r.5.mbytes, 6)),
                 // The terminal shows the two ratios next to the time; the
                 // file keeps them where its readers found them, after
                 // the counters.
-                col("", "vs clean", |r| text(format!("{:.2}x", r.time_vs_clean))),
-                col("", "mb vs", |r| text(format!("{:.2}x", r.mbytes_vs_clean))),
-                col("checkpoints", "ckpts", |r| r.checkpoints.into()),
-                col("checkpoint_bytes", "", |r| r.checkpoint_bytes.into()),
-                col("declared_dead", "dead", |r| r.declared_dead.into()),
-                col("reassigned", "reassign", |r| r.reassigned.into()),
-                col("rollbacks", "rollbk", |r| r.rollbacks.into()),
-                col("failovers", "failover", |r| r.failovers.into()),
-                col("duplicates", "dup", |r| r.duplicates.into()),
-                col("watchdog", "", |r| r.watchdog.into()),
-                col("degraded", "", |r| r.degraded.into()),
-                col("time_vs_clean", "", |r| fixed(r.time_vs_clean, 6)),
-                col("mbytes_vs_clean", "", |r| fixed(r.mbytes_vs_clean, 6)),
-                col("repeat_identical", "", |r| r.repeat_identical.into()),
-                col("", "status", |r| text(if r.ok() { "ok" } else { "FAIL" })),
+                col("", "vs clean", |r| text(format!("{:.2}x", r.7))),
+                col("", "mb vs", |r| text(format!("{:.2}x", r.8))),
+                col("checkpoints", "ckpts", |r| r.5.recovery.checkpoints_taken.into()),
+                col("checkpoint_bytes", "", |r| r.5.recovery.checkpoint_bytes.into()),
+                col("declared_dead", "dead", |r| r.5.recovery.nodes_declared_dead.into()),
+                col("reassigned", "reassign", |r| r.5.recovery.wires_reassigned.into()),
+                col("rollbacks", "rollbk", |r| r.5.recovery.rollbacks.into()),
+                col("failovers", "failover", |r| r.5.recovery.coordinator_failovers.into()),
+                col("duplicates", "dup", |r| r.5.recovery.duplicate_routes.into()),
+                col("watchdog", "", |r| r.5.watchdog_recoveries.into()),
+                col("degraded", "", |r| r.5.degraded.is_some().into()),
+                col("time_vs_clean", "", |r| fixed(r.7, 6)),
+                col("mbytes_vs_clean", "", |r| fixed(r.8, 6)),
+                col("repeat_identical", "", |r| r.6.into()),
+                col("", "status", |r| text(if chaos::ok(r) { "ok" } else { "FAIL" })),
             ],
         );
-    if study.all_ok() {
+    if all_ok {
         report.closing = format!(
             "chaos: all {} scenarios terminated with every wire routed, bitwise-repeatable\n",
-            study.rows.len()
+            rows.len()
         );
     } else {
         report.failure = Some(
@@ -521,7 +534,7 @@ pub fn memory(cfg: &RunCfg) -> Result<Report, String> {
     let (a, b) = (cfg.circuit(), cfg.circuit2());
     let mut rows = ex::memory_study(&cfg.harness, &[&a, &b], cfg.procs(), line_size)?;
     if let Some(backend) = &cfg.memory_backend {
-        rows.retain(|r| r.backend == backend.as_str());
+        rows.retain(|(_, out)| out.backend == backend.as_str());
     }
     fn ns_as_ms(ns: u64) -> Cell {
         Cell::from(ns).shown(format!("{:.3}", ns as f64 / 1.0e6))
@@ -546,20 +559,22 @@ pub fn memory(cfg: &RunCfg) -> Result<Report, String> {
         "rows",
         &rows,
         &[
-            col("circuit", "Ckt.", |r| r.circuit.as_str().into()),
-            col("backend", "backend", |r| r.backend.into()),
-            col("mbytes", "MBytes", |r| fixed_as(r.mbytes, 6, 2)),
-            col("write_fraction", "wr-caused", |r| fraction(r.write_fraction, 4)),
-            col("coherence_events", "coh. events", |r| r.coherence_events.into()),
-            col("inval_mbytes", "inval MB", |r| fixed_as(r.inval_mbytes, 6, 2)),
-            col("fifo_wait_ns", "FIFO wait (ms)", |r| ns_as_ms(r.fifo_wait_ns)),
+            col("circuit", "Ckt.", |r| r.0.as_str().into()),
+            col("backend", "backend", |r| r.1.backend.into()),
+            col("mbytes", "MBytes", |r| fixed_as(r.1.stats.mbytes(), 6, 2)),
+            col("write_fraction", "wr-caused", |r| fraction(r.1.stats.write_fraction(), 4)),
+            col("coherence_events", "coh. events", |r| r.1.coherence_events().into()),
+            col("inval_mbytes", "inval MB", |r| {
+                fixed_as(r.1.invalidation_traffic_bytes as f64 / 1.0e6, 6, 2)
+            }),
+            col("fifo_wait_ns", "FIFO wait (ms)", |r| ns_as_ms(r.1.fifo.all().total_wait_ns)),
             col("fifo_critical_mean_ns", "crit ns (FIFO)", |r| {
-                fixed_as(r.fifo_critical_mean_ns, 1, 0)
+                fixed_as(r.1.fifo.critical.mean_wait_ns(), 1, 0)
             }),
             col("prio_critical_mean_ns", "crit ns (prio)", |r| {
-                fixed_as(r.prio_critical_mean_ns, 1, 0)
+                fixed_as(r.1.critical_first.critical.mean_wait_ns(), 1, 0)
             }),
-            col("critical_wait_saved_ns", "saved (ms)", |r| ns_as_ms(r.critical_wait_saved_ns)),
+            col("critical_wait_saved_ns", "saved (ms)", |r| ns_as_ms(r.1.critical_wait_saved_ns())),
         ],
     ))
 }
@@ -624,10 +639,6 @@ pub fn engine(
     let c = circuit.map_or_else(|| Ok(cfg.circuit()), circuit_by_name)?;
     let procs = procs.unwrap_or_else(|| cfg.procs());
     let run = (entry.run)(&c, &RouterParams::default(), procs, true)?;
-    // Not every engine has a clock or measures traffic.
-    fn opt3(v: Option<f64>) -> Cell {
-        v.map_or(Json::Null.into(), |v| fixed(v, 3))
-    }
     Ok(Report::new(format!("engine run ({}, {} procs)", c.name, procs)).table(
         "rows",
         &[(entry.name, run)],

@@ -48,101 +48,30 @@ pub(crate) const CHAOS_CHECKPOINT_INTERVALS_QUICK: &[u32] = &[4];
 const HEARTBEAT_DIVISOR: u64 = 50;
 
 /// Heartbeats of silence before a peer is declared dead.
-const SUSPECT_AFTER: u32 = 8;
+pub(crate) const SUSPECT_AFTER: u32 = 8;
 
 /// Stall scenarios multiply service cost by this factor.
 const STALL_FACTOR: u32 = 4;
 
-/// One clean probe per circuit: the measured base time and the recovery
-/// knobs derived from it.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct ChaosProbe {
-    /// Circuit name.
-    pub circuit: String,
-    /// Processor count.
-    pub procs: usize,
-    /// Clean completion time without recovery (simulated seconds).
-    pub base_time_s: f64,
-    /// Clean routing span (simulated seconds): when the last processor
-    /// finished its last wire. Fault onsets are fractions of this.
-    pub routing_s: f64,
-    /// Derived heartbeat period (ns).
-    pub heartbeat_ns: u64,
-    /// Heartbeats of silence before a peer is declared dead.
-    pub suspect_after: u32,
-}
+/// One clean probe per circuit, recovery off: `(circuit name, procs,
+/// outcome, heartbeat period in ns)`. The heartbeat is derived from the
+/// outcome's completion time; the suspect window is [`SUSPECT_AFTER`]
+/// heartbeats.
+pub(crate) type ChaosProbe = (String, usize, MsgPassOutcome, u64);
 
-/// One `(circuit, checkpoint interval, scenario)` cell of the study.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct ChaosRow {
-    /// Circuit name.
-    pub circuit: String,
-    /// Processor count.
-    pub procs: usize,
-    /// Scenario id (`clean`, `worker-crash`, `worker-restart`,
-    /// `coordinator-crash`, `stall`).
-    pub scenario: &'static str,
-    /// Wires between checkpoints.
-    pub checkpoint_every: u32,
-    /// Fault onset as a fraction of the fault target's own clean
-    /// routing span (0 for the clean scenario).
-    pub fault_frac: f64,
-    /// Final circuit height.
-    pub ckt_ht: u64,
-    /// Simulated completion time (s).
-    pub time_s: f64,
-    /// Application megabytes moved.
-    pub mbytes: f64,
-    /// Checkpoints taken across all nodes.
-    pub checkpoints: u64,
-    /// Checkpoint bytes serialized to stable store.
-    pub checkpoint_bytes: u64,
-    /// Peers declared dead by the failure detector.
-    pub declared_dead: u64,
-    /// Wires reassigned from dead nodes.
-    pub reassigned: u64,
-    /// Checkpoint rollbacks performed by restarted nodes.
-    pub rollbacks: u64,
-    /// Coordinator failovers.
-    pub failovers: u64,
-    /// Wires routed by two processors (false-death overlap), resolved
-    /// first-writer-wins.
-    pub duplicates: u64,
-    /// Wires the watchdog had to route (must be 0).
-    pub watchdog: u64,
-    /// True when the run degraded (deadlock/event-limit watchdog path).
-    pub degraded: bool,
-    /// `time_s` over the clean scenario's `time_s` at the same
-    /// checkpoint interval.
-    pub time_vs_clean: f64,
-    /// `mbytes` over the clean scenario's `mbytes`.
-    pub mbytes_vs_clean: f64,
-    /// True when an immediate second execution of the cell reproduced
-    /// routes, time, traffic, and recovery counters exactly.
-    pub repeat_identical: bool,
-}
+/// One `(circuit name, procs, scenario, checkpoint interval, fault
+/// onset)` cell of the grid with its outcome, whether an immediate second
+/// execution reproduced it ([`identical`]), and its time and megabytes
+/// over the clean scenario's at the same checkpoint interval. Scenarios
+/// are `clean`, `worker-crash`, `worker-restart`, `coordinator-crash` and
+/// `stall`; the onset is a fraction of the fault target's own clean
+/// routing span (0 for the clean scenario).
+pub(crate) type ChaosCell = (String, usize, &'static str, u32, f64, MsgPassOutcome, bool, f64, f64);
 
-impl ChaosRow {
-    /// Every wire routed, no watchdog, clean termination, reproducible.
-    pub(crate) fn ok(&self) -> bool {
-        !self.degraded && self.watchdog == 0 && self.repeat_identical
-    }
-}
-
-/// The full study: probes and rows in deterministic order.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct ChaosStudy {
-    /// One probe per circuit.
-    pub probes: Vec<ChaosProbe>,
-    /// Rows in `(circuit, interval, scenario)` order.
-    pub rows: Vec<ChaosRow>,
-}
-
-impl ChaosStudy {
-    /// True when every row satisfies [`ChaosRow::ok`].
-    pub(crate) fn all_ok(&self) -> bool {
-        self.rows.iter().all(ChaosRow::ok)
-    }
+/// Every wire routed, no watchdog, clean termination, reproducible.
+pub(crate) fn ok(cell: &ChaosCell) -> bool {
+    let (out, repeat_identical) = (&cell.5, cell.6);
+    out.degraded.is_none() && out.watchdog_recoveries == 0 && repeat_identical
 }
 
 /// The scenarios injected at each `(circuit, checkpoint interval)`:
@@ -217,8 +146,9 @@ fn identical(a: &MsgPassOutcome, b: &MsgPassOutcome) -> bool {
 
 /// Runs the chaos grid. One probe per circuit (clean, recovery off),
 /// then every `(interval, scenario)` cell with recovery on; each cell
-/// executes twice to prove bitwise repeatability.
-pub(crate) fn chaos_study(harness: &Harness, quick: bool) -> ChaosStudy {
+/// executes twice to prove bitwise repeatability. Returns the probes and
+/// the cells in `(circuit, interval, scenario)` order.
+pub(crate) fn chaos_study(harness: &Harness, quick: bool) -> (Vec<ChaosProbe>, Vec<ChaosCell>) {
     let circuits: Vec<(Circuit, usize)> = if quick {
         vec![(presets::small(), 4)]
     } else {
@@ -237,14 +167,7 @@ pub(crate) fn chaos_study(harness: &Harness, quick: bool) -> ChaosStudy {
         let spans_ns: Vec<u64> =
             probe_out.routing_done_secs_by_proc.iter().map(|s| (s * 1e9) as u64).collect();
         let heartbeat_ns = (t_ns / HEARTBEAT_DIVISOR).max(1_000_000);
-        probes.push(ChaosProbe {
-            circuit: circuit.name.clone(),
-            procs: *procs,
-            base_time_s: probe_out.time_secs,
-            routing_s: probe_out.routing_done_secs,
-            heartbeat_ns,
-            suspect_after: SUSPECT_AFTER,
-        });
+        probes.push((circuit.name.clone(), *procs, probe_out, heartbeat_ns));
 
         for &interval in intervals {
             let recovery = RecoveryConfig {
@@ -254,48 +177,36 @@ pub(crate) fn chaos_study(harness: &Harness, quick: bool) -> ChaosStudy {
                 ..RecoveryConfig::default()
             };
             let cells = scenarios(&spans_ns, t_ns, fracs);
-            let cell_rows = harness.map(cells, |(scenario, frac, plan)| {
+            let runs = harness.map(cells, |(scenario, frac, plan)| {
                 let mut cfg = base_config(*procs).with_reliability().with_recovery_config(recovery);
                 if !plan.is_idle() {
                     cfg = cfg.with_faults(plan);
                 }
                 let out = run_msgpass(circuit, cfg);
-                let repeat = run_msgpass(circuit, cfg);
-                let repeat_identical = identical(&out, &repeat);
-                ChaosRow {
-                    circuit: circuit.name.clone(),
-                    procs: *procs,
-                    scenario,
-                    checkpoint_every: interval,
-                    fault_frac: frac,
-                    ckt_ht: out.quality.circuit_height,
-                    time_s: out.time_secs,
-                    mbytes: out.mbytes,
-                    checkpoints: out.recovery.checkpoints_taken,
-                    checkpoint_bytes: out.recovery.checkpoint_bytes,
-                    declared_dead: out.recovery.nodes_declared_dead,
-                    reassigned: out.recovery.wires_reassigned,
-                    rollbacks: out.recovery.rollbacks,
-                    failovers: out.recovery.coordinator_failovers,
-                    duplicates: out.recovery.duplicate_routes,
-                    watchdog: out.watchdog_recoveries,
-                    degraded: out.degraded.is_some(),
-                    time_vs_clean: 1.0,
-                    mbytes_vs_clean: 1.0,
-                    repeat_identical,
-                }
+                let repeat_identical = identical(&out, &run_msgpass(circuit, cfg));
+                (scenario, frac, out, repeat_identical)
             });
             // Normalize the fault rows against this interval's clean row.
-            let clean_time = cell_rows[0].time_s.max(f64::MIN_POSITIVE);
-            let clean_mb = cell_rows[0].mbytes.max(f64::MIN_POSITIVE);
-            for mut row in cell_rows {
-                row.time_vs_clean = row.time_s / clean_time;
-                row.mbytes_vs_clean = row.mbytes / clean_mb;
-                rows.push(row);
+            let clean_time = runs[0].2.time_secs.max(f64::MIN_POSITIVE);
+            let clean_mb = runs[0].2.mbytes.max(f64::MIN_POSITIVE);
+            for (scenario, frac, out, repeat_identical) in runs {
+                let (time_vs_clean, mbytes_vs_clean) =
+                    (out.time_secs / clean_time, out.mbytes / clean_mb);
+                rows.push((
+                    circuit.name.clone(),
+                    *procs,
+                    scenario,
+                    interval,
+                    frac,
+                    out,
+                    repeat_identical,
+                    time_vs_clean,
+                    mbytes_vs_clean,
+                ));
             }
         }
     }
-    ChaosStudy { probes, rows }
+    (probes, rows)
 }
 
 #[cfg(test)]
@@ -304,51 +215,41 @@ mod tests {
 
     #[test]
     fn quick_study_survives_every_single_fault() {
-        let study = chaos_study(&Harness::serial(), true);
-        assert_eq!(study.probes.len(), 1);
+        let (probes, rows) = chaos_study(&Harness::serial(), true);
+        assert_eq!(probes.len(), 1);
         // clean + 1 worker crash + restart + coordinator + stall.
-        assert_eq!(study.rows.len(), 5);
-        assert!(study.all_ok(), "{:#?}", study.rows);
+        assert_eq!(rows.len(), 5);
+        let failed: Vec<&str> = rows.iter().filter(|c| !ok(c)).map(|c| c.2).collect();
+        assert!(failed.is_empty(), "not ok: {failed:?}");
 
-        let clean = &study.rows[0];
-        assert_eq!(clean.scenario, "clean");
-        assert_eq!(clean.declared_dead, 0);
-        assert!(clean.checkpoints > 0);
+        let scenario = |name: &str| &rows.iter().find(|c| c.2 == name).expect("scenario present").5;
+        let clean = &rows[0];
+        assert_eq!(clean.2, "clean");
+        assert_eq!(clean.5.recovery.nodes_declared_dead, 0);
+        assert!(clean.5.recovery.checkpoints_taken > 0);
 
-        let coord = study
-            .rows
-            .iter()
-            .find(|r| r.scenario == "coordinator-crash")
-            .expect("coordinator scenario present");
+        let coord = scenario("coordinator-crash");
         // At least the successor's claim; crossed claims during churn
         // may add a re-assertion (the succession invariant heals them),
         // so the exact count is protocol-churn-dependent. Determinism
         // is covered by the repeat_identical check above.
-        assert!(coord.failovers >= 1, "no failover recorded: {coord:#?}");
-        assert!(coord.reassigned > 0);
+        assert!(coord.recovery.coordinator_failovers >= 1, "no failover: {:#?}", coord.recovery);
+        assert!(coord.recovery.wires_reassigned > 0);
 
-        let restart = study
-            .rows
-            .iter()
-            .find(|r| r.scenario == "worker-restart")
-            .expect("restart scenario present");
         // Downtime (T/20) is inside the suspect window, so the restart
         // recovers silently — no false death, no reassignment.
-        assert_eq!(restart.declared_dead, 0);
+        assert_eq!(scenario("worker-restart").recovery.nodes_declared_dead, 0);
 
         // Failures cost time, but boundedly: re-work is capped by the
         // checkpoint interval, and the dominant absolute cost is the
         // reliable layer's retransmit tail toward the dead peer (~1.3
         // simulated seconds before it gives up).
-        let clean_s = study.rows[0].time_s;
-        for r in &study.rows {
+        let clean_s = clean.5.time_secs;
+        for (_, _, scenario, _, frac, out, ..) in &rows {
+            let time_s = out.time_secs;
             assert!(
-                r.time_s <= clean_s + 2.0,
-                "{}@{} took {}s vs clean {}s",
-                r.scenario,
-                r.fault_frac,
-                r.time_s,
-                clean_s
+                time_s <= clean_s + 2.0,
+                "{scenario}@{frac} took {time_s}s vs clean {clean_s}s"
             );
         }
     }

@@ -1,11 +1,13 @@
 //! # locus-bench
 //!
-//! The experiment harness: one function per table/figure of Martonosi &
-//! Gupta (ICPP 1989) producing typed rows ([`experiments`], [`chaos`],
-//! [`serve`]), and one pipeline that turns any of them into what the
+//! The experiment harness: one study per table/figure of Martonosi &
+//! Gupta (ICPP 1989), returning each engine's own outcome keyed by its
+//! sweep coordinate (`experiments`, `chaos`; `serve` still has rows of
+//! its own), and one pipeline that turns any of them into what the
 //! `locus-experiments` CLI prints and writes: [`catalog`] declares each
-//! experiment's columns once, [`report`] renders them as an aligned text
-//! table and, through the workspace's one JSON writer, as a report file.
+//! experiment's columns once, reading them off the outcomes, and
+//! [`report`] renders them as an aligned text table and, through the
+//! workspace's one JSON writer, as a report file.
 //!
 //! Absolute values are not expected to match the 1989 testbed; the
 //! *shape* of each result (orderings, ratios, crossovers) is the
@@ -17,14 +19,12 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod catalog;
-pub mod chaos;
-pub mod experiments;
+mod chaos;
+mod experiments;
 pub mod report;
-pub mod serve;
+mod serve;
 
-pub use experiments::{
-    blocking_study, compare_paradigms, table1, table4, table6, COMPARE_ENGINES, PAPER_PROCS,
-};
+pub use experiments::{COMPARE_ENGINES, PAPER_PROCS};
 /// The scoped-thread pool sweep points run on: the job server's
 /// [`locus_service::WorkerPool`], under the name the experiments use.
 pub use locus_service::WorkerPool as Harness;

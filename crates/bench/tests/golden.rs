@@ -36,6 +36,15 @@ fn all_quick_stdout_is_the_fixture_at_any_thread_count() {
     }
 }
 
+/// `all` at the paper's settings (`all.txt` was captured from the build
+/// at 31a2c28, where it was the same at one, two and four threads).
+#[test]
+fn all_stdout_is_the_fixture() {
+    let (_, stdout, _, code) = run("all", &["all", "--threads", "2"]);
+    assert_eq!(code, 0);
+    assert_eq!(stdout, fixture("all.txt"));
+}
+
 /// `<id> --quick` writes its fixture: to `--report`, or without it to
 /// the experiment's default artifact in the current directory. `table3`
 /// is pinned on the write-through bus, which `all --quick` does not run
@@ -158,6 +167,18 @@ fn bad_invocations_say_why_and_set_the_exit_code() {
         (&["--engine", "sequential", "--memory", "bus-wt"], 2, "--memory only applies to"),
         (&["table6", "--quick", "--procs", "9"], 2, "--procs only applies to --engine runs and"),
         (&["table1", "table2"], 2, "expected at most one experiment id, got table1 table2"),
+        (&["--engine", "sequential", "--quick", "--trace-out", "t.json"], 2, "--trace-out does"),
+        (
+            &["analyze", "--engine", "sequential", "--quick", "--metrics-out", "m.json"],
+            2,
+            "--metrics-out does",
+        ),
+        (&["--engine", "sequential", "--quick", "--threads", "2"], 2, "--threads does not apply"),
+        (
+            &["analyze", "--quick", "--threads", "2"],
+            2,
+            "--threads does not apply to --engine runs or",
+        ),
         (&["faults", "--quick", "--report", "no/such/dir/f.json"], 1, "cannot write"),
     ] {
         let (_, _, stderr, got) = run("bad", args);

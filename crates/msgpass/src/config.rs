@@ -223,7 +223,7 @@ impl MsgPassConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_procs == 0 {
-            return Err("need at least one processor".into());
+            return Err("n_procs is 0: need at least one processor".into());
         }
         if self.params.iterations == 0 {
             return Err("params.iterations is 0: at least one routing iteration is required".into());
@@ -252,6 +252,13 @@ impl MsgPassConfig {
                 .into());
         }
         self.faults.validate()?;
+        let nodes = self.faults.node_faults.iter().flatten().map(|&(node, _)| node);
+        if let Some(node) = nodes.filter(|&node| node as usize >= self.n_procs).max() {
+            return Err(format!(
+                "a node fault targets node {node}, but n_procs is {}",
+                self.n_procs
+            ));
+        }
         if let Some(rc) = &self.recovery {
             rc.validate()?;
             if !self.reliability {
@@ -282,6 +289,7 @@ impl MsgPassConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locus_mesh::NodeFault;
 
     #[test]
     fn default_config_is_valid_and_paper_shaped() {
@@ -356,6 +364,7 @@ mod tests {
                 .with_recovery_config(RecoveryConfig::default()),
             schedule(UpdateSchedule { send_loc_data: Some(0), ..UpdateSchedule::never() }),
             schedule(UpdateSchedule { blocking: true, ..UpdateSchedule::never() }),
+            sender.with_faults(FaultPlan::none().with_node_fault(4, NodeFault::Crash { at_ns: 1 })),
         ]
     }
 

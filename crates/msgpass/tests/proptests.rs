@@ -3,8 +3,10 @@
 use locus_circuit::{presets, GridCell, Rect};
 use locus_mesh::{FaultPlan, NodeFault};
 use locus_msgpass::{
-    run_msgpass, DeltaArray, MsgPassConfig, MsgPassOutcome, Packet, RecoveryConfig, UpdateSchedule,
+    run_msgpass, DeltaArray, MsgPassConfig, MsgPassOutcome, Packet, PacketStructure,
+    RecoveryConfig, UpdateSchedule, WireSource,
 };
+use locus_router::{AssignmentStrategy, RegionMap, RouterParams};
 use proptest::prelude::*;
 
 const CHANNELS: u16 = 8;
@@ -315,5 +317,224 @@ proptest! {
         prop_assert_eq!(out.routes.len(), c.wire_count());
         let again = run_msgpass(&c, config);
         prop_assert!(same_outcome(&out, &again), "repeat diverged");
+    }
+}
+
+/// 0, 1, 3, 65, `u64::MAX`, and every power of two below 2^`bits` (64
+/// among them).
+fn edge(bits: u32) -> impl Strategy<Value = u64> {
+    (0..bits + 4).prop_map(move |i| match i.checked_sub(bits) {
+        None => 1 << i,
+        Some(0) => 0,
+        Some(1) => 3,
+        Some(2) => 65,
+        Some(_) => u64::MAX,
+    })
+}
+
+/// [`edge`] values of a `u32` field (`u32::MAX` for `u64::MAX`).
+fn edge32(bits: u32) -> impl Strategy<Value = u32> {
+    edge(bits).prop_map(|v| u32::try_from(v).unwrap_or(u32::MAX))
+}
+
+/// `value`, or one drawn from `drawn`: half the cases keep a field at a
+/// setting that runs, so the other fields' edges reach a run too.
+fn or_edge<T: Clone + 'static>(
+    value: T,
+    drawn: impl Strategy<Value = T> + 'static,
+) -> impl Strategy<Value = T> {
+    prop_oneof![Just(value), drawn]
+}
+
+/// `None`, or `Some` of a value drawn from `drawn`.
+fn maybe<T: Clone + 'static>(
+    drawn: impl Strategy<Value = T> + 'static,
+) -> impl Strategy<Value = Option<T>> {
+    prop_oneof![Just(None), drawn.prop_map(Some)]
+}
+
+fn arb_schedule() -> impl Strategy<Value = UpdateSchedule> {
+    let drawn =
+        (maybe(edge32(32)), maybe(edge32(32)), maybe(edge32(32)), maybe(edge32(32)), any::<bool>())
+            .prop_map(|(send_loc_data, send_rmt_data, req_loc_data, req_rmt_data, blocking)| {
+                UpdateSchedule {
+                    send_loc_data,
+                    send_rmt_data,
+                    req_loc_data,
+                    req_rmt_data,
+                    blocking,
+                }
+            });
+    prop_oneof![
+        Just(UpdateSchedule::sender_paper()),
+        Just(UpdateSchedule::receiver_paper()),
+        Just(UpdateSchedule::mixed_paper()),
+        drawn,
+    ]
+}
+
+fn arb_assignment() -> impl Strategy<Value = AssignmentStrategy> {
+    prop_oneof![
+        Just(AssignmentStrategy::RoundRobin),
+        Just(AssignmentStrategy::Locality { threshold_cost: None }),
+        edge32(32).prop_map(|t| AssignmentStrategy::Locality { threshold_cost: Some(t) }),
+    ]
+}
+
+/// Iterations 0, 1, 2, 3 and 65, half of them 1, which dynamic wires and
+/// recovery require (a longer run of `tiny` is valid and only slow);
+/// overshoot at every edge of a `u16`.
+fn arb_params() -> impl Strategy<Value = RouterParams> {
+    let iterations = (0usize..8).prop_map(|i| [0, 1, 1, 1, 1, 2, 3, 65][i]);
+    let overshoot = edge(16).prop_map(|o| u16::try_from(o).unwrap_or(u16::MAX));
+    (iterations, or_edge(0, overshoot))
+        .prop_map(|(iterations, channel_overshoot)| RouterParams { iterations, channel_overshoot })
+}
+
+fn arb_node_fault() -> impl Strategy<Value = (u32, NodeFault)> {
+    let kind = prop_oneof![
+        edge(64).prop_map(|at_ns| NodeFault::Crash { at_ns }),
+        (edge(64), edge(64))
+            .prop_map(|(at_ns, downtime_ns)| NodeFault::CrashRestart { at_ns, downtime_ns }),
+        (edge(64), edge32(32), edge(64)).prop_map(|(at_ns, factor, duration_ns)| {
+            NodeFault::Stall { at_ns, factor, duration_ns }
+        }),
+    ];
+    (or_edge(1, edge32(32)), kind)
+}
+
+/// Every rate and node fault of a plan at edge values, half of the rates
+/// below 2^14, where they are probabilities; the gaps and holds the rates
+/// draw from, too.
+fn arb_faults() -> impl Strategy<Value = FaultPlan> {
+    let rate = || or_edge(0, prop_oneof![edge32(32), edge32(14)]);
+    let rates = (rate(), rate(), rate(), rate());
+    let spans = (edge(64), edge(64), edge(64));
+    let node_faults = (0usize..3, arb_node_fault(), arb_node_fault());
+    let drawn = (any::<u64>(), rates, spans, node_faults).prop_map(
+        |(seed, (drop_bp, duplicate_bp, delay_bp, reorder_bp), spans, (n, a, b))| {
+            let (duplicate_gap_ns, delay_ns_max, reorder_hold_ns) = spans;
+            let mut plan = FaultPlan {
+                seed,
+                drop_bp,
+                duplicate_bp,
+                duplicate_gap_ns,
+                delay_bp,
+                delay_ns_max,
+                reorder_bp,
+                reorder_hold_ns,
+                ..FaultPlan::none()
+            };
+            for (node, fault) in [a, b].into_iter().take(n) {
+                plan = plan.with_node_fault(node, fault);
+            }
+            plan
+        },
+    );
+    or_edge(FaultPlan::none(), drawn)
+}
+
+fn arb_recovery() -> impl Strategy<Value = RecoveryConfig> {
+    (edge32(32), edge(64), edge32(32), edge(64)).prop_map(
+        |(checkpoint_every, heartbeat_ns, suspect_after, checkpoint_per_byte_ns)| RecoveryConfig {
+            checkpoint_every,
+            heartbeat_ns,
+            suspect_after,
+            checkpoint_per_byte_ns,
+        },
+    )
+}
+
+/// Every field of a `MsgPassConfig` drawn from edge values, two thirds of
+/// the processor counts below 2^6, where `tiny`'s 4 × 24 surface still
+/// fits the mesh.
+fn arb_msgpass_config() -> impl Strategy<Value = MsgPassConfig> {
+    let structure = prop_oneof![
+        Just(PacketStructure::BoundingBox),
+        Just(PacketStructure::FullRegion),
+        Just(PacketStructure::WireBased),
+    ];
+    let wire_source = prop_oneof![
+        Just(WireSource::Static),
+        Just(WireSource::Static),
+        Just(WireSource::Static),
+        Just(WireSource::Dynamic),
+    ];
+    // Recovery without reliability is one invalid pair among five.
+    let recovering = prop_oneof![
+        Just((false, None)),
+        Just((true, None)),
+        arb_recovery().prop_map(|r| (true, Some(r))),
+        arb_recovery().prop_map(|r| (true, Some(r))),
+        arb_recovery().prop_map(|r| (false, Some(r))),
+    ];
+    (
+        (prop_oneof![edge(64), edge(6), edge(6)], arb_schedule(), arb_assignment(), arb_params()),
+        (or_edge(PacketStructure::BoundingBox, structure), wire_source, maybe(edge32(32))),
+        (arb_faults(), recovering),
+    )
+        .prop_map(
+            |(
+                (n_procs, schedule, assignment, params),
+                (structure, wire_source, audit_every),
+                (faults, (reliability, recovery)),
+            )| MsgPassConfig {
+                n_procs: usize::try_from(n_procs).unwrap_or(usize::MAX),
+                schedule,
+                assignment,
+                params,
+                structure,
+                wire_source,
+                audit_every,
+                faults,
+                reliability,
+                recovery,
+            },
+        )
+}
+
+/// Known failure (ROADMAP item 2): recovery settings that validate but do
+/// not run. A heartbeat of 100 µs or less on `tiny` declares busy nodes
+/// dead over and over until the mesh's 200 M-event limit; a heartbeat
+/// near 2^62 ns overflows the next beat's time once delays have pushed
+/// the clock far enough; a checkpoint priced at 2^50 ns a byte or more
+/// overflows its busy time in `take_checkpoint`; and well below that, a
+/// node steps through a costly checkpoint half a heartbeat at a time, so
+/// host time grows with the checkpoint's price over the heartbeat.
+fn recovery_stalls_or_overflows(cfg: &MsgPassConfig) -> bool {
+    cfg.recovery.is_some_and(|r| {
+        !(1 << 20..=1 << 40).contains(&r.heartbeat_ns) || r.checkpoint_per_byte_ns > 1 << 16
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A configuration is `Ok` or an error that names a field, never a
+    /// panic; and every `Ok` routes every wire of `tiny` (through the
+    /// watchdog if it must).
+    #[test]
+    fn msgpass_configs_validate_or_fail_by_name_and_what_validates_runs(
+        cfg in arb_msgpass_config(),
+    ) {
+        const FIELDS: [&str; 16] = [
+            "n_procs", "recovery", "_data", "blocking", "iteration", "wire-based", "wire distribution",
+            "audit_every", "_bp", "downtime", "factor", "duration", "reliability",
+            "checkpoint_every", "heartbeat_ns", "suspect_after",
+        ];
+        let tiny = presets::tiny();
+        let checked = cfg
+            .validate()
+            .and_then(|()| RegionMap::try_new(tiny.channels, tiny.grids, cfg.n_procs).map(drop));
+        if let Err(err) = checked {
+            prop_assert!(FIELDS.iter().any(|f| err.contains(f)), "{err}");
+            return;
+        }
+        if recovery_stalls_or_overflows(&cfg) {
+            return;
+        }
+        let out = run_msgpass(&tiny, cfg);
+        prop_assert_eq!(out.routes.len(), tiny.wire_count());
+        prop_assert!(out.routes.iter().all(|r| !r.cells().is_empty()), "{cfg:?}");
     }
 }
