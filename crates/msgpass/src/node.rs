@@ -74,7 +74,8 @@ impl ReplicaSnapshot {
 /// One processor of the message-passing router.
 pub(crate) struct RouterNode<'a> {
     proc: ProcId,
-    circuit: Arc<Circuit>,
+    /// The circuit being routed, lent by the run like the oracle.
+    circuit: &'a Circuit,
     regions: Arc<RegionMap>,
     config: MsgPassConfig,
     /// Every processor's static wire list, computed once for the run
@@ -141,7 +142,7 @@ impl<'a> RouterNode<'a> {
     /// so audits can age their diverged cells.
     pub(crate) fn new(
         proc: ProcId,
-        circuit: Arc<Circuit>,
+        circuit: &'a Circuit,
         regions: Arc<RegionMap>,
         config: MsgPassConfig,
         plan: Arc<Vec<Vec<WireId>>>,
@@ -415,8 +416,7 @@ impl<'a> RouterNode<'a> {
         let mut busy = 0;
         if let Some(&wire_id) = self.plan[self.proc].get(idx) {
             let mut link = self.transport.link(outbox, self.now_ns);
-            busy +=
-                self.update.issue_requests(&self.circuit, &self.plan[self.proc], idx, &mut link);
+            busy += self.update.issue_requests(self.circuit, &self.plan[self.proc], idx, &mut link);
             if idx == 0 {
                 self.driver.phase_begin(self.now_ns);
             }
@@ -585,23 +585,23 @@ mod tests {
     use locus_circuit::presets;
     use locus_router::{assign, AssignmentStrategy};
 
-    /// An empty shared truth for `presets::small()`, which each test
-    /// lends to its node the way `run_inner` does.
-    fn oracle() -> RefCell<CostArray> {
+    /// `presets::small()` and an empty shared truth for it, which each
+    /// test lends to its node the way `run_inner` does.
+    fn shared() -> (Circuit, RefCell<CostArray>) {
         let circuit = presets::small();
-        RefCell::new(CostArray::new(circuit.channels, circuit.grids))
+        let oracle = RefCell::new(CostArray::new(circuit.channels, circuit.grids));
+        (circuit, oracle)
     }
 
-    fn make_node(
+    fn make_node<'a>(
         schedule: UpdateSchedule,
         proc: ProcId,
         n_procs: usize,
-        oracle: &RefCell<CostArray>,
-    ) -> RouterNode<'_> {
-        let circuit = Arc::new(presets::small());
+        (circuit, oracle): &'a (Circuit, RefCell<CostArray>),
+    ) -> RouterNode<'a> {
         let regions = Arc::new(RegionMap::new(circuit.channels, circuit.grids, n_procs));
         let assignment =
-            assign(&circuit, &regions, AssignmentStrategy::Locality { threshold_cost: Some(1000) });
+            assign(circuit, &regions, AssignmentStrategy::Locality { threshold_cost: Some(1000) });
         let config = MsgPassConfig::new(n_procs, schedule);
         let plan = Arc::new(assignment.wires_per_proc);
         RouterNode::new(proc, circuit, regions, config, plan, oracle, None)
@@ -623,8 +623,8 @@ mod tests {
     fn node_routes_its_wires_standalone() {
         // Without any updates, a node simply routes its wires to
         // completion (single-processor semantics on its replica).
-        let oracle = oracle();
-        let mut node = make_node(UpdateSchedule::never(), 0, 4, &oracle);
+        let shared = shared();
+        let mut node = make_node(UpdateSchedule::never(), 0, 4, &shared);
         let n_wires = node.plan[0].len();
         assert!(n_wires > 0);
         route_to_completion(&mut node);
@@ -639,8 +639,8 @@ mod tests {
 
     #[test]
     fn sender_initiated_node_emits_updates() {
-        let oracle = oracle();
-        let mut node = make_node(UpdateSchedule::sender_initiated(1, 1), 0, 4, &oracle);
+        let shared = shared();
+        let mut node = make_node(UpdateSchedule::sender_initiated(1, 1), 0, 4, &shared);
         let mut outbox = Outbox::new();
         // Route a few wires (enough to touch a neighbouring region).
         for _ in 0..12 {
@@ -652,8 +652,8 @@ mod tests {
 
     #[test]
     fn blocking_node_blocks_on_outstanding_requests() {
-        let oracle = oracle();
-        let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4, &oracle);
+        let shared = shared();
+        let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4, &shared);
         let mut outbox = Outbox::new();
         // First step issues requests for the upcoming window and routes.
         let _ = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
@@ -665,8 +665,8 @@ mod tests {
 
     #[test]
     fn response_unblocks_blocking_node() {
-        let oracle = oracle();
-        let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4, &oracle);
+        let shared = shared();
+        let mut node = make_node(UpdateSchedule::receiver_initiated_blocking(1, 1), 1, 4, &shared);
         let mut outbox = Outbox::new();
         let _ = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
         if !node.update.blocked() {
@@ -691,8 +691,8 @@ mod tests {
 
     #[test]
     fn coordinator_terminates_after_all_finished() {
-        let oracle = oracle();
-        let mut node = make_node(UpdateSchedule::never(), 0, 4, &oracle);
+        let shared = shared();
+        let mut node = make_node(UpdateSchedule::never(), 0, 4, &shared);
         route_to_completion(&mut node);
         // It must not terminate before hearing from the other three.
         let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());
@@ -714,8 +714,8 @@ mod tests {
 
     #[test]
     fn worker_stops_on_terminate() {
-        let oracle = oracle();
-        let mut node = make_node(UpdateSchedule::never(), 1, 4, &oracle);
+        let shared = shared();
+        let mut node = make_node(UpdateSchedule::never(), 1, 4, &shared);
         route_to_completion(&mut node);
         let _ = node.handle_packet(0, Packet::Terminate, &mut Outbox::new());
         let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());

@@ -166,7 +166,6 @@ pub(crate) fn run_inner(
     let imbalance = if dynamic { 1.0 } else { assignment.imbalance(circuit) };
     let mut proc_of_wire = assignment.proc_of_wire;
     let plan = Arc::new(assignment.wires_per_proc);
-    let circuit_arc = Arc::new(circuit.clone());
 
     let oracle = RefCell::new(CostArray::new(circuit.channels, circuit.grids));
     let truth_touched = config.audit_every.map(|_| {
@@ -177,7 +176,7 @@ pub(crate) fn run_inner(
         .map(|p| {
             RouterNode::new(
                 p,
-                Arc::clone(&circuit_arc),
+                circuit,
                 Arc::clone(&regions),
                 config,
                 Arc::clone(&plan),
@@ -265,6 +264,13 @@ pub(crate) fn run_inner(
         })
         .collect();
     let watchdog_recoveries = unrouted.len() as u64;
+    // Conservation: with no crash, no wire routed twice and none left to
+    // the watchdog, the shared truth the nodes wrote as they committed
+    // holds exactly the final routes.
+    if outcome.stats.node_crashes == 0 && recovery.duplicate_routes == 0 && watchdog_recoveries == 0
+    {
+        assert!(*oracle.borrow() == truth, "the shared truth differs from the final routes");
+    }
     for &wire in &unrouted {
         obs.emit_on(outcome.stats.completion.as_ns(), 0, EventKind::WatchdogRecovery { wire });
     }

@@ -11,7 +11,7 @@
 //! routed 2 hops from home contributes 80 hop·cells.
 
 use crate::region::{ProcId, RegionMap};
-use crate::route::Route;
+use crate::route::{row_runs, Route};
 
 /// The computed locality of one routed solution.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,14 +38,18 @@ pub fn locality_measure(
     let mut total_cells = 0u64;
     let mut total_hops = 0u64;
     let mut owned_cells = 0u64;
+    // A route's cover walked as row runs, each split among the regions
+    // it crosses: one owner lookup per piece, not per cell.
     for (route, &p) in routes.iter().zip(proc_of_wire) {
-        for &cell in route.cells() {
-            let owner = regions.owner_of(cell);
-            let d = regions.mesh_distance(p, owner) as u64;
-            total_cells += 1;
-            total_hops += d;
-            if d == 0 {
-                owned_cells += 1;
+        for (channel, x_lo, x_hi) in row_runs(route.cells()) {
+            for (owner, lo, hi) in regions.split_run(channel, x_lo, x_hi) {
+                let cells = u64::from(hi - lo) + 1;
+                let d = regions.mesh_distance(p, owner) as u64;
+                total_cells += cells;
+                total_hops += d * cells;
+                if d == 0 {
+                    owned_cells += cells;
+                }
             }
         }
     }

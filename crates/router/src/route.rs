@@ -6,6 +6,14 @@
 //! one cell in every channel they cross at a fixed column. The covered
 //! cell set is deduplicated so a cell shared by a corner is counted — and
 //! costed, and incremented — exactly once.
+//!
+//! The cover is built from row runs, not by sorting cells: a horizontal
+//! segment is one run, a feedthrough one single-cell run per channel it
+//! crosses. The few runs of a route are sorted and written out in order,
+//! each clamped to start after the last column already written in its
+//! channel, so the cells come out sorted and unique. The routing kernel
+//! lends the run buffer from its [`crate::EvalScratch`], so a warm
+//! evaluation allocates only the route it returns.
 
 use locus_circuit::{GridCell, Rect};
 
@@ -90,21 +98,41 @@ impl Route {
     /// # Panics
     /// Panics if `segments` is empty.
     pub fn from_segments(segments: Vec<Segment>) -> Self {
+        Self::from_segments_in(segments, &mut Vec::new())
+    }
+
+    /// [`Route::from_segments`] with a caller-lent buffer for the row
+    /// runs `(channel, x_lo, x_hi)`; its contents on entry are ignored.
+    pub(crate) fn from_segments_in(
+        segments: Vec<Segment>,
+        runs: &mut Vec<(u16, u16, u16)>,
+    ) -> Self {
         assert!(!segments.is_empty(), "route must have at least one segment");
-        let total: usize = segments.iter().map(|s| s.len() as usize).sum();
-        let mut cells: Vec<GridCell> = Vec::with_capacity(total);
+        runs.clear();
+        let mut total = 0usize;
         for s in &segments {
+            total += s.len() as usize;
             match *s {
-                Segment::Horizontal { channel, x_lo, x_hi } => {
-                    cells.extend((x_lo..=x_hi).map(|x| GridCell::new(channel, x)));
-                }
+                Segment::Horizontal { channel, x_lo, x_hi } => runs.push((channel, x_lo, x_hi)),
                 Segment::Vertical { x, c_lo, c_hi } => {
-                    cells.extend((c_lo..=c_hi).map(|c| GridCell::new(c, x)));
+                    runs.extend((c_lo..=c_hi).map(|c| (c, x, x)))
                 }
             }
         }
-        cells.sort_unstable();
-        cells.dedup();
+        runs.sort_unstable();
+        let mut cells: Vec<GridCell> = Vec::with_capacity(total);
+        // The channel being written and its first column not yet written;
+        // `u32`s, so no channel matches before the first run and a run
+        // ending at `u16::MAX` has a successor.
+        let (mut channel, mut next) = (u32::MAX, 0u32);
+        for &(c, x_lo, x_hi) in runs.iter() {
+            if u32::from(c) != channel {
+                (channel, next) = (u32::from(c), 0);
+            }
+            let start = next.max(u32::from(x_lo));
+            cells.extend((start..=u32::from(x_hi)).map(|x| GridCell::new(c, x as u16)));
+            next = next.max(u32::from(x_hi) + 1);
+        }
         Route { segments, cells }
     }
 

@@ -52,6 +52,8 @@ pub struct EvalScratch {
     pins: Vec<Pin>,
     connections: Vec<Connection>,
     segments: Vec<Segment>,
+    /// The winning route's row runs, merged into its cover.
+    runs: Vec<(u16, u16, u16)>,
 }
 
 /// [`route_wire`] with caller-provided scratch buffers; see
@@ -63,7 +65,7 @@ pub fn route_wire_scratch<V: CostView + ?Sized>(
     overshoot: u16,
     scratch: &mut EvalScratch,
 ) -> WireEvaluation {
-    let EvalScratch { pins, connections, segments } = scratch;
+    let EvalScratch { pins, connections, segments, runs } = scratch;
     decompose_into(wire, pins, connections);
     segments.clear();
     let mut cost = 0u64;
@@ -77,7 +79,7 @@ pub fn route_wire_scratch<V: CostView + ?Sized>(
     }
     let n_connections = connections.len() as u64;
     WireEvaluation {
-        route: Route::from_segments(segments.clone()),
+        route: Route::from_segments_in(segments.clone(), runs),
         cost,
         candidates,
         cells_examined,

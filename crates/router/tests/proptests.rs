@@ -1,6 +1,7 @@
 //! Property-based tests for the routing core.
 
 use locus_circuit::{GridCell, Pin, Rect, Wire};
+use locus_router::locality::{locality_measure, LocalityMeasure};
 use locus_router::router::route_wire;
 use locus_router::segment::Connection;
 use locus_router::twobend::best_route;
@@ -319,5 +320,109 @@ proptest! {
                 prop_assert_eq!(d, m.mesh_distance(b, a));
             }
         }
+    }
+}
+
+/// One end of a small window anywhere in the `u16` plane, the first and
+/// last coordinates included.
+fn arb_window_start() -> impl Strategy<Value = u16> {
+    prop_oneof![Just(0u16), Just(u16::MAX - 11), any::<u16>()]
+}
+
+/// 1–40 segments packed into a 6-channel × 12-column window, so they
+/// overlap, touch end to end, repeat, and cross each other's runs with
+/// feedthroughs; the window may end at `u16::MAX` in either dimension.
+fn arb_crowded_segments() -> impl Strategy<Value = Vec<Segment>> {
+    let piece = (0u8..5, 0u16..6, 0u16..6, 0u16..12, 0u16..12);
+    (arb_window_start(), arb_window_start(), proptest::collection::vec(piece, 1..=40)).prop_map(
+        |(c0, x0, pieces)| {
+            let mut segments: Vec<Segment> = Vec::with_capacity(pieces.len());
+            for (kind, ca, cb, xa, xb) in pieces {
+                let (ca, cb) = (c0.saturating_add(ca), c0.saturating_add(cb));
+                let (xa, xb) = (x0.saturating_add(xa), x0.saturating_add(xb));
+                let segment = match (kind, segments.last()) {
+                    (0, Some(&last)) => last,
+                    (1 | 2, _) => Segment::horizontal(ca, xa, xb),
+                    _ => Segment::vertical(xa, ca, cb),
+                };
+                segments.push(segment);
+            }
+            segments
+        },
+    )
+}
+
+/// The cover by its definition: every segment's cells, sorted and
+/// deduplicated.
+fn cover_by_sorting(segments: &[Segment]) -> Vec<GridCell> {
+    let mut cells: Vec<GridCell> = segments.iter().flat_map(Segment::cells).collect();
+    cells.sort_unstable();
+    cells.dedup();
+    cells
+}
+
+/// The locality measure one cell at a time: an owner lookup per cell.
+fn locality_per_cell(routes: &[Route], procs: &[usize], m: &RegionMap) -> LocalityMeasure {
+    let (mut cells, mut hops, mut owned) = (0u64, 0u64, 0u64);
+    for (route, &p) in routes.iter().zip(procs) {
+        for &cell in route.cells() {
+            let d = m.mesh_distance(p, m.owner_of(cell)) as u64;
+            cells += 1;
+            hops += d;
+            owned += u64::from(d == 0);
+        }
+    }
+    LocalityMeasure {
+        mean_hops: if cells == 0 { 0.0 } else { hops as f64 / cells as f64 },
+        total_cells: cells,
+        owned_fraction: if cells == 0 { 1.0 } else { owned as f64 / cells as f64 },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn route_cover_from_runs_matches_sorting_every_cell(segments in arb_crowded_segments()) {
+        let route = Route::from_segments(segments.clone());
+        prop_assert_eq!(route.cells(), cover_by_sorting(&segments).as_slice());
+        prop_assert_eq!(route.segments(), segments.as_slice());
+    }
+
+    #[test]
+    fn locality_by_runs_matches_the_per_cell_loop(
+        channels in 4u16..24,
+        grids in 4u16..400,
+        procs in prop_oneof![Just(1usize), Just(4), Just(9), Just(16)],
+        raw in proptest::collection::vec(
+            proptest::collection::vec((any::<bool>(), any::<u16>(), any::<u16>(), any::<u16>()), 1..6),
+            0..30,
+        ),
+        owners in proptest::collection::vec(any::<usize>(), 30),
+    ) {
+        let m = RegionMap::new(channels, grids, procs);
+        let routes: Vec<Route> = raw
+            .iter()
+            .map(|pieces| {
+                Route::from_segments(
+                    pieces
+                        .iter()
+                        .map(|&(horizontal, a, b, k)| {
+                            if horizontal {
+                                Segment::horizontal(k % channels, a % grids, b % grids)
+                            } else {
+                                Segment::vertical(k % grids, a % channels, b % channels)
+                            }
+                        })
+                        .collect(),
+                )
+            })
+            .collect();
+        let proc_of_wire: Vec<usize> = owners[..routes.len()].iter().map(|p| p % procs).collect();
+        let by_runs = locality_measure(&routes, &proc_of_wire, &m);
+        let by_cell = locality_per_cell(&routes, &proc_of_wire, &m);
+        prop_assert_eq!(by_runs.total_cells, by_cell.total_cells);
+        prop_assert_eq!(by_runs.mean_hops.to_bits(), by_cell.mean_hops.to_bits());
+        prop_assert_eq!(by_runs.owned_fraction.to_bits(), by_cell.owned_fraction.to_bits());
     }
 }
