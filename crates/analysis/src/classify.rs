@@ -173,14 +173,6 @@ pub(crate) fn classify_races(
             values[idx] = apply_delta(values[idx], r.delta);
         }
     }
-    // Pairs indexed at/after trace end (defensive; cannot happen for
-    // races detected on this trace).
-    while ma < n {
-        let k = order_max[ma];
-        verdicts[k] =
-            Some(classify_one(circuit, &values, races[k].clone(), before[k], channel_overshoot));
-        ma += 1;
-    }
     verdicts.into_iter().map(|v| v.expect("every pair classified")).collect()
 }
 

@@ -1,17 +1,18 @@
-//! FastTrack-style race detection over shared-reference traces.
+//! Race detection over shared-reference traces.
 //!
 //! The detector replays a time-sorted [`Trace`] and flags every pair of
 //! conflicting cost-array accesses (same address, different processors,
-//! at least one write) that is not ordered by happens-before. The only
-//! synchronization edges are the inter-iteration barriers, which the
-//! producers record as the per-reference `epoch` field: an epoch change
-//! is a full barrier, joining every processor's vector clock into every
-//! other's.
+//! at least one write) that is not ordered by happens-before. The
+//! routers synchronize only at the barrier between rip-up iterations
+//! (paper §3), which the producers record as the per-reference `epoch`
+//! field, so one processor's access happens-before another's exactly
+//! when its epoch is earlier: a conflicting pair races iff both accesses
+//! ran in one epoch.
 //!
 //! References are processed in barrier-epoch-major order (stable within
-//! an epoch), which realizes the barrier join exactly even when producer
-//! timestamps tie across the barrier. Because membership of a pair in a
-//! race only depends on *which epoch* each access ran in and *which
+//! an epoch), which places every barrier exactly even when producer
+//! timestamps tie across it. Because membership of a pair in a race
+//! only depends on *which epoch* each access ran in and *which
 //! processor* issued it — never on the sub-epoch interleaving — the set
 //! of reported races is invariant under stable reorderings of same-time
 //! references, a property the crate's proptests pin down.
@@ -24,8 +25,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use locus_coherence::{MemRef, RefKind, Trace};
-
-use crate::vclock::VectorClock;
 
 /// Which kinds of access collide in a race pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -113,8 +112,6 @@ pub type RaceKey = (u32, u32, u32, u32, RaceKind);
 pub struct DetectionResult {
     /// References analysed.
     pub refs: usize,
-    /// Processors that appear in the trace.
-    pub procs: usize,
     /// Barrier epochs that appear in the trace.
     pub epochs: u32,
     /// Cross-processor conflicting pairs that *were* ordered by a
@@ -128,14 +125,11 @@ pub struct DetectionResult {
 /// Last access by one processor to one address.
 #[derive(Clone, Copy)]
 struct Access {
-    /// The accessor's own logical time (its vector-clock component) at
-    /// the access.
-    clock: u64,
     r: MemRef,
     idx: usize,
 }
 
-/// Per-address FastTrack shadow cell: last write and last read per proc.
+/// Per-address shadow cell: last write and last read per proc.
 struct Shadow {
     writes: Vec<Option<Access>>,
     reads: Vec<Option<Access>>,
@@ -148,11 +142,7 @@ pub fn detect(trace: &Trace) -> DetectionResult {
     let refs: Vec<MemRef> = trace.refs().collect();
     let n_procs = refs.iter().map(|r| r.proc as usize + 1).max().unwrap_or(0);
     let epochs = refs.iter().map(|r| u32::from(r.epoch) + 1).max().unwrap_or(0);
-    let mut result =
-        DetectionResult { refs: refs.len(), procs: n_procs, epochs, ..Default::default() };
-    if n_procs == 0 {
-        return result;
-    }
+    let mut result = DetectionResult { refs: refs.len(), epochs, ..Default::default() };
 
     // Epoch-major processing order (stable: time order within an epoch,
     // program order per processor). For well-formed traces every
@@ -162,65 +152,34 @@ pub fn detect(trace: &Trace) -> DetectionResult {
     let mut order: Vec<usize> = (0..refs.len()).collect();
     order.sort_by_key(|&i| refs[i].epoch);
 
-    let mut clock: Vec<u64> = vec![0; n_procs];
-    let mut vc: Vec<VectorClock> = vec![VectorClock::new(n_procs); n_procs];
-    let mut current_epoch = 0u8;
     let mut shadow: BTreeMap<u32, Shadow> = BTreeMap::new();
     let mut seen: BTreeSet<RaceKey> = BTreeSet::new();
 
     for &i in &order {
         let r = refs[i];
-        if r.epoch > current_epoch {
-            // Barrier: everything before the epoch change happens-before
-            // everything after. Join all clocks into a release clock and
-            // re-acquire it everywhere.
-            let mut release = VectorClock::new(n_procs);
-            for c in &vc {
-                release.join(c);
-            }
-            for c in &mut vc {
-                c.join(&release);
-            }
-            current_epoch = r.epoch;
-        }
-
         let p = r.proc as usize;
-        clock[p] += 1;
-        vc[p].set(p, clock[p]);
-
         let cell = shadow
             .entry(r.addr)
             .or_insert_with(|| Shadow { writes: vec![None; n_procs], reads: vec![None; n_procs] });
 
-        // Conflict checks against every other processor's last accesses.
-        for q in 0..n_procs {
-            if q == p {
-                continue; // program order; never a race, not counted
-            }
-            if let Some(w) = cell.writes[q] {
-                if vc[p].has_observed(q, w.clock) {
-                    result.synchronized_pairs += 1;
-                } else {
-                    let kind = if r.kind == RefKind::Write {
-                        RaceKind::WriteWrite
-                    } else {
-                        RaceKind::ReadWrite
-                    };
-                    push_race(&mut result.races, &mut seen, w, r, i, kind);
-                }
-            }
-            if r.kind == RefKind::Write {
-                if let Some(rd) = cell.reads[q] {
-                    if vc[p].has_observed(q, rd.clock) {
-                        result.synchronized_pairs += 1;
-                    } else {
-                        push_race(&mut result.races, &mut seen, rd, r, i, RaceKind::ReadWrite);
-                    }
+        // Conflict checks against every other processor's last write
+        // and, for a write, last read. Epoch-major order means the prior
+        // access's epoch is at most this one's: a barrier orders the pair
+        // iff it is earlier.
+        let is_write = r.kind == RefKind::Write;
+        let write_kind = if is_write { RaceKind::WriteWrite } else { RaceKind::ReadWrite };
+        for q in (0..n_procs).filter(|&q| q != p) {
+            let prior_read = cell.reads[q].filter(|_| is_write);
+            for (prior, kind) in [(cell.writes[q], write_kind), (prior_read, RaceKind::ReadWrite)] {
+                match prior {
+                    Some(prior) if prior.r.epoch < r.epoch => result.synchronized_pairs += 1,
+                    Some(prior) => push_race(&mut result.races, &mut seen, prior, r, i, kind),
+                    None => {}
                 }
             }
         }
 
-        let access = Access { clock: clock[p], r, idx: i };
+        let access = Access { r, idx: i };
         match r.kind {
             RefKind::Write => cell.writes[p] = Some(access),
             RefKind::Read => cell.reads[p] = Some(access),

@@ -40,12 +40,12 @@
 //! and prints its headline metrics (`--circuit
 //! <tiny|small|bnre|mdc|powerlaw>` picks the preset).
 //!
-//! `analyze` replays one engine's coherence trace through the
-//! vector-clock race detector and classifies every unsynchronized
-//! conflicting pair as benign or quality-affecting (for the
-//! message-passing engines it instead audits replica staleness against
-//! the ground-truth cost array). Its report is printed and written like
-//! any other.
+//! `analyze` replays one engine's coherence trace through the race
+//! detector (two accesses race iff they share a barrier epoch) and
+//! classifies every unsynchronized conflicting pair as benign or
+//! quality-affecting (for the message-passing engines it instead folds
+//! the run's replica audits against the ground-truth cost array). Its
+//! report is printed and written like any other.
 //!
 //! `--trace-out` writes a Chrome trace-event JSON (load it at
 //! `chrome://tracing`) and `--metrics-out` a flat metrics JSON, both

@@ -3,13 +3,16 @@
 //! columns of its table — the one place a header, a JSON key or a
 //! precision is written down.
 
+use std::collections::BTreeSet;
+
 use locus_analysis::classify::{addr_cell, ClassifiedRace};
 use locus_analysis::race::RaceKind;
 use locus_analysis::{analyze_engine, audit_staleness};
 use locus_circuit::{presets, Circuit, GridCell};
 use locus_coherence::{build_memory_model, memory_registry, MemoryConfig};
-use locus_msgpass::MsgPassOutcome;
+use locus_msgpass::{MsgPassOutcome, ReplicaSnapshot};
 use locus_obs::export::Json;
+use locus_obs::Histogram;
 use locus_router::engine::EngineRun;
 use locus_router::render::{render_cost_array, render_regions};
 use locus_router::{RegionMap, RouterParams, SequentialRouter};
@@ -663,43 +666,17 @@ pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report,
     let procs = procs.unwrap_or_else(|| cfg.procs());
     let params = RouterParams::default();
     if engine.starts_with("msgpass") {
-        let (s, outcome) = audit_staleness(&c, engine, procs, params, cfg.pick(2, 8))?;
-        let (cells, age) = (&s.cells_hist, &s.age_hist);
-        return Ok(Report::new(format!(
-            "replica staleness: {engine} on {} ({procs} procs) — {} audits by {} procs\n  \
-             diverged cells/audit: mean {:.1}, max {} (p50 {}, p99 {})\n  \
-             divergence magnitude: max {} tracks/cell, {} cell-tracks total\n  \
-             stale-cell age: mean-of-means {:.0} ns, max mean {} ns (p50 {} ns, p99 {} ns)\n  \
+        let outcome = audit_staleness(&c, engine, procs, params, cfg.pick(2, 8))?;
+        let (text, fields) = staleness(&outcome.replica_audits);
+        let mut report = Report::new(format!(
+            "replica staleness: {engine} on {} ({procs} procs) — {text}  \
              quality: height {}, occupancy {}\n",
-            c.name,
-            s.audits,
-            s.procs,
-            s.mean_diverged_cells,
-            s.max_diverged_cells,
-            cells.quantile(0.50),
-            cells.quantile(0.99),
-            s.max_abs_divergence,
-            s.total_abs_divergence,
-            age.mean(),
-            s.max_mean_age_ns,
-            age.quantile(0.50),
-            age.quantile(0.99),
-            outcome.quality.circuit_height,
-            outcome.quality.occupancy_factor,
+            c.name, outcome.quality.circuit_height, outcome.quality.occupancy_factor,
         ))
         .field("engine", engine)
-        .field("procs", procs)
-        .field("audits", s.audits)
-        .field("auditing_procs", s.procs)
-        .field("max_diverged_cells", s.max_diverged_cells)
-        .field("mean_diverged_cells", Json::Float(s.mean_diverged_cells, Some(3)))
-        .field("max_abs_divergence", s.max_abs_divergence)
-        .field("total_abs_divergence", s.total_abs_divergence)
-        .field("max_mean_age_ns", s.max_mean_age_ns)
-        .field("mean_age_ns_p50", age.quantile(0.50))
-        .field("mean_age_ns_p99", age.quantile(0.99))
-        .field("diverged_cells_p50", cells.quantile(0.50))
-        .field("diverged_cells_p99", cells.quantile(0.99)));
+        .field("procs", procs);
+        report.header.extend(fields);
+        return Ok(report);
     }
     let r = analyze_engine(&c, engine, procs, params)?;
     let (total, benign, quality) = (r.races.len(), r.benign_count(), r.quality_count());
@@ -768,6 +745,49 @@ pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report,
     ))
 }
 
+/// A message-passing run's replica audits folded into how many cells
+/// were stale, by how much and for how long (log₂ histograms of each
+/// audit's diverged cells and mean stale age): the lines `analyze`
+/// prints and its JSON fields.
+fn staleness(audits: &[ReplicaSnapshot]) -> (String, Vec<(&'static str, Json)>) {
+    let (mut cells, mut age) = (Histogram::default(), Histogram::default());
+    for s in audits {
+        cells.record(s.diverged_cells.into());
+        age.record(s.mean_age_ns());
+    }
+    let procs = audits.iter().map(|s| s.proc).collect::<BTreeSet<_>>().len();
+    let max_abs = audits.iter().map(|s| s.max_abs_divergence).max().unwrap_or(0);
+    let total_abs: u64 = audits.iter().map(|s| s.total_abs_divergence).sum();
+    let (max_cells, max_age) = (cells.max().unwrap_or(0), age.max().unwrap_or(0));
+    let text = format!(
+        "{} audits by {procs} procs\n  \
+         diverged cells/audit: mean {:.1}, max {max_cells} (p50 {}, p99 {})\n  \
+         divergence magnitude: max {max_abs} tracks/cell, {total_abs} cell-tracks total\n  \
+         stale-cell age: mean-of-means {:.0} ns, max mean {max_age} ns (p50 {} ns, p99 {} ns)\n",
+        audits.len(),
+        cells.mean(),
+        cells.quantile(0.50),
+        cells.quantile(0.99),
+        age.mean(),
+        age.quantile(0.50),
+        age.quantile(0.99),
+    );
+    let fields = vec![
+        ("audits", audits.len().into()),
+        ("auditing_procs", procs.into()),
+        ("max_diverged_cells", max_cells.into()),
+        ("mean_diverged_cells", Json::Float(cells.mean(), Some(3))),
+        ("max_abs_divergence", max_abs.into()),
+        ("total_abs_divergence", total_abs.into()),
+        ("max_mean_age_ns", max_age.into()),
+        ("mean_age_ns_p50", age.quantile(0.50).into()),
+        ("mean_age_ns_p99", age.quantile(0.99).into()),
+        ("diverged_cells_p50", cells.quantile(0.50).into()),
+        ("diverged_cells_p99", cells.quantile(0.99).into()),
+    ];
+    (text, fields)
+}
+
 /// The registries `list` prints below the experiment ids.
 pub fn registries() -> String {
     let mut out = String::from("\nengines (--engine <name>):\n");
@@ -784,6 +804,55 @@ pub fn registries() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn snap(proc: usize, diverged: u32, max_div: u32, total: u64, age_sum: u64) -> ReplicaSnapshot {
+        ReplicaSnapshot {
+            proc,
+            at_ns: 1_000 * proc as u64,
+            wires_routed: 4,
+            diverged_cells: diverged,
+            total_abs_divergence: total,
+            max_abs_divergence: max_div,
+            stale_age_sum_ns: age_sum,
+        }
+    }
+
+    #[test]
+    fn empty_audit_set_folds_to_zeros() {
+        let (text, fields) = staleness(&[]);
+        assert!(text.starts_with("0 audits by 0 procs\n"), "{text}");
+        for (key, value) in fields {
+            let zero = if key == "mean_diverged_cells" {
+                Json::Float(0.0, Some(3))
+            } else {
+                Json::UInt(0)
+            };
+            assert_eq!(value, zero, "{key}");
+        }
+    }
+
+    #[test]
+    fn aggregates_cover_all_snapshots() {
+        let audits = [snap(0, 10, 2, 14, 5_000), snap(1, 4, 1, 4, 800), snap(0, 0, 0, 0, 0)];
+        let (_, fields) = staleness(&audits);
+        let field = |key| fields.iter().find(|f| f.0 == key).map(|f| f.1.clone());
+        for (key, value) in [
+            ("audits", 3),
+            ("auditing_procs", 2),
+            ("max_diverged_cells", 10),
+            ("max_abs_divergence", 2),
+            ("total_abs_divergence", 18),
+            // snap(0,..) has mean age 500 ns; snap(1,..) 200 ns.
+            ("max_mean_age_ns", 500),
+            // Diverged cells 0, 4 and 10: the median's log₂ bucket is 4..=7.
+            ("diverged_cells_p50", 7),
+            ("diverged_cells_p99", 10),
+        ] {
+            assert_eq!(field(key), Some(Json::UInt(value)), "{key}");
+        }
+        let Some(Json::Float(mean, _)) = field("mean_diverged_cells") else { panic!("a mean") };
+        assert!((mean - 14.0 / 3.0).abs() < 1e-9);
+    }
 
     /// Every engine of the table over hostile processor counts: a report
     /// of the run it was asked for, or an `Err` naming the processor

@@ -89,11 +89,21 @@ impl RecoveryConfig {
         if self.checkpoint_every == 0 {
             return Err("checkpoint_every must be >= 1".into());
         }
-        if self.heartbeat_ns == 0 {
-            return Err("heartbeat_ns must be positive".into());
+        // A heartbeat under 1 ms declares nodes that are only busy
+        // routing dead over and over; a checkpoint dearer than 2^16 ns a
+        // byte is stepped through half a heartbeat at a time, so host
+        // time grows with its price.
+        if self.heartbeat_ns < 1_000_000 {
+            return Err("heartbeat_ns must be at least 1 ms".into());
+        }
+        if self.heartbeat_ns > 1 << 40 {
+            return Err("heartbeat_ns must be at most 2^40 ns".into());
         }
         if self.suspect_after == 0 {
             return Err("suspect_after must be >= 1".into());
+        }
+        if self.checkpoint_per_byte_ns > 1 << 16 {
+            return Err("checkpoint_per_byte_ns must be at most 2^16".into());
         }
         Ok(())
     }
@@ -353,7 +363,15 @@ mod tests {
                 ..RecoveryConfig::default()
             }),
             recovering.with_recovery_config(RecoveryConfig {
+                heartbeat_ns: (1 << 40) + 1,
+                ..RecoveryConfig::default()
+            }),
+            recovering.with_recovery_config(RecoveryConfig {
                 suspect_after: 0,
+                ..RecoveryConfig::default()
+            }),
+            recovering.with_recovery_config(RecoveryConfig {
+                checkpoint_per_byte_ns: (1 << 16) + 1,
                 ..RecoveryConfig::default()
             }),
             sender.with_recovery_config(RecoveryConfig::default()),

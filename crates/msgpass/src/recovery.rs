@@ -319,7 +319,7 @@ impl Recovery {
         link: &mut Link<'_>,
     ) -> u64 {
         let bytes = self.checkpoint_bytes;
-        let mut busy = bytes * self.cfg.checkpoint_per_byte_ns;
+        let mut busy = bytes.saturating_mul(self.cfg.checkpoint_per_byte_ns);
         self.ckpt_progress = progress;
         self.stats.checkpoints_taken += 1;
         self.stats.checkpoint_bytes += bytes;
@@ -351,7 +351,7 @@ impl Recovery {
             busy += self.become_coordinator(term, link);
         }
         if now_ns >= self.next_heartbeat_at {
-            self.next_heartbeat_at = now_ns + self.cfg.heartbeat_ns;
+            self.next_heartbeat_at = now_ns.saturating_add(self.cfg.heartbeat_ns);
             self.stats.heartbeats_sent += 1;
             if self.proc == term.coordinator {
                 // Broadcast to presumed-dead peers too: heartbeats are

@@ -22,7 +22,7 @@
 //!   behind one [`MemoryModel`](locus_coherence::MemoryModel) registry.
 //! * [`obs`] — unified observability: typed events, metrics registry,
 //!   Chrome-trace / metrics-JSON / ASCII-timeline exporters.
-//! * [`analysis`] — vector-clock race detection over coherence traces
+//! * [`analysis`] — barrier-epoch race detection over coherence traces
 //!   and replica-staleness auditing.
 //! * [`service`] — routing as a service: seeded workload generation,
 //!   a bounded-queue job server with backpressure, and latency/SLO
