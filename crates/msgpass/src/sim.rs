@@ -210,8 +210,8 @@ pub(crate) fn run_inner(
         routing_done_ns = routing_done_ns.max(node.routing_done_ns);
         routing_done_secs_by_proc.push(node.routing_done_ns as f64 / 1e9);
         replica_audits.extend_from_slice(&node.audits);
-        occupancy += node.driver.last_occupancy();
         let by_iter = node.driver.occupancy_by_iteration();
+        occupancy += by_iter.last().copied().unwrap_or(0);
         if occupancy_by_iteration.len() < by_iter.len() {
             occupancy_by_iteration.resize(by_iter.len(), 0);
         }

@@ -114,13 +114,6 @@ pub enum EventKind {
         /// optimized kernel path.
         percell_evals: u64,
     },
-    /// First time in a run a route evaluation fell back to per-cell span
-    /// queries (emitted once so traced/instrumented runs cannot
-    /// masquerade as optimized ones).
-    PercellFallback {
-        /// Wire whose evaluation first took the fallback.
-        wire: u32,
-    },
     /// A message-passing node compared its cost-array replica against
     /// the ground-truth array (one event per audit stamp).
     ReplicaAudit {
@@ -280,24 +273,23 @@ pub(crate) mod tests {
             EventKind::PhaseBegin { .. } => 6,
             EventKind::PhaseEnd { .. } => 7,
             EventKind::KernelStats { .. } => 8,
-            EventKind::PercellFallback { .. } => 9,
-            EventKind::ReplicaAudit { .. } => 10,
-            EventKind::FaultInjected { .. } => 11,
-            EventKind::PacketRetransmitted { .. } => 12,
-            EventKind::AckSent { .. } => 13,
-            EventKind::WatchdogRecovery { .. } => 14,
-            EventKind::JobEnqueued { .. } => 15,
-            EventKind::JobDispatched { .. } => 16,
-            EventKind::JobCompleted { .. } => 17,
-            EventKind::JobShed { .. } => 18,
-            EventKind::JobRejected { .. } => 19,
-            EventKind::NodeCrashed { .. } => 20,
-            EventKind::NodeRestarted { .. } => 21,
-            EventKind::CheckpointTaken { .. } => 22,
-            EventKind::WireReassigned { .. } => 23,
-            EventKind::CoordinatorFailover { .. } => 24,
-            EventKind::JobRetried { .. } => 25,
-            EventKind::BreakerTripped { .. } => 26,
+            EventKind::ReplicaAudit { .. } => 9,
+            EventKind::FaultInjected { .. } => 10,
+            EventKind::PacketRetransmitted { .. } => 11,
+            EventKind::AckSent { .. } => 12,
+            EventKind::WatchdogRecovery { .. } => 13,
+            EventKind::JobEnqueued { .. } => 14,
+            EventKind::JobDispatched { .. } => 15,
+            EventKind::JobCompleted { .. } => 16,
+            EventKind::JobShed { .. } => 17,
+            EventKind::JobRejected { .. } => 18,
+            EventKind::NodeCrashed { .. } => 19,
+            EventKind::NodeRestarted { .. } => 20,
+            EventKind::CheckpointTaken { .. } => 21,
+            EventKind::WireReassigned { .. } => 22,
+            EventKind::CoordinatorFailover { .. } => 23,
+            EventKind::JobRetried { .. } => 24,
+            EventKind::BreakerTripped { .. } => 25,
         }
     }
 
@@ -319,7 +311,6 @@ pub(crate) mod tests {
             EventKind::PhaseBegin { name: "iteration" },
             EventKind::PhaseEnd { name: "iteration" },
             EventKind::KernelStats { candidates: 7, percell_evals: 1 },
-            EventKind::PercellFallback { wire: 3 },
             EventKind::ReplicaAudit { diverged_cells: 5, max_divergence: 2, mean_age_ns: 1200 },
             EventKind::FaultInjected {
                 dst: 1,
@@ -344,7 +335,7 @@ pub(crate) mod tests {
             EventKind::BreakerTripped { class: 5 },
         ];
         let ordinals: Vec<usize> = kinds.iter().map(ordinal).collect();
-        assert_eq!(ordinals, (0..27).collect::<Vec<_>>(), "one value per variant, in order");
+        assert_eq!(ordinals, (0..26).collect::<Vec<_>>(), "one value per variant, in order");
         kinds
     }
 

@@ -16,7 +16,7 @@ use std::borrow::Borrow;
 use std::fmt::{self, Write as _};
 
 use crate::event::{Event, EventKind, FaultKind};
-use crate::metrics::{bucket_hi, bucket_lo, Histogram, MetricsSnapshot};
+use crate::metrics::{bucket_hi, bucket_lo, Histogram, Metrics};
 
 /// Escapes `s` for inclusion inside a JSON string literal (without the
 /// surrounding quotes).
@@ -220,7 +220,6 @@ pub(crate) fn shown(kind: &EventKind, args: Option<&mut Vec<(&'static str, Json)
         PhaseBegin { name } => '|' 0 "phase",
         PhaseEnd { name } => '|' 0 "phase",
         KernelStats { candidates, percell_evals } => 'K' 1 "kernel",
-        PercellFallback { wire } => 'P' 5 "percell",
         ReplicaAudit { diverged_cells, max_divergence, mean_age_ns } => 'A' 2 "audit",
         FaultInjected { dst, payload_bytes, fault, extra_ns } => 'F' 6 "fault",
         PacketRetransmitted { dst, seq, attempt } => 'T' 4 "resent",
@@ -324,11 +323,12 @@ fn histogram_json(h: &Histogram) -> Json {
     ])
 }
 
-/// Renders a metrics snapshot as a flat JSON object:
+/// Renders a metrics registry as a flat JSON object:
 /// `{"counters": {...}, "histograms": {...}}`.
-pub fn metrics_json(snap: &MetricsSnapshot) -> String {
-    let counters = snap.counters.iter().map(|(&name, &v)| (name, v.into())).collect();
-    let histograms = snap.histograms.iter().map(|(&name, h)| (name, histogram_json(h))).collect();
+pub fn metrics_json(metrics: &Metrics) -> String {
+    let counters = metrics.counters.iter().map(|(&name, &v)| (name, v.into())).collect();
+    let histograms =
+        metrics.histograms.iter().map(|(&name, h)| (name, histogram_json(h))).collect();
     json_document(&[("counters", Json::Object(counters)), ("histograms", Json::Object(histograms))])
 }
 
@@ -687,7 +687,7 @@ mod tests {
         for ev in sample_events() {
             m.observe(&ev);
         }
-        let json = metrics_json(&m.snapshot());
+        let json = metrics_json(&m);
         validate_json(&json).expect("metrics JSON must be valid");
         assert!(json.contains("\"bytes_sent\": 40"));
         assert!(json.contains("\"latency_ns\""));
@@ -732,7 +732,7 @@ mod tests {
         validate_json(&chrome_trace(&events)).expect("chrome trace of every kind");
         let mut m = Metrics::new();
         events.iter().for_each(|ev| m.observe(ev));
-        validate_json(&metrics_json(&m.snapshot())).expect("metrics of every kind");
+        validate_json(&metrics_json(&m)).expect("metrics of every kind");
     }
 
     #[test]
@@ -754,8 +754,8 @@ mod tests {
             }
         }
         assert_eq!(explained, on_rows, "first-appearance order, nothing unseen");
-        // 27 kinds, begin and end of a phase sharing one glyph.
-        assert_eq!(explained.len(), 26);
+        // 26 kinds, begin and end of a phase sharing one glyph.
+        assert_eq!(explained.len(), 25);
         assert!(!ascii_timeline(&sample_events(), 40).contains("crash"));
     }
 

@@ -11,8 +11,8 @@
 //! * [`SharedSink`] — clonable `Arc<Mutex<RingBufferSink>>` the caller
 //!   creates, hands out through `Obs::to`, and reads back after the run.
 //! * [`RingBufferSink`] — the bounded in-memory buffer behind it, feeding
-//!   a [`Metrics`] registry (named counters + log₂ histograms, read
-//!   through a snapshot).
+//!   a [`Metrics`] registry (named counters + log₂ histograms), which
+//!   `SharedSink::metrics_snapshot` copies out.
 //!
 //! Exporters ([`export`]): Chrome `chrome://tracing` trace-event JSON,
 //! flat metrics JSON, and an ASCII per-node timeline — all hand-rolled
@@ -42,5 +42,5 @@ pub mod metrics;
 pub mod sink;
 
 pub use event::{Event, EventKind, FaultKind};
-pub use metrics::{hists, names, Histogram, Metrics, MetricsSnapshot};
+pub use metrics::{hists, names, Histogram, Metrics};
 pub use sink::{Obs, RingBufferSink, SharedSink};

@@ -1,5 +1,4 @@
-//! The metrics registry: named counters and log-scale histograms, read
-//! through a snapshot.
+//! The metrics registry: named counters and log-scale histograms.
 //!
 //! Counter and histogram names are `&'static str` so registering is
 //! allocation-free on the hot path after the first observation of each
@@ -51,9 +50,6 @@ pub mod names {
     pub(crate) const KERNEL_CANDIDATES: &str = "kernel_candidates";
     /// Route evaluations that took the per-cell span fallback.
     pub(crate) const PERCELL_EVALS: &str = "percell_evals";
-    /// Runs that fell back to per-cell spans at least once (one per
-    /// `PercellFallback` event).
-    pub(crate) const PERCELL_FALLBACKS: &str = "percell_fallbacks";
     /// Replica-vs-truth audits performed by message-passing nodes.
     pub(crate) const REPLICA_AUDITS: &str = "replica_audits";
     /// Diverged replica cells summed across audits.
@@ -245,8 +241,8 @@ impl Histogram {
 /// A registry of named counters and histograms.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Metrics {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    pub(crate) counters: BTreeMap<&'static str, u64>,
+    pub(crate) histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Metrics {
@@ -265,6 +261,11 @@ impl Metrics {
     /// Current value of counter `name` (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Histogram `name`, if anything was recorded into it.
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+        self.histograms.get(name)
     }
 
     /// Records `value` into histogram `name`.
@@ -316,9 +317,6 @@ impl Metrics {
             EventKind::KernelStats { candidates, percell_evals } => {
                 self.add(names::KERNEL_CANDIDATES, candidates);
                 self.add(names::PERCELL_EVALS, percell_evals);
-            }
-            EventKind::PercellFallback { .. } => {
-                self.add(names::PERCELL_FALLBACKS, 1);
             }
             EventKind::ReplicaAudit { diverged_cells, mean_age_ns, .. } => {
                 self.add(names::REPLICA_AUDITS, 1);
@@ -388,27 +386,6 @@ impl Metrics {
                 self.add(names::BREAKER_TRIPS, 1);
             }
         }
-    }
-
-    /// A point-in-time copy of the registry.
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot { counters: self.counters.clone(), histograms: self.histograms.clone() }
-    }
-}
-
-/// An immutable snapshot of a [`Metrics`] registry.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter values at snapshot time.
-    pub counters: BTreeMap<&'static str, u64>,
-    /// Histogram state at snapshot time.
-    pub histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl MetricsSnapshot {
-    /// Value of counter `name` (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 }
 
@@ -507,7 +484,7 @@ mod tests {
         for kind in crate::event::tests::all_kinds() {
             let mut m = Metrics::new();
             m.observe(&Event { at_ns: 1, node: 0, kind });
-            assert!(m.snapshot().counters.values().any(|&v| v > 0), "{kind:?} counts nothing");
+            assert!(m.counters.values().any(|&v| v > 0), "{kind:?} counts nothing");
         }
     }
 

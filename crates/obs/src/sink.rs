@@ -19,7 +19,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::event::{Event, EventKind, NodeId};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::Metrics;
 
 /// The recording handle every instrumented layer holds: off, or a clone of
 /// the caller's [`SharedSink`] plus the node its events are attributed to.
@@ -182,9 +182,9 @@ impl SharedSink {
         self.inner.lock().to_vec()
     }
 
-    /// Snapshot of the metrics registry.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.inner.lock().metrics().snapshot()
+    /// Copy of the metrics registry.
+    pub fn metrics_snapshot(&self) -> Metrics {
+        self.inner.lock().metrics().clone()
     }
 
     /// Records one event into the shared buffer.

@@ -6,10 +6,11 @@
 //! account the work, emit the observability events — must exist exactly
 //! once. This module owns that loop's bookkeeping:
 //!
-//! * [`IterationDriver`] — per-engine (or per message-passing node)
-//!   ledger of routes, work counters, per-iteration occupancy, and the
-//!   `PhaseBegin`/`RipUp`/`WireRouted`/`PhaseEnd`/`KernelStats` event
-//!   emission that used to be copy-pasted across the four engines;
+//! * [`IterationDriver`] — per-engine (or per thread, or per
+//!   message-passing node) ledger of work counters and per-iteration
+//!   occupancy, and the `PhaseBegin`/`RipUp`/`WireRouted`/`PhaseEnd`/
+//!   `KernelStats` event emission that used to be copy-pasted across the
+//!   four engines;
 //! * [`WireFeed`] — one iteration's wire supply (the §3 distributed-loop
 //!   shared counter or a §4.2 static assignment), shared by the
 //!   shared-memory emulator and the real threaded executor;
@@ -17,8 +18,9 @@
 //!   engine table returns.
 //!
 //! Engines keep what genuinely differs between paradigms — memory
-//! semantics (global array, unlocked atomics, stale replicas), clocks,
-//! and scheduling — and delegate everything else here.
+//! semantics (global array, unlocked atomics, stale replicas), where the
+//! routes live, clocks, and scheduling — and delegate everything else
+//! here.
 
 // Audited atomics (clippy.toml): `WireFeed`'s distributed-loop counter,
 // one relaxed `fetch_add` that publishes nothing but the index it returns.
@@ -35,21 +37,18 @@ use crate::route::Route;
 use crate::router::{RouteOutcome, WireEvaluation};
 use crate::work::WorkStats;
 
-/// The shared route-wire / rip-up / per-iteration-metrics ledger.
+/// The shared rip-up / commit / per-iteration-metrics ledger.
 ///
 /// One driver serves one stream of routing decisions: the whole run for
-/// the sequential router and the shared-memory engines (slots indexed by
-/// global wire id), or one processor's slice for a message-passing node
-/// (slots indexed by position in its static wire list). The driver owns
-/// the route slots, the [`WorkStats`] ledger, per-iteration occupancy
-/// accounting, and all routing-event emission; the engine keeps memory
-/// semantics, clocks, and scheduling.
+/// the sequential router and the emulator, one thread of the threaded
+/// router, or one message-passing node. It keeps the [`WorkStats`]
+/// ledger, per-iteration occupancy, and all routing-event emission.
+/// The routes stay with the engine, where their storage means something:
+/// a slot per wire id, a mutex per wire shared by threads, or a node's
+/// static slots beside the wires it was granted or adopted.
+#[derive(Default)]
 pub struct IterationDriver {
     obs: Obs,
-    routes: Vec<Option<Route>>,
-    /// Routes committed outside the static slots (§4.2 dynamic wire
-    /// distribution, where a node routes whatever it is granted).
-    dynamic: Vec<(WireId, Route)>,
     work: WorkStats,
     occupancy_current: u64,
     occupancy_by_iteration: Vec<u64>,
@@ -57,25 +56,9 @@ pub struct IterationDriver {
     /// of [`WorkStats`] so work ledgers stay comparable across engines
     /// whose span paths legitimately differ).
     percell_evals: u64,
-    /// Whether the one-time `PercellFallback` event has been emitted.
-    percell_flagged: bool,
 }
 
 impl IterationDriver {
-    /// A driver with `slots` route slots and observability off.
-    pub fn new(slots: usize) -> Self {
-        IterationDriver {
-            obs: Obs::off(),
-            routes: vec![None; slots],
-            dynamic: Vec::new(),
-            work: WorkStats::default(),
-            occupancy_current: 0,
-            occupancy_by_iteration: Vec::new(),
-            percell_evals: 0,
-            percell_flagged: false,
-        }
-    }
-
     /// Returns `self` recording routing events through `obs`.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -106,82 +89,34 @@ impl IterationDriver {
         self.occupancy_current = 0;
     }
 
-    /// Takes the previous route out of `slot` for re-routing, accounting
-    /// the rip-up writes and emitting the `RipUp` event. The caller
-    /// applies the decrements to whatever array it owns.
-    pub fn rip_up(&mut self, slot: usize, wire: WireId, at_ns: u64) -> Option<Route> {
-        let old = self.routes[slot].take()?;
-        self.rip_up_external(wire, &old, at_ns);
-        Some(old)
-    }
-
-    /// [`rip_up`](Self::rip_up) for a route stored outside the driver
-    /// (engines whose slots are shared across threads): accounts the
-    /// writes and emits the event for a route the caller already took.
-    pub fn rip_up_external(&mut self, wire: WireId, old: &Route, at_ns: u64) {
+    /// Accounts the rip-up of `wire`'s previous route `old`, which the
+    /// caller took out of its own storage, and emits the `RipUp` event.
+    /// The caller applies the decrements to whatever array it owns.
+    pub fn rip_up(&mut self, wire: WireId, old: &Route, at_ns: u64) {
         self.work.cells_written += old.len() as u64;
         self.obs.emit(at_ns, EventKind::RipUp { wire: wire as u32, cells: old.len() as u32 });
     }
 
-    fn account(&mut self, eval: &WireEvaluation, cost_at_decision: u64) {
-        self.work.wires_routed += 1;
-        self.work.connections += eval.connections;
-        self.work.candidates += eval.candidates;
-        self.work.cells_examined += eval.cells_examined;
-        self.work.cells_written += eval.route.len() as u64;
-        self.occupancy_current += cost_at_decision;
-    }
-
-    /// Commits `eval` into `slot`: accounts the work and occupancy,
-    /// emits the `WireRouted` event, and stores the route. The caller
-    /// has already applied the route to its array; `cost_at_decision` is
-    /// the route's cost against the state the occupancy metric reads
-    /// (§3 — each engine defines which state that is).
+    /// Accounts the commit of `eval` for `wire` (work and occupancy),
+    /// emits the `WireRouted` event, and hands the route back for the
+    /// caller to store. The caller has already applied the route to its
+    /// array; `cost_at_decision` is the route's cost against the state
+    /// the occupancy metric reads (§3 — each engine defines which state
+    /// that is).
     pub fn commit(
-        &mut self,
-        slot: usize,
-        wire: WireId,
-        eval: WireEvaluation,
-        cost_at_decision: u64,
-        at_ns: u64,
-    ) {
-        let route = self.commit_external(wire, eval, cost_at_decision, at_ns);
-        self.routes[slot] = Some(route);
-    }
-
-    /// [`commit`](Self::commit) for a dynamically granted wire with no
-    /// static slot; the route is appended to the dynamic ledger.
-    pub fn commit_dynamic(
-        &mut self,
-        wire: WireId,
-        eval: WireEvaluation,
-        cost_at_decision: u64,
-        at_ns: u64,
-    ) {
-        let route = self.commit_external(wire, eval, cost_at_decision, at_ns);
-        self.dynamic.push((wire, route));
-    }
-
-    /// [`commit`](Self::commit) for a route stored outside the driver:
-    /// accounts the work and occupancy, emits the event, and hands the
-    /// route back for the caller to store.
-    pub fn commit_external(
         &mut self,
         wire: WireId,
         eval: WireEvaluation,
         cost_at_decision: u64,
         at_ns: u64,
     ) -> Route {
-        if eval.percell_evals > 0 {
-            self.percell_evals += eval.percell_evals;
-            if !self.percell_flagged {
-                // One event per run: a traced/per-cell run announces itself
-                // the first time an evaluation skips the span kernel.
-                self.percell_flagged = true;
-                self.obs.emit(at_ns, EventKind::PercellFallback { wire: wire as u32 });
-            }
-        }
-        self.account(&eval, cost_at_decision);
+        self.work.wires_routed += 1;
+        self.work.connections += eval.connections;
+        self.work.candidates += eval.candidates;
+        self.work.cells_examined += eval.cells_examined;
+        self.work.cells_written += eval.route.len() as u64;
+        self.occupancy_current += cost_at_decision;
+        self.percell_evals += eval.percell_evals;
         self.obs.emit(
             at_ns,
             EventKind::WireRouted { wire: wire as u32, cells: eval.route.len() as u32 },
@@ -217,25 +152,14 @@ impl IterationDriver {
         &self.occupancy_by_iteration
     }
 
-    /// Occupancy factor of the last sealed iteration (the reported one).
-    pub fn last_occupancy(&self) -> u64 {
-        self.occupancy_by_iteration.last().copied().unwrap_or(0)
-    }
-
-    /// Takes every route out of the driver: the static slots, and what
-    /// was committed through the dynamic (slotless) path.
-    pub fn take_routes(&mut self) -> (Vec<Option<Route>>, Vec<(WireId, Route)>) {
-        (std::mem::take(&mut self.routes), std::mem::take(&mut self.dynamic))
-    }
-
-    /// Drains the driver into a [`RouteOutcome`] over `cost` (the
-    /// engine's final array). Every slot must hold a route.
+    /// Drains the driver into a [`RouteOutcome`] over the engine's final
+    /// `routes` (indexed by wire id) and array `cost`.
     ///
     /// # Panics
-    /// Panics if any slot is empty.
-    pub fn finish(self, cost: CostArray) -> RouteOutcome {
+    /// Panics if any wire has no route.
+    pub fn finish(self, routes: Vec<Option<Route>>, cost: CostArray) -> RouteOutcome {
         let routes: Vec<Route> =
-            self.routes.into_iter().map(|r| r.expect("every wire routed")).collect();
+            routes.into_iter().map(|r| r.expect("every wire routed")).collect();
         let occupancy_by_iteration = self.occupancy_by_iteration;
         let quality = QualityMetrics::from_final_state(
             &cost,
@@ -313,24 +237,32 @@ mod tests {
     fn driver_ledger_tracks_commits_and_ripups() {
         let c = presets::tiny();
         let mut cost = CostArray::new(c.channels, c.grids);
-        let mut driver = IterationDriver::new(c.wire_count());
+        let mut driver = IterationDriver::default();
+        let mut routes: Vec<Option<Route>> = vec![None; c.wire_count()];
         let mut scratch = crate::router::EvalScratch::default();
         for iteration in 0..2 {
             for wire in &c.wires {
-                if let Some(old) = driver.rip_up(wire.id, wire.id, 0) {
+                if let Some(old) = routes[wire.id].take() {
+                    driver.rip_up(wire.id, &old, 0);
                     cost.remove_route(&old);
                 }
                 let eval = crate::router::route_wire_scratch(&cost, wire, 1, &mut scratch);
                 let at_decision = cost.route_cost(&eval.route);
                 cost.add_route(&eval.route);
-                driver.commit(wire.id, wire.id, eval, at_decision, 0);
+                routes[wire.id] = Some(driver.commit(wire.id, eval, at_decision, 0));
             }
             driver.close_iteration();
             assert_eq!(driver.occupancy_by_iteration().len(), iteration + 1);
         }
-        assert_eq!(driver.work().wires_routed, 2 * c.wire_count() as u64);
-        let out = driver.finish(cost);
+        let work = *driver.work();
+        assert_eq!(work.wires_routed, 2 * c.wire_count() as u64);
+        // Every cell a route covered was written by its commit, and the
+        // first iteration's routes once more by their rip-up.
+        let final_cells: u64 = routes.iter().flatten().map(|r| r.len() as u64).sum();
+        assert!(work.cells_written > final_cells);
+        let out = driver.finish(routes, cost);
         assert_eq!(out.routes.len(), c.wire_count());
+        assert_eq!(out.cost.total(), final_cells);
         assert_eq!(out.quality.occupancy_factor, out.occupancy_by_iteration[1]);
     }
 
@@ -338,19 +270,23 @@ mod tests {
     fn driver_emits_phase_and_wire_events() {
         let c = presets::tiny();
         let sink = SharedSink::new();
-        let mut driver = IterationDriver::new(c.wire_count()).with_obs(Obs::to(&sink));
+        let mut driver = IterationDriver::default().with_obs(Obs::to(&sink));
         driver.phase_begin(0);
         let mut cost = CostArray::new(c.channels, c.grids);
         let mut scratch = crate::router::EvalScratch::default();
         let eval = crate::router::route_wire_scratch(&cost, &c.wires[0], 1, &mut scratch);
         cost.add_route(&eval.route);
-        driver.commit(0, 0, eval, 0, 5);
+        let route = driver.commit(0, eval, 0, 5);
+        driver.rip_up(0, &route, 7);
         driver.phase_end(10);
         driver.close_iteration();
         let m = sink.metrics_snapshot();
         assert_eq!(m.counter(names::PHASES_BEGUN), 1);
         assert_eq!(m.counter(names::PHASES_ENDED), 1);
         assert_eq!(m.counter(names::WIRES_ROUTED), 1);
+        assert_eq!(m.counter(names::RIP_UPS), 1);
+        let times: Vec<u64> = sink.snapshot_events().iter().map(|e| e.at_ns).collect();
+        assert_eq!(times, [0, 5, 7, 10]);
     }
 
     #[test]

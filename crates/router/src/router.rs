@@ -129,13 +129,15 @@ impl<'a> SequentialRouter<'a> {
         let mut cost = CostArray::new(circuit.channels, circuit.grids);
         // The sequential algorithm has no clock and records no events, so
         // every stamp is 0.
-        let mut driver = IterationDriver::new(circuit.wire_count());
+        let mut driver = IterationDriver::default();
+        let mut routes: Vec<Option<Route>> = vec![None; circuit.wire_count()];
         let mut scratch = EvalScratch::default();
 
         for _iteration in 0..params.iterations {
             for wire in &circuit.wires {
                 // Rip up the previous route before re-routing (§3).
-                if let Some(old) = driver.rip_up(wire.id, wire.id, 0) {
+                if let Some(old) = routes[wire.id].take() {
+                    driver.rip_up(wire.id, &old, 0);
                     cost.remove_route(&old);
                 }
                 let eval = route_wire_scratch(&cost, wire, params.channel_overshoot, &mut scratch);
@@ -145,11 +147,11 @@ impl<'a> SequentialRouter<'a> {
                 // engines' definition exactly.
                 let at_decision = cost.route_cost(&eval.route);
                 cost.add_route(&eval.route);
-                driver.commit(wire.id, wire.id, eval, at_decision, 0);
+                routes[wire.id] = Some(driver.commit(wire.id, eval, at_decision, 0));
             }
             driver.close_iteration();
         }
-        driver.finish(cost)
+        driver.finish(routes, cost)
     }
 }
 

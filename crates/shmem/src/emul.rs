@@ -24,14 +24,14 @@
 //! candidates lose). Criticality-aware memory backends use the tags to
 //! service critical requests first.
 //!
-//! Route slots, work accounting, per-iteration occupancy, and event
-//! emission live in the shared [`IterationDriver`]; this module owns only
-//! what is emulator-specific — logical clocks, the evaluate/commit split,
-//! and the reference trace. Every rip-up, candidate sweep and commit is
+//! Work accounting, per-iteration occupancy, and event emission live in
+//! the shared [`IterationDriver`]; this module owns what is
+//! emulator-specific — every wire's route, logical clocks, the
+//! evaluate/commit split, and the reference trace. Every rip-up, candidate sweep and commit is
 //! one burst of a [`TraceRecorder`]: the references of a burst share
 //! everything but their address and their evenly spaced times.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use locus_circuit::{Circuit, GridCell, WireId};
 use locus_coherence::{BurstWriter, Criticality, MemRef, RefKind, Trace, TraceRecorder};
@@ -76,12 +76,10 @@ pub struct ShmemOutcome {
 }
 
 /// A cost-array view that records read references as candidate evaluation
-/// sweeps cells, advancing the processor's logical clock per read.
+/// sweeps cells.
 struct TracedView<'a> {
     cost: &'a CostArray,
     reads: Option<RefCell<BurstWriter<'a>>>,
-    clock: Cell<u64>,
-    step_ns: u64,
 }
 
 impl CostView for TracedView<'_> {
@@ -96,7 +94,6 @@ impl CostView for TracedView<'_> {
         if let Some(reads) = &self.reads {
             reads.borrow_mut().push(cell_addr(cell.channel, cell.x, self.cost.grids()));
         }
-        self.clock.set(self.clock.get() + self.step_ns);
         self.cost.cost_at(cell)
     }
 }
@@ -209,7 +206,8 @@ impl<'a> ShmemEmulator<'a> {
         let mut recorder = cfg.collect_trace.then(|| TraceRecorder::new(n_procs));
 
         let mut shared = CostArray::new(circuit.channels, circuit.grids);
-        let mut driver = IterationDriver::new(n_wires).with_obs(obs);
+        let mut driver = IterationDriver::default().with_obs(obs);
+        let mut routes: Vec<Option<Route>> = vec![None; n_wires];
         let mut proc_of_wire: Vec<ProcId> = vec![0; n_wires];
         let mut procs: Vec<ProcState> = (0..n_procs)
             .map(|_| ProcState { clock: 0, pending: None, queue_pos: 0, at_barrier: false })
@@ -266,7 +264,8 @@ impl<'a> ShmemEmulator<'a> {
                         proc_of_wire[pend.wire] = p;
                     }
                     driver.on_node(p as u32);
-                    driver.commit(pend.wire, pend.wire, pend.eval, pend.cost, pend.commit_at);
+                    routes[pend.wire] =
+                        Some(driver.commit(pend.wire, pend.eval, pend.cost, pend.commit_at));
                     continue;
                 }
 
@@ -279,7 +278,8 @@ impl<'a> ShmemEmulator<'a> {
 
                 // Rip up the previous route (§3), visible immediately.
                 driver.on_node(p as u32);
-                if let Some(old) = driver.rip_up(wire_id, wire_id, procs[p].clock) {
+                if let Some(old) = routes[wire_id].take() {
+                    driver.rip_up(wire_id, &old, procs[p].clock);
                     let at = BurstSite { time: procs[p].clock, proc: p, iteration, wire: wire_id };
                     procs[p].clock = store_cells(
                         &mut shared,
@@ -298,8 +298,6 @@ impl<'a> ShmemEmulator<'a> {
                     reads: recorder
                         .as_mut()
                         .map(|r| RefCell::new(r.begin(at.first(RefKind::Read), CELL_EVAL_NS))),
-                    clock: Cell::new(at.time),
-                    step_ns: CELL_EVAL_NS,
                 };
                 let eval = route_wire_scratch(
                     &view,
@@ -307,7 +305,9 @@ impl<'a> ShmemEmulator<'a> {
                     cfg.params.channel_overshoot,
                     &mut scratch,
                 );
-                let eval_end = view.clock.get();
+                // The per-cell span path reads each cell it costs once, one
+                // read per CELL_EVAL_NS.
+                let eval_end = at.time + eval.cells_examined * CELL_EVAL_NS;
                 // Occupancy: the merged route's cost against the shared
                 // array at decision time (uninstrumented read — the
                 // metric is not part of the application's references).
@@ -333,7 +333,7 @@ impl<'a> ShmemEmulator<'a> {
         let completion = procs.iter().map(|s| s.clock).max().unwrap_or(0);
         driver.on_node(0);
         driver.kernel_stats(completion);
-        let out = driver.finish(shared);
+        let out = driver.finish(routes, shared);
 
         ShmemOutcome {
             quality: out.quality,

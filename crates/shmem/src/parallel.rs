@@ -13,8 +13,8 @@
 //! deterministic emulator in [`crate::emul`]. (Under a static assignment
 //! with shard ownership — see `crate::shard` — runs *are* bitwise
 //! repeatable at any thread count.) Each thread routes through its own
-//! [`IterationDriver`] ledger (route slots live outside the drivers,
-//! shared under per-wire mutexes); ledgers are merged after the join.
+//! [`IterationDriver`] ledger; the routes live in per-wire mutexes every
+//! thread shares, and the ledgers are merged after the join.
 //!
 //! Untraced runs default to **per-shard cost-array ownership**: each
 //! worker evaluates against a private replica (plain `u16` rows and the
@@ -181,7 +181,7 @@ impl<'a> ThreadedRouter<'a> {
                     let mut worker =
                         (!collect_trace).then(|| ShardWorker::new(circuit.channels, circuit.grids));
                     // The threads record no events, so every stamp is 0.
-                    let mut driver = IterationDriver::new(0);
+                    let mut driver = IterationDriver::default();
                     // Per-thread trace buffer: no cross-thread sharing on
                     // the hot path, handed over at exit.
                     let local = RefCell::new(Trace::new());
@@ -209,7 +209,7 @@ impl<'a> ThreadedRouter<'a> {
                             traced.wire.set(wire_id as u32);
                             let mut slot = routes[wire_id].lock();
                             if let Some(old) = slot.take() {
-                                driver.rip_up_external(wire_id, &old, 0);
+                                driver.rip_up(wire_id, &old, 0);
                                 match worker.as_mut() {
                                     Some(w) => w.rip_up(shared, &old),
                                     None => shared.remove_route(&old),
@@ -247,7 +247,7 @@ impl<'a> ThreadedRouter<'a> {
                                     traced.record(cell, RefKind::Write, 1);
                                 }
                             }
-                            *slot = Some(driver.commit_external(wire_id, eval, at_decision, 0));
+                            *slot = Some(driver.commit(wire_id, eval, at_decision, 0));
                         }
                         barrier.wait();
                         driver.close_iteration();

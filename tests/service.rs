@@ -36,9 +36,9 @@ fn obs_job_counters_match_service_stats() {
 
         // The sink's histograms see exactly the samples the server's own
         // histograms recorded.
-        let queue_wait = m.histograms.get(hists::QUEUE_WAIT_MS).expect("jobs were dispatched");
+        let queue_wait = m.histogram(hists::QUEUE_WAIT_MS).expect("jobs were dispatched");
         assert_eq!(queue_wait, &out.queue_wait, "{policy:?}");
-        let service = m.histograms.get(hists::SERVICE_MS).expect("jobs completed");
+        let service = m.histogram(hists::SERVICE_MS).expect("jobs completed");
         assert_eq!(service, &out.service, "{policy:?}");
 
         // Heavy load must actually exercise the policy.
