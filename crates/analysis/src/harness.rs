@@ -8,9 +8,9 @@ use locus_circuit::Circuit;
 use locus_coherence::{MemRef, Trace};
 use locus_msgpass::{MsgPassConfig, MsgPassOutcome, UpdateSchedule};
 use locus_router::{RegionMap, RouterParams};
-use locus_shmem::{ShmemConfig, ShmemEmulator, ThreadedRouter};
+use locus_shmem::{addr_cell, ShmemConfig, ShmemEmulator, ThreadedRouter};
 
-use crate::classify::{addr_cell, classify_races, ClassifiedRace};
+use crate::classify::{classify_races, ClassifiedRace};
 use crate::race::detect;
 
 /// A full race-analysis result for one engine run.

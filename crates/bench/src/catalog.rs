@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use locus_analysis::classify::{addr_cell, ClassifiedRace};
+use locus_analysis::classify::ClassifiedRace;
 use locus_analysis::race::RaceKind;
 use locus_analysis::{analyze_engine, audit_staleness};
 use locus_circuit::{presets, Circuit, GridCell};
@@ -16,6 +16,7 @@ use locus_obs::Histogram;
 use locus_router::engine::EngineRun;
 use locus_router::render::{render_cost_array, render_regions};
 use locus_router::{RegionMap, RouterParams, SequentialRouter};
+use locus_shmem::addr_cell;
 use locusroute::engines::{self, registry};
 
 use crate::experiments as ex;
