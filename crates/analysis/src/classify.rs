@@ -116,7 +116,7 @@ fn replay_order(value: u32, first: i8, second: i8) -> (u32, bool) {
 /// under both orders. `races` must come from detecting `trace`; the
 /// trace supplies the replay order (its stored order, which detection
 /// also used for indices).
-pub(crate) fn classify_races(
+pub fn classify_races(
     circuit: &Circuit,
     trace: &Trace,
     races: Vec<RacePair>,

@@ -16,23 +16,21 @@
 //!   under both access orders. Races that cannot change a routing
 //!   decision are *benign*; the rest are *quality-affecting* — the
 //!   mechanism behind the paper's "slightly stale data" quality loss.
-//! * **Replica audits** ([`audit_staleness`]) — the message-passing
-//!   engines' analogue: a run whose nodes periodically diff their
-//!   replica against ground truth, leaving the snapshots on
-//!   [`locus_msgpass::MsgPassOutcome::replica_audits`].
 //!
-//! [`harness`] ties them to named engines (`sequential`, `shmem-emul`,
-//! `shmem-threads`, `msgpass-*`); `locus-experiments analyze` turns its
-//! results into a report like every other experiment.
+//! The crate analyses records and runs no engine: `locus-experiments
+//! analyze` runs the engine it names, with a trace for the shared-memory
+//! engines, and passes the trace to [`detect`] and
+//! [`classify::classify_races`]. The message-passing engines' analogue,
+//! replica staleness, needs no replay: a run with replica audits on
+//! leaves its snapshots on the outcome, and the experiment folds them
+//! into histograms itself.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod classify;
-pub mod harness;
 pub mod race;
 
 pub use classify::RaceClass;
-pub use harness::{analyze_engine, audit_staleness, AnalysisReport};
 pub use race::detect;

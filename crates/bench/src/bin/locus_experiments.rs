@@ -40,8 +40,8 @@
 //! and prints its headline metrics (`--circuit
 //! <tiny|small|bnre|mdc|powerlaw>` picks the preset).
 //!
-//! `analyze` replays one engine's coherence trace through the race
-//! detector (two accesses race iff they share a barrier epoch) and
+//! `analyze` runs one engine and replays its coherence trace through the
+//! race detector (two accesses race iff they share a barrier epoch) and
 //! classifies every unsynchronized conflicting pair as benign or
 //! quality-affecting (for the message-passing engines it instead folds
 //! the run's replica audits against the ground-truth cost array). Its

@@ -3,20 +3,19 @@
 //! columns of its table — the one place a header, a JSON key or a
 //! precision is written down.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use locus_analysis::classify::ClassifiedRace;
-use locus_analysis::race::RaceKind;
-use locus_analysis::{analyze_engine, audit_staleness};
+use locus_analysis::classify::{classify_races, ClassifiedRace};
+use locus_analysis::race::{detect, RaceKind};
 use locus_circuit::{presets, Circuit, GridCell};
-use locus_coherence::{build_memory_model, memory_registry, MemoryConfig};
-use locus_msgpass::{MsgPassOutcome, ReplicaSnapshot};
+use locus_coherence::{build_memory_model, memory_registry, MemRef, MemoryConfig};
+use locus_msgpass::{run_msgpass, MsgPassConfig, MsgPassOutcome, ReplicaSnapshot, UpdateSchedule};
 use locus_obs::export::Json;
 use locus_obs::Histogram;
 use locus_router::engine::EngineRun;
 use locus_router::render::{render_cost_array, render_regions};
 use locus_router::{RegionMap, RouterParams, SequentialRouter};
-use locus_shmem::addr_cell;
+use locus_shmem::{addr_cell, ShmemConfig, ShmemEmulator, ThreadedRouter};
 use locusroute::engines::{self, registry};
 
 use crate::experiments as ex;
@@ -666,8 +665,18 @@ pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report,
     let c = cfg.circuit();
     let procs = procs.unwrap_or_else(|| cfg.procs());
     let params = RouterParams::default();
-    if engine.starts_with("msgpass") {
-        let outcome = audit_staleness(&c, engine, procs, params, cfg.pick(2, 8))?;
+    let schedule = match engine {
+        "msgpass-sender" => Some(UpdateSchedule::sender_paper()),
+        "msgpass-receiver" => Some(UpdateSchedule::receiver_paper()),
+        _ => None,
+    };
+    if let Some(schedule) = schedule {
+        let config = MsgPassConfig::new(procs, schedule)
+            .with_params(params)
+            .with_audit_every(cfg.pick(2, 8));
+        config.validate()?;
+        RegionMap::try_new(c.channels, c.grids, procs)?;
+        let outcome = run_msgpass(&c, config);
         let (text, fields) = staleness(&outcome.replica_audits);
         let mut report = Report::new(format!(
             "replica staleness: {engine} on {} ({procs} procs) — {text}  \
@@ -679,23 +688,51 @@ pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report,
         report.header.extend(fields);
         return Ok(report);
     }
-    let r = analyze_engine(&c, engine, procs, params)?;
-    let (total, benign, quality) = (r.races.len(), r.benign_count(), r.quality_count());
-    let pairs: Vec<(&ClassifiedRace, GridCell)> =
-        r.races.iter().map(|race| (race, addr_cell(race.pair.addr, r.grids))).collect();
+    // The sequential router is the emulator at one processor (same wire
+    // order, same routes: `tests/engine_equivalence.rs`), and only the
+    // shared-memory engines record a trace.
+    let procs = if engine == "sequential" { 1 } else { procs };
+    let shmem = ShmemConfig::new(procs).with_params(params).with_trace();
+    let trace = if engine == "shmem-threads" {
+        ThreadedRouter::try_new(&c, shmem)?.run().trace
+    } else {
+        ShmemEmulator::try_new(&c, shmem)?.run().trace
+    }
+    .expect("a traced run records a trace");
+    let detection = detect(&trace);
+    let races = classify_races(&c, &trace, detection.races, params.channel_overshoot);
+    let pairs: Vec<(ClassifiedRace, GridCell)> = races
+        .into_iter()
+        .map(|race| {
+            let cell = addr_cell(race.pair.addr, c.grids);
+            (race, cell)
+        })
+        .collect();
+    let total = pairs.len();
+    let benign = pairs.iter().filter(|(race, _)| race.is_benign()).count();
+    let quality = total - benign;
+    let per_channel = densest_first(pairs.iter().map(|(race, cell)| (cell.channel, race)));
+    let per_wire = densest_first(pairs.iter().flat_map(|(race, _)| {
+        let (a, b) = (race.pair.first.wire, race.pair.second.wire);
+        [Some(a), (b != a).then_some(b)]
+            .into_iter()
+            .flatten()
+            .filter(|&w| w != MemRef::NO_WIRE)
+            .map(move |w| (w, race))
+    }));
     type Tally<T> = (T, usize, usize);
     Ok(Report::new(format!(
-        "race analysis: {engine} on {} ({} procs) — {} refs, {} epochs\n  \
+        "race analysis: {engine} on {} ({procs} procs) — {} refs, {} epochs\n  \
          synchronized pairs: {}\n  \
          races: {total} total — {benign} benign, {quality} quality-affecting",
-        r.circuit, r.procs, r.refs, r.epochs, r.synchronized_pairs,
+        c.name, detection.refs, detection.epochs, detection.synchronized_pairs,
     ))
     .field("engine", engine)
-    .field("circuit", r.circuit.as_str())
-    .field("procs", r.procs)
-    .field("refs", r.refs)
-    .field("epochs", r.epochs)
-    .field("synchronized_pairs", r.synchronized_pairs)
+    .field("circuit", c.name.as_str())
+    .field("procs", procs)
+    .field("refs", detection.refs)
+    .field("epochs", detection.epochs)
+    .field("synchronized_pairs", detection.synchronized_pairs)
     .field(
         "races",
         Json::Object(vec![
@@ -708,7 +745,7 @@ pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report,
         "pairs",
         &pairs,
         &[
-            col("addr", "", |(race, _): &(&ClassifiedRace, GridCell)| race.pair.addr.into()),
+            col("addr", "", |(race, _): &(ClassifiedRace, GridCell)| race.pair.addr.into()),
             col("channel", "", |(_, cell)| cell.channel.into()),
             col("x", "", |(_, cell)| cell.x.into()),
             col("epoch", "", |(race, _)| race.pair.epoch.into()),
@@ -728,7 +765,7 @@ pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report,
     )
     .table(
         "per_channel",
-        &r.per_channel,
+        &per_channel,
         &[
             col("channel", "channel", |t: &Tally<u16>| t.0.into()),
             col("races", "races", |t| t.1.into()),
@@ -737,13 +774,29 @@ pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report,
     )
     .table(
         "per_wire",
-        &r.per_wire,
+        &per_wire,
         &[
             col("wire", "wire", |t: &Tally<u32>| t.0.into()),
             col("races", "races", |t| t.1.into()),
             col("benign", "benign", |t| t.2.into()),
         ],
     ))
+}
+
+/// `(key, races, benign)` for every key the races fall under, the key
+/// with the most races first (ties by key).
+fn densest_first<'a, K: Ord + Copy>(
+    keyed: impl Iterator<Item = (K, &'a ClassifiedRace)>,
+) -> Vec<(K, usize, usize)> {
+    let mut tally: BTreeMap<K, (usize, usize)> = BTreeMap::new();
+    for (key, race) in keyed {
+        let (races, benign) = tally.entry(key).or_default();
+        *races += 1;
+        *benign += usize::from(race.is_benign());
+    }
+    let mut rows: Vec<(K, usize, usize)> = tally.into_iter().map(|(k, (t, b))| (k, t, b)).collect();
+    rows.sort_by_key(|&(k, t, _)| (std::cmp::Reverse(t), k));
+    rows
 }
 
 /// A message-passing run's replica audits folded into how many cells

@@ -3,8 +3,8 @@
 
 use locus_obs::Obs;
 
-use crate::model::{build_memory_model, MemoryConfig, MemoryOutcome, RunAcc};
-use crate::protocol::{Protocol, TrafficStats};
+use crate::model::{build_memory_model, Backend, MemoryConfig, MemoryOutcome, RunAcc};
+use crate::protocol::TrafficStats;
 use crate::trace::Trace;
 
 /// Runs the WBI protocol over `trace` once per line size and returns
@@ -23,9 +23,8 @@ pub fn traffic_by_line_size(trace: &Trace, line_sizes: &[u32]) -> Vec<(u32, Traf
     line_sizes
         .iter()
         .map(|&ls| {
-            let cfg = MemoryConfig::paper(1, ls);
-            let mut acc = RunAcc::new(&cfg, Protocol::WriteBackInvalidate, &off);
-            (ls, acc.replay(trace, |_, _, _, _, _| {}))
+            let bus = Backend::bus_wbi(MemoryConfig::paper(1, ls));
+            (ls, RunAcc::new(&bus, &off).replay(trace, |_, _, _, _, _| {}))
         })
         .collect()
 }

@@ -79,11 +79,11 @@ impl MemoryConfig {
         MemoryConfig { n_procs: n_procs.max(1), line_size }
     }
 
-    /// Checks what the public fields could have been set to that a
-    /// backend running `protocol` would otherwise panic on or silently
-    /// mis-price: the line size, and the processor count (at most 64
-    /// where holders are a bitmask).
-    pub(crate) fn validate(&self, protocol: Protocol) -> Result<(), String> {
+    /// Checks what the public fields could have been set to that the
+    /// backend `name` running `protocol` would otherwise panic on or
+    /// silently mis-price: the line size, and the processor count (at
+    /// most 64 where holders are a bitmask).
+    pub(crate) fn validate(&self, name: &str, protocol: Protocol) -> Result<(), String> {
         if !self.line_size.is_power_of_two() {
             return Err(format!(
                 "line size must be a nonzero power of two, got {}",
@@ -92,8 +92,7 @@ impl MemoryConfig {
         }
         if !(1..=protocol.max_procs()).contains(&self.n_procs) {
             return Err(format!(
-                "`{}` supports 1 to {} processors, got {}",
-                protocol.backend_name(),
+                "`{name}` supports 1 to {} processors, got {}",
                 protocol.max_procs(),
                 self.n_procs
             ));
@@ -195,19 +194,17 @@ impl Pricer {
 /// Per-run accumulator shared by all backends: per-proc counts, the
 /// arbiter request log, and the obs stream.
 pub(crate) struct RunAcc<'a> {
-    cfg: &'a MemoryConfig,
-    protocol: Protocol,
+    backend: &'a Backend,
     per_proc: Vec<ProcCounts>,
     arb: Arbiter,
     obs: &'a Obs,
 }
 
 impl<'a> RunAcc<'a> {
-    pub(crate) fn new(cfg: &'a MemoryConfig, protocol: Protocol, obs: &'a Obs) -> Self {
+    pub(crate) fn new(backend: &'a Backend, obs: &'a Obs) -> Self {
         RunAcc {
-            cfg,
-            protocol,
-            per_proc: vec![ProcCounts::default(); cfg.n_procs as usize],
+            backend,
+            per_proc: vec![ProcCounts::default(); backend.cfg.n_procs as usize],
             arb: Arbiter::new(),
             obs,
         }
@@ -218,12 +215,11 @@ impl<'a> RunAcc<'a> {
     /// loops need no check per reference.
     #[cold]
     fn grow(&mut self, proc: u32) {
-        let protocol = self.protocol;
+        let max_procs = self.backend.protocol.max_procs();
         assert!(
-            proc < protocol.max_procs(),
-            "`{}` supports up to {} processors, the trace names processor {proc}",
-            protocol.backend_name(),
-            protocol.max_procs()
+            proc < max_procs,
+            "`{}` supports up to {max_procs} processors, the trace names processor {proc}",
+            self.backend.name,
         );
         self.per_proc.resize(proc as usize + 1, ProcCounts::default());
     }
@@ -260,13 +256,13 @@ impl<'a> RunAcc<'a> {
         trace: &Trace,
         mut priced: impl FnMut(&mut Self, &MemRef, u32, &Transition, u64),
     ) -> TrafficStats {
-        let cfg = self.cfg;
+        let (cfg, protocol) = (&self.backend.cfg, self.backend.protocol);
         let mut lines = LineTable::new(cfg.line_size);
         let mut stats = TrafficStats::default();
         self.count(trace);
         trace.refs().for_each(|r| {
             let line = lines.line_of(r.addr);
-            let t = transition(lines.line(line), r.proc, r.kind, self.protocol);
+            let t = transition(lines.line(line), r.proc, r.kind, protocol);
             if t.is_hit() {
                 return; // served by the private cache
             }
@@ -295,17 +291,12 @@ impl<'a> RunAcc<'a> {
         }
     }
 
-    fn finish(
-        mut self,
-        backend: &'static str,
-        stats: TrafficStats,
-        invalidation_traffic_bytes: u64,
-    ) -> MemoryOutcome {
+    fn finish(mut self, stats: TrafficStats, invalidation_traffic_bytes: u64) -> MemoryOutcome {
         // The first resolve sorts the per-resource logs; the second reuses them.
         let fifo = self.arb.resolve(ServicePolicy::Fifo);
         let critical_first = self.arb.resolve(ServicePolicy::CriticalFirst);
         MemoryOutcome {
-            backend,
+            backend: self.backend.name,
             stats,
             invalidation_traffic_bytes,
             per_proc: self.per_proc,
@@ -315,99 +306,98 @@ impl<'a> RunAcc<'a> {
     }
 }
 
-/// The snooped-bus backends (`bus-wbi` / `bus-wt`): every miss or
-/// announcement is one transaction on the single bus.
-struct BusModel {
+/// A registered backend built for one machine: its name, the machine
+/// and the protocol it runs. What differs between the backends is how
+/// [`MemoryModel::run_observed`] prices a transaction:
+///
+/// * the snooped buses (`bus-wbi` / `bus-wt`) log every miss or
+///   announcement as one transaction on the single bus, and every
+///   announcement is snooped by all other caches;
+/// * `directory` runs MSI with WBI line semantics, keeps line state at one
+///   home node per processor tile (line `l` lives on tile `l % P`), and
+///   prices unicast invalidations through the mesh;
+/// * `dls` is a directoryless shared LLC. Shared lines are never privately
+///   cached — every reference is a word transfer to the line's home tile,
+///   with lines interleaved over the tiles one at a time. No private
+///   copies means no invalidations and no refetches, and total traffic
+///   that does not depend on the line size.
+///
+/// Each arm passes its own pricing closure to the replay loop, so every
+/// protocol's loop is compiled for it alone.
+pub(crate) struct Backend {
+    name: &'static str,
     cfg: MemoryConfig,
     protocol: Protocol,
 }
 
-impl MemoryModel for BusModel {
+impl Backend {
+    /// The paper's snooped WBI bus on `cfg`, unchecked: Table 3's sweep
+    /// replays through it and panics where the registry would refuse.
+    pub(crate) fn bus_wbi(cfg: MemoryConfig) -> Self {
+        let entry = &MEMORY_MODELS[0];
+        Backend { name: entry.name, cfg, protocol: entry.protocol }
+    }
+}
+
+impl MemoryModel for Backend {
     fn name(&self) -> &'static str {
-        self.protocol.backend_name()
+        self.name
     }
 
     fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
-        let pricer = Pricer::new(&self.cfg);
-        let mut acc = RunAcc::new(&self.cfg, self.protocol, obs);
-        // The bus is a single broadcast medium: no per-hop flight time.
-        let stats = acc.replay(trace, |acc, r, _, _, moved| {
-            acc.request(0, r, moved, r.time, pricer.service_ns(moved));
-        });
-        // Every announcement is snooped by all other caches.
-        let broadcast =
-            stats.word_writes * WORD_BYTES * (self.cfg.n_procs as u64).saturating_sub(1);
-        acc.finish(self.name(), stats, broadcast)
-    }
-}
-
-/// The `directory` backend: MSI with WBI line semantics, line state at
-/// one home node per processor tile (line `l` lives on tile `l % P`), and
-/// unicast invalidations priced through the mesh.
-struct DirectoryModel {
-    cfg: MemoryConfig,
-}
-
-impl MemoryModel for DirectoryModel {
-    fn name(&self) -> &'static str {
-        "directory"
-    }
-
-    fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
-        let pricer = Pricer::new(&self.cfg);
-        let mut unicast_bytes = 0u64;
-        let mut acc = RunAcc::new(&self.cfg, Protocol::Directory, obs);
-        let stats = acc.replay(trace, |acc, r, line, t, moved| {
-            // The home supplies the line on a miss (a dirty owner writes
-            // back through it in passing). A write sends the home one
-            // ownership word, and the home unicasts an invalidation word
-            // to each *actual* holder (no broadcast).
-            let invals = t.copies() as u64 * WORD_BYTES;
-            unicast_bytes += invals;
-            let home = line % self.cfg.n_procs;
-            let arrive = r.time + pricer.flight_ns(r.proc, home);
-            acc.request(home, r, moved + invals, arrive, pricer.service_ns(moved + invals));
-        });
-        acc.finish(self.name(), stats, unicast_bytes)
-    }
-}
-
-/// The `dls` backend: a directoryless shared LLC. Shared lines are never
-/// privately cached — every reference is a word transfer to the line's
-/// home tile, with lines interleaved over the tiles one at a time. No
-/// private copies means no invalidations and no refetches, and total
-/// traffic that does not depend on the line size.
-struct DlsModel {
-    cfg: MemoryConfig,
-}
-
-impl MemoryModel for DlsModel {
-    fn name(&self) -> &'static str {
-        "dls"
-    }
-
-    fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
-        let line_shift = self.cfg.line_size.trailing_zeros();
-        let word = WORD_BYTES;
-        let tiles = self.cfg.n_procs;
-        let pricer = Pricer::new(&self.cfg);
-        let mut stats = TrafficStats::default();
-        let mut acc = RunAcc::new(&self.cfg, Protocol::DirectorylessLlc, obs);
-        acc.count(trace);
-        trace.refs().for_each(|r| {
-            let home = (r.addr >> line_shift) % tiles;
-            stats.total_bytes += word;
-            match r.kind {
-                RefKind::Read => stats.read_caused_bytes += word,
-                RefKind::Write => {
-                    stats.write_caused_bytes += word;
-                    stats.word_writes += 1;
-                }
+        let cfg = &self.cfg;
+        let pricer = Pricer::new(cfg);
+        let mut acc = RunAcc::new(self, obs);
+        let (stats, transport) = match self.protocol {
+            Protocol::WriteBackInvalidate | Protocol::WriteThrough => {
+                // The bus is a single broadcast medium: no per-hop flight time.
+                let stats = acc.replay(trace, |acc, r, _, _, moved| {
+                    acc.request(0, r, moved, r.time, pricer.service_ns(moved));
+                });
+                // Every announcement is snooped by all other caches.
+                let broadcast =
+                    stats.word_writes * WORD_BYTES * (cfg.n_procs as u64).saturating_sub(1);
+                (stats, broadcast)
             }
-            let arrive = r.time + pricer.flight_ns(r.proc, home);
-            acc.request(home, &r, word, arrive, pricer.service_ns(word));
-        });
-        acc.finish(self.name(), stats, 0)
+            Protocol::Directory => {
+                let mut unicast_bytes = 0u64;
+                let stats = acc.replay(trace, |acc, r, line, t, moved| {
+                    // The home supplies the line on a miss (a dirty owner
+                    // writes back through it in passing). A write sends the
+                    // home one ownership word, and the home unicasts an
+                    // invalidation word to each *actual* holder (no
+                    // broadcast).
+                    let invals = t.copies() as u64 * WORD_BYTES;
+                    unicast_bytes += invals;
+                    let home = line % cfg.n_procs;
+                    let arrive = r.time + pricer.flight_ns(r.proc, home);
+                    acc.request(home, r, moved + invals, arrive, pricer.service_ns(moved + invals));
+                });
+                (stats, unicast_bytes)
+            }
+            Protocol::DirectorylessLlc => {
+                let line_shift = cfg.line_size.trailing_zeros();
+                let word = WORD_BYTES;
+                let tiles = cfg.n_procs;
+                let mut stats = TrafficStats::default();
+                acc.count(trace);
+                trace.refs().for_each(|r| {
+                    let home = (r.addr >> line_shift) % tiles;
+                    stats.total_bytes += word;
+                    match r.kind {
+                        RefKind::Read => stats.read_caused_bytes += word,
+                        RefKind::Write => {
+                            stats.write_caused_bytes += word;
+                            stats.word_writes += 1;
+                        }
+                    }
+                    let arrive = r.time + pricer.flight_ns(r.proc, home);
+                    acc.request(home, &r, word, arrive, pricer.service_ns(word));
+                });
+                (stats, 0)
+            }
+        };
+        acc.finish(stats, transport)
     }
 }
 
@@ -425,18 +415,12 @@ impl MemoryModelEntry {
     /// Builds this backend for `cfg`, or the error `MemoryConfig::validate`
     /// gives for a machine it cannot price.
     pub fn build(&self, cfg: MemoryConfig) -> Result<Box<dyn MemoryModel>, String> {
-        let protocol = self.protocol;
-        cfg.validate(protocol)?;
-        Ok(match protocol {
-            Protocol::WriteBackInvalidate | Protocol::WriteThrough => {
-                Box::new(BusModel { cfg, protocol })
-            }
-            Protocol::Directory => Box::new(DirectoryModel { cfg }),
-            Protocol::DirectorylessLlc => Box::new(DlsModel { cfg }),
-        })
+        cfg.validate(self.name, self.protocol)?;
+        Ok(Box::new(Backend { name: self.name, cfg, protocol: self.protocol }))
     }
 }
 
+/// `bus-wbi` comes first: [`Backend::bus_wbi`] takes it from here.
 static MEMORY_MODELS: [MemoryModelEntry; 4] = [
     MemoryModelEntry {
         name: "bus-wbi",
@@ -611,7 +595,7 @@ mod tests {
             assert!(err.contains(needle), "`{backend}`: {err:?} should mention {needle:?}");
             // The same verdict without building anything.
             let entry = memory_registry().iter().find(|e| e.name == backend).expect("registered");
-            assert_eq!(cfg.validate(entry.protocol), Err(err));
+            assert_eq!(cfg.validate(entry.name, entry.protocol), Err(err));
         }
     }
 

@@ -34,16 +34,6 @@ pub(crate) enum Protocol {
 }
 
 impl Protocol {
-    /// The registry name of the backend that services this protocol.
-    pub(crate) fn backend_name(&self) -> &'static str {
-        match self {
-            Protocol::WriteBackInvalidate => "bus-wbi",
-            Protocol::WriteThrough => "bus-wt",
-            Protocol::Directory => "directory",
-            Protocol::DirectorylessLlc => "dls",
-        }
-    }
-
     /// Processors the backend can tell apart: 64 where holders are a
     /// bitmask. Nothing bounds `dls` but the per-processor counts a run
     /// allocates up front, so it stops at 2^16 (1 MiB of them).

@@ -116,8 +116,6 @@ pub struct SimOutcome<N> {
     pub stats: NetStats,
     /// Total events processed.
     pub events_processed: u64,
-    /// True if the run stopped at the event limit rather than finishing.
-    pub event_limit_hit: bool,
 }
 
 /// The discrete-event simulator.
@@ -281,7 +279,7 @@ impl<N: Node> Kernel<N> {
         self.stats.completion =
             self.stats.done_at.iter().copied().fold(SimTime::ZERO, SimTime::max);
         self.stats.debug_assert_consistent();
-        SimOutcome { nodes: self.nodes, stats: self.stats, events_processed, event_limit_hit }
+        SimOutcome { nodes: self.nodes, stats: self.stats, events_processed }
     }
 
     fn on_deliver(&mut self, at: SimTime, node: NodeId, env: Envelope<N::Msg>) {
@@ -706,7 +704,7 @@ mod tests {
         let mut kernel = Kernel::new(cfg, vec![Spinner, Spinner]);
         kernel.event_limit = 1000;
         let out = kernel.run();
-        assert!(out.event_limit_hit);
+        assert!(out.stats.event_limit_hit);
         assert!(out.stats.deadlocked);
     }
 

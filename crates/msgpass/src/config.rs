@@ -235,9 +235,7 @@ impl MsgPassConfig {
         if self.n_procs == 0 {
             return Err("n_procs is 0: need at least one processor".into());
         }
-        if self.params.iterations == 0 {
-            return Err("params.iterations is 0: at least one routing iteration is required".into());
-        }
+        self.params.validate()?;
         if self.audit_every == Some(0) {
             return Err("audit_every must be >= 1 when set".into());
         }

@@ -27,9 +27,9 @@ impl RouterParams {
         RouterParams { iterations: 1, ..Self::default() }
     }
 
-    /// Returns `self` with a different iteration count.
+    /// Returns `self` with a different iteration count; [`Self::validate`]
+    /// says whether a run can take it.
     pub fn with_iterations(mut self, iterations: usize) -> Self {
-        assert!(iterations >= 1, "at least one routing iteration is required");
         self.iterations = iterations;
         self
     }
@@ -38,6 +38,15 @@ impl RouterParams {
     pub fn with_channel_overshoot(mut self, overshoot: u16) -> Self {
         self.channel_overshoot = overshoot;
         self
+    }
+
+    /// Checks what every router needs of the parameters: at least one
+    /// routing iteration.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.iterations == 0 {
+            return Err("params.iterations is 0: at least one routing iteration is required".into());
+        }
+        Ok(())
     }
 }
 
@@ -60,8 +69,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one")]
     fn zero_iterations_rejected() {
-        let _ = RouterParams::default().with_iterations(0);
+        let none = RouterParams::default().with_iterations(0);
+        assert_eq!(none.iterations, 0);
+        let err = none.validate().expect_err("a run routes at least once");
+        assert!(err.contains("params.iterations is 0"), "{err}");
+        assert_eq!(RouterParams::default().validate(), Ok(()));
     }
 }

@@ -119,7 +119,12 @@ pub struct SequentialRouter<'a> {
 
 impl<'a> SequentialRouter<'a> {
     /// Creates a router over `circuit`.
+    ///
+    /// # Panics
+    /// Panics if `params` are invalid; [`RouterParams::validate`] says
+    /// why.
     pub fn new(circuit: &'a Circuit, params: RouterParams) -> Self {
+        params.validate().expect("invalid router parameters");
         SequentialRouter { circuit, params }
     }
 

@@ -91,9 +91,7 @@ impl ShmemConfig {
                 self.n_procs
             ));
         }
-        if self.params.iterations == 0 {
-            return Err("params.iterations is 0: at least one routing iteration is required".into());
-        }
+        self.params.validate()?;
         if self.collect_trace {
             MemRef::check_epochs(self.params.iterations)?;
         }

@@ -353,6 +353,17 @@ mod tests {
     }
 
     #[test]
+    fn a_run_no_trace_can_number_or_no_directory_can_hold_is_an_error() {
+        let c = presets::tiny();
+        let long = RouterParams::default().with_iterations(100_000);
+        let traced = ShmemConfig::new(2).with_params(long).with_trace();
+        let err = ThreadedRouter::try_new(&c, traced).err().expect("100 000 epochs");
+        assert!(err.contains("100000"), "{err}");
+        let err = ThreadedRouter::try_new(&c, ShmemConfig::new(65)).err().expect("65 threads");
+        assert!(err.contains("64"), "{err}");
+    }
+
+    #[test]
     fn no_trace_on_threads_by_default() {
         let c = presets::tiny();
         let out = ThreadedRouter::new(&c, ShmemConfig::new(2)).run();

@@ -85,9 +85,7 @@ pub fn run(
 
 /// The reference router: no clock, no traffic.
 fn sequential(circuit: &Circuit, params: &RouterParams) -> Result<EngineRun, String> {
-    if params.iterations == 0 {
-        return Err("params.iterations is 0: at least one routing iteration is required".into());
-    }
+    params.validate()?;
     let outcome = SequentialRouter::new(circuit, *params).run();
     Ok(EngineRun { outcome, mbytes: None, time_secs: None, degraded: false })
 }

@@ -23,7 +23,7 @@
 //! * [`obs`] — unified observability: typed events, metrics registry,
 //!   Chrome-trace / metrics-JSON / ASCII-timeline exporters.
 //! * [`analysis`] — barrier-epoch race detection over coherence traces
-//!   and replica-staleness auditing.
+//!   and benign/quality-affecting classification of the races found.
 //! * [`service`] — routing as a service: seeded workload generation,
 //!   a bounded-queue job server with backpressure, and latency/SLO
 //!   accounting over the engine registry.
@@ -66,7 +66,6 @@ pub use locus_shmem as shmem;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use locus_analysis::analyze_engine;
     pub use locus_circuit::{Circuit, CircuitGenerator, GeneratorConfig};
     pub use locus_coherence::traffic_by_line_size;
     pub use locus_mesh::FaultPlan;

@@ -2,6 +2,9 @@
 //! so every engine must reduce to the identical sequential algorithm —
 //! same routes, same quality, bit for bit.
 
+use locusroute::analysis::classify::classify_races;
+use locusroute::analysis::detect;
+use locusroute::coherence::Trace;
 use locusroute::prelude::*;
 
 #[test]
@@ -137,34 +140,50 @@ fn conservation_holds_in_every_engine() {
     check(&msg.routes, msg.quality.circuit_height, "message passing");
 }
 
+/// The reference trace `analyze` records for a shared-memory engine:
+/// the threaded router's, or the emulator's for `shmem-emul` and for
+/// `sequential` (the emulator at one processor).
+fn traced_run(circuit: &Circuit, engine: &str, procs: usize) -> Trace {
+    let cfg = ShmemConfig::new(procs).with_trace();
+    match engine {
+        "shmem-threads" => ThreadedRouter::new(circuit, cfg).run().trace,
+        _ => ShmemEmulator::new(circuit, cfg).run().trace,
+    }
+    .expect("a traced run records a trace")
+}
+
 #[test]
 fn sequential_trace_has_zero_race_pairs() {
     let circuit = locusroute::circuit::presets::small();
-    let report = analyze_engine(&circuit, "sequential", 1, RouterParams::default())
-        .expect("sequential engine is traceable");
-    assert!(report.refs > 0, "sequential trace recorded no references");
-    assert_eq!(report.races.len(), 0, "a single-threaded trace can never race");
-    assert_eq!(report.synchronized_pairs, 0, "one processor has no cross-proc pairs");
+    let detection = detect(&traced_run(&circuit, "sequential", 1));
+    assert!(detection.refs > 0, "sequential trace recorded no references");
+    assert_eq!(detection.races.len(), 0, "a single-threaded trace can never race");
+    assert_eq!(detection.synchronized_pairs, 0, "one processor has no cross-proc pairs");
 }
 
 #[test]
 fn one_processor_emulator_trace_is_race_free() {
     let circuit = locusroute::circuit::presets::small();
     for engine in ["shmem-emul", "shmem-threads"] {
-        let report = analyze_engine(&circuit, engine, 1, RouterParams::default())
-            .expect("engine is traceable");
-        assert_eq!(report.races.len(), 0, "{engine} at P=1 must be race-free");
+        let detection = detect(&traced_run(&circuit, engine, 1));
+        assert_eq!(detection.races.len(), 0, "{engine} at P=1 must be race-free");
     }
 }
 
 #[test]
 fn parallel_emulator_races_match_detector_and_are_classified() {
     let circuit = locusroute::circuit::presets::small();
-    let report = analyze_engine(&circuit, "shmem-emul", 4, RouterParams::default())
-        .expect("emulator is traceable");
-    assert!(!report.races.is_empty(), "4 unsynchronized procs on one cost array must race");
-    let classified = report.benign_count() + report.quality_count();
-    assert_eq!(classified, report.races.len(), "every race carries a classification");
+    let trace = traced_run(&circuit, "shmem-emul", 4);
+    let detection = detect(&trace);
+    assert!(detection.epochs >= 1);
+    let races = detection.races.clone();
+    assert!(!races.is_empty(), "4 unsynchronized procs on one cost array must race");
+    let overshoot = RouterParams::default().channel_overshoot;
+    let classified = classify_races(&circuit, &trace, detection.races, overshoot);
+    assert_eq!(classified.len(), races.len(), "every race carries a classification");
+    for (verdict, race) in classified.iter().zip(&races) {
+        assert_eq!(verdict.pair.key(), race.key(), "verdicts keep the detector's order");
+    }
 }
 
 #[test]

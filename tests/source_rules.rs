@@ -1,8 +1,10 @@
 //! The source rule `clippy.toml` cannot state: `disallowed-types` catches a
 //! `use` of `Ordering`, not a variant spelled in full. Matches text, not
 //! tokens; a comment that needs one of these words spells it differently.
-//! And one rule for the docs: DESIGN.md describes the system as it is, so
-//! it cites no change by number; that history is CHANGES.md's.
+//! One rule for a crate boundary: `locus-analysis` analyses recorded traces
+//! and audits, and never runs an engine to get them. And one rule for the
+//! docs: DESIGN.md describes the system as it is, so it cites no change by
+//! number; that history is CHANGES.md's.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -53,5 +55,20 @@ fn design_names_no_pull_request_by_number() {
             .match_indices("PR ")
             .any(|(at, _)| line[at + 3..].starts_with(|c: char| c.is_ascii_digit()));
         assert!(!numbered, "DESIGN.md:{} cites a PR by number: {line}", n + 1);
+    }
+}
+
+#[test]
+fn the_analysis_crate_analyses_records_and_runs_no_engine() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/analysis/src"), &mut files);
+    assert!(!files.is_empty(), "crates/analysis/src holds no source: moved?");
+    for file in &files {
+        let rel = file.strip_prefix(root).expect("under the root").to_string_lossy();
+        let text = fs::read_to_string(file).expect("UTF-8 source");
+        for engine in ["ShmemEmulator", "ThreadedRouter", "run_msgpass", "MsgPassConfig"] {
+            assert!(!text.contains(engine), "{rel} names {engine}: the experiments run engines");
+        }
     }
 }
