@@ -21,6 +21,8 @@
 pub mod catalog;
 mod chaos;
 mod experiments;
+#[cfg(test)]
+mod harness;
 pub mod report;
 mod serve;
 
