@@ -347,7 +347,8 @@ pub(crate) fn contention_study(
             ("contention modelled".to_string(), run_msgpass(circuit, cfg))
         } else {
             let mesh = cfg.mesh_config().without_contention();
-            let out = locus_msgpass::run_msgpass_with_mesh(circuit, cfg, mesh);
+            let out = locus_msgpass::run_msgpass_with_mesh(circuit, cfg, mesh)
+                .unwrap_or_else(|msg| panic!("contention study: {msg}"));
             ("contention disabled".to_string(), out)
         }
     })

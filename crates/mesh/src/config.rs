@@ -35,6 +35,32 @@ impl MeshConfig {
         self.rows * self.cols
     }
 
+    /// Checks that the mesh has at least one node, that its node count
+    /// fits a `u32` (the kernel's queue keys name nodes in 32 bits), and
+    /// that the fault plan is valid and faults only nodes that exist.
+    pub fn validate(&self) -> Result<(), String> {
+        let (rows, cols) = (self.rows, self.cols);
+        if rows == 0 || cols == 0 {
+            return Err(format!("MeshConfig::rows × cols = {rows} × {cols} has no node"));
+        }
+        let n = rows
+            .checked_mul(cols)
+            .ok_or_else(|| format!("MeshConfig::rows × cols = {rows} × {cols} overflows"))?;
+        if u32::try_from(n).is_err() {
+            return Err(format!(
+                "MeshConfig::rows × cols = {rows} × {cols} = {n} nodes exceeds u32::MAX"
+            ));
+        }
+        self.faults.validate().map_err(|msg| format!("MeshConfig::faults: {msg}"))?;
+        let nodes = self.faults.node_faults().map(|(node, _)| node);
+        if let Some(node) = nodes.filter(|&node| node as usize >= n).max() {
+            return Err(format!(
+                "MeshConfig::faults: a node fault targets node {node}, but the mesh has {n} nodes"
+            ));
+        }
+        Ok(())
+    }
+
     /// Uncontended end-to-end latency of an `l`-byte payload over `d`
     /// hops: `2·ProcessTime + HopTime·(D + L)` with framing included.
     pub fn uncontended_latency_ns(&self, d: u32, payload_bytes: u32) -> u64 {
@@ -60,6 +86,30 @@ mod tests {
         assert_eq!(HOP_TIME_NS, 100);
         assert_eq!(PROCESS_TIME_NS, 2000);
         assert!(c.contention);
+    }
+
+    #[test]
+    fn validate_names_each_invalid_mesh() {
+        use crate::fault::{FaultPlan, NodeFault};
+        let ok = MeshConfig::ametek(4, 4);
+        assert_eq!(ok.validate(), Ok(()));
+        assert_eq!(MeshConfig::ametek(1, u32::MAX as usize).validate(), Ok(()));
+        let crash = |node| FaultPlan::none().with_node_fault(node, NodeFault::Crash { at_ns: 0 });
+        assert_eq!(MeshConfig { faults: crash(15), ..ok }.validate(), Ok(()));
+        for (mesh, says) in [
+            (MeshConfig::ametek(0, 4), "0 × 4 has no node"),
+            (MeshConfig::ametek(4, 0), "4 × 0 has no node"),
+            (MeshConfig::ametek(usize::MAX, 2), "overflows"),
+            (MeshConfig::ametek(1 << 16, 1 << 16), "4294967296 nodes exceeds u32::MAX"),
+            (
+                MeshConfig { faults: FaultPlan::uniform_loss(1, 10_001), ..ok },
+                "faults: FaultPlan::drop_bp",
+            ),
+            (MeshConfig { faults: crash(16), ..ok }, "targets node 16, but the mesh has 16 nodes"),
+        ] {
+            let err = mesh.validate().expect_err(says);
+            assert!(err.contains(says), "{err}");
+        }
     }
 
     #[test]

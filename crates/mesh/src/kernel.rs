@@ -45,13 +45,15 @@ pub const HEADER_BYTES: u32 = 8;
 /// processing time under frequent updates (§5.1.1).
 pub const RECV_PER_BYTE_NS: u64 = 10_000;
 
+/// Events the queue has room for per node before it grows: a 16-node
+/// router run peaks at about 120 queued events, 100 of them with payloads.
+const QUEUE_EVENTS_PER_NODE: usize = 8;
+
 enum EventKind<M> {
-    /// Scheduled node step. Wakes carry the epoch they were pushed
-    /// under; a node can have a timer wake and a delivery wake in the
-    /// heap at once, and the epoch marks all but the newest as stale.
-    Wake {
-        epoch: u64,
-    },
+    /// Scheduled node step. A wake carries no payload: a node can have a
+    /// timer wake and a delivery wake queued at once, and only the one
+    /// pushed last is live (see [`EventQueue::pop`]).
+    Wake,
     Deliver(Envelope<M>),
     /// The node-fault plan takes the node down (fail-stop, or the down
     /// phase of fail-recover).
@@ -65,28 +67,129 @@ enum EventKind<M> {
     },
 }
 
-struct Event<M> {
+/// `Key::slot` of a wake, which keeps no payload in the slab.
+const WAKE: u32 = u32::MAX;
+
+/// `EventQueue::latest_wake` of a node with no live wake: no pushed
+/// sequence number reaches it.
+const NO_WAKE: u64 = u64::MAX;
+
+/// What the heap orders: 24 bytes, where a whole event with its envelope
+/// is four times that. The payload of anything but a wake waits in the
+/// slab at `slot`.
+#[derive(Clone, Copy)]
+struct Key {
     at: SimTime,
     seq: u64,
-    node: NodeId,
-    kind: EventKind<M>,
+    node: u32,
+    slot: u32,
 }
 
-// Order by (time, seq); BinaryHeap is a max-heap so invert.
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl Key {
+    /// `(time, seq)` as one number, so that the heap's comparisons are
+    /// single branch-free compares.
+    #[inline]
+    fn rank(&self) -> u128 {
+        (u128::from(self.at.as_ns()) << 64) | u128::from(self.seq)
     }
 }
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
+
+// Order by (time, seq); BinaryHeap is a max-heap so invert. `seq` is
+// unique, so no two keys compare equal. The heap sifts with `<=`, which
+// is spelled out rather than derived through an `Ordering`.
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+    #[inline]
+    fn le(&self, other: &Self) -> bool {
+        other.rank() <= self.rank()
+    }
 }
-impl<M> Ord for Event<M> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.rank().cmp(&self.rank())
+    }
+}
+
+/// The kernel's timeline: events pop in `(time, seq)` order, `seq` being
+/// the push order, so equal times resolve deterministically.
+struct EventQueue<M> {
+    heap: BinaryHeap<Key>,
+    /// Payloads of the queued deliveries and node faults; a popped
+    /// event's slot goes on `free` and is reused before the slab grows.
+    slab: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
+    seq: u64,
+    /// Per node, the `seq` of its one live wake (`NO_WAKE` when it has
+    /// none); every other wake of the node in the heap is stale.
+    latest_wake: Vec<u64>,
+}
+
+impl<M> EventQueue<M> {
+    /// An empty queue for `n` nodes with room for `capacity` events
+    /// before anything grows.
+    fn new(n: usize, capacity: usize) -> Self {
+        EventQueue {
+            heap: BinaryHeap::with_capacity(capacity),
+            slab: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+            seq: 0,
+            latest_wake: vec![NO_WAKE; n],
+        }
+    }
+
+    /// Queues `kind` for `node` at `at`, behind everything already queued
+    /// at `at`. A wake supersedes the node's earlier wakes.
+    fn push(&mut self, at: SimTime, node: NodeId, kind: EventKind<M>) {
+        let seq = self.seq;
+        self.seq += 1;
+        let slot = match kind {
+            EventKind::Wake => {
+                self.latest_wake[node] = seq;
+                WAKE
+            }
+            kind => match self.free.pop() {
+                Some(slot) => {
+                    self.slab[slot as usize] = Some(kind);
+                    slot
+                }
+                None => {
+                    let slot = u32::try_from(self.slab.len()).expect("slab slots fit a u32");
+                    self.slab.push(Some(kind));
+                    slot
+                }
+            },
+        };
+        // `MeshConfig::validate` bounds the node count by `u32::MAX`.
+        self.heap.push(Key { at, seq, node: node as u32, slot });
+    }
+
+    /// Makes every queued wake of `node` stale.
+    fn cancel_wakes(&mut self, node: NodeId) {
+        self.latest_wake[node] = NO_WAKE;
+    }
+
+    /// The earliest event, with its payload; `None` in the third place
+    /// for a stale wake, which still counts as an event popped.
+    fn pop(&mut self) -> Option<(SimTime, NodeId, Option<EventKind<M>>)> {
+        let key = self.heap.pop()?;
+        let node = key.node as usize;
+        let kind = if key.slot == WAKE {
+            (key.seq == self.latest_wake[node]).then_some(EventKind::Wake)
+        } else {
+            self.free.push(key.slot);
+            let kind = self.slab[key.slot as usize].take();
+            debug_assert!(kind.is_some(), "a queued event's slot holds its payload");
+            kind
+        };
+        Some((key.at, node, kind))
     }
 }
 
@@ -130,11 +233,7 @@ pub struct Kernel<N: Node> {
     /// The one outbox every step fills and the kernel drains.
     outbox: Outbox<N::Msg>,
     channel_free: Vec<SimTime>,
-    heap: BinaryHeap<Event<N::Msg>>,
-    seq: u64,
-    /// Current wake epoch per node; wakes pushed under older epochs are
-    /// stale and ignored when popped.
-    wake_epoch: Vec<u64>,
+    queue: EventQueue<N::Msg>,
     /// Fault decision engine; `None` when the plan is idle, so
     /// fault-free runs take exactly the pre-fault-layer code path.
     injector: Option<FaultInjector>,
@@ -152,12 +251,13 @@ impl<N: Node> Kernel<N> {
     /// Creates a kernel for `nodes` on the machine described by `config`.
     ///
     /// # Panics
-    /// Panics unless `nodes.len() == config.n_nodes()`.
+    /// Panics with the error of [`MeshConfig::validate`], and unless
+    /// `nodes.len() == config.n_nodes()`.
     pub fn new(config: MeshConfig, nodes: Vec<N>) -> Self {
-        assert_eq!(nodes.len(), config.n_nodes(), "one actor per mesh node");
-        if let Err(msg) = config.faults.validate() {
-            panic!("invalid fault plan: {msg}");
+        if let Err(msg) = config.validate() {
+            panic!("invalid mesh configuration: {msg}");
         }
+        assert_eq!(nodes.len(), config.n_nodes(), "one actor per mesh node");
         let topo = Topology::new(config.rows, config.cols);
         let n = nodes.len();
         let injector = (!config.faults.is_idle()).then(|| FaultInjector::new(config.faults));
@@ -170,9 +270,7 @@ impl<N: Node> Kernel<N> {
             inbox: (0..n).map(|_| Vec::new()).collect(),
             outbox: Outbox::new(),
             channel_free: vec![SimTime::ZERO; topo.n_channels()],
-            heap: BinaryHeap::new(),
-            seq: 0,
-            wake_epoch: vec![0; n],
+            queue: EventQueue::new(n, QUEUE_EVENTS_PER_NODE * n),
             injector,
             node_faults_on: config.faults.has_node_faults(),
             stats: NetStats::new(n),
@@ -184,22 +282,21 @@ impl<N: Node> Kernel<N> {
         // the node never steps while down.
         for (node, fault) in config.faults.node_faults() {
             let node = node as usize;
-            assert!(node < n, "node fault targets nonexistent node {node}");
             match fault {
                 crate::fault::NodeFault::Crash { at_ns } => {
-                    kernel.push(
+                    kernel.queue.push(
                         SimTime::from_ns(at_ns),
                         node,
                         EventKind::NodeDown { will_restart: false },
                     );
                 }
                 crate::fault::NodeFault::CrashRestart { at_ns, downtime_ns } => {
-                    kernel.push(
+                    kernel.queue.push(
                         SimTime::from_ns(at_ns),
                         node,
                         EventKind::NodeDown { will_restart: true },
                     );
-                    kernel.push(
+                    kernel.queue.push(
                         SimTime::from_ns(at_ns.saturating_add(downtime_ns)),
                         node,
                         EventKind::NodeUp { downtime_ns },
@@ -210,7 +307,7 @@ impl<N: Node> Kernel<N> {
             }
         }
         for node in 0..n {
-            kernel.push_wake(SimTime::ZERO, node);
+            kernel.queue.push(SimTime::ZERO, node, EventKind::Wake);
         }
         kernel
     }
@@ -227,45 +324,28 @@ impl<N: Node> Kernel<N> {
         self.obs.emit_on(at.as_ns(), node as u32, kind);
     }
 
-    fn push(&mut self, at: SimTime, node: NodeId, kind: EventKind<N::Msg>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event { at, seq, node, kind });
-    }
-
-    /// Pushes a wake for `node` under a fresh epoch, invalidating any
-    /// wake already in the heap for it.
-    fn push_wake(&mut self, at: SimTime, node: NodeId) {
-        self.wake_epoch[node] += 1;
-        let epoch = self.wake_epoch[node];
-        self.push(at, node, EventKind::Wake { epoch });
-    }
-
     /// Runs until every node is done, the event queue drains (deadlock),
     /// or the event limit is hit.
     pub fn run(mut self) -> SimOutcome<N> {
         let mut events_processed = 0u64;
         let mut event_limit_hit = false;
 
-        while let Some(ev) = self.heap.pop() {
+        while let Some((at, node, kind)) = self.queue.pop() {
             events_processed += 1;
             if events_processed > self.event_limit {
                 event_limit_hit = true;
                 break;
             }
-            match ev.kind {
-                EventKind::Deliver(env) => self.on_deliver(ev.at, ev.node, env),
-                EventKind::Wake { epoch } => {
-                    if epoch == self.wake_epoch[ev.node] {
-                        self.on_wake(ev.at, ev.node);
-                    }
-                    // Stale wakes (superseded by a delivery or a newer
-                    // timer) are dropped.
+            match kind {
+                Some(EventKind::Deliver(env)) => self.on_deliver(at, node, env),
+                Some(EventKind::Wake) => self.on_wake(at, node),
+                Some(EventKind::NodeDown { will_restart }) => {
+                    self.on_node_down(at, node, will_restart)
                 }
-                EventKind::NodeDown { will_restart } => {
-                    self.on_node_down(ev.at, ev.node, will_restart)
-                }
-                EventKind::NodeUp { downtime_ns } => self.on_node_up(ev.at, ev.node, downtime_ns),
+                Some(EventKind::NodeUp { downtime_ns }) => self.on_node_up(at, node, downtime_ns),
+                // A stale wake (superseded by a delivery, a newer timer
+                // or a crash) is dropped.
+                None => {}
             }
         }
 
@@ -312,7 +392,7 @@ impl<N: Node> Kernel<N> {
             // The node may still be draining its last busy period.
             let wake_at = at.max(self.free_at[node]);
             self.status[node] = Status::Scheduled;
-            self.push_wake(wake_at, node);
+            self.queue.push(wake_at, node, EventKind::Wake);
         }
     }
 
@@ -368,7 +448,7 @@ impl<N: Node> Kernel<N> {
                 None => None,
             };
             match fault {
-                None => self.push(
+                None => self.queue.push(
                     arrival,
                     to,
                     EventKind::Deliver(Envelope { from: node, bytes, sent_at: start, msg }),
@@ -386,7 +466,7 @@ impl<N: Node> Kernel<N> {
         match step {
             Step::Continue { .. } => {
                 self.status[node] = Status::Scheduled;
-                self.push_wake(free, node);
+                self.queue.push(free, node, EventKind::Wake);
             }
             // No message can have raced in while the step executed: the
             // inbox was cleared above and deliveries only ever arrive as
@@ -394,7 +474,7 @@ impl<N: Node> Kernel<N> {
             Step::Block => self.status[node] = Status::Blocked,
             Step::Sleep { until } => {
                 self.status[node] = Status::Sleeping;
-                self.push_wake(until.max(free), node);
+                self.queue.push(until.max(free), node, EventKind::Wake);
             }
             Step::Done => {
                 self.status[node] = Status::Done;
@@ -416,7 +496,7 @@ impl<N: Node> Kernel<N> {
         self.inbox[node].clear();
         self.stats.packets_lost_to_crash = self.stats.packets_lost_to_crash.saturating_add(lost);
         // Invalidate any queued wake so the node cannot step while down.
-        self.wake_epoch[node] += 1;
+        self.queue.cancel_wakes(node);
         self.status[node] = Status::Crashed;
         self.stats.node_crashes += 1;
         self.stats.crashed[node] = true;
@@ -436,7 +516,7 @@ impl<N: Node> Kernel<N> {
         self.stats.node_restarts += 1;
         self.stats.crashed[node] = false;
         self.emit(at, node, ObsKind::NodeRestarted { downtime_ns });
-        self.push_wake(at, node);
+        self.queue.push(at, node, EventKind::Wake);
     }
 
     /// Applies one fault decision to an envelope whose injection (at
@@ -469,7 +549,7 @@ impl<N: Node> Kernel<N> {
             Fault::Duplicate { gap_ns } => {
                 self.stats.packets_duplicated = self.stats.packets_duplicated.saturating_add(1);
                 emit_fault(self, FaultKind::Duplicate, 0);
-                self.push(
+                self.queue.push(
                     arrival,
                     to,
                     EventKind::Deliver(Envelope {
@@ -483,7 +563,7 @@ impl<N: Node> Kernel<N> {
                 // behind the original and is accounted like any send.
                 let start2 = start + gap_ns;
                 let arrival2 = self.inject(node, to, bytes, start2);
-                self.push(
+                self.queue.push(
                     arrival2,
                     to,
                     EventKind::Deliver(Envelope { from: node, bytes, sent_at: start2, msg }),
@@ -492,7 +572,7 @@ impl<N: Node> Kernel<N> {
             Fault::Delay { extra_ns } => {
                 self.stats.packets_delayed = self.stats.packets_delayed.saturating_add(1);
                 emit_fault(self, FaultKind::Delay, extra_ns);
-                self.push(
+                self.queue.push(
                     arrival + extra_ns,
                     to,
                     EventKind::Deliver(Envelope { from: node, bytes, sent_at: start, msg }),
@@ -501,7 +581,7 @@ impl<N: Node> Kernel<N> {
             Fault::Reorder { hold_ns } => {
                 self.stats.packets_reordered = self.stats.packets_reordered.saturating_add(1);
                 emit_fault(self, FaultKind::Reorder, hold_ns);
-                self.push(
+                self.queue.push(
                     arrival + hold_ns,
                     to,
                     EventKind::Deliver(Envelope { from: node, bytes, sent_at: start, msg }),
@@ -1059,6 +1139,146 @@ mod tests {
             out.stats.done_at[1] > SimTime::from_ns(2_000_000_000),
             "the first packet, seen twice, must not stand in for the second"
         );
+    }
+
+    /// What `EventQueue::pop` returned, without the envelope: `None` for
+    /// a stale wake.
+    fn popped(q: &mut EventQueue<u32>) -> Option<(u64, NodeId, Option<String>)> {
+        let (at, node, kind) = q.pop()?;
+        let kind = kind.map(|k| match k {
+            EventKind::Wake => "wake".to_string(),
+            EventKind::Deliver(env) => format!("deliver {}", env.msg),
+            EventKind::NodeDown { will_restart } => format!("down {will_restart}"),
+            EventKind::NodeUp { downtime_ns } => format!("up {downtime_ns}"),
+        });
+        Some((at.as_ns(), node, kind))
+    }
+
+    fn deliver(msg: u32) -> EventKind<u32> {
+        EventKind::Deliver(Envelope { from: 0, bytes: 1, sent_at: SimTime::ZERO, msg })
+    }
+
+    #[test]
+    fn equal_times_pop_in_push_order_whatever_the_kind() {
+        let mut q = EventQueue::new(4, 2);
+        let t = SimTime::from_ns(50);
+        q.push(SimTime::from_ns(60), 0, deliver(9));
+        q.push(t, 3, EventKind::NodeUp { downtime_ns: 7 });
+        q.push(t, 1, deliver(1));
+        q.push(t, 2, EventKind::Wake);
+        q.push(t, 0, EventKind::NodeDown { will_restart: true });
+        q.push(SimTime::from_ns(40), 2, deliver(2));
+        q.push(t, 1, EventKind::Wake);
+        q.push(t, 3, deliver(3));
+        let order: Vec<_> = std::iter::from_fn(|| popped(&mut q)).collect();
+        let expected = [
+            (40, 2, "deliver 2"),
+            (50, 3, "up 7"),
+            (50, 1, "deliver 1"),
+            (50, 2, "wake"),
+            (50, 0, "down true"),
+            (50, 1, "wake"),
+            (50, 3, "deliver 3"),
+            (60, 0, "deliver 9"),
+        ]
+        .map(|(at, node, kind)| (at, node, Some(kind.to_string())));
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn only_the_latest_wake_of_a_node_is_live() {
+        let mut q: EventQueue<u32> = EventQueue::new(2, 4);
+        q.push(SimTime::from_ns(10), 0, EventKind::Wake);
+        q.push(SimTime::from_ns(5), 0, EventKind::Wake);
+        q.push(SimTime::from_ns(7), 1, EventKind::Wake);
+        q.cancel_wakes(1);
+        assert_eq!(popped(&mut q), Some((5, 0, Some("wake".to_string()))));
+        assert_eq!(popped(&mut q), Some((7, 1, None)), "a crash cancels the queued wake");
+        assert_eq!(popped(&mut q), Some((10, 0, None)), "superseded by the wake at 5");
+        assert_eq!(popped(&mut q), None);
+    }
+
+    #[test]
+    fn slab_slots_are_reused_so_the_slab_never_outgrows_the_queue() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut q = EventQueue::new(8, 4);
+        let (mut now, mut popped_events, mut peak) = (0u64, 0u32, 0usize);
+        while popped_events < 10_000 {
+            // Pushes outrun pops early on, then the queue drains.
+            let pushes = if popped_events < 5_000 { rng.random_range(0..3) } else { 0 };
+            for _ in 0..pushes {
+                let at = SimTime::from_ns(now + rng.random_range(0..1_000));
+                let node = rng.random_range(0..8);
+                let kind =
+                    if rng.random_bool(0.3) { EventKind::Wake } else { deliver(node as u32) };
+                q.push(at, node, kind);
+            }
+            peak = peak.max(q.heap.len());
+            let Some((at, node, _)) = q.pop() else {
+                q.push(SimTime::from_ns(now), 0, deliver(0));
+                continue;
+            };
+            assert!(at.as_ns() >= now, "event at {at:?} popped after {now} (node {node})");
+            now = at.as_ns();
+            popped_events += 1;
+        }
+        assert!(peak > 4, "the queue grew past its initial room");
+        assert!(q.slab.len() <= peak, "slab {} > peak queue {peak}", q.slab.len());
+    }
+
+    /// Records the times it steps at and sleeps a second after each.
+    struct Stepper {
+        steps: Vec<SimTime>,
+    }
+    impl Node for Stepper {
+        type Msg = ();
+        fn step(&mut self, now: SimTime, _: Inbox<'_>, _: &mut Outbox<()>) -> Step {
+            self.steps.push(now);
+            if self.steps.len() < 3 {
+                Step::Sleep { until: now + 1_000_000_000 }
+            } else {
+                Step::Done
+            }
+        }
+    }
+
+    #[test]
+    fn a_crash_at_a_nodes_wake_time_wins_the_tie() {
+        use crate::fault::{FaultPlan, NodeFault};
+        let plan = FaultPlan::none()
+            .with_node_fault(0, NodeFault::Crash { at_ns: 0 })
+            .with_node_fault(1, NodeFault::Crash { at_ns: 1_000_000_000 });
+        let cfg = MeshConfig { faults: plan, ..two_node_config() };
+        let nodes = vec![Stepper { steps: Vec::new() }, Stepper { steps: Vec::new() }];
+        let out = Kernel::new(cfg, nodes).run();
+        assert!(out.nodes[0].steps.is_empty(), "crashed at its first wake: never steps");
+        assert_eq!(
+            out.nodes[1].steps,
+            [SimTime::ZERO],
+            "crashed at its second wake: steps only once"
+        );
+        assert_eq!(out.stats.crashed, [true, true]);
+        // Two crashes, two initial wakes, the second wake of node 1 that
+        // its crash made stale.
+        assert_eq!(out.events_processed, 5);
+    }
+
+    #[test]
+    fn a_wake_superseded_by_a_delivery_is_popped_counted_and_ignored() {
+        let cfg = two_node_config().without_contention();
+        let nodes = vec![
+            SleepOrSend { send: Some((1, 12)), woke_at: None },
+            SleepOrSend { send: None, woke_at: None },
+        ];
+        let out = Kernel::new(cfg, nodes).run();
+        assert!(!out.stats.deadlocked);
+        let arrival = PROCESS_TIME_NS + cfg.uncontended_latency_ns(1, 12);
+        assert_eq!(out.nodes[1].woke_at, Some(SimTime::from_ns(arrival)));
+        // Two initial wakes, the delivery, the wake it pushed for node 1,
+        // and node 1's sleep timer, popped stale after node 1 is done.
+        assert_eq!(out.events_processed, 5);
     }
 
     #[test]

@@ -174,6 +174,19 @@ struct RxPeer {
 /// A retransmission due now: `(to, seq, attempt, packet)`.
 type Retransmit = (ProcId, u32, u32, Packet);
 
+/// Orders retransmissions control and recovery traffic first: a lost
+/// grant, Terminate or Reassign stalls the whole machine, while a lost
+/// delta merely ages a replica. Ties go by peer, then sequence number.
+fn sort_by_criticality(due: &mut [Retransmit]) {
+    due.sort_by_key(|(peer, seq, _, p)| {
+        let rank = match p.kind() {
+            PacketKind::Control | PacketKind::Recovery => 0u8,
+            _ => 1,
+        };
+        (rank, *peer, *seq)
+    });
+}
+
 /// One node's transport: everything between a [`Packet`] and the mesh
 /// outbox. With `reliable` off the reliability protocol is a zero-cost
 /// pass-through and only the framing and the sent counters remain.
@@ -182,6 +195,17 @@ pub(crate) struct Transport {
     reliable: bool,
     tx: Vec<TxPeer>,
     rx: Vec<RxPeer>,
+    /// A lower bound on every in-flight packet's `next_retry_at`
+    /// (`u64::MAX` when none can be in flight): no retransmission is due
+    /// before it, so a step earlier than it skips the scan.
+    retry_floor: u64,
+    /// Whether `retry_floor` is the earliest deadline itself, not only a
+    /// bound: true after a scan, and kept by every change but removing
+    /// the packet that held the earliest deadline.
+    floor_exact: bool,
+    /// The peers owed a cumulative ack (each once; `RxPeer::ack_due`
+    /// marks membership), flushed in ascending peer order.
+    acks_owed: Vec<ProcId>,
     /// This node's transport counters.
     pub(crate) stats: ReliableStats,
     /// Per-kind counts of everything this node put on the wire.
@@ -236,6 +260,9 @@ impl Transport {
             reliable,
             tx: vec![TxPeer::default(); n_procs],
             rx: vec![RxPeer::default(); n_procs],
+            retry_floor: u64::MAX,
+            floor_exact: true,
+            acks_owed: Vec::with_capacity(if reliable { n_procs } else { 0 }),
             stats: ReliableStats::default(),
             sent: PacketCounts::default(),
             linger_until: None,
@@ -278,13 +305,16 @@ impl Transport {
         let peer = &mut self.tx[to];
         let seq = peer.next_seq;
         peer.next_seq += 1;
+        let next_retry_at = now_ns + RETRANSMIT_TIMEOUT_NS;
         peer.inflight.push(Inflight {
             seq,
             packet: packet.clone(),
             attempts: 0,
             timeout_ns: RETRANSMIT_TIMEOUT_NS,
-            next_retry_at: now_ns + RETRANSMIT_TIMEOUT_NS,
+            next_retry_at,
         });
+        // The minimum of a set with one more member: exact stays exact.
+        self.retry_floor = self.retry_floor.min(next_retry_at);
         Frame::Data { seq, packet }
     }
 
@@ -297,12 +327,15 @@ impl Transport {
         match frame {
             Frame::Raw(p) => Some(p),
             Frame::Ack { cum_seq } => {
-                self.tx[from].inflight.retain(|f| f.seq >= cum_seq);
+                self.retain_inflight(from, |f| f.seq >= cum_seq);
                 None
             }
             Frame::Data { seq, packet } => {
                 let rx = &mut self.rx[from];
-                rx.ack_due = true;
+                if !rx.ack_due {
+                    rx.ack_due = true;
+                    self.acks_owed.push(from);
+                }
                 if seq < rx.next_expected {
                     self.stats.dup_suppressed += 1;
                     return None;
@@ -330,8 +363,96 @@ impl Transport {
         Some(packet)
     }
 
-    /// Drains the acks owed right now as `(to, cum_seq)` pairs.
+    /// Keeps only the packets in flight to `peer` that `keep` accepts.
+    /// Removing packets leaves `retry_floor` a lower bound; it stays
+    /// exact unless the packet removed held the earliest deadline.
+    fn retain_inflight(&mut self, peer: ProcId, mut keep: impl FnMut(&Inflight) -> bool) {
+        let floor = self.retry_floor;
+        let mut lost_floor = false;
+        self.tx[peer].inflight.retain(|f| {
+            let kept = keep(f);
+            lost_floor |= !kept && f.next_retry_at == floor;
+            kept
+        });
+        self.floor_exact &= !lost_floor;
+    }
+
+    /// Sends the acks owed right now, in ascending peer order; returns
+    /// the assembly time.
+    fn flush_acks(&mut self, now_ns: u64, outbox: &mut Outbox<Frame>) -> u64 {
+        if self.acks_owed.is_empty() {
+            return 0;
+        }
+        let mut owed = std::mem::take(&mut self.acks_owed);
+        owed.sort_unstable();
+        let mut busy = 0;
+        for &to in &owed {
+            let rx = &mut self.rx[to];
+            rx.ack_due = false;
+            let cum_seq = rx.next_expected;
+            self.stats.acks_sent += 1;
+            self.obs.emit(now_ns, EventKind::AckSent { dst: to as u32, cum_seq });
+            busy += self.transmit(outbox, to, Frame::Ack { cum_seq });
+        }
+        owed.clear();
+        self.acks_owed = owed;
+        busy
+    }
+
+    /// Collects the retransmissions due at `now_ns`, arms the next
+    /// timers, and drops packets that exhausted their retries; the scan
+    /// leaves `retry_floor` exact. Nothing is due before the floor, so
+    /// an earlier step returns at once. Criticality-first: control
+    /// packets (wire grants, termination) are returned before data
+    /// packets.
+    fn due_retransmits(&mut self, now_ns: u64) -> Vec<Retransmit> {
+        if !self.reliable || now_ns < self.retry_floor {
+            return Vec::new();
+        }
+        let mut due: Vec<Retransmit> = Vec::new();
+        let mut floor = u64::MAX;
+        for (peer, tx) in self.tx.iter_mut().enumerate() {
+            tx.inflight.retain_mut(|f| {
+                if f.next_retry_at > now_ns {
+                    floor = floor.min(f.next_retry_at);
+                    return true;
+                }
+                if f.attempts >= MAX_RETRIES {
+                    self.stats.retries_exhausted += 1;
+                    return false;
+                }
+                f.attempts += 1;
+                f.timeout_ns = (f.timeout_ns * 2).min(MAX_TIMEOUT_NS);
+                f.next_retry_at = now_ns + f.timeout_ns;
+                floor = floor.min(f.next_retry_at);
+                self.stats.retransmits += 1;
+                due.push((peer, f.seq, f.attempts, f.packet.clone()));
+                true
+            });
+        }
+        self.retry_floor = floor;
+        self.floor_exact = true;
+        sort_by_criticality(&mut due);
+        due
+    }
+
+    /// The earliest pending retransmission deadline, if any packet is in
+    /// flight: the floor itself when it is exact, else a scan that makes
+    /// it exact.
+    fn next_timer_at(&mut self) -> Option<u64> {
+        if !self.floor_exact {
+            let deadlines = self.tx.iter().flat_map(|t| t.inflight.iter().map(|f| f.next_retry_at));
+            self.retry_floor = deadlines.min().unwrap_or(u64::MAX);
+            self.floor_exact = true;
+        }
+        (self.retry_floor != u64::MAX).then_some(self.retry_floor)
+    }
+
+    /// Drains the acks owed right now as `(to, cum_seq)` pairs by a scan
+    /// of every peer: the oracle the tests hold [`Self::flush_acks`] to.
+    #[cfg(test)]
     fn take_due_acks(&mut self) -> Vec<(ProcId, u32)> {
+        self.acks_owed.clear();
         let mut out = Vec::new();
         for (peer, rx) in self.rx.iter_mut().enumerate() {
             if rx.ack_due {
@@ -343,11 +464,10 @@ impl Transport {
         out
     }
 
-    /// Collects the retransmissions due at `now_ns`, arms the next
-    /// timers, and drops packets that exhausted their retries.
-    /// Criticality-first: control packets (wire grants, termination) are
-    /// returned before data packets.
-    fn due_retransmits(&mut self, now_ns: u64) -> Vec<Retransmit> {
+    /// [`Self::due_retransmits`] without the floor, scanning every
+    /// in-flight list at every call: the oracle the tests hold it to.
+    #[cfg(test)]
+    fn due_retransmits_by_scan(&mut self, now_ns: u64) -> Vec<Retransmit> {
         if !self.reliable {
             return Vec::new();
         }
@@ -369,22 +489,14 @@ impl Transport {
                 true
             });
         }
-        due.sort_by_key(|(peer, seq, _, p)| {
-            // Control and recovery traffic first: a lost grant, Terminate
-            // or Reassign stalls the whole machine, while a lost delta
-            // merely ages a replica.
-            let rank = match p.kind() {
-                PacketKind::Control | PacketKind::Recovery => 0u8,
-                _ => 1,
-            };
-            (rank, *peer, *seq)
-        });
+        sort_by_criticality(&mut due);
         due
     }
 
-    /// The earliest pending retransmission deadline, if any packet is in
-    /// flight.
-    fn next_timer_at(&self) -> Option<u64> {
+    /// [`Self::next_timer_at`] by a scan of every in-flight list: the
+    /// oracle the tests hold it to.
+    #[cfg(test)]
+    fn next_timer_at_by_scan(&self) -> Option<u64> {
         self.tx.iter().flat_map(|t| t.inflight.iter().map(|f| f.next_retry_at)).min()
     }
 
@@ -393,8 +505,8 @@ impl Transport {
     /// traffic no longer matter, but the coordinator's own `Terminate`
     /// fan-out must keep retrying or a worker that lost it never stops.
     fn clear_inflight_except_terminate(&mut self) {
-        for tx in &mut self.tx {
-            tx.inflight.retain(|f| f.packet == Packet::Terminate);
+        for peer in 0..self.tx.len() {
+            self.retain_inflight(peer, |f| f.packet == Packet::Terminate);
         }
     }
 
@@ -419,11 +531,7 @@ impl Transport {
         if terminate {
             self.clear_inflight_except_terminate();
         }
-        let mut extra = 0u64;
-        for (to, cum_seq) in self.take_due_acks() {
-            self.obs.emit(now_ns, EventKind::AckSent { dst: to as u32, cum_seq });
-            extra += self.transmit(outbox, to, Frame::Ack { cum_seq });
-        }
+        let mut extra = self.flush_acks(now_ns, outbox);
         for (to, seq, attempt, packet) in self.due_retransmits(now_ns) {
             self.obs.emit(now_ns, EventKind::PacketRetransmitted { dst: to as u32, seq, attempt });
             extra += self.transmit(outbox, to, Frame::Data { seq, packet });
@@ -698,6 +806,161 @@ mod tests {
             t.finish_step(Step::Done, false, false, 600 + LINGER_NS, &mut outbox),
             Step::Done
         );
+    }
+
+    /// Today's `finish_step` over the scanning oracles: every step
+    /// scans all peers for owed acks, due retransmissions and the next
+    /// timer.
+    fn finish_step_by_scan(
+        t: &mut Transport,
+        inner: Step,
+        had_traffic: bool,
+        terminate: bool,
+        now_ns: u64,
+        outbox: &mut Outbox<Frame>,
+    ) -> Step {
+        if terminate {
+            t.clear_inflight_except_terminate();
+        }
+        let mut extra = 0u64;
+        for (to, cum_seq) in t.take_due_acks() {
+            extra += t.transmit(outbox, to, Frame::Ack { cum_seq });
+        }
+        for (to, seq, _, packet) in t.due_retransmits_by_scan(now_ns) {
+            extra += t.transmit(outbox, to, Frame::Data { seq, packet });
+        }
+        match inner {
+            Step::Continue { busy_ns } => Step::Continue { busy_ns: busy_ns + extra },
+            Step::Sleep { until } => Step::Sleep { until },
+            Step::Block => {
+                if extra > 0 {
+                    Step::Continue { busy_ns: extra }
+                } else if let Some(timer) = t.next_timer_at_by_scan() {
+                    Step::Sleep { until: SimTime::from_ns(timer) }
+                } else {
+                    Step::Block
+                }
+            }
+            Step::Done => {
+                if had_traffic || t.linger_until.is_none() {
+                    t.linger_until = Some(now_ns + LINGER_NS);
+                }
+                let deadline = t.linger_until.expect("linger deadline just set");
+                if extra > 0 {
+                    return Step::Continue { busy_ns: extra };
+                }
+                if let Some(timer) = t.next_timer_at_by_scan() {
+                    return Step::Sleep { until: SimTime::from_ns(timer.max(now_ns + 1)) };
+                }
+                if now_ns >= deadline {
+                    Step::Done
+                } else {
+                    Step::Sleep { until: SimTime::from_ns(deadline) }
+                }
+            }
+        }
+    }
+
+    /// Scripts over node 0 of a 16-node machine, replayed through the
+    /// transport and through the scanning oracles: sends to random peers
+    /// at rising times, acks with random `cum_seq`, in-order, duplicate
+    /// and early data, in-flight clears and step epilogues of every kind.
+    /// Both sides must put the same frames on the wire in the same
+    /// order, count the same, end each step the same and agree on the
+    /// next timer.
+    #[test]
+    fn the_retry_floor_and_owed_ack_list_decide_as_full_scans_do() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const PEERS: usize = 16;
+        let rect = locus_circuit::Rect::new(0, 1, 0, 1);
+        let packets = [
+            Packet::Terminate,
+            Packet::Finished,
+            Packet::WireRequest,
+            Packet::NewCoordinator,
+            Packet::ReqRmtData { rect },
+            Packet::LocData { rect, values: vec![1, 2], response: false },
+        ];
+        for case in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut fast = Transport::new(0, PEERS, true);
+            let mut scan = Transport::new(0, PEERS, true);
+            // One past the highest sequence number each peer has sent us.
+            let mut their_next = [0u32; PEERS];
+            let mut now = 0u64;
+            for op in 0..400 {
+                let at = format!("case {case}, op {op}");
+                now += match rng.random_range(0..4) {
+                    0 => 0,
+                    1 => rng.random_range(1..10_000),
+                    2 => rng.random_range(1..2 * RETRANSMIT_TIMEOUT_NS),
+                    _ => rng.random_range(1..2 * MAX_TIMEOUT_NS),
+                };
+                let peer = rng.random_range(1..PEERS);
+                let (mut sent_fast, mut sent_scan) = (Outbox::new(), Outbox::new());
+                match rng.random_range(0..10) {
+                    0..=2 => {
+                        let packet = packets[rng.random_range(0..packets.len())].clone();
+                        let busy = fast.link(&mut sent_fast, now).send(peer, packet.clone());
+                        assert_eq!(busy, scan.link(&mut sent_scan, now).send(peer, packet), "{at}");
+                    }
+                    3 | 4 => {
+                        let cum_seq = rng.random_range(0..=fast.tx[peer].next_seq + 1);
+                        let ack = Frame::Ack { cum_seq };
+                        assert_eq!(deliver(&mut fast, peer, ack.clone()), []);
+                        assert_eq!(deliver(&mut scan, peer, ack), []);
+                    }
+                    5 | 6 => {
+                        let next = their_next[peer];
+                        let seq = match rng.random_range(0..3) {
+                            0 => next,
+                            1 => rng.random_range(0..=next),
+                            _ => next + rng.random_range(1..4),
+                        };
+                        their_next[peer] = next.max(seq + 1);
+                        let data = Frame::Data { seq, packet: Packet::Finished };
+                        let got = deliver(&mut fast, peer, data.clone());
+                        assert_eq!(got, deliver(&mut scan, peer, data), "{at}");
+                    }
+                    7 => {
+                        fast.clear_inflight_except_terminate();
+                        scan.clear_inflight_except_terminate();
+                    }
+                    _ => {
+                        let inner = match rng.random_range(0..4) {
+                            0 => Step::Continue { busy_ns: rng.random_range(0..1_000) },
+                            1 => Step::Block,
+                            2 => Step::Sleep {
+                                until: SimTime::from_ns(now + rng.random_range(0..LINGER_NS)),
+                            },
+                            _ => Step::Done,
+                        };
+                        let had_traffic = rng.random_bool(0.5);
+                        let terminate = rng.random_range(0..8) == 0;
+                        let step =
+                            fast.finish_step(inner, had_traffic, terminate, now, &mut sent_fast);
+                        let oracle = finish_step_by_scan(
+                            &mut scan,
+                            inner,
+                            had_traffic,
+                            terminate,
+                            now,
+                            &mut sent_scan,
+                        );
+                        assert_eq!(step, oracle, "{at}");
+                    }
+                }
+                assert_eq!(frames(&sent_fast), frames(&sent_scan), "{at}");
+                assert_eq!(fast.stats, scan.stats, "{at}");
+                assert_eq!(fast.sent, scan.sent, "{at}");
+                // Asking is a scan when the floor is inexact, so ask only
+                // sometimes and leave the skip path inexact floors too.
+                if rng.random_bool(0.5) {
+                    assert_eq!(fast.next_timer_at(), scan.next_timer_at_by_scan(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub struct MsgPassOutcome {
 /// [`MsgPassConfig::validate`]).
 pub fn run_msgpass(circuit: &Circuit, config: MsgPassConfig) -> MsgPassOutcome {
     let mesh = config.mesh_config();
-    run_msgpass_with_mesh(circuit, config, mesh)
+    run_inner(circuit, config, mesh, Obs::off()).expect("invalid message-passing run")
 }
 
 /// Like [`run_msgpass`] but recording every routing and network event
@@ -126,32 +126,42 @@ pub fn run_msgpass_observed(
     sink: SharedSink,
 ) -> MsgPassOutcome {
     let mesh = config.mesh_config();
-    run_inner(circuit, config, mesh, Obs::to(&sink))
+    run_inner(circuit, config, mesh, Obs::to(&sink)).expect("invalid message-passing run")
 }
 
 /// Like [`run_msgpass`] but with an explicit mesh configuration —
 /// used by the contention ablation.
 ///
-/// # Panics
-/// Panics if the configuration is invalid or the mesh size does not
-/// match `config.n_procs`.
+/// # Errors
+/// Returns the error of [`MsgPassConfig::validate`] or
+/// [`MeshConfig::validate`](locus_mesh::MeshConfig::validate), or says
+/// that the mesh does not have `config.n_procs` nodes or that the
+/// circuit's surface cannot be split among them.
 pub fn run_msgpass_with_mesh(
     circuit: &Circuit,
     config: MsgPassConfig,
     mesh: locus_mesh::MeshConfig,
-) -> MsgPassOutcome {
+) -> Result<MsgPassOutcome, String> {
     run_inner(circuit, config, mesh, Obs::off())
 }
 
-pub(crate) fn run_inner(
+/// Checks the run before anything is allocated for it, then runs it.
+fn run_inner(
     circuit: &Circuit,
     config: MsgPassConfig,
     mesh: locus_mesh::MeshConfig,
     obs: Obs,
-) -> MsgPassOutcome {
-    config.validate().expect("invalid message-passing configuration");
-    assert_eq!(mesh.n_nodes(), config.n_procs, "mesh size must match processor count");
-    let regions = Arc::new(RegionMap::new(circuit.channels, circuit.grids, config.n_procs));
+) -> Result<MsgPassOutcome, String> {
+    mesh.validate()?;
+    config.validate()?;
+    if mesh.n_nodes() != config.n_procs {
+        return Err(format!(
+            "the mesh has {} nodes but n_procs is {}",
+            mesh.n_nodes(),
+            config.n_procs
+        ));
+    }
+    let regions = Arc::new(RegionMap::try_new(circuit.channels, circuit.grids, config.n_procs)?);
     let dynamic = config.wire_source == crate::config::WireSource::Dynamic;
     // Under dynamic distribution the static assignment phase is skipped;
     // wires flow over the network at run time.
@@ -298,7 +308,7 @@ pub(crate) fn run_inner(
 
     let locality = locality_measure(&routes, &proc_of_wire, &regions);
 
-    MsgPassOutcome {
+    Ok(MsgPassOutcome {
         quality,
         time_secs: outcome.stats.completion.as_secs_f64(),
         routing_done_secs: routing_done_ns as f64 / 1e9,
@@ -320,7 +330,7 @@ pub(crate) fn run_inner(
         watchdog_recoveries,
         reliability,
         recovery,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -345,6 +355,25 @@ mod tests {
         assert!(out.mbytes > 0.0);
         assert!(out.packets.packets(PacketKind::SendRmtData) > 0);
         assert_eq!(out.packets.packets(PacketKind::ReqRmtData), 0);
+    }
+
+    #[test]
+    fn a_callers_mesh_is_checked_and_its_errors_named() {
+        use locus_mesh::MeshConfig;
+        let c = locus_circuit::presets::tiny();
+        let cfg = small_config(4, UpdateSchedule::sender_paper());
+        let err = |mesh| run_msgpass_with_mesh(&c, cfg, mesh).expect_err("an invalid run");
+        assert!(err(MeshConfig::ametek(1, 3)).contains("the mesh has 3 nodes but n_procs is 4"));
+        assert!(err(MeshConfig::ametek(2, 0)).contains("MeshConfig::rows × cols = 2 × 0"));
+        let big = usize::MAX / 2;
+        let err =
+            run_msgpass_with_mesh(&c, small_config(big, cfg.schedule), MeshConfig::ametek(1, big))
+                .expect_err("no processor count past u32::MAX");
+        assert!(err.contains("exceeds u32::MAX"), "{err}");
+        let contention_off = run_msgpass_with_mesh(&c, cfg, cfg.mesh_config().without_contention())
+            .expect("a valid run");
+        assert_eq!(contention_off.net.contention_ns, 0);
+        assert_eq!(contention_off.routes.len(), c.wire_count());
     }
 
     #[test]

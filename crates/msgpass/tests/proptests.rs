@@ -1,10 +1,10 @@
 //! Property-based tests for the message-passing building blocks.
 
 use locus_circuit::{presets, GridCell, Rect};
-use locus_mesh::{FaultPlan, NodeFault};
+use locus_mesh::{FaultPlan, MeshConfig, NodeFault};
 use locus_msgpass::{
-    run_msgpass, DeltaArray, MsgPassConfig, MsgPassOutcome, Packet, PacketStructure,
-    RecoveryConfig, UpdateSchedule, WireSource,
+    run_msgpass, run_msgpass_with_mesh, DeltaArray, MsgPassConfig, MsgPassOutcome, Packet,
+    PacketStructure, RecoveryConfig, UpdateSchedule, WireSource,
 };
 use locus_router::{AssignmentStrategy, RegionMap, RouterParams};
 use proptest::prelude::*;
@@ -519,5 +519,41 @@ proptest! {
         let out = run_msgpass(&tiny, cfg);
         prop_assert_eq!(out.routes.len(), tiny.wire_count());
         prop_assert!(out.routes.iter().all(|r| !r.cells().is_empty()), "{cfg:?}");
+    }
+}
+
+/// Every field of a `MeshConfig` drawn from edge values, a third of the
+/// dimensions at 1 or 3 so that some meshes fit `tiny`'s 4 × 24 surface.
+fn arb_mesh() -> impl Strategy<Value = MeshConfig> {
+    let dim = || {
+        prop_oneof![edge(64), Just(1), Just(3)]
+            .prop_map(|d| usize::try_from(d).unwrap_or(usize::MAX))
+    };
+    (dim(), dim(), any::<bool>(), arb_faults())
+        .prop_map(|(rows, cols, contention, faults)| MeshConfig { rows, cols, contention, faults })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A caller's mesh is `Ok` or an error that names what is wrong,
+    /// never a panic or an abort: no node, more nodes than a `usize` or
+    /// a `u32` holds, an invalid fault plan or one that faults a node the
+    /// mesh lacks, or more processors than `tiny`'s surface can split.
+    /// Every `Ok` is a run that routes every wire.
+    #[test]
+    fn meshes_validate_or_fail_by_name_and_what_validates_runs(mesh in arb_mesh()) {
+        const NAMES: [&str; 3] = ["MeshConfig::rows × cols", "MeshConfig::faults", "surface"];
+        let tiny = presets::tiny();
+        let n_procs = mesh.rows.saturating_mul(mesh.cols);
+        let cfg = MsgPassConfig::new(n_procs, UpdateSchedule::sender_paper());
+        match run_msgpass_with_mesh(&tiny, cfg, mesh) {
+            Err(err) => prop_assert!(NAMES.iter().any(|name| err.contains(name)), "{err}"),
+            Ok(out) => {
+                prop_assert!(mesh.validate().is_ok());
+                prop_assert_eq!(out.routes.len(), tiny.wire_count());
+                prop_assert!(out.routes.iter().all(|r| !r.cells().is_empty()), "{mesh:?}");
+            }
+        }
     }
 }
