@@ -16,10 +16,10 @@
 //! plus every registered routing engine and memory backend; no id means
 //! `all`. Every experiment is a `Report` (`locus_bench::report`): its
 //! table goes to stdout and `--report <file>` writes the same cells as
-//! JSON. `serve`, `chaos` and `memory` write `BENCH_service.json`,
-//! `BENCH_resilience.json` and `BENCH_memory.json` in the current
-//! directory when `--report` does not say otherwise; they hold simulated
-//! quantities only and regenerate byte for byte.
+//! JSON. `chaos` and `memory` write `BENCH_resilience.json` and
+//! `BENCH_memory.json` in the current directory when `--report` does not
+//! say otherwise; they hold simulated quantities only and regenerate byte
+//! for byte.
 //!
 //! Independent sweep points run concurrently on a small scoped-thread
 //! pool sized by `--threads` (default: the host's available
@@ -95,7 +95,6 @@ const EXPERIMENTS: &[(&str, Experiment, Option<&str>, InAll)] = &[
     ("overshoot", catalog::overshoot, None, Banner),
     ("contention", catalog::contention, None, Banner),
     ("faults", catalog::faults, None, Banner),
-    ("serve", catalog::serve, Some("BENCH_service.json"), Banner),
     ("chaos", catalog::chaos, Some("BENCH_resilience.json"), Banner),
     ("memory", catalog::memory, Some("BENCH_memory.json"), Banner),
     ("figure1", catalog::figure1, None, Bare),

@@ -20,7 +20,7 @@ use locusroute::engines::{self, registry};
 
 use crate::experiments as ex;
 use crate::report::{col, fixed, fixed_as, float, fraction, text, Cell, Report};
-use crate::{chaos, serve, Harness};
+use crate::{chaos, Harness};
 
 /// Settings shared by every experiment: the sweep pool and whether to
 /// shrink to the CI-sized quick configuration.
@@ -376,63 +376,6 @@ pub fn faults(cfg: &RunCfg) -> Result<Report, String> {
             }),
         ],
     ))
-}
-
-/// `serve`: the routing-as-a-service study — offered load × backpressure
-/// policy on the rush-hour workload (`BENCH_service.json`).
-pub fn serve(cfg: &RunCfg) -> Result<Report, String> {
-    let study = serve::service_study(&cfg.harness, cfg.quick);
-    let mut report = Report::new(format!(
-        "Routing as a service: offered load x backpressure ({} workers, queue {}, {} virtual ms)",
-        study.workers, study.queue_capacity, study.duration_ms
-    ))
-    .field("benchmark", "service")
-    .field(
-        "description",
-        "Routing-as-a-service offered-load sweep: seeded rush-hour arrival traces replayed \
-         through the bounded-queue job server under each backpressure policy. All times are \
-         virtual ms, so this file is byte-identical across runs and hosts. Regenerate with: \
-         cargo run --release -p locus-bench --bin locus-experiments serve.",
-    )
-    .field("quick", cfg.quick)
-    .field("seed", serve::SERVICE_SEED)
-    .field("workers", study.workers)
-    .field("queue_capacity", study.queue_capacity)
-    .field("duration_ms", study.duration_ms)
-    .field("mean_interarrival_ms", Json::Float(serve::SERVICE_MEAN_INTERARRIVAL_MS, None))
-    .field("slo_wait_ms", serve::SERVICE_SLO_WAIT_MS)
-    .field("knee_load", study.knee_load.map_or(Json::Null, |k| Json::Float(k, None)))
-    .table(
-        "rows",
-        &study.rows,
-        &[
-            col("load", "load", |r| float(r.load)),
-            col("policy", "policy", |r| r.policy.into()),
-            col("submitted", "subm", |r| r.submitted.into()),
-            col("completed", "done", |r| r.completed.into()),
-            col("shed", "shed", |r| r.shed.into()),
-            col("rejected", "rej", |r| r.rejected.into()),
-            col("failed", "", |r| r.failed.into()),
-            col("p50_wait_ms", "p50 wait", |r| r.p50_wait_ms.into()),
-            col("p95_wait_ms", "p95 wait", |r| r.p95_wait_ms.into()),
-            col("p99_wait_ms", "p99 wait", |r| r.p99_wait_ms.into()),
-            col("p50_service_ms", "", |r| r.p50_service_ms.into()),
-            col("p95_service_ms", "p95 svc", |r| r.p95_service_ms.into()),
-            col("p99_service_ms", "", |r| r.p99_service_ms.into()),
-            col("throughput_jps", "jobs/s", |r| fixed_as(r.throughput_jps, 6, 2)),
-            col("utilization", "util", |r| fraction(r.utilization, 6)),
-            col("slo_ok", "SLO ok", |r| fraction(r.slo_ok, 6)),
-        ],
-    );
-    report.footer = match study.knee_load {
-        Some(k) => format!(
-            "knee: load {k} is the first swept level whose blocking p95 queue wait exceeds the \
-             {} ms SLO\n",
-            serve::SERVICE_SLO_WAIT_MS
-        ),
-        None => "knee: not reached within the swept loads\n".to_string(),
-    };
-    Ok(report)
 }
 
 /// `chaos`: the node-failure chaos grid — a single mid-run crash,

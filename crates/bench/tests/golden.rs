@@ -53,7 +53,6 @@ fn all_stdout_is_the_fixture() {
 fn quick_reports_are_the_fixtures() {
     for (case, id, flags, artifact) in [
         ("faults", "faults", &[][..], None),
-        ("serve", "serve", &[], Some("BENCH_service.json")),
         ("chaos", "chaos", &[], Some("BENCH_resilience.json")),
         ("memory", "memory", &[], Some("BENCH_memory.json")),
         ("table3_bus-wt", "table3", &["--memory", "bus-wt"], None),
@@ -173,6 +172,7 @@ fn bad_invocations_say_why_and_set_the_exit_code() {
         (&["--engine", "sequential", "--memory", "bus-wt"], 2, "--memory only applies to"),
         (&["table6", "--quick", "--procs", "9"], 2, "--procs only applies to --engine runs and"),
         (&["table1", "table2"], 2, "expected at most one experiment id, got table1 table2"),
+        (&["serve", "--quick"], 2, "unknown experiment \"serve\""),
         (&["--engine", "sequential", "--quick", "--trace-out", "t.json"], 2, "--trace-out does"),
         (
             &["analyze", "--engine", "sequential", "--quick", "--metrics-out", "m.json"],

@@ -70,7 +70,7 @@ pub fn tiny() -> Circuit {
 }
 
 /// Generator configuration backing [`tiny`].
-pub fn tiny_config() -> GeneratorConfig {
+pub(crate) fn tiny_config() -> GeneratorConfig {
     GeneratorConfig::for_surface("tiny", 4, 24, 12, 7)
 }
 
@@ -94,7 +94,7 @@ pub(crate) const POWER_LAW_SEED: u64 = 0x1989_000B;
 ///
 /// Neither paper circuit has this shape — it exists to stress routing
 /// under a heavier long-wire tail than the two-population mixture
-/// produces, and it is part of the default service workload mix.
+/// produces.
 pub fn power_law() -> Circuit {
     CircuitGenerator::new(power_law_config()).generate()
 }

@@ -159,42 +159,6 @@ pub enum EventKind {
         /// Wire id recovered.
         wire: u32,
     },
-    /// A routing job was admitted into the service's bounded queue.
-    JobEnqueued {
-        /// Job id.
-        job: u32,
-        /// Waiting jobs after this one was queued.
-        queue_depth: u32,
-    },
-    /// A queued routing job was handed to a worker.
-    JobDispatched {
-        /// Job id.
-        job: u32,
-        /// Virtual milliseconds the job waited between arrival and
-        /// dispatch (its queueing delay).
-        queued_ms: u64,
-    },
-    /// A dispatched routing job finished.
-    JobCompleted {
-        /// Job id.
-        job: u32,
-        /// Virtual milliseconds the job spent in service.
-        service_ms: u64,
-    },
-    /// The shed-oldest backpressure policy dropped a queued job to make
-    /// room for a newer arrival.
-    JobShed {
-        /// Job id of the shed (oldest queued) job.
-        job: u32,
-    },
-    /// The reject backpressure policy turned an arrival away at a full
-    /// queue, with a hint for when to retry.
-    JobRejected {
-        /// Job id.
-        job: u32,
-        /// Suggested client back-off before resubmitting (virtual ms).
-        retry_ms: u64,
-    },
     /// The node-fault layer crashed `Event::node` (fail-stop or the down
     /// phase of fail-recover); its in-flight traffic is lost.
     NodeCrashed {
@@ -228,19 +192,6 @@ pub enum EventKind {
     CoordinatorFailover {
         /// The new coordinator (lowest presumed-live rank).
         new_coordinator: NodeId,
-    },
-    /// The service retried a job whose engine run came back degraded.
-    JobRetried {
-        /// Job id.
-        job: u32,
-        /// Retry attempt (1 = first retry).
-        attempt: u32,
-    },
-    /// The service circuit breaker opened for a job class after its
-    /// failure rate crossed the threshold.
-    BreakerTripped {
-        /// Opaque id of the tripped job class.
-        class: u32,
     },
 }
 
@@ -278,18 +229,11 @@ pub(crate) mod tests {
             EventKind::PacketRetransmitted { .. } => 11,
             EventKind::AckSent { .. } => 12,
             EventKind::WatchdogRecovery { .. } => 13,
-            EventKind::JobEnqueued { .. } => 14,
-            EventKind::JobDispatched { .. } => 15,
-            EventKind::JobCompleted { .. } => 16,
-            EventKind::JobShed { .. } => 17,
-            EventKind::JobRejected { .. } => 18,
-            EventKind::NodeCrashed { .. } => 19,
-            EventKind::NodeRestarted { .. } => 20,
-            EventKind::CheckpointTaken { .. } => 21,
-            EventKind::WireReassigned { .. } => 22,
-            EventKind::CoordinatorFailover { .. } => 23,
-            EventKind::JobRetried { .. } => 24,
-            EventKind::BreakerTripped { .. } => 25,
+            EventKind::NodeCrashed { .. } => 14,
+            EventKind::NodeRestarted { .. } => 15,
+            EventKind::CheckpointTaken { .. } => 16,
+            EventKind::WireReassigned { .. } => 17,
+            EventKind::CoordinatorFailover { .. } => 18,
         }
     }
 
@@ -321,21 +265,14 @@ pub(crate) mod tests {
             EventKind::PacketRetransmitted { dst: 1, seq: 9, attempt: 1 },
             EventKind::AckSent { dst: 1, cum_seq: 9 },
             EventKind::WatchdogRecovery { wire: 3 },
-            EventKind::JobEnqueued { job: 4, queue_depth: 2 },
-            EventKind::JobDispatched { job: 4, queued_ms: 6 },
-            EventKind::JobCompleted { job: 4, service_ms: 11 },
-            EventKind::JobShed { job: 4 },
-            EventKind::JobRejected { job: 4, retry_ms: 25 },
             EventKind::NodeCrashed { will_restart: true },
             EventKind::NodeRestarted { downtime_ns: 800 },
             EventKind::CheckpointTaken { bytes: 96 },
             EventKind::WireReassigned { wire: 3, from: 2, to: 1 },
             EventKind::CoordinatorFailover { new_coordinator: 1 },
-            EventKind::JobRetried { job: 4, attempt: 1 },
-            EventKind::BreakerTripped { class: 5 },
         ];
         let ordinals: Vec<usize> = kinds.iter().map(ordinal).collect();
-        assert_eq!(ordinals, (0..26).collect::<Vec<_>>(), "one value per variant, in order");
+        assert_eq!(ordinals, (0..19).collect::<Vec<_>>(), "one value per variant, in order");
         kinds
     }
 

@@ -225,18 +225,11 @@ pub(crate) fn shown(kind: &EventKind, args: Option<&mut Vec<(&'static str, Json)
         PacketRetransmitted { dst, seq, attempt } => 'T' 4 "resent",
         AckSent { dst, cum_seq } => 'a' 1 "ack",
         WatchdogRecovery { wire } => 'G' 8 "watchdog",
-        JobEnqueued { job, queue_depth } => 'j' 2 "job-enq",
-        JobDispatched { job, queued_ms } => '>' 3 "job-disp",
-        JobCompleted { job, service_ms } => 'J' 4 "job-done",
-        JobShed { job } => 'L' 7 "job-shed",
-        JobRejected { job, retry_ms } => 'r' 5 "job-rej",
         NodeCrashed { will_restart } => '!' 9 "crash",
         NodeRestarted { downtime_ns } => '^' 9 "restart",
         CheckpointTaken { bytes } => 'c' 2 "ckpt",
         WireReassigned { wire, from, to } => 'N' 8 "reassigned",
         CoordinatorFailover { new_coordinator } => 'O' 9 "failover",
-        JobRetried { job, attempt } => 'y' 5 "job-retry",
-        BreakerTripped { class } => 'Z' 8 "breaker",
     }
 }
 
@@ -754,8 +747,8 @@ mod tests {
             }
         }
         assert_eq!(explained, on_rows, "first-appearance order, nothing unseen");
-        // 26 kinds, begin and end of a phase sharing one glyph.
-        assert_eq!(explained.len(), 25);
+        // 19 kinds, begin and end of a phase sharing one glyph.
+        assert_eq!(explained.len(), 18);
         assert!(!ascii_timeline(&sample_events(), 40).contains("crash"));
     }
 

@@ -70,16 +70,6 @@ pub mod names {
     pub const ACKS_SENT: &str = "acks_sent";
     /// Wires the watchdog routed locally after a degraded network run.
     pub const WATCHDOG_RECOVERIES: &str = "watchdog_recoveries";
-    /// Routing jobs admitted into the service queue.
-    pub const JOBS_ENQUEUED: &str = "jobs_enqueued";
-    /// Routing jobs handed to a worker.
-    pub const JOBS_DISPATCHED: &str = "jobs_dispatched";
-    /// Routing jobs that finished service.
-    pub const JOBS_COMPLETED: &str = "jobs_completed";
-    /// Queued jobs dropped by the shed-oldest backpressure policy.
-    pub const JOBS_SHED: &str = "jobs_shed";
-    /// Arrivals turned away by the reject backpressure policy.
-    pub const JOBS_REJECTED: &str = "jobs_rejected";
     /// Node crashes injected by the node-fault layer (matches
     /// `NetStats::node_crashes`).
     pub const NODE_CRASHES: &str = "node_crashes";
@@ -93,10 +83,6 @@ pub mod names {
     pub const WIRES_REASSIGNED: &str = "wires_reassigned";
     /// Coordinator failovers (a worker assumed coordinator duty).
     pub const COORDINATOR_FAILOVERS: &str = "coordinator_failovers";
-    /// Jobs retried by the service after a degraded engine run.
-    pub const JOBS_RETRIED: &str = "jobs_retried";
-    /// Circuit-breaker trips (a job class was quarantined).
-    pub const BREAKER_TRIPS: &str = "breaker_trips";
 }
 
 /// Well-known histogram names produced by `Metrics::observe`.
@@ -117,12 +103,6 @@ pub mod hists {
     pub(crate) const STALE_CELLS: &str = "stale_cells";
     /// Mean staleness age per replica audit (ns).
     pub(crate) const STALE_AGE_NS: &str = "stale_age_ns";
-    /// Per-job queueing delay: arrival to dispatch (virtual ms).
-    pub const QUEUE_WAIT_MS: &str = "queue_wait_ms";
-    /// Per-job service latency: dispatch to completion (virtual ms).
-    pub const SERVICE_MS: &str = "service_ms";
-    /// Service queue depth observed at each admission.
-    pub(crate) const JOB_QUEUE_DEPTH: &str = "job_queue_depth";
     /// Payload bytes per memory-system request.
     pub(crate) const MEM_REQUEST_BYTES: &str = "mem_request_bytes";
 }
@@ -345,24 +325,6 @@ impl Metrics {
             EventKind::WatchdogRecovery { .. } => {
                 self.add(names::WATCHDOG_RECOVERIES, 1);
             }
-            EventKind::JobEnqueued { queue_depth, .. } => {
-                self.add(names::JOBS_ENQUEUED, 1);
-                self.record(hists::JOB_QUEUE_DEPTH, queue_depth as u64);
-            }
-            EventKind::JobDispatched { queued_ms, .. } => {
-                self.add(names::JOBS_DISPATCHED, 1);
-                self.record(hists::QUEUE_WAIT_MS, queued_ms);
-            }
-            EventKind::JobCompleted { service_ms, .. } => {
-                self.add(names::JOBS_COMPLETED, 1);
-                self.record(hists::SERVICE_MS, service_ms);
-            }
-            EventKind::JobShed { .. } => {
-                self.add(names::JOBS_SHED, 1);
-            }
-            EventKind::JobRejected { .. } => {
-                self.add(names::JOBS_REJECTED, 1);
-            }
             EventKind::NodeCrashed { .. } => {
                 self.add(names::NODE_CRASHES, 1);
             }
@@ -378,12 +340,6 @@ impl Metrics {
             }
             EventKind::CoordinatorFailover { .. } => {
                 self.add(names::COORDINATOR_FAILOVERS, 1);
-            }
-            EventKind::JobRetried { .. } => {
-                self.add(names::JOBS_RETRIED, 1);
-            }
-            EventKind::BreakerTripped { .. } => {
-                self.add(names::BREAKER_TRIPS, 1);
             }
         }
     }

@@ -220,10 +220,6 @@ pub struct EngineRun {
     /// Modelled (simulated) or wall-clock seconds, when the engine has a
     /// clock; the sequential engine has none.
     pub time_secs: Option<f64>,
-    /// True when the run needed a watchdog or recovery intervention to
-    /// finish (e.g. a message-passing deadlock break or node failover);
-    /// the result is usable but earned under duress.
-    pub degraded: bool,
 }
 
 #[cfg(test)]

@@ -1,15 +1,13 @@
-//! The service's scoped-thread worker pool.
+//! The experiments' scoped-thread worker pool.
 //!
 //! One of the two audited raw-spawn sites in the workspace (the other is
-//! `locus_shmem::parallel`, see `clippy.toml`), shared by the job
-//! server and the experiment sweeps in `locus-bench`: workers claim jobs
-//! off a shared relaxed counter — the routers' own distributed-loop
-//! scheduling — and results are reassembled in input order, so the
-//! pool's output is independent of the worker count and of OS
-//! scheduling. That independence is what lets the server run its
-//! admission simulation on virtual time, and the sweeps print identical
-//! rows, while the actual routing work executes on however many threads
-//! the host offers.
+//! `locus_shmem::parallel`, see `clippy.toml`): workers claim jobs off a
+//! shared relaxed counter — the routers' own distributed-loop scheduling
+//! — and results are reassembled in input order, so the pool's output is
+//! independent of the worker count and of OS scheduling. That
+//! independence is what lets the sweeps in `locus-bench` print identical
+//! rows while the routing work executes on however many threads the
+//! host offers.
 
 // Audited executor and atomics (clippy.toml): the pool's scoped spawns and
 // the relaxed job counter its workers claim from.
@@ -49,9 +47,9 @@ impl WorkerPool {
     /// Maps `f` over `items`, preserving input order in the output.
     ///
     /// `f` must be deterministic for the output to be independent of the
-    /// worker count; every routing engine the service dispatches through
-    /// this pool satisfies that (the registry's wall-clock engine is the
-    /// documented exception and is not part of any default workload).
+    /// worker count; every sweep point of the experiments satisfies that
+    /// (the registry's wall-clock engine is the documented exception, and
+    /// no sweep runs it).
     pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,

@@ -5,8 +5,8 @@
 //! the message-passing simulator under both headline update schedules —
 //! is one row: a name, a summary, and a function that calls the
 //! executor and reduces its outcome to an [`EngineRun`]. Harnesses
-//! (`locus-experiments --engine <name>`, `compare_paradigms`, the job
-//! server's `EngineRunner`) select one at runtime through [`run`].
+//! (`locus-experiments --engine <name>`, `compare_paradigms`) select one
+//! at runtime through [`run`].
 
 use locus_circuit::Circuit;
 use locus_coherence::traffic_by_line_size;
@@ -87,7 +87,7 @@ pub fn run(
 fn sequential(circuit: &Circuit, params: &RouterParams) -> Result<EngineRun, String> {
     params.validate()?;
     let outcome = SequentialRouter::new(circuit, *params).run();
-    Ok(EngineRun { outcome, mbytes: None, time_secs: None, degraded: false })
+    Ok(EngineRun { outcome, mbytes: None, time_secs: None })
 }
 
 /// The emulator. Traffic is Write-Back-with-Invalidate bus megabytes at
@@ -117,7 +117,6 @@ fn shmem_emul(
         },
         mbytes,
         time_secs: Some(out.time_secs),
-        degraded: false,
     })
 }
 
@@ -139,7 +138,6 @@ fn shmem_threads(
         },
         mbytes: None,
         time_secs: Some(out.wall.as_secs_f64()),
-        degraded: false,
     })
 }
 
@@ -165,7 +163,6 @@ fn msgpass(
         },
         mbytes: Some(out.mbytes),
         time_secs: Some(out.time_secs),
-        degraded: out.degraded.is_some(),
     })
 }
 

@@ -24,9 +24,8 @@
 //!   Chrome-trace / metrics-JSON / ASCII-timeline exporters.
 //! * [`analysis`] — barrier-epoch race detection over coherence traces
 //!   and benign/quality-affecting classification of the races found.
-//! * [`service`] — routing as a service: seeded workload generation,
-//!   a bounded-queue job server with backpressure, and latency/SLO
-//!   accounting over the engine registry.
+//! * [`service`] — the scoped-thread [`WorkerPool`](locus_service::WorkerPool)
+//!   the experiment sweeps run their independent points on.
 //! * [`engines`] — one table of plain functions, name → run, over every
 //!   routing engine in the workspace, each returning an
 //!   [`EngineRun`](locus_router::EngineRun).
@@ -72,9 +71,7 @@ pub mod prelude {
     pub use locus_msgpass::{run_msgpass, MsgPassConfig, RecoveryConfig, UpdateSchedule};
     pub use locus_obs::SharedSink;
     pub use locus_router::{assign, AssignmentStrategy, RegionMap, RouterParams, SequentialRouter};
-    pub use locus_service::{
-        Backpressure, EngineRunner, JobServer, ServiceConfig, WorkerPool, WorkloadConfig,
-    };
+    pub use locus_service::WorkerPool;
     pub use locus_shmem::{ShmemConfig, ShmemEmulator, ThreadedRouter};
 
     pub use crate::engines::registry;

@@ -103,51 +103,6 @@ fn recovery_counters_match_recovery_stats() {
 }
 
 #[test]
-fn service_health_counters_match_service_stats() {
-    use locusroute::service::{
-        Backpressure, CircuitFamily, HealthPolicy, JobClass, JobExecution, JobRunner, JobServer,
-        JobSpec, ServiceConfig, WorkerPool,
-    };
-
-    /// Every run comes back degraded, so each job burns its retries and
-    /// the class breaker eventually trips.
-    struct AlwaysDegraded;
-    impl JobRunner for AlwaysDegraded {
-        fn run(&self, _job: &JobSpec) -> Result<JobExecution, String> {
-            Ok(JobExecution { service_ms: 10, circuit_height: 1, wires_routed: 1, degraded: true })
-        }
-    }
-
-    let jobs: Vec<JobSpec> = (0..12)
-        .map(|i| JobSpec {
-            id: i as u32,
-            arrival_ms: i as u64 * 40,
-            class: JobClass::new(CircuitFamily::Tiny, "sequential", 1),
-            circuit_seed: 0,
-        })
-        .collect();
-    let policy = HealthPolicy {
-        deadline_ms: 1_000_000,
-        max_retries: 1,
-        backoff_base_ms: 20,
-        quarantine_ms: 200,
-        failure_quarantine: 1_000,
-        breaker_window: 4,
-        breaker_threshold_pct: 75,
-    };
-    let server = JobServer::new(ServiceConfig::new(2, 8, Backpressure::Block).with_health(policy));
-    let sink = SharedSink::new();
-    let out = server.run(&jobs, &AlwaysDegraded, &WorkerPool::serial(), Some(sink.clone()));
-    assert!(out.stats.retried > 0, "{:?}", out.stats);
-    assert!(out.stats.breaker_trips > 0, "{:?}", out.stats);
-
-    let m = sink.metrics_snapshot();
-    assert_eq!(m.counter(names::JOBS_RETRIED), out.stats.retried);
-    assert_eq!(m.counter(names::BREAKER_TRIPS), out.stats.breaker_trips);
-    assert_eq!(m.counter(names::JOBS_COMPLETED), out.stats.completed);
-}
-
-#[test]
 fn observed_run_matches_unobserved_run() {
     // Instrumentation must never perturb the simulation.
     let circuit = locusroute::circuit::presets::small();
