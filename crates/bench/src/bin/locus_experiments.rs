@@ -40,12 +40,13 @@
 //! and prints its headline metrics (`--circuit
 //! <tiny|small|bnre|mdc|powerlaw>` picks the preset).
 //!
-//! `analyze` runs one engine and replays its coherence trace through the
-//! race detector (two accesses race iff they share a barrier epoch) and
-//! classifies every unsynchronized conflicting pair as benign or
-//! quality-affecting (for the message-passing engines it instead folds
-//! the run's replica audits against the ground-truth cost array). Its
-//! report is printed and written like any other.
+//! `analyze` runs one engine (default `shmem-emul`) and replays the
+//! emulator's reference trace through the race detector (two accesses
+//! race iff they share a barrier epoch) and classifies every
+//! unsynchronized conflicting pair as benign or quality-affecting (for the
+//! message-passing engines it instead folds the run's replica audits
+//! against the ground-truth cost array). `shmem-threads` records no trace
+//! and is a usage error. Its report is printed and written like any other.
 //!
 //! `--trace-out` writes a Chrome trace-event JSON (load it at
 //! `chrome://tracing`) and `--metrics-out` a flat metrics JSON, both
@@ -244,7 +245,7 @@ fn main() {
     }
 
     if id == "analyze" {
-        let name = engine_name.as_deref().unwrap_or("shmem-threads");
+        let name = engine_name.as_deref().unwrap_or("shmem-emul");
         let report = catalog::analyze(&cfg, name, engine_procs).unwrap_or_else(|msg| die(&msg, 2));
         emit(id, &report, report_out.as_deref());
         return;

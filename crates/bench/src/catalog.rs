@@ -15,7 +15,7 @@ use locus_obs::Histogram;
 use locus_router::engine::EngineRun;
 use locus_router::render::{render_cost_array, render_regions};
 use locus_router::{RegionMap, RouterParams, SequentialRouter};
-use locus_shmem::{addr_cell, ShmemConfig, ShmemEmulator, ThreadedRouter};
+use locus_shmem::{addr_cell, ShmemConfig, ShmemEmulator};
 use locusroute::engines::{self, registry};
 
 use crate::experiments as ex;
@@ -599,12 +599,18 @@ pub fn engine(
 }
 
 /// `analyze`: one engine's run checked against the paper's bet that
-/// unlocked cost-array reads only cost quality. A traced engine's races
-/// are detected and classified benign or quality-affecting, and a
-/// message-passing engine's replicas are audited for staleness against
-/// the true cost array.
+/// unlocked cost-array reads only cost quality. A shared-memory engine's
+/// races are detected in the emulator's trace and classified benign or
+/// quality-affecting, and a message-passing engine's replicas are audited
+/// for staleness against the true cost array. The threaded router records
+/// no trace, so `shmem-threads` is an error that names `shmem-emul`.
 pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report, String> {
     let engine = engines::find(name)?.name;
+    if engine == "shmem-threads" {
+        return Err("analyze takes no trace from shmem-threads: its threads read private \
+                    replicas; shmem-emul records the shared-memory trace"
+            .into());
+    }
     let c = cfg.circuit();
     let procs = procs.unwrap_or_else(|| cfg.procs());
     let params = RouterParams::default();
@@ -631,17 +637,13 @@ pub fn analyze(cfg: &RunCfg, name: &str, procs: Option<usize>) -> Result<Report,
         report.header.extend(fields);
         return Ok(report);
     }
-    // The sequential router is the emulator at one processor (same wire
-    // order, same routes: `tests/engine_equivalence.rs`), and only the
-    // shared-memory engines record a trace.
+    // Every shared-memory trace is the emulator's: the sequential router
+    // is the emulator at one processor (same wire order, same routes:
+    // `tests/engine_equivalence.rs`).
     let procs = if engine == "sequential" { 1 } else { procs };
     let shmem = ShmemConfig::new(procs).with_params(params).with_trace();
-    let trace = if engine == "shmem-threads" {
-        ThreadedRouter::try_new(&c, shmem)?.run().trace
-    } else {
-        ShmemEmulator::try_new(&c, shmem)?.run().trace
-    }
-    .expect("a traced run records a trace");
+    let trace =
+        ShmemEmulator::try_new(&c, shmem)?.run().trace.expect("a traced run records a trace");
     let detection = detect(&trace);
     let races = classify_races(&c, &trace, detection.races, params.channel_overshoot);
     let pairs: Vec<(ClassifiedRace, GridCell)> = races
@@ -862,6 +864,10 @@ mod tests {
             for &p in &procs {
                 let case = format!("{} P={p}", entry.name);
                 match analyze(&cfg, entry.name, Some(p)) {
+                    Err(why) if entry.name == "shmem-threads" => {
+                        assert!(why.contains("shmem-emul"), "{case}: {why}")
+                    }
+                    Ok(_) if entry.name == "shmem-threads" => panic!("{case}: analyzed"),
                     Ok(report) => {
                         let ran = if entry.name == "sequential" { 1 } else { p };
                         assert_eq!(report.header[0], ("engine", entry.name.into()), "{case}");

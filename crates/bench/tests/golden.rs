@@ -87,7 +87,7 @@ fn engine_runs_are_the_fixture() {
     assert_eq!(stdout, fixture("engine_quick.txt"));
 }
 
-/// `analyze --quick` for every engine with no wall clock, one after
+/// `analyze --quick` for every engine `analyze` takes, one after
 /// another (`analyze_quick.txt`, without the line naming the report
 /// file). The three small reports are pinned against files captured from
 /// the build at 047ed11, when `analyze` still had a JSON writer of its
@@ -146,6 +146,7 @@ fn bad_invocations_say_why_and_set_the_exit_code() {
             2,
             "at most 64 processors",
         ),
+        (&["analyze", "--engine", "shmem-threads", "--quick"], 2, "shmem-emul"),
         (
             &["analyze", "--engine", "emul"],
             2,

@@ -227,9 +227,7 @@ impl Order {
 pub struct Trace {
     /// The burst headers; a burst's number is its index.
     bursts: Vec<Burst>,
-    /// Of each burst, its addresses: the recorder's list, moved, or none
-    /// for a burst that [`Trace::push`] made, which keeps its one address
-    /// in its header.
+    /// Of each burst, its addresses.
     addrs: Vec<Vec<u32>>,
     order: Order,
     /// Number of references.
@@ -242,43 +240,13 @@ impl Trace {
         Trace::default()
     }
 
-    /// Merges traces that are each time-ordered into one. References with
-    /// equal times keep the order of `streams` and, within a stream, their
-    /// own: the order that concatenating the streams and calling
-    /// [`Self::sort_by_time`] gives.
-    ///
-    /// # Panics
-    /// Panics if a stream is not time-ordered.
-    pub fn merge(streams: &[Trace]) -> Trace {
-        assert!(streams.iter().all(Trace::is_sorted), "merge() takes time-ordered traces");
-        let n_bursts = streams.iter().map(|t| t.bursts.len()).sum();
-        let (mut bursts, mut addrs) = (Vec::with_capacity(n_bursts), Vec::with_capacity(n_bursts));
-        let mut runs = Vec::with_capacity(streams.len());
-        for t in streams {
-            // Every burst number of a stream is below every one of the
-            // streams after it, so ranking by it ranks by stream.
-            let offset = next_burst(&bursts);
-            bursts.extend_from_slice(&t.bursts);
-            addrs.extend_from_slice(&t.addrs);
-            runs.push(t.refs().zip(t.order.iter()).map(move |(r, b)| Run {
-                time: r.time,
-                step: 0,
-                burst: offset + b,
-                len: 1,
-            }));
-        }
-        next_burst(&bursts); // the last stream's numbers fit as well
-        let len = streams.iter().map(Trace::len).sum();
-        Trace { bursts, addrs, order: merge_by_time(runs).0, len }
-    }
-
     /// Appends a reference, as a burst of its own. References may be
     /// pushed out of order; call [`Self::sort_by_time`] before analysis.
     #[inline]
     pub fn push(&mut self, r: MemRef) {
         self.order.push(1, [next_burst(&self.bursts)]);
         self.bursts.push(Burst { first: r, step: 0, len: 1 });
-        self.addrs.push(Vec::new());
+        self.addrs.push(vec![r.addr]);
         self.len += 1;
     }
 
@@ -333,15 +301,6 @@ impl Trace {
     /// without reading a reference.
     pub(crate) fn burst_counts(&self) -> impl Iterator<Item = (u32, RefKind, usize)> + '_ {
         self.bursts.iter().filter(|b| b.len > 0).map(|b| (b.first.proc, b.first.kind, b.len))
-    }
-
-    /// The addresses of burst `b`: its list, or the one address in its
-    /// header.
-    fn addrs(&self, b: usize) -> &[u32] {
-        match &self.addrs[b][..] {
-            [] => std::slice::from_ref(&self.bursts[b].first.addr),
-            list => list,
-        }
     }
 }
 
@@ -429,7 +388,7 @@ impl Refs<'_> {
             let at = self.pos[b];
             self.pos[b] += rounds;
             let time = first.time + at as u64 * step;
-            let addrs = &trace.addrs(b)[at..];
+            let addrs = &trace.addrs[b][at..];
             self.members.push(Member { first: MemRef { time, ..first }, step, addrs });
         }
         self.set_up = to;
@@ -586,8 +545,7 @@ impl TraceRecorder {
 }
 
 /// `len` references of one stream, `step` ns apart from `time` on, that
-/// share their burst number: a recorded burst, or one reference of a
-/// trace.
+/// share their burst number: a recorded burst.
 #[derive(Clone, Copy, Default)]
 struct Run {
     time: u64,
@@ -703,9 +661,8 @@ impl MergeQueue {
 /// time order, into one [`Order`] by time. Equal times keep each stream's
 /// own order, and between streams go by burst number:
 /// [`TraceRecorder::finish`] gives each processor its own bursts, numbered
-/// in the order they began, and [`Trace::merge`] numbers each stream's
-/// bursts above all of those before it. Also returns how many references
-/// were given in whole rounds.
+/// in the order they began. Also returns how many references were given
+/// in whole rounds.
 ///
 /// The merge advances by whole rounds where it can: when the streams at
 /// the front of the [`MergeQueue`] all sweep at one step and lie within
@@ -714,8 +671,7 @@ impl MergeQueue {
 /// by as many steps. Otherwise the front stream gives one reference and is
 /// filed again under the key of its next, searching from the back. (A
 /// binary heap would pay its full sift-down on the common case that the
-/// new key is the largest.) One-reference runs, which [`Trace::merge`]
-/// gives, never make a round.
+/// new key is the largest.) One-reference runs never make a round.
 fn merge_by_time<I>(mut streams: Vec<I>) -> (Order, usize)
 where
     I: Iterator<Item = Run>,
@@ -928,7 +884,6 @@ mod tests {
     fn in_rounds(n_procs: usize, bursts: &[(MemRef, u64, Vec<u32>)]) -> usize {
         let (recorded, sorted) = recorded_and_sorted(n_procs, bursts);
         assert_eq!(recorded.refs().collect::<Vec<_>>(), sorted);
-        assert_eq!(Trace::merge(std::slice::from_ref(&recorded)), recorded);
         record(n_procs, bursts).merge().1
     }
 
@@ -1022,6 +977,7 @@ mod tests {
             assert_eq!((t.len(), t.write_count(), t.is_sorted()), (9, 6, true));
         }
         assert_eq!(collected.bursts.len(), 9, "one burst a pushed reference");
+        assert!(collected.addrs.iter().all(|list| list.len() == 1), "its address in its list");
         assert_ne!(recorded, Trace::new());
         let shorter: Trace = sorted[..8].iter().copied().collect();
         assert_ne!(recorded, shorter);
@@ -1053,7 +1009,6 @@ mod tests {
         let trace = recorder.finish();
         let times: Vec<u64> = trace.refs().map(|r| r.time).collect();
         assert_eq!(times, [u64::MAX - 10, u64::MAX - 5, u64::MAX]);
-        assert_eq!(Trace::merge(std::slice::from_ref(&trace)), trace);
     }
 
     #[test]
@@ -1070,28 +1025,5 @@ mod tests {
         burst.push(0);
         burst.push(2);
         recorder.begin(r(9, 0, 0, RefKind::Read), 10);
-    }
-
-    #[test]
-    fn merge_breaks_ties_by_stream_then_program_order() {
-        let a: Trace = [r(1, 0, 0, RefKind::Read), r(5, 0, 2, RefKind::Read)].into_iter().collect();
-        let b: Trace =
-            [r(5, 1, 4, RefKind::Write), r(5, 1, 6, RefKind::Read), r(9, 1, 8, RefKind::Read)]
-                .into_iter()
-                .collect();
-        let merged = Trace::merge(&[b.clone(), Trace::new(), a.clone()]);
-        assert_eq!(addrs(&merged), [0, 4, 6, 2, 8]);
-        assert_eq!(Trace::merge(&[]), Trace::new());
-        assert_eq!(Trace::merge(std::slice::from_ref(&a)), a);
-    }
-
-    #[test]
-    fn merging_recorded_traces_keeps_their_bursts() {
-        let (recorded, sorted) = recorded_and_sorted(3, &example_bursts());
-        let merged = Trace::merge(&[recorded.clone(), recorded.clone()]);
-        assert_eq!(merged.bursts.len(), 10);
-        let mut twice: Vec<MemRef> = sorted.iter().chain(&sorted).copied().collect();
-        twice.sort_by_key(|r| r.time);
-        assert_eq!(merged.refs().collect::<Vec<_>>(), twice);
     }
 }

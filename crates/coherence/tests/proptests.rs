@@ -262,31 +262,22 @@ proptest! {
 
     #[test]
     fn sweeps_merge_as_a_stable_sort_through_finish_and_merge(case in arb_sweeps()) {
-        // One recorder for the run, and one a processor; `Trace::merge`
-        // then breaks equal times by processor, not by burst number.
+        // One recorder for the run: `finish` merges its processors'
+        // sweeps, breaking equal times by burst number.
         let (n_procs, bursts) = case;
         let mut whole = TraceRecorder::new(n_procs);
-        let mut per_proc: Vec<TraceRecorder> =
-            (0..n_procs).map(|_| TraceRecorder::new(n_procs)).collect();
         let mut listed = Vec::new();
         for (first, step, addrs) in &bursts {
-            for recorder in [&mut whole, &mut per_proc[first.proc as usize]] {
-                let mut burst = recorder.begin(*first, *step);
-                addrs.iter().for_each(|&addr| burst.push(addr));
-            }
+            let mut burst = whole.begin(*first, *step);
+            addrs.iter().for_each(|&addr| burst.push(addr));
             listed.extend((0..).zip(addrs).map(|(i, &addr)| MemRef {
                 time: first.time + i * step,
                 addr,
                 ..*first
             }));
         }
-        let mut by_burst = listed.clone();
-        by_burst.sort_by_key(|r| r.time);
-        prop_assert_eq!(whole.finish().refs().collect::<Vec<_>>(), by_burst);
-        let streams: Vec<Trace> = per_proc.into_iter().map(TraceRecorder::finish).collect();
-        let mut by_proc = listed;
-        by_proc.sort_by_key(|r| (r.time, r.proc));
-        prop_assert_eq!(Trace::merge(&streams).refs().collect::<Vec<_>>(), by_proc);
+        listed.sort_by_key(|r| r.time);
+        prop_assert_eq!(whole.finish().refs().collect::<Vec<_>>(), listed);
     }
 }
 
@@ -295,28 +286,23 @@ proptest! {
 
     #[test]
     fn refs_split_anywhere_between_next_and_fold(case in arb_sweeps(), kept in 1usize..13) {
-        // One set of references stored four ways: recorded, in many
-        // rounds; merged from one recorder a processor; pushed in burst
-        // order, one round of one-reference bursts; and that sorted.
+        // One set of references stored three ways: recorded, in many
+        // rounds; pushed in burst order, one round of one-reference
+        // bursts; and that sorted.
         let (n_procs, mut bursts) = case;
         bursts.truncate(kept);
         let mut whole = TraceRecorder::new(n_procs);
-        let mut per_proc: Vec<TraceRecorder> =
-            (0..n_procs).map(|_| TraceRecorder::new(n_procs)).collect();
         let mut pushed = Trace::new();
         for (first, step, addrs) in &bursts {
-            for recorder in [&mut whole, &mut per_proc[first.proc as usize]] {
-                let mut burst = recorder.begin(*first, *step);
-                addrs.iter().for_each(|&addr| burst.push(addr));
-            }
+            let mut burst = whole.begin(*first, *step);
+            addrs.iter().for_each(|&addr| burst.push(addr));
             for (i, &addr) in (0..).zip(addrs) {
                 pushed.push(MemRef { time: first.time + i * step, addr, ..*first });
             }
         }
-        let streams: Vec<Trace> = per_proc.into_iter().map(TraceRecorder::finish).collect();
         let mut sorted = pushed.clone();
         sorted.sort_by_time();
-        for trace in [whole.finish(), Trace::merge(&streams), pushed, sorted] {
+        for trace in [whole.finish(), pushed, sorted] {
             check_splits(&trace);
         }
     }
@@ -379,21 +365,24 @@ proptest! {
         recorded in arb_bursts(),
     ) {
         // `arb_trace` stamps position as time, so every stream is sorted
-        // and equal times across streams are everywhere. A recorded trace
-        // joins them, so that bursts of many references are merged too.
+        // and equal times across streams are everywhere. The streams are
+        // pushed onto a recorded trace, so that sorting moves bursts of
+        // many references too.
         let (n_procs, bursts) = recorded;
         let mut recorder = TraceRecorder::new(n_procs);
         for (first, step, addrs) in &bursts {
             let mut burst = recorder.begin(*first, *step);
             addrs.iter().for_each(|&addr| burst.push(addr));
         }
-        let mut streams = streams;
-        let at = streams.len() / 2;
-        streams.insert(at, recorder.finish());
-        let mut oracle: Vec<MemRef> = streams.iter().flat_map(Trace::refs).collect();
+        let mut concatenated = recorder.finish();
+        let mut oracle: Vec<MemRef> = concatenated.refs().collect();
+        for r in streams.iter().flat_map(Trace::refs) {
+            concatenated.push(r);
+            oracle.push(r);
+        }
         oracle.sort_by_key(|r| r.time);
-        let merged = Trace::merge(&streams);
-        prop_assert_eq!(merged.refs().collect::<Vec<_>>(), oracle);
+        concatenated.sort_by_time();
+        prop_assert_eq!(concatenated.refs().collect::<Vec<_>>(), oracle);
     }
 
     #[test]

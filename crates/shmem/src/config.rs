@@ -45,8 +45,9 @@ pub struct ShmemConfig {
     pub params: RouterParams,
     /// Wire distribution strategy.
     pub scheduling: Scheduling,
-    /// Whether the run records a Tango-style reference trace (honoured
-    /// by both the emulator and the real threaded router).
+    /// Whether the emulator records a Tango-style reference trace. The
+    /// threaded router reads private replicas and refuses a config that
+    /// sets it.
     pub collect_trace: bool,
 }
 

@@ -16,12 +16,14 @@
 //!   With tracing enabled it records every shared-data reference
 //!   (time, processor, address, read/write) for the coherence model in
 //!   `locus-coherence`. Used for every table value.
-//! * [`ThreadedRouter`] — a **real multithreaded router**: the cost array
-//!   lives in atomics, accessed without locks exactly as the original
-//!   ("accesses to the cost array are not locked", §3), with a
-//!   distributed-loop dynamic scheduler or a static assignment. Used to
-//!   demonstrate genuine wall-clock speedup; never for table values
-//!   (thread interleavings are nondeterministic).
+//! * [`ThreadedRouter`] — a **real multithreaded router**: the shared cost
+//!   array lives in atomics, written without locks as in the original
+//!   ("accesses to the cost array are not locked", §3), and each thread
+//!   evaluates against a private replica refreshed at the iteration
+//!   barriers, with a distributed-loop dynamic scheduler or a static
+//!   assignment. Used to demonstrate genuine wall-clock speedup; never
+//!   for table values (thread interleavings are nondeterministic), and it
+//!   records no trace.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

@@ -1,95 +1,43 @@
 //! The real multithreaded shared-memory router.
 //!
-//! This is the §3 implementation run on actual hardware threads: the cost
-//! array lives in atomics and is read and written **without locks**
+//! This is the §3 implementation run on actual hardware threads: the
+//! shared cost array lives in atomics and is written **without locks**
 //! ("accesses to the cost array are not locked" — collisions are rare and
 //! the algorithm tolerates them), wires are handed out by a
 //! distributed-loop shared counter or a static assignment, and processors
 //! meet at a barrier between iterations.
 //!
-//! Thread interleavings make runs nondeterministic in the default
-//! distributed-loop schedule, so this engine backs the wall-clock
-//! speedup demonstration only; all table values come from the
-//! deterministic emulator in [`crate::emul`]. (Under a static assignment
-//! with shard ownership — see `crate::shard` — runs *are* bitwise
-//! repeatable at any thread count.) Each thread routes through its own
-//! [`IterationDriver`] ledger; the routes live in per-wire mutexes every
-//! thread shares, and the ledgers are merged after the join.
+//! Every worker evaluates against a private replica of the array (plain
+//! `u16` rows and the `fast_spans` sweep in place of a relaxed atomic
+//! load per cell, no false sharing), refreshed from the shared atomic
+//! truth at iteration barriers; see `crate::shard`. Thread interleavings
+//! make runs nondeterministic in the default distributed-loop schedule,
+//! so this engine backs the wall-clock speedup demonstration only; all
+//! table values come from the deterministic emulator in [`crate::emul`].
+//! Under a static assignment runs *are* bitwise repeatable at any thread
+//! count. Each thread routes through its own [`IterationDriver`] ledger;
+//! the routes live in per-wire mutexes every thread shares, and the
+//! ledgers are merged after the join.
 //!
-//! Untraced runs default to **per-shard cost-array ownership**: each
-//! worker evaluates against a private replica (plain `u16` rows and the
-//! `fast_spans` sweep in place of a relaxed atomic load per cell, no
-//! false sharing) refreshed from the shared atomic truth at iteration
-//! barriers. Traced runs keep the live per-cell shared-read
-//! path so the recorded reference stream stays byte-exact.
+//! The threads record no reference trace: they read their replicas, not
+//! the shared array. The multiplexed [`crate::ShmemEmulator`] records the
+//! trace, as Tango's multiplexed execution did (§2.2).
 
 // Audited executor (clippy.toml): the one scoped spawn per router thread,
 // and the wall-clock reads that are this engine's measurement.
 #![expect(clippy::disallowed_methods)]
 
-use std::cell::{Cell, RefCell};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use locus_circuit::{Circuit, GridCell};
-use locus_coherence::{MemRef, RefKind, Trace};
+use locus_circuit::Circuit;
 use locus_router::engine::{IterationDriver, WireFeed};
 use locus_router::router::route_wire_scratch;
 use locus_router::{CostArray, CostView, EvalScratch, QualityMetrics, Route, WorkStats};
 use parking_lot::Mutex;
 
-use crate::cell_addr;
 use crate::config::ShmemConfig;
 use crate::shard::{AtomicCostArray, ShardWorker};
-
-/// Wraps the shared atomic array with per-read trace recording for one
-/// thread. Reads go through the per-cell [`CostView::cost_at`] default
-/// paths, so the recorded stream is exactly the cells the evaluator
-/// examined; stamps are wall-clock nanoseconds since run start.
-struct TracingView<'a> {
-    inner: &'a AtomicCostArray,
-    trace: &'a RefCell<Trace>,
-    start: Instant,
-    proc: u32,
-    epoch: Cell<u32>,
-    wire: Cell<u32>,
-}
-
-impl TracingView<'_> {
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    fn record(&self, cell: GridCell, kind: RefKind, delta: i8) {
-        self.trace.borrow_mut().push(
-            MemRef::new(
-                self.now_ns(),
-                self.proc,
-                cell_addr(cell.channel, cell.x, self.inner.grids()),
-                kind,
-            )
-            .with_epoch(self.epoch.get())
-            .expect("validate() bounds the iterations of a traced run")
-            .with_wire(self.wire.get())
-            .with_delta(delta),
-        );
-    }
-}
-
-impl CostView for TracingView<'_> {
-    fn channels(&self) -> u16 {
-        self.inner.channels()
-    }
-    fn grids(&self) -> u16 {
-        self.inner.grids()
-    }
-    #[inline]
-    fn cost_at(&self, cell: GridCell) -> u32 {
-        self.record(cell, RefKind::Read, 0);
-        self.inner.cost_at(cell)
-    }
-}
 
 /// Result of a threaded run.
 #[derive(Clone, Debug)]
@@ -103,14 +51,10 @@ pub struct ThreadedOutcome {
     /// Aggregate routing work across all threads.
     pub work: WorkStats,
     /// Occupancy factor accumulated in each iteration (summed across
-    /// threads; approximate under concurrent writes, like everything in
-    /// this engine).
+    /// threads, each priced against its own replica).
     pub occupancy_by_iteration: Vec<u64>,
     /// Final cost-array state (rebuilt from the final routes).
     pub cost: CostArray,
-    /// The shared-reference trace, when collection was enabled
-    /// (wall-clock stamps; the threads' streams merged by time).
-    pub trace: Option<Trace>,
 }
 
 /// Real-thread executor; see [module docs](self).
@@ -132,10 +76,16 @@ impl<'a> ThreadedRouter<'a> {
 
     /// Creates an executor, or returns what `ShmemConfig::validate`
     /// finds wrong with `config`, on its own or as a split of `circuit`
-    /// among the threads.
+    /// among the threads. A config that asks for a trace is refused: the
+    /// threads read private replicas, and the emulator records the trace.
     pub fn try_new(circuit: &'a Circuit, config: ShmemConfig) -> Result<Self, String> {
         config.validate()?;
         config.check_surface(circuit)?;
+        if config.collect_trace {
+            return Err("the threaded router records no trace: its threads read private \
+                        replicas, not the shared array; shmem-emul records the trace"
+                .into());
+        }
         Ok(ThreadedRouter { circuit, config })
     }
 
@@ -156,9 +106,6 @@ impl<'a> ThreadedRouter<'a> {
             (0..iterations).map(|_| WireFeed::new(n_wires, static_lists.as_deref())).collect();
         let barrier = Barrier::new(n_threads);
         let ledgers: Mutex<Vec<(WorkStats, Vec<u64>)>> = Mutex::new(Vec::new());
-        let collect_trace = self.config.collect_trace;
-        // One time-ordered stream per thread, in thread order.
-        let thread_traces: Vec<Mutex<Trace>> = (0..n_threads).map(|_| Mutex::default()).collect();
 
         // Wall-clock here is the measurement itself (it feeds the
         // reported route timings), not hidden nondeterminism.
@@ -170,92 +117,42 @@ impl<'a> ThreadedRouter<'a> {
                 let feeds = &feeds;
                 let barrier = &barrier;
                 let ledgers = &ledgers;
-                let thread_traces = &thread_traces;
                 let circuit = self.circuit;
                 scope.spawn(move || {
                     let mut scratch = EvalScratch::default();
-                    // Traced runs must record the exact per-cell read
-                    // stream, so they keep the live shared-read path;
-                    // everything else evaluates against a worker-owned
-                    // replica (see `crate::shard`).
-                    let mut worker =
-                        (!collect_trace).then(|| ShardWorker::new(circuit.channels, circuit.grids));
+                    let mut worker = ShardWorker::new(circuit.channels, circuit.grids);
                     // The threads record no events, so every stamp is 0.
                     let mut driver = IterationDriver::default();
-                    // Per-thread trace buffer: no cross-thread sharing on
-                    // the hot path, handed over at exit.
-                    let local = RefCell::new(Trace::new());
-                    let traced = TracingView {
-                        inner: shared,
-                        trace: &local,
-                        start,
-                        proc: t as u32,
-                        epoch: Cell::new(0),
-                        wire: Cell::new(MemRef::NO_WIRE),
-                    };
-                    for (iteration, feed) in feeds.iter().enumerate() {
-                        traced.epoch.set(iteration as u32);
-                        if let Some(w) = worker.as_mut() {
-                            // Snapshot the shared truth — quiet here: the
-                            // previous iteration's exit barrier ordered
-                            // every write before this point — then meet
-                            // the other workers so nobody starts writing
-                            // while a snapshot is still being taken.
-                            w.refresh(shared);
-                            barrier.wait();
-                        }
+                    for feed in feeds {
+                        // Snapshot the shared truth — quiet here: the
+                        // previous iteration's exit barrier ordered every
+                        // write before this point — then meet the other
+                        // workers so nobody starts writing while a
+                        // snapshot is still being taken.
+                        worker.refresh(shared);
+                        barrier.wait();
                         let mut cursor = 0usize;
                         while let Some(wire_id) = feed.next(t, &mut cursor) {
-                            traced.wire.set(wire_id as u32);
                             let mut slot = routes[wire_id].lock();
                             if let Some(old) = slot.take() {
                                 driver.rip_up(wire_id, &old, 0);
-                                match worker.as_mut() {
-                                    Some(w) => w.rip_up(shared, &old),
-                                    None => shared.remove_route(&old),
-                                }
-                                if collect_trace {
-                                    for &cell in old.cells() {
-                                        traced.record(cell, RefKind::Write, -1);
-                                    }
-                                }
+                                worker.rip_up(shared, &old);
                             }
                             let wire = circuit.wire(wire_id);
-                            let eval = match worker.as_ref() {
-                                Some(w) => {
-                                    route_wire_scratch(&w.local, wire, overshoot, &mut scratch)
-                                }
-                                None => route_wire_scratch(&traced, wire, overshoot, &mut scratch),
-                            };
+                            let eval =
+                                route_wire_scratch(&worker.local, wire, overshoot, &mut scratch);
                             // Same occupancy definition as the other
-                            // engines: merged-route cost at routing time.
-                            // A sharded worker prices against its own
-                            // replica (the view it decided on); otherwise
-                            // against the live shared array (concurrent
-                            // writes make that approximate, like
-                            // everything here).
-                            let at_decision = match worker.as_ref() {
-                                Some(w) => w.local.route_cost(&eval.route),
-                                None => shared.route_cost(&eval.route),
-                            };
-                            match worker.as_mut() {
-                                Some(w) => w.commit(shared, &eval.route),
-                                None => shared.add_route(&eval.route),
-                            }
-                            if collect_trace {
-                                for &cell in eval.route.cells() {
-                                    traced.record(cell, RefKind::Write, 1);
-                                }
-                            }
+                            // engines: merged-route cost at routing time,
+                            // priced against the replica the worker
+                            // decided on.
+                            let at_decision = worker.local.route_cost(&eval.route);
+                            worker.commit(shared, &eval.route);
                             *slot = Some(driver.commit(wire_id, eval, at_decision, 0));
                         }
                         barrier.wait();
                         driver.close_iteration();
                     }
                     ledgers.lock().push((*driver.work(), driver.occupancy_by_iteration().to_vec()));
-                    if collect_trace {
-                        *thread_traces[t].lock() = local.into_inner();
-                    }
                 });
             }
         });
@@ -280,11 +177,7 @@ impl<'a> ThreadedRouter<'a> {
             &truth,
             occupancy_by_iteration.last().copied().unwrap_or(0),
         );
-        let trace = collect_trace.then(|| {
-            let streams: Vec<Trace> = thread_traces.into_iter().map(Mutex::into_inner).collect();
-            Trace::merge(&streams)
-        });
-        ThreadedOutcome { quality, wall, routes, work, occupancy_by_iteration, cost: truth, trace }
+        ThreadedOutcome { quality, wall, routes, work, occupancy_by_iteration, cost: truth }
     }
 }
 
@@ -335,24 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_collection_on_threads_records_reads_and_writes() {
-        let c = presets::small();
-        let out = ThreadedRouter::new(&c, ShmemConfig::new(2).with_trace()).run();
-        let trace = out.trace.expect("trace requested");
-        assert!(trace.is_sorted());
-        // Every commit writes each route cell once; rip-ups add more.
-        assert_eq!(trace.write_count() as u64, out.work.cells_written);
-        assert!(trace.len() as u64 > out.work.cells_written);
-        let max_addr = (c.channels as u32 * c.grids as u32) * 2;
-        let iterations = ShmemConfig::new(2).params.iterations as u32;
-        for r in trace.refs() {
-            assert!(r.addr < max_addr);
-            assert!(u32::from(r.epoch) < iterations);
-            assert!((r.wire as usize) < c.wire_count());
-        }
-    }
-
-    #[test]
     fn a_run_no_trace_can_number_or_no_directory_can_hold_is_an_error() {
         let c = presets::tiny();
         let long = RouterParams::default().with_iterations(100_000);
@@ -364,10 +239,13 @@ mod tests {
     }
 
     #[test]
-    fn no_trace_on_threads_by_default() {
+    fn a_traced_config_is_refused_and_the_error_names_the_emulator() {
         let c = presets::tiny();
-        let out = ThreadedRouter::new(&c, ShmemConfig::new(2)).run();
-        assert!(out.trace.is_none());
+        let err = ThreadedRouter::try_new(&c, ShmemConfig::new(2).with_trace())
+            .err()
+            .expect("the threads record no trace");
+        assert!(err.contains("private replicas"), "{err}");
+        assert!(err.contains("shmem-emul"), "{err}");
     }
 
     #[test]

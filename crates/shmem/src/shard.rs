@@ -28,13 +28,13 @@
 //! iteration) is ordered after them by the barrier.
 
 // Audited atomics (clippy.toml): the paper's unlocked cost array (§3),
-// whose relaxed races `locus-analysis` detects and classifies.
+// written by relaxed RMWs and read only at the iteration barriers.
 #![expect(clippy::disallowed_types)]
 
 use std::sync::atomic::{AtomicU16, Ordering};
 
 use locus_circuit::GridCell;
-use locus_router::{CostArray, CostView, Route};
+use locus_router::{CostArray, Route};
 
 /// The shared cost array in atomics; plain `Relaxed` loads and stores —
 /// the data-race-free Rust rendering of the paper's unlocked array.
@@ -65,12 +65,12 @@ impl AtomicCostArray {
 
     pub(crate) fn remove_route(&self, route: &Route) {
         for &cell in route.cells() {
-            // Saturating decrement: a plain `fetch_sub` can wrap a cell
-            // that a concurrent rip-up already drove to zero all the way
-            // to 65535, poisoning every later cost evaluation. The RMW
-            // keeps the cell pinned at zero instead, and debug builds
-            // flag the occurrence (the race analyser classifies it as
-            // quality-affecting from the trace).
+            // Each wire is ripped up once per iteration, after a barrier
+            // that follows its commit, so a cell cannot be decremented
+            // past zero. The saturating RMW guards that invariant anyway:
+            // a plain `fetch_sub` would wrap a zero cell to 65535 and
+            // poison every later cost evaluation, where this keeps it
+            // pinned at zero, and debug builds flag the occurrence.
             let prev = self.cells[self.index(cell)]
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)))
                 .expect("saturating decrement cannot fail");
@@ -81,19 +81,6 @@ impl AtomicCostArray {
                 cell.x
             );
         }
-    }
-}
-
-impl CostView for AtomicCostArray {
-    fn channels(&self) -> u16 {
-        self.channels
-    }
-    fn grids(&self) -> u16 {
-        self.grids
-    }
-    #[inline]
-    fn cost_at(&self, cell: GridCell) -> u32 {
-        self.cells[self.index(cell)].load(Ordering::Relaxed) as u32
     }
 }
 
@@ -115,7 +102,7 @@ impl ShardWorker {
         for c in 0..shared.channels {
             for x in 0..shared.grids {
                 let cell = GridCell::new(c, x);
-                self.local.set(cell, shared.cost_at(cell) as u16);
+                self.local.set(cell, shared.cells[shared.index(cell)].load(Ordering::Relaxed));
             }
         }
     }
@@ -139,7 +126,11 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locus_router::Segment;
+    use locus_router::{CostView, Segment};
+
+    fn load(shared: &AtomicCostArray, cell: GridCell) -> u16 {
+        shared.cells[shared.index(cell)].load(Ordering::Relaxed)
+    }
 
     fn route(c: u16, x1: u16, x2: u16) -> Route {
         Route::from_segments(vec![Segment::horizontal(c, x1, x2)])
@@ -153,12 +144,12 @@ mod tests {
         w.commit(&shared, &r);
         for &cell in r.cells() {
             assert_eq!(w.local.get(cell), 1);
-            assert_eq!(shared.cost_at(cell), 1);
+            assert_eq!(load(&shared, cell), 1);
         }
         w.rip_up(&shared, &r);
         assert!(w.local.is_zero());
         for &cell in r.cells() {
-            assert_eq!(shared.cost_at(cell), 0);
+            assert_eq!(load(&shared, cell), 0);
         }
     }
 
@@ -189,7 +180,7 @@ mod tests {
         }
         a.refresh(&shared);
         for c in 0..6u16 {
-            let naive: u64 = (0..16u16).map(|x| shared.cost_at(GridCell::new(c, x)) as u64).sum();
+            let naive: u64 = (0..16u16).map(|x| load(&shared, GridCell::new(c, x)) as u64).sum();
             assert_eq!(a.local.horizontal_cost(c, 0, 15), naive, "channel {c}");
         }
     }

@@ -140,22 +140,20 @@ fn conservation_holds_in_every_engine() {
     check(&msg.routes, msg.quality.circuit_height, "message passing");
 }
 
-/// The reference trace `analyze` records for a shared-memory engine:
-/// the threaded router's, or the emulator's for `shmem-emul` and for
-/// `sequential` (the emulator at one processor).
-fn traced_run(circuit: &Circuit, engine: &str, procs: usize) -> Trace {
-    let cfg = ShmemConfig::new(procs).with_trace();
-    match engine {
-        "shmem-threads" => ThreadedRouter::new(circuit, cfg).run().trace,
-        _ => ShmemEmulator::new(circuit, cfg).run().trace,
-    }
-    .expect("a traced run records a trace")
+/// The reference trace `analyze` records for a shared-memory engine: the
+/// emulator's, for `shmem-emul` and for `sequential` (the emulator at one
+/// processor).
+fn traced_run(circuit: &Circuit, procs: usize) -> Trace {
+    ShmemEmulator::new(circuit, ShmemConfig::new(procs).with_trace())
+        .run()
+        .trace
+        .expect("a traced run records a trace")
 }
 
 #[test]
 fn sequential_trace_has_zero_race_pairs() {
     let circuit = locusroute::circuit::presets::small();
-    let detection = detect(&traced_run(&circuit, "sequential", 1));
+    let detection = detect(&traced_run(&circuit, 1));
     assert!(detection.refs > 0, "sequential trace recorded no references");
     assert_eq!(detection.races.len(), 0, "a single-threaded trace can never race");
     assert_eq!(detection.synchronized_pairs, 0, "one processor has no cross-proc pairs");
@@ -164,16 +162,14 @@ fn sequential_trace_has_zero_race_pairs() {
 #[test]
 fn one_processor_emulator_trace_is_race_free() {
     let circuit = locusroute::circuit::presets::small();
-    for engine in ["shmem-emul", "shmem-threads"] {
-        let detection = detect(&traced_run(&circuit, engine, 1));
-        assert_eq!(detection.races.len(), 0, "{engine} at P=1 must be race-free");
-    }
+    let detection = detect(&traced_run(&circuit, 1));
+    assert_eq!(detection.races.len(), 0, "shmem-emul at P=1 must be race-free");
 }
 
 #[test]
 fn parallel_emulator_races_match_detector_and_are_classified() {
     let circuit = locusroute::circuit::presets::small();
-    let trace = traced_run(&circuit, "shmem-emul", 4);
+    let trace = traced_run(&circuit, 4);
     let detection = detect(&trace);
     assert!(detection.epochs >= 1);
     let races = detection.races.clone();
