@@ -18,9 +18,18 @@
 //! Recovery windows are **derived, not guessed**: a probe run without
 //! recovery measures the circuit's clean completion time `T`, then the
 //! heartbeat period is set to `T/50` and the suspect window to 8
-//! heartbeats (≈ 0.16 `T`). Nodes under recovery chunk their busy time
-//! at half a heartbeat per step, so even a wire whose routing work
-//! exceeds the window cannot silence its owner into a false death.
+//! heartbeats (≈ 0.16 `T`). Nodes under recovery chunk their routing
+//! time at half a heartbeat per step, but that alone does not keep a
+//! fault-free run free of false deaths: the coordinator spends (P − 1) ×
+//! 124 µs of every period receiving and answering heartbeats, and a
+//! node's receive overhead for a whole inbox is charged in one step. A
+//! period at or under that heartbeat load livelocks on false deaths, and
+//! `MsgPassConfig::validate` rejects any period under twice it; the
+//! receive bursts still cost false deaths at 4 and 9 processors on the
+//! larger circuits at some periods it accepts
+//! (`crates/msgpass/tests/heartbeat_sweep.rs`). `T/50` here is 11.7 ms
+//! and more at 16 processors, and 2.4 ms on `small` at 4 (`--quick`),
+//! where a fault-free run declares nobody dead.
 
 use locus_circuit::{presets, Circuit};
 use locus_mesh::{FaultPlan, NodeFault};

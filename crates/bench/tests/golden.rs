@@ -73,6 +73,18 @@ fn quick_reports_are_the_fixtures() {
     assert_eq!(std::fs::read_dir(dir).expect("scratch directory").count(), 0, "no default file");
 }
 
+/// `--metrics-out` of `table1 --quick`: every counter and histogram the
+/// per-kind table declares, under its name, for the instrumented bnrE
+/// run (`metrics_observed.json` was captured from the build at f582d0d,
+/// less the two kernel counters it has since dropped).
+#[test]
+fn metrics_export_is_the_fixture() {
+    let (dir, _, _, code) = run("metrics", &["table1", "--quick", "--metrics-out", "m.json"]);
+    assert_eq!(code, 0);
+    let written = std::fs::read_to_string(dir.join("m.json")).expect("metrics written");
+    assert_eq!(written, fixture("metrics_observed.json"));
+}
+
 /// `--engine <name> --quick` for every engine with no wall clock, one
 /// after another (`engine_quick.txt` was captured from the build at
 /// 34c2e8c). `shmem-threads` is left out: it prints host time.

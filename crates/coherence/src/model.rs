@@ -656,14 +656,14 @@ mod tests {
 
     #[test]
     fn observed_run_streams_mem_requests() {
-        use locus_obs::{names, SharedSink};
+        use locus_obs::SharedSink;
         let t = churn_trace(4);
         let sink = SharedSink::new();
         let out = build_memory_model("directory", MemoryConfig::paper(4, 8))
             .expect("registered")
             .run_observed(&t, &Obs::to(&sink));
         let m = sink.metrics_snapshot();
-        assert_eq!(m.counter(names::MEM_REQUESTS), out.fifo.all().requests);
-        assert_eq!(m.counter(names::MEM_CRITICAL_REQUESTS), out.fifo.critical.requests);
+        assert_eq!(m.counter("mem_requests"), out.fifo.all().requests);
+        assert_eq!(m.counter("mem_critical_requests"), out.fifo.critical.requests);
     }
 }

@@ -343,7 +343,6 @@ mod tests {
     /// traffic, one request per bus transaction.
     #[test]
     fn sink_counters_cross_check_traffic_stats() {
-        use locus_obs::names;
         let mut t = Trace::new();
         for i in 0..200u64 {
             t.push(MemRef::new(
@@ -367,7 +366,7 @@ mod tests {
                 })
                 .sum();
             assert_eq!(bytes, out.stats.total_bytes, "{backend}");
-            let requests = sink.metrics_snapshot().counter(names::MEM_REQUESTS);
+            let requests = sink.metrics_snapshot().counter("mem_requests");
             assert_eq!(requests, out.fifo.all().requests, "{backend}");
         }
     }

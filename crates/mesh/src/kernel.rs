@@ -329,6 +329,7 @@ impl<N: Node> Kernel<N> {
     pub fn run(mut self) -> SimOutcome<N> {
         let mut events_processed = 0u64;
         let mut event_limit_hit = false;
+        let mut last_at = SimTime::ZERO;
 
         while let Some((at, node, kind)) = self.queue.pop() {
             events_processed += 1;
@@ -336,6 +337,7 @@ impl<N: Node> Kernel<N> {
                 event_limit_hit = true;
                 break;
             }
+            last_at = at;
             match kind {
                 Some(EventKind::Deliver(env)) => self.on_deliver(at, node, env),
                 Some(EventKind::Wake) => self.on_wake(at, node),
@@ -356,8 +358,11 @@ impl<N: Node> Kernel<N> {
             || self.status.iter().any(|&s| !matches!(s, Status::Done | Status::Crashed));
         self.stats.deadlocked = deadlocked;
         self.stats.event_limit_hit = event_limit_hit;
+        // A run the event limit cut off ends at its last event; a drained
+        // queue (done or deadlocked) at the latest finish.
+        let latest_done = self.stats.done_at.iter().copied().fold(SimTime::ZERO, SimTime::max);
         self.stats.completion =
-            self.stats.done_at.iter().copied().fold(SimTime::ZERO, SimTime::max);
+            if event_limit_hit { latest_done.max(last_at) } else { latest_done };
         self.stats.debug_assert_consistent();
         SimOutcome { nodes: self.nodes, stats: self.stats, events_processed }
     }
@@ -786,6 +791,10 @@ mod tests {
         let out = kernel.run();
         assert!(out.stats.event_limit_hit);
         assert!(out.stats.deadlocked);
+        // No node finished, so the run reports when it was stopped: two
+        // spinners wake once a nanosecond, and the 1 000th wake is at 499.
+        assert_eq!(out.stats.done_at, [SimTime::ZERO; 2]);
+        assert_eq!(out.stats.completion, SimTime::from_ns(499));
     }
 
     #[test]
@@ -800,18 +809,18 @@ mod tests {
 
     #[test]
     fn sink_observes_sends_deliveries_and_contention() {
-        use locus_obs::{names, SharedSink};
+        use locus_obs::SharedSink;
         let cfg = MeshConfig::ametek(1, 3);
         let sink = SharedSink::new();
         let nodes = vec![OneShot::sender(2, 100), OneShot::sender(2, 64), OneShot::receiver(2)];
         let out = Kernel::new(cfg, nodes).with_obs(Obs::to(&sink)).run();
         let m = sink.metrics_snapshot();
-        assert_eq!(m.counter(names::PACKETS_SENT), out.stats.packets);
-        assert_eq!(m.counter(names::BYTES_SENT), out.stats.payload_bytes);
-        assert_eq!(m.counter(names::WIRE_BYTES_SENT), out.stats.wire_bytes);
-        assert_eq!(m.counter(names::PACKETS_DELIVERED), out.stats.packets);
-        assert_eq!(m.counter(names::CONTENTION_NS), out.stats.contention_ns);
-        assert!(m.counter(names::CONTENTION_NS) > 0, "shared channel must stall");
+        assert_eq!(m.counter("packets_sent"), out.stats.packets);
+        assert_eq!(m.counter("bytes_sent"), out.stats.payload_bytes);
+        assert_eq!(m.counter("wire_bytes_sent"), out.stats.wire_bytes);
+        assert_eq!(m.counter("packets_delivered"), out.stats.packets);
+        assert_eq!(m.counter("contention_ns"), out.stats.contention_ns);
+        assert!(m.counter("contention_ns") > 0, "shared channel must stall");
     }
 
     #[test]
@@ -988,7 +997,7 @@ mod tests {
     #[test]
     fn node_faulted_runs_are_deterministic_and_observable() {
         use crate::fault::{FaultPlan, NodeFault};
-        use locus_obs::{names, SharedSink};
+        use locus_obs::SharedSink;
         // Crash the receiver while it is still waiting (the senders
         // finish within ~2 µs; crashing a finished node is a no-op).
         let plan = FaultPlan::uniform_loss(11, 1_000)
@@ -1001,8 +1010,8 @@ mod tests {
         let b = Kernel::new(cfg, mk()).run();
         assert_eq!(a.stats, b.stats);
         let m = sink.metrics_snapshot();
-        assert_eq!(m.counter(names::NODE_CRASHES), a.stats.node_crashes);
-        assert_eq!(m.counter(names::NODE_RESTARTS), a.stats.node_restarts);
+        assert_eq!(m.counter("node_crashes"), a.stats.node_crashes);
+        assert_eq!(m.counter("node_restarts"), a.stats.node_restarts);
         assert_eq!(a.stats.node_crashes, 1);
         assert_eq!(a.stats.node_restarts, 1);
     }
@@ -1022,18 +1031,15 @@ mod tests {
     #[test]
     fn fault_events_reach_the_sink() {
         use crate::fault::FaultPlan;
-        use locus_obs::{names, SharedSink};
+        use locus_obs::SharedSink;
         let cfg = MeshConfig { faults: FaultPlan::uniform_loss(1, 10_000), ..two_node_config() };
         let sink = SharedSink::new();
         let nodes = vec![OneShot::sender(1, 42), OneShot::receiver(1)];
         let out = Kernel::new(cfg, nodes).with_obs(Obs::to(&sink)).run();
         let m = sink.metrics_snapshot();
-        assert_eq!(m.counter(names::PACKETS_DROPPED), out.stats.packets_dropped);
-        assert_eq!(m.counter(names::FAULTS_INJECTED), out.stats.faults_injected());
-        assert_eq!(
-            m.counter(names::PACKETS_DELIVERED),
-            out.stats.packets - out.stats.packets_dropped
-        );
+        assert_eq!(m.counter("packets_dropped"), out.stats.packets_dropped);
+        assert_eq!(m.counter("faults_injected"), out.stats.faults_injected());
+        assert_eq!(m.counter("packets_delivered"), out.stats.packets - out.stats.packets_dropped);
     }
 
     #[test]

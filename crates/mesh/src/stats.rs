@@ -24,7 +24,9 @@ pub struct NetStats {
     pub busy_ns: Vec<u64>,
     /// Time each node finished (`Step::Done`).
     pub done_at: Vec<SimTime>,
-    /// Completion time of the whole program: max over nodes of `done_at`.
+    /// Completion time of the whole program: max over nodes of `done_at`,
+    /// or, when the event limit cut the run off, the time of its last
+    /// event if that is later.
     pub completion: SimTime,
     /// True if the run ended with nodes blocked forever (deadlock) or
     /// messages undeliverable.

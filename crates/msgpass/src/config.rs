@@ -1,8 +1,10 @@
 //! Configuration of a message-passing routing run.
 
-use locus_mesh::{FaultPlan, MeshConfig};
+use locus_mesh::{FaultPlan, MeshConfig, HEADER_BYTES, PROCESS_TIME_NS, RECV_PER_BYTE_NS};
 use locus_router::{mesh_dims, AssignmentStrategy, RouterParams};
 
+use crate::packet::Packet;
+use crate::reliable::SEND_PER_BYTE_NS;
 use crate::schedule::UpdateSchedule;
 
 /// The update-packet structure (§4.3.1). The paper describes three and
@@ -62,7 +64,8 @@ pub struct RecoveryConfig {
     /// (reassigned) wire is checkpointed as soon as it is routed.
     pub checkpoint_every: u32,
     /// Heartbeat period (ns): workers beat to the coordinator and the
-    /// coordinator beats back to every worker.
+    /// coordinator beats back to every worker. At least 1 ms, and at
+    /// least twice the coordinator's heartbeat load, (P − 1) × 124 µs.
     pub heartbeat_ns: u64,
     /// Silence threshold, in heartbeat periods, before a peer is
     /// declared dead.
@@ -83,9 +86,29 @@ impl Default for RecoveryConfig {
     }
 }
 
+/// Simulated time the coordinator of `n_procs` nodes spends on heartbeats
+/// in one period: every peer's beat costs it `ProcessTime` plus the
+/// per-byte disassembly of the framed beat, and its own beat back to each
+/// peer `ProcessTime` plus the per-byte assembly. At 16 processors that is
+/// 15 × (102 µs + 22 µs) = 1.86 ms.
+fn heartbeat_load_ns(n_procs: usize) -> u128 {
+    let beat = u64::from(Packet::Heartbeat.payload_bytes());
+    let recv = PROCESS_TIME_NS + RECV_PER_BYTE_NS * (beat + u64::from(HEADER_BYTES));
+    let send = PROCESS_TIME_NS + SEND_PER_BYTE_NS * beat;
+    (n_procs as u128).saturating_sub(1) * u128::from(recv + send)
+}
+
+/// The heartbeat period must be at least this many times the
+/// coordinator's heartbeat load, so heartbeats take at most half of it.
+/// A fault-free run at 16 processors declares nodes dead at periods up to
+/// 1.05 times the load (the coordinator saturates and stops hearing
+/// anyone) and none from 1.08 times on.
+const HEARTBEAT_LOAD_MARGIN: u128 = 2;
+
 impl RecoveryConfig {
-    /// Checks the knobs are internally consistent.
-    pub(crate) fn validate(&self) -> Result<(), String> {
+    /// Checks the knobs are internally consistent for a machine of
+    /// `n_procs` nodes.
+    pub(crate) fn validate(&self, n_procs: usize) -> Result<(), String> {
         if self.checkpoint_every == 0 {
             return Err("checkpoint_every must be >= 1".into());
         }
@@ -98,6 +121,16 @@ impl RecoveryConfig {
         }
         if self.heartbeat_ns > 1 << 40 {
             return Err("heartbeat_ns must be at most 2^40 ns".into());
+        }
+        let load = heartbeat_load_ns(n_procs);
+        let bound = HEARTBEAT_LOAD_MARGIN * load;
+        if u128::from(self.heartbeat_ns) < bound {
+            return Err(format!(
+                "heartbeat_ns {} is below the heartbeat bound of {bound} ns: at {n_procs} \
+                 processors the coordinator spends {load} ns of every period receiving and \
+                 answering heartbeats, and that may take at most half the period",
+                self.heartbeat_ns,
+            ));
         }
         if self.suspect_after == 0 {
             return Err("suspect_after must be >= 1".into());
@@ -268,7 +301,7 @@ impl MsgPassConfig {
             ));
         }
         if let Some(rc) = &self.recovery {
-            rc.validate()?;
+            rc.validate(self.n_procs)?;
             if !self.reliability {
                 return Err("recovery requires the reliability layer (checkpoint, reassignment \
                      and failover traffic must survive loss)"
@@ -368,6 +401,9 @@ mod tests {
                 suspect_after: 0,
                 ..RecoveryConfig::default()
             }),
+            MsgPassConfig { n_procs: 16, ..sender }.with_reliability().with_recovery_config(
+                RecoveryConfig { heartbeat_ns: 1_000_000, ..RecoveryConfig::default() },
+            ),
             recovering.with_recovery_config(RecoveryConfig {
                 checkpoint_per_byte_ns: (1 << 16) + 1,
                 ..RecoveryConfig::default()
@@ -424,12 +460,36 @@ mod tests {
         assert!(dynamic.validate().is_err());
 
         let bad = RecoveryConfig { checkpoint_every: 0, ..RecoveryConfig::default() };
-        assert!(bad.validate().is_err());
+        assert!(bad.validate(4).is_err());
         let bad = RecoveryConfig { heartbeat_ns: 0, ..RecoveryConfig::default() };
-        assert!(bad.validate().is_err());
+        assert!(bad.validate(4).is_err());
         let bad = RecoveryConfig { suspect_after: 0, ..RecoveryConfig::default() };
-        assert!(bad.validate().is_err());
+        assert!(bad.validate(4).is_err());
         assert_eq!(RecoveryConfig::default().suspect_window_ns(), 50_000_000);
+    }
+
+    #[test]
+    fn the_heartbeat_covers_twice_the_coordinators_heartbeat_load() {
+        // 15 peers × (2 µs + 10 µs × 10 framed bytes in, 2 µs + 10 µs × 2
+        // bytes out) = 1.86 ms a period, doubled.
+        let bound = 3_720_000;
+        let at = |n_procs, heartbeat_ns| {
+            MsgPassConfig::new(n_procs, UpdateSchedule::sender_paper())
+                .with_reliability()
+                .with_recovery_config(RecoveryConfig { heartbeat_ns, ..RecoveryConfig::default() })
+                .validate()
+        };
+        for heartbeat_ns in [1_000_000, 1_500_000, bound - 1] {
+            let err = at(16, heartbeat_ns).expect_err("below the bound");
+            assert!(err.contains("below the heartbeat bound of 3720000 ns"), "{err}");
+        }
+        at(16, bound).expect("at the bound");
+        // The bound grows with the machine; the 1 ms floor still holds.
+        at(4, 1_000_000).expect("3 peers load 372 µs a period");
+        assert!(at(9, 1_000_000).is_err() && at(9, 1_984_000).is_ok());
+        assert!(at(4, 999_999).expect_err("the floor").contains("at least 1 ms"));
+        let err = at(usize::MAX, 1 << 40).expect_err("no heartbeat covers that many peers");
+        assert!(err.contains("heartbeat bound"), "{err}");
     }
 
     #[test]

@@ -203,31 +203,31 @@ impl<'a> RouterNode<'a> {
         self.recovery.as_ref().map_or_else(RecoveryStats::default, |r| r.stats)
     }
 
-    /// Takes the final routes out of the node, with their wire ids (valid
-    /// after the run completes), truncated to the last checkpoint when
-    /// this node `crashed` under recovery: routes committed after it
-    /// were volatile and died with the node (an adopter re-routed those
-    /// wires). Adopted-wire routes are checkpointed as they commit, so
-    /// they always survive.
-    pub(crate) fn take_surviving_routes(
+    /// Takes the final routes out of the node (valid after the run
+    /// completes), each with its wire id and whether it survives. When
+    /// this node `crashed` under recovery, the routes committed after its
+    /// last checkpoint were volatile and died with the node (an adopter
+    /// re-routed those wires); they come back marked dead, so the caller
+    /// can take them out of the shared truth. Adopted-wire routes are
+    /// checkpointed as they commit, so they always survive.
+    pub(crate) fn take_routes(
         &mut self,
         crashed: bool,
-    ) -> impl Iterator<Item = (WireId, Route)> + '_ {
+    ) -> impl Iterator<Item = (WireId, Route, bool)> + '_ {
         let my_wires = &self.plan[self.proc];
         let limit = match &self.recovery {
             Some(r) if crashed => r.durable_progress() as usize,
             _ => my_wires.len(),
         };
-        let durable = my_wires.iter().take(limit).zip(self.static_routes.drain(..));
-        durable.filter_map(|(&w, r)| r.map(|r| (w, r))).chain(self.dynamic_routes.drain(..))
+        let statics = my_wires.iter().zip(self.static_routes.drain(..)).enumerate();
+        let statics = statics.filter_map(move |(i, (&w, r))| r.map(|r| (w, r, i < limit)));
+        statics.chain(self.dynamic_routes.drain(..).map(|(w, r)| (w, r, true)))
     }
 
-    /// Marks this node done with routing and reports its kernel counters
-    /// (candidates swept, per-cell evaluations).
+    /// Marks this node done with routing.
     fn mark_finished_routing(&mut self) {
         self.finished_routing = true;
         self.routing_done_ns = self.now_ns;
-        self.driver.kernel_stats(self.now_ns);
     }
 
     /// Stamps the truth-change time of every cell `route` covers (no-op
@@ -636,12 +636,13 @@ mod tests {
         let n_wires = node.plan[0].len();
         assert!(n_wires > 0);
         route_to_completion(&mut node);
-        let routes: Vec<_> = node.take_surviving_routes(false).collect();
+        let routes: Vec<_> = node.take_routes(false).collect();
         assert_eq!(routes.len(), n_wires);
+        assert!(routes.iter().all(|&(_, _, survives)| survives));
         assert!(node.driver.occupancy_by_iteration().last() > Some(&0) || n_wires < 3);
         // Two iterations with no updates: the replica holds exactly this
         // node's final routes (every rip-up undid its route).
-        let coverage: u64 = routes.iter().map(|(_, r)| r.len() as u64).sum();
+        let coverage: u64 = routes.iter().map(|(_, r, _)| r.len() as u64).sum();
         assert_eq!(node.replica.total(), coverage);
     }
 
@@ -755,12 +756,17 @@ mod tests {
         let shared_a = shared();
         let (mut node, mine, adopted) = recovering_node(&shared_a);
         assert_eq!(node.recovery.as_ref().map(Recovery::durable_progress), Some(3));
-        let crashed: Vec<WireId> = node.take_surviving_routes(true).map(|(w, _)| w).collect();
-        assert_eq!(crashed, [&mine[..3], &[adopted]].concat());
+        // Five static wires routed, three of them checkpointed, then one
+        // adopted: a crash drops the fourth and fifth.
+        let wires = [&mine[..5], &[adopted]].concat();
+        let fates = |node: &mut RouterNode<'_>, crashed| -> Vec<(WireId, bool)> {
+            node.take_routes(crashed).map(|(w, _, survives)| (w, survives)).collect()
+        };
+        let survives = [true, true, true, false, false, true];
+        assert_eq!(fates(&mut node, true), wires.iter().copied().zip(survives).collect::<Vec<_>>());
         let shared_b = shared();
-        let (mut node, mine, adopted) = recovering_node(&shared_b);
-        let alive: Vec<WireId> = node.take_surviving_routes(false).map(|(w, _)| w).collect();
-        assert_eq!(alive, [&mine[..5], &[adopted]].concat());
+        let (mut node, ..) = recovering_node(&shared_b);
+        assert_eq!(fates(&mut node, false), wires.iter().map(|&w| (w, true)).collect::<Vec<_>>());
     }
 
     #[test]

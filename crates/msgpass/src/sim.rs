@@ -235,10 +235,14 @@ fn run_inner(
         // (its owner was falsely or belatedly declared dead and an
         // adopter re-routed it) — the first writer in node order wins,
         // deterministically. Without recovery, double-routing is a bug.
-        for (w, r) in node.take_surviving_routes(outcome.stats.crashed[p]) {
-            if routes[w].is_some() {
+        // Either way the losing route leaves the shared truth too.
+        for (w, r, survives) in node.take_routes(outcome.stats.crashed[p]) {
+            if survives && routes[w].is_some() {
                 debug_assert!(recovery_on, "wire {w} routed by two processors");
                 recovery.duplicate_routes += 1;
+            }
+            if !survives || routes[w].is_some() {
+                oracle.borrow_mut().remove_route(&r);
                 continue;
             }
             truth.add_route(&r);
@@ -269,18 +273,16 @@ fn run_inner(
                     &mut scratch,
                 );
                 truth.add_route(&eval.route);
+                oracle.borrow_mut().add_route(&eval.route);
                 eval.route
             }
         })
         .collect();
     let watchdog_recoveries = unrouted.len() as u64;
-    // Conservation: with no crash, no wire routed twice and none left to
-    // the watchdog, the shared truth the nodes wrote as they committed
-    // holds exactly the final routes.
-    if outcome.stats.node_crashes == 0 && recovery.duplicate_routes == 0 && watchdog_recoveries == 0
-    {
-        assert!(*oracle.borrow() == truth, "the shared truth differs from the final routes");
-    }
+    // Conservation: the shared truth the nodes wrote as they committed,
+    // less the routes that died with a crashed node or lost to a
+    // duplicate and plus the watchdog's, holds exactly the final routes.
+    assert!(*oracle.borrow() == truth, "the shared truth differs from the final routes");
     for &wire in &unrouted {
         obs.emit_on(outcome.stats.completion.as_ns(), 0, EventKind::WatchdogRecovery { wire });
     }

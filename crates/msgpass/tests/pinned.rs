@@ -211,11 +211,13 @@ const OUTCOMES: &[(&str, u64)] = &[
     ("coordinator-and-worker-crash", 0x398a1ecc6641a281),
 ];
 
+/// Re-pinned when the end-of-run `KernelStats` events were retired: the
+/// build of f582d0d, with those events left out, hashes to these values.
 #[rustfmt::skip]
 const STREAMS: &[(&str, u64)] = &[
-    ("plain", 0x3fd671e30b0915c9),
-    ("lossy-reliable", 0xe33d396dcf0c1f32),
-    ("worker-crash", 0xd6d339e94a7c2bca),
+    ("plain", 0xcef1ec2e736892b2),
+    ("lossy-reliable", 0xf4882aacde9a623b),
+    ("worker-crash", 0x00e0b7e10935064d),
 ];
 
 fn check(what: &str, got: Vec<(&'static str, u64)>, want: &[(&str, u64)]) {

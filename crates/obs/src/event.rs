@@ -104,16 +104,6 @@ pub enum EventKind {
         /// Phase name.
         name: &'static str,
     },
-    /// End-of-run counters from the routing evaluation kernel (emitted
-    /// once per engine run that owns a `CostArray`).
-    KernelStats {
-        /// Candidate routes examined over the whole run.
-        candidates: u64,
-        /// Route evaluations that took the per-cell span fallback (the
-        /// view lacked fast spans); nonzero means the run was not on the
-        /// optimized kernel path.
-        percell_evals: u64,
-    },
     /// A message-passing node compared its cost-array replica against
     /// the ground-truth array (one event per audit stamp).
     ReplicaAudit {
@@ -223,17 +213,16 @@ pub(crate) mod tests {
             EventKind::MemRequest { .. } => 5,
             EventKind::PhaseBegin { .. } => 6,
             EventKind::PhaseEnd { .. } => 7,
-            EventKind::KernelStats { .. } => 8,
-            EventKind::ReplicaAudit { .. } => 9,
-            EventKind::FaultInjected { .. } => 10,
-            EventKind::PacketRetransmitted { .. } => 11,
-            EventKind::AckSent { .. } => 12,
-            EventKind::WatchdogRecovery { .. } => 13,
-            EventKind::NodeCrashed { .. } => 14,
-            EventKind::NodeRestarted { .. } => 15,
-            EventKind::CheckpointTaken { .. } => 16,
-            EventKind::WireReassigned { .. } => 17,
-            EventKind::CoordinatorFailover { .. } => 18,
+            EventKind::ReplicaAudit { .. } => 8,
+            EventKind::FaultInjected { .. } => 9,
+            EventKind::PacketRetransmitted { .. } => 10,
+            EventKind::AckSent { .. } => 11,
+            EventKind::WatchdogRecovery { .. } => 12,
+            EventKind::NodeCrashed { .. } => 13,
+            EventKind::NodeRestarted { .. } => 14,
+            EventKind::CheckpointTaken { .. } => 15,
+            EventKind::WireReassigned { .. } => 16,
+            EventKind::CoordinatorFailover { .. } => 17,
         }
     }
 
@@ -254,7 +243,6 @@ pub(crate) mod tests {
             EventKind::MemRequest { resource: 1, bytes: 8, critical: true },
             EventKind::PhaseBegin { name: "iteration" },
             EventKind::PhaseEnd { name: "iteration" },
-            EventKind::KernelStats { candidates: 7, percell_evals: 1 },
             EventKind::ReplicaAudit { diverged_cells: 5, max_divergence: 2, mean_age_ns: 1200 },
             EventKind::FaultInjected {
                 dst: 1,
@@ -272,7 +260,7 @@ pub(crate) mod tests {
             EventKind::CoordinatorFailover { new_coordinator: 1 },
         ];
         let ordinals: Vec<usize> = kinds.iter().map(ordinal).collect();
-        assert_eq!(ordinals, (0..19).collect::<Vec<_>>(), "one value per variant, in order");
+        assert_eq!(ordinals, (0..18).collect::<Vec<_>>(), "one value per variant, in order");
         kinds
     }
 
@@ -303,7 +291,7 @@ pub(crate) mod tests {
     #[test]
     fn event_size_is_pinned() {
         // A time, a node and a 24-byte kind (a tag beside `PacketDelivered`'s
-        // 20 bytes or `KernelStats`' two u64s); 2^20 of them
+        // 20 bytes); 2^20 of them
         // (`DEFAULT_CAPACITY`) are 40 MiB. A new payload that grows this is
         // a deliberate change of the number, not a silent one.
         assert!(std::mem::size_of::<Event>() <= 40, "{}", std::mem::size_of::<Event>());

@@ -10,7 +10,8 @@
 //! payload, which is a `Json` object like the rest.
 //!
 //! How a kind is shown (its name, its Chrome `args`, its timeline glyph,
-//! priority and legend word) is one row of the private `shown` table.
+//! priority and legend word) and how it is counted (the counters and
+//! histograms it feeds) is one row of the private `kinds!` table.
 
 use std::borrow::Borrow;
 use std::fmt::{self, Write as _};
@@ -186,19 +187,62 @@ pub(crate) struct Shown {
     legend: &'static str,
 }
 
-/// The one table of how each [`EventKind`] is shown. When `args` is given
-/// the payload is appended to it as `(field name, value)` pairs, keys taken
-/// from the field identifiers. A variant's fields are listed in
-/// declaration order (a test compares them with the `Debug` form).
-pub(crate) fn shown(kind: &EventKind, args: Option<&mut Vec<(&'static str, Json)>>) -> Shown {
-    macro_rules! table {
-        ($(
-            $variant:ident { $($field:ident),* } => $glyph:literal $pri:literal $legend:literal,
-        )*) => {
-            match kind {$(
+/// What one event adds to a counter: an unsigned field adds its value; a
+/// `bool` counts the event when it holds and leaves the counter untouched
+/// when it does not (so a counter nothing moved is not exported).
+trait Tally {
+    fn tally(self) -> Option<u64>;
+}
+
+impl Tally for bool {
+    fn tally(self) -> Option<u64> {
+        self.then_some(1)
+    }
+}
+
+macro_rules! tally_uint {
+    ($($t:ty),*) => {$(
+        impl Tally for $t {
+            fn tally(self) -> Option<u64> {
+                Some(u64::from(self))
+            }
+        }
+    )*};
+}
+tally_uint!(u32, u64);
+
+/// The one table of how each [`EventKind`] is shown and counted. A row is
+///
+/// ```text
+/// Variant { fields } => glyph priority "legend",
+///     events_counter [counter: value, ...] [histogram: sample, ...],
+/// ```
+///
+/// Every event adds 1 to its row's events counter and [`Tally`]s each
+/// value into the counter beside it; each sample is recorded into the
+/// histogram of that name. The names are the keys `metrics_json` writes,
+/// and [`COUNTERS`]/[`HISTOGRAMS`] are exactly the names the rows declare.
+/// A variant's fields are listed in declaration order (a test compares
+/// them with the `Debug` form); they become the Chrome `args`.
+macro_rules! kinds {
+    ($(
+        $variant:ident { $($field:ident),* } => $glyph:literal $pri:literal $legend:literal,
+            $events:ident [$($counter:ident: $value:expr),* $(,)?] [$($hist:ident: $sample:expr),*],
+    )*) => {
+        /// Every counter name a row of the table declares.
+        pub(crate) const COUNTERS: &[&str] = &[$(stringify!($events), $(stringify!($counter),)*)*];
+
+        /// Every histogram name a row of the table declares.
+        pub(crate) const HISTOGRAMS: &[&str] = &[$($(stringify!($hist),)*)*];
+
+        /// How `kind` is shown. When `args` is given the payload is
+        /// appended to it as `(field name, value)` pairs, keys taken from
+        /// the field identifiers.
+        pub(crate) fn shown(kind: &EventKind, args: Option<&mut Vec<(&'static str, Json)>>) -> Shown {
+            match *kind {$(
                 EventKind::$variant { $($field),* } => {
                     if let Some(args) = args {
-                        args.extend([$((stringify!($field), Json::from(*$field))),*]);
+                        args.extend([$((stringify!($field), Json::from($field))),*]);
                     }
                     Shown {
                         name: stringify!($variant),
@@ -208,29 +252,71 @@ pub(crate) fn shown(kind: &EventKind, args: Option<&mut Vec<(&'static str, Json)
                     }
                 }
             )*}
-        };
-    }
-    table! {
-        PacketSent { dst, payload_bytes, wire_bytes, hops } => 'S' 4 "sent",
-        PacketDelivered { src, payload_bytes, latency_ns, queue_depth } => 'D' 3 "delivered",
-        ChannelContended { channel, stall_ns } => 'C' 5 "contention",
-        WireRouted { wire, cells } => 'W' 6 "routed",
-        RipUp { wire, cells } => 'X' 7 "ripup",
-        MemRequest { resource, bytes, critical } => 'm' 1 "mem-req",
-        PhaseBegin { name } => '|' 0 "phase",
-        PhaseEnd { name } => '|' 0 "phase",
-        KernelStats { candidates, percell_evals } => 'K' 1 "kernel",
-        ReplicaAudit { diverged_cells, max_divergence, mean_age_ns } => 'A' 2 "audit",
-        FaultInjected { dst, payload_bytes, fault, extra_ns } => 'F' 6 "fault",
-        PacketRetransmitted { dst, seq, attempt } => 'T' 4 "resent",
-        AckSent { dst, cum_seq } => 'a' 1 "ack",
-        WatchdogRecovery { wire } => 'G' 8 "watchdog",
-        NodeCrashed { will_restart } => '!' 9 "crash",
-        NodeRestarted { downtime_ns } => '^' 9 "restart",
-        CheckpointTaken { bytes } => 'c' 2 "ckpt",
-        WireReassigned { wire, from, to } => 'N' 8 "reassigned",
-        CoordinatorFailover { new_coordinator } => 'O' 9 "failover",
-    }
+        }
+
+        /// Adds `kind` to the counters and histograms its row names.
+        #[inline]
+        pub(crate) fn count(kind: &EventKind, metrics: &mut Metrics) {
+            match *kind {$(
+                #[allow(unused_variables, reason = "a row counts only some of its fields")]
+                EventKind::$variant { $($field),* } => {
+                    metrics.add(stringify!($events), 1);
+                    $(if let Some(v) = Tally::tally($value) {
+                        metrics.add(stringify!($counter), v);
+                    })*
+                    $(metrics.record(stringify!($hist), u64::from($sample));)*
+                }
+            )*}
+        }
+    };
+}
+
+kinds! {
+    PacketSent { dst, payload_bytes, wire_bytes, hops } => 'S' 4 "sent",
+        packets_sent [bytes_sent: payload_bytes, wire_bytes_sent: wire_bytes]
+        [packet_size_bytes: payload_bytes, hop_distance: hops],
+    PacketDelivered { src, payload_bytes, latency_ns, queue_depth } => 'D' 3 "delivered",
+        packets_delivered [bytes_delivered: payload_bytes]
+        [latency_ns: latency_ns, queue_depth: queue_depth],
+    ChannelContended { channel, stall_ns } => 'C' 5 "contention",
+        contention_events [contention_ns: stall_ns] [stall_ns: stall_ns],
+    WireRouted { wire, cells } => 'W' 6 "routed",
+        wires_routed [route_cells: cells] [route_cells: cells],
+    RipUp { wire, cells } => 'X' 7 "ripup",
+        rip_ups [ripped_cells: cells] [],
+    MemRequest { resource, bytes, critical } => 'm' 1 "mem-req",
+        mem_requests [mem_critical_requests: critical, mem_request_bytes: bytes]
+        [mem_request_bytes: bytes],
+    PhaseBegin { name } => '|' 0 "phase",
+        phases_begun [] [],
+    PhaseEnd { name } => '|' 0 "phase",
+        phases_ended [] [],
+    ReplicaAudit { diverged_cells, max_divergence, mean_age_ns } => 'A' 2 "audit",
+        replica_audits [stale_cells: diverged_cells]
+        [stale_cells: diverged_cells, stale_age_ns: mean_age_ns],
+    FaultInjected { dst, payload_bytes, fault, extra_ns } => 'F' 6 "fault",
+        faults_injected [
+            packets_dropped: fault == FaultKind::Drop,
+            packets_duplicated: fault == FaultKind::Duplicate,
+            packets_delayed: fault == FaultKind::Delay,
+            packets_reordered: fault == FaultKind::Reorder,
+        ] [],
+    PacketRetransmitted { dst, seq, attempt } => 'T' 4 "resent",
+        packets_retransmitted [] [],
+    AckSent { dst, cum_seq } => 'a' 1 "ack",
+        acks_sent [] [],
+    WatchdogRecovery { wire } => 'G' 8 "watchdog",
+        watchdog_recoveries [] [],
+    NodeCrashed { will_restart } => '!' 9 "crash",
+        node_crashes [] [],
+    NodeRestarted { downtime_ns } => '^' 9 "restart",
+        node_restarts [] [],
+    CheckpointTaken { bytes } => 'c' 2 "ckpt",
+        checkpoints_taken [checkpoint_bytes: bytes] [],
+    WireReassigned { wire, from, to } => 'N' 8 "reassigned",
+        wires_reassigned [] [],
+    CoordinatorFailover { new_coordinator } => 'O' 9 "failover",
+        coordinator_failovers [] [],
 }
 
 /// Renders `events` in the Chrome `chrome://tracing` trace-event format:
@@ -552,7 +638,7 @@ pub fn validate_json(s: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{names, Metrics};
+    use crate::metrics::Metrics;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -678,13 +764,13 @@ mod tests {
     fn metrics_json_is_valid_and_carries_counters() {
         let mut m = Metrics::new();
         for ev in sample_events() {
-            m.observe(&ev);
+            count(&ev.kind, &mut m);
         }
         let json = metrics_json(&m);
         validate_json(&json).expect("metrics JSON must be valid");
         assert!(json.contains("\"bytes_sent\": 40"));
         assert!(json.contains("\"latency_ns\""));
-        assert_eq!(m.counter(names::MEM_CRITICAL_REQUESTS), 1);
+        assert_eq!(m.counter("mem_critical_requests"), 1);
     }
 
     /// One event of every kind, one per timeline column and three nodes.
@@ -724,7 +810,7 @@ mod tests {
         let events = every_kind();
         validate_json(&chrome_trace(&events)).expect("chrome trace of every kind");
         let mut m = Metrics::new();
-        events.iter().for_each(|ev| m.observe(ev));
+        events.iter().for_each(|ev| count(&ev.kind, &mut m));
         validate_json(&metrics_json(&m)).expect("metrics of every kind");
     }
 
@@ -747,8 +833,8 @@ mod tests {
             }
         }
         assert_eq!(explained, on_rows, "first-appearance order, nothing unseen");
-        // 19 kinds, begin and end of a phase sharing one glyph.
-        assert_eq!(explained.len(), 18);
+        // 18 kinds, begin and end of a phase sharing one glyph.
+        assert_eq!(explained.len(), 17);
         assert!(!ascii_timeline(&sample_events(), 40).contains("crash"));
     }
 

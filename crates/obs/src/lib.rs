@@ -27,7 +27,7 @@
 //!     node: 0,
 //!     kind: EventKind::PacketSent { dst: 1, payload_bytes: 40, wire_bytes: 44, hops: 2 },
 //! });
-//! assert_eq!(sink.metrics().counter(locus_obs::names::BYTES_SENT), 40);
+//! assert_eq!(sink.metrics().counter("bytes_sent"), 40);
 //! let trace = locus_obs::export::chrome_trace(&sink.to_vec());
 //! locus_obs::export::validate_json(&trace).unwrap();
 //! ```
@@ -42,5 +42,5 @@ pub mod metrics;
 pub mod sink;
 
 pub use event::{Event, EventKind, FaultKind};
-pub use metrics::{hists, names, Histogram, Metrics};
+pub use metrics::{Histogram, Metrics};
 pub use sink::{Obs, RingBufferSink, SharedSink};

@@ -141,7 +141,7 @@ impl RingBufferSink {
     /// Records one event.
     #[inline]
     pub fn record(&mut self, event: Event) {
-        self.metrics.observe(&event);
+        crate::export::count(&event.kind, &mut self.metrics);
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -197,7 +197,6 @@ impl SharedSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::names;
 
     fn ev(at_ns: u64, bytes: u32) -> Event {
         Event {
@@ -252,8 +251,8 @@ mod tests {
         assert_eq!(s.dropped(), 2);
         assert_eq!(s.to_vec()[0].at_ns, 2, "oldest evicted first");
         // Metrics saw all five events despite the eviction.
-        assert_eq!(s.metrics().counter(names::PACKETS_SENT), 5);
-        assert_eq!(s.metrics().counter(names::BYTES_SENT), 50);
+        assert_eq!(s.metrics().counter("packets_sent"), 5);
+        assert_eq!(s.metrics().counter("bytes_sent"), 50);
     }
 
     #[test]
@@ -264,7 +263,7 @@ mod tests {
         a.record(ev(1, 1));
         b.record(ev(2, 2));
         assert_eq!(sink.snapshot_events().len(), 2);
-        assert_eq!(sink.metrics_snapshot().counter(names::PACKETS_SENT), 2);
+        assert_eq!(sink.metrics_snapshot().counter("packets_sent"), 2);
     }
 
     #[test]

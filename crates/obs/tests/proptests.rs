@@ -73,11 +73,8 @@ proptest! {
             });
         }
         let total: u64 = payloads.iter().map(|&p| p as u64).sum();
-        prop_assert_eq!(sink.metrics().counter(locus_obs::names::BYTES_SENT), total);
-        prop_assert_eq!(
-            sink.metrics().counter(locus_obs::names::PACKETS_SENT),
-            payloads.len() as u64
-        );
+        prop_assert_eq!(sink.metrics().counter("bytes_sent"), total);
+        prop_assert_eq!(sink.metrics().counter("packets_sent"), payloads.len() as u64);
         prop_assert_eq!(sink.dropped() as usize, payloads.len().saturating_sub(capacity));
     }
 }

@@ -30,8 +30,9 @@ use crate::route::Route;
 /// evaluator serves three masters:
 ///
 /// * the sequential router (reads the one true array),
-/// * the shared-memory emulator (reads through an instrumented view that
-///   records a Tango-style reference trace), and
+/// * the shared-memory emulator (reads the shared array, through an
+///   instrumented view that records a Tango-style reference trace when
+///   tracing), and
 /// * the message-passing nodes (read their possibly stale local replica).
 pub trait CostView {
     /// Number of channels (rows).

@@ -8,9 +8,8 @@
 //!
 //! * [`IterationDriver`] — per-engine (or per thread, or per
 //!   message-passing node) ledger of work counters and per-iteration
-//!   occupancy, and the `PhaseBegin`/`RipUp`/`WireRouted`/`PhaseEnd`/
-//!   `KernelStats` event emission that used to be copy-pasted across the
-//!   four engines;
+//!   occupancy, and the `PhaseBegin`/`RipUp`/`WireRouted`/`PhaseEnd`
+//!   event emission that used to be copy-pasted across the four engines;
 //! * [`WireFeed`] — one iteration's wire supply (the §3 distributed-loop
 //!   shared counter or a §4.2 static assignment), shared by the
 //!   shared-memory emulator and the real threaded executor;
@@ -52,10 +51,6 @@ pub struct IterationDriver {
     work: WorkStats,
     occupancy_current: u64,
     occupancy_by_iteration: Vec<u64>,
-    /// Connections evaluated through the per-cell span fallback (kept out
-    /// of [`WorkStats`] so work ledgers stay comparable across engines
-    /// whose span paths legitimately differ).
-    percell_evals: u64,
 }
 
 impl IterationDriver {
@@ -116,24 +111,11 @@ impl IterationDriver {
         self.work.cells_examined += eval.cells_examined;
         self.work.cells_written += eval.route.len() as u64;
         self.occupancy_current += cost_at_decision;
-        self.percell_evals += eval.percell_evals;
         self.obs.emit(
             at_ns,
             EventKind::WireRouted { wire: wire as u32, cells: eval.route.len() as u32 },
         );
         eval.route
-    }
-
-    /// Emits the end-of-run `KernelStats` event with this driver's
-    /// candidate and per-cell evaluation totals.
-    pub fn kernel_stats(&mut self, at_ns: u64) {
-        self.obs.emit(
-            at_ns,
-            EventKind::KernelStats {
-                candidates: self.work.candidates,
-                percell_evals: self.percell_evals,
-            },
-        );
     }
 
     /// Emits an arbitrary engine-specific event (e.g. a replica audit)
@@ -227,7 +209,7 @@ mod tests {
     use super::*;
     use crate::cost_array::CostView;
     use locus_circuit::presets;
-    use locus_obs::{names, SharedSink};
+    use locus_obs::SharedSink;
 
     #[test]
     fn driver_ledger_tracks_commits_and_ripups() {
@@ -277,10 +259,10 @@ mod tests {
         driver.phase_end(10);
         driver.close_iteration();
         let m = sink.metrics_snapshot();
-        assert_eq!(m.counter(names::PHASES_BEGUN), 1);
-        assert_eq!(m.counter(names::PHASES_ENDED), 1);
-        assert_eq!(m.counter(names::WIRES_ROUTED), 1);
-        assert_eq!(m.counter(names::RIP_UPS), 1);
+        assert_eq!(m.counter("phases_begun"), 1);
+        assert_eq!(m.counter("phases_ended"), 1);
+        assert_eq!(m.counter("wires_routed"), 1);
+        assert_eq!(m.counter("rip_ups"), 1);
         let times: Vec<u64> = sink.snapshot_events().iter().map(|e| e.at_ns).collect();
         assert_eq!(times, [0, 5, 7, 10]);
     }

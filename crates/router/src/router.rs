@@ -25,9 +25,6 @@ pub struct WireEvaluation {
     pub cells_examined: u64,
     /// Number of two-pin connections.
     pub connections: u64,
-    /// Connections evaluated through the per-cell span fallback (the view
-    /// lacked [`CostView::fast_spans`]); 0 on the optimized kernel path.
-    pub percell_evals: u64,
 }
 
 /// Routes `wire` against `view`: decomposes it into two-pin connections,
@@ -77,16 +74,12 @@ pub fn route_wire_scratch<V: CostView + ?Sized>(
         candidates += core.candidates as u64;
         cells_examined += core.cells_examined;
     }
-    let n_connections = connections.len() as u64;
     WireEvaluation {
         route: Route::from_segments_in(segments.clone(), runs),
         cost,
         candidates,
         cells_examined,
-        connections: n_connections,
-        // fast_spans is a per-view constant, so either every connection
-        // took the optimized span kernel or every one fell back.
-        percell_evals: if view.fast_spans() { 0 } else { n_connections },
+        connections: connections.len() as u64,
     }
 }
 

@@ -76,10 +76,12 @@ pub struct ShmemOutcome {
 }
 
 /// A cost-array view that records read references as candidate evaluation
-/// sweeps cells.
+/// sweeps cells. It keeps the per-cell span path (`fast_spans` is false),
+/// so the trace holds every read; an untraced run evaluates against the
+/// [`CostArray`] itself, jog sweep included.
 struct TracedView<'a> {
     cost: &'a CostArray,
-    reads: Option<RefCell<BurstWriter<'a>>>,
+    reads: RefCell<BurstWriter<'a>>,
 }
 
 impl CostView for TracedView<'_> {
@@ -91,9 +93,7 @@ impl CostView for TracedView<'_> {
     }
     #[inline]
     fn cost_at(&self, cell: GridCell) -> u32 {
-        if let Some(reads) = &self.reads {
-            reads.borrow_mut().push(cell_addr(cell.channel, cell.x, self.cost.grids()));
-        }
+        self.reads.borrow_mut().push(cell_addr(cell.channel, cell.x, self.cost.grids()));
         self.cost.cost_at(cell)
     }
 }
@@ -213,9 +213,8 @@ impl<'a> ShmemEmulator<'a> {
             .map(|_| ProcState { clock: 0, pending: None, queue_pos: 0, at_barrier: false })
             .collect();
         // Logical processors are multiplexed on one OS thread, so one
-        // scratch serves them all; evaluation itself reads through
-        // the per-cell `TracedView` path, keeping the reference trace
-        // exact.
+        // scratch serves them all; a traced evaluation reads through the
+        // per-cell `TracedView` path, keeping the reference trace exact.
         let mut scratch = EvalScratch::default();
 
         for iteration in 0..cfg.params.iterations {
@@ -293,20 +292,17 @@ impl<'a> ShmemEmulator<'a> {
 
                 // Evaluate against the shared array as of this instant.
                 let at = BurstSite { time: procs[p].clock, proc: p, iteration, wire: wire_id };
-                let view = TracedView {
-                    cost: &shared,
-                    reads: recorder
-                        .as_mut()
-                        .map(|r| RefCell::new(r.begin(at.first(RefKind::Read), CELL_EVAL_NS))),
+                let (wire, overshoot) = (circuit.wire(wire_id), cfg.params.channel_overshoot);
+                let eval = match recorder.as_mut() {
+                    Some(r) => {
+                        let reads = RefCell::new(r.begin(at.first(RefKind::Read), CELL_EVAL_NS));
+                        let view = TracedView { cost: &shared, reads };
+                        route_wire_scratch(&view, wire, overshoot, &mut scratch)
+                    }
+                    None => route_wire_scratch(&shared, wire, overshoot, &mut scratch),
                 };
-                let eval = route_wire_scratch(
-                    &view,
-                    circuit.wire(wire_id),
-                    cfg.params.channel_overshoot,
-                    &mut scratch,
-                );
-                // The per-cell span path reads each cell it costs once, one
-                // read per CELL_EVAL_NS.
+                // Either span path counts each cell it costs once, one read
+                // per CELL_EVAL_NS.
                 let eval_end = at.time + eval.cells_examined * CELL_EVAL_NS;
                 // Occupancy: the merged route's cost against the shared
                 // array at decision time (uninstrumented read — the
@@ -331,8 +327,6 @@ impl<'a> ShmemEmulator<'a> {
         }
 
         let completion = procs.iter().map(|s| s.clock).max().unwrap_or(0);
-        driver.on_node(0);
-        driver.kernel_stats(completion);
         let out = driver.finish(routes, shared);
 
         ShmemOutcome {
@@ -404,6 +398,21 @@ mod tests {
             p16.quality.circuit_height,
             p1.quality.circuit_height
         );
+    }
+
+    /// An untraced run evaluates on the array's own span queries (the
+    /// jog sweep); a traced run reads cell by cell so the trace holds every
+    /// read. Both decide and charge the same.
+    #[test]
+    fn only_an_untraced_run_sums_spans_on_the_array() {
+        let c = presets::small();
+        let fast = ShmemEmulator::new(&c, ShmemConfig::new(4)).run();
+        let traced = ShmemEmulator::new(&c, ShmemConfig::new(4).with_trace()).run();
+        assert!(fast.cost.prefix_stats().rebuilds > 0);
+        assert_eq!(traced.cost.prefix_stats().rebuilds, 0);
+        assert_eq!(fast.routes, traced.routes);
+        assert_eq!(fast.work, traced.work);
+        assert_eq!(fast.time_secs, traced.time_secs);
     }
 
     #[test]
@@ -530,16 +539,16 @@ mod tests {
 
     #[test]
     fn sink_observes_every_commit_and_ripup() {
-        use locus_obs::{names, SharedSink};
+        use locus_obs::SharedSink;
         let c = presets::small();
         let sink = SharedSink::new();
         let out = ShmemEmulator::new(&c, ShmemConfig::new(4)).with_obs(Obs::to(&sink)).run();
         let m = sink.metrics_snapshot();
-        assert_eq!(m.counter(names::WIRES_ROUTED), out.work.wires_routed);
+        assert_eq!(m.counter("wires_routed"), out.work.wires_routed);
         // Iterations ≥ 2, so every wire from iteration 1 is ripped up.
-        assert!(m.counter(names::RIP_UPS) > 0);
-        assert_eq!(m.counter(names::PHASES_BEGUN), ShmemConfig::new(4).params.iterations as u64);
-        assert_eq!(m.counter(names::PHASES_BEGUN), m.counter(names::PHASES_ENDED));
+        assert!(m.counter("rip_ups") > 0);
+        assert_eq!(m.counter("phases_begun"), ShmemConfig::new(4).params.iterations as u64);
+        assert_eq!(m.counter("phases_begun"), m.counter("phases_ended"));
     }
 
     #[test]

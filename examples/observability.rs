@@ -12,7 +12,7 @@
 //! ```
 
 use locusroute::msgpass::{run_msgpass_observed, MsgPassConfig, UpdateSchedule};
-use locusroute::obs::{export, names, Obs, SharedSink};
+use locusroute::obs::{export, Obs, SharedSink};
 use locusroute::shmem::{ShmemConfig, ShmemEmulator};
 
 fn main() {
@@ -37,9 +37,9 @@ fn main() {
     println!(
         "quality: height {}  |  traffic: {} packets, {} payload bytes, {} rip-ups\n",
         mp.quality.circuit_height,
-        m.counter(names::PACKETS_SENT),
-        m.counter(names::BYTES_SENT),
-        m.counter(names::RIP_UPS),
+        m.counter("packets_sent"),
+        m.counter("bytes_sent"),
+        m.counter("rip_ups"),
     );
 
     println!("=== shared memory (emulated, {n_procs} procs) ===");
@@ -49,7 +49,7 @@ fn main() {
         "quality: height {}  |  {} wires routed, {} rip-ups, no packets — \
          consistency comes from the shared array",
         shm.quality.circuit_height,
-        s.counter(names::WIRES_ROUTED),
-        s.counter(names::RIP_UPS),
+        s.counter("wires_routed"),
+        s.counter("rip_ups"),
     );
 }

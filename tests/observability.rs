@@ -3,7 +3,7 @@
 //! `NetStats`, and the exporters must emit valid JSON.
 
 use locusroute::msgpass::{run_msgpass_observed, MsgPassConfig, UpdateSchedule};
-use locusroute::obs::{export, names, SharedSink};
+use locusroute::obs::{export, SharedSink};
 
 #[test]
 fn obs_counters_match_netstats_on_16_proc_bnr_e() {
@@ -16,15 +16,15 @@ fn obs_counters_match_netstats_on_16_proc_bnr_e() {
     let m = sink.metrics_snapshot();
     // The exact identity the subsystem is built around: payload bytes
     // counted by PacketSent events equal the network layer's own total.
-    assert_eq!(m.counter(names::BYTES_SENT), out.net.payload_bytes);
-    assert_eq!(m.counter(names::PACKETS_SENT), out.net.packets);
-    assert_eq!(m.counter(names::WIRE_BYTES_SENT), out.net.wire_bytes);
-    assert_eq!(m.counter(names::CONTENTION_NS), out.net.contention_ns);
+    assert_eq!(m.counter("bytes_sent"), out.net.payload_bytes);
+    assert_eq!(m.counter("packets_sent"), out.net.packets);
+    assert_eq!(m.counter("wire_bytes_sent"), out.net.wire_bytes);
+    assert_eq!(m.counter("contention_ns"), out.net.contention_ns);
     // Every injected packet is eventually delivered (clean termination).
-    assert_eq!(m.counter(names::PACKETS_DELIVERED), out.net.packets);
-    assert_eq!(m.counter(names::BYTES_DELIVERED), out.net.payload_bytes);
+    assert_eq!(m.counter("packets_delivered"), out.net.packets);
+    assert_eq!(m.counter("bytes_delivered"), out.net.payload_bytes);
     // Routing-layer events flow through the same sink.
-    assert_eq!(m.counter(names::WIRES_ROUTED), out.work.wires_routed);
+    assert_eq!(m.counter("wires_routed"), out.work.wires_routed);
 }
 
 #[test]
@@ -41,16 +41,16 @@ fn fault_counters_match_netstats_and_reliability_stats() {
 
     let m = sink.metrics_snapshot();
     // Sink-derived fault counters agree exactly with the network layer.
-    assert_eq!(m.counter(names::FAULTS_INJECTED), out.net.faults_injected());
-    assert_eq!(m.counter(names::PACKETS_DROPPED), out.net.packets_dropped);
-    assert_eq!(m.counter(names::PACKETS_DUPLICATED), out.net.packets_duplicated);
-    assert_eq!(m.counter(names::PACKETS_SENT), out.net.packets);
+    assert_eq!(m.counter("faults_injected"), out.net.faults_injected());
+    assert_eq!(m.counter("packets_dropped"), out.net.packets_dropped);
+    assert_eq!(m.counter("packets_duplicated"), out.net.packets_duplicated);
+    assert_eq!(m.counter("packets_sent"), out.net.packets);
     // Dropped sends consume bandwidth but never arrive.
-    assert_eq!(m.counter(names::PACKETS_DELIVERED), out.net.packets - out.net.packets_dropped);
+    assert_eq!(m.counter("packets_delivered"), out.net.packets - out.net.packets_dropped);
     // And with the reliability protocol's own bookkeeping.
-    assert_eq!(m.counter(names::PACKETS_RETRANSMITTED), out.reliability.retransmits);
-    assert_eq!(m.counter(names::ACKS_SENT), out.reliability.acks_sent);
-    assert_eq!(m.counter(names::WATCHDOG_RECOVERIES), 0, "clean run needs no watchdog");
+    assert_eq!(m.counter("packets_retransmitted"), out.reliability.retransmits);
+    assert_eq!(m.counter("acks_sent"), out.reliability.acks_sent);
+    assert_eq!(m.counter("watchdog_recoveries"), 0, "clean run needs no watchdog");
 }
 
 #[test]
@@ -66,8 +66,8 @@ fn watchdog_recoveries_flow_through_the_sink() {
     assert!(out.deadlocked);
     assert!(out.watchdog_recoveries > 0);
     let m = sink.metrics_snapshot();
-    assert_eq!(m.counter(names::WATCHDOG_RECOVERIES), out.watchdog_recoveries);
-    assert_eq!(m.counter(names::PACKETS_DROPPED), out.net.packets_dropped);
+    assert_eq!(m.counter("watchdog_recoveries"), out.watchdog_recoveries);
+    assert_eq!(m.counter("packets_dropped"), out.net.packets_dropped);
 }
 
 #[test]
@@ -95,11 +95,11 @@ fn recovery_counters_match_recovery_stats() {
     assert!(out.recovery.wires_reassigned > 0, "{:?}", out.recovery);
 
     let m = sink.metrics_snapshot();
-    assert_eq!(m.counter(names::NODE_CRASHES), 1);
-    assert_eq!(m.counter(names::CHECKPOINTS_TAKEN), out.recovery.checkpoints_taken);
-    assert_eq!(m.counter(names::CHECKPOINT_BYTES), out.recovery.checkpoint_bytes);
-    assert_eq!(m.counter(names::WIRES_REASSIGNED), out.recovery.wires_reassigned);
-    assert_eq!(m.counter(names::COORDINATOR_FAILOVERS), out.recovery.coordinator_failovers);
+    assert_eq!(m.counter("node_crashes"), 1);
+    assert_eq!(m.counter("checkpoints_taken"), out.recovery.checkpoints_taken);
+    assert_eq!(m.counter("checkpoint_bytes"), out.recovery.checkpoint_bytes);
+    assert_eq!(m.counter("wires_reassigned"), out.recovery.wires_reassigned);
+    assert_eq!(m.counter("coordinator_failovers"), out.recovery.coordinator_failovers);
 }
 
 #[test]
