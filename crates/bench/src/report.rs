@@ -193,6 +193,23 @@ impl Report {
 }
 
 #[cfg(test)]
+impl Table {
+    /// Keyed column `key` of every row, as the report file holds it (a
+    /// float keeps every bit; its decimals apply only when written).
+    pub(crate) fn column(&self, key: &str) -> Vec<&Json> {
+        let Json::Array(rows) = &self.json else { unreachable!("a table is an array of rows") };
+        let missing = || panic!("table {:?} has no column {key:?}", self.key);
+        rows.iter()
+            .map(|row| match row {
+                Json::Object(cells) => cells.iter().find(|(k, _)| *k == key).map(|(_, v)| v),
+                _ => None,
+            })
+            .map(|cell| cell.unwrap_or_else(missing))
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::circuit::MAX_CELLS;
+
 /// Errors produced when building or parsing a [`crate::Circuit`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CircuitError {
@@ -37,6 +39,13 @@ pub enum CircuitError {
     },
     /// The circuit has zero channels or zero grid columns.
     EmptySurface,
+    /// `channels × grids` exceeds the cell budget every engine can hold.
+    SurfaceTooLarge {
+        /// Number of channels in the circuit.
+        channels: u16,
+        /// Number of grid columns in the circuit.
+        grids: u16,
+    },
     /// The name is empty or contains whitespace or `#`: the text format
     /// writes it as one bare token and could not carry it.
     UnwritableName {
@@ -71,6 +80,12 @@ impl fmt::Display for CircuitError {
                 "wire list position {index} holds wire id {found}; ids must be dense 0..n"
             ),
             CircuitError::EmptySurface => write!(f, "circuit must have ≥1 channel and ≥1 grid"),
+            CircuitError::SurfaceTooLarge { channels, grids } => write!(
+                f,
+                "surface of {channels} channels × {grids} grids is {} cells, more than the \
+                 {MAX_CELLS} a circuit may have",
+                u32::from(*channels) * u32::from(*grids)
+            ),
             CircuitError::UnwritableName { name } => write!(
                 f,
                 "circuit name {name:?} must be one non-empty token without whitespace or '#'"

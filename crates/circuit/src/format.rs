@@ -201,4 +201,13 @@ mod tests {
         let err = from_text("circuit d channels 4 grids 24\nwire 0 : (9,1) (1,2)\n").unwrap_err();
         assert!(matches!(err, CircuitError::ChannelOutOfRange { .. }), "{err}");
     }
+
+    #[test]
+    fn a_surface_past_the_cell_budget_fails_by_name() {
+        // Once an abort on an 8.6 GB cost array in every engine.
+        let err = from_text("circuit h channels 65535 grids 65535\nwire 0 : (0,0) (1,1)\n");
+        let err = err.unwrap_err();
+        assert!(matches!(err, CircuitError::SurfaceTooLarge { .. }), "{err}");
+        assert!(err.to_string().contains("4294836225 cells"), "{err}");
+    }
 }

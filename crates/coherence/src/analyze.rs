@@ -133,6 +133,12 @@ mod tests {
     #[test]
     fn backend_sweep_rejects_unknown_backends() {
         assert!(traffic_by_backend("nope", &churn_trace(), &[8]).is_err());
+        // A line size no backend can price fails the sweep by name, even
+        // after a good one.
+        for line_size in [0, 12] {
+            let err = traffic_by_backend("bus-wt", &churn_trace(), &[8, line_size]);
+            assert!(err.expect_err("bad line").contains("power of two"));
+        }
     }
 
     #[test]

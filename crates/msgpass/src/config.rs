@@ -42,7 +42,9 @@ pub enum WireSource {
     /// retrieves the task request". Implemented for single-iteration runs
     /// (re-routing a wire that a *different* processor routed last
     /// iteration would require migrating its rip-up state, which the
-    /// static scheme exists to avoid).
+    /// static scheme exists to avoid). A mesh that duplicates packets
+    /// needs the reliability layer too: a duplicated grant would hand one
+    /// wire to two processors.
     Dynamic,
 }
 
@@ -284,6 +286,11 @@ impl MsgPassConfig {
             if self.n_procs < 2 {
                 return Err("dynamic wire distribution needs a worker besides the master".into());
             }
+            if self.faults.duplicate_bp > 0 && !self.reliability {
+                return Err("dynamic wire distribution over a duplicating mesh needs the \
+                     reliability layer (a duplicated grant would route one wire twice)"
+                    .into());
+            }
         }
         if self.structure == PacketStructure::WireBased
             && (self.schedule.send_rmt_data.is_none() || self.schedule.is_receiver_initiated())
@@ -384,6 +391,7 @@ mod tests {
             MsgPassConfig { params: two_iterations, ..sender.with_dynamic_wires() },
             receiver.with_dynamic_wires(),
             MsgPassConfig::new(1, UpdateSchedule::never()).with_dynamic_wires(),
+            sender.with_dynamic_wires().with_faults(FaultPlan::none().with_duplicates(1, 1)),
             receiver.with_structure(PacketStructure::WireBased),
             recovering.with_recovery_config(RecoveryConfig {
                 checkpoint_every: 0,

@@ -234,11 +234,13 @@ fn run_inner(
         // recovery a wire may also legitimately have been routed twice
         // (its owner was falsely or belatedly declared dead and an
         // adopter re-routed it) — the first writer in node order wins,
-        // deterministically. Without recovery, double-routing is a bug.
+        // deterministically. Without recovery, double-routing is a bug
+        // (`validate` rejects the one configuration known to cause it:
+        // dynamic distribution under duplication, without reliability).
         // Either way the losing route leaves the shared truth too.
         for (w, r, survives) in node.take_routes(outcome.stats.crashed[p]) {
             if survives && routes[w].is_some() {
-                debug_assert!(recovery_on, "wire {w} routed by two processors");
+                assert!(recovery_on, "wire {w} routed by two processors");
                 recovery.duplicate_routes += 1;
             }
             if !survives || routes[w].is_some() {
@@ -376,6 +378,31 @@ mod tests {
             .expect("a valid run");
         assert_eq!(contention_off.net.contention_ns, 0);
         assert_eq!(contention_off.routes.len(), c.wire_count());
+        // The contention ablation's eager sender on `small` does contend.
+        let eager = small_config(4, UpdateSchedule::sender_initiated(2, 1));
+        let contended = run_msgpass(&locus_circuit::presets::small(), eager);
+        assert!(contended.net.contention_ns > 0, "chatty schedule must contend");
+    }
+
+    /// A duplicated `WireGrant` hands one wire to two processors, so
+    /// dynamic distribution over a duplicating mesh needs the reliable
+    /// layer, which delivers each packet once: without it the run is an
+    /// `Err` that names the wire distribution, not a wire routed twice.
+    #[test]
+    fn a_duplicated_wire_grant_needs_the_reliable_layer() {
+        let c = locus_circuit::presets::small();
+        let dynamic = small_config(4, UpdateSchedule::sender_initiated(2, 5)).with_dynamic_wires();
+        for seed in 0..5 {
+            let faults =
+                locus_mesh::FaultPlan::uniform_loss(seed, 0).with_duplicates(3_000, 20_000);
+            let config = dynamic.with_faults(faults);
+            let err =
+                run_msgpass_with_mesh(&c, config, config.mesh_config()).expect_err("rejected");
+            assert!(err.contains("wire distribution"), "seed {seed}: {err}");
+            let out = run_msgpass(&c, config.with_reliability());
+            assert_eq!(out.recovery.duplicate_routes, 0, "seed {seed}");
+            assert!(out.degraded.is_none() && out.routes.iter().all(|r| !r.cells().is_empty()));
+        }
     }
 
     #[test]

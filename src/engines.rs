@@ -178,6 +178,48 @@ mod tests {
         assert!(err.contains("nonesuch") && err.contains("sequential"), "{err}");
     }
 
+    /// Every entry routes every wire of every preset and of a two-wire
+    /// circuit as wide as a `u16` names, 2 × 65535, inside the surface
+    /// budget of `Circuit::new`. The emulator runs untraced here: traced,
+    /// it records every cell read of the jog sweep, and a wire that spans
+    /// W grids costs W² reads.
+    #[test]
+    fn every_engine_routes_every_preset_and_the_widest_surface() {
+        let far = |c, x| locus_circuit::Pin::new(c, x);
+        let wide = Circuit::new(
+            "wide",
+            2,
+            65535,
+            vec![
+                locus_circuit::Wire::new(0, vec![far(0, 0), far(1, 65534)]),
+                locus_circuit::Wire::new(1, vec![far(1, 0), far(0, 65534)]),
+            ],
+        )
+        .expect("inside the budget");
+        let circuits = [
+            presets::tiny(),
+            presets::small(),
+            presets::bnr_e(),
+            presets::mdc(),
+            presets::power_law(),
+            wide,
+        ];
+        for c in &circuits {
+            for entry in registry() {
+                let run = (entry.run)(c, &RouterParams::default(), 4, false);
+                let run = run.unwrap_or_else(|why| panic!("{} on {}: {why}", entry.name, c.name));
+                assert_eq!(
+                    run.outcome.routes.len(),
+                    c.wire_count(),
+                    "{} on {}",
+                    entry.name,
+                    c.name
+                );
+                assert!(run.outcome.routes.iter().all(|r| !r.cells().is_empty()));
+            }
+        }
+    }
+
     /// Every entry on `tiny` over hostile processor and iteration counts,
     /// traffic off and on: `Ok` with every wire routed, or an `Err` —
     /// never a panic or a hang.
