@@ -16,7 +16,7 @@ use locus_analysis::race::{detect, RaceKind};
 use locus_circuit::{presets, Circuit, GridCell};
 use locus_coherence::{
     build_memory_model, memory_registry, traffic_by_backend, traffic_by_line_size, MemRef,
-    MemoryConfig, Trace,
+    MemoryConfig, MemoryOutcome, Trace,
 };
 use locus_mesh::{FaultPlan, NodeFault};
 use locus_msgpass::{
@@ -527,9 +527,17 @@ pub fn overshoot(cfg: &RunCfg) -> Result<Report, String> {
 /// of the execution time the wormhole channel-blocking model accounts
 /// for (evaluated on the chattiest sender schedule).
 pub fn contention(cfg: &RunCfg) -> Result<Report, String> {
+    ablation(
+        format!("Ablation: network contention model on/off ({}, eager sender)", cfg.setting()),
+        &contention_runs(cfg),
+    )
+}
+
+/// The contention ablation's two runs, modelled first.
+fn contention_runs(cfg: &RunCfg) -> Vec<(String, MsgPassOutcome)> {
     let config = MsgPassConfig::new(cfg.procs(), UpdateSchedule::sender_initiated(2, 1));
     let circuit = cfg.circuit();
-    let rows = cfg.harness.map(vec![true, false], |modelled| {
+    cfg.harness.map(vec![true, false], |modelled| {
         if modelled {
             ("contention modelled".to_string(), run(&circuit, config))
         } else {
@@ -538,11 +546,7 @@ pub fn contention(cfg: &RunCfg) -> Result<Report, String> {
                 .unwrap_or_else(|msg| panic!("contention study: {msg}"));
             ("contention disabled".to_string(), out)
         }
-    });
-    ablation(
-        format!("Ablation: network contention model on/off ({}, eager sender)", cfg.setting()),
-        &rows,
-    )
+    })
 }
 
 /// `faults`: the **resilience study** — uniform packet loss (0–20%) ×
@@ -884,6 +888,32 @@ pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
 /// paper's Table 3 headline point).
 const MEMORY_LINE_SIZE: u32 = 8;
 
+/// The memory study's `(circuit, outcome)` rows: every selected backend
+/// built for `machine` replays each circuit's trace. A machine some
+/// backend cannot price is that backend's error, given before any trace
+/// is collected.
+fn memory_rows(
+    cfg: &RunCfg,
+    machine: MemoryConfig,
+) -> Result<Vec<(String, MemoryOutcome)>, String> {
+    let backends: Vec<_> = memory_registry()
+        .iter()
+        .filter(|e| cfg.memory_backend.as_ref().is_none_or(|backend| backend == e.name))
+        .collect();
+    for entry in &backends {
+        entry.build(machine)?;
+    }
+    let mut rows = Vec::new();
+    for circuit in cfg.circuits() {
+        let trace = shared_memory_trace(&circuit, cfg.procs());
+        rows.extend(cfg.harness.map(backends.clone(), |entry| {
+            let model = entry.build(machine).expect("every backend was built above");
+            (circuit.name.clone(), model.run(&trace))
+        }));
+    }
+    Ok(rows)
+}
+
 /// `memory`: the **memory-system study** — every registered backend (or
 /// the one `--memory` names) replays the *same* shared-memory reference
 /// trace per circuit (one traced emulator run each, so all backends see
@@ -898,18 +928,7 @@ pub fn memory(cfg: &RunCfg) -> Result<Report, String> {
     if let Some(backend) = &cfg.memory_backend {
         build_memory_model(backend, machine)?;
     }
-    let backends: Vec<_> = memory_registry()
-        .iter()
-        .filter(|e| cfg.memory_backend.as_ref().is_none_or(|backend| backend == e.name))
-        .collect();
-    let mut rows = Vec::new();
-    for circuit in cfg.circuits() {
-        let trace = shared_memory_trace(&circuit, cfg.procs());
-        rows.extend(cfg.harness.map(backends.clone(), |entry| {
-            let model = entry.build(machine).expect("the paper's machine fits every backend");
-            (circuit.name.clone(), model.run(&trace))
-        }));
-    }
+    let rows = memory_rows(cfg, machine)?;
     fn ns_as_ms(ns: u64) -> Cell {
         Cell::from(ns).shown(format!("{:.3}", ns as f64 / 1.0e6))
     }
@@ -1369,6 +1388,23 @@ mod tests {
     }
 
     #[test]
+    fn absurd_memory_machines_are_errors_not_panics() {
+        let cfg = quick_cfg(None);
+        let procs = cfg.procs() as u32;
+        // 65 processors overflow the bus and directory holder bitmasks;
+        // the study says so before it collects a trace.
+        let err = memory_rows(&cfg, MemoryConfig::paper(65, MEMORY_LINE_SIZE)).expect_err("65");
+        assert!(err.contains("64"), "{err}");
+        let trace = shared_memory_trace(&presets::tiny(), cfg.procs());
+        for line_size in [0, 12] {
+            let err = memory_rows(&cfg, MemoryConfig::paper(procs, line_size)).expect_err("line");
+            assert!(err.contains("power of two"), "{err}");
+            let err = traffic_by_backend("bus-wt", &trace, &[8, line_size]).expect_err("bad");
+            assert!(err.contains("power of two"), "{err}");
+        }
+    }
+
+    #[test]
     fn table4_and_5_cover_both_circuits_and_methods() {
         for report in [quick(table4), quick(table5)] {
             let circuits = strings(&report, "circuit");
@@ -1428,6 +1464,18 @@ mod tests {
         assert_eq!(time.len(), 3);
         // More overshoot = more candidates = more modelled time.
         assert!(time[0] <= time[2]);
+    }
+
+    #[test]
+    fn contention_study_runs_and_contention_counter_responds() {
+        let rows = contention_runs(&quick_cfg(None));
+        assert_eq!(rows.len(), 2);
+        // Message timing feeds back into the adaptive application, so
+        // total time and packet counts may move either way; the solid
+        // invariant is the contention counter itself.
+        let (with, without) = (&rows[0].1, &rows[1].1);
+        assert!(with.net.contention_ns > 0, "chatty schedule must contend");
+        assert_eq!(without.net.contention_ns, 0);
     }
 
     #[test]
