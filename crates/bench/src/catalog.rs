@@ -18,10 +18,10 @@ use locus_coherence::{
     build_memory_model, memory_registry, traffic_by_backend, traffic_by_line_size, MemRef,
     MemoryConfig, MemoryOutcome, Trace,
 };
-use locus_mesh::{FaultPlan, NodeFault};
+use locus_mesh::FaultPlan;
 use locus_msgpass::{
-    run_msgpass, run_msgpass_with_mesh, MsgPassConfig, MsgPassOutcome, PacketStructure,
-    RecoveryConfig, ReplicaSnapshot, UpdateSchedule,
+    chaos, run_msgpass, run_msgpass_with_mesh, MsgPassConfig, MsgPassOutcome, PacketStructure,
+    ReplicaSnapshot, UpdateSchedule,
 };
 use locus_obs::export::Json;
 use locus_obs::Histogram;
@@ -606,75 +606,6 @@ pub fn faults(cfg: &RunCfg) -> Result<Report, String> {
     ))
 }
 
-/// Heartbeat period of the chaos grid as a fraction of the probed clean
-/// completion time.
-const HEARTBEAT_DIVISOR: u64 = 50;
-
-/// Heartbeats of silence before a chaos-grid peer is declared dead.
-const SUSPECT_AFTER: u32 = 8;
-
-/// Chaos-grid stall scenarios multiply service cost by this factor.
-const STALL_FACTOR: u32 = 4;
-
-/// The message-passing configuration the chaos grid starts from: a
-/// single iteration, so that checkpoint progress is monotone, as
-/// recovery requires.
-fn chaos_config(procs: usize) -> MsgPassConfig {
-    let mut config = MsgPassConfig::new(procs, UpdateSchedule::sender_paper());
-    config.params = config.params.with_iterations(1);
-    config
-}
-
-/// The scenarios the chaos grid injects at each `(circuit, checkpoint
-/// interval)`: `(id, onset fraction, plan)`. Worker faults hit the
-/// *longest-routing* worker of the clean `probe`, and each onset is a
-/// fraction of that node's own routing span, so the fault lands while
-/// the victim still holds unfinished wires (static shares are
-/// imbalanced enough that a fixed rank often finishes in the first few
-/// percent of the run, and a crash there orphans nothing; onsets scaled
-/// by total time would land in the tail of update exchange and
-/// termination). Durations scale with the full completion time, because
-/// the suspect window they are sized against is derived from it.
-fn chaos_scenarios(probe: &MsgPassOutcome, fracs: &[f64]) -> Vec<(&'static str, f64, FaultPlan)> {
-    let t_ns = (probe.time_secs * 1e9) as u64;
-    let spans_ns: Vec<u64> =
-        probe.routing_done_secs_by_proc.iter().map(|s| (s * 1e9) as u64).collect();
-    // Longest-routing non-coordinator rank (ties break low, fixed).
-    let worker = spans_ns
-        .iter()
-        .enumerate()
-        .skip(1)
-        .max_by_key(|&(p, ns)| (ns, std::cmp::Reverse(p)))
-        .map(|(p, _)| p as u32)
-        .unwrap_or(1);
-    let at = |span: u64, frac: f64| (span as f64 * frac).max(1.0) as u64;
-    let worker_at = |frac: f64| at(spans_ns[worker as usize], frac);
-    let on_worker = |fault| FaultPlan::none().with_node_fault(worker, fault);
-    let mut v = vec![("clean", 0.0, FaultPlan::none())];
-    for &f in fracs {
-        v.push(("worker-crash", f, on_worker(NodeFault::Crash { at_ns: worker_at(f) })));
-    }
-    let (at_ns, half) = (worker_at(0.5), at(spans_ns[0], 0.5));
-    v.extend([
-        (
-            "worker-restart",
-            0.5,
-            on_worker(NodeFault::CrashRestart { at_ns, downtime_ns: t_ns / 20 }),
-        ),
-        (
-            "coordinator-crash",
-            0.5,
-            FaultPlan::none().with_node_fault(0, NodeFault::Crash { at_ns: half }),
-        ),
-        (
-            "stall",
-            0.5,
-            on_worker(NodeFault::Stall { at_ns, factor: STALL_FACTOR, duration_ns: t_ns / 4 }),
-        ),
-    ]);
-    v
-}
-
 /// True when two executions of the same chaos cell reproduced each
 /// other exactly: routes, time, traffic, quality, and recovery counters.
 fn identical(a: &MsgPassOutcome, b: &MsgPassOutcome) -> bool {
@@ -701,21 +632,8 @@ fn identical(a: &MsgPassOutcome, b: &MsgPassOutcome) -> bool {
 /// (each cell is executed twice and compared). The report fails if any
 /// scenario degraded, left a wire to the watchdog, or did not reproduce.
 ///
-/// Recovery windows are **derived, not guessed**: a probe run without
-/// recovery measures the circuit's clean completion time `T`, then the
-/// heartbeat period is set to `T/50` and the suspect window to 8
-/// heartbeats (≈ 0.16 `T`). Nodes under recovery chunk their routing
-/// time at half a heartbeat per step, but that alone does not keep a
-/// fault-free run free of false deaths: the coordinator spends (P − 1) ×
-/// 124 µs of every period receiving and answering heartbeats, and a
-/// node's receive overhead for a whole inbox is charged in one step. A
-/// period at or under that heartbeat load livelocks on false deaths, and
-/// `MsgPassConfig::validate` rejects any period under twice it; the
-/// receive bursts still cost false deaths at 4 and 9 processors on the
-/// larger circuits at some periods it accepts
-/// (`crates/msgpass/tests/heartbeat_sweep.rs`). `T/50` here is 11.7 ms
-/// and more at 16 processors, and 2.4 ms on `small` at 4 (`--quick`),
-/// where a fault-free run declares nobody dead.
+/// Recovery windows and fault onsets are **derived, not guessed**, from a
+/// clean probe of each circuit, by the policy of `locus_msgpass::chaos`.
 pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
     /// One cell of the grid.
     struct Run<'a> {
@@ -723,14 +641,11 @@ pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
         procs: usize,
         scenario: &'static str,
         checkpoint_every: u32,
-        /// Fault onset as a fraction of the target's clean routing span
-        /// (0 for the clean scenario).
         frac: f64,
         out: MsgPassOutcome,
         /// Whether an immediate second execution reproduced it.
         repeated: bool,
-        /// Time and megabytes over the clean scenario's at the same
-        /// checkpoint interval.
+        /// Time and megabytes over the clean row's of its circuit and interval.
         vs_clean: (f64, f64),
     }
     /// Every wire routed, no watchdog, clean termination, reproducible.
@@ -746,32 +661,20 @@ pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
     let intervals: &[u32] = cfg.pick(&[4], &[4, 16]);
 
     // One clean probe per circuit, recovery off: `(circuit, procs,
-    // outcome, heartbeat period in ns)`.
+    // heartbeat period in ns, outcome)`.
     let probes = cfg.harness.map(circuits, |(circuit, procs)| {
         let circuit = circuit();
-        let probe = run(&circuit, chaos_config(procs));
-        let heartbeat_ns = ((probe.time_secs * 1e9) as u64 / HEARTBEAT_DIVISOR).max(1_000_000);
-        (circuit, procs, probe, heartbeat_ns)
+        let probe = run(&circuit, chaos::base(procs));
+        (circuit, procs, chaos::heartbeat_ns(&probe), probe)
     });
     let mut cells = Vec::new();
-    for (circuit, procs, probe, heartbeat_ns) in &probes {
+    for (circuit, procs, heartbeat_ns, probe) in &probes {
+        let scenarios = chaos::scenarios(probe, fracs)?;
         for &checkpoint_every in intervals {
-            let recovery = RecoveryConfig {
-                checkpoint_every,
-                heartbeat_ns: *heartbeat_ns,
-                suspect_after: SUSPECT_AFTER,
-                ..RecoveryConfig::default()
-            };
-            let config = chaos_config(*procs).with_reliability().with_recovery_config(recovery);
-            for (scenario, frac, plan) in chaos_scenarios(probe, fracs) {
-                cells.push((
-                    circuit,
-                    *procs,
-                    scenario,
-                    checkpoint_every,
-                    frac,
-                    config.with_faults(plan),
-                ));
+            let config = chaos::recovering(*procs, *heartbeat_ns, checkpoint_every);
+            for &(scenario, frac, plan) in &scenarios {
+                let config = config.with_faults(plan);
+                cells.push((circuit, *procs, scenario, checkpoint_every, frac, config));
             }
         }
     }
@@ -791,18 +694,21 @@ pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
                 vs_clean: (0.0, 0.0),
             }
         });
-    // Normalize each interval's fault rows against its clean row.
-    for group in rows.chunks_mut(fracs.len() + 4) {
-        let clean = &group[0].out;
-        let clean = (clean.time_secs.max(f64::MIN_POSITIVE), clean.mbytes.max(f64::MIN_POSITIVE));
-        for r in group {
-            r.vs_clean = (r.out.time_secs / clean.0, r.out.mbytes / clean.1);
-        }
+    // Normalize each row against the clean row of its circuit and interval.
+    let clean: BTreeMap<_, _> = rows
+        .iter()
+        .filter(|r| r.scenario == "clean")
+        .map(|r| ((r.circuit, r.procs, r.checkpoint_every), (r.out.time_secs, r.out.mbytes)))
+        .collect();
+    for r in &mut rows {
+        let (time, mbytes) = clean[&(r.circuit, r.procs, r.checkpoint_every)];
+        let floor = |x: f64| x.max(f64::MIN_POSITIVE);
+        r.vs_clean = (r.out.time_secs / floor(time), r.out.mbytes / floor(mbytes));
     }
 
     let all_ok = rows.iter().all(ok);
     let mut title = String::new();
-    for (circuit, procs, probe, heartbeat_ns) in &probes {
+    for (circuit, procs, heartbeat_ns, probe) in &probes {
         title += &format!(
             "probe: {} ({procs} procs) clean {:.3}s (routing {:.3}s) -> heartbeat {} ms, \
              suspect window {} ms\n",
@@ -810,7 +716,7 @@ pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
             probe.time_secs,
             probe.routing_done_secs,
             heartbeat_ns / 1_000_000,
-            heartbeat_ns * SUSPECT_AFTER as u64 / 1_000_000,
+            heartbeat_ns * u64::from(chaos::SUSPECT_AFTER) / 1_000_000,
         );
     }
     title += "\nChaos grid: single node fault x checkpoint interval (recovery on, repeat-verified)";
@@ -833,10 +739,10 @@ pub fn chaos(cfg: &RunCfg) -> Result<Report, String> {
             &[
                 col("circuit", "", |p| p.0.name.as_str().into()),
                 col("procs", "", |p| p.1.into()),
-                col("base_time_s", "", |p| fixed(p.2.time_secs, 6)),
-                col("routing_s", "", |p| fixed(p.2.routing_done_secs, 6)),
-                col("heartbeat_ns", "", |p| p.3.into()),
-                col("suspect_after", "", |_| SUSPECT_AFTER.into()),
+                col("base_time_s", "", |p| fixed(p.3.time_secs, 6)),
+                col("routing_s", "", |p| fixed(p.3.routing_done_secs, 6)),
+                col("heartbeat_ns", "", |p| p.2.into()),
+                col("suspect_after", "", |_| chaos::SUSPECT_AFTER.into()),
             ],
         )
         .table(

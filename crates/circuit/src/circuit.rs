@@ -105,6 +105,29 @@ impl Circuit {
     pub(crate) fn pin_count(&self) -> usize {
         self.wires.iter().map(|w| w.pins.len()).sum()
     }
+
+    /// This circuit with its wires in the Fisher–Yates order drawn from
+    /// `shuffle` by SplitMix64 (Steele, Lea & Flood 2014), renumbered
+    /// densely. Routing order is a wire's id, so each shuffle is one wire
+    /// order of the same netlist.
+    pub fn reordered(&self, shuffle: u64) -> Circuit {
+        let mut c = self.clone();
+        let mut state = shuffle;
+        for i in (1..c.wires.len()).rev() {
+            c.wires.swap(i, (splitmix64(&mut state) % (i as u64 + 1)) as usize);
+        }
+        c.wires.iter_mut().enumerate().for_each(|(id, wire)| wire.id = id);
+        c
+    }
+}
+
+/// One step of SplitMix64: advances `state` and returns the next output.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -168,6 +191,34 @@ mod tests {
         for (channels, grids) in [(65535, 65535), (65, 65535), (1024, 4097)] {
             let err = Circuit::new("t", channels, grids, two_wires(channels, grids)).unwrap_err();
             assert_eq!(err, CircuitError::SurfaceTooLarge { channels, grids });
+        }
+    }
+
+    #[test]
+    fn a_reordered_circuit_is_a_valid_permutation_drawn_from_its_shuffle_alone() {
+        let small = crate::presets::small();
+        let sorted = |c: &Circuit| {
+            let mut pins: Vec<_> = c.wires.iter().map(|w| w.pins.clone()).collect();
+            pins.sort();
+            pins
+        };
+        for shuffle in [0, 1, 72, u64::MAX] {
+            let c = small.reordered(shuffle);
+            assert!(c.validate().is_ok(), "shuffle {shuffle}");
+            assert_eq!((&c.name, c.channels, c.grids), (&small.name, small.channels, small.grids));
+            assert_eq!(sorted(&c), sorted(&small), "shuffle {shuffle}");
+            assert_eq!(c.wires, small.reordered(shuffle).wires, "shuffle {shuffle}");
+            assert_ne!(c.wires, small.reordered(shuffle ^ 2).wires, "shuffle {shuffle}");
+        }
+    }
+
+    #[test]
+    fn shuffle_72_of_small_is_the_order_the_explorer_pins() {
+        // `(new id, small's id)`: the ends, and the three wires that
+        // `wire_order_explorer.rs` pins as stranded by a worker crash.
+        let (small, c) = (crate::presets::small(), crate::presets::small().reordered(72));
+        for (id, from) in [(0, 19), (1, 10), (97, 60), (107, 70), (114, 31), (119, 90)] {
+            assert_eq!(c.wires[id].pins, small.wires[from].pins, "wire {id}");
         }
     }
 }

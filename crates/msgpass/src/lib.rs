@@ -33,6 +33,7 @@
 #![warn(clippy::unwrap_used)]
 #![warn(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
+pub mod chaos;
 pub mod config;
 pub mod delta;
 mod node;

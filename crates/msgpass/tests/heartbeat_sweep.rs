@@ -1,7 +1,7 @@
 //! Fault-free recovery runs at every heartbeat period `validate` accepts,
-//! from the bound up to the clean completion time `T`: reliability and
-//! recovery on, a checkpoint every 4 wires, a peer suspected after 8
-//! silent periods, and no fault at all. Nobody should be declared dead.
+//! from the bound up to the clean completion time `T`: the recovery
+//! study's base (`locus_msgpass::chaos`) with a checkpoint every 4 wires,
+//! and no fault at all. Nobody should be declared dead.
 //!
 //! On `small`, and on every circuit at 16 processors, that holds from the
 //! bound on. Below the bound the coordinator spends more of each period
@@ -18,30 +18,14 @@
 //! debug build and 1 s in release.
 
 use locus_circuit::{presets, Circuit};
-use locus_msgpass::{run_msgpass, MsgPassConfig, RecoveryConfig, UpdateSchedule};
-
-/// The chaos study's base: sender-initiated (2,10), one iteration.
-fn base(n_procs: usize) -> MsgPassConfig {
-    let cfg = MsgPassConfig::new(n_procs, UpdateSchedule::sender_paper());
-    cfg.with_params(cfg.params.with_iterations(1))
-}
-
-fn recovering(n_procs: usize, heartbeat_ns: u64) -> MsgPassConfig {
-    let recovery = RecoveryConfig {
-        checkpoint_every: 4,
-        heartbeat_ns,
-        suspect_after: 8,
-        ..RecoveryConfig::default()
-    };
-    base(n_procs).with_reliability().with_recovery_config(recovery)
-}
+use locus_msgpass::{chaos, run_msgpass};
 
 /// The shortest heartbeat period `validate` accepts at `n_procs`.
 fn bound(n_procs: usize) -> u64 {
     let (mut lo, mut hi) = (1u64, 1 << 40);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if recovering(n_procs, mid).validate().is_ok() {
+        if chaos::recovering(n_procs, mid, 4).validate().is_ok() {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -95,11 +79,11 @@ fn a_fault_free_run_declares_nobody_dead_at_any_accepted_heartbeat() {
     let mut runs = 0;
     for circuit in &circuits {
         for n_procs in [4, 9, 16] {
-            let t_ns = (run_msgpass(circuit, base(n_procs)).time_secs * 1e9) as u64;
+            let t_ns = (run_msgpass(circuit, chaos::base(n_procs)).time_secs * 1e9) as u64;
             let mut heartbeat_ns = bound(n_procs);
-            assert!(recovering(n_procs, heartbeat_ns - 1).validate().is_err());
+            assert!(chaos::recovering(n_procs, heartbeat_ns - 1, 4).validate().is_err());
             while heartbeat_ns <= t_ns {
-                let out = run_msgpass(circuit, recovering(n_procs, heartbeat_ns));
+                let out = run_msgpass(circuit, chaos::recovering(n_procs, heartbeat_ns, 4));
                 assert!(out.degraded.is_none(), "{} P={n_procs} {heartbeat_ns} ns", circuit.name);
                 let dead = out.recovery.nodes_declared_dead;
                 if dead > 0 {
