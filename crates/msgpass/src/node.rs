@@ -4,14 +4,15 @@
 //!
 //! * the **transport** ([`crate::reliable`]) frames packets, counts
 //!   them, and repairs loss;
-//! * **membership and recovery** ([`crate::recovery`]) keeps the
-//!   termination ledger, and under recovery checkpoints, heartbeats,
-//!   reassigns a dead peer's wires and elects coordinators;
+//! * the **control plane** ([`crate::recovery`]) decides when the run
+//!   ends: it keeps the termination ledger, and under recovery
+//!   checkpoints, heartbeats, reassigns a dead peer's wires and elects
+//!   coordinators;
 //! * the **update protocol** ([`crate::update`]) keeps the delta array
 //!   and exchanges the §4.3 update packets;
 //! * the **router**, this file, places wires against its local
 //!   cost-array replica from three sources — its static assignment,
-//!   wires granted by the §4.2 assignment processor, wires adopted from
+//!   wires granted by the §4.2 assignment processor, wires orphaned by
 //!   dead peers — and sequences one step of all four.
 
 use std::cell::RefCell;
@@ -25,8 +26,8 @@ use locus_router::router::route_wire_scratch;
 use locus_router::{CostArray, EvalScratch, ProcId, RegionMap, Route};
 
 use crate::config::{MsgPassConfig, WireSource};
-use crate::packet::{Packet, PacketKind};
-use crate::recovery::{Recovery, RecoveryStats, Termination, COORDINATOR};
+use crate::packet::Packet;
+use crate::recovery::{ControlPlane, COORDINATOR};
 use crate::reliable::{Frame, Transport};
 use crate::update::Update;
 
@@ -108,7 +109,7 @@ pub(crate) struct RouterNode<'a> {
     /// Routes of the static assignment, by position in `plan[proc]`.
     static_routes: Vec<Option<Route>>,
     /// Routes of wires outside the static assignment: granted by the
-    /// §4.2 assignment processor or adopted from dead peers.
+    /// §4.2 assignment processor or orphaned by dead peers.
     dynamic_routes: Vec<(WireId, Route)>,
     iteration: usize,
     wire_idx: usize,
@@ -122,17 +123,15 @@ pub(crate) struct RouterNode<'a> {
     /// Worker: a granted wire not yet routed.
     granted: Option<WireId>,
 
-    finished_routing: bool,
     /// Virtual time of the step that completed this node's last routing
-    /// work (static assignment or adopted backlog). The run-level
+    /// work (static assignment or orphaned wires). The run-level
     /// maximum is the routing span — everything past it is update
     /// exchange, checkpoint, and termination tail.
     pub(crate) routing_done_ns: u64,
 
     // The layers below, top down.
     update: Update,
-    term: Termination,
-    recovery: Option<Recovery>,
+    pub(crate) control: ControlPlane,
     pub(crate) transport: Transport,
 
     /// Simulated time of the step being executed (for event stamps).
@@ -155,9 +154,8 @@ impl<'a> RouterNode<'a> {
     ) -> Self {
         let n_procs = regions.n_procs();
         let (channels, grids) = regions.surface();
-        let recovery = config
-            .recovery
-            .map(|rc| Recovery::new(proc, rc, regions.region(proc).area(), Arc::clone(&plan)));
+        let region_cells = regions.region(proc).area();
+        let control = ControlPlane::new(proc, config.recovery, region_cells, Arc::clone(&plan));
         RouterNode {
             proc,
             oracle,
@@ -174,11 +172,9 @@ impl<'a> RouterNode<'a> {
             dyn_pool_next: 0,
             awaiting_grant: false,
             granted: None,
-            finished_routing: false,
             routing_done_ns: 0,
             update: Update::new(proc, Arc::clone(&regions), &config),
-            term: Termination::new(n_procs),
-            recovery,
+            control,
             transport: Transport::new(proc, n_procs, config.reliability),
             now_ns: 0,
             circuit,
@@ -198,27 +194,19 @@ impl<'a> RouterNode<'a> {
         self
     }
 
-    /// This node's recovery counters (all zero when recovery is off).
-    pub(crate) fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.as_ref().map_or_else(RecoveryStats::default, |r| r.stats)
-    }
-
     /// Takes the final routes out of the node (valid after the run
     /// completes), each with its wire id and whether it survives. When
     /// this node `crashed` under recovery, the routes committed after its
     /// last checkpoint were volatile and died with the node (an adopter
     /// re-routed those wires); they come back marked dead, so the caller
-    /// can take them out of the shared truth. Adopted-wire routes are
-    /// checkpointed as they commit, so they always survive.
+    /// can take them out of the shared truth. Routes of orphaned wires
+    /// are checkpointed as they commit, so they always survive.
     pub(crate) fn take_routes(
         &mut self,
         crashed: bool,
     ) -> impl Iterator<Item = (WireId, Route, bool)> + '_ {
         let my_wires = &self.plan[self.proc];
-        let limit = match &self.recovery {
-            Some(r) if crashed => r.durable_progress() as usize,
-            _ => my_wires.len(),
-        };
+        let limit = self.control.durable_limit(crashed, my_wires.len());
         let statics = my_wires.iter().zip(self.static_routes.drain(..)).enumerate();
         let statics = statics.filter_map(move |(i, (&w, r))| r.map(|r| (w, r, i < limit)));
         statics.chain(self.dynamic_routes.drain(..).map(|(w, r)| (w, r, true)))
@@ -226,7 +214,7 @@ impl<'a> RouterNode<'a> {
 
     /// Marks this node done with routing.
     fn mark_finished_routing(&mut self) {
-        self.finished_routing = true;
+        self.control.finished_routing = true;
         self.routing_done_ns = self.now_ns;
     }
 
@@ -300,9 +288,9 @@ impl<'a> RouterNode<'a> {
     }
 
     /// Handles one received packet; returns modelled processing time and
-    /// queues any responses. `Control` packets are the router's own;
-    /// `Recovery` packets go to the recovery layer, data packets to the
-    /// update protocol.
+    /// queues any responses. The dynamic-distribution packets are the
+    /// router's own; termination and recovery packets go to the control
+    /// plane, data packets to the update protocol.
     fn handle_packet(&mut self, from: ProcId, packet: Packet, outbox: &mut Outbox<Frame>) -> u64 {
         match packet {
             Packet::WireRequest => {
@@ -325,19 +313,12 @@ impl<'a> RouterNode<'a> {
                     }
                 }
             }
-            Packet::Finished => {
-                debug_assert!(self.recovery.is_some() || self.proc == self.term.coordinator);
-                self.term.report_finished(self.proc, from);
-            }
-            Packet::Terminate => self.term.terminate = true,
             other => {
                 let mut link = self.transport.link(outbox, self.now_ns);
-                return match (other.kind(), &mut self.recovery) {
-                    (PacketKind::Recovery, Some(r)) => {
-                        r.handle(from, other, self.finished_routing, &mut self.term, &mut link)
-                    }
-                    (PacketKind::Recovery, None) => 0,
-                    _ => self.update.handle(from, other, &mut self.replica, &mut link),
+                return if ControlPlane::owns(&other) {
+                    self.control.handle(from, other, &mut link)
+                } else {
+                    self.update.handle(from, other, &mut self.replica, &mut link)
                 };
             }
         }
@@ -367,7 +348,7 @@ impl<'a> RouterNode<'a> {
 
     /// Evaluates and commits one wire, from whichever source: into static
     /// slot `slot` after ripping up the previous iteration's route (§3),
-    /// or onto the list of granted and adopted routes (single
+    /// or onto the list of granted and orphaned routes (single
     /// iteration, so there is never a previous route). Emits any due
     /// sender-initiated updates. Returns modelled work time.
     fn place_wire(
@@ -444,11 +425,8 @@ impl<'a> RouterNode<'a> {
                 self.mark_finished_routing();
             }
         }
-        if let Some(r) = &mut self.recovery {
-            let mut link = self.transport.link(outbox, self.now_ns);
-            busy += r.checkpoint_if_due(progressed, self.finished_routing, &self.term, &mut link);
-        }
-        busy
+        let mut link = self.transport.link(outbox, self.now_ns);
+        busy + self.control.checkpoint(Some(progressed), &mut link)
     }
 
     /// One step of the dynamic-distribution protocol; returns the step
@@ -479,38 +457,30 @@ impl<'a> RouterNode<'a> {
         Step::Continue { busy_ns: busy }
     }
 
-    /// The router program proper: adopted work, termination protocol,
-    /// blocking waits, and routing work. Inbox traffic has already been
-    /// unframed and applied and the recovery round run; `busy` carries
-    /// their processing time.
+    /// The router program proper: orphaned wires, the control plane's
+    /// verdict, blocking waits, and routing work. Inbox traffic has
+    /// already been unframed and applied and the control plane's round
+    /// run; `busy` carries their processing time.
     fn step_inner(&mut self, mut busy: u64, outbox: &mut Outbox<Frame>) -> Step {
-        // Work adopted from a dead peer comes before the termination
-        // protocol: an adopting node is not finished.
-        let adopting = self.finished_routing && !self.term.terminate;
-        let adopted =
-            self.recovery.as_mut().filter(|_| adopting).and_then(|r| r.adopted.pop_front());
-        if let Some(w) = adopted {
+        // A dead peer's orphaned wires come before the termination
+        // protocol: a node that holds some is not finished.
+        if let Some(w) = self.control.next_orphan() {
             busy += self.place_wire(None, w, outbox);
             self.routing_done_ns = self.now_ns;
-            // Adopted routes are made durable as they commit (the
-            // progress mark is unchanged; this persists the shard).
             let mut link = self.transport.link(outbox, self.now_ns);
-            let r = self.recovery.as_mut().expect("only recovery adopts wires");
-            busy += r.take_checkpoint(r.durable_progress(), &self.term, &mut link);
+            busy += self.control.checkpoint(None, &mut link);
             return Step::Continue { busy_ns: busy };
         }
 
-        let ready =
-            self.finished_routing && self.recovery.as_ref().is_none_or(|r| r.adopted.is_empty());
         let mut link = self.transport.link(outbox, self.now_ns);
-        busy += self.term.conclude(self.proc, ready, &mut link);
-        if self.term.terminate {
+        busy += self.control.conclude(&mut link);
+        if self.control.terminated() {
             return Step::Done;
         }
         // A finished node keeps serving requests until everyone is done;
         // under the blocking receiver-initiated strategy a routing node
         // holds until its responses land.
-        if self.finished_routing || self.update.blocked() {
+        if self.control.finished_routing || self.update.blocked() {
             return if busy > 0 { Step::Continue { busy_ns: busy } } else { Step::Block };
         }
         match self.config.wire_source {
@@ -536,47 +506,38 @@ impl Node for RouterNode<'_> {
         let had_traffic = !inbox.is_empty();
         let mut busy = 0u64;
         for env in inbox.drain(..) {
-            if let Some(r) = &mut self.recovery {
-                r.heard(env.from, self.now_ns);
-            }
+            self.control.heard(env.from, self.now_ns);
             let mut deliverable = self.transport.receive(env.from, env.msg);
             while let Some(packet) = deliverable {
                 busy += self.handle_packet(env.from, packet, outbox);
                 deliverable = self.transport.next_buffered(env.from);
             }
         }
-        // Recovery bookkeeping first: heartbeats, failure detection,
-        // failover (unless the run is over).
-        let mut draining = false;
-        if let Some(r) = self.recovery.as_mut().filter(|_| !self.term.terminate) {
-            draining = r.draining();
-            busy += r.tick(&mut self.term, &mut self.transport.link(outbox, self.now_ns));
-        }
+        // The control plane's round first: heartbeats, failure
+        // detection, failover (unless the run is over).
+        let draining = self.control.draining();
+        busy += self.control.tick(&mut self.transport.link(outbox, self.now_ns));
         // Mid-computation: stay responsive (heartbeat, detect, ack,
         // retransmit) but start no new routing work until the banked
         // busy time drains.
         let inner =
             if draining { Step::Continue { busy_ns: busy } } else { self.step_inner(busy, outbox) };
-        let terminate = self.term.terminate;
+        let terminate = self.control.terminated();
         let out = self.transport.finish_step(inner, had_traffic, terminate, self.now_ns, outbox);
-        match &mut self.recovery {
-            Some(r) => r.pace(out, terminate, self.now_ns),
-            None => out,
-        }
+        self.control.pace(out, self.now_ns)
     }
 
     fn on_restart(&mut self, now: SimTime) {
         self.now_ns = now.as_ns();
-        let Some(r) = &mut self.recovery else {
-            return;
-        };
         // Routing state past the last checkpoint was volatile and died
         // with the crash: rip those routes back out of the shared truth
         // and the local view, and rewind the program counter. (The
         // durable prefix — replica shard and progress — reloads from the
         // checkpoint; the transport survives because peers retransmit
         // anything unacknowledged.)
-        let durable = r.on_restart(self.now_ns, self.wire_idx);
+        let Some(durable) = self.control.on_restart(self.now_ns, self.wire_idx) else {
+            return;
+        };
         for idx in (durable..self.wire_idx).rev() {
             self.rip_up(idx);
         }
@@ -589,6 +550,7 @@ impl Node for RouterNode<'_> {
 mod tests {
     use super::*;
     use crate::config::RecoveryConfig;
+    use crate::packet::PacketKind;
     use crate::schedule::UpdateSchedule;
     use locus_circuit::presets;
     use locus_router::{assign, AssignmentStrategy};
@@ -619,7 +581,7 @@ mod tests {
     fn route_to_completion(node: &mut RouterNode) {
         let mut outbox = Outbox::new();
         let mut steps = 0;
-        while !node.finished_routing {
+        while !node.control.finished_routing {
             let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
             assert!(matches!(step, Step::Continue { .. }));
             steps += 1;
@@ -745,9 +707,7 @@ mod tests {
         let adopted = plan[2][0];
         let reassign = Packet::Reassign { wires: vec![adopted as u32] };
         let _ = node.handle_packet(COORDINATOR, reassign, &mut outbox);
-        let recovery = node.recovery.as_mut().expect("recovery is on");
-        let wire = recovery.adopted.pop_front().expect("the reassigned wire");
-        let _ = node.place_wire(None, wire, &mut outbox);
+        let _ = node.place_wire(None, adopted, &mut outbox);
         (node, plan[1].clone(), adopted)
     }
 
@@ -755,7 +715,7 @@ mod tests {
     fn surviving_routes_are_the_static_prefix_then_the_adopted_wires() {
         let shared_a = shared();
         let (mut node, mine, adopted) = recovering_node(&shared_a);
-        assert_eq!(node.recovery.as_ref().map(Recovery::durable_progress), Some(3));
+        assert_eq!(node.control.durable_limit(true, 5), 3);
         // Five static wires routed, three of them checkpointed, then one
         // adopted: a crash drops the fourth and fifth.
         let wires = [&mine[..5], &[adopted]].concat();
@@ -773,7 +733,7 @@ mod tests {
     fn a_step_that_ends_in_done_charges_none_of_its_busy_time() {
         // The coordinator's last step assembles the Terminate fan-out,
         // which costs modelled time, yet `Step::Done` carries no busy
-        // time: `step_inner` drops it once `term.terminate` is set.
+        // time: `step_inner` drops it once the control plane terminates.
         let shared = shared();
         let mut node = make_node(UpdateSchedule::never(), 0, 4, &shared);
         route_to_completion(&mut node);

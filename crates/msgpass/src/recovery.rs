@@ -1,8 +1,10 @@
 //! Membership and recovery: the layer between the transport and the
-//! update protocol. [`Termination`] is the ledger every run keeps;
-//! [`Recovery`] exists only when [`crate::MsgPassConfig::recovery`] is
-//! set — "off" is `None`, not a flag tested at run time — and handles
-//! the `Recovery` packet kind.
+//! update protocol. [`ControlPlane`] alone decides when a node's run
+//! ends: it keeps the termination ledger every run keeps, handles
+//! `Finished`, `Terminate` and the `Recovery` packet kind, and under
+//! recovery checkpoints, heartbeats, reassigns a dead peer's wires and
+//! elects coordinators. The router asks it each step whether to route,
+//! adopt a wire or stop.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -13,7 +15,7 @@ use locus_obs::EventKind;
 use locus_router::ProcId;
 
 use crate::config::RecoveryConfig;
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketKind};
 use crate::reliable::Link;
 
 /// Coordinator of the termination protocol when a run starts (and the
@@ -64,83 +66,36 @@ impl RecoveryStats {
     }
 }
 
-/// The termination ledger: every node reports `Finished` to the
+/// One node's control plane. Every node reports `Finished` to the
 /// coordinator, which broadcasts `Terminate` once a report from every
 /// peer it does not presume dead is in — finished nodes keep serving
 /// requests until then. Reports are kept per peer, so a duplicated
-/// `Finished` counts once.
-pub(crate) struct Termination {
+/// `Finished` counts once. Recovery "off" is `recovery: None`, not a
+/// flag tested at run time.
+pub(crate) struct ControlPlane {
+    proc: ProcId,
     /// Who this node currently believes coordinates termination and
     /// reassignment (starts at [`COORDINATOR`]; moves on failover).
-    pub(crate) coordinator: ProcId,
+    coordinator: ProcId,
     /// Coordinator only: peers that reported all their work finished.
     finished_flags: Vec<bool>,
     /// Peers declared dead (never resurrected within a run; only
-    /// [`Recovery`] declares any).
+    /// recovery declares any).
     presumed_dead: Vec<bool>,
+    /// The router is through its own work: its static list, or the
+    /// dynamic pool (set by the router).
+    pub(crate) finished_routing: bool,
     /// Whether this node's own `Finished` is out (un-set by fresh work
     /// or a change of coordinator, so it re-reports).
     finished_sent: bool,
     /// The run is over: this node saw or sent `Terminate`.
-    pub(crate) terminate: bool,
-}
-
-impl Termination {
-    /// The ledger of a run of `n_procs` nodes that has just started.
-    pub(crate) fn new(n_procs: usize) -> Self {
-        Termination {
-            coordinator: COORDINATOR,
-            finished_flags: vec![false; n_procs],
-            presumed_dead: vec![false; n_procs],
-            finished_sent: false,
-            terminate: false,
-        }
-    }
-
-    /// Books a `Finished` report from `from` at node `proc`.
-    pub(crate) fn report_finished(&mut self, proc: ProcId, from: ProcId) {
-        // Otherwise: a report addressed to this node while it was
-        // coordinator-apparent, since superseded; the sender will
-        // re-report via StatusReport.
-        if proc == self.coordinator {
-            self.finished_flags[from] = true;
-        }
-    }
-
-    /// One round of the termination protocol at node `proc`, which is
-    /// `ready` when it has no routing work left: report `Finished` once,
-    /// and as coordinator end the run when every peer has reported.
-    pub(crate) fn conclude(&mut self, proc: ProcId, ready: bool, link: &mut Link<'_>) -> u64 {
-        let mut busy = 0u64;
-        if ready && !self.finished_sent {
-            self.finished_sent = true;
-            if proc != self.coordinator {
-                busy += link.send(self.coordinator, Packet::Finished);
-            }
-        }
-        let n_procs = self.finished_flags.len();
-        let all_reported = (0..n_procs)
-            .filter(|&p| p != proc)
-            .all(|p| self.finished_flags[p] || self.presumed_dead[p]);
-        if proc == self.coordinator && ready && !self.terminate && all_reported {
-            // Broadcast to presumed-dead peers too: a stalled-but-alive
-            // node falsely declared dead still needs to stop, and the
-            // reliable layer bounds the cost against a truly dead one
-            // by exhausting its retries.
-            for p in (0..n_procs).filter(|&p| p != proc) {
-                busy += link.send(p, Packet::Terminate);
-            }
-            self.terminate = true;
-        }
-        busy
-    }
+    terminate: bool,
+    recovery: Option<Recovery>,
 }
 
 /// Checkpoints, heartbeats and failure detection, reassignment of a dead
-/// peer's wires, coordinator succession, and the pacing that keeps a
-/// computing node heartbeating.
-pub(crate) struct Recovery {
-    proc: ProcId,
+/// peer's wires, and the pacing that keeps a computing node heartbeating.
+struct Recovery {
     cfg: RecoveryConfig,
     /// Serialized size of one checkpoint: the owned shard at 2 bytes per
     /// cell, plus an 8-byte progress record.
@@ -157,9 +112,9 @@ pub(crate) struct Recovery {
     /// Own durable progress: wires into the static list covered by the
     /// last checkpoint (work past it dies with a crash).
     ckpt_progress: u32,
-    /// Wires adopted from dead peers, awaiting routing (by the router,
-    /// which pops them).
-    pub(crate) adopted: VecDeque<WireId>,
+    /// Wires adopted from dead peers, awaiting routing (the router takes
+    /// them through [`ControlPlane::next_orphan`]).
+    adopted: VecDeque<WireId>,
     /// The complete static assignment (every processor's wire list),
     /// known to every node so that any of them can redistribute a dead
     /// peer's wires without asking anyone.
@@ -176,65 +131,104 @@ pub(crate) struct Recovery {
     /// would silence the node past the suspect window on large circuits
     /// and get it falsely declared dead.
     pending_busy: u64,
-    pub(crate) stats: RecoveryStats,
+    stats: RecoveryStats,
 }
 
-impl Recovery {
-    /// Recovery state of node `proc`, which owns `region_cells` cost
-    /// cells; `full_assignment` is every processor's static wire list.
+impl ControlPlane {
+    /// The control plane of node `proc` when a run starts, which owns
+    /// `region_cells` cost cells; `plan` is every processor's static wire
+    /// list. Recovery runs when `recovery` is set.
     pub(crate) fn new(
         proc: ProcId,
-        cfg: RecoveryConfig,
+        recovery: Option<RecoveryConfig>,
         region_cells: u64,
-        full_assignment: Arc<Vec<Vec<WireId>>>,
+        plan: Arc<Vec<Vec<WireId>>>,
     ) -> Self {
-        let n_procs = full_assignment.len();
-        Recovery {
+        let n_procs = plan.len();
+        ControlPlane {
             proc,
-            cfg,
-            checkpoint_bytes: region_cells * 2 + 8,
-            next_heartbeat_at: 0,
-            last_heard: vec![0; n_procs],
-            reassigned: vec![false; n_procs],
-            ckpt_known: vec![0; n_procs],
-            ckpt_progress: 0,
-            adopted: VecDeque::new(),
-            full_assignment,
-            granted_log: vec![Vec::new(); n_procs],
-            pending_busy: 0,
-            stats: RecoveryStats::default(),
+            coordinator: COORDINATOR,
+            finished_flags: vec![false; n_procs],
+            presumed_dead: vec![false; n_procs],
+            finished_routing: false,
+            finished_sent: false,
+            terminate: false,
+            recovery: recovery.map(|cfg| Recovery {
+                cfg,
+                checkpoint_bytes: region_cells * 2 + 8,
+                next_heartbeat_at: 0,
+                last_heard: vec![0; n_procs],
+                reassigned: vec![false; n_procs],
+                ckpt_known: vec![0; n_procs],
+                ckpt_progress: 0,
+                adopted: VecDeque::new(),
+                full_assignment: plan,
+                granted_log: vec![Vec::new(); n_procs],
+                pending_busy: 0,
+                stats: RecoveryStats::default(),
+            }),
         }
     }
 
-    /// Wires into the static assignment covered by the last checkpoint.
-    pub(crate) fn durable_progress(&self) -> u32 {
-        self.ckpt_progress
+    /// This node's recovery counters (all zero when recovery is off).
+    pub(crate) fn stats(&self) -> RecoveryStats {
+        self.recovery.as_ref().map_or_else(RecoveryStats::default, |r| r.stats)
     }
 
-    /// Whether busy time banked by [`Recovery::pace`] is still draining.
+    /// Whether the run is over for this node.
+    pub(crate) fn terminated(&self) -> bool {
+        self.terminate
+    }
+
+    /// How many of the `routed` static wires keep their routes: all of
+    /// them, unless this node `crashed` under recovery, when only the
+    /// checkpointed prefix survives.
+    pub(crate) fn durable_limit(&self, crashed: bool, routed: usize) -> usize {
+        match &self.recovery {
+            Some(r) if crashed => r.ckpt_progress as usize,
+            _ => routed,
+        }
+    }
+
+    /// Whether busy time banked by [`ControlPlane::pace`] is still
+    /// draining: the router then starts no new work this step.
     pub(crate) fn draining(&self) -> bool {
-        self.pending_busy > 0
+        !self.terminate && self.recovery.as_ref().is_some_and(|r| r.pending_busy > 0)
     }
 
     /// Notes an envelope from `from`. Any traffic proves the sender
     /// alive — acks and raw heartbeats included, which never reach
-    /// [`Recovery::handle`].
+    /// [`ControlPlane::handle`].
     pub(crate) fn heard(&mut self, from: ProcId, now_ns: u64) {
-        self.last_heard[from] = now_ns;
+        if let Some(r) = &mut self.recovery {
+            r.last_heard[from] = now_ns;
+        }
     }
 
-    /// Handles one received `Recovery`-kind packet; `finished_routing`
-    /// says whether the router is through its static list.
-    pub(crate) fn handle(
-        &mut self,
-        from: ProcId,
-        packet: Packet,
-        finished_routing: bool,
-        term: &mut Termination,
-        link: &mut Link<'_>,
-    ) -> u64 {
-        match packet {
-            Packet::Heartbeat => {
+    /// Whether `packet` is the control plane's: `Finished`, `Terminate`
+    /// or of the `Recovery` kind.
+    pub(crate) fn owns(packet: &Packet) -> bool {
+        matches!(packet, Packet::Finished | Packet::Terminate)
+            || packet.kind() == PacketKind::Recovery
+    }
+
+    /// Handles one packet the control plane [owns](ControlPlane::owns)
+    /// (a `Recovery`-kind one is dropped when recovery is off); returns
+    /// the modelled time of any response.
+    pub(crate) fn handle(&mut self, from: ProcId, packet: Packet, link: &mut Link<'_>) -> u64 {
+        match (packet, &mut self.recovery) {
+            (Packet::Finished, r) => {
+                debug_assert!(r.is_some() || self.proc == self.coordinator);
+                // Otherwise: a report addressed to this node while it was
+                // coordinator-apparent, since superseded; the sender will
+                // re-report via StatusReport.
+                if self.proc == self.coordinator {
+                    self.finished_flags[from] = true;
+                }
+            }
+            (Packet::Terminate, _) => self.terminate = true,
+            (_, None) => {}
+            (Packet::Heartbeat, Some(_)) => {
                 // Liveness is tracked per envelope in `heard`. Beyond
                 // that, only coordinators broadcast heartbeats, so one
                 // from a lower rank than the believed coordinator is a
@@ -244,101 +238,129 @@ impl Recovery {
                 // and a deposed-but-alive coordinator demotes itself
                 // here. The adopter re-reports its finish state so the
                 // restored coordinator's ledger completes.
-                if from < term.coordinator {
-                    term.presumed_dead[from] = false;
-                    term.coordinator = from;
-                    term.finished_sent = false;
+                if from < self.coordinator {
+                    self.presumed_dead[from] = false;
+                    self.coordinator = from;
+                    self.finished_sent = false;
                 }
             }
-            Packet::Checkpoint { progress, bytes: _ } => {
-                if self.proc == term.coordinator {
-                    self.ckpt_known[from] = self.ckpt_known[from].max(progress);
+            (Packet::Checkpoint { progress, bytes: _ }, Some(r)) => {
+                if self.proc == self.coordinator {
+                    r.ckpt_known[from] = r.ckpt_known[from].max(progress);
                 }
             }
-            Packet::Reassign { wires } => {
-                self.stats.wires_adopted += wires.len() as u64;
-                self.adopted.extend(wires.iter().map(|&w| w as WireId));
+            (Packet::Reassign { wires }, Some(r)) => {
+                r.stats.wires_adopted += wires.len() as u64;
+                r.adopted.extend(wires.iter().map(|&w| w as WireId));
                 // Fresh work un-finishes this node; it re-reports once
                 // the adopted queue drains.
-                term.finished_sent = false;
+                self.finished_sent = false;
             }
-            Packet::NewCoordinator => {
+            (Packet::NewCoordinator, Some(r)) => {
                 if from != self.proc {
                     // Every rank below the announcer must be dead or the
                     // announcer would not have won the succession.
                     for p in (0..from).filter(|&p| p != self.proc) {
-                        term.presumed_dead[p] = true;
+                        self.presumed_dead[p] = true;
                     }
-                    term.coordinator = from;
-                    let finished = finished_routing && self.adopted.is_empty();
-                    let report = Packet::StatusReport { progress: self.ckpt_progress, finished };
+                    self.coordinator = from;
+                    let finished = self.finished_routing && r.adopted.is_empty();
+                    let report = Packet::StatusReport { progress: r.ckpt_progress, finished };
                     return link.send(from, report);
                 }
             }
-            Packet::StatusReport { progress, finished } => {
-                if self.proc == term.coordinator {
-                    self.ckpt_known[from] = self.ckpt_known[from].max(progress);
+            (Packet::StatusReport { progress, finished }, Some(r)) => {
+                if self.proc == self.coordinator {
+                    r.ckpt_known[from] = r.ckpt_known[from].max(progress);
                     if finished {
-                        term.finished_flags[from] = true;
+                        self.finished_flags[from] = true;
                     }
                 }
             }
-            other => debug_assert!(false, "{other:?} is not a recovery packet"),
+            (other, _) => debug_assert!(false, "{other:?} is not a control-plane packet"),
         }
         0
     }
 
-    /// Checkpoints after static wire `progressed` when one is due: every
-    /// `checkpoint_every` wires, and when the list is `finished`, which
-    /// makes a finished-then-crashed node's full route set durable.
-    /// (Validation pins recovery to a single iteration, so `progressed`
-    /// is the node's total static progress.)
-    pub(crate) fn checkpoint_if_due(
-        &mut self,
-        progressed: u32,
-        finished: bool,
-        term: &Termination,
-        link: &mut Link<'_>,
-    ) -> u64 {
-        if finished || progressed.is_multiple_of(self.cfg.checkpoint_every) {
-            self.take_checkpoint(progressed, term, link)
-        } else {
-            0
+    /// The next wire adopted from a dead peer, once the router is through
+    /// its own work and the run is not over.
+    pub(crate) fn next_orphan(&mut self) -> Option<WireId> {
+        if !self.finished_routing || self.terminate {
+            return None;
         }
+        self.recovery.as_mut()?.adopted.pop_front()
     }
 
-    /// Persists the node's routing state: charges the serialized size of
-    /// its owned cost shard plus the progress record to simulated time,
-    /// advances the durable progress mark to `progress`, and ships the
-    /// progress record to the coordinator so reassignment after a crash
-    /// starts from here.
-    pub(crate) fn take_checkpoint(
-        &mut self,
-        progress: u32,
-        term: &Termination,
-        link: &mut Link<'_>,
-    ) -> u64 {
-        let bytes = self.checkpoint_bytes;
-        let mut busy = bytes.saturating_mul(self.cfg.checkpoint_per_byte_ns);
-        self.ckpt_progress = progress;
-        self.stats.checkpoints_taken += 1;
-        self.stats.checkpoint_bytes += bytes;
-        link.emit(EventKind::CheckpointTaken { bytes: bytes as u32 });
-        if self.proc == term.coordinator {
-            self.ckpt_known[self.proc] = progress;
-        } else {
-            let report = Packet::Checkpoint { progress, bytes: bytes as u32 };
-            busy += link.send(term.coordinator, report);
+    /// One round of the termination protocol, for a node that has no
+    /// routing work left: report `Finished` once, and as coordinator end
+    /// the run when every peer has reported.
+    pub(crate) fn conclude(&mut self, link: &mut Link<'_>) -> u64 {
+        let ready =
+            self.finished_routing && self.recovery.as_ref().is_none_or(|r| r.adopted.is_empty());
+        let mut busy = 0u64;
+        if ready && !self.finished_sent {
+            self.finished_sent = true;
+            if self.proc != self.coordinator {
+                busy += link.send(self.coordinator, Packet::Finished);
+            }
+        }
+        let n_procs = self.finished_flags.len();
+        let all_reported = (0..n_procs)
+            .filter(|&p| p != self.proc)
+            .all(|p| self.finished_flags[p] || self.presumed_dead[p]);
+        if self.proc == self.coordinator && ready && !self.terminate && all_reported {
+            // Broadcast to presumed-dead peers too: a stalled-but-alive
+            // node falsely declared dead still needs to stop, and the
+            // reliable layer bounds the cost against a truly dead one
+            // by exhausting its retries.
+            for p in (0..n_procs).filter(|&p| p != self.proc) {
+                busy += link.send(p, Packet::Terminate);
+            }
+            self.terminate = true;
         }
         busy
     }
 
-    /// One recovery round: emit a due heartbeat, declare silent peers
-    /// dead, and (as a worker) fail over when the coordinator has gone
-    /// silent.
-    pub(crate) fn tick(&mut self, term: &mut Termination, link: &mut Link<'_>) -> u64 {
-        let now_ns = link.now_ns;
-        let n_procs = self.last_heard.len();
+    /// Checkpoints after a wire commits, when one is due: after static
+    /// wire `progressed` every `checkpoint_every` wires, and once the
+    /// router has finished its list, which makes a finished-then-crashed
+    /// node's full route set durable — so after every orphaned wire
+    /// (`None`), which keeps the progress mark and persists the shard.
+    /// (Validation pins recovery to a single iteration, so `progressed`
+    /// is the node's total static progress.) A checkpoint charges the
+    /// serialized shard and progress record to simulated time, and ships
+    /// the progress record to the coordinator so reassignment after a
+    /// crash starts from here.
+    pub(crate) fn checkpoint(&mut self, progressed: Option<u32>, link: &mut Link<'_>) -> u64 {
+        let Some(r) = &mut self.recovery else { return 0 };
+        let progress = progressed.unwrap_or(r.ckpt_progress);
+        if !self.finished_routing && !progress.is_multiple_of(r.cfg.checkpoint_every) {
+            return 0;
+        }
+        let bytes = r.checkpoint_bytes;
+        let mut busy = bytes.saturating_mul(r.cfg.checkpoint_per_byte_ns);
+        r.ckpt_progress = progress;
+        r.stats.checkpoints_taken += 1;
+        r.stats.checkpoint_bytes += bytes;
+        link.emit(EventKind::CheckpointTaken { bytes: bytes as u32 });
+        if self.proc == self.coordinator {
+            r.ckpt_known[self.proc] = progress;
+        } else {
+            let report = Packet::Checkpoint { progress, bytes: bytes as u32 };
+            busy += link.send(self.coordinator, report);
+        }
+        busy
+    }
+
+    /// One recovery round, unless the run is over: reclaim the
+    /// coordinator role when this node ranks below its holder, emit a due
+    /// heartbeat, declare silent peers dead, and (as a worker) fail over
+    /// when the coordinator has gone silent.
+    pub(crate) fn tick(&mut self, link: &mut Link<'_>) -> u64 {
+        if self.terminate || self.recovery.is_none() {
+            return 0;
+        }
+        let (me, now_ns, n_procs) = (self.proc, link.now_ns, self.presumed_dead.len());
         let mut busy = 0u64;
         // Succession invariant: the coordinator is the lowest live
         // rank. A node that finds itself ranked *below* its believed
@@ -346,70 +368,75 @@ impl Recovery {
         // higher rank declared this node dead while it was merely
         // slow. This node is alive and lower, so the role is its;
         // announcing the claim demotes the higher claimant.
-        if self.proc < term.coordinator {
-            term.coordinator = self.proc;
-            busy += self.become_coordinator(term, link);
+        if me < self.coordinator {
+            self.coordinator = me;
+            busy += self.become_coordinator(link);
         }
-        if now_ns >= self.next_heartbeat_at {
-            self.next_heartbeat_at = now_ns.saturating_add(self.cfg.heartbeat_ns);
-            self.stats.heartbeats_sent += 1;
-            if self.proc == term.coordinator {
+        if let Some(r) = self.recovery.as_mut().filter(|r| now_ns >= r.next_heartbeat_at) {
+            r.next_heartbeat_at = now_ns.saturating_add(r.cfg.heartbeat_ns);
+            r.stats.heartbeats_sent += 1;
+            if me == self.coordinator {
                 // Broadcast to presumed-dead peers too: heartbeats are
                 // raw and cheap, a truly dead peer just drops them, and
                 // a falsely-suspected rival coordinator must hear this
                 // claim to demote itself (split-brain convergence).
-                for p in (0..n_procs).filter(|&p| p != self.proc) {
+                for p in (0..n_procs).filter(|&p| p != me) {
                     busy += link.send_unsequenced(p, Packet::Heartbeat);
                 }
             } else {
-                busy += link.send_unsequenced(term.coordinator, Packet::Heartbeat);
+                busy += link.send_unsequenced(self.coordinator, Packet::Heartbeat);
             }
         }
-        let window = self.cfg.suspect_window_ns();
-        if self.proc == term.coordinator {
-            for p in 0..n_procs {
-                if p == self.proc || term.presumed_dead[p] {
-                    continue;
-                }
-                if now_ns.saturating_sub(self.last_heard[p]) > window {
-                    term.presumed_dead[p] = true;
-                    self.stats.nodes_declared_dead += 1;
-                    busy += self.reassign_wires_of(p, term, link);
+        if me == self.coordinator {
+            for p in (0..n_procs).filter(|&p| p != me) {
+                if self.declare_if_silent(p, now_ns) {
+                    busy += self.reassign_wires_of(p, link);
                 }
             }
-        } else if !term.presumed_dead[term.coordinator]
-            && now_ns.saturating_sub(self.last_heard[term.coordinator]) > window
-        {
+        } else if self.declare_if_silent(self.coordinator, now_ns) {
             // The coordinator has gone silent: the successor is the
             // lowest presumed-live rank. Workers only ever suspect
             // coordinators, so every live node's successor converges.
-            term.presumed_dead[term.coordinator] = true;
-            self.stats.nodes_declared_dead += 1;
-            let successor =
-                (0..n_procs).find(|&p| !term.presumed_dead[p]).expect("this node itself is alive");
-            term.coordinator = successor;
-            if successor == self.proc {
-                busy += self.become_coordinator(term, link);
+            let successor = self
+                .presumed_dead
+                .iter()
+                .position(|dead| !dead)
+                .expect("this node itself is alive");
+            self.coordinator = successor;
+            if successor == me {
+                busy += self.become_coordinator(link);
             }
         }
         busy
+    }
+
+    /// Presumes the live peer `p` dead if it has been silent past the
+    /// suspect window at `now_ns`; returns whether it did.
+    fn declare_if_silent(&mut self, p: ProcId, now_ns: u64) -> bool {
+        let Some(r) = &mut self.recovery else { return false };
+        let silent = now_ns.saturating_sub(r.last_heard[p]) > r.cfg.suspect_window_ns();
+        if self.presumed_dead[p] || !silent {
+            return false;
+        }
+        self.presumed_dead[p] = true;
+        r.stats.nodes_declared_dead += 1;
+        true
     }
 
     /// Takes over coordinator duty: announce to every peer (the deposed
     /// coordinator included — if it later restarts, the retransmitted
     /// announcement demotes it), collect status reports, and
     /// redistribute every known-dead peer's orphans.
-    fn become_coordinator(&mut self, term: &mut Termination, link: &mut Link<'_>) -> u64 {
-        let n_procs = self.last_heard.len();
-        let mut busy = 0u64;
-        self.stats.coordinator_failovers += 1;
+    fn become_coordinator(&mut self, link: &mut Link<'_>) -> u64 {
+        let Some(r) = &mut self.recovery else { return 0 };
+        r.stats.coordinator_failovers += 1;
         link.emit(EventKind::CoordinatorFailover { new_coordinator: self.proc as u32 });
         // Fresh detection baseline: as a worker this node only heard
         // peers through data traffic, so its silence clocks are stale by
         // up to a routing stretch. Without a grace period the new
         // coordinator instantly declares every quiet-but-live worker
         // dead and orphans whatever had been granted to them.
-        self.last_heard.fill(link.now_ns);
+        r.last_heard.fill(link.now_ns);
         // Redistribute before announcing: streams are FIFO, so each
         // adopter holds its new work before it answers `NewCoordinator`,
         // and its `StatusReport` cannot claim a finish it no longer has.
@@ -417,9 +444,11 @@ impl Recovery {
         // orphans are redistributed from `ckpt_known` — zero unless it
         // ever reported here, which re-routes already-durable work; the
         // duplicates resolve first-writer-wins at collection.
+        let n_procs = self.presumed_dead.len();
+        let mut busy = 0u64;
         for d in 0..n_procs {
-            if term.presumed_dead[d] && !self.reassigned[d] {
-                busy += self.reassign_wires_of(d, term, link);
+            if self.presumed_dead[d] {
+                busy += self.reassign_wires_of(d, link);
             }
         }
         for p in (0..n_procs).filter(|&p| p != self.proc) {
@@ -430,29 +459,26 @@ impl Recovery {
 
     /// Redistributes the dead peer's post-checkpoint wires round-robin
     /// over the live nodes (this node included). Idempotent per peer.
-    fn reassign_wires_of(
-        &mut self,
-        dead: ProcId,
-        term: &mut Termination,
-        link: &mut Link<'_>,
-    ) -> u64 {
-        if self.reassigned[dead] {
+    fn reassign_wires_of(&mut self, dead: ProcId, link: &mut Link<'_>) -> u64 {
+        let Some(r) = &mut self.recovery else { return 0 };
+        if r.reassigned[dead] {
             return 0;
         }
-        self.reassigned[dead] = true;
-        let from = self.ckpt_known[dead] as usize;
+        r.reassigned[dead] = true;
+        let from = r.ckpt_known[dead] as usize;
         let mut orphans: Vec<WireId> =
-            self.full_assignment[dead].get(from..).map(<[WireId]>::to_vec).unwrap_or_default();
+            r.full_assignment[dead].get(from..).map(<[WireId]>::to_vec).unwrap_or_default();
         // Wires this coordinator previously granted to the dead node are
         // in nobody's static assignment; re-grant them all — the ones
         // the dead node did route are durable (dynamic routes survive a
         // crash) and resolve as duplicates, first-writer-wins.
-        orphans.extend(std::mem::take(&mut self.granted_log[dead]));
+        orphans.extend(std::mem::take(&mut r.granted_log[dead]));
         if orphans.is_empty() {
             return 0;
         }
+        let n_procs = self.presumed_dead.len();
         let targets: Vec<ProcId> =
-            (0..self.last_heard.len()).filter(|&p| p != dead && !term.presumed_dead[p]).collect();
+            (0..n_procs).filter(|&p| p != dead && !self.presumed_dead[p]).collect();
         let mut buckets: Vec<Vec<WireId>> = vec![Vec::new(); targets.len()];
         for (i, &w) in orphans.iter().enumerate() {
             buckets[i % targets.len()].push(w);
@@ -462,18 +488,18 @@ impl Recovery {
             if wires.is_empty() {
                 continue;
             }
-            self.stats.wires_reassigned += wires.len() as u64;
+            r.stats.wires_reassigned += wires.len() as u64;
             for &w in &wires {
                 let (wire, from, to) = (w as u32, dead as u32, t as u32);
                 link.emit(EventKind::WireReassigned { wire, from, to });
             }
             if t == self.proc {
-                self.stats.wires_adopted += wires.len() as u64;
-                self.adopted.extend(wires);
-                term.finished_sent = false;
+                r.stats.wires_adopted += wires.len() as u64;
+                r.adopted.extend(wires);
+                self.finished_sent = false;
             } else {
-                term.finished_flags[t] = false;
-                self.granted_log[t].extend(wires.iter().copied());
+                self.finished_flags[t] = false;
+                r.granted_log[t].extend(wires.iter().copied());
                 let wires = wires.iter().map(|&w| w as u32).collect();
                 busy += link.send(t, Packet::Reassign { wires });
             }
@@ -482,13 +508,13 @@ impl Recovery {
     }
 
     /// Paces the outcome `out` of a step at `now_ns` so the node stays
-    /// inside every peer's suspect window; `terminate` says the run is
-    /// over for this node.
-    pub(crate) fn pace(&mut self, out: Step, terminate: bool, now_ns: u64) -> Step {
-        if terminate {
+    /// inside every peer's suspect window (recovery only).
+    pub(crate) fn pace(&mut self, out: Step, now_ns: u64) -> Step {
+        let Some(r) = &mut self.recovery else { return out };
+        if self.terminate {
             // A `Terminate` mid-drain abandons the banked remainder: the
             // run is over and nobody is measuring this node any more.
-            self.pending_busy = 0;
+            r.pending_busy = 0;
             return out;
         }
         let out = match out {
@@ -496,10 +522,10 @@ impl Recovery {
             // steps (and so heartbeats) well inside the suspect window
             // no matter how expensive a single wire is.
             Step::Continue { busy_ns } => {
-                let chunk = (self.cfg.heartbeat_ns / 2).max(1);
-                let total = self.pending_busy + busy_ns;
+                let chunk = (r.cfg.heartbeat_ns / 2).max(1);
+                let total = r.pending_busy + busy_ns;
                 let charged = total.min(chunk);
-                self.pending_busy = total - charged;
+                r.pending_busy = total - charged;
                 Step::Continue { busy_ns: charged }
             }
             other => other,
@@ -507,7 +533,7 @@ impl Recovery {
         // Never sleep or block past the next heartbeat: a silent node
         // would be declared dead, and a sleeping coordinator would never
         // notice a dead worker.
-        let hb = SimTime::from_ns(self.next_heartbeat_at.max(now_ns + 1));
+        let hb = SimTime::from_ns(r.next_heartbeat_at.max(now_ns + 1));
         match out {
             Step::Block => Step::Sleep { until: hb },
             Step::Sleep { until } => Step::Sleep { until: until.min(hb) },
@@ -517,21 +543,22 @@ impl Recovery {
 
     /// The reset half of a restart at `now_ns`, of a node that had
     /// routed `routed` wires of its static list: returns the checkpoint
-    /// the router must roll back to.
-    pub(crate) fn on_restart(&mut self, now_ns: u64, routed: usize) -> usize {
-        let durable = self.ckpt_progress as usize;
+    /// the router must roll back to (`None` when recovery is off).
+    pub(crate) fn on_restart(&mut self, now_ns: u64, routed: usize) -> Option<usize> {
+        let r = self.recovery.as_mut()?;
+        let durable = r.ckpt_progress as usize;
         if routed > durable {
-            self.stats.rollbacks += 1;
-            self.stats.wires_rolled_back += (routed - durable) as u64;
+            r.stats.rollbacks += 1;
+            r.stats.wires_rolled_back += (routed - durable) as u64;
         }
         // In-flight computation died with the crash.
-        self.pending_busy = 0;
+        r.pending_busy = 0;
         // A fresh boot owes everyone a heartbeat, and grants every peer
         // a fresh silence clock — the old one stopped while this node
         // was down and would indict peers that never went quiet.
-        self.next_heartbeat_at = now_ns;
-        self.last_heard.fill(now_ns);
-        durable
+        r.next_heartbeat_at = now_ns;
+        r.last_heard.fill(now_ns);
+        Some(durable)
     }
 }
 
@@ -550,11 +577,16 @@ mod tests {
     };
 
     /// Node `proc` of a four-node machine whose static assignment is
-    /// wires 0–3, 4–5, 6–7, 8–9, with its ledger and a transport.
-    fn layer(proc: ProcId) -> (Recovery, Termination, Transport) {
+    /// wires 0–3, 4–5, 6–7, 8–9, with its control plane and a transport.
+    fn layer(proc: ProcId) -> (ControlPlane, Transport) {
         let plan = vec![vec![0, 1, 2, 3], vec![4, 5], vec![6, 7], vec![8, 9]];
         let transport = Transport::new(proc, 4, true);
-        (Recovery::new(proc, CFG, 16, Arc::new(plan)), Termination::new(4), transport)
+        (ControlPlane::new(proc, Some(CFG), 16, Arc::new(plan)), transport)
+    }
+
+    /// The recovery state of `c`.
+    fn rec(c: &ControlPlane) -> &Recovery {
+        c.recovery.as_ref().expect("recovery is on")
     }
 
     /// What `outbox` holds, as `(to, packet)`.
@@ -569,26 +601,26 @@ mod tests {
     #[test]
     fn silence_past_the_suspect_window_elects_the_lowest_live_rank() {
         // Inside the window nobody is suspected.
-        let (mut r, mut term, mut t) = layer(2);
+        let (mut c, mut t) = layer(2);
         let mut outbox = Outbox::new();
-        r.tick(&mut term, &mut t.link(&mut outbox, 300));
-        assert_eq!(term.coordinator, 0);
+        c.tick(&mut t.link(&mut outbox, 300));
+        assert_eq!(c.coordinator, 0);
         assert_eq!(sent(&outbox), [(0, Packet::Heartbeat)], "a worker beats to the coordinator");
         // Past it, rank 2 defers to rank 1 and takes no office itself.
         let mut outbox = Outbox::new();
-        r.tick(&mut term, &mut t.link(&mut outbox, 301));
-        assert_eq!(term.coordinator, 1);
+        c.tick(&mut t.link(&mut outbox, 301));
+        assert_eq!(c.coordinator, 1);
         assert!(outbox.is_empty());
-        assert_eq!(r.stats.nodes_declared_dead, 1);
-        assert_eq!(r.stats.coordinator_failovers, 0);
+        assert_eq!(c.stats().nodes_declared_dead, 1);
+        assert_eq!(c.stats().coordinator_failovers, 0);
 
         // Rank 1 reaches the same verdict and is the successor: it hands
         // out the dead coordinator's wires before it announces itself.
-        let (mut r, mut term, mut t) = layer(1);
+        let (mut c, mut t) = layer(1);
         let mut outbox = Outbox::new();
-        r.tick(&mut term, &mut t.link(&mut outbox, 301));
-        assert_eq!(term.coordinator, 1);
-        assert_eq!(r.stats.coordinator_failovers, 1);
+        c.tick(&mut t.link(&mut outbox, 301));
+        assert_eq!(c.coordinator, 1);
+        assert_eq!(c.stats().coordinator_failovers, 1);
         assert_eq!(
             sent(&outbox),
             [
@@ -600,108 +632,104 @@ mod tests {
                 (3, Packet::NewCoordinator),
             ]
         );
-        assert_eq!(r.adopted, [0, 3], "its own share of the round robin");
+        assert_eq!(rec(&c).adopted, [0, 3], "its own share of the round robin");
         assert!(matches!(outbox.sends()[0].2, Frame::Raw(_)), "heartbeats ride unsequenced");
         assert!(matches!(outbox.sends()[1].2, Frame::Data { .. }));
     }
 
     #[test]
     fn heartbeat_from_a_lower_rank_demotes_a_claimant() {
-        let (mut r, mut term, mut t) = layer(1);
+        let (mut c, mut t) = layer(1);
         let mut outbox = Outbox::new();
-        r.tick(&mut term, &mut t.link(&mut outbox, 301));
-        assert_eq!(term.coordinator, 1);
-        term.finished_sent = true;
+        c.tick(&mut t.link(&mut outbox, 301));
+        assert_eq!(c.coordinator, 1);
+        c.finished_sent = true;
         // A higher rank's beat is liveness only.
-        r.handle(3, Packet::Heartbeat, true, &mut term, &mut t.link(&mut outbox, 310));
-        assert_eq!(term.coordinator, 1);
+        c.handle(3, Packet::Heartbeat, &mut t.link(&mut outbox, 310));
+        assert_eq!(c.coordinator, 1);
         // Rank 0 was merely slow: its claim wins, and this node owes it
         // a fresh `Finished`.
-        r.handle(0, Packet::Heartbeat, true, &mut term, &mut t.link(&mut outbox, 320));
-        assert_eq!(term.coordinator, 0);
-        assert!(!term.presumed_dead[0]);
-        assert!(!term.finished_sent);
+        c.handle(0, Packet::Heartbeat, &mut t.link(&mut outbox, 320));
+        assert_eq!(c.coordinator, 0);
+        assert!(!c.presumed_dead[0]);
+        assert!(!c.finished_sent);
         // And a node that finds itself below its believed coordinator
         // takes the role back on its next round.
-        let (mut r, mut term, mut t) = layer(0);
-        term.coordinator = 1;
+        let (mut c, mut t) = layer(0);
+        c.coordinator = 1;
         let mut outbox = Outbox::new();
-        r.tick(&mut term, &mut t.link(&mut outbox, 0));
-        assert_eq!(term.coordinator, 0);
+        c.tick(&mut t.link(&mut outbox, 0));
+        assert_eq!(c.coordinator, 0);
         assert_eq!(sent(&outbox)[..3], [1, 2, 3].map(|p| (p, Packet::NewCoordinator)));
     }
 
     #[test]
     fn reassignment_is_idempotent_and_regrants_a_dead_grantees_wires() {
-        let (mut r, mut term, mut t) = layer(1);
+        let (mut c, mut t) = layer(1);
         let mut outbox = Outbox::new();
-        r.tick(&mut term, &mut t.link(&mut outbox, 301));
-        assert_eq!(r.stats.wires_reassigned, 4);
+        c.tick(&mut t.link(&mut outbox, 301));
+        assert_eq!(c.stats().wires_reassigned, 4);
         // Asked again for the same peer: nothing moves.
         let mut outbox = Outbox::new();
-        assert_eq!(r.reassign_wires_of(0, &mut term, &mut t.link(&mut outbox, 302)), 0);
+        assert_eq!(c.reassign_wires_of(0, &mut t.link(&mut outbox, 302)), 0);
         assert!(outbox.is_empty());
-        assert_eq!(r.stats.wires_reassigned, 4);
+        assert_eq!(c.stats().wires_reassigned, 4);
         // Rank 2, which was granted wire 1, now falls silent while rank 3
         // keeps talking. Wire 1 is in nobody's static list: it comes back
         // out of the grant log together with 2's own wires 6 and 7.
-        term.finished_flags[2] = true;
-        r.heard(3, 650);
+        c.finished_flags[2] = true;
+        c.heard(3, 650);
         let mut outbox = Outbox::new();
-        r.tick(&mut term, &mut t.link(&mut outbox, 700));
-        assert!(term.presumed_dead[2] && !term.presumed_dead[3]);
+        c.tick(&mut t.link(&mut outbox, 700));
+        assert!(c.presumed_dead[2] && !c.presumed_dead[3]);
         let reassigned: Vec<_> =
             sent(&outbox).into_iter().filter(|(_, p)| *p != Packet::Heartbeat).collect();
         assert_eq!(reassigned, [(3, Packet::Reassign { wires: vec![7] })]);
-        assert_eq!(r.adopted, [0, 3, 6, 1]);
-        assert!(!term.finished_flags[3], "fresh work un-finishes the grantee");
-        assert_eq!(r.granted_log[3], [2, 7]);
+        assert_eq!(rec(&c).adopted, [0, 3, 6, 1]);
+        assert!(!c.finished_flags[3], "fresh work un-finishes the grantee");
+        assert_eq!(rec(&c).granted_log[3], [2, 7]);
     }
 
     #[test]
     fn long_busy_time_is_charged_in_chunks_and_dropped_on_restart() {
-        let (mut r, _, _) = layer(2);
+        let (mut c, _) = layer(2);
         // 120 ns of work at a 100 ns heartbeat: 50 now, 70 banked.
-        assert_eq!(
-            r.pace(Step::Continue { busy_ns: 120 }, false, 0),
-            Step::Continue { busy_ns: 50 }
-        );
-        assert!(r.draining());
-        assert_eq!(
-            r.pace(Step::Continue { busy_ns: 0 }, false, 50),
-            Step::Continue { busy_ns: 50 }
-        );
-        assert!(r.draining(), "20 ns still owed");
+        assert_eq!(c.pace(Step::Continue { busy_ns: 120 }, 0), Step::Continue { busy_ns: 50 });
+        assert!(c.draining());
+        assert_eq!(c.pace(Step::Continue { busy_ns: 0 }, 50), Step::Continue { busy_ns: 50 });
+        assert!(c.draining(), "20 ns still owed");
         // The node crashes mid-drain having routed 3 wires, 0 of them
         // durable: the remainder died with it, the 3 wires roll back.
-        assert_eq!(r.on_restart(90, 3), 0);
-        assert!(!r.draining());
-        assert_eq!((r.stats.rollbacks, r.stats.wires_rolled_back), (1, 3));
+        assert_eq!(c.on_restart(90, 3), Some(0));
+        assert!(!c.draining());
+        assert_eq!((c.stats().rollbacks, c.stats().wires_rolled_back), (1, 3));
         // Idle outcomes never outlast the next heartbeat, due at once
         // after a restart and every 100 ns from then on.
-        assert_eq!(r.pace(Step::Block, false, 90), Step::Sleep { until: SimTime::from_ns(91) });
+        assert_eq!(c.pace(Step::Block, 90), Step::Sleep { until: SimTime::from_ns(91) });
         let far = Step::Sleep { until: SimTime::from_ns(10_000) };
-        assert_eq!(r.pace(far, false, 90), Step::Sleep { until: SimTime::from_ns(91) });
+        assert_eq!(c.pace(far, 90), Step::Sleep { until: SimTime::from_ns(91) });
         // Once the run is over the bank is abandoned and nothing is paced.
-        r.pace(Step::Continue { busy_ns: 500 }, false, 100);
-        assert_eq!(r.pace(Step::Block, true, 100), Step::Block);
-        assert!(!r.draining());
+        c.pace(Step::Continue { busy_ns: 500 }, 100);
+        c.terminate = true;
+        assert_eq!(c.pace(Step::Block, 100), Step::Block);
+        assert!(rec(&c).pending_busy == 0 && !c.draining());
     }
 
     #[test]
     fn terminate_waits_for_every_live_peer_and_reaches_the_dead_too() {
-        let (_, mut term, mut t) = layer(1);
-        term.coordinator = 1;
-        term.presumed_dead[0] = true;
+        let (mut c, mut t) = layer(1);
+        c.coordinator = 1;
+        c.presumed_dead[0] = true;
+        c.finished_routing = true;
         let mut outbox = Outbox::new();
         // Rank 2 reporting twice is one report; rank 3 is still missing.
-        term.report_finished(1, 2);
-        term.report_finished(1, 2);
-        term.conclude(1, true, &mut t.link(&mut outbox, 0));
-        assert!(!term.terminate && outbox.is_empty());
-        term.report_finished(1, 3);
-        term.conclude(1, true, &mut t.link(&mut outbox, 0));
-        assert!(term.terminate);
+        c.handle(2, Packet::Finished, &mut t.link(&mut outbox, 0));
+        c.handle(2, Packet::Finished, &mut t.link(&mut outbox, 0));
+        c.conclude(&mut t.link(&mut outbox, 0));
+        assert!(!c.terminated() && outbox.is_empty());
+        c.handle(3, Packet::Finished, &mut t.link(&mut outbox, 0));
+        c.conclude(&mut t.link(&mut outbox, 0));
+        assert!(c.terminated());
         assert_eq!(sent(&outbox), [0, 2, 3].map(|p| (p, Packet::Terminate)));
     }
 }

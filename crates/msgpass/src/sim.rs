@@ -216,7 +216,7 @@ fn run_inner(
     let recovery_on = config.recovery.is_some();
     for (p, node) in outcome.nodes.iter_mut().enumerate() {
         reliability.merge(&node.transport.stats);
-        recovery.merge(&node.recovery_stats());
+        recovery.merge(&node.control.stats());
         routing_done_ns = routing_done_ns.max(node.routing_done_ns);
         routing_done_secs_by_proc.push(node.routing_done_ns as f64 / 1e9);
         replica_audits.extend_from_slice(&node.audits);
