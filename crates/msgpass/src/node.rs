@@ -670,12 +670,12 @@ mod tests {
         assert_ne!(step, Step::Done);
         // The same peer reporting three times is one report: not done.
         for _ in 0..3 {
-            let _ = node.handle_packet(1, Packet::Finished, &mut Outbox::new());
+            let _ = node.handle_packet(1, Packet::Finished { grants: 0 }, &mut Outbox::new());
         }
         let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut Outbox::new());
         assert_ne!(step, Step::Done, "a duplicated Finished must not count as another peer");
         for peer in [2, 3] {
-            let _ = node.handle_packet(peer, Packet::Finished, &mut Outbox::new());
+            let _ = node.handle_packet(peer, Packet::Finished { grants: 0 }, &mut Outbox::new());
         }
         let mut outbox = Outbox::new();
         let step = node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox);
@@ -738,7 +738,7 @@ mod tests {
         let mut node = make_node(UpdateSchedule::never(), 0, 4, &shared);
         route_to_completion(&mut node);
         for peer in 1..4 {
-            let _ = node.handle_packet(peer, Packet::Finished, &mut Outbox::new());
+            let _ = node.handle_packet(peer, Packet::Finished { grants: 0 }, &mut Outbox::new());
         }
         let mut outbox = Outbox::new();
         assert_eq!(node.step(SimTime::ZERO, &mut Vec::new(), &mut outbox), Step::Done);

@@ -39,6 +39,13 @@ impl WireEvent {
 }
 
 /// The messages exchanged between router nodes.
+///
+/// [`Packet::payload_bytes`] is the modelled size, and it leaves out the
+/// one-byte grant count that `Finished` and `StatusReport` carry: the
+/// count closes a race in termination detection, and charging it would
+/// move every paper table, study and benchmark digest of a protocol
+/// whose traffic is otherwise unchanged. A wire encoding would spend
+/// one more byte on each of these two packets.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Packet {
     /// Absolute cost-array values for `rect` (owned by the sender).
@@ -93,7 +100,12 @@ pub enum Packet {
     },
     /// Control: this node finished routing all its iterations (sent to
     /// the coordinator, node 0).
-    Finished,
+    Finished {
+        /// `Reassign`s the sender has received from the addressee
+        /// (wrapping): the addressee books the finish only when it has
+        /// sent exactly that many, so that no grant is in flight.
+        grants: u8,
+    },
     /// Control: the coordinator saw every `Finished`; everyone may stop.
     Terminate,
     /// Recovery: liveness beacon. Workers beat to the coordinator, the
@@ -128,6 +140,9 @@ pub enum Packet {
         progress: u32,
         /// Whether the sender has finished all its routing work.
         finished: bool,
+        /// `Reassign`s the sender has received from the addressee, as in
+        /// [`Packet::Finished`].
+        grants: u8,
     },
 }
 
@@ -143,7 +158,7 @@ impl Packet {
             }
             Packet::WireRequest => 1,
             Packet::WireGrant { .. } => 5,
-            Packet::Finished | Packet::Terminate => 1,
+            Packet::Finished { .. } | Packet::Terminate => 1,
             Packet::Heartbeat => 2,
             Packet::Checkpoint { .. } => 9,
             Packet::Reassign { wires } => 1 + 4 * wires.len() as u32,
@@ -163,7 +178,7 @@ impl Packet {
             Packet::ReqLocData { .. } => PacketKind::ReqLocData,
             Packet::WireData { .. } => PacketKind::WireData,
             Packet::WireRequest | Packet::WireGrant { .. } => PacketKind::Control,
-            Packet::Finished | Packet::Terminate => PacketKind::Control,
+            Packet::Finished { .. } | Packet::Terminate => PacketKind::Control,
             Packet::Heartbeat
             | Packet::Checkpoint { .. }
             | Packet::Reassign { .. }
@@ -303,7 +318,7 @@ mod tests {
         let rmt = Packet::RmtData { rect: rect(), deltas: vec![0; 6], response: false };
         assert_eq!(rmt.payload_bytes(), 9 + 6);
         assert_eq!(Packet::ReqRmtData { rect: rect() }.payload_bytes(), 9);
-        assert_eq!(Packet::Finished.payload_bytes(), 1);
+        assert_eq!(Packet::Finished { grants: 255 }.payload_bytes(), 1);
     }
 
     #[test]
@@ -334,13 +349,16 @@ mod tests {
         assert_eq!(Packet::Checkpoint { progress: 3, bytes: 500 }.payload_bytes(), 9);
         assert_eq!(Packet::Reassign { wires: vec![1, 2, 3] }.payload_bytes(), 1 + 12);
         assert_eq!(Packet::NewCoordinator.payload_bytes(), 1);
-        assert_eq!(Packet::StatusReport { progress: 7, finished: true }.payload_bytes(), 6);
+        assert_eq!(
+            Packet::StatusReport { progress: 7, finished: true, grants: 9 }.payload_bytes(),
+            6
+        );
         for p in [
             Packet::Heartbeat,
             Packet::Checkpoint { progress: 0, bytes: 0 },
             Packet::Reassign { wires: vec![] },
             Packet::NewCoordinator,
-            Packet::StatusReport { progress: 0, finished: false },
+            Packet::StatusReport { progress: 0, finished: false, grants: 0 },
         ] {
             assert_eq!(p.kind(), PacketKind::Recovery, "{p:?}");
         }
@@ -352,7 +370,7 @@ mod tests {
         a.record(&Packet::ReqRmtData { rect: rect() });
         a.record(&Packet::ReqRmtData { rect: rect() });
         let mut b = PacketCounts::default();
-        b.record(&Packet::Finished);
+        b.record(&Packet::Finished { grants: 0 });
         a.merge(&b);
         assert_eq!(a.packets(PacketKind::ReqRmtData), 2);
         assert_eq!(a.bytes(PacketKind::ReqRmtData), 18);

@@ -123,6 +123,14 @@ struct Recovery {
     /// `Reassign`. If a grantee later dies, these orphans are not in its
     /// static assignment, so they must be re-granted from this ledger.
     granted_log: Vec<Vec<WireId>>,
+    /// `Reassign`s received from each peer, and sent to each peer, both
+    /// wrapping. A `Finished` or `StatusReport` carries the sender's
+    /// received count for its addressee, which books the finish only if
+    /// that equals its own sent count: both streams are reliable FIFO,
+    /// so equal counts mean no grant is in flight and no report predates
+    /// one (message-counting termination detection, Mattern 1987).
+    grants_received: Vec<u8>,
+    grants_sent: Vec<u8>,
     /// Computation time owed but not yet charged to the simulated clock.
     /// Under recovery a long busy interval is drained in heartbeat-sized
     /// chunks so the node keeps heartbeating (and acking) while it
@@ -164,6 +172,8 @@ impl ControlPlane {
                 adopted: VecDeque::new(),
                 full_assignment: plan,
                 granted_log: vec![Vec::new(); n_procs],
+                grants_received: vec![0; n_procs],
+                grants_sent: vec![0; n_procs],
                 pending_busy: 0,
                 stats: RecoveryStats::default(),
             }),
@@ -208,7 +218,7 @@ impl ControlPlane {
     /// Whether `packet` is the control plane's: `Finished`, `Terminate`
     /// or of the `Recovery` kind.
     pub(crate) fn owns(packet: &Packet) -> bool {
-        matches!(packet, Packet::Finished | Packet::Terminate)
+        matches!(packet, Packet::Finished { .. } | Packet::Terminate)
             || packet.kind() == PacketKind::Recovery
     }
 
@@ -217,12 +227,14 @@ impl ControlPlane {
     /// the modelled time of any response.
     pub(crate) fn handle(&mut self, from: ProcId, packet: Packet, link: &mut Link<'_>) -> u64 {
         match (packet, &mut self.recovery) {
-            (Packet::Finished, r) => {
+            (Packet::Finished { grants }, r) => {
                 debug_assert!(r.is_some() || self.proc == self.coordinator);
                 // Otherwise: a report addressed to this node while it was
                 // coordinator-apparent, since superseded; the sender will
-                // re-report via StatusReport.
-                if self.proc == self.coordinator {
+                // re-report via StatusReport. A report that crossed a
+                // grant is stale; the grantee re-reports once it drains.
+                let no_grant_in_flight = r.as_ref().is_none_or(|r| r.grants_sent[from] == grants);
+                if self.proc == self.coordinator && no_grant_in_flight {
                     self.finished_flags[from] = true;
                 }
             }
@@ -250,6 +262,7 @@ impl ControlPlane {
                 }
             }
             (Packet::Reassign { wires }, Some(r)) => {
+                r.grants_received[from] = r.grants_received[from].wrapping_add(1);
                 r.stats.wires_adopted += wires.len() as u64;
                 r.adopted.extend(wires.iter().map(|&w| w as WireId));
                 // Fresh work un-finishes this node; it re-reports once
@@ -264,15 +277,15 @@ impl ControlPlane {
                         self.presumed_dead[p] = true;
                     }
                     self.coordinator = from;
+                    let (progress, grants) = (r.ckpt_progress, r.grants_received[from]);
                     let finished = self.finished_routing && r.adopted.is_empty();
-                    let report = Packet::StatusReport { progress: r.ckpt_progress, finished };
-                    return link.send(from, report);
+                    return link.send(from, Packet::StatusReport { progress, finished, grants });
                 }
             }
-            (Packet::StatusReport { progress, finished }, Some(r)) => {
+            (Packet::StatusReport { progress, finished, grants }, Some(r)) => {
                 if self.proc == self.coordinator {
                     r.ckpt_known[from] = r.ckpt_known[from].max(progress);
-                    if finished {
+                    if finished && r.grants_sent[from] == grants {
                         self.finished_flags[from] = true;
                     }
                 }
@@ -301,7 +314,9 @@ impl ControlPlane {
         if ready && !self.finished_sent {
             self.finished_sent = true;
             if self.proc != self.coordinator {
-                busy += link.send(self.coordinator, Packet::Finished);
+                let grants =
+                    self.recovery.as_ref().map_or(0, |r| r.grants_received[self.coordinator]);
+                busy += link.send(self.coordinator, Packet::Finished { grants });
             }
         }
         let n_procs = self.finished_flags.len();
@@ -499,6 +514,7 @@ impl ControlPlane {
                 self.finished_sent = false;
             } else {
                 self.finished_flags[t] = false;
+                r.grants_sent[t] = r.grants_sent[t].wrapping_add(1);
                 r.granted_log[t].extend(wires.iter().copied());
                 let wires = wires.iter().map(|&w| w as u32).collect();
                 busy += link.send(t, Packet::Reassign { wires });
@@ -596,6 +612,149 @@ mod tests {
             .iter()
             .map(|(to, _, f)| (*to, f.packet().expect("no acks").clone()))
             .collect()
+    }
+
+    /// Control planes over real transports and a scripted network, with
+    /// no kernel: a frame waits on its sender → addressee stream, in
+    /// order, until the script delivers it, at the time the script says.
+    struct Machine {
+        nodes: Vec<(ControlPlane, Transport)>,
+        /// `streams[from][to]`: frames in flight, oldest first.
+        streams: Vec<Vec<VecDeque<Frame>>>,
+    }
+
+    impl Machine {
+        /// A node per entry of `plan`, under [`CFG`], each through its
+        /// own routing from the start.
+        fn new(plan: Vec<Vec<WireId>>) -> Self {
+            let n = plan.len();
+            let plan = Arc::new(plan);
+            let node = |p| {
+                let mut c = ControlPlane::new(p, Some(CFG), 16, Arc::clone(&plan));
+                c.finished_routing = true;
+                (c, Transport::new(p, n, true))
+            };
+            Machine {
+                nodes: (0..n).map(node).collect(),
+                streams: vec![vec![VecDeque::new(); n]; n],
+            }
+        }
+
+        /// Node `p`'s control round at `now`, in `RouterNode::step`'s
+        /// order: the recovery tick, then one orphaned wire (routed at
+        /// once) or the termination protocol.
+        fn step(&mut self, p: ProcId, now: u64) {
+            let (c, t) = &mut self.nodes[p];
+            let mut outbox = Outbox::new();
+            let mut link = t.link(&mut outbox, now);
+            c.tick(&mut link);
+            if c.next_orphan().is_some() {
+                c.checkpoint(None, &mut link);
+            } else {
+                c.conclude(&mut link);
+            }
+            self.post(p, &outbox);
+        }
+
+        /// Delivers the oldest frame on the `from` → `to` stream at
+        /// `now`, as `RouterNode::step` would; returns its packet.
+        fn deliver(&mut self, from: ProcId, to: ProcId, now: u64) -> Packet {
+            let frame = self.streams[from][to].pop_front().expect("a frame in flight");
+            let (c, t) = &mut self.nodes[to];
+            let mut outbox = Outbox::new();
+            c.heard(from, now);
+            let packet = t.receive(from, frame).expect("streams deliver in order");
+            c.handle(from, packet.clone(), &mut t.link(&mut outbox, now));
+            self.post(to, &outbox);
+            packet
+        }
+
+        /// Delivers every frame on the `from` → `to` stream at `now`.
+        fn deliver_all(&mut self, from: ProcId, to: ProcId, now: u64) {
+            while !self.streams[from][to].is_empty() {
+                self.deliver(from, to, now);
+            }
+        }
+
+        fn post(&mut self, from: ProcId, outbox: &Outbox<Frame>) {
+            for (to, _, frame) in outbox.sends() {
+                self.streams[from][*to].push_back(frame.clone());
+            }
+        }
+
+        /// Whether a `Terminate` is in flight anywhere.
+        fn terminating(&self) -> bool {
+            let mut frames = self.streams.iter().flatten().flatten();
+            frames.any(|f| f.packet() == Some(&Packet::Terminate))
+        }
+    }
+
+    #[test]
+    fn a_finished_report_that_crossed_a_grant_ends_nothing() {
+        // Node 1 dies holding wires 1 and 2; nodes 0 and 2 are through
+        // their own work, and node 2 reports so at once.
+        let mut m = Machine::new(vec![vec![0], vec![1, 2], vec![3]]);
+        m.step(2, 10);
+        m.step(0, 10);
+        // The coordinator hears node 2's heartbeat but not yet its
+        // `Finished`, declares node 1 dead, routes wire 1 itself and
+        // grants wire 2 to node 2.
+        assert_eq!(m.deliver(2, 0, 301), Packet::Heartbeat);
+        m.step(0, 301);
+        assert_eq!(m.nodes[0].0.stats().wires_reassigned, 2);
+        // The crossing: the `Finished` that predates the grant arrives.
+        assert!(matches!(m.deliver(2, 0, 302), Packet::Finished { .. }));
+        m.step(0, 303);
+        assert!(!m.nodes[0].0.terminated() && !m.terminating(), "node 2 holds wire 2");
+        // The grant lands: node 2 routes wire 2 and reports again, and
+        // the run ends only once that report is in.
+        m.deliver_all(0, 2, 310);
+        m.step(2, 310);
+        m.step(2, 311);
+        m.step(0, 312);
+        assert!(!m.nodes[0].0.terminated());
+        m.deliver_all(2, 0, 313);
+        m.step(0, 314);
+        assert!(m.nodes[0].0.terminated() && m.terminating());
+    }
+
+    #[test]
+    fn a_status_report_that_crossed_a_later_grant_ends_nothing() {
+        // Coordinator 0 is dead from the start; 1, 2 and 3 are through
+        // their own work and report to it in vain.
+        let mut m = Machine::new(vec![vec![0], vec![1], vec![2], vec![3, 4]]);
+        for p in 1..4 {
+            m.step(p, 10);
+        }
+        // Node 2 elects node 1 on its own; node 1 takes over, routes the
+        // dead coordinator's wire 0 itself and announces. Node 2 hears
+        // node 1's update traffic, then beats to it.
+        m.step(2, 301);
+        m.step(1, 301);
+        assert_eq!(m.nodes[1].0.coordinator, 1);
+        m.nodes[2].0.heard(1, 400);
+        m.step(2, 401);
+        // Node 2 answers the announcement: finished, nothing granted. Its
+        // heartbeat reaches node 1 ahead of that report.
+        assert_eq!(m.deliver(1, 2, 402), Packet::NewCoordinator);
+        assert_eq!(m.deliver(2, 1, 403), Packet::Heartbeat);
+        // Node 3 died without answering: node 1 declares it dead, routes
+        // wire 3 and grants wire 4 to node 2.
+        m.step(1, 604);
+        assert_eq!(m.nodes[1].0.stats().nodes_declared_dead, 2);
+        // The crossing: the report that predates the grant arrives.
+        assert!(matches!(m.deliver(2, 1, 605), Packet::StatusReport { finished: true, .. }));
+        m.step(1, 606);
+        assert!(!m.nodes[1].0.terminated() && !m.terminating(), "node 2 holds wire 4");
+        // The grant lands; the run ends once node 2's next report is in.
+        m.deliver_all(1, 2, 607);
+        m.step(2, 607);
+        m.step(2, 608);
+        m.step(1, 609);
+        assert!(!m.nodes[1].0.terminated());
+        m.deliver_all(2, 1, 610);
+        m.step(1, 611);
+        assert!(m.nodes[1].0.terminated() && m.terminating());
     }
 
     #[test]
@@ -723,11 +882,11 @@ mod tests {
         c.finished_routing = true;
         let mut outbox = Outbox::new();
         // Rank 2 reporting twice is one report; rank 3 is still missing.
-        c.handle(2, Packet::Finished, &mut t.link(&mut outbox, 0));
-        c.handle(2, Packet::Finished, &mut t.link(&mut outbox, 0));
+        c.handle(2, Packet::Finished { grants: 0 }, &mut t.link(&mut outbox, 0));
+        c.handle(2, Packet::Finished { grants: 0 }, &mut t.link(&mut outbox, 0));
         c.conclude(&mut t.link(&mut outbox, 0));
         assert!(!c.terminated() && outbox.is_empty());
-        c.handle(3, Packet::Finished, &mut t.link(&mut outbox, 0));
+        c.handle(3, Packet::Finished { grants: 0 }, &mut t.link(&mut outbox, 0));
         c.conclude(&mut t.link(&mut outbox, 0));
         assert!(c.terminated());
         assert_eq!(sent(&outbox), [0, 2, 3].map(|p| (p, Packet::Terminate)));

@@ -599,10 +599,10 @@ mod tests {
     #[test]
     fn raw_mode_is_a_pass_through() {
         let mut t = transport(false);
-        let f = t.wrap(1, Packet::Finished, 0);
-        assert_eq!(f, Frame::Raw(Packet::Finished));
-        assert_eq!(f.payload_bytes(), Packet::Finished.payload_bytes());
-        assert_eq!(deliver(&mut t, 1, f), vec![Packet::Finished]);
+        let f = t.wrap(1, Packet::Finished { grants: 0 }, 0);
+        assert_eq!(f, Frame::Raw(Packet::Finished { grants: 0 }));
+        assert_eq!(f.payload_bytes(), Packet::Finished { grants: 0 }.payload_bytes());
+        assert_eq!(deliver(&mut t, 1, f), vec![Packet::Finished { grants: 0 }]);
         assert_eq!(t.next_timer_at(), None);
         assert!(t.due_retransmits(u64::MAX).is_empty());
         assert!(t.take_due_acks().is_empty());
@@ -611,9 +611,9 @@ mod tests {
     #[test]
     fn frames_carry_seq_overhead_and_acks_are_small() {
         let mut t = reliable();
-        let f = t.wrap(1, Packet::Finished, 0);
-        assert_eq!(f, Frame::Data { seq: 0, packet: Packet::Finished });
-        assert_eq!(f.payload_bytes(), Packet::Finished.payload_bytes() + SEQ_BYTES);
+        let f = t.wrap(1, Packet::Finished { grants: 0 }, 0);
+        assert_eq!(f, Frame::Data { seq: 0, packet: Packet::Finished { grants: 0 } });
+        assert_eq!(f.payload_bytes(), Packet::Finished { grants: 0 }.payload_bytes() + SEQ_BYTES);
         assert_eq!(Frame::Ack { cum_seq: 9 }.payload_bytes(), ACK_BYTES);
     }
 
@@ -622,9 +622,9 @@ mod tests {
         let mut a = reliable();
         let mut b = reliable();
         let f0 = a.wrap(1, Packet::WireRequest, 0);
-        let f1 = a.wrap(1, Packet::Finished, 0);
+        let f1 = a.wrap(1, Packet::Finished { grants: 0 }, 0);
         assert_eq!(deliver(&mut b, 0, f0), vec![Packet::WireRequest]);
-        assert_eq!(deliver(&mut b, 0, f1), vec![Packet::Finished]);
+        assert_eq!(deliver(&mut b, 0, f1), vec![Packet::Finished { grants: 0 }]);
         let acks = b.take_due_acks();
         assert_eq!(acks, vec![(0, 2)]);
         assert_eq!(b.stats.acks_sent, 1, "one cumulative ack covers both");
@@ -636,18 +636,19 @@ mod tests {
     #[test]
     fn out_of_order_arrivals_are_buffered_and_drained() {
         let mut b = reliable();
-        assert!(deliver(&mut b, 0, Frame::Data { seq: 1, packet: Packet::Finished }).is_empty());
+        assert!(deliver(&mut b, 0, Frame::Data { seq: 1, packet: Packet::Finished { grants: 0 } })
+            .is_empty());
         assert_eq!(b.stats.out_of_order, 1);
         let got = deliver(&mut b, 0, Frame::Data { seq: 0, packet: Packet::WireRequest });
-        assert_eq!(got, vec![Packet::WireRequest, Packet::Finished]);
+        assert_eq!(got, vec![Packet::WireRequest, Packet::Finished { grants: 0 }]);
         assert_eq!(b.take_due_acks(), vec![(0, 2)]);
     }
 
     #[test]
     fn duplicates_are_suppressed_but_reacked() {
         let mut b = reliable();
-        let f = Frame::Data { seq: 0, packet: Packet::Finished };
-        assert_eq!(deliver(&mut b, 0, f.clone()), vec![Packet::Finished]);
+        let f = Frame::Data { seq: 0, packet: Packet::Finished { grants: 0 } };
+        assert_eq!(deliver(&mut b, 0, f.clone()), vec![Packet::Finished { grants: 0 }]);
         b.take_due_acks();
         assert!(deliver(&mut b, 0, f).is_empty(), "second copy must not deliver");
         assert_eq!(b.stats.dup_suppressed, 1);
@@ -687,7 +688,7 @@ mod tests {
     fn ack_clears_only_acknowledged_prefix() {
         let mut t = reliable();
         t.wrap(1, Packet::WireRequest, 0);
-        t.wrap(1, Packet::Finished, 0);
+        t.wrap(1, Packet::Finished { grants: 0 }, 0);
         t.wrap(1, Packet::Terminate, 0);
         deliver(&mut t, 1, Frame::Ack { cum_seq: 2 });
         let due = t.due_retransmits(u64::MAX / 2);
@@ -698,7 +699,7 @@ mod tests {
     #[test]
     fn terminate_survives_inflight_clear() {
         let mut t = reliable();
-        t.wrap(1, Packet::Finished, 0);
+        t.wrap(1, Packet::Finished { grants: 0 }, 0);
         t.wrap(2, Packet::Terminate, 0);
         t.clear_inflight_except_terminate();
         let due = t.due_retransmits(u64::MAX / 2);
@@ -710,8 +711,8 @@ mod tests {
     fn next_timer_tracks_earliest_deadline() {
         let mut t = reliable();
         assert_eq!(t.next_timer_at(), None);
-        t.wrap(1, Packet::Finished, 40);
-        t.wrap(2, Packet::Finished, 10);
+        t.wrap(1, Packet::Finished { grants: 0 }, 40);
+        t.wrap(2, Packet::Finished { grants: 0 }, 10);
         assert_eq!(t.next_timer_at(), Some(10 + RETRANSMIT_TIMEOUT_NS));
     }
 
@@ -727,12 +728,12 @@ mod tests {
         let mut link = t.link(&mut outbox, 0);
         // Finished is 1 byte + 4 of sequence number; a heartbeat rides
         // raw, 2 bytes, and arms no timer.
-        assert_eq!(link.send(1, Packet::Finished), 5 * SEND_PER_BYTE_NS);
+        assert_eq!(link.send(1, Packet::Finished { grants: 0 }), 5 * SEND_PER_BYTE_NS);
         assert_eq!(link.send_unsequenced(2, Packet::Heartbeat), 2 * SEND_PER_BYTE_NS);
         assert_eq!(
             frames(&outbox),
             [
-                (1, Frame::Data { seq: 0, packet: Packet::Finished }),
+                (1, Frame::Data { seq: 0, packet: Packet::Finished { grants: 0 } }),
                 (2, Frame::Raw(Packet::Heartbeat)),
             ]
         );
@@ -747,7 +748,7 @@ mod tests {
         let mut t = reliable();
         let mut outbox = Outbox::new();
         let mut link = t.link(&mut outbox, 0);
-        link.send(1, Packet::Finished);
+        link.send(1, Packet::Finished { grants: 0 });
         link.send(2, Packet::Terminate);
         // The node is done and knows the run is over: the stale Finished
         // is abandoned, the Terminate fan-out is not.
@@ -774,7 +775,11 @@ mod tests {
         let step = t.finish_step(Step::Block, false, false, 40, &mut outbox);
         assert_eq!(step, Step::Sleep { until: SimTime::from_ns(40 + RETRANSMIT_TIMEOUT_NS) });
         // An owed ack is work: the node continues instead of sleeping.
-        assert_eq!(deliver(&mut t, 1, Frame::Data { seq: 0, packet: Packet::Finished }).len(), 1);
+        assert_eq!(
+            deliver(&mut t, 1, Frame::Data { seq: 0, packet: Packet::Finished { grants: 0 } })
+                .len(),
+            1
+        );
         let mut outbox = Outbox::new();
         let step = t.finish_step(Step::Block, true, false, 50, &mut outbox);
         assert_eq!(step, Step::Continue { busy_ns: SEND_PER_BYTE_NS * ACK_BYTES as u64 });
@@ -797,7 +802,11 @@ mod tests {
         let step = t.finish_step(Step::Done, false, false, 400, &mut outbox);
         assert_eq!(step, Step::Sleep { until: SimTime::from_ns(LINGER_NS) });
         // A late retransmission arrives: re-ack it and linger afresh.
-        assert!(deliver(&mut t, 1, Frame::Data { seq: 0, packet: Packet::Finished }).len() == 1);
+        assert!(
+            deliver(&mut t, 1, Frame::Data { seq: 0, packet: Packet::Finished { grants: 0 } })
+                .len()
+                == 1
+        );
         let step = t.finish_step(Step::Done, true, false, 600, &mut outbox);
         assert!(matches!(step, Step::Continue { .. }), "the ack is work");
         let step = t.finish_step(Step::Done, false, false, 700, &mut outbox);
@@ -876,7 +885,7 @@ mod tests {
         let rect = locus_circuit::Rect::new(0, 1, 0, 1);
         let packets = [
             Packet::Terminate,
-            Packet::Finished,
+            Packet::Finished { grants: 0 },
             Packet::WireRequest,
             Packet::NewCoordinator,
             Packet::ReqRmtData { rect },
@@ -919,7 +928,7 @@ mod tests {
                             _ => next + rng.random_range(1..4),
                         };
                         their_next[peer] = next.max(seq + 1);
-                        let data = Frame::Data { seq, packet: Packet::Finished };
+                        let data = Frame::Data { seq, packet: Packet::Finished { grants: 0 } };
                         let got = deliver(&mut fast, peer, data.clone());
                         assert_eq!(got, deliver(&mut scan, peer, data), "{at}");
                     }
