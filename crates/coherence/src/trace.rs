@@ -17,12 +17,14 @@
 //! header is its first [`MemRef`], its time step and its length, and its
 //! addresses are a list of their own. The order of the references is
 //! stored as *batches of rounds*: a batch names a rotation of bursts, and
-//! each of its rounds gives the next reference of every burst in the
-//! rotation. The emulator records bursts into a [`TraceRecorder`], and
-//! [`TraceRecorder::finish`] merges the per-processor streams in one pass
-//! that finds those batches. [`Trace::refs`] expands the order, rebuilding
-//! each [`MemRef`] from its burst's header. [`Trace::push`] and `collect`
-//! make one-reference bursts, for hand-built traces.
+//! each of its rounds gives the next reference of a burst for each time
+//! the rotation names it. The emulator records bursts into a
+//! [`TraceRecorder`], a span query's cells as one evenly spaced run of
+//! addresses, and [`TraceRecorder::finish`] merges the per-processor
+//! streams in one pass that finds those batches. [`Trace::refs`] expands
+//! the order, rebuilding each [`MemRef`] from its burst's header.
+//! [`Trace::push`] and `collect` make one-reference bursts, for hand-built
+//! traces.
 
 use std::fmt;
 
@@ -174,7 +176,10 @@ fn next_burst(bursts: &[Burst]) -> u32 {
 }
 
 /// `rounds` rounds of a rotation of bursts: each round gives the next
-/// reference of every burst in the rotation, in rotation order.
+/// reference of the burst at each place of the rotation, in rotation
+/// order. A rotation of more than one round spans one *period*, its
+/// largest step: a burst of step `s` in it takes `period / s` places, and
+/// the steps divide one another.
 #[derive(Clone, Copy)]
 struct Batch {
     rounds: usize,
@@ -186,8 +191,9 @@ struct Batch {
 /// Which burst gives each reference of a trace, as batches of rounds. A
 /// burst's references keep their order among themselves, so the `i`-th
 /// reference the order takes from a burst is the burst's reference `i`.
-/// References given one at a time are one round of a rotation in which a
-/// burst may appear more than once.
+/// A rotation may name a burst more than once: references given one at a
+/// time are one round of such a rotation, and so is a period of bursts
+/// at different steps.
 #[derive(Clone, Default)]
 struct Order {
     /// The rotations, one after another.
@@ -330,12 +336,15 @@ impl FromIterator<MemRef> for Trace {
 /// rotation of more rounds is set up whole.
 const MEMBERS: usize = 64;
 
-/// One burst of the batch being read: its reference at the batch's
-/// start, its step, and its addresses from there on.
+/// One place of the rotation being read: its burst's reference there in
+/// the batch's first round, the time and the number of the burst's
+/// references from one round to the next, and the burst's addresses from
+/// there on.
 #[derive(Clone, Copy)]
 struct Member<'a> {
     first: MemRef,
-    step: u64,
+    period: u64,
+    stride: usize,
     addrs: &'a [u32],
 }
 
@@ -344,8 +353,8 @@ impl Member<'_> {
     #[inline]
     fn at(&self, round: usize) -> MemRef {
         MemRef {
-            time: self.first.time + round as u64 * self.step,
-            addr: self.addrs[round],
+            time: self.first.time + round as u64 * self.period,
+            addr: self.addrs[round * self.stride],
             ..self.first
         }
     }
@@ -362,7 +371,8 @@ struct Refs<'a> {
     /// [`Order::bursts`] the members set up so far end.
     batch: usize,
     set_up: usize,
-    /// The members set up, and their round count.
+    /// The members set up, one a place of the rotation, and their round
+    /// count.
     members: Vec<Member<'a>>,
     rounds: usize,
     /// The next reference: its round, and its member in the round.
@@ -375,21 +385,35 @@ struct Refs<'a> {
 impl Refs<'_> {
     /// Sets up the next members: a whole rotation, or the next
     /// [`MEMBERS`] of a one-round batch. False at the end of the order.
+    ///
+    /// The `k` places of a burst in a rotation take its next `k`
+    /// references in turn, and each round moves each place on by `k`.
     fn advance(&mut self) -> bool {
         let trace = self.trace;
         let Some(&Batch { rounds, end }) = trace.order.batches.get(self.batch) else {
             return false;
         };
         let to = if rounds == 1 { end.min(self.set_up + MEMBERS) } else { end };
+        let rotation = &trace.order.bursts[self.set_up..to];
+        let period = match rounds {
+            1 => 0, // a one-round batch reads round 0 alone
+            _ => rotation.iter().map(|&b| trace.bursts[b as usize].step).max().unwrap_or(0),
+        };
         self.members.clear();
-        for &b in &trace.order.bursts[self.set_up..to] {
+        for &b in rotation {
             let b = b as usize;
             let Burst { first, step, .. } = trace.bursts[b];
             let at = self.pos[b];
-            self.pos[b] += rounds;
+            self.pos[b] += 1;
             let time = first.time + at as u64 * step;
+            let stride = if rounds == 1 { 1 } else { (period / step) as usize };
             let addrs = &trace.addrs[b][at..];
-            self.members.push(Member { first: MemRef { time, ..first }, step, addrs });
+            self.members.push(Member { first: MemRef { time, ..first }, period, stride, addrs });
+        }
+        if rounds > 1 {
+            for &b in rotation {
+                self.pos[b as usize] += rounds - 1;
+            }
         }
         self.set_up = to;
         self.batch += usize::from(to == end);
@@ -453,21 +477,45 @@ impl BurstWriter<'_> {
     pub fn push(&mut self, addr: u32) {
         self.addrs.push(addr);
     }
+
+    /// Records the burst's next `count` references, to `base`, `base +
+    /// stride`, `base + 2 * stride` and on: what `count` pushes record,
+    /// for the cells of one span query.
+    ///
+    /// # Panics
+    /// Panics if the run's last address does not fit 32 bits.
+    #[inline]
+    pub fn push_run(&mut self, base: u32, stride: u32, count: usize) {
+        let Some(before_last) = count.checked_sub(1) else { return };
+        let last = u64::try_from(before_last)
+            .ok()
+            .and_then(|n| n.checked_mul(stride.into()))
+            .and_then(|span| span.checked_add(base.into()));
+        assert!(
+            last.is_some_and(|last| last <= u64::from(u32::MAX)),
+            "a run of {count} addresses from {base} by {stride} ends beyond the 32-bit space"
+        );
+        // Every address fits, so no product wraps, and for a stride of
+        // at least 1 no index is cut by the cast.
+        self.addrs.extend((0..count).map(|i| base + i as u32 * stride));
+    }
 }
 
 /// Run-length trace collection for a producer that multiplexes its
 /// processors and emits references in bursts.
 ///
 /// Recording a reference appends its four address bytes to its burst's
-/// list. [`Self::finish`] builds the [`Trace`] that pushing every
-/// reference in burst order and stable-sorting by time would have built:
-/// bursts are recorded whole, so that sort orders equal-time references
-/// by burst and then by position within the burst, and each processor's
-/// references are already in that order. Merging the processors' streams
-/// by (time, burst number) is therefore the same permutation, found in
-/// one pass that stores a burst number for each reference it gives alone
-/// and nothing for those it gives in whole rounds. The bursts and their
-/// address lists become the trace's as they are.
+/// list, and a span query's references go in as one run
+/// ([`BurstWriter::push_run`]). [`Self::finish`] builds the [`Trace`]
+/// that pushing every reference in burst order and stable-sorting by time
+/// would have built: bursts are recorded whole, so that sort orders
+/// equal-time references by burst and then by position within the burst,
+/// and each processor's references are already in that order. Merging the
+/// processors' streams by (time, burst number) is therefore the same
+/// permutation, found in one pass that stores a burst number for each
+/// reference it gives alone, and for a batch of whole rounds only those
+/// of one round. The bursts and their address lists become the trace's as
+/// they are.
 pub struct TraceRecorder {
     /// The bursts in the order they were begun; a burst's number is its
     /// index. Their lengths are set when the recording finishes.
@@ -616,44 +664,52 @@ impl MergeQueue {
     }
 
     /// How many whole rounds the front `m` streams can give without a
-    /// comparison: `(rounds, m, step)`, with no rounds unless the front is
-    /// in a run of a nonzero step with a reference after its next.
+    /// comparison: `(rounds, m, period)`, with no rounds unless the front
+    /// is in a run of a nonzero step with a reference after its next.
     ///
-    /// The rotation is the front streams whose runs have that step and two
-    /// or more references left and whose keys are below the front's next,
-    /// `lap`. Each gives a reference in turn and is filed again at the
-    /// back of the rotation, one step on, above `lap` and so above every
-    /// key before it: a round gives `m` references in queue order and
-    /// leaves the order as it was. The rounds stop one reference short of
-    /// the shortest run, so that every stream is still in its run, and
-    /// while the last of the rotation stays below the stream queued after
-    /// it, so that every reference given is below every key left.
+    /// Let `(t0, b0)` be the front's key. The rotation is the front
+    /// streams whose runs have a nonzero step `s` and two or more
+    /// references left, whose keys are below `(t0 + s, b0)`, and whose
+    /// steps divide one another; the period is the largest step. A member
+    /// of step `s` then has exactly `period / s` references below `(t0 +
+    /// period, b0)` and its next at or above it, so a round, the sorted
+    /// window of one period, leaves the rotation's keys in their order,
+    /// each one period on. The rounds stop one reference short of the
+    /// shortest run, so that every member is still in its run, and while
+    /// the last of the rotation stays below the stream queued after it,
+    /// so that every reference given is below every key left.
     fn rounds(&self, heads: &[Run]) -> (usize, usize, u64) {
         let mut queued = self.iter();
-        let Some(&(time, burst, i)) = queued.next() else { return (0, 0, 0) };
+        let Some(&(t0, b0, i)) = queued.next() else { return (0, 0, 0) };
         let Run { step, len, .. } = heads[i];
         if step == 0 || len < 2 {
             return (0, 0, 0);
         }
-        // The front's next reference is in its run, so `time + step` is a
-        // time of the trace and cannot wrap; nor can any key the rounds
-        // reach, each being a reference's.
-        let lap = (time + step, burst);
-        let mut rounds = len - 1;
-        let (mut last, mut m) = ((time, burst), 1);
+        // A member's next reference is in its run, so `t0 + s <= t + s`
+        // is a time of the trace and cannot wrap; nor can any key the
+        // rounds reach, each being a reference's. `reach` is the least
+        // time a member's run goes on past its key.
+        let (mut period, mut reach) = (step, (len - 1) as u64 * step);
+        let (mut last, mut m) = ((t0, b0), 1);
+        let mut rounds = usize::MAX;
         for &(t, b, j) in queued {
-            let run = &heads[j];
-            if (t, b) >= lap || run.step != step || run.len < 2 {
-                // `last` plus `r` steps stays below `(t, b)` for `r` up to
-                // this many (when `t == last.0`, `b` is above `last.1`).
-                let r = (t - last.0 - u64::from(last.1 > b)) / step;
-                rounds = rounds.min(usize::try_from(r).unwrap_or(usize::MAX));
+            let Run { step: s, len, .. } = heads[j];
+            if s == 0
+                || len < 2
+                || (t, b) >= (t0 + s, b0)
+                || !(period.is_multiple_of(s) || s.is_multiple_of(period))
+            {
+                // `last` plus `r` periods stays below `(t, b)` for `r` up
+                // to this many (when `t == last.0`, `b` is above `last.1`).
+                let r = (t - last.0 - u64::from(last.1 > b)) / period;
+                rounds = usize::try_from(r).unwrap_or(usize::MAX);
                 break;
             }
-            rounds = rounds.min(run.len - 1);
+            (period, reach) = (period.max(s), reach.min((len - 1) as u64 * s));
             (last, m) = ((t, b), m + 1);
         }
-        (rounds, m, step)
+        let whole = usize::try_from(reach / period).unwrap_or(usize::MAX);
+        (rounds.min(whole), m, period)
     }
 }
 
@@ -665,10 +721,13 @@ impl MergeQueue {
 /// in whole rounds.
 ///
 /// The merge advances by whole rounds where it can: when the streams at
-/// the front of the [`MergeQueue`] all sweep at one step and lie within
-/// one step of each other, the next rounds are a fixed rotation of them
-/// ([`MergeQueue::rounds`]), stored as one batch while every key moves on
-/// by as many steps. Otherwise the front stream gives one reference and is
+/// the front of the [`MergeQueue`] sweep at steps that divide one another
+/// and lie within a step of the front, the next rounds repeat one sorted
+/// window of the longest step ([`MergeQueue::rounds`]). The window is
+/// filed as one batch while every key moves on by as many periods, and a
+/// stream at a shorter step takes several places of it: a rip-up or
+/// commit writing at `CELL_WRITE_NS` among sweeps reading at
+/// `CELL_EVAL_NS`. Otherwise the front stream gives one reference and is
 /// filed again under the key of its next, searching from the back. (A
 /// binary heap would pay its full sift-down on the common case that the
 /// new key is the largest.) One-reference runs never make a round.
@@ -686,16 +745,22 @@ where
     );
     let mut order = Order::default();
     let mut in_rounds = 0;
+    // The keys of one round's references.
+    let mut window: Vec<(u64, u32)> = Vec::new();
     loop {
-        let (rounds, m, step) = queue.rounds(&heads);
+        let (rounds, m, period) = queue.rounds(&heads);
         if rounds > 0 {
-            let rotation = queue.iter_mut().take(m).map(|(time, burst, i)| {
-                heads[*i].len -= rounds;
-                *time += rounds as u64 * step;
-                *burst
-            });
-            order.push(rounds, rotation);
-            in_rounds += rounds * m;
+            window.clear();
+            for (time, burst, i) in queue.iter_mut().take(m) {
+                let (run, t) = (&mut heads[*i], *time);
+                let places = period / run.step;
+                window.extend((0..places).map(|n| (t + n * run.step, *burst)));
+                run.len -= rounds * places as usize;
+                *time += rounds as u64 * period;
+            }
+            window.sort_unstable();
+            order.push(rounds, window.iter().map(|&(_, burst)| burst));
+            in_rounds += rounds * window.len();
             continue;
         }
         let Some((time, burst, i)) = queue.pop_front() else { break };
@@ -931,10 +996,14 @@ mod tests {
             (w, 1, vec![300, 302, 304, 306, 308, 310]), // 11..=16
             sweep(17, 2, 4, 10),
         ];
-        // Two rounds of three, then single steps until the writes lead by
-        // a read step: two rounds of the writes alone, nine of three once
-        // processor 2 sweeps again, and five of the last two.
-        assert_eq!(in_rounds(3, &bursts), 6 + 2 + 27 + 10);
+        // Two rounds of three, then single steps until the writes lead.
+        // Their step divides the sweeps', so a round of one read step
+        // takes four writes (11..=14) beside a read of processors 0 and 1;
+        // the last two writes go singly. Then nine rounds of three once
+        // processor 2 sweeps again, and five of the last two. (While a
+        // rotation had to share one step, the writes led alone by a read
+        // step first, and gave two rounds of one instead of one of six.)
+        assert_eq!(in_rounds(3, &bursts), 6 + 6 + 27 + 10);
     }
 
     fn example_bursts() -> Vec<(MemRef, u64, Vec<u32>)> {
@@ -1015,6 +1084,15 @@ mod tests {
     fn an_idle_recorder_finishes_empty() {
         assert!(TraceRecorder::new(4).finish().is_empty());
         assert!(TraceRecorder::new(0).finish().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a run of 3 addresses from 4294967290 by 4 ends beyond")]
+    fn a_run_that_ends_beyond_the_address_space_is_caught() {
+        let mut recorder = TraceRecorder::new(1);
+        let mut burst = recorder.begin(r(0, 0, 0, RefKind::Read), 10);
+        burst.push_run(u32::MAX - 8, 4, 2);
+        burst.push_run(u32::MAX - 5, 4, 3);
     }
 
     #[test]

@@ -144,22 +144,56 @@ fn arb_bursts() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> 
     })
 }
 
+/// The step of a burst of [`arb_sweeps`].
+#[derive(Clone, Copy, Debug)]
+enum SweepStep {
+    /// The step every sweep shares.
+    Shared,
+    /// The `n`-th divisor of the shared step, counted round: the merge
+    /// may give it several places in a round of sweeps.
+    Divisor(usize),
+    /// One more than the shared step, which it does not divide.
+    Apart,
+    /// A step of its own.
+    Fixed(u64),
+}
+
+impl SweepStep {
+    fn of(self, shared: u64) -> u64 {
+        match self {
+            SweepStep::Shared => shared,
+            SweepStep::Divisor(n) => {
+                let divisors: Vec<u64> =
+                    (1..=shared).filter(|&d| shared.is_multiple_of(d)).collect();
+                divisors[n % divisors.len()]
+            }
+            SweepStep::Apart => shared + 1,
+            SweepStep::Fixed(step) => step,
+        }
+    }
+}
+
 /// Bursts shaped like the emulator's, which the merge gives in whole
 /// rounds: 2–8 processors sweep long bursts (8–60 references) at one
 /// shared step, from start times staggered by less than two steps and
 /// often equal, so that equal times are broken by burst number. Between
-/// sweeps come short write bursts at other steps and at step 0. A
+/// sweeps come write bursts: long ones (8–60 references) at a step that
+/// divides the shared step, like a rip-up or commit among sweeps, or at
+/// one that does not, and short ones at other steps and at step 0. A
 /// processor's next burst starts at its previous one's last reference,
 /// a little after it, or now and then far later. Every address is
 /// distinct, so any reference out of place shows.
 fn arb_sweeps() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> {
-    // `(step, length)` of a burst; no step is the shared one. Half the
-    // bursts are sweeps.
+    // `(step, length)` of a burst. Half the bursts are sweeps.
     let shape = prop_oneof![
-        (8usize..61).prop_map(|len| (None, len)),
-        (8usize..61).prop_map(|len| (None, len)),
-        (0u64..9, 1usize..5).prop_map(|(step, len)| (Some(step), len)),
-        (1usize..5).prop_map(|len| (Some(0), len)),
+        (8usize..61).prop_map(|len| (SweepStep::Shared, len)),
+        (8usize..61).prop_map(|len| (SweepStep::Shared, len)),
+        (8usize..61).prop_map(|len| (SweepStep::Shared, len)),
+        (8usize..61).prop_map(|len| (SweepStep::Shared, len)),
+        (0usize..4, 8usize..61).prop_map(|(n, len)| (SweepStep::Divisor(n), len)),
+        (8usize..61).prop_map(|len| (SweepStep::Apart, len)),
+        (0u64..9, 1usize..5).prop_map(|(step, len)| (SweepStep::Fixed(step), len)),
+        (1usize..5).prop_map(|len| (SweepStep::Fixed(0), len)),
     ];
     let gap = prop_oneof![Just(0u64), 0u64..3, 0u64..400];
     let phase = prop_oneof![Just(0u64), 0u64..16];
@@ -178,12 +212,12 @@ fn arb_sweeps() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> 
                     let proc = proc % n_procs;
                     let t0 = clock[proc] + gap;
                     let first = match step {
-                        None => MemRef::new(t0, proc as u32, 0, RefKind::Read),
-                        Some(_) => MemRef::new(t0, proc as u32, 0, RefKind::Write)
+                        SweepStep::Shared => MemRef::new(t0, proc as u32, 0, RefKind::Read),
+                        _ => MemRef::new(t0, proc as u32, 0, RefKind::Write)
                             .with_delta(1)
                             .with_criticality(Criticality::Critical),
                     };
-                    let step = step.unwrap_or(shared);
+                    let step = step.of(shared);
                     clock[proc] = t0 + step * (len as u64 - 1);
                     let addrs = (next_addr..).step_by(2).take(len).collect();
                     next_addr += 2 * len as u32;
@@ -357,6 +391,40 @@ proptest! {
         // The same references, one burst each, are the same trace.
         let hand_built: Trace = oracle.into_iter().collect();
         prop_assert_eq!(&recorded, &hand_built);
+    }
+
+    #[test]
+    fn a_run_records_what_pushing_each_address_records(
+        case in arb_bursts(),
+        runs in proptest::collection::vec(
+            (
+                prop_oneof![0u32..1024, (0u32..1024).prop_map(|back| u32::MAX - back)],
+                prop_oneof![Just(0u32), Just(2u32), 0u32..1024],
+            ),
+            40,
+        ),
+    ) {
+        // Each burst's references again, to a run of addresses of its
+        // own, recorded as two runs (the first empty for a burst of one
+        // reference or none): a run that would end beyond the 32-bit
+        // space is moved down to end on `u32::MAX`.
+        let (n_procs, bursts) = case;
+        let mut by_runs = TraceRecorder::new(n_procs);
+        let mut by_words = TraceRecorder::new(n_procs);
+        for ((first, step, addrs), &(base, stride)) in bursts.iter().zip(&runs) {
+            let count = addrs.len();
+            let span = u64::from(stride) * count.saturating_sub(1) as u64;
+            let base = u64::from(base).min(u64::from(u32::MAX) - span) as u32;
+            let words: Vec<u32> = (0..count as u32).map(|i| base + i * stride).collect();
+            let half = count / 2;
+            let mut burst = by_runs.begin(*first, *step);
+            burst.push_run(base, stride, half);
+            burst.push_run(base + half as u32 * stride, stride, count - half);
+            let mut burst = by_words.begin(*first, *step);
+            words.iter().for_each(|&addr| burst.push(addr));
+        }
+        let (by_runs, by_words) = (by_runs.finish(), by_words.finish());
+        prop_assert_eq!(by_runs.refs().collect::<Vec<_>>(), by_words.refs().collect::<Vec<_>>());
     }
 
     #[test]

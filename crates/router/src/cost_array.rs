@@ -50,10 +50,11 @@ pub trait CostView {
     /// Sum of costs over `(channel, x)` for `x` in `x_lo..=x_hi`.
     ///
     /// The default reads the cells one by one in ascending `x` order, so
-    /// views that instrument [`Self::cost_at`] (trace collection, logical
-    /// clocks) observe exactly the reference sequence a cell-by-cell
-    /// evaluator would produce. [`CostArray`] overrides this with a sum
-    /// over the row slice.
+    /// a view that instruments only [`Self::cost_at`] observes exactly the
+    /// reference sequence a cell-by-cell evaluator would produce. A view
+    /// that instruments spans (the shmem emulator's traced view records
+    /// the cells as one run of addresses) must record them in that order.
+    /// [`CostArray`] overrides this with a sum over the row slice.
     fn horizontal_cost(&self, channel: u16, x_lo: u16, x_hi: u16) -> u64 {
         (x_lo..=x_hi).map(|x| self.cost_at(GridCell::new(channel, x)) as u64).sum()
     }
@@ -61,7 +62,8 @@ pub trait CostView {
     /// Sum of costs over `(c, x)` for `c` in `c_lo..=c_hi`.
     ///
     /// Default reads cells in ascending channel order (see
-    /// [`Self::horizontal_cost`] for why). [`CostArray`] keeps this: a
+    /// [`Self::horizontal_cost`] for why, and for what a view that
+    /// instruments spans must record). [`CostArray`] keeps this: a
     /// feedthrough crosses two or three channels, one cell in each.
     fn vertical_cost(&self, x: u16, c_lo: u16, c_hi: u16) -> u64 {
         (c_lo..=c_hi).map(|c| self.cost_at(GridCell::new(c, x)) as u64).sum()
@@ -70,8 +72,10 @@ pub trait CostView {
     /// Whether span queries are plain arithmetic with no per-read side
     /// effects. Enables the incremental HVH jog sweep in
     /// [`crate::twobend::best_route`], which replaces repeated span
-    /// queries with O(1) running updates. Instrumented views must keep
-    /// the default `false` so their per-cell read streams stay exact.
+    /// queries with O(1) running updates. Instrumented views, whether
+    /// they record cells or whole spans, must keep the default `false`:
+    /// the sweep queries every candidate's spans, so the recorded reads
+    /// are every cell each candidate costs.
     fn fast_spans(&self) -> bool {
         false
     }
@@ -80,7 +84,7 @@ pub trait CostView {
 /// What is left of the prefix caches' counters, kept only because
 /// `benchmark/src/probes.rs` reads [`CostArray::prefix_stats`] for its
 /// `router.prefix_hit_ratio` and a builder PR may not edit `benchmark/`.
-/// ROADMAP item 10 lists both for deletion by the next benchmark PR.
+/// ROADMAP item 12 lists both for deletion by the next benchmark PR.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrefixStats {
     /// Always zero: nothing is cached, so nothing hits.

@@ -24,14 +24,16 @@
 //! deduplicated cell set, costed through [`CostView::horizontal_cost`] /
 //! [`CostView::vertical_cost`]; only the winner is rebuilt as segments at
 //! the end. The spans are emitted in the candidate's sorted-cell order, so
-//! against a view using the per-cell default span implementations (e.g.
-//! the shmem emulator's traced view) the cell-read sequence — and hence
-//! the reference trace and `cells_examined` — is byte-identical to the
-//! historical cell-list evaluator, which the tests keep as their oracle
-//! (the hidden `oracle` module below). When the view advertises
-//! [`CostView::fast_spans`], the HVH jog sweep additionally turns
-//! incremental: adjacent jog columns share all but one cell of each
-//! horizontal run, so the whole sweep is O(W) span arithmetic.
+//! against a view using the per-cell default span implementations the
+//! cell-read sequence, and hence `cells_examined`, is byte-identical to
+//! the historical cell-list evaluator, which the tests keep as their
+//! oracle (the hidden `oracle` module below). A view that records each
+//! span query's cells in span order (the shmem emulator's traced view
+//! records them as one run of addresses) sees the same sequence. When the
+//! view advertises [`CostView::fast_spans`], the HVH jog sweep
+//! additionally turns incremental: adjacent jog columns share all but one
+//! cell of each horizontal run, so the whole sweep is O(W) span
+//! arithmetic.
 
 use locus_circuit::GridCell;
 

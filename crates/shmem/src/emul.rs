@@ -8,8 +8,8 @@
 //! the unlocked shared cost array (§3):
 //!
 //! * a processor **evaluates** a wire against the shared array as it
-//!   stands when the evaluation begins (reads recorded at fine grain as
-//!   the candidate sweep progresses);
+//!   stands when the evaluation begins (every cell the candidate sweep
+//!   reads is recorded, in the order it reads them);
 //! * its increments **commit** only after the modelled routing time has
 //!   elapsed, so wires being routed simultaneously on other processors do
 //!   not see them — the staleness that degrades quality as P grows;
@@ -29,11 +29,12 @@
 //! emulator-specific — every wire's route, logical clocks, the
 //! evaluate/commit split, and the reference trace. Every rip-up, candidate sweep and commit is
 //! one burst of a [`TraceRecorder`]: the references of a burst share
-//! everything but their address and their evenly spaced times.
+//! everything but their address and their evenly spaced times. A sweep's
+//! span query goes into its burst as one run of addresses.
 
 use std::cell::RefCell;
 
-use locus_circuit::{Circuit, GridCell, WireId};
+use locus_circuit::{Circuit, GridCell, Wire, WireId};
 use locus_coherence::{BurstWriter, Criticality, MemRef, RefKind, Trace, TraceRecorder};
 use locus_obs::Obs;
 use locus_router::engine::{IterationDriver, WireFeed};
@@ -75,13 +76,35 @@ pub struct ShmemOutcome {
     pub trace: Option<Trace>,
 }
 
-/// A cost-array view that records read references as candidate evaluation
-/// sweeps cells. It keeps the per-cell span path (`fast_spans` is false),
-/// so the trace holds every read; an untraced run evaluates against the
-/// [`CostArray`] itself, jog sweep included.
+/// Evaluates a wire against the shared array, recording the sweep's reads
+/// into the open burst.
+type TracedEvaluation =
+    fn(&CostArray, BurstWriter<'_>, &Wire, u16, &mut EvalScratch) -> WireEvaluation;
+
+/// A cost-array view that records the read references of a candidate
+/// sweep. A span query records its cells as one run of addresses, a row's
+/// one cell apart and a column's one row apart, and takes its sum from
+/// the [`CostArray`]; `cost_at` records the single cells of VHV's
+/// side-by-side band. `fast_spans` stays false, so every candidate's
+/// spans are queried and the trace holds every read in the order a
+/// cell-by-cell evaluator reads them: only an untraced run, evaluating
+/// against the [`CostArray`] itself, takes the incremental jog sweep.
 struct TracedView<'a> {
     cost: &'a CostArray,
     reads: RefCell<BurstWriter<'a>>,
+}
+
+impl TracedView<'_> {
+    fn evaluate(
+        cost: &CostArray,
+        reads: BurstWriter<'_>,
+        wire: &Wire,
+        overshoot: u16,
+        scratch: &mut EvalScratch,
+    ) -> WireEvaluation {
+        let view = TracedView { cost, reads: RefCell::new(reads) };
+        route_wire_scratch(&view, wire, overshoot, scratch)
+    }
 }
 
 impl CostView for TracedView<'_> {
@@ -95,6 +118,20 @@ impl CostView for TracedView<'_> {
     fn cost_at(&self, cell: GridCell) -> u32 {
         self.reads.borrow_mut().push(cell_addr(cell.channel, cell.x, self.cost.grids()));
         self.cost.cost_at(cell)
+    }
+    #[inline]
+    fn horizontal_cost(&self, channel: u16, x_lo: u16, x_hi: u16) -> u64 {
+        let (grids, cells) = (self.cost.grids(), (usize::from(x_lo)..usize::from(x_hi) + 1).len());
+        let (base, stride) = (cell_addr(channel, x_lo, grids), cell_addr(0, 1, grids));
+        self.reads.borrow_mut().push_run(base, stride, cells);
+        self.cost.horizontal_cost(channel, x_lo, x_hi)
+    }
+    #[inline]
+    fn vertical_cost(&self, x: u16, c_lo: u16, c_hi: u16) -> u64 {
+        let (grids, cells) = (self.cost.grids(), (usize::from(c_lo)..usize::from(c_hi) + 1).len());
+        let (base, stride) = (cell_addr(c_lo, x, grids), cell_addr(1, 0, grids));
+        self.reads.borrow_mut().push_run(base, stride, cells);
+        self.cost.vertical_cost(x, c_lo, c_hi)
     }
 }
 
@@ -196,6 +233,11 @@ impl<'a> ShmemEmulator<'a> {
 
     /// Runs all iterations and returns the outcome.
     pub fn run(self) -> ShmemOutcome {
+        self.run_with(TracedView::evaluate)
+    }
+
+    /// [`Self::run`], evaluating a traced run's wires with `traced`.
+    fn run_with(self, traced: TracedEvaluation) -> ShmemOutcome {
         let ShmemEmulator { circuit, config, obs } = self;
         let n_procs = config.n_procs;
         let n_wires = circuit.wire_count();
@@ -213,8 +255,8 @@ impl<'a> ShmemEmulator<'a> {
             .map(|_| ProcState { clock: 0, pending: None, queue_pos: 0, at_barrier: false })
             .collect();
         // Logical processors are multiplexed on one OS thread, so one
-        // scratch serves them all; a traced evaluation reads through the
-        // per-cell `TracedView` path, keeping the reference trace exact.
+        // scratch serves them all; a traced evaluation reads through
+        // `TracedView`, which records every cell it reads.
         let mut scratch = EvalScratch::default();
 
         for iteration in 0..cfg.params.iterations {
@@ -295,9 +337,8 @@ impl<'a> ShmemEmulator<'a> {
                 let (wire, overshoot) = (circuit.wire(wire_id), cfg.params.channel_overshoot);
                 let eval = match recorder.as_mut() {
                     Some(r) => {
-                        let reads = RefCell::new(r.begin(at.first(RefKind::Read), CELL_EVAL_NS));
-                        let view = TracedView { cost: &shared, reads };
-                        route_wire_scratch(&view, wire, overshoot, &mut scratch)
+                        let reads = r.begin(at.first(RefKind::Read), CELL_EVAL_NS);
+                        traced(&shared, reads, wire, overshoot, &mut scratch)
                     }
                     None => route_wire_scratch(&shared, wire, overshoot, &mut scratch),
                 };
@@ -400,19 +441,78 @@ mod tests {
         );
     }
 
-    /// An untraced run evaluates on the array's own span queries (the
-    /// jog sweep); a traced run reads cell by cell so the trace holds every
-    /// read. Both decide and charge the same.
+    /// Both runs sum row spans on the array, but only an untraced run
+    /// takes the incremental jog sweep, which sums two rows a connection
+    /// where a traced run sums both rows of every jog column so that the
+    /// trace holds every read. Both decide and charge the same.
     #[test]
     fn only_an_untraced_run_sums_spans_on_the_array() {
         let c = presets::small();
         let fast = ShmemEmulator::new(&c, ShmemConfig::new(4)).run();
         let traced = ShmemEmulator::new(&c, ShmemConfig::new(4).with_trace()).run();
-        assert!(fast.cost.prefix_stats().rebuilds > 0);
-        assert_eq!(traced.cost.prefix_stats().rebuilds, 0);
+        let (fast_sums, traced_sums) =
+            (fast.cost.prefix_stats().rebuilds, traced.cost.prefix_stats().rebuilds);
+        assert!(fast_sums > 0);
+        assert!(traced_sums > fast_sums, "{traced_sums} traced sums, {fast_sums} untraced");
         assert_eq!(fast.routes, traced.routes);
         assert_eq!(fast.work, traced.work);
         assert_eq!(fast.time_secs, traced.time_secs);
+    }
+
+    /// The traced view before span queries were recorded as runs: every
+    /// span read cell by cell through `cost_at`, one push a cell. The
+    /// oracle of [`TracedView`].
+    struct PerCellView<'a> {
+        cost: &'a CostArray,
+        reads: RefCell<BurstWriter<'a>>,
+    }
+
+    impl PerCellView<'_> {
+        fn evaluate(
+            cost: &CostArray,
+            reads: BurstWriter<'_>,
+            wire: &Wire,
+            overshoot: u16,
+            scratch: &mut EvalScratch,
+        ) -> WireEvaluation {
+            let view = PerCellView { cost, reads: RefCell::new(reads) };
+            route_wire_scratch(&view, wire, overshoot, scratch)
+        }
+    }
+
+    impl CostView for PerCellView<'_> {
+        fn channels(&self) -> u16 {
+            self.cost.channels()
+        }
+        fn grids(&self) -> u16 {
+            self.cost.grids()
+        }
+        fn cost_at(&self, cell: GridCell) -> u32 {
+            self.reads.borrow_mut().push(cell_addr(cell.channel, cell.x, self.cost.grids()));
+            self.cost.cost_at(cell)
+        }
+    }
+
+    #[test]
+    fn span_runs_record_the_trace_the_per_cell_view_records() {
+        let default_overshoot = RouterParams::default().channel_overshoot;
+        for c in [presets::tiny(), presets::small(), presets::bnr_e()] {
+            for procs in [1, 2, 4, 16] {
+                for overshoot in [0, default_overshoot] {
+                    let params = RouterParams::default().with_channel_overshoot(overshoot);
+                    let cfg = ShmemConfig::new(procs).with_params(params).with_trace();
+                    let spans = ShmemEmulator::new(&c, cfg).run();
+                    let cells = ShmemEmulator::new(&c, cfg).run_with(PerCellView::evaluate);
+                    let (spans, cells) =
+                        (spans.trace.expect("traced"), cells.trace.expect("traced"));
+                    let case =
+                        format!("{}x{} at P={procs}, overshoot {overshoot}", c.channels, c.grids);
+                    assert_eq!(spans.len(), cells.len(), "{case}");
+                    let first_apart = spans.refs().zip(cells.refs()).position(|(a, b)| a != b);
+                    assert_eq!(first_apart, None, "{case}: the traces part at this reference");
+                }
+            }
+        }
     }
 
     #[test]
