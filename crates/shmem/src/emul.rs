@@ -515,6 +515,25 @@ mod tests {
         }
     }
 
+    /// ROADMAP item 2's traced case: a wire that spans W grids costs its
+    /// traced sweep about W² reads, since every jog column's two rows are
+    /// read span by span, but each span is one run of the trace, so the
+    /// record grows with the spans. Two corner wires across 2 × 1024.
+    #[test]
+    fn a_traced_wide_surface_records_its_square_of_reads() {
+        let pin = locus_circuit::Pin::new;
+        let wires = vec![
+            Wire::new(0, vec![pin(0, 0), pin(1, 1023)]),
+            Wire::new(1, vec![pin(1, 0), pin(0, 1023)]),
+        ];
+        let c = Circuit::new("wide", 2, 1024, wires).expect("inside the budget");
+        let out = ShmemEmulator::new(&c, ShmemConfig::new(2).with_trace()).run();
+        let trace = out.trace.expect("traced");
+        assert_eq!(trace.len(), 4_212_750);
+        assert_eq!(trace.write_count() as u64, out.work.cells_written);
+        assert_eq!((trace.len() - trace.write_count()) as u64, out.work.cells_examined);
+    }
+
     #[test]
     fn trace_collection_records_reads_and_writes() {
         let c = presets::tiny();
