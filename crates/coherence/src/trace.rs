@@ -704,9 +704,9 @@ impl TraceRecorder {
         Trace { bursts, spans, order, len }
     }
 
-    /// The order of [`Self::finish`], and how many references it gives in
-    /// rounds.
-    fn merge(&self) -> (Order, usize) {
+    /// The order of [`Self::finish`], how many references it gives in
+    /// rounds, and how many times the merge scanned for rounds.
+    fn merge(&self) -> (Order, usize, usize) {
         // One processor's references in program order: its bursts one
         // after another, each a run.
         let runs = self
@@ -795,8 +795,9 @@ impl MergeQueue {
     }
 
     /// How many whole rounds the front `m` streams can give without a
-    /// comparison: `(rounds, m, period)`, with no rounds unless the front
-    /// is in a run of a nonzero step with a reference after its next.
+    /// comparison: `Ok((rounds, m, period))` with one round or more, or
+    /// else `Err` of the stream that held the rounds to zero (`None` when
+    /// the queue is empty).
     ///
     /// Let `(t0, b0)` be the front's key. The rotation is the front
     /// streams whose runs have a nonzero step `s` and two or more
@@ -809,18 +810,29 @@ impl MergeQueue {
     /// shortest run, so that every member is still in its run, and while
     /// the last of the rotation stays below the stream queued after it,
     /// so that every reference given is below every key left.
-    fn rounds(&self, heads: &[Run]) -> (usize, usize, u64) {
+    ///
+    /// The stream that holds the rounds to zero is the front, when it is
+    /// not in a run of a nonzero step with a reference after its next;
+    /// the stream queued after the rotation, when its key is less than a
+    /// period after the rotation's last; or else the member whose run
+    /// ends within a period of its key. That stream has not moved until
+    /// it gives its reference, and the members that give theirs before
+    /// it queue again within a period of the front, so a scan before then
+    /// would most often find no rounds again: [`merge_by_time`] does not
+    /// run one.
+    fn rounds(&self, heads: &[Run]) -> Result<(usize, usize, u64), Option<usize>> {
         let mut queued = self.iter();
-        let Some(&(t0, b0, i)) = queued.next() else { return (0, 0, 0) };
+        let &(t0, b0, i) = queued.next().ok_or(None)?;
         let Run { step, len, .. } = heads[i];
         if step == 0 || len < 2 {
-            return (0, 0, 0);
+            return Err(Some(i));
         }
         // A member's next reference is in its run, so `t0 + s <= t + s`
         // is a time of the trace and cannot wrap; nor can any key the
         // rounds reach, each being a reference's. `reach` is the least
-        // time a member's run goes on past its key.
-        let (mut period, mut reach) = (step, (len - 1) as u64 * step);
+        // time a member's run goes on past its key, and `short` that
+        // member.
+        let (mut period, mut reach, mut short) = (step, (len - 1) as u64 * step, i);
         let (mut last, mut m) = ((t0, b0), 1);
         let mut rounds = usize::MAX;
         for &(t, b, j) in queued {
@@ -828,19 +840,31 @@ impl MergeQueue {
             if s == 0
                 || len < 2
                 || (t, b) >= (t0 + s, b0)
-                || !(period.is_multiple_of(s) || s.is_multiple_of(period))
+                // Most members step at the period: test that before the
+                // two divisions.
+                || !(s == period || period.is_multiple_of(s) || s.is_multiple_of(period))
             {
                 // `last` plus `r` periods stays below `(t, b)` for `r` up
                 // to this many (when `t == last.0`, `b` is above `last.1`).
                 let r = (t - last.0 - u64::from(last.1 > b)) / period;
+                if r == 0 {
+                    return Err(Some(j));
+                }
                 rounds = usize::try_from(r).unwrap_or(usize::MAX);
                 break;
             }
-            (period, reach) = (period.max(s), reach.min((len - 1) as u64 * s));
+            period = period.max(s);
+            let run_on = (len - 1) as u64 * s;
+            if run_on < reach {
+                (reach, short) = (run_on, j);
+            }
             (last, m) = ((t, b), m + 1);
         }
         let whole = usize::try_from(reach / period).unwrap_or(usize::MAX);
-        (rounds.min(whole), m, period)
+        match rounds.min(whole) {
+            0 => Err(Some(short)),
+            rounds => Ok((rounds, m, period)),
+        }
     }
 }
 
@@ -849,7 +873,7 @@ impl MergeQueue {
 /// own order, and between streams go by burst number:
 /// [`TraceRecorder::finish`] gives each processor its own bursts, numbered
 /// in the order they began. Also returns how many references were given
-/// in whole rounds.
+/// in whole rounds, and how many times the queue was scanned for them.
 ///
 /// The merge advances by whole rounds where it can: when the streams at
 /// the front of the [`MergeQueue`] sweep at steps that divide one another
@@ -862,7 +886,15 @@ impl MergeQueue {
 /// filed again under the key of its next, searching from the back. (A
 /// binary heap would pay its full sift-down on the common case that the
 /// new key is the largest.) One-reference runs never make a round.
-fn merge_by_time<I>(mut streams: Vec<I>) -> (Order, usize)
+///
+/// A scan that finds no rounds names the stream that held them to zero,
+/// and the merge gives single steps without scanning again until that
+/// stream has given its reference. Skipping a scan cannot change the
+/// references: a single step gives the least key, the reference a
+/// stable sort puts next, so a round it might have batched comes out
+/// the same one reference at a time, and only the order's batches
+/// differ.
+fn merge_by_time<I>(mut streams: Vec<I>) -> (Order, usize, usize)
 where
     I: Iterator<Item = Run>,
 {
@@ -875,26 +907,36 @@ where
             .collect(),
     );
     let mut order = Order::default();
-    let mut in_rounds = 0;
+    let (mut in_rounds, mut scans) = (0, 0);
+    // The stream whose reference the next scan waits for, if any.
+    let mut held = None;
     // The keys of one round's references.
     let mut window: Vec<(u64, u32)> = Vec::new();
     loop {
-        let (rounds, m, period) = queue.rounds(&heads);
-        if rounds > 0 {
-            window.clear();
-            for (time, burst, i) in queue.iter_mut().take(m) {
-                let (run, t) = (&mut heads[*i], *time);
-                let places = period / run.step;
-                window.extend((0..places).map(|n| (t + n * run.step, *burst)));
-                run.len -= rounds * places as usize;
-                *time += rounds as u64 * period;
+        if held.is_none() {
+            scans += 1;
+            match queue.rounds(&heads) {
+                Ok((rounds, m, period)) => {
+                    window.clear();
+                    for (time, burst, i) in queue.iter_mut().take(m) {
+                        let (run, t) = (&mut heads[*i], *time);
+                        let places = if run.step == period { 1 } else { period / run.step };
+                        window.extend((0..places).map(|n| (t + n * run.step, *burst)));
+                        run.len -= rounds * places as usize;
+                        *time += rounds as u64 * period;
+                    }
+                    window.sort_unstable();
+                    order.push(rounds, window.iter().map(|&(_, burst)| burst));
+                    in_rounds += rounds * window.len();
+                    continue;
+                }
+                Err(stream) => held = stream,
             }
-            window.sort_unstable();
-            order.push(rounds, window.iter().map(|&(_, burst)| burst));
-            in_rounds += rounds * window.len();
-            continue;
         }
         let Some((time, burst, i)) = queue.pop_front() else { break };
+        if held == Some(i) {
+            held = None;
+        }
         order.push(1, [burst]);
         let run = &mut heads[i];
         run.len -= 1;
@@ -905,7 +947,7 @@ where
             queue.insert((next.time, next.burst, i));
         }
     }
-    (order, in_rounds)
+    (order, in_rounds, scans)
 }
 
 #[cfg(test)]
@@ -1087,7 +1129,7 @@ mod tests {
     fn a_lone_stream_gives_its_burst_in_one_batch_of_rounds() {
         let heads = [Run { time: 7, step: 3, burst: 0, len: 6 }];
         // Every reference but the last, which the ordinary step gives.
-        assert_eq!(MergeQueue::new(vec![(7, 0, 0)]).rounds(&heads), (5, 1, 3));
+        assert_eq!(MergeQueue::new(vec![(7, 0, 0)]).rounds(&heads), Ok((5, 1, 3)));
         assert_eq!(in_rounds(1, &[sweep(7, 0, 3, 6)]), 5);
         let batches = record(1, &[sweep(7, 0, 3, 6)]).merge().0.batches;
         let shape: Vec<(usize, usize)> = batches.iter().map(|b| (b.rounds, b.end)).collect();
@@ -1135,6 +1177,59 @@ mod tests {
         // rotation had to share one step, the writes led alone by a read
         // step first, and gave two rounds of one instead of one of six.)
         assert_eq!(in_rounds(3, &bursts), 6 + 6 + 27 + 10);
+    }
+
+    /// Checks the recorded trace against the oracle, and returns the
+    /// merge's batches, each `(rounds, rotation length)`, and how many
+    /// times it scanned for rounds.
+    fn batches_and_scans(
+        n_procs: usize,
+        bursts: &[(MemRef, u64, Vec<u32>)],
+    ) -> (Vec<(usize, usize)>, usize) {
+        let (recorded, sorted) = recorded_and_sorted(n_procs, bursts);
+        assert_eq!(recorded.refs().collect::<Vec<_>>(), sorted);
+        let (order, _, scans) = record(n_procs, bursts).merge();
+        let starts = std::iter::once(0).chain(order.batches.iter().map(|b| b.end));
+        let batches = order.batches.iter().zip(starts).map(|(b, at)| (b.rounds, b.end - at));
+        (batches.collect(), scans)
+    }
+
+    #[test]
+    fn a_member_one_reference_from_its_runs_end_holds_the_scans_until_it_gives_it() {
+        // Processors 0 and 1 sweep at step 4 from 0 and 2. Processor 2
+        // writes at 1 and 3, then sweeps from 5. The writes are a member
+        // whose run goes on 2 ns past its key, less than the period, so
+        // the first scan finds no round and names them: processor 0's
+        // read at 0 and the write at 1 go without a scan. After it, the
+        // last write is queued less than a period behind processor 1's
+        // read at 2 and holds the next scan until it goes, and then nine
+        // rounds of the three sweeps fit. Each rotation's end is held the
+        // same way.
+        let w = r(1, 2, 0, RefKind::Write).with_delta(1);
+        let bursts =
+            [sweep(0, 0, 4, 12), sweep(2, 1, 4, 12), (w, 2, vec![300, 302]), sweep(5, 2, 4, 10)];
+        let (batches, scans) = batches_and_scans(3, &bursts);
+        // A merge that scans after every single step makes these batches
+        // too, in 11 scans.
+        assert_eq!(batches, [(1, 4), (9, 3), (1, 5)]);
+        assert_eq!(scans, 7);
+    }
+
+    #[test]
+    fn a_stream_queued_within_a_period_of_the_rotation_holds_the_scans_until_it_steps() {
+        // Four processors sweep at step 4 from 0, 1, 2 and 3; processor 4
+        // writes twice at 6, less than a period after the last sweep's
+        // key. The first scan finds no round and names the writes: the
+        // seven reads up to 6 go without a scan, and the writes each
+        // after one. Then nine rounds of the four sweeps fit.
+        let w = r(6, 4, 0, RefKind::Write).with_delta(1);
+        let mut bursts: Vec<_> = (0..4).map(|p| sweep(u64::from(p), p, 4, 12)).collect();
+        bursts.push((w, 0, vec![400, 402]));
+        let (batches, scans) = batches_and_scans(5, &bursts);
+        // A merge that scans after every single step makes these batches
+        // too, in 16 scans.
+        assert_eq!(batches, [(1, 9), (9, 4), (1, 5)]);
+        assert_eq!(scans, 8);
     }
 
     fn example_bursts() -> Vec<(MemRef, u64, Vec<u32>)> {
