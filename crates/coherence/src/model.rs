@@ -7,7 +7,8 @@
 //! [`Trace`] and produces a [`MemoryOutcome`] — protocol traffic
 //! ([`TrafficStats`]), invalidation-transport bytes, per-processor
 //! reference counts, and queueing-delay accounting from the mesh
-//! [`Arbiter`] resolved under both FIFO and criticality-aware service.
+//! [`Arbiter`], which serves the requests under both FIFO and
+//! criticality-aware service.
 //!
 //! Registered backends:
 //!
@@ -35,17 +36,23 @@
 //!
 //! ## Contention and criticality
 //!
-//! Each backend logs every transaction against its contended service
-//! point (bus = one resource; directory/DLS = one resource per home
-//! tile, with mesh-distance flight time added to the arrival) and the
-//! log is resolved twice — [`ServicePolicy::Fifo`] and
-//! [`ServicePolicy::CriticalFirst`] — so a report can state how much
-//! critical-request wait the priority arbiter removes on identical
-//! traffic (arXiv:1606.05933). Criticality comes from the trace: the
-//! emulator tags rip-up/commit stores [`Critical`](crate::trace::Criticality::Critical).
+//! Each backend pushes every transaction to the arbiter as it prices it,
+//! against its contended service point (bus = one resource;
+//! directory/DLS = one resource per home tile, with mesh-distance flight
+//! time added to the arrival). The arbiter serves each request under FIFO
+//! and under critical-first service at once, so a report can state how
+//! much critical-request wait the priority arbiter removes on identical
+//! traffic (arXiv:1606.05933). No request log is kept: a transaction
+//! arrives no earlier than its reference's time, so on a time-ordered
+//! trace that time is a horizon no later request arrives before, and the
+//! arbiter makes every grant it can no longer revise as the replay runs.
+//! A trace pushed out of time order gives no horizon; its requests wait
+//! for the end of the replay and are served then. Criticality comes from
+//! the trace: the emulator tags rip-up/commit stores
+//! [`Critical`](crate::trace::Criticality::Critical).
 
 use locus_mesh::{
-    Arbiter, ResolvedContention, ServicePolicy, ServiceRequest, Topology, HEADER_BYTES, HOP_TIME_NS,
+    Arbiter, ResolvedContention, ServiceRequest, Topology, HEADER_BYTES, HOP_TIME_NS,
 };
 use locus_obs::{EventKind as ObsKind, Obs};
 
@@ -165,26 +172,74 @@ pub trait MemoryModel {
     }
 }
 
-/// Shared transport pricing: how long a transaction occupies its service
-/// point and how long it flies through the mesh to get there.
+/// Occupancy of a service point for `payload_bytes` plus framing.
+fn service_ns(payload_bytes: u64) -> u64 {
+    SERVICE_PER_BYTE_NS * (HEADER_BYTES as u64 + payload_bytes)
+}
+
+/// The most tiles [`Pricer`] keeps a flight table for: every machine a
+/// holder bitmask can describe. Only `dls` runs larger ones.
+const FLIGHT_TABLE_TILES: u32 = 64;
+
+/// Where the home-tile backends send a transaction and how long it flies
+/// through the mesh to get there, without a division per request.
 struct Pricer {
     topo: Topology,
+    /// Home tiles, one per processor tile.
+    tiles: u32,
+    /// `tiles - 1` when `tiles` is a power of two.
+    mask: Option<u32>,
+    /// The flight time from processor `p` to home `h` at `p * tiles + h`,
+    /// on machines of at most [`FLIGHT_TABLE_TILES`] tiles; empty above.
+    flights: Vec<u32>,
 }
 
 impl Pricer {
     fn new(cfg: &MemoryConfig) -> Self {
-        Pricer { topo: Topology::for_procs(cfg.n_procs as usize) }
+        let topo = Topology::for_procs(cfg.n_procs as usize);
+        let tiles = cfg.n_procs;
+        let mut pricer = Pricer {
+            topo,
+            tiles,
+            mask: tiles.is_power_of_two().then(|| tiles - 1),
+            flights: Vec::new(),
+        };
+        if tiles <= FLIGHT_TABLE_TILES {
+            pricer.flights = (0..tiles * tiles)
+                .map(|i| {
+                    let flight = pricer.far_flight_ns(i / tiles, i % tiles);
+                    u32::try_from(flight).expect("a flight across 64 tiles fits 32 bits")
+                })
+                .collect();
+        }
+        pricer
     }
 
-    /// Occupancy of the service point for `payload_bytes` plus framing.
-    fn service_ns(&self, payload_bytes: u64) -> u64 {
-        SERVICE_PER_BYTE_NS * (HEADER_BYTES as u64 + payload_bytes)
+    /// The home tile of `line`: lines are interleaved over the tiles.
+    #[inline]
+    fn home(&self, line: u32) -> u32 {
+        match self.mask {
+            Some(mask) => line & mask,
+            None => line % self.tiles,
+        }
     }
 
     /// Flight time from the requesting processor's tile to the home tile
     /// (dimension-order distance at `HopTime` per hop); the request only
-    /// starts queueing once it arrives.
+    /// starts queueing once it arrives. `home` is one of [`Self::home`]'s,
+    /// so the table has an entry exactly when `proc` is below `tiles`.
+    #[inline]
     fn flight_ns(&self, proc: u32, home: u32) -> u64 {
+        match self.flights.get(proc as usize * self.tiles as usize + home as usize) {
+            Some(&flight) => u64::from(flight),
+            None => self.far_flight_ns(proc, home),
+        }
+    }
+
+    /// [`Self::flight_ns`] from the topology: a processor the machine did
+    /// not announce sits on tile `proc % tiles`.
+    #[cold]
+    fn far_flight_ns(&self, proc: u32, home: u32) -> u64 {
         let n = self.topo.n_nodes();
         let d = self.topo.hops(proc as usize % n, home as usize % n);
         HOP_TIME_NS * d as u64
@@ -192,11 +247,14 @@ impl Pricer {
 }
 
 /// Per-run accumulator shared by all backends: per-proc counts, the
-/// arbiter request log, and the obs stream.
+/// arbiter that serves the priced requests, and the obs stream.
 pub(crate) struct RunAcc<'a> {
     backend: &'a Backend,
     per_proc: Vec<ProcCounts>,
     arb: Arbiter,
+    /// Whether the trace is time-ordered, so that no request priced later
+    /// arrives before the reference being priced.
+    sorted: bool,
     obs: &'a Obs,
 }
 
@@ -206,6 +264,7 @@ impl<'a> RunAcc<'a> {
             backend,
             per_proc: vec![ProcCounts::default(); backend.cfg.n_procs as usize],
             arb: Arbiter::new(),
+            sorted: false,
             obs,
         }
     }
@@ -227,6 +286,7 @@ impl<'a> RunAcc<'a> {
     /// Counts every reference of `trace` by its burst, before the replay
     /// reads one: each processor is checked as it first appears.
     fn count(&mut self, trace: &Trace) {
+        self.sorted = trace.is_sorted();
         for (proc, kind, n) in trace.burst_counts() {
             if proc as usize >= self.per_proc.len() {
                 self.grow(proc);
@@ -272,15 +332,21 @@ impl<'a> RunAcc<'a> {
         stats
     }
 
-    /// Logs one priced transaction against `resource`.
+    /// Charges one priced transaction to `resource`. It arrives at or
+    /// after `r.time`; so does every transaction priced after it when the
+    /// trace is time-ordered, and that is the arbiter's horizon. Out of
+    /// order, the horizon is 0 and the arbiter serves nothing before
+    /// [`Self::finish`].
     fn request(&mut self, resource: u32, r: &MemRef, bytes: u64, arrive_ns: u64, service_ns: u64) {
-        self.arb.push(ServiceRequest {
+        let horizon = if self.sorted { r.time } else { 0 };
+        let req = ServiceRequest {
             resource,
             proc: r.proc,
             arrive_ns,
             service_ns,
             critical: r.is_critical(),
-        });
+        };
+        self.arb.push(req, horizon);
         if self.obs.is_on() {
             let kind = ObsKind::MemRequest {
                 resource,
@@ -291,10 +357,8 @@ impl<'a> RunAcc<'a> {
         }
     }
 
-    fn finish(mut self, stats: TrafficStats, invalidation_traffic_bytes: u64) -> MemoryOutcome {
-        // The first resolve sorts the per-resource logs; the second reuses them.
-        let fifo = self.arb.resolve(ServicePolicy::Fifo);
-        let critical_first = self.arb.resolve(ServicePolicy::CriticalFirst);
+    fn finish(self, stats: TrafficStats, invalidation_traffic_bytes: u64) -> MemoryOutcome {
+        let (fifo, critical_first) = self.arb.finish();
         MemoryOutcome {
             backend: self.backend.name,
             stats,
@@ -346,13 +410,12 @@ impl MemoryModel for Backend {
 
     fn run_observed(&self, trace: &Trace, obs: &Obs) -> MemoryOutcome {
         let cfg = &self.cfg;
-        let pricer = Pricer::new(cfg);
         let mut acc = RunAcc::new(self, obs);
         let (stats, transport) = match self.protocol {
             Protocol::WriteBackInvalidate | Protocol::WriteThrough => {
                 // The bus is a single broadcast medium: no per-hop flight time.
                 let stats = acc.replay(trace, |acc, r, _, _, moved| {
-                    acc.request(0, r, moved, r.time, pricer.service_ns(moved));
+                    acc.request(0, r, moved, r.time, service_ns(moved));
                 });
                 // Every announcement is snooped by all other caches.
                 let broadcast =
@@ -360,6 +423,7 @@ impl MemoryModel for Backend {
                 (stats, broadcast)
             }
             Protocol::Directory => {
+                let pricer = Pricer::new(cfg);
                 let mut unicast_bytes = 0u64;
                 let stats = acc.replay(trace, |acc, r, line, t, moved| {
                     // The home supplies the line on a miss (a dirty owner
@@ -369,20 +433,20 @@ impl MemoryModel for Backend {
                     // broadcast).
                     let invals = t.copies() as u64 * WORD_BYTES;
                     unicast_bytes += invals;
-                    let home = line % cfg.n_procs;
+                    let home = pricer.home(line);
                     let arrive = r.time + pricer.flight_ns(r.proc, home);
-                    acc.request(home, r, moved + invals, arrive, pricer.service_ns(moved + invals));
+                    acc.request(home, r, moved + invals, arrive, service_ns(moved + invals));
                 });
                 (stats, unicast_bytes)
             }
             Protocol::DirectorylessLlc => {
+                let pricer = Pricer::new(cfg);
                 let line_shift = cfg.line_size.trailing_zeros();
                 let word = WORD_BYTES;
-                let tiles = cfg.n_procs;
                 let mut stats = TrafficStats::default();
                 acc.count(trace);
                 trace.refs().for_each(|r| {
-                    let home = (r.addr >> line_shift) % tiles;
+                    let home = pricer.home(r.addr >> line_shift);
                     stats.total_bytes += word;
                     match r.kind {
                         RefKind::Read => stats.read_caused_bytes += word,
@@ -392,7 +456,7 @@ impl MemoryModel for Backend {
                         }
                     }
                     let arrive = r.time + pricer.flight_ns(r.proc, home);
-                    acc.request(home, &r, word, arrive, pricer.service_ns(word));
+                    acc.request(home, &r, word, arrive, service_ns(word));
                 });
                 (stats, 0)
             }
@@ -652,6 +716,30 @@ mod tests {
             .err()
             .expect("must be unknown");
         assert!(err.contains("bus-wbi") && err.contains("dls"), "{err}");
+    }
+
+    #[test]
+    fn a_trace_pushed_out_of_time_order_is_served_whole_at_finish() {
+        // Reads of distinct lines miss alike in any order, so the priced
+        // requests are the sorted trace's. Pushed newest first, each would
+        // arrive before the horizon the one before it gave.
+        let mut sorted = Trace::new();
+        let mut reversed = Trace::new();
+        let refs: Vec<MemRef> = (0..40u32)
+            .map(|i| {
+                let crit = if i % 3 == 0 { Criticality::Critical } else { Criticality::Background };
+                MemRef::new(u64::from(i) * 5, i % 4, i * 64, RefKind::Read).with_criticality(crit)
+            })
+            .collect();
+        refs.iter().for_each(|&r| sorted.push(r));
+        refs.iter().rev().for_each(|&r| reversed.push(r));
+        assert!(sorted.is_sorted() && !reversed.is_sorted());
+        for e in memory_registry() {
+            let model = e.build(MemoryConfig::paper(4, 8)).expect("valid");
+            let (a, b) = (model.run(&reversed), model.run(&sorted));
+            assert!(b.fifo.all().total_wait_ns > 0, "{}: the requests contend", e.name);
+            assert_eq!(a, b, "{}", e.name);
+        }
     }
 
     #[test]

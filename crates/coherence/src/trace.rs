@@ -252,7 +252,7 @@ impl Order {
 /// bursts' addresses as runs, and their order. Nothing is stored per
 /// reference. Two traces are equal when their references are, however
 /// they are split into bursts and runs.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Trace {
     /// The burst headers; a burst's number is its index.
     bursts: Vec<Burst>,
@@ -261,6 +261,21 @@ pub struct Trace {
     order: Order,
     /// Number of references.
     len: usize,
+    /// The time of the last reference while the references are in time
+    /// order (0 when there are none), `None` once they are not.
+    sorted: Option<u64>,
+}
+
+impl Default for Trace {
+    fn default() -> Self {
+        Trace {
+            bursts: Vec::new(),
+            spans: Vec::new(),
+            order: Order::default(),
+            len: 0,
+            sorted: Some(0),
+        }
+    }
 }
 
 impl Trace {
@@ -277,6 +292,7 @@ impl Trace {
         self.bursts.push(Burst { first: r, step: 0, len: 1, start: self.spans.len() });
         self.spans.push(Span { base: r.addr, stride: 0, count: 1 });
         self.len += 1;
+        self.sorted = self.sorted.filter(|&last| r.time >= last).and(Some(r.time));
     }
 
     /// Stable-sorts the trace by time (ties keep insertion order, which
@@ -286,13 +302,15 @@ impl Trace {
         let mut timed: Vec<(u64, u32)> =
             self.refs().map(|r| r.time).zip(self.order.iter()).collect();
         timed.sort_by_key(|&(time, _)| time);
+        self.sorted = Some(timed.last().map_or(0, |&(time, _)| time));
         self.order = Order::default();
         self.order.push(1, timed.into_iter().map(|(_, b)| b));
     }
 
-    /// Whether the trace is time-ordered.
+    /// Whether the trace is time-ordered: kept as references are pushed,
+    /// so it costs nothing to ask.
     pub fn is_sorted(&self) -> bool {
-        self.refs().map(|r| r.time).is_sorted()
+        self.sorted.is_some()
     }
 
     /// Number of references.
@@ -701,7 +719,14 @@ impl TraceRecorder {
         let order = self.merge().0;
         let TraceRecorder { bursts, spans, .. } = self;
         let len = bursts.iter().map(|b| b.len).sum();
-        Trace { bursts, spans, order, len }
+        // The merge is a stable sort by time: its last reference is the
+        // latest.
+        let last = bursts
+            .iter()
+            .filter(|b| b.len > 0)
+            .map(|b| b.first.time + b.step * (b.len - 1) as u64)
+            .max();
+        Trace { bursts, spans, order, len, sorted: Some(last.unwrap_or(0)) }
     }
 
     /// The order of [`Self::finish`], how many references it gives in

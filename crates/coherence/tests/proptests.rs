@@ -173,6 +173,24 @@ impl SweepStep {
     }
 }
 
+/// How long a processor of [`arb_sweeps`] waits between two bursts.
+#[derive(Clone, Copy, Debug)]
+enum Gap {
+    Ns(u64),
+    /// Whole shared steps: the next burst keeps its processor's place in
+    /// a rotation of sweeps, a few rounds on.
+    Steps(u64),
+}
+
+impl Gap {
+    fn ns(self, shared: u64) -> u64 {
+        match self {
+            Gap::Ns(ns) => ns,
+            Gap::Steps(n) => n * shared,
+        }
+    }
+}
+
 /// How [`piecewise`] lays out one run of a burst's addresses.
 #[derive(Clone, Copy, Debug)]
 enum Piece {
@@ -244,7 +262,9 @@ fn arb_pieces() -> impl Strategy<Value = Vec<(Piece, usize)>> {
 /// divides the shared step, like a rip-up or commit among sweeps, or at
 /// one that does not, and short ones at other steps and at step 0. A
 /// processor's next burst starts at its previous one's last reference,
-/// a little after it, or now and then far later. A burst's addresses are
+/// a little after it, a few shared steps after it, or now and then far
+/// later. Each case has 30–59 bursts: the more bursts end and begin
+/// while a rotation lasts, the more often the merge must find a new one. A burst's addresses are
 /// one row or several runs ([`piecewise`]: strides 0, 2 and `2 × 341`,
 /// and runs that wrap), so rotations cross the ends of runs. No two runs
 /// share an address (at most 3 600 are laid), so any reference moved
@@ -257,17 +277,24 @@ fn arb_sweeps() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> 
         (8usize..61).prop_map(|len| (SweepStep::Shared, len)),
         (8usize..61).prop_map(|len| (SweepStep::Shared, len)),
         (0usize..4, 8usize..61).prop_map(|(n, len)| (SweepStep::Divisor(n), len)),
+        (0usize..4, 8usize..61).prop_map(|(n, len)| (SweepStep::Divisor(n), len)),
+        (0usize..4, 8usize..61).prop_map(|(n, len)| (SweepStep::Divisor(n), len)),
         (8usize..61).prop_map(|len| (SweepStep::Apart, len)),
         (0u64..9, 1usize..5).prop_map(|(step, len)| (SweepStep::Fixed(step), len)),
         (1usize..5).prop_map(|len| (SweepStep::Fixed(0), len)),
     ];
-    let gap = prop_oneof![Just(0u64), 0u64..3, 0u64..400];
+    let gap = prop_oneof![
+        Just(Gap::Ns(0)),
+        (0u64..3).prop_map(Gap::Ns),
+        (1u64..4).prop_map(Gap::Steps),
+        (0u64..400).prop_map(Gap::Ns),
+    ];
     let phase = prop_oneof![Just(0u64), 0u64..16];
     (
         2usize..=8,
         1u64..9,
         proptest::collection::vec(phase, 8),
-        proptest::collection::vec((0usize..8, shape, gap, arb_pieces()), 0..60),
+        proptest::collection::vec((0usize..8, shape, gap, arb_pieces()), 30..60),
     )
         .prop_map(|(n_procs, shared, phases, raw)| {
             let mut clock: Vec<u64> = phases[..n_procs].iter().map(|&p| p % (2 * shared)).collect();
@@ -276,7 +303,7 @@ fn arb_sweeps() -> impl Strategy<Value = (usize, Vec<(MemRef, u64, Vec<u32>)>)> 
                 .into_iter()
                 .map(|(proc, (step, len), gap, pieces)| {
                     let proc = proc % n_procs;
-                    let t0 = clock[proc] + gap;
+                    let t0 = clock[proc] + gap.ns(shared);
                     let first = match step {
                         SweepStep::Shared => MemRef::new(t0, proc as u32, 0, RefKind::Read),
                         _ => MemRef::new(t0, proc as u32, 0, RefKind::Write)

@@ -30,7 +30,7 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 
-pub use arbiter::{Arbiter, ResolvedContention, ServicePolicy, ServiceRequest, WaitStats};
+pub use arbiter::{Arbiter, ResolvedContention, ServiceRequest, WaitStats};
 pub use config::MeshConfig;
 pub use fault::{FaultPlan, NodeFault};
 pub use kernel::{
