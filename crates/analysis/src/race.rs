@@ -135,10 +135,8 @@ struct Shadow {
     reads: Vec<Option<Access>>,
 }
 
-/// Runs race detection over `trace`, which must be time-sorted (the
-/// producers' merged order; see [`Trace::sort_by_time`]).
+/// Runs race detection over `trace`, in its time order.
 pub fn detect(trace: &Trace) -> DetectionResult {
-    debug_assert!(trace.is_sorted(), "detect() expects a time-sorted trace");
     let refs: Vec<MemRef> = trace.refs().collect();
     let n_procs = refs.iter().map(|r| r.proc as usize + 1).max().unwrap_or(0);
     let epochs = refs.iter().map(|r| u32::from(r.epoch) + 1).max().unwrap_or(0);

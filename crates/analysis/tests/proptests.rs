@@ -1,12 +1,12 @@
 //! Property-based tests for the race detector.
 //!
 //! The load-bearing property: producer traces merge per-processor
-//! streams with `Trace::sort_by_time`, so references sharing a
-//! timestamp have no canonical cross-processor order. Race verdicts
-//! must therefore be invariant under any *stable* reordering of
-//! same-time references (one that preserves each processor's program
-//! order) — otherwise the analysis would report different races for
-//! the same execution depending on merge luck.
+//! streams by time, so references sharing a timestamp have no canonical
+//! cross-processor order. Race verdicts must therefore be invariant
+//! under any *stable* reordering of same-time references (one that
+//! preserves each processor's program order) — otherwise the analysis
+//! would report different races for the same execution depending on
+//! merge luck.
 
 use std::collections::BTreeSet;
 
@@ -29,8 +29,7 @@ fn arb_refs() -> impl Strategy<Value = Vec<(u32, u32, bool, u32, u64)>> {
 /// invariant producers guarantee); at a `band` below the offsets' 8 the
 /// bands overlap in time.
 fn build_trace(raw: &[(u32, u32, bool, u32, u64)], band: u64) -> Trace {
-    let mut t: Trace = raw
-        .iter()
+    raw.iter()
         .map(|&(proc, slot, is_write, epoch, offset)| {
             let kind = if is_write { RefKind::Write } else { RefKind::Read };
             let delta = if is_write {
@@ -48,9 +47,7 @@ fn build_trace(raw: &[(u32, u32, bool, u32, u64)], band: u64) -> Trace {
                 .with_wire(slot % 5)
                 .with_delta(delta)
         })
-        .collect();
-    t.sort_by_time();
-    t
+        .collect()
 }
 
 /// Stable reordering of same-time references: within every equal-time
@@ -105,7 +102,7 @@ proptest! {
         let original = build_trace(&raw, 1_000);
         let perm = nth_perm(perm_idx);
         let reordered = reorder_same_times(&original, &perm);
-        prop_assert!(reordered.is_sorted());
+        prop_assert!(reordered.refs().map(|r| r.time).is_sorted());
         prop_assert_eq!(reordered.len(), original.len());
         prop_assert_eq!(
             race_keys(&original),
@@ -130,11 +127,10 @@ proptest! {
     fn cross_epoch_only_traces_are_race_free(raw in arb_refs()) {
         // Give each processor its own epoch: every cross-proc pair is
         // separated by at least one barrier.
-        let mut t: Trace = build_trace(&raw, 1_000)
+        let t: Trace = build_trace(&raw, 1_000)
             .refs()
             .map(|r| MemRef { time: r.proc as u64 * 1_000 + r.time % 1_000, epoch: r.proc as u8, ..r })
             .collect();
-        t.sort_by_time();
         prop_assert!(detect(&t).races.is_empty());
     }
 }

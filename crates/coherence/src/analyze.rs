@@ -66,7 +66,7 @@ mod tests {
     /// that one processor keeps writing — the access pattern of the
     /// unlocked shared cost array.
     fn churn_trace() -> Trace {
-        let mut t = Trace::new();
+        let mut t = Vec::new();
         let mut time = 0u64;
         for round in 0..30u32 {
             for p in 0..4u32 {
@@ -81,7 +81,7 @@ mod tests {
                 time += 1;
             }
         }
-        t
+        t.into_iter().collect()
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //!
 //! The model consumes **shared-data reference traces** (the output of the
 //! Tango-style tracer in `locus-shmem`): a time-ordered list of
-//! `(time, processor, address, read|write)` records. Caches are infinite
-//! (the paper's stated assumption), so all traffic is coherence traffic:
+//! `(time, processor, address, read|write)` records. A [`Trace`] is
+//! time-ordered by construction: [`TraceRecorder::finish`] merges the
+//! processors' streams by time, a hand-built trace is `collect`ed, which
+//! stable-sorts its references by time, and nothing reorders one, so no
+//! consumer checks the order. Caches are infinite (the paper's stated
+//! assumption), so all traffic is coherence traffic:
 //!
 //! 1. a processor's first access to a line misses and fetches it
 //!    (`line_size` bytes on the bus);

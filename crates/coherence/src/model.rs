@@ -43,12 +43,11 @@
 //! and under critical-first service at once, so a report can state how
 //! much critical-request wait the priority arbiter removes on identical
 //! traffic (arXiv:1606.05933). No request log is kept: a transaction
-//! arrives no earlier than its reference's time, so on a time-ordered
-//! trace that time is a horizon no later request arrives before, and the
-//! arbiter makes every grant it can no longer revise as the replay runs.
-//! A trace pushed out of time order gives no horizon; its requests wait
-//! for the end of the replay and are served then. Criticality comes from
-//! the trace: the emulator tags rip-up/commit stores
+//! arrives no earlier than its reference's time, so on a trace, which is
+//! time-ordered, that time is a horizon no later request arrives before,
+//! and the arbiter makes every grant it can no longer revise as the
+//! replay runs. Criticality comes from the trace: the emulator tags
+//! rip-up/commit stores
 //! [`Critical`](crate::trace::Criticality::Critical).
 
 use locus_mesh::{
@@ -146,7 +145,7 @@ impl MemoryOutcome {
     }
 
     /// Total critical-request wait the priority arbiter removes relative
-    /// to FIFO on the same request log (ns).
+    /// to FIFO on the same requests (ns).
     pub fn critical_wait_saved_ns(&self) -> u64 {
         self.fifo.critical.total_wait_ns.saturating_sub(self.critical_first.critical.total_wait_ns)
     }
@@ -252,9 +251,6 @@ pub(crate) struct RunAcc<'a> {
     backend: &'a Backend,
     per_proc: Vec<ProcCounts>,
     arb: Arbiter,
-    /// Whether the trace is time-ordered, so that no request priced later
-    /// arrives before the reference being priced.
-    sorted: bool,
     obs: &'a Obs,
 }
 
@@ -264,7 +260,6 @@ impl<'a> RunAcc<'a> {
             backend,
             per_proc: vec![ProcCounts::default(); backend.cfg.n_procs as usize],
             arb: Arbiter::new(),
-            sorted: false,
             obs,
         }
     }
@@ -286,7 +281,6 @@ impl<'a> RunAcc<'a> {
     /// Counts every reference of `trace` by its burst, before the replay
     /// reads one: each processor is checked as it first appears.
     fn count(&mut self, trace: &Trace) {
-        self.sorted = trace.is_sorted();
         for (proc, kind, n) in trace.burst_counts() {
             if proc as usize >= self.per_proc.len() {
                 self.grow(proc);
@@ -333,12 +327,9 @@ impl<'a> RunAcc<'a> {
     }
 
     /// Charges one priced transaction to `resource`. It arrives at or
-    /// after `r.time`; so does every transaction priced after it when the
-    /// trace is time-ordered, and that is the arbiter's horizon. Out of
-    /// order, the horizon is 0 and the arbiter serves nothing before
-    /// [`Self::finish`].
+    /// after `r.time`, and so does every transaction priced after it, the
+    /// trace being time-ordered: that is the arbiter's horizon.
     fn request(&mut self, resource: u32, r: &MemRef, bytes: u64, arrive_ns: u64, service_ns: u64) {
-        let horizon = if self.sorted { r.time } else { 0 };
         let req = ServiceRequest {
             resource,
             proc: r.proc,
@@ -346,7 +337,7 @@ impl<'a> RunAcc<'a> {
             service_ns,
             critical: r.is_critical(),
         };
-        self.arb.push(req, horizon);
+        self.arb.push(req, r.time);
         if self.obs.is_on() {
             let kind = ObsKind::MemRequest {
                 resource,
@@ -533,7 +524,12 @@ mod tests {
     /// processor sweeps reads over a shared region (background) and the
     /// round's winner commits a few stores (critical).
     fn churn_trace(n_procs: u32) -> Trace {
-        let mut t = Trace::new();
+        churn(n_procs).into_iter().collect()
+    }
+
+    /// The references of [`churn_trace`], in the order they are made.
+    fn churn(n_procs: u32) -> Vec<MemRef> {
+        let mut t = Vec::new();
         let mut time = 0u64;
         for round in 0..20u32 {
             for p in 0..n_procs {
@@ -551,7 +547,6 @@ mod tests {
                 time += 3;
             }
         }
-        t.sort_by_time();
         t
     }
 
@@ -571,11 +566,14 @@ mod tests {
     fn directory_unicast_beats_broadcast_with_few_sharers() {
         // One writer, one reader, 16 processors: bus broadcast pays 15
         // snoops per announcement, the directory pays one unicast.
-        let mut t = Trace::new();
-        for i in 0..40u64 {
-            t.push(MemRef::new(3 * i, 0, 0, RefKind::Write));
-            t.push(MemRef::new(3 * i + 1, 1, 0, RefKind::Read));
-        }
+        let t: Trace = (0..40u64)
+            .flat_map(|i| {
+                [
+                    MemRef::new(3 * i, 0, 0, RefKind::Write),
+                    MemRef::new(3 * i + 1, 1, 0, RefKind::Read),
+                ]
+            })
+            .collect();
         let cfg = MemoryConfig::paper(16, 8);
         let bus = build_memory_model("bus-wbi", cfg).expect("registered").run(&t);
         let dir = build_memory_model("directory", cfg).expect("registered").run(&t);
@@ -682,8 +680,7 @@ mod tests {
         // Processor u32::MAX is one more than a `u32` counts: no overflow,
         // and beyond what `dls` keeps counts for as well.
         for (proc, dls_prices_it) in [(70, true), (u32::MAX, false)] {
-            let mut t = Trace::new();
-            t.push(MemRef::new(0, proc, 0, RefKind::Write));
+            let t: Trace = [MemRef::new(0, proc, 0, RefKind::Write)].into_iter().collect();
             let err = crate::traffic_by_backend("directory", &t, &[8]).expect_err("too many");
             assert!(err.contains("processors"), "{err}");
             assert_eq!(crate::traffic_by_backend("dls", &t, &[8]).is_ok(), dls_prices_it, "{proc}");
@@ -694,15 +691,15 @@ mod tests {
     #[should_panic(expected = "64 processors")]
     fn a_processor_the_config_did_not_announce_is_checked_when_it_appears() {
         // The machine says 4 processors; the trace brings a 65th.
-        let mut t = churn_trace(4);
-        t.push(MemRef::new(1_000_000, 64, 0, RefKind::Read));
+        let late = MemRef::new(1_000_000, 64, 0, RefKind::Read);
+        let t: Trace = churn(4).into_iter().chain([late]).collect();
         let _ = build_memory_model("bus-wbi", MemoryConfig::paper(4, 8)).unwrap().run(&t);
     }
 
     #[test]
     fn unannounced_processors_below_the_limit_still_grow_the_counts() {
-        let mut t = churn_trace(4);
-        t.push(MemRef::new(1_000_000, 9, 0, RefKind::Read));
+        let late = MemRef::new(1_000_000, 9, 0, RefKind::Read);
+        let t: Trace = churn(4).into_iter().chain([late]).collect();
         for e in memory_registry() {
             let out = e.build(MemoryConfig::paper(4, 8)).expect("valid").run(&t);
             assert_eq!(out.per_proc.len(), 10, "{}", e.name);
@@ -716,30 +713,6 @@ mod tests {
             .err()
             .expect("must be unknown");
         assert!(err.contains("bus-wbi") && err.contains("dls"), "{err}");
-    }
-
-    #[test]
-    fn a_trace_pushed_out_of_time_order_is_served_whole_at_finish() {
-        // Reads of distinct lines miss alike in any order, so the priced
-        // requests are the sorted trace's. Pushed newest first, each would
-        // arrive before the horizon the one before it gave.
-        let mut sorted = Trace::new();
-        let mut reversed = Trace::new();
-        let refs: Vec<MemRef> = (0..40u32)
-            .map(|i| {
-                let crit = if i % 3 == 0 { Criticality::Critical } else { Criticality::Background };
-                MemRef::new(u64::from(i) * 5, i % 4, i * 64, RefKind::Read).with_criticality(crit)
-            })
-            .collect();
-        refs.iter().for_each(|&r| sorted.push(r));
-        refs.iter().rev().for_each(|&r| reversed.push(r));
-        assert!(sorted.is_sorted() && !reversed.is_sorted());
-        for e in memory_registry() {
-            let model = e.build(MemoryConfig::paper(4, 8)).expect("valid");
-            let (a, b) = (model.run(&reversed), model.run(&sorted));
-            assert!(b.fifo.all().total_wait_ns > 0, "{}: the requests contend", e.name);
-            assert_eq!(a, b, "{}", e.name);
-        }
     }
 
     #[test]

@@ -203,22 +203,23 @@ mod tests {
     struct Bus {
         backend: &'static str,
         line: u32,
-        trace: Trace,
+        refs: Vec<MemRef>,
     }
 
     impl Bus {
         fn step(&mut self, proc: u32, addr: u32, kind: RefKind) {
-            self.trace.push(MemRef::new(self.trace.len() as u64, proc, addr, kind));
+            self.refs.push(MemRef::new(self.refs.len() as u64, proc, addr, kind));
         }
 
         fn stats(&self) -> TrafficStats {
             let cfg = MemoryConfig::paper(64, self.line);
-            build_memory_model(self.backend, cfg).expect("registered").run(&self.trace).stats
+            let trace: Trace = self.refs.iter().copied().collect();
+            build_memory_model(self.backend, cfg).expect("registered").run(&trace).stats
         }
     }
 
     fn sim(line: u32) -> Bus {
-        Bus { backend: "bus-wbi", line, trace: Trace::new() }
+        Bus { backend: "bus-wbi", line, refs: Vec::new() }
     }
 
     /// The write-through ablation at `line`-byte lines.
@@ -308,12 +309,14 @@ mod tests {
         // 4-byte lines they never interact; with 32-byte lines every
         // write invalidates proc 1's copy.
         let make_trace = || -> Trace {
-            let mut t = Trace::new();
-            for i in 0..50u64 {
-                t.push(MemRef::new(2 * i, 0, 0, RefKind::Write));
-                t.push(MemRef::new(2 * i + 1, 1, 28, RefKind::Read));
-            }
-            t
+            (0..50u64)
+                .flat_map(|i| {
+                    [
+                        MemRef::new(2 * i, 0, 0, RefKind::Write),
+                        MemRef::new(2 * i + 1, 1, 28, RefKind::Read),
+                    ]
+                })
+                .collect()
         };
         let small = sweep(&make_trace(), 4);
         let large = sweep(&make_trace(), 32);
@@ -329,12 +332,10 @@ mod tests {
 
     #[test]
     fn write_fraction_reflects_churn() {
-        let mut t = Trace::new();
         // One cold read, then a long write ping-pong.
-        t.push(MemRef::new(0, 0, 0, RefKind::Read));
-        for i in 0..100u64 {
-            t.push(MemRef::new(i + 1, (i % 2) as u32, 0, RefKind::Write));
-        }
+        let ping_pong = (0..100u64).map(|i| MemRef::new(i + 1, (i % 2) as u32, 0, RefKind::Write));
+        let t: Trace =
+            std::iter::once(MemRef::new(0, 0, 0, RefKind::Read)).chain(ping_pong).collect();
         let stats = sweep(&t, 8);
         assert!(stats.write_fraction() > 0.8, "churn trace must be write-dominated");
     }
@@ -343,15 +344,12 @@ mod tests {
     /// traffic, one request per bus transaction.
     #[test]
     fn sink_counters_cross_check_traffic_stats() {
-        let mut t = Trace::new();
-        for i in 0..200u64 {
-            t.push(MemRef::new(
-                i,
-                (i % 4) as u32,
-                ((i * 7) % 96) as u32,
-                if i % 3 == 0 { RefKind::Read } else { RefKind::Write },
-            ));
-        }
+        let t: Trace = (0..200u64)
+            .map(|i| {
+                let kind = if i % 3 == 0 { RefKind::Read } else { RefKind::Write };
+                MemRef::new(i, (i % 4) as u32, ((i * 7) % 96) as u32, kind)
+            })
+            .collect();
         for backend in ["bus-wbi", "bus-wt"] {
             let sink = SharedSink::new();
             let out = build_memory_model(backend, MemoryConfig::paper(4, 8))
@@ -398,10 +396,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "64 processors")]
     fn run_rejects_a_processor_the_bitmask_cannot_name() {
-        let mut t = Trace::new();
-        t.push(MemRef::new(0, 3, 0, RefKind::Read));
-        t.push(MemRef::new(1, 64, 0, RefKind::Write));
-        t.push(MemRef::new(2, 5, 0, RefKind::Read));
+        let t: Trace = [
+            MemRef::new(0, 3, 0, RefKind::Read),
+            MemRef::new(1, 64, 0, RefKind::Write),
+            MemRef::new(2, 5, 0, RefKind::Read),
+        ]
+        .into_iter()
+        .collect();
         let _ = sweep(&t, 8);
     }
 
@@ -501,18 +502,15 @@ mod tests {
 
     #[test]
     fn write_through_never_cheaper_than_write_back_on_write_heavy_traces() {
-        let mut t = Trace::new();
-        for i in 0..200u64 {
-            t.push(MemRef::new(
-                i,
-                (i % 4) as u32,
-                ((i * 3) % 64) as u32 * 2,
-                if i % 3 == 0 { RefKind::Read } else { RefKind::Write },
-            ));
-        }
+        let t: Trace = (0..200u64)
+            .map(|i| {
+                let kind = if i % 3 == 0 { RefKind::Read } else { RefKind::Write };
+                MemRef::new(i, (i % 4) as u32, ((i * 3) % 64) as u32 * 2, kind)
+            })
+            .collect();
         for line in [4u32, 8, 32] {
             let wb = sweep(&t, line);
-            let wt = Bus { trace: t.clone(), ..write_through(line) }.stats();
+            let wt = Bus { refs: t.refs().collect(), ..write_through(line) }.stats();
             assert!(
                 wt.total_bytes >= wb.total_bytes,
                 "line {line}: WT {} < WB {}",

@@ -25,8 +25,8 @@
 //! the per-processor streams in one pass that finds those batches.
 //! [`Trace::refs`] expands the order, rebuilding each [`MemRef`] from its
 //! burst's header and each address from its run. Nothing in a trace is
-//! stored per reference. [`Trace::push`] and `collect` make
-//! one-reference bursts, for hand-built traces.
+//! stored per reference. A hand-built trace is `collect`ed: its
+//! references are stable-sorted by time, each a burst of its own.
 
 use std::fmt;
 
@@ -237,22 +237,13 @@ impl Order {
             _ => self.batches.push(Batch { rounds, end }),
         }
     }
-
-    /// The burst of each reference, in order.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let starts = std::iter::once(0).chain(self.batches.iter().map(|b| b.end));
-        self.batches.iter().zip(starts).flat_map(|(b, start)| {
-            let rotation = &self.bursts[start..b.end];
-            (0..b.rounds).flat_map(move |_| rotation.iter().copied())
-        })
-    }
 }
 
 /// A time-ordered sequence of shared references: burst headers, the
 /// bursts' addresses as runs, and their order. Nothing is stored per
 /// reference. Two traces are equal when their references are, however
 /// they are split into bursts and runs.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Trace {
     /// The burst headers; a burst's number is its index.
     bursts: Vec<Burst>,
@@ -261,56 +252,12 @@ pub struct Trace {
     order: Order,
     /// Number of references.
     len: usize,
-    /// The time of the last reference while the references are in time
-    /// order (0 when there are none), `None` once they are not.
-    sorted: Option<u64>,
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Trace {
-            bursts: Vec::new(),
-            spans: Vec::new(),
-            order: Order::default(),
-            len: 0,
-            sorted: Some(0),
-        }
-    }
 }
 
 impl Trace {
     /// Creates an empty trace.
     pub fn new() -> Self {
         Trace::default()
-    }
-
-    /// Appends a reference, as a burst of its own. References may be
-    /// pushed out of order; call [`Self::sort_by_time`] before analysis.
-    #[inline]
-    pub fn push(&mut self, r: MemRef) {
-        self.order.push(1, [next_burst(&self.bursts)]);
-        self.bursts.push(Burst { first: r, step: 0, len: 1, start: self.spans.len() });
-        self.spans.push(Span { base: r.addr, stride: 0, count: 1 });
-        self.len += 1;
-        self.sorted = self.sorted.filter(|&last| r.time >= last).and(Some(r.time));
-    }
-
-    /// Stable-sorts the trace by time (ties keep insertion order, which
-    /// preserves each processor's program order). A burst's references
-    /// keep their order, since their times never decrease.
-    pub fn sort_by_time(&mut self) {
-        let mut timed: Vec<(u64, u32)> =
-            self.refs().map(|r| r.time).zip(self.order.iter()).collect();
-        timed.sort_by_key(|&(time, _)| time);
-        self.sorted = Some(timed.last().map_or(0, |&(time, _)| time));
-        self.order = Order::default();
-        self.order.push(1, timed.into_iter().map(|(_, b)| b));
-    }
-
-    /// Whether the trace is time-ordered: kept as references are pushed,
-    /// so it costs nothing to ask.
-    pub fn is_sorted(&self) -> bool {
-        self.sorted.is_some()
     }
 
     /// Number of references.
@@ -367,10 +314,21 @@ impl fmt::Debug for Trace {
 }
 
 impl FromIterator<MemRef> for Trace {
+    /// A hand-built trace: the references stable-sorted by time (equal
+    /// times keep the order given, which keeps each processor's program
+    /// order), each a burst of its own, in one round.
     fn from_iter<T: IntoIterator<Item = MemRef>>(iter: T) -> Self {
-        let mut trace = Trace::new();
-        iter.into_iter().for_each(|r| trace.push(r));
-        trace
+        let mut refs: Vec<MemRef> = iter.into_iter().collect();
+        refs.sort_by_key(|r| r.time);
+        let spans = refs.iter().map(|r| Span { base: r.addr, stride: 0, count: 1 }).collect();
+        let bursts: Vec<Burst> = refs
+            .into_iter()
+            .enumerate()
+            .map(|(start, first)| Burst { first, step: 0, len: 1, start })
+            .collect();
+        let mut order = Order::default();
+        order.push(1, 0..next_burst(&bursts));
+        Trace { len: bursts.len(), bursts, spans, order }
     }
 }
 
@@ -664,9 +622,9 @@ impl BurstWriter<'_> {
 /// ([`BurstWriter::push_run`]), and addresses pushed one at a time
 /// extend the burst's last run while they continue it, so a route's
 /// cells along a row are one run too. [`Self::finish`] builds the
-/// [`Trace`] that pushing every reference in burst order and
-/// stable-sorting by time would have built: bursts are recorded whole, so
-/// that sort orders equal-time references by burst and then by position
+/// [`Trace`] that collecting every reference in burst order would have
+/// built: bursts are recorded whole, and `collect` stable-sorts by time,
+/// so it orders equal-time references by burst and then by position
 /// within the burst, and each processor's references are already in that
 /// order. Merging the processors' streams by (time, burst number) is
 /// therefore the same permutation, found in one pass that stores a burst
@@ -719,14 +677,7 @@ impl TraceRecorder {
         let order = self.merge().0;
         let TraceRecorder { bursts, spans, .. } = self;
         let len = bursts.iter().map(|b| b.len).sum();
-        // The merge is a stable sort by time: its last reference is the
-        // latest.
-        let last = bursts
-            .iter()
-            .filter(|b| b.len > 0)
-            .map(|b| b.first.time + b.step * (b.len - 1) as u64)
-            .max();
-        Trace { bursts, spans, order, len, sorted: Some(last.unwrap_or(0)) }
+        Trace { bursts, spans, order, len }
     }
 
     /// The order of [`Self::finish`], how many references it gives in
@@ -988,48 +939,12 @@ mod tests {
     }
 
     #[test]
-    fn push_and_sort() {
-        let mut t = Trace::new();
-        t.push(r(5, 0, 0, RefKind::Read));
-        t.push(r(1, 1, 4, RefKind::Write));
-        assert!(!t.is_sorted());
-        t.sort_by_time();
-        assert!(t.is_sorted());
-        assert_eq!(t.refs().next().map(|r| r.time), Some(1));
-    }
-
-    #[test]
-    fn stable_sort_preserves_program_order_at_equal_times() {
-        let mut t = Trace::new();
-        t.push(r(3, 0, 0, RefKind::Read));
-        t.push(r(3, 0, 4, RefKind::Write));
-        t.sort_by_time();
-        assert_eq!(addrs(&t), [0, 4]);
-    }
-
-    #[test]
-    fn stable_sort_preserves_order_across_procs_at_equal_times() {
-        // Three procs all touch at t=7, interleaved with earlier refs.
-        let mut t = Trace::new();
-        t.push(r(9, 0, 0, RefKind::Read));
-        t.push(r(7, 2, 8, RefKind::Write));
-        t.push(r(7, 0, 12, RefKind::Read));
-        t.push(r(7, 1, 16, RefKind::Write));
-        t.push(r(1, 1, 20, RefKind::Read));
-        t.sort_by_time();
-        assert!(t.is_sorted());
-        // The three t=7 refs keep their relative insertion order.
-        let at7: Vec<u32> = t.refs().filter(|r| r.time == 7).map(|r| r.addr).collect();
-        assert_eq!(at7, vec![8, 12, 16]);
-    }
-
-    #[test]
     fn is_sorted_on_empty_and_single_traces() {
         let empty = Trace::new();
-        assert!(empty.is_sorted());
         assert!(empty.is_empty());
+        assert_eq!(empty, std::iter::empty().collect());
         let single: Trace = [r(42, 3, 0, RefKind::Write)].into_iter().collect();
-        assert!(single.is_sorted());
+        assert!(single.refs().map(|r| r.time).is_sorted());
         assert_eq!(single.len(), 1);
     }
 
@@ -1274,7 +1189,13 @@ mod tests {
         assert_eq!(recorded.refs().collect::<Vec<_>>(), sorted);
         assert_eq!(addrs(&recorded), [12, 14, 2, 4, 8, 10, 16, 6, 18]);
         assert_eq!(recorded.bursts.len(), 5, "one header a burst, the empty one included");
-        assert_eq!(recorded.order.iter().collect::<Vec<_>>(), [2, 2, 0, 0, 1, 1, 2, 0, 4]);
+        // Bursts 2, 2, 0, 0, 1, 1, 2, 0 and 4, told apart by processor and kind.
+        let by: Vec<(u32, RefKind)> = recorded.refs().map(|r| (r.proc, r.kind)).collect();
+        let (rd, wr) = (RefKind::Read, RefKind::Write);
+        assert_eq!(
+            by,
+            [(2, wr), (2, wr), (1, rd), (1, rd), (0, wr), (0, wr), (2, wr), (1, rd), (1, wr)]
+        );
         assert_eq!(recorded.order.batches.len(), 1, "one round after another is one batch");
     }
 
@@ -1282,21 +1203,15 @@ mod tests {
     fn a_trace_is_its_references_however_they_are_split_into_bursts() {
         let (recorded, sorted) = recorded_and_sorted(3, &example_bursts());
         let collected: Trace = sorted.iter().copied().collect();
-        let mut pushed = Trace::new();
-        for &r in sorted.iter().rev() {
-            pushed.push(r);
-        }
-        assert_ne!(pushed, recorded, "pushed in reverse");
-        assert!(!pushed.is_sorted());
-        pushed.sort_by_time();
-        // Equal times reversed by the pushes stay reversed.
-        assert_ne!(pushed, recorded);
+        // Equal times given in reverse stay reversed.
+        let reversed: Trace = sorted.iter().rev().copied().collect();
+        assert_ne!(reversed, recorded);
         for t in [&recorded, &collected] {
             assert_eq!(*t, recorded);
             assert_eq!(format!("{t:?}"), format!("{sorted:?}"));
-            assert_eq!((t.len(), t.write_count(), t.is_sorted()), (9, 6, true));
+            assert_eq!((t.len(), t.write_count()), (9, 6));
         }
-        assert_eq!(collected.bursts.len(), 9, "one burst a pushed reference");
+        assert_eq!(collected.bursts.len(), 9, "one burst a collected reference");
         let addresses: Vec<(u32, u32)> =
             collected.spans.iter().map(|s| (s.base, s.count)).collect();
         let one_each: Vec<(u32, u32)> = sorted.iter().map(|r| (r.addr, 1)).collect();
@@ -1304,22 +1219,6 @@ mod tests {
         assert_ne!(recorded, Trace::new());
         let shorter: Trace = sorted[..8].iter().copied().collect();
         assert_ne!(recorded, shorter);
-    }
-
-    #[test]
-    fn sorting_a_recorded_trace_with_pushed_references_keeps_each_burst_in_order() {
-        let (mut trace, mut listed) = recorded_and_sorted(3, &example_bursts());
-        for late in [
-            r(0, 0, 100, RefKind::Read),
-            r(14, 2, 102, RefKind::Write),
-            r(30, 1, 104, RefKind::Read),
-        ] {
-            trace.push(late);
-            listed.push(late);
-        }
-        trace.sort_by_time();
-        listed.sort_by_key(|r| r.time);
-        assert_eq!(trace.refs().collect::<Vec<_>>(), listed);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! whose instant is before the arrival just fed can no longer change: it
 //! is made at once. [`Arbiter::finish`] feeds what is left and serves
 //! every queue out. A horizon of 0 throughout buffers every request until
-//! then.
+//! then. The memory backends always pass the time of the reference they
+//! price, their traces being time-ordered; horizon 0 serves only direct
+//! callers and this module's tests.
 //!
 //! Serving is deterministic: the same requests give the same grant
 //! schedule under both policies whatever horizons they were pushed with,

@@ -3,9 +3,11 @@
 //! A layer holds one [`Obs`] by value and calls [`Obs::emit`]. Sites whose
 //! event is not free to build test [`Obs::is_on`] first:
 //!
-//! ```ignore
-//! if self.obs.is_on() {          // a null test on the handle's `Arc`
-//!     self.obs.emit(at_ns, kind); // only then is the event constructed
+//! ```
+//! # use locus_obs::{EventKind, Obs};
+//! # let (obs, at_ns, name) = (Obs::off(), 0, "route");
+//! if obs.is_on() {                                     // a null test on the handle's `Arc`
+//!     obs.emit(at_ns, EventKind::PhaseBegin { name }); // only then is the event constructed
 //! }
 //! ```
 //!

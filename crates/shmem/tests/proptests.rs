@@ -84,7 +84,7 @@ proptest! {
             let out = emulator.run();
             prop_assert_eq!(out.routes.len(), tiny.wire_count());
             let refs = out.work.cells_examined + out.work.cells_written;
-            let trace = out.trace.map(|t| (t.is_sorted(), t.len() as u64));
+            let trace = out.trace.map(|t| (t.refs().map(|r| r.time).is_sorted(), t.len() as u64));
             prop_assert_eq!(trace, collect_trace.then_some((true, refs)));
         }
     }
@@ -121,7 +121,7 @@ proptest! {
     fn trace_invariants(circuit in arb_circuit(), procs in 1usize..4) {
         let out = ShmemEmulator::new(&circuit, ShmemConfig::new(procs).with_trace()).run();
         let trace = out.trace.expect("trace requested");
-        prop_assert!(trace.is_sorted());
+        prop_assert!(trace.refs().map(|r| r.time).is_sorted());
         prop_assert_eq!(trace.write_count() as u64, out.work.cells_written);
         prop_assert_eq!(
             (trace.len() - trace.write_count()) as u64,
