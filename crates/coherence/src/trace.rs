@@ -939,6 +939,42 @@ mod tests {
     }
 
     #[test]
+    fn push_and_sort() {
+        // Collecting references given out of time order sorts them.
+        let t: Trace =
+            [r(5, 0, 0, RefKind::Read), r(1, 1, 4, RefKind::Write)].into_iter().collect();
+        assert!(t.refs().map(|r| r.time).is_sorted());
+        assert_eq!(t.refs().next().map(|r| r.time), Some(1));
+        assert_eq!(addrs(&t), [4, 0]);
+    }
+
+    #[test]
+    fn stable_sort_preserves_program_order_at_equal_times() {
+        let t: Trace =
+            [r(3, 0, 0, RefKind::Read), r(3, 0, 4, RefKind::Write)].into_iter().collect();
+        assert_eq!(addrs(&t), [0, 4]);
+    }
+
+    #[test]
+    fn stable_sort_preserves_order_across_procs_at_equal_times() {
+        // Three procs all touch at t=7, interleaved with earlier refs.
+        let t: Trace = [
+            r(9, 0, 0, RefKind::Read),
+            r(7, 2, 8, RefKind::Write),
+            r(7, 0, 12, RefKind::Read),
+            r(7, 1, 16, RefKind::Write),
+            r(1, 1, 20, RefKind::Read),
+        ]
+        .into_iter()
+        .collect();
+        assert!(t.refs().map(|r| r.time).is_sorted());
+        // The three t=7 refs keep the order they were given in.
+        let at7: Vec<u32> = t.refs().filter(|r| r.time == 7).map(|r| r.addr).collect();
+        assert_eq!(at7, vec![8, 12, 16]);
+        assert_eq!(addrs(&t), [20, 8, 12, 16, 0]);
+    }
+
+    #[test]
     fn is_sorted_on_empty_and_single_traces() {
         let empty = Trace::new();
         assert!(empty.is_empty());
