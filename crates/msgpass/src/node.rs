@@ -357,8 +357,14 @@ impl<'a> RouterNode<'a> {
         wire_id: WireId,
         outbox: &mut Outbox<Frame>,
     ) -> u64 {
-        let old = slot.and_then(|idx| self.rip_up(idx));
-        let mut busy = old.as_ref().map_or(0, |old| old.len() as u64 * CELL_WRITE_NS);
+        let mut busy = 0;
+        if let Some(old) = slot.and_then(|idx| self.rip_up(idx)) {
+            busy += old.len() as u64 * CELL_WRITE_NS;
+            // The wire is re-routed in its own ripped-up route's buffers,
+            // which fit any route it can take.
+            self.update.wire_ripped(&old);
+            self.scratch.recycle(old);
+        }
 
         // Evaluate against the (possibly stale) replica.
         let eval = route_wire_scratch(
@@ -372,17 +378,11 @@ impl<'a> RouterNode<'a> {
         // Occupancy factor: the chosen path's cost against the true
         // global state at routing time (§3) — the decision above saw
         // only the replica.
-        let cost_at_decision = {
-            use locus_router::CostView;
-            let mut oracle = self.oracle.borrow_mut();
-            let cost = oracle.route_cost(&eval.route);
-            oracle.add_route(&eval.route);
-            cost
-        };
+        let cost_at_decision = self.oracle.borrow_mut().commit_route(&eval.route);
         self.touch_truth(&eval.route);
 
         self.update.record_route(&mut self.replica, eval.route.cells(), 1);
-        self.update.wire_routed(old.as_ref(), &eval.route);
+        self.update.wire_routed(&eval.route);
         let route = self.driver.commit(wire_id, eval, cost_at_decision, self.now_ns);
         match slot {
             Some(idx) => self.static_routes[idx] = Some(route),

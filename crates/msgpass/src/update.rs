@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use locus_circuit::{Circuit, GridCell, Rect, WireId};
 use locus_router::route::row_runs;
-use locus_router::{CostArray, ProcId, RegionMap, Route};
+use locus_router::{CostArray, ProcId, RegionMap, Route, Segment};
 
 use crate::config::{MsgPassConfig, PacketStructure};
 use crate::delta::DeltaArray;
@@ -53,6 +53,9 @@ pub(crate) struct Update {
     /// Routing events accumulated since the last wire-based update
     /// (only populated under [`PacketStructure::WireBased`]).
     wire_events: Vec<WireEvent>,
+    /// The segments the wire being placed was ripped up from, until its
+    /// event is noted (only populated under the wire-based structure).
+    ripped: Vec<Segment>,
 
     // Receiver-initiated requester state.
     request_cursor: usize,
@@ -84,6 +87,7 @@ impl Update {
             unflushed: vec![false; n_procs],
             own_dirty: None,
             wire_events: Vec::new(),
+            ripped: Vec::new(),
             request_cursor: 0,
             touch_count: vec![0; n_procs],
             touch_bbox: vec![None; n_procs],
@@ -132,12 +136,20 @@ impl Update {
         }
     }
 
+    /// Notes, for the wire-based structure, the route the wire being
+    /// placed replaces, before the route is handed back for reuse.
+    pub(crate) fn wire_ripped(&mut self, ripped: &Route) {
+        if self.config.structure == PacketStructure::WireBased {
+            self.ripped = ripped.segments().to_vec();
+        }
+    }
+
     /// Notes one placed wire for the wire-based structure: the route it
-    /// replaced, if any, and the route chosen.
-    pub(crate) fn wire_routed(&mut self, ripped: Option<&Route>, routed: &Route) {
+    /// replaced, if [`Self::wire_ripped`] noted one, and the route chosen.
+    pub(crate) fn wire_routed(&mut self, routed: &Route) {
         if self.config.structure == PacketStructure::WireBased {
             self.wire_events.push(WireEvent {
-                ripped: ripped.map_or_else(Vec::new, |r| r.segments().to_vec()),
+                ripped: std::mem::take(&mut self.ripped),
                 routed: routed.segments().to_vec(),
             });
         }

@@ -6,17 +6,18 @@
 //! [...] and the horizontal dimension is the number of routing grids"
 //! (paper §3, Figure 1).
 //!
-//! Candidate evaluation costs routes by *span queries*: sums along a row
-//! or column interval. [`CostArray`] is nothing but its cells, row-major:
-//! a horizontal span is the sum of a contiguous `u16` slice (which the
-//! compiler vectorizes), a vertical span one cell from each of the few
-//! channels a feedthrough crosses, a channel's track count its row's
-//! maximum. Writes store cells and keep no other state, so there is
-//! nothing to invalidate; on arrays this small (10 × 341 on bnrE) cached
-//! prefix sums cost more on the write path than they save on reads
-//! (DESIGN §6c has the measurement). Instrumented views keep the per-cell
-//! default implementations so their reference traces stay byte-identical
-//! to a cell-by-cell evaluator.
+//! Candidate evaluation costs routes by *span queries*: sums along a
+//! row or column interval. [`CostArray`] is nothing but its cells,
+//! row-major: a horizontal span is the sum of a contiguous `u16` slice
+//! (which the compiler vectorizes, in 32-bit lanes), a vertical span
+//! one cell from each of the few channels a feedthrough crosses, a
+//! channel's track count its row's maximum. Writes store cells and keep
+//! no other state, so there is nothing to invalidate; on arrays this
+//! small (10 × 341 on bnrE) cached prefix sums cost more on the write
+//! path than they save on reads (DESIGN §6c has the measurement).
+//! Instrumented views keep the per-cell default implementations so
+//! their reference traces stay byte-identical to a cell-by-cell
+//! evaluator.
 
 use std::cell::Cell;
 
@@ -206,6 +207,21 @@ impl CostArray {
         self.apply_cells(route.cells(), 1);
     }
 
+    /// Commits `route`: increments every cell of it, like
+    /// [`Self::add_route`], and returns the sum of those cells from before
+    /// the increment, which is [`CostView::route_cost`] read just before
+    /// the write (the route's §3 occupancy). One pass over the cells.
+    pub fn commit_route(&mut self, route: &Route) -> u64 {
+        let mut before = 0u64;
+        for &cell in route.cells() {
+            let i = self.index(cell);
+            let v = self.cells[i];
+            before += u64::from(v);
+            self.cells[i] = saturating(v, 1);
+        }
+        before
+    }
+
     /// Decrements every cell of `route` by one (the wire is *ripped up*).
     pub fn remove_route(&mut self, route: &Route) {
         self.apply_cells(route.cells(), -1);
@@ -309,7 +325,12 @@ impl CostView for CostArray {
     fn horizontal_cost(&self, channel: u16, x_lo: u16, x_hi: u16) -> u64 {
         debug_assert!(x_lo <= x_hi && x_hi < self.grids);
         self.span_sums.set(self.span_sums.get() + 1);
-        self.row(channel)[x_lo as usize..=x_hi as usize].iter().map(|&v| v as u64).sum()
+        // Exact in 32 bits: a row holds at most 65 535 cells of at most
+        // 65 535 each, and 65 535² < 2³². The narrower lanes halve the
+        // vector work of the sum.
+        let sum: u32 =
+            self.row(channel)[x_lo as usize..=x_hi as usize].iter().map(|&v| u32::from(v)).sum();
+        u64::from(sum)
     }
     fn fast_spans(&self) -> bool {
         true
@@ -347,6 +368,29 @@ mod tests {
         assert_eq!(a.get(cell(2, 6)), 1);
         a.remove_route(&r);
         assert!(a.is_zero());
+    }
+
+    #[test]
+    fn commit_route_returns_the_cost_read_before_it_adds() {
+        let mut a = CostArray::new(4, 10);
+        a.set(cell(1, 2), 3);
+        a.set(cell(2, 6), 4);
+        let r =
+            Route::from_segments(vec![Segment::horizontal(1, 2, 6), Segment::vertical(6, 1, 3)]);
+        let mut b = a.clone();
+        let before = a.route_cost(&r);
+        assert_eq!(a.commit_route(&r), before);
+        b.add_route(&r);
+        assert_eq!(a, b);
+        assert_eq!(a.commit_route(&r), before + r.len() as u64);
+    }
+
+    #[test]
+    fn a_full_row_of_maximal_cells_sums_exactly() {
+        let mut a = CostArray::new(1, u16::MAX);
+        a.install(Rect::new(0, 0, 0, u16::MAX - 1), &vec![u16::MAX; u16::MAX as usize]);
+        let max = u64::from(u16::MAX);
+        assert_eq!(a.horizontal_cost(0, 0, u16::MAX - 1), max * max);
     }
 
     #[test]

@@ -207,7 +207,6 @@ pub struct EngineRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost_array::CostView;
     use locus_circuit::presets;
     use locus_obs::SharedSink;
 
@@ -223,10 +222,10 @@ mod tests {
                 if let Some(old) = routes[wire.id].take() {
                     driver.rip_up(wire.id, &old, 0);
                     cost.remove_route(&old);
+                    scratch.recycle(old);
                 }
                 let eval = crate::router::route_wire_scratch(&cost, wire, 1, &mut scratch);
-                let at_decision = cost.route_cost(&eval.route);
-                cost.add_route(&eval.route);
+                let at_decision = cost.commit_route(&eval.route);
                 routes[wire.id] = Some(driver.commit(wire.id, eval, at_decision, 0));
             }
             driver.close_iteration();

@@ -12,8 +12,9 @@
 //! crosses. The few runs of a route are sorted and written out in order,
 //! each clamped to start after the last column already written in its
 //! channel, so the cells come out sorted and unique. The routing kernel
-//! lends the run buffer from its [`crate::EvalScratch`], so a warm
-//! evaluation allocates only the route it returns.
+//! lends the run buffer from its [`crate::EvalScratch`] and builds the
+//! winner in the buffers of a route handed back to the scratch, so a warm
+//! evaluation allocates nothing.
 
 use locus_circuit::{GridCell, Rect};
 
@@ -98,13 +99,16 @@ impl Route {
     /// # Panics
     /// Panics if `segments` is empty.
     pub fn from_segments(segments: Vec<Segment>) -> Self {
-        Self::from_segments_in(segments, &mut Vec::new())
+        Self::build(segments, Vec::new(), &mut Vec::new())
     }
 
-    /// [`Route::from_segments`] with a caller-lent buffer for the row
-    /// runs `(channel, x_lo, x_hi)`; its contents on entry are ignored.
-    pub(crate) fn from_segments_in(
+    /// The one constructor behind [`Route::from_segments`] and the routing
+    /// kernel: covers `segments` in the buffer `cells`, with a caller-lent
+    /// buffer for the row runs `(channel, x_lo, x_hi)`. The contents of
+    /// both buffers on entry are ignored.
+    pub(crate) fn build(
         segments: Vec<Segment>,
+        mut cells: Vec<GridCell>,
         runs: &mut Vec<(u16, u16, u16)>,
     ) -> Self {
         assert!(!segments.is_empty(), "route must have at least one segment");
@@ -120,7 +124,8 @@ impl Route {
             }
         }
         runs.sort_unstable();
-        let mut cells: Vec<GridCell> = Vec::with_capacity(total);
+        cells.clear();
+        cells.reserve(total);
         // The channel being written and its first column not yet written;
         // `u32`s, so no channel matches before the first run and a run
         // ending at `u16::MAX` has a successor.
@@ -134,6 +139,12 @@ impl Route {
             next = next.max(u32::from(x_hi) + 1);
         }
         Route { segments, cells }
+    }
+
+    /// Takes the route apart into its segment and cell buffers, for the
+    /// next route to be built in.
+    pub(crate) fn into_buffers(self) -> (Vec<Segment>, Vec<GridCell>) {
+        (self.segments, self.cells)
     }
 
     /// The deduplicated cells this route occupies (sorted).

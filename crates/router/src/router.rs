@@ -6,9 +6,9 @@ use crate::cost_array::{CostArray, CostView};
 use crate::engine::IterationDriver;
 use crate::params::RouterParams;
 use crate::quality::QualityMetrics;
-use crate::route::{Route, Segment};
+use crate::route::Route;
 use crate::segment::{decompose_into, Connection};
-use crate::twobend::best_route_into;
+use crate::twobend::{best_route_into, max_cover, MAX_SEGMENTS};
 use crate::work::WorkStats;
 
 /// Result of evaluating one wire against a cost view (without mutating it).
@@ -40,42 +40,60 @@ pub fn route_wire<V: CostView + ?Sized>(view: &V, wire: &Wire, overshoot: u16) -
 }
 
 /// Reusable buffers for the routing kernel. Hold one per routing thread
-/// (or per message-passing node) and pass it to [`route_wire_scratch`]:
-/// after the first few wires the buffers reach steady-state capacity and
-/// the evaluation loop performs no allocations besides the winning
-/// [`Route`] itself.
+/// (or per message-passing node) and pass it to [`route_wire_scratch`],
+/// and hand each ripped-up route back with [`EvalScratch::recycle`]: once
+/// the buffers reach steady-state capacity, routing a wire allocates
+/// nothing.
 #[derive(Default)]
 pub struct EvalScratch {
     pins: Vec<Pin>,
     connections: Vec<Connection>,
-    segments: Vec<Segment>,
     /// The winning route's row runs, merged into its cover.
     runs: Vec<(u16, u16, u16)>,
+    /// A route handed back, whose buffers the next winner is built in.
+    spare: Option<Route>,
+}
+
+impl EvalScratch {
+    /// Hands back a route the caller no longer keeps (a ripped-up one), so
+    /// the next [`route_wire_scratch`] builds its winner in its buffers.
+    pub fn recycle(&mut self, route: Route) {
+        self.spare = Some(route);
+    }
 }
 
 /// [`route_wire`] with caller-provided scratch buffers; see
-/// [`EvalScratch`]. Candidate evaluation allocates nothing — only the
-/// single winning route per wire is materialized.
+/// [`EvalScratch`]. Candidate evaluation allocates nothing, and the
+/// winning route is built in the spare route's buffers when there is one.
 pub fn route_wire_scratch<V: CostView + ?Sized>(
     view: &V,
     wire: &Wire,
     overshoot: u16,
     scratch: &mut EvalScratch,
 ) -> WireEvaluation {
-    let EvalScratch { pins, connections, segments, runs } = scratch;
+    let EvalScratch { pins, connections, runs, spare } = scratch;
     decompose_into(wire, pins, connections);
+    // The winner is built in the spare's buffers, with room for the widest
+    // route the wire can take, so a wire re-routed in its own ripped-up
+    // route's buffers never grows them.
+    let (mut segments, mut cells) = spare.take().map(Route::into_buffers).unwrap_or_default();
     segments.clear();
+    segments.reserve_exact(MAX_SEGMENTS * connections.len());
     let mut cost = 0u64;
     let mut candidates = 0u64;
     let mut cells_examined = 0u64;
+    let mut cover = 0usize;
     for &conn in connections.iter() {
-        let core = best_route_into(view, conn, overshoot, segments);
+        let core = best_route_into(view, conn, overshoot, &mut segments);
         cost += core.cost;
         candidates += core.candidates as u64;
         cells_examined += core.cells_examined;
+        cover += max_cover(conn, overshoot);
     }
+    cells.clear();
+    cells.reserve_exact(cover);
     WireEvaluation {
-        route: Route::from_segments_in(segments.clone(), runs),
+        route: Route::build(segments, cells, runs),
         cost,
         candidates,
         cells_examined,
@@ -137,14 +155,14 @@ impl<'a> SequentialRouter<'a> {
                 if let Some(old) = routes[wire.id].take() {
                     driver.rip_up(wire.id, &old, 0);
                     cost.remove_route(&old);
+                    scratch.recycle(old);
                 }
                 let eval = route_wire_scratch(&cost, wire, params.channel_overshoot, &mut scratch);
-                // Occupancy: the merged route's cost at routing time (§3).
-                // Using the merged route (not the per-connection sum)
-                // counts overlap cells once, matching the parallel
-                // engines' definition exactly.
-                let at_decision = cost.route_cost(&eval.route);
-                cost.add_route(&eval.route);
+                // Occupancy: the merged route's cost at routing time (§3),
+                // read as the route is written. Using the merged route
+                // (not the per-connection sum) counts overlap cells once,
+                // matching the parallel engines' definition exactly.
+                let at_decision = cost.commit_route(&eval.route);
                 routes[wire.id] = Some(driver.commit(wire.id, eval, at_decision, 0));
             }
             driver.close_iteration();

@@ -80,6 +80,20 @@ enum Winner {
     Vhv { cm: u16 },
 }
 
+/// Segments of a two-bend route, at most.
+pub(crate) const MAX_SEGMENTS: usize = 3;
+
+/// The summed segment lengths of any candidate for `conn`, at most:
+/// `dx + dc + 3` for an HVH route, and `dx + dc + 2 · channel_overshoot +
+/// 3` for a VHV one, whose crossing channel lies at most
+/// `channel_overshoot` outside the pins' channels. A route's cover is no
+/// longer than its segments.
+pub(crate) fn max_cover(conn: Connection, channel_overshoot: u16) -> usize {
+    let dx = conn.from.x.abs_diff(conn.to.x) as usize;
+    let dc = conn.from.channel.abs_diff(conn.to.channel) as usize;
+    dx + dc + 2 * channel_overshoot as usize + 3
+}
+
 /// Cells covered by an inclusive span.
 #[inline]
 fn span(lo: u16, hi: u16) -> u64 {
@@ -544,6 +558,10 @@ mod tests {
                             let r = best_route_reference(&a, k, overshoot);
                             for e in [best_route(&a, k, overshoot), best_route(&slow, k, overshoot)]
                             {
+                                let segments = e.route.segments();
+                                assert!(segments.len() <= MAX_SEGMENTS, "{k:?}");
+                                let cover: u32 = segments.iter().map(Segment::len).sum();
+                                assert!(cover as usize <= max_cover(k, overshoot), "{k:?}");
                                 assert_eq!(e.route, r.route, "{k:?} overshoot {overshoot}");
                                 assert_eq!(e.cost, r.cost, "{k:?} overshoot {overshoot}");
                                 assert_eq!(e.candidates, r.candidates, "{k:?}");

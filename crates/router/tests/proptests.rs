@@ -179,6 +179,11 @@ proptest! {
                 // add_route / remove_route
                 (0u16..CHANNELS, 0u16..GRIDS, 0u16..GRIDS)
                     .prop_map(|(c, x1, x2)| (4u8, c, x1.min(x2), x2.max(x1) as i32)),
+                // commit_route of a hand-built route (5) or of a best_route
+                // winner (6), from (c, x) to the channel and column packed
+                // in the last field
+                (5u8..7, 0u16..CHANNELS, 0u16..GRIDS, 0u16..CHANNELS, 0u16..GRIDS)
+                    .prop_map(|(op, c, x, c2, x2)| (op, c, x, (c2 as i32) << 16 | x2 as i32)),
             ],
             1..40,
         ),
@@ -201,7 +206,7 @@ proptest! {
                     let deltas = vec![v as i16; rect.area() as usize];
                     array.apply_deltas(rect, &deltas);
                 }
-                _ => {
+                4 => {
                     let route = Route::from_segments(vec![
                         Segment::horizontal(c, x, v as u16),
                     ]);
@@ -211,6 +216,24 @@ proptest! {
                     } else if let Some(prev) = route_stack.pop() {
                         array.remove_route(&prev);
                     }
+                }
+                _ => {
+                    let (c2, x2) = ((v >> 16) as u16, v as u16);
+                    let route = if op == 5 {
+                        Route::from_segments(vec![
+                            Segment::horizontal(c, x, x2),
+                            Segment::vertical(x2, c, c2),
+                        ])
+                    } else {
+                        let k = Connection { from: Pin::new(c, x), to: Pin::new(c2, x2) };
+                        best_route(&array, k, 1).route
+                    };
+                    let mut added = array.clone();
+                    added.add_route(&route);
+                    let before = array.route_cost(&route);
+                    prop_assert_eq!(array.commit_route(&route), before);
+                    prop_assert_eq!(&array, &added);
+                    route_stack.push(route);
                 }
             }
             let naive_h: u64 = (0..GRIDS).map(|xx| array.get(GridCell::new(c, xx)) as u64).sum();

@@ -330,6 +330,7 @@ impl<'a> ShmemEmulator<'a> {
                         at,
                         CELL_WRITE_NS,
                     );
+                    scratch.recycle(old);
                 }
 
                 // Evaluate against the shared array as of this instant.

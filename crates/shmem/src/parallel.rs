@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use locus_circuit::Circuit;
 use locus_router::engine::{IterationDriver, WireFeed};
 use locus_router::router::route_wire_scratch;
-use locus_router::{CostArray, CostView, EvalScratch, QualityMetrics, Route, WorkStats};
+use locus_router::{CostArray, EvalScratch, QualityMetrics, Route, WorkStats};
 use parking_lot::Mutex;
 
 use crate::config::ShmemConfig;
@@ -137,6 +137,7 @@ impl<'a> ThreadedRouter<'a> {
                             if let Some(old) = slot.take() {
                                 driver.rip_up(wire_id, &old, 0);
                                 worker.rip_up(shared, &old);
+                                scratch.recycle(old);
                             }
                             let wire = circuit.wire(wire_id);
                             let eval =
@@ -145,8 +146,7 @@ impl<'a> ThreadedRouter<'a> {
                             // engines: merged-route cost at routing time,
                             // priced against the replica the worker
                             // decided on.
-                            let at_decision = worker.local.route_cost(&eval.route);
-                            worker.commit(shared, &eval.route);
+                            let at_decision = worker.commit(shared, &eval.route);
                             *slot = Some(driver.commit(wire_id, eval, at_decision, 0));
                         }
                         barrier.wait();

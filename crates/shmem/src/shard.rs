@@ -108,9 +108,12 @@ impl ShardWorker {
     }
 
     /// Commits `route`: the replica and the shared truth both gain it.
-    pub(crate) fn commit(&mut self, shared: &AtomicCostArray, route: &Route) {
-        self.local.add_route(route);
+    /// Returns the route's cost against the replica just before it was
+    /// added.
+    pub(crate) fn commit(&mut self, shared: &AtomicCostArray, route: &Route) -> u64 {
+        let before = self.local.commit_route(route);
         shared.add_route(route);
+        before
     }
 
     /// Rips `route` up from both the replica and the shared truth. The
@@ -141,7 +144,7 @@ mod tests {
         let shared = AtomicCostArray::new(4, 10);
         let mut w = ShardWorker::new(4, 10);
         let r = route(1, 2, 6);
-        w.commit(&shared, &r);
+        assert_eq!(w.commit(&shared, &r), 0, "the cost before the commit");
         for &cell in r.cells() {
             assert_eq!(w.local.get(cell), 1);
             assert_eq!(load(&shared, cell), 1);
@@ -167,6 +170,8 @@ mod tests {
         assert_eq!(a.local.get(GridCell::new(0, 2)), 2);
         assert_eq!(a.local.get(GridCell::new(0, 5)), 1);
         assert_eq!(a.local.horizontal_cost(0, 0, 9), 2 + 2 + 2 + 1 + 1);
+        // A commit prices the route against the refreshed replica.
+        assert_eq!(a.commit(&shared, &route(0, 3, 5)), 2 + 1 + 1);
     }
 
     #[test]
