@@ -70,15 +70,15 @@ pub trait CostView {
         (c_lo..=c_hi).map(|c| self.cost_at(GridCell::new(c, x)) as u64).sum()
     }
 
-    /// Whether span queries are plain arithmetic with no per-read side
-    /// effects. Enables the incremental HVH jog sweep in
-    /// [`crate::twobend::best_route`], which replaces repeated span
-    /// queries with O(1) running updates. Instrumented views, whether
-    /// they record cells or whole spans, must keep the default `false`:
-    /// the sweep queries every candidate's spans, so the recorded reads
-    /// are every cell each candidate costs.
-    fn fast_spans(&self) -> bool {
-        false
+    /// The plain array behind this view, when reading it has no side
+    /// effects. The HVH jog sweep in [`crate::twobend::best_route`] then
+    /// reads the two pin rows as slices in one pass instead of querying
+    /// each candidate's spans. Instrumented views, whether they record
+    /// cells or whole spans, must keep the default `None`: the sweep
+    /// queries every candidate's spans, so the recorded reads are every
+    /// cell each candidate costs.
+    fn as_array(&self) -> Option<&CostArray> {
+        None
     }
 }
 
@@ -161,7 +161,7 @@ impl CostArray {
 
     /// The cells of channel row `c`.
     #[inline]
-    fn row(&self, c: u16) -> &[u16] {
+    pub(crate) fn row(&self, c: u16) -> &[u16] {
         let g = self.grids as usize;
         &self.cells[c as usize * g..(c as usize + 1) * g]
     }
@@ -332,8 +332,8 @@ impl CostView for CostArray {
             self.row(channel)[x_lo as usize..=x_hi as usize].iter().map(|&v| u32::from(v)).sum();
         u64::from(sum)
     }
-    fn fast_spans(&self) -> bool {
-        true
+    fn as_array(&self) -> Option<&CostArray> {
+        Some(self)
     }
 }
 

@@ -37,6 +37,10 @@ pub struct RegionMap {
     channel_starts: Vec<u16>,
     /// Likewise for grid columns.
     grid_starts: Vec<u16>,
+    /// `row_of[c]` is the processor-mesh row owning channel `c`.
+    row_of: Vec<u16>,
+    /// `col_of[x]` is the processor-mesh column owning grid column `x`.
+    col_of: Vec<u16>,
 }
 
 impl RegionMap {
@@ -74,7 +78,17 @@ impl RegionMap {
         }
         let channel_starts = even_splits(channels, proc_rows);
         let grid_starts = even_splits(grids, proc_cols);
-        Ok(RegionMap { channels, grids, proc_rows, proc_cols, channel_starts, grid_starts })
+        let (row_of, col_of) = (band_of(&channel_starts), band_of(&grid_starts));
+        Ok(RegionMap {
+            channels,
+            grids,
+            proc_rows,
+            proc_cols,
+            channel_starts,
+            grid_starts,
+            row_of,
+            col_of,
+        })
     }
 
     /// Number of processors.
@@ -118,10 +132,7 @@ impl RegionMap {
 
     /// The processor owning `cell`.
     pub fn owner_of(&self, cell: GridCell) -> ProcId {
-        debug_assert!(cell.channel < self.channels && cell.x < self.grids);
-        let row = self.channel_starts[1..].partition_point(|&s| s <= cell.channel);
-        let col = self.grid_starts[1..].partition_point(|&s| s <= cell.x);
-        self.proc_at(row, col)
+        self.proc_at(self.row(cell.channel), self.col(cell.x))
     }
 
     /// The N/S/E/W mesh neighbours of `p` (2–4 entries).
@@ -148,18 +159,15 @@ impl RegionMap {
     /// Every processor whose owned region intersects `rect`, ascending.
     ///
     /// The regions tile the surface, so the intersecting owners form a
-    /// contiguous sub-grid of the processor mesh: binary-search its corner
+    /// contiguous sub-grid of the processor mesh: look up its corner
     /// rows/columns instead of testing all P regions. This sits on the
     /// per-wire update path of the message-passing router.
     pub fn owners_intersecting(&self, rect: Rect) -> Vec<ProcId> {
         if rect.c_lo >= self.channels || rect.x_lo >= self.grids {
             return Vec::new();
         }
-        let row_lo = self.channel_starts[1..].partition_point(|&s| s <= rect.c_lo);
-        let row_hi =
-            self.channel_starts[1..].partition_point(|&s| s <= rect.c_hi.min(self.channels - 1));
-        let col_lo = self.grid_starts[1..].partition_point(|&s| s <= rect.x_lo);
-        let col_hi = self.grid_starts[1..].partition_point(|&s| s <= rect.x_hi.min(self.grids - 1));
+        let (row_lo, row_hi) = (self.row(rect.c_lo), self.row(rect.c_hi.min(self.channels - 1)));
+        let (col_lo, col_hi) = (self.col(rect.x_lo), self.col(rect.x_hi.min(self.grids - 1)));
         let mut out = Vec::with_capacity((row_hi + 1 - row_lo) * (col_hi + 1 - col_lo));
         for row in row_lo..=row_hi {
             for col in col_lo..=col_hi {
@@ -178,15 +186,24 @@ impl RegionMap {
         x_lo: u16,
         x_hi: u16,
     ) -> impl Iterator<Item = (ProcId, u16, u16)> + '_ {
-        debug_assert!(channel < self.channels && x_lo <= x_hi && x_hi < self.grids);
-        let row = self.channel_starts[1..].partition_point(|&s| s <= channel);
-        let first = self.grid_starts[1..].partition_point(|&s| s <= x_lo);
-        (first..self.proc_cols).take_while(move |&col| self.grid_starts[col] <= x_hi).map(
-            move |col| {
-                let (lo, hi) = (self.grid_starts[col], self.grid_starts[col + 1] - 1);
-                (self.proc_at(row, col), x_lo.max(lo), x_hi.min(hi))
-            },
-        )
+        debug_assert!(x_lo <= x_hi && x_hi < self.grids);
+        let row = self.row(channel);
+        (self.col(x_lo)..=self.col(x_hi)).map(move |col| {
+            let (lo, hi) = (self.grid_starts[col], self.grid_starts[col + 1] - 1);
+            (self.proc_at(row, col), x_lo.max(lo), x_hi.min(hi))
+        })
+    }
+
+    /// The processor-mesh row owning channel `c`.
+    #[inline]
+    fn row(&self, c: u16) -> usize {
+        usize::from(self.row_of[usize::from(c)])
+    }
+
+    /// The processor-mesh column owning grid column `x`.
+    #[inline]
+    fn col(&self, x: u16) -> usize {
+        usize::from(self.col_of[usize::from(x)])
     }
 
     /// Surface dimensions `(channels, grids)`.
@@ -198,6 +215,16 @@ impl RegionMap {
 /// `parts + 1` boundaries splitting `0..total` as evenly as possible.
 fn even_splits(total: u16, parts: usize) -> Vec<u16> {
     (0..=parts).map(|i| ((i as u64 * total as u64) / parts as u64) as u16).collect()
+}
+
+/// For each of `0..total`, the part of [`even_splits`]' `starts` it falls
+/// in. There are at most `total` parts, so a part's number fits a `u16`.
+fn band_of(starts: &[u16]) -> Vec<u16> {
+    let mut out = Vec::with_capacity(usize::from(starts[starts.len() - 1]));
+    for (i, w) in starts.windows(2).enumerate() {
+        out.resize(usize::from(w[1]), i as u16);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -314,8 +341,12 @@ mod tests {
             for c in [0u16, 4, 9] {
                 for x_lo in (0..97u16).step_by(7) {
                     for x_hi in (x_lo..97).step_by(5) {
-                        let by_cell: Vec<ProcId> =
-                            (x_lo..=x_hi).map(|x| m.owner_of(GridCell::new(c, x))).collect();
+                        let by_cell: Vec<ProcId> = (x_lo..=x_hi)
+                            .map(|x| {
+                                let cell = GridCell::new(c, x);
+                                (0..m.n_procs()).find(|&p| m.region(p).contains(cell)).unwrap()
+                            })
+                            .collect();
                         let by_piece: Vec<ProcId> = m
                             .split_run(c, x_lo, x_hi)
                             .flat_map(|(p, a, b)| (a..=b).map(move |_| p))

@@ -104,22 +104,26 @@ impl Route {
 
     /// The one constructor behind [`Route::from_segments`] and the routing
     /// kernel: covers `segments` in the buffer `cells`, with a caller-lent
-    /// buffer for the row runs `(channel, x_lo, x_hi)`. The contents of
-    /// both buffers on entry are ignored.
+    /// buffer for the row runs, each packed as `channel << 32 | x_lo << 16
+    /// | x_hi` so that the keys sort in `(channel, x_lo, x_hi)` order. The
+    /// contents of both buffers on entry are ignored.
     pub(crate) fn build(
         segments: Vec<Segment>,
         mut cells: Vec<GridCell>,
-        runs: &mut Vec<(u16, u16, u16)>,
+        runs: &mut Vec<u64>,
     ) -> Self {
         assert!(!segments.is_empty(), "route must have at least one segment");
+        let key = |c: u16, x_lo: u16, x_hi: u16| {
+            u64::from(c) << 32 | u64::from(x_lo) << 16 | u64::from(x_hi)
+        };
         runs.clear();
         let mut total = 0usize;
         for s in &segments {
             total += s.len() as usize;
             match *s {
-                Segment::Horizontal { channel, x_lo, x_hi } => runs.push((channel, x_lo, x_hi)),
+                Segment::Horizontal { channel, x_lo, x_hi } => runs.push(key(channel, x_lo, x_hi)),
                 Segment::Vertical { x, c_lo, c_hi } => {
-                    runs.extend((c_lo..=c_hi).map(|c| (c, x, x)))
+                    runs.extend((c_lo..=c_hi).map(|c| key(c, x, x)))
                 }
             }
         }
@@ -130,7 +134,8 @@ impl Route {
         // `u32`s, so no channel matches before the first run and a run
         // ending at `u16::MAX` has a successor.
         let (mut channel, mut next) = (u32::MAX, 0u32);
-        for &(c, x_lo, x_hi) in runs.iter() {
+        for &run in runs.iter() {
+            let (c, x_lo, x_hi) = ((run >> 32) as u16, (run >> 16) as u16, run as u16);
             if u32::from(c) != channel {
                 (channel, next) = (u32::from(c), 0);
             }

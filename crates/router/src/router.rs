@@ -48,8 +48,8 @@ pub fn route_wire<V: CostView + ?Sized>(view: &V, wire: &Wire, overshoot: u16) -
 pub struct EvalScratch {
     pins: Vec<Pin>,
     connections: Vec<Connection>,
-    /// The winning route's row runs, merged into its cover.
-    runs: Vec<(u16, u16, u16)>,
+    /// The winning route's row runs, packed as [`Route`] sorts them.
+    runs: Vec<u64>,
     /// A route handed back, whose buffers the next winner is built in.
     spare: Option<Route>,
 }

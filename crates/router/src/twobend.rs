@@ -30,14 +30,14 @@
 //! oracle (the hidden `oracle` module below). A view that records each
 //! span query's cells in span order (the shmem emulator's traced view
 //! records them as one run of addresses) sees the same sequence. When the
-//! view advertises [`CostView::fast_spans`], the HVH jog sweep
-//! additionally turns incremental: adjacent jog columns share all but one
-//! cell of each horizontal run, so the whole sweep is O(W) span
-//! arithmetic.
+//! view is a plain array ([`CostView::as_array`]), the HVH jog sweep
+//! reads the two pin rows once instead: as the jog moves right, one
+//! horizontal run grows by a cell and the other shrinks by one, so the
+//! whole sweep is one zipped pass over two row slices.
 
 use locus_circuit::GridCell;
 
-use crate::cost_array::CostView;
+use crate::cost_array::{CostArray, CostView};
 use crate::route::{Route, Segment};
 use crate::segment::Connection;
 
@@ -120,9 +120,11 @@ pub fn best_route_into<V: CostView + ?Sized>(
     let mut candidates = 0usize;
     let mut cells_examined = 0u64;
 
-    let mut consider = |cost: u64, cells: u64, w: Winner| {
+    // Takes `n` candidates covering `cells` cells in all, of which the
+    // first cheapest costs `cost`.
+    let mut consider = |cost: u64, cells: u64, n: usize, w: Winner| {
         cells_examined += cells;
-        candidates += 1;
+        candidates += n;
         if winner.is_none() || cost < best_cost {
             best_cost = cost;
             winner = Some(w);
@@ -132,7 +134,7 @@ pub fn best_route_into<V: CostView + ?Sized>(
     if c1 == c2 {
         // Direct horizontal run (all HVH candidates coincide).
         let (lo, hi) = (x1.min(x2), x1.max(x2));
-        consider(view.horizontal_cost(c1, lo, hi), span(lo, hi), Winner::DirectH);
+        consider(view.horizontal_cost(c1, lo, hi), span(lo, hi), 1, Winner::DirectH);
     } else {
         // HVH: one candidate per jog column in the bounding box. Reads per
         // candidate, in sorted (channel, x) order: the lower channel's run,
@@ -140,24 +142,10 @@ pub fn best_route_into<V: CostView + ?Sized>(
         let (x_lo, x_hi) = (x1.min(x2), x1.max(x2));
         let (ca, xa, cb, xb) = if c1 < c2 { (c1, x1, c2, x2) } else { (c2, x2, c1, x1) };
         let interior = (cb - ca) as u64 - 1;
-        if view.fast_spans() {
-            // Incremental sweep: moving the jog from `xm-1` to `xm`
-            // changes each horizontal run by exactly one cell (shrinks it
-            // while left of the pin, grows it once past).
-            let mut run_a = view.horizontal_cost(ca, x_lo, xa);
-            let mut run_b = view.horizontal_cost(cb, x_lo, xb);
-            for xm in x_lo..=x_hi {
-                if xm > x_lo {
-                    run_a = hstep(view, ca, xa, xm, run_a);
-                    run_b = hstep(view, cb, xb, xm, run_b);
-                }
-                let mut cost = run_a + run_b;
-                if interior > 0 {
-                    cost += view.vertical_cost(xm, ca + 1, cb - 1);
-                }
-                let cells = span(xa.min(xm), xa.max(xm)) + interior + span(xb.min(xm), xb.max(xm));
-                consider(cost, cells, Winner::Hvh { xm });
-            }
+        if let Some(array) = view.as_array() {
+            let n = span(x_lo, x_hi);
+            let (cost, xm) = hvh_sweep(array, (ca, xa), (cb, xb), x_lo, x_hi);
+            consider(cost, n * (n + 1 + interior), n as usize, Winner::Hvh { xm });
         } else {
             for xm in x_lo..=x_hi {
                 let mut cost = view.horizontal_cost(ca, xa.min(xm), xa.max(xm));
@@ -166,7 +154,7 @@ pub fn best_route_into<V: CostView + ?Sized>(
                 }
                 cost += view.horizontal_cost(cb, xb.min(xm), xb.max(xm));
                 let cells = span(xa.min(xm), xa.max(xm)) + interior + span(xb.min(xm), xb.max(xm));
-                consider(cost, cells, Winner::Hvh { xm });
+                consider(cost, cells, 1, Winner::Hvh { xm });
             }
         }
     }
@@ -183,12 +171,12 @@ pub fn best_route_into<V: CostView + ?Sized>(
                 continue;
             }
             let (cost, cells) = vhv_cost(view, c1, x1, c2, x2, cm);
-            consider(cost, cells, Winner::Vhv { cm });
+            consider(cost, cells, 1, Winner::Vhv { cm });
         }
     } else if c1 != c2 {
         // Same column, different channels: direct feedthrough.
         let (lo, hi) = (c1.min(c2), c1.max(c2));
-        consider(view.vertical_cost(x1, lo, hi), span(lo, hi), Winner::DirectV);
+        consider(view.vertical_cost(x1, lo, hi), span(lo, hi), 1, Winner::DirectV);
     }
 
     let winner = winner.expect("at least one candidate is always generated");
@@ -196,17 +184,38 @@ pub fn best_route_into<V: CostView + ?Sized>(
     EvalCore { cost: best_cost, candidates, cells_examined }
 }
 
-/// Advances a horizontal run `pin..=xm-1`-vs-`xm` by one jog column:
-/// the run covers `min(x_pin, xm)..=max(x_pin, xm)`, so stepping the jog
-/// right either drops the old left end (jog still left of the pin) or
-/// appends the new right end (jog past the pin).
-#[inline]
-fn hstep<V: CostView + ?Sized>(view: &V, channel: u16, x_pin: u16, xm: u16, run: u64) -> u64 {
-    if xm <= x_pin {
-        run - view.cost_at(GridCell::new(channel, xm - 1)) as u64
-    } else {
-        run + view.cost_at(GridCell::new(channel, xm)) as u64
+/// The HVH jog sweep over the rows of `array`, for pins `(ca, xa)` and
+/// `(cb, xb)` in different channels with `x_lo..=x_hi` their columns:
+/// the cost and jog column of the first cheapest candidate. The row of
+/// the pin at `x_lo` is read as a growing prefix and the other as a
+/// shrinking suffix, zipped in one pass; the feedthrough's interior is
+/// one cell per channel between them, read per jog.
+fn hvh_sweep(
+    array: &CostArray,
+    (ca, xa): (u16, u16),
+    (cb, xb): (u16, u16),
+    x_lo: u16,
+    x_hi: u16,
+) -> (u64, u16) {
+    let (c_prefix, c_suffix) = if xa == x_lo { (ca, cb) } else { (cb, ca) };
+    debug_assert!(xa.min(xb) == x_lo && xa.max(xb) == x_hi);
+    let cols = usize::from(x_lo)..=usize::from(x_hi);
+    let (prefix_row, suffix_row) = (&array.row(c_prefix)[cols.clone()], &array.row(c_suffix)[cols]);
+    let mut prefix = 0u64;
+    let mut suffix: u64 = suffix_row.iter().map(|&v| u64::from(v)).sum();
+    let (mut best, mut best_jog) = (u64::MAX, 0);
+    for (jog, (&p, &s)) in prefix_row.iter().zip(suffix_row).enumerate() {
+        prefix += u64::from(p);
+        let mut cost = prefix + suffix;
+        if cb - ca > 1 {
+            cost += array.vertical_cost(x_lo + jog as u16, ca + 1, cb - 1);
+        }
+        if cost < best {
+            (best, best_jog) = (cost, jog);
+        }
+        suffix -= u64::from(s);
     }
+    (best, x_lo + best_jog as u16)
 }
 
 /// Costs one VHV candidate (crossing channel `cm`) as disjoint spans over
@@ -435,7 +444,7 @@ mod tests {
     use super::oracle::{best_route_reference, PerCell};
     use super::*;
     use crate::cost_array::CostArray;
-    use locus_circuit::{GridCell, Pin};
+    use locus_circuit::{GridCell, Pin, Rect};
 
     fn conn(c1: u16, x1: u16, c2: u16, x2: u16) -> Connection {
         Connection { from: Pin::new(c1, x1), to: Pin::new(c2, x2) }
@@ -654,6 +663,24 @@ mod tests {
             assert_eq!(e.route, r.route);
             assert_eq!(e.cells_examined, r.cells_examined);
         }
+    }
+
+    /// The sweep's running sums at their largest: every cell at
+    /// `u16::MAX` on the widest surface, so each candidate costs more than
+    /// `u32::MAX`.
+    #[test]
+    fn the_jog_sweep_sums_maximal_rows_exactly() {
+        let grids = u16::MAX;
+        let mut a = CostArray::new(4, grids);
+        a.install(Rect::new(0, 3, 0, grids - 1), &vec![u16::MAX; 4 * usize::from(grids)]);
+        let e = best_route(&a, conn(0, 0, 3, grids - 1), 0);
+        let (max, cover) = (u64::from(u16::MAX), u64::from(grids) + 3);
+        assert_eq!(cover, 65_538);
+        assert_eq!(e.cost, max * cover);
+        assert!(e.cost > u64::from(u32::MAX));
+        assert_eq!(e.route.segments()[0], Segment::vertical(0, 0, 3), "jog 0 wins the ties");
+        assert_eq!(e.candidates, usize::from(grids) + 4);
+        assert_eq!(e.cells_examined, cover * (cover + 1));
     }
 
     #[test]

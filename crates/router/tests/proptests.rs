@@ -17,7 +17,12 @@ fn arb_pin() -> impl Strategy<Value = Pin> {
 }
 
 fn arb_cost_array() -> impl Strategy<Value = CostArray> {
-    proptest::collection::vec(0u16..8, (CHANNELS as usize) * (GRIDS as usize)).prop_map(|v| {
+    arb_cost_array_of(0u16..8)
+}
+
+/// A surface whose cells are drawn from `cell`.
+fn arb_cost_array_of(cell: impl Strategy<Value = u16>) -> impl Strategy<Value = CostArray> {
+    proptest::collection::vec(cell, (CHANNELS as usize) * (GRIDS as usize)).prop_map(|v| {
         let mut a = CostArray::new(CHANNELS, GRIDS);
         let mut i = 0;
         for c in 0..CHANNELS {
@@ -140,7 +145,7 @@ proptest! {
     fn optimized_evaluator_matches_reference(
         a in arb_pin(),
         b in arb_pin(),
-        costs in arb_cost_array(),
+        costs in prop_oneof![arb_cost_array(), arb_cost_array_of(0..=u16::MAX)],
         overshoot in 0u16..4,
     ) {
         // The span-arithmetic kernel must be bit-for-bit equivalent to the
@@ -324,9 +329,9 @@ proptest! {
         for p in 0..m.n_procs() {
             covered += m.region(p).area();
             // The region's cells all map back to p.
-            let r = m.region(p);
-            prop_assert_eq!(m.owner_of(GridCell::new(r.c_lo, r.x_lo)), p);
-            prop_assert_eq!(m.owner_of(GridCell::new(r.c_hi, r.x_hi)), p);
+            for cell in m.region(p).cells() {
+                prop_assert_eq!(m.owner_of(cell), p, "{}", cell);
+            }
         }
         prop_assert_eq!(covered, channels as u64 * grids as u64);
     }

@@ -85,10 +85,10 @@ type TracedEvaluation =
 /// sweep. A span query records its cells as one run of addresses, a row's
 /// one cell apart and a column's one row apart, and takes its sum from
 /// the [`CostArray`]; `cost_at` records the single cells of VHV's
-/// side-by-side band. `fast_spans` stays false, so every candidate's
+/// side-by-side band. `as_array` stays `None`, so every candidate's
 /// spans are queried and the trace holds every read in the order a
 /// cell-by-cell evaluator reads them: only an untraced run, evaluating
-/// against the [`CostArray`] itself, takes the incremental jog sweep.
+/// against the [`CostArray`] itself, takes the row-slice jog sweep.
 struct TracedView<'a> {
     cost: &'a CostArray,
     reads: RefCell<BurstWriter<'a>>,
@@ -442,10 +442,10 @@ mod tests {
         );
     }
 
-    /// Both runs sum row spans on the array, but only an untraced run
-    /// takes the incremental jog sweep, which sums two rows a connection
-    /// where a traced run sums both rows of every jog column so that the
-    /// trace holds every read. Both decide and charge the same.
+    /// Both runs sum row spans on the array (VHV's crossing rows), but
+    /// only a traced run sums both rows of every jog column, so that the
+    /// trace holds every read; an untraced run takes the row-slice jog
+    /// sweep, which queries no span. Both decide and charge the same.
     #[test]
     fn only_an_untraced_run_sums_spans_on_the_array() {
         let c = presets::small();

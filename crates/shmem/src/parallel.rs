@@ -8,7 +8,7 @@
 //! meet at a barrier between iterations.
 //!
 //! Every worker evaluates against a private replica of the array (plain
-//! `u16` rows and the `fast_spans` sweep in place of a relaxed atomic
+//! `u16` rows and the row-slice jog sweep in place of a relaxed atomic
 //! load per cell, no false sharing), refreshed from the shared atomic
 //! truth at iteration barriers; see `crate::shard`. Thread interleavings
 //! make runs nondeterministic in the default distributed-loop schedule,

@@ -4,7 +4,7 @@
 //! unlocked `u16` atomics — but every worker additionally **owns** a
 //! private [`CostArray`] replica that it alone reads and writes.
 //! Evaluation reads the replica (plain `u16` rows summed as slices and
-//! the `fast_spans` jog sweep, where the shared array offers one relaxed
+//! the row-slice jog sweep, where the shared array offers one relaxed
 //! atomic load per cell, and no cache-line ping-pong), while commits and
 //! rip-ups are applied to both the replica and the shared atomics, so the
 //! truth is always the merge of every worker's writes.
