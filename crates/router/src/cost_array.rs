@@ -15,9 +15,9 @@
 //! no other state, so there is nothing to invalidate; on arrays this
 //! small (10 × 341 on bnrE) cached prefix sums cost more on the write
 //! path than they save on reads (DESIGN §6c has the measurement).
-//! Instrumented views keep the per-cell default implementations so
-//! their reference traces stay byte-identical to a cell-by-cell
-//! evaluator.
+//! Instrumented views record every span they are asked about, queried
+//! or only noted (see [`CostView::as_array`]), so their reference
+//! traces stay byte-identical to a cell-by-cell evaluator.
 
 use std::cell::Cell;
 
@@ -54,7 +54,8 @@ pub trait CostView {
     /// a view that instruments only [`Self::cost_at`] observes exactly the
     /// reference sequence a cell-by-cell evaluator would produce. A view
     /// that instruments spans (the shmem emulator's traced view records
-    /// the cells as one run of addresses) must record them in that order.
+    /// the cells as one run of addresses) must record them in that order,
+    /// here and in [`Self::note_row`].
     /// [`CostArray`] overrides this with a sum over the row slice.
     fn horizontal_cost(&self, channel: u16, x_lo: u16, x_hi: u16) -> u64 {
         (x_lo..=x_hi).map(|x| self.cost_at(GridCell::new(channel, x)) as u64).sum()
@@ -70,13 +71,28 @@ pub trait CostView {
         (c_lo..=c_hi).map(|c| self.cost_at(GridCell::new(c, x)) as u64).sum()
     }
 
-    /// The plain array behind this view, when reading it has no side
-    /// effects. The HVH jog sweep in [`crate::twobend::best_route`] then
-    /// reads the two pin rows as slices in one pass instead of querying
-    /// each candidate's spans. Instrumented views, whether they record
-    /// cells or whole spans, must keep the default `None`: the sweep
-    /// queries every candidate's spans, so the recorded reads are every
-    /// cell each candidate costs.
+    /// Tells the view that the row span [`Self::horizontal_cost`] would
+    /// read for the same arguments is read, without asking for its sum.
+    /// Does nothing by default; a recording view with an array records
+    /// the span here.
+    #[inline]
+    fn note_row(&self, _channel: u16, _x_lo: u16, _x_hi: u16) {}
+
+    /// The column twin of [`Self::note_row`], for
+    /// [`Self::vertical_cost`]'s span.
+    #[inline]
+    fn note_column(&self, _x: u16, _c_lo: u16, _c_hi: u16) {}
+
+    /// The array behind this view, whose cells are the costs the view
+    /// answers. The HVH jog sweep in [`crate::twobend::best_route`] then
+    /// reads the two pin rows of the array as slices in one pass, and
+    /// tells the view each candidate's spans through [`Self::note_row`]
+    /// and [`Self::note_column`], in the order the per-candidate loop
+    /// queries them. A view that records reads and returns an array must
+    /// record through those hooks as well as through its span queries
+    /// (the shmem emulator's traced view does); a view that instruments
+    /// only [`Self::cost_at`] keeps the default `None`, so every
+    /// candidate's spans are queried cell by cell.
     fn as_array(&self) -> Option<&CostArray> {
         None
     }

@@ -30,10 +30,15 @@
 //! oracle (the hidden `oracle` module below). A view that records each
 //! span query's cells in span order (the shmem emulator's traced view
 //! records them as one run of addresses) sees the same sequence. When the
-//! view is a plain array ([`CostView::as_array`]), the HVH jog sweep
-//! reads the two pin rows once instead: as the jog moves right, one
+//! view has an array behind it ([`CostView::as_array`]), the HVH jog
+//! sweep sums the two pin rows once instead: as the jog moves right, one
 //! horizontal run grows by a cell and the other shrinks by one, so the
-//! whole sweep is one zipped pass over two row slices.
+//! whole sweep is one zipped pass over two row slices. It still tells
+//! the view every candidate's spans, in the per-candidate order, through
+//! [`CostView::note_row`] and [`CostView::note_column`]; a recording view
+//! records them there, so its trace is the per-cell evaluator's while its
+//! sums cost O(W) a connection, not O(W²). On a plain [`CostArray`] the
+//! hooks are empty.
 
 use locus_circuit::GridCell;
 
@@ -144,7 +149,7 @@ pub fn best_route_into<V: CostView + ?Sized>(
         let interior = (cb - ca) as u64 - 1;
         if let Some(array) = view.as_array() {
             let n = span(x_lo, x_hi);
-            let (cost, xm) = hvh_sweep(array, (ca, xa), (cb, xb), x_lo, x_hi);
+            let (cost, xm) = hvh_sweep(view, array, (ca, xa), (cb, xb), x_lo, x_hi);
             consider(cost, n * (n + 1 + interior), n as usize, Winner::Hvh { xm });
         } else {
             for xm in x_lo..=x_hi {
@@ -189,8 +194,12 @@ pub fn best_route_into<V: CostView + ?Sized>(
 /// the cost and jog column of the first cheapest candidate. The row of
 /// the pin at `x_lo` is read as a growing prefix and the other as a
 /// shrinking suffix, zipped in one pass; the feedthrough's interior is
-/// one cell per channel between them, read per jog.
-fn hvh_sweep(
+/// one cell per channel between them, read per jog. `array` is `view`'s
+/// array; each jog notes its candidate's spans on `view` in the order the
+/// per-candidate loop queries them: row `ca`, the interior column, row
+/// `cb`.
+fn hvh_sweep<V: CostView + ?Sized>(
+    view: &V,
     array: &CostArray,
     (ca, xa): (u16, u16),
     (cb, xb): (u16, u16),
@@ -205,11 +214,15 @@ fn hvh_sweep(
     let mut suffix: u64 = suffix_row.iter().map(|&v| u64::from(v)).sum();
     let (mut best, mut best_jog) = (u64::MAX, 0);
     for (jog, (&p, &s)) in prefix_row.iter().zip(suffix_row).enumerate() {
+        let xm = x_lo + jog as u16;
+        view.note_row(ca, xa.min(xm), xa.max(xm));
         prefix += u64::from(p);
         let mut cost = prefix + suffix;
         if cb - ca > 1 {
-            cost += array.vertical_cost(x_lo + jog as u16, ca + 1, cb - 1);
+            view.note_column(xm, ca + 1, cb - 1);
+            cost += array.vertical_cost(xm, ca + 1, cb - 1);
         }
+        view.note_row(cb, xb.min(xm), xb.max(xm));
         if cost < best {
             (best, best_jog) = (cost, jog);
         }
@@ -349,8 +362,9 @@ pub mod oracle {
     use crate::segment::Connection;
 
     /// A view of a [`CostArray`] that answers span queries through the
-    /// per-cell default implementations, the path instrumented views
-    /// (the shmem emulator's traced view) take.
+    /// per-cell default implementations and returns no array, so every
+    /// candidate's spans are queried: the path of a view that instruments
+    /// only `cost_at`.
     pub struct PerCell<'a>(pub &'a CostArray);
 
     impl CostView for PerCell<'_> {

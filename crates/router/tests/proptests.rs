@@ -1,5 +1,7 @@
 //! Property-based tests for the routing core.
 
+use std::cell::RefCell;
+
 use locus_circuit::{GridCell, Pin, Rect, Wire};
 use locus_router::locality::{locality_measure, LocalityMeasure};
 use locus_router::router::route_wire;
@@ -33,6 +35,66 @@ fn arb_cost_array_of(cell: impl Strategy<Value = u16>) -> impl Strategy<Value = 
         }
         a
     })
+}
+
+/// A view that records every cell it reads through `cost_at` and has no
+/// array behind it, so the kernel queries every candidate's spans and
+/// the defaults read them cell by cell.
+struct CellRecorder<'a> {
+    costs: &'a CostArray,
+    reads: RefCell<Vec<GridCell>>,
+}
+
+impl<'a> CellRecorder<'a> {
+    fn new(costs: &'a CostArray) -> Self {
+        CellRecorder { costs, reads: RefCell::new(Vec::new()) }
+    }
+}
+
+impl CostView for CellRecorder<'_> {
+    fn channels(&self) -> u16 {
+        CostView::channels(self.costs)
+    }
+    fn grids(&self) -> u16 {
+        CostView::grids(self.costs)
+    }
+    fn cost_at(&self, cell: GridCell) -> u32 {
+        self.reads.borrow_mut().push(cell);
+        self.costs.cost_at(cell)
+    }
+}
+
+/// The same recorder with its array exposed: a span, queried or only
+/// noted, is recorded as its cells, and a query sums it on the array.
+struct SpanRecorder<'a>(CellRecorder<'a>);
+
+impl CostView for SpanRecorder<'_> {
+    fn channels(&self) -> u16 {
+        self.0.channels()
+    }
+    fn grids(&self) -> u16 {
+        self.0.grids()
+    }
+    fn cost_at(&self, cell: GridCell) -> u32 {
+        self.0.cost_at(cell)
+    }
+    fn horizontal_cost(&self, channel: u16, x_lo: u16, x_hi: u16) -> u64 {
+        self.note_row(channel, x_lo, x_hi);
+        self.0.costs.horizontal_cost(channel, x_lo, x_hi)
+    }
+    fn vertical_cost(&self, x: u16, c_lo: u16, c_hi: u16) -> u64 {
+        self.note_column(x, c_lo, c_hi);
+        self.0.costs.vertical_cost(x, c_lo, c_hi)
+    }
+    fn note_row(&self, channel: u16, x_lo: u16, x_hi: u16) {
+        self.0.reads.borrow_mut().extend((x_lo..=x_hi).map(|x| GridCell::new(channel, x)));
+    }
+    fn note_column(&self, x: u16, c_lo: u16, c_hi: u16) {
+        self.0.reads.borrow_mut().extend((c_lo..=c_hi).map(|c| GridCell::new(c, x)));
+    }
+    fn as_array(&self) -> Option<&CostArray> {
+        Some(self.0.costs)
+    }
 }
 
 fn arb_route() -> impl Strategy<Value = Route> {
@@ -162,6 +224,29 @@ proptest! {
             prop_assert_eq!(eval.candidates, reference.candidates);
             prop_assert_eq!(eval.cells_examined, reference.cells_examined);
         }
+    }
+
+    #[test]
+    fn an_array_backed_view_records_the_per_cell_read_sequence(
+        a in arb_pin(),
+        b in arb_pin(),
+        costs in prop_oneof![arb_cost_array(), arb_cost_array_of(0..=u16::MAX)],
+        overshoot in 0u16..4,
+    ) {
+        // The jog sweep notes every candidate's spans on a view with an
+        // array behind it; a view that records them there reads, cell for
+        // cell, what a view recording only `cost_at` reads through the
+        // per-candidate loop, and both evaluate alike.
+        let conn = Connection { from: a, to: b };
+        let swept = SpanRecorder(CellRecorder::new(&costs));
+        let queried = CellRecorder::new(&costs);
+        let (fast, slow) =
+            (best_route(&swept, conn, overshoot), best_route(&queried, conn, overshoot));
+        prop_assert_eq!(swept.0.reads.take(), queried.reads.take());
+        prop_assert_eq!(&fast.route, &slow.route);
+        prop_assert_eq!(fast.cost, slow.cost);
+        prop_assert_eq!(fast.candidates, slow.candidates);
+        prop_assert_eq!(fast.cells_examined, slow.cells_examined);
     }
 
     #[test]
